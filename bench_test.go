@@ -1,8 +1,8 @@
 // Package repro_test is the top-level benchmark harness: one benchmark per
 // table and figure of the paper's evaluation (Section VII), plus ablations
-// for the design choices called out in DESIGN.md. cmd/experiments prints
-// the same data as formatted tables; these benches integrate with the
-// standard go test -bench tooling and feed EXPERIMENTS.md.
+// for its design choices. cmd/experiments prints the same data as formatted
+// tables; these benches integrate with the standard go test -bench tooling
+// and feed EXPERIMENTS.md.
 //
 // Custom metrics reported via b.ReportMetric:
 //
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/merkle"
@@ -454,22 +455,22 @@ func BenchmarkMultiEngagement(b *testing.B) {
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds()*float64(b.N), "rounds/s")
 		}
 	})
-	runScheduler := func(b *testing.B, opts ...dsnaudit.SchedulerOption) {
+	runScheduler := func(b *testing.B, opts ...sched.Option) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			net, engs := buildEngagements(b, engagements, rounds, s, k)
-			sched := dsnaudit.NewScheduler(net, opts...)
+			s := sched.NewScheduler(net, opts...)
 			for _, e := range engs {
-				if err := sched.Add(e); err != nil {
+				if err := s.Add(e); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StartTimer()
-			if err := sched.Run(ctx); err != nil {
+			if err := s.Run(ctx); err != nil {
 				b.Fatal(err)
 			}
 			total := 0
-			for _, res := range sched.Results() {
+			for _, res := range s.Results() {
 				total += res.Passed
 			}
 			if total != engagements*rounds {
@@ -486,11 +487,11 @@ func BenchmarkMultiEngagement(b *testing.B) {
 		}
 	}
 	b.Run("scheduler/per-proof", func(b *testing.B) {
-		runScheduler(b, dsnaudit.WithPerProofVerification())
+		runScheduler(b, sched.WithVerifier(dsnaudit.PerProofVerifier{}))
 	})
 	b.Run("scheduler/batched", func(b *testing.B) {
 		var stats core.BatchStats
-		runScheduler(b, dsnaudit.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}))
+		runScheduler(b, sched.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}))
 		b.ReportMetric(float64(stats.FinalExps)/float64(b.N), "final-exps")
 		b.ReportMetric(float64(stats.MillerLoops)/float64(b.N), "miller-loops")
 	})

@@ -60,6 +60,7 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/remote"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/contract"
 	"repro/internal/cost"
@@ -321,7 +322,7 @@ func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.O
 
 // runRemoteAudit engages one contract per remote provider server, ships
 // each the audit state over TCP, and drives all engagements concurrently
-// through the Scheduler. A server that dies or stalls mid-run misses its
+// through the scheduler. A server that dies or stalls mid-run misses its
 // round and its engagement aborts with the provider slashed; the audit
 // keeps going for the rest. Returns the total number of failed rounds.
 func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig) (int, error) {
@@ -330,10 +331,10 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 	}
 	verifier := &dsnaudit.BatchVerifier{}
 	verifier.Instrument(cfg.obs.reg)
-	sched := dsnaudit.NewScheduler(net,
-		dsnaudit.WithVerifier(verifier),
-		dsnaudit.WithMetrics(cfg.obs.reg),
-		dsnaudit.WithTracer(cfg.obs.tracer))
+	s := sched.NewScheduler(net,
+		sched.WithVerifier(verifier),
+		sched.WithMetrics(cfg.obs.reg),
+		sched.WithTracer(cfg.obs.tracer))
 	engs := make([]*dsnaudit.Engagement, 0, len(cfg.remotes))
 	clients := make([]*remote.Client, 0, len(cfg.remotes))
 	defer func() {
@@ -354,7 +355,7 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 		}
 		fmt.Printf("contract %s live; provider served from %s\n", eng.Contract.Addr, addr)
 		engs = append(engs, eng)
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			return 0, err
 		}
 	}
@@ -372,7 +373,7 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 	}
 	total := len(engs) * cfg.rounds
 	reported := 0
-	sched.OnBlock(func(uint64) {
+	s.OnBlock(func(uint64) {
 		settled := 0
 		for _, eng := range engs {
 			settled += len(eng.Contract.Records())
@@ -384,7 +385,7 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 	})
 	price := cost.PaperPrice()
 	failed, passed := 0, 0
-	sched.OnOutcome(func(out dsnaudit.Outcome) {
+	s.OnOutcome(func(out dsnaudit.Outcome) {
 		res := out.Result
 		failed += res.Failed
 		passed += res.Passed
@@ -403,7 +404,7 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 			failed++
 		}
 	})
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		return 0, err
 	}
 	fmt.Printf("\naudit summary: %d engagements, %d rounds settled, %d passed, %d failed\n",

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 
+	"repro/dsnaudit/sched"
 	"repro/internal/obs"
 )
 
@@ -70,9 +71,10 @@ func declareProviderFamilies(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	// A scheduler that never runs registers the whole dsn_sched_* family
+	// at zero, so the declared list cannot drift from what a driver exports.
+	sched.NewScheduler(nil, sched.WithMetrics(reg))
 	zero := func() float64 { return 0 }
-	reg.CounterFunc("dsn_sched_ticks_total", "blocks processed by the scheduler run loop", zero)
-	reg.CounterFunc("dsn_sched_challenges_total", "challenges issued", zero)
 	reg.CounterFunc("dsn_journal_appends_total", "journal records appended", zero)
 	reg.CounterFunc("dsn_journal_fsyncs_total", "journal fsync batches", zero)
 	reg.CounterFunc("dsn_settle_blocks_total", "blocks settled", zero)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/core"
 )
 
@@ -81,24 +82,24 @@ func runScheduler(ctx *expCtx) error {
 
 	// Scheduler: same workload, one block clock, pooled proof generation.
 	// Driven twice: per-proof settlement and batched settlement.
-	runSched := func(opts ...dsnaudit.SchedulerOption) (time.Duration, int, uint64, error) {
+	runSched := func(opts ...sched.Option) (time.Duration, int, uint64, error) {
 		net, engs, err := build()
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		sched := dsnaudit.NewScheduler(net, opts...)
+		s := sched.NewScheduler(net, opts...)
 		for _, e := range engs {
-			if err := sched.Add(e); err != nil {
+			if err := s.Add(e); err != nil {
 				return 0, 0, 0, err
 			}
 		}
 		start := time.Now()
-		if err := sched.Run(bg); err != nil {
+		if err := s.Run(bg); err != nil {
 			return 0, 0, 0, err
 		}
 		elapsed := time.Since(start)
 		passed := 0
-		for _, res := range sched.Results() {
+		for _, res := range s.Results() {
 			passed += res.Passed
 		}
 		var settleGas uint64
@@ -120,22 +121,22 @@ func runScheduler(ctx *expCtx) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	ppTime, ppPassed, ppGas, err := runSched(dsnaudit.WithPerProofVerification(),
-		dsnaudit.WithParallelism(workers))
+	ppTime, ppPassed, ppGas, err := runSched(sched.WithVerifier(dsnaudit.PerProofVerifier{}),
+		sched.WithParallelism(workers))
 	if err != nil {
 		return err
 	}
 	// Serial vs parallel pipeline at equal work: parallelism 1 runs the
 	// same two-stage pipeline with one prove worker and serial
 	// verification, so the delta is pure multi-core speedup.
-	b1Time, b1Passed, _, err := runSched(dsnaudit.WithParallelism(1))
+	b1Time, b1Passed, _, err := runSched(sched.WithParallelism(1))
 	if err != nil {
 		return err
 	}
 	var stats core.BatchStats
 	bTime, bPassed, bGas, err := runSched(
-		dsnaudit.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}),
-		dsnaudit.WithParallelism(workers))
+		sched.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}),
+		sched.WithParallelism(workers))
 	if err != nil {
 		return err
 	}

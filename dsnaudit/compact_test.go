@@ -1,9 +1,11 @@
-package dsnaudit
+package dsnaudit_test
 
 import (
 	"context"
 	"testing"
 
+	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 )
 
@@ -12,82 +14,61 @@ import (
 // terminal entries (and only terminal entries) are dropped, and accounting
 // for them moves to the outcome hooks.
 func TestSchedulerCompact(t *testing.T) {
-	n := testNetwork(t, 8)
-	owner, err := NewOwner(n, "alice", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i * 3)
-	}
-	sf, err := owner.Outsource("compact-file", data, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng1, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 10)
+		eng1 := fx.engage(t, "alice", 2)
 
-	var outcomes []Outcome
-	sched := NewScheduler(n, WithParallelism(2), WithOutcomeHook(func(o Outcome) {
-		outcomes = append(outcomes, o)
-	}))
-	if err := sched.Add(eng1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if eng1.Contract.State() != contract.StateExpired {
-		t.Fatalf("contract state %v, want EXPIRED", eng1.Contract.State())
-	}
-	if len(sched.Results()) != 1 {
-		t.Fatalf("pre-compact Results has %d entries, want 1", len(sched.Results()))
-	}
+		var outcomes []dsnaudit.Outcome
+		s := fx.run(t, shards, sched.WithParallelism(2), sched.WithOutcomeHook(func(o dsnaudit.Outcome) {
+			outcomes = append(outcomes, o)
+		}))
+		if eng1.Contract.State() != contract.StateExpired {
+			t.Fatalf("contract state %v, want EXPIRED", eng1.Contract.State())
+		}
+		if len(s.Results()) != 1 {
+			t.Fatalf("pre-compact Results has %d entries, want 1", len(s.Results()))
+		}
 
-	// A second, not-yet-driven engagement must survive compaction.
-	eng2, err := owner.Engage(sf, sf.Holders[1], smallTerms(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Add(eng2); err != nil {
-		t.Fatal(err)
-	}
+		// A second, not-yet-driven engagement must survive compaction.
+		eng2 := fx.engage(t, "bob", 2)
+		if err := s.Add(eng2); err != nil {
+			t.Fatal(err)
+		}
 
-	if dropped := sched.Compact(); dropped != 1 {
-		t.Fatalf("Compact dropped %d entries, want 1", dropped)
-	}
-	if got := sched.Compacted(); got != 1 {
-		t.Fatalf("Compacted() = %d, want 1", got)
-	}
-	if _, ok := sched.Result(eng1.ID()); ok {
-		t.Fatal("compacted engagement still reported by Result")
-	}
-	if _, ok := sched.Result(eng2.ID()); !ok {
-		t.Fatal("live engagement lost by Compact")
-	}
-	if len(sched.Results()) != 1 {
-		t.Fatalf("post-compact Results has %d entries, want 1", len(sched.Results()))
-	}
+		if dropped := s.Compact(); dropped != 1 {
+			t.Fatalf("Compact dropped %d entries, want 1", dropped)
+		}
+		if got := s.Stats().Compacted; got != 1 {
+			t.Fatalf("Stats().Compacted = %d, want 1", got)
+		}
+		if _, ok := s.Result(eng1.ID()); ok {
+			t.Fatal("compacted engagement still reported by Result")
+		}
+		if _, ok := s.Result(eng2.ID()); !ok {
+			t.Fatal("live engagement lost by Compact")
+		}
+		if len(s.Results()) != 1 {
+			t.Fatalf("post-compact Results has %d entries, want 1", len(s.Results()))
+		}
 
-	// The outcome hook delivered eng1's terminal accounting before it became
-	// compactable — that is where the numbers live once entries are dropped.
-	if len(outcomes) != 1 || outcomes[0].ID != eng1.ID() || outcomes[0].Result.Passed != 2 {
-		t.Fatalf("outcome hook saw %+v", outcomes)
-	}
+		// The outcome hook delivered eng1's terminal accounting before it
+		// became compactable — that is where the numbers live once entries
+		// are dropped.
+		if len(outcomes) != 1 || outcomes[0].ID != eng1.ID() || outcomes[0].Result.Passed != 2 {
+			t.Fatalf("outcome hook saw %+v", outcomes)
+		}
 
-	// Compacting again is a no-op; the live engagement still runs to
-	// completion afterwards.
-	if dropped := sched.Compact(); dropped != 0 {
-		t.Fatalf("second Compact dropped %d entries, want 0", dropped)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := sched.Result(eng2.ID())
-	if !ok || res.Passed != 2 {
-		t.Fatalf("post-compact run result = %+v (ok=%v)", res, ok)
-	}
+		// Compacting again is a no-op; the live engagement still runs to
+		// completion afterwards.
+		if dropped := s.Compact(); dropped != 0 {
+			t.Fatalf("second Compact dropped %d entries, want 0", dropped)
+		}
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := s.Result(eng2.ID())
+		if !ok || res.Passed != 2 {
+			t.Fatalf("post-compact run result = %+v (ok=%v)", res, ok)
+		}
+	})
 }

@@ -1,4 +1,4 @@
-package dsnaudit
+package dsnaudit_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 )
 
@@ -26,11 +27,11 @@ type recordOutcome struct {
 	ProofSize int
 }
 
-func outcomesOf(t *testing.T, engs []*Engagement, results func(*Engagement) (Result, bool)) []schedOutcome {
+func outcomesOf(t *testing.T, fx *fixture, s *sched.Scheduler) []schedOutcome {
 	t.Helper()
-	outs := make([]schedOutcome, len(engs))
-	for i, e := range engs {
-		res, ok := results(e)
+	outs := make([]schedOutcome, len(fx.engs))
+	for i, e := range fx.engs {
+		res, ok := s.Result(e.ID())
 		if !ok {
 			t.Fatalf("engagement %d missing from results", i)
 		}
@@ -57,27 +58,17 @@ func outcomesOf(t *testing.T, engs []*Engagement, results func(*Engagement) (Res
 // corrupted, so each of its proofs fails verification and forces the
 // bisection slashing path) produces identical per-engagement outcomes —
 // rounds, verdicts, terminal states, slashing — and an identical block
-// schedule at parallelism 1, 4 and GOMAXPROCS.
+// schedule at parallelism 1, 4 and GOMAXPROCS, at one shard and at four.
 func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 	const n, rounds, cheater = 6, 2, 2
 
-	run := func(parallelism int) ([]schedOutcome, uint64) {
-		net, engs := buildBlockFixtureRounds(t, n, rounds, map[int]bool{cheater: true})
-		sched := NewScheduler(net, WithParallelism(parallelism))
-		for _, e := range engs {
-			if err := sched.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sched.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return outcomesOf(t, engs, func(e *Engagement) (Result, bool) {
-			return sched.Result(e.ID())
-		}), net.Chain.Height()
+	run := func(t *testing.T, opts ...sched.Option) ([]schedOutcome, uint64) {
+		fx := newBlockFixture(t, n, rounds, map[int]bool{cheater: true})
+		s := fx.run(t, opts...)
+		return outcomesOf(t, fx, s), fx.net.Chain.Height()
 	}
 
-	want, wantHeight := run(1)
+	want, wantHeight := run(t, sched.WithParallelism(1))
 	for i, out := range want {
 		if i == cheater {
 			if out.State != contract.StateAborted || out.Failed != 1 || out.Passed != 0 {
@@ -90,19 +81,21 @@ func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 
-	for _, parallelism := range []int{4, runtime.GOMAXPROCS(0)} {
-		got, height := run(parallelism)
-		if height != wantHeight {
-			t.Errorf("parallelism=%d: final height %d, want %d (block schedule diverged)",
-				parallelism, height, wantHeight)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("parallelism=%d: engagement %d outcome %+v, want %+v",
-					parallelism, i, got[i], want[i])
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		for _, parallelism := range []int{4, runtime.GOMAXPROCS(0)} {
+			got, height := run(t, shards, sched.WithParallelism(parallelism))
+			if height != wantHeight {
+				t.Errorf("parallelism=%d: final height %d, want %d (block schedule diverged)",
+					parallelism, height, wantHeight)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("parallelism=%d: engagement %d outcome %+v, want %+v",
+						parallelism, i, got[i], want[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSequentialDriverMatchesScheduler checks the sequential
@@ -111,47 +104,39 @@ func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 // the same injected cheater.
 func TestSequentialDriverMatchesScheduler(t *testing.T) {
 	const n, rounds, cheater = 4, 2, 1
+	wantPassed := func(i int) int {
+		if i == cheater {
+			return 0
+		}
+		return rounds
+	}
 
-	_, seqEngs := buildBlockFixtureRounds(t, n, rounds, map[int]bool{cheater: true})
-	for i, e := range seqEngs {
+	seq := newBlockFixture(t, n, rounds, map[int]bool{cheater: true})
+	for i, e := range seq.engs {
 		passed, err := e.RunAll(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPassed := rounds
-		if i == cheater {
-			wantPassed = 0
-		}
-		if passed != wantPassed {
-			t.Fatalf("sequential engagement %d passed %d rounds, want %d", i, passed, wantPassed)
+		if passed != wantPassed(i) {
+			t.Fatalf("sequential engagement %d passed %d rounds, want %d", i, passed, wantPassed(i))
 		}
 	}
 
-	net, engs := buildBlockFixtureRounds(t, n, rounds, map[int]bool{cheater: true})
-	sched := NewScheduler(net)
-	for _, e := range engs {
-		if err := sched.Add(e); err != nil {
-			t.Fatal(err)
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newBlockFixture(t, n, rounds, map[int]bool{cheater: true})
+		s := fx.run(t, shards)
+		for i, e := range fx.engs {
+			res, ok := s.Result(e.ID())
+			if !ok {
+				t.Fatalf("engagement %d missing from results", i)
+			}
+			seqState, schedState := seq.engs[i].Contract.State(), e.Contract.State()
+			if seqState != schedState {
+				t.Errorf("engagement %d: sequential state %v, scheduler state %v", i, seqState, schedState)
+			}
+			if res.Passed != wantPassed(i) {
+				t.Errorf("engagement %d: scheduler passed %d, want %d", i, res.Passed, wantPassed(i))
+			}
 		}
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range engs {
-		res, ok := sched.Result(e.ID())
-		if !ok {
-			t.Fatalf("engagement %d missing from results", i)
-		}
-		seqState, schedState := seqEngs[i].Contract.State(), e.Contract.State()
-		if seqState != schedState {
-			t.Errorf("engagement %d: sequential state %v, scheduler state %v", i, seqState, schedState)
-		}
-		wantPassed := rounds
-		if i == cheater {
-			wantPassed = 0
-		}
-		if res.Passed != wantPassed {
-			t.Errorf("engagement %d: scheduler passed %d, want %d", i, res.Passed, wantPassed)
-		}
-	}
+	})
 }

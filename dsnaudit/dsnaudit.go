@@ -22,22 +22,20 @@
 //   - Engagement.RunRound / RunAll: the sequential driver, one engagement
 //     at a time, mining the shared chain itself. Good for demos and
 //     single-contract flows.
-//   - Scheduler: the concurrent driver for the paper's real deployment
-//     shape (Section III-B: many owners x many providers on one chain).
-//     It subscribes to block events, wakes every registered engagement at
-//     its trigger height, and runs a two-stage pipeline: proof generation
-//     fans out to a prove-worker pool, and each sealed block's proofs
-//     settle on a dedicated settlement stage through a pluggable
-//     Verifier — by default one batched pairing check sharing a single
-//     final exponentiation across the whole block (Section VII-D), with
-//     bisection isolating cheaters — so settlement of one tick overlaps
-//     proof generation of the next. WithParallelism(n) bounds the whole
-//     pipeline (prove workers and per-settlement verification goroutines;
-//     default GOMAXPROCS) and changes only wall clock, never outcomes:
-//     proofs, verdicts and slashing are identical at any parallelism.
+//   - sched.Scheduler (package dsnaudit/sched): the concurrent driver for
+//     the paper's real deployment shape (Section III-B: many owners x many
+//     providers on one chain). It subscribes to block events, wakes every
+//     registered engagement at its trigger height, and runs a two-stage
+//     pipeline: proof generation fans out to a prove-worker pool, and each
+//     sealed block's proofs settle on a dedicated settlement stage through
+//     the pluggable Verifier defined here — by default BatchVerifier, one
+//     batched pairing check sharing a single final exponentiation across
+//     the whole block (Section VII-D), with bisection isolating cheaters.
+//     This package holds what both drivers share: Engagement, the
+//     Result/Outcome accounting keyed by Engagement.ID (the contract
+//     address), the Verifier strategies and the sentinel errors.
 //     Owner.EngageAll deploys one contract per share holder so a
 //     k-of-(k+m) erasure-coded file is audited on every holder at once.
-//     Accounting is keyed by Engagement.ID (the contract address).
 //
 // All audit-path entry points take a context.Context for cancellation and
 // deadlines, failures surface as the sentinel errors in errors.go, and the

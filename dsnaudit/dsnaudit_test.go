@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 
 	"repro/internal/contract"
+	"repro/internal/core"
 )
 
 func eth(n int64) *big.Int {
@@ -232,5 +234,97 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	// Audit trail bytes landed on chain.
 	if n.Chain.TotalBytes() == 0 {
 		t.Fatal("no bytes recorded on chain")
+	}
+}
+
+// TestSentinelErrors pins the exported error taxonomy.
+func TestSentinelErrors(t *testing.T) {
+	n := testNetwork(t, 10)
+	if _, err := n.AddProvider("a-provider", eth(1)); !errors.Is(err, ErrDuplicateProvider) {
+		t.Fatalf("duplicate provider: %v", err)
+	}
+	owner, err := NewOwner(n, "sen", 4, eth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 500)
+	sf, err := owner.Outsource("s-file", data, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(0)); !errors.Is(err, ErrInvalidTerms) {
+		t.Fatalf("zero rounds: %v", err)
+	}
+	p, _ := n.Provider("a-provider")
+	if _, err := p.Respond(context.Background(), "no-such-contract", &core.Challenge{K: 1}); !errors.Is(err, ErrNoAuditState) {
+		t.Fatalf("respond without state: %v", err)
+	}
+	sf.Encoded.Corrupt(0, 0)
+	if _, err := owner.Engage(sf, sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
+		t.Fatalf("forged auths: %v", err)
+	}
+}
+
+// TestSampleIndices pins the AcceptAuditData sampling fix: the requested
+// sample size is honored exactly and clamped to the chunk count.
+func TestSampleIndices(t *testing.T) {
+	cases := []struct {
+		n, size, want int
+	}{
+		{100, 8, 8},  // the seed's stride formula under-sampled this
+		{5, 8, 5},    // clamp: more samples than chunks checks all chunks
+		{8, 8, 8},    // exact
+		{1, 1, 1},    // degenerate
+		{10, 0, 1},   // floor at one sample
+		{1000, 3, 3}, // sparse
+	}
+	for _, c := range cases {
+		got := sampleIndices(c.n, c.size)
+		if len(got) != c.want {
+			t.Errorf("sampleIndices(%d,%d) has %d indices, want %d", c.n, c.size, len(got), c.want)
+		}
+		seen := make(map[int]bool)
+		for _, idx := range got {
+			if idx < 0 || idx >= c.n {
+				t.Errorf("sampleIndices(%d,%d) out of range: %d", c.n, c.size, idx)
+			}
+			if seen[idx] {
+				t.Errorf("sampleIndices(%d,%d) duplicate index %d", c.n, c.size, idx)
+			}
+			seen[idx] = true
+		}
+	}
+}
+
+// TestEngageAllDedupesHolders verifies EngageAll deploys one contract per
+// distinct holder even if the holder list repeats a provider.
+func TestEngageAllDedupesHolders(t *testing.T) {
+	n := testNetwork(t, 12)
+	owner, err := NewOwner(n, "dd", 4, eth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 500)
+	sf, err := owner.Outsource("dd-file", data, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.Holders = append(sf.Holders, sf.Holders[0]) // simulate a repeated placement
+	set, err := owner.EngageAll(sf, smallTerms(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, e := range set.Engagements {
+		if seen[e.Provider.Name] {
+			t.Fatalf("duplicate contract for %s", e.Provider.Name)
+		}
+		seen[e.Provider.Name] = true
+	}
+	if len(set.Engagements) != 10 {
+		t.Fatalf("%d engagements, want 10", len(set.Engagements))
+	}
+	if _, err := owner.EngageAll(&StoredFile{Manifest: sf.Manifest}, smallTerms(1)); !errors.Is(err, ErrNoHolders) {
+		t.Fatalf("no holders: %v", err)
 	}
 }

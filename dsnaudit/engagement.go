@@ -56,8 +56,27 @@ type Engagement struct {
 }
 
 // ID returns the engagement's stable identity: its contract address. It
-// survives process boundaries and keys the Scheduler's accounting.
+// survives process boundaries and keys the scheduler's accounting.
 func (e *Engagement) ID() chain.Address { return e.Contract.Addr }
+
+// Result is the per-engagement outcome accounting kept by the scheduler
+// (dsnaudit/sched).
+type Result struct {
+	Rounds int            // settled rounds
+	Passed int            // rounds that passed verification
+	Failed int            // rounds that failed or missed the deadline
+	State  contract.State // contract state at last settlement
+	Err    error          // terminal error, if the engagement errored out
+}
+
+// Outcome is one engagement's terminal result, delivered to the scheduler's
+// outcome hooks the moment the engagement finishes — no Results polling
+// needed.
+type Outcome struct {
+	ID     chain.Address
+	Eng    *Engagement
+	Result Result
+}
 
 // Engage walks the full Initialize phase of Fig. 2 against one provider:
 // deploy, post parameters (Fig. 4's one-time cost), provider-side
@@ -260,7 +279,7 @@ func (s *EngagementSet) AllPassed() bool {
 }
 
 // RunAll drives every engagement in the set sequentially to completion.
-// For the concurrent equivalent, register the set with a Scheduler.
+// For the concurrent equivalent, register the set with a sched.Scheduler.
 func (s *EngagementSet) RunAll(ctx context.Context) (SetSummary, error) {
 	for _, e := range s.Engagements {
 		if _, err := e.RunAll(ctx); err != nil {
@@ -289,7 +308,7 @@ func (e *Engagement) RunRound(ctx context.Context) (bool, error) {
 			return false, err
 		}
 		e.network.Chain.MineBlock()
-		e.recordOutcome(passed)
+		e.RecordSettledRound(passed)
 		return passed, nil
 	}
 	for e.network.Chain.Height() < e.Contract.TriggerHeight() {
@@ -316,7 +335,7 @@ func (e *Engagement) RunRound(ctx context.Context) (bool, error) {
 		for e.network.Chain.Height() < e.Contract.TriggerHeight() {
 			e.network.Chain.MineBlock()
 		}
-		return false, e.missDeadline()
+		return false, e.SettleMissedDeadline()
 	}
 	if err := e.Contract.SubmitProof(e.Provider.Address(), proofBytes); err != nil {
 		return false, err
@@ -329,7 +348,7 @@ func (e *Engagement) RunRound(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	e.network.Chain.MineBlock()
-	e.recordOutcome(passed)
+	e.RecordSettledRound(passed)
 	return passed, nil
 }
 
@@ -351,21 +370,20 @@ func (e *Engagement) RunAll(ctx context.Context) (int, error) {
 	return passed, nil
 }
 
-// Network returns the simulation network the engagement is bound to.
-// External drivers (dsnaudit/sched) need it to share the engagement's chain
-// and reputation ledger.
+// Network returns the simulation network the engagement is bound to. The
+// scheduler (dsnaudit/sched) needs it to share the engagement's chain and
+// reputation ledger.
 func (e *Engagement) Network() *Network { return e.network }
 
-// SettleMissedDeadline settles a missed proof deadline on behalf of an
-// external driver: the contract slashes the provider and reputation records
-// the miss. It is the exported face of the scheduler's deadline path; the
-// sequential RunRound driver calls it internally.
-func (e *Engagement) SettleMissedDeadline() error { return e.missDeadline() }
-
-// RecordSettledRound feeds one settled round's verdict into the reputation
-// ledger on behalf of an external driver, exactly as the in-package
-// Scheduler does after each settlement.
-func (e *Engagement) RecordSettledRound(passed bool) { e.recordOutcome(passed) }
+// SettleMissedDeadline settles a missed proof deadline: the contract slashes
+// the provider and reputation records the miss.
+func (e *Engagement) SettleMissedDeadline() error {
+	if err := e.Contract.MissDeadline(); err != nil {
+		return err
+	}
+	e.RecordMissedDeadline()
+	return nil
+}
 
 // RecordMissedDeadline feeds one already-settled deadline miss into the
 // reputation ledger without touching the contract. Recovery uses it for
@@ -376,18 +394,9 @@ func (e *Engagement) RecordMissedDeadline() {
 	e.network.Reputation.Observe(e.Provider.Name, reputation.EventDeadlineMissed)
 }
 
-// missDeadline settles a missed proof deadline: the contract slashes the
-// provider and reputation records the miss.
-func (e *Engagement) missDeadline() error {
-	if err := e.Contract.MissDeadline(); err != nil {
-		return err
-	}
-	e.network.Reputation.Observe(e.Provider.Name, reputation.EventDeadlineMissed)
-	return nil
-}
-
-// recordOutcome feeds one settled round into the reputation ledger.
-func (e *Engagement) recordOutcome(passed bool) {
+// RecordSettledRound feeds one settled round's verdict into the reputation
+// ledger.
+func (e *Engagement) RecordSettledRound(passed bool) {
 	if passed {
 		e.network.Reputation.Observe(e.Provider.Name, reputation.EventAuditPassed)
 		if e.Contract.State() == contract.StateExpired {

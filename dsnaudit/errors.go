@@ -37,17 +37,17 @@ var (
 	// holders.
 	ErrNoHolders = errors.New("dsnaudit: stored file has no holders")
 
-	// ErrSchedulerRunning is returned by Scheduler.Run if the scheduler is
+	// ErrSchedulerRunning is returned by sched.Scheduler.Run if the scheduler is
 	// already running.
 	ErrSchedulerRunning = errors.New("dsnaudit: scheduler already running")
 
-	// ErrAlreadyScheduled is returned by Scheduler.Add for an engagement
+	// ErrAlreadyScheduled is returned by sched.Scheduler.Add for an engagement
 	// whose ID is already registered.
 	ErrAlreadyScheduled = errors.New("dsnaudit: engagement already scheduled")
 
-	// ErrVerifierMismatch is returned by Scheduler.Run when a custom
-	// Verifier breaks the SettleBlock contract by returning a different
-	// number of results than contracts handed to it.
+	// ErrVerifierMismatch is returned by sched.Scheduler.Run when a custom
+	// Verifier breaks the SettleBlock contract: a different number of
+	// results than contracts handed to it, or results out of input order.
 	ErrVerifierMismatch = errors.New("dsnaudit: verifier returned mismatched settlement results")
 
 	// ErrProviderUnreachable is returned by a remote transport when the
@@ -89,7 +89,7 @@ var (
 	// ErrOverloaded is returned by a provider (or its transport) that is at
 	// its proving-admission limit: the request was understood and refused,
 	// not lost. It is explicitly NOT a slashable offense — the provider is
-	// alive and honest, just saturated — so schedulers retry the challenge
+	// alive and honest, just saturated — so the scheduler retries the challenge
 	// after a backoff instead of parking the engagement on the missed-round
 	// path. Wrap it in an OverloadedError to carry the provider's
 	// retry-after hint.

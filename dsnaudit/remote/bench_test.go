@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 	"repro/internal/core"
 )
@@ -20,7 +21,7 @@ func TestSchedulerWithRemoteProviders(t *testing.T) {
 	client := NewClient(addr)
 	defer client.Close()
 
-	sched := dsnaudit.NewScheduler(fx.net)
+	s := sched.NewScheduler(fx.net)
 	engs := make([]*dsnaudit.Engagement, 3)
 	for i := range engs {
 		eng, err := fx.owner.EngageWith(context.Background(), fx.sf, fx.sf.Holders[i], client, smallTerms(2))
@@ -28,15 +29,15 @@ func TestSchedulerWithRemoteProviders(t *testing.T) {
 			t.Fatal(err)
 		}
 		engs[i] = eng
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.Run(context.Background()); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range engs {
-		res, ok := sched.Result(eng.ID())
+		res, ok := s.Result(eng.ID())
 		if !ok {
 			t.Fatalf("no result for %s", eng.ID())
 		}

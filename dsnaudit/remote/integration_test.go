@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
@@ -311,24 +312,24 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 	balDead := fx.net.Chain.Balance(deadHolder.Address())
 	balOwner := fx.net.Chain.Balance(fx.owner.Address())
 
-	sched := dsnaudit.NewScheduler(fx.net)
-	if err := sched.Add(engSilent); err != nil {
+	s := sched.NewScheduler(fx.net)
+	if err := s.Add(engSilent); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Add(engDead); err != nil {
+	if err := s.Add(engDead); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		t.Fatalf("scheduler did not terminate cleanly: %v", err)
 	}
 
-	resSilent, ok := sched.Result(engSilent.ID())
+	resSilent, ok := s.Result(engSilent.ID())
 	if !ok {
 		t.Fatal("no result for the silent engagement")
 	}
-	resDead, ok := sched.Result(engDead.ID())
+	resDead, ok := s.Result(engDead.ID())
 	if !ok {
 		t.Fatal("no result for the unreachable engagement")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/repair"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/contract"
 	"repro/internal/storage"
@@ -94,13 +95,13 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sched := dsnaudit.NewScheduler(net)
-	mgr := repair.NewManager(owner, sched, repair.WithPeers(peer))
+	s := sched.NewScheduler(net)
+	mgr := repair.NewManager(owner, s, repair.WithPeers(peer))
 	if err := mgr.Track(sf, set, terms); err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range set.Engagements {
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,14 +110,14 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 	// connections; nothing in-process is touched.
 	victim := sf.Holders[1]
 	killed := false
-	sched.OnBlock(func(h uint64) {
+	s.OnBlock(func(h uint64) {
 		if !killed && h >= 4 {
 			killed = true
 			kills[victim.Name]()
 		}
 	})
 
-	if err := sched.Run(context.Background()); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !killed {
@@ -152,7 +153,7 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 	if !ok || repEng.Provider.Name != rec.To || repEng.Generation != 1 {
 		t.Fatalf("current engagement for the repaired slot is %+v, want generation 1 on %s", repEng, rec.To)
 	}
-	res, ok := sched.Result(repEng.ID())
+	res, ok := s.Result(repEng.ID())
 	if !ok {
 		t.Fatal("replacement engagement has no result")
 	}

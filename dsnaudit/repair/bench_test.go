@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/storage"
 )
@@ -76,8 +77,8 @@ func BenchmarkRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched := dsnaudit.NewScheduler(net)
-	mgr := NewManager(owner, sched)
+	s := sched.NewScheduler(net)
+	mgr := NewManager(owner, s)
 	if err := mgr.Track(sf, set, terms); err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -402,8 +403,8 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		}
 	}
 
-	sched := dsnaudit.NewScheduler(net, dsnaudit.WithParallelism(cfg.Workers))
-	e.mgr = NewManager(owner, sched, WithPeers(e.peer), WithHorizon(cfg.Horizon))
+	driver := sched.NewScheduler(net, sched.WithParallelism(cfg.Workers))
+	e.mgr = NewManager(owner, driver, WithPeers(e.peer), WithHorizon(cfg.Horizon))
 
 	terms := dsnaudit.EngagementTerms{
 		Rounds:          cfg.Rounds,
@@ -438,14 +439,14 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 			cf.cheatedGen[j] = -1
 		}
 		e.files = append(e.files, cf)
-		if err := sched.AddSet(set); err != nil {
+		if err := driver.AddSet(set); err != nil {
 			return nil, err
 		}
 	}
 
-	sched.OnBlock(e.inject)
+	driver.OnBlock(e.inject)
 	if cfg.Log != nil {
-		sched.OnBlock(func(h uint64) {
+		driver.OnBlock(func(h uint64) {
 			if h%200 == 0 {
 				st := e.mgr.Stats()
 				cfg.Log("block %d: lost=%d repaired=%d renewals=%d providers=%d",
@@ -454,7 +455,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		})
 	}
 
-	if err := sched.Run(ctx); err != nil {
+	if err := driver.Run(ctx); err != nil {
 		return nil, err
 	}
 
@@ -468,7 +469,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		Repairs:         e.mgr.Repairs(),
 		Files:           cfg.Files,
 	}
-	for _, res := range sched.Results() {
+	for _, res := range driver.Results() {
 		rep.Engagements++
 		rep.RoundsPassed += res.Passed
 		rep.RoundsFailed += res.Failed

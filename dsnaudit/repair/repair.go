@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/erasure"
@@ -97,28 +98,13 @@ type Record struct {
 	Err        error  // nil on success
 }
 
-// Scheduler is the driver surface the repair manager needs: registering
-// follow-up engagements and hooking outcomes and block ticks. Both
-// dsnaudit.Scheduler and the sharded dsnaudit/sched.Scheduler satisfy it,
-// so repair plugs into either driver unchanged.
-type Scheduler interface {
-	// Add registers an engagement with the driver.
-	Add(*dsnaudit.Engagement) error
-	// OnOutcome registers a hook for terminal engagement outcomes. Hooks
-	// must run on the driver's own goroutine with no driver lock held (they
-	// re-enter Add).
-	OnOutcome(func(dsnaudit.Outcome))
-	// OnBlock registers a per-tick hook, called with the block height.
-	OnBlock(func(uint64))
-}
-
 // Manager drives the repair pipeline for tracked sharded files. Create it
 // with NewManager before Scheduler.Run starts; it registers the outcome and
 // block hooks it needs. Safe for concurrent use.
 type Manager struct {
 	owner   *dsnaudit.Owner
 	net     *dsnaudit.Network
-	sched   Scheduler
+	sched   *sched.Scheduler
 	peerFor func(*dsnaudit.ProviderNode) dsnaudit.RepairPeer
 	horizon uint64
 	tracer  *obs.Tracer
@@ -152,11 +138,11 @@ type slot struct {
 // NewManager creates a repair manager bound to one owner and one scheduler
 // and registers its scheduler hooks. Call before Scheduler.Run: outcomes
 // are not replayed for late subscribers.
-func NewManager(owner *dsnaudit.Owner, sched Scheduler, opts ...Option) *Manager {
+func NewManager(owner *dsnaudit.Owner, s *sched.Scheduler, opts ...Option) *Manager {
 	m := &Manager{
 		owner:   owner,
 		net:     owner.Network(),
-		sched:   sched,
+		sched:   s,
 		peerFor: func(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer { return p },
 		files:   make(map[string]*trackedFile),
 		byID:    make(map[chain.Address]*slot),
@@ -164,12 +150,12 @@ func NewManager(owner *dsnaudit.Owner, sched Scheduler, opts ...Option) *Manager
 	for _, opt := range opts {
 		opt(m)
 	}
-	sched.OnBlock(func(h uint64) {
+	s.OnBlock(func(h uint64) {
 		m.mu.Lock()
 		m.height = h
 		m.mu.Unlock()
 	})
-	sched.OnOutcome(m.onOutcome)
+	s.OnOutcome(m.onOutcome)
 	return m
 }
 

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
+	"repro/internal/chain"
 	"repro/internal/contract"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -30,7 +35,7 @@ type fixture struct {
 	owner *dsnaudit.Owner
 	sf    *dsnaudit.StoredFile
 	set   *dsnaudit.EngagementSet
-	sched *dsnaudit.Scheduler
+	sched *sched.Scheduler
 	mgr   *Manager
 	data  []byte
 	peers map[string]*mortalPeer
@@ -46,6 +51,12 @@ func (fx *fixture) peer(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer {
 }
 
 func buildFixture(t *testing.T, seed string, providers, k, m, rounds int, opts ...Option) *fixture {
+	t.Helper()
+	return buildFixtureOn(t, seed, providers, k, m, rounds, nil, opts...)
+}
+
+// buildFixtureOn is buildFixture with the scheduler's options exposed.
+func buildFixtureOn(t *testing.T, seed string, providers, k, m, rounds int, schedOpts []sched.Option, opts ...Option) *fixture {
 	t.Helper()
 	b, err := beacon.NewTrusted([]byte(seed))
 	if err != nil {
@@ -79,7 +90,7 @@ func buildFixture(t *testing.T, seed string, providers, k, m, rounds int, opts .
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.sched = dsnaudit.NewScheduler(net)
+	fx.sched = sched.NewScheduler(net, schedOpts...)
 	fx.mgr = NewManager(owner, fx.sched, append([]Option{WithPeers(fx.peer)}, opts...)...)
 	if err := fx.mgr.Track(fx.sf, fx.set, terms); err != nil {
 		t.Fatal(err)
@@ -304,4 +315,84 @@ func TestReconstructRoundTrip(t *testing.T) {
 			t.Fatal("K-1 survivors must not reconstruct")
 		}
 	})
+}
+
+// proofLanded is a trace sink that signals, per engagement, the moment the
+// scheduler's main loop has received and submitted its round-0 proof.
+type proofLanded map[string]chan struct{}
+
+func (p proofLanded) Emit(e obs.Event) {
+	if ch, ok := p[e.Engagement]; ok && e.Type == obs.EvProof && e.Round == 0 {
+		close(ch)
+	}
+}
+
+// heldResponder returns its first proof only after the scheduler has taken
+// in the proof of the engagement registered right after it.
+type heldResponder struct {
+	inner dsnaudit.Responder
+	after <-chan struct{}
+	held  bool
+}
+
+func (h *heldResponder) Respond(ctx context.Context, addr chain.Address, ch *core.Challenge) ([]byte, error) {
+	proof, err := h.inner.Respond(ctx, addr, ch)
+	if !h.held {
+		h.held = true
+		select {
+		case <-h.after:
+		case <-ctx.Done():
+		}
+	}
+	return proof, err
+}
+
+// TestSettleOrderIgnoresProofArrival is the regression test for the churn
+// flake: a tick's settle block — and with it the order outcome hooks fire
+// and repairs run in — used to follow the order proofs came back from the
+// worker pool. Five shares are due in one tick, two of them cheat, and with
+// one worker per share the proofs are forced to land in reverse registration
+// order; hook order and repair order must match the single-worker run.
+func TestSettleOrderIgnoresProofArrival(t *testing.T) {
+	run := func(workers int, reverse bool) ([]chain.Address, []Record) {
+		landed := proofLanded{}
+		fx := buildFixtureOn(t, "order-seed", 10, 3, 2, 2,
+			[]sched.Option{sched.WithWorkers(workers), sched.WithTracer(obs.NewTracer(landed))})
+		engs := fx.set.Engagements
+		for _, i := range []int{1, 3} {
+			prover, ok := engs[i].Provider.Prover(engs[i].Contract.Addr)
+			if !ok {
+				t.Fatal("cheater prover state missing")
+			}
+			for c := 0; c < prover.File.NumChunks(); c++ {
+				prover.File.Corrupt(c, 0)
+			}
+		}
+		if reverse {
+			for _, e := range engs {
+				landed[string(e.ID())] = make(chan struct{})
+			}
+			for i, e := range engs[:len(engs)-1] {
+				e.Responder = &heldResponder{inner: e.Responder, after: landed[string(engs[i+1].ID())]}
+			}
+		}
+		var order []chain.Address
+		fx.sched.OnOutcome(func(out dsnaudit.Outcome) { order = append(order, out.ID) })
+		if err := fx.sched.Run(context.Background()); err != nil {
+			t.Fatalf("scheduler: %v", err)
+		}
+		return order, fx.mgr.Repairs()
+	}
+
+	wantOrder, wantRepairs := run(1, false)
+	if len(wantRepairs) != 2 || wantRepairs[0].Err != nil || wantRepairs[1].Err != nil {
+		t.Fatalf("repairs %+v, want both cheaters' shares repaired", wantRepairs)
+	}
+	gotOrder, gotRepairs := run(5, true)
+	if !reflect.DeepEqual(gotOrder, wantOrder) {
+		t.Errorf("outcome hook order follows proof arrival:\n got  %v\n want %v", gotOrder, wantOrder)
+	}
+	if !reflect.DeepEqual(gotRepairs, wantRepairs) {
+		t.Errorf("repair order follows proof arrival:\n got  %+v\n want %+v", gotRepairs, wantRepairs)
+	}
 }

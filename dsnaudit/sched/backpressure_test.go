@@ -6,16 +6,11 @@ import (
 	"testing"
 
 	"repro/dsnaudit"
-	"repro/dsnaudit/repair"
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
 )
-
-// The repair subsystem drives whichever scheduler the deployment runs;
-// the sharded one must keep satisfying its contract.
-var _ repair.Scheduler = (*Scheduler)(nil)
 
 func miniNet(t *testing.T, seed string, providers int) (*dsnaudit.Network, *dsnaudit.Owner) {
 	t.Helper()

@@ -52,6 +52,12 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 		stat(func(x Stats) float64 { return float64(x.Woken) }))
 	reg.CounterFunc("dsn_sched_challenges_total", "challenges issued",
 		stat(func(x Stats) float64 { return float64(x.Challenges) }))
+	reg.CounterFunc("dsn_sched_proofs_total", "proofs received and submitted",
+		stat(func(x Stats) float64 { return float64(x.Proofs) }))
+	reg.CounterFunc("dsn_sched_settled_rounds_total", "rounds settled",
+		stat(func(x Stats) float64 { return float64(x.SettledRounds) }))
+	reg.CounterFunc("dsn_sched_slashes_total", "failed rounds and missed deadlines",
+		stat(func(x Stats) float64 { return float64(x.Slashes) }))
 	reg.CounterFunc("dsn_sched_deferrals_total", "challenges deferred by per-shard admission",
 		stat(func(x Stats) float64 { return float64(x.Deferrals) }))
 	reg.CounterFunc("dsn_sched_retries_total", "overloaded challenges re-dispatched",

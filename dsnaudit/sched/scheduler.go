@@ -16,11 +16,34 @@ import (
 	"repro/internal/obs"
 )
 
-// Scheduler drives engagements on one chain with per-tick cost proportional
-// to the engagements due at that tick. It is behaviorally identical to
-// dsnaudit.Scheduler — same block schedule, same two-stage proof/settlement
-// pipeline, same outcomes, funds movement and slashing verdicts at any
-// shard count or parallelism — but scales to planetary engagement counts:
+// Scheduler drives any number of engagements concurrently on one chain. It
+// is the block clock of the simulation: each tick mines one block, the
+// chain's subscription delivers the block event, and every registered
+// engagement whose trigger height is reached is woken.
+//
+// The CPU-heavy work runs as a two-stage pipeline. Stage one is the proof
+// pool: the tick's due challenges fan out to prove workers, and each proof
+// that lands is recorded cheaply on its contract (SubmitProof, calldata gas
+// only). Stage two is the settlement stage: once the tick's proofs are
+// sealed into a block, the block is handed to a dedicated settlement
+// goroutine, which produces the phase-2 verdicts through the Verifier (by
+// default one batched check sharing a single final exponentiation) while
+// the main loop is already mining the next tick and generating its proofs.
+//
+// The overlap never changes behavior. Settlement is pinned to the sealed
+// block's height, so audit triggers arm exactly as they would inline;
+// verdicts are recorded only at fixed join points of the main loop, so which
+// engagements a tick wakes never depends on how fast the settlement stage
+// ran; and the settle block is ordered by registration, not by which prove
+// worker finished first, so verdicts, journal records and outcome hooks land
+// in one order at any worker count. Contract state stays single-writer: the
+// main loop owns a contract from wake through proof submission, the
+// settlement stage owns it for the verdict, and it returns at the join.
+//
+// The sequential Engagement.RunRound driver mines the chain itself and
+// therefore must not run concurrently with a Scheduler on the same chain.
+//
+// Per-tick cost is proportional to the engagements due at that tick:
 //
 //   - Engagements are sharded by contract address; each shard keeps a
 //     height-indexed wake queue, so a tick pops exactly the due entries
@@ -93,6 +116,10 @@ type Stats struct {
 	Compacted  uint64 // terminal entries dropped
 	Queued     int    // entries currently armed in wake queues
 	Live       int    // entries not yet terminal
+
+	Proofs        uint64 // proofs received and submitted
+	SettledRounds uint64 // rounds settled (verdicts and missed deadlines)
+	Slashes       uint64 // failed rounds and missed deadlines
 }
 
 // Option customizes NewScheduler.
@@ -117,8 +144,10 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithParallelism bounds the whole pipeline to n-way parallelism, like
-// dsnaudit.WithParallelism.
+// WithParallelism bounds the whole pipeline to n-way parallelism: n
+// proof-generation workers in stage one and n verification goroutines inside
+// each stage-2 settlement. The default is GOMAXPROCS. Engagement outcomes are
+// identical for every n; only wall clock changes.
 func WithParallelism(n int) Option {
 	return func(s *Scheduler) {
 		if n > 0 {
@@ -239,7 +268,10 @@ func WithBlockHook(fn func(uint64)) Option {
 	return func(s *Scheduler) { s.blockHooks = append(s.blockHooks, fn) }
 }
 
-// NewScheduler creates a sharded scheduler over the network's chain.
+// NewScheduler creates a scheduler over the network's chain. The defaults —
+// one shard, batched verification, GOMAXPROCS-way parallelism, no journal,
+// unbounded admission — are the plain in-memory driver; options add shards,
+// durability and backpressure without changing outcomes.
 func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		net:         n,
@@ -261,7 +293,9 @@ func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 // Add registers an engagement and arms it at the height it next acts:
 // its audit trigger, or the next tick for contracts adopted mid-round.
 // Engagements may be added before Run or while it executes (outcome hooks
-// re-enter Add to register follow-ups).
+// re-enter Add to register follow-ups). A contract already in a terminal
+// state is rejected with ErrContractClosed, a duplicate ID with
+// ErrAlreadyScheduled.
 func (s *Scheduler) Add(e *dsnaudit.Engagement) error {
 	if e.Contract.State().Terminal() {
 		return fmt.Errorf("%w: %s (%s)", dsnaudit.ErrContractClosed, e.ID(), e.Contract.State())
@@ -293,7 +327,7 @@ func (s *Scheduler) Add(e *dsnaudit.Engagement) error {
 		s.store.arm(e.Contract.TriggerHeight(), en)
 	} else {
 		// Adopted mid-round (PROVE/SETTLE) or in a pre-audit state: due at
-		// the very next tick, exactly when the linear scan would see it.
+		// the very next tick.
 		s.store.arm(0, en)
 	}
 	return nil
@@ -309,18 +343,25 @@ func (s *Scheduler) AddSet(set *dsnaudit.EngagementSet) error {
 	return nil
 }
 
-// OnOutcome registers fn for every engagement reaching a terminal state,
-// with the same delivery contract as dsnaudit.Scheduler.OnOutcome: hooks
-// run on the Run goroutine with no scheduler lock held, so they may call
-// Add.
+// OnOutcome registers fn to be called for every engagement that reaches a
+// terminal state (expired, aborted, or errored out). Hooks run synchronously
+// on the Run goroutine, immediately after the outcome is recorded and with
+// no scheduler lock held, so a hook may call Add to register follow-up
+// engagements — that is how the repair subsystem re-engages a reconstructed
+// share. Within one tick outcomes are delivered in registration order.
+// Register hooks before Run starts; outcomes are not replayed for late
+// subscribers.
 func (s *Scheduler) OnOutcome(fn func(dsnaudit.Outcome)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.outcomeHooks = append(s.outcomeHooks, fn)
 }
 
-// OnBlock registers fn to run once per tick, after the block event and
-// before the wake pop, like dsnaudit.Scheduler.OnBlock.
+// OnBlock registers fn to be called once per tick, after the block event is
+// received and before engagements are woken for that height, on the Run
+// goroutine with no lock held: what a hook does to the world (kill a
+// provider, add an engagement) is visible to the same tick's wake, giving
+// experiments a deterministic injection point for churn pinned to heights.
 func (s *Scheduler) OnBlock(fn func(uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,6 +416,8 @@ func (s *Scheduler) Stats() Stats {
 	s.store.mu.Lock()
 	st.Compacted = s.store.compacted
 	st.Live = s.store.live
+	st.SettledRounds = s.store.settled
+	st.Slashes = s.store.slashes
 	s.store.mu.Unlock()
 	return st
 }
@@ -439,15 +482,19 @@ func (s *Scheduler) jtickFlush() error {
 // Journal returns the scheduler's journal, or nil for a volatile scheduler.
 func (s *Scheduler) Journal() *Journal { return s.journal }
 
+// proofJob is one due challenge. slot is the position wakeAt reserved for
+// its proof in the tick's settle block.
 type proofJob struct {
 	entry *entry
 	ch    *core.Challenge
+	slot  int
 }
 
 type proofResult struct {
 	entry *entry
 	proof []byte
 	err   error
+	slot  int
 }
 
 type settleJob struct {
@@ -465,9 +512,12 @@ type settleOutcome struct {
 }
 
 // Run executes the block loop until every registered engagement reaches a
-// terminal state or ctx is canceled, with dsnaudit.Scheduler.Run's exact
-// cancellation and resume semantics: in-flight proofs drain, in-flight
-// settlements join, interrupted entries re-arm for the next Run.
+// terminal state or ctx is canceled. On cancellation it drains in-flight
+// proof jobs (responders see the canceled ctx) and joins any in-flight
+// settlement — verdicts already computed are recorded, never dropped —
+// before returning ctx.Err(); contracts mid-round stay in PROVE or SETTLE
+// and a later Run resumes them. A second concurrent Run returns
+// ErrSchedulerRunning.
 func (s *Scheduler) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.running {
@@ -522,7 +572,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			defer proveWG.Done()
 			for job := range jobs {
 				proof, err := job.entry.eng.Responder.Respond(ctx, job.entry.eng.Contract.Addr, job.ch)
-				results <- proofResult{entry: job.entry, proof: proof, err: err}
+				results <- proofResult{entry: job.entry, proof: proof, err: err, slot: job.slot}
 			}
 		}()
 	}
@@ -646,14 +696,15 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			return ErrCrashed
 		}
 
-		due, block := s.wakeAt(height)
-		adopted := len(block)
+		due, block, adopted := s.wakeAt(height)
 		if s.crashAt(CrashPostIssue) || s.journalDead() {
 			return ErrCrashed
 		}
 
-		// Fan the due proofs out; drain results as they land. The previous
-		// tick's settlement may still be verifying — that is the overlap.
+		// Fan the due proofs out; drain results as they land, each into the
+		// slot wakeAt reserved for it, so the settle block keeps registration
+		// order however the workers interleave. The previous tick's
+		// settlement may still be verifying — that is the overlap.
 		inflight := 0
 		aborted := false
 		crashed := false
@@ -672,7 +723,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			case r := <-results:
 				inflight--
 				if !aborted && !crashed && s.submit(ctx, height, r) {
-					block = append(block, r.entry)
+					block[r.slot] = r.entry
 					if s.crashAt(CrashMidProve) {
 						// Die with this proof on-chain and the rest of the
 						// tick never submitted; in-flight results drain and
@@ -693,6 +744,18 @@ func (s *Scheduler) Run(ctx context.Context) error {
 				ctxDone = nil
 			}
 		}
+		// Close the slots of proofs that never landed (parked, retried,
+		// errored, or discarded by a crash or cancellation).
+		sealed := block[:0]
+		for _, en := range block {
+			if en != nil {
+				sealed = append(sealed, en)
+			}
+		}
+		block = sealed
+		s.mu.Lock()
+		s.stats.Proofs += uint64(len(block) - adopted)
+		s.mu.Unlock()
 		if crashed {
 			return ErrCrashed
 		}
@@ -755,14 +818,20 @@ func (s *Scheduler) Run(ctx context.Context) error {
 
 // wakeAt pops every shard's due entries at height h (concurrently, one
 // goroutine per shard), merges them, sorts by global sequence number, and
-// applies each entry's phase action in that order — the deterministic
-// counterpart of the linear scan's registration-order walk.
-func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry) {
+// applies each entry's phase action in that registration order. It returns
+// the proof jobs to dispatch and the tick's settle block: entries adopted
+// with a proof already pending sit in their slots (adopted counts them), and
+// each proof job holds a nil slot its proof fills when it lands.
+func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted int) {
 	popped := s.store.popDue(h)
 	sort.Slice(popped, func(i, j int) bool { return popped[i].seq < popped[j].seq })
 
 	var challenges, deferrals, retries uint64
 	issued := make([]int, len(s.store.shards))
+	dispatch := func(en *entry, ch *core.Challenge) {
+		due = append(due, proofJob{entry: en, ch: ch, slot: len(block)})
+		block = append(block, nil)
+	}
 	defer func() {
 		s.mu.Lock()
 		s.stats.Woken += uint64(len(popped))
@@ -812,16 +881,17 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry) {
 				s.setPhase(en, phaseProving)
 				s.jappend(journalRecord{typ: recChallenge, addr: e.ID(), round: e.Contract.Round()})
 				s.tracer.Emit(obs.EvChallenge, string(e.ID()), e.Contract.Round(), h, "")
-				due = append(due, proofJob{entry: en, ch: ch})
+				dispatch(en, ch)
 			case contract.StateProve:
 				// Adopted mid-round: resume the open challenge. Exempt from
 				// admission — its deadline is already running.
 				s.setPhase(en, phaseProving)
-				due = append(due, proofJob{entry: en, ch: e.Contract.CurrentChallenge()})
+				dispatch(en, e.Contract.CurrentChallenge())
 			case contract.StateSettle:
 				// Adopted with a proof pending: settle it this tick.
 				s.setPhase(en, phaseProving)
 				block = append(block, en)
+				adopted++
 			default:
 				s.finish(en, nil)
 			}
@@ -856,10 +926,10 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry) {
 			issued[en.shard]++
 			retries++
 			s.setPhase(en, phaseProving)
-			due = append(due, proofJob{entry: en, ch: e.Contract.CurrentChallenge()})
+			dispatch(en, e.Contract.CurrentChallenge())
 		}
 	}
-	return due, block
+	return due, block, adopted
 }
 
 // submit lands one proof result (phase 1, calldata only) and reports
@@ -928,9 +998,13 @@ func (s *Scheduler) park(en *entry, kind parkKind, h uint64) {
 	s.store.arm(h, en)
 }
 
-// recordSettlement lands one settled block's verdicts, with the same order
-// and count validation as dsnaudit.Scheduler, then re-arms each surviving
-// entry at its next audit trigger.
+// recordSettlement lands one settled block's verdicts in the scheduler's
+// accounting — payment, reputation, round counts — and re-arms each surviving
+// entry at its next audit trigger. It runs on the main loop at the
+// deterministic join points. The verifier must have returned exactly one
+// result per contract, in input order: anything else would record one
+// engagement's verdict against another, so it fails the run with
+// ErrVerifierMismatch instead.
 func (s *Scheduler) recordSettlement(out settleOutcome) error {
 	s.store.mu.Lock()
 	s.store.settling -= len(out.entries)
@@ -995,15 +1069,18 @@ func (s *Scheduler) setPhase(en *entry, p phase) {
 	s.obs.trackParked(old, p)
 }
 
-// recordRound updates an entry's pass/fail accounting.
+// recordRound counts one settled round — a verdict or a missed deadline —
+// in the entry's pass/fail accounting and the scheduler's totals.
 func (s *Scheduler) recordRound(en *entry, passed bool) {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
 	en.result.Rounds++
+	s.store.settled++
 	if passed {
 		en.result.Passed++
 	} else {
 		en.result.Failed++
+		s.store.slashes++
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 	"repro/internal/chain"
 )
 
-// phase mirrors the in-package scheduler's per-entry state machine, with
-// one addition: phaseRetry parks an entry whose provider refused a
-// challenge with ErrOverloaded, to re-ask after the backoff instead of
-// waiting out the proof deadline into a slash.
+// phase is the scheduler's per-entry state machine. phaseRetry parks an
+// entry whose provider refused a challenge with ErrOverloaded, to re-ask
+// after the backoff instead of waiting out the proof deadline into a slash.
 type phase int
 
 const (
@@ -66,6 +65,8 @@ type store struct {
 	live      int // entries not yet terminal
 	settling  int // entries owned by the settlement stage
 	compacted uint64
+	settled   uint64 // rounds settled, cumulative
+	slashes   uint64 // of those, failed rounds and missed deadlines
 }
 
 func newStore(nshards int) *store {

@@ -1,24 +1,22 @@
-// Package sched is the planetary-scale audit driver: a sharded,
-// height-indexed engagement scheduler that behaves exactly like
-// dsnaudit.Scheduler but whose per-tick cost is O(engagements due at that
-// height), not O(engagements registered).
+// Package sched is the audit driver: the Scheduler that runs any number of
+// engagements off one chain's block clock, with per-tick cost
+// O(engagements due at that height), not O(engagements registered).
 //
-// The in-package dsnaudit.Scheduler scans every registered engagement on
-// every block tick. That is fine at thousands of engagements and ruinous at
-// a million: almost all of them are parked in AUDIT waiting for a trigger
-// height dozens or hundreds of blocks away, and the scan touches each of
-// them anyway. This package replaces the scan with wake queues — engagements
-// are indexed by the exact height they next act at, and a tick pops only
-// what is due — and shards them by contract address so the queue work
-// spreads across scheduler workers while a single chain subscription drives
-// the whole fleet.
+// Scanning every registered engagement on every block tick is fine at
+// thousands of engagements and ruinous at a million: almost all of them are
+// parked in AUDIT waiting for a trigger height dozens or hundreds of blocks
+// away, and a scan touches each of them anyway. The scheduler keeps wake
+// queues instead — engagements are indexed by the exact height they next act
+// at, and a tick pops only what is due — and shards them by contract address
+// so the queue work spreads across scheduler workers while a single chain
+// subscription drives the whole fleet.
 //
 // The scheduling order is deterministic by construction at any shard count:
 // every registered engagement carries a global registration sequence number,
 // per-shard pops are merged and sorted by it before any contract is touched,
 // and so the transaction stream — challenges, proofs, settlements — is
-// byte-for-byte the same with 1, 4 or 16 shards, and the same as the linear
-// scan would have produced. The determinism tests pin that down.
+// byte-for-byte the same with 1, 4 or 16 shards: the order a walk over the
+// registrations would produce. The determinism tests pin that down.
 package sched
 
 import "container/heap"

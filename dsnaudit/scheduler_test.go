@@ -1,4 +1,4 @@
-package dsnaudit
+package dsnaudit_test
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
@@ -18,82 +20,7 @@ type outcome struct {
 	state  contract.State
 }
 
-// auditFixture is one many-to-many deployment: an EngageAll set spanning
-// every holder of an erasure-coded file, one extra single engagement, and
-// one engagement whose provider cheats. Built identically on two networks
-// so the sequential and scheduled drivers can be compared.
-type auditFixture struct {
-	net         *Network
-	engagements []*Engagement
-	set         *EngagementSet
-}
-
-func buildFixture(t *testing.T, rounds int) *auditFixture {
-	t.Helper()
-	n := testNetwork(t, 12)
-	terms := smallTerms(rounds)
-
-	// Owner 1: one contract per share holder of a 3-of-10 file.
-	alice, err := NewOwner(n, "alice", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	sf, err := alice.Outsource("shared-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := alice.EngageAll(sf, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Engagements) != 10 {
-		t.Fatalf("EngageAll produced %d engagements, want 10", len(set.Engagements))
-	}
-
-	// Owner 2: a single honest engagement.
-	bob, err := NewOwner(n, "bob", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfB, err := bob.Outsource("bob-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engB, err := bob.Engage(sfB, sfB.Holders[0], terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Owner 3: a provider that corrupts its audit state before round one.
-	carol, err := NewOwner(n, "carol", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfC, err := carol.Outsource("carol-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engC, err := carol.Engage(sfC, sfC.Holders[0], terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover, ok := engC.Provider.Prover(engC.Contract.Addr)
-	if !ok {
-		t.Fatal("cheater prover state missing")
-	}
-	for i := 0; i < prover.File.NumChunks(); i++ {
-		prover.File.Corrupt(i, 0)
-	}
-
-	engs := append(append([]*Engagement(nil), set.Engagements...), engB, engC)
-	return &auditFixture{net: n, engagements: engs, set: set}
-}
-
-func key(e *Engagement) string { return e.Owner.Name + "/" + e.Provider.Name }
+func key(e *dsnaudit.Engagement) string { return e.Owner.Name + "/" + e.Provider.Name }
 
 // TestSchedulerMatchesSequential drives 12 engagements (an EngageAll set
 // spanning all 10 holders of one file, one extra honest engagement, one
@@ -104,9 +31,25 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 	const rounds = 2
 	ctx := context.Background()
 
-	seqFix := buildFixture(t, rounds)
+	build := func(t *testing.T) (*fixture, *dsnaudit.EngagementSet) {
+		fx := newFixture(t, 12)
+		alice, sf := fx.outsource(t, "alice")
+		set, err := alice.EngageAll(sf, smallTerms(rounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Engagements) != 10 {
+			t.Fatalf("EngageAll produced %d engagements, want 10", len(set.Engagements))
+		}
+		fx.engs = append(fx.engs, set.Engagements...)
+		fx.engage(t, "bob", rounds)
+		corrupt(t, fx.engage(t, "carol", rounds))
+		return fx, set
+	}
+
+	seqFix, _ := build(t)
 	want := make(map[string]outcome)
-	for _, e := range seqFix.engagements {
+	for _, e := range seqFix.engs {
 		passed, err := e.RunAll(ctx)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", key(e), err)
@@ -114,51 +57,53 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 		want[key(e)] = outcome{passed: passed, state: e.Contract.State()}
 	}
 
-	schedFix := buildFixture(t, rounds)
-	sched := NewScheduler(schedFix.net, WithWorkers(8))
-	if err := sched.AddSet(schedFix.set); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range schedFix.engagements[len(schedFix.set.Engagements):] {
-		if err := sched.Add(e); err != nil {
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx, set := build(t)
+		s := sched.NewScheduler(fx.net, shards, sched.WithWorkers(8))
+		if err := s.AddSet(set); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sched.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
+		for _, e := range fx.engs[len(set.Engagements):] {
+			if err := s.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
 
-	for _, e := range schedFix.engagements {
-		res, ok := sched.Result(e.ID())
-		if !ok {
-			t.Fatalf("no scheduler result for %s", key(e))
+		for _, e := range fx.engs {
+			res, ok := s.Result(e.ID())
+			if !ok {
+				t.Fatalf("no scheduler result for %s", key(e))
+			}
+			if res.Err != nil {
+				t.Fatalf("%s errored: %v", key(e), res.Err)
+			}
+			w, ok := want[key(e)]
+			if !ok {
+				t.Fatalf("fixtures diverged: %s missing from sequential run", key(e))
+			}
+			if res.Passed != w.passed || res.State != w.state {
+				t.Errorf("%s: scheduler passed=%d state=%v, sequential passed=%d state=%v",
+					key(e), res.Passed, res.State, w.passed, w.state)
+			}
 		}
-		if res.Err != nil {
-			t.Fatalf("%s errored: %v", key(e), res.Err)
-		}
-		w, ok := want[key(e)]
-		if !ok {
-			t.Fatalf("fixtures diverged: %s missing from sequential run", key(e))
-		}
-		if res.Passed != w.passed || res.State != w.state {
-			t.Errorf("%s: scheduler passed=%d state=%v, sequential passed=%d state=%v",
-				key(e), res.Passed, res.State, w.passed, w.state)
-		}
-	}
 
-	// Aggregate accounting: the set's 10 contracts all expired; the cheater
-	// aborted and was slashed exactly as in the sequential run.
-	sum := schedFix.set.Summary()
-	if sum.Expired != 10 || sum.RoundsPassed != 10*rounds || sum.RoundsFailed != 0 {
-		t.Fatalf("set summary %+v", sum)
-	}
-	if !schedFix.set.AllPassed() {
-		t.Fatal("AllPassed false for an honest set")
-	}
-	cheater := schedFix.engagements[len(schedFix.engagements)-1]
-	if cheater.Contract.State() != contract.StateAborted {
-		t.Fatalf("cheater state %v, want ABORTED", cheater.Contract.State())
-	}
+		// Aggregate accounting: the set's 10 contracts all expired; the
+		// cheater aborted and was slashed exactly as in the sequential run.
+		sum := set.Summary()
+		if sum.Expired != 10 || sum.RoundsPassed != 10*rounds || sum.RoundsFailed != 0 {
+			t.Fatalf("set summary %+v", sum)
+		}
+		if !set.AllPassed() {
+			t.Fatal("AllPassed false for an honest set")
+		}
+		cheater := fx.engs[len(fx.engs)-1]
+		if cheater.Contract.State() != contract.StateAborted {
+			t.Fatalf("cheater state %v, want ABORTED", cheater.Contract.State())
+		}
+	})
 }
 
 // blockingResponder blocks until its context is canceled, signaling entered
@@ -181,71 +126,57 @@ func (b *blockingResponder) Respond(ctx context.Context, addr chain.Address, ch 
 // without deadlocking the block loop, and that a later Run resumes the
 // interrupted engagement from its open challenge.
 func TestSchedulerCancellation(t *testing.T) {
-	n := testNetwork(t, 10)
-	owner, err := NewOwner(n, "zoe", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 600)
-	sf, err := owner.Outsource("slow-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &blockingResponder{entered: make(chan struct{})}
-	eng.Responder = slow
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 10)
+		eng := fx.engage(t, "zoe", 2)
+		slow := &blockingResponder{entered: make(chan struct{})}
+		eng.Responder = slow
 
-	sched := NewScheduler(n, WithWorkers(2))
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
+		s := fx.scheduler(t, shards, sched.WithWorkers(2))
+		ctx, cancel := context.WithCancel(context.Background())
+		runErr := make(chan error, 1)
+		go func() { runErr <- s.Run(ctx) }()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	runErr := make(chan error, 1)
-	go func() { runErr <- sched.Run(ctx) }()
-
-	// Wait until the proof job is genuinely in flight, then cancel.
-	select {
-	case <-slow.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("responder never invoked")
-	}
-	cancel()
-	select {
-	case err := <-runErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Run returned %v, want context.Canceled", err)
+		// Wait until the proof job is genuinely in flight, then cancel.
+		select {
+		case <-slow.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("responder never invoked")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("scheduler deadlocked after cancellation")
-	}
+		cancel()
+		select {
+		case err := <-runErr:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run returned %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("scheduler deadlocked after cancellation")
+		}
 
-	// The block loop is not wedged: the chain still mines and delivers.
-	sub := n.Chain.Subscribe()
-	defer sub.Unsubscribe()
-	n.Chain.MineBlock()
-	select {
-	case <-sub.Blocks():
-	case <-time.After(2 * time.Second):
-		t.Fatal("chain stopped delivering blocks")
-	}
+		// The block loop is not wedged: the chain still mines and delivers.
+		sub := fx.net.Chain.Subscribe()
+		defer sub.Unsubscribe()
+		fx.net.Chain.MineBlock()
+		select {
+		case <-sub.Blocks():
+		case <-time.After(2 * time.Second):
+			t.Fatal("chain stopped delivering blocks")
+		}
 
-	// The interrupted round stayed open; a fresh Run with the real
-	// responder resumes from PROVE and completes the contract.
-	if eng.Contract.State() != contract.StateProve {
-		t.Fatalf("state after cancel %v, want PROVE", eng.Contract.State())
-	}
-	eng.Responder = eng.Provider
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := sched.Result(eng.ID())
-	if res.Passed != 2 || eng.Contract.State() != contract.StateExpired {
-		t.Fatalf("after resume: passed=%d state=%v", res.Passed, eng.Contract.State())
-	}
+		// The interrupted round stayed open; a fresh Run with the real
+		// responder resumes from PROVE and completes the contract.
+		if eng.Contract.State() != contract.StateProve {
+			t.Fatalf("state after cancel %v, want PROVE", eng.Contract.State())
+		}
+		eng.Responder = eng.Provider
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := s.Result(eng.ID())
+		if res.Passed != 2 || eng.Contract.State() != contract.StateExpired {
+			t.Fatalf("after resume: passed=%d state=%v", res.Passed, eng.Contract.State())
+		}
+	})
 }
 
 // resumableResponder blocks its first call until the context is canceled
@@ -253,7 +184,7 @@ func TestSchedulerCancellation(t *testing.T) {
 // provider. It models a provider that was mid-proof when the scheduler's
 // operator pulled the plug.
 type resumableResponder struct {
-	p       *ProviderNode
+	p       *dsnaudit.ProviderNode
 	entered chan struct{}
 	blocked bool
 }
@@ -270,238 +201,98 @@ func (r *resumableResponder) Respond(ctx context.Context, addr chain.Address, ch
 
 // TestSchedulerCancelDoesNotSlashHonestProviders is the regression test for
 // a settlement race: with several engagements in flight, a worker's
-// ctx-cancellation error can reach settle() before the block loop notices
-// the cancellation. That error must be attributed to the cancellation, not
-// the responder — otherwise the next Run walks the engagement into
-// MissDeadline and slashes an honest provider.
+// ctx-cancellation error can reach submit before the block loop notices the
+// cancellation. That error must be attributed to the cancellation, not the
+// responder — otherwise the next Run walks the engagement into MissDeadline
+// and slashes an honest provider.
 func TestSchedulerCancelDoesNotSlashHonestProviders(t *testing.T) {
-	for iter := 0; iter < 3; iter++ {
-		n := testNetwork(t, 10)
-		owner, err := NewOwner(n, "hon", 4, eth(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, 400)
-		var engs []*Engagement
-		var responders []*resumableResponder
-		for i := 0; i < 2; i++ {
-			sf, err := owner.Outsource(fmt.Sprintf("hon-file-%d", i), data, 3, 7)
-			if err != nil {
-				t.Fatal(err)
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		for iter := 0; iter < 3; iter++ {
+			fx := newFixture(t, 10)
+			var responders []*resumableResponder
+			for i := 0; i < 2; i++ {
+				eng := fx.engage(t, fmt.Sprintf("hon-%d", i), 1)
+				r := &resumableResponder{p: eng.Provider, entered: make(chan struct{})}
+				eng.Responder = r
+				responders = append(responders, r)
 			}
-			eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := &resumableResponder{p: eng.Provider, entered: make(chan struct{})}
-			eng.Responder = r
-			engs = append(engs, eng)
-			responders = append(responders, r)
-		}
 
-		sched := NewScheduler(n, WithWorkers(2))
-		for _, e := range engs {
-			if err := sched.Add(e); err != nil {
+			s := fx.scheduler(t, shards, sched.WithWorkers(2))
+			ctx, cancel := context.WithCancel(context.Background())
+			runErr := make(chan error, 1)
+			go func() { runErr <- s.Run(ctx) }()
+			for _, r := range responders {
+				select {
+				case <-r.entered:
+				case <-time.After(5 * time.Second):
+					t.Fatal("responder never invoked")
+				}
+			}
+			cancel()
+			if err := <-runErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("iter %d: Run returned %v", iter, err)
+			}
+
+			// Resume: both engagements must complete cleanly. An honest
+			// provider must never be slashed because of our cancellation.
+			if err := s.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		runErr := make(chan error, 1)
-		go func() { runErr <- sched.Run(ctx) }()
-		for _, r := range responders {
-			select {
-			case <-r.entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("responder never invoked")
+			for i, e := range fx.engs {
+				res, _ := s.Result(e.ID())
+				if res.Failed != 0 || res.State != contract.StateExpired {
+					t.Fatalf("iter %d eng %d: honest provider penalized: %+v (state %v)",
+						iter, i, res, e.Contract.State())
+				}
 			}
 		}
-		cancel()
-		if err := <-runErr; !errors.Is(err, context.Canceled) {
-			t.Fatalf("iter %d: Run returned %v", iter, err)
-		}
-
-		// Resume: both engagements must complete cleanly. An honest
-		// provider must never be slashed because of our cancellation.
-		if err := sched.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range engs {
-			res, _ := sched.Result(e.ID())
-			if res.Failed != 0 || res.State != contract.StateExpired {
-				t.Fatalf("iter %d eng %d: honest provider penalized: %+v (state %v)",
-					iter, i, res, e.Contract.State())
-			}
-		}
-	}
+	})
 }
 
 // TestSchedulerAddValidation covers the registration sentinels.
 func TestSchedulerAddValidation(t *testing.T) {
-	n := testNetwork(t, 10)
-	owner, err := NewOwner(n, "val", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 500)
-	sf, err := owner.Outsource("v-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := NewScheduler(n)
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Add(eng); !errors.Is(err, ErrAlreadyScheduled) {
-		t.Fatalf("duplicate add: %v", err)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// A finished engagement cannot be scheduled again.
-	eng2, err := owner.Engage(sf, sf.Holders[1], smallTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sched2 := NewScheduler(n)
-	if err := sched2.Add(eng2); !errors.Is(err, ErrContractClosed) {
-		t.Fatalf("closed add: %v", err)
-	}
-	// And the sequential driver refuses it too.
-	if _, err := eng2.RunRound(context.Background()); !errors.Is(err, ErrContractClosed) {
-		t.Fatalf("closed RunRound: %v", err)
-	}
-}
-
-// TestSentinelErrors pins the exported error taxonomy.
-func TestSentinelErrors(t *testing.T) {
-	n := testNetwork(t, 10)
-	if _, err := n.AddProvider("a-provider", eth(1)); !errors.Is(err, ErrDuplicateProvider) {
-		t.Fatalf("duplicate provider: %v", err)
-	}
-	owner, err := NewOwner(n, "sen", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 500)
-	sf, err := owner.Outsource("s-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(0)); !errors.Is(err, ErrInvalidTerms) {
-		t.Fatalf("zero rounds: %v", err)
-	}
-	p, _ := n.Provider("a-provider")
-	if _, err := p.Respond(context.Background(), "no-such-contract", &core.Challenge{K: 1}); !errors.Is(err, ErrNoAuditState) {
-		t.Fatalf("respond without state: %v", err)
-	}
-	sf.Encoded.Corrupt(0, 0)
-	if _, err := owner.Engage(sf, sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
-		t.Fatalf("forged auths: %v", err)
-	}
-}
-
-// TestSampleIndices pins the AcceptAuditData sampling fix: the requested
-// sample size is honored exactly and clamped to the chunk count.
-func TestSampleIndices(t *testing.T) {
-	cases := []struct {
-		n, size, want int
-	}{
-		{100, 8, 8},  // the seed's stride formula under-sampled this
-		{5, 8, 5},    // clamp: more samples than chunks checks all chunks
-		{8, 8, 8},    // exact
-		{1, 1, 1},    // degenerate
-		{10, 0, 1},   // floor at one sample
-		{1000, 3, 3}, // sparse
-	}
-	for _, c := range cases {
-		got := sampleIndices(c.n, c.size)
-		if len(got) != c.want {
-			t.Errorf("sampleIndices(%d,%d) has %d indices, want %d", c.n, c.size, len(got), c.want)
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 10)
+		eng := fx.engage(t, "val", 1)
+		s := fx.scheduler(t, shards)
+		if err := s.Add(eng); !errors.Is(err, dsnaudit.ErrAlreadyScheduled) {
+			t.Fatalf("duplicate add: %v", err)
 		}
-		seen := make(map[int]bool)
-		for _, idx := range got {
-			if idx < 0 || idx >= c.n {
-				t.Errorf("sampleIndices(%d,%d) out of range: %d", c.n, c.size, idx)
-			}
-			if seen[idx] {
-				t.Errorf("sampleIndices(%d,%d) duplicate index %d", c.n, c.size, idx)
-			}
-			seen[idx] = true
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestEngageAllDedupesHolders verifies EngageAll deploys one contract per
-// distinct holder even if the holder list repeats a provider.
-func TestEngageAllDedupesHolders(t *testing.T) {
-	n := testNetwork(t, 12)
-	owner, err := NewOwner(n, "dd", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 500)
-	sf, err := owner.Outsource("dd-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Holders = append(sf.Holders, sf.Holders[0]) // simulate a repeated placement
-	set, err := owner.EngageAll(sf, smallTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]bool)
-	for _, e := range set.Engagements {
-		if seen[e.Provider.Name] {
-			t.Fatalf("duplicate contract for %s", e.Provider.Name)
+		// A finished engagement cannot be scheduled again.
+		eng2 := fx.engage(t, "val2", 1)
+		if _, err := eng2.RunAll(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-		seen[e.Provider.Name] = true
-	}
-	if len(set.Engagements) != 10 {
-		t.Fatalf("%d engagements, want 10", len(set.Engagements))
-	}
-	if _, err := owner.EngageAll(&StoredFile{Manifest: sf.Manifest}, smallTerms(1)); !errors.Is(err, ErrNoHolders) {
-		t.Fatalf("no holders: %v", err)
-	}
+		if err := sched.NewScheduler(fx.net, shards).Add(eng2); !errors.Is(err, dsnaudit.ErrContractClosed) {
+			t.Fatalf("closed add: %v", err)
+		}
+		// And the sequential driver refuses it too.
+		if _, err := eng2.RunRound(context.Background()); !errors.Is(err, dsnaudit.ErrContractClosed) {
+			t.Fatalf("closed RunRound: %v", err)
+		}
+	})
 }
 
 // TestSchedulerRunExclusive verifies a second concurrent Run is rejected.
 func TestSchedulerRunExclusive(t *testing.T) {
-	n := testNetwork(t, 10)
-	owner, err := NewOwner(n, "ex", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 500)
-	sf, err := owner.Outsource("ex-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &blockingResponder{entered: make(chan struct{})}
-	eng.Responder = slow
-	sched := NewScheduler(n, WithWorkers(1))
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sched.Run(ctx) }()
-	<-slow.entered
-	if err := sched.Run(ctx); !errors.Is(err, ErrSchedulerRunning) {
-		t.Fatalf("second Run: %v", err)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("first Run: %v", err)
-	}
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 10)
+		slow := &blockingResponder{entered: make(chan struct{})}
+		fx.engage(t, "ex", 1).Responder = slow
+		s := fx.scheduler(t, shards, sched.WithWorkers(1))
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- s.Run(ctx) }()
+		<-slow.entered
+		if err := s.Run(ctx); !errors.Is(err, dsnaudit.ErrSchedulerRunning) {
+			t.Fatalf("second Run: %v", err)
+		}
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("first Run: %v", err)
+		}
+	})
 }

@@ -1,24 +1,16 @@
-package dsnaudit
+package dsnaudit_test
 
 import (
 	"context"
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"testing"
 
+	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 	"repro/internal/core"
 )
-
-// buildBlockFixture deploys n single-round engagements (one owner and one
-// primary holder each) that all challenge at the same trigger height, so
-// every proof lands in one block. Engagements whose index is in cheaters
-// get their provider's audit state fully corrupted before round one.
-func buildBlockFixture(t *testing.T, n int, cheaters map[int]bool) (*Network, []*Engagement) {
-	t.Helper()
-	return buildBlockFixtureRounds(t, n, 1, cheaters)
-}
 
 // TestBatchedSettlementIsolatesCheater drives a block of 1 corrupt + 15
 // honest proofs through the default batched verifier: exactly one
@@ -33,21 +25,13 @@ func TestBatchedSettlementIsolatesCheater(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
-	net, engs := buildBlockFixture(t, n, map[int]bool{bad: true})
+	fx := newBlockFixture(t, n, 1, map[int]bool{bad: true})
 
 	var stats core.BatchStats
-	sched := NewScheduler(net, WithVerifier(&BatchVerifier{Stats: &stats}))
-	for _, e := range engs {
-		if err := sched.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	s := fx.run(t, sched.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}))
 
-	for i, e := range engs {
-		res, ok := sched.Result(e.ID())
+	for i, e := range fx.engs {
+		res, ok := s.Result(e.ID())
 		if !ok {
 			t.Fatalf("no result for %s", e.ID())
 		}
@@ -93,26 +77,9 @@ func TestVerifierParityRandomized(t *testing.T) {
 	}
 	t.Logf("cheater mask: %v", cheaters)
 
-	run := func(opts ...SchedulerOption) map[string]Result {
-		netN, engs := buildBlockFixtureRounds(t, n, rounds, cheaters)
-		sched := NewScheduler(netN, opts...)
-		for _, e := range engs {
-			if err := sched.Add(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sched.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]Result)
-		for id, res := range sched.Results() {
-			out[string(id)] = res
-		}
-		return out
-	}
-
-	batched := run() // default verifier
-	perProof := run(WithPerProofVerification())
+	batched := resultsByID(newBlockFixture(t, n, rounds, cheaters).run(t)) // default verifier
+	perProof := resultsByID(newBlockFixture(t, n, rounds, cheaters).run(t,
+		sched.WithVerifier(dsnaudit.PerProofVerifier{})))
 
 	if len(batched) != len(perProof) {
 		t.Fatalf("driver result counts differ: %d vs %d", len(batched), len(perProof))
@@ -131,48 +98,25 @@ func TestVerifierParityRandomized(t *testing.T) {
 	}
 }
 
-// buildBlockFixtureRounds is buildBlockFixture with a round count.
-func buildBlockFixtureRounds(t *testing.T, n, rounds int, cheaters map[int]bool) (*Network, []*Engagement) {
-	t.Helper()
-	net := testNetwork(t, 16)
-	engs := make([]*Engagement, n)
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i * 3)
+// resultsByID flattens a scheduler's results for cross-run comparison.
+func resultsByID(s *sched.Scheduler) map[string]dsnaudit.Result {
+	out := make(map[string]dsnaudit.Result)
+	for id, res := range s.Results() {
+		out[string(id)] = res
 	}
-	for i := range engs {
-		owner, err := NewOwner(net, fmt.Sprintf("owner-%02d", i), 4, eth(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf, err := owner.Outsource(fmt.Sprintf("file-%02d", i), data, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engs[i], err = owner.Engage(sf, sf.Holders[0], smallTerms(rounds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cheaters[i] {
-			prover, ok := engs[i].Provider.Prover(engs[i].Contract.Addr)
-			if !ok {
-				t.Fatal("cheater prover state missing")
-			}
-			for c := 0; c < prover.File.NumChunks(); c++ {
-				prover.File.Corrupt(c, 0)
-			}
-		}
-	}
-	return net, engs
+	return out
 }
 
-// settleLimbo walks an engagement's first round manually into SETTLE: the
-// proof is submitted but its verdict is still pending, as a scheduler
-// canceled between submission and settlement would leave it.
-func settleLimbo(t *testing.T, n *Network, eng *Engagement) {
+// settleLimbo deploys one two-round engagement and walks its first round
+// manually into SETTLE: the proof is submitted but its verdict is still
+// pending, as a scheduler canceled between submission and settlement would
+// leave it.
+func settleLimbo(t *testing.T) (*fixture, *dsnaudit.Engagement) {
 	t.Helper()
-	for n.Chain.Height() < eng.Contract.TriggerHeight() {
-		n.Chain.MineBlock()
+	fx := newBlockFixture(t, 1, 2, nil)
+	eng := fx.engs[0]
+	for fx.net.Chain.Height() < eng.Contract.TriggerHeight() {
+		fx.net.Chain.MineBlock()
 	}
 	ch, err := eng.Contract.IssueChallenge()
 	if err != nil {
@@ -188,39 +132,30 @@ func settleLimbo(t *testing.T, n *Network, eng *Engagement) {
 	if eng.Contract.State() != contract.StateSettle {
 		t.Fatalf("state %v, want SETTLE", eng.Contract.State())
 	}
+	return fx, eng
 }
 
 // TestSchedulerAdoptsPendingSettlement proves an engagement adopted with a
 // proof already pending is settled on the scheduler's first tick and then
 // driven to completion.
 func TestSchedulerAdoptsPendingSettlement(t *testing.T) {
-	net, engs := buildBlockFixtureRounds(t, 1, 2, nil)
-	eng := engs[0]
-	settleLimbo(t, net, eng)
-
-	sched := NewScheduler(net)
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := sched.Result(eng.ID())
-	if !ok {
-		t.Fatal("no result")
-	}
-	if res.Passed != 2 || res.State != contract.StateExpired {
-		t.Fatalf("after adoption: %+v", res)
-	}
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx, eng := settleLimbo(t)
+		s := fx.run(t, shards)
+		res, ok := s.Result(eng.ID())
+		if !ok {
+			t.Fatal("no result")
+		}
+		if res.Passed != 2 || res.State != contract.StateExpired {
+			t.Fatalf("after adoption: %+v", res)
+		}
+	})
 }
 
 // TestRunRoundSettlesPendingProof proves the sequential driver completes a
 // round left in SETTLE instead of refusing it.
 func TestRunRoundSettlesPendingProof(t *testing.T) {
-	net, engs := buildBlockFixtureRounds(t, 1, 2, nil)
-	eng := engs[0]
-	settleLimbo(t, net, eng)
-
+	_, eng := settleLimbo(t)
 	passed, err := eng.RunRound(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +173,7 @@ func TestRunRoundSettlesPendingProof(t *testing.T) {
 // up an engagement left in SETTLE and drives it to completion instead of
 // silently returning zero rounds.
 func TestRunAllSettlesPendingProof(t *testing.T) {
-	net, engs := buildBlockFixtureRounds(t, 1, 2, nil)
-	eng := engs[0]
-	settleLimbo(t, net, eng)
-
+	_, eng := settleLimbo(t)
 	passed, err := eng.RunAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -272,30 +204,21 @@ func (reorderVerifier) SettleBlock(cs []*contract.Contract, height uint64, worke
 // TestVerifierReorderSurfaces pins the order check: a verifier returning
 // out-of-order results fails the Run instead of mis-attributing verdicts.
 func TestVerifierReorderSurfaces(t *testing.T) {
-	net, engs := buildBlockFixture(t, 2, nil)
-	sched := NewScheduler(net, WithVerifier(reorderVerifier{}))
-	for _, e := range engs {
-		if err := sched.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sched.Run(context.Background()); !errors.Is(err, ErrVerifierMismatch) {
-		t.Fatalf("Run returned %v, want ErrVerifierMismatch", err)
-	}
+	testBrokenVerifier(t, reorderVerifier{})
 }
 
 // TestVerifierMismatchSurfaces pins the ErrVerifierMismatch sentinel: a
 // broken custom verifier fails the Run instead of silently dropping
 // engagements.
 func TestVerifierMismatchSurfaces(t *testing.T) {
-	net, engs := buildBlockFixture(t, 2, nil)
-	sched := NewScheduler(net, WithVerifier(mismatchVerifier{}))
-	for _, e := range engs {
-		if err := sched.Add(e); err != nil {
-			t.Fatal(err)
+	testBrokenVerifier(t, mismatchVerifier{})
+}
+
+func testBrokenVerifier(t *testing.T, v dsnaudit.Verifier) {
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		s := newBlockFixture(t, 2, 1, nil).scheduler(t, shards, sched.WithVerifier(v))
+		if err := s.Run(context.Background()); !errors.Is(err, dsnaudit.ErrVerifierMismatch) {
+			t.Fatalf("Run returned %v, want ErrVerifierMismatch", err)
 		}
-	}
-	if err := sched.Run(context.Background()); !errors.Is(err, ErrVerifierMismatch) {
-		t.Fatalf("Run returned %v, want ErrVerifierMismatch", err)
-	}
+	})
 }

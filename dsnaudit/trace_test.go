@@ -1,9 +1,9 @@
-package dsnaudit
+package dsnaudit_test
 
 import (
-	"context"
 	"testing"
 
+	"repro/dsnaudit/sched"
 	"repro/internal/obs"
 )
 
@@ -16,134 +16,93 @@ import (
 // documents.
 func TestTracerLifecycle(t *testing.T) {
 	const rounds = 3
-	n := testNetwork(t, 12)
-	owner, err := NewOwner(n, "tracy", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	sf, err := owner.Outsource("traced-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(rounds))
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 12)
+		eng := fx.engage(t, "tracy", rounds)
 
-	ring := obs.NewRingSink(64)
-	reg := obs.NewRegistry()
-	sched := NewScheduler(n, WithTracer(obs.NewTracer(ring)), WithMetrics(reg))
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := sched.Result(eng.ID())
-	if !ok || res.Err != nil || res.Passed != rounds {
-		t.Fatalf("engagement result ok=%v res=%+v", ok, res)
-	}
+		ring := obs.NewRingSink(64)
+		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(ring)), sched.WithMetrics(obs.NewRegistry()))
+		res, ok := s.Result(eng.ID())
+		if !ok || res.Err != nil || res.Passed != rounds {
+			t.Fatalf("engagement result ok=%v res=%+v", ok, res)
+		}
 
-	var events []obs.Event
-	for _, e := range ring.Events() {
-		if e.Engagement == string(eng.ID()) {
-			events = append(events, e)
+		var events []obs.Event
+		for _, e := range ring.Events() {
+			if e.Engagement == string(eng.ID()) {
+				events = append(events, e)
+			}
 		}
-	}
-	want := []struct {
-		typ    string
-		round  int
-		detail string
-	}{
-		{obs.EvChallenge, 0, ""}, {obs.EvProof, 0, ""}, {obs.EvSettled, 0, "passed"},
-		{obs.EvChallenge, 1, ""}, {obs.EvProof, 1, ""}, {obs.EvSettled, 1, "passed"},
-		{obs.EvChallenge, 2, ""}, {obs.EvProof, 2, ""}, {obs.EvSettled, 2, "passed"},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
-	}
-	var lastHeight uint64
-	for i, e := range events {
-		if e.Type != want[i].typ || e.Round != want[i].round || e.Detail != want[i].detail {
-			t.Errorf("event %d = {%s round=%d detail=%q}, want {%s round=%d detail=%q}",
-				i, e.Type, e.Round, e.Detail, want[i].typ, want[i].round, want[i].detail)
+		want := []struct {
+			typ    string
+			round  int
+			detail string
+		}{
+			{obs.EvChallenge, 0, ""}, {obs.EvProof, 0, ""}, {obs.EvSettled, 0, "passed"},
+			{obs.EvChallenge, 1, ""}, {obs.EvProof, 1, ""}, {obs.EvSettled, 1, "passed"},
+			{obs.EvChallenge, 2, ""}, {obs.EvProof, 2, ""}, {obs.EvSettled, 2, "passed"},
 		}
-		if e.Height < lastHeight {
-			t.Errorf("event %d height %d went backwards from %d", i, e.Height, lastHeight)
+		if len(events) != len(want) {
+			t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
 		}
-		lastHeight = e.Height
-		if e.Time.IsZero() {
-			t.Errorf("event %d has a zero timestamp", i)
+		var lastHeight uint64
+		for i, e := range events {
+			if e.Type != want[i].typ || e.Round != want[i].round || e.Detail != want[i].detail {
+				t.Errorf("event %d = {%s round=%d detail=%q}, want {%s round=%d detail=%q}",
+					i, e.Type, e.Round, e.Detail, want[i].typ, want[i].round, want[i].detail)
+			}
+			if e.Height < lastHeight {
+				t.Errorf("event %d height %d went backwards from %d", i, e.Height, lastHeight)
+			}
+			lastHeight = e.Height
+			if e.Time.IsZero() {
+				t.Errorf("event %d has a zero timestamp", i)
+			}
 		}
-	}
 
-	// The func-backed dsn_sched_* series must agree with the trace: three
-	// challenges, three proofs, three settled rounds, no slashes.
-	stats := sched.SchedStats()
-	if stats.Challenges != rounds || stats.Proofs != rounds ||
-		stats.SettledRounds != rounds || stats.Slashes != 0 {
-		t.Fatalf("SchedStats %+v disagrees with the %d-round trace", stats, rounds)
-	}
-	if got := ring.Total(); got != uint64(len(events)) {
-		t.Fatalf("ring Total() = %d, want %d", got, len(events))
-	}
+		// The counters behind the dsn_sched_* series must agree with the
+		// trace: three challenges, three proofs, three settled rounds, no
+		// slashes.
+		stats := s.Stats()
+		if stats.Challenges != rounds || stats.Proofs != rounds ||
+			stats.SettledRounds != rounds || stats.Slashes != 0 {
+			t.Fatalf("Stats %+v disagrees with the %d-round trace", stats, rounds)
+		}
+		if got := ring.Total(); got != uint64(len(events)) {
+			t.Fatalf("ring Total() = %d, want %d", got, len(events))
+		}
+	})
 }
 
 // TestTracerSlashEvents checks the failure half of the lifecycle: a
 // provider that corrupts its audit state must produce settled(failed)
 // and slashed events for round zero, and nothing after the abort.
 func TestTracerSlashEvents(t *testing.T) {
-	n := testNetwork(t, 12)
-	owner, err := NewOwner(n, "mallory", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	sf, err := owner.Outsource("bad-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover, ok := eng.Provider.Prover(eng.Contract.Addr)
-	if !ok {
-		t.Fatal("prover state missing")
-	}
-	for i := 0; i < prover.File.NumChunks(); i++ {
-		prover.File.Corrupt(i, 0)
-	}
+	forShards(t, func(t *testing.T, shards sched.Option) {
+		fx := newFixture(t, 12)
+		eng := fx.engage(t, "mallory", 3)
+		corrupt(t, eng)
 
-	ring := obs.NewRingSink(64)
-	sched := NewScheduler(n, WithTracer(obs.NewTracer(ring)))
-	if err := sched.Add(eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+		ring := obs.NewRingSink(64)
+		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(ring)))
 
-	var types []string
-	for _, e := range ring.Events() {
-		if e.Engagement == string(eng.ID()) {
-			types = append(types, e.Type+":"+e.Detail)
+		var types []string
+		for _, e := range ring.Events() {
+			if e.Engagement == string(eng.ID()) {
+				types = append(types, e.Type+":"+e.Detail)
+			}
 		}
-	}
-	want := []string{"challenge:", "proof:", "settled:failed", "slashed:failed round"}
-	if len(types) != len(want) {
-		t.Fatalf("got events %v, want %v", types, want)
-	}
-	for i := range want {
-		if types[i] != want[i] {
-			t.Fatalf("event %d = %q, want %q (full stream %v)", i, types[i], want[i], types)
+		want := []string{"challenge:", "proof:", "settled:failed", "slashed:failed round"}
+		if len(types) != len(want) {
+			t.Fatalf("got events %v, want %v", types, want)
 		}
-	}
+		for i := range want {
+			if types[i] != want[i] {
+				t.Fatalf("event %d = %q, want %q (full stream %v)", i, types[i], want[i], types)
+			}
+		}
+		if stats := s.Stats(); stats.SettledRounds != 1 || stats.Slashes != 1 {
+			t.Fatalf("Stats %+v, want one settled round and one slash", stats)
+		}
+	})
 }

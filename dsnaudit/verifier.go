@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Verifier is the Scheduler's pluggable settlement strategy: at the end of
+// Verifier is the scheduler's pluggable settlement strategy: at the end of
 // each tick, every contract whose proof landed in that block is handed over
 // for the phase-2 verdict. height is the block height the settlement is
 // pinned to (the proofs' inclusion block), so the next audit trigger arms
@@ -119,20 +119,4 @@ func (PerProofVerifier) SettleBlock(cs []*contract.Contract, height uint64, work
 		out[i] = contract.SettleResult{Addr: k.Addr, Passed: passed, Err: err}
 	}
 	return out, nil
-}
-
-// WithVerifier overrides the scheduler's settlement strategy (default: a
-// fresh BatchVerifier).
-func WithVerifier(v Verifier) SchedulerOption {
-	return func(s *Scheduler) {
-		if v != nil {
-			s.verifier = v
-		}
-	}
-}
-
-// WithPerProofVerification switches settlement to one verification per
-// proof, for debugging and batched-vs-per-proof parity tests.
-func WithPerProofVerification() SchedulerOption {
-	return WithVerifier(PerProofVerifier{})
 }

@@ -25,6 +25,7 @@ import (
 	"math/big"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 )
 
@@ -71,7 +72,7 @@ func main() {
 	// primary holder. One scheduler drives everything.
 	terms := dsnaudit.DefaultTerms(3)
 	terms.ChallengeSize = 60
-	sched := dsnaudit.NewScheduler(net)
+	s := sched.NewScheduler(net)
 
 	engagements := map[string]*dsnaudit.Engagement{}
 	for _, name := range []string{"album-spring", "album-autumn"} {
@@ -80,7 +81,7 @@ func main() {
 			log.Fatal(err)
 		}
 		engagements[name] = eng
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sched.AddSet(summerSet); err != nil {
+	if err := s.AddSet(summerSet); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncontracts live: 2 primary-holder audits + %d summer holders (EngageAll)\n",
@@ -111,11 +112,11 @@ func main() {
 
 	// The scheduler's periodic audits run, all contracts concurrently.
 	// Summer's primary gets caught and slashed long before retrieval time.
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	for name, eng := range engagements {
-		res, _ := sched.Result(eng.ID())
+		res, _ := s.Result(eng.ID())
 		fmt.Printf("%s: %d/%d rounds passed, contract %v\n",
 			name, res.Passed, terms.Rounds, res.State)
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -52,7 +53,7 @@ func main() {
 		eng   *dsnaudit.Engagement
 	}
 	tenants := make([]*tenant, numOwners)
-	sched := dsnaudit.NewScheduler(net)
+	s := sched.NewScheduler(net)
 	for i := range tenants {
 		owner, err := dsnaudit.NewOwner(net, fmt.Sprintf("owner-%d", i), 8, funds)
 		if err != nil {
@@ -68,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			log.Fatal(err)
 		}
 		tenants[i] = &tenant{owner: owner, sf: sf, eng: eng}
@@ -86,14 +87,14 @@ func main() {
 
 	// One Run drives every contract to completion, concurrently.
 	start := time.Now()
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	wall := time.Since(start)
 
 	var totalGas uint64
 	for i, tn := range tenants {
-		res, _ := sched.Result(tn.eng.ID())
+		res, _ := s.Result(tn.eng.ID())
 		for _, rec := range tn.eng.Contract.Records() {
 			totalGas += rec.GasUsed
 		}

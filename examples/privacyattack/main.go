@@ -32,6 +32,7 @@ import (
 	"math/big"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/ff"
@@ -187,11 +188,11 @@ func onChainTrail(secret []byte) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched := dsnaudit.NewScheduler(net)
-	if err := sched.Add(eng); err != nil {
+	s := sched.NewScheduler(net)
+	if err := s.Add(eng); err != nil {
 		log.Fatal(err)
 	}
-	if err := sched.Run(context.Background()); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 
@@ -213,7 +214,7 @@ func onChainTrail(secret []byte) {
 			}
 		}
 	}
-	res, _ := sched.Result(eng.ID())
+	res, _ := s.Result(eng.ID())
 	fmt.Printf("    engagement served %d/%d rounds on chain (%d blocks)\n",
 		res.Passed, rounds, net.Chain.Height())
 	fmt.Printf("    adversary's haul: %d challenges (48 B) + %d proofs (288 B), nothing else\n",

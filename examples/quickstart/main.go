@@ -16,6 +16,7 @@ import (
 	"math/big"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 )
 
 func main() {
@@ -69,18 +70,18 @@ func main() {
 
 	// Run the periodic audits off the block clock: the Scheduler mines,
 	// wakes the engagement at each trigger height, and settles per block.
-	sched := dsnaudit.NewScheduler(net)
-	if err := sched.Add(eng); err != nil {
+	s := sched.NewScheduler(net)
+	if err := s.Add(eng); err != nil {
 		log.Fatal(err)
 	}
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	for _, rec := range eng.Contract.Records() {
 		fmt.Printf("round %d: passed=%v proof=%dB gas=%d\n",
 			rec.Round+1, rec.Passed, rec.ProofSize, rec.GasUsed)
 	}
-	res, _ := sched.Result(eng.ID())
+	res, _ := s.Result(eng.ID())
 	fmt.Printf("final contract state: %v (%d/%d rounds passed)\n",
 		eng.Contract.State(), res.Passed, res.Rounds)
 	fmt.Printf("provider earned: %v wei in micro-payments\n",

@@ -23,6 +23,7 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/remote"
+	"repro/dsnaudit/sched"
 )
 
 // serveProvider exposes a fresh standalone provider node over a loopback
@@ -77,7 +78,7 @@ func main() {
 	// dial address and the ProviderTransport interface.
 	terms := dsnaudit.DefaultTerms(3)
 	terms.ChallengeSize = 30
-	sched := dsnaudit.NewScheduler(net)
+	s := sched.NewScheduler(net)
 	engs := make([]*dsnaudit.Engagement, 0, 2)
 	for i := 0; i < 2; i++ {
 		addr, stop, err := serveProvider(fmt.Sprintf("remote-%d", i))
@@ -93,16 +94,16 @@ func main() {
 		}
 		fmt.Printf("contract %s live; provider %s served from %s\n",
 			eng.Contract.Addr, sf.Holders[i].Name, addr)
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			log.Fatal(err)
 		}
 		engs = append(engs, eng)
 	}
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	for _, eng := range engs {
-		res, _ := sched.Result(eng.ID())
+		res, _ := s.Result(eng.ID())
 		fmt.Printf("engagement %s: %d/%d rounds passed, state %v\n",
 			eng.Contract.Addr, res.Passed, res.Rounds, res.State)
 	}

@@ -23,6 +23,7 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/repair"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -130,17 +131,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched := dsnaudit.NewScheduler(net)
+	s := sched.NewScheduler(net)
 
 	// The repair manager listens to the scheduler's terminal outcomes; any
 	// tracked engagement that ends in conviction enters the repair pipeline.
-	mgr := repair.NewManager(owner, sched,
+	mgr := repair.NewManager(owner, s,
 		repair.WithPeers(func(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer { return peer(p) }))
 	if err := mgr.Track(sf, set, terms); err != nil {
 		log.Fatal(err)
 	}
 	for _, eng := range set.Engagements {
-		if err := sched.Add(eng); err != nil {
+		if err := s.Add(eng); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -149,14 +150,14 @@ func main() {
 	// the proof deadline lapses, and the contract aborts with the deposit
 	// slashed — the conviction that triggers repair.
 	victim := sf.Holders[1]
-	sched.OnBlock(func(h uint64) {
+	s.OnBlock(func(h uint64) {
 		if p := peer(victim); h >= 4 && !p.dead {
 			p.dead = true
 			fmt.Printf("block %d: %s crashes, taking share 1 with it\n", h, victim.Name)
 		}
 	})
 
-	if err := sched.Run(ctx); err != nil {
+	if err := s.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 

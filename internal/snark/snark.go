@@ -2,11 +2,11 @@
 // (Section IV): a Merkle-path membership statement wrapped in a
 // ZK-SNARK-shaped proof system.
 //
-// SUBSTITUTION NOTE (see DESIGN.md #7). The paper's strawman uses the Rust
-// Bellman Groth16 prover. A real pairing-based SNARK with a SHA-256 circuit
-// is out of scope for a stdlib-only reproduction, so this package provides
-// a *simulated* proof system with the same interface, the same information
-// flow, and a calibrated cost model:
+// SUBSTITUTION NOTE. The paper's strawman uses the Rust Bellman Groth16
+// prover. A real pairing-based SNARK with a SHA-256 circuit is out of scope
+// for a stdlib-only reproduction, so this package provides a *simulated*
+// proof system with the same interface, the same information flow, and a
+// calibrated cost model:
 //
 //   - Circuit synthesis counts R1CS constraints for the Merkle statement
 //     using the well-known ~25k constraints per SHA-256 compression.
