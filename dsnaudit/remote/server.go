@@ -324,7 +324,6 @@ func (s *Server) handleFrame(ctx context.Context, w *connWriter, f *wire.Frame) 
 		if s.proofSem != nil {
 			select {
 			case s.proofSem <- struct{}{}:
-				defer func() { <-s.proofSem }()
 			default:
 				// Full admission window: refuse now, cheaply and honestly,
 				// rather than queue CPU-heavy proving without bound.
@@ -332,7 +331,15 @@ func (s *Server) handleFrame(ctx context.Context, w *connWriter, f *wire.Frame) 
 				return
 			}
 		}
-		proof, err := s.node.Respond(ctx, m.Contract, m.Chal)
+		// The slot covers proving only and is free again before the proof
+		// goes out: a client holding its answer never finds the slot it
+		// just vacated still taken.
+		proof, err := func() ([]byte, error) {
+			if s.proofSem != nil {
+				defer func() { <-s.proofSem }()
+			}
+			return s.node.Respond(ctx, m.Contract, m.Chal)
+		}()
 		if err != nil {
 			code := wire.CodeInternal
 			switch {

@@ -35,18 +35,19 @@ var (
 )
 
 // G1 is an element of the prime-order group of points on y^2 = x^3 + 3
-// over Fp. The zero value is invalid; obtain points via the constructors.
+// over Fp. The zero value is the identity, as a receiver and as an operand.
 type G1 struct {
 	p *curvePoint
 }
 
-// G2 is an element of the order-n subgroup of the sextic twist E'(Fp2).
+// G2 is an element of the order-n subgroup of the sextic twist E'(Fp2). The
+// zero value is the identity.
 type G2 struct {
 	p *twistPoint
 }
 
 // GT is an element of the order-n subgroup of Fp12* (the target group of
-// the pairing).
+// the pairing). The zero value is the identity.
 type GT struct {
 	p *gfP12
 }
@@ -116,6 +117,7 @@ func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
 // ScalarMult sets e = k*a and returns e.
 func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	e.ensure()
+	a.ensure()
 	e.p.Mul(a.p, k)
 	return e
 }
@@ -123,6 +125,8 @@ func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 // Add sets e = a+b and returns e.
 func (e *G1) Add(a, b *G1) *G1 {
 	e.ensure()
+	a.ensure()
+	b.ensure()
 	e.p.Add(a.p, b.p)
 	return e
 }
@@ -130,6 +134,7 @@ func (e *G1) Add(a, b *G1) *G1 {
 // Neg sets e = -a and returns e.
 func (e *G1) Neg(a *G1) *G1 {
 	e.ensure()
+	a.ensure()
 	e.p.Neg(a.p)
 	return e
 }
@@ -137,6 +142,7 @@ func (e *G1) Neg(a *G1) *G1 {
 // Set sets e = a and returns e.
 func (e *G1) Set(a *G1) *G1 {
 	e.ensure()
+	a.ensure()
 	e.p.Set(a.p)
 	return e
 }
@@ -276,6 +282,7 @@ func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 // ScalarMult sets e = k*a and returns e.
 func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	e.ensure()
+	a.ensure()
 	e.p.Mul(a.p, k)
 	return e
 }
@@ -283,6 +290,8 @@ func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 // Add sets e = a+b and returns e.
 func (e *G2) Add(a, b *G2) *G2 {
 	e.ensure()
+	a.ensure()
+	b.ensure()
 	e.p.Add(a.p, b.p)
 	return e
 }
@@ -290,6 +299,7 @@ func (e *G2) Add(a, b *G2) *G2 {
 // Neg sets e = -a and returns e.
 func (e *G2) Neg(a *G2) *G2 {
 	e.ensure()
+	a.ensure()
 	e.p.Neg(a.p)
 	return e
 }
@@ -297,6 +307,7 @@ func (e *G2) Neg(a *G2) *G2 {
 // Set sets e = a and returns e.
 func (e *G2) Set(a *G2) *G2 {
 	e.ensure()
+	a.ensure()
 	e.p.Set(a.p)
 	return e
 }
@@ -378,6 +389,12 @@ func (e *GT) ensure() *GT {
 // ScalarMult sets e = a^k and returns e.
 func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	e.ensure()
+	a.ensure()
+	// GT has order n: a negative or oversized exponent is its residue.
+	// (gfP12.Exp reads the bits of |k|, so -k would come out as a^k.)
+	if k.Sign() < 0 || k.Cmp(Order) >= 0 {
+		k = new(big.Int).Mod(k, Order)
+	}
 	e.p.Exp(a.p, k)
 	return e
 }
@@ -386,6 +403,8 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 // with G1/G2) and returns e.
 func (e *GT) Add(a, b *GT) *GT {
 	e.ensure()
+	a.ensure()
+	b.ensure()
 	e.p.Mul(a.p, b.p)
 	return e
 }
@@ -393,6 +412,7 @@ func (e *GT) Add(a, b *GT) *GT {
 // Neg sets e = a^-1. In the cyclotomic subgroup inversion is conjugation.
 func (e *GT) Neg(a *GT) *GT {
 	e.ensure()
+	a.ensure()
 	e.p.Conjugate(a.p)
 	return e
 }
@@ -400,6 +420,7 @@ func (e *GT) Neg(a *GT) *GT {
 // Set sets e = a and returns e.
 func (e *GT) Set(a *GT) *GT {
 	e.ensure()
+	a.ensure()
 	e.p.Set(a.p)
 	return e
 }

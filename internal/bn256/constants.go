@@ -13,8 +13,9 @@
 //
 // Base-field elements are fixed [4]uint64 limbs in Montgomery form (gfp.go),
 // with Karatsuba multiplication through the Fp2/Fp6/Fp12 tower; scalars and
-// exponents remain big.Int. The Miller loop runs in affine coordinates and
-// group operations use Jacobian coordinates. Correctness is pinned three
+// exponents remain big.Int. The Miller loop keeps its running point in
+// homogeneous projective coordinates and group operations use Jacobian
+// coordinates, so neither inverts inside a loop. Correctness is pinned three
 // ways: differential tests of the limb arithmetic against math/big, field
 // axioms and Frobenius identities at every tower level, and golden marshal
 // vectors frozen from the original big.Int implementation (wire formats are

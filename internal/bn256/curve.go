@@ -53,6 +53,10 @@ func (c *curvePoint) Affine() (x, y *gfP) {
 	if c.IsInfinity() {
 		panic("bn256: affine coordinates of the point at infinity")
 	}
+	if c.z.IsOne() {
+		ax, ay := c.x, c.y
+		return &ax, &ay
+	}
 	var zInv, zInv2 gfP
 	zInv.Invert(&c.z)
 	gfpMul(&zInv2, &zInv, &zInv)
@@ -200,6 +204,61 @@ func (c *curvePoint) Add(a, b *curvePoint) *curvePoint {
 	gfpSub(&z3, &z3, &z1z1)
 	gfpSub(&z3, &z3, &z2z2)
 	gfpMul(&z3, &z3, &h)
+
+	c.x, c.y, c.z = x3, y3, z3
+	return c
+}
+
+// AddMixed sets c = a + b for b in affine form -- z is one, or zero for the
+// point at infinity -- which saves five of Add's sixteen multiplications
+// (madd-2007-bl).
+func (c *curvePoint) AddMixed(a, b *curvePoint) *curvePoint {
+	if a.IsInfinity() {
+		return c.Set(b)
+	}
+	if b.IsInfinity() {
+		return c.Set(a)
+	}
+
+	var z1z1, u2, s2, h, r gfP
+	gfpSquare(&z1z1, &a.z)
+	gfpMul(&u2, &b.x, &z1z1)
+	gfpMul(&s2, &b.y, &a.z)
+	gfpMul(&s2, &s2, &z1z1)
+
+	gfpSub(&h, &u2, &a.x)
+	gfpSub(&r, &s2, &a.y)
+	if h.IsZero() {
+		if r.IsZero() {
+			return c.Double(a)
+		}
+		return c.SetInfinity()
+	}
+	gfpDouble(&r, &r)
+
+	var hh, i, j, v gfP
+	gfpSquare(&hh, &h)
+	gfpDouble(&i, &hh)
+	gfpDouble(&i, &i)
+	gfpMul(&j, &h, &i)
+	gfpMul(&v, &a.x, &i)
+
+	var x3, y3, z3, t gfP
+	gfpSquare(&x3, &r)
+	gfpSub(&x3, &x3, &j)
+	gfpDouble(&t, &v)
+	gfpSub(&x3, &x3, &t)
+
+	gfpSub(&y3, &v, &x3)
+	gfpMul(&y3, &y3, &r)
+	gfpMul(&t, &a.y, &j)
+	gfpDouble(&t, &t)
+	gfpSub(&y3, &y3, &t)
+
+	gfpAdd(&z3, &a.z, &h)
+	gfpSquare(&z3, &z3)
+	gfpSub(&z3, &z3, &z1z1)
+	gfpSub(&z3, &z3, &hh)
 
 	c.x, c.y, c.z = x3, y3, z3
 	return c

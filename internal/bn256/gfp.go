@@ -16,8 +16,8 @@ import (
 // the package prime P (itself derived from the BN parameter u) and validates
 // them, matching the package's derive-and-check philosophy. Conversion in
 // and out of Montgomery form happens only at the marshal boundary and when
-// interoperating with math/big (Invert, exponent handling), so wire formats
-// are byte-identical to the big.Int implementation.
+// interoperating with math/big (SetBig, Big), so wire formats are
+// byte-identical to the big.Int implementation.
 type gfP [4]uint64
 
 var (
@@ -87,6 +87,16 @@ func limbsFromBytes(data []byte) [4]uint64 {
 	return out
 }
 
+// limbsLess reports a < b for little-endian limbs.
+func limbsLess(a, b [4]uint64) bool {
+	var borrow uint64
+	_, borrow = bits.Sub64(a[0], b[0], 0)
+	_, borrow = bits.Sub64(a[1], b[1], borrow)
+	_, borrow = bits.Sub64(a[2], b[2], borrow)
+	_, borrow = bits.Sub64(a[3], b[3], borrow)
+	return borrow != 0
+}
+
 // gfpCarrySub reduces c into [0, p): subtracts p when c >= p (or when the
 // addition that produced c overflowed 2^256, signaled by carry).
 func gfpCarrySub(c *gfP, carry uint64) {
@@ -139,51 +149,250 @@ func gfpNeg(c, a *gfP) {
 
 func gfpDouble(c, a *gfP) { gfpAdd(c, a, a) }
 
-// gfpMul sets c = a * b * R^-1 mod p using interleaved (CIOS) Montgomery
-// multiplication. p < 2^254 = R/4, so the running value stays below 2p and a
-// single conditional subtraction at the end fully reduces.
+// gfpMul sets c = a * b * R^-1 mod p by Montgomery multiplication, operand
+// scanning (CIOS) with both loops unrolled: round i adds the row a*b[i],
+// then the multiple m*p that clears the low word, and drops that word. The
+// rounds are "no-carry": p < 2^254 keeps the running value below 2p < 2^255,
+// so it fits t0..t3 between rounds and needs one more word (t4), never two,
+// inside a round; a single conditional subtraction at the end fully reduces.
+// The bound needs only a < p: b may be any 256-bit value, which is how raw
+// limbs are reduced (multiply by R^2). c may alias a or b.
 func gfpMul(c, a, b *gfP) {
-	var t [4]uint64
-	var t4, t5 uint64
-	for i := 0; i < 4; i++ {
-		// t += a * b[i]
-		var carry uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(a[j], b[i])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, carry, 0)
-			hi += cc
-			t[j] = lo
-			carry = hi
-		}
-		t4, t5 = bits.Add64(t4, carry, 0)
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	p0, p1, p2, p3 := pLimbs[0], pLimbs[1], pLimbs[2], pLimbs[3]
+	inv := np
+	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, m, cc uint64
 
-		// t = (t + m*p) / 2^64 with m chosen so the low word cancels.
-		m := t[0] * np
-		hi, lo := bits.Mul64(m, pLimbs[0])
-		_, cc := bits.Add64(lo, t[0], 0)
-		carry = hi + cc
-		for j := 1; j < 4; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var c2 uint64
-			lo, c2 = bits.Add64(lo, t[j], 0)
-			hi += c2
-			lo, c2 = bits.Add64(lo, carry, 0)
-			hi += c2
-			t[j-1] = lo
-			carry = hi
-		}
-		t[3], cc = bits.Add64(t4, carry, 0)
-		t4 = t5 + cc
-		t5 = 0
-	}
-	*c = gfP{t[0], t[1], t[2], t[3]}
-	gfpCarrySub(c, t4)
+	v := b[0]
+	h0, t0 = bits.Mul64(a0, v)
+	h1, t1 = bits.Mul64(a1, v)
+	h2, t2 = bits.Mul64(a2, v)
+	h3, t3 = bits.Mul64(a3, v)
+	t1, cc = bits.Add64(t1, h0, 0)
+	t2, cc = bits.Add64(t2, h1, cc)
+	t3, cc = bits.Add64(t3, h2, cc)
+	t4 = h3 + cc
+	m = t0 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(t0, l0, 0)
+	t0, cc = bits.Add64(t1, l1, cc)
+	t1, cc = bits.Add64(t2, l2, cc)
+	t2, cc = bits.Add64(t3, l3, cc)
+	t3 = t4 + h3 + cc
+
+	v = b[1]
+	h0, l0 = bits.Mul64(a0, v)
+	h1, l1 = bits.Mul64(a1, v)
+	h2, l2 = bits.Mul64(a2, v)
+	h3, l3 = bits.Mul64(a3, v)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	t0, cc = bits.Add64(t0, l0, 0)
+	t1, cc = bits.Add64(t1, l1, cc)
+	t2, cc = bits.Add64(t2, l2, cc)
+	t3, cc = bits.Add64(t3, l3, cc)
+	t4 = h3 + cc
+	m = t0 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(t0, l0, 0)
+	t0, cc = bits.Add64(t1, l1, cc)
+	t1, cc = bits.Add64(t2, l2, cc)
+	t2, cc = bits.Add64(t3, l3, cc)
+	t3 = t4 + h3 + cc
+
+	v = b[2]
+	h0, l0 = bits.Mul64(a0, v)
+	h1, l1 = bits.Mul64(a1, v)
+	h2, l2 = bits.Mul64(a2, v)
+	h3, l3 = bits.Mul64(a3, v)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	t0, cc = bits.Add64(t0, l0, 0)
+	t1, cc = bits.Add64(t1, l1, cc)
+	t2, cc = bits.Add64(t2, l2, cc)
+	t3, cc = bits.Add64(t3, l3, cc)
+	t4 = h3 + cc
+	m = t0 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(t0, l0, 0)
+	t0, cc = bits.Add64(t1, l1, cc)
+	t1, cc = bits.Add64(t2, l2, cc)
+	t2, cc = bits.Add64(t3, l3, cc)
+	t3 = t4 + h3 + cc
+
+	v = b[3]
+	h0, l0 = bits.Mul64(a0, v)
+	h1, l1 = bits.Mul64(a1, v)
+	h2, l2 = bits.Mul64(a2, v)
+	h3, l3 = bits.Mul64(a3, v)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	t0, cc = bits.Add64(t0, l0, 0)
+	t1, cc = bits.Add64(t1, l1, cc)
+	t2, cc = bits.Add64(t2, l2, cc)
+	t3, cc = bits.Add64(t3, l3, cc)
+	t4 = h3 + cc
+	m = t0 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(t0, l0, 0)
+	t0, cc = bits.Add64(t1, l1, cc)
+	t1, cc = bits.Add64(t2, l2, cc)
+	t2, cc = bits.Add64(t3, l3, cc)
+	t3 = t4 + h3 + cc
+
+	*c = gfP{t0, t1, t2, t3}
+	gfpCarrySub(c, 0)
 }
 
-func gfpSquare(c, a *gfP) { gfpMul(c, a, a) }
+// gfpSquare sets c = a * a * R^-1 mod p. The off-diagonal products a[i]*a[j]
+// are computed once and doubled (10 word multiplications for the 512-bit
+// square w0..w7 instead of 16), then four reduction rounds each clear one low
+// word. As in gfpMul, the result is below 2p, so w7 never overflows.
+func gfpSquare(c, a *gfP) {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	p0, p1, p2, p3 := pLimbs[0], pLimbs[1], pLimbs[2], pLimbs[3]
+	inv := np
+	var w0, w1, w2, w3, w4, w5, w6, w7, h0, h1, h2, h3, l0, l1, l2, l3, m, cc uint64
+
+	h0, w1 = bits.Mul64(a0, a1)
+	h1, l1 = bits.Mul64(a0, a2)
+	h2, l2 = bits.Mul64(a0, a3)
+	w2, cc = bits.Add64(h0, l1, 0)
+	w3, cc = bits.Add64(h1, l2, cc)
+	w4 = h2 + cc
+	h0, l0 = bits.Mul64(a1, a2)
+	h1, l1 = bits.Mul64(a1, a3)
+	h2, l2 = bits.Mul64(a2, a3)
+	w3, cc = bits.Add64(w3, l0, 0)
+	w4, cc = bits.Add64(w4, h0, cc)
+	w5 = h1 + cc
+	w4, cc = bits.Add64(w4, l1, 0)
+	w5, cc = bits.Add64(w5, l2, cc)
+	w6 = h2 + cc
+
+	w7 = w6 >> 63
+	w6 = w6<<1 | w5>>63
+	w5 = w5<<1 | w4>>63
+	w4 = w4<<1 | w3>>63
+	w3 = w3<<1 | w2>>63
+	w2 = w2<<1 | w1>>63
+	w1 <<= 1
+
+	h0, w0 = bits.Mul64(a0, a0)
+	h1, l1 = bits.Mul64(a1, a1)
+	h2, l2 = bits.Mul64(a2, a2)
+	h3, l3 = bits.Mul64(a3, a3)
+	w1, cc = bits.Add64(w1, h0, 0)
+	w2, cc = bits.Add64(w2, l1, cc)
+	w3, cc = bits.Add64(w3, h1, cc)
+	w4, cc = bits.Add64(w4, l2, cc)
+	w5, cc = bits.Add64(w5, h2, cc)
+	w6, cc = bits.Add64(w6, l3, cc)
+	w7 += h3 + cc
+
+	m = w0 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(w0, l0, 0)
+	w1, cc = bits.Add64(w1, l1, cc)
+	w2, cc = bits.Add64(w2, l2, cc)
+	w3, cc = bits.Add64(w3, l3, cc)
+	w4, cc = bits.Add64(w4, h3, cc)
+	w5, cc = bits.Add64(w5, 0, cc)
+	w6, cc = bits.Add64(w6, 0, cc)
+	w7 += cc
+
+	m = w1 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(w1, l0, 0)
+	w2, cc = bits.Add64(w2, l1, cc)
+	w3, cc = bits.Add64(w3, l2, cc)
+	w4, cc = bits.Add64(w4, l3, cc)
+	w5, cc = bits.Add64(w5, h3, cc)
+	w6, cc = bits.Add64(w6, 0, cc)
+	w7 += cc
+
+	m = w2 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(w2, l0, 0)
+	w3, cc = bits.Add64(w3, l1, cc)
+	w4, cc = bits.Add64(w4, l2, cc)
+	w5, cc = bits.Add64(w5, l3, cc)
+	w6, cc = bits.Add64(w6, h3, cc)
+	w7 += cc
+
+	m = w3 * inv
+	h0, l0 = bits.Mul64(p0, m)
+	h1, l1 = bits.Mul64(p1, m)
+	h2, l2 = bits.Mul64(p2, m)
+	h3, l3 = bits.Mul64(p3, m)
+	l1, cc = bits.Add64(l1, h0, 0)
+	l2, cc = bits.Add64(l2, h1, cc)
+	l3, cc = bits.Add64(l3, h2, cc)
+	h3 += cc
+	_, cc = bits.Add64(w3, l0, 0)
+	w4, cc = bits.Add64(w4, l1, cc)
+	w5, cc = bits.Add64(w5, l2, cc)
+	w6, cc = bits.Add64(w6, l3, cc)
+	w7 += h3 + cc
+
+	*c = gfP{w4, w5, w6, w7}
+	gfpCarrySub(c, 0)
+}
 
 // --- methods ---
 
@@ -255,12 +464,7 @@ func (e *gfP) Marshal(out []byte) {
 // encodings >= p.
 func (e *gfP) Unmarshal(data []byte) error {
 	raw := gfP(limbsFromBytes(data))
-	// raw must be < p.
-	var borrow uint64
-	for i := 0; i < 4; i++ {
-		_, borrow = bits.Sub64(raw[i], pLimbs[i], borrow)
-	}
-	if borrow == 0 { // raw >= p
+	if !limbsLess(raw, pLimbs) {
 		return ErrMalformedPoint
 	}
 	gfpMul(e, &raw, &r2)
@@ -298,33 +502,153 @@ func (e *gfP) Square(a *gfP) *gfP {
 }
 
 // Invert sets e = 1/a mod p. It panics on zero (division by zero in a
-// cryptographic computation is a programming error). The extended-Euclid
-// path through math/big is faster than a Fermat exponentiation chain and
-// runs only in inversion-bound spots (affine conversions, Miller-loop line
-// slopes), never per-multiplication.
+// cryptographic computation is a programming error). This is Kaliski's
+// Montgomery inverse on the limbs, walking the same binary gcd as Legendre:
+// with cx, cn the cofactors of x and n,
+//
+//	a*cx = s*x*2^k,  a*cn = -s*n*2^k  (mod p),  cx*n + cn*x = p,
+//
+// for a sign s, from (x, n, cx, cn, k) = (a, p, 1, 0, 0) down to x = 0,
+// n = 1, where cn = -s*2^k/a and k, the halvings made, is at most 508. The
+// second equation keeps both cofactors at or below p.
 func (e *gfP) Invert(a *gfP) *gfP {
-	inv := new(big.Int).ModInverse(a.Big(), P)
-	if inv == nil {
+	if a.IsZero() {
 		panic("bn256: inverse of zero in Fp")
 	}
-	return e.SetBig(inv)
+	x, n := [4]uint64(*a), pLimbs
+	cx, cn := gfP{1}, gfP{}
+	var k uint
+	var neg uint64 // all ones when s = -1
+	for x != [4]uint64{} {
+		// Halve x until odd, doubling the other cofactor alongside.
+		for x[0] == 0 {
+			x = [4]uint64{x[1], x[2], x[3], 0}
+			cn = gfP{0, cn[0], cn[1], cn[2]}
+			k += 64
+		}
+		z := uint(bits.TrailingZeros64(x[0]))
+		x[0] = x[0]>>z | x[1]<<(64-z)
+		x[1] = x[1]>>z | x[2]<<(64-z)
+		x[2] = x[2]>>z | x[3]<<(64-z)
+		x[3] >>= z
+		cn[3] = cn[3]<<z | cn[2]>>(64-z)
+		cn[2] = cn[2]<<z | cn[1]>>(64-z)
+		cn[1] = cn[1]<<z | cn[0]>>(64-z)
+		cn[0] <<= z
+		k += z
+
+		// (x, n) = (|x-n|, min(x, n)) as in Legendre; a swap exchanges the
+		// cofactors and the sign, and the subtraction adds cn into cx.
+		var d [4]uint64
+		var b uint64
+		d[0], b = bits.Sub64(x[0], n[0], 0)
+		d[1], b = bits.Sub64(x[1], n[1], b)
+		d[2], b = bits.Sub64(x[2], n[2], b)
+		d[3], b = bits.Sub64(x[3], n[3], b)
+		swap := -b
+		neg ^= swap
+		for i := range n {
+			n[i] ^= (n[i] ^ x[i]) & swap
+			t := (cx[i] ^ cn[i]) & swap
+			cx[i] ^= t
+			cn[i] ^= t
+		}
+		x[0], b = bits.Add64(d[0]^swap, b, 0)
+		x[1], b = bits.Add64(d[1]^swap, 0, b)
+		x[2], b = bits.Add64(d[2]^swap, 0, b)
+		x[3], _ = bits.Add64(d[3]^swap, 0, b)
+		cx[0], b = bits.Add64(cx[0], cn[0], 0)
+		cx[1], b = bits.Add64(cx[1], cn[1], b)
+		cx[2], b = bits.Add64(cx[2], cn[2], b)
+		cx[3], _ = bits.Add64(cx[3], cn[3], b)
+	}
+
+	// a here is the Montgomery form of the value to invert, so cn holds
+	// -s * 2^k / (aR); its Montgomery-form inverse R/a is
+	// -s * cn * R^2 / 2^k = -s * mul(mul(cn, R^2), 2^(512-k)).
+	gfpCarrySub(&cn, 0)
+	for ; k < 257; k++ {
+		gfpDouble(&cn, &cn)
+	}
+	var pow2 gfP
+	pow2[(512-k)/64] = 1 << ((512 - k) % 64)
+	gfpMul(&cn, &cn, &r2)
+	gfpMul(e, &cn, &pow2)
+	if neg == 0 {
+		gfpNeg(e, e)
+	}
+	return e
 }
 
-// Exp sets e = a^k by square-and-multiply (k is a non-negative canonical
-// exponent, not a field element).
+// Exp sets e = a^k with a fixed 4-bit window: 14 multiplications build
+// a^2..a^15, then each four squarings are followed by at most one
+// multiplication (k is a non-negative canonical exponent, not a field
+// element).
 func (e *gfP) Exp(a *gfP, k *big.Int) *gfP {
+	var pow [16]gfP
+	pow[1] = *a
+	for i := 2; i < 16; i++ {
+		gfpMul(&pow[i], &pow[i-1], a)
+	}
+	words := k.Bits()
 	sum := rOne
-	var t gfP
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		gfpSquare(&t, &sum)
-		if k.Bit(i) != 0 {
-			gfpMul(&sum, &t, a)
-		} else {
-			sum = t
+	for bit := (k.BitLen() - 1) &^ 3; bit >= 0; bit -= 4 {
+		gfpSquare(&sum, &sum)
+		gfpSquare(&sum, &sum)
+		gfpSquare(&sum, &sum)
+		gfpSquare(&sum, &sum)
+		if d := scalarDigit(words, bit, 4); d != 0 {
+			gfpMul(&sum, &sum, &pow[d])
 		}
 	}
 	*e = sum
 	return e
+}
+
+// Legendre returns the Legendre symbol (e/p): 1 for a non-zero square, -1
+// for a non-residue, 0 for zero. It runs the binary Jacobi algorithm on the
+// limbs, a small fraction of the exponentiation Sqrt costs; the Montgomery
+// factor R = (2^128)^2 is a square and does not change the symbol.
+func (e *gfP) Legendre() int {
+	x, n := [4]uint64(*e), pLimbs
+	var flip uint64 // bit 0: the symbol is negative
+	for x != [4]uint64{} {
+		// Make x odd. (2/n) = -1 exactly when n = 3 or 5 mod 8, i.e. when
+		// bits 1 and 2 of n differ; whole zero limbs are an even power.
+		for x[0] == 0 {
+			x = [4]uint64{x[1], x[2], x[3], 0}
+		}
+		z := uint(bits.TrailingZeros64(x[0]))
+		x[0] = x[0]>>z | x[1]<<(64-z)
+		x[1] = x[1]>>z | x[2]<<(64-z)
+		x[2] = x[2]>>z | x[3]<<(64-z)
+		x[3] >>= z
+		flip ^= uint64(z) & (n[0]>>1 ^ n[0]>>2)
+
+		// (x, n) = (|x-n|, min(x, n)) without a data-dependent branch.
+		// Taking the smaller as n swaps the pair, and reciprocity flips
+		// the sign when both are 3 mod 4.
+		var d [4]uint64
+		var b uint64
+		d[0], b = bits.Sub64(x[0], n[0], 0)
+		d[1], b = bits.Sub64(x[1], n[1], b)
+		d[2], b = bits.Sub64(x[2], n[2], b)
+		d[3], b = bits.Sub64(x[3], n[3], b)
+		swap := -b
+		flip ^= swap & ((x[0] & n[0]) >> 1)
+		n[0] ^= (n[0] ^ x[0]) & swap
+		n[1] ^= (n[1] ^ x[1]) & swap
+		n[2] ^= (n[2] ^ x[2]) & swap
+		n[3] ^= (n[3] ^ x[3]) & swap
+		x[0], b = bits.Add64(d[0]^swap, b, 0)
+		x[1], b = bits.Add64(d[1]^swap, 0, b)
+		x[2], b = bits.Add64(d[2]^swap, 0, b)
+		x[3], _ = bits.Add64(d[3]^swap, 0, b)
+	}
+	if n != [4]uint64{1} {
+		return 0
+	}
+	return 1 - 2*int(flip&1)
 }
 
 // Sqrt sets e to a square root of a and returns e, or returns nil if a is a

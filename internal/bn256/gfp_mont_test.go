@@ -150,6 +150,68 @@ func TestGFpExpSqrtDifferential(t *testing.T) {
 	}
 }
 
+// TestGFpLegendreDifferential checks the limb Jacobi walk against
+// big.Jacobi, on the edge values, on small values (long runs of zero limbs)
+// and on random ones.
+func TestGFpLegendreDifferential(t *testing.T) {
+	inputs := gfpTestInputs(t)
+	for i := int64(3); i < 200; i++ {
+		inputs = append(inputs, big.NewInt(i), new(big.Int).Lsh(big.NewInt(i), 190))
+	}
+	for i := 0; i < 2000; i++ {
+		v, _ := rand.Int(rand.Reader, P)
+		inputs = append(inputs, v)
+	}
+	for _, v := range inputs {
+		var a gfP
+		a.SetBig(v)
+		if got, want := a.Legendre(), big.Jacobi(v, P); got != want {
+			t.Fatalf("Legendre(%v) = %d, want %d", v, got, want)
+		}
+		// The symbol is also that of the raw limbs, which is the form
+		// whose zero-limb patterns the small inputs exercise.
+		raw := gfP(limbsFromBig(v))
+		if got, want := raw.Legendre(), big.Jacobi(v, P); got != want {
+			t.Fatalf("Legendre(raw %v) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestGFpInvertDifferential checks the limb inversion against
+// big.ModInverse and against a*(1/a) = 1. Values with small raw limbs finish
+// the gcd walk with the fewest halvings and take the fix-up's doubling path.
+func TestGFpInvertDifferential(t *testing.T) {
+	inputs := []gfP{{1}, {2}, {3}, {0, 1}, {0, 0, 0, 1}, rOne, r2}
+	pm1 := gfP(pLimbs)
+	pm1[0]--
+	inputs = append(inputs, pm1)
+	for _, v := range gfpTestInputs(t)[1:] {
+		var a gfP
+		a.SetBig(v)
+		inputs = append(inputs, a)
+	}
+	for i := 0; i < 2000; i++ {
+		v, _ := rand.Int(rand.Reader, P)
+		if v.Sign() != 0 {
+			inputs = append(inputs, gfP(limbsFromBig(v)))
+		}
+	}
+	for _, a := range inputs {
+		var inv, prod gfP
+		inv.Invert(&a)
+		if gfpMul(&prod, &inv, &a); prod != rOne {
+			t.Fatalf("Invert(%v): a * 1/a != 1", a)
+		}
+		if want := new(big.Int).ModInverse(a.Big(), P); inv.Big().Cmp(want) != 0 {
+			t.Fatalf("Invert(%v) = %v, want %v", a, &inv, want)
+		}
+		b := a
+		if b.Invert(&b); b != inv {
+			t.Fatalf("Invert(%v) in place differs", a)
+		}
+	}
+}
+
 // TestGFpUnmarshalRejectsNonCanonical verifies the range check at the wire
 // boundary: encodings >= p must be rejected.
 func TestGFpUnmarshalRejectsNonCanonical(t *testing.T) {
@@ -257,4 +319,94 @@ func TestMarshalGoldenVectors(t *testing.T) {
 	if !bytes.Equal(h.Marshal(), goldenBytes(t, "hash_u")) {
 		t.Fatal("HashToG1 encoding drifted")
 	}
+}
+
+// FuzzGfpMulSquare pins the unrolled Montgomery kernels to math/big on
+// arbitrary limbs (reduced mod p first: the kernels' contract is inputs in
+// [0, p)). The seeds are the values where a carry or the final subtraction
+// is most likely to go wrong.
+func FuzzGfpMulSquare(f *testing.F) {
+	max := ^uint64(0)
+	seeds := [][4]uint64{{}, {1}, {max, max, max, max}, rOne, r2}
+	pm1 := pLimbs
+	pm1[0]--
+	seeds = append(seeds, pm1)
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
+		}
+	}
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(bigOne, 256), P)
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
+		raw := func(l gfP) (gfP, *big.Int) {
+			v := l.rawBig()
+			v.Mod(v, P)
+			return gfP(limbsFromBig(v)), v
+		}
+		a, av := raw(gfP{a0, a1, a2, a3})
+		b, bv := raw(gfP{b0, b1, b2, b3})
+		check := func(op string, got gfP, x, y *big.Int) {
+			want := new(big.Int).Mul(x, y)
+			want.Mul(want, rInv).Mod(want, P)
+			if gfP(limbsFromBig(want)) != got {
+				t.Fatalf("%s(%v, %v) = %v, want %v", op, x, y, got, want)
+			}
+		}
+		var c gfP
+		gfpMul(&c, &a, &b)
+		check("gfpMul", c, av, bv)
+		// The second operand may be any 256-bit value (hashToFp relies on
+		// it to reduce digests).
+		wide := gfP{b0, b1, b2, b3}
+		gfpMul(&c, &a, &wide)
+		check("gfpMul by unreduced limbs", c, av, wide.rawBig())
+		gfpSquare(&c, &a)
+		check("gfpSquare", c, av, av)
+		gfpSquare(&c, &b)
+		check("gfpSquare", c, bv, bv)
+		// In-place forms alias the output with an input.
+		c = a
+		gfpMul(&c, &c, &b)
+		check("gfpMul in place", c, av, bv)
+		c = a
+		gfpSquare(&c, &c)
+		check("gfpSquare in place", c, av, av)
+	})
+}
+
+// rawBig returns the limbs as an integer, without Montgomery decoding.
+func (e *gfP) rawBig() *big.Int {
+	v := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(e[i]))
+	}
+	return v
+}
+
+var gfpSink gfP
+
+func BenchmarkGfpMul(b *testing.B) {
+	x, y := r2, rOne
+	gfpAdd(&y, &y, &r2)
+	for i := 0; i < b.N; i++ {
+		gfpMul(&x, &x, &y)
+	}
+	gfpSink = x
+}
+
+func BenchmarkGfpInvert(b *testing.B) {
+	x := r2
+	for i := 0; i < b.N; i++ {
+		x.Invert(&x)
+		gfpAdd(&x, &x, &rOne)
+	}
+	gfpSink = x
+}
+
+func BenchmarkGfpSquare(b *testing.B) {
+	x := r2
+	for i := 0; i < b.N; i++ {
+		gfpSquare(&x, &x)
+	}
+	gfpSink = x
 }

@@ -3,7 +3,6 @@ package bn256
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math/big"
 )
 
 // sqrtFp2 returns a square root of a in Fp2, or nil if a is a non-residue.
@@ -67,45 +66,55 @@ func sqrtFp2(a *gfP2) *gfP2 {
 	return nil
 }
 
-// hashToFp maps arbitrary bytes to an Fp element by counter-mode SHA-256.
-// Two 256-bit digests are concatenated and reduced mod p so the output bias
-// is negligible (< 2^-250).
-func hashToFp(data []byte, domain byte) *big.Int {
+// hashToFp maps msg to an Fp element by counter-mode SHA-256: msg[1] is the
+// slot of the digest counter. Two 256-bit digests are concatenated and
+// reduced mod p so the output bias is negligible (< 2^-250).
+func hashToFp(msg []byte) gfP {
 	var buf [2 * sha256.Size]byte
-	h := sha256.New()
-	h.Write([]byte{domain, 0})
-	h.Write(data)
-	h.Sum(buf[:0])
-	h.Reset()
-	h.Write([]byte{domain, 1})
-	h.Write(data)
-	h.Sum(buf[sha256.Size:sha256.Size])
-	v := new(big.Int).SetBytes(buf[:])
-	return v.Mod(v, P)
+	for half := 0; half < 2; half++ {
+		msg[1] = byte(half)
+		d := sha256.Sum256(msg)
+		copy(buf[half*sha256.Size:], d[:])
+	}
+	// The digest pair is the big-endian integer hi*R + lo. Multiplying a
+	// raw 256-bit value by R^2 reduces it and puts it in Montgomery form
+	// (gfpMul only needs its first operand below p); a second factor gives
+	// hi its extra R.
+	hi, lo := gfP(limbsFromBytes(buf[:sha256.Size])), gfP(limbsFromBytes(buf[sha256.Size:]))
+	gfpMul(&hi, &r2, &hi)
+	gfpMul(&hi, &hi, &r2)
+	gfpMul(&lo, &r2, &lo)
+	gfpAdd(&hi, &hi, &lo)
+	return hi
 }
 
 // HashToG1 deterministically maps data to a point of G1 by try-and-increment:
 // x candidates are derived from SHA-256(counter || data) until x^3+3 is a
-// square; the parity of the counter's first byte fixes the y sign. G1 has
-// prime order equal to the full curve order, so no cofactor clearing is
-// required.
+// square, and the smaller root is taken. Non-residues are rejected by their
+// Legendre symbol, so the square-root exponentiation runs once, on the
+// accepted candidate. G1 has prime order equal to the full curve order, so
+// no cofactor clearing is required.
 func HashToG1(data []byte) *G1 {
-	var ctr [4]byte
+	// domain || digest counter || candidate counter || data; tag-sized
+	// inputs stay on the stack.
+	var stack [64]byte
+	msg := append(stack[:0], 0x01, 0, 0, 0, 0, 0)
+	msg = append(msg, data...)
 	for i := uint32(0); ; i++ {
-		binary.BigEndian.PutUint32(ctr[:], i)
-		var x, y2, y gfP
-		x.SetBig(hashToFp(append(ctr[:], data...), 0x01))
-		gfpMul(&y2, &x, &x)
+		binary.BigEndian.PutUint32(msg[2:6], i)
+		x := hashToFp(msg)
+		var y2, y gfP
+		gfpSquare(&y2, &x)
 		gfpMul(&y2, &y2, &x)
 		gfpAdd(&y2, &y2, &gfpCurveB)
-		if y.Sqrt(&y2) == nil {
+		if y2.Legendre() < 0 || y.Sqrt(&y2) == nil {
 			continue
 		}
-		// Normalize the root choice deterministically: pick the
-		// lexicographically smaller of {y, p-y}.
+		// Normalize the root choice deterministically: pick the smaller
+		// of {y, p-y} as canonical integers.
 		var ny gfP
 		gfpNeg(&ny, &y)
-		if y.Big().Cmp(ny.Big()) > 0 {
+		if limbsLess(ny.canonical(), y.canonical()) {
 			y = ny
 		}
 		return &G1{p: newCurvePoint().SetAffine(&x, &y)}

@@ -72,63 +72,65 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 		panic("bn256: MultiScalarMult length mismatch")
 	}
 	e.ensure()
-	if len(points) == 0 {
-		e.p.SetInfinity()
-		return e
-	}
 
 	// Reduce scalars into [0, n) once up front.
-	reduced := make([]*big.Int, len(scalars))
+	words := make([][]big.Word, len(scalars))
 	maxBits := 0
 	for i, s := range scalars {
-		reduced[i] = new(big.Int).Mod(s, Order)
-		if b := reduced[i].BitLen(); b > maxBits {
+		r := new(big.Int).Mod(s, Order)
+		if b := r.BitLen(); b > maxBits {
 			maxBits = b
 		}
+		// A word view, so digit extraction shifts whole words instead of
+		// assembling digits one Bit() call at a time.
+		words[i] = r.Bits()
 	}
 	if maxBits == 0 {
 		e.p.SetInfinity()
 		return e
 	}
 
+	// Digits are signed (Booth recoding: window w reads bits
+	// [wc-1, wc+c) and lands in [-2^(c-1), 2^(c-1)]), so a window needs
+	// half the buckets; a negative digit adds the negated point. The top
+	// window must see a clear sign bit, hence maxBits+1.
 	c := msmWindowBits(len(points), maxBits)
-	windows := (maxBits + c - 1) / c
-	numBuckets := 1 << c
-
-	// Word views of the scalars, so digit extraction shifts whole words
-	// instead of assembling digits one Bit() call at a time.
-	words := make([][]big.Word, len(reduced))
-	for i, s := range reduced {
-		words[i] = s.Bits()
-	}
+	windows := (maxBits + c) / c
+	aff := affineCopies(points)
 
 	// Each window's bucket accumulation touches every point but no other
 	// window's state, so the windows fan out across the workers; the
 	// carry-dependent combine below stays serial.
 	windowSums := make([]*curvePoint, windows)
 	windowPass := func(w int) {
-		buckets := make([]*curvePoint, numBuckets)
-		for i := range words {
+		buckets := make([]curvePoint, 1<<(c-1)) // bucket[d-1] collects digit d
+		var neg curvePoint
+		for i := range aff {
 			if ctx != nil && i%msmCheckInterval == 0 && ctx.Err() != nil {
 				return // abandon the window: windowSums[w] stays nil
 			}
-			idx := scalarDigit(words[i], w*c, c)
-			if idx == 0 {
-				continue
-			}
-			if buckets[idx] == nil {
-				buckets[idx] = newCurvePoint().Set(points[i].p)
+			var raw int
+			if w == 0 {
+				raw = scalarDigit(words[i], 0, c) << 1
 			} else {
-				buckets[idx].Add(buckets[idx], points[i].p)
+				raw = scalarDigit(words[i], w*c-1, c+1)
+			}
+			// The c+1 bits raw, the lowest counted once and the highest
+			// as -2^c: the Booth digit.
+			pt, d := &aff[i], (raw+1)>>1-raw>>c<<c
+			if d < 0 {
+				neg.Neg(pt)
+				pt, d = &neg, -d
+			}
+			if d != 0 {
+				buckets[d-1].AddMixed(&buckets[d-1], pt)
 			}
 		}
-		// Running-sum trick: sum_{b} b * bucket[b].
+		// Running-sum trick: sum_{d} d * bucket[d-1].
 		running := newCurvePoint().SetInfinity()
 		windowSum := newCurvePoint().SetInfinity()
-		for b := numBuckets - 1; b >= 1; b-- {
-			if buckets[b] != nil {
-				running.Add(running, buckets[b])
-			}
+		for b := len(buckets) - 1; b >= 0; b-- {
+			running.Add(running, &buckets[b])
 			windowSum.Add(windowSum, running)
 		}
 		windowSums[w] = windowSum
@@ -157,19 +159,58 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 	return e
 }
 
+// affineCopies returns the points in affine form -- z one, or zero for the
+// point at infinity, which is also what the zero G1 is -- without touching
+// the inputs. Points that are not affine already share one field inversion
+// (Montgomery's trick), a few multiplications each against the five every
+// one of their ~40 bucket additions then saves.
+func affineCopies(points []*G1) []curvePoint {
+	aff := make([]curvePoint, len(points))
+	var prefix []gfP // prefix[j]: product of the z's before the j-th projective point
+	var proj []int
+	acc := rOne
+	for i, p := range points {
+		if p.p == nil {
+			continue
+		}
+		aff[i] = *p.p
+		if z := &aff[i].z; !z.IsZero() && !z.IsOne() {
+			prefix, proj = append(prefix, acc), append(proj, i)
+			gfpMul(&acc, &acc, z)
+		}
+	}
+	if len(proj) == 0 {
+		return aff
+	}
+	acc.Invert(&acc)
+	for j := len(proj) - 1; j >= 0; j-- {
+		p := &aff[proj[j]]
+		var zInv, zInv2 gfP
+		gfpMul(&zInv, &acc, &prefix[j])
+		gfpMul(&acc, &acc, &p.z)
+		gfpSquare(&zInv2, &zInv)
+		gfpMul(&p.x, &p.x, &zInv2)
+		gfpMul(&zInv2, &zInv2, &zInv)
+		gfpMul(&p.y, &p.y, &zInv2)
+		p.z = rOne
+	}
+	return aff
+}
+
 // msmWindowBits picks the Pippenger bucket width for k points of maxBits-bit
-// scalars by minimizing the modeled cost
+// scalars by minimizing the modeled cost in field multiplications,
 //
-//	windows(c) * (k bucket adds + 2*2^c running-sum adds + c doublings),
+//	windows(c) * (11k mixed bucket adds + 16*2^c running-sum adds + 7c doublings),
 //
-// which tracks the ln-optimal window: small batches (the k=16 bisection
+// with 2^(c-1) buckets per signed-digit window and two full additions per
+// bucket. It tracks the ln-optimal window: small batches (the k=16 bisection
 // leaves of VerifyBatch) get a narrow window instead of paying the k=300
-// bucket cost, and very large batches widen beyond the old fixed 8.
+// bucket cost, and very large batches widen.
 func msmWindowBits(k, maxBits int) int {
 	best, bestCost := 1, int64(1)<<62
 	for c := 1; c <= 16; c++ {
-		windows := int64((maxBits + c - 1) / c)
-		cost := windows * (int64(k) + int64(2)<<c + int64(c))
+		windows := int64((maxBits + c) / c)
+		cost := windows * (11*int64(k) + int64(16)<<c + 7*int64(c))
 		if cost < bestCost {
 			best, bestCost = c, cost
 		}

@@ -7,135 +7,123 @@ package bn256
 // raised to (p^12-1)/n, with Q on the sextic twist and lines evaluated at P
 // through the untwist map (x, y) -> (x*w^2, y*w^3), w^6 = xi.
 //
-// The Miller loop keeps the accumulator point T in affine coordinates: each
-// step costs one Fp2 inversion, which at ~100 steps total is negligible next
-// to the Fp12 arithmetic, and affine line functions are far easier to audit:
+// The Miller loop keeps the accumulator point T in homogeneous projective
+// coordinates (x, y) = (X/Z, Y/Z), so no step inverts anything. The affine
+// tangent or chord with slope lambda through T evaluated at P = (xP, yP) is
 //
-//	tangent/chord with slope lambda through T evaluated at P = (xP, yP):
-//	    l(P) = yP - lambda*xP*w + (lambda*xT - yT)*w^3.
+//	l(P) = yP - lambda*xP*w + (lambda*xT - yT)*w^3;
+//
+// each step evaluates it multiplied through by its own denominator (the
+// formulas of Costello, Lange and Naehrig for y^2 = x^3 + b). That factor
+// lies in Fp2, and the final exponentiation sends every element of a proper
+// subfield of Fp12 to one, so pairings are unchanged; only the unreduced
+// value differs from the one an affine loop would produce.
 
-// affTwist is an affine twist point used by the Miller loop. infinity is
-// tracked explicitly.
+// affTwist is a finite affine twist point.
 type affTwist struct {
-	x, y     gfP2
-	infinity bool
+	x, y gfP2
 }
 
-func affFromTwist(t *twistPoint) *affTwist {
-	if t.IsInfinity() {
-		return &affTwist{infinity: true}
-	}
-	x, y := t.Affine()
-	a := &affTwist{}
-	a.x.Set(x)
-	a.y.Set(y)
-	return a
+// projTwist is the Miller loop's accumulator, a finite twist point in
+// homogeneous projective coordinates.
+type projTwist struct {
+	x, y, z gfP2
 }
 
-// lineEval builds the sparse Fp12 element a + b*w + c*w^3 with
-// a in Fp, b, c in Fp2. In the tower Fp12 = Fp6[w], Fp6 = Fp2[w^2]:
+// lineEval builds the sparse Fp12 element a + b*w + c*w^3 with a, b, c in
+// Fp2. In the tower Fp12 = Fp6[w], Fp6 = Fp2[w^2]:
 // w^0 -> y.z, w^1 -> x.z, w^2 -> y.y, w^3 -> x.y.
-func lineEval(l *gfP12, a *gfP, b, c *gfP2) *gfP12 {
+func lineEval(l *gfP12, a, b, c *gfP2) *gfP12 {
 	l.SetZero()
-	l.y.z.SetScalar(a)
+	l.y.z.Set(a)
 	l.x.z.Set(b)
 	l.x.y.Set(c)
 	return l
 }
 
-// lineDouble writes the tangent line at T evaluated at P into l and replaces
-// T with 2T (affine). If the tangent is vertical (yT = 0), it returns the
-// vertical line and sets T to infinity.
-func lineDouble(l *gfP12, t *affTwist, px, py *gfP) *gfP12 {
-	if t.infinity {
-		return l.SetOne()
-	}
-	if t.y.IsZero() {
-		verticalLine(l, &t.x, px)
-		t.infinity = true
-		return l
-	}
-	// lambda = 3*xT^2 / (2*yT)
-	var num, den, lambda gfP2
-	num.Square(&t.x)
-	den.Double(&num)
-	num.Add(&den, &num)
-	den.Double(&t.y)
-	lambda.Invert(&den)
-	lambda.Mul(&lambda, &num)
+// lineDouble writes the tangent line at T evaluated at P into l, scaled by
+// -2YZ, and replaces T with 2T. T is never a point of order two: it is a
+// multiple of a point of odd prime order n.
+func lineDouble(l *gfP12, t *projTwist, px, py *gfP) *gfP12 {
+	var xy, b, c, j, h, e, f, tmp gfP2
+	xy.Mul(&t.x, &t.y)
+	b.Square(&t.y)
+	c.Square(&t.z)
+	j.Square(&t.x)
+	h.Add(&t.y, &t.z) // h = 2YZ
+	h.Square(&h)
+	h.Sub(&h, &b)
+	h.Sub(&h, &c)
+	e.Mul(&c, twistB) // e = 3b'Z^2
+	tmp.Double(&e)
+	e.Add(&e, &tmp)
+	f.Double(&e) // f = 3e
+	f.Add(&f, &e)
 
-	lineFromSlope(l, &lambda, t, px, py)
+	// -2YZ*yP + 3X^2*xP*w + (3b'Z^2 - Y^2)*w^3
+	var la, lb, lc gfP2
+	la.MulScalar(&h, py)
+	la.Neg(&la)
+	lb.Double(&j)
+	lb.Add(&lb, &j)
+	lb.MulScalar(&lb, px)
+	lc.Sub(&e, &b)
+	lineEval(l, &la, &lb, &lc)
 
-	// x3 = lambda^2 - 2 xT ; y3 = lambda (xT - x3) - yT
-	var x3, y3, tx2 gfP2
-	x3.Square(&lambda)
-	tx2.Double(&t.x)
-	x3.Sub(&x3, &tx2)
-	y3.Sub(&t.x, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.y)
-	t.x, t.y = x3, y3
+	// 2T = (2XY(b-f), (b+f)^2 - 12e^2, 4bh), with b = Y^2
+	t.x.Sub(&b, &f)
+	t.x.Mul(&t.x, &xy)
+	t.x.Double(&t.x)
+	t.y.Add(&b, &f)
+	t.y.Square(&t.y)
+	e.Square(&e)
+	tmp.Double(&e)
+	tmp.Add(&tmp, &e)
+	tmp.Double(&tmp)
+	tmp.Double(&tmp)
+	t.y.Sub(&t.y, &tmp)
+	t.z.Mul(&b, &h)
+	t.z.Double(&t.z)
+	t.z.Double(&t.z)
 	return l
 }
 
-// lineAdd writes the chord line through T and Q evaluated at P into l and
-// replaces T with T+Q (affine). Degenerate cases (T = Q, T = -Q, infinities)
-// fall back to the tangent or the vertical line.
-func lineAdd(l *gfP12, t *affTwist, q *affTwist, px, py *gfP) *gfP12 {
-	if q.infinity {
-		return l.SetOne()
-	}
-	if t.infinity {
-		t.x.Set(&q.x)
-		t.y.Set(&q.y)
-		t.infinity = false
-		return l.SetOne()
-	}
-	if t.x.Equal(&q.x) {
-		if t.y.Equal(&q.y) {
-			return lineDouble(l, t, px, py)
-		}
-		// T = -Q: vertical line, T becomes infinity.
-		verticalLine(l, &t.x, px)
-		t.infinity = true
-		return l
-	}
-	// lambda = (yQ - yT) / (xQ - xT)
-	var num, den, lambda gfP2
-	num.Sub(&q.y, &t.y)
-	den.Sub(&q.x, &t.x)
-	lambda.Invert(&den)
-	lambda.Mul(&lambda, &num)
+// lineAdd writes the chord line through T and Q evaluated at P into l,
+// scaled by X - xQ*Z, and replaces T with T+Q. The loop only ever adds Q (or
+// a Frobenius image of it) to a multiple kQ with 1 < k < n, so T is never
+// Q or -Q.
+func lineAdd(l *gfP12, t *projTwist, q *affTwist, px, py *gfP) *gfP12 {
+	var theta, lambda, c, d, e, f, g, h, tmp gfP2
+	theta.Mul(&q.y, &t.z) // theta/lambda is the slope
+	theta.Sub(&t.y, &theta)
+	lambda.Mul(&q.x, &t.z)
+	lambda.Sub(&t.x, &lambda)
+	c.Square(&theta)
+	d.Square(&lambda)
+	e.Mul(&lambda, &d)
+	f.Mul(&t.z, &c)
+	g.Mul(&t.x, &d)
+	h.Add(&e, &f)
+	tmp.Double(&g)
+	h.Sub(&h, &tmp)
 
-	lineFromSlope(l, &lambda, t, px, py)
+	// lambda*yP - theta*xP*w + (theta*xQ - lambda*yQ)*w^3
+	var la, lb, lc gfP2
+	la.MulScalar(&lambda, py)
+	lb.MulScalar(&theta, px)
+	lb.Neg(&lb)
+	lc.Mul(&theta, &q.x)
+	tmp.Mul(&lambda, &q.y)
+	lc.Sub(&lc, &tmp)
+	lineEval(l, &la, &lb, &lc)
 
-	var x3, y3 gfP2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &t.x)
-	x3.Sub(&x3, &q.x)
-	y3.Sub(&t.x, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.y)
-	t.x, t.y = x3, y3
-	return l
-}
-
-// lineFromSlope evaluates the line with slope lambda through T at P:
-// l = yP - lambda*xP*w + (lambda*xT - yT)*w^3.
-func lineFromSlope(l *gfP12, lambda *gfP2, t *affTwist, px, py *gfP) *gfP12 {
-	var b, c gfP2
-	b.MulScalar(lambda, px)
-	b.Neg(&b)
-	c.Mul(lambda, &t.x)
-	c.Sub(&c, &t.y)
-	return lineEval(l, py, &b, &c)
-}
-
-// verticalLine evaluates the vertical line x = xT at P: l = xP - xT*w^2.
-func verticalLine(l *gfP12, xT *gfP2, px *gfP) *gfP12 {
-	l.SetZero()
-	l.y.z.SetScalar(px)
-	l.y.y.Neg(xT)
+	// T+Q = (lambda*h, theta*(g-h) - e*Y, Z*e)
+	t.x.Mul(&lambda, &h)
+	g.Sub(&g, &h)
+	g.Mul(&g, &theta)
+	tmp.Mul(&e, &t.y)
+	t.y.Sub(&g, &tmp)
+	t.z.Mul(&t.z, &e)
 	return l
 }
 
@@ -167,10 +155,10 @@ func miller(q *twistPoint, c *curvePoint) *gfP12 {
 		return f
 	}
 	px, py := c.Affine()
-	qa := affFromTwist(q)
-	t := &affTwist{}
-	t.x.Set(&qa.x)
-	t.y.Set(&qa.y)
+	qx, qy := q.Affine()
+	qa := &affTwist{x: *qx, y: *qy}
+	t := &projTwist{x: *qx, y: *qy}
+	t.z.SetOne()
 
 	l := newGFp12()
 	for i := loopCount.BitLen() - 2; i >= 0; i-- {

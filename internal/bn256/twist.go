@@ -50,6 +50,10 @@ func (t *twistPoint) Affine() (x, y *gfP2) {
 	if t.IsInfinity() {
 		panic("bn256: affine coordinates of the twist point at infinity")
 	}
+	if t.z.IsOne() {
+		ax, ay := t.x, t.y
+		return &ax, &ay
+	}
 	var zInv, zInv2 gfP2
 	zInv.Invert(&t.z)
 	zInv2.Square(&zInv)

@@ -1,0 +1,120 @@
+package core
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+)
+
+// The fixture below was printed by the commit before the bn256 kernel round
+// (unrolled Montgomery multiplication, Legendre-filtered hash-to-curve,
+// mixed-addition Pippenger, projective Miller loop): a private key from
+// KeyGen(3, rand(13)), the authenticators Setup gave it for a 600-byte file,
+// a challenge for 4 of the 7 chunks and the private proof that answered it.
+var parentFixture = struct{ sk, auths, challenge, proof string }{
+	sk: "64736e011407bf28e80aebf04cf757812428b0763112efb33b6f4fad7deb445e54d8cac4061761a97a43d41fa5385d97" +
+		"54040908cb95aaec3927e88d053271d3388e83b400000003110803b2e8eb62427b0132722c8c4367ed0d72a1f101878f" +
+		"646b9de16ddf226120afc2edcdc025c5e3ce8fa507509a307ce6f8fab521982dbf7f4e27c3b5db4d008a9dfd4d7990a7" +
+		"f4542dd1b5a39b146b4ce39015d5ea85f8a3be28f7c95a7427b8def935a98ade40068e32ddb92f93ca350c2b2ac2f3a7" +
+		"81cd0f0f71fb1a882043d8bf1811a50f310b8d1c156a2219256c8e78fd3875f3a35ccb92728554d4034aa2e42eef78d6" +
+		"2fc9027f3723d122e232a2cee65d032d68c20902742f03d8294160387988712f50b6aebbc0790c38ab4bfc23cae4ed12" +
+		"32503142886dfd13242636fb52a6ba63e924b874c2caa2ab4e8843aba3c317e77b0bbfd8759af00b2296ba1412acec2f" +
+		"c9a0c0f71a1e479a49f3773c497b685e6eb1ebbf6b1a4beb000000000000000000000000000000000000000000000000" +
+		"0000000000000001934df64d0bcfea96e68551c61a95747b5519efc6cb20c5efd2810a87d038cc8187d588c8dab8b945" +
+		"82a5e676bb772cb12e7dd74872a59efb0b1c7ae371578c300ddbf5fafb22d2a4669c6b3c68e27ed85f4b2ae36d3e9baa" +
+		"fa543bec1ea19bce2847b475811d12cb8c82d04f44111c01c459800fa37204d86bbed6499f6f2ffc29eeb24fca71b2f5" +
+		"847e1527db7db4413998af9bc9341059316a4a8179a23d451a701b85341f4e47bfd6b3ceff43ba17184a869c08a5d76c" +
+		"a3ec6d5fa1a369ee19d1aec653df5bc179ca03b3dbeeb0416eccbc6a631ffb0c112e15d06423316f03ba5898d8dbfe22" +
+		"2db626ae5cf774a9d5d6a04f95e56e98fcc865f803309031",
+	auths: "00000007000000000a55b0d9ae9136b2ad23e2d2bdc3883de29596116c73b8c848c3b310889d7af100000001a904e8ae" +
+		"dbb4f8c11e2b221c667c5f9164f90c4c9d7c32136a965162dc14887f00000002006a57ef5e159d3d208110e3095d5a20" +
+		"e64f384465fcd6f5e961ac5a4c5ee4370000000311cd4d436de01e8815e303add120541fb5a442e4da23f0f9c9bb0fbe" +
+		"2d4b57630000000480fba4e4b7f427aac262b81507b9a263c14de3e67b83f7a045f735b7f7bc18c800000005966ca5b9" +
+		"576638ec3c85bde4284df7bdfe624a9a1d0c50e785e978ac42bc5251000000061e31cf34c86e5d18f84b8c29de4c5f5f" +
+		"b6458b9c5e4a82275a668a594f9f8155",
+	challenge: "7900bb519ab51486bac93fba8034cd010e8ec324c4a888ba74a4907fc8382ee93add2f053ebd404abb88852515862c15" +
+		"00000004",
+	proof: "a91fe091e3ddfd098aad23620a4036c6bb87c8dbf3d63a52097b9aca5149dd3e2f69fa04c632b18be7b6b0720127746f" +
+		"3fa0d4c685b7f12c35d0618745a7fc54af651efb79e0719560588279b0124c5ed00966dd4df42a576d8c7523dc4ab94e" +
+		"1832a76f47b281f228e36232721a7c58b27cf1d2f9e24babdb2fe656f0a185f024868c4d7ef8069f7b13a2bc8a04e5cf" +
+		"5392341805d3059caac0cceb4cd8b2752ec5ab70fa5fecb56e163deed7b7ab9a16c846cd3447d369ee535ec6361e254a" +
+		"1eac285f901d833cb20d74270da83a2a4ab76971896b4827e084251f8d7e8a0328920b8d91b9d61fec7ca9f47c809b2b" +
+		"3d116642dcd6e4b39800d552daabef7e20fb58af4e78a62758f4cd6d40d415651ac32d6df56f9bf542af9798a652995b",
+}
+
+// TestCrossVersionFixture checks byte identity and mutual verifiability with
+// that commit: Setup here reproduces its authenticators exactly (so what this
+// version writes, it verified), its authenticators and its proof verify
+// here, and a proof made here from its authenticators verifies too.
+func TestCrossVersionFixture(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sk, err := UnmarshalPrivateKey(unhex(parentFixture.sk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 600)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	ef, err := EncodeFile(data, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	auths, err := Setup(sk, ef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := MarshalAuthenticators(auths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encoded, unhex(parentFixture.auths)) {
+		t.Fatal("Setup no longer produces the parent's authenticator bytes")
+	}
+
+	parentAuths, err := UnmarshalAuthenticators(unhex(parentFixture.auths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAuthenticators(sk.Pub, ef, parentAuths, nil); err != nil {
+		t.Fatalf("parent authenticators rejected: %v", err)
+	}
+
+	ch, err := UnmarshalChallengeBinary(unhex(parentFixture.challenge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentProof, err := UnmarshalPrivateProof(unhex(parentFixture.proof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyPrivate(sk.Pub, ef.NumChunks(), ch, parentProof) {
+		t.Fatal("parent proof rejected")
+	}
+	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: parentProof}}, nil); !verdicts[0] {
+		t.Fatal("parent proof rejected by the batch verifier")
+	}
+
+	prover, err := NewProver(sk.Pub, ef, parentAuths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := prover.ProvePrivate(ch, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyPrivate(sk.Pub, ef.NumChunks(), ch, proof) {
+		t.Fatal("proof over the parent's authenticators rejected")
+	}
+	// sigma and psi are deterministic in (file, authenticators, challenge).
+	if !proof.Sigma.Equal(parentProof.Sigma) || !proof.Psi.Equal(parentProof.Psi) {
+		t.Fatal("sigma/psi differ from the parent's proof")
+	}
+}

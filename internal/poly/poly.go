@@ -137,7 +137,8 @@ func (p *Poly) Mul(q *Poly) *Poly {
 
 // LinearCombination returns sum_i scalars[i] * polys[i]. All polynomials
 // must have the same length; this is the hot path building Pk(x) from the
-// k challenged chunk polynomials, so it works in place over one accumulator.
+// k challenged chunk polynomials, so it works in place over one accumulator
+// per output coefficient.
 func LinearCombination(polys []*Poly, scalars ff.Vector) (*Poly, error) {
 	if len(polys) != len(scalars) {
 		return nil, fmt.Errorf("poly: %d polynomials but %d scalars", len(polys), len(scalars))
@@ -159,8 +160,12 @@ func LinearCombination(polys []*Poly, scalars ff.Vector) (*Poly, error) {
 		for j, b := range q.Coeffs {
 			t.Mul(c, b)
 			acc[j].Add(acc[j], t)
-			ff.Reduce(acc[j])
 		}
+	}
+	// The products accumulate unreduced (k of them stay below k*n^2), so
+	// each output coefficient pays one division instead of one per term.
+	for _, a := range acc {
+		ff.Reduce(a)
 	}
 	return &Poly{Coeffs: acc}, nil
 }

@@ -109,6 +109,42 @@ func TestLinearCombination(t *testing.T) {
 	}
 }
 
+// TestLinearCombinationCanonical pins each output coefficient to the
+// term-by-term reduced sum, as a canonical residue, at the paper's k = 300
+// and with every operand at its maximum n-1 (the largest unreduced
+// accumulator the single final reduction has to absorb).
+func TestLinearCombinationCanonical(t *testing.T) {
+	const k, width = 300, 6
+	nMinus1 := new(big.Int).Sub(ff.Modulus(), big.NewInt(1))
+	for _, maxed := range []bool{false, true} {
+		polys := make([]*Poly, k)
+		scalars, _ := ff.RandomVector(rand.Reader, k)
+		for i := range polys {
+			polys[i] = randPoly(t, width-1)
+			if maxed {
+				scalars[i] = new(big.Int).Set(nMinus1)
+				for j := range polys[i].Coeffs {
+					polys[i].Coeffs[j] = new(big.Int).Set(nMinus1)
+				}
+			}
+		}
+		scalars[7] = new(big.Int) // a skipped term
+		combo, err := LinearCombination(polys, scalars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, got := range combo.Coeffs {
+			want := new(big.Int)
+			for i := range polys {
+				want = ff.Add(want, ff.Mul(scalars[i], polys[i].Coeffs[j]))
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("maxed=%v: coefficient %d is %v, want the canonical %v", maxed, j, got, want)
+			}
+		}
+	}
+}
+
 func TestLinearCombinationErrors(t *testing.T) {
 	if _, err := LinearCombination([]*Poly{Zero(1)}, ff.Vector{}); err == nil {
 		t.Fatal("accepted mismatched lengths")
