@@ -154,7 +154,8 @@ func runScheduler(ctx *expCtx) error {
 	ctx.printf("scheduler speedup over sequential: %.2fx (proof generation and settlement overlap)\n",
 		float64(seqTime)/float64(bTime))
 	ctx.printf("batched settlement: %d final exps / %d Miller loops for %d settled proofs "+
-		"(per-proof needs one final exp each)\n", stats.FinalExps, stats.MillerLoops, bPassed)
+		"(a block costs 2K+1 loops for its K owner keys; per-proof needs 3 loops and one final exp each)\n",
+		stats.FinalExps, stats.MillerLoops, bPassed)
 	if seqPassed != ppPassed || seqPassed != bPassed || seqPassed != b1Passed {
 		return fmt.Errorf("drivers disagree: sequential %d, per-proof %d, batched serial %d, batched %d",
 			seqPassed, ppPassed, b1Passed, bPassed)

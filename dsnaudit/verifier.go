@@ -22,10 +22,10 @@ type Verifier interface {
 
 // BatchVerifier is the default strategy: the whole block settles through a
 // single contract.SettleBatchAt call — one shared final exponentiation
-// across every proof in the block, with the per-item Miller loops and term
-// preparation fanned out across the workers, bisecting on failure so one
-// cheater among N honest providers is individually slashed while the rest
-// settle as passed.
+// across every proof in the block and 2K+1 Miller loops for its K distinct
+// owner keys, with the loops and the per-item term preparation fanned out
+// across the workers, bisecting on failure so one cheater among N honest
+// providers is individually slashed while the rest settle as passed.
 type BatchVerifier struct {
 	// Stats, when non-nil, accumulates the pairing workload across blocks
 	// (final exponentiations and Miller loops), making the amortization

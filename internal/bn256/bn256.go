@@ -395,7 +395,14 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	if k.Sign() < 0 || k.Cmp(Order) >= 0 {
 		k = new(big.Int).Mod(k, Order)
 	}
-	e.p.Exp(a.p, k)
+	// MillerLoop's unreduced values are typed GT too, and the cyclotomic
+	// formulas are wrong outside the cyclotomic subgroup: those keep the
+	// generic ladder.
+	if a.p.inCyclotomic() {
+		e.p.CyclotomicExp(a.p, k)
+	} else {
+		e.p.Exp(a.p, k)
+	}
 	return e
 }
 
@@ -474,7 +481,7 @@ func (e *GT) Unmarshal(data []byte) error {
 			return err
 		}
 	}
-	if !newGFp12().Exp(e.p, Order).IsOne() {
+	if !e.p.hasOrderN() {
 		return ErrMalformedPoint
 	}
 	return nil
@@ -537,7 +544,7 @@ func (e *GT) UnmarshalCompressed(data []byte) error {
 	y := newGFp6().Mul(num, den)
 	e.p.x.Set(x)
 	e.p.y.Set(y)
-	if !newGFp12().Exp(e.p, Order).IsOne() {
+	if !e.p.hasOrderN() {
 		return ErrMalformedPoint
 	}
 	return nil
@@ -568,8 +575,9 @@ func MillerLoop(a *G1, b *G2) *GT {
 // land in index-keyed slots and are multiplied together serially in index
 // order, so the product is identical to a loop of MillerLoop calls for any
 // worker count. Like MillerLoop, the result awaits FinalExponentiate — this
-// is how a batch verifier evaluates its 2N+1 loops on every core while still
-// paying for just one shared final exponentiation. len(a) must equal len(b).
+// is how a batch verifier evaluates its loops (2K+1 for a block with K distinct
+// owner keys) on every core while still paying for just one shared final
+// exponentiation. len(a) must equal len(b).
 func MillerBatch(a []*G1, b []*G2, workers int) *GT {
 	if len(a) != len(b) {
 		panic("bn256: MillerBatch length mismatch")

@@ -109,6 +109,13 @@ func init() {
 		panic("bn256: p is not 3 mod 4")
 	}
 
+	// p - 6u^2 = n: the GT subgroup check (gfP12.hasOrderN) rests on it.
+	sixU2 := new(big.Int).Mul(u, u)
+	sixU2.Mul(sixU2, big.NewInt(6))
+	if sixU2.Sub(P, sixU2).Cmp(Order) != 0 {
+		panic("bn256: p - 6u^2 != n")
+	}
+
 	pPlus1Over4 = new(big.Int).Add(P, big.NewInt(1))
 	pPlus1Over4.Rsh(pPlus1Over4, 2)
 

@@ -3,7 +3,9 @@ package bn256
 // This file implements the optimized final-exponentiation hard part using
 // the BN addition chain of Devegili, Scott and Dahab ("Implementing
 // cryptographic pairings over Barreto-Naehrig curves"), built from three
-// exponentiations by the curve parameter u plus Frobenius maps.
+// exponentiations by the curve parameter u plus Frobenius maps. Every value
+// in the chain lies in the cyclotomic subgroup, so the exponentiations and
+// squarings are the cyclotomic ones.
 //
 // Correctness does not rest on transcription: the package tests verify that
 // finalExponentiationFast agrees with the naive square-and-multiply by the
@@ -18,9 +20,9 @@ func hardPartFast(t1 *gfP12) *gfP12 {
 	fp2 := newGFp12().FrobeniusP2(t1)
 	fp3 := newGFp12().Frobenius(fp2)
 
-	fu := newGFp12().Exp(t1, u)
-	fu2 := newGFp12().Exp(fu, u)
-	fu3 := newGFp12().Exp(fu2, u)
+	fu := newGFp12().CyclotomicExp(t1, u)
+	fu2 := newGFp12().CyclotomicExp(fu, u)
+	fu3 := newGFp12().CyclotomicExp(fu2, u)
 
 	y3 := newGFp12().Frobenius(fu)
 	fu2p := newGFp12().Frobenius(fu2)
@@ -39,18 +41,18 @@ func hardPartFast(t1 *gfP12) *gfP12 {
 	y6 := newGFp12().Mul(fu3, fu3p)
 	y6.Conjugate(y6)
 
-	t0 := newGFp12().Square(y6)
+	t0 := newGFp12().CyclotomicSquare(y6)
 	t0.Mul(t0, y4)
 	t0.Mul(t0, y5)
 	out := newGFp12().Mul(y3, y5)
 	out.Mul(out, t0)
 	t0.Mul(t0, y2)
-	out.Square(out)
+	out.CyclotomicSquare(out)
 	out.Mul(out, t0)
-	out.Square(out)
+	out.CyclotomicSquare(out)
 	t0.Mul(out, y1)
 	out.Mul(out, y0)
-	t0.Square(t0)
+	t0.CyclotomicSquare(t0)
 	t0.Mul(t0, out)
 	return t0
 }

@@ -60,9 +60,34 @@ func FuzzGTUnmarshalCompressed(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(enc)
+	// Norm-1 elements the subgroup check must refuse: f^(p^6-1) fails the
+	// cyclotomic stage, its easy-part completion the a^p == a^(6u^2) stage.
+	unitary := newGFp12().Conjugate(g.p)
+	unitary.x.z.x.SetInt64(7) // any f outside the subgroups
+	cofactor := easyPart(unitary)
+	unitary.Mul(newGFp12().Conjugate(unitary), newGFp12().Invert(unitary))
+	for _, a := range []*gfP12{unitary, cofactor} {
+		enc, err := (&GT{p: a}).MarshalCompressed()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q GT
-		if err := q.UnmarshalCompressed(data); err != nil {
+		err := q.UnmarshalCompressed(data)
+		if len(data) != GTCompressedSize {
+			if err == nil {
+				t.Fatal("accepted a compressed GT of the wrong length")
+			}
+			return
+		}
+		// Differential against the check this one replaced, on whatever
+		// element the decoder got as far as building.
+		if old := oldHasOrderN(q.p); q.p.hasOrderN() != old || (err == nil && !old) {
+			t.Fatalf("subgroup check disagrees with a^n == 1 (err=%v, a^n==1: %v)", err, old)
+		}
+		if err != nil {
 			return
 		}
 		re, err := q.MarshalCompressed()

@@ -90,10 +90,9 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 		return e
 	}
 
-	// Digits are signed (Booth recoding: window w reads bits
-	// [wc-1, wc+c) and lands in [-2^(c-1), 2^(c-1)]), so a window needs
-	// half the buckets; a negative digit adds the negated point. The top
-	// window must see a clear sign bit, hence maxBits+1.
+	// Digits are signed (boothDigit), so a window needs half the buckets; a
+	// negative digit adds the negated point. The top window must see a
+	// clear sign bit, hence maxBits+1.
 	c := msmWindowBits(len(points), maxBits)
 	windows := (maxBits + c) / c
 	aff := affineCopies(points)
@@ -109,15 +108,7 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 			if ctx != nil && i%msmCheckInterval == 0 && ctx.Err() != nil {
 				return // abandon the window: windowSums[w] stays nil
 			}
-			var raw int
-			if w == 0 {
-				raw = scalarDigit(words[i], 0, c) << 1
-			} else {
-				raw = scalarDigit(words[i], w*c-1, c+1)
-			}
-			// The c+1 bits raw, the lowest counted once and the highest
-			// as -2^c: the Booth digit.
-			pt, d := &aff[i], (raw+1)>>1-raw>>c<<c
+			pt, d := &aff[i], boothDigit(words[i], w, c)
 			if d < 0 {
 				neg.Neg(pt)
 				pt, d = &neg, -d
@@ -216,6 +207,21 @@ func msmWindowBits(k, maxBits int) int {
 		}
 	}
 	return best
+}
+
+// boothDigit returns the signed digit of window w (c bits wide) of the nat
+// words: it reads bits [wc-1, wc+c), counts the lowest once and the highest
+// as -2^c, and lands in [-2^(c-1), 2^(c-1)]. The digits of all windows up to
+// (bitLen+c)/c - 1 -- the top one must see a clear sign bit -- sum to the
+// value.
+func boothDigit(words []big.Word, w, c int) int {
+	var raw int
+	if w == 0 {
+		raw = scalarDigit(words, 0, c) << 1
+	} else {
+		raw = scalarDigit(words, w*c-1, c+1)
+	}
+	return (raw+1)>>1 - raw>>c<<c
 }
 
 const wordBits = bits.UintSize

@@ -393,12 +393,13 @@ type SettleResult struct {
 }
 
 // SettleBatch is phase 2 for a whole block: every pending proof is checked
-// by a single core.VerifyBatch call (two Miller loops per item plus one
-// shared loop, one shared final exponentiation). On batch failure the verification bisects, so one
-// cheater among N honest providers is individually slashed while the rest
-// settle as passed. Contracts whose pending bytes do not parse are failed
-// without pairing work; contracts not in SETTLE get a per-contract
-// ErrWrongState. Results are returned in input order. stats may be nil.
+// by a single core.VerifyBatch call (two Miller loops per distinct owner key
+// in the block plus one shared loop, one shared final exponentiation). On
+// batch failure the verification bisects, so one cheater among N honest
+// providers is individually slashed while the rest settle as passed.
+// Contracts whose pending bytes do not parse are failed without pairing work;
+// contracts not in SETTLE get a per-contract ErrWrongState. Results are
+// returned in input order. stats may be nil.
 //
 // Security of the batching: each item's equation binds its own
 // zeta_i = H'(R_i), and the items are additionally weighted by independent

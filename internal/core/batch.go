@@ -23,14 +23,28 @@ type BatchItem struct {
 }
 
 // BatchVerify checks many private proofs from independent contracts while
-// sharing a single final exponentiation across all of them. Per item only
-// two Miller loops remain (the g1^{-y'} and chi terms merge since both pair
-// against the item's eps), and every item's sigma term pairs against the
-// shared generator g2, so all N of them collapse into one Miller loop over
-// the weighted sum: 2N+1 Miller loops and one final exponentiation total,
-// versus N*(3 Miller loops + 1 final exponentiation) verified one by one.
-// A batch verifies only if every relation holds; on failure the caller
-// falls back to bisection (VerifyBatch) to locate the offender.
+// sharing a single final exponentiation across all of them. Each item's
+// equation is first rewritten by bilinearity so that no G2 point is computed
+// for it,
+//
+//	e(psi^{-zeta}, delta * eps^{-r}) = e(psi^{-zeta}, delta) * e(psi^{r*zeta}, eps),
+//
+// which leaves every factor paired against one of three fixed G2 points: the
+// item's eps (the g1^{-y'}, chi and psi^r terms), its delta (the psi term) and
+// the shared generator g2 (the sigma term). Factors sharing a G2 point are
+// summed in G1 before they are paired, so a batch of N items under K distinct
+// owner keys (eps, delta) -- compared by value, so a recovered or unmarshalled
+// key groups with the original -- costs 2K+1 Miller loops and one final
+// exponentiation, versus N*(3 Miller loops + 1 final exponentiation) verified
+// one by one; K = N is the worst case, K = 1 (one owner's files) costs three
+// loops whatever N is. A batch verifies only if every relation holds; on
+// failure the caller falls back to bisection (VerifyBatch) to locate the
+// offender.
+//
+// The regrouping is bilinearity alone: the GT element compared with one is
+// the same product of the same weighted per-item equations whatever the
+// grouping, so the argument below and every verdict are those of the
+// ungrouped 2N+1-loop product.
 //
 // Note the usual batching caveat does not apply here: each item's equation
 // is checked against its own independent zeta = H'(R_i), and an adversary
@@ -49,11 +63,11 @@ func BatchVerify(items []*BatchItem) bool {
 }
 
 // BatchStats counts the pairing workload of batched verification, the
-// ProveStats analogue for the settlement side. Each batchVerify invocation
-// performs one final exponentiation and 2N+1 Miller loops for N items (two
-// per item plus the shared sigma loop), so the counters make the
-// amortization claim (and the bisection overhead on dispute) directly
-// measurable.
+// ProveStats analogue for the settlement side. Each (sub-)batch verification
+// performs one final exponentiation and 2K+1 Miller loops for items under K
+// distinct owner keys (two per key plus the shared sigma loop), so the
+// counters make the amortization claim (and the bisection overhead on
+// dispute) directly measurable.
 type BatchStats struct {
 	FinalExps   int // final exponentiations performed
 	MillerLoops int // Miller loops performed
@@ -148,20 +162,20 @@ func batchTranscript(items []*BatchItem) []byte {
 	return h.Sum(nil)
 }
 
-// batchTerm is one item's fully prepared verification inputs: the expanded
-// challenge, the chi multi-scalar multiplication, the weight rho_i from the
-// whole-batch transcript, and the weighted G1/G2/GT terms that enter the
-// pairing equation. Preparing these once lets bisection re-verify any
-// sub-batch at the cost of its Miller loops and one final exponentiation,
-// without redoing the expensive per-item setup.
+// batchTerm is one item's fully prepared verification inputs: the weighted
+// G1 and GT terms that enter the pairing equation, built from the expanded
+// challenge, the chi multi-scalar multiplication and the weight rho_i from the
+// whole-batch transcript. Preparing these once lets bisection re-verify any
+// sub-batch at the cost of a few G1 additions per item, its Miller loops and
+// one final exponentiation, without redoing the expensive per-item setup.
 type batchTerm struct {
-	ok      bool      // challenge expanded successfully
-	epsTerm *bn256.G1 // g1^{-rho*y'} * chi^{-zeta*rho}: pairs against eps
-	eps     *bn256.G2
-	negPsi  *bn256.G1 // psi^{-zeta*rho}: pairs against dEps
-	dEps    *bn256.G2 // delta * eps^{-r}
-	sigmaW  *bn256.G1 // sigma^{zeta*rho}: pairs against the shared g2
-	rW      *bn256.GT // R^rho
+	ok        bool       // challenge expanded successfully
+	pub       *PublicKey // eps and delta, the G2 points the next two pair against
+	key       string     // their encoding: terms group by key value, not pointer
+	epsTerm   *bn256.G1  // g1^{-rho*y'} * chi^{-zeta*rho} * psi^{r*zeta*rho}
+	deltaTerm *bn256.G1  // psi^{-zeta*rho}
+	sigmaW    *bn256.G1  // sigma^{zeta*rho}: pairs against the shared g2
+	rW        *bn256.GT  // R^rho
 }
 
 // prepareBatch derives the whole-batch weights and precomputes every item's
@@ -195,31 +209,31 @@ func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
 		rho := batchWeight(transcript, bi)
 		zr := ff.Mul(zeta, rho)
 
-		// The g1^{-rho*y'} and chi^{-zeta*rho} terms both pair against this
-		// item's eps: one merged Miller loop.
+		// Everything that pairs against this item's eps, summed first.
+		psiW := new(bn256.G1).ScalarMult(it.Proof.Psi, zr)
 		epsTerm := new(bn256.G1).ScalarBaseMult(ff.Neg(ff.Mul(rho, it.Proof.YPrime)))
 		x := chi(it.Pub, indices, coeffs, itemWorkers)
 		epsTerm.Add(epsTerm, new(bn256.G1).Neg(x.ScalarMult(x, zr)))
-
-		dEps := new(bn256.G2).ScalarMult(it.Pub.Epsilon, ff.Neg(r))
-		dEps.Add(it.Pub.Delta, dEps)
+		epsTerm.Add(epsTerm, new(bn256.G1).ScalarMult(psiW, r))
 
 		term.ok = true
+		term.pub = it.Pub
+		term.key = string(append(it.Pub.Epsilon.Marshal(), it.Pub.Delta.Marshal()...))
 		term.epsTerm = epsTerm
-		term.eps = it.Pub.Epsilon
-		term.negPsi = new(bn256.G1).Neg(new(bn256.G1).ScalarMult(it.Proof.Psi, zr))
-		term.dEps = dEps
+		term.deltaTerm = psiW.Neg(psiW)
 		term.sigmaW = new(bn256.G1).ScalarMult(it.Proof.Sigma, zr)
 		term.rW = new(bn256.GT).ScalarMult(it.Proof.R, rho)
 	})
 	return terms
 }
 
-// verifyTerms checks one (sub-)batch of prepared terms: two Miller loops per
-// item, one shared sigma loop, one shared final exponentiation. The 2N+1
-// Miller loops evaluate across workers via bn256.MillerBatch; everything
-// else (the G1/GT accumulations and the final exponentiation) is serial and
-// order-fixed, so the verdict is identical at any worker count.
+// verifyTerms checks one (sub-)batch of prepared terms: the eps and delta
+// terms of the items under each distinct owner key are summed in G1 and paired
+// once per key, all sigma terms once against g2, and the product takes one
+// final exponentiation. The 2K+1 Miller loops evaluate across workers via
+// bn256.MillerBatch; everything else (the G1/GT accumulations and the final
+// exponentiation) is serial and order-fixed — keys in order of first
+// appearance — so the verdict is identical at any worker count.
 func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 	// A term whose challenge failed to expand fails the whole (sub-)batch:
 	// detect it before spending any Miller loops, at every bisection level.
@@ -231,15 +245,23 @@ func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 	rAgg := new(bn256.GT).SetOne()
 	sigmaAgg := new(bn256.G1).SetInfinity() // sum of weighted sigma terms
 
-	g1s := make([]*bn256.G1, 0, 2*len(terms)+1)
-	g2s := make([]*bn256.G2, 0, 2*len(terms)+1)
+	// g1s[j], g1s[j+1] hold the eps and delta sums of the key first seen at
+	// slot[key] = j, against g2s[j] = eps, g2s[j+1] = delta.
+	slot := make(map[string]int)
+	var g1s []*bn256.G1
+	var g2s []*bn256.G2
 	for _, term := range terms {
-		// Every item's sigma term pairs against the shared g2: accumulate
-		// in G1 so all of them collapse into a single shared Miller loop.
 		sigmaAgg.Add(sigmaAgg, term.sigmaW)
 		rAgg.Add(rAgg, term.rW)
-		g1s = append(g1s, term.epsTerm, term.negPsi)
-		g2s = append(g2s, term.eps, term.dEps)
+		j, seen := slot[term.key]
+		if !seen {
+			j = len(g1s)
+			slot[term.key] = j
+			g1s = append(g1s, new(bn256.G1).SetInfinity(), new(bn256.G1).SetInfinity())
+			g2s = append(g2s, term.pub.Epsilon, term.pub.Delta)
+		}
+		g1s[j].Add(g1s[j], term.epsTerm)
+		g1s[j+1].Add(g1s[j+1], term.deltaTerm)
 	}
 	g1s = append(g1s, sigmaAgg)
 	g2s = append(g2s, bn256.GenG2())

@@ -132,9 +132,89 @@ func TestVerifyBatchBisection(t *testing.T) {
 	if stats.FinalExps != 1 {
 		t.Fatalf("honest batch used %d final exps, want 1", stats.FinalExps)
 	}
-	// Two Miller loops per item plus the one shared sigma-term loop.
-	if stats.MillerLoops != 2*n+1 {
-		t.Fatalf("honest batch used %d Miller loops, want %d", stats.MillerLoops, 2*n+1)
+	// All items share one owner key (K = 1): one eps loop, one delta loop
+	// and the shared sigma-term loop.
+	if stats.MillerLoops != 3 {
+		t.Fatalf("honest batch used %d Miller loops, want 3", stats.MillerLoops)
+	}
+}
+
+// TestVerifyBatchKeyGroups runs batches whose items fall under K = 1, K = N
+// and mixed owner keys, one member carrying an unmarshalled copy of another's
+// key (equal by value, not by pointer): an honest batch costs 2K+1 Miller
+// loops and one final exponentiation, and with a cheater planted in each key
+// group in turn every verdict equals the item's own VerifyPrivate.
+func TestVerifyBatchKeyGroups(t *testing.T) {
+	provers := make([]*Prover, 3)
+	for i := range provers {
+		_, _, provers[i] = testSetup(t, 4, 600)
+	}
+	enc, err := provers[0].Pub.Marshal(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := UnmarshalPublicKey(enc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copyOf0 = -1 // prover 0's proof under the recovered key
+	for _, c := range []struct {
+		name   string
+		owners []int
+		k      int
+	}{
+		{"K=1", []int{0, 0, copyOf0, 0, 0}, 1},
+		{"K=N", []int{0, 1, 2}, 3},
+		{"mixed", []int{0, 1, copyOf0, 2, 1, 0}, 3},
+	} {
+		items := make([]*BatchItem, len(c.owners))
+		firstOf := map[int]int{} // owner key -> its first item
+		for i, o := range c.owners {
+			pub := recovered
+			if o == copyOf0 {
+				o = 0
+			} else {
+				pub = provers[o].Pub
+			}
+			if _, seen := firstOf[o]; !seen {
+				firstOf[o] = i
+			}
+			ch, err := NewChallenge(3, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, err := provers[o].ProvePrivate(ch, nil, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items[i] = &BatchItem{Pub: pub, NumChunks: provers[o].File.NumChunks(), Challenge: ch, Proof: proof}
+		}
+		for _, workers := range []int{1, 2} {
+			var stats BatchStats
+			for i, ok := range VerifyBatchParallel(items, &stats, workers) {
+				if !ok {
+					t.Fatalf("%s workers=%d: honest item %d rejected", c.name, workers, i)
+				}
+			}
+			if stats.MillerLoops != 2*c.k+1 || stats.FinalExps != 1 {
+				t.Fatalf("%s workers=%d: honest batch used %d Miller loops and %d final exps, want %d and 1",
+					c.name, workers, stats.MillerLoops, stats.FinalExps, 2*c.k+1)
+			}
+			for o, bad := range firstOf {
+				honest := items[bad].Proof
+				forged := *honest
+				forged.YPrime = items[(bad+1)%len(items)].Proof.YPrime
+				items[bad].Proof = &forged
+				for i, ok := range VerifyBatchParallel(items, nil, workers) {
+					it := items[i]
+					if want := VerifyPrivate(it.Pub, it.NumChunks, it.Challenge, it.Proof); ok != want || want != (i != bad) {
+						t.Errorf("%s workers=%d, cheater under key %d: item %d verdict %v, VerifyPrivate %v",
+							c.name, workers, o, i, ok, want)
+					}
+				}
+				items[bad].Proof = honest
+			}
+		}
 	}
 }
 
