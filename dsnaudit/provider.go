@@ -169,8 +169,11 @@ func (p *ProviderNode) Address() chain.Address { return chain.Address(p.Name) }
 // validates a sample of authenticators against the public key (catching a
 // cheating owner, Section VI-A) and, on success, retains the audit state.
 // sampleSize chunks are checked, spread evenly over the file; a sampleSize
-// at or above the chunk count validates every authenticator. ctx is
-// checked before the pairing-heavy validation starts.
+// at or above the chunk count validates every authenticator. The sample is
+// checked in one randomly weighted pairing equation
+// (core.VerifyAuthenticators): two Miller loops whatever its size, and a
+// sample with any bad authenticator is accepted with probability at most
+// 2^-128. ctx is checked before the validation starts.
 func (p *ProviderNode) AcceptAuditData(ctx context.Context, contractAddr chain.Address, pk *core.PublicKey, ef *core.EncodedFile, auths []*core.Authenticator, sampleSize int) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -15,7 +15,9 @@
 // with Karatsuba multiplication through the Fp2/Fp6/Fp12 tower; scalars and
 // exponents remain big.Int. The Miller loop keeps its running point in
 // homogeneous projective coordinates and group operations use Jacobian
-// coordinates, so neither inverts inside a loop. Correctness is pinned three
+// coordinates, so neither inverts inside a loop. G1 scalar multiplication
+// splits its scalar along the curve's endomorphism (x, y) -> (beta*x, y)
+// and runs one half-length ladder (glv.go). Correctness is pinned three
 // ways: differential tests of the limb arithmetic against math/big, field
 // axioms and Frobenius identities at every tower level, and golden marshal
 // vectors frozen from the original big.Int implementation (wire formats are
@@ -175,4 +177,5 @@ func init() {
 	}
 
 	initGenerators()
+	initGLV()
 }

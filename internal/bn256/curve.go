@@ -264,7 +264,9 @@ func (c *curvePoint) AddMixed(a, b *curvePoint) *curvePoint {
 	return c
 }
 
-// Mul sets c = k*a by double-and-add.
+// Mul sets c = k*a by double-and-add, k taken as given and not mod n: it is
+// what checks that a point has order n (initGenerators) and the reference
+// MulGLV is tested against. G1.ScalarMult runs on MulGLV.
 func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	if k.Sign() < 0 {
 		na := newCurvePoint().Neg(a)

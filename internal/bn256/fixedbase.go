@@ -7,9 +7,10 @@ import (
 
 // Fixed-base scalar multiplication of the G1 generator with an 8-bit
 // windowed table: g1Table[w][d] = d * 2^(8w) * g1. A 254-bit scalar then
-// costs at most 32 point additions instead of ~254 doublings plus ~127
-// additions -- roughly a 10x speedup on the data owner's Setup, which
-// performs one base multiplication per chunk (the Fig. 7 workload).
+// costs at most 32 point additions and no doublings, where ScalarMult's GLV
+// ladder on an arbitrary point pays ~128 doublings plus ~60 additions --
+// 4-5x faster, on the data owner's Setup, which performs one base
+// multiplication per chunk (the Fig. 7 workload).
 //
 // The table (32 windows x 255 non-zero digits) is built lazily on first use
 // so programs that never touch G1 base multiplications pay nothing.

@@ -43,11 +43,21 @@ func Setup(sk *PrivateKey, ef *EncodedFile) ([]*Authenticator, error) {
 }
 
 // VerifyAuthenticators is the storage provider's acceptance check before it
-// signals the smart contract to proceed (Section V-B, Initialize): for each
-// sampled chunk it checks e(sigma_i, g2) = e(g1^{Mi(alpha)} * t_i, eps),
-// reconstructing g1^{Mi(alpha)} from the public powers. A cheating owner
-// that plants bad authenticators (to later win disputes) is caught here
-// except with negligible probability.
+// signals the smart contract to proceed (Section V-B, Initialize). Every
+// sampled chunk i must satisfy e(sigma_i, g2) = e(g1^{Mi(alpha)} * t_i, eps),
+// with g1^{Mi(alpha)} reconstructed from the public powers; the whole sample
+// is checked in one equation under fresh random 128-bit weights rho_j,
+//
+//	e(sum_j rho_j sigma_{i_j}, g2) = e(g1^{(sum_j rho_j M_{i_j})(alpha)} * prod_j t_{i_j}^{rho_j}, eps),
+//
+// which costs one s-point multi-scalar multiplication and two Miller loops
+// whatever the sample size. G1 has prime order and decoding rejects
+// off-curve points, so each sigma_i is off by a group element that is the
+// identity exactly when its own equation holds: a cheating owner's sample
+// with any bad authenticator (planted to later win disputes) passes with
+// probability at most 2^-128 over the weights, the small-exponent argument
+// of VerifyBatch. When the combined check fails, the sampled chunks are
+// re-checked one at a time to name the first bad one.
 //
 // sample lists the chunk indices to check; pass nil to check all.
 func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int) error {
@@ -67,10 +77,6 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 			sample[i] = i
 		}
 	}
-	// The generator and the commitment scratch are loop invariant: one cached
-	// g2 (no per-sample ScalarBaseMult) and a single reused G1 accumulator.
-	g2 := bn256.GenG2()
-	commit := new(bn256.G1)
 	for _, i := range sample {
 		if i < 0 || i >= len(auths) {
 			return fmt.Errorf("%w: sample index %d out of range", ErrBadParameters, i)
@@ -78,18 +84,61 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 		if auths[i].Index != i {
 			return fmt.Errorf("%w: authenticator at position %d has index %d", ErrBadParameters, i, auths[i].Index)
 		}
-		commit.MultiScalarMult(pk.Powers, ef.Chunks[i].Coeffs)
-		commit.Add(commit, pk.blockTag(i))
-		// e(sigma, g2) * e(-commit, eps) == 1
-		commit.Neg(commit)
-		if !bn256.PairingCheck(
-			[]*bn256.G1{auths[i].Sigma, commit},
-			[]*bn256.G2{g2, pk.Epsilon},
-		) {
+	}
+	if len(sample) == 0 {
+		return nil
+	}
+
+	// Fresh weights per call, drawn after the authenticators are fixed; a
+	// zero weight would drop its chunk from the check.
+	buf := make([]byte, 16*len(sample))
+	if _, err := rand.Read(buf); err != nil {
+		return fmt.Errorf("core: drawing acceptance weights: %w", err)
+	}
+	rho := make(ff.Vector, len(sample))
+	for j := range rho {
+		rho[j] = new(big.Int).SetBytes(buf[16*j : 16*j+16])
+		if rho[j].Sign() == 0 {
+			rho[j].SetInt64(1)
+		}
+	}
+	if authenticatorsHold(pk, ef, auths, sample, rho) {
+		return nil
+	}
+	one := ff.Vector{big.NewInt(1)}
+	for _, i := range sample {
+		if !authenticatorsHold(pk, ef, auths, []int{i}, one) {
 			return fmt.Errorf("core: authenticator %d failed verification", i)
 		}
 	}
-	return nil
+	// Unreachable: the combined equation is a product of powers of the
+	// single ones, so it holds whenever each of them does.
+	return fmt.Errorf("core: authenticators failed verification")
+}
+
+// authenticatorsHold evaluates VerifyAuthenticators' equation over the
+// sampled chunks, whose indices the caller has validated, under weights rho.
+func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int, rho ff.Vector) bool {
+	polys := make([]*poly.Poly, len(sample))
+	sigmas := make([]*bn256.G1, len(sample))
+	tags := make([]*bn256.G1, len(sample))
+	for j, i := range sample {
+		polys[j] = ef.Chunks[i]
+		sigmas[j] = auths[i].Sigma
+		tags[j] = pk.blockTag(i)
+	}
+	combined, err := poly.LinearCombination(polys, rho)
+	if err != nil {
+		return false
+	}
+	commit := new(bn256.G1).MultiScalarMult(pk.Powers, combined.Coeffs)
+	commit.Add(commit, new(bn256.G1).MultiScalarMult(tags, rho))
+	sigma := new(bn256.G1).MultiScalarMult(sigmas, rho)
+	// e(sigma, g2) * e(-commit, eps) == 1
+	return bn256.PairingCheck(
+		[]*bn256.G1{sigma, commit.Neg(commit)},
+		[]*bn256.G2{bn256.GenG2(), pk.Epsilon},
+	)
 }
 
 // Challenge is the on-chain challenge (C1, C2, r): 48 bytes total, exactly
@@ -339,23 +388,20 @@ func VerifyPrivate(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof) bool {
 //
 //	[R *] e(sigma, g2) * e(g1^{-y}, eps) * e(chi, eps)^{-1} * e(psi, delta*eps^{-r})^{-1} == 1
 //
-// with one shared final exponentiation. The g1^{-y} and chi^{-1} terms pair
-// against the same eps, so they are merged into a single Miller loop
-// (e(a,Q)*e(b,Q) = e(a+b,Q) once final-exponentiated): three Miller loops
-// total. R == nil means the non-private form.
+// with one shared final exponentiation and no G2 arithmetic: by bilinearity
+// e(psi, delta*eps^{-r})^{-1} = e(psi^{-1}, delta) * e(psi^r, eps), and the
+// g1^{-y}, chi^{-1} and psi^r terms all pair against the same eps, so they
+// are merged into a single Miller loop (e(a,Q)*e(b,Q) = e(a+b,Q) once
+// final-exponentiated): three Miller loops total. R == nil means the
+// non-private form.
 func verifyEquation(pk *PublicKey, chiAgg *bn256.G1, r *big.Int, sigma *bn256.G1, y *big.Int, psi *bn256.G1, rCommit *bn256.GT) bool {
-	g2 := bn256.GenG2()
-	epsTerm := new(bn256.G1).ScalarBaseMult(ff.Neg(y)) // g1^{-y}
-	epsTerm.Add(epsTerm, new(bn256.G1).Neg(chiAgg))    // * chi^{-1}
-	negPsi := new(bn256.G1).Neg(psi)
+	epsTerm := new(bn256.G1).ScalarBaseMult(ff.Neg(y))     // g1^{-y}
+	epsTerm.Add(epsTerm, new(bn256.G1).Neg(chiAgg))        // * chi^{-1}
+	epsTerm.Add(epsTerm, new(bn256.G1).ScalarMult(psi, r)) // * psi^r
 
-	// delta * eps^{-r}
-	dEps := new(bn256.G2).ScalarMult(pk.Epsilon, ff.Neg(r))
-	dEps.Add(pk.Delta, dEps)
-
-	acc := bn256.MillerLoop(sigma, g2)
+	acc := bn256.MillerLoop(sigma, bn256.GenG2())
 	acc.Add(acc, bn256.MillerLoop(epsTerm, pk.Epsilon))
-	acc.Add(acc, bn256.MillerLoop(negPsi, dEps))
+	acc.Add(acc, bn256.MillerLoop(new(bn256.G1).Neg(psi), pk.Delta))
 	res := bn256.FinalExponentiate(acc)
 	if rCommit != nil {
 		res.Add(res, rCommit)

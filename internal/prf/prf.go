@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math/big"
 
 	"repro/internal/ff"
@@ -29,9 +30,16 @@ import (
 // truncated to 16 bytes of entropy (r is then mapped into Zn).
 const SeedSize = 16
 
-// prfBlock returns HMAC-SHA256(seed, tag || ctr).
-func prfBlock(seed []byte, tag byte, ctr uint64) []byte {
-	mac := hmac.New(sha256.New, seed)
+// keyed returns HMAC-SHA256 under seed, the state every block of one
+// expansion is drawn from.
+func keyed(seed []byte) hash.Hash { return hmac.New(sha256.New, seed) }
+
+// prfBlock returns HMAC-SHA256(seed, tag || ctr) from mac = keyed(seed).
+// Reset rewinds mac to its keyed state without hashing the key pads again --
+// two of the four compressions of a message this short -- so an expansion
+// keys one mac and draws all its blocks from it.
+func prfBlock(mac hash.Hash, tag byte, ctr uint64) []byte {
+	mac.Reset()
 	var buf [9]byte
 	buf[0] = tag
 	binary.BigEndian.PutUint64(buf[1:], ctr)
@@ -42,8 +50,12 @@ func prfBlock(seed []byte, tag byte, ctr uint64) []byte {
 // Scalar derives a field element in Zn from seed and counter. Two digest
 // blocks (512 bits) are reduced mod n so the bias is negligible.
 func Scalar(seed []byte, ctr uint64) *big.Int {
-	b1 := prfBlock(seed, 0x02, 2*ctr)
-	b2 := prfBlock(seed, 0x02, 2*ctr+1)
+	return scalar(keyed(seed), ctr)
+}
+
+func scalar(mac hash.Hash, ctr uint64) *big.Int {
+	b1 := prfBlock(mac, 0x02, 2*ctr)
+	b2 := prfBlock(mac, 0x02, 2*ctr+1)
 	v := new(big.Int).SetBytes(append(b1, b2...))
 	return ff.Reduce(v)
 }
@@ -51,9 +63,10 @@ func Scalar(seed []byte, ctr uint64) *big.Int {
 // Coefficients expands seed into k challenge coefficients {c_l} in Zn
 // (the PRF f of Definition 2).
 func Coefficients(seed []byte, k int) ff.Vector {
+	mac := keyed(seed)
 	out := make(ff.Vector, k)
 	for i := range out {
-		out[i] = Scalar(seed, uint64(i))
+		out[i] = scalar(mac, uint64(i))
 	}
 	return out
 }
@@ -72,6 +85,7 @@ func Indices(seed []byte, d, k int) ([]int, error) {
 	if k > d {
 		return nil, fmt.Errorf("prf: cannot select %d distinct indices from a domain of %d", k, d)
 	}
+	mac := keyed(seed)
 	out := make([]int, k)
 	displaced := make(map[int]int, k)
 	lookup := func(i int) int {
@@ -85,7 +99,7 @@ func Indices(seed []byte, d, k int) ([]int, error) {
 		span := uint64(d - i)
 		var j uint64
 		for ctr := uint64(0); ; ctr++ {
-			block := prfBlock(seed, 0x01, uint64(i)<<32|ctr)
+			block := prfBlock(mac, 0x01, uint64(i)<<32|ctr)
 			v := binary.BigEndian.Uint64(block[:8])
 			// Rejection bound: largest multiple of span below 2^64.
 			limit := (^uint64(0)/span)*span - 1

@@ -2,6 +2,9 @@ package prf
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +112,30 @@ func TestIndicesDeterministic(t *testing.T) {
 	}
 }
 
+// TestExpansionGolden pins the bytes of a paper-sized expansion (338 chunks,
+// k = 300): prover and verifier on different versions must derive the same
+// challenge from the same 48 on-chain bytes. The digest was printed by the
+// implementation that keyed a fresh HMAC per block.
+func TestExpansionGolden(t *testing.T) {
+	seed := []byte("golden-seed-0123")
+	h := sha256.New()
+	idx, err := Indices(seed, 338, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range idx {
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(i)))
+	}
+	for _, c := range Coefficients(seed, 300) {
+		h.Write(ff.Bytes(c))
+	}
+	h.Write(ff.Bytes(EvalPoint(seed)))
+	const want = "959bba772dce68ab98f26da1e7537e38e0441cf415688a79d67b7fdbc1ffaa41"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("expansion digest = %s, want %s", got, want)
+	}
+}
+
 func TestOracleGT(t *testing.T) {
 	a := OracleGT([]byte("some GT bytes"))
 	b := OracleGT([]byte("some GT bytes"))
@@ -154,7 +181,7 @@ func TestQuickIndicesAlwaysDistinct(t *testing.T) {
 
 func TestPRFBlockTagSeparation(t *testing.T) {
 	seed := []byte("shared-seed")
-	if bytes.Equal(prfBlock(seed, 0x01, 5), prfBlock(seed, 0x02, 5)) {
+	if bytes.Equal(prfBlock(keyed(seed), 0x01, 5), prfBlock(keyed(seed), 0x02, 5)) {
 		t.Fatal("domain tags do not separate PRF streams")
 	}
 }
