@@ -154,6 +154,10 @@ func runDurableLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsn
 	if err != nil {
 		return 0, err
 	}
+	// Close flushes the journal's buffered tail, so it runs on every way out,
+	// an interrupted Run included; the success path checks its error below
+	// (a second Close is a no-op).
+	defer jnl.Close()
 	verifier := &dsnaudit.BatchVerifier{}
 	verifier.Instrument(cfg.obs.reg)
 	s := sched.NewScheduler(net,
@@ -361,14 +365,14 @@ func runResume(ctx context.Context, args []string) int {
 	fmt.Printf("recovered: %d entries (%d live, %d terminal), %d records replayed, %d rounds reconciled, %d torn bytes, resuming at height %d\n",
 		rep.Entries, rep.Live, rep.Terminal, rep.Replayed, rep.Reconciled, rep.TornBytes, rep.ResumeHeight)
 
+	// As in runDurableLocalAudit: flush the journal's tail on every way out.
+	defer s.Journal().Close()
 	wireAuditHooks(s, eng, 0, *tickDelay)
 	if err := s.Run(ctx); err != nil {
 		return fail(err)
 	}
-	if jnl := s.Journal(); jnl != nil {
-		if err := jnl.Close(); err != nil {
-			return fail(err)
-		}
+	if err := s.Journal().Close(); err != nil {
+		return fail(err)
 	}
 	if failed := printAuditTrail(net, owner, eng, funds); failed > 0 {
 		fmt.Printf("\nAUDIT FAILED: %d round(s) failed verification or missed the deadline\n", failed)

@@ -19,9 +19,13 @@ func TestSchedulerCompact(t *testing.T) {
 		eng1 := fx.engage(t, "alice", 2)
 
 		var outcomes []dsnaudit.Outcome
-		s := fx.run(t, shards, sched.WithParallelism(2), sched.WithOutcomeHook(func(o dsnaudit.Outcome) {
+		s := fx.scheduler(t, shards, sched.WithParallelism(2))
+		s.OnOutcome(func(o dsnaudit.Outcome) {
 			outcomes = append(outcomes, o)
-		}))
+		})
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		if eng1.Contract.State() != contract.StateExpired {
 			t.Fatalf("contract state %v, want EXPIRED", eng1.Contract.State())
 		}

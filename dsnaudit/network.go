@@ -37,11 +37,6 @@ func WithBeacon(b contract.RandomnessSource) NetworkOption {
 	return func(n *Network) { n.Beacon = b }
 }
 
-// WithVerifyGas overrides the modeled on-chain verification gas.
-func WithVerifyGas(gas uint64) NetworkOption {
-	return func(n *Network) { n.verifyGas = gas }
-}
-
 // WithChainConfig replaces the default chain parameters — scale harnesses
 // raise the block gas limit (so bursts of setup transactions fit) and set a
 // retention window (so a long soak does not hold every block body in

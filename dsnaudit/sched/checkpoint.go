@@ -216,9 +216,9 @@ func loadCheckpoint(dir string) (*checkpointData, error) {
 // read under the store lock and no contract is touched (settling entries'
 // contracts are owned by the settlement stage at this point).
 func (s *Scheduler) writeCheckpoint() error {
-	// Under group commit the buffers must hit disk (synced) before the
-	// offsets are read: a checkpoint's offsets may only ever point at bytes
-	// that exist, or replay would start past records the crash still owed.
+	// The journal's buffers must hit disk (synced) before the offsets are
+	// read: a checkpoint's offsets may only ever point at bytes that exist,
+	// or replay would start past records the crash still owed.
 	if err := s.jbarrier(true); err != nil {
 		return err
 	}

@@ -34,15 +34,14 @@ const (
 	// leaving a torn tmp file next to a valid previous checkpoint.
 	CrashMidCheckpoint CrashPoint = "mid-checkpoint"
 
-	// The three points below exist only under journal group commit
-	// (WithJournalFlushEvery): they bracket the coalesced flushes that
-	// replace per-record appends, where a crash loses a whole buffer of
-	// records at once instead of one record's tail. The registration
-	// write-through is deliberately unlabeled — it is byte-equivalent to a
-	// legacy unbuffered append, which the six points above already bracket.
+	// The three points below bracket the journal's coalesced flushes, where
+	// a crash loses a whole buffer of records at once instead of one
+	// record's tail. The write-through of a registration or tick mark is
+	// deliberately unlabeled — it puts one record in one write, and the six
+	// points above already bracket it.
 
 	// CrashBufferFlush fires when a shard's append buffer reaches
-	// WithJournalFlushBytes, before any of it is written: every record
+	// journalFlushBytes, before any of it is written: every record
 	// buffered since the last flush is lost.
 	CrashBufferFlush CrashPoint = "buffer-flush"
 	// CrashBarrierFlush fires at a scheduler durability barrier (tick-top

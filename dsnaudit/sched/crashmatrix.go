@@ -33,14 +33,6 @@ type CrashMatrixConfig struct {
 	// CheckpointEvery is the checkpoint cadence in ticks (default 3 — small
 	// enough that CrashMidCheckpoint fires several times per run).
 	CheckpointEvery int
-	// FlushEvery and FlushBytes configure journal group commit for the
-	// journaled runs (defaults 2 ticks and 192 bytes — small enough that
-	// the coalescing crash points, buffer-full and barrier flushes and the
-	// mid-coalesced-write tear, all fire several times per run). The
-	// matrix therefore exercises every crash point under coalescing, the
-	// write path a production scheduler at scale runs.
-	FlushEvery int
-	FlushBytes int
 	// Occurrences selects which firings of each crash point to kill at
 	// (default {1, 2, 3}): the first, a mid-run one, a later one. An
 	// occurrence a point never reaches is recorded as not fired, not failed.
@@ -51,6 +43,15 @@ type CrashMatrixConfig struct {
 	// Logf, when set, receives per-case progress lines.
 	Logf func(format string, args ...any)
 }
+
+// The journaled runs' synced-flush cadence in ticks and buffer-full threshold
+// in bytes: small enough that the coalescing crash points — buffer-full and
+// barrier flushes and the mid-coalesced-write tear — all fire several times
+// per run.
+const (
+	matrixFlushEvery = 2
+	matrixFlushBytes = 192
+)
 
 func (c *CrashMatrixConfig) applyDefaults() {
 	if c.Seed == "" {
@@ -67,12 +68,6 @@ func (c *CrashMatrixConfig) applyDefaults() {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 3
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 2
-	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 192
 	}
 	if len(c.Occurrences) == 0 {
 		c.Occurrences = []int{1, 2, 3}
@@ -278,11 +273,9 @@ func diffMatrixSnapshots(want, got *matrixSnapshot) []string {
 
 // RunCrashMatrix runs the full crash-injection matrix: an uninterrupted
 // baseline, then one crashed-and-recovered run per (CrashPoint, occurrence)
-// cell, each diffed against the baseline. The journaled runs use group
-// commit (FlushEvery/FlushBytes), so every cell exercises the coalesced
-// write path, and CrashMidCoalescedWrite tears a multi-record write
-// mid-buffer (single-record torn tails stay pinned by the journal's unit
-// and fuzz tests). Known exclusion: admission deferral
+// cell, each diffed against the baseline. CrashMidCoalescedWrite tears a
+// multi-record write mid-buffer (single-record torn tails stay pinned by the
+// journal's unit and fuzz tests). Known exclusion: admission deferral
 // (WithMaxInflightPerShard) is not part of the matrix — a deferred-not-
 // issued challenge may be re-admitted one tick earlier after recovery,
 // which is behaviorally harmless (no deadline was running) but not
@@ -366,14 +359,14 @@ func runCrashCase(cfg CrashMatrixConfig, point CrashPoint, occ int, want *matrix
 	if err != nil {
 		return nil, err
 	}
+	jnl.flushBytes = matrixFlushBytes
 	fired := 0
 	sched := NewScheduler(fx.net,
 		WithShards(cfg.Shards),
 		WithParallelism(cfg.Parallelism),
 		WithJournal(jnl),
 		WithCheckpointEvery(cfg.CheckpointEvery),
-		WithJournalFlushEvery(cfg.FlushEvery),
-		WithJournalFlushBytes(cfg.FlushBytes),
+		WithJournalFlushEvery(matrixFlushEvery),
 		WithCrashHook(func(p CrashPoint) bool {
 			if p != point {
 				return false
@@ -417,10 +410,11 @@ func runCrashCase(cfg CrashMatrixConfig, point CrashPoint, occ int, want *matrix
 		}
 		return e, nil
 	}, WithShards(cfg.Shards), WithParallelism(cfg.Parallelism), WithCheckpointEvery(cfg.CheckpointEvery),
-		WithJournalFlushEvery(cfg.FlushEvery), WithJournalFlushBytes(cfg.FlushBytes))
+		WithJournalFlushEvery(matrixFlushEvery))
 	if err != nil {
 		return nil, err
 	}
+	rs.journal.flushBytes = matrixFlushBytes
 	cse.Recovery = rrep
 	if d := fx.net.Chain.HistoryReads() - historyBefore; d != 0 {
 		cse.Diffs = append(cse.Diffs, fmt.Sprintf("recovery read chain history %d times, want 0 (no-rescan pin)", d))

@@ -3,49 +3,107 @@ package sched
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 
+	"repro/dsnaudit"
+	"repro/internal/chain"
 	"repro/internal/contract"
 )
 
-// TestJournalLegacyFlushEveryRecord pins the default write mode: without
-// WithJournalFlushEvery every append is its own file write, nothing is ever
-// buffered, and no fsync is issued. Existing deployments that never opt
-// into group commit must keep exactly the durability they had.
-func TestJournalLegacyFlushEveryRecord(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, 2)
+// TestJournalDefaultIsGroupCommit pins what WithJournal alone, and Recover
+// with no flush option, give a caller: registrations are on disk the moment
+// Add returns, appends coalesce (fewer writes than records), the tick-top
+// barrier fsyncs, and a clean Run leaves nothing in the buffers.
+func TestJournalDefaultIsGroupCommit(t *testing.T) {
+	fx, err := buildCrashFixture("default-mode", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	recs := sampleRecords()
-	for _, r := range recs {
-		if err := j.append(r); err != nil {
+	const shards = 4
+	dir := t.TempDir()
+	jnl, err := OpenJournal(dir, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func(typ recordType) int {
+		t.Helper()
+		n := 0
+		for i := 0; i < shards; i++ {
+			recs, _, err := readShardFrom(dir, i, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if r.typ == typ {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	coalesced := func(who string, j *Journal) {
+		t.Helper()
+		st := j.Stats()
+		if st.Writes >= st.Appends {
+			t.Errorf("%s: %d writes for %d appends: the default mode never coalesced", who, st.Writes, st.Appends)
+		}
+		if st.Fsyncs == 0 {
+			t.Errorf("%s: the default mode never fsynced", who)
+		}
+	}
+
+	// Die once, late enough that the crashed journal has seen whole ticks.
+	fired := 0
+	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl),
+		WithCrashHook(func(p CrashPoint) bool {
+			if p != CrashPostSettle {
+				return false
+			}
+			fired++
+			return fired == 2
+		}))
+	for _, e := range fx.engs {
+		if err := s.Add(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := j.Stats()
-	if st.Writes != st.Appends {
-		t.Fatalf("legacy mode issued %d writes for %d appends, want one per record", st.Writes, st.Appends)
+	if n := onDisk(recRegister); n != len(fx.engs) {
+		t.Fatalf("%d of %d registrations on disk before Run", n, len(fx.engs))
 	}
-	if st.Fsyncs != 0 {
-		t.Fatalf("legacy mode issued %d fsyncs, want 0", st.Fsyncs)
+	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crashed run returned %v, want ErrCrashed", err)
 	}
-	// Every record is on disk before Close: nothing waits in a buffer.
-	var got int
-	for i := 0; i < 2; i++ {
-		shard, _, err := readShardFrom(dir, i, 0)
-		if err != nil {
-			t.Fatal(err)
+	if ticks := onDisk(recTick); uint64(ticks) != s.Stats().Ticks {
+		t.Fatalf("%d tick marks on disk after %d ticks", ticks, s.Stats().Ticks)
+	}
+	coalesced("WithJournal alone", jnl)
+	jnl.Close()
+
+	resolve := make(map[chain.Address]*dsnaudit.Engagement, len(fx.engs))
+	for _, e := range fx.engs {
+		resolve[e.ID()] = e
+	}
+	rs, _, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
+		return resolve[addr], nil
+	}, WithShards(shards), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	coalesced("Recover with no flush option", rs.Journal())
+	for i, sh := range rs.Journal().shards {
+		if len(sh.buf) != 0 || sh.unsynced {
+			t.Errorf("shard %d holds %d buffered bytes (unsynced=%v) after a clean Run", i, len(sh.buf), sh.unsynced)
 		}
-		got += len(shard)
 	}
-	if got != len(recs) {
-		t.Fatalf("%d of %d records on disk before Close", got, len(recs))
+	if err := rs.Journal().Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -61,7 +119,6 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.enableGroupCommit(1<<20, nil)
 
 	onDisk := func() int {
 		t.Helper()
@@ -73,7 +130,7 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 	}
 
 	// A lost registration is unrecoverable and a lost tick shifts the
-	// resume height, so both write through even under group commit.
+	// resume height, so both write through the buffer.
 	must := func(r journalRecord) {
 		t.Helper()
 		if err := j.append(r); err != nil {
@@ -174,10 +231,11 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 
 // TestGroupCommitJournalBytesMatchLegacy pins that coalescing changes when
 // bytes reach disk, never which bytes: the same deterministic run journaled
-// in legacy mode and under group commit must leave byte-identical shard
-// files after a clean close.
+// with a 1-byte buffer threshold (every append is its own write — the
+// one-record-per-write layout) and with real coalescing must leave
+// byte-identical shard files after a clean close.
 func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
-	run := func(opts ...Option) []byte {
+	run := func(flushBytes int, opts ...Option) []byte {
 		t.Helper()
 		fx, err := buildCrashFixture("group-commit-bytes", 3)
 		if err != nil {
@@ -188,6 +246,7 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		jnl.flushBytes = flushBytes
 		s := NewScheduler(fx.net, append([]Option{
 			WithShards(1),
 			WithParallelism(1),
@@ -204,16 +263,19 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 		if err := jnl.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if st := jnl.Stats(); flushBytes == 1 && st.Writes != st.Appends {
+			t.Fatalf("1-byte threshold issued %d writes for %d appends, want one per record", st.Writes, st.Appends)
+		}
 		data, err := os.ReadFile(journalShardPath(dir, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	legacy := run()
-	coalesced := run(WithJournalFlushEvery(4), WithJournalFlushBytes(256))
-	if !bytes.Equal(legacy, coalesced) {
-		t.Fatalf("shard files diverge: legacy %d bytes, coalesced %d bytes", len(legacy), len(coalesced))
+	perRecord := run(1)
+	coalesced := run(256, WithJournalFlushEvery(4))
+	if !bytes.Equal(perRecord, coalesced) {
+		t.Fatalf("shard files diverge: per-record %d bytes, coalesced %d bytes", len(perRecord), len(coalesced))
 	}
 }
 
@@ -275,6 +337,7 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jnl.flushBytes = 1 << 30
 	v := &settleBarrierVerifier{t: t, dir: dir, shards: shards}
 	s := NewScheduler(fx.net,
 		WithShards(shards),
@@ -282,7 +345,6 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		WithJournal(jnl),
 		WithVerifier(v),
 		WithJournalFlushEvery(1<<20),
-		WithJournalFlushBytes(1<<30),
 	)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {

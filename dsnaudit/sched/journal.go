@@ -36,21 +36,23 @@ import (
 // middle of the log, and surfaces as a JournalCorruptError: recovery must
 // never guess across a hole in the history.
 //
-// The journal has two write modes. The default — one plain file write per
-// record, no fsync — is the PR 8 behavior: the failure model is process
-// death (the crash harness's kill -9), where the OS keeps every completed
-// write. Group commit (WithJournalFlushEvery on the scheduler) buffers
-// records per shard and coalesces them into one write per durability
-// barrier and one fsync per flush cadence: fewer syscalls per record at
-// scale, plus a bounded machine-crash loss window the unbuffered mode never
-// had. Registration records write through the buffer immediately — the
-// scheduler must never act on an engagement whose registration is not
-// durable, because a lost registration is the one record recovery cannot
-// reconstruct. Everything else a crash can lose — challenges, proofs,
-// parked marks, settled rounds, tick marks — is absorbed by Recover, which
-// re-derives live phase from contract state and reconciles settled rounds
-// from the chain; the contracts themselves are the authoritative record of
-// what settled.
+// Appends are group-committed. A record is encoded into its shard's buffer
+// and reaches the file as part of one coalesced write, at the next of: a
+// scheduler durability barrier — the tick-top cadence flush, which also
+// fsyncs (WithJournalFlushEvery); the flush before a settled block is handed
+// to the settlement stage; the flush and fsync before a checkpoint captures
+// journal offsets — a full buffer (journalFlushBytes), or Close. Two record
+// types write through the buffer at once (flushing whatever it holds first,
+// preserving order): registrations, because the scheduler must never act on
+// an engagement whose registration is not on disk — a lost registration is
+// the one record recovery cannot reconstruct — and tick marks, because the
+// resume height must be exactly the tick the run died in. Everything else a
+// crash can lose — challenges, proofs, parked marks, settled rounds — is
+// absorbed by Recover, which re-derives live phase from contract state and
+// reconciles settled rounds from the chain; the contracts themselves are the
+// authoritative record of what settled. What a machine crash can lose is
+// therefore bounded by the fsync cadence, and what a process crash can lose
+// by the distance to the last barrier.
 
 // Journal record types.
 type recordType uint8
@@ -315,8 +317,8 @@ func validRecordAfter(data []byte, from int) bool {
 type JournalStats struct {
 	Appends     uint64 // records appended
 	Bytes       uint64 // record bytes appended
-	Writes      uint64 // file writes issued (== Appends without group commit)
-	Fsyncs      uint64 // fsyncs issued (always 0 without group commit)
+	Writes      uint64 // file writes issued: one per coalesced flush or write-through record
+	Fsyncs      uint64 // fsyncs issued: at most one per shard per synced barrier
 	Checkpoints uint64 // checkpoints completed
 	TornBytes   uint64 // torn tail bytes truncated when the journal was opened
 }
@@ -329,38 +331,36 @@ type Journal struct {
 	nshards int
 	shards  []*journalShard
 
-	mu         sync.Mutex
-	stats      JournalStats
-	buffered   bool // group commit on: appends coalesce into per-shard buffers
-	flushBytes int  // buffer-full flush threshold under group commit
+	// flushBytes is the buffer size at which a shard flushes between
+	// barriers; crashHook is the owning scheduler's crash-injection hook,
+	// consulted at the coalesced flush points (nil in production). Both are
+	// fixed before Run.
+	flushBytes int
 	crashHook  func(CrashPoint) bool
-	crashErr   error // latched injected crash; the journal is dead from here on
 
-	// Obs counters (nil = uninstrumented; see Instrument). Deliberately
-	// dual-written alongside stats rather than func-backed, so the soak
-	// gate's metrics-consistency check (obs fsyncs == Stats().Fsyncs)
-	// cross-checks the instrumentation instead of reading one variable
-	// through two names.
-	cAppends *obs.Counter
-	cBytes   *obs.Counter
-	cWrites  *obs.Counter
-	cFsyncs  *obs.Counter
+	mu       sync.Mutex
+	stats    JournalStats
+	crashErr error // latched injected crash; the journal is dead from here on
 }
 
-// Instrument registers the journal's dsn_journal_* metric family on reg
-// and dual-writes the append/write/fsync counters from here on. Torn
-// bytes and checkpoints are func-backed (they change at open and
-// checkpoint time, not on the append path).
+// journalFlushBytes caps a shard's append buffer between barriers.
+const journalFlushBytes = 256 << 10
+
+// Instrument registers the journal's dsn_journal_* metric family on reg.
+// Every series is func-backed over Stats, so instrumentation adds nothing to
+// the append path.
 func (j *Journal) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	j.mu.Lock()
-	j.cAppends = reg.Counter("dsn_journal_appends_total", "records appended to the scheduler journal")
-	j.cBytes = reg.Counter("dsn_journal_bytes_total", "record bytes appended to the scheduler journal")
-	j.cWrites = reg.Counter("dsn_journal_writes_total", "journal file writes issued")
-	j.cFsyncs = reg.Counter("dsn_journal_fsyncs_total", "journal fsyncs issued")
-	j.mu.Unlock()
+	reg.CounterFunc("dsn_journal_appends_total", "records appended to the scheduler journal",
+		func() float64 { return float64(j.Stats().Appends) })
+	reg.CounterFunc("dsn_journal_bytes_total", "record bytes appended to the scheduler journal",
+		func() float64 { return float64(j.Stats().Bytes) })
+	reg.CounterFunc("dsn_journal_writes_total", "journal file writes issued",
+		func() float64 { return float64(j.Stats().Writes) })
+	reg.CounterFunc("dsn_journal_fsyncs_total", "journal fsyncs issued",
+		func() float64 { return float64(j.Stats().Fsyncs) })
 	reg.CounterFunc("dsn_journal_torn_bytes_total", "torn tail bytes truncated at journal open",
 		func() float64 { return float64(j.Stats().TornBytes) })
 	reg.CounterFunc("dsn_journal_checkpoints_total", "checkpoints completed",
@@ -372,7 +372,7 @@ type journalShard struct {
 	path     string
 	f        *os.File
 	size     int64  // flushed bytes only — what checkpoint offsets may reference
-	buf      []byte // records appended but not yet written (group commit)
+	buf      []byte // records appended but not yet written
 	unsynced bool   // flushed bytes not yet covered by an fsync
 }
 
@@ -414,7 +414,7 @@ func OpenJournal(dir string, shards int) (*Journal, error) {
 		return nil, fmt.Errorf("sched: journal meta: %w", err)
 	}
 
-	j := &Journal{dir: dir, nshards: shards, shards: make([]*journalShard, shards)}
+	j := &Journal{dir: dir, nshards: shards, shards: make([]*journalShard, shards), flushBytes: journalFlushBytes}
 	for i := range j.shards {
 		path := journalShardPath(dir, i)
 		size, torn, err := validateShardFile(path)
@@ -480,21 +480,17 @@ func (j *Journal) closeOpened() {
 	}
 }
 
-// Close flushes and syncs any buffered records (group commit only; the
-// default mode has nothing buffered) and releases the shard files. A journal
-// whose run died at an injected crash point is closed without flushing — a
-// real crash would not have flushed either, and the matrix judges recovery
-// against exactly the bytes the crash left.
+// Close flushes and syncs any buffered records and releases the shard files.
+// A journal whose run died at an injected crash point is closed without
+// flushing — a real crash would not have flushed either, and the matrix
+// judges recovery against exactly the bytes the crash left.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	dead := j.crashErr != nil
-	buffered := j.buffered
-	j.mu.Unlock()
+	dead := j.crashed()
 	var first error
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		if sh.f != nil {
-			if buffered && !dead {
+			if !dead {
 				if err := j.flushShardLocked(sh, true, ""); err != nil && first == nil {
 					first = err
 				}
@@ -527,27 +523,6 @@ func (j *Journal) shardFor(addr chain.Address) int {
 	return int(h.Sum32() % uint32(j.nshards))
 }
 
-// enableGroupCommit switches the journal from flush-every-record to group
-// commit: appends coalesce into per-shard buffers, written out (one write,
-// optionally one fsync) at the scheduler's durability barriers or when a
-// buffer reaches flushBytes. hook is the scheduler's crash-injection hook,
-// consulted at the coalesced flush points; nil for production journals.
-// Called by Run before its first tick; the mode is sticky.
-func (j *Journal) enableGroupCommit(flushBytes int, hook func(CrashPoint) bool) {
-	j.mu.Lock()
-	j.buffered = true
-	j.flushBytes = flushBytes
-	j.crashHook = hook
-	j.mu.Unlock()
-}
-
-// groupCommit reports whether the journal is in group-commit mode.
-func (j *Journal) groupCommit() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.buffered
-}
-
 // crashed reports whether an injected crash killed the journal.
 func (j *Journal) crashed() bool {
 	j.mu.Lock()
@@ -566,12 +541,10 @@ func (j *Journal) latchCrash() {
 	j.mu.Unlock()
 }
 
-// append routes one record to its shard. Tick records (no address) go to
-// shard 0. In the default mode every record is one file write; under group
-// commit records buffer until a durability barrier or a full buffer flushes
-// them, except registrations, which write through immediately (flushing
-// whatever the buffer holds first, preserving order) — a lost registration
-// is the one record Recover cannot reconstruct from the chain.
+// append routes one record to its shard's buffer; tick records (no address)
+// go to shard 0. Registrations and tick marks write through at once, a full
+// buffer flushes, everything else waits for the next barrier (see the file
+// header).
 func (j *Journal) append(r journalRecord) error {
 	sh := j.shards[0]
 	if r.typ != recTick {
@@ -581,12 +554,10 @@ func (j *Journal) append(r journalRecord) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	j.mu.Lock()
-	buffered, flushBytes, crashErr := j.buffered, j.flushBytes, j.crashErr
+	crashErr := j.crashErr
 	if crashErr == nil {
 		j.stats.Appends++
 		j.stats.Bytes += uint64(len(frame))
-		j.cAppends.Inc()
-		j.cBytes.Add(uint64(len(frame)))
 	}
 	j.mu.Unlock()
 	if crashErr != nil {
@@ -595,30 +566,16 @@ func (j *Journal) append(r journalRecord) error {
 	if sh.f == nil {
 		return fmt.Errorf("sched: journal closed")
 	}
-	if !buffered {
-		if _, err := sh.f.Write(frame); err != nil {
-			return fmt.Errorf("sched: journal append: %w", err)
-		}
-		sh.size += int64(len(frame))
-		j.mu.Lock()
-		j.stats.Writes++
-		j.cWrites.Inc()
-		j.mu.Unlock()
-		return nil
-	}
 	sh.buf = append(sh.buf, frame...)
 	if r.typ == recRegister || r.typ == recTick {
-		// Write-through records: a registration, because recovery cannot
-		// reconstruct an engagement it never heard of; a tick mark, because
-		// the resume height must be exactly the crash tick — a recovered
-		// scheduler that resumes behind the chain would mine an extra block
-		// for a tick the crashed run already mined. Both are rare relative
-		// to the per-engagement record volume (one tick mark per tick, one
-		// registration per engagement lifetime), so the coalescing win is
-		// untouched.
+		// Both are rare relative to the per-engagement record volume (one
+		// tick mark per tick, one registration per engagement lifetime), so
+		// writing them through leaves the coalescing win untouched. A
+		// recovered scheduler that resumed behind the chain would mine an
+		// extra block for a tick the crashed run already mined.
 		return j.flushShardLocked(sh, false, "")
 	}
-	if len(sh.buf) >= flushBytes {
+	if len(sh.buf) >= j.flushBytes {
 		return j.flushShardLocked(sh, false, CrashBufferFlush)
 	}
 	return nil
@@ -626,19 +583,16 @@ func (j *Journal) append(r journalRecord) error {
 
 // flushShardLocked writes a shard's buffered records as one coalesced write,
 // optionally followed by one fsync. Caller holds sh.mu. point labels the
-// flush for crash injection ("" = unlabeled, e.g. the registration
-// write-through, which is equivalent to a legacy unbuffered append); at a
-// labeled flush the hook is consulted first for the label (die with the
-// buffer unwritten) and then for CrashMidCoalescedWrite (die with a torn
-// prefix of the coalesced write, cut inside its final record — the
+// flush for crash injection ("" = unlabeled: the write-through records and
+// Close); at a labeled flush the hook is consulted first for the label (die
+// with the buffer unwritten) and then for CrashMidCoalescedWrite (die with a
+// torn prefix of the coalesced write, cut inside its final record — the
 // multi-record torn-tail recovery exercises).
 func (j *Journal) flushShardLocked(sh *journalShard, sync bool, point CrashPoint) error {
-	j.mu.Lock()
-	crashErr, hook := j.crashErr, j.crashHook
-	j.mu.Unlock()
-	if crashErr != nil {
-		return crashErr
+	if j.crashed() {
+		return ErrCrashed
 	}
+	hook := j.crashHook
 	if len(sh.buf) == 0 {
 		if sync && sh.unsynced {
 			return j.syncShardLocked(sh)
@@ -669,7 +623,6 @@ func (j *Journal) flushShardLocked(sh *journalShard, sync bool, point CrashPoint
 	sh.unsynced = true
 	j.mu.Lock()
 	j.stats.Writes++
-	j.cWrites.Inc()
 	j.mu.Unlock()
 	if sync {
 		return j.syncShardLocked(sh)
@@ -686,20 +639,15 @@ func (j *Journal) syncShardLocked(sh *journalShard) error {
 	sh.unsynced = false
 	j.mu.Lock()
 	j.stats.Fsyncs++
-	j.cFsyncs.Inc()
 	j.mu.Unlock()
 	return nil
 }
 
-// barrier flushes every shard's buffer (group commit only; a no-op in the
-// default mode, whose appends are already on disk when they return). sync
-// additionally fsyncs each shard that has unsynced bytes. Shards flush in
-// order; an injected crash mid-barrier leaves earlier shards written and
-// later ones not, exactly as a real crash between the writes would.
+// barrier flushes every shard's buffer. sync additionally fsyncs each shard
+// that has unsynced bytes. Shards flush in order; an injected crash
+// mid-barrier leaves earlier shards written and later ones not, exactly as a
+// real crash between the writes would.
 func (j *Journal) barrier(sync bool, point CrashPoint) error {
-	if !j.groupCommit() {
-		return nil
-	}
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		err := j.flushShardLocked(sh, sync, point)

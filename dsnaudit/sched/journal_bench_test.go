@@ -29,10 +29,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 }
 
 // benchSoak runs the 2k-engagement soak with or without a journal and
-// reports tick latency, so the journaled-vs-bare pair in the bench
-// trajectory keeps the durability overhead visible release over release.
-// The journaled run uses the soak's group-commit defaults (4 shards,
-// barrier every 64 ticks), the same shape the nightly 1M gate measures.
+// reports tick latency, so the journaled-vs-bare pair keeps the durability
+// overhead visible. The journaled run uses the soak's defaults (4 journal
+// shards, synced flush every 64 ticks), the same shape the nightly 1M gate
+// measures.
 func benchSoak(b *testing.B, journaled, instrumented bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := SoakConfig{
@@ -68,8 +68,7 @@ func BenchmarkSoakJournaled2k(b *testing.B) { benchSoak(b, true, false) }
 
 // BenchmarkObsOverhead is the bare 2k soak with the full metrics registry
 // attached: scheduler, spill and chain all instrumented. Its delta against
-// BenchmarkSoakBare2k in the bench trajectory is the observability tax,
-// gated by the same >25% diff threshold as the journaled pair — the
-// func-backed series and nil-checked hot paths are supposed to make that
-// delta disappear into run-to-run noise.
+// BenchmarkSoakBare2k is the observability tax — the func-backed series and
+// nil-checked hot paths are supposed to make that delta disappear into
+// run-to-run noise.
 func BenchmarkObsOverhead(b *testing.B) { benchSoak(b, false, true) }

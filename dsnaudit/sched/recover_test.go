@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/contract"
 )
@@ -153,4 +155,65 @@ func TestDurableStateMerge(t *testing.T) {
 	if _, ok := st2.entries["ghost"]; ok {
 		t.Fatal("settled record without registration created an entry")
 	}
+}
+
+// TestCheckpointEveryZeroDisables pins WithCheckpointEvery's "n <= 0
+// disables" against option order: the journal's default cadence must not
+// come back because WithJournal was applied after it — which is the order
+// Recover always applies them in. Both halves run past the default cadence
+// of 64 ticks.
+func TestCheckpointEveryZeroDisables(t *testing.T) {
+	fx, err := buildCrashFixture("no-checkpoint", 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := fx.engs[10] // bob's honest engagement: two ticks a round
+	dir := t.TempDir()
+	jnl, err := OpenJournal(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCheckpoint := func(who string, s *Scheduler) {
+		t.Helper()
+		if ticks := s.Stats().Ticks; ticks < 64 {
+			t.Fatalf("%s ran %d ticks, too few to reach the default cadence", who, ticks)
+		}
+		if n := s.Journal().Stats().Checkpoints; n != 0 {
+			t.Errorf("%s wrote %d checkpoints with WithCheckpointEvery(0)", who, n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
+			t.Errorf("%s left a checkpoint file (stat err = %v)", who, err)
+		}
+	}
+
+	fired := 0
+	s := NewScheduler(fx.net, WithVerifier(TrustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl),
+		WithCrashHook(func(p CrashPoint) bool {
+			if p != CrashPreIssue {
+				return false
+			}
+			fired++
+			return fired == 70
+		}))
+	if err := s.Add(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crashed run returned %v, want ErrCrashed", err)
+	}
+	jnl.Close()
+	noCheckpoint("NewScheduler(WithCheckpointEvery(0), WithJournal(j))", s)
+
+	rs, _, err := Recover(dir, fx.net, func(chain.Address) (*dsnaudit.Engagement, error) { return eng, nil },
+		WithVerifier(TrustingVerifier{}), WithCheckpointEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	noCheckpoint("Recover(WithCheckpointEvery(0))", rs)
 }

@@ -78,14 +78,13 @@ type Scheduler struct {
 	store *store
 
 	// Durability (nil journal = volatile scheduler, the default). The
-	// journal, checkpoint cadence, group-commit knobs and crash hook are
-	// fixed before Run; lastWake, ckptTicks and jflushTicks are owned by the
-	// Run goroutine; resume is set by Recover before Run starts.
+	// journal, the checkpoint and synced-flush cadences and the crash hook
+	// are fixed before Run; lastWake, ckptTicks and jflushTicks are owned by
+	// the Run goroutine; resume is set by Recover before Run starts.
 	journal     *Journal
-	ckptEvery   int
+	ckptEvery   int // checkpoint cadence in ticks; <= 0 disables
 	ckptTicks   int
-	jflushEvery int // group-commit synced-flush cadence in ticks; 0 = legacy
-	jflushBytes int // group-commit buffer-full threshold
+	jflushEvery int // synced-flush cadence in ticks
 	jflushTicks int
 	crashHook   func(CrashPoint) bool
 	resume      bool
@@ -197,39 +196,32 @@ func WithAutoCompact() Option {
 
 // WithJournal makes the scheduler durable: every scheduling decision is
 // appended to j before it can matter, and periodic checkpoints (see
-// WithCheckpointEvery) bound what a restart must replay. The scheduler owns
-// the journal from here on; open it with OpenJournal and recover a crashed
-// scheduler's state with Recover, which installs the reopened journal
-// itself. A journal append failure is sticky and fails the run — a durable
-// scheduler that cannot write its journal must stop, not continue
-// volatile.
+// WithCheckpointEvery) bound what a restart must replay. Appends coalesce in
+// per-shard buffers and are written out, one write per shard, at each
+// durability barrier — wherever something becoming externally visible
+// depends on them: at the top of a tick before it issues challenges (with an
+// fsync; see WithJournalFlushEvery), before a settled block is handed to the
+// settlement stage, before a checkpoint captures journal offsets, and at
+// clean shutdown. Registrations write through immediately — the scheduler
+// never acts on an engagement whose registration is not on disk. The
+// scheduler owns the journal from here on; open it with OpenJournal, Close it
+// after Run returns, and recover a crashed scheduler's state with Recover,
+// which installs the reopened journal itself. A journal append failure is
+// sticky and fails the run — a durable scheduler that cannot write its
+// journal must stop, not continue volatile.
 func WithJournal(j *Journal) Option {
 	return func(s *Scheduler) {
 		if j != nil {
 			s.journal = j
-			if s.ckptEvery == 0 {
-				s.ckptEvery = 64
-			}
 		}
 	}
 }
 
-// defaultJournalFlushBytes caps a shard's append buffer under group commit
-// when WithJournalFlushBytes is not set.
-const defaultJournalFlushBytes = 256 << 10
-
-// WithJournalFlushEvery enables journal group commit: instead of one file
-// write per record, records coalesce in per-shard buffers and are written
-// out as one write per shard at each durability barrier, with one fsync per
-// shard every n ticks. Barriers sit where a record becoming externally
-// visible depends on it: before a tick issues challenges (the cadence
-// flush), before a settled block is handed to the settlement stage, before
-// a checkpoint captures journal offsets, and at clean shutdown.
-// Registrations still write through immediately — the scheduler never acts
-// on an engagement whose registration is not on disk. n = 1 flushes and
-// syncs every tick; larger n trades a bounded loss window (absorbed by
-// Recover's reconciliation) for fewer fsyncs. 0 (the default) keeps the
-// legacy flush-every-record behavior with no fsyncs.
+// WithJournalFlushEvery sets how many ticks elapse between the tick-top
+// barriers that flush and fsync the journal (default 1: every tick). A larger
+// n trades a bounded machine-crash loss window — the records of at most n
+// ticks, absorbed by Recover's reconciliation — for fewer fsyncs. n <= 0
+// keeps the default.
 func WithJournalFlushEvery(n int) Option {
 	return func(s *Scheduler) {
 		if n > 0 {
@@ -238,34 +230,11 @@ func WithJournalFlushEvery(n int) Option {
 	}
 }
 
-// WithJournalFlushBytes sets the per-shard buffer size that forces a flush
-// between barriers under group commit (default 256 KiB). Only meaningful
-// with WithJournalFlushEvery.
-func WithJournalFlushBytes(n int) Option {
-	return func(s *Scheduler) {
-		if n > 0 {
-			s.jflushBytes = n
-		}
-	}
-}
-
 // WithCheckpointEvery sets how many ticks elapse between checkpoints
-// (default 64 when a journal is set). Checkpoints cap replay cost at
-// recovery; the journal alone is always sufficient. n <= 0 disables
-// checkpointing.
+// (default 64). Checkpoints cap replay cost at recovery; the journal alone
+// is always sufficient. n <= 0 disables checkpointing.
 func WithCheckpointEvery(n int) Option {
 	return func(s *Scheduler) { s.ckptEvery = n }
-}
-
-// WithOutcomeHook registers fn for every terminal engagement, like
-// OnOutcome.
-func WithOutcomeHook(fn func(dsnaudit.Outcome)) Option {
-	return func(s *Scheduler) { s.outcomeHooks = append(s.outcomeHooks, fn) }
-}
-
-// WithBlockHook registers fn for every tick, like OnBlock.
-func WithBlockHook(fn func(uint64)) Option {
-	return func(s *Scheduler) { s.blockHooks = append(s.blockHooks, fn) }
 }
 
 // NewScheduler creates a scheduler over the network's chain. The defaults —
@@ -279,12 +248,17 @@ func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 		parallelism: runtime.GOMAXPROCS(0),
 		verifier:    &dsnaudit.BatchVerifier{},
 		maxRetries:  16,
+		ckptEvery:   64,
+		jflushEvery: 1,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if s.store == nil {
 		s.store = newStore(1)
+	}
+	if s.journal != nil {
+		s.journal.crashHook = s.crashHook
 	}
 	s.instrument(s.metricsReg)
 	return s
@@ -453,10 +427,10 @@ func (s *Scheduler) journalDead() bool {
 	return s.journal != nil && s.journal.crashed()
 }
 
-// jbarrier flushes the journal's buffers at a durability barrier (a no-op
-// without group commit). sync adds the fsync that bounds the machine-crash
-// loss window. The error is ErrCrashed when the crash hook fired at the
-// flush, or the underlying I/O failure — either way the run must stop.
+// jbarrier flushes the journal's buffers at a durability barrier. sync adds
+// the fsync that bounds the machine-crash loss window. The error is
+// ErrCrashed when the crash hook fired at the flush, or the underlying I/O
+// failure — either way the run must stop.
 func (s *Scheduler) jbarrier(sync bool) error {
 	if s.journal == nil {
 		return nil
@@ -464,11 +438,11 @@ func (s *Scheduler) jbarrier(sync bool) error {
 	return s.journal.barrier(sync, CrashBarrierFlush)
 }
 
-// jtickFlush is the tick-top barrier under group commit: every jflushEvery
-// ticks the buffers of the elapsed ticks are written and fsynced before
-// this tick issues any challenge.
+// jtickFlush is the tick-top barrier: every jflushEvery ticks the buffers of
+// the elapsed ticks are written and fsynced before this tick issues any
+// challenge.
 func (s *Scheduler) jtickFlush() error {
-	if s.journal == nil || s.jflushEvery <= 0 {
+	if s.journal == nil {
 		return nil
 	}
 	s.jflushTicks++
@@ -526,13 +500,6 @@ func (s *Scheduler) Run(ctx context.Context) error {
 	}
 	s.running = true
 	s.mu.Unlock()
-	if s.journal != nil && s.jflushEvery > 0 {
-		fb := s.jflushBytes
-		if fb <= 0 {
-			fb = defaultJournalFlushBytes
-		}
-		s.journal.enableGroupCommit(fb, s.crashHook)
-	}
 	resume := s.resume
 	s.resume = false
 	defer func() {

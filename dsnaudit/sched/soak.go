@@ -37,18 +37,11 @@ type SoakConfig struct {
 	// JournalDir, when set, runs the soak with the durability journal
 	// enabled — every scheduler decision is appended and checkpoints are cut
 	// at CheckpointEvery ticks — so the soak measures the journaled tick
-	// cost, not just the in-memory one. By default the journal runs in
-	// group-commit mode (the production shape at scale): per-shard buffers
-	// coalesce records, a durability barrier fsyncs every JournalFlushEvery
-	// ticks and before every externally-visible effect.
-	JournalDir      string
-	CheckpointEvery int // checkpoint cadence in ticks when journaling (default 64)
-	JournalShards   int // journal shard files (default 4 — every barrier fsync pays per shard)
-	// JournalFlushEvery is the group-commit barrier cadence in ticks
-	// (default 64). Set it to -1 to run the journal in its legacy
-	// flush-every-record mode instead.
-	JournalFlushEvery int
-	JournalFlushBytes int // per-shard buffer flush threshold (default 256 KiB)
+	// cost, not just the in-memory one.
+	JournalDir        string
+	CheckpointEvery   int // checkpoint cadence in ticks when journaling (default 64)
+	JournalShards     int // journal shard files (default 4 — every barrier fsync pays per shard)
+	JournalFlushEvery int // journal synced-flush cadence in ticks (default 64)
 
 	// RegisterBatch is how many registrations share one setup block
 	// (default 8192). Larger batches speed up the deploy phase at scale;
@@ -99,7 +92,7 @@ func (c *SoakConfig) applyDefaults() {
 	if c.JournalShards <= 0 {
 		c.JournalShards = 4
 	}
-	if c.JournalFlushEvery == 0 {
+	if c.JournalFlushEvery <= 0 {
 		c.JournalFlushEvery = 64
 	}
 	if c.RegisterBatch <= 0 {
@@ -241,15 +234,9 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		schedOpts = append(schedOpts, WithJournal(jnl))
+		schedOpts = append(schedOpts, WithJournal(jnl), WithJournalFlushEvery(cfg.JournalFlushEvery))
 		if cfg.CheckpointEvery > 0 {
 			schedOpts = append(schedOpts, WithCheckpointEvery(cfg.CheckpointEvery))
-		}
-		if cfg.JournalFlushEvery > 0 {
-			schedOpts = append(schedOpts, WithJournalFlushEvery(cfg.JournalFlushEvery))
-			if cfg.JournalFlushBytes > 0 {
-				schedOpts = append(schedOpts, WithJournalFlushBytes(cfg.JournalFlushBytes))
-			}
 		}
 	}
 	sched := NewScheduler(net, schedOpts...)

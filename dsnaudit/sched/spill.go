@@ -43,8 +43,7 @@ import (
 // superseded or deleted. Spill is a cache, not a durability layer — a crash
 // rebuilds audit state from the owner — so segments carry no fsync; each
 // record keeps its own integrity checksum (core.MarshalAuditState), so a
-// torn or tampered segment read still surfaces. A batch of 1 degenerates to
-// exactly the legacy one-record-per-file layout.
+// torn or tampered segment read still surfaces.
 //
 // What stays resident per spilled engagement is the index entry: the public
 // key (shared across all of one owner's engagements, deliberately not part
@@ -163,49 +162,26 @@ func (s *SpillStore) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(s.segs.Load()) })
 }
 
-// SpillOption customizes NewSpillStore.
-type SpillOption func(*SpillStore)
-
-// WithSpillShards sets the shard count (default 8, reduced so every shard
-// keeps a window of at least one). One shard reproduces the unsharded
-// store's exact LRU behavior.
-func WithSpillShards(n int) SpillOption {
-	return func(s *SpillStore) {
-		if n > 0 {
-			s.shards = make([]*spillShard, n)
-		}
-	}
-}
-
-// WithSpillBatch sets how many evictions accumulate before their spill
-// records are written out (default 8). 1 writes every eviction immediately.
-func WithSpillBatch(n int) SpillOption {
-	return func(s *SpillStore) {
-		if n > 0 {
-			s.batch = n
-		}
-	}
-}
-
 var _ dsnaudit.ProverStore = (*SpillStore)(nil)
 
 // NewSpillStore creates a spill-backed prover store rooted at dir (created
 // if missing). limit is the total hydration window across shards; at least 1.
-func NewSpillStore(dir string, limit int, opts ...SpillOption) (*SpillStore, error) {
+func NewSpillStore(dir string, limit int) (*SpillStore, error) {
+	return newSpillStore(dir, limit, 8, 8)
+}
+
+// newSpillStore is NewSpillStore with the layout explicit: the shard count
+// (reduced so every shard keeps a window of at least one) and how many
+// evictions accumulate before their records are written out as one segment.
+func newSpillStore(dir string, limit, shards, batch int) (*SpillStore, error) {
 	if limit < 1 {
 		return nil, fmt.Errorf("sched: spill store needs a hydration window >= 1, got %d", limit)
 	}
-	s := &SpillStore{dir: dir, shards: make([]*spillShard, 8), batch: 8}
-	for _, opt := range opts {
-		opt(s)
+	if shards > limit {
+		shards = limit
 	}
-	if len(s.shards) > limit {
-		s.shards = s.shards[:limit]
-	}
-	perShard := limit / len(s.shards)
-	if perShard < 1 {
-		perShard = 1
-	}
+	s := &SpillStore{dir: dir, shards: make([]*spillShard, shards), batch: batch}
+	perShard := limit / shards
 	for i := range s.shards {
 		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
 		if err := os.MkdirAll(shardDir, 0o755); err != nil {

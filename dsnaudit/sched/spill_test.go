@@ -79,7 +79,7 @@ func newProverOrDie(t testing.TB, pk *core.PublicKey, ef *core.EncodedFile, auth
 // LRU and write-per-eviction behavior.
 func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "lru", 600)
-	store, err := NewSpillStore(t.TempDir(), 2, WithSpillShards(1), WithSpillBatch(1))
+	store, err := newSpillStore(t.TempDir(), 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func storeDir(s *SpillStore) string { return s.dir }
 func TestSpillStoreBatchedEviction(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "batch", 600)
 	dir := t.TempDir()
-	store, err := NewSpillStore(dir, 2, WithSpillShards(1), WithSpillBatch(4))
+	store, err := newSpillStore(dir, 2, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSpillStoreBatchedEviction(t *testing.T) {
 func TestSpillStoreSharded(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "sharded", 600)
 	dir := t.TempDir()
-	store, err := NewSpillStore(dir, 4, WithSpillShards(4), WithSpillBatch(1))
+	store, err := newSpillStore(dir, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSpillStoreSharded(t *testing.T) {
 func TestSpillStoreCorruptionSurfaces(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "corrupt", 400)
 	dir := t.TempDir()
-	store, err := NewSpillStore(dir, 1, WithSpillShards(1), WithSpillBatch(1))
+	store, err := newSpillStore(dir, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// benchWorkerCounts is the cores-vs-throughput ladder recorded in the
-// BENCH_pairing.json trajectory (and the README table).
+// benchWorkerCounts is the cores-vs-throughput ladder.
 var benchWorkerCounts = []int{1, 2, 4, 8}
 
 // BenchmarkSetupParallel measures authenticator generation throughput (the

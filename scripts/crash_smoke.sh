@@ -11,6 +11,9 @@
 #      the same owner/provider balance deltas as the uninterrupted run.
 #   4. A second resume of the finished state dir must be idempotent, and a
 #      corrupted journal shard must be refused with exit code 3.
+#   5. The same audit interrupted with SIGINT instead: the clean exit must
+#      flush the journal's buffered tail, so the resume replays every round
+#      the victim reported settled and reproduces the reference.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,5 +86,35 @@ if [ "$rc" -ne 3 ]; then
   exit 1
 fi
 echo "corrupt journal refused with exit 3"
+
+# Phase 5: a clean interrupt loses nothing the victim reported. The signal
+# lands inside the 400 ms tick delay that follows the progress line, so no
+# further verdict can be recorded unreported and the counts must be equal.
+"$bin" -state "$workdir/intr" "${args[@]}" -tick-delay 400ms \
+  >"$workdir/intr.log" 2>&1 &
+victim=$!
+for _ in $(seq 1 200); do
+  grep -q 'progress: 2 rounds settled' "$workdir/intr.log" 2>/dev/null && break
+  sleep 0.1
+done
+grep -q 'progress: 2 rounds settled' "$workdir/intr.log" \
+  || { echo "FAIL: interrupt victim never settled 2 rounds"; cat "$workdir/intr.log"; exit 1; }
+kill -INT "$victim"
+wait "$victim" 2>/dev/null || true
+grep -q 'context canceled' "$workdir/intr.log" \
+  || { echo "FAIL: victim did not exit on the interrupt"; cat "$workdir/intr.log"; exit 1; }
+reported=$(grep -c '^progress:' "$workdir/intr.log")
+"$bin" resume -state "$workdir/intr" >"$workdir/intr-resume.log" 2>&1 \
+  || { echo "FAIL: resume after interrupt exited $?"; cat "$workdir/intr-resume.log"; exit 1; }
+grep -E 'replayed|recovered' "$workdir/intr-resume.log"
+replayed=$(sed -n 's/^replayed \([0-9]*\) settled round(s).*/\1/p' "$workdir/intr-resume.log")
+if [ "$replayed" != "$reported" ]; then
+  echo "FAIL: victim reported $reported settled rounds before the interrupt, resume replayed ${replayed:-none}"
+  exit 1
+fi
+extract "$workdir/intr-resume.log" >"$workdir/intr-resume.summary"
+diff -u "$workdir/ref.summary" "$workdir/intr-resume.summary" \
+  || { echo "FAIL: outcome after interrupt + resume differs from the uninterrupted run"; exit 1; }
+echo "interrupt + resume replayed all $reported reported rounds and reproduced the reference"
 
 echo "PASS: crash smoke"
