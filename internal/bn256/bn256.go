@@ -35,19 +35,21 @@ var (
 )
 
 // G1 is an element of the prime-order group of points on y^2 = x^3 + 3
-// over Fp. The zero value is the identity, as a receiver and as an operand.
+// over Fp. The zero value is the identity, as a receiver and as an operand;
+// an operand is only ever read, so any number of goroutines may share one.
 type G1 struct {
 	p *curvePoint
 }
 
 // G2 is an element of the order-n subgroup of the sextic twist E'(Fp2). The
-// zero value is the identity.
+// zero value is the identity, and operands are only read, as for G1.
 type G2 struct {
 	p *twistPoint
 }
 
 // GT is an element of the order-n subgroup of Fp12* (the target group of
-// the pairing). The zero value is the identity.
+// the pairing). The zero value is the identity, and operands are only read,
+// as for G1.
 type GT struct {
 	p *gfP12
 }
@@ -98,11 +100,27 @@ func GenG2() *G2 { return &G2{p: newTwistPoint().Set(g2Gen)} }
 
 // --- G1 ---
 
+// The identities a zero-valued operand is read as (init sets them). Nothing
+// writes to them: ensure, which materializes a zero value, is for the
+// receiver a method is about to write, and operands go through point.
+var (
+	g1Identity *curvePoint
+	g2Identity *twistPoint
+	gtIdentity *gfP12
+)
+
 func (e *G1) ensure() *G1 {
 	if e.p == nil {
 		e.p = newCurvePoint().SetInfinity()
 	}
 	return e
+}
+
+func (e *G1) point() *curvePoint {
+	if e.p == nil {
+		return g1Identity
+	}
+	return e.p
 }
 
 // ScalarBaseMult sets e = k*g1 and returns e. It uses a precomputed
@@ -117,33 +135,28 @@ func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
 // ScalarMult sets e = k*a and returns e, k taken mod n (see glv.go).
 func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	e.ensure()
-	a.ensure()
-	e.p.MulGLV(a.p, k)
+	e.p.MulGLV(a.point(), k)
 	return e
 }
 
 // Add sets e = a+b and returns e.
 func (e *G1) Add(a, b *G1) *G1 {
 	e.ensure()
-	a.ensure()
-	b.ensure()
-	e.p.Add(a.p, b.p)
+	e.p.Add(a.point(), b.point())
 	return e
 }
 
 // Neg sets e = -a and returns e.
 func (e *G1) Neg(a *G1) *G1 {
 	e.ensure()
-	a.ensure()
-	e.p.Neg(a.p)
+	e.p.Neg(a.point())
 	return e
 }
 
 // Set sets e = a and returns e.
 func (e *G1) Set(a *G1) *G1 {
 	e.ensure()
-	a.ensure()
-	e.p.Set(a.p)
+	e.p.Set(a.point())
 	return e
 }
 
@@ -159,9 +172,23 @@ func (e *G1) IsInfinity() bool { return e.p == nil || e.p.IsInfinity() }
 
 // Equal reports whether e and a are the same group element.
 func (e *G1) Equal(a *G1) bool {
-	e.ensure()
-	a.ensure()
-	return e.p.Equal(a.p)
+	return e.point().Equal(a.point())
+}
+
+// NormalizeG1 rewrites every point's internal representation to affine form
+// with one shared field inversion. The group elements and every encoding are
+// unchanged; what changes is that Marshal and MarshalCompressed, which
+// otherwise invert once per call, and MultiScalarMult then find nothing left
+// to normalize. For whoever produces a long-lived slice of points (a key's
+// powers, a file's authenticators) to call once, before sharing it.
+func NormalizeG1(points []*G1) {
+	ps := make([]*curvePoint, 0, len(points))
+	for _, e := range points {
+		if e.p != nil {
+			ps = append(ps, e.p)
+		}
+	}
+	makeAffineBatch(ps)
 }
 
 // Marshal encodes e uncompressed as x || y (64 bytes). Infinity encodes as
@@ -272,6 +299,13 @@ func (e *G2) ensure() *G2 {
 	return e
 }
 
+func (e *G2) point() *twistPoint {
+	if e.p == nil {
+		return g2Identity
+	}
+	return e.p
+}
+
 // ScalarBaseMult sets e = k*g2 and returns e.
 func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 	e.ensure()
@@ -282,33 +316,28 @@ func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 // ScalarMult sets e = k*a and returns e.
 func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	e.ensure()
-	a.ensure()
-	e.p.Mul(a.p, k)
+	e.p.Mul(a.point(), k)
 	return e
 }
 
 // Add sets e = a+b and returns e.
 func (e *G2) Add(a, b *G2) *G2 {
 	e.ensure()
-	a.ensure()
-	b.ensure()
-	e.p.Add(a.p, b.p)
+	e.p.Add(a.point(), b.point())
 	return e
 }
 
 // Neg sets e = -a and returns e.
 func (e *G2) Neg(a *G2) *G2 {
 	e.ensure()
-	a.ensure()
-	e.p.Neg(a.p)
+	e.p.Neg(a.point())
 	return e
 }
 
 // Set sets e = a and returns e.
 func (e *G2) Set(a *G2) *G2 {
 	e.ensure()
-	a.ensure()
-	e.p.Set(a.p)
+	e.p.Set(a.point())
 	return e
 }
 
@@ -324,9 +353,7 @@ func (e *G2) IsInfinity() bool { return e.p == nil || e.p.IsInfinity() }
 
 // Equal reports whether e and a are the same group element.
 func (e *G2) Equal(a *G2) bool {
-	e.ensure()
-	a.ensure()
-	return e.p.Equal(a.p)
+	return e.point().Equal(a.point())
 }
 
 // Marshal encodes e uncompressed as x.x || x.y || y.x || y.y (128 bytes).
@@ -386,10 +413,16 @@ func (e *GT) ensure() *GT {
 	return e
 }
 
+func (e *GT) point() *gfP12 {
+	if e.p == nil {
+		return gtIdentity
+	}
+	return e.p
+}
+
 // ScalarMult sets e = a^k and returns e.
 func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	e.ensure()
-	a.ensure()
 	// GT has order n: a negative or oversized exponent is its residue.
 	// (gfP12.Exp reads the bits of |k|, so -k would come out as a^k.)
 	if k.Sign() < 0 || k.Cmp(Order) >= 0 {
@@ -398,10 +431,10 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	// MillerLoop's unreduced values are typed GT too, and the cyclotomic
 	// formulas are wrong outside the cyclotomic subgroup: those keep the
 	// generic ladder.
-	if a.p.inCyclotomic() {
-		e.p.CyclotomicExp(a.p, k)
+	if ap := a.point(); ap.inCyclotomic() {
+		e.p.CyclotomicExp(ap, k)
 	} else {
-		e.p.Exp(a.p, k)
+		e.p.Exp(ap, k)
 	}
 	return e
 }
@@ -410,25 +443,21 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 // with G1/G2) and returns e.
 func (e *GT) Add(a, b *GT) *GT {
 	e.ensure()
-	a.ensure()
-	b.ensure()
-	e.p.Mul(a.p, b.p)
+	e.p.Mul(a.point(), b.point())
 	return e
 }
 
 // Neg sets e = a^-1. In the cyclotomic subgroup inversion is conjugation.
 func (e *GT) Neg(a *GT) *GT {
 	e.ensure()
-	a.ensure()
-	e.p.Conjugate(a.p)
+	e.p.Conjugate(a.point())
 	return e
 }
 
 // Set sets e = a and returns e.
 func (e *GT) Set(a *GT) *GT {
 	e.ensure()
-	a.ensure()
-	e.p.Set(a.p)
+	e.p.Set(a.point())
 	return e
 }
 
@@ -444,27 +473,24 @@ func (e *GT) IsOne() bool { return e.p == nil || e.p.IsOne() }
 
 // Equal reports whether e and a are the same group element.
 func (e *GT) Equal(a *GT) bool {
-	e.ensure()
-	a.ensure()
-	return e.p.Equal(a.p)
+	return e.point().Equal(a.point())
 }
 
 // Marshal encodes e as 12 Fp coefficients (384 bytes), ordered from the
 // omega part's tau^2 coefficient down to the constant term.
 func (e *GT) Marshal() []byte {
-	e.ensure()
 	out := make([]byte, GTUncompressedSize)
-	coeffs := e.coeffs()
-	for i, c := range coeffs {
+	for i, c := range e.point().coeffs() {
 		c.Marshal(out[i*32 : (i+1)*32])
 	}
 	return out
 }
 
-func (e *GT) coeffs() []*gfP {
+// coeffs lists the 12 Fp coefficients in marshalling order.
+func (p *gfP12) coeffs() []*gfP {
 	return []*gfP{
-		&e.p.x.x.x, &e.p.x.x.y, &e.p.x.y.x, &e.p.x.y.y, &e.p.x.z.x, &e.p.x.z.y,
-		&e.p.y.x.x, &e.p.y.x.y, &e.p.y.y.x, &e.p.y.y.y, &e.p.y.z.x, &e.p.y.z.y,
+		&p.x.x.x, &p.x.x.y, &p.x.y.x, &p.x.y.y, &p.x.z.x, &p.x.z.y,
+		&p.y.x.x, &p.y.x.y, &p.y.y.x, &p.y.y.y, &p.y.z.x, &p.y.z.y,
 	}
 }
 
@@ -475,8 +501,7 @@ func (e *GT) Unmarshal(data []byte) error {
 		return ErrMalformedPoint
 	}
 	e.ensure()
-	coeffs := e.coeffs()
-	for i, c := range coeffs {
+	for i, c := range e.p.coeffs() {
 		if err := c.Unmarshal(data[i*32 : (i+1)*32]); err != nil {
 			return err
 		}
@@ -497,13 +522,13 @@ func (e *GT) Unmarshal(data []byte) error {
 // they never occur as the Sigma-protocol commitment R = e(g1, eps)^z with
 // z != 0 (GT has prime order n, and -1 has order 2 which does not divide n).
 func (e *GT) MarshalCompressed() ([]byte, error) {
-	e.ensure()
-	if e.p.x.IsZero() {
+	p := e.point()
+	if p.x.IsZero() {
 		return nil, errors.New("bn256: GT element with trivial omega part is not torus-compressible")
 	}
-	yInv := newGFp6().Invert(&e.p.x)
+	yInv := newGFp6().Invert(&p.x)
 	a := newGFp6().SetOne()
-	a.Add(a, &e.p.y)
+	a.Add(a, &p.y)
 	a.Mul(a, yInv)
 
 	out := make([]byte, GTCompressedSize)
@@ -554,9 +579,7 @@ func (e *GT) UnmarshalCompressed(data []byte) error {
 
 // Pair computes the optimal ate pairing e(a, b).
 func Pair(a *G1, b *G2) *GT {
-	a.ensure()
-	b.ensure()
-	return &GT{p: pair(a.p, b.p)}
+	return &GT{p: pair(a.point(), b.point())}
 }
 
 // MillerLoop returns the unreduced pairing value of (a, b). Products of
@@ -564,9 +587,7 @@ func Pair(a *G1, b *G2) *GT {
 // FinalExponentiate, which is how the verifier folds the four pairings of
 // the paper's Eq. 2 into one.
 func MillerLoop(a *G1, b *G2) *GT {
-	a.ensure()
-	b.ensure()
-	return &GT{p: miller(b.p, a.p)}
+	return &GT{p: miller(b.point(), a.point())}
 }
 
 // MillerBatch returns the product of the unreduced pairing values of all
@@ -582,15 +603,9 @@ func MillerBatch(a []*G1, b []*G2, workers int) *GT {
 	if len(a) != len(b) {
 		panic("bn256: MillerBatch length mismatch")
 	}
-	// Materialize lazy internal points before the fan-out: ensure is the
-	// only input mutation, and the same point may appear in many pairs.
-	for i := range a {
-		a[i].ensure()
-		b[i].ensure()
-	}
 	partials := make([]*gfP12, len(a))
 	parallel.For(workers, len(a), func(i int) {
-		partials[i] = miller(b[i].p, a[i].p)
+		partials[i] = miller(b[i].point(), a[i].point())
 	})
 	acc := newGFp12().SetOne()
 	for _, f := range partials {
@@ -601,8 +616,7 @@ func MillerBatch(a []*G1, b []*G2, workers int) *GT {
 
 // FinalExponentiate maps an unreduced pairing value into GT.
 func FinalExponentiate(a *GT) *GT {
-	a.ensure()
-	return &GT{p: finalExponentiationFast(a.p)}
+	return &GT{p: finalExponentiationFast(a.point())}
 }
 
 // PairingCheck reports whether the product of pairings over all pairs is the
@@ -613,9 +627,7 @@ func PairingCheck(a []*G1, b []*G2) bool {
 	}
 	acc := newGFp12().SetOne()
 	for i := range a {
-		a[i].ensure()
-		b[i].ensure()
-		acc.Mul(acc, miller(b[i].p, a[i].p))
+		acc.Mul(acc, miller(b[i].point(), a[i].point()))
 	}
 	return finalExponentiationFast(acc).IsOne()
 }

@@ -13,11 +13,14 @@
 //
 // Base-field elements are fixed [4]uint64 limbs in Montgomery form (gfp.go),
 // with Karatsuba multiplication through the Fp2/Fp6/Fp12 tower; scalars and
-// exponents remain big.Int. The Miller loop keeps its running point in
-// homogeneous projective coordinates and group operations use Jacobian
-// coordinates, so neither inverts inside a loop. G1 scalar multiplication
-// splits its scalar along the curve's endomorphism (x, y) -> (beta*x, y)
-// and runs one half-length ladder (glv.go). Correctness is pinned three
+// exponents are big.Int in every exported signature and limbs from there on
+// (scalar.go). The Miller loop keeps its running point in homogeneous
+// projective coordinates and group operations use Jacobian coordinates, so
+// neither inverts inside a loop. G1 scalar multiplication splits its scalar
+// along the curve's endomorphism (x, y) -> (beta*x, y) and runs one
+// half-length ladder (glv.go); the multi-scalar multiplication splits the
+// same way and sums its buckets in affine coordinates, one inversion per
+// round of additions (multiexp.go). Correctness is pinned three
 // ways: differential tests of the limb arithmetic against math/big, field
 // axioms and Frobenius identities at every tower level, and golden marshal
 // vectors frozen from the original big.Int implementation (wire formats are
@@ -124,6 +127,7 @@ func init() {
 	// The Montgomery-form base field underlies every derived constant
 	// below, so its own constants come first.
 	initGFp()
+	nLimbs = limbsFromBig(Order)
 
 	loopCount = new(big.Int).Mul(u, big.NewInt(6))
 	loopCount.Add(loopCount, big.NewInt(2))
@@ -175,6 +179,10 @@ func init() {
 	if !t.x.IsZero() || !t.y.Equal(&minusOne) {
 		panic("bn256: xi^((p^2-1)/2) != -1")
 	}
+
+	g1Identity = newCurvePoint().SetInfinity()
+	g2Identity = newTwistPoint().SetInfinity()
+	gtIdentity = newGFp12().SetOne()
 
 	initGenerators()
 	initGLV()

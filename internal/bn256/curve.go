@@ -12,6 +12,15 @@ type curvePoint struct {
 
 func newCurvePoint() *curvePoint { return &curvePoint{} }
 
+// affinePoint is a point of E in affine coordinates, two thirds the size of
+// a curvePoint, for the tables and scratch arrays that hold many. (0, 0) is
+// not on the curve and stands for the point at infinity.
+type affinePoint struct {
+	x, y gfP
+}
+
+func (p *affinePoint) IsInfinity() bool { return p.x.IsZero() && p.y.IsZero() }
+
 func (c *curvePoint) Set(a *curvePoint) *curvePoint {
 	*c = *a
 	return c
@@ -57,14 +66,11 @@ func (c *curvePoint) Affine() (x, y *gfP) {
 		ax, ay := c.x, c.y
 		return &ax, &ay
 	}
-	var zInv, zInv2 gfP
+	var zInv gfP
 	zInv.Invert(&c.z)
-	gfpMul(&zInv2, &zInv, &zInv)
-	x, y = new(gfP), new(gfP)
-	gfpMul(x, &c.x, &zInv2)
-	gfpMul(&zInv2, &zInv2, &zInv)
-	gfpMul(y, &c.y, &zInv2)
-	return x, y
+	ax, ay := c.x, c.y
+	jacobianToAffine(&ax, &ay, &zInv)
+	return &ax, &ay
 }
 
 // MakeAffine normalizes c in place to z = 1 (or infinity).
@@ -77,6 +83,33 @@ func (c *curvePoint) MakeAffine() *curvePoint {
 	c.y.Set(y)
 	c.z.SetOne()
 	return c
+}
+
+// makeAffineBatch normalizes every point to z = 1 (or infinity) in place, like
+// MakeAffine on each but with one field inversion shared by all of them.
+func makeAffineBatch(points []*curvePoint) {
+	var zs []gfP
+	var proj []*curvePoint
+	for _, p := range points {
+		if !p.IsInfinity() && !p.z.IsOne() {
+			zs, proj = append(zs, p.z), append(proj, p)
+		}
+	}
+	batchInvert(zs, make([]gfP, len(zs)))
+	for i, p := range proj {
+		jacobianToAffine(&p.x, &p.y, &zs[i])
+		p.z = rOne
+	}
+}
+
+// jacobianToAffine rescales the Jacobian coordinates (x, y) of a finite point
+// to affine ones, given zInv = 1/z.
+func jacobianToAffine(x, y, zInv *gfP) {
+	var zInv2 gfP
+	gfpSquare(&zInv2, zInv)
+	gfpMul(x, x, &zInv2)
+	gfpMul(&zInv2, &zInv2, zInv)
+	gfpMul(y, y, &zInv2)
 }
 
 func (c *curvePoint) Equal(a *curvePoint) bool {

@@ -3,6 +3,7 @@ package bn256
 import (
 	"bytes"
 	"crypto/rand"
+	"math/big"
 	"testing"
 )
 
@@ -96,6 +97,61 @@ func FuzzGTUnmarshalCompressed(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatal("accepted non-canonical compressed GT")
+		}
+	})
+}
+
+// FuzzMultiScalarMult drives the bucket reduction with inputs built from the
+// fuzzer's bytes and holds it to the sum of scalar multiplications. Each
+// 9-byte record is one pair: the first byte picks the point from a small
+// pool (a point, its negation, a Jacobian copy, another point, infinity, nil)
+// so that repeats and cancellations are the common case, the rest is the
+// scalar, sign-extended so that small, huge and negative ones all occur.
+func FuzzMultiScalarMult(f *testing.F) {
+	p, q := HashToG1([]byte("fuzz msm p")), HashToG1([]byte("fuzz msm q"))
+	jac := new(G1).Add(new(G1).Add(p, q), new(G1).Neg(q)) // p again, z != 1
+	pool := []*G1{p, new(G1).Neg(p), jac, q, new(G1).Neg(q), new(G1).SetInfinity(), {}}
+	rec := func(point byte, scalar uint64) []byte {
+		return append([]byte{point}, new(big.Int).SetUint64(scalar).FillBytes(make([]byte, 8))...)
+	}
+	var doubling, cancelling, mixed []byte
+	for i := 0; i < 6; i++ {
+		doubling = append(doubling, rec(0, 0x0123456789abcdef)...)
+		cancelling = append(cancelling, rec(byte(i%2), 77)...)
+		mixed = append(mixed, rec(byte(i), uint64(i)<<61|uint64(i))...)
+	}
+	f.Add(doubling)
+	f.Add(cancelling)
+	f.Add(append(cancelling, doubling...))
+	f.Add(mixed)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 9*64 {
+			data = data[:9*64]
+		}
+		var points []*G1
+		var scalars []*big.Int
+		for ; len(data) >= 9; data = data[9:] {
+			k := new(big.Int).SetBytes(data[1:9])
+			switch data[0] >> 6 {
+			case 1:
+				k.Neg(k)
+			case 2:
+				k.Mul(k, k).Mul(k, k).Mul(k, k) // up to 512 bits
+			case 3:
+				k.Sub(Order, k)
+			}
+			points = append(points, pool[int(data[0]&63)%len(pool)])
+			scalars = append(scalars, k)
+		}
+		want := new(G1).SetInfinity()
+		for i := range points {
+			want.Add(want, new(G1).ScalarMult(points[i], scalars[i]))
+		}
+		for _, workers := range []int{1, 3} {
+			if got := new(G1).MultiScalarMultParallel(points, scalars, workers); !got.Equal(want) {
+				t.Fatalf("workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", workers)
+			}
 		}
 	})
 }

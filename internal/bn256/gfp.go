@@ -580,24 +580,45 @@ func (e *gfP) Invert(a *gfP) *gfP {
 	return e
 }
 
+// batchInvert replaces every element of v, none of them zero, by its inverse
+// with one field inversion and 3(len(v)-1) multiplications (Montgomery's
+// trick). prefix is scratch of at least len(v) elements.
+func batchInvert(v, prefix []gfP) {
+	if len(v) == 0 {
+		return
+	}
+	acc := rOne
+	for i := range v {
+		prefix[i] = acc // the product of v[:i]
+		gfpMul(&acc, &acc, &v[i])
+	}
+	acc.Invert(&acc)
+	for i := len(v) - 1; i >= 0; i-- {
+		var inv gfP
+		gfpMul(&inv, &acc, &prefix[i])
+		gfpMul(&acc, &acc, &v[i])
+		v[i] = inv
+	}
+}
+
 // Exp sets e = a^k with a fixed 4-bit window: 14 multiplications build
 // a^2..a^15, then each four squarings are followed by at most one
-// multiplication (k is a non-negative canonical exponent, not a field
-// element).
+// multiplication (k is a non-negative canonical exponent below 2^256, not a
+// field element).
 func (e *gfP) Exp(a *gfP, k *big.Int) *gfP {
 	var pow [16]gfP
 	pow[1] = *a
 	for i := 2; i < 16; i++ {
 		gfpMul(&pow[i], &pow[i-1], a)
 	}
-	words := k.Bits()
+	limbs := limbsFromBig(k)
 	sum := rOne
 	for bit := (k.BitLen() - 1) &^ 3; bit >= 0; bit -= 4 {
 		gfpSquare(&sum, &sum)
 		gfpSquare(&sum, &sum)
 		gfpSquare(&sum, &sum)
 		gfpSquare(&sum, &sum)
-		if d := scalarDigit(words, bit, 4); d != 0 {
+		if d := scalarDigit(limbs[:], bit, 4); d != 0 {
 			gfpMul(&sum, &sum, &pow[d])
 		}
 	}

@@ -243,11 +243,11 @@ func triplePlusDouble(e, t, a *gfP2) {
 // cycloWindow is the digit width of CyclotomicExp.
 const cycloWindow = 4
 
-// CyclotomicExp sets e = a^k for a in the cyclotomic subgroup and k >= 0,
-// with cyclotomic squarings and signed fixed-window digits: inversion there
-// is conjugation, so a table of a^1..a^8 serves digits in [-8, 8] and a
-// 254-bit exponent costs 254 cheap squarings and ~60 multiplications
-// against the 254 + ~127 of Exp.
+// CyclotomicExp sets e = a^k for a in the cyclotomic subgroup and
+// 0 <= k < 2^256, with cyclotomic squarings and signed fixed-window digits:
+// inversion there is conjugation, so a table of a^1..a^8 serves digits in
+// [-8, 8] and a 254-bit exponent costs 254 cheap squarings and ~60
+// multiplications against the 254 + ~127 of Exp.
 func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 	var table [1 << (cycloWindow - 1)]gfP12 // table[d-1] = a^d
 	table[0] = *a
@@ -258,14 +258,14 @@ func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 			table[d].Mul(&table[d-1], a)
 		}
 	}
-	words := k.Bits()
+	limbs := limbsFromBig(k)
 	var acc, inv gfP12
 	acc.SetOne()
 	for w := (k.BitLen()+cycloWindow)/cycloWindow - 1; w >= 0; w-- {
 		for i := 0; i < cycloWindow; i++ {
 			acc.CyclotomicSquare(&acc)
 		}
-		switch d := boothDigit(words, w, cycloWindow); {
+		switch d := boothDigit(limbs[:], w, cycloWindow); {
 		case d > 0:
 			acc.Mul(&acc, &table[d-1])
 		case d < 0:

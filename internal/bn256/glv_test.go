@@ -33,16 +33,73 @@ func glvScalars(t *testing.T, count int) []*big.Int {
 	return ks
 }
 
+// glvDecomposeBig is the decomposition as PR 15 wrote it, on big.Int with
+// two exact divisions by n: the reference the limb version is held to.
+func glvDecomposeBig(k *big.Int) (k1, k2 *big.Int) {
+	halfOrder := new(big.Int).Rsh(Order, 1)
+	k1 = new(big.Int).Mod(k, Order)
+	// (k, 0) = (k*b2/n)*v1 + (k*a2/n)*v2 over the rationals.
+	c1 := new(big.Int).Mul(k1, glvB2)
+	c1.Add(c1, halfOrder).Div(c1, Order)
+	c2 := new(big.Int).Mul(k1, glvA2)
+	c2.Add(c2, halfOrder).Div(c2, Order)
+
+	t := new(big.Int)
+	k1.Sub(k1, t.Mul(c1, glvA1)).Sub(k1, t.Mul(c2, glvA2))
+	k2 = new(big.Int).Mul(c1, glvA2)
+	k2.Sub(k2, t.Mul(c2, glvB2))
+	return k1, k2
+}
+
+// TestGLVDecompose: the limb decomposition satisfies k1 + k2*lambda = k mod
+// n with both halves below 2^128 (what their type holds; the reference's
+// bound of 127 bits is checked too), and agrees with the big.Int one, on the
+// scalars at the ends of the range and around lambda and on 10^4 random ones.
+// (n-1)/2 comes last: k*b2/n is within 2^-127 of a half-integer there, closer
+// than the multipliers resolve, so it is the one input where the limb version
+// may round to the other neighbour, and only the first two properties hold.
 func TestGLVDecompose(t *testing.T) {
-	for _, k := range glvScalars(t, 1000) {
-		k1, k2 := glvDecompose(k)
-		if k1.BitLen() > 128 || k2.BitLen() > 128 {
+	ks := glvScalars(t, 10000)
+	ks = append(ks, new(big.Int).Sub(Order, glvLambda), new(big.Int).Rsh(Order, 1))
+	tie := len(ks) - 1
+	signed := func(mag [2]uint64, neg bool) *big.Int {
+		v := new(big.Int).SetUint64(mag[1])
+		v.Lsh(v, 64).Add(v, new(big.Int).SetUint64(mag[0]))
+		if neg {
+			v.Neg(v)
+		}
+		return v
+	}
+	for i, k := range ks {
+		limbs := scalarFromBig(k)
+		m1, m2, neg1, neg2 := glvDecompose(&limbs)
+		k1, k2 := signed(m1, neg1), signed(m2, neg2)
+		if k1.BitLen() > 127 || k2.BitLen() > 127 {
 			t.Fatalf("k=%v: halves of %d and %d bits", k, k1.BitLen(), k2.BitLen())
 		}
 		got := new(big.Int).Mul(k2, glvLambda)
 		got.Add(got, k1).Sub(got, k)
 		if got.Mod(got, Order).Sign() != 0 {
 			t.Fatalf("k=%v: k1 + k2*lambda = k + %v mod n", k, got)
+		}
+		if w1, w2 := glvDecomposeBig(k); i != tie && (w1.Cmp(k1) != 0 || w2.Cmp(k2) != 0) {
+			t.Fatalf("k=%v: limbs give (%v, %v), big.Int (%v, %v)", k, k1, k2, w1, w2)
+		}
+	}
+}
+
+// TestScalarFromBig: the entry reduction agrees with big.Int's Mod on
+// negative, oversized and boundary values.
+func TestScalarFromBig(t *testing.T) {
+	ks := glvScalars(t, 200)
+	for _, shift := range []uint{255, 256, 257, 300} {
+		v := new(big.Int).Lsh(big.NewInt(1), shift)
+		ks = append(ks, v, new(big.Int).Sub(v, big.NewInt(1)), new(big.Int).Neg(v))
+	}
+	for _, k := range ks {
+		want := limbsFromBig(new(big.Int).Mod(k, Order))
+		if got := scalarFromBig(k); got != want {
+			t.Fatalf("k=%v: scalarFromBig = %x, want %x", k, got, want)
 		}
 	}
 }

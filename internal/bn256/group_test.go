@@ -1,7 +1,9 @@
 package bn256
 
 import (
+	"bytes"
 	"math/big"
+	"sync"
 	"testing"
 )
 
@@ -89,6 +91,75 @@ func TestZeroValueOperands(t *testing.T) {
 	if !PairingCheck([]*G1{{}, g1}, []*G2{g2, {}}) {
 		t.Error("PairingCheck: pairs with a zero-value side are not trivial")
 	}
+}
+
+// TestZeroValueOperandsShared: operands are read, never written, so one zero
+// value may be an operand on any number of goroutines at once. Under -race
+// this is the test that fails if a method materializes an operand the way
+// ensure materializes a receiver; without -race it still checks that the
+// shared values come back untouched.
+func TestZeroValueOperandsShared(t *testing.T) {
+	k := big.NewInt(7)
+	g1, g2 := GenG1(), GenG2()
+	gt := Pair(g1, g2)
+	var z1 G1
+	var z2 G2
+	var zt GT
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok := new(G1).Add(g1, &z1).Equal(g1) && new(G1).Neg(&z1).Equal(&z1) &&
+				new(G1).Set(&z1).IsInfinity() && new(G1).ScalarMult(&z1, k).IsInfinity() &&
+				new(G1).MultiScalarMult([]*G1{&z1, g1}, []*big.Int{k, k}).Equal(new(G1).ScalarMult(g1, k)) &&
+				len(z1.Marshal()) == G1UncompressedSize
+			ok = ok && new(G2).Add(g2, &z2).Equal(g2) && new(G2).Neg(&z2).Equal(&z2) &&
+				new(G2).Set(&z2).IsInfinity() && new(G2).ScalarMult(&z2, k).IsInfinity()
+			ok = ok && new(GT).Add(gt, &zt).Equal(gt) && new(GT).Neg(&zt).Equal(&zt) &&
+				new(GT).Set(&zt).IsOne() && new(GT).ScalarMult(&zt, k).IsOne() &&
+				len(zt.Marshal()) == GTUncompressedSize
+			ok = ok && Pair(&z1, g2).IsOne() && MillerLoop(g1, &z2).IsOne() &&
+				MillerBatch([]*G1{&z1, g1}, []*G2{g2, &z2}, 2).IsOne() &&
+				PairingCheck([]*G1{&z1}, []*G2{&z2}) && FinalExponentiate(&zt).IsOne()
+			if !ok {
+				t.Error("a zero-value operand is not the identity")
+			}
+		}()
+	}
+	wg.Wait()
+	if z1.p != nil || z2.p != nil || zt.p != nil {
+		t.Error("a zero-value operand was materialized")
+	}
+}
+
+// TestNormalizeG1: the points come back affine inside and unchanged outside,
+// infinity and the zero value included.
+func TestNormalizeG1(t *testing.T) {
+	points := []*G1{
+		new(G1).ScalarBaseMult(big.NewInt(1<<20 + 5)),
+		{},
+		new(G1).Add(HashToG1([]byte("normalize")), GenG1()),
+		new(G1).SetInfinity(),
+		HashToG1([]byte("already affine")),
+	}
+	var want [][]byte
+	for _, p := range points {
+		want = append(want, p.Marshal())
+	}
+	if points[0].p.z.IsOne() || points[2].p.z.IsOne() {
+		t.Fatal("no Jacobian point among the inputs")
+	}
+	NormalizeG1(points)
+	for i, p := range points {
+		if !bytes.Equal(p.Marshal(), want[i]) {
+			t.Errorf("point %d changed value", i)
+		}
+		if p.p != nil && !p.p.IsInfinity() && !p.p.z.IsOne() {
+			t.Errorf("point %d is still Jacobian", i)
+		}
+	}
+	NormalizeG1(nil)
 }
 
 // TestScalarConventionsAgree holds every scalar multiplication in the

@@ -50,14 +50,17 @@ func TestMultiScalarMultEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMultiScalarMultDifferential holds Pippenger to the sum of independent
-// scalar multiplications on the inputs its bucket logic can get wrong: affine
-// and Jacobian points mixed (the latter are normalized together), infinity
-// with a non-zero scalar, a repeated point so that a bucket adds P to P, P
-// and -P with the same scalar so that a bucket adds P to -P, zero scalars,
-// scalars at and above the group order, and small scalars (narrow windows,
-// all-equal digits).
-func TestMultiScalarMultDifferential(t *testing.T) {
+// msmHardInputs builds n point/scalar pairs that between them take every
+// branch of the bucket reduction, padded with random pairs (half of them
+// Jacobian, so the shared normalization runs too): one point several times
+// with one scalar, so that a segment adds P to P in every window and then the
+// doubled points to each other; P and -P with one scalar, so that a pair
+// cancels to infinity mid-reduction and later rounds add into that bucket;
+// the same again under small scalars, where all of it lands in one or two
+// buckets; infinity, the zero G1 and a G1 with a nil pointer among live
+// entries; zero scalars, scalars at and above the group order, negative ones.
+func msmHardInputs(t testing.TB, n int) ([]*G1, []*big.Int) {
+	t.Helper()
 	affine := func(p *G1) *G1 {
 		var q G1
 		if err := q.Unmarshal(p.Marshal()); err != nil {
@@ -82,11 +85,14 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 		points = append(points, p)
 		scalars = append(scalars, s)
 	}
+	add(jac, same)
+	add(new(G1).Neg(jac), same) // P + (-P): the first two cancel alone when n = 2
 	add(aff, same)
 	add(affine(aff), same) // P + P in one bucket, every window
-	add(jac, same)
-	add(new(G1).Neg(jac), same)          // P + (-P), Jacobian
-	add(new(G1).Neg(affine(jac)), rnd()) // and a lone negated affine copy
+	add(aff, same)
+	add(jac, same) // more into the bucket the first pair emptied
+	add(affine(jac), same)
+	add(new(G1).Neg(affine(jac)), rnd()) // a lone negated affine copy
 	add(new(G1).SetInfinity(), rnd())
 	add(&G1{}, rnd())
 	add(aff, new(big.Int))
@@ -94,38 +100,108 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 	add(aff, new(big.Int).Add(Order, big.NewInt(7)))
 	add(jac, new(big.Int).Sub(Order, big.NewInt(1)))
 	add(aff, big.NewInt(-5))
-	for i := 0; i < 40; i++ {
+	add(jac, new(big.Int).Lsh(same, 70)) // wider than 256 bits
+	for _, small := range []int64{1, 1, 2, 3, 3, 3} {
+		add(aff, big.NewInt(small))
+		add(new(G1).Neg(aff), big.NewInt(small))
+		add(jac, big.NewInt(small))
+	}
+	for i := 0; len(points) < n; i++ {
 		_, p, _ := RandomG1(rand.Reader)
 		if i%2 == 0 {
 			p = affine(p)
 		}
 		add(p, rnd())
 	}
+	return points[:n], scalars[:n]
+}
 
-	check := func(name string, points []*G1, scalars []*big.Int) {
-		t.Helper()
-		want := new(G1).SetInfinity()
-		for i := range points {
-			want.Add(want, new(G1).ScalarMult(points[i], scalars[i]))
+// msmNaive is the sum of independent scalar multiplications; the first few
+// run on the unreduced double-and-add ladder, so the reference does not rest
+// on the GLV decomposition the multi-scalar multiplication shares.
+func msmNaive(points []*G1, scalars []*big.Int) *G1 {
+	want := new(G1).SetInfinity()
+	for i := range points {
+		term := new(G1).ScalarMult(points[i], scalars[i])
+		if i < 6 && points[i].p != nil {
+			term.p.Mul(points[i].p, new(big.Int).Mod(scalars[i], Order))
 		}
-		for _, workers := range []int{1, 2} {
+		want.Add(want, term)
+	}
+	return want
+}
+
+// TestMultiScalarMultDifferential holds the multi-scalar multiplication to
+// msmNaive at every size the system sends and the ones around the group
+// sizing rule, at several worker counts, on msmHardInputs.
+func TestMultiScalarMultDifferential(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 8, 49, 300, 1200}
+	if testing.Short() {
+		sizes = []int{0, 1, 2, 3, 8, 49, 300}
+	}
+	for _, n := range sizes {
+		points, scalars := msmHardInputs(t, n)
+		want := msmNaive(points, scalars)
+		for _, workers := range []int{1, 2, 4} {
 			if got := new(G1).MultiScalarMultParallel(points, scalars, workers); !got.Equal(want) {
-				t.Errorf("%s, workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", name, workers)
+				t.Errorf("n=%d, workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", n, workers)
 			}
 			got, err := new(G1).MultiScalarMultCtx(context.Background(), points, scalars, workers)
 			if err != nil || !got.Equal(want) {
-				t.Errorf("%s, workers=%d: MultiScalarMultCtx = (%v, %v)", name, workers, got, err)
+				t.Errorf("n=%d, workers=%d: MultiScalarMultCtx = (%v, %v)", n, workers, got, err)
 			}
 		}
 	}
-	check("mixed inputs", points, scalars)
-	check("pair cancelling to infinity", points[2:4], scalars[2:4])
 
-	small := make([]*big.Int, len(points))
-	for i := range small {
-		small[i] = big.NewInt(int64(i%4 + 1))
+	// All-zero scalars, and small ones everywhere (narrow windows, every
+	// entry in the same few buckets).
+	points, _ := msmHardInputs(t, 40)
+	zeros, small := make([]*big.Int, len(points)), make([]*big.Int, len(points))
+	for i := range points {
+		zeros[i], small[i] = new(big.Int), big.NewInt(int64(i%4+1))
 	}
-	check("small scalars", points, small)
+	if !new(G1).MultiScalarMult(points, zeros).IsInfinity() {
+		t.Error("all-zero scalars: not infinity")
+	}
+	if !new(G1).MultiScalarMult(points, small).Equal(msmNaive(points, small)) {
+		t.Error("small scalars: MultiScalarMult disagrees with the sum of ScalarMults")
+	}
+}
+
+// TestMultiScalarMultLeavesInputsAlone: the inputs -- shared by every prover
+// of a file -- come back bit for bit, Jacobian ones included.
+func TestMultiScalarMultLeavesInputsAlone(t *testing.T) {
+	points, scalars := msmHardInputs(t, 60)
+	before := make([]curvePoint, len(points))
+	for i, p := range points {
+		if p.p != nil {
+			before[i] = *p.p
+		}
+	}
+	new(G1).MultiScalarMultParallel(points, scalars, 2)
+	for i, p := range points {
+		if p.p != nil && *p.p != before[i] {
+			t.Fatalf("point %d was written to", i)
+		}
+	}
+	if points[9].p != nil {
+		t.Fatal("the zero G1 was materialized")
+	}
+}
+
+// TestMultiScalarMultAllocs: scalars are limbs from the entry on and the
+// bucket scratch is pooled, so a 300-point multiplication allocates a
+// handful of slices, not one big.Int (or more) per scalar.
+func TestMultiScalarMultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	points, _, scalars := randomPairs(t, 300)
+	var e G1
+	e.MultiScalarMult(points, scalars) // warm the pool
+	if allocs := testing.AllocsPerRun(10, func() { e.MultiScalarMult(points, scalars) }); allocs > 8 {
+		t.Fatalf("300-point MultiScalarMult allocates %.0f times, want <= 8", allocs)
+	}
 }
 
 // TestMultiScalarMultCtxCanceled: a context that is already done, or is
@@ -185,8 +261,13 @@ func BenchmarkScalarMultG1(b *testing.B) {
 	}
 }
 
-func BenchmarkMultiScalarMult300(b *testing.B) {
-	const k = 300
+// The three sizes the workloads send: the tiny proofs of the fleets, psi over
+// the s-1 = 49 powers, and sigma / chi over the k = 300 challenged chunks.
+func BenchmarkMultiScalarMult8(b *testing.B)   { benchmarkMultiScalarMult(b, 8) }
+func BenchmarkMultiScalarMult49(b *testing.B)  { benchmarkMultiScalarMult(b, 49) }
+func BenchmarkMultiScalarMult300(b *testing.B) { benchmarkMultiScalarMult(b, 300) }
+
+func benchmarkMultiScalarMult(b *testing.B, k int) {
 	points := make([]*G1, k)
 	scalars := make([]*big.Int, k)
 	for i := 0; i < k; i++ {

@@ -69,10 +69,10 @@ func (c *Chain) SubscribeFrom(after uint64) *Subscription {
 		c.subs = make(map[uint64]*Subscription)
 	}
 	c.subs[s.id] = s
-	go s.pump()
 	if len(s.queue) > 0 {
-		s.wake <- struct{}{}
+		s.wake <- struct{}{} // buffered; before pump starts, which owns the queue from then on
 	}
+	go s.pump()
 	return s
 }
 

@@ -101,6 +101,9 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 		pub.Powers[j] = new(bn256.G1).ScalarBaseMult(aj)
 		aj = ff.Mul(aj, alpha)
 	}
+	// Every Marshal and every prover's psi reads the powers: affine once,
+	// here, instead of one inversion per point per use.
+	bn256.NormalizeG1(pub.Powers)
 	pub.EG1Eps = bn256.Pair(bn256.GenG1(), pub.Epsilon)
 
 	return &PrivateKey{X: x, Alpha: alpha, Pub: pub}, nil

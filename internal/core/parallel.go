@@ -21,11 +21,16 @@ func SetupParallel(sk *PrivateKey, ef *EncodedFile, workers int) ([]*Authenticat
 			ErrBadParameters, ef.S, sk.Pub.S)
 	}
 	auths := make([]*Authenticator, ef.NumChunks())
+	sigmas := make([]*bn256.G1, len(auths))
 	parallel.For(workers, len(auths), func(i int) {
 		mAlpha := ef.Chunks[i].Eval(sk.Alpha)
 		base := new(bn256.G1).ScalarBaseMult(mAlpha)
 		base.Add(base, sk.Pub.blockTag(i))
-		auths[i] = &Authenticator{Index: i, Sigma: base.ScalarMult(base, sk.X)}
+		sigmas[i] = base.ScalarMult(base, sk.X)
+		auths[i] = &Authenticator{Index: i, Sigma: sigmas[i]}
 	})
+	// The authenticators are marshalled for every holder and multiplied in
+	// every audit round: affine once, here, with one shared inversion.
+	bn256.NormalizeG1(sigmas)
 	return auths, nil
 }
