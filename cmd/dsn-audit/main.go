@@ -37,7 +37,7 @@
 //	-remote list     comma-separated provider server addresses; one engagement each
 //	-call-timeout d  per-request deadline against remote providers (default 60s)
 //	-retries int     re-dial attempts per remote request (default 2)
-//	-state dir       durable local mode: persist journal/spill/resume inputs here
+//	-state dir       durable local mode: persist journal and resume inputs here
 //	-tick-delay d    pause per scheduler tick (crash-testing aid; needs -state)
 //
 // Exit status: 0 when every audit round passes, 1 when any round fails
@@ -163,7 +163,7 @@ func runAudit(ctx context.Context, args []string) int {
 		remotes     = fs.String("remote", "", "comma-separated provider server addresses (enables remote mode)")
 		callTimeout = fs.Duration("call-timeout", 60*time.Second, "per-request deadline against remote providers")
 		retries     = fs.Int("retries", 2, "re-dial attempts per remote request")
-		stateDir    = fs.String("state", "", "directory for durable state (journal, spill, resume inputs); local mode only")
+		stateDir    = fs.String("state", "", "directory for durable state (journal, resume inputs); local mode only")
 		tickDelay   = fs.Duration("tick-delay", 0, "pause per scheduler tick (testing aid; needs -state)")
 		metricsAddr = fs.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address (host:port; \"\" = off)")
 		traceFile   = fs.String("trace", "", "write per-engagement trace events to this JSONL file")

@@ -2,9 +2,8 @@
 //
 // With -state DIR the local audit mode becomes crash-safe: the world's
 // reconstruction inputs (beacon seed, owner keys, data, audit state) are
-// persisted under DIR before the first round, the provider's audit state
-// lives in a disk-backed spill store, and the scheduler journals every
-// decision to DIR/journal. If the process dies — kill -9 included —
+// persisted under DIR before the first round and the scheduler journals
+// every decision to DIR/journal. If the process dies — kill -9 included —
 //
 //	dsn-audit resume -state DIR
 //
@@ -63,9 +62,7 @@ const (
 	stateDataName   = "data.bin"
 	stateAuditName  = "audit.state"
 	stateJournalDir = "journal"
-	stateSpillDir   = "spill"
 
-	stateSpillWindow    = 8
 	stateJournalShards  = 4
 	stateCheckpointTick = 4
 )
@@ -118,9 +115,8 @@ func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey, da
 }
 
 // runDurableLocalAudit is the -state variant of runLocalAudit: the same
-// single in-process engagement, but driven through the journaled scheduler
-// with the provider's audit state in a disk spill store, so a killed
-// process can be resumed. Returns the number of failed rounds.
+// single in-process engagement, but driven through the journaled scheduler,
+// so a killed process can be resumed. Returns the number of failed rounds.
 func runDurableLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte, funds *big.Int) (int, error) {
 	wc := worldConfig{
 		Seed: cfg.seed, ChunkSize: cfg.chunkSize, K: cfg.k,
@@ -131,21 +127,8 @@ func runDurableLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsn
 	}
 	fmt.Printf("state persisted under %s\n", cfg.stateDir)
 
-	holder := sf.Holders[0]
-	spill, err := sched.NewSpillStore(filepath.Join(cfg.stateDir, stateSpillDir), stateSpillWindow)
+	eng, err := owner.Engage(sf, sf.Holders[0], terms)
 	if err != nil {
-		return 0, err
-	}
-	spill.Instrument(cfg.obs.reg)
-	// The swap must precede Engage so the shipped audit state lands (and
-	// spills) in the durable store.
-	holder.SetProverStore(spill)
-
-	eng, err := owner.Engage(sf, holder, terms)
-	if err != nil {
-		return 0, err
-	}
-	if err := spill.Flush(); err != nil {
 		return 0, err
 	}
 	fmt.Printf("contract %s live; on-chain key: %d bytes\n\n", eng.Contract.Addr, eng.Contract.StoredKeyBytes())
@@ -324,12 +307,6 @@ func runResume(ctx context.Context, args []string) int {
 	for i, share := range shares {
 		holders[i].Store.Put(man.ShareKeys[i], share)
 	}
-	spill, err := sched.NewSpillStore(filepath.Join(*stateDir, stateSpillDir), stateSpillWindow)
-	if err != nil {
-		return fail(err)
-	}
-	spill.Instrument(co.reg)
-	holders[0].SetProverStore(spill)
 	sf := &dsnaudit.StoredFile{Manifest: man, Encoded: ef, Auths: auths, Holders: holders}
 	terms := dsnaudit.DefaultTerms(cfg.Rounds)
 	terms.ChallengeSize = cfg.K

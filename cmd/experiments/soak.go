@@ -23,7 +23,8 @@ import (
 //   - per-tick latency does not grow as the run progresses (flatness),
 //   - doubling the population at constant due/tick does not grow tick
 //     latency past the scaling threshold (O(due), not O(total)),
-//   - peak heap stays under a ceiling sized to the hydration window.
+//   - peak heap stays under a ceiling sized to the hydration window,
+//   - the spill store wrote one record per engagement (paging writes nothing).
 func runSoak(ctx *expCtx) error {
 	type sizing struct {
 		label       string
@@ -130,6 +131,11 @@ func runSoak(ctx *expCtx) error {
 			failures = append(failures, fmt.Sprintf(
 				"%s: heap peak %d MB exceeds the %d MB ceiling",
 				sizes[i].label, rep.HeapPeak>>20, heapCeiling>>20))
+		}
+		if rep.Spill.Spills != uint64(rep.Engagements) {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d spill records for %d engagements: a record was written more than once",
+				sizes[i].label, rep.Spill.Spills, rep.Engagements))
 		}
 	}
 	small, large := reports[0].BusyMedian(), reports[1].BusyMedian()

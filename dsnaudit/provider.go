@@ -63,9 +63,14 @@ type RepairPeer interface {
 
 // ProverStore is where a provider node keeps per-contract audit state. The
 // default is an in-memory map; a spill-backed store (dsnaudit/sched's
-// SpillStore) keeps only a hydration window of provers resident and pages
-// the rest to disk, which is what bounds a node's memory at planetary
+// SpillStore) keeps only a hydration window of provers resident and reads
+// the rest back from disk, which is what bounds a node's memory at planetary
 // engagement counts. Implementations must be safe for concurrent use.
+//
+// Audit state is immutable once put: a store never writes a prover back,
+// and GetProver may return the prover that was put or a fresh decode of it,
+// so a change made to a returned prover lasts only while the store keeps
+// that copy. To change a contract's state for good, put it again.
 type ProverStore interface {
 	// PutProver installs (or replaces) the audit state for a contract.
 	PutProver(contractAddr chain.Address, p *core.Prover) error
@@ -195,8 +200,8 @@ func (p *ProviderNode) AcceptAuditData(ctx context.Context, contractAddr chain.A
 // InstallAuditState stores audit state without the authenticator-sample
 // validation AcceptAuditData performs and without cloning the inputs. It
 // exists for scale harnesses (the soak experiment installs 100k+ states and
-// cannot afford a pairing check per engagement) and for rehydration paths
-// where the state was already validated before it was spilled. Real
+// cannot afford a pairing check per engagement) and for re-installing state
+// that was validated before (fault injection against a paging store). Real
 // engagements go through AcceptAuditData.
 func (p *ProviderNode) InstallAuditState(contractAddr chain.Address, pk *core.PublicKey, ef *core.EncodedFile, auths []*core.Authenticator) error {
 	prover, err := core.NewProver(pk, ef, auths)
@@ -276,7 +281,10 @@ func (p *ProviderNode) PutShare(ctx context.Context, key string, data []byte) er
 
 // Prover exposes the provider's audit state for a contract (experiments
 // need it to inject corruption). A store that fails to answer (e.g. a
-// corrupt spill record) reads as "no state".
+// corrupt spill record) reads as "no state". Corrupting the prover's File
+// in place sticks with the default map store; a paging store may hand out a
+// fresh decode next time (see ProverStore), so fault injection meant to
+// outlive residency re-installs the corrupted state (InstallAuditState).
 func (p *ProviderNode) Prover(contractAddr chain.Address) (*core.Prover, bool) {
 	pr, ok, err := p.provers.GetProver(contractAddr)
 	if err != nil {

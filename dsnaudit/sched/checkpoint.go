@@ -153,16 +153,21 @@ func decodeCheckpoint(data []byte, path string) (*checkpointData, error) {
 		c.offsets[i] = int64(binary.BigEndian.Uint64(p))
 		p = p[8:]
 	}
+	// An entry's fixed fields, its address and error text being empty.
+	const entryMin = 2 + 8 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 1 + 2
 	n := int(binary.BigEndian.Uint32(p))
 	p = p[4:]
+	if n < 0 || n > len(p)/entryMin {
+		return corrupt("bad entry count")
+	}
 	c.entries = make([]checkpointEntry, 0, n)
 	for i := 0; i < n; i++ {
-		if len(p) < 2 {
+		if len(p) < entryMin {
 			return corrupt("truncated entry")
 		}
 		alen := int(binary.BigEndian.Uint16(p))
 		p = p[2:]
-		if len(p) < alen+8+4+4+4+4+4+1+4+8+1+2 {
+		if len(p) < alen+entryMin-2 {
 			return corrupt("truncated entry")
 		}
 		var e checkpointEntry

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"testing"
@@ -223,5 +225,44 @@ func FuzzJournalRecord(f *testing.F) {
 			t.Fatalf("scan error %v is not typed corruption", err)
 		}
 		_ = recs
+	})
+}
+
+// FuzzDecodeCheckpoint feeds the checkpoint decoder arbitrary bytes: it must
+// never panic or size an allocation from a field it has not checked against
+// the input, every rejection must be typed corruption, and an accepted
+// checkpoint must re-encode to the bytes it was decoded from. The file is
+// sealed by a trailing sha256 no mutator gets past, so with reseal set the
+// harness recomputes it and the structural checks behind it are reached too.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	valid := encodeCheckpoint(sampleCheckpoint())
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x08
+	// An entry count far past what the remaining bytes could hold.
+	overcount := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(overcount[len(checkpointMagic)+20+8*2:], 0xffffffff)
+	f.Add(valid, false)
+	f.Add(valid[:len(valid)-9], false)
+	f.Add(flipped, false)
+	f.Add(append([]byte(nil), checkpointMagic...), false)
+	f.Add(flipped, true)
+	f.Add(overcount, true)
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal && len(data) >= sha256.Size {
+			data = append([]byte(nil), data...)
+			body := data[:len(data)-sha256.Size]
+			sum := sha256.Sum256(body)
+			copy(data[len(body):], sum[:])
+		}
+		c, err := decodeCheckpoint(data, "fuzz")
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("rejection %v is not typed corruption", err)
+			}
+			return
+		}
+		if !bytes.Equal(encodeCheckpoint(c), data) {
+			t.Fatalf("accepted checkpoint does not re-encode to its input: %+v", c)
+		}
 	})
 }

@@ -30,8 +30,6 @@ type SoakConfig struct {
 	Parallelism int    // settlement parallelism (default GOMAXPROCS)
 	SpillDir    string // audit-state spill directory; "" keeps everything resident
 	SpillWindow int    // hydrated provers kept resident when spilling (default 1024)
-	AuditBytes  int    // audited payload per engagement (default 1024)
-	SampleEvery int    // heap-sample cadence in ticks (default 32)
 	Seed        string // beacon seed (default "soak")
 
 	// JournalDir, when set, runs the soak with the durability journal
@@ -42,11 +40,6 @@ type SoakConfig struct {
 	CheckpointEvery   int // checkpoint cadence in ticks when journaling (default 64)
 	JournalShards     int // journal shard files (default 4 — every barrier fsync pays per shard)
 	JournalFlushEvery int // journal synced-flush cadence in ticks (default 64)
-
-	// RegisterBatch is how many registrations share one setup block
-	// (default 8192). Larger batches speed up the deploy phase at scale;
-	// height drift stays a handful of blocks against the stagger window.
-	RegisterBatch int
 
 	// Registry, when set, instruments the whole soak — scheduler, journal,
 	// spill store and chain all register their metric families on it — so
@@ -80,12 +73,6 @@ func (c *SoakConfig) applyDefaults() {
 	if c.SpillWindow <= 0 {
 		c.SpillWindow = 1024
 	}
-	if c.AuditBytes <= 0 {
-		c.AuditBytes = 1024
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 32
-	}
 	if c.Seed == "" {
 		c.Seed = "soak"
 	}
@@ -94,9 +81,6 @@ func (c *SoakConfig) applyDefaults() {
 	}
 	if c.JournalFlushEvery <= 0 {
 		c.JournalFlushEvery = 64
-	}
-	if c.RegisterBatch <= 0 {
-		c.RegisterBatch = 8192
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -140,9 +124,18 @@ func (r *SoakReport) BusyMedian() time.Duration {
 	return s[len(s)/2]
 }
 
-// soakVerifyGas is the modeled settlement gas; its exact value only feeds
-// the chain's accounting, which the soak does not assert on.
-const soakVerifyGas = 563_000
+const (
+	// soakVerifyGas is the modeled settlement gas; its exact value only feeds
+	// the chain's accounting, which the soak does not assert on.
+	soakVerifyGas = 563_000
+
+	soakAuditBytes  = 1024 // audited payload per engagement
+	soakSampleEvery = 32   // heap-sample cadence in ticks
+	// soakRegisterBatch registrations share one setup block: large batches
+	// speed up the deploy phase at scale, and height drift stays a handful
+	// of blocks against the stagger window.
+	soakRegisterBatch = 8192
+)
 
 // soakResponder answers challenges with canned proof bytes after touching
 // the provider's audit state. The touch is the point: every challenge
@@ -208,7 +201,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	// One shared audit state: the population differs in contracts and
 	// triggers, not in bytes.
-	data := make([]byte, cfg.AuditBytes)
+	data := make([]byte, soakAuditBytes)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
@@ -284,7 +277,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		}
 		// Drain the setup transaction burst; height drift is a handful of
 		// blocks against a stagger window of hundreds.
-		if i%cfg.RegisterBatch == cfg.RegisterBatch-1 {
+		if i%soakRegisterBatch == soakRegisterBatch-1 {
 			net.Chain.MineBlock()
 		}
 	}
@@ -312,7 +305,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			latencies = append(latencies, now.Sub(lastTick))
 		}
 		lastTick = now
-		if len(latencies)%cfg.SampleEvery == 0 {
+		if len(latencies)%soakSampleEvery == 0 {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			if ms.HeapAlloc > heapPeak {

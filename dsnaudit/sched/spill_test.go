@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -75,11 +76,11 @@ func newProverOrDie(t testing.TB, pk *core.PublicKey, ef *core.EncodedFile, auth
 // TestSpillStoreLRUAndRehydrate pins the paging contract: the resident set
 // never exceeds the window, spilled provers come back, and a rehydrated
 // prover produces byte-identical proofs to one that never left memory. One
-// shard and a batch of one reproduce the original unsharded store's exact
-// LRU and write-per-eviction behavior.
+// shard makes the LRU order exact.
 func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "lru", 600)
-	store, err := newSpillStore(t.TempDir(), 2, 1, 1)
+	dir := t.TempDir()
+	store, err := newSpillStore(dir, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,41 +94,26 @@ func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 	if st.Resident != 2 {
 		t.Fatalf("resident = %d, want window 2", st.Resident)
 	}
-	if st.Spills != 2 {
-		t.Fatalf("spills = %d, want 2", st.Spills)
+	if st.Spills != 4 {
+		t.Fatalf("spills = %d, want one per put (4)", st.Spills)
 	}
 	if st.ResidentPeak > 3 {
 		t.Fatalf("resident peak %d exceeds window+1", st.ResidentPeak)
 	}
 
-	// The least-recently-used entries (a, b) were spilled; getting one back
+	// The least-recently-used entries (a, b) were evicted; getting one back
 	// must rehydrate, evicting another to keep the window.
 	ch, err := core.NewChallenge(4, newDetReader("lru-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths)).ProvePrivate(ch, nil, newDetReader("lru-entropy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes, err := reference.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	refBytes := proofBytes(t, newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths)), ch)
 	for _, a := range addrs {
 		p, ok, err := store.GetProver(a)
 		if err != nil || !ok {
 			t.Fatalf("GetProver(%s) = ok=%v, err=%v", a, ok, err)
 		}
-		proof, err := p.ProvePrivate(ch, nil, newDetReader("lru-entropy"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := proof.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, refBytes) {
+		if !bytes.Equal(proofBytes(t, p, ch), refBytes) {
 			t.Fatalf("prover %s diverged after spill round trip", a)
 		}
 	}
@@ -144,59 +130,251 @@ func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 	if _, ok, err := store.GetProver(addrs[0]); ok || err != nil {
 		t.Fatalf("deleted prover still answers: ok=%v err=%v", ok, err)
 	}
-	left, err := filepath.Glob(filepath.Join(storeDir(store), "shard-*", "*.state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
+	if left := segmentFiles(t, dir); len(left) != 0 {
 		t.Fatalf("%d spill files left after deleting everything", len(left))
 	}
 }
 
-func storeDir(s *SpillStore) string { return s.dir }
-
-// TestSpillStoreBatchedEviction pins the batched write-out path: evictions
-// park in the pending set without touching disk, a Get promotes a pending
-// prover back with no disk I/O, and Flush commits what remains.
-func TestSpillStoreBatchedEviction(t *testing.T) {
-	sk, ef, auths := spillFixture(t, "batch", 600)
-	dir := t.TempDir()
-	store, err := newSpillStore(dir, 2, 1, 4)
+// segmentFiles lists the store's segment files, sorted.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.state"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := []chain.Address{"audit:a", "audit:b", "audit:c", "audit:d"}
+	sort.Strings(files)
+	return files
+}
+
+// proofBytes proves ch with fixed entropy, so equal audit state yields equal
+// bytes.
+func proofBytes(t *testing.T, p *core.Prover, ch *core.Challenge) []byte {
+	t.Helper()
+	proof, err := p.ProvePrivate(ch, nil, newDetReader("proof-entropy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := proof.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSpillStoreWriteOnce pins the write-once contract: a record is written
+// when its prover is put and never again, however often the prover is evicted
+// and decoded back, and what comes back proves like state that never left
+// memory.
+func TestSpillStoreWriteOnce(t *testing.T) {
+	sk, ef, auths := spillFixture(t, "once", 600)
+	dir := t.TempDir()
+	store, err := NewSpillStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 12
+	addr := func(i int) chain.Address { return chain.Address(fmt.Sprintf("audit:once-%d", i)) }
+	for i := 0; i < keys; i++ {
+		if err := store.PutProver(addr(i), newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := store.Stats(); st.Spills != keys {
+		t.Fatalf("spills = %d after %d puts, want one each", st.Spills, keys)
+	}
+	snapshot := func() map[string][]byte {
+		files := make(map[string][]byte)
+		for _, path := range segmentFiles(t, dir) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[path] = data
+		}
+		return files
+	}
+	before := snapshot()
+	ch, err := core.NewChallenge(4, newDetReader("once-chal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBytes := proofBytes(t, newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths)), ch)
+	for sweep := 0; sweep < 3; sweep++ {
+		for i := 0; i < keys; i++ {
+			p, ok, err := store.GetProver(addr(i))
+			if err != nil || !ok {
+				t.Fatalf("sweep %d: GetProver(%s): ok=%v err=%v", sweep, addr(i), ok, err)
+			}
+			if !bytes.Equal(proofBytes(t, p, ch), refBytes) {
+				t.Fatalf("sweep %d: prover %s diverged from the never-spilled reference", sweep, addr(i))
+			}
+		}
+		after := snapshot()
+		if len(after) != len(before) {
+			t.Fatalf("sweep %d: %d segment files, %d before it", sweep, len(after), len(before))
+		}
+		for path, data := range before {
+			if !bytes.Equal(after[path], data) {
+				t.Fatalf("sweep %d rewrote %s", sweep, path)
+			}
+		}
+	}
+	st := store.Stats()
+	if st.Spills != keys {
+		t.Fatalf("spills = %d after three sweeps, want still %d", st.Spills, keys)
+	}
+	if st.Hydrates < 30 {
+		t.Fatalf("hydrates = %d over 36 gets through a window of 2, want >= 30", st.Hydrates)
+	}
+}
+
+// TestSpillStoreReplace pins replacement: a second PutProver on one address
+// serves the second state and releases the first one's record.
+func TestSpillStoreReplace(t *testing.T) {
+	sk1, ef1, auths1 := spillFixture(t, "replace-1", 400)
+	sk2, ef2, auths2 := spillFixture(t, "replace-2", 400)
+	dir := t.TempDir()
+	store, err := newSpillStore(dir, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.segBytes = 1 // every record gets a segment of its own
+	if err := store.PutProver("audit:r", newProverOrDie(t, sk1.Pub, ef1, auths1)); err != nil {
+		t.Fatal(err)
+	}
+	first := segmentFiles(t, dir)
+	if err := store.PutProver("audit:r", newProverOrDie(t, sk2.Pub, ef2.Clone(), core.CloneAuthenticators(auths2))); err != nil {
+		t.Fatal(err)
+	}
+	files := segmentFiles(t, dir)
+	if len(first) != 1 || len(files) != 1 || files[0] == first[0] {
+		t.Fatalf("segments %v -> %v, want the first record's file replaced by the second's", first, files)
+	}
+	if st := store.Stats(); st.Spills != 2 || st.Segments != 1 || st.Resident != 1 {
+		t.Fatalf("stats after a replacement = %+v, want 2 spills, 1 segment, 1 resident", st)
+	}
+	// Push the replacement out of the window so the answer comes from disk.
+	if err := store.PutProver("audit:other", newProverOrDie(t, sk1.Pub, ef1.Clone(), core.CloneAuthenticators(auths1))); err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := store.GetProver("audit:r")
+	if err != nil || !ok {
+		t.Fatalf("GetProver after replacement: ok=%v err=%v", ok, err)
+	}
+	ch, err := core.NewChallenge(3, newDetReader("replace-chal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(proofBytes(t, p, ch), proofBytes(t, newProverOrDie(t, sk2.Pub, ef2, auths2), ch)) {
+		t.Fatal("replaced address does not serve the second state")
+	}
+}
+
+// TestSpillStoreSegmentRollover pins the segment life cycle: appends share a
+// file up to the roll size, every record stays readable across files, a file
+// goes when its last record is deleted, and deleting everything leaves no
+// segment behind.
+func TestSpillStoreSegmentRollover(t *testing.T) {
+	sk, ef, auths := spillFixture(t, "roll", 400)
+	record, err := core.MarshalAuditState(ef, auths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := newSpillStore(dir, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.segBytes = 2 * int64(len(record)) // two records to a segment
+	addrs := []chain.Address{"audit:0", "audit:1", "audit:2", "audit:3", "audit:4"}
 	for _, a := range addrs {
 		if err := store.PutProver(a, newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Two evictions happened (a, b) but the batch of 4 is not full: nothing
-	// on disk yet, nothing counted as spilled.
-	if st := store.Stats(); st.Spills != 0 {
-		t.Fatalf("spills = %d before the batch fills, want 0", st.Spills)
+	files := segmentFiles(t, dir)
+	if len(files) != 3 || store.Stats().Segments != 3 {
+		t.Fatalf("5 records at 2 to a segment: files %v, gauge %d, want 3", files, store.Stats().Segments)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "*.state")); len(files) != 0 {
-		t.Fatalf("%d spill files before the batch fills, want 0", len(files))
-	}
-	// A pending prover promotes back without a hydrate.
-	if _, ok, err := store.GetProver("audit:a"); !ok || err != nil {
-		t.Fatalf("pending prover: ok=%v err=%v", ok, err)
-	}
-	if st := store.Stats(); st.Hydrates != 0 {
-		t.Fatalf("hydrates = %d for a pending promote, want 0", st.Hydrates)
-	}
-	// Flush writes out whatever is pending; everything is then recoverable.
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats(); st.Spills == 0 {
-		t.Fatalf("spills = 0 after Flush, want > 0")
+	for i, want := range []int{2, 2, 1} {
+		if fi, err := os.Stat(files[i]); err != nil || fi.Size() != int64(want*len(record)) {
+			t.Fatalf("segment %d: %v, err=%v, want %d records", i, fi, err, want)
+		}
 	}
 	for _, a := range addrs {
 		if _, ok, err := store.GetProver(a); !ok || err != nil {
-			t.Fatalf("GetProver(%s) after flush: ok=%v err=%v", a, ok, err)
+			t.Fatalf("GetProver(%s): ok=%v err=%v", a, ok, err)
 		}
+	}
+	// The first segment holds records 0 and 1 and goes with the second of them.
+	for i, want := range []int{3, 2} {
+		if err := store.DeleteProver(addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if left := segmentFiles(t, dir); len(left) != want {
+			t.Fatalf("after deleting %s: %d segment files, want %d", addrs[i], len(left), want)
+		}
+	}
+	// A put after the open segment's only record is gone starts a new file.
+	if err := store.DeleteProver(addrs[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.PutProver(addrs[4], newProverOrDie(t, sk.Pub, ef.Clone(), core.CloneAuthenticators(auths))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := store.GetProver(addrs[4]); !ok || err != nil {
+		t.Fatalf("GetProver after re-put: ok=%v err=%v", ok, err)
+	}
+	for _, a := range addrs {
+		if err := store.DeleteProver(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := segmentFiles(t, dir); len(left) != 0 || store.Stats().Segments != 0 {
+		t.Fatalf("after deleting everything: files %v, gauge %d", left, store.Stats().Segments)
+	}
+}
+
+// TestSpillStoreClearsStaleSegments pins that the store owns its directory:
+// segments a previous process left are removed at open (their index died with
+// it), so a new segment never shares a file with stale bytes; other files are
+// not the store's and stay.
+func TestSpillStoreClearsStaleSegments(t *testing.T) {
+	sk, ef, auths := spillFixture(t, "stale", 400)
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, "shard-00")
+	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(shardDir, "seg-00000001.state")
+	bystander := filepath.Join(shardDir, "notes.txt")
+	for _, path := range []string{stale, bystander} {
+		if err := os.WriteFile(path, bytes.Repeat([]byte("junk"), 4096), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := newSpillStore(dir, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := segmentFiles(t, dir); len(left) != 0 {
+		t.Fatalf("stale segments survived open: %v", left)
+	}
+	if _, err := os.Stat(bystander); err != nil {
+		t.Fatalf("open removed a file that is not a segment: %v", err)
+	}
+	if err := store.PutProver("audit:s", newProverOrDie(t, sk.Pub, ef, auths)); err != nil {
+		t.Fatal(err)
+	}
+	record, err := core.MarshalAuditState(ef, auths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The name counter restarts at 1, so the new segment takes the stale
+	// file's name: it must hold the record and nothing else.
+	got, err := os.ReadFile(stale)
+	if err != nil || !bytes.Equal(got, record) {
+		t.Fatalf("first segment after open: %d bytes, err=%v, want exactly the %d-byte record", len(got), err, len(record))
 	}
 }
 
@@ -206,7 +384,7 @@ func TestSpillStoreBatchedEviction(t *testing.T) {
 func TestSpillStoreSharded(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "sharded", 600)
 	dir := t.TempDir()
-	store, err := newSpillStore(dir, 4, 4, 1)
+	store, err := newSpillStore(dir, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +399,8 @@ func TestSpillStoreSharded(t *testing.T) {
 	if st.Resident > 4 {
 		t.Fatalf("resident = %d, want <= total window 4", st.Resident)
 	}
-	if st.Spills == 0 {
-		t.Fatalf("no spills across %d puts through a window of 4", keys)
+	if st.Spills != keys {
+		t.Fatalf("spills = %d, want one per put (%d)", st.Spills, keys)
 	}
 	shardDirs, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil || len(shardDirs) != 4 {
@@ -252,33 +430,42 @@ func TestSpillStoreSharded(t *testing.T) {
 func TestSpillStoreCorruptionSurfaces(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "corrupt", 400)
 	dir := t.TempDir()
-	store, err := newSpillStore(dir, 1, 1, 1)
+	store, err := newSpillStore(dir, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := store.PutProver("audit:x", newProverOrDie(t, sk.Pub, ef, auths)); err != nil {
 		t.Fatal(err)
 	}
-	// A second put evicts the first to disk.
+	// A second put evicts the first from the window; one segment holds both
+	// records, x's first.
 	sk2, ef2, auths2 := spillFixture(t, "corrupt-2", 400)
 	if err := store.PutProver("audit:y", newProverOrDie(t, sk2.Pub, ef2, auths2)); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.state"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files = %v, err=%v, want exactly 1", files, err)
+	files := segmentFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("spill files = %v, want exactly 1", files)
 	}
 	data, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
+	data[len(data)/4] ^= 0x40
 	if err := os.WriteFile(files[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, ok, err := store.GetProver("audit:x")
 	if err == nil {
 		t.Fatalf("corrupted record returned ok=%v with no error", ok)
+	}
+	// The damage is x's alone: once a third put has pushed y out of the
+	// window, y's record in the same file still decodes.
+	if err := store.PutProver("audit:z", newProverOrDie(t, sk2.Pub, ef2.Clone(), core.CloneAuthenticators(auths2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := store.GetProver("audit:y"); !ok || err != nil {
+		t.Fatalf("intact neighbour record: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -94,12 +94,12 @@ func (sk *PrivateKey) validate() error {
 // Provider-side persistence: a storage provider auditing hundreds of
 // thousands of contracts cannot keep every engagement's encoded file and
 // authenticators resident. The audit-state encoding below is the spill
-// format — written when an engagement goes idle between rounds, read back
-// when its next challenge arrives. Rehydration must be exact (proofs are
-// byte-deterministic functions of this state), so the encoding reuses the
-// canonical wire codecs and seals the whole record under a checksum: a
-// truncated, bit-flipped or garbage spill file is an error, never a panic
-// and never an almost-right prover.
+// format — written once, when the engagement's state is installed, and read
+// back whenever a challenge finds it paged out. Rehydration must be exact
+// (proofs are byte-deterministic functions of this state), so the encoding
+// reuses the canonical wire codecs and seals the whole record under a
+// checksum: a truncated, bit-flipped or garbage spill file is an error, never
+// a panic and never an almost-right prover.
 
 // auditStateHeader distinguishes spilled audit state from the other
 // persisted encodings and versions it.
