@@ -23,7 +23,8 @@ type Verifier interface {
 // BatchVerifier is the default strategy: the whole block settles through a
 // single contract.SettleBatchAt call — one shared final exponentiation
 // across every proof in the block and 2K+1 Miller loops for its K distinct
-// owner keys, with the loops and the per-item term preparation fanned out
+// owner keys, each fed by one multi-scalar multiplication over the block,
+// with the loops, those sums and the per-item challenge expansion fanned out
 // across the workers, bisecting on failure so one cheater among N honest
 // providers is individually slashed while the rest settle as passed.
 type BatchVerifier struct {

@@ -439,6 +439,33 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	return e
 }
 
+// MultiScalarMult sets e = prod_i a[i]^k[i] and returns e, each k taken mod n
+// as in ScalarMult. The elements share one chain of cyclotomic squarings as
+// long as the longest exponent, so beyond that chain an element costs a small
+// table and one multiplication per four exponent bits: what a batch verifier
+// pays to weight N commitments by 128-bit scalars is one ScalarMult's
+// squarings, not N. An element outside the cyclotomic subgroup (a raw
+// MillerLoop value) takes the generic ladder, as in ScalarMult. The inputs
+// are only read. len(a) must equal len(k).
+func (e *GT) MultiScalarMult(a []*GT, k []*big.Int) *GT {
+	if len(a) != len(k) {
+		panic("bn256: GT.MultiScalarMult length mismatch")
+	}
+	e.ensure()
+	bases := make([]*gfP12, 0, len(a))
+	exps := make([][4]uint64, 0, len(a))
+	generic := new(GT).SetOne()
+	for i := range a {
+		if ap := a[i].point(); ap.inCyclotomic() {
+			bases, exps = append(bases, ap), append(exps, scalarFromBig(k[i]))
+		} else {
+			generic.Add(generic, new(GT).ScalarMult(a[i], k[i]))
+		}
+	}
+	e.p.cyclotomicMultiExp(bases, exps, make([]cycloTable, len(bases)))
+	return e.Add(e, generic)
+}
+
 // Add sets e = a*b (the group operation, written additively for API symmetry
 // with G1/G2) and returns e.
 func (e *GT) Add(a, b *GT) *GT {

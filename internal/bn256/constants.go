@@ -114,13 +114,6 @@ func init() {
 		panic("bn256: p is not 3 mod 4")
 	}
 
-	// p - 6u^2 = n: the GT subgroup check (gfP12.hasOrderN) rests on it.
-	sixU2 := new(big.Int).Mul(u, u)
-	sixU2.Mul(sixU2, big.NewInt(6))
-	if sixU2.Sub(P, sixU2).Cmp(Order) != 0 {
-		panic("bn256: p - 6u^2 != n")
-	}
-
 	pPlus1Over4 = new(big.Int).Add(P, big.NewInt(1))
 	pPlus1Over4.Rsh(pPlus1Over4, 2)
 
@@ -144,6 +137,22 @@ func init() {
 	hardExponent, _ = new(big.Int).QuoRem(h, Order, &rem)
 	if rem.Sign() != 0 {
 		panic("bn256: (p^4 - p^2 + 1) not divisible by n")
+	}
+
+	// The GT subgroup check (gfP12.hasOrderN) tests a^m = 1 for
+	// m = (u+1) + u*p + u*p^2 - 2u*p^3 on the cyclotomic subgroup, whose order
+	// is h: that is a^n = 1 exactly when n divides m and gcd(m, h) = n.
+	p3 := new(big.Int).Mul(p2, P)
+	m := new(big.Int).Add(P, p2)
+	m.Sub(m, p3.Lsh(p3, 1))
+	m.Add(m, big.NewInt(1))
+	m.Mul(m, u)
+	m.Add(m, big.NewInt(1))
+	if new(big.Int).Mod(m, Order).Sign() != 0 {
+		panic("bn256: (u+1) + u*p + u*p^2 - 2u*p^3 not divisible by n")
+	}
+	if new(big.Int).GCD(nil, nil, m.Abs(m), h).Cmp(Order) != 0 {
+		panic("bn256: gcd((u+1) + u*p + u*p^2 - 2u*p^3, p^4 - p^2 + 1) != n")
 	}
 
 	xi = newGFp2().SetInt64s(1, 9)

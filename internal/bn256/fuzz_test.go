@@ -62,7 +62,7 @@ func FuzzGTUnmarshalCompressed(f *testing.F) {
 	}
 	f.Add(enc)
 	// Norm-1 elements the subgroup check must refuse: f^(p^6-1) fails the
-	// cyclotomic stage, its easy-part completion the a^p == a^(6u^2) stage.
+	// cyclotomic stage, its easy-part completion the exponent-u relation.
 	unitary := newGFp12().Conjugate(g.p)
 	unitary.x.z.x.SetInt64(7) // any f outside the subgroups
 	cofactor := easyPart(unitary)
@@ -152,6 +152,53 @@ func FuzzMultiScalarMult(f *testing.F) {
 			if got := new(G1).MultiScalarMultParallel(points, scalars, workers); !got.Equal(want) {
 				t.Fatalf("workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", workers)
 			}
+		}
+	})
+}
+
+// FuzzGTMultiScalarMult holds GT.MultiScalarMult to the product of
+// ScalarMults on inputs built from the fuzzer's bytes, 9-byte records as in
+// FuzzMultiScalarMult: the first byte picks the element from a small pool (an
+// element, its inverse, another, the identity, a zero value, a raw MillerLoop
+// value outside the cyclotomic subgroup), the rest is the exponent.
+func FuzzGTMultiScalarMult(f *testing.F) {
+	p, q := HashToG1([]byte("fuzz gt p")), HashToG1([]byte("fuzz gt q"))
+	a, b := Pair(p, GenG2()), Pair(q, GenG2())
+	pool := []*GT{a, new(GT).Neg(a), b, new(GT).SetOne(), {}, MillerLoop(p, GenG2())}
+	rec := func(elem byte, exp uint64) []byte {
+		return append([]byte{elem}, new(big.Int).SetUint64(exp).FillBytes(make([]byte, 8))...)
+	}
+	var repeated, cancelling, mixed []byte
+	for i := 0; i < 6; i++ {
+		repeated = append(repeated, rec(0, 0x0123456789abcdef)...)
+		cancelling = append(cancelling, rec(byte(i%2), 77)...)
+		mixed = append(mixed, rec(byte(i)|byte(i%4)<<6, uint64(i)<<61|uint64(i))...)
+	}
+	f.Add(repeated)
+	f.Add(cancelling)
+	f.Add(mixed)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 9*16 {
+			data = data[:9*16]
+		}
+		var elems []*GT
+		var exps []*big.Int
+		for ; len(data) >= 9; data = data[9:] {
+			k := new(big.Int).SetBytes(data[1:9])
+			switch data[0] >> 6 {
+			case 1:
+				k.Neg(k)
+			case 2:
+				k.Mul(k, k).Mul(k, k).Mul(k, k) // up to 512 bits
+			case 3:
+				k.Sub(Order, k)
+			}
+			elems = append(elems, pool[int(data[0]&63)%len(pool)])
+			exps = append(exps, k)
+		}
+		if got := new(GT).MultiScalarMult(elems, exps); !got.Equal(gtProduct(elems, exps)) {
+			t.Fatal("GT.MultiScalarMult disagrees with the product of ScalarMults")
 		}
 	})
 }

@@ -171,20 +171,26 @@ func (a *gfP12) inCyclotomic() bool {
 }
 
 // hasOrderN reports whether a^n = 1, i.e. a is in GT: a must be in the
-// cyclotomic subgroup (n divides p^4-p^2+1) and there, since p - 6u^2 = n,
-// a^n = 1 exactly when a^p == a^(6u^2) -- two 63-bit exponentiations and a
-// Frobenius map instead of a 254-bit exponentiation.
+// cyclotomic subgroup (n divides p^4-p^2+1) and there, with t = a^u,
+//
+//	a * t * t^p * t^(p^2) == (t^2)^(p^3)
+//
+// holds exactly when a^n = 1, because (u+1) + u*p + u*p^2 - 2u*p^3 is a
+// multiple of n whose gcd with the subgroup's order p^4-p^2+1 is n (init
+// asserts both; the test is that of Dai, Lin, Zhao and Zhou, ePrint 2022/348).
+// One 63-bit exponentiation and four Frobenius maps instead of a 254-bit
+// exponentiation.
 func (a *gfP12) hasOrderN() bool {
 	if !a.inCyclotomic() {
 		return false
 	}
-	var t, t2 gfP12
+	var t, lhs, rhs gfP12
 	t.CyclotomicExp(a, u)
-	t.CyclotomicExp(&t, u)
-	t2.CyclotomicSquare(&t)
-	t.Mul(&t2, &t)
-	t.CyclotomicSquare(&t) // a^(6u^2)
-	return t.Equal(t2.Frobenius(a))
+	lhs.Mul(a, &t)
+	lhs.Mul(&lhs, rhs.Frobenius(&t))
+	lhs.Mul(&lhs, rhs.FrobeniusP2(&t))
+	rhs.Frobenius(&rhs) // t^(p^3)
+	return lhs.Equal(rhs.CyclotomicSquare(&rhs))
 }
 
 // CyclotomicSquare sets e = a^2 for a in the cyclotomic subgroup, by the
@@ -240,36 +246,56 @@ func triplePlusDouble(e, t, a *gfP2) {
 	e.Add(e, t)
 }
 
-// cycloWindow is the digit width of CyclotomicExp.
+// cycloWindow is the digit width of the cyclotomic exponentiations.
 const cycloWindow = 4
 
+// cycloTable holds a^1..a^8 for one base a: inversion in the cyclotomic
+// subgroup is conjugation, so it serves the signed digits [-8, 8].
+type cycloTable [1 << (cycloWindow - 1)]gfP12
+
 // CyclotomicExp sets e = a^k for a in the cyclotomic subgroup and
-// 0 <= k < 2^256, with cyclotomic squarings and signed fixed-window digits:
-// inversion there is conjugation, so a table of a^1..a^8 serves digits in
-// [-8, 8] and a 254-bit exponent costs 254 cheap squarings and ~60
-// multiplications against the 254 + ~127 of Exp.
+// 0 <= k < 2^256: the one-base call of cyclotomicMultiExp, where a 254-bit
+// exponent costs 254 cheap squarings and ~60 multiplications against the
+// 254 + ~127 of Exp.
 func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
-	var table [1 << (cycloWindow - 1)]gfP12 // table[d-1] = a^d
-	table[0] = *a
-	for d := 1; d < len(table); d++ {
-		if d&1 == 1 {
-			table[d].CyclotomicSquare(&table[d/2])
-		} else {
-			table[d].Mul(&table[d-1], a)
+	var table [1]cycloTable
+	ks := [1][4]uint64{limbsFromBig(k)}
+	return e.cyclotomicMultiExp([]*gfP12{a}, ks[:], table[:])
+}
+
+// cyclotomicMultiExp sets e = prod_i as[i]^ks[i] for bases in the cyclotomic
+// subgroup, with cyclotomic squarings and signed fixed-window digits
+// (boothDigit): each base gets its table in tables[i], and one chain of
+// squarings, as long as the longest exponent, serves them all -- a base costs
+// its table and one multiplication per non-zero digit. e may be one of the
+// bases.
+func (e *gfP12) cyclotomicMultiExp(as []*gfP12, ks [][4]uint64, tables []cycloTable) *gfP12 {
+	maxBits := 0
+	for i, a := range as {
+		table := &tables[i] // table[d-1] = a^d
+		table[0] = *a
+		for d := 1; d < len(table); d++ {
+			if d&1 == 1 {
+				table[d].CyclotomicSquare(&table[d/2])
+			} else {
+				table[d].Mul(&table[d-1], a)
+			}
 		}
+		maxBits = max(maxBits, limbsBitLen(ks[i][:]))
 	}
-	limbs := limbsFromBig(k)
 	var acc, inv gfP12
 	acc.SetOne()
-	for w := (k.BitLen()+cycloWindow)/cycloWindow - 1; w >= 0; w-- {
+	for w := (maxBits+cycloWindow)/cycloWindow - 1; w >= 0; w-- {
 		for i := 0; i < cycloWindow; i++ {
 			acc.CyclotomicSquare(&acc)
 		}
-		switch d := boothDigit(limbs[:], w, cycloWindow); {
-		case d > 0:
-			acc.Mul(&acc, &table[d-1])
-		case d < 0:
-			acc.Mul(&acc, inv.Conjugate(&table[-d-1]))
+		for i := range as {
+			switch d := boothDigit(ks[i][:], w, cycloWindow); {
+			case d > 0:
+				acc.Mul(&acc, &tables[i][d-1])
+			case d < 0:
+				acc.Mul(&acc, inv.Conjugate(&tables[i][-d-1]))
+			}
 		}
 	}
 	return e.Set(&acc)

@@ -417,9 +417,10 @@ func SettleBatch(cs []*Contract, stats *core.BatchStats) []SettleResult {
 // SettleBatchAt is SettleBatch with the settlement height pinned (see
 // SettleAt) and the verification workload bounded to workers goroutines
 // (<= 0 selects GOMAXPROCS): pending proofs parse in parallel across the
-// block and the batched verification fans its Miller loops and per-item
-// term preparation out via core.VerifyBatchParallel. Verdicts, result order
-// and the chain transaction sequence are identical at any worker count.
+// block and the batched verification fans its per-item challenge expansion,
+// its block-level sums and its Miller loops out via core.VerifyBatchParallel.
+// Verdicts, result order and the chain transaction sequence are identical at
+// any worker count.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
 	results := make([]SettleResult, len(cs))
 	// Parse every pending proof in parallel: unmarshaling N private proofs

@@ -37,7 +37,10 @@ type BatchItem struct {
 // key groups with the original -- costs 2K+1 Miller loops and one final
 // exponentiation, versus N*(3 Miller loops + 1 final exponentiation) verified
 // one by one; K = N is the worst case, K = 1 (one owner's files) costs three
-// loops whatever N is. A batch verifies only if every relation holds; on
+// loops whatever N is. Each of those sums is one multi-scalar multiplication
+// over the batch -- no item's weighted terms are computed on their own (see
+// verifyTerms) -- and the R commitments are weighted in one GT
+// multi-exponentiation. A batch verifies only if every relation holds; on
 // failure the caller falls back to bisection (VerifyBatch) to locate the
 // offender.
 //
@@ -77,22 +80,24 @@ type BatchStats struct {
 // batch costs a single shared final exponentiation; on failure the batch is
 // bisected recursively until the offending item(s) are isolated, so one
 // cheater among N honest items costs O(log N) extra verifications instead
-// of forcing N per-item ones. Each item's expensive inputs — the expanded
-// challenge, the chi multi-scalar multiplication, and its weight — are
-// prepared once and shared by every bisection level, so re-verifying a
-// sub-batch costs only its Miller loops and one final exponentiation.
-// stats may be nil. VerifyBatch uses GOMAXPROCS workers; VerifyBatchParallel
-// exposes the worker count.
+// of forcing N per-item ones. What depends on an item alone — the expanded
+// challenge, its tags H(name||i), its weight and its scalars — is prepared
+// once and shared by every bisection level; the group arithmetic is per
+// sub-batch, so re-verifying a half re-sums that half (about twice the
+// summing work of the failing block overall, paid before a slash) and runs
+// its Miller loops and one final exponentiation. stats may be nil.
+// VerifyBatch uses GOMAXPROCS workers; VerifyBatchParallel exposes the worker
+// count.
 func VerifyBatch(items []*BatchItem, stats *BatchStats) []bool {
 	return VerifyBatchParallel(items, stats, 0)
 }
 
 // VerifyBatchParallel is VerifyBatch with a bounded worker count (<= 0
-// selects GOMAXPROCS): the per-item term preparation (challenge expansion
-// and the chi multi-scalar multiplication) fans out across items, and every
-// (sub-)batch verification evaluates its Miller loops through
-// bn256.MillerBatch. Verdicts, stats counters and the bisection path are
-// identical at any worker count.
+// selects GOMAXPROCS): the per-item preparation (challenge expansion and tag
+// hashing) fans out across items, every (sub-)batch verification fans out its
+// independent sums and evaluates its Miller loops through bn256.MillerBatch.
+// Verdicts, stats counters and the bisection path are identical at any worker
+// count.
 func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []bool {
 	verdicts := make([]bool, len(items))
 	if len(items) == 0 {
@@ -162,35 +167,48 @@ func batchTranscript(items []*BatchItem) []byte {
 	return h.Sum(nil)
 }
 
-// batchTerm is one item's fully prepared verification inputs: the weighted
-// G1 and GT terms that enter the pairing equation, built from the expanded
-// challenge, the chi multi-scalar multiplication and the weight rho_i from the
-// whole-batch transcript. Preparing these once lets bisection re-verify any
-// sub-batch at the cost of a few G1 additions per item, its Miller loops and
-// one final exponentiation, without redoing the expensive per-item setup.
+// batchTerm is what one item contributes to any sub-batch it is verified in:
+// the group elements of its equation as they arrived, and the scalar each is
+// weighted by, from the expanded challenge, zeta = H'(R) and the weight rho
+// of the whole-batch transcript. Nothing here is a group operation's result:
+// the weighted sums are verifyTerms', over whatever subset it is handed.
 type batchTerm struct {
-	ok        bool       // challenge expanded successfully
-	pub       *PublicKey // eps and delta, the G2 points the next two pair against
-	key       string     // their encoding: terms group by key value, not pointer
-	epsTerm   *bn256.G1  // g1^{-rho*y'} * chi^{-zeta*rho} * psi^{r*zeta*rho}
-	deltaTerm *bn256.G1  // psi^{-zeta*rho}
-	sigmaW    *bn256.G1  // sigma^{zeta*rho}: pairs against the shared g2
-	rW        *bn256.GT  // R^rho
+	ok    bool          // challenge expanded successfully
+	pub   *PublicKey    // eps and delta, the G2 points this item's sums pair against
+	key   string        // their encoding: terms group by key value, not pointer
+	proof *PrivateProof // sigma, psi and R
+	tags  []*bn256.G1   // H(name||i) of the challenged chunks
+
+	// Scalars, all reduced mod n.
+	zr   *big.Int  // zeta*rho: sigma's against g2; negated, psi's against delta
+	zrR  *big.Int  // zeta*rho*r: psi's against eps
+	tagW []big.Int // -zeta*rho*c_j: the tags' against eps
+	rhoY *big.Int  // rho*y': g1's against eps, negated
+	rho  *big.Int  // R's
 }
 
-// prepareBatch derives the whole-batch weights and precomputes every item's
-// pairing terms, fanning the independent per-item preparations (challenge
-// expansion, the chi multi-scalar multiplication, the weighted terms) across
-// at most workers goroutines. Terms land in index-keyed slots, so the result
-// is identical at any worker count. An item whose challenge fails to expand
-// is marked !ok and fails its (sub-)batch without pairing work.
+// prepareBatch derives the whole-batch weights and, per item, everything that
+// does not depend on which sub-batch the item is verified in: the expanded
+// challenge, the tags it names and every scalar of its weighted equation. It
+// does no group arithmetic. The independent per-item preparations fan out
+// across at most workers goroutines and land in index-keyed slots, so the
+// result is identical at any worker count. An item whose challenge fails to
+// expand is marked !ok and fails its (sub-)batch without pairing work.
 func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
 	transcript := batchTranscript(items)
 	terms := make([]*batchTerm, len(items))
+	// The grouping key is the value of (eps, delta); one owner's items
+	// usually share the *PublicKey too, so it is encoded once per pointer.
+	keys := make(map[*PublicKey]string)
+	for _, it := range items {
+		if _, seen := keys[it.Pub]; !seen {
+			keys[it.Pub] = string(append(it.Pub.Epsilon.Marshal(), it.Pub.Delta.Marshal()...))
+		}
+	}
 	// When the batch is smaller than the worker budget (a one-engagement
 	// block settling a single proof, say), the across-items fan-out alone
-	// would leave cores idle, so the surplus goes to each item's chi — the
-	// k-point tag hashing and MSM that dominate preparation.
+	// would leave cores idle, so the surplus goes to each item's k tag
+	// hashes, which dominate preparation.
 	itemWorkers := 1
 	if n := len(items); n > 0 {
 		if budget := parallel.Workers(workers, 0); budget > n {
@@ -207,64 +225,106 @@ func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
 		}
 		zeta := prf.OracleGT(it.Proof.R.Marshal())
 		rho := batchWeight(transcript, bi)
-		zr := ff.Mul(zeta, rho)
-
-		// Everything that pairs against this item's eps, summed first.
-		psiW := new(bn256.G1).ScalarMult(it.Proof.Psi, zr)
-		epsTerm := new(bn256.G1).ScalarBaseMult(ff.Neg(ff.Mul(rho, it.Proof.YPrime)))
-		x := chi(it.Pub, indices, coeffs, itemWorkers)
-		epsTerm.Add(epsTerm, new(bn256.G1).Neg(x.ScalarMult(x, zr)))
-		epsTerm.Add(epsTerm, new(bn256.G1).ScalarMult(psiW, r))
 
 		term.ok = true
 		term.pub = it.Pub
-		term.key = string(append(it.Pub.Epsilon.Marshal(), it.Pub.Delta.Marshal()...))
-		term.epsTerm = epsTerm
-		term.deltaTerm = psiW.Neg(psiW)
-		term.sigmaW = new(bn256.G1).ScalarMult(it.Proof.Sigma, zr)
-		term.rW = new(bn256.GT).ScalarMult(it.Proof.R, rho)
+		term.key = keys[it.Pub]
+		term.proof = it.Proof
+		term.tags = make([]*bn256.G1, len(indices))
+		parallel.For(itemWorkers, len(indices), func(j int) {
+			term.tags[j] = it.Pub.blockTag(indices[j])
+		})
+		term.zr = ff.Mul(zeta, rho)
+		term.zrR = ff.Mul(term.zr, r)
+		term.tagW = scaleVector(coeffs, ff.Neg(term.zr))
+		term.rhoY = ff.Mul(rho, it.Proof.YPrime)
+		term.rho = rho
 	})
 	return terms
 }
 
-// verifyTerms checks one (sub-)batch of prepared terms: the eps and delta
-// terms of the items under each distinct owner key are summed in G1 and paired
-// once per key, all sigma terms once against g2, and the product takes one
-// final exponentiation. The 2K+1 Miller loops evaluate across workers via
-// bn256.MillerBatch; everything else (the G1/GT accumulations and the final
-// exponentiation) is serial and order-fixed — keys in order of first
-// appearance — so the verdict is identical at any worker count.
+// scaleVector returns w*v[j] mod n for every j, for v and w in [0, n). A
+// k = 300 challenge has a block of these per item, so the k integers, their
+// words and the scratch of the reductions are one allocation each, not
+// three per coefficient.
+func scaleVector(v ff.Vector, w *big.Int) []big.Int {
+	width := len(bn256.Order.Bits())
+	out := make([]big.Int, len(v))
+	words := make([]big.Word, len(v)*width)
+	var prod, quo, rem big.Int
+	for j, c := range v {
+		quo.QuoRem(prod.Mul(w, c), bn256.Order, &rem)
+		out[j].SetBits(append(words[j*width:j*width:(j+1)*width], rem.Bits()...))
+	}
+	return out
+}
+
+// verifyTerms checks one (sub-)batch of prepared terms, and all of its group
+// arithmetic happens here, over exactly the terms it is handed — bisection
+// calls it on halves, so there is one path and no cache of per-item
+// products. For the items under each distinct owner key, keys in order of
+// first appearance, it forms
+//
+//	against eps:   sum_i (zeta_i rho_i r_i) psi_i - sum_ij (zeta_i rho_i c_ij) H(name_i||j) - (sum_i rho_i y'_i) g1
+//	against delta: -sum_i (zeta_i rho_i) psi_i
+//
+// and over all items sum_i (zeta_i rho_i) sigma_i against g2 and
+// prod_i R_i^{rho_i}: one multi-scalar multiplication per pairing slot (the
+// eps one over the group's psi and tags together, a few hundred points for a
+// block of small proofs, which is where the bucket method is at its best) and
+// one GT multi-exponentiation sharing its squarings. The sums are independent
+// and fan out across workers, as do the 2K+1 Miller loops (bn256.MillerBatch);
+// each lands in its own slot and the product takes one final exponentiation,
+// so the verdict is identical at any worker count.
 func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 	// A term whose challenge failed to expand fails the whole (sub-)batch:
-	// detect it before spending any Miller loops, at every bisection level.
+	// detect it before spending any group arithmetic, at every bisection level.
 	for _, term := range terms {
 		if !term.ok {
 			return false
 		}
 	}
-	rAgg := new(bn256.GT).SetOne()
-	sigmaAgg := new(bn256.G1).SetInfinity() // sum of weighted sigma terms
 
-	// g1s[j], g1s[j+1] hold the eps and delta sums of the key first seen at
-	// slot[key] = j, against g2s[j] = eps, g2s[j+1] = delta.
+	// groups[j] holds the items of the key first seen at slot[key] = j; its
+	// eps and delta sums go to g1s[2j], g1s[2j+1] against g2s[2j] = eps,
+	// g2s[2j+1] = delta, and the sigma sum comes last against g2.
 	slot := make(map[string]int)
-	var g1s []*bn256.G1
+	var groups []*keyGroup
 	var g2s []*bn256.G2
 	for _, term := range terms {
-		sigmaAgg.Add(sigmaAgg, term.sigmaW)
-		rAgg.Add(rAgg, term.rW)
 		j, seen := slot[term.key]
 		if !seen {
-			j = len(g1s)
+			j = len(groups)
 			slot[term.key] = j
-			g1s = append(g1s, new(bn256.G1).SetInfinity(), new(bn256.G1).SetInfinity())
+			groups = append(groups, &keyGroup{})
 			g2s = append(g2s, term.pub.Epsilon, term.pub.Delta)
 		}
-		g1s[j].Add(g1s[j], term.epsTerm)
-		g1s[j+1].Add(g1s[j+1], term.deltaTerm)
+		groups[j].terms = append(groups[j].terms, term)
+		groups[j].epsPoints += 1 + len(term.tags)
 	}
-	g1s = append(g1s, sigmaAgg)
 	g2s = append(g2s, bn256.GenG2())
+	g1s := make([]*bn256.G1, len(g2s))
+
+	var rAgg *bn256.GT
+	parallel.For(workers, 1+len(g1s), func(task int) {
+		// The R product goes first: it and the first eps sum are the long ones.
+		switch j := task - 1; {
+		case j < 0:
+			rs := make([]*bn256.GT, len(terms))
+			rhos := make([]*big.Int, len(terms))
+			for i, term := range terms {
+				rs[i], rhos[i] = term.proof.R, term.rho
+			}
+			rAgg = new(bn256.GT).MultiScalarMult(rs, rhos)
+		case j == len(g1s)-1:
+			g1s[j] = zrSum(terms, func(p *PrivateProof) *bn256.G1 { return p.Sigma })
+		case j%2 == 0:
+			g1s[j] = groups[j/2].epsSum(workers)
+		default:
+			sum := zrSum(groups[j/2].terms, func(p *PrivateProof) *bn256.G1 { return p.Psi })
+			g1s[j] = sum.Neg(sum)
+		}
+	})
 	if stats != nil {
 		stats.MillerLoops += len(g1s)
 		stats.FinalExps++
@@ -272,6 +332,42 @@ func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 	res := bn256.FinalExponentiate(bn256.MillerBatch(g1s, g2s, workers))
 	res.Add(res, rAgg)
 	return res.IsOne()
+}
+
+// keyGroup is the terms of one (sub-)batch under one owner key.
+type keyGroup struct {
+	terms     []*batchTerm
+	epsPoints int // points of the eps sum: a psi and the tags per item
+}
+
+// epsSum returns what the group pairs against eps (see verifyTerms): one
+// multi-scalar multiplication over every item's psi and tags, its slices
+// sized once, and g1 to the negated sum of the rho*y' by the fixed-base table.
+func (g *keyGroup) epsSum(workers int) *bn256.G1 {
+	points := make([]*bn256.G1, 0, g.epsPoints)
+	scalars := make([]*big.Int, 0, g.epsPoints)
+	y := new(big.Int)
+	for _, term := range g.terms {
+		points = append(append(points, term.proof.Psi), term.tags...)
+		scalars = append(scalars, term.zrR)
+		for j := range term.tagW {
+			scalars = append(scalars, &term.tagW[j])
+		}
+		y.Add(y, term.rhoY)
+	}
+	sum := new(bn256.G1).MultiScalarMultParallel(points, scalars, workers)
+	return sum.Add(sum, new(bn256.G1).ScalarBaseMult(ff.Neg(y)))
+}
+
+// zrSum returns sum_i (zeta_i rho_i) P_i over terms, P_i the point of the
+// item's proof that point selects (sigma, or psi).
+func zrSum(terms []*batchTerm, point func(*PrivateProof) *bn256.G1) *bn256.G1 {
+	points := make([]*bn256.G1, len(terms))
+	scalars := make([]*big.Int, len(terms))
+	for i, term := range terms {
+		points[i], scalars[i] = point(term.proof), term.zr
+	}
+	return new(bn256.G1).MultiScalarMult(points, scalars)
 }
 
 // DetectionProbability returns the probability that an audit challenging k

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+
+	"repro/internal/bn256"
 )
 
 func TestBatchVerify(t *testing.T) {
@@ -214,6 +219,111 @@ func TestVerifyBatchKeyGroups(t *testing.T) {
 				}
 				items[bad].Proof = honest
 			}
+		}
+	}
+}
+
+// TestVerifyBatchMatchesVerifyPrivate is the differential for the block-level
+// sums: whatever a batch holds, every item's verdict is its own
+// VerifyPrivate's and the bisection walks the same path at any worker count.
+// The merged multi-scalar multiplications see points the providers chose, so
+// the table is built from what a provider can arrange: repeated and opposite
+// points, a repeated R, a bad item at every position, bad items under
+// interleaved keys, and an item that fails before any group arithmetic.
+func TestVerifyBatchMatchesVerifyPrivate(t *testing.T) {
+	provers := make([]*Prover, 2)
+	for i := range provers {
+		_, _, provers[i] = testSetup(t, 4, 600)
+	}
+	// honest is a fresh challenge to owner o answered correctly, the proof's
+	// mask drawn from rng.
+	honest := func(o int, rng io.Reader) *BatchItem {
+		t.Helper()
+		ch, err := NewChallenge(3, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := provers[o].ProvePrivate(ch, nil, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &BatchItem{Pub: provers[o].Pub, NumChunks: provers[o].File.NumChunks(), Challenge: ch, Proof: proof}
+	}
+	ok := func(o int) *BatchItem { return honest(o, rand.Reader) }
+	wrongChallenge := func(o int) *BatchItem {
+		it := ok(o)
+		it.Proof = ok(o).Proof
+		return it
+	}
+
+	type batch struct {
+		name  string
+		items []*BatchItem
+		bad   []int
+	}
+	var cases []batch
+
+	dup := ok(0)
+	cases = append(cases, batch{"the same proof in two slots", []*BatchItem{ok(0), dup, ok(1), dup}, nil})
+
+	first, negated := ok(0), ok(0)
+	forged := *negated.Proof
+	forged.Sigma = new(bn256.G1).Neg(first.Proof.Sigma)
+	negated.Proof = &forged
+	cases = append(cases, batch{"sigma_j = -sigma_i", []*BatchItem{first, ok(0), negated}, []int{2}})
+
+	mask := make([]byte, 256)
+	rand.Read(mask)
+	first, second := honest(0, bytes.NewReader(mask)), honest(0, bytes.NewReader(mask))
+	if !first.Proof.R.Equal(second.Proof.R) {
+		t.Fatal("the same mask gave two commitments; the repeated-R case is not exercised")
+	}
+	cases = append(cases, batch{"two items with the same R", []*BatchItem{first, ok(0), second}, nil})
+
+	for pos := 0; pos < 5; pos++ {
+		items := []*BatchItem{ok(0), ok(0), ok(0), ok(0), ok(0)}
+		items[pos] = wrongChallenge(0)
+		cases = append(cases, batch{fmt.Sprintf("wrong challenge at position %d of 5", pos), items, []int{pos}})
+	}
+
+	cases = append(cases, batch{"two keys interleaved, a cheater under each",
+		[]*BatchItem{ok(0), ok(1), wrongChallenge(0), wrongChallenge(1), ok(0), ok(1)}, []int{2, 3}})
+
+	unexpandable := ok(0)
+	unexpandable.NumChunks = -1
+	cases = append(cases, batch{"a challenge that cannot expand, in the middle",
+		[]*BatchItem{ok(0), ok(1), unexpandable, ok(0), ok(1)}, []int{2}})
+
+	for _, c := range cases {
+		want := make([]bool, len(c.items))
+		for i, it := range c.items {
+			want[i] = VerifyPrivate(it.Pub, it.NumChunks, it.Challenge, it.Proof)
+		}
+		isBad := make([]bool, len(c.items))
+		for _, i := range c.bad {
+			isBad[i] = true
+		}
+		for i := range want {
+			if want[i] == isBad[i] {
+				t.Fatalf("%s: VerifyPrivate of item %d is %v; the case is not what it says", c.name, i, want[i])
+			}
+		}
+		var serial BatchStats
+		for _, workers := range []int{1, 2, 8} {
+			var stats BatchStats
+			for i, got := range VerifyBatchParallel(c.items, &stats, workers) {
+				if got != want[i] {
+					t.Errorf("%s workers=%d: item %d verdict %v, VerifyPrivate %v", c.name, workers, i, got, want[i])
+				}
+			}
+			if workers == 1 {
+				serial = stats
+			} else if stats != serial {
+				t.Errorf("%s workers=%d: stats %+v diverge from serial %+v", c.name, workers, stats, serial)
+			}
+		}
+		if BatchVerify(c.items) != (len(c.bad) == 0) {
+			t.Errorf("%s: BatchVerify = %v", c.name, len(c.bad) != 0)
 		}
 	}
 }

@@ -37,20 +37,22 @@ func BenchmarkSetupParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyBatchParallel measures batched settlement verification (an
-// all-honest 16-proof block: 33 Miller loops, one shared final
-// exponentiation) across worker counts, reporting proofs settled per
-// second.
+// BenchmarkVerifyBatchParallel measures batched settlement verification at
+// the fleet shape (an all-honest block of 24 proofs at s = 4, k = 8 under one
+// owner key: three multi-scalar multiplications, one GT multi-exponentiation,
+// 3 Miller loops and one shared final exponentiation) across worker counts,
+// reporting proofs settled per second. It is the microbenchmark behind the
+// verify line of the fleet_small budget.
 func BenchmarkVerifyBatchParallel(b *testing.B) {
-	const n, k = 16, 20
+	const n, s, k = 24, 4, 8
 	items := make([]*BatchItem, n)
-	sk, err := KeyGen(4, rand.Reader)
+	sk, err := KeyGen(s, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]byte, 2000)
+	data := make([]byte, 2<<10)
 	rand.Read(data)
-	ef, err := EncodeFile(data, 4)
+	ef, err := EncodeFile(data, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,6 +77,7 @@ func BenchmarkVerifyBatchParallel(b *testing.B) {
 	}
 	for _, workers := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				verdicts := VerifyBatchParallel(items, nil, workers)
