@@ -420,21 +420,21 @@ func (e *GT) point() *gfP12 {
 	return e.p
 }
 
-// ScalarMult sets e = a^k and returns e.
+// ScalarMult sets e = a^(k mod n) and returns e. a must have order n -- what
+// Pair, FinalExponentiate, Unmarshal and UnmarshalCompressed return, and
+// their products and powers -- or be a raw MillerLoop value. The first is
+// raised along the Frobenius split of k (gtsplit.go), which is wrong for an
+// element of the cyclotomic subgroup outside GT; the second, typed GT too but
+// not in the cyclotomic subgroup, where those formulas are wrong, keeps the
+// generic ladder.
 func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	e.ensure()
-	// GT has order n: a negative or oversized exponent is its residue.
-	// (gfP12.Exp reads the bits of |k|, so -k would come out as a^k.)
-	if k.Sign() < 0 || k.Cmp(Order) >= 0 {
-		k = new(big.Int).Mod(k, Order)
-	}
-	// MillerLoop's unreduced values are typed GT too, and the cyclotomic
-	// formulas are wrong outside the cyclotomic subgroup: those keep the
-	// generic ladder.
 	if ap := a.point(); ap.inCyclotomic() {
-		e.p.CyclotomicExp(ap, k)
+		ks := scalarFromBig(k)
+		e.p.splitExp(ap, &ks)
 	} else {
-		e.p.Exp(ap, k)
+		// gfP12.Exp reads the bits of |k|, so -k would come out as a^k.
+		e.p.Exp(ap, new(big.Int).Mod(k, Order))
 	}
 	return e
 }
@@ -452,17 +452,20 @@ func (e *GT) MultiScalarMult(a []*GT, k []*big.Int) *GT {
 		panic("bn256: GT.MultiScalarMult length mismatch")
 	}
 	e.ensure()
-	bases := make([]*gfP12, 0, len(a))
-	exps := make([][4]uint64, 0, len(a))
+	exps := make([][4]uint64, len(a))
+	tables := make([]cycloTable, len(a))
+	n := 0 // elements on the cyclotomic path
 	generic := new(GT).SetOne()
 	for i := range a {
 		if ap := a[i].point(); ap.inCyclotomic() {
-			bases, exps = append(bases, ap), append(exps, scalarFromBig(k[i]))
+			exps[n] = scalarFromBig(k[i])
+			tables[n].fill(ap)
+			n++
 		} else {
 			generic.Add(generic, new(GT).ScalarMult(a[i], k[i]))
 		}
 	}
-	e.p.cyclotomicMultiExp(bases, exps, make([]cycloTable, len(bases)))
+	e.p.cyclotomicMultiExp(exps[:n], tables[:n])
 	return e.Add(e, generic)
 }
 

@@ -20,7 +20,8 @@
 // along the curve's endomorphism (x, y) -> (beta*x, y) and runs one
 // half-length ladder (glv.go); the multi-scalar multiplication splits the
 // same way and sums its buckets in affine coordinates, one inversion per
-// round of additions (multiexp.go). Correctness is pinned three
+// round of additions (multiexp.go); GT exponentiation splits its exponent
+// four ways along the p-power Frobenius (gtsplit.go). Correctness is pinned three
 // ways: differential tests of the limb arithmetic against math/big, field
 // axioms and Frobenius identities at every tower level, and golden marshal
 // vectors frozen from the original big.Int implementation (wire formats are
@@ -85,24 +86,18 @@ func bigFromBase10(s string) *big.Int {
 	return n
 }
 
-// evalBNPoly evaluates 36u^4 + 36u^3 + c2*u^2 + 6u + 1 for the given
-// quadratic coefficient c2 (24 yields the field prime, 18 the group order).
-func evalBNPoly(u *big.Int, c2 int64) *big.Int {
-	u2 := new(big.Int).Mul(u, u)
-	u3 := new(big.Int).Mul(u2, u)
-	u4 := new(big.Int).Mul(u3, u)
-
-	r := new(big.Int).Mul(u4, big.NewInt(36))
-	r.Add(r, new(big.Int).Mul(u3, big.NewInt(36)))
-	r.Add(r, new(big.Int).Mul(u2, big.NewInt(c2)))
-	r.Add(r, new(big.Int).Mul(u, big.NewInt(6)))
-	r.Add(r, big.NewInt(1))
-	return r
+// polyInU evaluates c[0] + c[1]*u + c[2]*u^2 + ... at the BN parameter.
+func polyInU(c ...int64) *big.Int {
+	v := new(big.Int)
+	for i := len(c) - 1; i >= 0; i-- {
+		v.Mul(v, u).Add(v, big.NewInt(c[i]))
+	}
+	return v
 }
 
 func init() {
-	P = evalBNPoly(u, 24)
-	Order = evalBNPoly(u, 18)
+	P = polyInU(1, 6, 24, 36, 36)
+	Order = polyInU(1, 6, 18, 36, 36)
 
 	if P.BitLen() != 254 || Order.BitLen() != 254 {
 		panic("bn256: derived p or n has unexpected bit length")
@@ -195,4 +190,5 @@ func init() {
 
 	initGenerators()
 	initGLV()
+	initGTSplit()
 }

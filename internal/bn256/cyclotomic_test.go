@@ -131,8 +131,10 @@ func TestGTMultiScalarMult(t *testing.T) {
 }
 
 // TestGTSubgroupCheck covers what the order-n check must reject: zero, a raw
-// Miller value (outside the cyclotomic subgroup) and a cyclotomic element of
-// cofactor order, each also through the wire decoders.
+// Miller value (outside the cyclotomic subgroup), a cyclotomic element of
+// cofactor order, its n-th power c (of order prime to n) and g*c for
+// g = e(g1, g2) -- the element the Frobenius split of GT.ScalarMult would
+// silently get wrong -- each also through the wire decoders.
 func TestGTSubgroupCheck(t *testing.T) {
 	g1s, g2s, _ := randomPairs(t, 1)
 	raw := MillerLoop(g1s[0], g2s[0]).p
@@ -140,23 +142,41 @@ func TestGTSubgroupCheck(t *testing.T) {
 	if !cofactor.inCyclotomic() {
 		t.Fatal("easy part of a random element is not in the cyclotomic subgroup")
 	}
-	for name, a := range map[string]*gfP12{"zero": newGFp12(), "raw Miller value": raw, "cofactor-order element": cofactor} {
-		if oldHasOrderN(a) {
-			t.Fatalf("%s has order n; the test element is useless", name)
-		}
-		if a.hasOrderN() {
-			t.Errorf("%s accepted as a GT element", name)
-		}
-		if err := new(GT).Unmarshal((&GT{p: a}).Marshal()); err == nil {
-			t.Errorf("Unmarshal accepted %s", name)
-		}
+	pure := newGFp12().Exp(cofactor, Order)
+	mixed := newGFp12().Mul(Pair(GenG1(), GenG2()).p, pure)
+	if pure.IsOne() || !pure.inCyclotomic() || !mixed.inCyclotomic() {
+		t.Fatal("n-th power of a cofactor-order element is trivial or left the cyclotomic subgroup")
 	}
-	enc, err := (&GT{p: cofactor}).MarshalCompressed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := new(GT).UnmarshalCompressed(enc); err == nil {
-		t.Error("UnmarshalCompressed accepted a cofactor-order element")
+	for _, c := range []struct {
+		name  string
+		a     *gfP12
+		torus bool // of norm 1, so it has a compressed encoding
+	}{
+		{"zero", newGFp12(), false},
+		{"raw Miller value", raw, false},
+		{"cofactor-order element", cofactor, true},
+		{"its n-th power", pure, true},
+		{"e(g1, g2) times it", mixed, true},
+	} {
+		if oldHasOrderN(c.a) {
+			t.Fatalf("%s has order n; the test element is useless", c.name)
+		}
+		if c.a.hasOrderN() {
+			t.Errorf("%s accepted as a GT element", c.name)
+		}
+		if err := new(GT).Unmarshal((&GT{p: c.a}).Marshal()); err == nil {
+			t.Errorf("Unmarshal accepted %s", c.name)
+		}
+		if !c.torus {
+			continue
+		}
+		enc, err := (&GT{p: c.a}).MarshalCompressed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(GT).UnmarshalCompressed(enc); err == nil {
+			t.Errorf("UnmarshalCompressed accepted %s", c.name)
+		}
 	}
 	if !newGFp12().SetOne().hasOrderN() {
 		t.Error("the identity rejected")

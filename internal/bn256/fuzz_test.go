@@ -3,6 +3,7 @@ package bn256
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"math/big"
 	"testing"
 )
@@ -199,6 +200,26 @@ func FuzzGTMultiScalarMult(f *testing.F) {
 		}
 		if got := new(GT).MultiScalarMult(elems, exps); !got.Equal(gtProduct(elems, exps)) {
 			t.Fatal("GT.MultiScalarMult disagrees with the product of ScalarMults")
+		}
+	})
+}
+
+// FuzzGTScalarMult holds GT.ScalarMult -- the Frobenius split of the exponent
+// -- to the plain ladder on the residue. The exponent is the first 32 of the
+// fuzzer's bytes, so it runs past n up to 2^256; the base is a pairing value
+// drawn from the seed.
+func FuzzGTScalarMult(f *testing.F) {
+	f.Add(make([]byte, 32), uint64(0))
+	f.Add(Order.Bytes(), uint64(1))
+	f.Add(gtLambda.Bytes(), uint64(2))
+	f.Add(new(big.Int).Rsh(Order, 1).Bytes(), uint64(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 32), uint64(4))
+	f.Fuzz(func(t *testing.T, exp []byte, seed uint64) {
+		k := new(big.Int).SetBytes(exp[:min(len(exp), 32)])
+		a := Pair(HashToG1(binary.BigEndian.AppendUint64(nil, seed)), GenG2())
+		want := newGFp12().Exp(a.p, new(big.Int).Mod(k, Order))
+		if got := new(GT).ScalarMult(a, k); !got.p.Equal(want) {
+			t.Fatalf("k=%v, seed %d: ScalarMult disagrees with the ladder", k, seed)
 		}
 	})
 }

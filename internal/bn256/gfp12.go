@@ -179,7 +179,8 @@ func (a *gfP12) inCyclotomic() bool {
 // multiple of n whose gcd with the subgroup's order p^4-p^2+1 is n (init
 // asserts both; the test is that of Dai, Lin, Zhao and Zhou, ePrint 2022/348).
 // One 63-bit exponentiation and four Frobenius maps instead of a 254-bit
-// exponentiation.
+// exponentiation. That a^u is and stays CyclotomicExp: splitExp is only right
+// for an a of order n, which is the question being asked here.
 func (a *gfP12) hasOrderN() bool {
 	if !a.inCyclotomic() {
 		return false
@@ -253,34 +254,39 @@ const cycloWindow = 4
 // subgroup is conjugation, so it serves the signed digits [-8, 8].
 type cycloTable [1 << (cycloWindow - 1)]gfP12
 
+// fill sets table[d-1] = a^d.
+func (table *cycloTable) fill(a *gfP12) {
+	table[0] = *a
+	for d := 1; d < len(table); d++ {
+		if d&1 == 1 {
+			table[d].CyclotomicSquare(&table[d/2])
+		} else {
+			table[d].Mul(&table[d-1], a)
+		}
+	}
+}
+
 // CyclotomicExp sets e = a^k for a in the cyclotomic subgroup and
 // 0 <= k < 2^256: the one-base call of cyclotomicMultiExp, where a 254-bit
 // exponent costs 254 cheap squarings and ~60 multiplications against the
-// 254 + ~127 of Exp.
+// 254 + ~127 of Exp. It asks nothing more of a than the cyclotomic subgroup,
+// so it serves the callers whose a is not (yet) known to have order n; for
+// those that are, splitExp is a quarter of the squarings.
 func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 	var table [1]cycloTable
+	table[0].fill(a)
 	ks := [1][4]uint64{limbsFromBig(k)}
-	return e.cyclotomicMultiExp([]*gfP12{a}, ks[:], table[:])
+	return e.cyclotomicMultiExp(ks[:], table[:])
 }
 
-// cyclotomicMultiExp sets e = prod_i as[i]^ks[i] for bases in the cyclotomic
-// subgroup, with cyclotomic squarings and signed fixed-window digits
-// (boothDigit): each base gets its table in tables[i], and one chain of
-// squarings, as long as the longest exponent, serves them all -- a base costs
-// its table and one multiplication per non-zero digit. e may be one of the
-// bases.
-func (e *gfP12) cyclotomicMultiExp(as []*gfP12, ks [][4]uint64, tables []cycloTable) *gfP12 {
+// cyclotomicMultiExp sets e = prod_i a_i^ks[i] for bases in the cyclotomic
+// subgroup, given as their filled tables, with cyclotomic squarings and signed
+// fixed-window digits (boothDigit): one chain of squarings, as long as the
+// longest exponent, serves every base -- a base costs its table and one
+// multiplication per non-zero digit.
+func (e *gfP12) cyclotomicMultiExp(ks [][4]uint64, tables []cycloTable) *gfP12 {
 	maxBits := 0
-	for i, a := range as {
-		table := &tables[i] // table[d-1] = a^d
-		table[0] = *a
-		for d := 1; d < len(table); d++ {
-			if d&1 == 1 {
-				table[d].CyclotomicSquare(&table[d/2])
-			} else {
-				table[d].Mul(&table[d-1], a)
-			}
-		}
+	for i := range ks {
 		maxBits = max(maxBits, limbsBitLen(ks[i][:]))
 	}
 	var acc, inv gfP12
@@ -289,7 +295,7 @@ func (e *gfP12) cyclotomicMultiExp(as []*gfP12, ks [][4]uint64, tables []cycloTa
 		for i := 0; i < cycloWindow; i++ {
 			acc.CyclotomicSquare(&acc)
 		}
-		for i := range as {
+		for i := range ks {
 			switch d := boothDigit(ks[i][:], w, cycloWindow); {
 			case d > 0:
 				acc.Mul(&acc, &tables[i][d-1])

@@ -74,15 +74,7 @@ func initGLV() {
 	}
 	a1, b2 := limbsFromBig(glvA1), limbsFromBig(glvB2)
 	glvA1Limbs, glvB2Limbs, glvA2Limb = [2]uint64{a1[0], a1[1]}, [2]uint64{b2[0], b2[1]}, glvA2.Uint64()
-	multiplier := func(b *big.Int) [4]uint64 {
-		q := new(big.Int).Lsh(b, glvMulShift)
-		q.Add(q, new(big.Int).Rsh(Order, 1)).Div(q, Order)
-		if q.BitLen() > 256 {
-			panic("bn256: GLV rounding multiplier does not fit four limbs")
-		}
-		return limbsFromBig(q)
-	}
-	glvMulB2, glvMulA2 = multiplier(glvB2), multiplier(glvA2)
+	glvMulB2, glvMulA2 = roundingMultiplier(glvB2), roundingMultiplier(glvA2)
 
 	// Of the two primitive cube roots of unity in Fp, beta is the one that
 	// matches lambda; the unreduced ladder decides, on the generator.
@@ -96,6 +88,17 @@ func initGLV() {
 		}
 	}
 	panic("bn256: no cube root of unity beta with [lambda]g1 = (beta*x, y)")
+}
+
+// roundingMultiplier returns round(2^glvMulShift * b / n), the constant that
+// turns round(k*b/n) into one multiplication (mulRoundShift).
+func roundingMultiplier(b *big.Int) [4]uint64 {
+	q := new(big.Int).Lsh(b, glvMulShift)
+	q.Add(q, new(big.Int).Rsh(Order, 1)).Div(q, Order)
+	if q.BitLen() > 256 {
+		panic("bn256: rounding multiplier does not fit four limbs")
+	}
+	return limbsFromBig(q)
 }
 
 // glvDecompose returns the magnitudes and signs of k1, k2 with
@@ -119,8 +122,8 @@ func glvDecompose(k *[4]uint64) (k1, k2 [2]uint64, neg1, neg2 bool) {
 	return k1, k2, neg1, neg2
 }
 
-// mulRoundShift returns round(k * m / 2^glvMulShift), which glvDecompose's
-// operands keep below 2^128.
+// mulRoundShift returns round(k * m / 2^glvMulShift) mod 2^128: the whole
+// quotient for glvDecompose, the low limbs of it for gtSplitDecompose.
 func mulRoundShift(k, m *[4]uint64) [2]uint64 {
 	var prod [8]uint64
 	for i, ki := range k {

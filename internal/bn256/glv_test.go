@@ -51,6 +51,16 @@ func glvDecomposeBig(k *big.Int) (k1, k2 *big.Int) {
 	return k1, k2
 }
 
+// signedLimbs is a decomposition's part, magnitude and sign, as a big.Int.
+func signedLimbs(mag [2]uint64, neg bool) *big.Int {
+	v := new(big.Int).SetUint64(mag[1])
+	v.Lsh(v, 64).Add(v, new(big.Int).SetUint64(mag[0]))
+	if neg {
+		v.Neg(v)
+	}
+	return v
+}
+
 // TestGLVDecompose: the limb decomposition satisfies k1 + k2*lambda = k mod
 // n with both halves below 2^128 (what their type holds; the reference's
 // bound of 127 bits is checked too), and agrees with the big.Int one, on the
@@ -62,18 +72,10 @@ func TestGLVDecompose(t *testing.T) {
 	ks := glvScalars(t, 10000)
 	ks = append(ks, new(big.Int).Sub(Order, glvLambda), new(big.Int).Rsh(Order, 1))
 	tie := len(ks) - 1
-	signed := func(mag [2]uint64, neg bool) *big.Int {
-		v := new(big.Int).SetUint64(mag[1])
-		v.Lsh(v, 64).Add(v, new(big.Int).SetUint64(mag[0]))
-		if neg {
-			v.Neg(v)
-		}
-		return v
-	}
 	for i, k := range ks {
 		limbs := scalarFromBig(k)
 		m1, m2, neg1, neg2 := glvDecompose(&limbs)
-		k1, k2 := signed(m1, neg1), signed(m2, neg2)
+		k1, k2 := signedLimbs(m1, neg1), signedLimbs(m2, neg2)
 		if k1.BitLen() > 127 || k2.BitLen() > 127 {
 			t.Fatalf("k=%v: halves of %d and %d bits", k, k1.BitLen(), k2.BitLen())
 		}

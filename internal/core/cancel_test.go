@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -74,6 +75,55 @@ func TestProveCtxCanceledMidProof(t *testing.T) {
 	// The abort must be prompt: well under the full proving time.
 	if aborted > fullTime/2+50*time.Millisecond {
 		t.Fatalf("cancellation took %v of a %v proof: not cooperative", aborted, fullTime)
+	}
+}
+
+// cancelAfterPolls is a context that cancels itself once its Err has answered
+// for the at-th time: that poll still reads nil, the next context.Canceled.
+// (bn256's cancelOnPoll cancels before answering, which the MSM itself reports.)
+type cancelAfterPolls struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64 // 0 never cancels, and only counts
+	polls  atomic.Int64
+}
+
+func (c *cancelAfterPolls) Err() error {
+	err := c.Context.Err()
+	if c.polls.Add(1) == c.at {
+		c.cancel()
+	}
+	return err
+}
+
+// readCounter counts the bytes drawn through it.
+type readCounter struct{ n int }
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.n += len(p)
+	return rand.Read(p)
+}
+
+// TestProvePrivateCtxCanceledBeforeCommitment: a context canceled by the last
+// poll inside the psi MSM -- after which buildResponse returns without error
+// -- must still stop the proof before the commitment R = e(g1, eps)^z, the
+// most expensive step of a small proof, and before z is drawn.
+func TestProvePrivateCtxCanceledBeforeCommitment(t *testing.T) {
+	prover, ch := proverFixture(t, 4000, 4)
+	prover.Workers = 1 // one goroutine: the number of polls is fixed
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	counter := &cancelAfterPolls{Context: inner, cancel: cancel}
+	if _, _, _, err := prover.buildResponse(counter, ch, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &cancelAfterPolls{Context: inner, cancel: cancel, at: counter.polls.Load()}
+	rng := &readCounter{}
+	if _, err := prover.ProvePrivateCtx(ctx, ch, nil, rng); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rng.n != 0 {
+		t.Fatalf("a canceled proof drew %d bytes of randomness", rng.n)
 	}
 }
 

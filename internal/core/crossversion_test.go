@@ -118,3 +118,58 @@ func TestCrossVersionFixture(t *testing.T) {
 		t.Fatal("sigma/psi differ from the parent's proof")
 	}
 }
+
+// TestProvePrivateGolden pins every byte of a private proof, the commitment R
+// included: the fixture's key, file, authenticators and challenge and a fixed
+// stream for the mask z give the 288 bytes below, printed by the commit before
+// GT.ScalarMult split its exponent along the Frobenius.
+func TestProvePrivateGolden(t *testing.T) {
+	const golden = "a91fe091e3ddfd098aad23620a4036c6bb87c8dbf3d63a52097b9aca5149dd3e24231916631a40a5f47f285136db19d1" +
+		"238b1da787cfb360a666eca644a9a329af651efb79e0719560588279b0124c5ed00966dd4df42a576d8c7523dc4ab94e" +
+		"04d20684571aad4239bf5fc9442a7405aa585b497df094d1996d3a541993354f1291fcca3e30610088da841f7f802d89" +
+		"d4627f3209a5987bbaf0164267335dc22d125d8087b96b8a0a7e7e829bf4842028dcdc9d3147d91fae975a24bd5ce0ff" +
+		"00c18944666e5105c4519fc65983152e1961955202b647b072e5272baba911e914d92bc531fbe07fe871ef0114e6b605" +
+		"f25662a94ca444c4cda2bf09d893e4572086e5df2b1e62edb39e1832bc0bf46785bcaabbdffc4ed4030b94902307dcfe"
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sk, err := UnmarshalPrivateKey(unhex(parentFixture.sk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 600)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	ef, err := EncodeFile(data, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auths, err := UnmarshalAuthenticators(unhex(parentFixture.auths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := UnmarshalChallengeBinary(unhex(parentFixture.challenge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prover, err := NewProver(sk.Pub, ef, auths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := prover.ProvePrivate(ch, nil, bytes.NewReader(bytes.Repeat([]byte("golden z"), 16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := proof.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != golden {
+		t.Fatalf("private proof bytes changed:\n got %x\nwant %s", got, golden)
+	}
+}

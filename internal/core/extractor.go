@@ -39,9 +39,7 @@ func (p *Prover) ProveWithChallenge(ch *Challenge, zeta, z *big.Int) (*PrivatePr
 	if err != nil {
 		return nil, err
 	}
-	r := new(bn256.GT).ScalarMult(p.Pub.EG1Eps, z)
-	yPrime := ff.Add(ff.Mul(zeta, y), z)
-	return &PrivateProof{Sigma: sigma, YPrime: yPrime, Psi: psi, R: r}, nil
+	return p.maskResponse(sigma, y, psi, z, zeta, nil), nil
 }
 
 // ExtractEvaluation recovers the committed evaluation y = Pk(r) from two
@@ -56,8 +54,8 @@ func ExtractEvaluation(t1, t2 *ForkedTranscript) (*big.Int, error) {
 	return ff.Mul(dy, ff.Inv(dz)), nil
 }
 
-// VerifyWithChallenge checks a private proof against an explicit zeta
-// (the rewinding experiment's analogue of VerifyPrivate).
+// VerifyWithChallenge checks a private proof against an explicit zeta:
+// VerifyPrivate with zeta = H'(R), the rewinding experiment with its own.
 func VerifyWithChallenge(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof, zeta *big.Int) bool {
 	indices, coeffs, r, err := ch.Expand(d)
 	if err != nil {

@@ -312,33 +312,44 @@ func (p *Prover) ProvePrivate(ch *Challenge, stats *ProveStats, rng io.Reader) (
 	return p.ProvePrivateCtx(context.Background(), ch, stats, rng)
 }
 
-// ProvePrivateCtx is ProvePrivate with cooperative cancellation: the
-// context is polled between the sigma/psi MSM stages and inside their
-// bucket passes, so a canceled caller (a vanished remote peer) stops the
-// proof computation promptly.
+// ProvePrivateCtx is ProvePrivate with cooperative cancellation: the context
+// is polled between the stages, inside the MSMs' bucket passes and before the
+// commitment (a canceled proof draws no randomness), so a canceled caller (a
+// vanished remote peer) stops the proof computation promptly.
 func (p *Prover) ProvePrivateCtx(ctx context.Context, ch *Challenge, stats *ProveStats, rng io.Reader) (*PrivateProof, error) {
 	sigma, y, psi, err := p.buildResponse(ctx, ch, stats)
 	if err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	z, err := ff.RandomNonZero(rng)
 	if err != nil {
 		return nil, err
 	}
+	return p.maskResponse(sigma, y, psi, z, nil, stats), nil
+}
+
+// maskResponse is the Sigma-protocol step of Section V-D: the commitment
+// R = e(g1, eps)^z and y' = zeta*y + z, with zeta = H'(R) unless the rewinding
+// experiment brings its own. EG1Eps has order n, which GT.ScalarMult requires:
+// it is a pairing value or came through UnmarshalPublicKey's subgroup check.
+func (p *Prover) maskResponse(sigma *bn256.G1, y *big.Int, psi *bn256.G1, z, zeta *big.Int, stats *ProveStats) *PrivateProof {
+	start := time.Now()
 	r := new(bn256.GT).ScalarMult(p.Pub.EG1Eps, z)
 	if stats != nil {
 		stats.ECC += time.Since(start)
 	}
-
 	start = time.Now()
-	zeta := prf.OracleGT(r.Marshal())
+	if zeta == nil {
+		zeta = prf.OracleGT(r.Marshal())
+	}
 	yPrime := ff.Add(ff.Mul(zeta, y), z)
 	if stats != nil {
 		stats.Zp += time.Since(start)
 	}
-	return &PrivateProof{Sigma: sigma, YPrime: yPrime, Psi: psi, R: r}, nil
+	return &PrivateProof{Sigma: sigma, YPrime: yPrime, Psi: psi, R: r}
 }
 
 // chi computes prod_i H(name||i)^{c_i} over the challenged indices: the
@@ -372,16 +383,7 @@ func Verify(pk *PublicKey, d int, ch *Challenge, pr *Proof) bool {
 //
 //	R * e(sigma^zeta, g2) * e(g1^{-y'}, eps) = e(chi^zeta, eps) * e(psi^zeta, delta * eps^{-r})
 func VerifyPrivate(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof) bool {
-	indices, coeffs, r, err := ch.Expand(d)
-	if err != nil {
-		return false
-	}
-	zeta := prf.OracleGT(pr.R.Marshal())
-	x := chi(pk, indices, coeffs, 0)
-	x.ScalarMult(x, zeta)
-	sigmaZ := new(bn256.G1).ScalarMult(pr.Sigma, zeta)
-	psiZ := new(bn256.G1).ScalarMult(pr.Psi, zeta)
-	return verifyEquation(pk, x, r, sigmaZ, pr.YPrime, psiZ, pr.R)
+	return VerifyWithChallenge(pk, d, ch, pr, prf.OracleGT(pr.R.Marshal()))
 }
 
 // verifyEquation checks

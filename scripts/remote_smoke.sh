@@ -3,7 +3,7 @@
 #
 # Launches three `dsn-audit serve` provider processes, then:
 #   1. runs a clean 2-round remote audit that must pass (exit 0), and
-#   2. runs a 10-round remote audit during which one provider is killed
+#   2. runs a 40-round remote audit during which one provider is killed
 #      mid-run: the audit must finish (no hang), exit non-zero, and show
 #      exactly two EXPIRED engagements and one ABORTED (slashed) one.
 set -euo pipefail
@@ -54,27 +54,36 @@ grep -q 'audit passed' "$workdir/clean.log"
 [ "$(grep -c 'state=EXPIRED' "$workdir/clean.log")" -eq 3 ]
 echo "clean remote audit passed (3/3 engagements EXPIRED)"
 
-# Phase 2: 10-round audit with provider 3 killed mid-run. A 1 MiB file
-# makes every round's proving slow enough (three ~1700-point MSM proofs)
-# that the kill below lands well before the 30 rounds settle, even on a
-# fast many-core runner.
+# Phase 2: 40-round audit with provider 3 killed mid-run. A round of the
+# three 1 MiB engagements settles in ~50 ms on a 2 GHz core and every prover
+# speed-up shortens it, so the window is sized in rounds, not seconds: the
+# kill goes out at the first progress line, before anything else, and the
+# script checks that it landed in the first half of the run.
 audit_log="$workdir/audit.log"
 head -c 1048576 /dev/urandom >"$workdir/payload.bin"
-"$bin" -remote "$remote_list" -file "$workdir/payload.bin" -rounds 10 \
+"$bin" -remote "$remote_list" -file "$workdir/payload.bin" -rounds 40 \
   -seed smoke-kill -call-timeout 15s -retries 1 >"$audit_log" 2>&1 &
 audit_pid=$!
-# Kill sp-c as soon as the first settled round streams a progress line —
-# the earliest moment that is provably "mid-run".
+# The first settled round streams a progress line: the earliest moment
+# that is provably "mid-run".
 for _ in $(seq 1 1200); do
   if grep -q 'progress: ' "$audit_log" 2>/dev/null; then break; fi
   kill -0 "$audit_pid" 2>/dev/null || break
   sleep 0.05
 done
+kill "${pids[2]}" 2>/dev/null || true
+# The audit was still running when the kill was sent: the last progress line
+# printed by then, "progress: S/T rounds settled", is short of half-way.
+read -r settled total < <(grep 'progress: ' "$audit_log" | tail -1 | tr -c '0-9\n' ' ') || true
+[ -n "${total:-}" ] && [ "$((2 * settled))" -lt "$total" ] \
+  || { echo "FAIL: sp-c was killed with ${settled:-?}/${total:-?} rounds settled, not mid-run"; cat "$audit_log"; exit 1; }
+echo "killed provider sp-c mid-run ($settled/$total rounds settled)"
 
-# Mid-audit metrics scrape: with at least one round settled, sp-a has
-# served challenges; its /metrics must be Prometheus-parseable with a
-# nonzero Challenge request counter, and must expose the pre-declared
-# driver-side families so one scrape config covers every process role.
+# Mid-audit metrics scrape of sp-a, which is still serving its own
+# engagement: with at least one round settled it has served challenges; its
+# /metrics must be Prometheus-parseable with a nonzero Challenge request
+# counter, and must expose the pre-declared driver-side families so one
+# scrape config covers every process role.
 scrape="$workdir/metrics.txt"
 curl -sf "http://$metrics_addr/metrics" >"$scrape" || { echo "FAIL: /metrics scrape failed"; exit 1; }
 grep -q '^# TYPE dsn_remote_requests_total counter' "$scrape" \
@@ -85,9 +94,6 @@ challenges=$(grep '^dsn_remote_requests_total{type="Challenge"}' "$scrape" | awk
 grep -q '^dsn_sched_ticks_total' "$scrape" \
   || { echo "FAIL: pre-declared scheduler family missing from provider /metrics"; cat "$scrape"; exit 1; }
 echo "mid-audit metrics scrape ok ($challenges challenges served by sp-a)"
-
-kill "${pids[2]}" 2>/dev/null || true
-echo "killed provider sp-c mid-run"
 
 rc=0
 wait "$audit_pid" || rc=$?
