@@ -24,7 +24,10 @@ import (
 //   - doubling the population at constant due/tick does not grow tick
 //     latency past the scaling threshold (O(due), not O(total)),
 //   - peak heap stays under a ceiling sized to the hydration window,
-//   - the spill store wrote one record per engagement (paging writes nothing).
+//   - the spill store wrote one record per engagement (paging writes nothing),
+//   - a settled round allocates under a fixed ceiling (no per-block copy of
+//     the chain's retained history, which tick latency at one Retention
+//     cannot see).
 func runSoak(ctx *expCtx) error {
 	type sizing struct {
 		label       string
@@ -72,7 +75,17 @@ func runSoak(ctx *expCtx) error {
 	const (
 		maxFlatness = 2.0 // per-tick latency growth across one run
 		maxScaling  = 2.0 // busy-tick latency growth when the population doubles
+		// maxRoundBytes caps what Scheduler.Run allocates per settled round,
+		// spill store on (hydrating a prover is most of it). Midway between
+		// the -quick 10k readings on either side of the change that stopped
+		// the chain copying its retained window at every block: 21 504 B
+		// before, 10 259 B after; 50k/100k read 24 300 and 10 460.
+		maxRoundBytes = 16_000
 	)
+
+	// SoakConfig's default of two rounds per engagement is what every run
+	// below settles.
+	roundsOf := func(rep *sched.SoakReport) uint64 { return 2 * uint64(rep.Engagements) }
 
 	var reports [2]*sched.SoakReport
 	for i, sz := range sizes {
@@ -104,7 +117,9 @@ func runSoak(ctx *expCtx) error {
 			sz.label, rep.Engagements, rep.Ticks, sz.engagements/int(sz.interval),
 			rep.BusyMedian().Round(10*time.Microsecond), rep.TickP99.Round(10*time.Microsecond),
 			rep.FlatnessRatio, rep.HeapPeak>>20, rep.RSSPeakKB>>10, rep.Spill.Spills, rep.Spill.Hydrates)
-		rounds := rep.Engagements * 2 // SoakConfig default Rounds
+		rounds := roundsOf(rep)
+		ctx.printf("%-6s allocated per settled round: %d B in %.1f mallocs\n",
+			sz.label, rep.RunAllocBytes/rounds, float64(rep.RunMallocs)/float64(rounds))
 		jAppends := counterValue(rep.Registry, "dsn_journal_appends_total")
 		jBytes := counterValue(rep.Registry, "dsn_journal_bytes_total")
 		jWrites := counterValue(rep.Registry, "dsn_journal_writes_total")
@@ -112,7 +127,7 @@ func runSoak(ctx *expCtx) error {
 		jCheckpoints := counterValue(rep.Registry, "dsn_journal_checkpoints_total")
 		ctx.printf("%-6s journal: %d appends, %d bytes, %d writes, %d fsyncs, %d checkpoints (%d B, %.3f fsyncs per settled round)\n",
 			sz.label, jAppends, jBytes, jWrites, jFsyncs,
-			jCheckpoints, jBytes/uint64(rounds), float64(jFsyncs)/float64(rounds))
+			jCheckpoints, jBytes/rounds, float64(jFsyncs)/float64(rounds))
 		ctx.printf("%-6s tick-latency deciles (median per run-tenth):", sz.label)
 		for _, d := range rep.TickMedians {
 			ctx.printf(" %v", d.Round(10*time.Microsecond))
@@ -131,6 +146,11 @@ func runSoak(ctx *expCtx) error {
 			failures = append(failures, fmt.Sprintf(
 				"%s: heap peak %d MB exceeds the %d MB ceiling",
 				sizes[i].label, rep.HeapPeak>>20, heapCeiling>>20))
+		}
+		if perRound := rep.RunAllocBytes / roundsOf(rep); perRound > maxRoundBytes {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d B allocated per settled round exceeds the %d B ceiling",
+				sizes[i].label, perRound, maxRoundBytes))
 		}
 		if rep.Spill.Spills != uint64(rep.Engagements) {
 			failures = append(failures, fmt.Sprintf(

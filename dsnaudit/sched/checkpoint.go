@@ -20,11 +20,12 @@ import (
 // The journal is never truncated here; the checkpoint caps how much of it a
 // restart must read, not how much disk it holds.
 //
-// The file is written whole to checkpoint.tmp and renamed into place, and its
-// payload is sealed by a trailing sha256. A crash mid-write therefore leaves
-// either the previous complete checkpoint or a torn .tmp — the torn .tmp is
-// expected debris and is removed silently; a checkpoint file that itself
-// fails its digest is real corruption and surfaces as a typed error.
+// The file is written whole to checkpoint.tmp, synced, renamed into place and
+// the directory synced (installFile), and its payload is sealed by a trailing
+// sha256. A crash or power loss mid-write therefore leaves either the
+// previous complete checkpoint or a torn .tmp — the torn .tmp is expected
+// debris and is removed silently; a checkpoint file that itself fails its
+// digest is real corruption and surfaces as a typed error.
 
 const (
 	checkpointName    = "checkpoint"
@@ -234,6 +235,7 @@ func (s *Scheduler) writeCheckpoint() error {
 	}
 	s.store.mu.Lock()
 	c.seq = s.store.seq
+	c.entries = make([]checkpointEntry, 0, len(s.store.byID))
 	for _, en := range s.store.byID {
 		ce := checkpointEntry{
 			addr:       en.eng.ID(),
@@ -275,14 +277,42 @@ func (s *Scheduler) writeCheckpoint() error {
 		os.WriteFile(tmp, torn, 0o644)
 		return ErrCrashed
 	}
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("sched: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.journal.dir, checkpointName)); err != nil {
+	if err := installFile(tmp, filepath.Join(s.journal.dir, checkpointName), buf); err != nil {
 		return fmt.Errorf("sched: install checkpoint: %w", err)
 	}
 	s.journal.mu.Lock()
 	s.journal.stats.Checkpoints++
 	s.journal.mu.Unlock()
 	return nil
+}
+
+// installFile replaces path with data so that power loss at any moment leaves
+// either the old file or the new one whole: the bytes are synced under the
+// tmp name before the rename, and the directory after it — without the first
+// the rename can reach the disk ahead of the data, without the second it may
+// not reach it at all.
+func installFile(tmp, path string, data []byte) error {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -139,19 +139,21 @@ var (
 	errBadRecord   = errors.New("sched: malformed record")
 )
 
-// encodeRecord frames one record.
-func encodeRecord(r journalRecord) []byte {
-	payload := make([]byte, 0, 32+len(r.addr)+len(r.errMsg))
+// appendRecord frames one record onto the end of dst and returns the extended
+// slice; bytes already in dst are not touched.
+func appendRecord(dst []byte, r journalRecord) []byte {
+	start := len(dst)
+	dst = append(dst, journalMagic[0], journalMagic[1], byte(r.typ), 0, 0, 0, 0) // length patched below
 	switch r.typ {
 	case recRegister:
-		payload = binary.BigEndian.AppendUint64(payload, r.seq)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.baseRounds))
-		payload = append(payload, r.addr...)
+		dst = binary.BigEndian.AppendUint64(dst, r.seq)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.baseRounds))
+		dst = append(dst, r.addr...)
 	case recChallenge, recProof:
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.round))
-		payload = append(payload, r.addr...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.round))
+		dst = append(dst, r.addr...)
 	case recSettled:
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.round))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.round))
 		var flags byte
 		if r.passed {
 			flags |= 1
@@ -159,33 +161,30 @@ func encodeRecord(r journalRecord) []byte {
 		if r.deadline {
 			flags |= 2
 		}
-		payload = append(payload, flags)
-		payload = append(payload, r.addr...)
+		dst = append(dst, flags)
+		dst = append(dst, r.addr...)
 	case recParked:
-		payload = append(payload, byte(r.kind))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.round))
-		payload = binary.BigEndian.AppendUint64(payload, r.height)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.retries))
-		payload = append(payload, r.addr...)
+		dst = append(dst, byte(r.kind))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.round))
+		dst = binary.BigEndian.AppendUint64(dst, r.height)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.retries))
+		dst = append(dst, r.addr...)
 	case recTerminal:
-		payload = append(payload, byte(r.state))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.rounds))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.passN))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(r.failN))
-		payload = binary.BigEndian.AppendUint16(payload, uint16(len(r.errMsg)))
-		payload = append(payload, r.errMsg...)
-		payload = append(payload, r.addr...)
+		dst = append(dst, byte(r.state))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.rounds))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.passN))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.failN))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.errMsg)))
+		dst = append(dst, r.errMsg...)
+		dst = append(dst, r.addr...)
 	case recTick:
-		payload = binary.BigEndian.AppendUint64(payload, r.height)
+		dst = binary.BigEndian.AppendUint64(dst, r.height)
 	default:
-		panic(fmt.Sprintf("sched: encodeRecord of unknown type %d", r.typ))
+		panic(fmt.Sprintf("sched: appendRecord of unknown type %d", r.typ))
 	}
-	out := make([]byte, 0, recordHeaderSize+len(payload)+recordTrailerSize)
-	out = append(out, journalMagic[0], journalMagic[1], byte(r.typ))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	sum := crc32.Checksum(out[2:], crcTable) // type | len | payload
-	return binary.BigEndian.AppendUint32(out, sum)
+	binary.BigEndian.PutUint32(dst[start+3:], uint32(len(dst)-start-recordHeaderSize))
+	sum := crc32.Checksum(dst[start+2:], crcTable) // type | len | payload
+	return binary.BigEndian.AppendUint32(dst, sum)
 }
 
 // decodeRecord decodes the record at the start of buf, returning it and the
@@ -550,23 +549,27 @@ func (j *Journal) append(r journalRecord) error {
 	if r.typ != recTick {
 		sh = j.shards[j.shardFor(r.addr)]
 	}
-	frame := encodeRecord(r)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	// The record is framed straight into the shard's buffer; a dead or
+	// closed journal takes it back out.
+	start := len(sh.buf)
+	sh.buf = appendRecord(sh.buf, r)
 	j.mu.Lock()
 	crashErr := j.crashErr
 	if crashErr == nil {
 		j.stats.Appends++
-		j.stats.Bytes += uint64(len(frame))
+		j.stats.Bytes += uint64(len(sh.buf) - start)
 	}
 	j.mu.Unlock()
 	if crashErr != nil {
+		sh.buf = sh.buf[:start]
 		return crashErr
 	}
 	if sh.f == nil {
+		sh.buf = sh.buf[:start]
 		return fmt.Errorf("sched: journal closed")
 	}
-	sh.buf = append(sh.buf, frame...)
 	if r.typ == recRegister || r.typ == recTick {
 		// Both are rare relative to the per-engagement record volume (one
 		// tick mark per tick, one registration per engagement lifetime), so

@@ -105,6 +105,12 @@ type SoakReport struct {
 	HeapPeak  uint64 // sampled HeapAlloc high-water mark, bytes
 	RSSPeakKB uint64 // VmHWM from /proc/self/status; 0 when unavailable
 
+	// What Scheduler.Run allocated, from first tick to last: a settled
+	// round's bookkeeping must cost the same however much history the chain
+	// retains, and a per-block copy of that history shows here first.
+	RunAllocBytes uint64
+	RunMallocs    uint64
+
 	Spill   SpillStats   // zero-valued when SpillDir was ""
 	Journal JournalStats // zero-valued when JournalDir was ""
 	Sched   Stats
@@ -314,13 +320,14 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		}
 	})
 
+	var ms0, ms runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	runStart := time.Now()
 	if err := sched.Run(context.Background()); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(runStart)
 
-	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > heapPeak {
 		heapPeak = ms.HeapAlloc
@@ -334,6 +341,9 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		RSSPeakKB:   readVmHWM(),
 		Sched:       sched.Stats(),
 		Registry:    cfg.Registry,
+
+		RunAllocBytes: ms.TotalAlloc - ms0.TotalAlloc,
+		RunMallocs:    ms.Mallocs - ms0.Mallocs,
 	}
 	if spill != nil {
 		rep.Spill = spill.Stats()

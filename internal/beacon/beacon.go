@@ -15,7 +15,6 @@ package beacon
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -47,16 +46,29 @@ func NewTrusted(seed []byte) (*Trusted, error) {
 	return t, nil
 }
 
-// Randomness returns 48 bytes for the round.
+// Randomness returns 48 bytes for the round: HMAC-SHA256(root, round ‖ blk)
+// for blk = 0, 1, written out over stack buffers. root is shorter than a
+// SHA-256 block, so the two pads are root ⊕ 0x36… and root ⊕ 0x5c… and each
+// output block is two Sum256 calls; nothing is kept between calls, so any
+// goroutine may call it.
 func (t *Trusted) Randomness(round int) ([]byte, error) {
-	out := make([]byte, 0, SeedBytes)
-	for blk := 0; len(out) < SeedBytes; blk++ {
-		mac := hmac.New(sha256.New, t.root[:])
-		var buf [16]byte
-		binary.BigEndian.PutUint64(buf[:8], uint64(round))
-		binary.BigEndian.PutUint64(buf[8:], uint64(blk))
-		mac.Write(buf[:])
-		out = mac.Sum(out)
+	var inner [sha256.BlockSize + 16]byte          // ipad ‖ round ‖ blk
+	var outer [sha256.BlockSize + sha256.Size]byte // opad ‖ inner digest
+	for i := 0; i < sha256.BlockSize; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, b := range t.root {
+		inner[i] ^= b
+		outer[i] ^= b
+	}
+	binary.BigEndian.PutUint64(inner[sha256.BlockSize:], uint64(round))
+	out := make([]byte, 0, 2*sha256.Size)
+	for blk := uint64(0); len(out) < SeedBytes; blk++ {
+		binary.BigEndian.PutUint64(inner[sha256.BlockSize+8:], blk)
+		sum := sha256.Sum256(inner[:])
+		copy(outer[sha256.BlockSize:], sum[:])
+		sum = sha256.Sum256(outer[:])
+		out = append(out, sum[:]...)
 	}
 	return out[:SeedBytes], nil
 }

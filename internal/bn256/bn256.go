@@ -356,6 +356,17 @@ func (e *G2) Equal(a *G2) bool {
 	return e.point().Equal(a.point())
 }
 
+// NormalizeG2 is NormalizeG1 for G2: Marshal and the Miller loop, which
+// otherwise invert once per use, find the points affine. One inversion per
+// point (a key holds two), for whoever creates them to call before sharing.
+func NormalizeG2(points []*G2) {
+	for _, e := range points {
+		if e.p != nil {
+			e.p.MakeAffine()
+		}
+	}
+}
+
 // Marshal encodes e uncompressed as x.x || x.y || y.x || y.y (128 bytes).
 func (e *G2) Marshal() []byte {
 	out := make([]byte, G2UncompressedSize)

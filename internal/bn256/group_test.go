@@ -218,3 +218,30 @@ func TestScalarConventionsAgree(t *testing.T) {
 		t.Error("GT: a^-5 != (a^5)^-1")
 	}
 }
+
+// TestNormalizeG2: as TestNormalizeG1, for the two G2 points of a key.
+func TestNormalizeG2(t *testing.T) {
+	points := []*G2{
+		new(G2).ScalarBaseMult(big.NewInt(1<<20 + 5)),
+		{},
+		new(G2).SetInfinity(),
+		GenG2(),
+	}
+	var want [][]byte
+	for _, p := range points {
+		want = append(want, p.Marshal())
+	}
+	if points[0].p.z.IsOne() {
+		t.Fatal("no Jacobian point among the inputs")
+	}
+	NormalizeG2(points)
+	for i, p := range points {
+		if !bytes.Equal(p.Marshal(), want[i]) {
+			t.Errorf("point %d changed value", i)
+		}
+		if p.p != nil && !p.p.IsInfinity() && !p.p.z.IsOne() {
+			t.Errorf("point %d is still Jacobian", i)
+		}
+	}
+	NormalizeG2(nil)
+}

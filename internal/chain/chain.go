@@ -105,7 +105,8 @@ type Tx struct {
 	Note     string
 }
 
-// Receipt reports the outcome of a mined transaction.
+// Receipt reports the outcome of a submitted transaction. Block is the next
+// block; later if that block is full.
 type Receipt struct {
 	TxIndex  int
 	Block    uint64
@@ -139,8 +140,9 @@ type Chain struct {
 	balances  map[Address]*big.Int
 	locked    map[Address]*big.Int
 	blocks    []*Block
-	pending   []*Tx
-	events    []Event
+	pending   []pendingTx
+	events    []Event // events[eventHead:] is the log; the prefix is pruned and cleared
+	eventHead int
 	txCount   int
 	subs      map[uint64]*Subscription
 	nextSubID uint64
@@ -154,6 +156,12 @@ type Chain struct {
 	// expensive "rescan the chain" accesses. Recovery tests pin this at
 	// zero across sched.Recover to prove a restart never rescans.
 	historyReads uint64
+}
+
+// pendingTx is a queued transaction with the gas Submit metered for it.
+type pendingTx struct {
+	tx  *Tx
+	gas uint64
 }
 
 // Errors surfaced by ledger operations.
@@ -278,11 +286,11 @@ func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
 			return nil, err
 		}
 	}
-	c.pending = append(c.pending, tx)
+	c.pending = append(c.pending, pendingTx{tx, gas})
 	c.txCount++
 	return &Receipt{
 		TxIndex:  c.txCount - 1,
-		Block:    c.nextHeightLocked(), // the block it will land in
+		Block:    c.nextHeightLocked(),
 		GasUsed:  gas,
 		DataSize: len(tx.Data),
 	}, nil
@@ -299,7 +307,26 @@ func (c *Chain) nextHeightLocked() uint64 {
 func (c *Chain) Emit(name string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.events) == cap(c.events) {
+		c.makeEventRoomLocked()
+	}
 	c.events = append(c.events, Event{Block: c.nextHeightLocked(), Name: name, Data: data})
+}
+
+// makeEventRoomLocked runs when the log's array is full. Pruning only
+// advances eventHead; the pruned prefix is reclaimed here, by moving the live
+// part to the front of the same array when that frees at least half of it and
+// otherwise into a new array of twice its length. Either way an event is
+// moved O(1) times over its life, and a log whose window has stopped growing
+// stops allocating.
+func (c *Chain) makeEventRoomLocked() {
+	live := c.events[c.eventHead:]
+	if c.eventHead > 0 && len(live) <= c.eventHead {
+		c.events = slideDown(c.events, c.eventHead)
+	} else {
+		c.events = append(make([]Event, 0, max(2*len(live), 64)), live...)
+	}
+	c.eventHead = 0
 }
 
 // Events returns a snapshot of all events.
@@ -307,7 +334,7 @@ func (c *Chain) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.historyReads++
-	return append([]Event(nil), c.events...)
+	return append([]Event(nil), c.events[c.eventHead:]...)
 }
 
 // MineBlock seals all pending transactions into a new block, respecting the
@@ -320,16 +347,15 @@ func (c *Chain) MineBlock() *Block {
 		Number: prev.Number + 1,
 		Time:   prev.Time.Add(c.cfg.BlockInterval),
 	}
-	var kept []*Tx
-	for i, tx := range c.pending {
-		gas := c.cfg.Gas.TxBase + c.cfg.Gas.CalldataGas(tx.Data) + tx.ExtraGas
-		if blk.GasUsed+gas > c.cfg.BlockGasLimit && len(blk.Txs) > 0 {
+	var kept []pendingTx
+	for i, p := range c.pending {
+		if blk.GasUsed+p.gas > c.cfg.BlockGasLimit && len(blk.Txs) > 0 {
 			kept = c.pending[i:]
 			break
 		}
-		blk.GasUsed += gas
-		blk.Txs = append(blk.Txs, tx)
-		blk.ByteSize += txWireSize(tx)
+		blk.GasUsed += p.gas
+		blk.Txs = append(blk.Txs, p.tx)
+		blk.ByteSize += txWireSize(p.tx)
 	}
 	c.pending = kept
 	c.blocks = append(c.blocks, blk)
@@ -344,22 +370,33 @@ func (c *Chain) MineBlock() *Block {
 
 // pruneLocked drops block bodies and events older than the retention window.
 // Aggregates (TotalBytes, TotalGas, Height) are unaffected; only the
-// per-block and per-event history shrinks.
+// per-block and per-event history shrinks. Both arrays are pruned in place:
+// no slice of either escapes the lock (Events, Blocks and SubscribeFrom
+// copy), and clearing the vacated slots is what makes the dropped blocks,
+// their transactions and the event data collectible.
 func (c *Chain) pruneLocked() {
 	r := c.cfg.Retention
 	if r == 0 || uint64(len(c.blocks)) <= r {
 		return
 	}
-	drop := uint64(len(c.blocks)) - r
-	// Copy into a fresh slice so the dropped blocks' backing array — and the
-	// transactions it pins — becomes collectible.
-	c.blocks = append(make([]*Block, 0, r), c.blocks[drop:]...)
-	c.prunedBlocks += drop
+	drop := len(c.blocks) - int(r)
+	c.blocks = slideDown(c.blocks, drop)
+	c.prunedBlocks += uint64(drop)
 	cutoff := c.blocks[0].Number
-	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].Block >= cutoff })
-	if i > 0 {
-		c.events = append(make([]Event, 0, len(c.events)-i), c.events[i:]...)
-	}
+	live := c.events[c.eventHead:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].Block >= cutoff })
+	// The log is window × events-per-block long, so a block only advances
+	// its head; Emit moves the log when its array fills.
+	clear(live[:i])
+	c.eventHead += i
+}
+
+// slideDown drops s[:n] by moving the rest to the front of the same array and
+// zeroing the slots that vacates.
+func slideDown[T any](s []T, n int) []T {
+	kept := copy(s, s[n:])
+	clear(s[kept:])
+	return s[:kept]
 }
 
 // txWireSize approximates a transaction's on-chain footprint: ~110 bytes of

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -281,7 +282,7 @@ func (k *Contract) IssueChallenge() (*core.Challenge, error) {
 	if _, err := k.Chain.Submit(&chain.Tx{
 		From: k.Addr, To: k.Addr,
 		Data: ch.Marshal(),
-		Note: fmt.Sprintf("challenge round %d", k.round),
+		Note: "challenge round " + strconv.Itoa(k.round),
 	}); err != nil {
 		return nil, err
 	}
@@ -310,7 +311,7 @@ func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 		From: from,
 		To:   k.Addr,
 		Data: proofBytes,
-		Note: fmt.Sprintf("proof round %d", k.round),
+		Note: "proof round " + strconv.Itoa(k.round),
 	})
 	if err != nil {
 		return err
@@ -495,7 +496,7 @@ func (k *Contract) applyVerdictAt(passed bool, settleGas uint64, height uint64) 
 		From:     k.Addr,
 		To:       k.Addr,
 		ExtraGas: settleGas,
-		Note:     fmt.Sprintf("settle round %d", k.round),
+		Note:     "settle round " + strconv.Itoa(k.round),
 	})
 	if err != nil {
 		return err

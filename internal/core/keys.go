@@ -101,9 +101,11 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 		pub.Powers[j] = new(bn256.G1).ScalarBaseMult(aj)
 		aj = ff.Mul(aj, alpha)
 	}
-	// Every Marshal and every prover's psi reads the powers: affine once,
-	// here, instead of one inversion per point per use.
+	// Every Marshal and every prover's psi reads the powers, every Marshal
+	// and every verifier's Miller loop reads ε and δ: affine once, here,
+	// instead of one inversion per point per use.
 	bn256.NormalizeG1(pub.Powers)
+	bn256.NormalizeG2([]*bn256.G2{pub.Epsilon, pub.Delta})
 	pub.EG1Eps = bn256.Pair(bn256.GenG1(), pub.Epsilon)
 
 	return &PrivateKey{X: x, Alpha: alpha, Pub: pub}, nil
