@@ -46,6 +46,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"flag"
@@ -55,6 +56,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -177,6 +179,8 @@ func runAudit(ctx context.Context, args []string) int {
 		seed: *seed, stateDir: *stateDir, tickDelay: *tickDelay,
 	}
 	if cfg.stateDir != "" && *remotes != "" {
+		// Resume replays one engagement's rounds in order; interleaving N
+		// needs settle heights the journal does not record.
 		return fail(fmt.Errorf("-state is local mode only; remote providers keep their own state"))
 	}
 	if cfg.stateDir != "" && cfg.seed == "" {
@@ -252,12 +256,9 @@ func runAudit(ctx context.Context, args []string) int {
 	terms.ChallengeSize = cfg.k
 
 	var failedRounds int
-	switch {
-	case len(cfg.remotes) > 0:
+	if len(cfg.remotes) > 0 {
 		failedRounds, err = runRemoteAudit(ctx, net, owner, sf, terms, cfg)
-	case cfg.stateDir != "":
-		failedRounds, err = runDurableLocalAudit(ctx, net, owner, sf, terms, cfg, data, funds)
-	default:
+	} else {
 		failedRounds, err = runLocalAudit(ctx, net, owner, sf, terms, cfg, data, funds)
 	}
 	if err != nil {
@@ -271,52 +272,63 @@ func runAudit(ctx context.Context, args []string) int {
 	return 0
 }
 
-// runLocalAudit drives one engagement against an in-process provider (the
-// original CLI behavior) and returns the number of failed rounds.
+// runLocalAudit drives one engagement against an in-process provider through
+// the scheduler and returns the number of failed rounds. With -state the run
+// is durable: the world's reconstruction inputs are persisted first and the
+// scheduler journals under the state directory, so a killed process can be
+// resumed (state.go).
 func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte, funds *big.Int) (int, error) {
+	verifier := &dsnaudit.BatchVerifier{}
+	verifier.Instrument(cfg.obs.reg)
+	opts := []sched.Option{
+		sched.WithVerifier(verifier),
+		sched.WithMetrics(cfg.obs.reg),
+		sched.WithTracer(cfg.obs.tracer),
+	}
+	var tickDelay time.Duration
+	if cfg.stateDir != "" {
+		wc := worldConfig{Seed: cfg.seed, ChunkSize: cfg.chunkSize, K: cfg.k, Rounds: cfg.rounds, Providers: cfg.providers}
+		if err := saveWorldState(cfg.stateDir, wc, owner.AuditSK, owner.EncKey, data, sf); err != nil {
+			return 0, err
+		}
+		fmt.Printf("state persisted under %s\n", cfg.stateDir)
+		jnl, err := sched.OpenJournal(filepath.Join(cfg.stateDir, stateJournalDir), stateJournalShards)
+		if err != nil {
+			return 0, err
+		}
+		// Close flushes the journal's buffered tail, so it runs on every way
+		// out, an interrupted Run included; the success path checks its
+		// error below (a second Close is a no-op).
+		defer jnl.Close()
+		opts = append(opts, sched.WithJournal(jnl), sched.WithCheckpointEvery(stateCheckpointTick))
+		tickDelay = cfg.tickDelay
+	}
+
 	eng, err := owner.Engage(sf, sf.Holders[0], terms)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Printf("contract %s live; on-chain key: %d bytes\n\n", eng.Contract.Addr, eng.Contract.StoredKeyBytes())
-
-	price := cost.PaperPrice()
-	failed := 0
-	for round := 1; round <= cfg.rounds; round++ {
-		if cfg.corruptAt == round {
-			if prover, ok := eng.Provider.Prover(eng.Contract.Addr); ok {
-				for c := 0; c < prover.File.NumChunks(); c++ {
-					prover.File.Corrupt(c, 0)
-				}
-				fmt.Printf("!! provider %s silently corrupted its copy\n", eng.Provider.Name)
-			}
-		}
-		ok, err := eng.RunRound(ctx)
-		if err != nil {
-			return failed, err
-		}
-		rec := eng.Contract.Records()[round-1]
-		fmt.Printf("round %d: passed=%-5v proof=%dB gas=%d ($%.4f)\n",
-			round, ok, rec.ProofSize, rec.GasUsed, price.GasToUSD(rec.GasUsed))
-		if !ok {
-			failed++
-			fmt.Printf("         provider slashed; contract %v\n", eng.Contract.State())
-			break
+	s := sched.NewScheduler(net, opts...)
+	wireAuditHooks(s, eng, cfg.corruptAt, tickDelay)
+	if err := s.Add(eng); err != nil {
+		return 0, err
+	}
+	if err := s.Run(ctx); err != nil {
+		return 0, err
+	}
+	if jnl := s.Journal(); jnl != nil {
+		if err := jnl.Close(); err != nil {
+			return 0, err
 		}
 	}
-
-	fmt.Printf("\nfinal state: %v\n", eng.Contract.State())
-	printChainStats(net, owner, sf.Holders[0], funds)
+	failed := printAuditTrail(net, owner, eng, funds)
 
 	back, err := owner.Retrieve(sf)
 	if err != nil {
 		return failed, fmt.Errorf("retrieval failed: %w", err)
 	}
-	intact := len(back) == len(data)
-	for i := 0; intact && i < len(back); i++ {
-		intact = back[i] == data[i]
-	}
-	fmt.Printf("storage-plane retrieval intact: %v\n", intact)
+	fmt.Printf("storage-plane retrieval intact: %v\n", bytes.Equal(back, data))
 	return failed, nil
 }
 

@@ -3,7 +3,7 @@
 // With -state DIR the local audit mode becomes crash-safe: the world's
 // reconstruction inputs (beacon seed, owner keys, data, audit state) are
 // persisted under DIR before the first round and the scheduler journals
-// every decision to DIR/journal. If the process dies — kill -9 included —
+// to DIR/journal. If the process dies — kill -9 included —
 //
 //	dsn-audit resume -state DIR
 //
@@ -114,55 +114,7 @@ func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey, da
 	return core.SaveAuditState(filepath.Join(dir, stateAuditName), sf.Encoded, sf.Auths)
 }
 
-// runDurableLocalAudit is the -state variant of runLocalAudit: the same
-// single in-process engagement, but driven through the journaled scheduler,
-// so a killed process can be resumed. Returns the number of failed rounds.
-func runDurableLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte, funds *big.Int) (int, error) {
-	wc := worldConfig{
-		Seed: cfg.seed, ChunkSize: cfg.chunkSize, K: cfg.k,
-		Rounds: cfg.rounds, Providers: cfg.providers,
-	}
-	if err := saveWorldState(cfg.stateDir, wc, owner.AuditSK, owner.EncKey, data, sf); err != nil {
-		return 0, err
-	}
-	fmt.Printf("state persisted under %s\n", cfg.stateDir)
-
-	eng, err := owner.Engage(sf, sf.Holders[0], terms)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Printf("contract %s live; on-chain key: %d bytes\n\n", eng.Contract.Addr, eng.Contract.StoredKeyBytes())
-
-	jnl, err := sched.OpenJournal(filepath.Join(cfg.stateDir, stateJournalDir), stateJournalShards)
-	if err != nil {
-		return 0, err
-	}
-	// Close flushes the journal's buffered tail, so it runs on every way out,
-	// an interrupted Run included; the success path checks its error below
-	// (a second Close is a no-op).
-	defer jnl.Close()
-	verifier := &dsnaudit.BatchVerifier{}
-	verifier.Instrument(cfg.obs.reg)
-	s := sched.NewScheduler(net,
-		sched.WithJournal(jnl),
-		sched.WithCheckpointEvery(stateCheckpointTick),
-		sched.WithVerifier(verifier),
-		sched.WithMetrics(cfg.obs.reg),
-		sched.WithTracer(cfg.obs.tracer))
-	wireAuditHooks(s, eng, cfg.corruptAt, cfg.tickDelay)
-	if err := s.Add(eng); err != nil {
-		return 0, err
-	}
-	if err := s.Run(ctx); err != nil {
-		return 0, err
-	}
-	if err := jnl.Close(); err != nil {
-		return 0, err
-	}
-	return printAuditTrail(net, owner, eng, funds), nil
-}
-
-// wireAuditHooks attaches the shared block hook of the durable run and the
+// wireAuditHooks attaches the shared block hook of the local audit and the
 // resume: per-round progress lines (the crash smoke script keys off these
 // to time its kill), the optional round-targeted corruption, and the
 // optional per-tick delay that holds the run open long enough to kill.
@@ -205,6 +157,7 @@ func printAuditTrail(net *dsnaudit.Network, owner *dsnaudit.Owner, eng *dsnaudit
 			passed++
 		} else {
 			failed++
+			fmt.Printf("         provider slashed; contract %v\n", eng.Contract.State())
 		}
 	}
 	fmt.Printf("\nfinal state: %v\n", eng.Contract.State())
@@ -342,7 +295,7 @@ func runResume(ctx context.Context, args []string) int {
 	fmt.Printf("recovered: %d entries (%d live, %d terminal), %d records replayed, %d rounds reconciled, %d torn bytes, resuming at height %d\n",
 		rep.Entries, rep.Live, rep.Terminal, rep.Replayed, rep.Reconciled, rep.TornBytes, rep.ResumeHeight)
 
-	// As in runDurableLocalAudit: flush the journal's tail on every way out.
+	// As in runLocalAudit: flush the journal's tail on every way out.
 	defer s.Journal().Close()
 	wireAuditHooks(s, eng, 0, *tickDelay)
 	if err := s.Run(ctx); err != nil {

@@ -9,7 +9,7 @@
 //	go run ./cmd/experiments -exp fig7 -quick  # smaller workloads
 //
 // Experiments: table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 beacon
-// attack confidence entropy scheduler churn soak crash.
+// attack confidence entropy churn soak crash.
 //
 // Absolute timings depend on this implementation's big.Int-based curve
 // arithmetic (the paper used assembly-optimized ECC); EXPERIMENTS.md
@@ -58,7 +58,6 @@ var registry = []experiment{
 	{"attack", "Section V-C on-chain leakage attack", runAttack},
 	{"confidence", "Detection confidence: model vs empirical", runConfidence},
 	{"entropy", "Merkle challenge-entropy exhaustion (Sec. II)", runEntropy},
-	{"scheduler", "Concurrent audit scheduler vs sequential driver", runScheduler},
 	{"churn", "Repair under provider churn: durability and latency", runChurn},
 	{"soak", "Sharded scheduler at scale: O(due) ticks, spill-bounded memory", runSoak},
 	{"crash", "Crash-injection matrix: kill, recover, verify byte-identical outcomes", runCrash},
@@ -68,7 +67,7 @@ func main() {
 	log.SetFlags(0)
 	expName := flag.String("exp", "all", "experiment to run (or 'all' / 'list')")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
-	workers := flag.Int("workers", 0, "scheduler pipeline parallelism (0 = GOMAXPROCS); the scheduler experiment prints serial vs this")
+	workers := flag.Int("workers", 0, "scheduler pipeline parallelism for churn and soak (0 = GOMAXPROCS)")
 	soakN := flag.Int("n", 0, "soak: population override; runs n/2 then n engagements (the nightly gate passes 1000000)")
 	flag.Parse()
 

@@ -24,7 +24,7 @@
 //     single-contract flows.
 //   - sched.Scheduler (package dsnaudit/sched): the concurrent driver for
 //     the paper's real deployment shape (Section III-B: many owners x many
-//     providers on one chain). It subscribes to block events, wakes every
+//     providers on one chain). It mines the blocks, wakes every
 //     registered engagement at its trigger height, and runs a two-stage
 //     pipeline: proof generation fans out to a prove-worker pool, and each
 //     sealed block's proofs settle on a dedicated settlement stage through

@@ -53,6 +53,10 @@ type Engagement struct {
 	Generation int
 
 	network *Network
+
+	// observed counts the contract rounds whose verdicts this engagement has
+	// fed to the reputation ledger; see ObservedRounds.
+	observed int
 }
 
 // ID returns the engagement's stable identity: its contract address. It
@@ -370,6 +374,14 @@ func (e *Engagement) RunAll(ctx context.Context) (int, error) {
 	return passed, nil
 }
 
+// ObservedRounds returns how many of the contract's settled rounds have been
+// fed to the reputation ledger: RecordSettledRound and RecordMissedDeadline
+// each advance it by one, and an adopted contract starts at the rounds it
+// had already settled. The engagement is the one owner of that fact —
+// recovery observes contract rounds from this count up, whatever the journal
+// lost, so a round is never observed twice.
+func (e *Engagement) ObservedRounds() int { return e.observed }
+
 // Network returns the simulation network the engagement is bound to. The
 // scheduler (dsnaudit/sched) needs it to share the engagement's chain and
 // reputation ledger.
@@ -391,12 +403,14 @@ func (e *Engagement) SettleMissedDeadline() error {
 // observation was lost with the crashed process — the contract side must
 // not run twice, the ledger side must run exactly once.
 func (e *Engagement) RecordMissedDeadline() {
+	e.observed++
 	e.network.Reputation.Observe(e.Provider.Name, reputation.EventDeadlineMissed)
 }
 
 // RecordSettledRound feeds one settled round's verdict into the reputation
 // ledger.
 func (e *Engagement) RecordSettledRound(passed bool) {
+	e.observed++
 	if passed {
 		e.network.Reputation.Observe(e.Provider.Name, reputation.EventAuditPassed)
 		if e.Contract.State() == contract.StateExpired {

@@ -97,12 +97,13 @@ func (n *Network) AddProvider(name string, funds *big.Int) (*ProviderNode, error
 // use it to drive contracts they deployed and initialized by hand (the soak
 // experiment deploys 100k of them); the responder defaults to the provider
 // node itself when t is nil. The caller is responsible for the contract
-// being in a schedulable state (acknowledged and frozen).
+// being in a schedulable state (acknowledged and frozen). Rounds the contract
+// settled before adoption count as already observed into reputation.
 func (n *Network) AdoptEngagement(k *contract.Contract, o *Owner, p *ProviderNode, t Responder) *Engagement {
 	if t == nil {
 		t = p
 	}
-	return &Engagement{Contract: k, Owner: o, Provider: p, Responder: t, ShareIndex: -1, network: n}
+	return &Engagement{Contract: k, Owner: o, Provider: p, Responder: t, ShareIndex: -1, network: n, observed: len(k.Records())}
 }
 
 // Provider returns a registered provider by name.

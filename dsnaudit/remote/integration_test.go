@@ -370,3 +370,40 @@ type silentResponder struct{}
 func (silentResponder) Respond(context.Context, chain.Address, *core.Challenge) ([]byte, error) {
 	return nil, errors.New("responder wedged")
 }
+
+// TestSchedulerWithRemoteProviders drives several engagements through the
+// concurrent Scheduler with every proof fetched over one TCP connection:
+// the remote transport slots into the pipeline exactly like in-process
+// responders, and all engagements expire fully paid.
+func TestSchedulerWithRemoteProviders(t *testing.T) {
+	fx := buildFixture(t, "sched-remote")
+	node := dsnaudit.NewProviderNode("remote-sp")
+	addr, _ := startServer(t, node)
+	client := NewClient(addr)
+	defer client.Close()
+
+	s := sched.NewScheduler(fx.net)
+	engs := make([]*dsnaudit.Engagement, 3)
+	for i := range engs {
+		eng, err := fx.owner.EngageWith(context.Background(), fx.sf, fx.sf.Holders[i], client, smallTerms(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i] = eng
+		if err := s.Add(eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range engs {
+		res, ok := s.Result(eng.ID())
+		if !ok {
+			t.Fatalf("no result for %s", eng.ID())
+		}
+		if res.State != contract.StateExpired || res.Passed != 2 || res.Failed != 0 {
+			t.Fatalf("engagement %s: %+v, want 2 passed rounds and EXPIRED", eng.ID(), res)
+		}
+	}
+}

@@ -137,7 +137,7 @@ type slot struct {
 
 // NewManager creates a repair manager bound to one owner and one scheduler
 // and registers its scheduler hooks. Call before Scheduler.Run: outcomes
-// are not replayed for late subscribers.
+// are not replayed for late hooks.
 func NewManager(owner *dsnaudit.Owner, s *sched.Scheduler, opts ...Option) *Manager {
 	m := &Manager{
 		owner:   owner,

@@ -16,8 +16,8 @@ const (
 	// and before any due engagement is woken: challenges for this tick are
 	// never issued.
 	CrashPreIssue CrashPoint = "pre-issue"
-	// CrashPostIssue fires after the wake pass: challenges are issued and
-	// journaled, no proof has been submitted.
+	// CrashPostIssue fires after the wake pass: challenges are issued, no
+	// proof has been submitted.
 	CrashPostIssue CrashPoint = "post-issue"
 	// CrashMidProve fires after one proof submission lands on-chain:
 	// some proofs of the tick are submitted, the rest never are.

@@ -34,8 +34,12 @@ type CrashMatrixConfig struct {
 	// enough that CrashMidCheckpoint fires several times per run).
 	CheckpointEvery int
 	// Occurrences selects which firings of each crash point to kill at
-	// (default {1, 2, 3}): the first, a mid-run one, a later one. An
-	// occurrence a point never reaches is recorded as not fired, not failed.
+	// (default {1, 2, 3, 5, 8, 13, 21}): from the first tick to past the
+	// run's last settled block. An occurrence a point never reaches is
+	// recorded as not fired, not failed — but with any occurrence >= 5
+	// configured, one of the three coalesced-flush points must fire at one:
+	// the early flushes hold no settled record, and a lost settled record
+	// is the case reconciliation exists for.
 	Occurrences []int
 	// Dir is the root for per-case journal directories (default: a fresh
 	// temp directory, removed afterwards).
@@ -45,12 +49,12 @@ type CrashMatrixConfig struct {
 }
 
 // The journaled runs' synced-flush cadence in ticks and buffer-full threshold
-// in bytes: small enough that the coalescing crash points — buffer-full and
-// barrier flushes and the mid-coalesced-write tear — all fire several times
-// per run.
+// in bytes (two or three records): small enough that the coalescing crash
+// points — buffer-full and barrier flushes and the mid-coalesced-write tear —
+// fire throughout a run, not just in its first ticks.
 const (
 	matrixFlushEvery = 2
-	matrixFlushBytes = 192
+	matrixFlushBytes = 96
 )
 
 func (c *CrashMatrixConfig) applyDefaults() {
@@ -70,7 +74,7 @@ func (c *CrashMatrixConfig) applyDefaults() {
 		c.CheckpointEvery = 3
 	}
 	if len(c.Occurrences) == 0 {
-		c.Occurrences = []int{1, 2, 3}
+		c.Occurrences = []int{1, 2, 3, 5, 8, 13, 21}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -87,7 +91,8 @@ type CrashCase struct {
 }
 
 // CrashMatrixReport is the whole matrix outcome. Failures is empty iff every
-// gate held: all diffs empty, every crash point fired at least once,
+// gate held: all diffs empty, every crash point fired at least once (a
+// coalesced-flush point at an occurrence >= 5, when one is configured),
 // recovery touched no chain history, and the resolver was called exactly
 // once per recovered entry.
 type CrashMatrixReport struct {
@@ -312,6 +317,10 @@ func RunCrashMatrix(cfg CrashMatrixConfig) (*CrashMatrixReport, error) {
 
 	rep := &CrashMatrixReport{}
 	firedAt := make(map[CrashPoint]bool)
+	// flushDepth is the occurrence from which a lost flush holds settled
+	// records: when one that deep is configured, a flush point must fire at one.
+	const flushDepth = 5
+	needDeepFlush, firedDeepFlush := false, false
 	for _, point := range CrashPoints {
 		for _, occ := range cfg.Occurrences {
 			cse, err := runCrashCase(cfg, point, occ, want)
@@ -319,6 +328,13 @@ func RunCrashMatrix(cfg CrashMatrixConfig) (*CrashMatrixReport, error) {
 				return nil, fmt.Errorf("sched: crash matrix %s#%d: %w", point, occ, err)
 			}
 			rep.Cases = append(rep.Cases, *cse)
+			if occ >= flushDepth {
+				needDeepFlush = true
+				switch point {
+				case CrashBufferFlush, CrashBarrierFlush, CrashMidCoalescedWrite:
+					firedDeepFlush = firedDeepFlush || cse.Fired
+				}
+			}
 			if cse.Fired {
 				firedAt[point] = true
 			}
@@ -338,6 +354,9 @@ func RunCrashMatrix(cfg CrashMatrixConfig) (*CrashMatrixReport, error) {
 		if !firedAt[point] {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: never fired at any configured occurrence", point))
 		}
+	}
+	if needDeepFlush && !firedDeepFlush {
+		rep.Failures = append(rep.Failures, fmt.Sprintf("no coalesced-flush point fired at an occurrence >= %d, where a lost flush holds settled records", flushDepth))
 	}
 	return rep, nil
 }

@@ -145,8 +145,8 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 
 	// Per-engagement traffic coalesces: nothing more hits disk until a
 	// barrier flushes the buffer.
-	must(journalRecord{typ: recChallenge, addr: "audit:a:sp:f", round: 1})
-	must(journalRecord{typ: recProof, addr: "audit:a:sp:f", round: 1})
+	must(journalRecord{typ: recParked, addr: "audit:a:sp:f", kind: parkRetry, round: 1, height: 3, retries: 1})
+	must(journalRecord{typ: recSettled, addr: "audit:a:sp:f", round: 1, passed: true})
 	if n := onDisk(); n != 2 {
 		t.Fatalf("%d records on disk, want 2: buffered records leaked before the barrier", n)
 	}
@@ -280,71 +280,123 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 }
 
 // settleBarrierVerifier asserts the settlement durability barrier from the
-// settlement stage itself: when SettleBlock runs, every contract in the
-// block must already have its current round's challenge record written out
-// to the journal files on disk — not merely sitting in a shard buffer.
+// settlement stage itself: when SettleBlock runs for a block, the settled
+// record of every round it settled in the previous block, and every settled
+// and parked record appended up to the barrier, must be readable from the
+// journal files on disk — not merely sitting in a shard buffer.
 type settleBarrierVerifier struct {
-	t      *testing.T
-	dir    string
-	shards int
+	t   *testing.T
+	jnl *Journal
 
-	mu      sync.Mutex
-	checked int
+	mu       sync.Mutex
+	appended []journalRecord // settled and parked records appended before the coming block's barrier
+	prev     []string        // settled records the previous block's verdicts owe
+	settled  int             // records checked, by kind
+	parked   int
+}
+
+func barrierKey(r journalRecord) string {
+	return fmt.Sprintf("%d|%s|%d|%d", r.typ, r.addr, r.round, r.height)
+}
+
+// atPreSettle runs on the Run goroutine just before the barrier (it is the
+// crash hook, which never fires): everything on disk plus everything still
+// buffered is what has been appended so far.
+func (v *settleBarrierVerifier) atPreSettle(p CrashPoint) bool {
+	if p != CrashPreSettle {
+		return false
+	}
+	appended := v.onDisk()
+	for _, sh := range v.jnl.shards {
+		sh.mu.Lock()
+		recs, _, err := scanRecords(sh.buf, "buffer")
+		sh.mu.Unlock()
+		if err != nil {
+			v.t.Errorf("pre-settle buffer scan: %v", err)
+		}
+		appended = append(appended, recs...)
+	}
+	v.mu.Lock()
+	v.appended = appended
+	v.mu.Unlock()
+	return false
+}
+
+// onDisk reads every settled and parked record the shard files hold.
+func (v *settleBarrierVerifier) onDisk() []journalRecord {
+	var out []journalRecord
+	for i := range v.jnl.shards {
+		// readShardFrom tolerates a torn tail, which a concurrent append on
+		// the run goroutine can briefly look like; the records asserted on
+		// were flushed before the settle job was queued.
+		recs, _, err := readShardFrom(v.jnl.dir, i, 0)
+		if err != nil {
+			v.t.Errorf("journal read: %v", err)
+		}
+		out = append(out, recs...)
+	}
+	return out
 }
 
 func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
-	onDisk := make(map[string]bool)
-	for i := 0; i < v.shards; i++ {
-		// readShardFrom tolerates a torn tail, which a concurrent append on
-		// the run goroutine can briefly look like; the records asserted on
-		// below were flushed before this job was queued.
-		recs, _, err := readShardFrom(v.dir, i, 0)
-		if err != nil {
-			v.t.Errorf("settle-time journal read: %v", err)
-			continue
-		}
-		for _, r := range recs {
-			if r.typ == recChallenge {
-				onDisk[fmt.Sprintf("%s|%d", r.addr, r.round)] = true
-			}
-		}
+	disk := make(map[string]bool)
+	for _, r := range v.onDisk() {
+		disk[barrierKey(r)] = true
 	}
 	v.mu.Lock()
-	for _, c := range cs {
-		v.checked++
-		if !onDisk[fmt.Sprintf("%s|%d", c.Addr, c.Round())] {
-			v.t.Errorf("settling %s round %d before its challenge record was durable", c.Addr, c.Round())
+	for _, k := range v.prev {
+		v.settled++
+		if !disk[k] {
+			v.t.Errorf("settling block at height %d before the previous block's settled record %s was written", height, k)
 		}
+	}
+	for _, r := range v.appended {
+		if r.typ != recSettled && r.typ != recParked {
+			continue
+		}
+		if r.typ == recParked {
+			v.parked++
+		}
+		if !disk[barrierKey(r)] {
+			v.t.Errorf("settling block at height %d before record %s, appended ahead of its barrier, was written", height, barrierKey(r))
+		}
+	}
+	v.prev = v.prev[:0]
+	for _, c := range cs {
+		v.prev = append(v.prev, barrierKey(journalRecord{typ: recSettled, addr: c.Addr, round: c.Round()}))
 	}
 	v.mu.Unlock()
 	return TrustingVerifier{}.SettleBlock(cs, height, workers)
 }
 
 // TestGroupCommitBarrierBeforeSettlement pins the externally-visible-effect
-// rule: settlement moves funds, so every record behind a settle block must
-// be flushed before the settlement stage sees it. The flush cadence and
+// rule: settlement moves funds, so what recovery needs to reconcile the
+// blocks before it — their settled records, every parked mark — must be
+// flushed before the settlement stage sees the next block: the window
+// recovery reconciles from the contracts is one block. The flush cadence and
 // buffer threshold are set far out of reach, so the pre-settle barrier is
-// the only mechanism that can put these records on disk — if it were
-// missing, every settle block would fail the assertion.
+// the only mechanism that can put these records on disk (tick marks write
+// shard 0's buffer through; the fixture spreads over all four) — if it were
+// missing, every settle block after the first would fail the assertion.
 func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	fx, err := buildCrashFixture("group-commit-barrier", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const shards = 4
-	dir := t.TempDir()
-	jnl, err := OpenJournal(dir, shards)
+	jnl, err := OpenJournal(t.TempDir(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jnl.flushBytes = 1 << 30
-	v := &settleBarrierVerifier{t: t, dir: dir, shards: shards}
+	v := &settleBarrierVerifier{t: t, jnl: jnl}
 	s := NewScheduler(fx.net,
 		WithShards(shards),
 		WithParallelism(2),
 		WithJournal(jnl),
 		WithVerifier(v),
 		WithJournalFlushEvery(1<<20),
+		WithCrashHook(v.atPreSettle),
 	)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
@@ -357,8 +409,8 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v.checked == 0 {
-		t.Fatal("verifier never saw a settle block")
+	if v.settled == 0 || v.parked == 0 {
+		t.Fatalf("verifier checked %d settled and %d parked records, want both kinds", v.settled, v.parked)
 	}
 	// With cadence and threshold unreachable, only barriers wrote: the
 	// pre-settle flushes plus the clean-exit sync.

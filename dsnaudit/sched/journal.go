@@ -16,12 +16,12 @@ import (
 )
 
 // The scheduler journal is the durability layer's write path: an append-only
-// log, sharded by contract address, of every scheduling decision that must
-// survive a crash — registrations, issued challenges, received proofs,
-// parked deadlines/backoffs, settled rounds, terminal outcomes, and a
-// per-tick wake mark. Together with the periodic checkpoint (checkpoint.go)
-// it lets Recover rebuild the wake queues and the engagement registry
-// without rescanning a single contract.
+// log, sharded by contract address, of what recovery cannot re-derive from
+// the contracts — registrations, parked deadlines/backoffs, settled rounds,
+// terminal outcomes, and a per-tick wake mark. An open challenge or a sealed
+// proof is not journaled: Contract.State() already says so. Together with
+// the periodic checkpoint (checkpoint.go) it lets Recover rebuild the wake
+// queues and the engagement registry without rescanning a single contract.
 //
 // Every record is framed as
 //
@@ -46,25 +46,25 @@ import (
 // preserving order): registrations, because the scheduler must never act on
 // an engagement whose registration is not on disk — a lost registration is
 // the one record recovery cannot reconstruct — and tick marks, because the
-// resume height must be exactly the tick the run died in. Everything else a
-// crash can lose — challenges, proofs, parked marks, settled rounds — is
-// absorbed by Recover, which re-derives live phase from contract state and
-// reconciles settled rounds from the chain; the contracts themselves are the
-// authoritative record of what settled. What a machine crash can lose is
-// therefore bounded by the fsync cadence, and what a process crash can lose
-// by the distance to the last barrier.
+// resume height must be exactly the tick the run died in. What a crash can
+// lose — parked marks, settled rounds — is absorbed by Recover, which
+// re-derives live phase from contract state and reconciles settled rounds
+// from the chain; the contracts themselves are the authoritative record of
+// what settled. What a machine crash can lose is therefore bounded by the
+// fsync cadence, and what a process crash can lose by the distance to the
+// last barrier.
 
-// Journal record types.
+// Journal record types. 2 (challenge issued) and 3 (proof submitted) are
+// retired and never reused: they decode like any unknown type, so a journal
+// that holds them is refused rather than half-read.
 type recordType uint8
 
 const (
-	recRegister  recordType = 1 // engagement registered (seq, base round count)
-	recChallenge recordType = 2 // challenge issued for a round
-	recProof     recordType = 3 // proof received and submitted for a round
-	recSettled   recordType = 4 // a round's verdict recorded (reputation observed)
-	recTerminal  recordType = 5 // engagement reached a terminal state
-	recParked    recordType = 6 // entry parked (deadline wait or overload backoff)
-	recTick      recordType = 7 // a tick's wake height was processed
+	recRegister recordType = 1 // engagement registered (seq, base round count)
+	recSettled  recordType = 4 // a round's verdict recorded
+	recTerminal recordType = 5 // engagement reached a terminal state
+	recParked   recordType = 6 // entry parked (deadline wait or overload backoff)
+	recTick     recordType = 7 // a tick's wake height was processed
 )
 
 // parkKind distinguishes the two parked phases in a parked record.
@@ -84,7 +84,7 @@ type journalRecord struct {
 	seq        uint64 // recRegister: global registration sequence number
 	baseRounds int    // recRegister: contract rounds already settled at Add
 
-	round int // recChallenge/recProof/recSettled/recParked: contract round
+	round int // recSettled/recParked: contract round
 
 	passed   bool // recSettled: the verdict
 	deadline bool // recSettled: settled via the missed-deadline path
@@ -148,9 +148,6 @@ func appendRecord(dst []byte, r journalRecord) []byte {
 	case recRegister:
 		dst = binary.BigEndian.AppendUint64(dst, r.seq)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r.baseRounds))
-		dst = append(dst, r.addr...)
-	case recChallenge, recProof:
-		dst = binary.BigEndian.AppendUint32(dst, uint32(r.round))
 		dst = append(dst, r.addr...)
 	case recSettled:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r.round))
@@ -224,12 +221,6 @@ func decodeRecord(buf []byte) (journalRecord, int, error) {
 		r.seq = binary.BigEndian.Uint64(p)
 		r.baseRounds = int(binary.BigEndian.Uint32(p[8:]))
 		r.addr = chain.Address(p[12:])
-	case recChallenge, recProof:
-		if len(p) < 4 {
-			return r, 0, errBadRecord
-		}
-		r.round = int(binary.BigEndian.Uint32(p))
-		r.addr = chain.Address(p[4:])
 	case recSettled:
 		if len(p) < 5 {
 			return r, 0, errBadRecord

@@ -3,7 +3,9 @@ package sched
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"testing"
 )
 
@@ -12,17 +14,35 @@ import (
 // FuzzDecodeRecord's seeds want single frames.
 func encodeRecord(r journalRecord) []byte { return appendRecord(nil, r) }
 
+// retiredFrame builds, with a valid checksum, the frame the retired challenge
+// (2) and proof (3) records had — round | addr — under any type byte. No
+// encoder writes one any more; the decoder tests need them.
+func retiredFrame(typ byte, round uint32, addr string) []byte {
+	f := []byte{journalMagic[0], journalMagic[1], typ}
+	f = binary.BigEndian.AppendUint32(f, uint32(4+len(addr)))
+	f = binary.BigEndian.AppendUint32(f, round)
+	f = append(f, addr...)
+	return binary.BigEndian.AppendUint32(f, crc32.Checksum(f[2:], crcTable))
+}
+
 // TestAppendRecordGolden pins the framed bytes of every record type: the
 // digest was taken from the encoder that built each frame in two fresh
-// slices, before records were framed in place.
+// slices, before records were framed in place, over the sample records of
+// the five types that remain.
 func TestAppendRecordGolden(t *testing.T) {
-	const want = "9b2d9600b16202bdb16a4916f75acb4e6d462cc85e805a0a3188c77d83ddf58f"
+	const want = "671bcbc9edfb440711f8087c75e9d28a94d5890c67c981c71dedb26f6e8d6f78"
 	h := sha256.New()
 	for _, r := range sampleRecords() {
 		h.Write(encodeRecord(r))
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("sample records frame to digest %s, want %s", got, want)
+	}
+	// The test-only builder makes the frames that encoder made for the two
+	// retired types.
+	const challenge = "d54a02000000160000000361756469743a616c6963653a73702d613a663c3fb8ce"
+	if got := hex.EncodeToString(retiredFrame(2, 3, "audit:alice:sp-a:f")); got != challenge {
+		t.Fatalf("retired challenge frame %s, want %s", got, challenge)
 	}
 }
 
@@ -48,9 +68,9 @@ func TestAppendRecordIntoNonEmptyBuffer(t *testing.T) {
 	}
 }
 
-// TestJournalAppendDoesNotAllocate: a buffered append — the challenge, proof
-// and settled records every round writes — frames into the shard's buffer and
-// allocates nothing once that buffer has grown.
+// TestJournalAppendDoesNotAllocate: a buffered append — the settled record
+// every round writes, the parked mark a failed one does — frames into the
+// shard's buffer and allocates nothing once that buffer has grown.
 func TestJournalAppendDoesNotAllocate(t *testing.T) {
 	j, err := OpenJournal(t.TempDir(), 4)
 	if err != nil {
@@ -58,9 +78,8 @@ func TestJournalAppendDoesNotAllocate(t *testing.T) {
 	}
 	defer j.Close()
 	recs := []journalRecord{
-		{typ: recChallenge, addr: "audit:soak:12345", round: 1},
-		{typ: recProof, addr: "audit:soak:12345", round: 1},
 		{typ: recSettled, addr: "audit:soak:12345", round: 1, passed: true},
+		{typ: recParked, addr: "audit:soak:12345", kind: parkDeadline, round: 2, height: 9},
 	}
 	round := func() {
 		for _, r := range recs {
@@ -71,10 +90,10 @@ func TestJournalAppendDoesNotAllocate(t *testing.T) {
 	}
 	// Grow every shard buffer to its flush size once; from then on a flush
 	// resets the length and keeps the array.
-	for i := 0; i < 2*journalFlushBytes/(3*32); i++ {
+	for i := 0; i < 2*journalFlushBytes/(2*32); i++ {
 		round()
 	}
 	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
-		t.Fatalf("three buffered appends allocate %.1f times, want 0", allocs)
+		t.Fatalf("two buffered appends allocate %.1f times, want 0", allocs)
 	}
 }

@@ -16,8 +16,6 @@ import (
 func sampleRecords() []journalRecord {
 	return []journalRecord{
 		{typ: recRegister, addr: "audit:alice:sp-a:f", seq: 7, baseRounds: 2},
-		{typ: recChallenge, addr: "audit:alice:sp-a:f", round: 3},
-		{typ: recProof, addr: "audit:alice:sp-a:f", round: 3},
 		{typ: recSettled, addr: "audit:alice:sp-a:f", round: 3, passed: true},
 		{typ: recSettled, addr: "audit:bob:sp-b:g", round: 1, deadline: true},
 		{typ: recParked, addr: "audit:bob:sp-b:g", kind: parkRetry, round: 1, height: 99, retries: 4},
@@ -150,6 +148,33 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsRetiredTypes: types 2 and 3 (the challenge and proof
+// records a parent-version journal holds) are not half-read — a well-formed,
+// correctly checksummed frame of either is rejected exactly like a type that
+// never existed: corruption when valid records follow it, a torn tail when
+// nothing does.
+func TestJournalRejectsRetiredTypes(t *testing.T) {
+	before := encodeRecord(journalRecord{typ: recTick, height: 5})
+	after := encodeRecord(journalRecord{typ: recSettled, addr: "audit:alice:sp-a:f", round: 3, passed: true})
+	for _, typ := range []byte{0, 2, 3, 8} {
+		frame := retiredFrame(typ, 3, "audit:alice:sp-a:f")
+		if _, n, err := decodeRecord(frame); err != errBadRecord || n != 0 {
+			t.Fatalf("type %d: decode = (%d bytes, %v), want errBadRecord", typ, n, err)
+		}
+		mid := append(append(append([]byte(nil), before...), frame...), after...)
+		_, _, err := scanRecords(mid, "test")
+		var ce *JournalCorruptError
+		if !errors.As(err, &ce) || ce.Offset != int64(len(before)) {
+			t.Fatalf("type %d mid-file: err = %v, want corruption at offset %d", typ, err, len(before))
+		}
+		tail := append(append([]byte(nil), before...), frame...)
+		recs, valid, err := scanRecords(tail, "test")
+		if err != nil || len(recs) != 1 || valid != len(before) {
+			t.Fatalf("type %d at the tail: %d records, %d valid bytes, err %v; want 1, %d, nil", typ, len(recs), valid, err, len(before))
+		}
+	}
+}
+
 // TestJournalMetaPinsShardCount: the shard count is fixed at creation; later
 // opens keep it regardless of what the caller passes — a recovered journal
 // must route addresses to the same shards the crashed one did.
@@ -196,6 +221,10 @@ func FuzzJournalRecord(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(encodeRecord(r))
 	}
+	// The parent version's challenge and proof frames stay in the corpus;
+	// they now drive the reject path.
+	f.Add(retiredFrame(2, 3, "audit:alice:sp-a:f"))
+	f.Add(retiredFrame(3, 3, "audit:alice:sp-a:f"))
 	f.Add([]byte{journalMagic[0], journalMagic[1]})
 	f.Add([]byte{})
 	torn := encodeRecord(journalRecord{typ: recTick, height: 7})

@@ -18,13 +18,17 @@ import (
 //
 // The one thing disk cannot fully witness is the settlement that was in
 // flight at the crash: the settlement stage applies verdicts on-chain before
-// the scheduler records them, so a crash in that window leaves contract
-// rounds (and funds, and slashes) that the journal has no settled record
-// for. Recovery reconciles that window from the contract's own round
-// records — each already-settled round is recognized, observed into the
-// reputation ledger exactly once, journaled, and never settled again. That
-// is the never-double-slash invariant: the chain is authoritative for what
-// settled, the journal for what was scheduled.
+// the scheduler records them, and a settled record waits in a buffer until
+// the next barrier, so a crash leaves contract rounds (and funds, and
+// slashes) that the journal has no settled record for. Recovery reconciles
+// that window from the contract's own round records — each already-settled
+// round is recognized, journaled, and never settled again. Whether its
+// verdict reached the reputation ledger is a separate fact with a separate
+// owner: the engagement counts the rounds it has fed (ObservedRounds), so a
+// round whose settled record was lost after its observation is journaled
+// again but not observed again. That is the never-double-slash invariant:
+// the chain is authoritative for what settled, the engagement for what
+// reputation saw, the journal for what was scheduled.
 
 // Resolver reattaches the live engagement for a journaled contract address.
 // Recovery calls it exactly once per recovered entry and never touches the
@@ -164,11 +168,6 @@ func (st *durableState) apply(r journalRecord) {
 		if r.seq >= st.seq {
 			st.seq = r.seq + 1
 		}
-	case recChallenge, recProof:
-		if re == nil {
-			return
-		}
-		re.hint = hintLive
 	case recParked:
 		if re == nil {
 			return
@@ -215,10 +214,10 @@ func (st *durableState) apply(r journalRecord) {
 //
 // Already-settled rounds the journal missed (the in-flight settlement
 // window) are reconciled from each contract's round records: recognized,
-// observed into reputation once, journaled, and skipped — never re-settled,
-// never re-slashed. Entries whose contracts crossed into a terminal state
-// during that window are finished here, and their outcome hooks fire before
-// Recover returns.
+// journaled, observed into reputation if the engagement has not fed them
+// yet, and skipped — never re-settled, never re-slashed. Entries whose
+// contracts crossed into a terminal state during that window are finished
+// here, and their outcome hooks fire before Recover returns.
 func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) (*Scheduler, *RecoveryReport, error) {
 	j, err := OpenJournal(dir, 0)
 	if err != nil {
@@ -288,18 +287,20 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 
 		// Reconcile the settled-but-unjournaled window: every contract round
 		// past what the journal witnessed already moved funds and state
-		// on-chain; observe it into reputation and the journal exactly once.
+		// on-chain. The engagement says which of them reputation has seen;
+		// the journal's own count says which the entry's accounting has.
 		recs := e.Contract.Records()
-		for settledUpTo := re.baseRounds + re.rounds; settledUpTo < len(recs); settledUpTo++ {
-			rec := recs[settledUpTo]
-			deadline := !rec.Passed && rec.GasUsed == 0
-			if deadline {
-				// A missed deadline settles with no proof transaction; its
-				// round record is the only one with zero gas.
+		// A missed deadline settles with no proof transaction; its round
+		// record is the only one with zero gas.
+		missed := func(rec contract.RoundRecord) bool { return !rec.Passed && rec.GasUsed == 0 }
+		for _, rec := range recs[min(e.ObservedRounds(), len(recs)):] {
+			if missed(rec) {
 				e.RecordMissedDeadline()
 			} else {
 				e.RecordSettledRound(rec.Passed)
 			}
+		}
+		for _, rec := range recs[min(re.baseRounds+re.rounds, len(recs)):] {
 			re.rounds++
 			if rec.Passed {
 				re.passed++
@@ -313,7 +314,7 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 				addr:     re.addr,
 				round:    rec.Round,
 				passed:   rec.Passed,
-				deadline: deadline,
+				deadline: missed(rec),
 			})
 		}
 

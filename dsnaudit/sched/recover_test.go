@@ -11,6 +11,7 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/contract"
+	"repro/internal/reputation"
 )
 
 func sampleCheckpoint() *checkpointData {
@@ -100,8 +101,6 @@ func TestDurableStateMerge(t *testing.T) {
 		{typ: recTick, height: 10},
 		{typ: recRegister, addr: "a", seq: 0, baseRounds: 1},
 		{typ: recRegister, addr: "b", seq: 1},
-		{typ: recChallenge, addr: "a", round: 1},
-		{typ: recProof, addr: "a", round: 1},
 		{typ: recSettled, addr: "a", round: 1, passed: true},
 		{typ: recParked, addr: "b", kind: parkRetry, round: 0, height: 30, retries: 2},
 		{typ: recTick, height: 12},
@@ -216,4 +215,103 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	noCheckpoint("Recover(WithCheckpointEvery(0))", rs)
+}
+
+// TestRecoverObservesEachRoundOnce kills a journaled run at the first barrier
+// whose buffers hold a settled record: those rounds' verdicts were fed to the
+// reputation ledger before the crash and their journal records die with the
+// buffer. Recovery must journal them again without observing them again —
+// every provider's standing ends equal to an uninterrupted run's.
+func TestRecoverObservesEachRoundOnce(t *testing.T) {
+	const shards = 4
+	standing := func(fx *crashFixture) map[string]reputation.Record {
+		t.Helper()
+		out := make(map[string]reputation.Record)
+		for _, e := range fx.engs {
+			rec, err := fx.net.Reputation.Record(e.Provider.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Provider.Name] = rec
+		}
+		return out
+	}
+
+	ref, err := buildCrashFixture("observe-once", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewScheduler(ref.net, WithShards(shards), WithParallelism(2))
+	for _, e := range ref.engs {
+		if err := rs.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := standing(ref)
+
+	fx, err := buildCrashFixture("observe-once", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jnl, err := OpenJournal(dir, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl),
+		WithCrashHook(func(p CrashPoint) bool {
+			if p != CrashBarrierFlush {
+				return false
+			}
+			// The hook runs on the Run goroutine, the buffers' only writer,
+			// inside the flush of one of them.
+			for _, sh := range jnl.shards {
+				recs, _, _ := scanRecords(sh.buf, "buffer")
+				for _, r := range recs {
+					if r.typ == recSettled {
+						lost++
+					}
+				}
+			}
+			return lost > 0
+		}))
+	for _, e := range fx.engs {
+		if err := s.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("run returned %v, want ErrCrashed at a barrier holding settled records", err)
+	}
+	jnl.Close()
+
+	resolve := make(map[chain.Address]*dsnaudit.Engagement, len(fx.engs))
+	for _, e := range fx.engs {
+		resolve[e.ID()] = e
+	}
+	rec, rrep, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
+		return resolve[addr], nil
+	}, WithShards(shards), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rrep.Reconciled < lost {
+		t.Fatalf("recovery reconciled %d rounds, the crash lost %d settled records", rrep.Reconciled, lost)
+	}
+	if err := rec.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := standing(fx)
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("%s standing %+v, want %+v", name, g, w)
+		}
+	}
 }

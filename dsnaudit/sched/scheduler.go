@@ -17,9 +17,9 @@ import (
 )
 
 // Scheduler drives any number of engagements concurrently on one chain. It
-// is the block clock of the simulation: each tick mines one block, the
-// chain's subscription delivers the block event, and every registered
-// engagement whose trigger height is reached is woken.
+// is the block clock of the simulation: each tick mines one block, and every
+// registered engagement whose trigger height is reached at that block is
+// woken.
 //
 // The CPU-heavy work runs as a two-stage pipeline. Stage one is the proof
 // pool: the tick's due challenges fan out to prove workers, and each proof
@@ -194,8 +194,9 @@ func WithAutoCompact() Option {
 	return func(s *Scheduler) { s.autoCompact = true }
 }
 
-// WithJournal makes the scheduler durable: every scheduling decision is
-// appended to j before it can matter, and periodic checkpoints (see
+// WithJournal makes the scheduler durable: what recovery cannot re-derive
+// from the contracts — registrations, parked marks, settled rounds, terminal
+// outcomes, tick marks — is appended to j, and periodic checkpoints (see
 // WithCheckpointEvery) bound what a restart must replay. Appends coalesce in
 // per-shard buffers and are written out, one write per shard, at each
 // durability barrier — wherever something becoming externally visible
@@ -324,15 +325,15 @@ func (s *Scheduler) AddSet(set *dsnaudit.EngagementSet) error {
 // engagements — that is how the repair subsystem re-engages a reconstructed
 // share. Within one tick outcomes are delivered in registration order.
 // Register hooks before Run starts; outcomes are not replayed for late
-// subscribers.
+// hooks.
 func (s *Scheduler) OnOutcome(fn func(dsnaudit.Outcome)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.outcomeHooks = append(s.outcomeHooks, fn)
 }
 
-// OnBlock registers fn to be called once per tick, after the block event is
-// received and before engagements are woken for that height, on the Run
+// OnBlock registers fn to be called once per tick, after the block is mined
+// and before engagements are woken for that height, on the Run
 // goroutine with no lock held: what a hook does to the world (kill a
 // provider, add an engagement) is visible to the same tick's wake, giving
 // experiments a deterministic injection point for churn pinned to heights.
@@ -421,8 +422,8 @@ func (s *Scheduler) journalFault() error {
 
 // journalDead reports whether an injected crash killed the journal. The
 // pipeline checks it after any step that can append: once the journal is
-// dead no further externally-visible effect (challenge, proof, settlement
-// record) may happen, because a real crash would have stopped them too.
+// dead no further externally-visible effect (challenge, proof, settlement)
+// may happen, because a real crash would have stopped them too.
 func (s *Scheduler) journalDead() bool {
 	return s.journal != nil && s.journal.crashed()
 }
@@ -523,12 +524,6 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		s.mu.Unlock()
 	}()
 
-	// Subscribe from the current height: behaviorally identical to a plain
-	// Subscribe here (nothing newer exists yet), but the from-height form is
-	// what pins a restarted scheduler to the chain position it recovered at.
-	sub := s.net.Chain.SubscribeFrom(s.net.Chain.Height())
-	defer sub.Unsubscribe()
-
 	// Stage 1: the proof-generation pool.
 	jobs := make(chan proofJob)
 	results := make(chan proofResult)
@@ -621,28 +616,16 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			return err
 		}
 
-		// One tick = one block, received through the subscription. A
-		// recovered scheduler's first tick is the exception: the crashed run
-		// already mined the block for the wake height it died at, so the
-		// resume tick re-processes that height without mining — mining again
-		// would shift every later trigger by one block relative to an
-		// uninterrupted run.
+		// One tick = one block, mined here. A recovered scheduler's first
+		// tick is the exception: the crashed run already mined the block for
+		// the wake height it died at, so the resume tick re-processes that
+		// height without mining — mining again would shift every later
+		// trigger by one block relative to an uninterrupted run.
 		resumeTick := resume
-		var height uint64
-		if resume {
-			resume = false
-			height = s.lastWake
-		} else {
-			s.net.Chain.MineBlock()
-			select {
-			case blk := <-sub.Blocks():
-				height = blk.Number
-			case <-ctx.Done():
-				if err := joinSettle(); err != nil {
-					return err
-				}
-				return ctx.Err()
-			}
+		resume = false
+		height := s.lastWake
+		if !resumeTick {
+			height = s.net.Chain.MineBlock().Number
 		}
 		s.mu.Lock()
 		s.stats.Ticks++
@@ -700,8 +683,8 @@ func (s *Scheduler) Run(ctx context.Context) error {
 					}
 				}
 				if !crashed && s.journalDead() {
-					// A buffer-full flush inside this result's proof/parked
-					// append crashed: stop dispatching, drain like MidProve.
+					// A buffer-full flush inside this result's parked append
+					// crashed: stop dispatching, drain like MidProve.
 					crashed = true
 					due = nil
 				}
@@ -738,19 +721,15 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			// with their transactions still pending — and need the same seal
 			// the crashed run would have given them.
 			s.net.Chain.MineBlock()
-			select {
-			case <-sub.Blocks():
-			case <-ctx.Done():
-				return ctx.Err()
-			}
 		}
 		if len(block) > 0 {
 			if s.crashAt(CrashPreSettle) {
 				return ErrCrashed
 			}
-			// The settlement barrier: every record behind this block's
-			// verdicts — its challenges, proofs, parked marks — is written
-			// out before the settlement stage can move funds for them.
+			// The settlement barrier: the previous block's settled records
+			// and every parked mark so far are written out before the
+			// settlement stage can move this block's funds, so the window
+			// recovery must reconcile is one block.
 			if err := s.jbarrier(false); err != nil {
 				return err
 			}
@@ -846,7 +825,6 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 				issued[en.shard]++
 				challenges++
 				s.setPhase(en, phaseProving)
-				s.jappend(journalRecord{typ: recChallenge, addr: e.ID(), round: e.Contract.Round()})
 				s.tracer.Emit(obs.EvChallenge, string(e.ID()), e.Contract.Round(), h, "")
 				dispatch(en, ch)
 			case contract.StateProve:
@@ -937,7 +915,6 @@ func (s *Scheduler) submit(ctx context.Context, h uint64, r proofResult) bool {
 		s.finish(en, err)
 		return false
 	}
-	s.jappend(journalRecord{typ: recProof, addr: e.ID(), round: e.Contract.Round()})
 	s.tracer.Emit(obs.EvProof, string(e.ID()), e.Contract.Round(), h, "")
 	return true
 }

@@ -33,9 +33,9 @@ type SoakConfig struct {
 	Seed        string // beacon seed (default "soak")
 
 	// JournalDir, when set, runs the soak with the durability journal
-	// enabled — every scheduler decision is appended and checkpoints are cut
-	// at CheckpointEvery ticks — so the soak measures the journaled tick
-	// cost, not just the in-memory one.
+	// enabled — records are appended and checkpoints are cut at
+	// CheckpointEvery ticks — so the soak measures the journaled tick cost,
+	// not just the in-memory one.
 	JournalDir        string
 	CheckpointEvery   int // checkpoint cadence in ticks when journaling (default 64)
 	JournalShards     int // journal shard files (default 4 — every barrier fsync pays per shard)

@@ -8,8 +8,8 @@
 // away, and a scan touches each of them anyway. The scheduler keeps wake
 // queues instead — engagements are indexed by the exact height they next act
 // at, and a tick pops only what is due — and shards them by contract address
-// so the queue work spreads across scheduler workers while a single chain
-// subscription drives the whole fleet.
+// so the queue work spreads across scheduler workers while one block clock —
+// the Run loop's own MineBlock — drives the whole fleet.
 //
 // The scheduling order is deterministic by construction at any shard count:
 // every registered engagement carries a global registration sequence number,

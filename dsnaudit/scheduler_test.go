@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -134,6 +135,7 @@ func TestSchedulerCancellation(t *testing.T) {
 
 		s := fx.scheduler(t, shards, sched.WithWorkers(2))
 		ctx, cancel := context.WithCancel(context.Background())
+		goroutines := runtime.NumGoroutine()
 		runErr := make(chan error, 1)
 		go func() { runErr <- s.Run(ctx) }()
 
@@ -153,14 +155,19 @@ func TestSchedulerCancellation(t *testing.T) {
 			t.Fatal("scheduler deadlocked after cancellation")
 		}
 
-		// The block loop is not wedged: the chain still mines and delivers.
-		sub := fx.net.Chain.Subscribe()
-		defer sub.Unsubscribe()
-		fx.net.Chain.MineBlock()
-		select {
-		case <-sub.Blocks():
-		case <-time.After(2 * time.Second):
-			t.Fatal("chain stopped delivering blocks")
+		// Run took its goroutines — the prove workers and the settlement
+		// stage, nothing else — with it.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Run returned, %d before it started", runtime.NumGoroutine(), goroutines)
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		// The chain is not wedged: it still mines, and the block it hands
+		// back is the new head.
+		if blk := fx.net.Chain.MineBlock(); blk.Number != fx.net.Chain.Height() {
+			t.Fatalf("mined block %d at height %d", blk.Number, fx.net.Chain.Height())
 		}
 
 		// The interrupted round stayed open; a fresh Run with the real

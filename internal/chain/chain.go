@@ -131,9 +131,8 @@ type Block struct {
 }
 
 // Chain is the simulated ledger and the single mining authority of the
-// simulation: every block is sealed through MineBlock, and block events fan
-// out to subscribers registered with Subscribe. All methods are safe for
-// concurrent use.
+// simulation: every block is sealed through MineBlock, whose caller is the
+// block clock. All methods are safe for concurrent use.
 type Chain struct {
 	mu        sync.Mutex
 	cfg       Config
@@ -144,8 +143,6 @@ type Chain struct {
 	events    []Event // events[eventHead:] is the log; the prefix is pruned and cleared
 	eventHead int
 	txCount   int
-	subs      map[uint64]*Subscription
-	nextSubID uint64
 
 	// Running aggregates over every sealed block, pruned or not.
 	totalBytes   int
@@ -362,18 +359,15 @@ func (c *Chain) MineBlock() *Block {
 	c.totalBytes += blk.ByteSize
 	c.totalGas += blk.GasUsed
 	c.pruneLocked()
-	for _, s := range c.subs {
-		s.publish(blk)
-	}
 	return blk
 }
 
 // pruneLocked drops block bodies and events older than the retention window.
 // Aggregates (TotalBytes, TotalGas, Height) are unaffected; only the
 // per-block and per-event history shrinks. Both arrays are pruned in place:
-// no slice of either escapes the lock (Events, Blocks and SubscribeFrom
-// copy), and clearing the vacated slots is what makes the dropped blocks,
-// their transactions and the event data collectible.
+// no slice of either escapes the lock (Events and Blocks copy), and clearing
+// the vacated slots is what makes the dropped blocks, their transactions and
+// the event data collectible.
 func (c *Chain) pruneLocked() {
 	r := c.cfg.Retention
 	if r == 0 || uint64(len(c.blocks)) <= r {

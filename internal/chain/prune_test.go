@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // refChain is the retention rule written the naive way — every block copies
@@ -155,26 +154,6 @@ func TestRetentionMatchesReference(t *testing.T) {
 						fail(h, "event %d is %+v, want %+v", i, e, w)
 					}
 				}
-				// A replay from a height inside, at the edge of or below the window.
-				after := ref.blocks[0].Number + uint64(rng.Intn(len(ref.blocks)+1))
-				if oldest := ref.blocks[0].Number; oldest > 0 && rng.Intn(4) == 0 {
-					after = oldest - 1
-				}
-				sub := c.SubscribeFrom(after)
-				for _, w := range ref.blocks {
-					if w.Number <= after {
-						continue
-					}
-					select {
-					case b := <-sub.Blocks():
-						if err := sameBlock(b, w); err != nil {
-							fail(h, "replay after %d: %v", after, err)
-						}
-					case <-time.After(5 * time.Second):
-						fail(h, "replay after %d: block %d never delivered", after, w.Number)
-					}
-				}
-				sub.Unsubscribe()
 			}
 		}
 	}
