@@ -207,6 +207,37 @@ func BenchmarkGTMultiScalarMult24(b *testing.B) {
 	}
 }
 
+var gfp12Sink gfP12
+
+// BenchmarkGfp12MulChain multiplies an accumulator by 64 distinct GT elements
+// in turn. Every product has new operands, so the branch predictor cannot
+// learn the outcomes of the base field's reductions from a repeating input,
+// as it does in a loop over fixed values.
+func BenchmarkGfp12MulChain(b *testing.B) {
+	g1s, g2s, _ := randomPairs(b, 64)
+	t := make([]*gfP12, len(g1s))
+	for i := range t {
+		t[i] = Pair(g1s[i], g2s[i]).p
+	}
+	acc := *t[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Mul(&acc, t[i%len(t)])
+	}
+	gfp12Sink = acc
+}
+
+// BenchmarkCyclotomicSquareChain squares a GT element in place, so each call
+// squares a new value.
+func BenchmarkCyclotomicSquareChain(b *testing.B) {
+	acc := *Pair(GenG1(), GenG2()).p
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.CyclotomicSquare(&acc)
+	}
+	gfp12Sink = acc
+}
+
 func BenchmarkGTUnmarshalCompressed(b *testing.B) {
 	enc, err := Pair(GenG1(), GenG2()).MarshalCompressed()
 	if err != nil {

@@ -12,6 +12,15 @@ import (
 // full modular reduction after each big.Int op into a handful of
 // math/bits.Mul64/Add64 instructions.
 //
+// Keeping values in [0, p) costs each operation one final reduction. In
+// gfpAdd and gfpSub it is a mask select, with no branch: on uniformly
+// distributed operands a sum reaches p, or a difference goes below zero, about
+// half the time, so a branch there mispredicts on nearly every other call, and
+// every tower, curve and line formula does more additions than
+// multiplications. gfpMul and gfpSquare keep a branch (gfpCarrySub): a
+// Montgomery product needs the subtraction on a small share of inputs, so it
+// predicts well and beats computing both candidates.
+//
 // The Montgomery constants are not transcribed: initGFp derives them from
 // the package prime P (itself derived from the BN parameter u) and validates
 // them, matching the package's derive-and-check philosophy. Conversion in
@@ -97,42 +106,59 @@ func limbsLess(a, b [4]uint64) bool {
 	return borrow != 0
 }
 
-// gfpCarrySub reduces c into [0, p): subtracts p when c >= p (or when the
-// addition that produced c overflowed 2^256, signaled by carry).
-func gfpCarrySub(c *gfP, carry uint64) {
+// gfpCarrySub reduces c from [0, 2p) into [0, p) by subtracting p when
+// c >= p, behind a branch. It ends gfpMul and gfpSquare (and Invert's
+// fix-up), whose output lands in [p, 2p) for a small share of inputs, so the
+// branch predicts well and is cheaper than the mask select of two candidates
+// that gfpAdd uses, where the subtraction is needed half the time.
+func gfpCarrySub(c *gfP) {
 	var d gfP
 	var borrow uint64
 	d[0], borrow = bits.Sub64(c[0], pLimbs[0], 0)
 	d[1], borrow = bits.Sub64(c[1], pLimbs[1], borrow)
 	d[2], borrow = bits.Sub64(c[2], pLimbs[2], borrow)
 	d[3], borrow = bits.Sub64(c[3], pLimbs[3], borrow)
-	if carry != 0 || borrow == 0 {
+	if borrow == 0 {
 		*c = d
 	}
 }
 
+// gfpAdd sets c = a + b mod p for a, b in [0, p). p < 2^254 keeps the sum
+// below 2^255, so it never carries out of the top limb; the sum and the sum
+// minus p are both computed and the subtraction's borrow (set exactly when
+// the sum is below p) keeps one by mask, with no data-dependent branch. c may
+// alias a or b.
 func gfpAdd(c, a, b *gfP) {
-	var carry uint64
-	c[0], carry = bits.Add64(a[0], b[0], 0)
-	c[1], carry = bits.Add64(a[1], b[1], carry)
-	c[2], carry = bits.Add64(a[2], b[2], carry)
-	c[3], carry = bits.Add64(a[3], b[3], carry)
-	gfpCarrySub(c, carry)
+	s0, carry := bits.Add64(a[0], b[0], 0)
+	s1, carry := bits.Add64(a[1], b[1], carry)
+	s2, carry := bits.Add64(a[2], b[2], carry)
+	s3, _ := bits.Add64(a[3], b[3], carry)
+	d0, borrow := bits.Sub64(s0, pLimbs[0], 0)
+	d1, borrow := bits.Sub64(s1, pLimbs[1], borrow)
+	d2, borrow := bits.Sub64(s2, pLimbs[2], borrow)
+	d3, borrow := bits.Sub64(s3, pLimbs[3], borrow)
+	keep := -borrow // all ones when the sum is already below p
+	c[0] = d0 ^ (d0^s0)&keep
+	c[1] = d1 ^ (d1^s1)&keep
+	c[2] = d2 ^ (d2^s2)&keep
+	c[3] = d3 ^ (d3^s3)&keep
 }
 
+// gfpSub sets c = a - b mod p for a, b in [0, p): the difference's borrow
+// masks p, which is added back unconditionally, with no data-dependent
+// branch. c may alias a or b.
 func gfpSub(c, a, b *gfP) {
-	var borrow uint64
-	c[0], borrow = bits.Sub64(a[0], b[0], 0)
-	c[1], borrow = bits.Sub64(a[1], b[1], borrow)
-	c[2], borrow = bits.Sub64(a[2], b[2], borrow)
-	c[3], borrow = bits.Sub64(a[3], b[3], borrow)
-	if borrow != 0 {
-		var carry uint64
-		c[0], carry = bits.Add64(c[0], pLimbs[0], 0)
-		c[1], carry = bits.Add64(c[1], pLimbs[1], carry)
-		c[2], carry = bits.Add64(c[2], pLimbs[2], carry)
-		c[3], _ = bits.Add64(c[3], pLimbs[3], carry)
-	}
+	d0, borrow := bits.Sub64(a[0], b[0], 0)
+	d1, borrow := bits.Sub64(a[1], b[1], borrow)
+	d2, borrow := bits.Sub64(a[2], b[2], borrow)
+	d3, borrow := bits.Sub64(a[3], b[3], borrow)
+	wrap := -borrow // all ones when a < b
+	p0, p1, p2, p3 := pLimbs[0]&wrap, pLimbs[1]&wrap, pLimbs[2]&wrap, pLimbs[3]&wrap
+	var carry uint64
+	c[0], carry = bits.Add64(d0, p0, 0)
+	c[1], carry = bits.Add64(d1, p1, carry)
+	c[2], carry = bits.Add64(d2, p2, carry)
+	c[3], _ = bits.Add64(d3, p3, carry)
 }
 
 func gfpNeg(c, a *gfP) {
@@ -275,7 +301,7 @@ func gfpMul(c, a, b *gfP) {
 	t3 = t4 + h3 + cc
 
 	*c = gfP{t0, t1, t2, t3}
-	gfpCarrySub(c, 0)
+	gfpCarrySub(c)
 }
 
 // gfpSquare sets c = a * a * R^-1 mod p. The off-diagonal products a[i]*a[j]
@@ -391,7 +417,7 @@ func gfpSquare(c, a *gfP) {
 	w7 += h3 + cc
 
 	*c = gfP{w4, w5, w6, w7}
-	gfpCarrySub(c, 0)
+	gfpCarrySub(c)
 }
 
 // --- methods ---
@@ -566,7 +592,7 @@ func (e *gfP) Invert(a *gfP) *gfP {
 	// a here is the Montgomery form of the value to invert, so cn holds
 	// -s * 2^k / (aR); its Montgomery-form inverse R/a is
 	// -s * cn * R^2 / 2^k = -s * mul(mul(cn, R^2), 2^(512-k)).
-	gfpCarrySub(&cn, 0)
+	gfpCarrySub(&cn)
 	for ; k < 257; k++ {
 		gfpDouble(&cn, &cn)
 	}

@@ -374,6 +374,63 @@ func FuzzGfpMulSquare(f *testing.F) {
 	})
 }
 
+// FuzzGfpAddSub pins the additive kernels gfpAdd, gfpSub, gfpDouble and
+// gfpNeg to math/big on arbitrary limbs reduced mod p, out of place and with
+// the output aliasing either input. An additive result does not depend on
+// the Montgomery factor, so limbs are compared as plain integers. The seeds
+// put a+b at p-1, p and p+1 and a-b at -1, 0 and +1, where the reduction's
+// outcome flips, plus 0 and p-1.
+func FuzzGfpAddSub(f *testing.F) {
+	half := new(big.Int).Rsh(P, 1) // (p-1)/2
+	next := new(big.Int).Add(half, bigOne)
+	zero, pm1 := new(big.Int), new(big.Int).Sub(P, bigOne)
+	for _, s := range [][2]*big.Int{
+		{half, half}, // a+b = p-1, a-b = 0
+		{half, next}, // a+b = p, a-b = -1
+		{next, next}, // a+b = p+1
+		{next, half}, // a-b = +1
+		{zero, zero},
+		{zero, pm1},
+		{pm1, zero},
+		{pm1, pm1},
+	} {
+		a, b := limbsFromBig(s[0]), limbsFromBig(s[1])
+		f.Add(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
+	}
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
+		reduce := func(l gfP) (gfP, *big.Int) {
+			v := l.rawBig()
+			v.Mod(v, P)
+			return gfP(limbsFromBig(v)), v
+		}
+		a, av := reduce(gfP{a0, a1, a2, a3})
+		b, bv := reduce(gfP{b0, b1, b2, b3})
+		for _, op := range []struct {
+			name string
+			fn   func(c, a, b *gfP)
+			want *big.Int
+		}{
+			{"gfpAdd", gfpAdd, new(big.Int).Add(av, bv)},
+			{"gfpSub", gfpSub, new(big.Int).Sub(av, bv)},
+			{"gfpDouble", func(c, a, _ *gfP) { gfpDouble(c, a) }, new(big.Int).Lsh(av, 1)},
+			{"gfpNeg", func(c, a, _ *gfP) { gfpNeg(c, a) }, new(big.Int).Neg(av)},
+		} {
+			op.want.Mod(op.want, P)
+			want := gfP(limbsFromBig(op.want))
+			var c gfP
+			op.fn(&c, &a, &b)
+			ca, cb := a, b
+			op.fn(&ca, &ca, &b)
+			op.fn(&cb, &a, &cb)
+			for form, got := range map[string]gfP{"": c, " into a": ca, " into b": cb} {
+				if got != want {
+					t.Fatalf("%s%s(%v, %v) = %v, want %v", op.name, form, av, bv, got.rawBig(), op.want)
+				}
+			}
+		}
+	})
+}
+
 // rawBig returns the limbs as an integer, without Montgomery decoding.
 func (e *gfP) rawBig() *big.Int {
 	v := new(big.Int)
