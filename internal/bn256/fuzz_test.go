@@ -126,6 +126,15 @@ func FuzzMultiScalarMult(f *testing.F) {
 	f.Add(append(cancelling, doubling...))
 	f.Add(mixed)
 	f.Add([]byte{})
+	// Short and full-width scalars in one input: k^6 for k = 2642245 and
+	// 2642246 lands just below and just above 2^128, where glvDecompose
+	// switches rule, beside 64-bit ones and n - k.
+	var shortFull []byte
+	for i, r := range [][2]uint64{{2 << 6, 2642245}, {3 << 6, 5}, {2 << 6, 2642246}, {0, 1 << 63}, {1 << 6, 9}, {2 << 6, 2642245}} {
+		shortFull = append(shortFull, rec(byte(r[0])|byte(i%5), r[1])...)
+	}
+	f.Add(shortFull)
+	f.Add(append(shortFull, cancelling...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 9*64 {
 			data = data[:9*64]

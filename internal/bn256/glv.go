@@ -112,7 +112,14 @@ func roundingMultiplier(b *big.Int) [4]uint64 {
 // its multiplier (the exact rounding, or in about one case in 2^66 its
 // neighbour) and the halves, which fit 129 bits with their sign, are
 // computed in 192-bit two's complement.
+//
+// A k below 2^128 is returned as (k, 0), the lattice point c1 = c2 = 0: it is
+// already a half. Rounding would give it a ~127-bit and a ~64-bit half, two
+// entries where one does, and a challenge coefficient is always this short.
 func glvDecompose(k *[4]uint64) (k1, k2 [2]uint64, neg1, neg2 bool) {
+	if k[2]|k[3] == 0 {
+		return [2]uint64{k[0], k[1]}, [2]uint64{}, false, false
+	}
 	c1, c2 := mulRoundShift(k, &glvMulB2), mulRoundShift(k, &glvMulA2)
 	a2 := [2]uint64{glvA2Limb}
 	h1 := sub3(sub3([3]uint64{k[0], k[1], k[2]}, mul3(&c1, &glvA1Limbs)), mul3(&c2, &a2))

@@ -8,11 +8,17 @@ import (
 )
 
 // glvScalars are the scalars the GLV path can get wrong -- the ends of
-// [0, n), values the reduction must fold, lambda itself, a single high bit --
+// [0, n), values the reduction must fold, lambda itself, a single high bit,
+// both sides of 2^128 where the decomposition changes rule --
 // followed by count random ones below 2^256.
 func glvScalars(t *testing.T, count int) []*big.Int {
 	t.Helper()
+	two128 := new(big.Int).Lsh(big.NewInt(1), 128)
 	ks := []*big.Int{
+		new(big.Int).Lsh(big.NewInt(1), 64),
+		new(big.Int).Sub(two128, big.NewInt(1)),
+		two128,
+		new(big.Int).Add(two128, big.NewInt(1)),
 		big.NewInt(0),
 		big.NewInt(1),
 		new(big.Int).Sub(Order, big.NewInt(1)),
@@ -33,11 +39,15 @@ func glvScalars(t *testing.T, count int) []*big.Int {
 	return ks
 }
 
-// glvDecomposeBig is the decomposition as PR 15 wrote it, on big.Int with
-// two exact divisions by n: the reference the limb version is held to.
+// glvDecomposeBig is the decomposition on big.Int with two exact divisions
+// by n, and (k, 0) for k mod n below 2^128: the reference the limb version is
+// held to.
 func glvDecomposeBig(k *big.Int) (k1, k2 *big.Int) {
 	halfOrder := new(big.Int).Rsh(Order, 1)
 	k1 = new(big.Int).Mod(k, Order)
+	if k1.BitLen() <= 128 {
+		return k1, new(big.Int)
+	}
 	// (k, 0) = (k*b2/n)*v1 + (k*a2/n)*v2 over the rationals.
 	c1 := new(big.Int).Mul(k1, glvB2)
 	c1.Add(c1, halfOrder).Div(c1, Order)
@@ -62,21 +72,34 @@ func signedLimbs(mag [2]uint64, neg bool) *big.Int {
 }
 
 // TestGLVDecompose: the limb decomposition satisfies k1 + k2*lambda = k mod
-// n with both halves below 2^128 (what their type holds; the reference's
-// bound of 127 bits is checked too), and agrees with the big.Int one, on the
-// scalars at the ends of the range and around lambda and on 10^4 random ones.
+// n with both halves below 2^128 (what their type holds; Babai rounding's
+// bound of 127 bits is checked too, for k mod n of 2^128 and above), and
+// agrees with the big.Int one, on the scalars at the ends of the range, at
+// 2^128, around lambda, on 10^4 random ones and 10^3 below 2^128.
 // (n-1)/2 comes last: k*b2/n is within 2^-127 of a half-integer there, closer
 // than the multipliers resolve, so it is the one input where the limb version
 // may round to the other neighbour, and only the first two properties hold.
 func TestGLVDecompose(t *testing.T) {
 	ks := glvScalars(t, 10000)
+	two128 := new(big.Int).Lsh(big.NewInt(1), 128)
+	for i := 0; i < 1000; i++ {
+		k, err := rand.Int(rand.Reader, two128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks = append(ks, k)
+	}
 	ks = append(ks, new(big.Int).Sub(Order, glvLambda), new(big.Int).Rsh(Order, 1))
 	tie := len(ks) - 1
 	for i, k := range ks {
 		limbs := scalarFromBig(k)
 		m1, m2, neg1, neg2 := glvDecompose(&limbs)
 		k1, k2 := signedLimbs(m1, neg1), signedLimbs(m2, neg2)
-		if k1.BitLen() > 127 || k2.BitLen() > 127 {
+		bound := 127
+		if new(big.Int).Mod(k, Order).Cmp(two128) < 0 {
+			bound = 128
+		}
+		if k1.BitLen() > bound || k2.BitLen() > bound {
 			t.Fatalf("k=%v: halves of %d and %d bits", k, k1.BitLen(), k2.BitLen())
 		}
 		got := new(big.Int).Mul(k2, glvLambda)

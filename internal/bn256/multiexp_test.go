@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"sync/atomic"
 	"testing"
@@ -168,6 +169,68 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 	}
 }
 
+// TestMultiScalarMultShortAndFull mixes, in one call, scalars on both sides
+// of 2^128, where glvDecompose switches from Babai rounding to (k, 0) and an
+// entry's phi half goes from live to zero, with the ends of [0, n) and lambda
+// (whose Babai halves are (0, 1)); every case runs at workers 1 and 3 against
+// the sum of ScalarMults, each of which is held to the plain ladder.
+func TestMultiScalarMultShortAndFull(t *testing.T) {
+	pow2 := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
+	boundary := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		pow2(64),
+		new(big.Int).Sub(pow2(128), big.NewInt(1)),
+		pow2(128),
+		new(big.Int).Add(pow2(128), big.NewInt(1)),
+		new(big.Int).Set(glvLambda),
+		new(big.Int).Sub(Order, big.NewInt(1)),
+	}
+	repeat := func(ks []*big.Int, times int) (out []*big.Int) {
+		for i := 0; i < times; i++ {
+			out = append(out, ks...)
+		}
+		return out
+	}
+	short, _ := rand.Int(rand.Reader, pow2(128))
+	full, _ := rand.Int(rand.Reader, Order)
+	cases := []struct {
+		name    string
+		scalars []*big.Int
+	}{
+		{"boundary", boundary},
+		{"boundary, 8 times", repeat(boundary, 8)}, // 128 entries: two window groups for the workers
+		{"short only", boundary[:4]},
+		{"one full among short", []*big.Int{short, short, short, full, big.NewInt(3), pow2(127)}},
+		{"one short among full", []*big.Int{full, full, full, short, boundary[7], boundary[6]}},
+	}
+	_, jac, _ := RandomG1(rand.Reader)
+	for _, tc := range cases {
+		points := make([]*G1, len(tc.scalars))
+		want := new(G1).SetInfinity()
+		for i, k := range tc.scalars {
+			switch i % 3 {
+			case 0:
+				points[i] = HashToG1([]byte(fmt.Sprintf("short and full %d", i)))
+			case 1:
+				points[i] = new(G1).Add(jac, HashToG1([]byte(fmt.Sprintf("jacobian %d", i))))
+			default:
+				points[i] = new(G1).Neg(points[i-1]) // cancels it where their scalars match
+			}
+			term := new(G1).ScalarMult(points[i], k)
+			if !term.p.Equal(newCurvePoint().Mul(points[i].p, k)) {
+				t.Fatalf("%s: ScalarMult(P, %v) disagrees with the ladder", tc.name, k)
+			}
+			want.Add(want, term)
+		}
+		for _, workers := range []int{1, 3} {
+			if got := new(G1).MultiScalarMultParallel(points, tc.scalars, workers); !got.Equal(want) {
+				t.Errorf("%s, workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", tc.name, workers)
+			}
+		}
+	}
+}
+
 // TestMultiScalarMultLeavesInputsAlone: the inputs -- shared by every prover
 // of a file -- come back bit for bit, Jacobian ones included.
 func TestMultiScalarMultLeavesInputsAlone(t *testing.T) {
@@ -263,16 +326,22 @@ func BenchmarkScalarMultG1(b *testing.B) {
 
 // The three sizes the workloads send: the tiny proofs of the fleets, psi over
 // the s-1 = 49 powers, and sigma / chi over the k = 300 challenged chunks.
-func BenchmarkMultiScalarMult8(b *testing.B)   { benchmarkMultiScalarMult(b, 8) }
-func BenchmarkMultiScalarMult49(b *testing.B)  { benchmarkMultiScalarMult(b, 49) }
-func BenchmarkMultiScalarMult300(b *testing.B) { benchmarkMultiScalarMult(b, 300) }
+func BenchmarkMultiScalarMult8(b *testing.B)   { benchmarkMultiScalarMult(b, 8, Order) }
+func BenchmarkMultiScalarMult49(b *testing.B)  { benchmarkMultiScalarMult(b, 49, Order) }
+func BenchmarkMultiScalarMult300(b *testing.B) { benchmarkMultiScalarMult(b, 300, Order) }
 
-func benchmarkMultiScalarMult(b *testing.B, k int) {
+// BenchmarkMultiScalarMult300Short is the prover's sigma: 300 points under
+// 128-bit challenge coefficients.
+func BenchmarkMultiScalarMult300Short(b *testing.B) {
+	benchmarkMultiScalarMult(b, 300, new(big.Int).Lsh(big.NewInt(1), 128))
+}
+
+func benchmarkMultiScalarMult(b *testing.B, k int, bound *big.Int) {
 	points := make([]*G1, k)
 	scalars := make([]*big.Int, k)
 	for i := 0; i < k; i++ {
 		_, points[i], _ = RandomG1(rand.Reader)
-		scalars[i], _ = rand.Int(rand.Reader, Order)
+		scalars[i], _ = rand.Int(rand.Reader, bound)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,8 +10,11 @@ import (
 // (unrolled Montgomery multiplication, Legendre-filtered hash-to-curve,
 // mixed-addition Pippenger, projective Miller loop): a private key from
 // KeyGen(3, rand(13)), the authenticators Setup gave it for a 600-byte file,
-// a challenge for 4 of the 7 chunks and the private proof that answered it.
-var parentFixture = struct{ sk, auths, challenge, proof string }{
+// a challenge for 4 of the 7 chunks and, as fullWidthProof, the private proof
+// that answered it when the challenge coefficients were drawn from all of Zn.
+// proof answers the same challenge under 128-bit coefficients
+// (prf.Coefficients); it was printed when they were introduced.
+var parentFixture = struct{ sk, auths, challenge, proof, fullWidthProof string }{
 	sk: "64736e011407bf28e80aebf04cf757812428b0763112efb33b6f4fad7deb445e54d8cac4061761a97a43d41fa5385d97" +
 		"54040908cb95aaec3927e88d053271d3388e83b400000003110803b2e8eb62427b0132722c8c4367ed0d72a1f101878f" +
 		"646b9de16ddf226120afc2edcdc025c5e3ce8fa507509a307ce6f8fab521982dbf7f4e27c3b5db4d008a9dfd4d7990a7" +
@@ -34,7 +37,13 @@ var parentFixture = struct{ sk, auths, challenge, proof string }{
 		"b6458b9c5e4a82275a668a594f9f8155",
 	challenge: "7900bb519ab51486bac93fba8034cd010e8ec324c4a888ba74a4907fc8382ee93add2f053ebd404abb88852515862c15" +
 		"00000004",
-	proof: "a91fe091e3ddfd098aad23620a4036c6bb87c8dbf3d63a52097b9aca5149dd3e2f69fa04c632b18be7b6b0720127746f" +
+	proof: "8a08fea32d36b700aeed4d63e22faf77a5986cfa05b653b19f49613b2d5ed05600b7202bbede7488258dd3c00e1da421" +
+		"1e55c35a54158540fab0b0a0d973497286da0b9e12c16934fe06ded3369a80e8d5a05b1498d1d9090f6761d06014f042" +
+		"153230524823a4649f0a38853dfdc297b87d90723c7642cf7ab8dc17527a54db0dc868589032573b7a4fa3c225c0d6f5" +
+		"60fa94bf201414abc221afa72b84127604874f9706c3969e87861a642229f922eab0296ae22271adccd6f96415c35c0d" +
+		"212b6b739dc55f37d3bd72df24eb54380c777e010eadbe89a396a3a230030d3c2431b12a7df2ca0af98c0e7197b54cc4" +
+		"eb36796d9eb42f46d70fd3484fbe820104b52bb506cd8e4001be87c03d6a9a6dd32ffc7231a42fa2863847438bc63e63",
+	fullWidthProof: "a91fe091e3ddfd098aad23620a4036c6bb87c8dbf3d63a52097b9aca5149dd3e2f69fa04c632b18be7b6b0720127746f" +
 		"3fa0d4c685b7f12c35d0618745a7fc54af651efb79e0719560588279b0124c5ed00966dd4df42a576d8c7523dc4ab94e" +
 		"1832a76f47b281f228e36232721a7c58b27cf1d2f9e24babdb2fe656f0a185f024868c4d7ef8069f7b13a2bc8a04e5cf" +
 		"5392341805d3059caac0cceb4cd8b2752ec5ab70fa5fecb56e163deed7b7ab9a16c846cd3447d369ee535ec6361e254a" +
@@ -44,8 +53,11 @@ var parentFixture = struct{ sk, auths, challenge, proof string }{
 
 // TestCrossVersionFixture checks byte identity and mutual verifiability with
 // that commit: Setup here reproduces its authenticators exactly (so what this
-// version writes, it verified), its authenticators and its proof verify
-// here, and a proof made here from its authenticators verifies too.
+// version writes, it verified), its authenticators and the fixture's proof
+// verify here, and a proof made here from its authenticators verifies too.
+// The full-width proof is the negative vector of the protocol break: the same
+// 48 challenge bytes now expand to other coefficients, so both verifiers
+// reject it.
 func TestCrossVersionFixture(t *testing.T) {
 	unhex := func(s string) []byte {
 		b, err := hex.DecodeString(s)
@@ -91,15 +103,25 @@ func TestCrossVersionFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentProof, err := UnmarshalPrivateProof(unhex(parentFixture.proof))
+	fixtureProof, err := UnmarshalPrivateProof(unhex(parentFixture.proof))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyPrivate(sk.Pub, ef.NumChunks(), ch, parentProof) {
-		t.Fatal("parent proof rejected")
+	if !VerifyPrivate(sk.Pub, ef.NumChunks(), ch, fixtureProof) {
+		t.Fatal("fixture proof rejected")
 	}
-	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: parentProof}}, nil); !verdicts[0] {
-		t.Fatal("parent proof rejected by the batch verifier")
+	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fixtureProof}}, nil); !verdicts[0] {
+		t.Fatal("fixture proof rejected by the batch verifier")
+	}
+	fullWidth, err := UnmarshalPrivateProof(unhex(parentFixture.fullWidthProof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if VerifyPrivate(sk.Pub, ef.NumChunks(), ch, fullWidth) {
+		t.Fatal("proof under full-width coefficients accepted")
+	}
+	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fullWidth}}, nil); verdicts[0] {
+		t.Fatal("proof under full-width coefficients accepted by the batch verifier")
 	}
 
 	prover, err := NewProver(sk.Pub, ef, parentAuths)
@@ -114,18 +136,20 @@ func TestCrossVersionFixture(t *testing.T) {
 		t.Fatal("proof over the parent's authenticators rejected")
 	}
 	// sigma and psi are deterministic in (file, authenticators, challenge).
-	if !proof.Sigma.Equal(parentProof.Sigma) || !proof.Psi.Equal(parentProof.Psi) {
-		t.Fatal("sigma/psi differ from the parent's proof")
+	if !proof.Sigma.Equal(fixtureProof.Sigma) || !proof.Psi.Equal(fixtureProof.Psi) {
+		t.Fatal("sigma/psi differ from the fixture's proof")
 	}
 }
 
 // TestProvePrivateGolden pins every byte of a private proof, the commitment R
 // included: the fixture's key, file, authenticators and challenge and a fixed
-// stream for the mask z give the 288 bytes below, printed by the commit before
-// GT.ScalarMult split its exponent along the Frobenius.
+// stream for the mask z give the 288 bytes below. R was printed by the commit
+// before GT.ScalarMult split its exponent along the Frobenius; sigma, y' and
+// psi were re-printed when the challenge coefficients became 128 bits wide,
+// and R did not change with them.
 func TestProvePrivateGolden(t *testing.T) {
-	const golden = "a91fe091e3ddfd098aad23620a4036c6bb87c8dbf3d63a52097b9aca5149dd3e24231916631a40a5f47f285136db19d1" +
-		"238b1da787cfb360a666eca644a9a329af651efb79e0719560588279b0124c5ed00966dd4df42a576d8c7523dc4ab94e" +
+	const golden = "8a08fea32d36b700aeed4d63e22faf77a5986cfa05b653b19f49613b2d5ed05606843d368743a6047059da08b7712d75" +
+		"19412c0f6df30cc27d9bac4a2705875886da0b9e12c16934fe06ded3369a80e8d5a05b1498d1d9090f6761d06014f042" +
 		"04d20684571aad4239bf5fc9442a7405aa585b497df094d1996d3a541993354f1291fcca3e30610088da841f7f802d89" +
 		"d4627f3209a5987bbaf0164267335dc22d125d8087b96b8a0a7e7e829bf4842028dcdc9d3147d91fae975a24bd5ce0ff" +
 		"00c18944666e5105c4519fc65983152e1961955202b647b072e5272baba911e914d92bc531fbe07fe871ef0114e6b605" +

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ff"
+	"repro/internal/prf"
 )
 
 func benchPoly(b *testing.B, deg int) *Poly {
@@ -71,13 +72,15 @@ func TestNaiveQuotientMatchesSynthetic(t *testing.T) {
 	}
 }
 
+// BenchmarkLinearCombination is the prover's P_k at the paper's point: 300
+// chunks of s = 50 under the challenge's coefficients.
 func BenchmarkLinearCombination(b *testing.B) {
 	const k, s = 300, 50
 	polys := make([]*Poly, k)
 	for i := range polys {
 		polys[i] = benchPoly(b, s-1)
 	}
-	scalars, _ := ff.RandomVector(rand.Reader, k)
+	scalars := prf.Coefficients([]byte("linear combination"), k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := LinearCombination(polys, scalars); err != nil {

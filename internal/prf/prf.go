@@ -4,7 +4,7 @@
 //   - the pseudorandom permutation pi used to expand the on-chain seed C1
 //     into k distinct challenged chunk indices,
 //   - the pseudorandom function f used to expand the seed C2 into the k
-//     challenge coefficients in Zn, and
+//     challenge coefficients, 128-bit integers (see Coefficients), and
 //   - the random oracle H': GT -> Zn that derives the Sigma-protocol
 //     challenge zeta from the commitment R.
 //
@@ -50,23 +50,63 @@ func prfBlock(mac hash.Hash, tag byte, ctr uint64) []byte {
 // Scalar derives a field element in Zn from seed and counter. Two digest
 // blocks (512 bits) are reduced mod n so the bias is negligible.
 func Scalar(seed []byte, ctr uint64) *big.Int {
-	return scalar(keyed(seed), ctr)
-}
-
-func scalar(mac hash.Hash, ctr uint64) *big.Int {
+	mac := keyed(seed)
 	b1 := prfBlock(mac, 0x02, 2*ctr)
 	b2 := prfBlock(mac, 0x02, 2*ctr+1)
 	v := new(big.Int).SetBytes(append(b1, b2...))
 	return ff.Reduce(v)
 }
 
-// Coefficients expands seed into k challenge coefficients {c_l} in Zn
-// (the PRF f of Definition 2).
+// Coefficients expands seed into the k challenge coefficients c_l of the PRF
+// f, each uniform in B = [0, 2^128): block j of the stream, HMAC-SHA256(seed,
+// 0x02 || j) with j as 8 big-endian bytes, gives c_2j from its bytes 0-15 and
+// c_2j+1 from bytes 16-31, each read big-endian.
+//
+// Definition 2 draws the c_l from all of Zn; B is a deviation. Shacham and
+// Waters ("Compact Proofs of Retrievability", ASIACRYPT 2008) show that the
+// coefficients need only come from a set of size 2^lambda, and lambda = 128
+// is the level of the batch weights rho (VerifyBatch, VerifyAuthenticators).
+// The argument for this scheme, with the PRF modelled as a random function,
+// P = sum_l c_l M_il the challenged combination and (y, psi) an opening at r:
+//
+//   - Lemma. For any e in Zn^k other than zero, Pr[sum_l c_l e_l = 0 mod n]
+//     <= 2^-128 over c uniform in B^k. Fix an l with e_l != 0 and every other
+//     coordinate: one residue of c_l solves the equation, and B holds it at
+//     most once because 2^128 < n.
+//   - sigma. An accepted sigma is (chi g1^v)^x for the v that (y, psi) open
+//     to, y + (alpha - r) Q(alpha). Any v other than P(alpha) is a forged
+//     aggregate authenticator (CDH), for coefficients of any size. So the
+//     check is whether (y, psi) open the commitment g1^P(alpha) at r.
+//   - y = P(r) and psi = g1^Q(alpha). Say the provider holds M'_i = M_i + D_i,
+//     fixed before the beacon draws c, and answers from P' = sum_l c_l M'_il.
+//     Its (y, psi) open g1^P'(alpha), so they are accepted iff P'(alpha) =
+//     P(alpha): the lemma with e_l = D_il(alpha) bounds that by 2^-128, where
+//     it was 1/n. Whether e is zero depends on the secret alpha and on D, not
+//     on c. Opening g1^P(alpha) at r any other way either reveals P(r), which
+//     the extractor uses, or opens one commitment to two values, the t-SDH
+//     break KZG rests on; neither involves the size of c, and r (EvalPoint)
+//     is still drawn from all of Zn.
+//   - Extraction (Theorem 1). Rewinding on zeta gives y = P(r)
+//     (ExtractEvaluation), s points r give P, and k challenges over one index
+//     set give the chunks, by solving the linear system whose rows are their
+//     coefficient vectors. A fresh row lies in the span of the rows before
+//     it with probability at most 2^-128, the lemma with e normal to that
+//     span; the extractor then draws another challenge, which costs it time,
+//     not success probability.
+//
+// So a challenge loses exactly one 2^-128 term, the lemma's. The index
+// sampling and its detection rate (1 - 0.99^300 at k = 300, 1 % corrupted)
+// are unchanged: they depend on C1 alone.
 func Coefficients(seed []byte, k int) ff.Vector {
 	mac := keyed(seed)
+	vals := make([]big.Int, k)
 	out := make(ff.Vector, k)
+	var block []byte
 	for i := range out {
-		out[i] = scalar(mac, uint64(i))
+		if i%2 == 0 {
+			block = prfBlock(mac, 0x02, uint64(i/2))
+		}
+		out[i] = vals[i].SetBytes(block[16*(i%2) : 16*(i%2)+16])
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +34,19 @@ func TestCoefficientsLength(t *testing.T) {
 	if len(cs) != 300 {
 		t.Fatalf("got %d coefficients, want 300", len(cs))
 	}
-	// All reduced.
+	bound := new(big.Int).Lsh(big.NewInt(1), 128)
 	for i, c := range cs {
-		if c.Cmp(ff.Modulus()) >= 0 || c.Sign() < 0 {
-			t.Fatalf("coefficient %d out of range", i)
+		if c.Cmp(bound) >= 0 || c.Sign() < 0 {
+			t.Fatalf("coefficient %d = %v, outside [0, 2^128)", i, c)
+		}
+	}
+	// A small file caps k at its chunk count: a shorter expansion, an odd
+	// one included, is a prefix of the longer one.
+	for _, k := range []int{0, 1, 7} {
+		for i, c := range Coefficients([]byte("seed"), k) {
+			if c.Cmp(cs[i]) != 0 {
+				t.Fatalf("k=%d: coefficient %d differs from the k=300 expansion", k, i)
+			}
 		}
 	}
 }
@@ -114,8 +124,8 @@ func TestIndicesDeterministic(t *testing.T) {
 
 // TestExpansionGolden pins the bytes of a paper-sized expansion (338 chunks,
 // k = 300): prover and verifier on different versions must derive the same
-// challenge from the same 48 on-chain bytes. The digest was printed by the
-// implementation that keyed a fresh HMAC per block.
+// challenge from the same 48 on-chain bytes. The digest was printed when the
+// coefficients became 128 bits wide, two per PRF block.
 func TestExpansionGolden(t *testing.T) {
 	seed := []byte("golden-seed-0123")
 	h := sha256.New()
@@ -130,7 +140,7 @@ func TestExpansionGolden(t *testing.T) {
 		h.Write(ff.Bytes(c))
 	}
 	h.Write(ff.Bytes(EvalPoint(seed)))
-	const want = "959bba772dce68ab98f26da1e7537e38e0441cf415688a79d67b7fdbc1ffaa41"
+	const want = "25b084aa5c11a7ac83c7b50f2ce70ad8a3097256b68475e62a51113793ff4db2"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("expansion digest = %s, want %s", got, want)
 	}

@@ -9,24 +9,20 @@ import (
 	"repro/internal/ff"
 )
 
-// TestCoefficientsUniformity runs a chi-square test on the PRF outputs
-// bucketed over the field: the challenge coefficients {c_l} must be
-// statistically uniform, which the storage-guarantee analysis (and the
-// batching soundness) assumes.
+// TestCoefficientsUniformity runs a chi-square test on the challenge
+// coefficients {c_l} bucketed over their range [0, 2^128): they must be
+// statistically uniform there, which the argument beside Coefficients (and
+// the detection analysis) assumes. Both halves of every PRF block are drawn.
 func TestCoefficientsUniformity(t *testing.T) {
-	const samples = 2048
+	const seeds, perSeed = 8, 256
 	const buckets = 16
 	counts := make([]int, buckets)
-	width := new(big.Int).Div(ff.Modulus(), big.NewInt(buckets))
-	for i := 0; i < samples; i++ {
-		v := Scalar([]byte(fmt.Sprintf("seed-%d", i%7)), uint64(i))
-		b := new(big.Int).Div(v, width).Int64()
-		if b >= buckets {
-			b = buckets - 1
+	for i := 0; i < seeds; i++ {
+		for _, c := range Coefficients([]byte(fmt.Sprintf("seed-%d", i)), perSeed) {
+			counts[new(big.Int).Rsh(c, 124).Int64()]++ // 16 buckets of 2^124
 		}
-		counts[b]++
 	}
-	expected := float64(samples) / buckets
+	expected := float64(seeds*perSeed) / buckets
 	chi2 := 0.0
 	for _, c := range counts {
 		d := float64(c) - expected

@@ -29,8 +29,11 @@ import (
 const (
 	// Version is the framing version byte. See the package comment for the
 	// compatibility rule. v2 added the repair subsystem's share-transfer
-	// messages (ShareRequest/ShareData).
-	Version = 2
+	// messages (ShareRequest/ShareData). v3: 128-bit challenge coefficients
+	// (prf.Coefficients) -- the Challenge payload is unchanged, but a v2 peer
+	// expands it to other coefficients, so an honest v2 provider would be
+	// slashed; the bump makes that a Hello-time ErrVersion instead.
+	Version = 3
 
 	// HeaderSize is the fixed frame prefix: length word, version, type and
 	// request ID.

@@ -69,25 +69,25 @@ func TestGoldenVectors(t *testing.T) {
 		want string
 	}{
 		{"Hello", goldenFrame(t, MsgHello, 1, hello, errHello),
-			"0000001102010000000000000001000573702d3030"},
+			"0000001103010000000000000001000573702d3030"},
 		{"Accepted", goldenFrame(t, MsgAccepted, 2, accepted, errAccepted),
-			"0000001702030000000000000002000b61756469743a6f3a703a66"},
+			"0000001703030000000000000002000b61756469743a6f3a703a66"},
 		{"Challenge", goldenFrame(t, MsgChallenge, 3, chal, errChal),
-			"0000004b02040000000000000003000b61756469743a6f3a703a66" +
+			"0000004b03040000000000000003000b61756469743a6f3a703a66" +
 				"000102030405060708090a0b0c0d0e0f" +
 				"101112131415161718191a1b1c1d1e1f" +
 				"202122232425262728292a2b2c2d2e2f" +
 				"0000012c"},
 		{"Proof", goldenFrame(t, MsgProof, 4, proof, errProof),
-			"0000001e02050000000000000004000b61756469743a6f3a703a6600000003aabbcc"},
+			"0000001e03050000000000000004000b61756469743a6f3a703a6600000003aabbcc"},
 		{"Error", goldenFrame(t, MsgError, 5, wireErr, errErr),
-			"0000001e0206000000000000000500000003000e6e6f206175646974207374617465"},
+			"0000001e0306000000000000000500000003000e6e6f206175646974207374617465"},
 		{"Ping", goldenFrame(t, MsgPing, 6, ping, errPing),
-			"0000001202070000000000000006" + "0102030405060708"},
+			"0000001203070000000000000006" + "0102030405060708"},
 		{"ShareRequest", goldenFrame(t, MsgShareRequest, 7, shareReq, errShareReq),
-			"000000150208" + "0000000000000007" + "0009662f73686172652f30"},
+			"000000150308" + "0000000000000007" + "0009662f73686172652f30"},
 		{"ShareData", goldenFrame(t, MsgShareData, 8, shareData, errShareData),
-			"0000001d0209" + "0000000000000008" + "0009662f73686172652f30" + "00000004deadbeef"},
+			"0000001d0309" + "0000000000000008" + "0009662f73686172652f30" + "00000004deadbeef"},
 	}
 	for _, v := range vectors {
 		if v.got != v.want {
