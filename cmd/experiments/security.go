@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/beacon"
+	"repro/internal/bn256"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/ff"
 )
 
 func runBeacon(ctx *expCtx) error {
@@ -119,11 +119,11 @@ func runAttack(ctx *expCtx) error {
 	return nil
 }
 
-func countMatches(blocks ff.Vector, ef *core.EncodedFile, d, s int) int {
+func countMatches(blocks []bn256.Scalar, ef *core.EncodedFile, d, s int) int {
 	n := 0
 	for i := 0; i < d; i++ {
 		for j := 0; j < s; j++ {
-			if ff.Equal(blocks[i*s+j], ef.Chunks[i].Coeffs[j]) {
+			if blocks[i*s+j] == ef.Chunks[i].Coeffs[j] {
 				n++
 			}
 		}

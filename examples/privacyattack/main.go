@@ -35,7 +35,6 @@ import (
 	"repro/dsnaudit/sched"
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/ff"
 )
 
 func main() {
@@ -115,7 +114,7 @@ func main() {
 	okAll := true
 	for idx, coeffs := range rec {
 		for j := range coeffs {
-			if !ff.Equal(coeffs[j], ef.Chunks[idx].Coeffs[j]) {
+			if coeffs[j] != ef.Chunks[idx].Coeffs[j] {
 				okAll = false
 			}
 		}
@@ -143,7 +142,7 @@ func main() {
 		matches := 0
 		for i := 0; i < d; i++ {
 			for j := 0; j < s; j++ {
-				if ff.Equal(blocks2[i*s+j], ef.Chunks[i].Coeffs[j]) {
+				if blocks2[i*s+j] == ef.Chunks[i].Coeffs[j] {
 					matches++
 				}
 			}

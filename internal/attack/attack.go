@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/bn256"
 	"repro/internal/core"
 	"repro/internal/ff"
 	"repro/internal/poly"
@@ -40,8 +41,8 @@ type Observation struct {
 // the raw blocks once enough independent equations exist.
 type PassiveObserver struct {
 	d, s int
-	rows []ff.Vector
-	ys   ff.Vector
+	rows [][]bn256.Scalar
+	ys   []bn256.Scalar
 }
 
 // NewPassiveObserver targets a file with d chunks of s blocks. Both values
@@ -64,20 +65,25 @@ func (o *PassiveObserver) Ingest(obs *Observation) error {
 	if err != nil {
 		return err
 	}
-	row := ff.NewVector(o.d * o.s)
-	rPow := ff.NewVector(o.s)
-	rPow[0].SetInt64(1)
+	cs := bn256.ScalarsFromBig(coeffs)
+	var rs bn256.Scalar
+	rs.SetBig(r)
+	row := make([]bn256.Scalar, o.d*o.s)
+	rPow := make([]bn256.Scalar, o.s)
+	rPow[0].SetUint64(1)
 	for j := 1; j < o.s; j++ {
-		rPow[j] = ff.Mul(rPow[j-1], r)
+		rPow[j].Mul(&rPow[j-1], &rs)
 	}
+	var term bn256.Scalar
 	for l, idx := range indices {
 		for j := 0; j < o.s; j++ {
 			col := idx*o.s + j
-			row[col] = ff.Add(row[col], ff.Mul(coeffs[l], rPow[j]))
+			row[col].Add(&row[col], term.Mul(&cs[l], &rPow[j]))
 		}
 	}
 	o.rows = append(o.rows, row)
-	o.ys = append(o.ys, ff.Reduce(new(big.Int).Set(obs.Y)))
+	var y bn256.Scalar
+	o.ys = append(o.ys, *y.SetBig(obs.Y))
 	return nil
 }
 
@@ -87,7 +93,7 @@ var ErrInsufficient = errors.New("attack: not enough independent observations ye
 // Recover attempts to solve for all d*s blocks. It needs at least d*s
 // observations; with honestly random challenges the system is full rank
 // with overwhelming probability once that many are available.
-func (o *PassiveObserver) Recover() (ff.Vector, error) {
+func (o *PassiveObserver) Recover() ([]bn256.Scalar, error) {
 	n := o.Unknowns()
 	if len(o.rows) < n {
 		return nil, fmt.Errorf("%w: have %d equations, need %d", ErrInsufficient, len(o.rows), n)
@@ -104,12 +110,8 @@ func (o *PassiveObserver) Recover() (ff.Vector, error) {
 
 // RecoveredFile reshapes a recovered block vector into chunk polynomials
 // for comparison with the real file.
-func (o *PassiveObserver) RecoveredFile(blocks ff.Vector) *core.EncodedFile {
-	ef := &core.EncodedFile{S: o.s, Length: o.d * o.s * core.BlockSize, Chunks: make([]*poly.Poly, o.d)}
-	for i := 0; i < o.d; i++ {
-		ef.Chunks[i] = poly.FromVector(blocks[i*o.s : (i+1)*o.s].Clone())
-	}
-	return ef
+func (o *PassiveObserver) RecoveredFile(blocks []bn256.Scalar) *core.EncodedFile {
+	return core.NewEncodedFile(o.s, o.d*o.s*core.BlockSize, append([]bn256.Scalar(nil), blocks[:o.d*o.s]...))
 }
 
 // EclipseAdversary mounts the accelerated attack: it crafts the challenges
@@ -157,7 +159,7 @@ func (a *EclipseAdversary) CraftedChallenges(k, sets int) [][]*core.Challenge {
 //     m_{i_l, j}, solved by Gaussian elimination.
 //
 // It returns a map from chunk index to its recovered coefficient vector.
-func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, responses [][]*big.Int) (map[int]ff.Vector, error) {
+func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, responses [][]*big.Int) (map[int][]bn256.Scalar, error) {
 	sets := len(challenges)
 	if sets == 0 || len(responses) != sets {
 		return nil, errors.New("attack: empty or mismatched batches")
@@ -176,28 +178,28 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 
 	// Step 1: interpolate each set's combined polynomial.
 	combined := make([]*poly.Poly, sets)
-	coeffSets := make([]ff.Vector, sets)
+	coeffSets := make([][]bn256.Scalar, sets)
 	for t := 0; t < sets; t++ {
 		if len(challenges[t]) != a.s || len(responses[t]) != a.s {
 			return nil, fmt.Errorf("attack: set %d has %d points, need %d", t, len(challenges[t]), a.s)
 		}
-		xs := make(ff.Vector, a.s)
-		ys := make(ff.Vector, a.s)
+		xs := make([]bn256.Scalar, a.s)
+		ys := make([]bn256.Scalar, a.s)
 		for v := 0; v < a.s; v++ {
 			idxs, cs, r, err := challenges[t][v].Expand(a.d)
 			if err != nil {
 				return nil, err
 			}
 			if v == 0 {
-				coeffSets[t] = cs
+				coeffSets[t] = bn256.ScalarsFromBig(cs)
 			}
 			for l := range idxs {
 				if idxs[l] != indices[l] {
 					return nil, errors.New("attack: crafted challenges disagree on indices")
 				}
 			}
-			xs[v] = r
-			ys[v] = ff.Reduce(new(big.Int).Set(responses[t][v]))
+			xs[v].SetBig(r)
+			ys[v].SetBig(responses[t][v])
 		}
 		p, err := poly.Interpolate(xs, ys)
 		if err != nil {
@@ -208,21 +210,20 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 
 	// Step 2: for each coefficient position j, solve for the per-chunk
 	// values from the first u sets.
-	recovered := make(map[int]ff.Vector, u)
+	recovered := make(map[int][]bn256.Scalar, u)
 	for _, idx := range indices {
-		recovered[idx] = ff.NewVector(a.s)
+		recovered[idx] = make([]bn256.Scalar, a.s)
 	}
-	matrix := make([]ff.Vector, u)
+	matrix := make([][]bn256.Scalar, u)
 	for t := 0; t < u; t++ {
-		matrix[t] = coeffSets[t][:u].Clone()
+		matrix[t] = coeffSets[t][:u]
 	}
+	rhs := make([]bn256.Scalar, u)
 	for j := 0; j < a.s; j++ {
-		rhs := make(ff.Vector, u)
 		for t := 0; t < u; t++ {
+			rhs[t] = bn256.Scalar{}
 			if j < len(combined[t].Coeffs) {
 				rhs[t] = combined[t].Coeffs[j]
-			} else {
-				rhs[t] = new(big.Int)
 			}
 		}
 		sol, err := ff.SolveLinearSystem(matrix, rhs)
@@ -230,7 +231,7 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 			return nil, fmt.Errorf("attack: coefficient system singular at j=%d: %v", j, err)
 		}
 		for l, idx := range indices {
-			recovered[idx][j].Set(sol[l])
+			recovered[idx][j] = sol[l]
 		}
 	}
 	return recovered, nil
@@ -251,10 +252,9 @@ func PrivateTrailBias(ys []*big.Int, buckets int) float64 {
 		return 0
 	}
 	counts := make([]int, buckets)
-	mod := ff.Modulus()
-	bucketWidth := new(big.Int).Div(mod, big.NewInt(int64(buckets)))
+	bucketWidth := new(big.Int).Div(bn256.Order, big.NewInt(int64(buckets)))
 	for _, y := range ys {
-		b := new(big.Int).Div(ff.Reduce(new(big.Int).Set(y)), bucketWidth)
+		b := new(big.Int).Div(new(big.Int).Mod(y, bn256.Order), bucketWidth)
 		i := int(b.Int64())
 		if i >= buckets {
 			i = buckets - 1

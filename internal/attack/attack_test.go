@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ff"
 )
 
 // victim builds a small outsourced file and its prover (the unwitting
@@ -64,7 +63,7 @@ func TestPassiveObserverRecoversNonPrivateData(t *testing.T) {
 	// Every recovered block must equal the real data.
 	for i := 0; i < d; i++ {
 		for j := 0; j < s; j++ {
-			if !ff.Equal(blocks[i*s+j], ef.Chunks[i].Coeffs[j]) {
+			if blocks[i*s+j] != ef.Chunks[i].Coeffs[j] {
 				t.Fatalf("block (%d,%d) not recovered", i, j)
 			}
 		}
@@ -72,7 +71,7 @@ func TestPassiveObserverRecoversNonPrivateData(t *testing.T) {
 	// And the reshaped file must decode to the same chunk polynomials.
 	rec := obs.RecoveredFile(blocks)
 	for i := 0; i < d; i++ {
-		if !rec.Chunks[i].Equal(ef.Chunks[i]) {
+		if !rec.Chunks[i].Equal(&ef.Chunks[i]) {
 			t.Fatalf("chunk %d mismatch after reshape", i)
 		}
 	}
@@ -112,7 +111,7 @@ func TestPassiveObserverFailsAgainstPrivateProofs(t *testing.T) {
 	matches := 0
 	for i := 0; i < d; i++ {
 		for j := 0; j < s; j++ {
-			if ff.Equal(blocks[i*s+j], ef.Chunks[i].Coeffs[j]) {
+			if blocks[i*s+j] == ef.Chunks[i].Coeffs[j] {
 				matches++
 			}
 		}
@@ -155,7 +154,7 @@ func TestEclipseAdversaryRecoversChallengedChunks(t *testing.T) {
 	}
 	for idx, coeffs := range recovered {
 		for j := 0; j < s; j++ {
-			if !ff.Equal(coeffs[j], ef.Chunks[idx].Coeffs[j]) {
+			if coeffs[j] != ef.Chunks[idx].Coeffs[j] {
 				t.Fatalf("eclipse recovery wrong at chunk %d pos %d", idx, j)
 			}
 		}

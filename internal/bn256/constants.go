@@ -115,7 +115,7 @@ func init() {
 	// The Montgomery-form base field underlies every derived constant
 	// below, so its own constants come first.
 	initGFp()
-	nLimbs = limbsFromBig(Order)
+	initScalar()
 
 	loopCount = new(big.Int).Mul(u, big.NewInt(6))
 	loopCount.Add(loopCount, big.NewInt(2))

@@ -17,7 +17,7 @@ import (
 // distributed operands a sum reaches p, or a difference goes below zero, about
 // half the time, so a branch there mispredicts on nearly every other call, and
 // every tower, curve and line formula does more additions than
-// multiplications. gfpMul and gfpSquare keep a branch (gfpCarrySub): a
+// multiplications. gfpMul and gfpSquare keep a branch (carrySub): a
 // Montgomery product needs the subtraction on a small share of inputs, so it
 // predicts well and beats computing both candidates.
 //
@@ -52,16 +52,7 @@ var (
 func initGFp() {
 	pLimbs = limbsFromBig(P)
 
-	// np = -p^-1 mod 2^64 by Newton iteration: each step doubles the number
-	// of correct low bits, 6 steps suffice for 64.
-	inv := pLimbs[0] // correct to 1 bit (p is odd)
-	for i := 0; i < 6; i++ {
-		inv *= 2 - pLimbs[0]*inv
-	}
-	np = -inv
-	if pLimbs[0]*(-np) != 1 {
-		panic("bn256: montgomery inverse derivation failed")
-	}
+	np = montInv64(pLimbs[0])
 
 	one := new(big.Int).Lsh(bigOne, 256)
 	rOne = limbsFromBig(new(big.Int).Mod(one, P))
@@ -76,6 +67,19 @@ func initGFp() {
 	if chk != rOne || chk.Big().Cmp(bigOne) != 0 {
 		panic("bn256: montgomery constant derivation failed")
 	}
+}
+
+// montInv64 returns -m0^-1 mod 2^64 for an odd m0 by Newton iteration: each
+// step doubles the number of correct low bits, 6 steps suffice for 64.
+func montInv64(m0 uint64) uint64 {
+	inv := m0 // correct to 1 bit (m0 is odd)
+	for i := 0; i < 6; i++ {
+		inv *= 2 - m0*inv
+	}
+	if m0*inv != 1 {
+		panic("bn256: montgomery inverse derivation failed")
+	}
+	return -inv
 }
 
 // limbsFromBig converts a canonical value in [0, 2^256) to limbs.
@@ -106,88 +110,103 @@ func limbsLess(a, b [4]uint64) bool {
 	return borrow != 0
 }
 
-// gfpCarrySub reduces c from [0, 2p) into [0, p) by subtracting p when
-// c >= p, behind a branch. It ends gfpMul and gfpSquare (and Invert's
-// fix-up), whose output lands in [p, 2p) for a small share of inputs, so the
-// branch predicts well and is cheaper than the mask select of two candidates
-// that gfpAdd uses, where the subtraction is needed half the time.
-func gfpCarrySub(c *gfP) {
-	var d gfP
+// carrySub reduces c from [0, 2m) into [0, m) by subtracting m when c >= m,
+// behind a branch. It ends montMul and gfpSquare (and the inverse's fix-up),
+// whose output lands in [m, 2m) for a small share of inputs, so the branch
+// predicts well and is cheaper than the mask select of two candidates that
+// modAdd uses, where the subtraction is needed half the time.
+func carrySub(c, m *[4]uint64) {
+	var d [4]uint64
 	var borrow uint64
-	d[0], borrow = bits.Sub64(c[0], pLimbs[0], 0)
-	d[1], borrow = bits.Sub64(c[1], pLimbs[1], borrow)
-	d[2], borrow = bits.Sub64(c[2], pLimbs[2], borrow)
-	d[3], borrow = bits.Sub64(c[3], pLimbs[3], borrow)
+	d[0], borrow = bits.Sub64(c[0], m[0], 0)
+	d[1], borrow = bits.Sub64(c[1], m[1], borrow)
+	d[2], borrow = bits.Sub64(c[2], m[2], borrow)
+	d[3], borrow = bits.Sub64(c[3], m[3], borrow)
 	if borrow == 0 {
 		*c = d
 	}
 }
 
-// gfpAdd sets c = a + b mod p for a, b in [0, p). p < 2^254 keeps the sum
+// The add, subtract, negate and multiply kernels below take the modulus m
+// (odd, below 2^254) as an argument: the base field runs them mod p through
+// the gfp* wrappers, and Scalar runs the same code mod the group order n.
+
+// modAdd sets c = a + b mod m for a, b in [0, m). m < 2^254 keeps the sum
 // below 2^255, so it never carries out of the top limb; the sum and the sum
-// minus p are both computed and the subtraction's borrow (set exactly when
-// the sum is below p) keeps one by mask, with no data-dependent branch. c may
+// minus m are both computed and the subtraction's borrow (set exactly when
+// the sum is below m) keeps one by mask, with no data-dependent branch. c may
 // alias a or b.
-func gfpAdd(c, a, b *gfP) {
+func modAdd(c, a, b, m *[4]uint64) {
 	s0, carry := bits.Add64(a[0], b[0], 0)
 	s1, carry := bits.Add64(a[1], b[1], carry)
 	s2, carry := bits.Add64(a[2], b[2], carry)
 	s3, _ := bits.Add64(a[3], b[3], carry)
-	d0, borrow := bits.Sub64(s0, pLimbs[0], 0)
-	d1, borrow := bits.Sub64(s1, pLimbs[1], borrow)
-	d2, borrow := bits.Sub64(s2, pLimbs[2], borrow)
-	d3, borrow := bits.Sub64(s3, pLimbs[3], borrow)
-	keep := -borrow // all ones when the sum is already below p
+	d0, borrow := bits.Sub64(s0, m[0], 0)
+	d1, borrow := bits.Sub64(s1, m[1], borrow)
+	d2, borrow := bits.Sub64(s2, m[2], borrow)
+	d3, borrow := bits.Sub64(s3, m[3], borrow)
+	keep := -borrow // all ones when the sum is already below m
 	c[0] = d0 ^ (d0^s0)&keep
 	c[1] = d1 ^ (d1^s1)&keep
 	c[2] = d2 ^ (d2^s2)&keep
 	c[3] = d3 ^ (d3^s3)&keep
 }
 
-// gfpSub sets c = a - b mod p for a, b in [0, p): the difference's borrow
-// masks p, which is added back unconditionally, with no data-dependent
+// modSub sets c = a - b mod m for a, b in [0, m): the difference's borrow
+// masks m, which is added back unconditionally, with no data-dependent
 // branch. c may alias a or b.
-func gfpSub(c, a, b *gfP) {
+func modSub(c, a, b, m *[4]uint64) {
 	d0, borrow := bits.Sub64(a[0], b[0], 0)
 	d1, borrow := bits.Sub64(a[1], b[1], borrow)
 	d2, borrow := bits.Sub64(a[2], b[2], borrow)
 	d3, borrow := bits.Sub64(a[3], b[3], borrow)
 	wrap := -borrow // all ones when a < b
-	p0, p1, p2, p3 := pLimbs[0]&wrap, pLimbs[1]&wrap, pLimbs[2]&wrap, pLimbs[3]&wrap
+	m0, m1, m2, m3 := m[0]&wrap, m[1]&wrap, m[2]&wrap, m[3]&wrap
 	var carry uint64
-	c[0], carry = bits.Add64(d0, p0, 0)
-	c[1], carry = bits.Add64(d1, p1, carry)
-	c[2], carry = bits.Add64(d2, p2, carry)
-	c[3], _ = bits.Add64(d3, p3, carry)
+	c[0], carry = bits.Add64(d0, m0, 0)
+	c[1], carry = bits.Add64(d1, m1, carry)
+	c[2], carry = bits.Add64(d2, m2, carry)
+	c[3], _ = bits.Add64(d3, m3, carry)
 }
 
-func gfpNeg(c, a *gfP) {
-	if a.IsZero() {
-		*c = gfP{}
+// modNeg sets c = -a mod m for a in [0, m).
+func modNeg(c, a, m *[4]uint64) {
+	if *a == [4]uint64{} {
+		*c = [4]uint64{}
 		return
 	}
 	var borrow uint64
-	c[0], borrow = bits.Sub64(pLimbs[0], a[0], 0)
-	c[1], borrow = bits.Sub64(pLimbs[1], a[1], borrow)
-	c[2], borrow = bits.Sub64(pLimbs[2], a[2], borrow)
-	c[3], _ = bits.Sub64(pLimbs[3], a[3], borrow)
+	c[0], borrow = bits.Sub64(m[0], a[0], 0)
+	c[1], borrow = bits.Sub64(m[1], a[1], borrow)
+	c[2], borrow = bits.Sub64(m[2], a[2], borrow)
+	c[3], _ = bits.Sub64(m[3], a[3], borrow)
 }
+
+func gfpAdd(c, a, b *gfP) { modAdd((*[4]uint64)(c), (*[4]uint64)(a), (*[4]uint64)(b), &pLimbs) }
+
+func gfpSub(c, a, b *gfP) { modSub((*[4]uint64)(c), (*[4]uint64)(a), (*[4]uint64)(b), &pLimbs) }
+
+func gfpNeg(c, a *gfP) { modNeg((*[4]uint64)(c), (*[4]uint64)(a), &pLimbs) }
 
 func gfpDouble(c, a *gfP) { gfpAdd(c, a, a) }
 
-// gfpMul sets c = a * b * R^-1 mod p by Montgomery multiplication, operand
-// scanning (CIOS) with both loops unrolled: round i adds the row a*b[i],
-// then the multiple m*p that clears the low word, and drops that word. The
-// rounds are "no-carry": p < 2^254 keeps the running value below 2p < 2^255,
-// so it fits t0..t3 between rounds and needs one more word (t4), never two,
-// inside a round; a single conditional subtraction at the end fully reduces.
-// The bound needs only a < p: b may be any 256-bit value, which is how raw
-// limbs are reduced (multiply by R^2). c may alias a or b.
 func gfpMul(c, a, b *gfP) {
+	montMul((*[4]uint64)(c), (*[4]uint64)(a), (*[4]uint64)(b), &pLimbs, np)
+}
+
+// montMul sets c = a * b * R^-1 mod m by Montgomery multiplication, operand
+// scanning (CIOS) with both loops unrolled: round i adds the row a*b[i], then
+// the multiple q*m that clears the low word, and drops that word. inv is
+// -m^-1 mod 2^64. The rounds are "no-carry": m < 2^254 keeps the running
+// value below 2m < 2^255, so it fits t0..t3 between rounds and needs one more
+// word (t4), never two, inside a round; a single conditional subtraction at
+// the end fully reduces. The bound needs only a < m: b may be any 256-bit
+// value, which is how raw limbs are reduced (multiply by R^2). c may alias a
+// or b.
+func montMul(c, a, b, m *[4]uint64, inv uint64) {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	p0, p1, p2, p3 := pLimbs[0], pLimbs[1], pLimbs[2], pLimbs[3]
-	inv := np
-	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, m, cc uint64
+	p0, p1, p2, p3 := m[0], m[1], m[2], m[3]
+	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, q, cc uint64
 
 	v := b[0]
 	h0, t0 = bits.Mul64(a0, v)
@@ -198,11 +217,11 @@ func gfpMul(c, a, b *gfP) {
 	t2, cc = bits.Add64(t2, h1, cc)
 	t3, cc = bits.Add64(t3, h2, cc)
 	t4 = h3 + cc
-	m = t0 * inv
-	h0, l0 = bits.Mul64(p0, m)
-	h1, l1 = bits.Mul64(p1, m)
-	h2, l2 = bits.Mul64(p2, m)
-	h3, l3 = bits.Mul64(p3, m)
+	q = t0 * inv
+	h0, l0 = bits.Mul64(p0, q)
+	h1, l1 = bits.Mul64(p1, q)
+	h2, l2 = bits.Mul64(p2, q)
+	h3, l3 = bits.Mul64(p3, q)
 	l1, cc = bits.Add64(l1, h0, 0)
 	l2, cc = bits.Add64(l2, h1, cc)
 	l3, cc = bits.Add64(l3, h2, cc)
@@ -227,11 +246,11 @@ func gfpMul(c, a, b *gfP) {
 	t2, cc = bits.Add64(t2, l2, cc)
 	t3, cc = bits.Add64(t3, l3, cc)
 	t4 = h3 + cc
-	m = t0 * inv
-	h0, l0 = bits.Mul64(p0, m)
-	h1, l1 = bits.Mul64(p1, m)
-	h2, l2 = bits.Mul64(p2, m)
-	h3, l3 = bits.Mul64(p3, m)
+	q = t0 * inv
+	h0, l0 = bits.Mul64(p0, q)
+	h1, l1 = bits.Mul64(p1, q)
+	h2, l2 = bits.Mul64(p2, q)
+	h3, l3 = bits.Mul64(p3, q)
 	l1, cc = bits.Add64(l1, h0, 0)
 	l2, cc = bits.Add64(l2, h1, cc)
 	l3, cc = bits.Add64(l3, h2, cc)
@@ -256,11 +275,11 @@ func gfpMul(c, a, b *gfP) {
 	t2, cc = bits.Add64(t2, l2, cc)
 	t3, cc = bits.Add64(t3, l3, cc)
 	t4 = h3 + cc
-	m = t0 * inv
-	h0, l0 = bits.Mul64(p0, m)
-	h1, l1 = bits.Mul64(p1, m)
-	h2, l2 = bits.Mul64(p2, m)
-	h3, l3 = bits.Mul64(p3, m)
+	q = t0 * inv
+	h0, l0 = bits.Mul64(p0, q)
+	h1, l1 = bits.Mul64(p1, q)
+	h2, l2 = bits.Mul64(p2, q)
+	h3, l3 = bits.Mul64(p3, q)
 	l1, cc = bits.Add64(l1, h0, 0)
 	l2, cc = bits.Add64(l2, h1, cc)
 	l3, cc = bits.Add64(l3, h2, cc)
@@ -285,11 +304,11 @@ func gfpMul(c, a, b *gfP) {
 	t2, cc = bits.Add64(t2, l2, cc)
 	t3, cc = bits.Add64(t3, l3, cc)
 	t4 = h3 + cc
-	m = t0 * inv
-	h0, l0 = bits.Mul64(p0, m)
-	h1, l1 = bits.Mul64(p1, m)
-	h2, l2 = bits.Mul64(p2, m)
-	h3, l3 = bits.Mul64(p3, m)
+	q = t0 * inv
+	h0, l0 = bits.Mul64(p0, q)
+	h1, l1 = bits.Mul64(p1, q)
+	h2, l2 = bits.Mul64(p2, q)
+	h3, l3 = bits.Mul64(p3, q)
 	l1, cc = bits.Add64(l1, h0, 0)
 	l2, cc = bits.Add64(l2, h1, cc)
 	l3, cc = bits.Add64(l3, h2, cc)
@@ -300,8 +319,8 @@ func gfpMul(c, a, b *gfP) {
 	t2, cc = bits.Add64(t3, l3, cc)
 	t3 = t4 + h3 + cc
 
-	*c = gfP{t0, t1, t2, t3}
-	gfpCarrySub(c)
+	*c = [4]uint64{t0, t1, t2, t3}
+	carrySub(c, m)
 }
 
 // gfpSquare sets c = a * a * R^-1 mod p. The off-diagonal products a[i]*a[j]
@@ -417,7 +436,7 @@ func gfpSquare(c, a *gfP) {
 	w7 += h3 + cc
 
 	*c = gfP{w4, w5, w6, w7}
-	gfpCarrySub(c)
+	carrySub((*[4]uint64)(c), &pLimbs)
 }
 
 // --- methods ---
@@ -528,28 +547,36 @@ func (e *gfP) Square(a *gfP) *gfP {
 }
 
 // Invert sets e = 1/a mod p. It panics on zero (division by zero in a
-// cryptographic computation is a programming error). This is Kaliski's
-// Montgomery inverse on the limbs, walking the same binary gcd as Legendre:
-// with cx, cn the cofactors of x and n,
-//
-//	a*cx = s*x*2^k,  a*cn = -s*n*2^k  (mod p),  cx*n + cn*x = p,
-//
-// for a sign s, from (x, n, cx, cn, k) = (a, p, 1, 0, 0) down to x = 0,
-// n = 1, where cn = -s*2^k/a and k, the halvings made, is at most 508. The
-// second equation keeps both cofactors at or below p.
+// cryptographic computation is a programming error). a holds the Montgomery
+// form aR, so modInverse with fix = R^2 returns R/a, the Montgomery form of
+// the inverse.
 func (e *gfP) Invert(a *gfP) *gfP {
 	if a.IsZero() {
 		panic("bn256: inverse of zero in Fp")
 	}
-	x, n := [4]uint64(*a), pLimbs
-	cx, cn := gfP{1}, gfP{}
+	*e = gfP(modInverse((*[4]uint64)(a), (*[4]uint64)(&r2), &pLimbs, np))
+	return e
+}
+
+// modInverse returns fix/a mod m for a non-zero a in [0, m) and fix below m.
+// This is Kaliski's Montgomery inverse on the limbs, walking the same binary
+// gcd as Legendre: with cx, cn the cofactors of x and n,
+//
+//	a*cx = s*x*2^k,  a*cn = -s*n*2^k  (mod m),  cx*n + cn*x = m,
+//
+// for a sign s, from (x, n, cx, cn, k) = (a, m, 1, 0, 0) down to x = 0,
+// n = 1, where cn = -s*2^k/a and k, the halvings made, is at most 508. The
+// second equation keeps both cofactors at or below m.
+func modInverse(a, fix, m *[4]uint64, inv uint64) [4]uint64 {
+	x, n := *a, *m
+	cx, cn := [4]uint64{1}, [4]uint64{}
 	var k uint
 	var neg uint64 // all ones when s = -1
 	for x != [4]uint64{} {
 		// Halve x until odd, doubling the other cofactor alongside.
 		for x[0] == 0 {
 			x = [4]uint64{x[1], x[2], x[3], 0}
-			cn = gfP{0, cn[0], cn[1], cn[2]}
+			cn = [4]uint64{0, cn[0], cn[1], cn[2]}
 			k += 64
 		}
 		z := uint(bits.TrailingZeros64(x[0]))
@@ -589,21 +616,21 @@ func (e *gfP) Invert(a *gfP) *gfP {
 		cx[3], _ = bits.Add64(cx[3], cn[3], b)
 	}
 
-	// a here is the Montgomery form of the value to invert, so cn holds
-	// -s * 2^k / (aR); its Montgomery-form inverse R/a is
-	// -s * cn * R^2 / 2^k = -s * mul(mul(cn, R^2), 2^(512-k)).
-	gfpCarrySub(&cn)
+	// cn = -s * 2^k / a, so fix/a = -s * cn * fix / 2^k
+	// = -s * mont(mont(cn, 2^(512-k)), fix), once k >= 257 keeps the power of
+	// two below 2^256.
+	carrySub(&cn, m)
 	for ; k < 257; k++ {
-		gfpDouble(&cn, &cn)
+		modAdd(&cn, &cn, &cn, m)
 	}
-	var pow2 gfP
+	var pow2, out [4]uint64
 	pow2[(512-k)/64] = 1 << ((512 - k) % 64)
-	gfpMul(&cn, &cn, &r2)
-	gfpMul(e, &cn, &pow2)
+	montMul(&cn, &cn, &pow2, m, inv)
+	montMul(&out, fix, &cn, m, inv)
 	if neg == 0 {
-		gfpNeg(e, e)
+		modNeg(&out, &out, m)
 	}
-	return e
+	return out
 }
 
 // batchInvert replaces every element of v, none of them zero, by its inverse

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -192,7 +193,7 @@ func TestChallengeOnChainMatchesExpansion(t *testing.T) {
 	}
 	i1, c1, r1, _ := ch.Expand(f.ef.NumChunks())
 	i2, c2, r2, _ := dec.Expand(f.ef.NumChunks())
-	if !c1.Equal(c2) || r1.Cmp(r2) != 0 {
+	if !slices.EqualFunc(c1, c2, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) || r1.Cmp(r2) != 0 {
 		t.Fatal("expansion mismatch from chain bytes")
 	}
 	for i := range i1 {

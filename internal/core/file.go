@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 	"repro/internal/poly"
 )
 
@@ -17,8 +16,20 @@ const BlockSize = 31
 // original length for exact round-tripping.
 type EncodedFile struct {
 	S      int
-	Length int          // original byte length
-	Chunks []*poly.Poly // Chunks[i] is Mi(x), degree <= s-1, exactly s coefficients
+	Length int         // original byte length
+	Chunks []poly.Poly // Chunks[i] is Mi(x), degree <= s-1, exactly s coefficients
+}
+
+// NewEncodedFile returns the file of the given length whose d*s blocks are
+// blocks, chunk i being blocks[i*s : (i+1)*s]. The chunks share blocks, which
+// the file takes over, so a file is one slab of scalars however many chunks it
+// has.
+func NewEncodedFile(s, length int, blocks []bn256.Scalar) *EncodedFile {
+	ef := &EncodedFile{S: s, Length: length, Chunks: make([]poly.Poly, len(blocks)/s)}
+	for i := range ef.Chunks {
+		ef.Chunks[i].Coeffs = blocks[i*s : (i+1)*s : (i+1)*s]
+	}
+	return ef
 }
 
 // EncodeFile splits data into chunks of s blocks. The final block is
@@ -33,40 +44,26 @@ func EncodeFile(data []byte, s int) (*EncodedFile, error) {
 	}
 	d := (nBlocks + s - 1) / s
 
-	ef := &EncodedFile{S: s, Length: len(data), Chunks: make([]*poly.Poly, d)}
-	for i := 0; i < d; i++ {
-		coeffs := make(ff.Vector, s)
-		for j := 0; j < s; j++ {
-			blockIdx := i*s + j
-			start := blockIdx * BlockSize
-			// Each block is exactly BlockSize bytes, zero-padded on the
-			// right, so that FillBytes on decode restores byte positions.
-			var block [BlockSize]byte
-			if start < len(data) {
-				end := start + BlockSize
-				if end > len(data) {
-					end = len(data)
-				}
-				copy(block[:], data[start:end])
-			}
-			coeffs[j] = new(big.Int).SetBytes(block[:])
-		}
-		ef.Chunks[i] = poly.FromVector(coeffs)
+	// Each block is exactly BlockSize bytes, the last one zero-padded on the
+	// right, so that Decode restores byte positions; blocks past the data
+	// stay zero. A block is below 2^248 < n, so SetBytes cannot fail.
+	blocks := make([]bn256.Scalar, d*s)
+	for j := 0; j*BlockSize < len(data); j++ {
+		var block [BlockSize]byte
+		copy(block[:], data[j*BlockSize:])
+		_ = blocks[j].SetBytes(block[:])
 	}
-	return ef, nil
+	return NewEncodedFile(s, len(data), blocks), nil
 }
 
-// Decode reassembles the original byte stream.
+// Decode reassembles the original byte stream: the low BlockSize bytes of
+// each block, in order.
 func (ef *EncodedFile) Decode() []byte {
-	out := make([]byte, 0, ef.Length)
-	buf := make([]byte, BlockSize)
+	out := make([]byte, 0, ef.NumBlocks()*BlockSize)
 	for _, chunk := range ef.Chunks {
 		for _, c := range chunk.Coeffs {
-			c.FillBytes(buf)
-			out = append(out, buf...)
-			if len(out) >= ef.Length {
-				return out[:ef.Length]
-			}
+			b := c.Bytes()
+			out = append(out, b[32-BlockSize:]...)
 		}
 	}
 	if len(out) < ef.Length {
@@ -96,23 +93,21 @@ func (ef *EncodedFile) StorageOverheadRatio() float64 {
 // provider (Corrupt) must never bleed into the owner's copy or another
 // provider's.
 func (ef *EncodedFile) Clone() *EncodedFile {
-	out := &EncodedFile{S: ef.S, Length: ef.Length, Chunks: make([]*poly.Poly, len(ef.Chunks))}
-	for i, chunk := range ef.Chunks {
-		coeffs := make(ff.Vector, len(chunk.Coeffs))
-		for j, c := range chunk.Coeffs {
-			coeffs[j] = new(big.Int).Set(c)
-		}
-		out.Chunks[i] = poly.FromVector(coeffs)
+	blocks := make([]bn256.Scalar, 0, ef.NumBlocks())
+	for _, chunk := range ef.Chunks {
+		blocks = append(blocks, chunk.Coeffs...)
 	}
-	return out
+	return NewEncodedFile(ef.S, ef.Length, blocks)
 }
 
-// Corrupt flips the lowest byte of the given block (chunk index i, block
-// index j within the chunk) and returns the previous coefficient so tests
-// and experiments can restore it. It models silent data corruption or loss
-// at the storage provider.
-func (ef *EncodedFile) Corrupt(i, j int) *big.Int {
-	old := new(big.Int).Set(ef.Chunks[i].Coeffs[j])
-	ef.Chunks[i].Coeffs[j] = ff.Add(ef.Chunks[i].Coeffs[j], big.NewInt(1))
+// Corrupt adds 1 mod n to the given block (chunk index i, block index j
+// within the chunk) and returns its previous value, so tests and experiments
+// can restore it. It models silent data corruption or loss at the storage
+// provider.
+func (ef *EncodedFile) Corrupt(i, j int) bn256.Scalar {
+	c := &ef.Chunks[i].Coeffs[j]
+	old := *c
+	var one bn256.Scalar
+	c.Add(c, one.SetUint64(1))
 	return old
 }

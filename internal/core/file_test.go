@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/rand"
 	"testing"
-
-	"repro/internal/ff"
 )
 
 // TestEncodedFileClone verifies Clone is a deep copy: corrupting the clone
@@ -34,7 +32,7 @@ func TestEncodedFileClone(t *testing.T) {
 	}
 
 	ef.Corrupt(1, 1)
-	if ff.Equal(cp.Chunks[1].Coeffs[1], ef.Chunks[1].Coeffs[1]) {
+	if cp.Chunks[1].Coeffs[1] == ef.Chunks[1].Coeffs[1] {
 		t.Fatal("corrupting the original mutated the clone")
 	}
 }
@@ -66,5 +64,34 @@ func TestCloneAuthenticators(t *testing.T) {
 	}
 	if bytes.Equal(cp[0].Sigma.Marshal(), auths[0].Sigma.Marshal()) {
 		t.Fatal("mutation did not take on the clone")
+	}
+}
+
+// TestEncodedFileAllocs pins the file's representation, one slab of scalars:
+// encoding, decoding from the wire and cloning a 128 KiB file each allocate
+// the slab, the chunk headers and the struct (the runtime's bookkeeping for a
+// slab this large can add one or two), not one value per block: 4 228 here.
+func TestEncodedFileAllocs(t *testing.T) {
+	data := make([]byte, 128<<10)
+	if _, err := rand.Read(data); err != nil {
+		t.Fatal(err)
+	}
+	ef, err := EncodeFile(data, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ef.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"EncodeFile":           func() { EncodeFile(data, 50) },
+		"UnmarshalEncodedFile": func() { UnmarshalEncodedFile(enc) },
+		"Clone":                func() { ef.Clone() },
+		"MarshalBinary":        func() { ef.MarshalBinary() },
+	} {
+		if got := testing.AllocsPerRun(5, fn); got > 6 {
+			t.Errorf("%s of a 128 KiB file: %v allocations, want at most 6", name, got)
+		}
 	}
 }

@@ -18,6 +18,7 @@ package core
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -194,11 +195,12 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	return pk, nil
 }
 
-// blockTag returns H(name || i), the per-chunk group element t_i.
+// blockTag returns H(name || i), the per-chunk group element t_i. Name is
+// canonical (KeyGen draws it below n, UnmarshalPublicKey rejects the rest),
+// so it fills its 32 bytes as is, and the message stays on the stack.
 func (pk *PublicKey) blockTag(i int) *bn256.G1 {
-	msg := make([]byte, 0, 40)
-	msg = append(msg, ff.Bytes(pk.Name)...)
-	msg = append(msg, byte(i>>56), byte(i>>48), byte(i>>40), byte(i>>32),
-		byte(i>>24), byte(i>>16), byte(i>>8), byte(i))
-	return bn256.HashToG1(msg)
+	var msg [40]byte
+	pk.Name.FillBytes(msg[:32])
+	binary.BigEndian.PutUint64(msg[32:], uint64(i))
+	return bn256.HashToG1(msg[:])
 }

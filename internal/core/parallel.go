@@ -22,9 +22,11 @@ func SetupParallel(sk *PrivateKey, ef *EncodedFile, workers int) ([]*Authenticat
 	}
 	auths := make([]*Authenticator, ef.NumChunks())
 	sigmas := make([]*bn256.G1, len(auths))
+	var alpha bn256.Scalar
+	alpha.SetBig(sk.Alpha)
 	parallel.For(workers, len(auths), func(i int) {
-		mAlpha := ef.Chunks[i].Eval(sk.Alpha)
-		base := new(bn256.G1).ScalarBaseMult(mAlpha)
+		mAlpha := ef.Chunks[i].Eval(&alpha)
+		base := new(bn256.G1).ScalarBaseMult(mAlpha.Big())
 		base.Add(base, sk.Pub.blockTag(i))
 		sigmas[i] = base.ScalarMult(base, sk.X)
 		auths[i] = &Authenticator{Index: i, Sigma: sigmas[i]}

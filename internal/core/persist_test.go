@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestChallengeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ff.Equal(r1, r2) || !c1.Equal(c2) {
+	if !ff.Equal(r1, r2) || !slices.EqualFunc(c1, c2, ff.Equal) {
 		t.Fatal("expansion differs after round trip")
 	}
 	for i := range i1 {

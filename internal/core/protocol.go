@@ -123,15 +123,15 @@ func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, 
 	sigmas := make([]*bn256.G1, len(sample))
 	tags := make([]*bn256.G1, len(sample))
 	for j, i := range sample {
-		polys[j] = ef.Chunks[i]
+		polys[j] = &ef.Chunks[i]
 		sigmas[j] = auths[i].Sigma
 		tags[j] = pk.blockTag(i)
 	}
-	combined, err := poly.LinearCombination(polys, rho)
+	combined, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(rho))
 	if err != nil {
 		return false
 	}
-	commit := new(bn256.G1).MultiScalarMult(pk.Powers, combined.Coeffs)
+	commit := new(bn256.G1).MultiScalarMult(pk.Powers, bn256.ScalarsToBig(combined.Coeffs))
 	commit.Add(commit, new(bn256.G1).MultiScalarMult(tags, rho))
 	sigma := new(bn256.G1).MultiScalarMult(sigmas, rho)
 	// e(sigma, g2) * e(-commit, eps) == 1
@@ -261,13 +261,14 @@ func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveS
 	start = time.Now()
 	polys := make([]*poly.Poly, len(indices))
 	for j, idx := range indices {
-		polys[j] = p.File.Chunks[idx]
+		polys[j] = &p.File.Chunks[idx]
 	}
-	pk, err := poly.LinearCombination(polys, coeffs)
+	pk, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(coeffs))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	qk, yv := pk.DivideByLinear(r)
+	var rs bn256.Scalar
+	qk, yv := pk.DivideByLinear(rs.SetBig(r))
 	if stats != nil {
 		stats.Zp += time.Since(start)
 	}
@@ -277,14 +278,14 @@ func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveS
 		return nil, nil, nil, err
 	}
 	start = time.Now()
-	psi, err = new(bn256.G1).MultiScalarMultCtx(ctx, p.Pub.Powers[:len(qk.Coeffs)], qk.Coeffs, p.Workers)
+	psi, err = new(bn256.G1).MultiScalarMultCtx(ctx, p.Pub.Powers[:len(qk.Coeffs)], bn256.ScalarsToBig(qk.Coeffs), p.Workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if stats != nil {
 		stats.ECC += time.Since(start)
 	}
-	return sigma, yv, psi, nil
+	return sigma, yv.Big(), psi, nil
 }
 
 // Prove produces the non-private response (sigma, y, psi) of Section V-B.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
-	"repro/internal/poly"
 	"repro/internal/prf"
 )
 
@@ -75,7 +73,8 @@ func (ef *EncodedFile) MarshalBinary() ([]byte, error) {
 			return nil, fmt.Errorf("%w: chunk has %d coefficients, want %d", ErrBadParameters, len(chunk.Coeffs), ef.S)
 		}
 		for _, c := range chunk.Coeffs {
-			out = append(out, ff.Bytes(c)...)
+			b := c.Bytes()
+			out = append(out, b[:]...)
 		}
 	}
 	return out, nil
@@ -103,21 +102,13 @@ func UnmarshalEncodedFile(data []byte) (*EncodedFile, error) {
 	if length > uint64(s)*uint64(d)*BlockSize {
 		return nil, fmt.Errorf("%w: declared length %d exceeds %d blocks", ErrMalformed, length, uint64(s)*uint64(d))
 	}
-	ef := &EncodedFile{S: int(s), Length: int(length), Chunks: make([]*poly.Poly, d)}
-	off := 16
-	for i := range ef.Chunks {
-		coeffs := make(ff.Vector, s)
-		for j := range coeffs {
-			c, err := ff.FromBytes(data[off : off+32])
-			if err != nil {
-				return nil, err
-			}
-			coeffs[j] = c
-			off += 32
+	blocks := make([]bn256.Scalar, int(s)*int(d))
+	for i := range blocks {
+		if err := blocks[i].SetBytes(data[16+32*i : 48+32*i]); err != nil {
+			return nil, err
 		}
-		ef.Chunks[i] = poly.FromVector(coeffs)
 	}
-	return ef, nil
+	return NewEncodedFile(int(s), int(length), blocks), nil
 }
 
 // MarshalAuthenticators encodes the per-chunk authenticators as a count

@@ -2,10 +2,12 @@
 // pairing groups (n = bn256.Order), which is the field the paper's data
 // blocks, polynomial coefficients and challenge scalars live in.
 //
-// All functions treat *big.Int values as residues and always return fully
-// reduced results in [0, n). The package also provides vector helpers and a
-// dense Gaussian-elimination solver used by the on-chain leakage attack of
-// the paper's Section V-C.
+// The functions here serve the protocol's scalars, which are still *big.Int
+// values: keys, challenge coefficients, the Sigma-protocol's zeta and y'. They
+// treat their inputs as residues and always return fully reduced results in
+// [0, n). File data lives in bn256.Scalar, and the package's dense
+// Gaussian-elimination solver, used by the on-chain leakage attack of the
+// paper's Section V-C, runs on that type.
 package ff
 
 import (
@@ -16,9 +18,6 @@ import (
 
 	"repro/internal/bn256"
 )
-
-// Modulus returns the field modulus n (a fresh copy).
-func Modulus() *big.Int { return new(big.Int).Set(bn256.Order) }
 
 // mod is the shared modulus; never mutated.
 var mod = bn256.Order
@@ -60,12 +59,6 @@ func Inv(a *big.Int) *big.Int {
 	}
 	return inv
 }
-
-// Div returns a/b mod n.
-func Div(a, b *big.Int) *big.Int { return Mul(a, Inv(b)) }
-
-// Exp returns a^k mod n.
-func Exp(a, k *big.Int) *big.Int { return new(big.Int).Exp(a, k, mod) }
 
 // Equal reports whether a = b as field elements. Inputs already reduced into
 // [0, n) — the common case throughout the package, whose functions always
@@ -122,89 +115,35 @@ func FromBytes(data []byte) (*big.Int, error) {
 // Vector is a slice of field elements.
 type Vector []*big.Int
 
-// NewVector allocates a zero vector of length k.
-func NewVector(k int) Vector {
-	v := make(Vector, k)
-	for i := range v {
-		v[i] = new(big.Int)
-	}
-	return v
-}
-
-// RandomVector returns a vector of k uniformly random elements.
-func RandomVector(r io.Reader, k int) (Vector, error) {
-	v := make(Vector, k)
-	for i := range v {
-		e, err := Random(r)
-		if err != nil {
-			return nil, err
-		}
-		v[i] = e
-	}
-	return v, nil
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	for i, e := range v {
-		out[i] = new(big.Int).Set(e)
-	}
-	return out
-}
-
-// Dot returns the inner product <v, w> mod n.
-func (v Vector) Dot(w Vector) *big.Int {
-	if len(v) != len(w) {
-		panic("ff: dot product of vectors with different lengths")
-	}
-	acc := new(big.Int)
-	t := new(big.Int)
-	for i := range v {
-		t.Mul(v[i], w[i])
-		acc.Add(acc, t)
-	}
-	return Reduce(acc)
-}
-
-// Equal reports element-wise equality.
-func (v Vector) Equal(w Vector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if !Equal(v[i], w[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// SolveLinearSystem solves A*x = b over Zn by Gaussian elimination with
-// partial pivoting, where A is square (len(b) rows). It returns the unique
-// solution, or an error if A is singular. The inputs are not modified.
+// SolveLinearSystem solves A*x = b over Zn by Gaussian elimination, where A
+// is square (len(b) rows). It returns the unique solution, or an error if A
+// is singular. The inputs are not modified.
 //
 // The leakage attack of the paper's Section V-C reduces recovering data
 // blocks from observed audit trails to exactly this computation.
-func SolveLinearSystem(a []Vector, b Vector) (Vector, error) {
+func SolveLinearSystem(a [][]bn256.Scalar, b []bn256.Scalar) ([]bn256.Scalar, error) {
 	k := len(b)
 	if len(a) != k {
 		return nil, fmt.Errorf("ff: system has %d rows but %d right-hand values", len(a), k)
 	}
-	// Build the augmented matrix as a deep copy.
-	m := make([]Vector, k)
+	// The augmented matrix, k rows of k+1 in one slab.
+	slab := make([]bn256.Scalar, k*(k+1))
+	m := make([][]bn256.Scalar, k)
 	for i := range m {
 		if len(a[i]) != k {
 			return nil, fmt.Errorf("ff: row %d has %d columns, want %d", i, len(a[i]), k)
 		}
-		m[i] = append(a[i].Clone(), new(big.Int).Set(b[i]))
+		m[i] = slab[i*(k+1) : (i+1)*(k+1)]
+		copy(m[i], a[i])
+		m[i][k] = b[i]
 	}
 
+	var inv, t bn256.Scalar
 	for col := 0; col < k; col++ {
 		// Find a pivot.
 		pivot := -1
 		for row := col; row < k; row++ {
-			if m[row][col].Sign() != 0 {
+			if !m[row][col].IsZero() {
 				pivot = row
 				break
 			}
@@ -215,24 +154,24 @@ func SolveLinearSystem(a []Vector, b Vector) (Vector, error) {
 		m[col], m[pivot] = m[pivot], m[col]
 
 		// Normalize the pivot row.
-		inv := Inv(m[col][col])
+		inv.Inv(&m[col][col])
 		for j := col; j <= k; j++ {
-			m[col][j] = Mul(m[col][j], inv)
+			m[col][j].Mul(&m[col][j], &inv)
 		}
 
 		// Eliminate the column from all other rows.
 		for row := 0; row < k; row++ {
-			if row == col || m[row][col].Sign() == 0 {
+			if row == col || m[row][col].IsZero() {
 				continue
 			}
-			factor := new(big.Int).Set(m[row][col])
+			factor := m[row][col]
 			for j := col; j <= k; j++ {
-				m[row][j] = Sub(m[row][j], Mul(factor, m[col][j]))
+				m[row][j].Sub(&m[row][j], t.Mul(&factor, &m[col][j]))
 			}
 		}
 	}
 
-	x := make(Vector, k)
+	x := make([]bn256.Scalar, k)
 	for i := range x {
 		x[i] = m[i][k]
 	}

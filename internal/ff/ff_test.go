@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bn256"
 )
 
 func TestFieldAxioms(t *testing.T) {
@@ -28,17 +30,9 @@ func TestFieldAxioms(t *testing.T) {
 		if a.Sign() != 0 && !Equal(Mul(a, Inv(a)), New(1)) {
 			t.Fatal("a * 1/a != 1")
 		}
-		if a.Sign() != 0 && !Equal(Div(Mul(a, b), a), Reduce(new(big.Int).Set(b))) {
+		if a.Sign() != 0 && !Equal(Mul(Mul(a, b), Inv(a)), Reduce(new(big.Int).Set(b))) {
 			t.Fatal("(a*b)/a != b")
 		}
-	}
-}
-
-func TestExpFermat(t *testing.T) {
-	a, _ := RandomNonZero(rand.Reader)
-	nMinus1 := new(big.Int).Sub(Modulus(), big.NewInt(1))
-	if !Equal(Exp(a, nMinus1), New(1)) {
-		t.Fatal("a^(n-1) != 1: modulus is not prime or Exp is broken")
 	}
 }
 
@@ -58,7 +52,7 @@ func TestBytesRoundTrip(t *testing.T) {
 }
 
 func TestFromBytesRejectsNonCanonical(t *testing.T) {
-	over := Modulus() // == n, not a canonical residue
+	over := bn256.Order // n, not a canonical residue
 	enc := make([]byte, 32)
 	over.FillBytes(enc)
 	if _, err := FromBytes(enc); err == nil {
@@ -69,63 +63,73 @@ func TestFromBytesRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-func TestVectorDot(t *testing.T) {
-	v := Vector{New(1), New(2), New(3)}
-	w := Vector{New(4), New(5), New(6)}
-	if !Equal(v.Dot(w), New(32)) {
-		t.Fatalf("dot product = %v, want 32", v.Dot(w))
+// scalars returns the small integers vs as field elements.
+func scalars(vs ...uint64) []bn256.Scalar {
+	out := make([]bn256.Scalar, len(vs))
+	for i, v := range vs {
+		out[i].SetUint64(v)
 	}
+	return out
 }
 
-func TestVectorDotPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
+func randomScalars(t *testing.T, k int) []bn256.Scalar {
+	out := make([]bn256.Scalar, k)
+	for i := range out {
+		v, err := Random(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	Vector{New(1)}.Dot(Vector{New(1), New(2)})
+		out[i].SetBig(v)
+	}
+	return out
 }
 
 func TestSolveLinearSystem(t *testing.T) {
 	// Build a random system with a known solution and solve it back.
 	const k = 8
-	xTrue, err := RandomVector(rand.Reader, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]Vector, k)
-	b := make(Vector, k)
+	xTrue := randomScalars(t, k)
+	a := make([][]bn256.Scalar, k)
+	b := make([]bn256.Scalar, k)
 	for i := range a {
-		a[i], err = RandomVector(rand.Reader, k)
-		if err != nil {
-			t.Fatal(err)
+		a[i] = randomScalars(t, k)
+		var term bn256.Scalar
+		for j := range a[i] {
+			b[i].Add(&b[i], term.Mul(&a[i][j], &xTrue[j]))
 		}
-		b[i] = a[i].Dot(xTrue)
+	}
+	aCopy := make([][]bn256.Scalar, k)
+	for i := range a {
+		aCopy[i] = append([]bn256.Scalar(nil), a[i]...)
 	}
 	x, err := SolveLinearSystem(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !x.Equal(xTrue) {
-		t.Fatal("solver returned wrong solution")
+	for i := range x {
+		if x[i] != xTrue[i] {
+			t.Fatalf("solver returned wrong solution at %d", i)
+		}
+		for j := range a[i] {
+			if a[i][j] != aCopy[i][j] {
+				t.Fatal("solver modified its input")
+			}
+		}
 	}
 }
 
 func TestSolveLinearSystemSingular(t *testing.T) {
 	// Two identical rows: singular.
-	row := Vector{New(1), New(2)}
-	a := []Vector{row, row.Clone()}
-	b := Vector{New(3), New(3)}
-	if _, err := SolveLinearSystem(a, b); err == nil {
+	a := [][]bn256.Scalar{scalars(1, 2), scalars(1, 2)}
+	if _, err := SolveLinearSystem(a, scalars(3, 3)); err == nil {
 		t.Fatal("expected an error for a singular system")
 	}
 }
 
 func TestSolveLinearSystemShapeErrors(t *testing.T) {
-	if _, err := SolveLinearSystem([]Vector{{New(1)}}, Vector{New(1), New(2)}); err == nil {
+	if _, err := SolveLinearSystem([][]bn256.Scalar{scalars(1)}, scalars(1, 2)); err == nil {
 		t.Fatal("accepted mismatched row count")
 	}
-	if _, err := SolveLinearSystem([]Vector{{New(1), New(2)}}, Vector{New(1)}); err == nil {
+	if _, err := SolveLinearSystem([][]bn256.Scalar{scalars(1, 2)}, scalars(1)); err == nil {
 		t.Fatal("accepted non-square matrix")
 	}
 }

@@ -1,31 +1,20 @@
 package poly
 
 import (
-	"crypto/rand"
-	"math/big"
 	"testing"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 	"repro/internal/prf"
 )
-
-func benchPoly(b *testing.B, deg int) *Poly {
-	b.Helper()
-	v, err := ff.RandomVector(rand.Reader, deg+1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return FromVector(v)
-}
 
 // BenchmarkAblationQuotientSynthetic measures the production quotient path
 // (Definition 3's Qk via synthetic division): linear in s.
 func BenchmarkAblationQuotientSynthetic(b *testing.B) {
-	p := benchPoly(b, 99)
-	r, _ := ff.Random(rand.Reader)
+	p := randPoly(b, 99)
+	r := randScalar(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DivideByLinear(r)
+		p.DivideByLinear(&r)
 	}
 }
 
@@ -33,40 +22,41 @@ func BenchmarkAblationQuotientSynthetic(b *testing.B) {
 // rejected: computing the quotient by explicit long division through
 // polynomial multiplication bookkeeping (quadratic in s).
 func BenchmarkAblationQuotientNaive(b *testing.B) {
-	p := benchPoly(b, 99)
-	r, _ := ff.Random(rand.Reader)
+	p := randPoly(b, 99)
+	r := randScalar(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		naiveQuotient(p, r)
+		naiveQuotient(p, &r)
 	}
 }
 
 // naiveQuotient computes (p(x) - p(r))/(x - r) by repeatedly stripping the
 // leading term with a multiple of (x - r).
-func naiveQuotient(p *Poly, r *big.Int) *Poly {
+func naiveQuotient(p *Poly, r *bn256.Scalar) *Poly {
 	rem := p.Clone()
-	rem.Coeffs[0] = ff.Sub(rem.Coeffs[0], p.Eval(r))
+	pr := p.Eval(r)
+	rem.Coeffs[0].Sub(&rem.Coeffs[0], &pr)
 	n := len(rem.Coeffs)
-	q := ff.NewVector(n - 1)
+	q := Zero(n - 2)
+	var t bn256.Scalar
 	for d := n - 1; d >= 1; d-- {
 		c := rem.Coeffs[d]
-		if c.Sign() == 0 {
+		if c.IsZero() {
 			continue
 		}
-		q[d-1] = new(big.Int).Set(c)
+		q.Coeffs[d-1] = c
 		// rem -= c * x^(d-1) * (x - r)
-		rem.Coeffs[d] = new(big.Int)
-		rem.Coeffs[d-1] = ff.Add(rem.Coeffs[d-1], ff.Mul(c, r))
+		rem.Coeffs[d] = bn256.Scalar{}
+		rem.Coeffs[d-1].Add(&rem.Coeffs[d-1], t.Mul(&c, r))
 	}
-	return &Poly{Coeffs: q}
+	return q
 }
 
 func TestNaiveQuotientMatchesSynthetic(t *testing.T) {
-	v, _ := ff.RandomVector(rand.Reader, 20)
-	p := FromVector(v)
-	r, _ := ff.Random(rand.Reader)
-	fast, _ := p.DivideByLinear(r)
-	slow := naiveQuotient(p, r)
+	p := randPoly(t, 19)
+	r := randScalar(t)
+	fast, _ := p.DivideByLinear(&r)
+	slow := naiveQuotient(p, &r)
 	if !fast.Equal(slow) {
 		t.Fatal("naive and synthetic quotients disagree")
 	}
@@ -78,9 +68,9 @@ func BenchmarkLinearCombination(b *testing.B) {
 	const k, s = 300, 50
 	polys := make([]*Poly, k)
 	for i := range polys {
-		polys[i] = benchPoly(b, s-1)
+		polys[i] = randPoly(b, s-1)
 	}
-	scalars := prf.Coefficients([]byte("linear combination"), k)
+	scalars := bn256.ScalarsFromBig(prf.Coefficients([]byte("linear combination"), k))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := LinearCombination(polys, scalars); err != nil {
@@ -89,10 +79,19 @@ func BenchmarkLinearCombination(b *testing.B) {
 	}
 }
 
+// BenchmarkEval is Setup's Mi(alpha) at the paper's s = 50.
+func BenchmarkEval(b *testing.B) {
+	p := randPoly(b, 49)
+	x := randScalar(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Eval(&x)
+	}
+}
+
 func BenchmarkInterpolate(b *testing.B) {
 	const k = 50
-	xs, _ := ff.RandomVector(rand.Reader, k)
-	ys, _ := ff.RandomVector(rand.Reader, k)
+	xs, ys := randScalars(b, k), randScalars(b, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Interpolate(xs, ys); err != nil {

@@ -8,42 +8,36 @@
 //     division, and
 //   - Lagrange interpolation, used by the Section V-C adversary to
 //     reconstruct Pk from on-chain audit trails.
+//
+// Coefficients are bn256.Scalar values, so a polynomial is one flat slice of
+// limbs and none of its arithmetic allocates per coefficient.
 package poly
 
 import (
 	"fmt"
-	"math/big"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 )
 
 // Poly is a dense polynomial; Coeffs[i] is the coefficient of x^i. The zero
 // polynomial is represented by an empty (or all-zero) coefficient slice.
 type Poly struct {
-	Coeffs ff.Vector
+	Coeffs []bn256.Scalar
 }
 
-// New builds a polynomial from the given coefficients (constant term first).
-// The coefficients are copied and reduced.
-func New(coeffs ...*big.Int) *Poly {
-	c := make(ff.Vector, len(coeffs))
-	for i, v := range coeffs {
-		c[i] = ff.Reduce(new(big.Int).Set(v))
-	}
-	return &Poly{Coeffs: c}
+// New builds a polynomial from a copy of the given coefficients (constant
+// term first).
+func New(coeffs ...bn256.Scalar) *Poly {
+	return &Poly{Coeffs: append([]bn256.Scalar(nil), coeffs...)}
 }
-
-// FromVector builds a polynomial that uses the vector's elements as
-// coefficients without copying. Callers must not alias.
-func FromVector(v ff.Vector) *Poly { return &Poly{Coeffs: v} }
 
 // Zero returns the zero polynomial with capacity for deg+1 coefficients.
-func Zero(deg int) *Poly { return &Poly{Coeffs: ff.NewVector(deg + 1)} }
+func Zero(deg int) *Poly { return &Poly{Coeffs: make([]bn256.Scalar, deg+1)} }
 
 // Degree returns the degree of p, with -1 for the zero polynomial.
 func (p *Poly) Degree() int {
 	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		if p.Coeffs[i].Sign() != 0 {
+		if !p.Coeffs[i].IsZero() {
 			return i
 		}
 	}
@@ -51,24 +45,20 @@ func (p *Poly) Degree() int {
 }
 
 // Clone returns a deep copy.
-func (p *Poly) Clone() *Poly { return &Poly{Coeffs: p.Coeffs.Clone()} }
+func (p *Poly) Clone() *Poly { return New(p.Coeffs...) }
 
 // Equal reports mathematical equality (ignoring trailing zeros).
 func (p *Poly) Equal(q *Poly) bool {
-	n := len(p.Coeffs)
-	if len(q.Coeffs) > n {
-		n = len(q.Coeffs)
-	}
-	zero := new(big.Int)
+	n := max(len(p.Coeffs), len(q.Coeffs))
 	for i := 0; i < n; i++ {
-		a, b := zero, zero
+		var a, b bn256.Scalar
 		if i < len(p.Coeffs) {
 			a = p.Coeffs[i]
 		}
 		if i < len(q.Coeffs) {
 			b = q.Coeffs[i]
 		}
-		if !ff.Equal(a, b) {
+		if a != b {
 			return false
 		}
 	}
@@ -76,42 +66,31 @@ func (p *Poly) Equal(q *Poly) bool {
 }
 
 // Eval evaluates p at x by Horner's rule.
-func (p *Poly) Eval(x *big.Int) *big.Int {
-	acc := new(big.Int)
+func (p *Poly) Eval(x *bn256.Scalar) bn256.Scalar {
+	var acc bn256.Scalar
 	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		acc.Mul(acc, x)
-		acc.Add(acc, p.Coeffs[i])
-		ff.Reduce(acc)
+		acc.Mul(&acc, x).Add(&acc, &p.Coeffs[i])
 	}
 	return acc
 }
 
 // Add returns p + q.
 func (p *Poly) Add(q *Poly) *Poly {
-	n := len(p.Coeffs)
-	if len(q.Coeffs) > n {
-		n = len(q.Coeffs)
+	out := Zero(max(len(p.Coeffs), len(q.Coeffs)) - 1)
+	copy(out.Coeffs, p.Coeffs)
+	for i := range q.Coeffs {
+		out.Coeffs[i].Add(&out.Coeffs[i], &q.Coeffs[i])
 	}
-	out := ff.NewVector(n)
-	for i := 0; i < n; i++ {
-		if i < len(p.Coeffs) {
-			out[i].Add(out[i], p.Coeffs[i])
-		}
-		if i < len(q.Coeffs) {
-			out[i].Add(out[i], q.Coeffs[i])
-		}
-		ff.Reduce(out[i])
-	}
-	return &Poly{Coeffs: out}
+	return out
 }
 
 // ScalarMul returns c * p.
-func (p *Poly) ScalarMul(c *big.Int) *Poly {
-	out := ff.NewVector(len(p.Coeffs))
+func (p *Poly) ScalarMul(c *bn256.Scalar) *Poly {
+	out := Zero(len(p.Coeffs) - 1)
 	for i := range p.Coeffs {
-		out[i] = ff.Mul(p.Coeffs[i], c)
+		out.Coeffs[i].Mul(&p.Coeffs[i], c)
 	}
-	return &Poly{Coeffs: out}
+	return out
 }
 
 // Mul returns p*q by schoolbook multiplication. It is used only in tests and
@@ -120,26 +99,25 @@ func (p *Poly) Mul(q *Poly) *Poly {
 	if p.Degree() < 0 || q.Degree() < 0 {
 		return Zero(0)
 	}
-	out := ff.NewVector(len(p.Coeffs) + len(q.Coeffs) - 1)
-	t := new(big.Int)
-	for i, a := range p.Coeffs {
-		if a.Sign() == 0 {
+	out := Zero(len(p.Coeffs) + len(q.Coeffs) - 2)
+	var t bn256.Scalar
+	for i := range p.Coeffs {
+		if p.Coeffs[i].IsZero() {
 			continue
 		}
-		for j, b := range q.Coeffs {
-			t.Mul(a, b)
-			out[i+j].Add(out[i+j], t)
-			ff.Reduce(out[i+j])
+		for j := range q.Coeffs {
+			t.Mul(&p.Coeffs[i], &q.Coeffs[j])
+			out.Coeffs[i+j].Add(&out.Coeffs[i+j], &t)
 		}
 	}
-	return &Poly{Coeffs: out}
+	return out
 }
 
 // LinearCombination returns sum_i scalars[i] * polys[i]. All polynomials
-// must have the same length; this is the hot path building Pk(x) from the
-// k challenged chunk polynomials, so it works in place over one accumulator
-// per output coefficient.
-func LinearCombination(polys []*Poly, scalars ff.Vector) (*Poly, error) {
+// must have the same length. This is the hot path building Pk(x) from the k
+// challenged chunk polynomials: bn256.ScalarLinearCombination keeps each
+// output coefficient's sum unreduced and reduces it once.
+func LinearCombination(polys []*Poly, scalars []bn256.Scalar) (*Poly, error) {
 	if len(polys) != len(scalars) {
 		return nil, fmt.Errorf("poly: %d polynomials but %d scalars", len(polys), len(scalars))
 	}
@@ -147,47 +125,33 @@ func LinearCombination(polys []*Poly, scalars ff.Vector) (*Poly, error) {
 		return Zero(0), nil
 	}
 	width := len(polys[0].Coeffs)
-	acc := ff.NewVector(width)
-	t := new(big.Int)
+	rows := make([][]bn256.Scalar, len(polys))
 	for i, q := range polys {
 		if len(q.Coeffs) != width {
 			return nil, fmt.Errorf("poly: polynomial %d has %d coefficients, want %d", i, len(q.Coeffs), width)
 		}
-		c := scalars[i]
-		if c.Sign() == 0 {
-			continue
-		}
-		for j, b := range q.Coeffs {
-			t.Mul(c, b)
-			acc[j].Add(acc[j], t)
-		}
+		rows[i] = q.Coeffs
 	}
-	// The products accumulate unreduced (k of them stay below k*n^2), so
-	// each output coefficient pays one division instead of one per term.
-	for _, a := range acc {
-		ff.Reduce(a)
-	}
-	return &Poly{Coeffs: acc}, nil
+	out := Zero(width - 1)
+	bn256.ScalarLinearCombination(out.Coeffs, scalars, rows)
+	return out, nil
 }
 
 // DivideByLinear returns the quotient q(x) = (p(x) - p(r)) / (x - r) using
 // synthetic (Horner/Ruffini) division, together with the remainder p(r).
 // This is Definition 3's Qk(x): the KZG opening witness polynomial.
-func (p *Poly) DivideByLinear(r *big.Int) (q *Poly, rem *big.Int) {
+func (p *Poly) DivideByLinear(r *bn256.Scalar) (q *Poly, rem bn256.Scalar) {
 	n := len(p.Coeffs)
 	if n == 0 {
-		return Zero(0), new(big.Int)
+		return Zero(0), rem
 	}
-	out := make(ff.Vector, n-1)
-	carry := new(big.Int).Set(p.Coeffs[n-1])
+	q = Zero(max(n-2, 0))
+	rem = p.Coeffs[n-1]
 	for i := n - 2; i >= 0; i-- {
-		out[i] = new(big.Int).Set(carry)
-		carry = ff.Add(ff.Mul(carry, r), p.Coeffs[i])
+		q.Coeffs[i] = rem
+		rem.Mul(&rem, r).Add(&rem, &p.Coeffs[i])
 	}
-	if len(out) == 0 {
-		out = ff.NewVector(1)
-	}
-	return &Poly{Coeffs: out}, carry
+	return q, rem
 }
 
 // Interpolate returns the unique polynomial of degree < len(xs) passing
@@ -195,37 +159,39 @@ func (p *Poly) DivideByLinear(r *big.Int) (q *Poly, rem *big.Int) {
 //
 // This is the tool of the Section V-C adversary: observing s evaluations of
 // the degree-(s-1) polynomial Pk on the chain fully reconstructs it.
-func Interpolate(xs, ys ff.Vector) (*Poly, error) {
+func Interpolate(xs, ys []bn256.Scalar) (*Poly, error) {
 	k := len(xs)
 	if len(ys) != k {
 		return nil, fmt.Errorf("poly: %d abscissae but %d ordinates", k, len(ys))
 	}
-	// Duplicate abscissae make the system singular; detect them in O(k) by
-	// keying the canonical encoding instead of comparing all pairs.
-	seen := make(map[string]int, k)
-	for i := 0; i < k; i++ {
-		key := string(ff.Bytes(xs[i]))
-		if j, dup := seen[key]; dup {
+	// Duplicate abscissae make the system singular; detect them in O(k).
+	seen := make(map[bn256.Scalar]int, k)
+	for i, x := range xs {
+		if j, dup := seen[x]; dup {
 			return nil, fmt.Errorf("poly: duplicate interpolation abscissa at %d and %d", j, i)
 		}
-		seen[key] = i
+		seen[x] = i
 	}
 
+	var one bn256.Scalar
+	one.SetUint64(1)
 	result := Zero(k - 1)
 	for i := 0; i < k; i++ {
 		// Build the i-th Lagrange basis polynomial incrementally.
-		basis := New(big.NewInt(1))
-		denom := big.NewInt(1)
+		basis := New(one)
+		denom := one
 		for j := 0; j < k; j++ {
 			if j == i {
 				continue
 			}
 			// basis *= (x - xs[j])
-			basis = basis.Mul(New(ff.Neg(xs[j]), big.NewInt(1)))
-			denom = ff.Mul(denom, ff.Sub(xs[i], xs[j]))
+			var negX, diff bn256.Scalar
+			basis = basis.Mul(New(*negX.Neg(&xs[j]), one))
+			denom.Mul(&denom, diff.Sub(&xs[i], &xs[j]))
 		}
-		scale := ff.Mul(ys[i], ff.Inv(denom))
-		result = result.Add(basis.ScalarMul(scale))
+		var scale bn256.Scalar
+		scale.Inv(&denom).Mul(&scale, &ys[i])
+		result = result.Add(basis.ScalarMul(&scale))
 	}
 	return result, nil
 }

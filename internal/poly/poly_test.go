@@ -6,23 +6,97 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 )
 
-func randPoly(t *testing.T, deg int) *Poly {
+// The math/big reference below is the arithmetic poly ran on before its
+// coefficients moved to limbs. It lives only here, as the oracle the limb
+// code is checked against.
+
+func bigOf(v []bn256.Scalar) []*big.Int {
+	out := make([]*big.Int, len(v))
+	for i := range v {
+		out[i] = v[i].Big()
+	}
+	return out
+}
+
+func evalBig(coeffs []*big.Int, x *big.Int) *big.Int {
+	acc := new(big.Int)
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc.Mul(acc, x).Add(acc, coeffs[i]).Mod(acc, bn256.Order)
+	}
+	return acc
+}
+
+func linearCombinationBig(polys [][]*big.Int, scalars []*big.Int) []*big.Int {
+	out := make([]*big.Int, len(polys[0]))
+	for j := range out {
+		out[j] = new(big.Int)
+		for i := range polys {
+			out[j].Add(out[j], new(big.Int).Mul(scalars[i], polys[i][j]))
+		}
+		out[j].Mod(out[j], bn256.Order)
+	}
+	return out
+}
+
+func divideByLinearBig(coeffs []*big.Int, r *big.Int) (q []*big.Int, rem *big.Int) {
+	n := len(coeffs)
+	q = make([]*big.Int, n-1)
+	rem = new(big.Int).Set(coeffs[n-1])
+	for i := n - 2; i >= 0; i-- {
+		q[i] = new(big.Int).Set(rem)
+		rem.Mul(rem, r).Add(rem, coeffs[i]).Mod(rem, bn256.Order)
+	}
+	return q, rem
+}
+
+func sameAsBig(got []bn256.Scalar, want []*big.Int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Big().Cmp(want[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func randScalar(t testing.TB) bn256.Scalar {
 	t.Helper()
-	v, err := ff.RandomVector(rand.Reader, deg+1)
-	if err != nil {
+	var buf [40]byte // 64 bits past n's size: negligible bias
+	if _, err := rand.Read(buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	return FromVector(v)
+	var s bn256.Scalar
+	s.SetBig(new(big.Int).SetBytes(buf[:]))
+	return s
+}
+
+func randScalars(t testing.TB, n int) []bn256.Scalar {
+	out := make([]bn256.Scalar, n)
+	for i := range out {
+		out[i] = randScalar(t)
+	}
+	return out
+}
+
+func randPoly(t testing.TB, deg int) *Poly { return &Poly{Coeffs: randScalars(t, deg+1)} }
+
+func scalar(v int64) bn256.Scalar {
+	var s bn256.Scalar
+	s.SetBig(big.NewInt(v))
+	return s
 }
 
 func TestEvalHorner(t *testing.T) {
 	// p(x) = 3 + 2x + x^2 at x = 5: 3 + 10 + 25 = 38.
-	p := New(big.NewInt(3), big.NewInt(2), big.NewInt(1))
-	if got := p.Eval(big.NewInt(5)); !ff.Equal(got, ff.New(38)) {
-		t.Fatalf("p(5) = %v, want 38", got)
+	p := New(scalar(3), scalar(2), scalar(1))
+	x := scalar(5)
+	if got := p.Eval(&x); got != scalar(38) {
+		t.Fatalf("p(5) = %v, want 38", &got)
 	}
 }
 
@@ -30,7 +104,7 @@ func TestDegree(t *testing.T) {
 	if d := Zero(5).Degree(); d != -1 {
 		t.Fatalf("zero polynomial degree = %d, want -1", d)
 	}
-	p := New(big.NewInt(1), big.NewInt(0), big.NewInt(0))
+	p := New(scalar(1), scalar(0), scalar(0))
 	if d := p.Degree(); d != 0 {
 		t.Fatalf("degree = %d, want 0 (trailing zeros)", d)
 	}
@@ -38,20 +112,22 @@ func TestDegree(t *testing.T) {
 
 func TestAddEval(t *testing.T) {
 	p, q := randPoly(t, 7), randPoly(t, 4)
-	x, _ := ff.Random(rand.Reader)
-	sum := p.Add(q)
-	want := ff.Add(p.Eval(x), q.Eval(x))
-	if !ff.Equal(sum.Eval(x), want) {
+	x := randScalar(t)
+	var want bn256.Scalar
+	pv, qv := p.Eval(&x), q.Eval(&x)
+	want.Add(&pv, &qv)
+	if p.Add(q).Eval(&x) != want || q.Add(p).Eval(&x) != want {
 		t.Fatal("(p+q)(x) != p(x)+q(x)")
 	}
 }
 
 func TestMulEval(t *testing.T) {
 	p, q := randPoly(t, 5), randPoly(t, 3)
-	x, _ := ff.Random(rand.Reader)
-	prod := p.Mul(q)
-	want := ff.Mul(p.Eval(x), q.Eval(x))
-	if !ff.Equal(prod.Eval(x), want) {
+	x := randScalar(t)
+	var want bn256.Scalar
+	pv, qv := p.Eval(&x), q.Eval(&x)
+	want.Mul(&pv, &qv)
+	if p.Mul(q).Eval(&x) != want {
 		t.Fatal("(p*q)(x) != p(x)*q(x)")
 	}
 }
@@ -59,17 +135,18 @@ func TestMulEval(t *testing.T) {
 func TestDivideByLinear(t *testing.T) {
 	for deg := 0; deg <= 10; deg++ {
 		p := randPoly(t, deg)
-		r, _ := ff.Random(rand.Reader)
-		q, rem := p.DivideByLinear(r)
+		r := randScalar(t)
+		q, rem := p.DivideByLinear(&r)
 
-		if !ff.Equal(rem, p.Eval(r)) {
+		if rem != p.Eval(&r) {
 			t.Fatalf("deg %d: remainder != p(r)", deg)
 		}
 		// Verify p(x) = q(x)*(x-r) + rem at a random point.
-		x, _ := ff.Random(rand.Reader)
-		lhs := p.Eval(x)
-		rhs := ff.Add(ff.Mul(q.Eval(x), ff.Sub(x, r)), rem)
-		if !ff.Equal(lhs, rhs) {
+		x := randScalar(t)
+		var rhs, xr bn256.Scalar
+		qx := q.Eval(&x)
+		rhs.Mul(&qx, xr.Sub(&x, &r)).Add(&rhs, &rem)
+		if p.Eval(&x) != rhs {
 			t.Fatalf("deg %d: p != q*(x-r) + rem", deg)
 		}
 	}
@@ -79,9 +156,10 @@ func TestDivideByLinearAgainstLongDivision(t *testing.T) {
 	// Cross-check synthetic division against reconstructing p from the
 	// quotient: q*(x-r) + rem must equal p coefficient-wise.
 	p := randPoly(t, 9)
-	r, _ := ff.Random(rand.Reader)
-	q, rem := p.DivideByLinear(r)
-	linear := New(ff.Neg(r), big.NewInt(1)) // (x - r)
+	r := randScalar(t)
+	q, rem := p.DivideByLinear(&r)
+	var negR bn256.Scalar
+	linear := New(*negR.Neg(&r), scalar(1)) // (x - r)
 	recon := q.Mul(linear).Add(New(rem))
 	if !recon.Equal(p) {
 		t.Fatal("synthetic division does not reconstruct the dividend")
@@ -94,62 +172,108 @@ func TestLinearCombination(t *testing.T) {
 	for i := range polys {
 		polys[i] = randPoly(t, width-1)
 	}
-	scalars, _ := ff.RandomVector(rand.Reader, k)
+	scalars := randScalars(t, k)
 	combo, err := LinearCombination(polys, scalars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := ff.Random(rand.Reader)
-	want := new(big.Int)
+	x := randScalar(t)
+	var want, term bn256.Scalar
 	for i := range polys {
-		want = ff.Add(want, ff.Mul(scalars[i], polys[i].Eval(x)))
+		v := polys[i].Eval(&x)
+		want.Add(&want, term.Mul(&scalars[i], &v))
 	}
-	if !ff.Equal(combo.Eval(x), want) {
+	if combo.Eval(&x) != want {
 		t.Fatal("linear combination evaluates incorrectly")
 	}
 }
 
-// TestLinearCombinationCanonical pins each output coefficient to the
-// term-by-term reduced sum, as a canonical residue, at the paper's k = 300
+// TestLinearCombinationCanonical pins each output coefficient to the sum in
+// math/big, as a canonical residue, at the paper's k = 300: with full-width
+// scalars, with 128-bit ones (a challenge's, which take the narrow product),
 // and with every operand at its maximum n-1 (the largest unreduced
 // accumulator the single final reduction has to absorb).
 func TestLinearCombinationCanonical(t *testing.T) {
 	const k, width = 300, 6
-	nMinus1 := new(big.Int).Sub(ff.Modulus(), big.NewInt(1))
-	for _, maxed := range []bool{false, true} {
+	var nMinus1 bn256.Scalar
+	nMinus1.SetBig(new(big.Int).Sub(bn256.Order, big.NewInt(1)))
+	for _, shape := range []string{"full", "128-bit", "maxed"} {
 		polys := make([]*Poly, k)
-		scalars, _ := ff.RandomVector(rand.Reader, k)
+		scalars := randScalars(t, k)
 		for i := range polys {
 			polys[i] = randPoly(t, width-1)
-			if maxed {
-				scalars[i] = new(big.Int).Set(nMinus1)
+			switch shape {
+			case "128-bit":
+				b := scalars[i].Bytes()
+				scalars[i].SetBytes(b[16:])
+			case "maxed":
+				scalars[i] = nMinus1
 				for j := range polys[i].Coeffs {
-					polys[i].Coeffs[j] = new(big.Int).Set(nMinus1)
+					polys[i].Coeffs[j] = nMinus1
 				}
 			}
 		}
-		scalars[7] = new(big.Int) // a skipped term
+		scalars[7] = bn256.Scalar{} // a skipped term
 		combo, err := LinearCombination(polys, scalars)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, got := range combo.Coeffs {
-			want := new(big.Int)
-			for i := range polys {
-				want = ff.Add(want, ff.Mul(scalars[i], polys[i].Coeffs[j]))
-			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("maxed=%v: coefficient %d is %v, want the canonical %v", maxed, j, got, want)
-			}
+		rows := make([][]*big.Int, k)
+		for i := range polys {
+			rows[i] = bigOf(polys[i].Coeffs)
+		}
+		if !sameAsBig(combo.Coeffs, linearCombinationBig(rows, bigOf(scalars))) {
+			t.Fatalf("%s: coefficients differ from the math/big sum", shape)
 		}
 	}
 }
 
+// TestAgainstBigReference runs Eval, DivideByLinear and LinearCombination
+// against the math/big reference over degrees 0..60, including a
+// combination of many full-width (n-1)*(n-1) terms.
+func TestAgainstBigReference(t *testing.T) {
+	for deg := 0; deg <= 60; deg += 6 {
+		p := randPoly(t, deg)
+		x := randScalar(t)
+		coeffs := bigOf(p.Coeffs)
+		if got, want := p.Eval(&x), evalBig(coeffs, x.Big()); got.Big().Cmp(want) != 0 {
+			t.Fatalf("deg %d: Eval = %v, want %v", deg, &got, want)
+		}
+		q, rem := p.DivideByLinear(&x)
+		wantQ, wantRem := divideByLinearBig(coeffs, x.Big())
+		if rem.Big().Cmp(wantRem) != 0 || (deg > 0 && !sameAsBig(q.Coeffs, wantQ)) {
+			t.Fatalf("deg %d: DivideByLinear differs from math/big", deg)
+		}
+	}
+
+	const k, width = 2000, 4
+	var nMinus1 bn256.Scalar
+	nMinus1.SetBig(new(big.Int).Sub(bn256.Order, big.NewInt(1)))
+	polys := make([]*Poly, k)
+	scalars := make([]bn256.Scalar, k)
+	rows := make([][]*big.Int, k)
+	for i := range polys {
+		polys[i] = Zero(width - 1)
+		for j := range polys[i].Coeffs {
+			polys[i].Coeffs[j] = nMinus1
+		}
+		scalars[i] = nMinus1
+		rows[i] = bigOf(polys[i].Coeffs)
+	}
+	combo, err := LinearCombination(polys, scalars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAsBig(combo.Coeffs, linearCombinationBig(rows, bigOf(scalars))) {
+		t.Fatal("sum of full-width (n-1)*(n-1) terms differs from math/big")
+	}
+}
+
 func TestLinearCombinationErrors(t *testing.T) {
-	if _, err := LinearCombination([]*Poly{Zero(1)}, ff.Vector{}); err == nil {
+	if _, err := LinearCombination([]*Poly{Zero(1)}, nil); err == nil {
 		t.Fatal("accepted mismatched lengths")
 	}
-	if _, err := LinearCombination([]*Poly{Zero(1), Zero(2)}, ff.Vector{ff.New(1), ff.New(1)}); err == nil {
+	if _, err := LinearCombination([]*Poly{Zero(1), Zero(2)}, []bn256.Scalar{scalar(1), scalar(1)}); err == nil {
 		t.Fatal("accepted ragged polynomial widths")
 	}
 	empty, err := LinearCombination(nil, nil)
@@ -160,14 +284,10 @@ func TestLinearCombinationErrors(t *testing.T) {
 
 func TestInterpolate(t *testing.T) {
 	p := randPoly(t, 6)
-	xs, err := ff.RandomVector(rand.Reader, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retry on the (negligible) chance of duplicates.
-	ys := make(ff.Vector, len(xs))
-	for i, x := range xs {
-		ys[i] = p.Eval(x)
+	xs := randScalars(t, 7)
+	ys := make([]bn256.Scalar, len(xs))
+	for i := range xs {
+		ys[i] = p.Eval(&xs[i])
 	}
 	got, err := Interpolate(xs, ys)
 	if err != nil {
@@ -179,8 +299,8 @@ func TestInterpolate(t *testing.T) {
 }
 
 func TestInterpolateRejectsDuplicates(t *testing.T) {
-	xs := ff.Vector{ff.New(1), ff.New(1)}
-	ys := ff.Vector{ff.New(2), ff.New(3)}
+	xs := []bn256.Scalar{scalar(1), scalar(1)}
+	ys := []bn256.Scalar{scalar(2), scalar(3)}
 	if _, err := Interpolate(xs, ys); err == nil {
 		t.Fatal("accepted duplicate abscissae")
 	}
@@ -191,10 +311,11 @@ func TestInterpolateRejectsDuplicates(t *testing.T) {
 
 func TestQuickEvalLinearity(t *testing.T) {
 	f := func(a, b, xv int64) bool {
-		p := New(big.NewInt(a), big.NewInt(b))
-		x := ff.New(xv)
-		want := ff.Add(ff.New(a), ff.Mul(ff.New(b), x))
-		return ff.Equal(p.Eval(x), want)
+		p := New(scalar(a), scalar(b))
+		x := scalar(xv)
+		want := new(big.Int).Mul(big.NewInt(b), big.NewInt(xv))
+		want.Add(want, big.NewInt(a)).Mod(want, bn256.Order)
+		return p.Eval(&x).Big().Cmp(want) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"hash"
 	"math/big"
 
+	"repro/internal/bn256"
 	"repro/internal/ff"
 )
 
@@ -34,27 +35,27 @@ const SeedSize = 16
 // expansion is drawn from.
 func keyed(seed []byte) hash.Hash { return hmac.New(sha256.New, seed) }
 
-// prfBlock returns HMAC-SHA256(seed, tag || ctr) from mac = keyed(seed).
+// prfBlock sets out = HMAC-SHA256(seed, tag || ctr) from mac = keyed(seed).
 // Reset rewinds mac to its keyed state without hashing the key pads again --
 // two of the four compressions of a message this short -- so an expansion
-// keys one mac and draws all its blocks from it.
-func prfBlock(mac hash.Hash, tag byte, ctr uint64) []byte {
+// keys one mac and draws all its blocks from it, into one buffer of the
+// caller's that also holds the message.
+func prfBlock(mac hash.Hash, tag byte, ctr uint64, out *[32]byte) {
 	mac.Reset()
-	var buf [9]byte
-	buf[0] = tag
-	binary.BigEndian.PutUint64(buf[1:], ctr)
-	mac.Write(buf[:])
-	return mac.Sum(nil)
+	out[0] = tag
+	binary.BigEndian.PutUint64(out[1:9], ctr)
+	mac.Write(out[:9])
+	mac.Sum(out[:0])
 }
 
 // Scalar derives a field element in Zn from seed and counter. Two digest
 // blocks (512 bits) are reduced mod n so the bias is negligible.
 func Scalar(seed []byte, ctr uint64) *big.Int {
 	mac := keyed(seed)
-	b1 := prfBlock(mac, 0x02, 2*ctr)
-	b2 := prfBlock(mac, 0x02, 2*ctr+1)
-	v := new(big.Int).SetBytes(append(b1, b2...))
-	return ff.Reduce(v)
+	var buf [64]byte
+	prfBlock(mac, 0x02, 2*ctr, (*[32]byte)(buf[:32]))
+	prfBlock(mac, 0x02, 2*ctr+1, (*[32]byte)(buf[32:]))
+	return ff.Reduce(new(big.Int).SetBytes(buf[:]))
 }
 
 // Coefficients expands seed into the k challenge coefficients c_l of the PRF
@@ -99,16 +100,15 @@ func Scalar(seed []byte, ctr uint64) *big.Int {
 // are unchanged: they depend on C1 alone.
 func Coefficients(seed []byte, k int) ff.Vector {
 	mac := keyed(seed)
-	vals := make([]big.Int, k)
-	out := make(ff.Vector, k)
-	var block []byte
-	for i := range out {
+	c := make([]bn256.Scalar, k)
+	var block [32]byte
+	for i := range c {
 		if i%2 == 0 {
-			block = prfBlock(mac, 0x02, uint64(i/2))
+			prfBlock(mac, 0x02, uint64(i/2), &block)
 		}
-		out[i] = vals[i].SetBytes(block[16*(i%2) : 16*(i%2)+16])
+		_ = c[i].SetBytes(block[16*(i%2) : 16*(i%2)+16]) // below 2^128 < n
 	}
-	return out
+	return bn256.ScalarsToBig(c)
 }
 
 // Indices expands seed into k distinct chunk indices in [0, d)
@@ -126,6 +126,7 @@ func Indices(seed []byte, d, k int) ([]int, error) {
 		return nil, fmt.Errorf("prf: cannot select %d distinct indices from a domain of %d", k, d)
 	}
 	mac := keyed(seed)
+	var block [32]byte
 	out := make([]int, k)
 	displaced := make(map[int]int, k)
 	lookup := func(i int) int {
@@ -139,7 +140,7 @@ func Indices(seed []byte, d, k int) ([]int, error) {
 		span := uint64(d - i)
 		var j uint64
 		for ctr := uint64(0); ; ctr++ {
-			block := prfBlock(mac, 0x01, uint64(i)<<32|ctr)
+			prfBlock(mac, 0x01, uint64(i)<<32|ctr, &block)
 			v := binary.BigEndian.Uint64(block[:8])
 			// Rejection bound: largest multiple of span below 2^64.
 			limit := (^uint64(0)/span)*span - 1

@@ -1,7 +1,6 @@
 package prf
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -191,7 +190,21 @@ func TestQuickIndicesAlwaysDistinct(t *testing.T) {
 
 func TestPRFBlockTagSeparation(t *testing.T) {
 	seed := []byte("shared-seed")
-	if bytes.Equal(prfBlock(keyed(seed), 0x01, 5), prfBlock(keyed(seed), 0x02, 5)) {
+	var a, b [32]byte
+	prfBlock(keyed(seed), 0x01, 5, &a)
+	prfBlock(keyed(seed), 0x02, 5, &b)
+	if a == b {
 		t.Fatal("domain tags do not separate PRF streams")
+	}
+}
+
+// TestCoefficientsAllocs pins the expansion's garbage: the k coefficients
+// share one slab of words and every HMAC block lands in one buffer, so a
+// k = 300 expansion allocates a dozen times (keying the HMAC is most of it),
+// not once per block or coefficient.
+func TestCoefficientsAllocs(t *testing.T) {
+	seed := []byte("0123456789abcdef")
+	if got := testing.AllocsPerRun(5, func() { Coefficients(seed, 300) }); got > 20 {
+		t.Fatalf("Coefficients(k = 300): %v allocations, want at most 20", got)
 	}
 }
