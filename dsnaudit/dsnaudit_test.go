@@ -6,7 +6,9 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/core"
@@ -326,5 +328,48 @@ func TestEngageAllDedupesHolders(t *testing.T) {
 	}
 	if _, err := owner.EngageAll(&StoredFile{Manifest: sf.Manifest}, smallTerms(1)); !errors.Is(err, ErrNoHolders) {
 		t.Fatalf("no holders: %v", err)
+	}
+}
+
+// TestOutsourceTooFewProviders runs Outsource on a network with fewer
+// providers than shares, with and without a failing audit plane as well: it
+// returns LocateProviders' error either way, stores no share, and its
+// storage-plane goroutine is gone once it has returned.
+func TestOutsourceTooFewProviders(t *testing.T) {
+	n := testNetwork(t, 4)
+	owner, err := NewOwner(n, "alice", 4, eth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := n.LocateProviders("photos", 10)
+	if wantErr == nil {
+		t.Fatal("4 providers hold 10 shares")
+	}
+	data := make([]byte, 4000)
+	rand.Read(data)
+
+	// A chunk size of zero makes EncodeFile, and so the audit plane, fail.
+	badPub := *owner.AuditSK.Pub
+	badPub.S = 0
+	badSK := *owner.AuditSK
+	badSK.Pub = &badPub
+	for _, sk := range []*core.PrivateKey{owner.AuditSK, &badSK} {
+		owner.AuditSK = sk
+		before := runtime.NumGoroutine()
+		sf, err := owner.Outsource("photos", data, 3, 7)
+		if sf != nil || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("chunk size %d: Outsource = %v, %v; want LocateProviders' %v", sk.Pub.S, sf, err, wantErr)
+		}
+		for i := 0; i < 4; i++ {
+			p, _ := n.Provider(string(rune('a'+i)) + "-provider")
+			if keys := p.Store.Keys(); len(keys) != 0 {
+				t.Fatalf("chunk size %d: %s stores %v", sk.Pub.S, p.Name, keys)
+			}
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("chunk size %d: %d goroutines after Outsource, %d before", sk.Pub.S, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

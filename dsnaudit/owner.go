@@ -87,21 +87,56 @@ type ShareAudit struct {
 // erasure-code it k-of-(k+m), place the shares on DHT-selected providers,
 // and prepare the audit state (chunk encoding + authenticators) over the
 // sealed blob.
+//
+// The two planes share nothing but the owner's keys, so the storage plane
+// (erasure coding, provider lookup, the share uploads) runs on its own
+// goroutine beside the audit plane (seal, encode, Setup). Outsource returns
+// only once both have finished; when both fail, it returns the storage
+// plane's error, the one the serial order met first.
 func (o *Owner) Outsource(name string, data []byte, k, m int) (*StoredFile, error) {
+	var (
+		man      *storage.Manifest
+		holders  []*ProviderNode
+		storeErr error
+	)
+	placed := make(chan struct{})
+	go func() {
+		defer close(placed)
+		man, holders, storeErr = o.placeShares(name, data, k, m)
+	}()
+	sf, auditErr := o.prepareAudit(data)
+	<-placed
+	if storeErr != nil {
+		return nil, storeErr
+	}
+	if auditErr != nil {
+		return nil, auditErr
+	}
+	sf.Manifest, sf.Holders = man, holders
+	return sf, nil
+}
+
+// placeShares is Outsource's storage plane: erasure-code the data, locate
+// one provider per share and store each share on its holder.
+func (o *Owner) placeShares(name string, data []byte, k, m int) (*storage.Manifest, []*ProviderNode, error) {
 	man, shares, err := storage.Prepare(name, o.EncKey, data, k, m, rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	holders, err := o.network.LocateProviders(name, len(shares))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, share := range shares {
 		holders[i].Store.Put(man.ShareKeys[i], share)
 	}
+	return man, holders, nil
+}
 
-	// Audit plane: the authenticated object is the sealed blob, so the
-	// audit never sees plaintext (the paper's mandatory-encryption rule).
+// prepareAudit is Outsource's audit plane. The authenticated object is the
+// sealed blob, so the audit never sees plaintext (the paper's
+// mandatory-encryption rule).
+func (o *Owner) prepareAudit(data []byte) (*StoredFile, error) {
 	sealed, err := storage.Seal(o.EncKey, data, rand.Reader)
 	if err != nil {
 		return nil, err
@@ -115,13 +150,7 @@ func (o *Owner) Outsource(name string, data []byte, k, m int) (*StoredFile, erro
 	if err != nil {
 		return nil, err
 	}
-	return &StoredFile{
-		Manifest: man,
-		Sealed:   blob,
-		Encoded:  ef,
-		Auths:    auths,
-		Holders:  holders,
-	}, nil
+	return &StoredFile{Sealed: blob, Encoded: ef, Auths: auths}, nil
 }
 
 // OutsourceSharded runs the owner pipeline with per-share audit state:

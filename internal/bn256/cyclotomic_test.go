@@ -250,3 +250,28 @@ func BenchmarkGTUnmarshalCompressed(b *testing.B) {
 		}
 	}
 }
+
+// TestCyclotomicCofactorSmallFactor pins why GT membership is tested proof
+// by proof and not batched over a block. A batched test on prod_i R_i^rho_i
+// is sound only up to the smallest prime factor of the cyclotomic cofactor
+// h = (p^4 - p^2 + 1)/n: an R_i with a component of prime order l | h
+// slips through whenever l divides its weight, with probability about 1/l.
+// For this curve l = 493 356 762 637 (about 2^38.8) divides h, so a batch
+// would miss with probability about 2^-38.8, not 2^-128, and hasOrderN stays
+// per element.
+func TestCyclotomicCofactorSmallFactor(t *testing.T) {
+	p2 := new(big.Int).Mul(P, P)
+	phi12 := new(big.Int).Mul(p2, p2)
+	phi12.Sub(phi12, p2).Add(phi12, bigOne)
+	h, rem := new(big.Int).QuoRem(phi12, Order, new(big.Int))
+	if rem.Sign() != 0 {
+		t.Fatal("n does not divide p^4 - p^2 + 1")
+	}
+	l := big.NewInt(493356762637)
+	if !l.ProbablyPrime(32) {
+		t.Fatalf("%v is not prime", l)
+	}
+	if new(big.Int).Mod(h, l).Sign() != 0 {
+		t.Fatalf("%v does not divide the cyclotomic cofactor", l)
+	}
+}

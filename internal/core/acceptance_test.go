@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"repro/internal/bn256"
@@ -102,5 +103,53 @@ func TestAcceptanceSampleShapes(t *testing.T) {
 	auths[6].Index = 5
 	if err := VerifyAuthenticators(sk.Pub, ef, auths, []int{2, 6}); !errors.Is(err, ErrBadParameters) {
 		t.Errorf("mislabelled authenticator: error = %v, want ErrBadParameters", err)
+	}
+}
+
+// TestAcceptanceAtEveryParallelism forges one authenticator (chunk 2's sigma
+// offered for chunk 7) and checks, at GOMAXPROCS 1 and 2, that the
+// concurrent check rejects it and names the chunk a serial per-chunk
+// reference, e(sigma_i, g2) = e(g1^{M_i(alpha)} * H(name||i), eps), names first.
+func TestAcceptanceAtEveryParallelism(t *testing.T) {
+	sk, ef, prover := testSetup(t, 4, 1500) // 13 chunks
+	auths := prover.Auths
+	firstBad := func(sample []int) int {
+		for _, i := range sample {
+			m := new(bn256.G1).MultiScalarMult(sk.Pub.Powers, bn256.ScalarsToBig(ef.Chunks[i].Coeffs))
+			m.Add(m, sk.Pub.blockTag(i))
+			if !bn256.Pair(auths[i].Sigma, bn256.GenG2()).Equal(bn256.Pair(m, sk.Pub.Epsilon)) {
+				return i
+			}
+		}
+		return -1
+	}
+	orig := auths[7].Sigma
+	defer func() { auths[7].Sigma = orig }()
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			auths[7].Sigma = orig
+			if err := VerifyAuthenticators(sk.Pub, ef, auths, nil); err != nil {
+				t.Fatalf("GOMAXPROCS %d: honest authenticators rejected: %v", procs, err)
+			}
+			auths[7].Sigma = new(bn256.G1).Set(auths[2].Sigma)
+			for _, sample := range [][]int{nil, {0, 12, 7, 3}, {7}} {
+				checked := sample
+				if checked == nil {
+					checked = make([]int, ef.NumChunks())
+					for i := range checked {
+						checked[i] = i
+					}
+				}
+				want := firstBad(checked)
+				if want != 7 {
+					t.Fatalf("reference names chunk %d, want the forged 7", want)
+				}
+				err := VerifyAuthenticators(sk.Pub, ef, auths, sample)
+				if msg := fmt.Sprintf("core: authenticator %d failed verification", want); err == nil || err.Error() != msg {
+					t.Errorf("GOMAXPROCS %d, sample %v: error = %v, want %q", procs, sample, err, msg)
+				}
+			}
+		}()
 	}
 }

@@ -49,15 +49,16 @@ type BatchItem struct {
 // grouping, so the argument below and every verdict are those of the
 // ungrouped 2N+1-loop product.
 //
-// Note the usual batching caveat does not apply here: each item's equation
-// is checked against its own independent zeta = H'(R_i), and an adversary
-// committing to R_i fixes zeta_i before choosing the rest of the response,
-// so cross-item cancellation would require breaking the random oracle.
-// For defense in depth the items are additionally weighted by independent
-// verifier-chosen 128-bit scalars derived from the whole batch transcript
-// (128 bits suffices for the standard small-exponent batching argument and
-// keeps the per-item weighting cheaper than the final exponentiation it
-// amortizes away).
+// The weights are what make the batch sound. The per-item zeta_i = H'(R_i)
+// do not: a prover who has fixed R_1 and R_2 knows zeta_1 and zeta_2, so
+// answering sigma_1 + D and sigma_2 - (zeta_1/zeta_2) D, for any D in G1,
+// fails both items' own equations yet leaves their unweighted product
+// unchanged (TestBatchWeightsAreLoadBearing). Each item is therefore raised
+// to an independent weight rho_i derived from the whole batch transcript,
+// after every response is fixed: the small-exponent batch test of Bellare,
+// Garay and Rabin (EUROCRYPT 1998), under which a batch holding any false
+// equation passes with probability about 2^-128 over 128-bit weights. The
+// weights are not optional; dropping them makes the batch forgeable.
 func BatchVerify(items []*BatchItem) bool {
 	if len(items) == 0 {
 		return true

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/bn256"
+	"repro/internal/ff"
+	"repro/internal/prf"
 )
 
 func TestBatchVerify(t *testing.T) {
@@ -395,5 +398,62 @@ func TestDetectionMatchesEmpiricalAudit(t *testing.T) {
 	got := float64(detected) / trials
 	if math.Abs(got-want) > 0.3 {
 		t.Fatalf("empirical detection %v too far from model %v", got, want)
+	}
+}
+
+// TestBatchWeightsAreLoadBearing pins why the batch weights rho_i may not be
+// dropped. A prover who has fixed R_1 and R_2 knows zeta_i = H'(R_i), so
+// sigma_1 + D and sigma_2 - (zeta_1/zeta_2) D cancel in the unweighted
+// product although both items fail on their own: VerifyPrivate rejects each,
+// VerifyBatch rejects both, and verifyTerms over the same terms with every
+// rho forced to 1 accepts.
+func TestBatchWeightsAreLoadBearing(t *testing.T) {
+	items := make([]*BatchItem, 2)
+	for i := range items {
+		_, ef, prover := testSetup(t, 4, 600+i*100)
+		ch, err := NewChallenge(3, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := prover.ProvePrivate(ch, nil, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = &BatchItem{Pub: prover.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: proof}
+	}
+	_, delta, err := bn256.RandomG1(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeta1 := prf.OracleGT(items[0].Proof.R.Marshal())
+	zeta2 := prf.OracleGT(items[1].Proof.R.Marshal())
+	items[0].Proof.Sigma = new(bn256.G1).Add(items[0].Proof.Sigma, delta)
+	shift := new(bn256.G1).ScalarMult(delta, ff.Neg(ff.Mul(zeta1, ff.Inv(zeta2))))
+	items[1].Proof.Sigma = new(bn256.G1).Add(items[1].Proof.Sigma, shift)
+
+	for i, it := range items {
+		if VerifyPrivate(it.Pub, it.NumChunks, it.Challenge, it.Proof) {
+			t.Fatalf("perturbed item %d verifies on its own", i)
+		}
+	}
+	for i, ok := range VerifyBatch(items, nil) {
+		if ok {
+			t.Errorf("VerifyBatch accepts perturbed item %d", i)
+		}
+	}
+	// Every scalar of a term carries exactly one factor rho; divide it out.
+	terms := prepareBatch(items, 1)
+	for _, term := range terms {
+		inv := ff.Inv(term.rho)
+		term.zr = ff.Mul(term.zr, inv)
+		term.zrR = ff.Mul(term.zrR, inv)
+		for j := range term.tagW {
+			term.tagW[j].Set(ff.Mul(&term.tagW[j], inv))
+		}
+		term.rhoY = ff.Mul(term.rhoY, inv)
+		term.rho = big.NewInt(1)
+	}
+	if !verifyTerms(terms, nil, 1) {
+		t.Fatal("the unweighted batch rejects the pair: the test plants no cancellation")
 	}
 }

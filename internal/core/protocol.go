@@ -57,7 +57,15 @@ func Setup(sk *PrivateKey, ef *EncodedFile) ([]*Authenticator, error) {
 // with any bad authenticator (planted to later win disputes) passes with
 // probability at most 2^-128 over the weights, the small-exponent argument
 // of VerifyBatch. When the combined check fails, the sampled chunks are
-// re-checked one at a time to name the first bad one.
+// re-checked one at a time, in sample order, to name the first bad one.
+//
+// Each evaluation of the equation forms its three G1 sums (the commitment
+// to the weighted chunk polynomial, the weighted tags and the weighted
+// sigmas) concurrently and runs its two Miller loops through
+// bn256.MillerBatch, across GOMAXPROCS goroutines, before one final
+// exponentiation. Only the arithmetic is spread: the parameter checks run
+// first and in order, and the error returned — a bad parameter, or the first
+// failing chunk of the sample — is the one a serial evaluation returns.
 //
 // sample lists the chunk indices to check; pass nil to check all.
 func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int) error {
@@ -117,28 +125,45 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 }
 
 // authenticatorsHold evaluates VerifyAuthenticators' equation over the
-// sampled chunks, whose indices the caller has validated, under weights rho.
+// sampled chunks, whose indices the caller has validated, under weights rho,
+// with its three sums one task each.
 func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int, rho ff.Vector) bool {
-	polys := make([]*poly.Poly, len(sample))
-	sigmas := make([]*bn256.G1, len(sample))
-	tags := make([]*bn256.G1, len(sample))
-	for j, i := range sample {
-		polys[j] = &ef.Chunks[i]
-		sigmas[j] = auths[i].Sigma
-		tags[j] = pk.blockTag(i)
-	}
-	combined, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(rho))
-	if err != nil {
+	var commit, tagSum, sigma *bn256.G1
+	parallel.For(0, 3, func(task int) {
+		switch task {
+		case 0:
+			polys := make([]*poly.Poly, len(sample))
+			for j, i := range sample {
+				polys[j] = &ef.Chunks[i]
+			}
+			combined, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(rho))
+			if err != nil {
+				return // commit stays nil: the equation does not hold
+			}
+			commit = new(bn256.G1).MultiScalarMult(pk.Powers, bn256.ScalarsToBig(combined.Coeffs))
+		case 1:
+			tags := make([]*bn256.G1, len(sample))
+			for j, i := range sample {
+				tags[j] = pk.blockTag(i)
+			}
+			tagSum = new(bn256.G1).MultiScalarMult(tags, rho)
+		default:
+			sigmas := make([]*bn256.G1, len(sample))
+			for j, i := range sample {
+				sigmas[j] = auths[i].Sigma
+			}
+			sigma = new(bn256.G1).MultiScalarMult(sigmas, rho)
+		}
+	})
+	if commit == nil {
 		return false
 	}
-	commit := new(bn256.G1).MultiScalarMult(pk.Powers, bn256.ScalarsToBig(combined.Coeffs))
-	commit.Add(commit, new(bn256.G1).MultiScalarMult(tags, rho))
-	sigma := new(bn256.G1).MultiScalarMult(sigmas, rho)
+	commit.Add(commit, tagSum)
 	// e(sigma, g2) * e(-commit, eps) == 1
-	return bn256.PairingCheck(
+	return bn256.FinalExponentiate(bn256.MillerBatch(
 		[]*bn256.G1{sigma, commit.Neg(commit)},
-		[]*bn256.G2{bn256.GenG2(), pk.Epsilon},
-	)
+		[]*bn256.G2{bn256.GenG2(), pk.Epsilon}, 0,
+	)).IsOne()
 }
 
 // Challenge is the on-chain challenge (C1, C2, r): 48 bytes total, exactly

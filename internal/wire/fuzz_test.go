@@ -50,7 +50,8 @@ func FuzzUnmarshalMessages(f *testing.F) {
 	errMsg, _ := (&Error{Code: 1, Message: "m"}).Marshal()
 	shareReq, _ := (&ShareRequest{Key: "f/share/0"}).Marshal()
 	shareData, _ := (&ShareData{Key: "f/share/0", Share: []byte{4, 5, 6}}).Marshal()
-	for _, s := range [][]byte{hello, chal, proof, errMsg, shareReq, shareData, {}, bytes.Repeat([]byte{0xFF}, 80)} {
+	accept, _, _ := smallAcceptAuditData(f)
+	for _, s := range [][]byte{hello, chal, proof, errMsg, shareReq, shareData, accept, {}, bytes.Repeat([]byte{0xFF}, 80)} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,9 +95,12 @@ func FuzzUnmarshalMessages(f *testing.F) {
 				t.Fatalf("share data not canonical: %x vs %x (%v)", data, out, err)
 			}
 		}
-		// The bulk decoder must also never panic (its nested core decoders
-		// validate dimensions before allocating).
-		_, _ = UnmarshalAcceptAuditData(data)
+		// The nested core decoders validate dimensions before allocating.
+		if m, err := UnmarshalAcceptAuditData(data); err == nil {
+			if out, err := m.Marshal(); err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("audit data not canonical: %x vs %x (%v)", data, out, err)
+			}
+		}
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/parallel"
 )
 
 // Canonical payload encodings, one struct per message type. Strings (node
@@ -82,7 +83,11 @@ func (m *AcceptAuditData) Marshal() ([]byte, error) {
 }
 
 // UnmarshalAcceptAuditData parses an audit-data payload, running the core
-// decoders (canonical points, validated dimensions) on each nested blob.
+// decoders (canonical points, validated dimensions) on each nested blob. The
+// three decoders are independent and run concurrently across GOMAXPROCS
+// goroutines; when several blobs are malformed, the error returned is the
+// first in frame order — public key, then file, then authenticators — the
+// one a serial decode would have stopped at.
 func UnmarshalAcceptAuditData(data []byte) (*AcceptAuditData, error) {
 	contract, rest, err := readString(data)
 	if err != nil {
@@ -102,14 +107,21 @@ func UnmarshalAcceptAuditData(data []byte) (*AcceptAuditData, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: audit data: %d trailing bytes", ErrBadFrame, len(rest))
 	}
-	if m.PublicKey, err = core.UnmarshalPublicKey(blobs[0], true); err != nil {
-		return nil, err
-	}
-	if m.File, err = core.UnmarshalEncodedFile(blobs[1]); err != nil {
-		return nil, err
-	}
-	if m.Auths, err = core.UnmarshalAuthenticators(blobs[2]); err != nil {
-		return nil, err
+	errs := make([]error, len(blobs))
+	parallel.For(0, len(blobs), func(i int) {
+		switch i {
+		case 0:
+			m.PublicKey, errs[i] = core.UnmarshalPublicKey(blobs[i], true)
+		case 1:
+			m.File, errs[i] = core.UnmarshalEncodedFile(blobs[i])
+		default:
+			m.Auths, errs[i] = core.UnmarshalAuthenticators(blobs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -309,7 +321,7 @@ func (e *Error) Marshal() ([]byte, error) {
 }
 
 // UnmarshalError parses an error payload, with or without the optional
-// retry-after trailer.
+// retry-after trailer; a trailer, when present, is nonzero.
 func UnmarshalError(data []byte) (*Error, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: error: missing code", ErrBadFrame)
@@ -322,7 +334,11 @@ func UnmarshalError(data []byte) (*Error, error) {
 	switch len(rest) {
 	case 0:
 	case 4:
-		e.RetryAfter = binary.BigEndian.Uint32(rest)
+		// Marshal omits a zero hint, so a zero trailer is a second
+		// encoding of the trailer-less payload.
+		if e.RetryAfter = binary.BigEndian.Uint32(rest); e.RetryAfter == 0 {
+			return nil, fmt.Errorf("%w: error: zero retry-after trailer", ErrBadFrame)
+		}
 	default:
 		return nil, fmt.Errorf("%w: error: %d trailing bytes", ErrBadFrame, len(rest))
 	}

@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/big"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bn256"
@@ -332,5 +334,79 @@ func TestChallengeCarriesK(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, ch) {
 		t.Fatalf("challenge mismatch: %+v vs %+v", back, ch)
+	}
+}
+
+// smallAcceptAuditData is a well-formed audit-data payload small enough to
+// seed a fuzzer: a chunk size of 2, three chunks and their authenticators.
+// It also returns where the nested public-key and authenticator blobs lie in
+// the payload, as [start, end) offsets.
+func smallAcceptAuditData(tb testing.TB) (payload []byte, pk, auths [2]int) {
+	tb.Helper()
+	sk, err := core.KeyGen(2, &fixedReader{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ef, err := core.EncodeFile(bytes.Repeat([]byte("small"), 30), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ef.NumChunks() != 3 {
+		tb.Fatalf("%d chunks, want 3", ef.NumChunks())
+	}
+	sigmas, err := core.Setup(sk, ef)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	msg := &AcceptAuditData{Contract: "c", SampleSize: 2, PublicKey: sk.Pub, File: ef, Auths: sigmas}
+	if payload, err = msg.Marshal(); err != nil {
+		tb.Fatal(err)
+	}
+	pkBlob, err := sk.Pub.Marshal(true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fileBlob, err := ef.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pk[0] = 2 + len(msg.Contract) + 4 + 4
+	pk[1] = pk[0] + len(pkBlob)
+	auths[0] = pk[1] + 4 + len(fileBlob) + 4
+	auths[1] = len(payload)
+	return payload, pk, auths
+}
+
+// TestAcceptAuditDataErrorOrder corrupts the public key and the
+// authenticators of one payload: the concurrent decoders must return the
+// public key's error, the first in frame order, at GOMAXPROCS 1 and 2.
+func TestAcceptAuditDataErrorOrder(t *testing.T) {
+	payload, pk, auths := smallAcceptAuditData(t)
+	bad := bytes.Clone(payload)
+	binary.BigEndian.PutUint32(bad[auths[0]+4:], 9) // authenticator 0 claims index 9
+	_, authsErr := core.UnmarshalAuthenticators(bad[auths[0]:auths[1]])
+	if authsErr == nil {
+		t.Fatal("the authenticator corruption decodes")
+	}
+	if _, err := UnmarshalAcceptAuditData(bad); err == nil || err.Error() != authsErr.Error() {
+		t.Fatalf("bad authenticators alone: error = %v, want %v", err, authsErr)
+	}
+	// The key's first G1 power, after its chunk size, two G2 points and its
+	// name, gets an x coordinate above p.
+	power := pk[0] + 4 + 2*bn256.G2UncompressedSize + 32
+	copy(bad[power:power+bn256.G1CompressedSize], bytes.Repeat([]byte{0xFF}, bn256.G1CompressedSize))
+	_, pkErr := core.UnmarshalPublicKey(bad[pk[0]:pk[1]], true)
+	if pkErr == nil || pkErr.Error() == authsErr.Error() {
+		t.Fatalf("the public-key corruption gives %v, not an error of its own", pkErr)
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for run := 0; run < 20; run++ {
+				if _, err := UnmarshalAcceptAuditData(bad); err == nil || err.Error() != pkErr.Error() {
+					t.Fatalf("GOMAXPROCS %d, run %d: error = %v, want the public key's %v", procs, run, err, pkErr)
+				}
+			}
+		}()
 	}
 }
