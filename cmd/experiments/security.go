@@ -3,7 +3,6 @@ package main
 import (
 	"crypto/rand"
 	"fmt"
-	"math/big"
 
 	"repro/internal/attack"
 	"repro/internal/beacon"
@@ -94,7 +93,7 @@ func runAttack(ctx *expCtx) error {
 
 	// Same attack vs the private protocol.
 	obs2 := attack.NewPassiveObserver(d, s)
-	var ys []*big.Int
+	var ys []bn256.Scalar
 	for obs2.Equations() < obs2.Unknowns()+2 {
 		ch, err := core.NewChallenge(d, rand.Reader)
 		if err != nil {

@@ -34,6 +34,7 @@ import (
 	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
 	"repro/internal/attack"
+	"repro/internal/bn256"
 	"repro/internal/core"
 )
 
@@ -96,9 +97,9 @@ func main() {
 	const k = 2
 	sets := k + 1
 	crafted := adv.CraftedChallenges(k, sets)
-	responses := make([][]*big.Int, sets)
+	responses := make([][]bn256.Scalar, sets)
 	for t := range crafted {
-		responses[t] = make([]*big.Int, len(crafted[t]))
+		responses[t] = make([]bn256.Scalar, len(crafted[t]))
 		for v, ch := range crafted[t] {
 			proof, err := victim.Prove(ch, nil)
 			if err != nil {
@@ -125,7 +126,7 @@ func main() {
 	// --- Scenario 3: the same passive attack vs the private protocol ---
 	fmt.Println("[3] passive adversary vs PRIVATE proofs (sigma, y', psi, R)")
 	obs2 := attack.NewPassiveObserver(d, s)
-	var ys []*big.Int
+	var ys []bn256.Scalar
 	for obs2.Equations() < obs2.Unknowns()+2 {
 		ch, _ := core.NewChallenge(d, rand.Reader)
 		proof, err := victim.ProvePrivate(ch, nil, rand.Reader)
@@ -197,7 +198,7 @@ func onChainTrail(secret []byte) {
 
 	// The adversary's entire view: the mined blocks.
 	var challenges, proofs int
-	var ys []*big.Int
+	var ys []bn256.Scalar
 	for _, blk := range net.Chain.Blocks() {
 		for _, tx := range blk.Txs {
 			switch len(tx.Data) {

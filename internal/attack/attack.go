@@ -19,13 +19,13 @@
 package attack
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
+	"math/bits"
 
 	"repro/internal/bn256"
 	"repro/internal/core"
-	"repro/internal/ff"
 	"repro/internal/poly"
 )
 
@@ -33,7 +33,7 @@ import (
 // the public challenge and the response scalar y (the Pk(r) leak).
 type Observation struct {
 	Challenge *core.Challenge
-	Y         *big.Int
+	Y         bn256.Scalar
 }
 
 // PassiveObserver accumulates on-chain observations against one file
@@ -65,25 +65,21 @@ func (o *PassiveObserver) Ingest(obs *Observation) error {
 	if err != nil {
 		return err
 	}
-	cs := bn256.ScalarsFromBig(coeffs)
-	var rs bn256.Scalar
-	rs.SetBig(r)
 	row := make([]bn256.Scalar, o.d*o.s)
 	rPow := make([]bn256.Scalar, o.s)
 	rPow[0].SetUint64(1)
 	for j := 1; j < o.s; j++ {
-		rPow[j].Mul(&rPow[j-1], &rs)
+		rPow[j].Mul(&rPow[j-1], &r)
 	}
 	var term bn256.Scalar
 	for l, idx := range indices {
 		for j := 0; j < o.s; j++ {
 			col := idx*o.s + j
-			row[col].Add(&row[col], term.Mul(&cs[l], &rPow[j]))
+			row[col].Add(&row[col], term.Mul(&coeffs[l], &rPow[j]))
 		}
 	}
 	o.rows = append(o.rows, row)
-	var y bn256.Scalar
-	o.ys = append(o.ys, *y.SetBig(obs.Y))
+	o.ys = append(o.ys, obs.Y)
 	return nil
 }
 
@@ -100,7 +96,7 @@ func (o *PassiveObserver) Recover() ([]bn256.Scalar, error) {
 	}
 	// Use the first n equations; on singularity, slide the window.
 	for start := 0; start+n <= len(o.rows); start++ {
-		sol, err := ff.SolveLinearSystem(o.rows[start:start+n], o.ys[start:start+n])
+		sol, err := SolveLinearSystem(o.rows[start:start+n], o.ys[start:start+n])
 		if err == nil {
 			return sol, nil
 		}
@@ -159,7 +155,7 @@ func (a *EclipseAdversary) CraftedChallenges(k, sets int) [][]*core.Challenge {
 //     m_{i_l, j}, solved by Gaussian elimination.
 //
 // It returns a map from chunk index to its recovered coefficient vector.
-func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, responses [][]*big.Int) (map[int][]bn256.Scalar, error) {
+func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, responses [][]bn256.Scalar) (map[int][]bn256.Scalar, error) {
 	sets := len(challenges)
 	if sets == 0 || len(responses) != sets {
 		return nil, errors.New("attack: empty or mismatched batches")
@@ -184,24 +180,22 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 			return nil, fmt.Errorf("attack: set %d has %d points, need %d", t, len(challenges[t]), a.s)
 		}
 		xs := make([]bn256.Scalar, a.s)
-		ys := make([]bn256.Scalar, a.s)
 		for v := 0; v < a.s; v++ {
 			idxs, cs, r, err := challenges[t][v].Expand(a.d)
 			if err != nil {
 				return nil, err
 			}
 			if v == 0 {
-				coeffSets[t] = bn256.ScalarsFromBig(cs)
+				coeffSets[t] = cs
 			}
 			for l := range idxs {
 				if idxs[l] != indices[l] {
 					return nil, errors.New("attack: crafted challenges disagree on indices")
 				}
 			}
-			xs[v].SetBig(r)
-			ys[v].SetBig(responses[t][v])
+			xs[v] = r
 		}
-		p, err := poly.Interpolate(xs, ys)
+		p, err := poly.Interpolate(xs, responses[t])
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +220,7 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 				rhs[t] = combined[t].Coeffs[j]
 			}
 		}
-		sol, err := ff.SolveLinearSystem(matrix, rhs)
+		sol, err := SolveLinearSystem(matrix, rhs)
 		if err != nil {
 			return nil, fmt.Errorf("attack: coefficient system singular at j=%d: %v", j, err)
 		}
@@ -247,19 +241,26 @@ func ObservationsNeeded(s, u int) int { return s * u }
 // Sigma-masked protocol this stays near 1 (uniform); a leaky protocol
 // correlated with file contents would drift. Used by tests and the
 // privacyattack example as the "nothing to interpolate" evidence.
-func PrivateTrailBias(ys []*big.Int, buckets int) float64 {
+//
+// A value's bucket is read from its top 64 bits t as
+// floor(t * buckets / (t_max + 1)), t_max those of n - 1: the equal-width
+// split of [0, n) to within 2^192 at each boundary.
+func PrivateTrailBias(ys []bn256.Scalar, buckets int) float64 {
 	if len(ys) == 0 || buckets < 2 {
 		return 0
 	}
+	top := func(v *bn256.Scalar) uint64 {
+		b := v.Bytes()
+		return binary.BigEndian.Uint64(b[:8])
+	}
+	var nm1 bn256.Scalar
+	nm1.Neg(nm1.SetUint64(1))
+	span := top(&nm1) + 1 // t < span for every value: the quotient fits
 	counts := make([]int, buckets)
-	bucketWidth := new(big.Int).Div(bn256.Order, big.NewInt(int64(buckets)))
-	for _, y := range ys {
-		b := new(big.Int).Div(new(big.Int).Mod(y, bn256.Order), bucketWidth)
-		i := int(b.Int64())
-		if i >= buckets {
-			i = buckets - 1
-		}
-		counts[i]++
+	for i := range ys {
+		hi, lo := bits.Mul64(top(&ys[i]), uint64(buckets))
+		b, _ := bits.Div64(hi, lo, span)
+		counts[b]++
 	}
 	expected := float64(len(ys)) / float64(buckets)
 	chi2 := 0.0
@@ -269,4 +270,67 @@ func PrivateTrailBias(ys []*big.Int, buckets int) float64 {
 	}
 	// Normalize by degrees of freedom so ~1 means "consistent with uniform".
 	return chi2 / float64(buckets-1)
+}
+
+// SolveLinearSystem solves A*x = b over Zn by Gaussian elimination, where A
+// is square (len(b) rows). It returns the unique solution, or an error if A
+// is singular. The inputs are not modified.
+//
+// The leakage attack of the paper's Section V-C reduces recovering data
+// blocks from observed audit trails to exactly this computation.
+func SolveLinearSystem(a [][]bn256.Scalar, b []bn256.Scalar) ([]bn256.Scalar, error) {
+	k := len(b)
+	if len(a) != k {
+		return nil, fmt.Errorf("attack: system has %d rows but %d right-hand values", len(a), k)
+	}
+	// The augmented matrix, k rows of k+1 in one slab.
+	slab := make([]bn256.Scalar, k*(k+1))
+	m := make([][]bn256.Scalar, k)
+	for i := range m {
+		if len(a[i]) != k {
+			return nil, fmt.Errorf("attack: row %d has %d columns, want %d", i, len(a[i]), k)
+		}
+		m[i] = slab[i*(k+1) : (i+1)*(k+1)]
+		copy(m[i], a[i])
+		m[i][k] = b[i]
+	}
+
+	var inv, t bn256.Scalar
+	for col := 0; col < k; col++ {
+		// Find a pivot.
+		pivot := -1
+		for row := col; row < k; row++ {
+			if !m[row][col].IsZero() {
+				pivot = row
+				break
+			}
+		}
+		if pivot < 0 {
+			return nil, fmt.Errorf("attack: singular system (no pivot in column %d)", col)
+		}
+		m[col], m[pivot] = m[pivot], m[col]
+
+		// Normalize the pivot row.
+		inv.Inv(&m[col][col])
+		for j := col; j <= k; j++ {
+			m[col][j].Mul(&m[col][j], &inv)
+		}
+
+		// Eliminate the column from all other rows.
+		for row := 0; row < k; row++ {
+			if row == col || m[row][col].IsZero() {
+				continue
+			}
+			factor := m[row][col]
+			for j := col; j <= k; j++ {
+				m[row][j].Sub(&m[row][j], t.Mul(&factor, &m[col][j]))
+			}
+		}
+	}
+
+	x := make([]bn256.Scalar, k)
+	for i := range x {
+		x[i] = m[i][k]
+	}
+	return x, nil
 }

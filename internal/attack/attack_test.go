@@ -2,9 +2,9 @@ package attack
 
 import (
 	"crypto/rand"
-	"math/big"
 	"testing"
 
+	"repro/internal/bn256"
 	"repro/internal/core"
 )
 
@@ -133,9 +133,9 @@ func TestEclipseAdversaryRecoversChallengedChunks(t *testing.T) {
 
 	// The eclipsed victim answers every crafted challenge honestly with
 	// the non-private protocol.
-	responses := make([][]*big.Int, sets)
+	responses := make([][]bn256.Scalar, sets)
 	for t2 := range crafted {
-		responses[t2] = make([]*big.Int, len(crafted[t2]))
+		responses[t2] = make([]bn256.Scalar, len(crafted[t2]))
 		for v, ch := range crafted[t2] {
 			proof, err := prover.Prove(ch, nil)
 			if err != nil {
@@ -172,12 +172,9 @@ func TestEclipseAdversaryValidation(t *testing.T) {
 		t.Fatal("accepted empty batches")
 	}
 	crafted := adv.CraftedChallenges(3, 2) // 2 sets < 3 chunks
-	responses := make([][]*big.Int, 2)
+	responses := make([][]bn256.Scalar, 2)
 	for i := range responses {
-		responses[i] = make([]*big.Int, 4)
-		for j := range responses[i] {
-			responses[i][j] = big.NewInt(1)
-		}
+		responses[i] = scalars(1, 1, 1, 1)
 	}
 	if _, err := adv.RecoverFromBatches(crafted, responses); err == nil {
 		t.Fatal("accepted too few coefficient sets")
@@ -189,7 +186,7 @@ func TestPrivateTrailBiasUniform(t *testing.T) {
 	prover, ef := victim(t, s, 150)
 	d := ef.NumChunks()
 
-	var ys []*big.Int
+	var ys []bn256.Scalar
 	for i := 0; i < 200; i++ {
 		ch, _ := core.NewChallenge(d, rand.Reader)
 		proof, err := prover.ProvePrivate(ch, nil, rand.Reader)
@@ -209,5 +206,74 @@ func TestPrivateTrailBiasUniform(t *testing.T) {
 	}
 	if PrivateTrailBias(nil, 8) != 0 || PrivateTrailBias(ys, 1) != 0 {
 		t.Fatal("degenerate inputs should return 0")
+	}
+}
+
+// scalars returns the small integers vs as field elements.
+func scalars(vs ...uint64) []bn256.Scalar {
+	out := make([]bn256.Scalar, len(vs))
+	for i, v := range vs {
+		out[i].SetUint64(v)
+	}
+	return out
+}
+
+func randomScalars(t *testing.T, k int) []bn256.Scalar {
+	out := make([]bn256.Scalar, k)
+	for i := range out {
+		if err := out[i].SetRandom(rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestSolveLinearSystem(t *testing.T) {
+	// Build a random system with a known solution and solve it back.
+	const k = 8
+	xTrue := randomScalars(t, k)
+	a := make([][]bn256.Scalar, k)
+	b := make([]bn256.Scalar, k)
+	for i := range a {
+		a[i] = randomScalars(t, k)
+		var term bn256.Scalar
+		for j := range a[i] {
+			b[i].Add(&b[i], term.Mul(&a[i][j], &xTrue[j]))
+		}
+	}
+	aCopy := make([][]bn256.Scalar, k)
+	for i := range a {
+		aCopy[i] = append([]bn256.Scalar(nil), a[i]...)
+	}
+	x, err := SolveLinearSystem(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if x[i] != xTrue[i] {
+			t.Fatalf("solver returned wrong solution at %d", i)
+		}
+		for j := range a[i] {
+			if a[i][j] != aCopy[i][j] {
+				t.Fatal("solver modified its input")
+			}
+		}
+	}
+}
+
+func TestSolveLinearSystemSingular(t *testing.T) {
+	// Two identical rows: singular.
+	a := [][]bn256.Scalar{scalars(1, 2), scalars(1, 2)}
+	if _, err := SolveLinearSystem(a, scalars(3, 3)); err == nil {
+		t.Fatal("expected an error for a singular system")
+	}
+}
+
+func TestSolveLinearSystemShapeErrors(t *testing.T) {
+	if _, err := SolveLinearSystem([][]bn256.Scalar{scalars(1)}, scalars(1, 2)); err == nil {
+		t.Fatal("accepted mismatched row count")
+	}
+	if _, err := SolveLinearSystem([][]bn256.Scalar{scalars(1, 2)}, scalars(1)); err == nil {
+		t.Fatal("accepted non-square matrix")
 	}
 }

@@ -1,7 +1,6 @@
 package bn256
 
 import (
-	"crypto/rand"
 	"errors"
 	"io"
 	"math/big"
@@ -55,36 +54,21 @@ type GT struct {
 }
 
 // RandomG1 returns k and g1^k for uniformly random k in [1, n).
-func RandomG1(r io.Reader) (*big.Int, *G1, error) {
-	k, err := randomScalar(r)
-	if err != nil {
-		return nil, nil, err
+func RandomG1(r io.Reader) (Scalar, *G1, error) {
+	var k Scalar
+	if err := k.SetRandom(r); err != nil {
+		return k, nil, err
 	}
-	return k, new(G1).ScalarBaseMult(k), nil
+	return k, new(G1).ScalarBaseMult(k.Big()), nil
 }
 
 // RandomG2 returns k and g2^k for uniformly random k in [1, n).
-func RandomG2(r io.Reader) (*big.Int, *G2, error) {
-	k, err := randomScalar(r)
-	if err != nil {
-		return nil, nil, err
+func RandomG2(r io.Reader) (Scalar, *G2, error) {
+	var k Scalar
+	if err := k.SetRandom(r); err != nil {
+		return k, nil, err
 	}
-	return k, new(G2).ScalarBaseMult(k), nil
-}
-
-func randomScalar(r io.Reader) (*big.Int, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	for {
-		k, err := rand.Int(r, Order)
-		if err != nil {
-			return nil, err
-		}
-		if k.Sign() != 0 {
-			return k, nil
-		}
-	}
+	return k, new(G2).ScalarBaseMult(k.Big()), nil
 }
 
 // GenG1 returns the canonical generator of G1 (the point (1, 2)). The
@@ -450,15 +434,14 @@ func (e *GT) ScalarMult(a *GT, k *big.Int) *GT {
 	return e
 }
 
-// MultiScalarMult sets e = prod_i a[i]^k[i] and returns e, each k taken mod n
-// as in ScalarMult. The elements share one chain of cyclotomic squarings as
-// long as the longest exponent, so beyond that chain an element costs a small
-// table and one multiplication per four exponent bits: what a batch verifier
-// pays to weight N commitments by 128-bit scalars is one ScalarMult's
-// squarings, not N. An element outside the cyclotomic subgroup (a raw
-// MillerLoop value) takes the generic ladder, as in ScalarMult. The inputs
-// are only read. len(a) must equal len(k).
-func (e *GT) MultiScalarMult(a []*GT, k []*big.Int) *GT {
+// MultiScalarMult sets e = prod_i a[i]^k[i] and returns e. The elements share
+// one chain of cyclotomic squarings as long as the longest exponent, so beyond
+// that chain an element costs a small table and one multiplication per four
+// exponent bits: what a batch verifier pays to weight N commitments by
+// 128-bit scalars is one ScalarMult's squarings, not N. An element outside
+// the cyclotomic subgroup (a raw MillerLoop value) takes the generic ladder,
+// as in ScalarMult. The inputs are only read. len(a) must equal len(k).
+func (e *GT) MultiScalarMult(a []*GT, k []Scalar) *GT {
 	if len(a) != len(k) {
 		panic("bn256: GT.MultiScalarMult length mismatch")
 	}
@@ -469,11 +452,11 @@ func (e *GT) MultiScalarMult(a []*GT, k []*big.Int) *GT {
 	generic := new(GT).SetOne()
 	for i := range a {
 		if ap := a[i].point(); ap.inCyclotomic() {
-			exps[n] = scalarFromBig(k[i])
+			exps[n] = k[i].l
 			tables[n].fill(ap)
 			n++
 		} else {
-			generic.Add(generic, new(GT).ScalarMult(a[i], k[i]))
+			generic.Add(generic, new(GT).ScalarMult(a[i], k[i].Big()))
 		}
 	}
 	e.p.cyclotomicMultiExp(exps[:n], tables[:n])

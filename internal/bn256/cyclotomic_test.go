@@ -114,7 +114,7 @@ func TestGTMultiScalarMult(t *testing.T) {
 		{"raw Miller values only", []*GT{raw, raw}, []*big.Int{big7, big.NewInt(-5)}},
 	} {
 		want := gtProduct(c.as, c.ks)
-		if got := new(GT).MultiScalarMult(c.as, c.ks); !got.Equal(want) {
+		if got := new(GT).MultiScalarMult(c.as, scalarsFromBig(c.ks)); !got.Equal(want) {
 			t.Errorf("%s: MultiScalarMult disagrees with the product of ScalarMults", c.name)
 		}
 	}
@@ -122,7 +122,7 @@ func TestGTMultiScalarMult(t *testing.T) {
 	// The receiver may be an input, and the inputs come back unchanged.
 	recv, keep := new(GT).Set(a), new(GT).Set(b)
 	want := gtProduct([]*GT{a, b}, weights[:2])
-	if recv.MultiScalarMult([]*GT{recv, keep}, weights[:2]); !recv.Equal(want) {
+	if recv.MultiScalarMult([]*GT{recv, keep}, scalarsFromBig(weights[:2])); !recv.Equal(want) {
 		t.Error("MultiScalarMult into one of its inputs is wrong")
 	}
 	if !keep.Equal(b) {
@@ -201,9 +201,10 @@ func BenchmarkGTMultiScalarMult24(b *testing.B) {
 		gts[i] = Pair(g1s[i], g2s[i])
 		scalars[i].Rsh(scalars[i], 126)
 	}
+	weights := scalarsFromBig(scalars)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		new(GT).MultiScalarMult(gts, scalars)
+		new(GT).MultiScalarMult(gts, weights)
 	}
 }
 

@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"math/big"
@@ -158,10 +159,12 @@ func FuzzMultiScalarMult(f *testing.F) {
 		for i := range points {
 			want.Add(want, new(G1).ScalarMult(points[i], scalars[i]))
 		}
-		for _, workers := range []int{1, 3} {
-			if got := new(G1).MultiScalarMultParallel(points, scalars, workers); !got.Equal(want) {
-				t.Fatalf("workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", workers)
-			}
+		ks := scalarsFromBig(scalars)
+		if got := new(G1).MultiScalarMult(points, ks); !got.Equal(want) {
+			t.Fatal("MultiScalarMult disagrees with the sum of ScalarMults")
+		}
+		if got, err := new(G1).MultiScalarMultCtx(context.Background(), points, ks, 3); err != nil || !got.Equal(want) {
+			t.Fatalf("MultiScalarMultCtx at 3 workers = (%v, %v), want the sum of ScalarMults", got, err)
 		}
 	})
 }
@@ -207,7 +210,7 @@ func FuzzGTMultiScalarMult(f *testing.F) {
 			elems = append(elems, pool[int(data[0]&63)%len(pool)])
 			exps = append(exps, k)
 		}
-		if got := new(GT).MultiScalarMult(elems, exps); !got.Equal(gtProduct(elems, exps)) {
+		if got := new(GT).MultiScalarMult(elems, scalarsFromBig(exps)); !got.Equal(gtProduct(elems, exps)) {
 			t.Fatal("GT.MultiScalarMult disagrees with the product of ScalarMults")
 		}
 	})

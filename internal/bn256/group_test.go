@@ -27,7 +27,7 @@ func TestZeroValueOperands(t *testing.T) {
 		{"Neg(0)", func() *G1 { return new(G1).Neg(&G1{}) }, &G1{}},
 		{"Set(0)", func() *G1 { return GenG1().Set(&G1{}) }, &G1{}},
 		{"MultiScalarMult({0, g})", func() *G1 {
-			return new(G1).MultiScalarMult([]*G1{{}, g1}, []*big.Int{k, big.NewInt(1)})
+			return new(G1).MultiScalarMult([]*G1{{}, g1}, scalarsFromBig([]*big.Int{k, big.NewInt(1)}))
 		}, g1},
 		{"MultiScalarMultParallel({0})", func() *G1 {
 			return new(G1).MultiScalarMultParallel([]*G1{{}}, []*big.Int{k}, 2)
@@ -112,7 +112,7 @@ func TestZeroValueOperandsShared(t *testing.T) {
 			defer wg.Done()
 			ok := new(G1).Add(g1, &z1).Equal(g1) && new(G1).Neg(&z1).Equal(&z1) &&
 				new(G1).Set(&z1).IsInfinity() && new(G1).ScalarMult(&z1, k).IsInfinity() &&
-				new(G1).MultiScalarMult([]*G1{&z1, g1}, []*big.Int{k, k}).Equal(new(G1).ScalarMult(g1, k)) &&
+				new(G1).MultiScalarMult([]*G1{&z1, g1}, scalarsFromBig([]*big.Int{k, k})).Equal(new(G1).ScalarMult(g1, k)) &&
 				len(z1.Marshal()) == G1UncompressedSize
 			ok = ok && new(G2).Add(g2, &z2).Equal(g2) && new(G2).Neg(&z2).Equal(&z2) &&
 				new(G2).Set(&z2).IsInfinity() && new(G2).ScalarMult(&z2, k).IsInfinity()

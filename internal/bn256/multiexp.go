@@ -15,10 +15,10 @@ import (
 //
 // The method, in the order the code runs it:
 //
-//  1. Split. Every scalar is reduced mod n into limbs once (scalarFromBig) and
-//     split as k = k1 + k2*lambda with |k1|, |k2| < 2^128 (glvDecompose), so n
-//     points with 254-bit scalars become 2n entries P, phi(P) = (beta*x, y)
-//     with 127-bit scalars: twice the entries, half the windows. A scalar
+//  1. Split. Every scalar is split on its limbs as k = k1 + k2*lambda with
+//     |k1|, |k2| < 2^128 (glvDecompose), so n points with 254-bit scalars
+//     become 2n entries P, phi(P) = (beta*x, y) with 127-bit scalars: twice
+//     the entries, half the windows. A scalar
 //     already below 2^128 -- a challenge coefficient, an acceptance or batch
 //     weight -- is its own first half and its phi entry is zero, so n short
 //     scalars are n live entries on 128-bit windows, not 2n on 127-bit ones.
@@ -69,26 +69,28 @@ import (
 // verifier (chi aggregation); for k = 300 it is roughly 4x faster than k
 // independent scalar multiplications. The inputs are only read.
 // len(points) must equal len(scalars).
-func (e *G1) MultiScalarMult(points []*G1, scalars []*big.Int) *G1 {
+func (e *G1) MultiScalarMult(points []*G1, scalars []Scalar) *G1 {
 	return e.multiScalarMult(points, scalars, 1)
 }
 
-// MultiScalarMultParallel is MultiScalarMult with the window groups fanned
-// out across at most workers goroutines (workers <= 0 selects GOMAXPROCS).
-// The window sums land in index-keyed slots and are combined serially in
-// window order, so the result is identical to the serial method for any
-// worker count.
+// MultiScalarMultParallel is MultiScalarMultCtx without a context, over
+// scalars taken mod n, for callers that hold big.Ints.
 func (e *G1) MultiScalarMultParallel(points []*G1, scalars []*big.Int, workers int) *G1 {
-	return e.multiScalarMult(points, scalars, workers)
+	return e.multiScalarMult(points, scalarsFromBig(scalars), workers)
 }
 
-// MultiScalarMultCtx is MultiScalarMultParallel with cooperative
-// cancellation: the group dispatch and every reduction round poll ctx, so a
-// prover whose peer vanished abandons the multi-scalar multiplication
-// mid-computation instead of finishing a result nobody will read. On
-// cancellation it returns ctx.Err() and leaves e unspecified; a nil error
-// means e holds the exact same value the serial method computes.
-func (e *G1) MultiScalarMultCtx(ctx context.Context, points []*G1, scalars []*big.Int, workers int) (*G1, error) {
+// MultiScalarMultCtx is MultiScalarMult with the window groups fanned out
+// across at most workers goroutines (workers <= 0 selects GOMAXPROCS) and
+// with cooperative cancellation. The window sums land in index-keyed slots
+// and are combined serially in window order, so the result is identical to
+// the serial method for any worker count. The group dispatch and every
+// reduction round poll ctx, so a prover whose peer vanished abandons the
+// multi-scalar multiplication mid-computation instead of finishing a result
+// nobody will read. On cancellation it returns ctx.Err() and leaves e
+// unspecified; a nil error means e holds the exact same value the serial
+// method computes. A context that is never done, such as
+// context.Background(), is never polled.
+func (e *G1) MultiScalarMultCtx(ctx context.Context, points []*G1, scalars []Scalar, workers int) (*G1, error) {
 	if ctx == nil || ctx.Done() == nil {
 		return e.multiScalarMult(points, scalars, workers), nil
 	}
@@ -102,7 +104,7 @@ func (e *G1) MultiScalarMultCtx(ctx context.Context, points []*G1, scalars []*bi
 	return res, nil
 }
 
-func (e *G1) multiScalarMult(points []*G1, scalars []*big.Int, workers int) *G1 {
+func (e *G1) multiScalarMult(points []*G1, scalars []Scalar, workers int) *G1 {
 	return e.multiScalarMultCancelable(nil, points, scalars, workers)
 }
 
@@ -117,7 +119,7 @@ const msmGroupEntries = 2400
 // file, polling ctx (when non-nil) before every window group and every
 // reduction round. It returns nil only if it saw ctx.Err() non-nil, which
 // the caller returns.
-func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalars []*big.Int, workers int) *G1 {
+func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalars []Scalar, workers int) *G1 {
 	if len(points) != len(scalars) {
 		panic("bn256: MultiScalarMult length mismatch")
 	}
@@ -181,7 +183,7 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 // in halves. The inputs are not written to. A nil or infinite point leaves
 // both its entries zero, which every later stage skips. It returns the bit
 // length of the longest half and the number of non-zero halves.
-func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []*big.Int) (maxBits, live int) {
+func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []Scalar) (maxBits, live int) {
 	// Points that are not affine already share one field inversion, three
 	// multiplications each against the five every one of their ~40 bucket
 	// additions would otherwise pay.
@@ -204,13 +206,12 @@ func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []*bi
 		jacobianToAffine(&aff[i].x, &aff[i].y, &zs[j])
 	}
 
-	for i, s := range scalars {
+	for i := range scalars {
 		p, phi := &aff[2*i], &aff[2*i+1]
 		if p.IsInfinity() {
 			continue
 		}
-		k := scalarFromBig(s)
-		k1, k2, neg1, neg2 := glvDecompose(&k)
+		k1, k2, neg1, neg2 := glvDecompose(&scalars[i].l)
 		gfpMul(&phi.x, &p.x, &glvBeta)
 		phi.y = p.y
 		if neg1 {

@@ -25,7 +25,7 @@ func TestMultiScalarMultMatchesNaive(t *testing.T) {
 			scalars[i] = s
 			naive.Add(naive, new(G1).ScalarMult(p, s))
 		}
-		got := new(G1).MultiScalarMult(points, scalars)
+		got := new(G1).MultiScalarMult(points, scalarsFromBig(scalars))
 		if !got.Equal(naive) {
 			t.Fatalf("k=%d: MultiScalarMult disagrees with naive sum", k)
 		}
@@ -36,16 +36,16 @@ func TestMultiScalarMultEdgeCases(t *testing.T) {
 	_, p, _ := RandomG1(rand.Reader)
 
 	// All-zero scalars.
-	got := new(G1).MultiScalarMult([]*G1{p, p}, []*big.Int{new(big.Int), new(big.Int)})
+	got := new(G1).MultiScalarMult([]*G1{p, p}, make([]Scalar, 2))
 	if !got.IsInfinity() {
 		t.Fatal("all-zero MSM is not infinity")
 	}
 
-	// Scalars above the group order must reduce.
+	// The big.Int form reduces scalars above the group order.
 	s, _ := rand.Int(rand.Reader, Order)
 	big1 := new(big.Int).Add(s, Order)
-	a := new(G1).MultiScalarMult([]*G1{p}, []*big.Int{s})
-	b := new(G1).MultiScalarMult([]*G1{p}, []*big.Int{big1})
+	a := new(G1).MultiScalarMultParallel([]*G1{p}, []*big.Int{s}, 1)
+	b := new(G1).MultiScalarMultParallel([]*G1{p}, []*big.Int{big1}, 1)
 	if !a.Equal(b) {
 		t.Fatal("MSM does not reduce scalars mod n")
 	}
@@ -147,7 +147,7 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 			if got := new(G1).MultiScalarMultParallel(points, scalars, workers); !got.Equal(want) {
 				t.Errorf("n=%d, workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", n, workers)
 			}
-			got, err := new(G1).MultiScalarMultCtx(context.Background(), points, scalars, workers)
+			got, err := new(G1).MultiScalarMultCtx(context.Background(), points, scalarsFromBig(scalars), workers)
 			if err != nil || !got.Equal(want) {
 				t.Errorf("n=%d, workers=%d: MultiScalarMultCtx = (%v, %v)", n, workers, got, err)
 			}
@@ -161,10 +161,10 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 	for i := range points {
 		zeros[i], small[i] = new(big.Int), big.NewInt(int64(i%4+1))
 	}
-	if !new(G1).MultiScalarMult(points, zeros).IsInfinity() {
+	if !new(G1).MultiScalarMult(points, scalarsFromBig(zeros)).IsInfinity() {
 		t.Error("all-zero scalars: not infinity")
 	}
-	if !new(G1).MultiScalarMult(points, small).Equal(msmNaive(points, small)) {
+	if !new(G1).MultiScalarMult(points, scalarsFromBig(small)).Equal(msmNaive(points, small)) {
 		t.Error("small scalars: MultiScalarMult disagrees with the sum of ScalarMults")
 	}
 }
@@ -173,7 +173,9 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 // of 2^128, where glvDecompose switches from Babai rounding to (k, 0) and an
 // entry's phi half goes from live to zero, with the ends of [0, n) and lambda
 // (whose Babai halves are (0, 1)); every case runs at workers 1 and 3 against
-// the sum of ScalarMults, each of which is held to the plain ladder.
+// the sum of ScalarMults, each of which is held to the plain ladder. The last
+// case holds the big.Int form, which reduces its scalars mod n, to the same
+// sum on scalars at and above n, negative, zero and around 2^128.
 func TestMultiScalarMultShortAndFull(t *testing.T) {
 	pow2 := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
 	boundary := []*big.Int{
@@ -203,6 +205,11 @@ func TestMultiScalarMultShortAndFull(t *testing.T) {
 		{"short only", boundary[:4]},
 		{"one full among short", []*big.Int{short, short, short, full, big.NewInt(3), pow2(127)}},
 		{"one short among full", []*big.Int{full, full, full, short, boundary[7], boundary[6]}},
+		{"unreduced, big.Int form", []*big.Int{
+			new(big.Int).Set(Order), new(big.Int).Add(Order, pow2(128)), big.NewInt(-5),
+			big.NewInt(0), new(big.Int).Neg(pow2(128)), new(big.Int).Add(Order, big.NewInt(1)),
+			new(big.Int).Sub(pow2(128), Order), pow2(300), new(big.Int).Neg(full),
+		}},
 	}
 	_, jac, _ := RandomG1(rand.Reader)
 	for _, tc := range cases {
@@ -223,9 +230,13 @@ func TestMultiScalarMultShortAndFull(t *testing.T) {
 			}
 			want.Add(want, term)
 		}
+		ks := scalarsFromBig(tc.scalars)
 		for _, workers := range []int{1, 3} {
-			if got := new(G1).MultiScalarMultParallel(points, tc.scalars, workers); !got.Equal(want) {
+			if got, err := new(G1).MultiScalarMultCtx(context.Background(), points, ks, workers); err != nil || !got.Equal(want) {
 				t.Errorf("%s, workers=%d: MultiScalarMult disagrees with the sum of ScalarMults", tc.name, workers)
+			}
+			if got := new(G1).MultiScalarMultParallel(points, tc.scalars, workers); !got.Equal(want) {
+				t.Errorf("%s, workers=%d: the big.Int form disagrees with the sum of ScalarMults", tc.name, workers)
 			}
 		}
 	}
@@ -241,7 +252,16 @@ func TestMultiScalarMultLeavesInputsAlone(t *testing.T) {
 			before[i] = *p.p
 		}
 	}
-	new(G1).MultiScalarMultParallel(points, scalars, 2)
+	ks := scalarsFromBig(scalars)
+	kept := append([]Scalar(nil), ks...)
+	if _, err := new(G1).MultiScalarMultCtx(context.Background(), points, ks, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ks {
+		if ks[i] != kept[i] {
+			t.Fatalf("scalar %d was written to", i)
+		}
+	}
 	for i, p := range points {
 		if p.p != nil && *p.p != before[i] {
 			t.Fatalf("point %d was written to", i)
@@ -252,14 +272,15 @@ func TestMultiScalarMultLeavesInputsAlone(t *testing.T) {
 	}
 }
 
-// TestMultiScalarMultAllocs: scalars are limbs from the entry on and the
-// bucket scratch is pooled, so a 300-point multiplication allocates a
-// handful of slices, not one big.Int (or more) per scalar.
+// TestMultiScalarMultAllocs: scalars are limbs and the bucket scratch is
+// pooled, so a 300-point multiplication allocates a handful of slices, not
+// one per scalar.
 func TestMultiScalarMultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
-	points, _, scalars := randomPairs(t, 300)
+	points, _, bigs := randomPairs(t, 300)
+	scalars := scalarsFromBig(bigs)
 	var e G1
 	e.MultiScalarMult(points, scalars) // warm the pool
 	if allocs := testing.AllocsPerRun(10, func() { e.MultiScalarMult(points, scalars) }); allocs > 8 {
@@ -270,7 +291,8 @@ func TestMultiScalarMultAllocs(t *testing.T) {
 // TestMultiScalarMultCtxCanceled: a context that is already done, or is
 // canceled while the windows run, yields ctx.Err() and no result.
 func TestMultiScalarMultCtxCanceled(t *testing.T) {
-	points, _, scalars := randomPairs(t, 200)
+	points, _, bigs := randomPairs(t, 200)
+	scalars := scalarsFromBig(bigs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 2} {
@@ -312,7 +334,7 @@ func TestMultiScalarMultPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	new(G1).MultiScalarMult([]*G1{}, []*big.Int{big.NewInt(1)})
+	new(G1).MultiScalarMult([]*G1{}, make([]Scalar, 1))
 }
 
 func BenchmarkScalarMultG1(b *testing.B) {
@@ -338,10 +360,11 @@ func BenchmarkMultiScalarMult300Short(b *testing.B) {
 
 func benchmarkMultiScalarMult(b *testing.B, k int, bound *big.Int) {
 	points := make([]*G1, k)
-	scalars := make([]*big.Int, k)
+	scalars := make([]Scalar, k)
 	for i := 0; i < k; i++ {
 		_, points[i], _ = RandomG1(rand.Reader)
-		scalars[i], _ = rand.Int(rand.Reader, bound)
+		s, _ := rand.Int(rand.Reader, bound)
+		scalars[i].SetBig(s)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"math/big"
 	"runtime"
@@ -35,11 +36,12 @@ func randomPairs(t testing.TB, n int) ([]*G1, []*G2, []*big.Int) {
 // GOMAXPROCS and above the window count.
 func TestMultiScalarMultParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 120} {
-		points, _, scalars := randomPairs(t, n)
+		points, _, bigs := randomPairs(t, n)
+		scalars := scalarsFromBig(bigs)
 		want := new(G1).MultiScalarMult(points, scalars).Marshal()
 		for _, workers := range []int{1, 2, 4, 64, 0} {
-			got := new(G1).MultiScalarMultParallel(points, scalars, workers).Marshal()
-			if !bytes.Equal(got, want) {
+			got, err := new(G1).MultiScalarMultCtx(context.Background(), points, scalars, workers)
+			if err != nil || !bytes.Equal(got.Marshal(), want) {
 				t.Fatalf("n=%d workers=%d: parallel MSM diverges from serial", n, workers)
 			}
 		}

@@ -1,17 +1,19 @@
 package bn256
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/big"
 	"math/bits"
 )
 
 // Inside the package a scalar is an integer in [0, n) held as four
-// little-endian 64-bit limbs: big.Int stops at the entry of each exported
-// method (scalarFromBig), and the GLV decomposition, the digit readers and
-// the fixed-base table all run on the limbs, with no allocation and no
-// dependence on the platform's word size.
+// little-endian 64-bit limbs: a Scalar is those limbs, a big.Int stops at the
+// entry of each method that takes one (scalarFromBig), and the GLV
+// decomposition, the digit readers and the fixed-base table all run on the
+// limbs, with no allocation and no dependence on the platform's word size.
 
 // ErrNonCanonicalScalar is returned by Scalar.SetBytes on an encoding of a
 // value n or more, or longer than 32 bytes.
@@ -51,6 +53,39 @@ func (z *Scalar) SetUint64(v uint64) *Scalar {
 	return z
 }
 
+// SetRandom sets z to a uniform element of Zn \ {0} read from r, crypto/rand
+// if r is nil. A draw reads 32 bytes, clears the top two (n - 1 has 254 bits)
+// and is kept if it is below n and not zero: crypto/rand.Int's rule, so a
+// seeded reader yields what rand.Int(r, Order) yields, zeros skipped. On a
+// read error z is left as it was.
+func (z *Scalar) SetRandom(r io.Reader) error {
+	if r == nil {
+		r = rand.Reader
+	}
+	var buf [32]byte
+	for {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return err
+		}
+		buf[0] &= 0x3f
+		if v := limbsFromBytes(buf[:]); limbsLess(v, nLimbs) && v != [4]uint64{} {
+			z.l = v
+			return nil
+		}
+	}
+}
+
+// SetBytesWide sets z = b mod n, b read as a 512-bit big-endian integer, and
+// returns z: a 64-byte hash output reduced to Zn with bias below 2^-256.
+func (z *Scalar) SetBytesWide(b *[64]byte) *Scalar {
+	var w [9]uint64
+	for i := 0; i < 8; i++ {
+		w[i] = binary.BigEndian.Uint64(b[56-8*i:])
+	}
+	z.l = reduceWide(&w)
+	return z
+}
+
 // SetBig sets z = k mod n and returns z.
 func (z *Scalar) SetBig(k *big.Int) *Scalar {
 	z.l = scalarFromBig(k)
@@ -58,19 +93,9 @@ func (z *Scalar) SetBig(k *big.Int) *Scalar {
 }
 
 // Big returns z as a fresh big.Int.
-func (z Scalar) Big() *big.Int { return new(big.Int).SetBits(z.appendWords(nil)) }
-
-// appendWords appends z to dst as big.Words, least significant first, with
-// either word size.
-func (z Scalar) appendWords(dst []big.Word) []big.Word {
-	for _, v := range z.l {
-		if bits.UintSize == 32 {
-			dst = append(dst, big.Word(v), big.Word(v>>32))
-		} else {
-			dst = append(dst, big.Word(v))
-		}
-	}
-	return dst
+func (z Scalar) Big() *big.Int {
+	b := z.Bytes()
+	return new(big.Int).SetBytes(b[:])
 }
 
 // SetBytes sets z to the big-endian value of b, at most 32 bytes. A value of
@@ -142,25 +167,11 @@ func (z *Scalar) Inv(a *Scalar) *Scalar {
 
 func (z Scalar) String() string { return z.Big().String() }
 
-// ScalarsFromBig returns v[i] mod n for every i.
-func ScalarsFromBig(v []*big.Int) []Scalar {
+// scalarsFromBig returns v[i] mod n for every i.
+func scalarsFromBig(v []*big.Int) []Scalar {
 	out := make([]Scalar, len(v))
 	for i, k := range v {
 		out[i].SetBig(k)
-	}
-	return out
-}
-
-// ScalarsToBig returns v as big.Ints whose words share one slab: three
-// allocations whatever len(v).
-func ScalarsToBig(v []Scalar) []*big.Int {
-	ints := make([]big.Int, len(v))
-	out := make([]*big.Int, len(v))
-	words := make([]big.Word, 0, len(v)*256/bits.UintSize)
-	for i := range v {
-		start := len(words)
-		words = v[i].appendWords(words)
-		out[i] = ints[i].SetBits(words[start:len(words):len(words)])
 	}
 	return out
 }

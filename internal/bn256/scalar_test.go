@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"bytes"
+	"crypto/rand"
 	"math/big"
 	"testing"
 )
@@ -9,7 +10,8 @@ import (
 // FuzzScalar pins Scalar to math/big: the byte round trip (SetBytes accepts
 // exactly the encodings below n, of at most 32 bytes, and Bytes gives them
 // back), then Add, Sub, Mul, Neg and Inv, out of place and in place, the
-// big.Int conversions both ways and a two-term ScalarLinearCombination, on
+// big.Int conversions both ways, SetBytesWide, SetRandom against
+// crypto/rand.Int on the same stream and a two-term ScalarLinearCombination, on
 // the inputs' values reduced mod n. The seeds sit where a reduction flips: 0,
 // 1, n-1, n, n+1, 2^128 (where ScalarLinearCombination switches product
 // width) and 2^256-1.
@@ -93,12 +95,24 @@ func FuzzScalar(f *testing.F) {
 			check("Inv in place", z, new(big.Int).ModInverse(av, Order))
 		}
 
-		ints := ScalarsToBig([]Scalar{x, y})
-		if ints[0].Cmp(av) != 0 || ints[1].Cmp(bv) != 0 {
-			t.Fatalf("ScalarsToBig = %v, want %v, %v", ints, av, bv)
+		// SetBytesWide reads a || b as one 512-bit integer, and SetRandom
+		// draws from it what rand.Int draws, zeros skipped.
+		ab := append(append([]byte(nil), a...), b...)
+		if len(ab) <= 64 {
+			var wide [64]byte
+			copy(wide[64-len(ab):], ab)
+			var w Scalar
+			check("SetBytesWide", *w.SetBytesWide(&wide), new(big.Int).SetBytes(ab))
 		}
-		if back := ScalarsFromBig(ints); back[0] != x || back[1] != y {
-			t.Fatal("ScalarsFromBig(ScalarsToBig(v)) != v")
+		var drawn Scalar
+		errDrawn := drawn.SetRandom(bytes.NewReader(ab))
+		stream := bytes.NewReader(ab)
+		want, err := rand.Int(stream, Order)
+		for err == nil && want.Sign() == 0 {
+			want, err = rand.Int(stream, Order)
+		}
+		if (errDrawn == nil) != (err == nil) || (err == nil && drawn.Big().Cmp(want) != 0) {
+			t.Fatalf("SetRandom = (%v, %v), rand.Int = (%v, %v)", &drawn, errDrawn, want, err)
 		}
 
 		// sum = [a*a + b*b, a*b + b*a]

@@ -193,7 +193,7 @@ func TestChallengeOnChainMatchesExpansion(t *testing.T) {
 	}
 	i1, c1, r1, _ := ch.Expand(f.ef.NumChunks())
 	i2, c2, r2, _ := dec.Expand(f.ef.NumChunks())
-	if !slices.EqualFunc(c1, c2, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) || r1.Cmp(r2) != 0 {
+	if !slices.Equal(c1, c2) || r1 != r2 {
 		t.Fatal("expansion mismatch from chain bytes")
 	}
 	for i := range i1 {

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"runtime"
 	"testing"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 )
 
 // plant replaces authenticator i by sigma_i + delta and returns the undo.
@@ -67,8 +65,11 @@ func TestAcceptanceRejectsCancellingPair(t *testing.T) {
 	defer plant(auths, 4, delta)()
 	defer plant(auths, 9, new(bn256.G1).Neg(delta))()
 
-	one := big.NewInt(1)
-	if !authenticatorsHold(sk.Pub, ef, auths, sample, ff.Vector{one, one, one, one}) {
+	ones := make([]bn256.Scalar, len(sample))
+	for i := range ones {
+		ones[i].SetUint64(1)
+	}
+	if !authenticatorsHold(sk.Pub, ef, auths, sample, ones) {
 		t.Fatal("the pair does not cancel under equal weights: the test plants nothing")
 	}
 	for run := 0; run < 64; run++ {
@@ -115,7 +116,7 @@ func TestAcceptanceAtEveryParallelism(t *testing.T) {
 	auths := prover.Auths
 	firstBad := func(sample []int) int {
 		for _, i := range sample {
-			m := new(bn256.G1).MultiScalarMult(sk.Pub.Powers, bn256.ScalarsToBig(ef.Chunks[i].Coeffs))
+			m := new(bn256.G1).MultiScalarMult(sk.Pub.Powers, ef.Chunks[i].Coeffs)
 			m.Add(m, sk.Pub.blockTag(i))
 			if !bn256.Pair(auths[i].Sigma, bn256.GenG2()).Equal(bn256.Pair(m, sk.Pub.Epsilon)) {
 				return i

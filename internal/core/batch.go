@@ -1,13 +1,12 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"math/big"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 	"repro/internal/parallel"
 	"repro/internal/prf"
 )
@@ -133,20 +132,23 @@ func bisect(terms []*batchTerm, verdicts []bool, stats *BatchStats, knownBad boo
 }
 
 // batchWeight derives the ~128-bit weight rho_i for batch position i:
-// H'(digest || i) with the index encoded as 4 big-endian bytes, so
-// positions that differ only above the low byte (e.g. 0 and 256) still get
-// independent weights. The digest commits to the whole batch transcript
-// (every item's full response, see batchTranscript), never a single
-// prover's contribution alone.
-func batchWeight(digest []byte, i int) *big.Int {
-	var idx [4]byte
-	binary.BigEndian.PutUint32(idx[:], uint32(i))
+// H'(digest || i) >> 126, or 1 where that is 0, with the index encoded as 4
+// big-endian bytes, so positions that differ only above the low byte (e.g. 0
+// and 256) still get independent weights. The digest commits to the whole
+// batch transcript (every item's full response, see batchTranscript), never
+// a single prover's contribution alone.
+func batchWeight(digest []byte, i int) bn256.Scalar {
 	seed := make([]byte, 0, len(digest)+4)
-	seed = append(seed, digest...)
-	seed = append(seed, idx[:]...)
-	rho := new(big.Int).Rsh(prf.OracleGT(seed), 126)
-	if rho.Sign() == 0 {
-		rho.SetInt64(1)
+	seed = binary.BigEndian.AppendUint32(append(seed, digest...), uint32(i))
+	h := prf.OracleGT(seed).Bytes()
+	var w [16]byte // h >> 126, h below 2^254 in 32 big-endian bytes
+	for j := range w {
+		w[j] = h[j]<<2 | h[j+1]>>6
+	}
+	var rho bn256.Scalar
+	_ = rho.SetBytes(w[:]) // below 2^128 < n
+	if rho.IsZero() {
+		rho.SetUint64(1)
 	}
 	return rho
 }
@@ -161,7 +163,8 @@ func batchTranscript(items []*BatchItem) []byte {
 	h := sha256.New()
 	for _, it := range items {
 		h.Write(it.Proof.Sigma.Marshal())
-		h.Write(ff.Bytes(it.Proof.YPrime))
+		y := it.Proof.YPrime.Bytes()
+		h.Write(y[:])
 		h.Write(it.Proof.Psi.Marshal())
 		h.Write(it.Proof.R.Marshal())
 	}
@@ -180,12 +183,11 @@ type batchTerm struct {
 	proof *PrivateProof // sigma, psi and R
 	tags  []*bn256.G1   // H(name||i) of the challenged chunks
 
-	// Scalars, all reduced mod n.
-	zr   *big.Int  // zeta*rho: sigma's against g2; negated, psi's against delta
-	zrR  *big.Int  // zeta*rho*r: psi's against eps
-	tagW []big.Int // -zeta*rho*c_j: the tags' against eps
-	rhoY *big.Int  // rho*y': g1's against eps, negated
-	rho  *big.Int  // R's
+	zr   bn256.Scalar   // zeta*rho: sigma's against g2; negated, psi's against delta
+	zrR  bn256.Scalar   // zeta*rho*r: psi's against eps
+	tagW []bn256.Scalar // -zeta*rho*c_j: the tags' against eps
+	rhoY bn256.Scalar   // rho*y': g1's against eps, negated
+	rho  bn256.Scalar   // R's
 }
 
 // prepareBatch derives the whole-batch weights and, per item, everything that
@@ -235,29 +237,18 @@ func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
 		parallel.For(itemWorkers, len(indices), func(j int) {
 			term.tags[j] = it.Pub.blockTag(indices[j])
 		})
-		term.zr = ff.Mul(zeta, rho)
-		term.zrR = ff.Mul(term.zr, r)
-		term.tagW = scaleVector(coeffs, ff.Neg(term.zr))
-		term.rhoY = ff.Mul(rho, it.Proof.YPrime)
+		term.zr.Mul(&zeta, &rho)
+		term.zrR.Mul(&term.zr, &r)
+		var w bn256.Scalar
+		w.Neg(&term.zr)
+		for j := range coeffs { // the expansion is the item's own: scaled in place
+			coeffs[j].Mul(&coeffs[j], &w)
+		}
+		term.tagW = coeffs
+		term.rhoY.Mul(&rho, &it.Proof.YPrime)
 		term.rho = rho
 	})
 	return terms
-}
-
-// scaleVector returns w*v[j] mod n for every j, for v and w in [0, n). A
-// k = 300 challenge has a block of these per item, so the k integers, their
-// words and the scratch of the reductions are one allocation each, not
-// three per coefficient.
-func scaleVector(v ff.Vector, w *big.Int) []big.Int {
-	width := len(bn256.Order.Bits())
-	out := make([]big.Int, len(v))
-	words := make([]big.Word, len(v)*width)
-	var prod, quo, rem big.Int
-	for j, c := range v {
-		quo.QuoRem(prod.Mul(w, c), bn256.Order, &rem)
-		out[j].SetBits(append(words[j*width:j*width:(j+1)*width], rem.Bits()...))
-	}
-	return out
 }
 
 // verifyTerms checks one (sub-)batch of prepared terms, and all of its group
@@ -312,7 +303,7 @@ func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 		switch j := task - 1; {
 		case j < 0:
 			rs := make([]*bn256.GT, len(terms))
-			rhos := make([]*big.Int, len(terms))
+			rhos := make([]bn256.Scalar, len(terms))
 			for i, term := range terms {
 				rs[i], rhos[i] = term.proof.R, term.rho
 			}
@@ -346,25 +337,22 @@ type keyGroup struct {
 // sized once, and g1 to the negated sum of the rho*y' by the fixed-base table.
 func (g *keyGroup) epsSum(workers int) *bn256.G1 {
 	points := make([]*bn256.G1, 0, g.epsPoints)
-	scalars := make([]*big.Int, 0, g.epsPoints)
-	y := new(big.Int)
+	scalars := make([]bn256.Scalar, 0, g.epsPoints)
+	var y bn256.Scalar
 	for _, term := range g.terms {
 		points = append(append(points, term.proof.Psi), term.tags...)
-		scalars = append(scalars, term.zrR)
-		for j := range term.tagW {
-			scalars = append(scalars, &term.tagW[j])
-		}
-		y.Add(y, term.rhoY)
+		scalars = append(append(scalars, term.zrR), term.tagW...)
+		y.Add(&y, &term.rhoY)
 	}
-	sum := new(bn256.G1).MultiScalarMultParallel(points, scalars, workers)
-	return sum.Add(sum, new(bn256.G1).ScalarBaseMult(ff.Neg(y)))
+	sum, _ := new(bn256.G1).MultiScalarMultCtx(context.TODO(), points, scalars, workers) // never done: no error
+	return sum.Add(sum, new(bn256.G1).ScalarBaseMult(y.Neg(&y).Big()))
 }
 
 // zrSum returns sum_i (zeta_i rho_i) P_i over terms, P_i the point of the
 // item's proof that point selects (sigma, or psi).
 func zrSum(terms []*batchTerm, point func(*PrivateProof) *bn256.G1) *bn256.G1 {
 	points := make([]*bn256.G1, len(terms))
-	scalars := make([]*big.Int, len(terms))
+	scalars := make([]bn256.Scalar, len(terms))
 	for i, term := range terms {
 		points[i], scalars[i] = point(term.proof), term.zr
 	}

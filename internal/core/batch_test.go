@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -10,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 	"repro/internal/prf"
 )
 
@@ -63,19 +64,38 @@ func TestBatchWeightEncodesFullIndex(t *testing.T) {
 	for i := range r {
 		r[i] = byte(i * 7)
 	}
-	if batchWeight(r, 0).Cmp(batchWeight(r, 256)) == 0 {
+	if batchWeight(r, 0) == batchWeight(r, 256) {
 		t.Fatal("batch positions 0 and 256 share a weight: index truncated mod 256")
 	}
-	if batchWeight(r, 1).Cmp(batchWeight(r, 257)) == 0 {
+	if batchWeight(r, 1) == batchWeight(r, 257) {
 		t.Fatal("batch positions 1 and 257 share a weight: index truncated mod 256")
 	}
 	// Sanity: the weight is still deterministic and ~128 bits.
 	w := batchWeight(r, 3)
-	if w.Cmp(batchWeight(r, 3)) != 0 {
+	if w != batchWeight(r, 3) {
 		t.Fatal("weight not deterministic")
 	}
-	if w.BitLen() > 130 {
-		t.Fatalf("weight too wide: %d bits", w.BitLen())
+	if n := w.Big().BitLen(); n > 130 {
+		t.Fatalf("weight too wide: %d bits", n)
+	}
+}
+
+// TestBatchWeightMatchesBigRule holds batchWeight to the rule it is defined
+// by, computed in math/big: H'(digest || i) >> 126, and 1 where that is 0.
+// The weights are what make a batch sound, and a shift off by one bit would
+// still give weights that look random.
+func TestBatchWeightMatchesBigRule(t *testing.T) {
+	digest := sha256.Sum256([]byte("batch transcript"))
+	for _, i := range []int{0, 1, 255, 256, 65536} {
+		seed := binary.BigEndian.AppendUint32(append([]byte(nil), digest[:]...), uint32(i))
+		h := prf.OracleGT(seed)
+		want := new(big.Int).Rsh(h.Big(), 126)
+		if want.Sign() == 0 {
+			want.SetInt64(1)
+		}
+		if got := batchWeight(digest[:], i); got.Big().Cmp(want) != 0 {
+			t.Errorf("i=%d: batchWeight = %v, want %v", i, &got, want)
+		}
 	}
 }
 
@@ -124,7 +144,6 @@ func TestVerifyBatchBisection(t *testing.T) {
 	}
 
 	// An all-honest batch costs exactly one final exponentiation.
-	items[bad].Proof.YPrime = nil
 	ch := items[bad].Challenge
 	proof, err := prover.ProvePrivate(ch, nil, rand.Reader)
 	if err != nil {
@@ -428,7 +447,9 @@ func TestBatchWeightsAreLoadBearing(t *testing.T) {
 	zeta1 := prf.OracleGT(items[0].Proof.R.Marshal())
 	zeta2 := prf.OracleGT(items[1].Proof.R.Marshal())
 	items[0].Proof.Sigma = new(bn256.G1).Add(items[0].Proof.Sigma, delta)
-	shift := new(bn256.G1).ScalarMult(delta, ff.Neg(ff.Mul(zeta1, ff.Inv(zeta2))))
+	var k bn256.Scalar
+	k.Neg(k.Mul(&zeta1, k.Inv(&zeta2)))
+	shift := new(bn256.G1).ScalarMult(delta, k.Big())
 	items[1].Proof.Sigma = new(bn256.G1).Add(items[1].Proof.Sigma, shift)
 
 	for i, it := range items {
@@ -444,14 +465,15 @@ func TestBatchWeightsAreLoadBearing(t *testing.T) {
 	// Every scalar of a term carries exactly one factor rho; divide it out.
 	terms := prepareBatch(items, 1)
 	for _, term := range terms {
-		inv := ff.Inv(term.rho)
-		term.zr = ff.Mul(term.zr, inv)
-		term.zrR = ff.Mul(term.zrR, inv)
+		var inv bn256.Scalar
+		inv.Inv(&term.rho)
+		term.zr.Mul(&term.zr, &inv)
+		term.zrR.Mul(&term.zrR, &inv)
 		for j := range term.tagW {
-			term.tagW[j].Set(ff.Mul(&term.tagW[j], inv))
+			term.tagW[j].Mul(&term.tagW[j], &inv)
 		}
-		term.rhoY = ff.Mul(term.rhoY, inv)
-		term.rho = big.NewInt(1)
+		term.rhoY.Mul(&term.rhoY, &inv)
+		term.rho.SetUint64(1)
 	}
 	if !verifyTerms(terms, nil, 1) {
 		t.Fatal("the unweighted batch rejects the pair: the test plants no cancellation")

@@ -139,7 +139,7 @@ func TestProveCtxMatchesProve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Sigma.Equal(b.Sigma) || !a.Psi.Equal(b.Psi) || a.Y.Cmp(b.Y) != 0 {
+	if !a.Sigma.Equal(b.Sigma) || !a.Psi.Equal(b.Psi) || a.Y != b.Y {
 		t.Fatal("ProveCtx result differs from Prove")
 	}
 }

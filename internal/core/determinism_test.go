@@ -69,7 +69,7 @@ func TestProveDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Sigma.Marshal(), want.Sigma.Marshal()) ||
-			got.Y.Cmp(want.Y) != 0 ||
+			got.Y != want.Y ||
 			!bytes.Equal(got.Psi.Marshal(), want.Psi.Marshal()) {
 			t.Fatalf("workers=%d: proof diverges from serial", workers)
 		}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 )
 
 // This file implements the knowledge extractor behind the paper's
@@ -26,44 +24,45 @@ import (
 // ForkedTranscript is one accepting Sigma transcript under an
 // experiment-chosen challenge.
 type ForkedTranscript struct {
-	Zeta   *big.Int
-	YPrime *big.Int
+	Zeta   bn256.Scalar
+	YPrime bn256.Scalar
 }
 
 // ProveWithChallenge produces the private response using an explicitly
 // supplied Sigma challenge zeta and mask z, bypassing the random oracle.
 // It exists for the rewinding experiment only: the on-chain protocol always
 // derives zeta = H'(R).
-func (p *Prover) ProveWithChallenge(ch *Challenge, zeta, z *big.Int) (*PrivateProof, error) {
+func (p *Prover) ProveWithChallenge(ch *Challenge, zeta, z bn256.Scalar) (*PrivateProof, error) {
 	sigma, y, psi, err := p.buildResponse(context.Background(), ch, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.maskResponse(sigma, y, psi, z, zeta, nil), nil
+	return p.maskResponse(sigma, y, psi, z, &zeta, nil), nil
 }
 
 // ExtractEvaluation recovers the committed evaluation y = Pk(r) from two
 // accepting transcripts that share the same commitment (mask z) but answer
 // different challenges. It errors if the challenges coincide.
-func ExtractEvaluation(t1, t2 *ForkedTranscript) (*big.Int, error) {
-	dz := ff.Sub(t1.Zeta, t2.Zeta)
-	if dz.Sign() == 0 {
-		return nil, fmt.Errorf("core: transcripts share the challenge; extraction impossible")
+func ExtractEvaluation(t1, t2 *ForkedTranscript) (bn256.Scalar, error) {
+	var dz, dy bn256.Scalar
+	if dz.Sub(&t1.Zeta, &t2.Zeta).IsZero() {
+		return dz, fmt.Errorf("core: transcripts share the challenge; extraction impossible")
 	}
-	dy := ff.Sub(t1.YPrime, t2.YPrime)
-	return ff.Mul(dy, ff.Inv(dz)), nil
+	dy.Sub(&t1.YPrime, &t2.YPrime)
+	return *dy.Mul(&dy, dz.Inv(&dz)), nil
 }
 
 // VerifyWithChallenge checks a private proof against an explicit zeta:
 // VerifyPrivate with zeta = H'(R), the rewinding experiment with its own.
-func VerifyWithChallenge(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof, zeta *big.Int) bool {
+func VerifyWithChallenge(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof, zeta bn256.Scalar) bool {
 	indices, coeffs, r, err := ch.Expand(d)
 	if err != nil {
 		return false
 	}
+	z := zeta.Big()
 	x := chi(pk, indices, coeffs, 0)
-	x.ScalarMult(x, zeta)
-	sigmaZ := new(bn256.G1).ScalarMult(pr.Sigma, zeta)
-	psiZ := new(bn256.G1).ScalarMult(pr.Psi, zeta)
+	x.ScalarMult(x, z)
+	sigmaZ := new(bn256.G1).ScalarMult(pr.Sigma, z)
+	psiZ := new(bn256.G1).ScalarMult(pr.Psi, z)
 	return verifyEquation(pk, x, r, sigmaZ, pr.YPrime, psiZ, pr.R)
 }

@@ -4,7 +4,7 @@ import (
 	"crypto/rand"
 	"testing"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 )
 
 // TestKnowledgeExtractor runs the Theorem 1 rewinding experiment: two
@@ -25,10 +25,13 @@ func TestKnowledgeExtractor(t *testing.T) {
 	}
 
 	// Forked transcripts: same mask z, different challenges.
-	z, _ := ff.RandomNonZero(rand.Reader)
-	zeta1, _ := ff.RandomNonZero(rand.Reader)
-	zeta2, _ := ff.RandomNonZero(rand.Reader)
-	if ff.Equal(zeta1, zeta2) {
+	var z, zeta1, zeta2 bn256.Scalar
+	for _, v := range []*bn256.Scalar{&z, &zeta1, &zeta2} {
+		if err := v.SetRandom(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if zeta1 == zeta2 {
 		t.Skip("negligible-probability collision")
 	}
 	p1, err := prover.ProveWithChallenge(ch, zeta1, z)
@@ -57,16 +60,19 @@ func TestKnowledgeExtractor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ff.Equal(y, plain.Y) {
+	if y != plain.Y {
 		t.Fatal("extractor did not recover Pk(r)")
 	}
 }
 
 func TestExtractorRejectsEqualChallenges(t *testing.T) {
-	z := ff.New(7)
+	var z, y1, y2 bn256.Scalar
+	z.SetUint64(7)
+	y1.SetUint64(1)
+	y2.SetUint64(2)
 	if _, err := ExtractEvaluation(
-		&ForkedTranscript{Zeta: z, YPrime: ff.New(1)},
-		&ForkedTranscript{Zeta: z, YPrime: ff.New(2)},
+		&ForkedTranscript{Zeta: z, YPrime: y1},
+		&ForkedTranscript{Zeta: z, YPrime: y2},
 	); err == nil {
 		t.Fatal("accepted equal challenges")
 	}

@@ -17,15 +17,12 @@
 package core
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 )
 
 // Common protocol errors.
@@ -40,8 +37,8 @@ var (
 // secure even if the owner keeps it, since the owner is the party the
 // authenticators protect).
 type PrivateKey struct {
-	X     *big.Int
-	Alpha *big.Int
+	X     bn256.Scalar
+	Alpha bn256.Scalar
 	Pub   *PublicKey
 }
 
@@ -65,42 +62,30 @@ type PublicKey struct {
 	Delta   *bn256.G2
 	Powers  []*bn256.G1
 	EG1Eps  *bn256.GT
-	Name    *big.Int
+	Name    bn256.Scalar
 }
 
-// KeyGen generates a key pair for chunk size s (blocks per chunk). r may be
-// nil, in which case crypto/rand is used.
+// KeyGen generates a key pair for chunk size s (blocks per chunk), drawing x,
+// alpha and Name from r in that order. r may be nil, in which case
+// crypto/rand is used.
 func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("%w: chunk size s = %d", ErrBadParameters, s)
 	}
-	if r == nil {
-		r = rand.Reader
+	sk := &PrivateKey{Pub: &PublicKey{S: s, Powers: make([]*bn256.G1, s)}}
+	pub := sk.Pub
+	for _, v := range []*bn256.Scalar{&sk.X, &sk.Alpha, &pub.Name} {
+		if err := v.SetRandom(r); err != nil {
+			return nil, err
+		}
 	}
-	x, err := ff.RandomNonZero(r)
-	if err != nil {
-		return nil, err
-	}
-	alpha, err := ff.RandomNonZero(r)
-	if err != nil {
-		return nil, err
-	}
-	name, err := ff.RandomNonZero(r)
-	if err != nil {
-		return nil, err
-	}
-
-	pub := &PublicKey{
-		S:       s,
-		Epsilon: new(bn256.G2).ScalarBaseMult(x),
-		Delta:   new(bn256.G2).ScalarBaseMult(ff.Mul(alpha, x)),
-		Powers:  make([]*bn256.G1, s),
-		Name:    name,
-	}
-	aj := big.NewInt(1)
+	var ax, aj bn256.Scalar
+	pub.Epsilon = new(bn256.G2).ScalarBaseMult(sk.X.Big())
+	pub.Delta = new(bn256.G2).ScalarBaseMult(ax.Mul(&sk.Alpha, &sk.X).Big())
+	aj.SetUint64(1)
 	for j := 0; j < s; j++ {
-		pub.Powers[j] = new(bn256.G1).ScalarBaseMult(aj)
-		aj = ff.Mul(aj, alpha)
+		pub.Powers[j] = new(bn256.G1).ScalarBaseMult(aj.Big())
+		aj.Mul(&aj, &sk.Alpha)
 	}
 	// Every Marshal and every prover's psi reads the powers, every Marshal
 	// and every verifier's Miller loop reads ε and δ: affine once, here,
@@ -108,8 +93,7 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	bn256.NormalizeG1(pub.Powers)
 	bn256.NormalizeG2([]*bn256.G2{pub.Epsilon, pub.Delta})
 	pub.EG1Eps = bn256.Pair(bn256.GenG1(), pub.Epsilon)
-
-	return &PrivateKey{X: x, Alpha: alpha, Pub: pub}, nil
+	return sk, nil
 }
 
 // Marshal serializes the public key in its on-chain form: the compressed
@@ -122,7 +106,8 @@ func (pk *PublicKey) Marshal(withPrivacy bool) ([]byte, error) {
 	out = append(out, byte(pk.S>>24), byte(pk.S>>16), byte(pk.S>>8), byte(pk.S))
 	out = append(out, pk.Epsilon.Marshal()...)
 	out = append(out, pk.Delta.Marshal()...)
-	out = append(out, ff.Bytes(pk.Name)...)
+	name := pk.Name.Bytes()
+	out = append(out, name[:]...)
 	for _, p := range pk.Powers {
 		out = append(out, p.MarshalCompressed()...)
 	}
@@ -170,11 +155,9 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 		return nil, err
 	}
 	off += bn256.G2UncompressedSize
-	name, err := ff.FromBytes(data[off : off+32])
-	if err != nil {
+	if err := pk.Name.SetBytes(data[off : off+32]); err != nil {
 		return nil, err
 	}
-	pk.Name = name
 	off += 32
 	pk.Powers = make([]*bn256.G1, s)
 	for j := 0; j < s; j++ {
@@ -195,12 +178,12 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	return pk, nil
 }
 
-// blockTag returns H(name || i), the per-chunk group element t_i. Name is
-// canonical (KeyGen draws it below n, UnmarshalPublicKey rejects the rest),
-// so it fills its 32 bytes as is, and the message stays on the stack.
+// blockTag returns H(name || i), the per-chunk group element t_i, name in
+// its 32 canonical bytes. The message stays on the stack.
 func (pk *PublicKey) blockTag(i int) *bn256.G1 {
 	var msg [40]byte
-	pk.Name.FillBytes(msg[:32])
+	name := pk.Name.Bytes()
+	copy(msg[:32], name[:])
 	binary.BigEndian.PutUint64(msg[32:], uint64(i))
 	return bn256.HashToG1(msg[:])
 }

@@ -22,13 +22,12 @@ func SetupParallel(sk *PrivateKey, ef *EncodedFile, workers int) ([]*Authenticat
 	}
 	auths := make([]*Authenticator, ef.NumChunks())
 	sigmas := make([]*bn256.G1, len(auths))
-	var alpha bn256.Scalar
-	alpha.SetBig(sk.Alpha)
+	x := sk.X.Big()
 	parallel.For(workers, len(auths), func(i int) {
-		mAlpha := ef.Chunks[i].Eval(&alpha)
+		mAlpha := ef.Chunks[i].Eval(&sk.Alpha)
 		base := new(bn256.G1).ScalarBaseMult(mAlpha.Big())
 		base.Add(base, sk.Pub.blockTag(i))
-		sigmas[i] = base.ScalarMult(base, sk.X)
+		sigmas[i] = base.ScalarMult(base, x)
 		auths[i] = &Authenticator{Index: i, Sigma: sigmas[i]}
 	})
 	// The authenticators are marshalled for every holder and multiplied in

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 	"repro/internal/prf"
 )
 
@@ -30,8 +29,9 @@ func MarshalPrivateKey(sk *PrivateKey) ([]byte, error) {
 	}
 	out := make([]byte, 0, len(privateKeyHeader)+64+len(pk))
 	out = append(out, privateKeyHeader...)
-	out = append(out, ff.Bytes(sk.X)...)
-	out = append(out, ff.Bytes(sk.Alpha)...)
+	x, alpha := sk.X.Bytes(), sk.Alpha.Bytes()
+	out = append(out, x[:]...)
+	out = append(out, alpha[:]...)
 	out = append(out, pk...)
 	return out, nil
 }
@@ -49,19 +49,18 @@ func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 		}
 	}
 	off := len(privateKeyHeader)
-	x, err := ff.FromBytes(data[off : off+32])
-	if err != nil {
+	sk := new(PrivateKey)
+	if err := sk.X.SetBytes(data[off : off+32]); err != nil {
 		return nil, err
 	}
-	alpha, err := ff.FromBytes(data[off+32 : off+64])
-	if err != nil {
+	if err := sk.Alpha.SetBytes(data[off+32 : off+64]); err != nil {
 		return nil, err
 	}
 	pub, err := UnmarshalPublicKey(data[off+64:], true)
 	if err != nil {
 		return nil, err
 	}
-	sk := &PrivateKey{X: x, Alpha: alpha, Pub: pub}
+	sk.Pub = pub
 	if err := sk.validate(); err != nil {
 		return nil, err
 	}
@@ -70,20 +69,21 @@ func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 
 // validate cross-checks secrets against the embedded public key.
 func (sk *PrivateKey) validate() error {
-	if sk.X.Sign() == 0 || sk.Alpha.Sign() == 0 {
+	if sk.X.IsZero() || sk.Alpha.IsZero() {
 		return ErrMalformed
 	}
 	// Epsilon = g2^x and the first two powers pin down (x, alpha).
-	eps := new(bn256.G2).ScalarBaseMult(sk.X)
+	eps := new(bn256.G2).ScalarBaseMult(sk.X.Big())
 	if !eps.Equal(sk.Pub.Epsilon) {
 		return ErrMalformed
 	}
-	delta := new(bn256.G2).ScalarBaseMult(ff.Mul(sk.Alpha, sk.X))
+	var ax bn256.Scalar
+	delta := new(bn256.G2).ScalarBaseMult(ax.Mul(&sk.Alpha, &sk.X).Big())
 	if !delta.Equal(sk.Pub.Delta) {
 		return ErrMalformed
 	}
 	if len(sk.Pub.Powers) > 1 {
-		p1 := new(bn256.G1).ScalarBaseMult(sk.Alpha)
+		p1 := new(bn256.G1).ScalarBaseMult(sk.Alpha.Big())
 		if !p1.Equal(sk.Pub.Powers[1]) {
 			return ErrMalformed
 		}

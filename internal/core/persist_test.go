@@ -10,8 +10,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"repro/internal/ff"
 )
 
 func TestPrivateKeyRoundTrip(t *testing.T) {
@@ -27,10 +25,10 @@ func TestPrivateKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ff.Equal(dec.X, sk.X) || !ff.Equal(dec.Alpha, sk.Alpha) {
+	if dec.X != sk.X || dec.Alpha != sk.Alpha {
 		t.Fatal("secrets mismatch")
 	}
-	if !dec.Pub.Epsilon.Equal(sk.Pub.Epsilon) || !ff.Equal(dec.Pub.Name, sk.Pub.Name) {
+	if !dec.Pub.Epsilon.Equal(sk.Pub.Epsilon) || dec.Pub.Name != sk.Pub.Name {
 		t.Fatal("public key mismatch")
 	}
 
@@ -110,7 +108,7 @@ func TestChallengeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ff.Equal(r1, r2) || !slices.EqualFunc(c1, c2, ff.Equal) {
+	if r1 != r2 || !slices.Equal(c1, c2) {
 		t.Fatal("expansion differs after round trip")
 	}
 	for i := range i1 {
@@ -193,7 +191,7 @@ func TestAuditStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr1.Sigma.Equal(pr2.Sigma) || !ff.Equal(pr1.Y, pr2.Y) || !pr1.Psi.Equal(pr2.Psi) {
+	if !pr1.Sigma.Equal(pr2.Sigma) || pr1.Y != pr2.Y || !pr1.Psi.Equal(pr2.Psi) {
 		t.Fatal("rehydrated prover produced a different proof")
 	}
 

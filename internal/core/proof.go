@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math/big"
-
-	"repro/internal/bn256"
-	"repro/internal/ff"
-)
+import "repro/internal/bn256"
 
 // Proof sizes on the wire. These are the numbers the paper reports in
 // Table II and Fig. 5: 96 bytes without on-chain privacy, 288 bytes with.
@@ -17,7 +12,7 @@ const (
 // Proof is the non-private audit response (sigma, y, psi) of Section V-B.
 type Proof struct {
 	Sigma *bn256.G1
-	Y     *big.Int
+	Y     bn256.Scalar
 	Psi   *bn256.G1
 }
 
@@ -25,7 +20,8 @@ type Proof struct {
 func (p *Proof) Marshal() []byte {
 	out := make([]byte, 0, ProofSize)
 	out = append(out, p.Sigma.MarshalCompressed()...)
-	out = append(out, ff.Bytes(p.Y)...)
+	y := p.Y.Bytes()
+	out = append(out, y[:]...)
 	out = append(out, p.Psi.MarshalCompressed()...)
 	return out
 }
@@ -39,11 +35,9 @@ func UnmarshalProof(data []byte) (*Proof, error) {
 	if err := p.Sigma.UnmarshalCompressed(data[:32]); err != nil {
 		return nil, err
 	}
-	y, err := ff.FromBytes(data[32:64])
-	if err != nil {
+	if err := p.Y.SetBytes(data[32:64]); err != nil {
 		return nil, err
 	}
-	p.Y = y
 	if err := p.Psi.UnmarshalCompressed(data[64:96]); err != nil {
 		return nil, err
 	}
@@ -54,7 +48,7 @@ func UnmarshalProof(data []byte) (*Proof, error) {
 // Section V-D.
 type PrivateProof struct {
 	Sigma  *bn256.G1
-	YPrime *big.Int
+	YPrime bn256.Scalar
 	Psi    *bn256.G1
 	R      *bn256.GT
 }
@@ -65,7 +59,8 @@ type PrivateProof struct {
 func (p *PrivateProof) Marshal() ([]byte, error) {
 	out := make([]byte, 0, PrivateProofSize)
 	out = append(out, p.Sigma.MarshalCompressed()...)
-	out = append(out, ff.Bytes(p.YPrime)...)
+	y := p.YPrime.Bytes()
+	out = append(out, y[:]...)
 	out = append(out, p.Psi.MarshalCompressed()...)
 	r, err := p.R.MarshalCompressed()
 	if err != nil {
@@ -84,11 +79,9 @@ func UnmarshalPrivateProof(data []byte) (*PrivateProof, error) {
 	if err := p.Sigma.UnmarshalCompressed(data[:32]); err != nil {
 		return nil, err
 	}
-	y, err := ff.FromBytes(data[32:64])
-	if err != nil {
+	if err := p.YPrime.SetBytes(data[32:64]); err != nil {
 		return nil, err
 	}
-	p.YPrime = y
 	if err := p.Psi.UnmarshalCompressed(data[64:96]); err != nil {
 		return nil, err
 	}

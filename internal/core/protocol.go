@@ -5,11 +5,9 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"math/big"
 	"time"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 	"repro/internal/parallel"
 	"repro/internal/poly"
 	"repro/internal/prf"
@@ -103,17 +101,18 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 	if _, err := rand.Read(buf); err != nil {
 		return fmt.Errorf("core: drawing acceptance weights: %w", err)
 	}
-	rho := make(ff.Vector, len(sample))
+	rho := make([]bn256.Scalar, len(sample))
 	for j := range rho {
-		rho[j] = new(big.Int).SetBytes(buf[16*j : 16*j+16])
-		if rho[j].Sign() == 0 {
-			rho[j].SetInt64(1)
+		_ = rho[j].SetBytes(buf[16*j : 16*j+16]) // below 2^128 < n
+		if rho[j].IsZero() {
+			rho[j].SetUint64(1)
 		}
 	}
 	if authenticatorsHold(pk, ef, auths, sample, rho) {
 		return nil
 	}
-	one := ff.Vector{big.NewInt(1)}
+	one := make([]bn256.Scalar, 1)
+	one[0].SetUint64(1)
 	for _, i := range sample {
 		if !authenticatorsHold(pk, ef, auths, []int{i}, one) {
 			return fmt.Errorf("core: authenticator %d failed verification", i)
@@ -127,7 +126,7 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 // authenticatorsHold evaluates VerifyAuthenticators' equation over the
 // sampled chunks, whose indices the caller has validated, under weights rho,
 // with its three sums one task each.
-func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int, rho ff.Vector) bool {
+func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, sample []int, rho []bn256.Scalar) bool {
 	var commit, tagSum, sigma *bn256.G1
 	parallel.For(0, 3, func(task int) {
 		switch task {
@@ -136,11 +135,11 @@ func authenticatorsHold(pk *PublicKey, ef *EncodedFile, auths []*Authenticator, 
 			for j, i := range sample {
 				polys[j] = &ef.Chunks[i]
 			}
-			combined, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(rho))
+			combined, err := poly.LinearCombination(polys, rho)
 			if err != nil {
 				return // commit stays nil: the equation does not hold
 			}
-			commit = new(bn256.G1).MultiScalarMult(pk.Powers, bn256.ScalarsToBig(combined.Coeffs))
+			commit = new(bn256.G1).MultiScalarMult(pk.Powers, combined.Coeffs)
 		case 1:
 			tags := make([]*bn256.G1, len(sample))
 			for j, i := range sample {
@@ -207,14 +206,14 @@ func (c *Challenge) Marshal() []byte {
 // Expand derives the challenged index set, the coefficients and the
 // evaluation point for a file with d chunks. Both prover and verifier call
 // this; determinism is what lets 48 on-chain bytes drive a k=300 audit.
-func (c *Challenge) Expand(d int) (indices []int, coeffs ff.Vector, r *big.Int, err error) {
+func (c *Challenge) Expand(d int) (indices []int, coeffs []bn256.Scalar, r bn256.Scalar, err error) {
 	k := c.K
 	if k > d {
 		k = d // small files: challenge every chunk
 	}
 	indices, err = prf.Indices(c.C1[:], d, k)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, r, err
 	}
 	coeffs = prf.Coefficients(c.C2[:], k)
 	r = prf.EvalPoint(c.R[:])
@@ -259,10 +258,10 @@ func NewProver(pk *PublicKey, ef *EncodedFile, auths []*Authenticator) (*Prover,
 // inside the two multi-scalar multiplications: a remote peer that
 // disconnects mid-proof (the ctx owner) stops the CPU burn within a few
 // dozen point additions instead of completing a proof nobody will collect.
-func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveStats) (sigma *bn256.G1, y *big.Int, psi *bn256.G1, err error) {
+func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveStats) (sigma *bn256.G1, y bn256.Scalar, psi *bn256.G1, err error) {
 	indices, coeffs, r, err := ch.Expand(p.File.NumChunks())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
 
 	// sigma aggregation: ECC.
@@ -273,7 +272,7 @@ func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveS
 	}
 	sigma, err = new(bn256.G1).MultiScalarMultCtx(ctx, pts, coeffs, p.Workers)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
 	if stats != nil {
 		stats.ECC += time.Since(start)
@@ -281,36 +280,35 @@ func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveS
 
 	// Pk, y, Qk: Zp.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
 	start = time.Now()
 	polys := make([]*poly.Poly, len(indices))
 	for j, idx := range indices {
 		polys[j] = &p.File.Chunks[idx]
 	}
-	pk, err := poly.LinearCombination(polys, bn256.ScalarsFromBig(coeffs))
+	pk, err := poly.LinearCombination(polys, coeffs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
-	var rs bn256.Scalar
-	qk, yv := pk.DivideByLinear(rs.SetBig(r))
+	qk, y := pk.DivideByLinear(&r)
 	if stats != nil {
 		stats.Zp += time.Since(start)
 	}
 
 	// psi = g1^{Qk(alpha)} from the powers: ECC.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
 	start = time.Now()
-	psi, err = new(bn256.G1).MultiScalarMultCtx(ctx, p.Pub.Powers[:len(qk.Coeffs)], bn256.ScalarsToBig(qk.Coeffs), p.Workers)
+	psi, err = new(bn256.G1).MultiScalarMultCtx(ctx, p.Pub.Powers[:len(qk.Coeffs)], qk.Coeffs, p.Workers)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, y, nil, err
 	}
 	if stats != nil {
 		stats.ECC += time.Since(start)
 	}
-	return sigma, yv.Big(), psi, nil
+	return sigma, y, psi, nil
 }
 
 // Prove produces the non-private response (sigma, y, psi) of Section V-B.
@@ -350,8 +348,8 @@ func (p *Prover) ProvePrivateCtx(ctx context.Context, ch *Challenge, stats *Prov
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	z, err := ff.RandomNonZero(rng)
-	if err != nil {
+	var z bn256.Scalar
+	if err := z.SetRandom(rng); err != nil {
 		return nil, err
 	}
 	return p.maskResponse(sigma, y, psi, z, nil, stats), nil
@@ -361,33 +359,37 @@ func (p *Prover) ProvePrivateCtx(ctx context.Context, ch *Challenge, stats *Prov
 // R = e(g1, eps)^z and y' = zeta*y + z, with zeta = H'(R) unless the rewinding
 // experiment brings its own. EG1Eps has order n, which GT.ScalarMult requires:
 // it is a pairing value or came through UnmarshalPublicKey's subgroup check.
-func (p *Prover) maskResponse(sigma *bn256.G1, y *big.Int, psi *bn256.G1, z, zeta *big.Int, stats *ProveStats) *PrivateProof {
+func (p *Prover) maskResponse(sigma *bn256.G1, y bn256.Scalar, psi *bn256.G1, z bn256.Scalar, zeta *bn256.Scalar, stats *ProveStats) *PrivateProof {
 	start := time.Now()
-	r := new(bn256.GT).ScalarMult(p.Pub.EG1Eps, z)
+	r := new(bn256.GT).ScalarMult(p.Pub.EG1Eps, z.Big())
 	if stats != nil {
 		stats.ECC += time.Since(start)
 	}
 	start = time.Now()
 	if zeta == nil {
-		zeta = prf.OracleGT(r.Marshal())
+		h := prf.OracleGT(r.Marshal())
+		zeta = &h
 	}
-	yPrime := ff.Add(ff.Mul(zeta, y), z)
+	pr := &PrivateProof{Sigma: sigma, Psi: psi, R: r}
+	pr.YPrime.Mul(zeta, &y).Add(&pr.YPrime, &z)
 	if stats != nil {
 		stats.Zp += time.Since(start)
 	}
-	return &PrivateProof{Sigma: sigma, YPrime: yPrime, Psi: psi, R: r}
+	return pr
 }
 
 // chi computes prod_i H(name||i)^{c_i} over the challenged indices: the
 // verifier-side aggregation both equations share. The per-index tag hashing
 // and the multi-scalar multiplication both spread across workers (0 selects
 // GOMAXPROCS, 1 keeps the computation on the caller).
-func chi(pk *PublicKey, indices []int, coeffs ff.Vector, workers int) *bn256.G1 {
+func chi(pk *PublicKey, indices []int, coeffs []bn256.Scalar, workers int) *bn256.G1 {
 	tags := make([]*bn256.G1, len(indices))
 	parallel.For(workers, len(indices), func(j int) {
 		tags[j] = pk.blockTag(indices[j])
 	})
-	return new(bn256.G1).MultiScalarMultParallel(tags, coeffs, workers)
+	// The verifier has no context to pass; one that is never done cannot fail.
+	sum, _ := new(bn256.G1).MultiScalarMultCtx(context.TODO(), tags, coeffs, workers)
+	return sum
 }
 
 // Verify checks the non-private proof against Eq. 1:
@@ -422,10 +424,10 @@ func VerifyPrivate(pk *PublicKey, d int, ch *Challenge, pr *PrivateProof) bool {
 // are merged into a single Miller loop (e(a,Q)*e(b,Q) = e(a+b,Q) once
 // final-exponentiated): three Miller loops total. R == nil means the
 // non-private form.
-func verifyEquation(pk *PublicKey, chiAgg *bn256.G1, r *big.Int, sigma *bn256.G1, y *big.Int, psi *bn256.G1, rCommit *bn256.GT) bool {
-	epsTerm := new(bn256.G1).ScalarBaseMult(ff.Neg(y))     // g1^{-y}
-	epsTerm.Add(epsTerm, new(bn256.G1).Neg(chiAgg))        // * chi^{-1}
-	epsTerm.Add(epsTerm, new(bn256.G1).ScalarMult(psi, r)) // * psi^r
+func verifyEquation(pk *PublicKey, chiAgg *bn256.G1, r bn256.Scalar, sigma *bn256.G1, y bn256.Scalar, psi *bn256.G1, rCommit *bn256.GT) bool {
+	epsTerm := new(bn256.G1).ScalarBaseMult(y.Neg(&y).Big())     // g1^{-y}
+	epsTerm.Add(epsTerm, new(bn256.G1).Neg(chiAgg))              // * chi^{-1}
+	epsTerm.Add(epsTerm, new(bn256.G1).ScalarMult(psi, r.Big())) // * psi^r
 
 	acc := bn256.MillerLoop(sigma, bn256.GenG2())
 	acc.Add(acc, bn256.MillerLoop(epsTerm, pk.Epsilon))

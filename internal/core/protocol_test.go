@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 )
 
 // testSetup builds a small complete instance: key, file, authenticators.
@@ -164,14 +163,17 @@ func TestVerifyRejectsMutatedProof(t *testing.T) {
 	// Mutate each component in turn; all must be rejected.
 	mutations := []func(*PrivateProof){
 		func(p *PrivateProof) { p.Sigma = new(bn256.G1).Add(p.Sigma, p.Sigma) },
-		func(p *PrivateProof) { p.YPrime = ff.Add(p.YPrime, big.NewInt(1)) },
+		func(p *PrivateProof) {
+			var one bn256.Scalar
+			p.YPrime.Add(&p.YPrime, one.SetUint64(1))
+		},
 		func(p *PrivateProof) { p.Psi = new(bn256.G1).Add(p.Psi, p.Psi) },
 		func(p *PrivateProof) { p.R = new(bn256.GT).Add(p.R, p.R) },
 	}
 	for i, mutate := range mutations {
 		clone := &PrivateProof{
 			Sigma:  new(bn256.G1).Set(priv.Sigma),
-			YPrime: new(big.Int).Set(priv.YPrime),
+			YPrime: priv.YPrime,
 			Psi:    new(bn256.G1).Set(priv.Psi),
 			R:      new(bn256.GT).Set(priv.R),
 		}
@@ -208,7 +210,7 @@ func TestProofMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Sigma.Equal(proof.Sigma) || !ff.Equal(dec.Y, proof.Y) || !dec.Psi.Equal(proof.Psi) {
+	if !dec.Sigma.Equal(proof.Sigma) || dec.Y != proof.Y || !dec.Psi.Equal(proof.Psi) {
 		t.Fatal("plain proof round trip mismatch")
 	}
 
@@ -227,7 +229,7 @@ func TestProofMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !decP.Sigma.Equal(priv.Sigma) || !ff.Equal(decP.YPrime, priv.YPrime) ||
+	if !decP.Sigma.Equal(priv.Sigma) || decP.YPrime != priv.YPrime ||
 		!decP.Psi.Equal(priv.Psi) || !decP.R.Equal(priv.R) {
 		t.Fatal("private proof round trip mismatch")
 	}
@@ -261,7 +263,7 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pk.S != 10 || !pk.Epsilon.Equal(sk.Pub.Epsilon) || !pk.Delta.Equal(sk.Pub.Delta) ||
-			!ff.Equal(pk.Name, sk.Pub.Name) || !pk.EG1Eps.Equal(sk.Pub.EG1Eps) {
+			pk.Name != sk.Pub.Name || !pk.EG1Eps.Equal(sk.Pub.EG1Eps) {
 			t.Fatal("public key round trip mismatch")
 		}
 		for j := range pk.Powers {

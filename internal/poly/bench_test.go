@@ -70,7 +70,7 @@ func BenchmarkLinearCombination(b *testing.B) {
 	for i := range polys {
 		polys[i] = randPoly(b, s-1)
 	}
-	scalars := bn256.ScalarsFromBig(prf.Coefficients([]byte("linear combination"), k))
+	scalars := prf.Coefficients([]byte("linear combination"), k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := LinearCombination(polys, scalars); err != nil {

@@ -20,10 +20,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"math/big"
 
 	"repro/internal/bn256"
-	"repro/internal/ff"
 )
 
 // SeedSize is the byte length of each challenge seed. The paper's challenge
@@ -50,12 +48,14 @@ func prfBlock(mac hash.Hash, tag byte, ctr uint64, out *[32]byte) {
 
 // Scalar derives a field element in Zn from seed and counter. Two digest
 // blocks (512 bits) are reduced mod n so the bias is negligible.
-func Scalar(seed []byte, ctr uint64) *big.Int {
+func Scalar(seed []byte, ctr uint64) bn256.Scalar {
 	mac := keyed(seed)
 	var buf [64]byte
 	prfBlock(mac, 0x02, 2*ctr, (*[32]byte)(buf[:32]))
 	prfBlock(mac, 0x02, 2*ctr+1, (*[32]byte)(buf[32:]))
-	return ff.Reduce(new(big.Int).SetBytes(buf[:]))
+	var v bn256.Scalar
+	v.SetBytesWide(&buf)
+	return v
 }
 
 // Coefficients expands seed into the k challenge coefficients c_l of the PRF
@@ -98,7 +98,7 @@ func Scalar(seed []byte, ctr uint64) *big.Int {
 // So a challenge loses exactly one 2^-128 term, the lemma's. The index
 // sampling and its detection rate (1 - 0.99^300 at k = 300, 1 % corrupted)
 // are unchanged: they depend on C1 alone.
-func Coefficients(seed []byte, k int) ff.Vector {
+func Coefficients(seed []byte, k int) []bn256.Scalar {
 	mac := keyed(seed)
 	c := make([]bn256.Scalar, k)
 	var block [32]byte
@@ -108,7 +108,7 @@ func Coefficients(seed []byte, k int) ff.Vector {
 		}
 		_ = c[i].SetBytes(block[16*(i%2) : 16*(i%2)+16]) // below 2^128 < n
 	}
-	return bn256.ScalarsToBig(c)
+	return c
 }
 
 // Indices expands seed into k distinct chunk indices in [0, d)
@@ -155,18 +155,27 @@ func Indices(seed []byte, d, k int) ([]int, error) {
 	return out, nil
 }
 
-// OracleGT implements H': GT -> Zn over a serialized GT element.
-// The caller passes the canonical (uncompressed) marshaling of R.
-func OracleGT(serializedGT []byte) *big.Int {
-	h1 := sha256.Sum256(append([]byte{0x03, 0x00}, serializedGT...))
-	h2 := sha256.Sum256(append([]byte{0x03, 0x01}, serializedGT...))
-	v := new(big.Int).SetBytes(append(h1[:], h2[:]...))
-	return ff.Reduce(v)
+// OracleGT implements H': GT -> Zn over a serialized GT element: the 512
+// bits SHA-256(0x03 || 0x00 || R) || SHA-256(0x03 || 0x01 || R), reduced mod
+// n. The caller passes the canonical (uncompressed) marshaling of R.
+func OracleGT(serializedGT []byte) bn256.Scalar {
+	var wide [64]byte
+	h, prefix := sha256.New(), []byte{0x03, 0}
+	for half := byte(0); half < 2; half++ {
+		h.Reset()
+		prefix[1] = half
+		h.Write(prefix)
+		h.Write(serializedGT)
+		h.Sum(wide[32*half : 32*half])
+	}
+	var v bn256.Scalar
+	v.SetBytesWide(&wide)
+	return v
 }
 
 // EvalPoint maps the 16-byte challenge component r onto a field element.
 // A keyed expansion (rather than zero-padding) keeps the point statistically
 // uniform in Zn.
-func EvalPoint(seed []byte) *big.Int {
+func EvalPoint(seed []byte) bn256.Scalar {
 	return Scalar(seed, 0x72657661) // "reva"
 }

@@ -7,23 +7,21 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ff"
 )
 
 func TestScalarDeterministic(t *testing.T) {
 	seed := []byte("0123456789abcdef")
 	a := Scalar(seed, 7)
 	b := Scalar(seed, 7)
-	if !ff.Equal(a, b) {
+	if a != b {
 		t.Fatal("Scalar is not deterministic")
 	}
 	c := Scalar(seed, 8)
-	if ff.Equal(a, c) {
+	if a == c {
 		t.Fatal("distinct counters produced identical scalars")
 	}
 	d := Scalar([]byte("fedcba9876543210"), 7)
-	if ff.Equal(a, d) {
+	if a == d {
 		t.Fatal("distinct seeds produced identical scalars")
 	}
 }
@@ -35,7 +33,7 @@ func TestCoefficientsLength(t *testing.T) {
 	}
 	bound := new(big.Int).Lsh(big.NewInt(1), 128)
 	for i, c := range cs {
-		if c.Cmp(bound) >= 0 || c.Sign() < 0 {
+		if c.Big().Cmp(bound) >= 0 {
 			t.Fatalf("coefficient %d = %v, outside [0, 2^128)", i, c)
 		}
 	}
@@ -43,7 +41,7 @@ func TestCoefficientsLength(t *testing.T) {
 	// one included, is a prefix of the longer one.
 	for _, k := range []int{0, 1, 7} {
 		for i, c := range Coefficients([]byte("seed"), k) {
-			if c.Cmp(cs[i]) != 0 {
+			if c != cs[i] {
 				t.Fatalf("k=%d: coefficient %d differs from the k=300 expansion", k, i)
 			}
 		}
@@ -136,9 +134,11 @@ func TestExpansionGolden(t *testing.T) {
 		h.Write(binary.BigEndian.AppendUint64(nil, uint64(i)))
 	}
 	for _, c := range Coefficients(seed, 300) {
-		h.Write(ff.Bytes(c))
+		b := c.Bytes()
+		h.Write(b[:])
 	}
-	h.Write(ff.Bytes(EvalPoint(seed)))
+	r := EvalPoint(seed).Bytes()
+	h.Write(r[:])
 	const want = "25b084aa5c11a7ac83c7b50f2ce70ad8a3097256b68475e62a51113793ff4db2"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("expansion digest = %s, want %s", got, want)
@@ -148,11 +148,11 @@ func TestExpansionGolden(t *testing.T) {
 func TestOracleGT(t *testing.T) {
 	a := OracleGT([]byte("some GT bytes"))
 	b := OracleGT([]byte("some GT bytes"))
-	if !ff.Equal(a, b) {
+	if a != b {
 		t.Fatal("OracleGT not deterministic")
 	}
 	c := OracleGT([]byte("other GT bytes"))
-	if ff.Equal(a, c) {
+	if a == c {
 		t.Fatal("OracleGT collision on trivially distinct inputs")
 	}
 }
@@ -161,7 +161,7 @@ func TestEvalPointUniformish(t *testing.T) {
 	// Sanity: different seeds give different points.
 	a := EvalPoint([]byte("aaaaaaaaaaaaaaaa"))
 	b := EvalPoint([]byte("bbbbbbbbbbbbbbbb"))
-	if ff.Equal(a, b) {
+	if a == b {
 		t.Fatal("EvalPoint collision")
 	}
 }
@@ -199,7 +199,7 @@ func TestPRFBlockTagSeparation(t *testing.T) {
 }
 
 // TestCoefficientsAllocs pins the expansion's garbage: the k coefficients
-// share one slab of words and every HMAC block lands in one buffer, so a
+// are one slab of Scalars and every HMAC block lands in one buffer, so a
 // k = 300 expansion allocates a dozen times (keying the HMAC is most of it),
 // not once per block or coefficient.
 func TestCoefficientsAllocs(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"math/big"
 	"testing"
 
-	"repro/internal/ff"
+	"repro/internal/bn256"
 )
 
 // TestCoefficientsUniformity runs a chi-square test on the challenge
@@ -19,7 +19,7 @@ func TestCoefficientsUniformity(t *testing.T) {
 	counts := make([]int, buckets)
 	for i := 0; i < seeds; i++ {
 		for _, c := range Coefficients([]byte(fmt.Sprintf("seed-%d", i)), perSeed) {
-			counts[new(big.Int).Rsh(c, 124).Int64()]++ // 16 buckets of 2^124
+			counts[new(big.Int).Rsh(c.Big(), 124).Int64()]++ // 16 buckets of 2^124
 		}
 	}
 	expected := float64(seeds*perSeed) / buckets
@@ -68,13 +68,13 @@ func TestEvalPointAvalanche(t *testing.T) {
 		copy(mut, seed)
 		mut[bit/8] ^= 1 << (bit % 8)
 		v := EvalPoint(mut)
-		if ff.Equal(base, v) {
+		if base == v {
 			t.Fatalf("bit %d flip left the evaluation point unchanged", bit)
 		}
 		// The difference must not be small (no near-collisions).
-		diff := ff.Sub(base, v)
-		if diff.BitLen() < 100 {
-			t.Fatalf("bit %d flip produced a structured delta (%d bits)", bit, diff.BitLen())
+		var diff bn256.Scalar
+		if n := diff.Sub(&base, &v).Big().BitLen(); n < 100 {
+			t.Fatalf("bit %d flip produced a structured delta (%d bits)", bit, n)
 		}
 	}
 }
