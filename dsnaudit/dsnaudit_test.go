@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
 )
@@ -212,7 +213,8 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.Read(data)
 	sf, _ := owner.Outsource("f", data, 3, 7)
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
+	const rounds = 2
+	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +238,33 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	// Audit trail bytes landed on chain.
 	if n.Chain.TotalBytes() == 0 {
 		t.Fatal("no bytes recorded on chain")
+	}
+	// What a passive adversary harvests from the blocks: the owner's key at
+	// negotiation, then per round one 48-byte challenge and one 288-byte
+	// private proof. No other transaction carries data, so no bare y and no
+	// non-private Proof encoding ever reaches the chain.
+	var trail []*chain.Tx
+	for _, blk := range n.Chain.Blocks() {
+		for _, tx := range blk.Txs {
+			if len(tx.Data) > 0 {
+				trail = append(trail, tx)
+			}
+		}
+	}
+	if len(trail) != 1+2*rounds || trail[0].From != owner.Address() {
+		t.Fatalf("%d data-carrying txs, want the owner's key + %d challenges + %d proofs", len(trail), rounds, rounds)
+	}
+	for r := 0; r < rounds; r++ {
+		chal, proof := trail[1+2*r], trail[2+2*r]
+		if len(chal.Data) != ChallengeSize {
+			t.Fatalf("round %d: challenge tx is %d bytes, want %d", r+1, len(chal.Data), ChallengeSize)
+		}
+		if proof.From != eng.Provider.Address() || len(proof.Data) != PrivateProofSize {
+			t.Fatalf("round %d: proof tx from %s is %d bytes, want %d from the provider", r+1, proof.From, len(proof.Data), PrivateProofSize)
+		}
+		if _, err := core.UnmarshalPrivateProof(proof.Data); err != nil {
+			t.Fatalf("round %d: proof tx does not parse as a private proof: %v", r+1, err)
+		}
 	}
 }
 

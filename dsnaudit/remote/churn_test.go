@@ -83,7 +83,7 @@ func TestServerChurn(t *testing.T) {
 	client := NewClient(addr,
 		WithCallTimeout(30*time.Second),
 		WithRetries(6),
-		WithRetryBackoff(50*time.Millisecond))
+		withRetryBackoff(50*time.Millisecond))
 	defer client.Close()
 
 	holder := fx.sf.Holders[0]
@@ -152,7 +152,7 @@ func TestClientRedialsAfterIdleDisconnect(t *testing.T) {
 	addr := ln.Addr().String()
 	stop1 := serveOnce(t, node, ln)
 
-	client := NewClient(addr, WithRetries(3), WithRetryBackoff(20*time.Millisecond))
+	client := NewClient(addr, WithRetries(3), withRetryBackoff(20*time.Millisecond))
 	defer client.Close()
 	ctx := context.Background()
 	if err := client.AcceptAuditData(ctx, "c", fx.owner.AuditSK.Pub, fx.sf.Encoded, fx.sf.Auths, 2); err != nil {

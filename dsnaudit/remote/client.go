@@ -25,10 +25,6 @@ const (
 	DefaultRetryBackoff = 100 * time.Millisecond
 )
 
-// Dialer opens the transport connection; it exists so tests can interpose
-// FaultTransport (or anything else) between client and server.
-type Dialer func(ctx context.Context, addr string) (net.Conn, error)
-
 // Client is the driver-side handle to one remote provider. It implements
 // dsnaudit.ProviderTransport: AcceptAuditData pushes the audit state over
 // the wire and Respond collects proofs, so an Engagement built with
@@ -48,7 +44,7 @@ type Dialer func(ctx context.Context, addr string) (net.Conn, error)
 // in-process one.
 type Client struct {
 	addr    string
-	dial    Dialer
+	dial    func(ctx context.Context, addr string) (net.Conn, error)
 	call    time.Duration
 	maxTry  int // total attempts per call (1 + retries)
 	backoff time.Duration
@@ -80,21 +76,6 @@ func WithRetries(n int) ClientOption {
 			c.maxTry = n + 1
 		}
 	}
-}
-
-// WithRetryBackoff sets the base backoff between retries; attempt i waits
-// backoff << (i-1).
-func WithRetryBackoff(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.backoff = d
-		}
-	}
-}
-
-// WithDialer replaces the TCP dialer (fault injection, in-memory pipes).
-func WithDialer(d Dialer) ClientOption {
-	return func(c *Client) { c.dial = d }
 }
 
 // NewClient creates a client for the provider server at addr. The

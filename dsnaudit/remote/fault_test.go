@@ -3,6 +3,9 @@ package remote
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,11 +14,107 @@ import (
 	"repro/internal/core"
 )
 
+// faultConfig describes a deterministic adversarial network. Rates are
+// probabilities in [0, 1] evaluated per frame (WriteFrame issues exactly
+// one Write per frame, so conn-level writes are frame-aligned); the seeded
+// RNG makes every schedule of drops, delays, duplicates and corruptions
+// reproducible.
+type faultConfig struct {
+	Seed        int64
+	DropRate    float64       // frame silently discarded
+	DelayRate   float64       // frame delivered after Delay
+	Delay       time.Duration // the injected latency
+	DupRate     float64       // frame written twice
+	CorruptRate float64       // one payload byte flipped
+}
+
+// faultTransport wraps a net.Conn and injects the configured faults into
+// the write path. Both ends of a protocol exchange can be wrapped;
+// faultClient wraps the client side.
+type faultTransport struct {
+	net.Conn
+	cfg faultConfig
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+// newFaultTransport wraps conn with the given fault schedule.
+func newFaultTransport(conn net.Conn, cfg faultConfig) *faultTransport {
+	return &faultTransport{Conn: conn, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+}
+
+// faultDialer returns a client dialer that dials TCP and wraps every connection
+// in a faultTransport. Connection i uses seed cfg.Seed+i, so re-dials see
+// fresh — but still reproducible — fault schedules.
+func faultDialer(cfg faultConfig) func(ctx context.Context, addr string) (net.Conn, error) {
+	var mu sync.Mutex
+	conns := int64(0)
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		d := net.Dialer{Timeout: DefaultDialTimeout}
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		c := cfg
+		c.Seed += conns
+		conns++
+		mu.Unlock()
+		return newFaultTransport(conn, c), nil
+	}
+}
+
+// Write applies the fault schedule to one frame-aligned write. The checks
+// draw from the RNG in a fixed order (drop, delay, duplicate, corrupt) so
+// a given seed always produces the same schedule.
+func (f *faultTransport) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	drop := f.roll(f.cfg.DropRate)
+	delay := f.roll(f.cfg.DelayRate)
+	dup := f.roll(f.cfg.DupRate)
+	corrupt := -1
+	if f.roll(f.cfg.CorruptRate) && len(p) > 0 {
+		corrupt = f.rng.Intn(len(p))
+	}
+	f.mu.Unlock()
+
+	if drop {
+		// The peer never sees the frame; the writer believes it landed.
+		return len(p), nil
+	}
+	if delay {
+		time.Sleep(f.cfg.Delay)
+	}
+	if corrupt >= 0 {
+		mangled := append([]byte(nil), p...)
+		mangled[corrupt] ^= 0xFF
+		p = mangled
+	}
+	n, err := f.Conn.Write(p)
+	if err != nil {
+		return n, err
+	}
+	if dup {
+		if _, err := f.Conn.Write(p); err != nil {
+			return len(p), err
+		}
+	}
+	return len(p), nil
+}
+
+// roll draws one Bernoulli sample. It always consumes RNG state, even at
+// rate 0, so enabling one fault type does not shift another's schedule.
+func (f *faultTransport) roll(rate float64) bool {
+	return f.rng.Float64() < rate
+}
+
 // faultClient builds a client whose connections run through a
-// FaultTransport with the given config.
-func faultClient(addr string, cfg FaultConfig, opts ...ClientOption) *Client {
-	opts = append([]ClientOption{WithDialer(FaultDialer(cfg))}, opts...)
-	return NewClient(addr, opts...)
+// faultTransport with the given config.
+func faultClient(addr string, cfg faultConfig, opts ...ClientOption) *Client {
+	c := NewClient(addr, opts...)
+	c.dial = faultDialer(cfg)
+	return c
 }
 
 // TestFaultDropCausesTimeout pins the slow-loris shape: frames vanish on
@@ -24,7 +123,7 @@ func faultClient(addr string, cfg FaultConfig, opts ...ClientOption) *Client {
 func TestFaultDropCausesTimeout(t *testing.T) {
 	node := dsnaudit.NewProviderNode("fault-sp")
 	addr, _ := startServer(t, node)
-	client := faultClient(addr, FaultConfig{Seed: 1, DropRate: 1},
+	client := faultClient(addr, faultConfig{Seed: 1, DropRate: 1},
 		WithCallTimeout(400*time.Millisecond), WithRetries(0))
 	defer client.Close()
 
@@ -51,8 +150,8 @@ func TestFaultCorruptionFailsRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupting := faultClient(addr, FaultConfig{Seed: 7, CorruptRate: 1},
-		WithCallTimeout(500*time.Millisecond), WithRetries(2), WithRetryBackoff(10*time.Millisecond))
+	corrupting := faultClient(addr, faultConfig{Seed: 7, CorruptRate: 1},
+		WithCallTimeout(500*time.Millisecond), WithRetries(2), withRetryBackoff(10*time.Millisecond))
 	defer corrupting.Close()
 	eng.Responder = corrupting
 
@@ -80,8 +179,8 @@ func TestFaultCorruptionErrorClass(t *testing.T) {
 	if err := clean.AcceptAuditData(context.Background(), "c", fx.owner.AuditSK.Pub, fx.sf.Encoded, fx.sf.Auths, 2); err != nil {
 		t.Fatal(err)
 	}
-	corrupting := faultClient(addr, FaultConfig{Seed: 11, CorruptRate: 1},
-		WithCallTimeout(500*time.Millisecond), WithRetries(1), WithRetryBackoff(10*time.Millisecond))
+	corrupting := faultClient(addr, faultConfig{Seed: 11, CorruptRate: 1},
+		WithCallTimeout(500*time.Millisecond), WithRetries(1), withRetryBackoff(10*time.Millisecond))
 	defer corrupting.Close()
 	ch, err := core.NewChallenge(4, newDetReader("fault-class"))
 	if err != nil {
@@ -104,7 +203,7 @@ func TestFaultDuplicationIsHarmless(t *testing.T) {
 	fx := buildFixture(t, "fault-dup")
 	node := dsnaudit.NewProviderNode("fault-sp")
 	addr, _ := startServer(t, node)
-	dup := faultClient(addr, FaultConfig{Seed: 3, DupRate: 1})
+	dup := faultClient(addr, faultConfig{Seed: 3, DupRate: 1})
 	defer dup.Close()
 
 	holder := fx.sf.Holders[0]
@@ -127,7 +226,7 @@ func TestFaultDelayWithinDeadline(t *testing.T) {
 	node := dsnaudit.NewProviderNode("fault-sp")
 	addr, _ := startServer(t, node)
 	slow := faultClient(addr,
-		FaultConfig{Seed: 5, DelayRate: 1, Delay: 30 * time.Millisecond},
+		faultConfig{Seed: 5, DelayRate: 1, Delay: 30 * time.Millisecond},
 		WithCallTimeout(10*time.Second))
 	defer slow.Close()
 
@@ -148,7 +247,7 @@ func TestFaultDelayWithinDeadline(t *testing.T) {
 // yields the same drop schedule, a different seed a different one.
 func TestFaultScheduleIsDeterministic(t *testing.T) {
 	schedule := func(seed int64) []bool {
-		ft := NewFaultTransport(nil, FaultConfig{Seed: seed, DropRate: 0.5})
+		ft := newFaultTransport(nil, faultConfig{Seed: seed, DropRate: 0.5})
 		out := make([]bool, 64)
 		for i := range out {
 			ft.mu.Lock()

@@ -228,7 +228,7 @@ func TestRemoteProcessKilledMidEngagement(t *testing.T) {
 	client := NewClient(addr,
 		WithCallTimeout(3*time.Second),
 		WithRetries(1),
-		WithRetryBackoff(20*time.Millisecond))
+		withRetryBackoff(20*time.Millisecond))
 	defer client.Close()
 
 	holder := fx.sf.Holders[0]
@@ -304,7 +304,7 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 	client := NewClient(deadAddr,
 		WithCallTimeout(2*time.Second),
 		WithRetries(1),
-		WithRetryBackoff(10*time.Millisecond))
+		withRetryBackoff(10*time.Millisecond))
 	defer client.Close()
 	engDead.Responder = client
 

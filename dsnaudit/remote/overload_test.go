@@ -30,6 +30,15 @@ func (s *gatedStore) GetProver(chain.Address) (*core.Prover, bool, error) {
 	return s.prover, true, nil
 }
 
+// withMaxInflightProofs bounds the server's concurrent proving to n
+// challenges; a challenge arriving past the bound is answered at once with
+// CodeOverloaded and a retry-after hint of one block (overloadRetryAfter).
+// Only proving is gated: audit-data handoffs, share fetches and pings are
+// always admitted.
+func withMaxInflightProofs(n int) ServerOption {
+	return func(s *Server) { s.proofSem = make(chan struct{}, n) }
+}
+
 // TestServerOverloadRefusal pins the backpressure contract end to end: a
 // challenge past the in-flight bound is answered immediately with the typed
 // overload error and the retry-after hint, the refusal is not a transport
@@ -53,7 +62,7 @@ func TestServerOverloadRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(node, WithServerLog(quiet), WithMaxInflightProofs(1, 9))
+	srv := NewServer(node, WithServerLog(quiet), withMaxInflightProofs(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -89,8 +98,8 @@ func TestServerOverloadRefusal(t *testing.T) {
 	if !errors.Is(err, dsnaudit.ErrOverloaded) {
 		t.Fatalf("saturated respond: got %v, want ErrOverloaded", err)
 	}
-	if hint := dsnaudit.RetryAfterHint(err); hint != 9 {
-		t.Fatalf("retry-after hint = %d, want 9", hint)
+	if hint := dsnaudit.RetryAfterHint(err); hint != 1 {
+		t.Fatalf("retry-after hint = %d, want 1", hint)
 	}
 	if dsnaudit.IsTransportError(err) {
 		t.Fatal("overload classified as a transport error (would be slashed)")

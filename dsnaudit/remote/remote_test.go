@@ -24,6 +24,12 @@ func eth(n int64) *big.Int {
 // quiet silences server connection logs in tests.
 func quiet(string, ...any) {}
 
+// withRetryBackoff sets the client's base backoff between re-dials (attempt
+// i waits d << (i-1)), so tests that kill or restart a server re-dial fast.
+func withRetryBackoff(d time.Duration) ClientOption {
+	return func(c *Client) { c.backoff = d }
+}
+
 // detReader is a deterministic entropy stream: block i is
 // SHA-256(seed || i). Two readers with the same seed yield identical
 // bytes, which is what pins byte-identical proofs across transports.

@@ -53,7 +53,7 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 		client := NewClient(addr,
 			WithCallTimeout(5*time.Second),
 			WithRetries(1),
-			WithRetryBackoff(20*time.Millisecond))
+			withRetryBackoff(20*time.Millisecond))
 		defer client.Close()
 		clients[name] = client
 		kills[name] = kill

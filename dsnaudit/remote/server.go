@@ -10,8 +10,7 @@
 // error (dsnaudit.ErrProviderUnreachable / ErrResponseTimeout /
 // ErrBadFrame), which the Scheduler maps onto the existing missed-round
 // path: the proof deadline lapses and the provider is slashed exactly as
-// if an in-process responder had silently failed. FaultTransport injects
-// those failure modes deterministically for tests.
+// if an in-process responder had silently failed.
 package remote
 
 import (
@@ -44,9 +43,10 @@ type Server struct {
 	// Admission control for proving: proofSem (when non-nil) bounds how many
 	// challenges the node proves at once; requests past the bound are
 	// refused immediately with CodeOverloaded and the retry-after hint
-	// instead of queueing unboundedly behind a saturated CPU.
-	proofSem   chan struct{}
-	retryAfter uint32
+	// instead of queueing behind a saturated CPU. No constructor option sets
+	// it: a server proves every challenge it receives, and only the overload
+	// tests bound it (withMaxInflightProofs in overload_test.go).
+	proofSem chan struct{}
 
 	obs *serverObs // nil = uninstrumented
 
@@ -65,22 +65,9 @@ func WithServerLog(logf func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithMaxInflightProofs bounds the server's concurrent proving to n
-// challenges; a challenge arriving past the bound is answered immediately
-// with CodeOverloaded carrying retryAfter (in blocks) as the backoff hint.
-// Overload is an explicit, honest refusal — the driver's scheduler retries
-// the still-open challenge instead of slashing — which is what keeps a
-// saturated provider from being punished as an absent one. n <= 0 leaves
-// admission unbounded (the default). Only proving is gated: audit-data
-// handoffs, share fetches and pings are cheap and always admitted.
-func WithMaxInflightProofs(n int, retryAfter uint32) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.proofSem = make(chan struct{}, n)
-			s.retryAfter = retryAfter
-		}
-	}
-}
+// overloadRetryAfter is the backoff hint, in blocks, that an overload
+// refusal carries: the driver re-asks at the next block.
+const overloadRetryAfter = 1
 
 // NewServer wraps a provider node. The same node may serve any number of
 // listeners and connections concurrently; its audit state is already safe
@@ -423,7 +410,7 @@ func (s *Server) sendOverloaded(w *connWriter, id uint64, msg string) {
 	if s.obs != nil {
 		s.obs.overloads.Inc()
 	}
-	payload, err := (&wire.Error{Code: wire.CodeOverloaded, Message: msg, RetryAfter: s.retryAfter}).Marshal()
+	payload, err := (&wire.Error{Code: wire.CodeOverloaded, Message: msg, RetryAfter: overloadRetryAfter}).Marshal()
 	if err != nil {
 		return
 	}

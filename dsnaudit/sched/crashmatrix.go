@@ -280,11 +280,7 @@ func diffMatrixSnapshots(want, got *matrixSnapshot) []string {
 // baseline, then one crashed-and-recovered run per (CrashPoint, occurrence)
 // cell, each diffed against the baseline. CrashMidCoalescedWrite tears a
 // multi-record write mid-buffer (single-record torn tails stay pinned by the
-// journal's unit and fuzz tests). Known exclusion: admission deferral
-// (WithMaxInflightPerShard) is not part of the matrix — a deferred-not-
-// issued challenge may be re-admitted one tick earlier after recovery,
-// which is behaviorally harmless (no deadline was running) but not
-// byte-identical.
+// journal's unit and fuzz tests).
 func RunCrashMatrix(cfg CrashMatrixConfig) (*CrashMatrixReport, error) {
 	cfg.applyDefaults()
 	if cfg.Dir == "" {

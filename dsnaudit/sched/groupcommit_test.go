@@ -366,7 +366,7 @@ func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint
 		v.prev = append(v.prev, barrierKey(journalRecord{typ: recSettled, addr: c.Addr, round: c.Round()}))
 	}
 	v.mu.Unlock()
-	return TrustingVerifier{}.SettleBlock(cs, height, workers)
+	return trustingVerifier{}.SettleBlock(cs, height, workers)
 }
 
 // TestGroupCommitBarrierBeforeSettlement pins the externally-visible-effect

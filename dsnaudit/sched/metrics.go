@@ -15,11 +15,10 @@ import (
 // zero added cost on the hot path and no dual accounting to drift. Only
 // the per-tick gauges and the checkpoint histogram are live series.
 type schedObs struct {
-	due      *obs.Gauge   // entries woken at the last tick
-	deferred *obs.Gauge   // admission deferrals at the last tick
-	parked   *obs.Gauge   // entries currently on the deadline/backoff path
-	depth    []*obs.Gauge // armed entries per shard wake queue
-	ckptDur  *obs.Histogram
+	due     *obs.Gauge   // entries woken at the last tick
+	parked  *obs.Gauge   // entries currently on the deadline/backoff path
+	depth   []*obs.Gauge // armed entries per shard wake queue
+	ckptDur *obs.Histogram
 }
 
 // WithMetrics attaches a metrics registry: the scheduler registers its
@@ -58,8 +57,6 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 		stat(func(x Stats) float64 { return float64(x.SettledRounds) }))
 	reg.CounterFunc("dsn_sched_slashes_total", "failed rounds and missed deadlines",
 		stat(func(x Stats) float64 { return float64(x.Slashes) }))
-	reg.CounterFunc("dsn_sched_deferrals_total", "challenges deferred by per-shard admission",
-		stat(func(x Stats) float64 { return float64(x.Deferrals) }))
 	reg.CounterFunc("dsn_sched_retries_total", "overloaded challenges re-dispatched",
 		stat(func(x Stats) float64 { return float64(x.Retries) }))
 	reg.CounterFunc("dsn_sched_overloads_total", "ErrOverloaded refusals observed",
@@ -71,10 +68,9 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dsn_sched_live", "entries not yet terminal",
 		stat(func(x Stats) float64 { return float64(x.Live) }))
 	o := &schedObs{
-		due:      reg.Gauge("dsn_sched_due", "entries woken at the last tick"),
-		deferred: reg.Gauge("dsn_sched_deferred", "admission deferrals at the last tick"),
-		parked:   reg.Gauge("dsn_sched_parked", "entries parked on the deadline or overload-backoff path"),
-		ckptDur:  reg.Histogram("dsn_sched_checkpoint_seconds", "checkpoint write duration", nil),
+		due:     reg.Gauge("dsn_sched_due", "entries woken at the last tick"),
+		parked:  reg.Gauge("dsn_sched_parked", "entries parked on the deadline or overload-backoff path"),
+		ckptDur: reg.Histogram("dsn_sched_checkpoint_seconds", "checkpoint write duration", nil),
 	}
 	for i := range s.store.shards {
 		o.depth = append(o.depth, reg.Gauge("dsn_sched_wake_queue_depth",
@@ -119,12 +115,11 @@ func (s *Scheduler) obsSyncParked() {
 }
 
 // obsTick updates the per-tick gauges after a wake pop.
-func (s *Scheduler) obsTick(popped, deferrals int) {
+func (s *Scheduler) obsTick(popped int) {
 	if s.obs == nil {
 		return
 	}
 	s.obs.due.Set(int64(popped))
-	s.obs.deferred.Set(int64(deferrals))
 	for i, g := range s.obs.depth {
 		sh := s.store.shards[i]
 		sh.mu.Lock()

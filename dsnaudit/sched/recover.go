@@ -255,12 +255,6 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 		if re.hint == hintTerminal {
 			rep.Entries++
 			rep.Terminal++
-			if s.autoCompact {
-				s.store.mu.Lock()
-				s.store.compacted++
-				s.store.mu.Unlock()
-				continue
-			}
 			e, err := resolve(re.addr)
 			rep.ResolverCalls++
 			if err != nil {

@@ -186,7 +186,7 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 	}
 
 	fired := 0
-	s := NewScheduler(fx.net, WithVerifier(TrustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl),
+	s := NewScheduler(fx.net, WithVerifier(trustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl),
 		WithCrashHook(func(p CrashPoint) bool {
 			if p != CrashPreIssue {
 				return false
@@ -204,7 +204,7 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 	noCheckpoint("NewScheduler(WithCheckpointEvery(0), WithJournal(j))", s)
 
 	rs, _, err := Recover(dir, fx.net, func(chain.Address) (*dsnaudit.Engagement, error) { return eng, nil },
-		WithVerifier(TrustingVerifier{}), WithCheckpointEvery(0))
+		WithVerifier(trustingVerifier{}), WithCheckpointEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,12 @@ import (
 //     (O(due + log heights)) instead of scanning every registration.
 //   - Aggregate live/settling counts are maintained incrementally, so the
 //     completion check is O(1).
-//   - Terminal entries can be compacted (automatically with
-//     WithAutoCompact, or on demand with Compact), so a long-lived
-//     scheduler's memory tracks live engagements, not history.
-//   - Challenge admission is bounded per shard per tick
-//     (WithMaxInflightPerShard): excess due engagements are deferred to the
-//     next tick with no challenge issued and therefore no deadline running —
-//     backpressure that is not slashable by construction. A provider that
-//     refuses a challenge with dsnaudit.ErrOverloaded is likewise retried
-//     after its hinted backoff instead of being parked into a missed
-//     deadline.
+//   - Terminal entries can be compacted on demand (Compact), so a
+//     long-lived scheduler's memory tracks live engagements, not history.
+//   - A provider that refuses a challenge with dsnaudit.ErrOverloaded is
+//     retried after its hinted backoff, up to maxOverloadRetries times,
+//     instead of being parked into a missed deadline: backpressure from
+//     the party that knows its load is not slashable.
 //
 // Determinism at any shard count comes from a global total order: every
 // entry carries its registration sequence number, per-shard pops are merged
@@ -71,8 +67,9 @@ type Scheduler struct {
 	workers     int // stage-1 proof-generation pool size
 	parallelism int // stage-2 settlement verification workers
 	verifier    dsnaudit.Verifier
-	maxInflight int // per-shard per-tick challenge admissions; 0 = unbounded
-	maxRetries  int // consecutive overload refusals before the deadline path
+	// autoCompact drops every terminal entry the moment its outcome hooks
+	// have run, so Results/Result stop reporting it. Only the soak harness
+	// sets it, to keep memory proportional to live engagements.
 	autoCompact bool
 
 	store *store
@@ -109,7 +106,7 @@ type Stats struct {
 	Ticks      uint64 // blocks mined by Run
 	Woken      uint64 // entries popped from wake queues
 	Challenges uint64 // challenges issued
-	Deferrals  uint64 // challenges deferred by per-shard admission
+	Deferrals  uint64 // always 0 (admission deferral was removed); kept because bench/ compiles against it
 	Retries    uint64 // overloaded challenges re-dispatched
 	Overloads  uint64 // ErrOverloaded refusals observed
 	Compacted  uint64 // terminal entries dropped
@@ -120,6 +117,12 @@ type Stats struct {
 	SettledRounds uint64 // rounds settled (verdicts and missed deadlines)
 	Slashes       uint64 // failed rounds and missed deadlines
 }
+
+// maxOverloadRetries is how many consecutive ErrOverloaded refusals of one
+// challenge the scheduler absorbs, re-asking after each hinted backoff,
+// before it treats the provider as absent and parks the engagement on the
+// proof-deadline path.
+const maxOverloadRetries = 16
 
 // Option customizes NewScheduler.
 type Option func(*Scheduler)
@@ -164,34 +167,6 @@ func WithVerifier(v dsnaudit.Verifier) Option {
 			s.verifier = v
 		}
 	}
-}
-
-// WithMaxInflightPerShard bounds how many challenges each shard may issue
-// per tick. A due engagement past the bound is deferred to the next tick:
-// its challenge is never issued, so no proof deadline starts and the
-// deferral cannot slash anyone — admission control, not punishment.
-// Engagements adopted with a challenge already open are exempt (their
-// deadline is already running; deferring them is what would slash).
-// n <= 0 leaves admission unbounded (the default).
-func WithMaxInflightPerShard(n int) Option {
-	return func(s *Scheduler) { s.maxInflight = n }
-}
-
-// WithOverloadRetries sets how many consecutive ErrOverloaded refusals of
-// one challenge the scheduler absorbs (re-asking after each hinted backoff)
-// before treating the provider as absent and parking the engagement on the
-// proof-deadline path. The default is 16; n <= 0 retries forever.
-func WithOverloadRetries(n int) Option {
-	return func(s *Scheduler) { s.maxRetries = n }
-}
-
-// WithAutoCompact drops every terminal entry the moment its outcome hooks
-// have run, keeping a long-lived scheduler's memory proportional to live
-// engagements. Results/Result stop reporting compacted engagements —
-// terminal accounting is delivered through the outcome hooks, which fire
-// before the entry is dropped.
-func WithAutoCompact() Option {
-	return func(s *Scheduler) { s.autoCompact = true }
 }
 
 // WithJournal makes the scheduler durable: what recovery cannot re-derive
@@ -239,16 +214,15 @@ func WithCheckpointEvery(n int) Option {
 }
 
 // NewScheduler creates a scheduler over the network's chain. The defaults —
-// one shard, batched verification, GOMAXPROCS-way parallelism, no journal,
-// unbounded admission — are the plain in-memory driver; options add shards,
-// durability and backpressure without changing outcomes.
+// one shard, batched verification, GOMAXPROCS-way parallelism, no journal —
+// are the plain in-memory driver; options add shards and durability without
+// changing outcomes.
 func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		net:         n,
 		workers:     runtime.GOMAXPROCS(0),
 		parallelism: runtime.GOMAXPROCS(0),
 		verifier:    &dsnaudit.BatchVerifier{},
-		maxRetries:  16,
 		ckptEvery:   64,
 		jflushEvery: 1,
 	}
@@ -367,7 +341,7 @@ func (s *Scheduler) Results() map[chain.Address]dsnaudit.Result {
 }
 
 // Compact drops every terminal entry from the registries and returns how
-// many were dropped. With WithAutoCompact this is a no-op.
+// many were dropped.
 func (s *Scheduler) Compact() int {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
@@ -772,8 +746,7 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 	popped := s.store.popDue(h)
 	sort.Slice(popped, func(i, j int) bool { return popped[i].seq < popped[j].seq })
 
-	var challenges, deferrals, retries uint64
-	issued := make([]int, len(s.store.shards))
+	var challenges, retries uint64
 	dispatch := func(en *entry, ch *core.Challenge) {
 		due = append(due, proofJob{entry: en, ch: ch, slot: len(block)})
 		block = append(block, nil)
@@ -782,10 +755,9 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 		s.mu.Lock()
 		s.stats.Woken += uint64(len(popped))
 		s.stats.Challenges += challenges
-		s.stats.Deferrals += deferrals
 		s.stats.Retries += retries
 		s.mu.Unlock()
-		s.obsTick(len(popped), int(deferrals))
+		s.obsTick(len(popped))
 	}()
 
 	for _, en := range popped {
@@ -805,13 +777,6 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 					s.store.arm(e.Contract.TriggerHeight(), en)
 					continue
 				}
-				if s.maxInflight > 0 && issued[en.shard] >= s.maxInflight {
-					// Admission full: defer with no challenge issued, so no
-					// deadline starts — the deferral cannot slash.
-					deferrals++
-					s.store.arm(h+1, en)
-					continue
-				}
 				ch, err := e.Contract.IssueChallenge()
 				if err != nil {
 					s.finish(en, err)
@@ -822,14 +787,12 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 					s.finish(en, nil)
 					continue
 				}
-				issued[en.shard]++
 				challenges++
 				s.setPhase(en, phaseProving)
 				s.tracer.Emit(obs.EvChallenge, string(e.ID()), e.Contract.Round(), h, "")
 				dispatch(en, ch)
 			case contract.StateProve:
-				// Adopted mid-round: resume the open challenge. Exempt from
-				// admission — its deadline is already running.
+				// Adopted mid-round: resume the open challenge.
 				s.setPhase(en, phaseProving)
 				dispatch(en, e.Contract.CurrentChallenge())
 			case contract.StateSettle:
@@ -861,14 +824,7 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 			s.finish(en, nil) // a missed deadline aborts the contract
 		case phaseRetry:
 			// The provider refused the open challenge with ErrOverloaded and
-			// the backoff has elapsed: re-ask. Counts against admission like
-			// a fresh challenge — retrying is load too.
-			if s.maxInflight > 0 && issued[en.shard] >= s.maxInflight {
-				deferrals++
-				s.store.arm(h+1, en)
-				continue
-			}
-			issued[en.shard]++
+			// the backoff has elapsed: re-ask.
 			retries++
 			s.setPhase(en, phaseProving)
 			dispatch(en, e.Contract.CurrentChallenge())
@@ -881,7 +837,7 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 // whether the entry joined the block awaiting settlement. Failures map to
 // three distinct paths: cancellation leaves the entry for the resume
 // machinery; an overload refusal re-arms at the provider's hinted backoff
-// (bounded by WithOverloadRetries) with the challenge still open; any other
+// (at most maxOverloadRetries times) with the challenge still open; any other
 // responder error parks the entry until the proof deadline slashes.
 func (s *Scheduler) submit(ctx context.Context, h uint64, r proofResult) bool {
 	en, e := r.entry, r.entry.eng
@@ -894,7 +850,7 @@ func (s *Scheduler) submit(ctx context.Context, h uint64, r proofResult) bool {
 			s.stats.Overloads++
 			s.mu.Unlock()
 			en.retries++
-			if s.maxRetries > 0 && en.retries > s.maxRetries {
+			if en.retries > maxOverloadRetries {
 				// Persistently saturated is indistinguishable from absent:
 				// fall through to the deadline path like any failed round.
 				s.park(en, parkDeadline, e.Contract.TriggerHeight())
@@ -1029,7 +985,7 @@ func (s *Scheduler) recordRound(en *entry, passed bool) {
 }
 
 // finish marks an entry terminal, delivers the outcome to the hooks with no
-// lock held, and (under WithAutoCompact) drops the entry.
+// lock held, and (under autoCompact) drops the entry.
 func (s *Scheduler) finish(en *entry, err error) {
 	s.store.mu.Lock()
 	oldPhase := en.phase

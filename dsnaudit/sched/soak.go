@@ -223,8 +223,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	schedOpts := []Option{
 		WithShards(cfg.Shards),
 		WithParallelism(cfg.Parallelism),
-		WithVerifier(TrustingVerifier{}),
-		WithAutoCompact(),
+		WithVerifier(trustingVerifier{}),
 		WithMetrics(cfg.Registry),
 	}
 	var jnl *Journal
@@ -239,6 +238,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		}
 	}
 	sched := NewScheduler(net, schedOpts...)
+	sched.autoCompact = true
 	// Retired audit state is reclaimed the moment its engagement ends —
 	// resident memory tracks the live window, not history.
 	sched.OnOutcome(func(o dsnaudit.Outcome) {

@@ -167,12 +167,3 @@ func (s *store) counts() (live, settling int) {
 	defer s.mu.Unlock()
 	return s.live, s.settling
 }
-
-// compact drops a terminal entry from the lookup map so a long-lived
-// scheduler's memory tracks live engagements, not history.
-func (s *store) compact(en *entry) {
-	s.mu.Lock()
-	delete(s.byID, en.eng.ID())
-	s.compacted++
-	s.mu.Unlock()
-}

@@ -4,7 +4,7 @@ import (
 	"repro/internal/contract"
 )
 
-// TrustingVerifier settles every pending proof as passed without any
+// trustingVerifier settles every pending proof as passed without any
 // pairing work, via contract.SettleTrustedAt. All the on-chain consequences
 // of a passed round — escrow payment, trigger re-arm, round accounting,
 // expiry — still execute, so funds movement and contract lifecycles are
@@ -15,10 +15,10 @@ import (
 // wake-queue behavior, memory, tick latency — not the pairing throughput
 // the cryptographic benchmarks already cover. It is NOT part of the audit
 // protocol and must never settle contracts whose verdicts matter.
-type TrustingVerifier struct{}
+type trustingVerifier struct{}
 
 // SettleBlock settles every contract as passed at the sealed height.
-func (TrustingVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
+func (trustingVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
 	out := make([]contract.SettleResult, len(cs))
 	for i, k := range cs {
 		passed, err := k.SettleTrustedAt(true, height)

@@ -14,8 +14,8 @@
 //     blocks.
 //
 // Both succeed against Prove and fail against ProvePrivate, which is the
-// paper's central security claim; the package tests and the privacyattack
-// example demonstrate both directions.
+// paper's central security claim; the package tests and
+// `cmd/experiments -exp attack` demonstrate both directions.
 package attack
 
 import (
@@ -239,8 +239,8 @@ func ObservationsNeeded(s, u int) int { return s * u }
 // audit trails from uniform randomness: it buckets the top bits of observed
 // y' values and returns the normalized chi-square statistic. For the
 // Sigma-masked protocol this stays near 1 (uniform); a leaky protocol
-// correlated with file contents would drift. Used by tests and the
-// privacyattack example as the "nothing to interpolate" evidence.
+// correlated with file contents would drift. Used by tests and
+// `-exp attack` as the "nothing to interpolate" evidence.
 //
 // A value's bucket is read from its top 64 bits t as
 // floor(t * buckets / (t_max + 1)), t_max those of n - 1: the equal-width

@@ -121,8 +121,8 @@ type Frame struct {
 
 // WriteFrame encodes f and writes it. The whole frame is assembled into one
 // buffer and issued as a single Write call, so conn-level fault injectors
-// (remote.FaultTransport) observe exactly one Write per frame and can drop,
-// duplicate or corrupt at frame granularity.
+// (remote's test fault transport, fault_test.go) observe exactly one Write
+// per frame and can drop, duplicate or corrupt at frame granularity.
 func WriteFrame(w io.Writer, f *Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return ErrFrameTooLarge

@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameSingleWrite(t *testing.T) {
-	// FaultTransport depends on one Write call per frame.
+	// remote's test fault transport (fault_test.go) depends on one Write call per frame.
 	w := &writeCounter{}
 	if err := WriteFrame(w, &Frame{Type: MsgPing, ID: 7, Payload: make([]byte, 100)}); err != nil {
 		t.Fatal(err)
