@@ -9,7 +9,8 @@
 //	go run ./cmd/experiments -exp fig7 -quick  # smaller workloads
 //
 // Experiments: table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 beacon
-// attack confidence entropy churn soak crash.
+// attack confidence entropy churn soak. The crash matrix is a test:
+// go test ./dsnaudit/sched -run '^TestCrashMatrix$'.
 //
 // Absolute timings depend on this implementation's big.Int-based curve
 // arithmetic (the paper used assembly-optimized ECC); EXPERIMENTS.md
@@ -60,7 +61,6 @@ var registry = []experiment{
 	{"entropy", "Merkle challenge-entropy exhaustion (Sec. II)", runEntropy},
 	{"churn", "Repair under provider churn: durability and latency", runChurn},
 	{"soak", "Sharded scheduler at scale: O(due) ticks, spill-bounded memory", runSoak},
-	{"crash", "Crash-injection matrix: kill, recover, verify byte-identical outcomes", runCrash},
 }
 
 func main() {

@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/chain"
 	"repro/internal/contract"
@@ -21,15 +23,15 @@ import (
 // restart must read, not how much disk it holds.
 //
 // The file is written whole to checkpoint.tmp, synced, renamed into place and
-// the directory synced (installFile), and its payload is sealed by a trailing
-// sha256. A crash or power loss mid-write therefore leaves either the
-// previous complete checkpoint or a torn .tmp — the torn .tmp is expected
+// the directory synced (Journal.install), and its payload is sealed by a
+// trailing sha256. A crash or power loss mid-write therefore leaves either
+// the previous complete checkpoint or a torn .tmp — the torn .tmp is expected
 // debris and is removed silently; a checkpoint file that itself fails its
 // digest is real corruption and surfaces as a typed error.
 
 const (
 	checkpointName    = "checkpoint"
-	checkpointTmpName = "checkpoint.tmp"
+	checkpointTmpName = checkpointName + ".tmp"
 )
 
 var checkpointMagic = []byte{'D', 'S', 'N', 'C', 1}
@@ -199,14 +201,14 @@ func decodeCheckpoint(data []byte, path string) (*checkpointData, error) {
 	return c, nil
 }
 
-// loadCheckpoint reads dir's checkpoint if present, removing any torn .tmp
-// left by a crash mid-checkpoint. (nil, nil) means no checkpoint: recovery
-// replays the journal from the start.
-func loadCheckpoint(dir string) (*checkpointData, error) {
+// loadCheckpoint reads the journal directory's checkpoint if present,
+// removing any torn .tmp left by a crash mid-checkpoint. (nil, nil) means no
+// checkpoint: recovery replays the journal from the start.
+func (j *Journal) loadCheckpoint() (*checkpointData, error) {
 	// A crash between writing checkpoint.tmp and renaming it leaves the tmp
 	// behind; the previous complete checkpoint (if any) is still authoritative.
-	os.Remove(filepath.Join(dir, checkpointTmpName))
-	path := filepath.Join(dir, checkpointName)
+	j.fs.Remove(filepath.Join(j.dir, checkpointTmpName))
+	path := filepath.Join(j.dir, checkpointName)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -220,7 +222,9 @@ func loadCheckpoint(dir string) (*checkpointData, error) {
 // writeCheckpoint snapshots the scheduler's registry and journal offsets to
 // disk. It runs on the Run goroutine at the end of a tick; entry fields are
 // read under the store lock and no contract is touched (settling entries'
-// contracts are owned by the settlement stage at this point).
+// contracts are owned by the settlement stage at this point). Entries are
+// written in registration order, so the file's bytes are a function of the
+// state.
 func (s *Scheduler) writeCheckpoint() error {
 	// The journal's buffers must hit disk (synced) before the offsets are
 	// read: a checkpoint's offsets may only ever point at bytes that exist,
@@ -235,8 +239,13 @@ func (s *Scheduler) writeCheckpoint() error {
 	}
 	s.store.mu.Lock()
 	c.seq = s.store.seq
-	c.entries = make([]checkpointEntry, 0, len(s.store.byID))
+	ens := make([]*entry, 0, len(s.store.byID))
 	for _, en := range s.store.byID {
+		ens = append(ens, en)
+	}
+	slices.SortFunc(ens, func(a, b *entry) int { return cmp.Compare(a.seq, b.seq) })
+	c.entries = make([]checkpointEntry, 0, len(ens))
+	for _, en := range ens {
 		ce := checkpointEntry{
 			addr:       en.eng.ID(),
 			seq:        en.seq,
@@ -268,16 +277,7 @@ func (s *Scheduler) writeCheckpoint() error {
 	}
 	s.store.mu.Unlock()
 
-	buf := encodeCheckpoint(c)
-	tmp := filepath.Join(s.journal.dir, checkpointTmpName)
-	if s.crashAt(CrashMidCheckpoint) {
-		// Simulate dying partway through the tmp write: leave a torn tmp on
-		// disk. The previous checkpoint and the journal remain authoritative.
-		torn := buf[:len(buf)-sha256.Size/2]
-		os.WriteFile(tmp, torn, 0o644)
-		return ErrCrashed
-	}
-	if err := installFile(tmp, filepath.Join(s.journal.dir, checkpointName), buf); err != nil {
+	if err := s.journal.install(checkpointName, encodeCheckpoint(c)); err != nil {
 		return fmt.Errorf("sched: install checkpoint: %w", err)
 	}
 	s.journal.mu.Lock()
@@ -286,15 +286,20 @@ func (s *Scheduler) writeCheckpoint() error {
 	return nil
 }
 
-// installFile replaces path with data so that power loss at any moment leaves
-// either the old file or the new one whole: the bytes are synced under the
-// tmp name before the rename, and the directory after it — without the first
-// the rename can reach the disk ahead of the data, without the second it may
-// not reach it at all.
-func installFile(tmp, path string, data []byte) error {
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+// install replaces the file name in the journal directory with data so that
+// a crash or power loss at any moment leaves either the old file or the new
+// one whole: the bytes are synced under name.tmp before the rename, and the
+// directory after it — without the first the rename can reach the disk ahead
+// of the data, without the second it may not reach it at all. A failure is
+// latched like any other journal I/O failure.
+func (j *Journal) install(name string, data []byte) error {
+	if err := j.fault(); err != nil {
 		return err
+	}
+	tmp, path := filepath.Join(j.dir, name+".tmp"), filepath.Join(j.dir, name)
+	f, err := j.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return j.fail(err)
 	}
 	_, err = f.Write(data)
 	if err == nil {
@@ -303,16 +308,27 @@ func installFile(tmp, path string, data []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = j.fs.Rename(tmp, path)
+	}
+	if err == nil {
+		err = j.syncDir()
+	}
+	if err != nil {
+		return j.fail(err)
+	}
+	return nil
+}
+
+// syncDir fsyncs the journal directory, making a rename in it durable.
+func (j *Journal) syncDir() error {
+	d, err := j.fs.OpenFile(j.dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+	return err
 }

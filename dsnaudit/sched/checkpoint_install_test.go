@@ -22,7 +22,7 @@ func TestInstallFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte("the next one")
-	if err := installFile(tmp, path, want); err != nil {
+	if err := (&Journal{fs: osFS{}, dir: dir}).install(checkpointName, want); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
@@ -33,7 +33,7 @@ func TestInstallFile(t *testing.T) {
 	}
 
 	gone := filepath.Join(dir, "no-such-dir")
-	if err := installFile(filepath.Join(gone, checkpointTmpName), filepath.Join(gone, checkpointName), want); err == nil {
+	if err := (&Journal{fs: osFS{}, dir: gone}).install(checkpointName, want); err == nil {
 		t.Fatal("install into a missing directory reported success")
 	}
 }

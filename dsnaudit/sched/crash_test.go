@@ -1,43 +1,569 @@
 package sched
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
 
-// TestCrashMatrix is the durability tentpole's behavioral contract: a
-// journaled scheduler killed at every labeled crash point (several
-// occurrences each, at one and at four shards), recovered from its journal
-// directory, and driven to completion must be byte-identical — outcomes,
-// funds, final height, reputation — to an uninterrupted run, with recovery
-// reading no chain history and calling the resolver exactly once per entry.
-// Run under -race this also exercises the journal appends against the
-// pipeline overlap.
+	"repro/dsnaudit"
+	"repro/internal/beacon"
+	"repro/internal/chain"
+	"repro/internal/core"
+)
+
+// The crash matrix is the durability layer's behavioral contract: kill a
+// journaled scheduler at a file-system effect — every mutating call or sync
+// its journal makes, the method of ALICE (Pillai et al., OSDI 2014) — or at
+// a pipeline label, recover it from disk with Recover, drive the recovered
+// run to completion, and demand the outcome — every engagement's rounds and
+// terminal state, the final chain height, total gas within proof-entropy
+// tolerance, every balance, every reputation score — identical to an
+// uninterrupted run of the same fixture.
+
+var crashFull = flag.Bool("crash.full", false,
+	"TestCrashMatrix: every effect cell at both shard counts, each label at every occurrence")
+
+// crashFixture mirrors the scheduler parity fixture: a deterministic
+// many-owner deployment exercising every outcome class — an EngageAll set
+// over ten holders of a shared file, an extra honest engagement, a cheater
+// with fully corrupted audit state, and a provider whose responder is dead.
+type crashFixture struct {
+	net  *dsnaudit.Network
+	engs []*dsnaudit.Engagement
+}
+
+// deadResponder fails every challenge: the deadline/slash path.
+type deadResponder struct{}
+
+func (deadResponder) Respond(context.Context, chain.Address, *core.Challenge) ([]byte, error) {
+	return nil, errors.New("responder down")
+}
+
+func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
+	wei := func(n int64) *big.Int {
+		return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
+	}
+	b, err := beacon.NewTrusted([]byte(seed))
+	if err != nil {
+		return nil, err
+	}
+	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := net.AddProvider("sp-"+string(rune('a'+i)), wei(1)); err != nil {
+			return nil, err
+		}
+	}
+	terms := dsnaudit.DefaultTerms(rounds)
+	terms.ChallengeSize = 4
+	data := make([]byte, 600)
+	for i := range data {
+		data[i] = byte(i * 11)
+	}
+
+	alice, err := dsnaudit.NewOwner(net, "alice", 4, wei(1))
+	if err != nil {
+		return nil, err
+	}
+	sf, err := alice.Outsource("shared-file", data, 3, 7)
+	if err != nil {
+		return nil, err
+	}
+	set, err := alice.EngageAll(sf, terms)
+	if err != nil {
+		return nil, err
+	}
+
+	bob, err := dsnaudit.NewOwner(net, "bob", 4, wei(1))
+	if err != nil {
+		return nil, err
+	}
+	sfB, err := bob.Outsource("bob-file", data, 3, 7)
+	if err != nil {
+		return nil, err
+	}
+	engB, err := bob.Engage(sfB, sfB.Holders[0], terms)
+	if err != nil {
+		return nil, err
+	}
+
+	carol, err := dsnaudit.NewOwner(net, "carol", 4, wei(1))
+	if err != nil {
+		return nil, err
+	}
+	sfC, err := carol.Outsource("carol-file", data, 3, 7)
+	if err != nil {
+		return nil, err
+	}
+	engC, err := carol.Engage(sfC, sfC.Holders[0], terms)
+	if err != nil {
+		return nil, err
+	}
+	prover, ok := engC.Provider.Prover(engC.Contract.Addr)
+	if !ok {
+		return nil, errors.New("sched: crash fixture lost its cheater's prover state")
+	}
+	for i := 0; i < prover.File.NumChunks(); i++ {
+		prover.File.Corrupt(i, 0)
+	}
+
+	dave, err := dsnaudit.NewOwner(net, "dave", 4, wei(1))
+	if err != nil {
+		return nil, err
+	}
+	sfD, err := dave.Outsource("dave-file", data, 3, 7)
+	if err != nil {
+		return nil, err
+	}
+	engD, err := dave.Engage(sfD, sfD.Holders[0], terms)
+	if err != nil {
+		return nil, err
+	}
+	engD.Responder = deadResponder{}
+
+	engs := append(append([]*dsnaudit.Engagement(nil), set.Engagements...), engB, engC, engD)
+	return &crashFixture{net: net, engs: engs}, nil
+}
+
+// matrixSnapshot is everything a crash case is judged on.
+type matrixSnapshot struct {
+	results  map[string]string
+	height   uint64
+	gas      uint64
+	balances map[string]string
+	trust    map[string]string
+}
+
+func takeMatrixSnapshot(fx *crashFixture, result func(chain.Address) (dsnaudit.Result, bool)) (*matrixSnapshot, error) {
+	s := &matrixSnapshot{
+		results:  make(map[string]string),
+		height:   fx.net.Chain.Height(),
+		gas:      fx.net.Chain.TotalGas(),
+		balances: make(map[string]string),
+		trust:    make(map[string]string),
+	}
+	owners := map[string]bool{}
+	for _, e := range fx.engs {
+		res, ok := result(e.ID())
+		if !ok {
+			return nil, fmt.Errorf("sched: crash matrix: no result for %s", e.ID())
+		}
+		key := e.Owner.Name + "/" + e.Provider.Name
+		s.results[key] = fmt.Sprintf("rounds=%d passed=%d failed=%d state=%v err=%v",
+			res.Rounds, res.Passed, res.Failed, res.State, res.Err != nil)
+		s.balances[e.Provider.Name] = fx.net.Chain.Balance(chain.Address(e.Provider.Name)).String()
+		s.trust[e.Provider.Name] = fmt.Sprintf("%.9f", fx.net.Reputation.Trust(e.Provider.Name))
+		owners[e.Owner.Name] = true
+	}
+	for name := range owners {
+		s.balances[name] = fx.net.Chain.Balance(chain.Address(name)).String()
+	}
+	return s, nil
+}
+
+// diffMatrixSnapshots lists every behavioral mismatch between a crash case
+// and the uninterrupted baseline. Final height, every round account, every
+// balance and every reputation score compare exactly; total gas within the
+// proof-entropy tolerance parity testing uses (fresh seals make proof
+// calldata lengths wobble a few bytes per proof; structural divergence moves
+// gas by tens of thousands).
+func diffMatrixSnapshots(want, got *matrixSnapshot) []string {
+	var diffs []string
+	if got.height != want.height {
+		diffs = append(diffs, fmt.Sprintf("final height %d, want %d", got.height, want.height))
+	}
+	const gasTolerance = 8_000
+	if d := int64(got.gas) - int64(want.gas); d > gasTolerance || d < -gasTolerance {
+		diffs = append(diffs, fmt.Sprintf("total gas %d, want %d (±%d)", got.gas, want.gas, int64(gasTolerance)))
+	}
+	for k, w := range want.results {
+		if g := got.results[k]; g != w {
+			diffs = append(diffs, fmt.Sprintf("%s result %q, want %q", k, g, w))
+		}
+	}
+	for k, w := range want.balances {
+		if g := got.balances[k]; g != w {
+			diffs = append(diffs, fmt.Sprintf("%s balance %s, want %s", k, g, w))
+		}
+	}
+	for k, w := range want.trust {
+		if g := got.trust[k]; g != w {
+			diffs = append(diffs, fmt.Sprintf("%s trust %s, want %s", k, g, w))
+		}
+	}
+	return diffs
+}
+
+// The matrix run's journal settings: a synced flush every other tick, a
+// checkpoint every third and a two-record buffer, so every kind of write —
+// write-through, buffer-full, barrier, checkpoint — recurs through the run.
+// One prove worker makes the effect numbering a function of the seed.
+const (
+	matrixSeed       = "crash-matrix"
+	matrixRounds     = 3
+	matrixCkptEvery  = 3
+	matrixFlushEvery = 2
+	matrixFlushBytes = 96
+)
+
+func matrixOptions(shards int) []Option {
+	return []Option{WithShards(shards), WithParallelism(2), WithWorkers(1),
+		WithCheckpointEvery(matrixCkptEvery), WithJournalFlushEvery(matrixFlushEvery)}
+}
+
+// crashLabels are the pipeline labels, where the chain moves but no file does.
+var crashLabels = []crashPoint{crashPreIssue, crashPostIssue, crashMidProve, crashPreSettle, crashPostSettle}
+
+// crashCell is one matrix cell: a kill at file-system effect number effect
+// (torn: after a torn prefix of that write), or at the occ-th firing of label.
+type crashCell struct {
+	effect int
+	torn   bool
+	label  crashPoint
+	occ    int
+}
+
+// String names the cell's subtest, so
+// go test -run 'TestCrashMatrix/shards=4/effect-36-torn$' replays one cell.
+func (c crashCell) String() string {
+	switch {
+	case c.label != "":
+		return fmt.Sprintf("%s-%d", c.label, c.occ)
+	case c.torn:
+		return fmt.Sprintf("effect-%d-torn", c.effect)
+	}
+	return fmt.Sprintf("effect-%d", c.effect)
+}
+
+// TestCrashMatrix kills the fixture at every file-system effect of its run
+// (and tears every write) at four shards, at a seeded sample covering every
+// effect kind at one shard, and at each pipeline label at both. -crash.full
+// runs every cell at both counts and each label at every occurrence; -short
+// runs only a sample at four shards. A red cell names its effect; its
+// subtest replays it alone.
 func TestCrashMatrix(t *testing.T) {
-	shardCounts := []int{1, 4}
-	var occurrences []int // nil: the matrix's default depth
-	if testing.Short() {
-		// One occurrence per point at one shard count still covers every
-		// recovery path; the deeper occurrences vary how much journal is
-		// replayed and which records the crash lost.
-		shardCounts, occurrences = []int{4}, []int{1}
+	full := map[int]bool{1: *crashFull, 4: true}
+	shardCounts, perKind, occs := []int{1, 4}, 3, []int{3}
+	if *crashFull {
+		occs = []int{1, 2, 3, 5, 8, 13, 21}
+	} else if testing.Short() {
+		shardCounts, perKind, full[4] = []int{4}, 1, false
 	}
 	for _, shards := range shardCounts {
-		rep, err := RunCrashMatrix(CrashMatrixConfig{Dir: t.TempDir(), Shards: shards, Occurrences: occurrences, Logf: t.Logf})
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			want := matrixBaseline(t, shards)
+			effects := recordMatrixRun(t, shards, want)
+			var cells []crashCell
+			if full[shards] {
+				for j, e := range effects {
+					cells = append(cells, crashCell{effect: j})
+					if e.op == "write" {
+						cells = append(cells, crashCell{effect: j, torn: true})
+					}
+				}
+			} else {
+				cells = sampleCells(effects, perKind)
+			}
+			for _, p := range crashLabels {
+				for _, occ := range occs {
+					cells = append(cells, crashCell{label: p, occ: occ})
+				}
+			}
+			t.Logf("%d effects, %d cells", len(effects), len(cells))
+			root := t.TempDir()
+			for _, c := range cells {
+				c := c
+				t.Run(c.String(), func(t *testing.T) {
+					t.Parallel() // each cell owns its fixture, chain and directory
+					for _, d := range runCrashCell(t, filepath.Join(root, c.String()), shards, c, want) {
+						if c.label == "" {
+							d += fmt.Sprintf(" (kill at %+v)", effects[c.effect])
+						}
+						t.Error(d)
+					}
+				})
+			}
+		})
+	}
+}
+
+// sampleCells picks perKind effects of each kind the run made, with a fixed
+// seed, and a torn cell beside each write it picks.
+func sampleCells(effects []effect, perKind int) []crashCell {
+	byOp := make(map[string][]int)
+	for j, e := range effects {
+		byOp[e.op] = append(byOp[e.op], j)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var cells []crashCell
+	for _, op := range []string{"mkdir", "create", "write", "sync", "truncate", "rename", "remove"} {
+		idx := byOp[op]
+		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+		idx = idx[:min(perKind, len(idx))]
+		sort.Ints(idx)
+		for _, j := range idx {
+			cells = append(cells, crashCell{effect: j})
+			if op == "write" {
+				cells = append(cells, crashCell{effect: j, torn: true})
+			}
+		}
+	}
+	return cells
+}
+
+// matrixBaseline runs the fixture uninterrupted, with no journal.
+func matrixBaseline(t *testing.T, shards int) *matrixSnapshot {
+	t.Helper()
+	fx, err := buildCrashFixture(matrixSeed, matrixRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(fx.net, matrixOptions(shards)...)
+	for _, e := range fx.engs {
+		if err := s.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := takeMatrixSnapshot(fx, s.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// recordMatrixRun runs the fixture journaled through a faultFS that never
+// fails, requires the outcome to equal the baseline — journaling is
+// behavior-neutral — and returns the effects it recorded: the cells.
+func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) []effect {
+	t.Helper()
+	dir := t.TempDir()
+	ffs := &faultFS{root: dir}
+	fx, err := buildCrashFixture(matrixSeed, matrixRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := journaledRun(ffs, dir, shards, fx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := takeMatrixSnapshot(fx, s.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diffMatrixSnapshots(want, got) {
+		t.Errorf("journaled run: %s", d)
+	}
+	return ffs.recorded()
+}
+
+// journaledRun opens a journal in dir through fs, adds the fixture and runs
+// it; hook, if set, is the scheduler's crash hook. The journal is closed on
+// return.
+func journaledRun(fs fsys, dir string, shards int, fx *crashFixture, hook func(crashPoint) bool) (*Scheduler, error) {
+	jnl, err := openJournal(fs, dir, shards)
+	if err != nil {
+		return nil, err
+	}
+	jnl.flushBytes = matrixFlushBytes
+	s := NewScheduler(fx.net, append(matrixOptions(shards), WithJournal(jnl))...)
+	s.crashHook = hook
+	for _, e := range fx.engs {
+		if err = s.Add(e); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = s.Run(context.Background())
+	}
+	if cerr := jnl.Close(); err == nil {
+		err = cerr
+	}
+	return s, err
+}
+
+// runCrashCell runs one cell: a fresh fixture journaled through a faultFS
+// killed at the cell, Recover on the bytes the kill left, and the recovered
+// run driven to completion. It returns every mismatch against the
+// uninterrupted run; a kill that never fired is one.
+func runCrashCell(t *testing.T, dir string, shards int, c crashCell, want *matrixSnapshot) []string {
+	fx, err := buildCrashFixture(matrixSeed, matrixRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := &faultFS{root: dir, torn: c.torn}
+	var hook func(crashPoint) bool
+	if c.label == "" {
+		ffs.dies = func(i int, _ effect, _ []byte) bool { return i == c.effect }
+	} else {
+		fired := 0
+		hook = func(p crashPoint) bool {
+			if p != c.label {
+				return false
+			}
+			if fired++; fired != c.occ {
+				return false
+			}
+			ffs.kill() // a dead process writes nothing at Close
+			return true
+		}
+	}
+	_, err = journaledRun(ffs, dir, shards, fx, hook)
+	switch {
+	case err == nil && c.label != "" && *crashFull:
+		t.Skipf("%s fires fewer than %d times", c.label, c.occ)
+	case err == nil:
+		return []string{"the kill never fired: the run completed"}
+	case !ffs.killed():
+		return []string{fmt.Sprintf("the run failed before its kill: %v", err)}
+	}
+
+	// The killed instance is dead; everything below is disk + chain.
+	resolve := make(map[chain.Address]*dsnaudit.Engagement, len(fx.engs))
+	for _, e := range fx.engs {
+		resolve[e.ID()] = e
+	}
+	historyBefore := fx.net.Chain.HistoryReads()
+	rs, rrep, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
+		e, ok := resolve[addr]
+		if !ok {
+			return nil, fmt.Errorf("unknown engagement %s", addr)
+		}
+		return e, nil
+	}, matrixOptions(shards)...)
+	if err != nil {
+		return []string{fmt.Sprintf("recover: %v", err)}
+	}
+	rs.journal.flushBytes = matrixFlushBytes
+	var diffs []string
+	if d := fx.net.Chain.HistoryReads() - historyBefore; d != 0 {
+		diffs = append(diffs, fmt.Sprintf("recovery read chain history %d times, want 0 (no-rescan pin)", d))
+	}
+	if rrep.ResolverCalls != rrep.Entries {
+		diffs = append(diffs, fmt.Sprintf("resolver called %d times for %d entries, want exactly one each", rrep.ResolverCalls, rrep.Entries))
+	}
+	// A registration the kill lost was never acknowledged — its Add failed
+	// or never ran — so the owner adds the engagement again.
+	for _, e := range fx.engs {
+		if _, ok := rs.Result(e.ID()); !ok {
+			if err := rs.Add(e); err != nil {
+				return append(diffs, fmt.Sprintf("re-add %s: %v", e.ID(), err))
+			}
+		}
+	}
+	err = rs.Run(context.Background())
+	if cerr := rs.Journal().Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return append(diffs, fmt.Sprintf("recovered run: %v", err))
+	}
+	got, err := takeMatrixSnapshot(fx, rs.Result)
+	if err != nil {
+		return append(diffs, err.Error())
+	}
+	return append(diffs, diffMatrixSnapshots(want, got)...)
+}
+
+// TestCheckpointBytesDeterministic: a checkpoint is a function of the
+// scheduler's state, not of map order — two runs of the fixture write
+// byte-identical checkpoint files, at one and at four shards.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		run := func() []byte {
+			t.Helper()
+			fx, err := buildCrashFixture("checkpoint-bytes", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			jnl, err := OpenJournal(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl), WithCheckpointEvery(3))
+			for _, e := range fx.engs {
+				if err := s.Add(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := jnl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		if a, b := run(), run(); !bytes.Equal(a, b) {
+			t.Errorf("shards=%d: two runs wrote different checkpoints (%d and %d bytes)", shards, len(a), len(b))
+		}
+	}
+}
+
+// TestFaultFSFidelity: the recording fake changes nothing — the matrix
+// fixture journaled through os and through faultFS leaves byte-identical
+// meta, shard files and checkpoint, and equal JournalStats — and two fake
+// runs record the same effects, so an effect number names the same call in
+// every run and a red cell replays.
+func TestFaultFSFidelity(t *testing.T) {
+	const shards = 4
+	run := func(fake bool) (map[string][]byte, JournalStats, []effect) {
+		t.Helper()
+		fx, err := buildCrashFixture(matrixSeed, matrixRounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range rep.Failures {
-			t.Errorf("shards=%d: %s", shards, f)
+		dir := t.TempDir()
+		ffs := &faultFS{root: dir}
+		var fs fsys = osFS{}
+		if fake {
+			fs = ffs
 		}
-		fired := 0
-		for _, c := range rep.Cases {
-			if c.Fired {
-				fired++
-				if c.Recovery == nil {
-					t.Errorf("shards=%d: %s#%d: fired but no recovery report", shards, c.Point, c.Occurrence)
-				}
+		s, err := journaledRun(fs, dir, shards, fx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte)
+		names := []string{journalMetaName, checkpointName}
+		for i := 0; i < shards; i++ {
+			names = append(names, filepath.Base(journalShardPath(dir, i)))
+		}
+		for _, name := range names {
+			if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if fired == 0 {
-			t.Fatalf("shards=%d: no crash case fired", shards)
+		return files, s.Journal().Stats(), ffs.recorded()
+	}
+	osFiles, osStats, _ := run(false)
+	fakeFiles, fakeStats, effects := run(true)
+	for name, want := range osFiles {
+		if got := fakeFiles[name]; !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes through faultFS, %d through os", name, len(got), len(want))
 		}
+	}
+	if fakeStats != osStats {
+		t.Errorf("JournalStats through faultFS %+v, through os %+v", fakeStats, osStats)
+	}
+	if _, _, again := run(true); len(effects) == 0 || !reflect.DeepEqual(effects, again) {
+		t.Errorf("two fake runs recorded different effects (%d and %d)", len(effects), len(again))
 	}
 }

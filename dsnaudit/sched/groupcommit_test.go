@@ -58,14 +58,14 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 
 	// Die once, late enough that the crashed journal has seen whole ticks.
 	fired := 0
-	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl),
-		WithCrashHook(func(p CrashPoint) bool {
-			if p != CrashPostSettle {
-				return false
-			}
-			fired++
-			return fired == 2
-		}))
+	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl))
+	s.crashHook = func(p crashPoint) bool {
+		if p != crashPostSettle {
+			return false
+		}
+		fired++
+		return fired == 2
+	}
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)
@@ -74,8 +74,8 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 	if n := onDisk(recRegister); n != len(fx.engs) {
 		t.Fatalf("%d of %d registrations on disk before Run", n, len(fx.engs))
 	}
-	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("crashed run returned %v, want ErrCrashed", err)
+	if err := s.Run(context.Background()); !errors.Is(err, errCrashed) {
+		t.Fatalf("crashed run returned %v, want errCrashed", err)
 	}
 	if ticks := onDisk(recTick); uint64(ticks) != s.Stats().Ticks {
 		t.Fatalf("%d tick marks on disk after %d ticks", ticks, s.Stats().Ticks)
@@ -150,7 +150,7 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 	if n := onDisk(); n != 2 {
 		t.Fatalf("%d records on disk, want 2: buffered records leaked before the barrier", n)
 	}
-	if err := j.barrier(false, CrashBarrierFlush); err != nil {
+	if err := j.barrier(false); err != nil {
 		t.Fatal(err)
 	}
 	if n := onDisk(); n != 4 {
@@ -166,14 +166,14 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 
 	// A sync barrier with an empty buffer still owes the fsync for the
 	// bytes written above — and only that one.
-	if err := j.barrier(true, CrashBarrierFlush); err != nil {
+	if err := j.barrier(true); err != nil {
 		t.Fatal(err)
 	}
 	if st := j.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("%d fsyncs after sync barrier, want 1", st.Fsyncs)
 	}
 	// Re-syncing with nothing new written is free.
-	if err := j.barrier(true, CrashBarrierFlush); err != nil {
+	if err := j.barrier(true); err != nil {
 		t.Fatal(err)
 	}
 	if st := j.Stats(); st.Fsyncs != 1 {
@@ -302,8 +302,8 @@ func barrierKey(r journalRecord) string {
 // atPreSettle runs on the Run goroutine just before the barrier (it is the
 // crash hook, which never fires): everything on disk plus everything still
 // buffered is what has been appended so far.
-func (v *settleBarrierVerifier) atPreSettle(p CrashPoint) bool {
-	if p != CrashPreSettle {
+func (v *settleBarrierVerifier) atPreSettle(p crashPoint) bool {
+	if p != crashPreSettle {
 		return false
 	}
 	appended := v.onDisk()
@@ -396,8 +396,8 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		WithJournal(jnl),
 		WithVerifier(v),
 		WithJournalFlushEvery(1<<20),
-		WithCrashHook(v.atPreSettle),
 	)
+	s.crashHook = v.atPreSettle
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)

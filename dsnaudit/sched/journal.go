@@ -316,21 +316,26 @@ type JournalStats struct {
 // Journal is the scheduler's sharded append-only log. One instance is owned
 // by one scheduler; appends route by contract address so one engagement's
 // history lives in one shard file, in order.
+//
+// The journal has one failure path: its first I/O error is latched, and from
+// then on every append, flush and Close returns that error without writing
+// another byte. A write that failed may have left a torn prefix on disk;
+// writing the buffer again behind it would put garbage in the middle of the
+// file, where OpenJournal refuses it. A torn tail is what a crash leaves, and
+// recovery absorbs it.
 type Journal struct {
+	fs      fsys
 	dir     string
 	nshards int
 	shards  []*journalShard
 
 	// flushBytes is the buffer size at which a shard flushes between
-	// barriers; crashHook is the owning scheduler's crash-injection hook,
-	// consulted at the coalesced flush points (nil in production). Both are
-	// fixed before Run.
+	// barriers; fixed before Run.
 	flushBytes int
-	crashHook  func(CrashPoint) bool
 
-	mu       sync.Mutex
-	stats    JournalStats
-	crashErr error // latched injected crash; the journal is dead from here on
+	mu    sync.Mutex
+	stats JournalStats
+	err   error // first I/O failure; sticky
 }
 
 // journalFlushBytes caps a shard's append buffer between barriers.
@@ -360,10 +365,45 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 type journalShard struct {
 	mu       sync.Mutex
 	path     string
-	f        *os.File
+	f        fsFile
 	size     int64  // flushed bytes only — what checkpoint offsets may reference
 	buf      []byte // records appended but not yet written
 	unsynced bool   // flushed bytes not yet covered by an fsync
+}
+
+// fsys is the journal's window on the file system: every call in journal.go
+// and checkpoint.go that changes what is on disk goes through it, so a test
+// can fail or kill the journal at any one of them. Production uses osFS.
+// Reads go straight to os; they leave nothing behind for a crash to tear.
+type fsys interface {
+	MkdirAll(path string, perm os.FileMode) error
+	OpenFile(name string, flag int, perm os.FileMode) (fsFile, error)
+	Truncate(name string, size int64) error
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+}
+
+// fsFile is a file opened through fsys.
+type fsFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// osFS is fsys on the real file system.
+type osFS struct{}
+
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (fsFile, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
+	}
+	return f, nil
 }
 
 // journalMetaName and the shard file pattern fix the on-disk layout.
@@ -381,12 +421,17 @@ func journalShardPath(dir string, i int) string {
 // files are validated on open: a torn tail is truncated (and counted in
 // Stats().TornBytes), mid-file corruption returns a JournalCorruptError.
 func OpenJournal(dir string, shards int) (*Journal, error) {
+	return openJournal(osFS{}, dir, shards)
+}
+
+func openJournal(fs fsys, dir string, shards int) (*Journal, error) {
 	if shards <= 0 {
 		shards = 8
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sched: journal dir: %w", err)
 	}
+	j := &Journal{fs: fs, dir: dir, flushBytes: journalFlushBytes}
 	metaPath := filepath.Join(dir, journalMetaName)
 	if meta, err := os.ReadFile(metaPath); err == nil {
 		n, err := parseJournalMeta(meta)
@@ -395,24 +440,25 @@ func OpenJournal(dir string, shards int) (*Journal, error) {
 		}
 		shards = n
 	} else if os.IsNotExist(err) {
-		meta := append(append([]byte(nil), journalMetaMagic...), 0, 0, 0, 0)
-		binary.BigEndian.PutUint32(meta[len(journalMetaMagic):], uint32(shards))
-		if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+		// Installed like a checkpoint: a crash leaves no meta or a whole one,
+		// never an empty file that would refuse the directory at restart.
+		meta := binary.BigEndian.AppendUint32(append([]byte(nil), journalMetaMagic...), uint32(shards))
+		if err := j.install(journalMetaName, meta); err != nil {
 			return nil, fmt.Errorf("sched: journal meta: %w", err)
 		}
 	} else {
 		return nil, fmt.Errorf("sched: journal meta: %w", err)
 	}
 
-	j := &Journal{dir: dir, nshards: shards, shards: make([]*journalShard, shards), flushBytes: journalFlushBytes}
+	j.nshards, j.shards = shards, make([]*journalShard, shards)
 	for i := range j.shards {
 		path := journalShardPath(dir, i)
-		size, torn, err := validateShardFile(path)
+		size, torn, err := validateShardFile(fs, path)
 		if err != nil {
 			j.closeOpened()
 			return nil, err
 		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			j.closeOpened()
 			return nil, fmt.Errorf("sched: open journal shard: %w", err)
@@ -442,7 +488,7 @@ func parseJournalMeta(meta []byte) (int, error) {
 // validateShardFile scans an existing shard file, truncating a torn tail in
 // place. It returns the valid size and how many torn bytes were dropped. A
 // missing file is a valid empty shard.
-func validateShardFile(path string) (size int64, torn int64, err error) {
+func validateShardFile(fs fsys, path string) (size int64, torn int64, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
@@ -455,7 +501,7 @@ func validateShardFile(path string) (size int64, torn int64, err error) {
 		return 0, 0, err
 	}
 	if valid < len(data) {
-		if err := os.Truncate(path, int64(valid)); err != nil {
+		if err := fs.Truncate(path, int64(valid)); err != nil {
 			return 0, 0, fmt.Errorf("sched: truncate torn journal tail: %w", err)
 		}
 	}
@@ -471,28 +517,21 @@ func (j *Journal) closeOpened() {
 }
 
 // Close flushes and syncs any buffered records and releases the shard files.
-// A journal whose run died at an injected crash point is closed without
-// flushing — a real crash would not have flushed either, and the matrix
-// judges recovery against exactly the bytes the crash left.
+// After an I/O failure it releases them without writing and returns the
+// failure.
 func (j *Journal) Close() error {
-	dead := j.crashed()
-	var first error
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		if sh.f != nil {
-			if !dead {
-				if err := j.flushShardLocked(sh, true, ""); err != nil && first == nil {
-					first = err
-				}
-			}
-			if err := sh.f.Close(); err != nil && first == nil {
-				first = err
+			j.flushShardLocked(sh, true) // a failure is latched, returned below
+			if err := sh.f.Close(); err != nil {
+				j.fail(err)
 			}
 			sh.f = nil
 		}
 		sh.mu.Unlock()
 	}
-	return first
+	return j.fault()
 }
 
 // Dir returns the journal's root directory.
@@ -513,22 +552,22 @@ func (j *Journal) shardFor(addr chain.Address) int {
 	return int(h.Sum32() % uint32(j.nshards))
 }
 
-// crashed reports whether an injected crash killed the journal.
-func (j *Journal) crashed() bool {
+// fault returns the journal's latched I/O failure, if any.
+func (j *Journal) fault() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.crashErr != nil
+	return j.err
 }
 
-// latchCrash marks the journal dead after an injected crash fired inside a
-// flush: every later append and flush is a no-op error, so no byte reaches
-// disk that a real crash at that point would not have written.
-func (j *Journal) latchCrash() {
+// fail latches err unless an earlier failure is latched, and returns the
+// latched one.
+func (j *Journal) fail(err error) error {
 	j.mu.Lock()
-	if j.crashErr == nil {
-		j.crashErr = ErrCrashed
+	defer j.mu.Unlock()
+	if j.err == nil {
+		j.err = err
 	}
-	j.mu.Unlock()
+	return j.err
 }
 
 // append routes one record to its shard's buffer; tick records (no address)
@@ -542,83 +581,46 @@ func (j *Journal) append(r journalRecord) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The record is framed straight into the shard's buffer; a dead or
-	// closed journal takes it back out.
+	if err := j.fault(); err != nil {
+		return err
+	}
+	if sh.f == nil {
+		return j.fail(errors.New("sched: journal closed"))
+	}
 	start := len(sh.buf)
 	sh.buf = appendRecord(sh.buf, r)
 	j.mu.Lock()
-	crashErr := j.crashErr
-	if crashErr == nil {
-		j.stats.Appends++
-		j.stats.Bytes += uint64(len(sh.buf) - start)
-	}
+	j.stats.Appends++
+	j.stats.Bytes += uint64(len(sh.buf) - start)
 	j.mu.Unlock()
-	if crashErr != nil {
-		sh.buf = sh.buf[:start]
-		return crashErr
-	}
-	if sh.f == nil {
-		sh.buf = sh.buf[:start]
-		return fmt.Errorf("sched: journal closed")
-	}
-	if r.typ == recRegister || r.typ == recTick {
+	if r.typ == recRegister || r.typ == recTick || len(sh.buf) >= j.flushBytes {
+		// Registrations and tick marks write through (see the file header).
 		// Both are rare relative to the per-engagement record volume (one
 		// tick mark per tick, one registration per engagement lifetime), so
-		// writing them through leaves the coalescing win untouched. A
-		// recovered scheduler that resumed behind the chain would mine an
-		// extra block for a tick the crashed run already mined.
-		return j.flushShardLocked(sh, false, "")
-	}
-	if len(sh.buf) >= j.flushBytes {
-		return j.flushShardLocked(sh, false, CrashBufferFlush)
+		// the coalescing win is untouched. A full buffer flushes early.
+		return j.flushShardLocked(sh, false)
 	}
 	return nil
 }
 
 // flushShardLocked writes a shard's buffered records as one coalesced write,
-// optionally followed by one fsync. Caller holds sh.mu. point labels the
-// flush for crash injection ("" = unlabeled: the write-through records and
-// Close); at a labeled flush the hook is consulted first for the label (die
-// with the buffer unwritten) and then for CrashMidCoalescedWrite (die with a
-// torn prefix of the coalesced write, cut inside its final record — the
-// multi-record torn-tail recovery exercises).
-func (j *Journal) flushShardLocked(sh *journalShard, sync bool, point CrashPoint) error {
-	if j.crashed() {
-		return ErrCrashed
+// optionally followed by one fsync. Caller holds sh.mu.
+func (j *Journal) flushShardLocked(sh *journalShard, sync bool) error {
+	if err := j.fault(); err != nil {
+		return err
 	}
-	hook := j.crashHook
-	if len(sh.buf) == 0 {
-		if sync && sh.unsynced {
-			return j.syncShardLocked(sh)
+	if len(sh.buf) > 0 {
+		if _, err := sh.f.Write(sh.buf); err != nil {
+			return j.fail(fmt.Errorf("sched: journal flush: %w", err))
 		}
-		return nil
+		sh.size += int64(len(sh.buf))
+		sh.buf = sh.buf[:0]
+		sh.unsynced = true
+		j.mu.Lock()
+		j.stats.Writes++
+		j.mu.Unlock()
 	}
-	if sh.f == nil {
-		return fmt.Errorf("sched: journal closed")
-	}
-	if hook != nil && point != "" {
-		if hook(point) {
-			j.latchCrash()
-			return ErrCrashed
-		}
-		if hook(CrashMidCoalescedWrite) {
-			if n := len(sh.buf) - 2; n > 0 {
-				sh.f.Write(sh.buf[:n])
-			}
-			j.latchCrash()
-			return ErrCrashed
-		}
-	}
-	if _, err := sh.f.Write(sh.buf); err != nil {
-		return fmt.Errorf("sched: journal flush: %w", err)
-	}
-	sh.size += int64(len(sh.buf))
-	sh.buf = sh.buf[:0]
-	sh.unsynced = true
-	j.mu.Lock()
-	j.stats.Writes++
-	j.mu.Unlock()
-	if sync {
+	if sync && sh.unsynced {
 		return j.syncShardLocked(sh)
 	}
 	return nil
@@ -628,7 +630,7 @@ func (j *Journal) flushShardLocked(sh *journalShard, sync bool, point CrashPoint
 // one. Caller holds sh.mu.
 func (j *Journal) syncShardLocked(sh *journalShard) error {
 	if err := sh.f.Sync(); err != nil {
-		return fmt.Errorf("sched: journal fsync: %w", err)
+		return j.fail(fmt.Errorf("sched: journal fsync: %w", err))
 	}
 	sh.unsynced = false
 	j.mu.Lock()
@@ -638,13 +640,12 @@ func (j *Journal) syncShardLocked(sh *journalShard) error {
 }
 
 // barrier flushes every shard's buffer. sync additionally fsyncs each shard
-// that has unsynced bytes. Shards flush in order; an injected crash
-// mid-barrier leaves earlier shards written and later ones not, exactly as a
-// real crash between the writes would.
-func (j *Journal) barrier(sync bool, point CrashPoint) error {
+// that has unsynced bytes. Shards flush in order; a crash mid-barrier leaves
+// earlier shards written and later ones not.
+func (j *Journal) barrier(sync bool) error {
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		err := j.flushShardLocked(sh, sync, point)
+		err := j.flushShardLocked(sh, sync)
 		sh.mu.Unlock()
 		if err != nil {
 			return err

@@ -26,7 +26,7 @@ func LoadJournalView(dir string) (*JournalView, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: journal meta %s: %w", filepath.Join(dir, journalMetaName), err)
 	}
-	st, err := loadDurableState(dir, nshards, true)
+	st, err := loadDurableState(dir, nshards, nil)
 	if err != nil {
 		return nil, err
 	}

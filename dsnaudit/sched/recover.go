@@ -88,51 +88,45 @@ type durableState struct {
 	fromCkpt bool
 }
 
-// loadDurableState merges dir's checkpoint with the journal records past its
-// offsets. With replayAll set the checkpoint is ignored and every shard is
-// scanned from byte zero — the full-history view the CLI resume path uses.
-func loadDurableState(dir string, nshards int, replayAll bool) (*durableState, error) {
+// loadDurableState merges a checkpoint with dir's journal records past its
+// offsets. With no checkpoint every shard is scanned from byte zero — which is
+// also the full-history view the CLI resume path uses.
+func loadDurableState(dir string, nshards int, ckpt *checkpointData) (*durableState, error) {
 	st := &durableState{entries: make(map[chain.Address]*recoveredEntry)}
 	offsets := make([]int64, nshards)
-	if !replayAll {
-		ckpt, err := loadCheckpoint(dir)
-		if err != nil {
-			return nil, err
+	if ckpt != nil {
+		if ckpt.shards != nshards {
+			return nil, &CheckpointCorruptError{
+				Path:   dir,
+				Reason: fmt.Sprintf("checkpoint has %d journal shards, meta has %d", ckpt.shards, nshards),
+			}
 		}
-		if ckpt != nil {
-			if ckpt.shards != nshards {
-				return nil, &CheckpointCorruptError{
-					Path:   dir,
-					Reason: fmt.Sprintf("checkpoint has %d journal shards, meta has %d", ckpt.shards, nshards),
-				}
+		st.fromCkpt = true
+		st.seq = ckpt.seq
+		st.lastWake = ckpt.lastWake
+		offsets = ckpt.offsets
+		for _, ce := range ckpt.entries {
+			re := &recoveredEntry{
+				addr:         ce.addr,
+				seq:          ce.seq,
+				baseRounds:   ce.baseRounds,
+				rounds:       ce.rounds,
+				passed:       ce.passed,
+				failed:       ce.failed,
+				retries:      ce.retries,
+				hint:         ce.hint,
+				parkedRound:  ce.parkedRound,
+				parkedHeight: ce.parkedHeight,
+				termState:    ce.state,
+				termErr:      ce.errMsg,
 			}
-			st.fromCkpt = true
-			st.seq = ckpt.seq
-			st.lastWake = ckpt.lastWake
-			offsets = ckpt.offsets
-			for _, ce := range ckpt.entries {
-				re := &recoveredEntry{
-					addr:         ce.addr,
-					seq:          ce.seq,
-					baseRounds:   ce.baseRounds,
-					rounds:       ce.rounds,
-					passed:       ce.passed,
-					failed:       ce.failed,
-					retries:      ce.retries,
-					hint:         ce.hint,
-					parkedRound:  ce.parkedRound,
-					parkedHeight: ce.parkedHeight,
-					termState:    ce.state,
-					termErr:      ce.errMsg,
-				}
-				if ce.hint == hintDeadline {
-					re.parkedKind = parkDeadline
-				} else if ce.hint == hintRetry {
-					re.parkedKind = parkRetry
-				}
-				st.entries[ce.addr] = re
-				st.order = append(st.order, ce.addr)
+			if ce.hint == hintDeadline {
+				re.parkedKind = parkDeadline
+			} else if ce.hint == hintRetry {
+				re.parkedKind = parkRetry
 			}
+			st.entries[ce.addr] = re
+			st.order = append(st.order, ce.addr)
 		}
 	}
 	for i := 0; i < nshards; i++ {
@@ -223,7 +217,12 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := loadDurableState(dir, j.nshards, false)
+	ckpt, err := j.loadCheckpoint()
+	if err != nil {
+		j.Close()
+		return nil, nil, err
+	}
+	st, err := loadDurableState(dir, j.nshards, ckpt)
 	if err != nil {
 		j.Close()
 		return nil, nil, err

@@ -72,7 +72,7 @@ func TestLoadCheckpointTornTmpIgnored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, checkpointTmpName), buf[:len(buf)-11], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadCheckpoint(dir)
+	got, err := (&Journal{fs: osFS{}, dir: dir}).loadCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLoadCheckpointTornTmpIgnored(t *testing.T) {
 }
 
 func TestLoadCheckpointMissing(t *testing.T) {
-	got, err := loadCheckpoint(t.TempDir())
+	got, err := (&Journal{fs: osFS{}, dir: t.TempDir()}).loadCheckpoint()
 	if err != nil || got != nil {
 		t.Fatalf("missing checkpoint = (%+v, %v), want (nil, nil)", got, err)
 	}
@@ -186,19 +186,19 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 	}
 
 	fired := 0
-	s := NewScheduler(fx.net, WithVerifier(trustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl),
-		WithCrashHook(func(p CrashPoint) bool {
-			if p != CrashPreIssue {
-				return false
-			}
-			fired++
-			return fired == 70
-		}))
+	s := NewScheduler(fx.net, WithVerifier(trustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl))
+	s.crashHook = func(p crashPoint) bool {
+		if p != crashPreIssue {
+			return false
+		}
+		fired++
+		return fired == 70
+	}
 	if err := s.Add(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("crashed run returned %v, want ErrCrashed", err)
+	if err := s.Run(context.Background()); !errors.Is(err, errCrashed) {
+		t.Fatalf("crashed run returned %v, want errCrashed", err)
 	}
 	jnl.Close()
 	noCheckpoint("NewScheduler(WithCheckpointEvery(0), WithJournal(j))", s)
@@ -218,9 +218,9 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 }
 
 // TestRecoverObservesEachRoundOnce kills a journaled run at the first barrier
-// whose buffers hold a settled record: those rounds' verdicts were fed to the
+// write that holds a settled record: those rounds' verdicts were fed to the
 // reputation ledger before the crash and their journal records die with the
-// buffer. Recovery must journal them again without observing them again —
+// write. Recovery must journal them again without observing them again —
 // every provider's standing ends equal to an uninterrupted run's.
 func TestRecoverObservesEachRoundOnce(t *testing.T) {
 	const shards = 4
@@ -257,35 +257,34 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	jnl, err := OpenJournal(dir, shards)
+	lost := 0
+	ffs := &faultFS{root: dir, dies: func(_ int, e effect, p []byte) bool {
+		if e.op != "write" {
+			return false
+		}
+		recs, _, _ := scanRecords(p, "write")
+		if len(recs) == 0 || recs[len(recs)-1].typ == recTick || recs[len(recs)-1].typ == recRegister {
+			return false // a write-through, not a barrier
+		}
+		for _, r := range recs {
+			if r.typ == recSettled {
+				lost++
+			}
+		}
+		return lost > 0
+	}}
+	jnl, err := openJournal(ffs, dir, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost := 0
-	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl),
-		WithCrashHook(func(p CrashPoint) bool {
-			if p != CrashBarrierFlush {
-				return false
-			}
-			// The hook runs on the Run goroutine, the buffers' only writer,
-			// inside the flush of one of them.
-			for _, sh := range jnl.shards {
-				recs, _, _ := scanRecords(sh.buf, "buffer")
-				for _, r := range recs {
-					if r.typ == recSettled {
-						lost++
-					}
-				}
-			}
-			return lost > 0
-		}))
+	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl))
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Run(context.Background()); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("run returned %v, want ErrCrashed at a barrier holding settled records", err)
+	if err := s.Run(context.Background()); !errors.Is(err, errInjected) {
+		t.Fatalf("run returned %v, want the kill at a barrier holding settled records", err)
 	}
 	jnl.Close()
 

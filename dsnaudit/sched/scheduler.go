@@ -76,14 +76,15 @@ type Scheduler struct {
 
 	// Durability (nil journal = volatile scheduler, the default). The
 	// journal, the checkpoint and synced-flush cadences and the crash hook
-	// are fixed before Run; lastWake, ckptTicks and jflushTicks are owned by
-	// the Run goroutine; resume is set by Recover before Run starts.
+	// (tests only) are fixed before Run; lastWake, ckptTicks and jflushTicks
+	// are owned by the Run goroutine; resume is set by Recover before Run
+	// starts.
 	journal     *Journal
 	ckptEvery   int // checkpoint cadence in ticks; <= 0 disables
 	ckptTicks   int
 	jflushEvery int // synced-flush cadence in ticks
 	jflushTicks int
-	crashHook   func(CrashPoint) bool
+	crashHook   func(crashPoint) bool
 	resume      bool
 	lastWake    uint64
 
@@ -95,7 +96,6 @@ type Scheduler struct {
 
 	mu           sync.Mutex
 	running      bool
-	journalErr   error // first journal append failure; sticky, fails the run
 	stats        Stats
 	outcomeHooks []func(dsnaudit.Outcome)
 	blockHooks   []func(uint64)
@@ -182,9 +182,9 @@ func WithVerifier(v dsnaudit.Verifier) Option {
 // never acts on an engagement whose registration is not on disk. The
 // scheduler owns the journal from here on; open it with OpenJournal, Close it
 // after Run returns, and recover a crashed scheduler's state with Recover,
-// which installs the reopened journal itself. A journal append failure is
-// sticky and fails the run — a durable scheduler that cannot write its
-// journal must stop, not continue volatile.
+// which installs the reopened journal itself. The journal's first I/O failure
+// is sticky and stops the run where a crash would — a durable scheduler that
+// cannot write its journal must stop, not continue volatile.
 func WithJournal(j *Journal) Option {
 	return func(s *Scheduler) {
 		if j != nil {
@@ -232,9 +232,6 @@ func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	if s.store == nil {
 		s.store = newStore(1)
 	}
-	if s.journal != nil {
-		s.journal.crashHook = s.crashHook
-	}
 	s.instrument(s.metricsReg)
 	return s
 }
@@ -264,11 +261,6 @@ func (s *Scheduler) Add(e *dsnaudit.Engagement) error {
 			seq:        en.seq,
 			baseRounds: en.baseRounds,
 		}); err != nil {
-			s.mu.Lock()
-			if s.journalErr == nil {
-				s.journalErr = err
-			}
-			s.mu.Unlock()
 			return err
 		}
 	}
@@ -371,46 +363,33 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// jappend writes one record to the journal, if any. Append failures are
-// sticky: the first one is latched and fails the run at the next tick
-// boundary (callers on the hot path cannot usefully unwind mid-pipeline).
+// jappend writes one record to the journal, if any. A failure is latched by
+// the journal, and the pipeline stops at its next journalFault check
+// (callers on the hot path cannot usefully unwind mid-pipeline).
 func (s *Scheduler) jappend(r journalRecord) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.append(r); err != nil {
-		s.mu.Lock()
-		if s.journalErr == nil {
-			s.journalErr = err
-		}
-		s.mu.Unlock()
+	if s.journal != nil {
+		s.journal.append(r)
 	}
 }
 
-// journalFault returns the latched journal append failure, if any.
+// journalFault returns the journal's latched I/O failure, if any. The
+// pipeline checks it after any step that can append: once the journal has
+// failed no further externally-visible effect (challenge, proof, settlement)
+// may happen, because a crash at the failed write would have stopped them too.
 func (s *Scheduler) journalFault() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErr
-}
-
-// journalDead reports whether an injected crash killed the journal. The
-// pipeline checks it after any step that can append: once the journal is
-// dead no further externally-visible effect (challenge, proof, settlement)
-// may happen, because a real crash would have stopped them too.
-func (s *Scheduler) journalDead() bool {
-	return s.journal != nil && s.journal.crashed()
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.fault()
 }
 
 // jbarrier flushes the journal's buffers at a durability barrier. sync adds
-// the fsync that bounds the machine-crash loss window. The error is
-// ErrCrashed when the crash hook fired at the flush, or the underlying I/O
-// failure — either way the run must stop.
+// the fsync that bounds the machine-crash loss window.
 func (s *Scheduler) jbarrier(sync bool) error {
 	if s.journal == nil {
 		return nil
 	}
-	return s.journal.barrier(sync, CrashBarrierFlush)
+	return s.journal.barrier(sync)
 }
 
 // jtickFlush is the tick-top barrier: every jflushEvery ticks the buffers of
@@ -541,11 +520,11 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		}
 		outstanding = false
 		out := <-settleOutcomes
-		if s.crashAt(CrashPostSettle) {
+		if s.crashAt(crashPostSettle) {
 			// The settlement stage already applied this block's verdicts
 			// on-chain; dying here loses only the journal records for them —
 			// the reconciliation window Recover absorbs.
-			return ErrCrashed
+			return errCrashed
 		}
 		return s.recordSettlement(out)
 	}
@@ -594,35 +573,44 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		// tick is the exception: the crashed run already mined the block for
 		// the wake height it died at, so the resume tick re-processes that
 		// height without mining — mining again would shift every later
-		// trigger by one block relative to an uninterrupted run.
+		// trigger by one block relative to an uninterrupted run. The tick
+		// mark is written through before the block is mined, so a run that
+		// dies on the mark's write has not mined it either.
 		resumeTick := resume
 		resume = false
 		height := s.lastWake
 		if !resumeTick {
-			height = s.net.Chain.MineBlock().Number
+			height = s.net.Chain.Height() + 1
+		}
+		s.lastWake = height
+		s.jappend(journalRecord{typ: recTick, height: height})
+		if err := s.journalFault(); err != nil {
+			return err
 		}
 		s.mu.Lock()
 		s.stats.Ticks++
 		blockHooks := append([]func(uint64){}, s.blockHooks...)
 		s.mu.Unlock()
 		if !resumeTick {
-			// The crashed run already delivered this height to its hooks.
+			s.net.Chain.MineBlock()
+			// The crashed run already delivered a resumed height to its hooks.
 			for _, fn := range blockHooks {
 				fn(height)
 			}
 		}
-		s.lastWake = height
-		s.jappend(journalRecord{typ: recTick, height: height})
 		if err := s.jtickFlush(); err != nil {
 			return err
 		}
-		if s.crashAt(CrashPreIssue) {
-			return ErrCrashed
+		if s.crashAt(crashPreIssue) {
+			return errCrashed
 		}
 
 		due, block, adopted := s.wakeAt(height)
-		if s.crashAt(CrashPostIssue) || s.journalDead() {
-			return ErrCrashed
+		if err := s.journalFault(); err != nil {
+			return err
+		}
+		if s.crashAt(crashPostIssue) {
+			return errCrashed
 		}
 
 		// Fan the due proofs out; drain results as they land, each into the
@@ -631,12 +619,12 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		// settlement may still be verifying — that is the overlap.
 		inflight := 0
 		aborted := false
-		crashed := false
+		var dead error // a crash or journal failure mid-tick
 		ctxDone := ctx.Done()
 		for len(due) > 0 || inflight > 0 {
 			var jobCh chan proofJob
 			var next proofJob
-			if len(due) > 0 && !aborted && !crashed {
+			if len(due) > 0 && !aborted && dead == nil {
 				jobCh = jobs
 				next = due[0]
 			}
@@ -646,20 +634,21 @@ func (s *Scheduler) Run(ctx context.Context) error {
 				inflight++
 			case r := <-results:
 				inflight--
-				if !aborted && !crashed && s.submit(ctx, height, r) {
+				if !aborted && dead == nil && s.submit(ctx, height, r) {
 					block[r.slot] = r.entry
-					if s.crashAt(CrashMidProve) {
+					if s.crashAt(crashMidProve) {
 						// Die with this proof on-chain and the rest of the
 						// tick never submitted; in-flight results drain and
 						// are discarded, like any crash would discard them.
-						crashed = true
-						due = nil
+						dead = errCrashed
 					}
 				}
-				if !crashed && s.journalDead() {
-					// A buffer-full flush inside this result's parked append
-					// crashed: stop dispatching, drain like MidProve.
-					crashed = true
+				if dead == nil {
+					// A journal write inside this result's parked append
+					// failed: stop dispatching, drain like a crash.
+					dead = s.journalFault()
+				}
+				if dead != nil {
 					due = nil
 				}
 			case <-ctxDone:
@@ -680,8 +669,8 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		s.mu.Lock()
 		s.stats.Proofs += uint64(len(block) - adopted)
 		s.mu.Unlock()
-		if crashed {
-			return ErrCrashed
+		if dead != nil {
+			return dead
 		}
 		if err := joinSettle(); err != nil {
 			return err
@@ -697,8 +686,8 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			s.net.Chain.MineBlock()
 		}
 		if len(block) > 0 {
-			if s.crashAt(CrashPreSettle) {
-				return ErrCrashed
+			if s.crashAt(crashPreSettle) {
+				return errCrashed
 			}
 			// The settlement barrier: the previous block's settled records
 			// and every parked mark so far are written out before the
@@ -761,10 +750,10 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 	}()
 
 	for _, en := range popped {
-		if s.journalDead() {
-			// A flush inside a previous entry's append crashed: no further
-			// challenge may be issued. The remaining popped entries are
-			// dropped un-rearmed — recovery re-arms them from disk.
+		if s.journalFault() != nil {
+			// A journal write inside a previous entry's append failed: no
+			// further challenge may be issued. The remaining popped entries
+			// are dropped un-rearmed — recovery re-arms them from disk.
 			break
 		}
 		e := en.eng
@@ -921,11 +910,11 @@ func (s *Scheduler) recordSettlement(out settleOutcome) error {
 		}
 	}
 	for i, res := range out.results {
-		if s.journalDead() {
-			// A flush crashed while recording an earlier verdict. The rest
-			// of the block's verdicts are already on-chain with no journal
-			// record — exactly the window Recover reconciles.
-			return ErrCrashed
+		if err := s.journalFault(); err != nil {
+			// A journal write failed while recording an earlier verdict. The
+			// rest of the block's verdicts are already on-chain with no
+			// journal record — exactly the window Recover reconciles.
+			return err
 		}
 		en, e := out.entries[i], out.entries[i].eng
 		if res.Err != nil {

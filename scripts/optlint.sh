@@ -8,9 +8,9 @@
 # option only tests or the benchmark set is a knob nobody turns: make it a
 # constant, a test helper, or give it a production caller.
 #
-# Harness files that live in a production package (sched's soak.go and
-# crashmatrix.go, repair's churn.go) still count as callers, so options only
-# a harness sets pass until those files move out of their packages.
+# Harness files that live in a production package (sched's soak.go,
+# repair's churn.go) still count as callers, so options only a harness sets
+# pass until those files move out of their packages.
 #
 # The allowlist below names the options that still break the rule, each with
 # the ROADMAP item that removes it. It can only shrink: an allowlisted name
