@@ -320,7 +320,8 @@ func (j *Journal) install(name string, data []byte) error {
 	return nil
 }
 
-// syncDir fsyncs the journal directory, making a rename in it durable.
+// syncDir fsyncs the journal directory, making a rename or a new file in it
+// durable.
 func (j *Journal) syncDir() error {
 	d, err := j.fs.OpenFile(j.dir, os.O_RDONLY, 0)
 	if err != nil {

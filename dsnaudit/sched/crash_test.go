@@ -12,25 +12,29 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/dsnaudit"
 	"repro/internal/beacon"
 	"repro/internal/chain"
+	"repro/internal/contract"
 	"repro/internal/core"
 )
 
 // The crash matrix is the durability layer's behavioral contract: kill a
-// journaled scheduler at a file-system effect — every mutating call or sync
-// its journal makes, the method of ALICE (Pillai et al., OSDI 2014) — or at
-// a pipeline label, recover it from disk with Recover, drive the recovered
-// run to completion, and demand the outcome — every engagement's rounds and
+// journaled scheduler at an effect — every mutating call or sync its journal
+// makes, and every call through a seam where the chain moves (a Respond, a
+// SettleBlock, an OnBlock hook), the method of ALICE (Pillai et al., OSDI
+// 2014) — recover it from disk with Recover, drive the recovered run to
+// completion, and demand the outcome — every engagement's rounds and
 // terminal state, the final chain height, total gas within proof-entropy
 // tolerance, every balance, every reputation score — identical to an
 // uninterrupted run of the same fixture.
 
 var crashFull = flag.Bool("crash.full", false,
-	"TestCrashMatrix: every effect cell at both shard counts, each label at every occurrence")
+	"TestCrashMatrix: every effect and seam cell at both shard counts")
 
 // crashFixture mirrors the scheduler parity fixture: a deterministic
 // many-owner deployment exercising every outcome class — an EngageAll set
@@ -208,7 +212,8 @@ func diffMatrixSnapshots(want, got *matrixSnapshot) []string {
 // The matrix run's journal settings: a synced flush every other tick, a
 // checkpoint every third and a two-record buffer, so every kind of write —
 // write-through, buffer-full, barrier, checkpoint — recurs through the run.
-// One prove worker makes the effect numbering a function of the seed.
+// One prove worker makes the effect numbering, and each seam's, a function
+// of the seed.
 const (
 	matrixSeed       = "crash-matrix"
 	matrixRounds     = 3
@@ -222,24 +227,125 @@ func matrixOptions(shards int) []Option {
 		WithCheckpointEvery(matrixCkptEvery), WithJournalFlushEvery(matrixFlushEvery)}
 }
 
-// crashLabels are the pipeline labels, where the chain moves but no file does.
-var crashLabels = []crashPoint{crashPreIssue, crashPostIssue, crashMidProve, crashPreSettle, crashPostSettle}
+// seamKinds are the chain seams, in the order cells and samples list them:
+// the entry of a Respond, the entry of a SettleBlock and the return of its
+// inner call, and an OnBlock hook.
+var seamKinds = []string{"respond", "settle", "settled", "block"}
+
+// seamCall is one recorded call through a chain seam.
+type seamCall struct {
+	addrs  []chain.Address
+	height uint64
+}
+
+// chainSeams wraps the seams where a run moves the chain — every
+// engagement's Responder, the Verifier and an OnBlock hook — records each
+// call, numbered per seam, and can kill the run at one of them. A kill kills
+// the faultFS and latches the journal's fault, so the pipeline stops at its
+// next journalFault check. After any kill, at a file or a seam, every seam
+// refuses without calling through: a dead process proves and settles
+// nothing.
+type chainSeams struct {
+	chain *chain.Chain
+	ffs   *faultFS
+	jnl   *Journal
+	// dies picks the call that kills: n numbers the calls of one seam.
+	// nil never kills.
+	dies func(seam string, n int) bool
+
+	mu    sync.Mutex
+	calls map[string][]seamCall
+}
+
+// at admits one call through seam at height h.
+func (c *chainSeams) at(seam string, h uint64, addrs ...chain.Address) error {
+	if c.ffs.killed() {
+		return errInjected
+	}
+	c.mu.Lock()
+	n := len(c.calls[seam])
+	c.calls[seam] = append(c.calls[seam], seamCall{addrs: addrs, height: h})
+	c.mu.Unlock()
+	if c.dies != nil && c.dies(seam, n) {
+		c.ffs.kill()
+		c.jnl.fail(errInjected)
+		return errInjected
+	}
+	return nil
+}
+
+func (c *chainSeams) recorded() map[string][]seamCall {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string][]seamCall, len(c.calls))
+	for seam, calls := range c.calls {
+		out[seam] = append([]seamCall(nil), calls...)
+	}
+	return out
+}
+
+// wrap puts the Respond seam in front of every fixture engagement's
+// responder; the returned func puts the responders back.
+func (c *chainSeams) wrap(fx *crashFixture) (restore func()) {
+	inner := make([]dsnaudit.Responder, len(fx.engs))
+	for i, e := range fx.engs {
+		inner[i], e.Responder = e.Responder, seamResponder{c, e.Responder}
+	}
+	return func() {
+		for i, e := range fx.engs {
+			e.Responder = inner[i]
+		}
+	}
+}
+
+type seamResponder struct {
+	seams *chainSeams
+	inner dsnaudit.Responder
+}
+
+func (r seamResponder) Respond(ctx context.Context, addr chain.Address, ch *core.Challenge) ([]byte, error) {
+	if err := r.seams.at("respond", r.seams.chain.Height(), addr); err != nil {
+		return nil, err
+	}
+	return r.inner.Respond(ctx, addr, ch)
+}
+
+type seamVerifier struct {
+	seams *chainSeams
+	inner dsnaudit.Verifier
+}
+
+func (v seamVerifier) SettleBlock(cs []*contract.Contract, h uint64, workers int) ([]contract.SettleResult, error) {
+	addrs := make([]chain.Address, len(cs))
+	for i, k := range cs {
+		addrs[i] = k.Addr
+	}
+	if err := v.seams.at("settle", h, addrs...); err != nil {
+		return nil, err
+	}
+	res, err := v.inner.SettleBlock(cs, h, workers)
+	if serr := v.seams.at("settled", h, addrs...); serr != nil {
+		// The verdicts are on-chain; the dead run records none of them.
+		return nil, serr
+	}
+	return res, err
+}
 
 // crashCell is one matrix cell: a kill at file-system effect number effect
-// (torn: after a torn prefix of that write), or at the occ-th firing of label.
+// (torn: after a torn prefix of that write), or at call n of a chain seam.
 type crashCell struct {
 	effect int
 	torn   bool
-	label  crashPoint
-	occ    int
+	seam   string
+	n      int
 }
 
 // String names the cell's subtest, so
 // go test -run 'TestCrashMatrix/shards=4/effect-36-torn$' replays one cell.
 func (c crashCell) String() string {
 	switch {
-	case c.label != "":
-		return fmt.Sprintf("%s-%d", c.label, c.occ)
+	case c.seam != "":
+		return fmt.Sprintf("%s-%d", c.seam, c.n)
 	case c.torn:
 		return fmt.Sprintf("effect-%d-torn", c.effect)
 	}
@@ -247,23 +353,21 @@ func (c crashCell) String() string {
 }
 
 // TestCrashMatrix kills the fixture at every file-system effect of its run
-// (and tears every write) at four shards, at a seeded sample covering every
-// effect kind at one shard, and at each pipeline label at both. -crash.full
-// runs every cell at both counts and each label at every occurrence; -short
-// runs only a sample at four shards. A red cell names its effect; its
+// (and tears every write) and at every call through a chain seam at four
+// shards, and at a seeded sample covering every effect and seam kind at one
+// shard. -crash.full runs every cell at both counts; -short runs only a
+// sample at four shards. A red cell names its effect or seam call; its
 // subtest replays it alone.
 func TestCrashMatrix(t *testing.T) {
 	full := map[int]bool{1: *crashFull, 4: true}
-	shardCounts, perKind, occs := []int{1, 4}, 3, []int{3}
-	if *crashFull {
-		occs = []int{1, 2, 3, 5, 8, 13, 21}
-	} else if testing.Short() {
-		shardCounts, perKind, full[4] = []int{4}, 1, false
+	shardCounts, perKind := []int{1, 4}, 3
+	if testing.Short() {
+		shardCounts, perKind, full[4] = []int{4}, 1, *crashFull
 	}
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			want := matrixBaseline(t, shards)
-			effects := recordMatrixRun(t, shards, want)
+			effects, calls := recordMatrixRun(t, shards, want)
 			var cells []crashCell
 			if full[shards] {
 				for j, e := range effects {
@@ -272,13 +376,13 @@ func TestCrashMatrix(t *testing.T) {
 						cells = append(cells, crashCell{effect: j, torn: true})
 					}
 				}
-			} else {
-				cells = sampleCells(effects, perKind)
-			}
-			for _, p := range crashLabels {
-				for _, occ := range occs {
-					cells = append(cells, crashCell{label: p, occ: occ})
+				for _, seam := range seamKinds {
+					for n := range calls[seam] {
+						cells = append(cells, crashCell{seam: seam, n: n})
+					}
 				}
+			} else {
+				cells = sampleCells(effects, calls, perKind)
 			}
 			t.Logf("%d effects, %d cells", len(effects), len(cells))
 			root := t.TempDir()
@@ -287,7 +391,9 @@ func TestCrashMatrix(t *testing.T) {
 				t.Run(c.String(), func(t *testing.T) {
 					t.Parallel() // each cell owns its fixture, chain and directory
 					for _, d := range runCrashCell(t, filepath.Join(root, c.String()), shards, c, want) {
-						if c.label == "" {
+						if c.seam != "" {
+							d += fmt.Sprintf(" (kill at %s %+v)", c.seam, calls[c.seam][c.n])
+						} else {
 							d += fmt.Sprintf(" (kill at %+v)", effects[c.effect])
 						}
 						t.Error(d)
@@ -298,24 +404,52 @@ func TestCrashMatrix(t *testing.T) {
 	}
 }
 
-// sampleCells picks perKind effects of each kind the run made, with a fixed
-// seed, and a torn cell beside each write it picks.
-func sampleCells(effects []effect, perKind int) []crashCell {
+// sampleCells picks perKind effects of each kind the run made and perKind
+// calls of each seam, with a fixed seed, and a torn cell beside each write
+// it picks; then every effect of opening the fresh journal — those before
+// its first log write — that the draw missed, since a crash there leaves
+// the directory half made.
+func sampleCells(effects []effect, calls map[string][]seamCall, perKind int) []crashCell {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(idx []int) []int {
+		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+		idx = idx[:min(perKind, len(idx))]
+		sort.Ints(idx)
+		return idx
+	}
 	byOp := make(map[string][]int)
 	for j, e := range effects {
 		byOp[e.op] = append(byOp[e.op], j)
 	}
-	rng := rand.New(rand.NewSource(1))
 	var cells []crashCell
 	for _, op := range []string{"mkdir", "create", "write", "sync", "truncate", "rename", "remove"} {
-		idx := byOp[op]
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		idx = idx[:min(perKind, len(idx))]
-		sort.Ints(idx)
-		for _, j := range idx {
+		for _, j := range pick(byOp[op]) {
 			cells = append(cells, crashCell{effect: j})
 			if op == "write" {
 				cells = append(cells, crashCell{effect: j, torn: true})
+			}
+		}
+	}
+	for _, seam := range seamKinds {
+		idx := make([]int, len(calls[seam]))
+		for n := range idx {
+			idx[n] = n
+		}
+		for _, n := range pick(idx) {
+			cells = append(cells, crashCell{seam: seam, n: n})
+		}
+	}
+	picked := make(map[crashCell]bool, len(cells))
+	for _, c := range cells {
+		picked[c] = true
+	}
+	for j, e := range effects {
+		if e.op == "write" && strings.HasPrefix(e.file, "journal-") {
+			break
+		}
+		for _, c := range []crashCell{{effect: j}, {effect: j, torn: true}} {
+			if !picked[c] && (!c.torn || e.op == "write") {
+				cells = append(cells, c)
 			}
 		}
 	}
@@ -345,10 +479,11 @@ func matrixBaseline(t *testing.T, shards int) *matrixSnapshot {
 	return want
 }
 
-// recordMatrixRun runs the fixture journaled through a faultFS that never
-// fails, requires the outcome to equal the baseline — journaling is
-// behavior-neutral — and returns the effects it recorded: the cells.
-func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) []effect {
+// recordMatrixRun runs the fixture journaled through a faultFS and seams
+// that never fail, requires the outcome to equal the baseline — journaling
+// and the seams are behavior-neutral — and returns the effects and seam
+// calls it recorded: the cells.
+func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) ([]effect, map[string][]seamCall) {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := &faultFS{root: dir}
@@ -356,7 +491,8 @@ func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) []effect {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := journaledRun(ffs, dir, shards, fx, nil)
+	seams := &chainSeams{ffs: ffs}
+	s, err := journaledRun(ffs, dir, shards, fx, seams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,20 +503,23 @@ func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) []effect {
 	for _, d := range diffMatrixSnapshots(want, got) {
 		t.Errorf("journaled run: %s", d)
 	}
-	return ffs.recorded()
+	return ffs.recorded(), seams.recorded()
 }
 
 // journaledRun opens a journal in dir through fs, adds the fixture and runs
-// it; hook, if set, is the scheduler's crash hook. The journal is closed on
-// return.
-func journaledRun(fs fsys, dir string, shards int, fx *crashFixture, hook func(crashPoint) bool) (*Scheduler, error) {
+// it with its chain seams behind seams. The journal is closed and the
+// fixture's responders restored on return.
+func journaledRun(fs fsys, dir string, shards int, fx *crashFixture, seams *chainSeams) (*Scheduler, error) {
 	jnl, err := openJournal(fs, dir, shards)
 	if err != nil {
 		return nil, err
 	}
 	jnl.flushBytes = matrixFlushBytes
-	s := NewScheduler(fx.net, append(matrixOptions(shards), WithJournal(jnl))...)
-	s.crashHook = hook
+	seams.chain, seams.jnl, seams.calls = fx.net.Chain, jnl, make(map[string][]seamCall)
+	defer seams.wrap(fx)()
+	s := NewScheduler(fx.net, append(matrixOptions(shards),
+		WithJournal(jnl), WithVerifier(seamVerifier{seams, &dsnaudit.BatchVerifier{}}))...)
+	s.OnBlock(func(h uint64) { seams.at("block", h) })
 	for _, e := range fx.engs {
 		if err = s.Add(e); err != nil {
 			break
@@ -405,26 +544,14 @@ func runCrashCell(t *testing.T, dir string, shards int, c crashCell, want *matri
 		t.Fatal(err)
 	}
 	ffs := &faultFS{root: dir, torn: c.torn}
-	var hook func(crashPoint) bool
-	if c.label == "" {
+	seams := &chainSeams{ffs: ffs}
+	if c.seam == "" {
 		ffs.dies = func(i int, _ effect, _ []byte) bool { return i == c.effect }
 	} else {
-		fired := 0
-		hook = func(p crashPoint) bool {
-			if p != c.label {
-				return false
-			}
-			if fired++; fired != c.occ {
-				return false
-			}
-			ffs.kill() // a dead process writes nothing at Close
-			return true
-		}
+		seams.dies = func(seam string, n int) bool { return seam == c.seam && n == c.n }
 	}
-	_, err = journaledRun(ffs, dir, shards, fx, hook)
+	_, err = journaledRun(ffs, dir, shards, fx, seams)
 	switch {
-	case err == nil && c.label != "" && *crashFull:
-		t.Skipf("%s fires fewer than %d times", c.label, c.occ)
 	case err == nil:
 		return []string{"the kill never fired: the run completed"}
 	case !ffs.killed():
@@ -521,11 +648,12 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 // TestFaultFSFidelity: the recording fake changes nothing — the matrix
 // fixture journaled through os and through faultFS leaves byte-identical
 // meta, shard files and checkpoint, and equal JournalStats — and two fake
-// runs record the same effects, so an effect number names the same call in
-// every run and a red cell replays.
+// runs record the same effects and the same calls through each chain seam,
+// so an effect or seam call number names the same call in every run and a
+// red cell replays.
 func TestFaultFSFidelity(t *testing.T) {
 	const shards = 4
-	run := func(fake bool) (map[string][]byte, JournalStats, []effect) {
+	run := func(fake bool) (map[string][]byte, JournalStats, []effect, map[string][]seamCall) {
 		t.Helper()
 		fx, err := buildCrashFixture(matrixSeed, matrixRounds)
 		if err != nil {
@@ -537,7 +665,8 @@ func TestFaultFSFidelity(t *testing.T) {
 		if fake {
 			fs = ffs
 		}
-		s, err := journaledRun(fs, dir, shards, fx, nil)
+		seams := &chainSeams{ffs: ffs}
+		s, err := journaledRun(fs, dir, shards, fx, seams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,10 +680,10 @@ func TestFaultFSFidelity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return files, s.Journal().Stats(), ffs.recorded()
+		return files, s.Journal().Stats(), ffs.recorded(), seams.recorded()
 	}
-	osFiles, osStats, _ := run(false)
-	fakeFiles, fakeStats, effects := run(true)
+	osFiles, osStats, _, _ := run(false)
+	fakeFiles, fakeStats, effects, calls := run(true)
 	for name, want := range osFiles {
 		if got := fakeFiles[name]; !bytes.Equal(got, want) {
 			t.Errorf("%s: %d bytes through faultFS, %d through os", name, len(got), len(want))
@@ -563,7 +692,13 @@ func TestFaultFSFidelity(t *testing.T) {
 	if fakeStats != osStats {
 		t.Errorf("JournalStats through faultFS %+v, through os %+v", fakeStats, osStats)
 	}
-	if _, _, again := run(true); len(effects) == 0 || !reflect.DeepEqual(effects, again) {
+	_, _, again, callsAgain := run(true)
+	if len(effects) == 0 || !reflect.DeepEqual(effects, again) {
 		t.Errorf("two fake runs recorded different effects (%d and %d)", len(effects), len(again))
+	}
+	for _, seam := range seamKinds {
+		if len(calls[seam]) == 0 || !reflect.DeepEqual(calls[seam], callsAgain[seam]) {
+			t.Errorf("two fake runs recorded different %s calls (%d and %d)", seam, len(calls[seam]), len(callsAgain[seam]))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -41,8 +42,7 @@ type effect struct {
 
 var errInjected = errors.New("faultfs: injected failure")
 
-// kill fails every later call, for a crash the scheduler's hook injects
-// between effects.
+// kill fails every later call, for a kill at a chain seam, between effects.
 func (f *faultFS) kill() {
 	f.mu.Lock()
 	f.dead = true
@@ -226,5 +226,40 @@ func TestJournalFailedWriteLeavesTornTail(t *testing.T) {
 	after, _, err := readShardFrom(dir, 0, 0)
 	if err != nil || len(after) != len(before)+1 {
 		t.Fatalf("%d records read back (err %v), want the %d before the cut one", len(after), err, len(before)+1)
+	}
+}
+
+// TestOpenJournalSyncsDir: a fresh journal's shard files are entries of a
+// synced directory before any record goes into them, so power loss cannot
+// drop a shard that holds fsynced registrations — a directory sync follows
+// the last shard create and precedes the first record write.
+func TestOpenJournalSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &faultFS{root: dir}
+	j, err := openJournal(ffs, dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(journalRecord{typ: recRegister, addr: "audit:a:sp:f"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lastCreate, firstWrite, dirSync := -1, -1, -1
+	for i, e := range ffs.recorded() {
+		shard := strings.HasPrefix(e.file, "journal-")
+		switch {
+		case shard && e.op == "create":
+			lastCreate = i
+		case shard && e.op == "write" && firstWrite < 0:
+			firstWrite = i
+		case e.op == "sync" && e.file == "." && lastCreate >= 0 && firstWrite < 0:
+			dirSync = i
+		}
+	}
+	if lastCreate < 0 || firstWrite < 0 || dirSync < lastCreate {
+		t.Fatalf("effects %+v: no directory sync between the last shard create (%d) and the first record write (%d)",
+			ffs.recorded(), lastCreate, firstWrite)
 	}
 }

@@ -56,16 +56,16 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 		}
 	}
 
-	// Die once, late enough that the crashed journal has seen whole ticks.
-	fired := 0
-	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl))
-	s.crashHook = func(p crashPoint) bool {
-		if p != crashPostSettle {
-			return false
+	// Die once, late enough that the crashed journal has seen whole ticks:
+	// right after the second block's verdicts land on-chain.
+	settled := 0
+	v := newHeldVerifier(&dsnaudit.BatchVerifier{}, func() {
+		if settled++; settled == 2 {
+			jnl.fail(errInjected)
 		}
-		fired++
-		return fired == 2
-	}
+	})
+	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl), WithVerifier(v))
+	s.OnBlock(v.hold)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)
@@ -74,8 +74,8 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 	if n := onDisk(recRegister); n != len(fx.engs) {
 		t.Fatalf("%d of %d registrations on disk before Run", n, len(fx.engs))
 	}
-	if err := s.Run(context.Background()); !errors.Is(err, errCrashed) {
-		t.Fatalf("crashed run returned %v, want errCrashed", err)
+	if err := s.Run(context.Background()); !errors.Is(err, errInjected) {
+		t.Fatalf("crashed run returned %v, want errInjected", err)
 	}
 	if ticks := onDisk(recTick); uint64(ticks) != s.Stats().Ticks {
 		t.Fatalf("%d tick marks on disk after %d ticks", ticks, s.Stats().Ticks)
@@ -279,56 +279,83 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 	}
 }
 
+// heldVerifier runs the settlement stage in lockstep with the Run
+// goroutine. Its OnBlock hook, hold, holds the tick after a seal until the
+// sealed block's SettleBlock has returned, so what the settlement stage sees
+// of the journal, and where a fault it latches stops the run, do not depend
+// on goroutine timing: while SettleBlock runs, the Run goroutine has
+// appended nothing since it handed the block over but the held tick's mark,
+// which writes through. exit, if set, runs after the inner call.
+type heldVerifier struct {
+	inner dsnaudit.Verifier
+	exit  func()
+	done  chan struct{} // one token per returned SettleBlock
+	last  uint64        // the previous tick's height; a gap is a seal block
+}
+
+func newHeldVerifier(inner dsnaudit.Verifier, exit func()) *heldVerifier {
+	return &heldVerifier{inner: inner, exit: exit, done: make(chan struct{}, 64)}
+}
+
+func (v *heldVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
+	res, err := v.inner.SettleBlock(cs, height, workers)
+	if v.exit != nil {
+		v.exit()
+	}
+	v.done <- struct{}{}
+	return res, err
+}
+
+func (v *heldVerifier) hold(h uint64) {
+	if v.last != 0 && h > v.last+1 {
+		<-v.done
+	}
+	v.last = h
+}
+
 // settleBarrierVerifier asserts the settlement durability barrier from the
 // settlement stage itself: when SettleBlock runs for a block, the settled
 // record of every round it settled in the previous block, and every settled
 // and parked record appended up to the barrier, must be readable from the
-// journal files on disk — not merely sitting in a shard buffer.
+// journal files on disk — not merely sitting in a shard buffer. It runs
+// behind a heldVerifier, so what the journal holds on disk and in its
+// buffers is what was appended up to the barrier.
 type settleBarrierVerifier struct {
 	t   *testing.T
 	jnl *Journal
 
-	mu       sync.Mutex
-	appended []journalRecord // settled and parked records appended before the coming block's barrier
-	prev     []string        // settled records the previous block's verdicts owe
-	settled  int             // records checked, by kind
-	parked   int
+	mu      sync.Mutex
+	prev    []string // settled records the previous block's verdicts owe
+	settled int      // records checked, by kind
+	parked  int
 }
 
 func barrierKey(r journalRecord) string {
 	return fmt.Sprintf("%d|%s|%d|%d", r.typ, r.addr, r.round, r.height)
 }
 
-// atPreSettle runs on the Run goroutine just before the barrier (it is the
-// crash hook, which never fires): everything on disk plus everything still
-// buffered is what has been appended so far.
-func (v *settleBarrierVerifier) atPreSettle(p crashPoint) bool {
-	if p != crashPreSettle {
-		return false
-	}
+// appended is everything on disk plus everything still buffered.
+func (v *settleBarrierVerifier) appended() []journalRecord {
 	appended := v.onDisk()
 	for _, sh := range v.jnl.shards {
 		sh.mu.Lock()
 		recs, _, err := scanRecords(sh.buf, "buffer")
 		sh.mu.Unlock()
 		if err != nil {
-			v.t.Errorf("pre-settle buffer scan: %v", err)
+			v.t.Errorf("buffer scan: %v", err)
 		}
 		appended = append(appended, recs...)
 	}
-	v.mu.Lock()
-	v.appended = appended
-	v.mu.Unlock()
-	return false
+	return appended
 }
 
 // onDisk reads every settled and parked record the shard files hold.
 func (v *settleBarrierVerifier) onDisk() []journalRecord {
 	var out []journalRecord
 	for i := range v.jnl.shards {
-		// readShardFrom tolerates a torn tail, which a concurrent append on
-		// the run goroutine can briefly look like; the records asserted on
-		// were flushed before the settle job was queued.
+		// readShardFrom tolerates a torn tail, which the held tick's mark
+		// write can briefly look like; the records asserted on were flushed
+		// before the settle job was queued.
 		recs, _, err := readShardFrom(v.jnl.dir, i, 0)
 		if err != nil {
 			v.t.Errorf("journal read: %v", err)
@@ -339,6 +366,7 @@ func (v *settleBarrierVerifier) onDisk() []journalRecord {
 }
 
 func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
+	appended := v.appended()
 	disk := make(map[string]bool)
 	for _, r := range v.onDisk() {
 		disk[barrierKey(r)] = true
@@ -350,7 +378,7 @@ func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint
 			v.t.Errorf("settling block at height %d before the previous block's settled record %s was written", height, k)
 		}
 	}
-	for _, r := range v.appended {
+	for _, r := range appended {
 		if r.typ != recSettled && r.typ != recParked {
 			continue
 		}
@@ -389,7 +417,7 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		t.Fatal(err)
 	}
 	jnl.flushBytes = 1 << 30
-	v := &settleBarrierVerifier{t: t, jnl: jnl}
+	v := newHeldVerifier(&settleBarrierVerifier{t: t, jnl: jnl}, nil)
 	s := NewScheduler(fx.net,
 		WithShards(shards),
 		WithParallelism(2),
@@ -397,7 +425,7 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		WithVerifier(v),
 		WithJournalFlushEvery(1<<20),
 	)
-	s.crashHook = v.atPreSettle
+	s.OnBlock(v.hold)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)
@@ -409,8 +437,8 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v.settled == 0 || v.parked == 0 {
-		t.Fatalf("verifier checked %d settled and %d parked records, want both kinds", v.settled, v.parked)
+	if b := v.inner.(*settleBarrierVerifier); b.settled == 0 || b.parked == 0 {
+		t.Fatalf("verifier checked %d settled and %d parked records, want both kinds", b.settled, b.parked)
 	}
 	// With cadence and threshold unreachable, only barriers wrote: the
 	// pre-settle flushes plus the clean-exit sync.

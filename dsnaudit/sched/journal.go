@@ -433,20 +433,15 @@ func openJournal(fs fsys, dir string, shards int) (*Journal, error) {
 	}
 	j := &Journal{fs: fs, dir: dir, flushBytes: journalFlushBytes}
 	metaPath := filepath.Join(dir, journalMetaName)
-	if meta, err := os.ReadFile(metaPath); err == nil {
+	meta, err := os.ReadFile(metaPath)
+	fresh := os.IsNotExist(err)
+	if err == nil {
 		n, err := parseJournalMeta(meta)
 		if err != nil {
 			return nil, fmt.Errorf("sched: journal meta %s: %w", metaPath, err)
 		}
 		shards = n
-	} else if os.IsNotExist(err) {
-		// Installed like a checkpoint: a crash leaves no meta or a whole one,
-		// never an empty file that would refuse the directory at restart.
-		meta := binary.BigEndian.AppendUint32(append([]byte(nil), journalMetaMagic...), uint32(shards))
-		if err := j.install(journalMetaName, meta); err != nil {
-			return nil, fmt.Errorf("sched: journal meta: %w", err)
-		}
-	} else {
+	} else if !fresh {
 		return nil, fmt.Errorf("sched: journal meta: %w", err)
 	}
 
@@ -465,6 +460,17 @@ func openJournal(fs fsys, dir string, shards int) (*Journal, error) {
 		}
 		j.shards[i] = &journalShard{path: path, f: f, size: size}
 		j.stats.TornBytes += uint64(torn)
+	}
+	if fresh {
+		// Installed like a checkpoint, after the shard files exist: a crash
+		// leaves no meta or a whole one, never an empty file that would
+		// refuse the directory at restart, and the install's directory fsync
+		// makes the new shard files durable with it.
+		meta = binary.BigEndian.AppendUint32(append([]byte(nil), journalMetaMagic...), uint32(shards))
+		if err := j.install(journalMetaName, meta); err != nil {
+			j.closeOpened()
+			return nil, fmt.Errorf("sched: journal meta: %w", err)
+		}
 	}
 	return j, nil
 }

@@ -185,20 +185,18 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 		}
 	}
 
-	fired := 0
+	blocks := 0
 	s := NewScheduler(fx.net, WithVerifier(trustingVerifier{}), WithCheckpointEvery(0), WithJournal(jnl))
-	s.crashHook = func(p crashPoint) bool {
-		if p != crashPreIssue {
-			return false
+	s.OnBlock(func(uint64) {
+		if blocks++; blocks == 70 {
+			jnl.fail(errInjected) // die at the 70th block, before it issues
 		}
-		fired++
-		return fired == 70
-	}
+	})
 	if err := s.Add(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(context.Background()); !errors.Is(err, errCrashed) {
-		t.Fatalf("crashed run returned %v, want errCrashed", err)
+	if err := s.Run(context.Background()); !errors.Is(err, errInjected) {
+		t.Fatalf("crashed run returned %v, want errInjected", err)
 	}
 	jnl.Close()
 	noCheckpoint("NewScheduler(WithCheckpointEvery(0), WithJournal(j))", s)

@@ -75,16 +75,14 @@ type Scheduler struct {
 	store *store
 
 	// Durability (nil journal = volatile scheduler, the default). The
-	// journal, the checkpoint and synced-flush cadences and the crash hook
-	// (tests only) are fixed before Run; lastWake, ckptTicks and jflushTicks
-	// are owned by the Run goroutine; resume is set by Recover before Run
-	// starts.
+	// journal and the checkpoint and synced-flush cadences are fixed before
+	// Run; lastWake, ckptTicks and jflushTicks are owned by the Run
+	// goroutine; resume is set by Recover before Run starts.
 	journal     *Journal
 	ckptEvery   int // checkpoint cadence in ticks; <= 0 disables
 	ckptTicks   int
 	jflushEvery int // synced-flush cadence in ticks
 	jflushTicks int
-	crashHook   func(crashPoint) bool
 	resume      bool
 	lastWake    uint64
 
@@ -519,14 +517,31 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			return nil
 		}
 		outstanding = false
-		out := <-settleOutcomes
-		if s.crashAt(crashPostSettle) {
-			// The settlement stage already applied this block's verdicts
-			// on-chain; dying here loses only the journal records for them —
-			// the reconciliation window Recover absorbs.
-			return errCrashed
+		return s.recordSettlement(<-settleOutcomes)
+	}
+	// handOff queues a sealed block for the settlement stage, pinned at the
+	// height that sealed it.
+	handOff := func(block []*entry, sealed uint64) error {
+		// The settlement barrier: the previous block's settled records and
+		// every parked mark so far are written out before the settlement
+		// stage can move this block's funds, so the window recovery must
+		// reconcile is one block.
+		if err := s.jbarrier(false); err != nil {
+			return err
 		}
-		return s.recordSettlement(out)
+		s.store.mu.Lock()
+		for _, en := range block {
+			en.phase = phaseSettling
+		}
+		s.store.settling += len(block)
+		s.store.mu.Unlock()
+		cs := make([]*contract.Contract, len(block))
+		for i, en := range block {
+			cs[i] = en.eng.Contract
+		}
+		settleJobs <- settleJob{entries: block, cs: cs, height: sealed}
+		outstanding = true
+		return nil
 	}
 
 	for {
@@ -601,16 +616,26 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		if err := s.jtickFlush(); err != nil {
 			return err
 		}
-		if s.crashAt(crashPreIssue) {
-			return errCrashed
-		}
 
 		due, block, adopted := s.wakeAt(height)
 		if err := s.journalFault(); err != nil {
 			return err
 		}
-		if s.crashAt(crashPostIssue) {
-			return errCrashed
+		if resumeTick && adopted > 0 && s.net.Chain.Height() == height && s.net.Chain.PendingCount() == 0 {
+			// The crashed run mined this tick's block and no proof is
+			// pending, so the adopted proofs were sealed by the block before
+			// it and died on their way to settlement: settle them there, as
+			// the block they were, before this tick proves anything.
+			var sealed []*entry
+			for i, en := range block {
+				if en != nil {
+					sealed, block[i] = append(sealed, en), nil
+				}
+			}
+			if err := handOff(sealed, height-1); err != nil {
+				return err
+			}
+			adopted = 0
 		}
 
 		// Fan the due proofs out; drain results as they land, each into the
@@ -619,7 +644,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		// settlement may still be verifying — that is the overlap.
 		inflight := 0
 		aborted := false
-		var dead error // a crash or journal failure mid-tick
+		var dead error // a journal failure mid-tick
 		ctxDone := ctx.Done()
 		for len(due) > 0 || inflight > 0 {
 			var jobCh chan proofJob
@@ -636,12 +661,6 @@ func (s *Scheduler) Run(ctx context.Context) error {
 				inflight--
 				if !aborted && dead == nil && s.submit(ctx, height, r) {
 					block[r.slot] = r.entry
-					if s.crashAt(crashMidProve) {
-						// Die with this proof on-chain and the rest of the
-						// tick never submitted; in-flight results drain and
-						// are discarded, like any crash would discard them.
-						dead = errCrashed
-					}
 				}
 				if dead == nil {
 					// A journal write inside this result's parked append
@@ -658,7 +677,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			}
 		}
 		// Close the slots of proofs that never landed (parked, retried,
-		// errored, or discarded by a crash or cancellation).
+		// errored, or discarded by a journal failure or cancellation).
 		sealed := block[:0]
 		for _, en := range block {
 			if en != nil {
@@ -686,28 +705,9 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			s.net.Chain.MineBlock()
 		}
 		if len(block) > 0 {
-			if s.crashAt(crashPreSettle) {
-				return errCrashed
-			}
-			// The settlement barrier: the previous block's settled records
-			// and every parked mark so far are written out before the
-			// settlement stage can move this block's funds, so the window
-			// recovery must reconcile is one block.
-			if err := s.jbarrier(false); err != nil {
+			if err := handOff(block, s.net.Chain.Height()); err != nil {
 				return err
 			}
-			s.store.mu.Lock()
-			for _, en := range block {
-				en.phase = phaseSettling
-			}
-			s.store.settling += len(block)
-			s.store.mu.Unlock()
-			cs := make([]*contract.Contract, len(block))
-			for i, en := range block {
-				cs[i] = en.eng.Contract
-			}
-			settleJobs <- settleJob{entries: block, cs: cs, height: s.net.Chain.Height()}
-			outstanding = true
 		}
 		if s.journal != nil && s.ckptEvery > 0 {
 			s.ckptTicks++

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"crypto/rand"
+	mrand "math/rand"
 	"testing"
 
 	"repro/internal/bn256"
@@ -186,10 +187,14 @@ func TestPrivateTrailBiasUniform(t *testing.T) {
 	prover, ef := victim(t, s, 150)
 	d := ef.NumChunks()
 
+	// A seeded stream, so a run's statistic is reproducible: the null
+	// distribution below has a false-alarm tail, and an unseeded draw
+	// would make the test fail at random on a correct prover.
+	rng := mrand.New(mrand.NewSource(1))
 	var ys []bn256.Scalar
 	for i := 0; i < 200; i++ {
-		ch, _ := core.NewChallenge(d, rand.Reader)
-		proof, err := prover.ProvePrivate(ch, nil, rand.Reader)
+		ch, _ := core.NewChallenge(d, rng)
+		proof, err := prover.ProvePrivate(ch, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +202,10 @@ func TestPrivateTrailBiasUniform(t *testing.T) {
 	}
 	bias := PrivateTrailBias(ys, 8)
 	// Normalized chi-square ~1 for uniform. The slack must cover the
-	// unseeded sampling noise of 200 draws: at 7 degrees of freedom a 2.5
-	// cutoff still false-alarms on ~1.5% of runs, while genuine leakage
-	// (a linear trail) sits orders of magnitude higher, so 3.5 (~0.1%
-	// false-alarm) loses no detection power.
+	// sampling noise of 200 draws: at 7 degrees of freedom a 2.5 cutoff
+	// false-alarms on ~1.5% of streams, while genuine leakage (a linear
+	// trail) sits orders of magnitude higher, so 3.5 (~0.1% false-alarm)
+	// loses no detection power.
 	if bias > 3.5 {
 		t.Fatalf("private trail bias %.2f suggests leakage", bias)
 	}
