@@ -13,12 +13,15 @@ import (
 // The cumulative Stats counters (ticks, woken, challenges, ...) are
 // re-exported as func-backed series reading Stats() at scrape time —
 // zero added cost on the hot path and no dual accounting to drift. Only
-// the per-tick gauges and the checkpoint histogram are live series.
+// the per-tick gauges and the checkpoint and prepare histograms are live
+// series.
 type schedObs struct {
 	due     *obs.Gauge   // entries woken at the last tick
 	parked  *obs.Gauge   // entries currently on the deadline/backoff path
 	depth   []*obs.Gauge // armed entries per shard wake queue
 	ckptDur *obs.Histogram
+
+	prepareDur *obs.Histogram // observed on the prove workers
 }
 
 // WithMetrics attaches a metrics registry: the scheduler registers its
@@ -71,6 +74,8 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 		due:     reg.Gauge("dsn_sched_due", "entries woken at the last tick"),
 		parked:  reg.Gauge("dsn_sched_parked", "entries parked on the deadline or overload-backoff path"),
 		ckptDur: reg.Histogram("dsn_sched_checkpoint_seconds", "checkpoint write duration", nil),
+		prepareDur: reg.Histogram("dsn_sched_prepare_seconds", "per-proof verification step on the prove worker that received the proof",
+			obs.ExpBuckets(0.0001, 2, 14)),
 	}
 	for i := range s.store.shards {
 		o.depth = append(o.depth, reg.Gauge("dsn_sched_wake_queue_depth",

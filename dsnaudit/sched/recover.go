@@ -277,6 +277,9 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 			return nil, nil, fmt.Errorf("sched: recover %s: %w", re.addr, err)
 		}
 		rep.Entries++
+		// What the crashed run prepared died with it: a pending proof is
+		// prepared at settlement, from the contract's own bytes.
+		e.Contract.AttachPrepared(nil)
 
 		// Reconcile the settled-but-unjournaled window: every contract round
 		// past what the journal witnessed already moved funds and state

@@ -22,13 +22,18 @@ import (
 // woken.
 //
 // The CPU-heavy work runs as a two-stage pipeline. Stage one is the proof
-// pool: the tick's due challenges fan out to prove workers, and each proof
-// that lands is recorded cheaply on its contract (SubmitProof, calldata gas
-// only). Stage two is the settlement stage: once the tick's proofs are
-// sealed into a block, the block is handed to a dedicated settlement
-// goroutine, which produces the phase-2 verdicts through the Verifier (by
-// default one batched check sharing a single final exponentiation) while
-// the main loop is already mining the next tick and generating its proofs.
+// pool: the tick's due challenges fan out to prove workers. A worker that
+// receives a proof also runs the verifier's per-item step over it
+// (core.PrepareProof: decoding, challenge expansion, zeta and the tag
+// hashes), and the proof lands on its contract cheaply (SubmitProof,
+// calldata gas only) with that step attached (AttachPrepared). Stage two is
+// the settlement stage: once the tick's proofs are sealed into a block, the
+// block is handed to a dedicated settlement goroutine, which produces the
+// phase-2 verdicts through the Verifier (by default one batched check
+// sharing a single final exponentiation, of which only the weights, the
+// sums and the pairing are left) while the main loop is already mining the
+// next tick and generating its proofs. A run whose verifier reads no proof
+// (the soak's) prepares nothing.
 //
 // The overlap never changes behavior. Settlement is pinned to the sealed
 // block's height, so audit triggers arm exactly as they would inline;
@@ -419,6 +424,7 @@ type proofJob struct {
 type proofResult struct {
 	entry *entry
 	proof []byte
+	prep  *core.PreparedProof // the proof's per-item verification step, if made
 	err   error
 	slot  int
 }
@@ -475,7 +481,10 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		s.mu.Unlock()
 	}()
 
-	// Stage 1: the proof-generation pool.
+	// Stage 1: the proof-generation pool. A worker that receives a proof
+	// also runs the verifier's per-item step over it, unless the verifier
+	// reads no proof.
+	_, trusting := s.verifier.(trustingVerifier)
 	jobs := make(chan proofJob)
 	results := make(chan proofResult)
 	var proveWG sync.WaitGroup
@@ -484,8 +493,13 @@ func (s *Scheduler) Run(ctx context.Context) error {
 		go func() {
 			defer proveWG.Done()
 			for job := range jobs {
-				proof, err := job.entry.eng.Responder.Respond(ctx, job.entry.eng.Contract.Addr, job.ch)
-				results <- proofResult{entry: job.entry, proof: proof, err: err, slot: job.slot}
+				c := job.entry.eng.Contract
+				proof, err := job.entry.eng.Responder.Respond(ctx, c.Addr, job.ch)
+				var prep *core.PreparedProof
+				if err == nil && !trusting {
+					prep = s.prepare(c, job.ch, proof)
+				}
+				results <- proofResult{entry: job.entry, proof: proof, prep: prep, err: err, slot: job.slot}
 			}
 		}()
 	}
@@ -860,8 +874,25 @@ func (s *Scheduler) submit(ctx context.Context, h uint64, r proofResult) bool {
 		s.finish(en, err)
 		return false
 	}
+	e.Contract.AttachPrepared(r.prep)
 	s.tracer.Emit(obs.EvProof, string(e.ID()), e.Contract.Round(), h, "")
 	return true
+}
+
+// prepare runs the per-item step of verifying a proof that just arrived
+// (core.PrepareProof) on the prove worker that received it, reading only the
+// contract's fixed terms. A proof that fails to decode gets no item: nothing
+// is refused at submission, and settlement slashes it from its own bytes.
+func (s *Scheduler) prepare(c *contract.Contract, ch *core.Challenge, proof []byte) *core.PreparedProof {
+	start := time.Now()
+	prep, err := core.PrepareProof(c.Terms.PublicKey, c.Terms.NumChunks, ch, proof)
+	if s.obs != nil {
+		s.obs.prepareDur.ObserveDuration(time.Since(start))
+	}
+	if err != nil {
+		return nil
+	}
+	return prep
 }
 
 // park arms an entry at a future height on the deadline or retry path,

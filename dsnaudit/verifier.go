@@ -24,9 +24,12 @@ type Verifier interface {
 // single contract.SettleBatchAt call — one shared final exponentiation
 // across every proof in the block and 2K+1 Miller loops for its K distinct
 // owner keys, each fed by one multi-scalar multiplication over the block,
-// with the loops, those sums and the per-item challenge expansion fanned out
-// across the workers, bisecting on failure so one cheater among N honest
-// providers is individually slashed while the rest settle as passed.
+// with the loops and those sums fanned out across the workers, bisecting on
+// failure so one cheater among N honest providers is individually slashed
+// while the rest settle as passed. Each proof's per-item step (decoding,
+// challenge expansion, zeta, the tag hashes) is the one the scheduler's
+// prove worker attached on arrival; a contract without one is prepared at
+// settlement by the same function.
 type BatchVerifier struct {
 	// Stats, when non-nil, accumulates the pairing workload across blocks
 	// (final exponentiations and Miller loops), making the amortization

@@ -137,7 +137,7 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 	// Digits are signed (boothDigit), so a window needs half the buckets; a
 	// negative digit adds the negated point. The top window must see a
 	// clear sign bit, hence maxBits+1.
-	c := msmWindowBits(live, maxBits)
+	c, _ := msmWindowBits(live, maxBits)
 	windows := (maxBits + c) / c
 	perGroup := max(1, msmGroupEntries/entries)
 	groups := (windows + perGroup - 1) / perGroup
@@ -423,8 +423,9 @@ func (s *msmScratch) windowSums(sums []curvePoint, c int) {
 //
 // an entry costing its affine bucket addition (6) and about one more to be
 // sorted into the bucket, and each of the 2^(c-1) buckets of a signed-digit
-// window one mixed (11) and one full (16) addition into the window's sum.
-func msmWindowBits(entries, maxBits int) int {
+// window one mixed (11) and one full (16) addition into the window's sum. It
+// returns the width and its cost.
+func msmWindowBits(entries, maxBits int) (int, int64) {
 	best, bestCost := 1, int64(1)<<62
 	for c := 1; c <= 16; c++ {
 		windows := int64((maxBits + c) / c)
@@ -433,5 +434,22 @@ func msmWindowBits(entries, maxBits int) int {
 			best, bestCost = c, cost
 		}
 	}
-	return best
+	return best, bestCost
+}
+
+// MultiScalarMultCost returns the modeled cost, in field multiplications, of
+// a MultiScalarMult over n points whose scalars are all short (below 2^128:
+// n entries on 128-bit windows) or all full-width (2n GLV halves on 127-bit
+// windows), at the window width the method would pick. It is the model
+// above, for callers choosing between two ways of forming one sum.
+func MultiScalarMultCost(n int, short bool) int64 {
+	if n <= 0 {
+		return 0
+	}
+	if short {
+		_, cost := msmWindowBits(n, 128)
+		return cost
+	}
+	_, cost := msmWindowBits(2*n, 127)
+	return cost
 }

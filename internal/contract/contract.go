@@ -16,7 +16,7 @@
 // transactions when a block lands rather than at submission: Settle
 // verifies one contract's pending proof, SettleBatch verifies every
 // pending proof of a block with a single shared final exponentiation
-// (core.VerifyBatch), bisecting on failure to isolate cheaters.
+// (core.VerifyPrepared), bisecting on failure to isolate cheaters.
 //
 // Scheduling ("Ethereum Alarm Clock") is modeled by block-height triggers:
 // the contract arms a trigger height and anyone may poke it once the chain
@@ -129,6 +129,8 @@ type Contract struct {
 	storedKeySize int
 	pendingProof  []byte // phase-1 proof bytes awaiting settlement
 	pendingGas    uint64 // gas charged for the proof submission tx
+
+	prepared *core.PreparedProof // the pending proof's per-item verification step, if attached
 }
 
 // Errors surfaced by contract calls.
@@ -297,9 +299,9 @@ func (k *Contract) CurrentChallenge() *core.Challenge { return k.challenge }
 
 // SubmitProof is phase 1 of the two-phase settlement protocol: the provider
 // posting its 288-byte private proof. The proof is recorded as a pending
-// transaction — calldata gas only, no pairing work — and the contract moves
-// to SETTLE, awaiting the verdict at block inclusion (Settle or
-// SettleBatch).
+// transaction — calldata gas only, no pairing work, nothing refused — and the
+// contract moves to SETTLE, awaiting the verdict at block inclusion (Settle
+// or SettleBatch).
 func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	if k.state != StateProve {
 		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
@@ -318,6 +320,7 @@ func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	}
 	k.pendingProof = append([]byte(nil), proofBytes...)
 	k.pendingGas = rcpt.GasUsed
+	k.prepared = nil
 	k.state = StateSettle
 	k.Chain.Emit("proofposted", nil)
 	return nil
@@ -340,6 +343,47 @@ func (k *Contract) PendingItem() (*core.BatchItem, error) {
 		Challenge: k.challenge,
 		Proof:     proof,
 	}, nil
+}
+
+// AttachPrepared hands the contract the per-item step of verifying its
+// pending proof (core.PrepareProof), made off the settlement path by whoever
+// received the proof. Batched settlement uses it only if it was made from
+// exactly the pending bytes and the open challenge, and otherwise prepares
+// from its own bytes, so an attached item can save a verdict its work but
+// never change it. The verdict drops it. Outside SETTLE it is ignored.
+func (k *Contract) AttachPrepared(p *core.PreparedProof) {
+	if k.state == StateSettle {
+		k.prepared = p
+	}
+}
+
+// HasPrepared reports whether the pending proof carries a prepared item that
+// settlement would use.
+func (k *Contract) HasPrepared() bool {
+	return k.boundPrepared() != nil
+}
+
+// boundPrepared returns the attached item if it was made from the pending
+// proof against the open challenge.
+func (k *Contract) boundPrepared() *core.PreparedProof {
+	if p := k.prepared; p != nil && p.Matches(k.Terms.PublicKey, k.Terms.NumChunks, k.challenge, k.pendingProof) {
+		return p
+	}
+	return nil
+}
+
+// pendingPrepared returns the per-item step over the pending proof: the
+// attached item when it is bound to it, else one prepared here by the same
+// function. A proof that fails to decode returns ErrMalformedProof.
+func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
+	if p := k.boundPrepared(); p != nil {
+		return p, nil
+	}
+	p, err := core.PrepareProof(k.Terms.PublicKey, k.Terms.NumChunks, k.challenge, k.pendingProof)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformedProof, err)
+	}
+	return p, nil
 }
 
 // Settle is phase 2 for a single contract: it runs the scheduled Verify
@@ -417,24 +461,23 @@ func SettleBatch(cs []*Contract, stats *core.BatchStats) []SettleResult {
 
 // SettleBatchAt is SettleBatch with the settlement height pinned (see
 // SettleAt) and the verification workload bounded to workers goroutines
-// (<= 0 selects GOMAXPROCS): pending proofs parse in parallel across the
-// block and the batched verification fans its per-item challenge expansion,
-// its block-level sums and its Miller loops out via core.VerifyBatchParallel.
-// Verdicts, result order and the chain transaction sequence are identical at
-// any worker count.
+// (<= 0 selects GOMAXPROCS). Each pending proof's per-item step is the one
+// attached to it (AttachPrepared) when that is bound to it; the rest are
+// decoded and prepared here, in parallel across the block. What remains is
+// core.VerifyPrepared's block step: the weights, the block-level sums and
+// the Miller loops. Verdicts, result order and the chain transaction
+// sequence are identical at any worker count, prepared or not.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
 	results := make([]SettleResult, len(cs))
-	// Parse every pending proof in parallel: unmarshaling N private proofs
-	// (two group points and a GT element each) is the settle path's serial
-	// prefix. Verdict application below stays in input order.
-	parsed := make([]*core.BatchItem, len(cs))
+	// Verdict application below stays in input order.
+	prepared := make([]*core.PreparedProof, len(cs))
 	parseErrs := make([]error, len(cs))
 	parallel.For(workers, len(cs), func(i int) {
 		if cs[i].state == StateSettle {
-			parsed[i], parseErrs[i] = cs[i].PendingItem()
+			prepared[i], parseErrs[i] = cs[i].pendingPrepared()
 		}
 	})
-	var items []*core.BatchItem
+	var items []*core.PreparedProof
 	var owners []int // position in cs of each batch item
 	for i, k := range cs {
 		results[i].Addr = k.Addr
@@ -448,10 +491,10 @@ func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.Batch
 			results[i].Err = k.applyVerdictAt(false, 0, height)
 			continue
 		}
-		items = append(items, parsed[i])
+		items = append(items, prepared[i])
 		owners = append(owners, i)
 	}
-	verdicts := core.VerifyBatchParallel(items, stats, workers)
+	verdicts := core.VerifyPrepared(items, stats, workers)
 	for j, passed := range verdicts {
 		i := owners[j]
 		k := cs[i]
@@ -513,6 +556,7 @@ func (k *Contract) applyVerdictAt(passed bool, settleGas uint64, height uint64) 
 	k.challenge = nil
 	k.pendingProof = nil
 	k.pendingGas = 0
+	k.prepared = nil
 
 	// The state machine advances before any funds move: a chain fault in a
 	// transfer below still surfaces as an error, but can never strand the

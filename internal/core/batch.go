@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -80,14 +81,15 @@ type BatchStats struct {
 // batch costs a single shared final exponentiation; on failure the batch is
 // bisected recursively until the offending item(s) are isolated, so one
 // cheater among N honest items costs O(log N) extra verifications instead
-// of forcing N per-item ones. What depends on an item alone — the expanded
-// challenge, its tags H(name||i), its weight and its scalars — is prepared
-// once and shared by every bisection level; the group arithmetic is per
-// sub-batch, so re-verifying a half re-sums that half (about twice the
-// summing work of the failing block overall, paid before a slash) and runs
-// its Miller loops and one final exponentiation. stats may be nil.
-// VerifyBatch uses GOMAXPROCS workers; VerifyBatchParallel exposes the worker
-// count.
+// of forcing N per-item ones. What depends on an item alone — the decoded
+// proof, the expanded challenge, zeta and the tags H(name||i) — is prepared
+// once per item (PreparedProof); its weight rho depends on the whole
+// transcript and is derived per slot, once, and the scalars it scales are
+// shared by every bisection level. The group arithmetic is per sub-batch, so
+// re-verifying a half re-sums that half (about twice the summing work of the
+// failing block overall, paid before a slash) and runs its Miller loops and
+// one final exponentiation. stats may be nil. VerifyBatch uses GOMAXPROCS
+// workers; VerifyBatchParallel exposes the worker count.
 func VerifyBatch(items []*BatchItem, stats *BatchStats) []bool {
 	return VerifyBatchParallel(items, stats, 0)
 }
@@ -99,11 +101,21 @@ func VerifyBatch(items []*BatchItem, stats *BatchStats) []bool {
 // Verdicts, stats counters and the bisection path are identical at any worker
 // count.
 func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []bool {
-	verdicts := make([]bool, len(items))
-	if len(items) == 0 {
+	return VerifyPrepared(prepareItems(items, workers), stats, workers)
+}
+
+// VerifyPrepared is VerifyBatchParallel over proofs whose per-item step is
+// done (PrepareProof), on whatever goroutine received them. What is left is
+// the block step: each slot's weight from the transcript and its scaled
+// scalars, then the sums, Miller loops and final exponentiation, bisecting on
+// failure. Verdicts and stats are those of VerifyBatchParallel over the same
+// proofs, and no PreparedProof is written to.
+func VerifyPrepared(preps []*PreparedProof, stats *BatchStats, workers int) []bool {
+	verdicts := make([]bool, len(preps))
+	if len(preps) == 0 {
 		return verdicts
 	}
-	bisect(prepareBatch(items, workers), verdicts, stats, false, workers)
+	bisect(weighBatch(preps), verdicts, stats, false, workers)
 	return verdicts
 }
 
@@ -158,96 +170,196 @@ func batchWeight(digest []byte, i int) bn256.Scalar {
 // prover can predict any weight before the entire batch is committed:
 // changing any single proof re-randomizes every weight in the batch. The
 // transcript is hashed once — not once per weight — so weight derivation
-// stays O(N) in the batch size.
-func batchTranscript(items []*BatchItem) []byte {
+// stays O(N) in the batch size; each item's encoding is its per-item step's.
+func batchTranscript(preps []*PreparedProof) []byte {
 	h := sha256.New()
-	for _, it := range items {
-		h.Write(it.Proof.Sigma.Marshal())
-		y := it.Proof.YPrime.Bytes()
-		h.Write(y[:])
-		h.Write(it.Proof.Psi.Marshal())
-		h.Write(it.Proof.R.Marshal())
+	for _, p := range preps {
+		h.Write(p.enc)
 	}
 	return h.Sum(nil)
 }
 
-// batchTerm is what one item contributes to any sub-batch it is verified in:
-// the group elements of its equation as they arrived, and the scalar each is
-// weighted by, from the expanded challenge, zeta = H'(R) and the weight rho
-// of the whole-batch transcript. Nothing here is a group operation's result:
-// the weighted sums are verifyTerms', over whatever subset it is handed.
-type batchTerm struct {
-	ok    bool          // challenge expanded successfully
-	pub   *PublicKey    // eps and delta, the G2 points this item's sums pair against
-	key   string        // their encoding: terms group by key value, not pointer
-	proof *PrivateProof // sigma, psi and R
-	tags  []*bn256.G1   // H(name||i) of the challenged chunks
+// PreparedProof is the per-item step of batch verification: everything
+// checking one proof needs that does not depend on the block it settles in.
+// It holds the decoded proof (R's subgroup check is done), the expanded
+// challenge, zeta = H'(R), the proof's share of the batch transcript, the
+// owner key it groups under, and the tags H(name||i_j) of the challenged
+// chunks with their coefficients c_j — or, where collapseTags says so, the
+// one point chi = sum_j c_j H(name||i_j) with coefficient 1. It holds no
+// weight: rho needs the whole block, so the block step derives it when the
+// block is known (VerifyPrepared). A PreparedProof is only read once made,
+// so one may fill several slots of a batch and every bisection level.
+type PreparedProof struct {
+	pub       *PublicKey
+	numChunks int
+	challenge Challenge
+	raw       []byte // the bytes PrepareProof decoded; nil for a decoded item
 
-	zr   bn256.Scalar   // zeta*rho: sigma's against g2; negated, psi's against delta
-	zrR  bn256.Scalar   // zeta*rho*r: psi's against eps
-	tagW []bn256.Scalar // -zeta*rho*c_j: the tags' against eps
-	rhoY bn256.Scalar   // rho*y': g1's against eps, negated
-	rho  bn256.Scalar   // R's
+	ok     bool           // the challenge expanded; if not, the item fails every batch it is in
+	key    string         // the encoding of eps and delta: items group by key value, not pointer
+	proof  *PrivateProof  // sigma, psi and R
+	enc    []byte         // sigma, y', psi and R as batchTranscript hashes them
+	zeta   bn256.Scalar   // H'(R)
+	r      bn256.Scalar   // the challenge's evaluation point
+	tags   []*bn256.G1    // what pairs against eps for the chunks: the k tags, or chi
+	coeffs []bn256.Scalar // their coefficients: the c_j, or 1
 }
 
-// prepareBatch derives the whole-batch weights and, per item, everything that
-// does not depend on which sub-batch the item is verified in: the expanded
-// challenge, the tags it names and every scalar of its weighted equation. It
-// does no group arithmetic. The independent per-item preparations fan out
-// across at most workers goroutines and land in index-keyed slots, so the
-// result is identical at any worker count. An item whose challenge fails to
-// expand is marked !ok and fails its (sub-)batch without pairing work.
-func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
-	transcript := batchTranscript(items)
-	terms := make([]*batchTerm, len(items))
+// PrepareProof runs the per-item step over a proof as it arrives, against
+// the owner's key, the file's d chunks and the challenge it answers. It
+// decodes raw first and fails with exactly the error UnmarshalPrivateProof
+// gives; a challenge that does not expand is no error, the item fails its
+// batch as it would unprepared. The tags are hashed on the calling goroutine.
+// The result records what it was made from (Matches).
+func PrepareProof(pub *PublicKey, d int, ch *Challenge, raw []byte) (*PreparedProof, error) {
+	proof, err := UnmarshalPrivateProof(raw)
+	if err != nil {
+		return nil, err
+	}
+	p := prepareItem(&BatchItem{Pub: pub, NumChunks: d, Challenge: ch, Proof: proof}, keyID(pub), 1)
+	p.raw = bytes.Clone(raw)
+	return p, nil
+}
+
+// Matches reports whether PrepareProof made p from exactly these inputs —
+// the same key, chunk count and challenge value and the same bytes. A
+// settlement holding p uses it only then, so a prepared item can save a
+// verdict its work but never change it.
+func (p *PreparedProof) Matches(pub *PublicKey, d int, ch *Challenge, raw []byte) bool {
+	return p.raw != nil && p.pub == pub && p.numChunks == d && ch != nil && p.challenge == *ch && bytes.Equal(p.raw, raw)
+}
+
+// keyID encodes the owner key an item's sums pair against.
+func keyID(pub *PublicKey) string {
+	return string(append(pub.Epsilon.Marshal(), pub.Delta.Marshal()...))
+}
+
+// prepareItem is the per-item step over a decoded item, key its keyID. The
+// k tag hashes, which dominate it, fan out across at most workers goroutines
+// and land in index-keyed slots, so the result is the same at any count.
+func prepareItem(it *BatchItem, key string, workers int) *PreparedProof {
+	p := &PreparedProof{pub: it.Pub, numChunks: it.NumChunks, challenge: *it.Challenge, key: key, proof: it.Proof}
+	rBytes := it.Proof.R.Marshal()
+	y := it.Proof.YPrime.Bytes()
+	p.enc = append(append(append(it.Proof.Sigma.Marshal(), y[:]...), it.Proof.Psi.Marshal()...), rBytes...)
+	indices, coeffs, r, err := it.Challenge.Expand(it.NumChunks)
+	if err != nil {
+		return p
+	}
+	p.ok = true
+	p.zeta = prf.OracleGT(rBytes)
+	p.r = r
+	tags := make([]*bn256.G1, len(indices))
+	parallel.For(workers, len(indices), func(j int) {
+		tags[j] = it.Pub.blockTag(indices[j])
+	})
+	if !collapseTags(len(tags)) {
+		p.tags, p.coeffs = tags, coeffs
+		return p
+	}
+	chi, _ := new(bn256.G1).MultiScalarMultCtx(context.TODO(), tags, coeffs, workers) // never done: no error
+	p.tags = []*bn256.G1{chi}
+	p.coeffs = make([]bn256.Scalar, 1)
+	p.coeffs[0].SetUint64(1)
+	return p
+}
+
+// collapseTags reports whether an item's k tags are collapsed into chi on
+// arrival. By multiexp.go's cost model it is when the k-point multi-scalar
+// multiplication over the 128-bit c_j costs no more than what carrying the
+// tags at full width (-zeta*rho*c_j) adds to the eps sum of a block holding
+// the item alone: k+1 points (psi and the tags) against 2 (psi and chi). A
+// larger block sums its entries more cheaply, so there collapsing may cost
+// CPU — but it spends it before the seal, on the worker that received the
+// proof. At k = 8 the tags are carried, at the paper's k = 300 collapsed.
+func collapseTags(k int) bool {
+	return bn256.MultiScalarMultCost(k, true) <= bn256.MultiScalarMultCost(k+1, false)-bn256.MultiScalarMultCost(2, false)
+}
+
+// prepareItems is the per-item step over every item of a batch, each
+// distinct *BatchItem once: an item in several slots shares one
+// PreparedProof. The items fan out across at most workers goroutines; when
+// there are fewer of them than the worker budget (a one-engagement block,
+// say) the surplus goes to each item's k tag hashes.
+func prepareItems(items []*BatchItem, workers int) []*PreparedProof {
 	// The grouping key is the value of (eps, delta); one owner's items
 	// usually share the *PublicKey too, so it is encoded once per pointer.
 	keys := make(map[*PublicKey]string)
-	for _, it := range items {
+	first := make(map[*BatchItem]int) // the slot that prepares each distinct item
+	var distinct []int
+	for i, it := range items {
 		if _, seen := keys[it.Pub]; !seen {
-			keys[it.Pub] = string(append(it.Pub.Epsilon.Marshal(), it.Pub.Delta.Marshal()...))
+			keys[it.Pub] = keyID(it.Pub)
+		}
+		if _, seen := first[it]; !seen {
+			first[it] = i
+			distinct = append(distinct, i)
 		}
 	}
-	// When the batch is smaller than the worker budget (a one-engagement
-	// block settling a single proof, say), the across-items fan-out alone
-	// would leave cores idle, so the surplus goes to each item's k tag
-	// hashes, which dominate preparation.
 	itemWorkers := 1
-	if n := len(items); n > 0 {
+	if n := len(distinct); n > 0 {
 		if budget := parallel.Workers(workers, 0); budget > n {
 			itemWorkers = (budget + n - 1) / n
 		}
 	}
-	parallel.For(workers, len(items), func(bi int) {
-		it := items[bi]
-		term := &batchTerm{}
-		terms[bi] = term
-		indices, coeffs, r, err := it.Challenge.Expand(it.NumChunks)
-		if err != nil {
-			return
-		}
-		zeta := prf.OracleGT(it.Proof.R.Marshal())
-		rho := batchWeight(transcript, bi)
+	preps := make([]*PreparedProof, len(items))
+	parallel.For(workers, len(distinct), func(j int) {
+		it := items[distinct[j]]
+		preps[distinct[j]] = prepareItem(it, keys[it.Pub], itemWorkers)
+	})
+	for i, it := range items {
+		preps[i] = preps[first[it]]
+	}
+	return preps
+}
 
-		term.ok = true
-		term.pub = it.Pub
-		term.key = keys[it.Pub]
-		term.proof = it.Proof
-		term.tags = make([]*bn256.G1, len(indices))
-		parallel.For(itemWorkers, len(indices), func(j int) {
-			term.tags[j] = it.Pub.blockTag(indices[j])
-		})
-		term.zr.Mul(&zeta, &rho)
-		term.zrR.Mul(&term.zr, &r)
+// batchTerm is what one slot contributes to any sub-batch it is verified
+// in: its prepared item, which is only read, and the item's scalars scaled
+// by the slot's weight rho from the whole-batch transcript. Nothing here is a
+// group operation's result beyond the item's chi: the weighted sums are
+// verifyTerms', over whatever subset it is handed.
+type batchTerm struct {
+	*PreparedProof
+
+	zr   bn256.Scalar   // zeta*rho: sigma's against g2; negated, psi's against delta
+	zrR  bn256.Scalar   // zeta*rho*r: psi's against eps
+	tagW []bn256.Scalar // -zeta*rho*c_j: the tags' against eps (the slot's own slice)
+	rhoY bn256.Scalar   // rho*y': g1's against eps, negated
+	rho  bn256.Scalar   // R's
+}
+
+// prepareBatch is both steps over items that arrive decoded: the per-item
+// step for each distinct item, then the block step.
+func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
+	return weighBatch(prepareItems(items, workers))
+}
+
+// weighBatch is the block step: it derives the weight rho_i of each slot
+// from the whole transcript and scales the slot's item by it into a term of
+// its own. It writes into no PreparedProof, so duplicate slots and every
+// bisection level share their items. An item whose challenge failed to
+// expand gets no weight and fails its (sub-)batch without pairing work.
+func weighBatch(preps []*PreparedProof) []*batchTerm {
+	transcript := batchTranscript(preps)
+	terms := make([]*batchTerm, len(preps))
+	for i, p := range preps {
+		term := &batchTerm{PreparedProof: p}
+		terms[i] = term
+		if !p.ok {
+			continue
+		}
+		rho := batchWeight(transcript, i)
+		term.zr.Mul(&p.zeta, &rho)
+		term.zrR.Mul(&term.zr, &p.r)
 		var w bn256.Scalar
 		w.Neg(&term.zr)
-		for j := range coeffs { // the expansion is the item's own: scaled in place
-			coeffs[j].Mul(&coeffs[j], &w)
+		term.tagW = make([]bn256.Scalar, len(p.coeffs))
+		for j := range p.coeffs {
+			term.tagW[j].Mul(&p.coeffs[j], &w)
 		}
-		term.tagW = coeffs
-		term.rhoY.Mul(&rho, &it.Proof.YPrime)
+		term.rhoY.Mul(&rho, &p.proof.YPrime)
 		term.rho = rho
-	})
+	}
 	return terms
 }
 

@@ -58,6 +58,46 @@ func FuzzUnmarshalPrivateProof(f *testing.F) {
 	})
 }
 
+// FuzzPrepareProof holds the per-item step of batch verification to the
+// decoder and to the unprepared path: on any bytes PrepareProof does not
+// panic, fails exactly where UnmarshalPrivateProof does, and when the bytes
+// decode, a one-item batch reaches the same verdict from the prepared item
+// as from the decoded proof verified unprepared.
+func FuzzPrepareProof(f *testing.F) {
+	_, ef, prover := fuzzSetup(f)
+	ch, _ := NewChallenge(2, rand.Reader)
+	proof, err := prover.ProvePrivate(ch, nil, rand.Reader)
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, _ := proof.Marshal()
+	f.Add(enc)
+	for _, i := range []int{0, 31, 32, 63, 64, 95, 96, 200, PrivateProofSize - 1} {
+		flipped := bytes.Clone(enc)
+		flipped[i] ^= 1
+		f.Add(flipped)
+	}
+	d := ef.NumChunks()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := PrepareProof(prover.Pub, d, ch, data)
+		decoded, derr := UnmarshalPrivateProof(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("PrepareProof error %v, UnmarshalPrivateProof error %v", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		got := VerifyPrepared([]*PreparedProof{p}, nil, 1)[0]
+		want := VerifyBatchParallel([]*BatchItem{{Pub: prover.Pub, NumChunks: d, Challenge: ch, Proof: decoded}}, nil, 1)[0]
+		if got != want {
+			t.Fatalf("prepared verdict %v, unprepared %v", got, want)
+		}
+		if !got && bytes.Equal(data, enc) {
+			t.Fatal("the honest proof fails")
+		}
+	})
+}
+
 func FuzzUnmarshalPublicKey(f *testing.F) {
 	sk, err := KeyGen(3, rand.Reader)
 	if err != nil {
