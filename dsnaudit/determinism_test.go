@@ -1,7 +1,6 @@
 package dsnaudit_test
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -93,49 +92,6 @@ func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 					t.Errorf("parallelism=%d: engagement %d outcome %+v, want %+v",
 						parallelism, i, got[i], want[i])
 				}
-			}
-		}
-	})
-}
-
-// TestSequentialDriverMatchesScheduler checks the sequential
-// Engagement.RunAll driver (RunRound per round, inline settlement) reaches
-// the same verdicts as the pipelined scheduler on the same workload with
-// the same injected cheater.
-func TestSequentialDriverMatchesScheduler(t *testing.T) {
-	const n, rounds, cheater = 4, 2, 1
-	wantPassed := func(i int) int {
-		if i == cheater {
-			return 0
-		}
-		return rounds
-	}
-
-	seq := newBlockFixture(t, n, rounds, map[int]bool{cheater: true})
-	for i, e := range seq.engs {
-		passed, err := e.RunAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if passed != wantPassed(i) {
-			t.Fatalf("sequential engagement %d passed %d rounds, want %d", i, passed, wantPassed(i))
-		}
-	}
-
-	forShards(t, func(t *testing.T, shards sched.Option) {
-		fx := newBlockFixture(t, n, rounds, map[int]bool{cheater: true})
-		s := fx.run(t, shards)
-		for i, e := range fx.engs {
-			res, ok := s.Result(e.ID())
-			if !ok {
-				t.Fatalf("engagement %d missing from results", i)
-			}
-			seqState, schedState := seq.engs[i].Contract.State(), e.Contract.State()
-			if seqState != schedState {
-				t.Errorf("engagement %d: sequential state %v, scheduler state %v", i, seqState, schedState)
-			}
-			if res.Passed != wantPassed(i) {
-				t.Errorf("engagement %d: scheduler passed %d, want %d", i, res.Passed, wantPassed(i))
 			}
 		}
 	})

@@ -17,25 +17,19 @@
 // The flow mirrors Fig. 2 with a two-phase submit/settle round: Engage
 // (negotiate/ack/freeze) then repeated audit rounds where the proof is
 // first submitted cheaply (calldata only) and the verdict — payment or
-// slashing — settles at block inclusion. Two drivers are provided:
-//
-//   - Engagement.RunRound / RunAll: the sequential driver, one engagement
-//     at a time, mining the shared chain itself. Good for demos and
-//     single-contract flows.
-//   - sched.Scheduler (package dsnaudit/sched): the concurrent driver for
-//     the paper's real deployment shape (Section III-B: many owners x many
-//     providers on one chain). It mines the blocks, wakes every
-//     registered engagement at its trigger height, and runs a two-stage
-//     pipeline: proof generation fans out to a prove-worker pool, and each
-//     sealed block's proofs settle on a dedicated settlement stage through
-//     the pluggable Verifier defined here — by default BatchVerifier, one
-//     batched pairing check sharing a single final exponentiation across
-//     the whole block (Section VII-D), with bisection isolating cheaters.
-//     This package holds what both drivers share: Engagement, the
-//     Result/Outcome accounting keyed by Engagement.ID (the contract
-//     address), the Verifier strategies and the sentinel errors.
-//     Owner.EngageAll deploys one contract per share holder so a
-//     k-of-(k+m) erasure-coded file is audited on every holder at once.
+// slashing — settles at block inclusion. sched.Scheduler (package
+// dsnaudit/sched) is the one driver, built for the paper's deployment shape
+// (Section III-B: many owners x many providers on one chain): it mines the
+// blocks, wakes each engagement at its trigger height, fans proof
+// generation out to a prove-worker pool, and settles each sealed block
+// through the pluggable Verifier defined here — by default BatchVerifier,
+// one batched pairing check sharing a single final exponentiation across
+// the block (Section VII-D), bisecting to isolate cheaters. This package
+// holds what the scheduler drives: Engagement, the Result/Outcome
+// accounting keyed by Engagement.ID (the contract address), the Verifier
+// interface and the sentinel errors. Owner.EngageAll deploys one contract
+// per share holder so a k-of-(k+m) erasure-coded file is audited on every
+// holder at once.
 //
 // All audit-path entry points take a context.Context for cancellation and
 // deadlines, failures surface as the sentinel errors in errors.go, and the

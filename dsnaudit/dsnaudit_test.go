@@ -74,7 +74,7 @@ func TestEndToEndHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passed, err := eng.RunAll(context.Background())
+	passed, err := driveRounds(context.Background(), eng, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestCheatingProviderCaughtAndSlashed(t *testing.T) {
 	}
 
 	// First round passes honestly.
-	if ok, err := eng.RunRound(context.Background()); err != nil || !ok {
-		t.Fatalf("honest round: %v %v", ok, err)
+	if passed, err := driveRounds(context.Background(), eng, 1); err != nil || passed != 1 {
+		t.Fatalf("honest round: %v %v", passed, err)
 	}
 
 	// Provider silently corrupts all audit chunks, then gets caught.
@@ -123,11 +123,11 @@ func TestCheatingProviderCaughtAndSlashed(t *testing.T) {
 	for i := 0; i < prover.File.NumChunks(); i++ {
 		prover.File.Corrupt(i, 0)
 	}
-	okRound, err := eng.RunRound(context.Background())
+	passed, err := driveRounds(context.Background(), eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if okRound {
+	if passed != 0 {
 		t.Fatal("corrupted round passed")
 	}
 	if eng.Contract.State() != contract.StateAborted {
@@ -218,7 +218,7 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(context.Background()); err != nil {
+	if _, err := driveRounds(context.Background(), eng, rounds); err != nil {
 		t.Fatal(err)
 	}
 	// The chain must hold the expected events in order.

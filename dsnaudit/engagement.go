@@ -282,98 +282,6 @@ func (s *EngagementSet) AllPassed() bool {
 	return sum.Expired == sum.Engagements && sum.RoundsFailed == 0
 }
 
-// RunAll drives every engagement in the set sequentially to completion.
-// For the concurrent equivalent, register the set with a sched.Scheduler.
-func (s *EngagementSet) RunAll(ctx context.Context) (SetSummary, error) {
-	for _, e := range s.Engagements {
-		if _, err := e.RunAll(ctx); err != nil {
-			return s.Summary(), err
-		}
-	}
-	return s.Summary(), nil
-}
-
-// RunRound advances the chain to the scheduled challenge, has the responder
-// answer, and settles the round. It returns whether the audit passed.
-// Running a closed engagement returns ErrContractClosed; a canceled ctx
-// aborts between steps and before proof generation.
-func (e *Engagement) RunRound(ctx context.Context) (bool, error) {
-	if e.Contract.State().Terminal() {
-		return false, fmt.Errorf("%w: %s (%s)", ErrContractClosed, e.Contract.Addr, e.Contract.State())
-	}
-	if e.Contract.State() == contract.StateSettle {
-		// A proof is already pending (e.g. a scheduler canceled mid-block):
-		// the open round completes by settling it. Mine first so the
-		// verdict fires at block inclusion, like the normal path below,
-		// then mine again so the settlement transaction itself lands.
-		e.network.Chain.MineBlock()
-		passed, err := e.Contract.Settle()
-		if err != nil {
-			return false, err
-		}
-		e.network.Chain.MineBlock()
-		e.RecordSettledRound(passed)
-		return passed, nil
-	}
-	for e.network.Chain.Height() < e.Contract.TriggerHeight() {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		e.network.Chain.MineBlock()
-	}
-	ch, err := e.Contract.IssueChallenge()
-	if err != nil {
-		return false, err
-	}
-	if ch == nil {
-		// The trigger fired with no rounds left: the contract expired.
-		return false, fmt.Errorf("%w: %s", ErrContractClosed, e.Contract.Addr)
-	}
-	e.network.Chain.MineBlock()
-	proofBytes, err := e.Responder.Respond(ctx, e.Contract.Addr, ch)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return false, ctxErr
-		}
-		// A responder that cannot produce a proof misses the deadline.
-		for e.network.Chain.Height() < e.Contract.TriggerHeight() {
-			e.network.Chain.MineBlock()
-		}
-		return false, e.SettleMissedDeadline()
-	}
-	if err := e.Contract.SubmitProof(e.Provider.Address(), proofBytes); err != nil {
-		return false, err
-	}
-	// Block inclusion is the settlement point of the two-phase protocol:
-	// mine the proof transaction in, then settle the verdict.
-	e.network.Chain.MineBlock()
-	passed, err := e.Contract.Settle()
-	if err != nil {
-		return false, err
-	}
-	e.network.Chain.MineBlock()
-	e.RecordSettledRound(passed)
-	return passed, nil
-}
-
-// RunAll runs every remaining round, stopping early on failure. It returns
-// the number of passed rounds. An engagement left with a proof pending
-// settlement (a scheduler canceled mid-block) settles that round first.
-func (e *Engagement) RunAll(ctx context.Context) (int, error) {
-	passed := 0
-	for e.Contract.State() == contract.StateAudit || e.Contract.State() == contract.StateSettle {
-		ok, err := e.RunRound(ctx)
-		if err != nil {
-			return passed, err
-		}
-		if !ok {
-			return passed, nil
-		}
-		passed++
-	}
-	return passed, nil
-}
-
 // ObservedRounds returns how many of the contract's settled rounds have been
 // fed to the reputation ledger: RecordSettledRound and RecordMissedDeadline
 // each advance it by one, and an adopted contract starts at the rounds it

@@ -7,10 +7,12 @@ import (
 	"math/big"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 )
 
 // Example shows the complete owner workflow: network setup, outsourcing
-// with erasure coding, contract engagement and a full audit run.
+// with erasure coding, contract engagement and a full audit run driven by
+// the scheduler.
 func Example() {
 	net, err := dsnaudit.NewNetwork()
 	if err != nil {
@@ -42,11 +44,15 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	passed, err := eng.RunAll(context.Background())
-	if err != nil {
+	s := sched.NewScheduler(net)
+	if err := s.Add(eng); err != nil {
 		panic(err)
 	}
-	fmt.Println("rounds passed:", passed)
+	if err := s.Run(context.Background()); err != nil {
+		panic(err)
+	}
+	res, _ := s.Result(eng.ID())
+	fmt.Println("rounds passed:", res.Passed)
 	fmt.Println("proof size:", dsnaudit.PrivateProofSize)
 	// Output:
 	// rounds passed: 2

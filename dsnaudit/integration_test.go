@@ -41,7 +41,7 @@ func TestVDFBeaconIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passed, err := eng.RunAll(context.Background())
+	passed, err := driveRounds(context.Background(), eng, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCommitRevealBeaconIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(context.Background()); err != nil {
+	if _, err := driveRounds(context.Background(), eng, 2); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Contract.State() != contract.StateExpired {
@@ -129,8 +129,8 @@ func TestRestoredOwnerContinuesAuditing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := eng.RunRound(context.Background()); err != nil || !ok {
-		t.Fatalf("round 1: %v %v", ok, err)
+	if passed, err := driveRounds(context.Background(), eng, 1); err != nil || passed != 1 {
+		t.Fatalf("round 1: %v %v", passed, err)
 	}
 
 	// Serialize and restore the audit key ("restart").
@@ -147,10 +147,8 @@ func TestRestoredOwnerContinuesAuditing(t *testing.T) {
 	// Remaining rounds still pass: the contract's stored key and the
 	// provider's authenticators are unchanged, and the restored owner can
 	// re-derive identical authenticators if it ever re-outsources.
-	for i := 0; i < 2; i++ {
-		if ok, err := eng.RunRound(context.Background()); err != nil || !ok {
-			t.Fatalf("post-restore round: %v %v", ok, err)
-		}
+	if passed, err := driveRounds(context.Background(), eng, 2); err != nil || passed != 2 {
+		t.Fatalf("post-restore rounds: %v %v", passed, err)
 	}
 	if eng.Contract.State() != contract.StateExpired {
 		t.Fatalf("state %v", eng.Contract.State())

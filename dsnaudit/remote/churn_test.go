@@ -91,44 +91,41 @@ func TestServerChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	// Round 1 on the first server.
-	if ok, err := eng.RunRound(ctx); err != nil || !ok {
-		t.Fatalf("round 1: ok=%v err=%v", ok, err)
-	}
-
-	// Round 2: the next proof's entropy read signals "mid-proof"; the
-	// killer goroutine then tears server 1 down while the request is in
-	// flight and replaces it on the same address. The client's call fails,
-	// backs off, re-dials and the round still passes.
+	// Round 1 runs on the first server. Round 2: the next proof's entropy
+	// read signals "mid-proof"; the killer goroutine then tears server 1
+	// down while the request is in flight and replaces it on the same
+	// address. The client's call fails, backs off, re-dials and the round
+	// still passes. Round 3 runs on the replacement server.
 	midProof := make(chan struct{})
-	entropy.arm(300*time.Millisecond, func() { close(midProof) })
 	var stop2 func()
 	churned := make(chan struct{})
-	go func() {
-		defer close(churned)
-		<-midProof
-		stop1()
-		ln2, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Errorf("re-listen on %s: %v", addr, err)
-			return
+	eng.Responder = &hookedResponder{inner: client, before: func(call int) {
+		switch call {
+		case 2:
+			entropy.arm(300*time.Millisecond, func() { close(midProof) })
+			go func() {
+				defer close(churned)
+				<-midProof
+				stop1()
+				ln2, err := net.Listen("tcp", addr)
+				if err != nil {
+					t.Errorf("re-listen on %s: %v", addr, err)
+					return
+				}
+				stop2 = serveOnce(t, node, ln2)
+			}()
+		case 3:
+			<-churned
+			entropy.arm(0, nil)
 		}
-		stop2 = serveOnce(t, node, ln2)
-	}()
-	if ok, err := eng.RunRound(ctx); err != nil || !ok {
-		t.Fatalf("round 2 across the server churn: ok=%v err=%v", ok, err)
+	}}
+	res := schedule(t, fx.net, eng)
+	if res.Err != nil || res.Passed != 3 {
+		t.Fatalf("rounds across the server churn: %+v", res)
 	}
 	<-churned
 	if stop2 != nil {
 		t.Cleanup(stop2)
-	}
-	entropy.arm(0, nil)
-
-	// Round 3 on the replacement server.
-	if ok, err := eng.RunRound(ctx); err != nil || !ok {
-		t.Fatalf("round 3: ok=%v err=%v", ok, err)
 	}
 	if got := eng.Contract.State(); got != contract.StateExpired {
 		t.Fatalf("state = %v, want EXPIRED", got)

@@ -155,12 +155,12 @@ func TestFaultCorruptionFailsRound(t *testing.T) {
 	defer corrupting.Close()
 	eng.Responder = corrupting
 
-	ok, err := eng.RunRound(context.Background())
-	if err != nil {
-		t.Fatalf("corrupted round should settle as missed, got %v", err)
+	res := schedule(t, fx.net, eng)
+	if res.Err != nil {
+		t.Fatalf("corrupted round should settle as missed, got %v", res.Err)
 	}
-	if ok {
-		t.Fatal("round passed over a fully corrupting transport")
+	if res.Passed != 0 || res.Failed != 1 {
+		t.Fatalf("round passed over a fully corrupting transport: %+v", res)
 	}
 	if got := eng.Contract.State(); got != contract.StateAborted {
 		t.Fatalf("state = %v, want ABORTED via the missed-round path", got)
@@ -211,8 +211,8 @@ func TestFaultDuplicationIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
+	if res := schedule(t, fx.net, eng); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if got := eng.Contract.State(); got != contract.StateExpired {
 		t.Fatalf("state = %v, want EXPIRED", got)
@@ -235,8 +235,8 @@ func TestFaultDelayWithinDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
+	if res := schedule(t, fx.net, eng); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if got := eng.Contract.State(); got != contract.StateExpired {
 		t.Fatalf("state = %v, want EXPIRED", got)

@@ -111,11 +111,12 @@ func helperProcess(t *testing.T, name, entropySeed string) (string, func()) {
 	}
 }
 
-// runEngagement drives one engagement to completion and returns the rounds.
-func runEngagement(t *testing.T, eng *dsnaudit.Engagement) []contract.RoundRecord {
+// runEngagement drives one engagement to completion on its own scheduler and
+// returns the rounds.
+func runEngagement(t *testing.T, net *dsnaudit.Network, eng *dsnaudit.Engagement) []contract.RoundRecord {
 	t.Helper()
-	if _, err := eng.RunAll(context.Background()); err != nil {
-		t.Fatalf("engagement %s: %v", eng.ID(), err)
+	if res := schedule(t, net, eng); res.Err != nil {
+		t.Fatalf("engagement %s: %v", eng.ID(), res.Err)
 	}
 	return eng.Contract.Records()
 }
@@ -156,8 +157,8 @@ func TestRemoteProcessParity(t *testing.T) {
 		remoteHolder.Address(): fx.net.Chain.Balance(remoteHolder.Address()),
 	}
 
-	localRecords := runEngagement(t, engLocal)
-	remoteRecords := runEngagement(t, engRemote)
+	localRecords := runEngagement(t, fx.net, engLocal)
+	remoteRecords := runEngagement(t, fx.net, engRemote)
 
 	// Outcome parity: states, round-by-round verdicts, proof sizes, gas.
 	if engLocal.Contract.State() != contract.StateExpired || engRemote.Contract.State() != contract.StateExpired {
@@ -238,22 +239,21 @@ func TestRemoteProcessKilledMidEngagement(t *testing.T) {
 	}
 	balBefore := fx.net.Chain.Balance(holder.Address())
 
-	ctx := context.Background()
-	// Round 1 runs against the live process.
-	if ok, err := eng.RunRound(ctx); err != nil || !ok {
-		t.Fatalf("round 1: ok=%v err=%v", ok, err)
+	// Round 1 runs against the live process, which dies before round 2's
+	// challenge reaches it. Round 2 cannot get a proof; the deadline lapses
+	// and the contract aborts with the provider slashed — the same path a
+	// silent in-process responder takes.
+	eng.Responder = &hookedResponder{inner: client, before: func(call int) {
+		if call == 2 {
+			kill()
+		}
+	}}
+	res := schedule(t, fx.net, eng)
+	if res.Err != nil {
+		t.Fatalf("round 2 should settle as missed, got error %v", res.Err)
 	}
-	// The provider process dies between rounds.
-	kill()
-	// Round 2 cannot get a proof; the deadline lapses and the contract
-	// aborts with the provider slashed — the same path a silent in-process
-	// responder takes.
-	ok, err := eng.RunRound(ctx)
-	if err != nil {
-		t.Fatalf("round 2 should settle as missed, got error %v", err)
-	}
-	if ok {
-		t.Fatal("round 2 passed against a dead provider")
+	if res.Passed != 1 || res.Failed != 1 {
+		t.Fatalf("want round 1 passed and round 2 failed against a dead provider, got %+v", res)
 	}
 	if got := eng.Contract.State(); got != contract.StateAborted {
 		t.Fatalf("state = %v, want ABORTED", got)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/core"
@@ -99,6 +100,40 @@ func smallTerms(rounds int) dsnaudit.EngagementTerms {
 	terms := dsnaudit.DefaultTerms(rounds)
 	terms.ChallengeSize = 4
 	return terms
+}
+
+// schedule drives eng to completion on a new scheduler over net and returns
+// its result.
+func schedule(t *testing.T, net *dsnaudit.Network, eng *dsnaudit.Engagement) dsnaudit.Result {
+	t.Helper()
+	s := sched.NewScheduler(net)
+	if err := s.Add(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := s.Result(eng.ID())
+	if !ok {
+		t.Fatalf("no result for %s", eng.ID())
+	}
+	return res
+}
+
+// hookedResponder delegates to inner and runs before(n) ahead of its n-th
+// call, counting from 1: the seam where a test acts between the rounds the
+// scheduler drives. The scheduler asks for one engagement's proofs one
+// round at a time, so the calls never overlap.
+type hookedResponder struct {
+	inner  dsnaudit.Responder
+	before func(call int)
+	calls  int
+}
+
+func (h *hookedResponder) Respond(ctx context.Context, addr chain.Address, ch *core.Challenge) ([]byte, error) {
+	h.calls++
+	h.before(h.calls)
+	return h.inner.Respond(ctx, addr, ch)
 }
 
 // startServer serves node on a loopback listener and returns its address

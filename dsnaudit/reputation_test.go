@@ -28,7 +28,7 @@ func TestReputationTracksAuditOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(context.Background()); err != nil {
+	if _, err := driveRounds(context.Background(), eng, 2); err != nil {
 		t.Fatal(err)
 	}
 	honestTrust := n.Reputation.Trust(honest.Name)
@@ -56,8 +56,8 @@ func TestReputationTracksAuditOutcomes(t *testing.T) {
 	for i := 0; i < prover.File.NumChunks(); i++ {
 		prover.File.Corrupt(i, 0)
 	}
-	if ok, err := eng2.RunRound(context.Background()); err != nil || ok {
-		t.Fatalf("cheating round: ok=%v err=%v", ok, err)
+	if passed, err := driveRounds(context.Background(), eng2, 1); err != nil || passed != 0 {
+		t.Fatalf("cheating round: passed=%v err=%v", passed, err)
 	}
 	if n.Reputation.Trust(cheater.Name) != 0 {
 		t.Fatal("slashed provider retains trust")

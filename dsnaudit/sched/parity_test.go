@@ -27,8 +27,9 @@ func smallTerms(rounds int) dsnaudit.EngagementTerms {
 // it at the commit that deleted it: per-engagement round accounting and
 // terminal state, final chain height, total gas, every party's balance and
 // every provider's reputation. It pins that replacing that scheduler changed
-// no behavior; the live oracle against the sequential RunAll driver is
-// dsnaudit's TestSchedulerMatchesSequential.
+// no behavior; the live oracles against the reference driver are
+// dsnaudit's TestSchedulerMatchesSequential and
+// TestSequentialDriverMatchesScheduler.
 var goldenParity = &matrixSnapshot{
 	height: 10,
 	gas:    22_557_000, // compared within the proof-entropy tolerance

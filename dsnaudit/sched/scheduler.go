@@ -45,8 +45,8 @@ import (
 // main loop owns a contract from wake through proof submission, the
 // settlement stage owns it for the verdict, and it returns at the join.
 //
-// The sequential Engagement.RunRound driver mines the chain itself and
-// therefore must not run concurrently with a Scheduler on the same chain.
+// The Scheduler is the one driver of audit rounds. It is the chain's block
+// clock, so nothing else may mine a chain while a Run drives it.
 //
 // Per-tick cost is proportional to the engagements due at that tick:
 //

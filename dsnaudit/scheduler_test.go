@@ -15,7 +15,8 @@ import (
 	"repro/internal/core"
 )
 
-// outcome is the per-engagement result both drivers are compared on.
+// outcome is the per-engagement result the scheduler and the reference
+// driver are compared on.
 type outcome struct {
 	passed int
 	state  contract.State
@@ -23,16 +24,14 @@ type outcome struct {
 
 func key(e *dsnaudit.Engagement) string { return e.Owner.Name + "/" + e.Provider.Name }
 
-// TestSchedulerMatchesSequential drives 12 engagements (an EngageAll set
-// spanning all 10 holders of one file, one extra honest engagement, one
-// cheater) concurrently on a single chain and checks every per-engagement
-// outcome against an identical fixture driven by the sequential RunAll.
-// Run under -race this is also the scheduler's synchronization test.
+// TestSchedulerMatchesSequential drives 12 engagements on one chain — an
+// EngageAll set spanning all 10 holders of one file, one extra honest
+// engagement and one cheater — through the scheduler and checks every
+// per-engagement outcome against the reference driver. Run under -race this
+// is also the scheduler's synchronization test.
 func TestSchedulerMatchesSequential(t *testing.T) {
 	const rounds = 2
-	ctx := context.Background()
-
-	build := func(t *testing.T) (*fixture, *dsnaudit.EngagementSet) {
+	matchSequential(t, rounds, func(t *testing.T) (*fixture, *dsnaudit.EngagementSet, int) {
 		fx := newFixture(t, 12)
 		alice, sf := fx.outsource(t, "alice")
 		set, err := alice.EngageAll(sf, smallTerms(rounds))
@@ -45,26 +44,64 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 		fx.engs = append(fx.engs, set.Engagements...)
 		fx.engage(t, "bob", rounds)
 		corrupt(t, fx.engage(t, "carol", rounds))
-		return fx, set
-	}
+		return fx, set, len(fx.engs) - 1
+	})
+}
 
-	seqFix, _ := build(t)
-	want := make(map[string]outcome)
-	for _, e := range seqFix.engs {
-		passed, err := e.RunAll(ctx)
+// TestSequentialDriverMatchesScheduler runs matchSequential on the block
+// fixture: 4 engagements challenged at the same heights, so their proofs
+// share settle blocks, one of them a cheater.
+func TestSequentialDriverMatchesScheduler(t *testing.T) {
+	const n, rounds, cheater = 4, 2, 1
+	matchSequential(t, rounds, func(t *testing.T) (*fixture, *dsnaudit.EngagementSet, int) {
+		return newBlockFixture(t, n, rounds, map[int]bool{cheater: true}), nil, cheater
+	})
+}
+
+// matchSequential builds a workload twice. It runs the first copy round by
+// round through the reference driver (dsnaudit.DriveRounds), which settles
+// each proof alone, and the second through the scheduler, once per shard
+// count, and checks that every per-engagement outcome agrees. In both runs
+// the cheater aborts with no round passed and every other engagement
+// expires with every round passed. build deploys the workload; set, when
+// non-nil, holds the first engagements of fx.engs, and cheater indexes
+// fx.engs.
+func matchSequential(t *testing.T, rounds int, build func(t *testing.T) (fx *fixture, set *dsnaudit.EngagementSet, cheater int)) {
+	t.Helper()
+	ctx := context.Background()
+
+	seqFix, _, cheater := build(t)
+	var seqKeys []string
+	var want []outcome
+	for i, e := range seqFix.engs {
+		passed, err := dsnaudit.DriveRounds(ctx, e, rounds)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", key(e), err)
 		}
-		want[key(e)] = outcome{passed: passed, state: e.Contract.State()}
+		got := outcome{passed: passed, state: e.Contract.State()}
+		exp := outcome{passed: rounds, state: contract.StateExpired}
+		if i == cheater {
+			exp = outcome{passed: 0, state: contract.StateAborted}
+		}
+		if got != exp {
+			t.Fatalf("sequential %s: passed=%d state=%v, want passed=%d state=%v",
+				key(e), got.passed, got.state, exp.passed, exp.state)
+		}
+		seqKeys = append(seqKeys, key(e))
+		want = append(want, got)
 	}
 
 	forShards(t, func(t *testing.T, shards sched.Option) {
-		fx, set := build(t)
+		fx, set, _ := build(t)
 		s := sched.NewScheduler(fx.net, shards, sched.WithWorkers(8))
-		if err := s.AddSet(set); err != nil {
-			t.Fatal(err)
+		registered := 0
+		if set != nil {
+			if err := s.AddSet(set); err != nil {
+				t.Fatal(err)
+			}
+			registered = len(set.Engagements)
 		}
-		for _, e := range fx.engs[len(set.Engagements):] {
+		for _, e := range fx.engs[registered:] {
 			if err := s.Add(e); err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +110,13 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, e := range fx.engs {
+		if len(fx.engs) != len(want) {
+			t.Fatalf("fixtures diverged: %d engagements, sequential ran %d", len(fx.engs), len(want))
+		}
+		for i, e := range fx.engs {
+			if key(e) != seqKeys[i] {
+				t.Fatalf("fixtures diverged: engagement %d is %s, sequential ran %s", i, key(e), seqKeys[i])
+			}
 			res, ok := s.Result(e.ID())
 			if !ok {
 				t.Fatalf("no scheduler result for %s", key(e))
@@ -81,28 +124,21 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("%s errored: %v", key(e), res.Err)
 			}
-			w, ok := want[key(e)]
-			if !ok {
-				t.Fatalf("fixtures diverged: %s missing from sequential run", key(e))
-			}
-			if res.Passed != w.passed || res.State != w.state {
+			if got := (outcome{passed: res.Passed, state: res.State}); got != want[i] {
 				t.Errorf("%s: scheduler passed=%d state=%v, sequential passed=%d state=%v",
-					key(e), res.Passed, res.State, w.passed, w.state)
+					key(e), got.passed, got.state, want[i].passed, want[i].state)
 			}
 		}
 
-		// Aggregate accounting: the set's 10 contracts all expired; the
-		// cheater aborted and was slashed exactly as in the sequential run.
-		sum := set.Summary()
-		if sum.Expired != 10 || sum.RoundsPassed != 10*rounds || sum.RoundsFailed != 0 {
-			t.Fatalf("set summary %+v", sum)
-		}
-		if !set.AllPassed() {
-			t.Fatal("AllPassed false for an honest set")
-		}
-		cheater := fx.engs[len(fx.engs)-1]
-		if cheater.Contract.State() != contract.StateAborted {
-			t.Fatalf("cheater state %v, want ABORTED", cheater.Contract.State())
+		// Aggregate accounting: the set's 10 contracts all expired.
+		if set != nil {
+			sum := set.Summary()
+			if sum.Expired != 10 || sum.RoundsPassed != 10*rounds || sum.RoundsFailed != 0 {
+				t.Fatalf("set summary %+v", sum)
+			}
+			if !set.AllPassed() {
+				t.Fatal("AllPassed false for an honest set")
+			}
 		}
 	})
 }
@@ -270,15 +306,15 @@ func TestSchedulerAddValidation(t *testing.T) {
 		}
 		// A finished engagement cannot be scheduled again.
 		eng2 := fx.engage(t, "val2", 1)
-		if _, err := eng2.RunAll(context.Background()); err != nil {
+		s2 := sched.NewScheduler(fx.net, shards)
+		if err := s2.Add(eng2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if err := sched.NewScheduler(fx.net, shards).Add(eng2); !errors.Is(err, dsnaudit.ErrContractClosed) {
 			t.Fatalf("closed add: %v", err)
-		}
-		// And the sequential driver refuses it too.
-		if _, err := eng2.RunRound(context.Background()); !errors.Is(err, dsnaudit.ErrContractClosed) {
-			t.Fatalf("closed RunRound: %v", err)
 		}
 	})
 }

@@ -108,19 +108,3 @@ func (v *BatchVerifier) SettleBlock(cs []*contract.Contract, height uint64, work
 	o.gas.Add(gas)
 	return res, nil
 }
-
-// PerProofVerifier settles each contract with its own inline verification —
-// one final exponentiation per proof, serially. It exists for debugging and
-// parity tests against the batched path; production settlements should
-// batch.
-type PerProofVerifier struct{}
-
-// SettleBlock settles each contract independently.
-func (PerProofVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
-	out := make([]contract.SettleResult, len(cs))
-	for i, k := range cs {
-		passed, err := k.SettleAt(height)
-		out[i] = contract.SettleResult{Addr: k.Addr, Passed: passed, Err: err}
-	}
-	return out, nil
-}

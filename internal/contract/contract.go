@@ -13,10 +13,10 @@
 // it records the provider's proof as a pending transaction (calldata gas
 // only, no pairing work). Settlement — the audit verdict, payment release
 // and slashing — fires at block inclusion, the way a real chain settles
-// transactions when a block lands rather than at submission: Settle
-// verifies one contract's pending proof, SettleBatch verifies every
-// pending proof of a block with a single shared final exponentiation
-// (core.VerifyPrepared), bisecting on failure to isolate cheaters.
+// transactions when a block lands rather than at submission:
+// SettleBatchAt verifies every pending proof of a block with one shared
+// final exponentiation (core.VerifyPrepared), bisecting on failure to
+// isolate cheaters; MissDeadline settles a round whose proof never came.
 //
 // Scheduling ("Ethereum Alarm Clock") is modeled by block-height triggers:
 // the contract arms a trigger height and anyone may poke it once the chain
@@ -300,8 +300,8 @@ func (k *Contract) CurrentChallenge() *core.Challenge { return k.challenge }
 // SubmitProof is phase 1 of the two-phase settlement protocol: the provider
 // posting its 288-byte private proof. The proof is recorded as a pending
 // transaction — calldata gas only, no pairing work, nothing refused — and the
-// contract moves to SETTLE, awaiting the verdict at block inclusion (Settle
-// or SettleBatch).
+// contract moves to SETTLE, awaiting the verdict at block inclusion
+// (SettleBatchAt).
 func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	if k.state != StateProve {
 		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
@@ -386,36 +386,6 @@ func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
 	return p, nil
 }
 
-// Settle is phase 2 for a single contract: it runs the scheduled Verify
-// step over the pending proof and applies the verdict — on success the
-// round payment moves from the owner's escrow to the provider; on failure
-// the provider's whole collateral is slashed to the owner and the contract
-// aborts (the dispute outcome of Fig. 2). Blocks settling together should
-// use SettleBatch, which shares one final exponentiation across all of
-// them.
-func (k *Contract) Settle() (bool, error) {
-	return k.SettleAt(k.Chain.Height())
-}
-
-// SettleAt is Settle with the settlement height pinned explicitly: the next
-// audit trigger arms relative to height instead of the live chain head. A
-// pipelined driver that keeps mining while earlier blocks settle passes the
-// settled block's inclusion height here, so the audit cadence is identical
-// whether settlement runs inline or overlapped.
-func (k *Contract) SettleAt(height uint64) (bool, error) {
-	item, err := k.PendingItem()
-	if err != nil {
-		if errors.Is(err, ErrMalformedProof) {
-			// A parse rejection never reaches the pairing step: the same
-			// no-gas slashing policy SettleBatch applies.
-			return false, k.applyVerdictAt(false, 0, height)
-		}
-		return false, err
-	}
-	passed := core.VerifyPrivate(item.Pub, item.NumChunks, item.Challenge, item.Proof)
-	return passed, k.applyVerdictAt(passed, k.verifyGas, height)
-}
-
 // SettleTrustedAt applies a settlement verdict directly, skipping proof
 // verification (and its gas) entirely: the pending proof is accepted or
 // rejected on the caller's word. It exists for scale harnesses — a soak run
@@ -437,36 +407,30 @@ type SettleResult struct {
 	Err    error // settlement plumbing error (wrong state, chain fault) — not the verdict
 }
 
-// SettleBatch is phase 2 for a whole block: every pending proof is checked
-// by a single core.VerifyBatch call (two Miller loops per distinct owner key
-// in the block plus one shared loop, one shared final exponentiation). On
-// batch failure the verification bisects, so one cheater among N honest
-// providers is individually slashed while the rest settle as passed.
-// Contracts whose pending bytes do not parse are failed without pairing work;
-// contracts not in SETTLE get a per-contract ErrWrongState. Results are
-// returned in input order. stats may be nil.
+// SettleBatchAt is phase 2 for a whole block, and the only way a pending
+// proof reaches a verdict: every pending proof is checked by one
+// core.VerifyPrepared call (two Miller loops per distinct owner key in the
+// block plus one shared loop, one shared final exponentiation), bisecting on
+// failure so one cheater among N honest providers is individually slashed
+// while the rest settle as passed. A pass moves the round payment from the
+// owner's escrow to the provider; a failure slashes the provider's
+// collateral to the owner and aborts the contract (Fig. 2's dispute). A
+// one-contract block charges exactly one verification's gas.
+//
+// Each proof's per-item step is the one attached to it (AttachPrepared) when
+// that is bound to it; the rest are prepared here, in parallel. Contracts
+// whose pending bytes do not parse are failed without pairing work; contracts
+// not in SETTLE get ErrWrongState. height pins the next audit trigger, so a
+// driver that keeps mining while a block settles passes the block's inclusion
+// height; workers bounds the goroutines (<= 0 selects GOMAXPROCS). Verdicts,
+// result order (input order) and the chain transactions are identical at any
+// worker count, prepared or not. stats may be nil.
 //
 // Security of the batching: each item's equation binds its own
 // zeta_i = H'(R_i), and the items are additionally weighted by independent
 // verifier-chosen ~128-bit scalars (see core.BatchVerify), so a cheater
 // cannot hide behind honest co-batched proofs — a failed batch always
 // bisects down to the genuine offender.
-func SettleBatch(cs []*Contract, stats *core.BatchStats) []SettleResult {
-	var height uint64
-	if len(cs) > 0 {
-		height = cs[0].Chain.Height()
-	}
-	return SettleBatchAt(cs, height, 0, stats)
-}
-
-// SettleBatchAt is SettleBatch with the settlement height pinned (see
-// SettleAt) and the verification workload bounded to workers goroutines
-// (<= 0 selects GOMAXPROCS). Each pending proof's per-item step is the one
-// attached to it (AttachPrepared) when that is bound to it; the rest are
-// decoded and prepared here, in parallel across the block. What remains is
-// core.VerifyPrepared's block step: the weights, the block-level sums and
-// the Miller loops. Verdicts, result order and the chain transaction
-// sequence are identical at any worker count, prepared or not.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
 	results := make([]SettleResult, len(cs))
 	// Verdict application below stays in input order.

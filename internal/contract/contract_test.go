@@ -131,11 +131,19 @@ func (f *fixture) runRound(t *testing.T) bool {
 		t.Fatalf("state after submit = %v, want SETTLE", f.contract.State())
 	}
 	f.chain.MineBlock() // block inclusion: the settlement point
-	ok, err := f.contract.Settle()
+	ok, err := f.settle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ok
+}
+
+// settle is phase 2 for the fixture's contract alone: a one-contract block
+// through SettleBatchAt at the current height, which charges exactly one
+// verification's gas.
+func (f *fixture) settle() (bool, error) {
+	res := SettleBatchAt([]*Contract{f.contract}, f.chain.Height(), 0, nil)[0]
+	return res.Passed, res.Err
 }
 
 func TestFullContractLifecycle(t *testing.T) {
@@ -213,7 +221,7 @@ func TestGarbageProofSlashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ... and settlement rejects them without pairing work.
-	ok, err := f.contract.Settle()
+	ok, err := f.settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +286,8 @@ func TestStateMachineGuards(t *testing.T) {
 	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("SubmitProof in INIT: %v", err)
 	}
-	if _, err := f.contract.Settle(); !errors.Is(err, ErrWrongState) {
-		t.Fatalf("Settle in INIT: %v", err)
+	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
+		t.Fatalf("settle in INIT: %v", err)
 	}
 	if _, err := f.contract.PendingItem(); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("PendingItem in INIT: %v", err)

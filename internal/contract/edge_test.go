@@ -30,8 +30,8 @@ func TestNoCallsAfterExpiry(t *testing.T) {
 	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("SubmitProof after expiry: %v", err)
 	}
-	if _, err := f.contract.Settle(); !errors.Is(err, ErrWrongState) {
-		t.Fatalf("Settle after expiry: %v", err)
+	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
+		t.Fatalf("settle after expiry: %v", err)
 	}
 	if err := f.contract.MissDeadline(); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("MissDeadline after expiry: %v", err)
@@ -71,12 +71,12 @@ func TestDoubleProofRejected(t *testing.T) {
 	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("double proof: %v", err)
 	}
-	if _, err := f.contract.Settle(); err != nil {
+	if _, err := f.settle(); err != nil {
 		t.Fatal(err)
 	}
 	// The round settled; a second settlement must fail too (the state is
 	// back to AUDIT awaiting the next trigger).
-	if _, err := f.contract.Settle(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("double settle: %v", err)
 	}
 	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, ErrWrongState) {
@@ -101,7 +101,7 @@ func TestStaleProofReplayFails(t *testing.T) {
 	if err := f.contract.SubmitProof("provider", staleEnc); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := f.contract.Settle()
+	ok, err := f.settle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStaleProofReplayFails(t *testing.T) {
 	if err := f.contract.SubmitProof("provider", staleEnc); err != nil {
 		t.Fatal(err)
 	}
-	ok, err = f.contract.Settle()
+	ok, err = f.settle()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func submitWith(t *testing.T, f *fixture, raw []byte, p *core.PreparedProof) Set
 	}
 	f.contract.AttachPrepared(p)
 	f.chain.MineBlock()
-	res := SettleBatch([]*Contract{f.contract}, nil)[0]
+	res := SettleBatchAt([]*Contract{f.contract}, f.chain.Height(), 0, nil)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -73,7 +73,7 @@ func TestPreparedItemIsBound(t *testing.T) {
 		if f.contract.HasPrepared() {
 			t.Fatal("an item made from other bytes is bound to the garbage")
 		}
-		res := SettleBatch([]*Contract{f.contract}, nil)[0]
+		res := SettleBatchAt([]*Contract{f.contract}, f.chain.Height(), 0, nil)[0]
 		if res.Err != nil || res.Passed || f.contract.State() != StateAborted {
 			t.Fatalf("garbage under an honest item: %+v, state %s", res, f.contract.State())
 		}
@@ -115,7 +115,7 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal("an item prepared against round 0's challenge is bound in round 1")
 		}
 		f.chain.MineBlock()
-		res := SettleBatch([]*Contract{f.contract}, nil)[0]
+		res := SettleBatchAt([]*Contract{f.contract}, f.chain.Height(), 0, nil)[0]
 		if res.Err != nil || res.Passed {
 			t.Fatalf("a replayed proof settled with its stale item: %+v", res)
 		}
@@ -141,12 +141,12 @@ func TestPreparedItemIsBound(t *testing.T) {
 		if !f.contract.HasPrepared() {
 			t.Fatal("an item made from the pending proof is not bound")
 		}
-		// Every verdict path drops it: single settlement ...
-		if ok, err := f.contract.Settle(); err != nil || !ok {
-			t.Fatalf("Settle = %v, %v", ok, err)
+		// Every verdict path drops it: a one-contract block ...
+		if ok, err := f.settle(); err != nil || !ok {
+			t.Fatalf("settle = %v, %v", ok, err)
 		}
 		if f.contract.prepared != nil || f.contract.HasPrepared() {
-			t.Fatal("Settle kept the prepared item")
+			t.Fatal("SettleBatchAt kept the prepared item")
 		}
 		// ... and the trusted path.
 		ch, enc = provePending(t, f)
@@ -183,7 +183,7 @@ func TestSettleBatchPreparedMatchesUnprepared(t *testing.T) {
 			cs[i] = f.contract
 		}
 		var stats core.BatchStats
-		res := SettleBatch(cs, &stats)
+		res := SettleBatchAt(cs, cs[0].Chain.Height(), 0, &stats)
 		gas := make([]uint64, n)
 		for i, k := range cs {
 			gas[i] = k.Records()[0].SettleGas

@@ -54,7 +54,7 @@ func TestSettleBatchIsolatesCheater(t *testing.T) {
 	}
 
 	var stats core.BatchStats
-	results := SettleBatch(cs, &stats)
+	results := SettleBatchAt(cs, cs[0].Chain.Height(), 0, &stats)
 	if len(results) != n {
 		t.Fatalf("%d results for %d contracts", len(results), n)
 	}
@@ -126,7 +126,7 @@ func TestSettleBatchMixedStates(t *testing.T) {
 	}
 
 	var stats core.BatchStats
-	results := SettleBatch([]*Contract{honest.contract, idle.contract, garbage.contract}, &stats)
+	results := SettleBatchAt([]*Contract{honest.contract, idle.contract, garbage.contract}, honest.chain.Height(), 0, &stats)
 
 	if results[0].Err != nil || !results[0].Passed {
 		t.Fatalf("honest contract: %+v", results[0])
@@ -158,7 +158,7 @@ func TestSettleBatchMixedStates(t *testing.T) {
 // TestSettleBatchEmpty settles an empty block as a no-op.
 func TestSettleBatchEmpty(t *testing.T) {
 	var stats core.BatchStats
-	if got := SettleBatch(nil, &stats); len(got) != 0 {
+	if got := SettleBatchAt(nil, 0, 0, &stats); len(got) != 0 {
 		t.Fatalf("%d results for empty batch", len(got))
 	}
 	if stats.FinalExps != 0 {

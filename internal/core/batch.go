@@ -41,8 +41,8 @@ type BatchItem struct {
 // over the batch -- no item's weighted terms are computed on their own (see
 // verifyTerms) -- and the R commitments are weighted in one GT
 // multi-exponentiation. A batch verifies only if every relation holds; on
-// failure the caller falls back to bisection (VerifyBatch) to locate the
-// offender.
+// failure the caller falls back to bisection (VerifyBatchParallel) to locate
+// the offender.
 //
 // The regrouping is bilinearity alone: the GT element compared with one is
 // the same product of the same weighted per-item equations whatever the
@@ -77,29 +77,24 @@ type BatchStats struct {
 	MillerLoops int // Miller loops performed
 }
 
-// VerifyBatch returns a per-item verdict for the whole batch. An all-honest
-// batch costs a single shared final exponentiation; on failure the batch is
-// bisected recursively until the offending item(s) are isolated, so one
-// cheater among N honest items costs O(log N) extra verifications instead
-// of forcing N per-item ones. What depends on an item alone — the decoded
-// proof, the expanded challenge, zeta and the tags H(name||i) — is prepared
-// once per item (PreparedProof); its weight rho depends on the whole
+// VerifyBatchParallel returns a per-item verdict for the whole batch. An
+// all-honest batch costs a single shared final exponentiation; on failure the
+// batch is bisected recursively until the offending item(s) are isolated, so
+// one cheater among N honest items costs O(log N) extra verifications
+// instead of forcing N per-item ones. What depends on an item alone — the
+// decoded proof, the expanded challenge, zeta and the tags H(name||i) — is
+// prepared once per item (PreparedProof); its weight rho depends on the whole
 // transcript and is derived per slot, once, and the scalars it scales are
 // shared by every bisection level. The group arithmetic is per sub-batch, so
 // re-verifying a half re-sums that half (about twice the summing work of the
 // failing block overall, paid before a slash) and runs its Miller loops and
-// one final exponentiation. stats may be nil. VerifyBatch uses GOMAXPROCS
-// workers; VerifyBatchParallel exposes the worker count.
-func VerifyBatch(items []*BatchItem, stats *BatchStats) []bool {
-	return VerifyBatchParallel(items, stats, 0)
-}
-
-// VerifyBatchParallel is VerifyBatch with a bounded worker count (<= 0
-// selects GOMAXPROCS): the per-item preparation (challenge expansion and tag
-// hashing) fans out across items, every (sub-)batch verification fans out its
-// independent sums and evaluates its Miller loops through bn256.MillerBatch.
-// Verdicts, stats counters and the bisection path are identical at any worker
-// count.
+// one final exponentiation. stats may be nil.
+//
+// workers bounds the goroutines (<= 0 selects GOMAXPROCS): the per-item
+// preparation (challenge expansion and tag hashing) fans out across items,
+// every (sub-)batch verification fans out its independent sums and evaluates
+// its Miller loops through bn256.MillerBatch. Verdicts, stats counters and
+// the bisection path are identical at any worker count.
 func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []bool {
 	return VerifyPrepared(prepareItems(items, workers), stats, workers)
 }

@@ -50,8 +50,8 @@ func TestBatchVerifyEmpty(t *testing.T) {
 	if !BatchVerify(nil) {
 		t.Fatal("empty batch should verify")
 	}
-	if got := VerifyBatch(nil, nil); len(got) != 0 {
-		t.Fatal("empty VerifyBatch should return no verdicts")
+	if got := VerifyBatchParallel(nil, nil, 0); len(got) != 0 {
+		t.Fatal("empty VerifyBatchParallel should return no verdicts")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestVerifyBatchBisection(t *testing.T) {
 	items[bad].Proof.YPrime = items[0].Proof.YPrime
 
 	var stats BatchStats
-	verdicts := VerifyBatch(items, &stats)
+	verdicts := VerifyBatchParallel(items, &stats, 0)
 	for i, ok := range verdicts {
 		if want := i != bad; ok != want {
 			t.Errorf("item %d verdict %v, want %v", i, ok, want)
@@ -151,7 +151,7 @@ func TestVerifyBatchBisection(t *testing.T) {
 	}
 	items[bad].Proof = proof
 	stats = BatchStats{}
-	for i, ok := range VerifyBatch(items, &stats) {
+	for i, ok := range VerifyBatchParallel(items, &stats, 0) {
 		if !ok {
 			t.Fatalf("honest item %d rejected", i)
 		}
@@ -424,8 +424,8 @@ func TestDetectionMatchesEmpiricalAudit(t *testing.T) {
 // dropped. A prover who has fixed R_1 and R_2 knows zeta_i = H'(R_i), so
 // sigma_1 + D and sigma_2 - (zeta_1/zeta_2) D cancel in the unweighted
 // product although both items fail on their own: VerifyPrivate rejects each,
-// VerifyBatch rejects both, and verifyTerms over the same terms with every
-// rho forced to 1 accepts.
+// VerifyBatchParallel rejects both, and verifyTerms over the same terms with
+// every rho forced to 1 accepts.
 func TestBatchWeightsAreLoadBearing(t *testing.T) {
 	items := make([]*BatchItem, 2)
 	for i := range items {
@@ -457,9 +457,9 @@ func TestBatchWeightsAreLoadBearing(t *testing.T) {
 			t.Fatalf("perturbed item %d verifies on its own", i)
 		}
 	}
-	for i, ok := range VerifyBatch(items, nil) {
+	for i, ok := range VerifyBatchParallel(items, nil, 0) {
 		if ok {
-			t.Errorf("VerifyBatch accepts perturbed item %d", i)
+			t.Errorf("VerifyBatchParallel accepts perturbed item %d", i)
 		}
 	}
 	// Every scalar of a term carries exactly one factor rho; divide it out.

@@ -110,7 +110,7 @@ func TestCrossVersionFixture(t *testing.T) {
 	if !VerifyPrivate(sk.Pub, ef.NumChunks(), ch, fixtureProof) {
 		t.Fatal("fixture proof rejected")
 	}
-	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fixtureProof}}, nil); !verdicts[0] {
+	if verdicts := VerifyBatchParallel([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fixtureProof}}, nil, 0); !verdicts[0] {
 		t.Fatal("fixture proof rejected by the batch verifier")
 	}
 	fullWidth, err := UnmarshalPrivateProof(unhex(parentFixture.fullWidthProof))
@@ -120,7 +120,7 @@ func TestCrossVersionFixture(t *testing.T) {
 	if VerifyPrivate(sk.Pub, ef.NumChunks(), ch, fullWidth) {
 		t.Fatal("proof under full-width coefficients accepted")
 	}
-	if verdicts := VerifyBatch([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fullWidth}}, nil); verdicts[0] {
+	if verdicts := VerifyBatchParallel([]*BatchItem{{Pub: sk.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: fullWidth}}, nil, 0); verdicts[0] {
 		t.Fatal("proof under full-width coefficients accepted by the batch verifier")
 	}
 

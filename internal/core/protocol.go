@@ -54,7 +54,7 @@ func Setup(sk *PrivateKey, ef *EncodedFile) ([]*Authenticator, error) {
 // identity exactly when its own equation holds: a cheating owner's sample
 // with any bad authenticator (planted to later win disputes) passes with
 // probability at most 2^-128 over the weights, the small-exponent argument
-// of VerifyBatch. When the combined check fails, the sampled chunks are
+// of VerifyBatchParallel. When the combined check fails, the sampled chunks are
 // re-checked one at a time, in sample order, to name the first bad one.
 //
 // Each evaluation of the equation forms its three G1 sums (the commitment

@@ -1,6 +1,7 @@
 // Package parallel provides the bounded-worker execution primitives shared
 // by the proof pipeline's hot paths (bn256 multi-scalar multiplication and
-// Miller batches, core Setup/Prove/VerifyBatch, contract batch settlement).
+// Miller batches, core Setup/Prove/VerifyBatchParallel, contract batch
+// settlement).
 //
 // The design follows the chunked worker-pool pattern: independent work items
 // are drained from a shared counter by a bounded set of goroutines, and every

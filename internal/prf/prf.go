@@ -66,7 +66,7 @@ func Scalar(seed []byte, ctr uint64) bn256.Scalar {
 // Definition 2 draws the c_l from all of Zn; B is a deviation. Shacham and
 // Waters ("Compact Proofs of Retrievability", ASIACRYPT 2008) show that the
 // coefficients need only come from a set of size 2^lambda, and lambda = 128
-// is the level of the batch weights rho (VerifyBatch, VerifyAuthenticators).
+// is the level of the batch weights rho (VerifyBatchParallel, VerifyAuthenticators).
 // The argument for this scheme, with the PRF modelled as a random function,
 // P = sum_l c_l M_il the challenged combination and (y, psi) an opening at r:
 //
