@@ -55,7 +55,7 @@ func outcomesOf(t *testing.T, fx *fixture, s *sched.Scheduler) []schedOutcome {
 // determinism guarantee end to end: a full scheduler run over six
 // engagements with one injected cheater (every chunk of its replica
 // corrupted, so each of its proofs fails verification and forces the
-// bisection slashing path) produces identical per-engagement outcomes —
+// isolation slashing path) produces identical per-engagement outcomes —
 // rounds, verdicts, terminal states, slashing — and an identical block
 // schedule at parallelism 1, 4 and GOMAXPROCS, at one shard and at four.
 func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {

@@ -24,7 +24,7 @@
 // generation out to a prove-worker pool, and settles each sealed block
 // through the pluggable Verifier defined here — by default BatchVerifier,
 // one batched pairing check sharing a single final exponentiation across
-// the block (Section VII-D), bisecting to isolate cheaters. This package
+// the block (Section VII-D), isolating cheaters on failure. This package
 // holds what the scheduler drives: Engagement, the Result/Outcome
 // accounting keyed by Engagement.ID (the contract address), the Verifier
 // interface and the sentinel errors. Owner.EngageAll deploys one contract

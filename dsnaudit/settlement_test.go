@@ -48,13 +48,10 @@ func TestBatchedSettlementIsolatesCheater(t *testing.T) {
 		}
 	}
 	// Per-proof settlement needs one final exponentiation per proof (16);
-	// the batched path pays 1 for the block plus O(log n) for bisecting to
-	// the cheater.
-	if stats.FinalExps >= n {
-		t.Fatalf("batched settlement used %d final exps, per-proof needs only %d", stats.FinalExps, n)
-	}
-	if stats.FinalExps < 1 {
-		t.Fatal("no batched verification recorded")
+	// the batched path pays 1 for the block plus 1 for the index-weighted
+	// copy that names the cheater.
+	if stats.FinalExps != 2 {
+		t.Fatalf("batched settlement used %d final exps, want 2", stats.FinalExps)
 	}
 }
 

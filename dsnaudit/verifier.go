@@ -24,12 +24,13 @@ type Verifier interface {
 // single contract.SettleBatchAt call — one shared final exponentiation
 // across every proof in the block and 2K+1 Miller loops for its K distinct
 // owner keys, each fed by one multi-scalar multiplication over the block,
-// with the loops and those sums fanned out across the workers, bisecting on
-// failure so one cheater among N honest providers is individually slashed
-// while the rest settle as passed. Each proof's per-item step (decoding,
-// challenge expansion, zeta, the tag hashes) is the one the scheduler's
-// prove worker attached on arrival; a contract without one is prepared at
-// settlement by the same function.
+// with the loops and those sums fanned out across the workers, isolating
+// cheaters on failure (core.VerifyPrepared: a lone cheater costs one more
+// evaluation) so one cheater among N honest providers is individually
+// slashed while the rest settle as passed. Each proof's per-item step
+// (decoding, challenge expansion, zeta, the tag hashes) is the one the
+// scheduler's prove worker attached on arrival; a contract without one is
+// prepared at settlement by the same function.
 type BatchVerifier struct {
 	// Stats, when non-nil, accumulates the pairing workload across blocks
 	// (final exponentiations and Miller loops), making the amortization
@@ -52,11 +53,11 @@ type settleObs struct {
 }
 
 // Instrument registers the dsn_settle_* metric family on reg and makes
-// SettleBlock account each block's pairing work, settle-gas and
-// bisection depth. Allocates Stats when unset so the deltas have a
-// source; the BatchVerifier must not be shared across schedulers after
-// instrumenting (one settlement in flight at a time is assumed, as the
-// scheduler pipeline guarantees).
+// SettleBlock account each block's pairing work, settle-gas and the
+// final exponentiations spent isolating cheaters. Allocates Stats when
+// unset so the deltas have a source; the BatchVerifier must not be shared
+// across schedulers after instrumenting (one settlement in flight at a time
+// is assumed, as the scheduler pipeline guarantees).
 func (v *BatchVerifier) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -71,7 +72,7 @@ func (v *BatchVerifier) Instrument(reg *obs.Registry) {
 		finalExps: reg.Counter("dsn_settle_final_exps_total", "final exponentiations performed by settlement"),
 		gas:       reg.Counter("dsn_settle_gas_total", "settlement gas spent on chain"),
 		batchSize: reg.Histogram("dsn_settle_batch_size", "contracts per settled block", obs.ExpBuckets(1, 2, 16)),
-		bisect:    reg.Histogram("dsn_settle_bisect_depth", "extra final exponentiations spent bisecting cheaters out of a block", obs.ExpBuckets(1, 2, 12)),
+		bisect:    reg.Histogram("dsn_settle_bisect_depth", "extra final exponentiations spent isolating cheaters in a block", obs.ExpBuckets(1, 2, 12)),
 	}
 }
 
@@ -88,7 +89,7 @@ func (v *BatchVerifier) SettleBlock(cs []*contract.Contract, height uint64, work
 	o.miller.Add(uint64(v.Stats.MillerLoops - before.MillerLoops))
 	o.finalExps.Add(uint64(v.Stats.FinalExps - before.FinalExps))
 	// An all-honest block costs exactly one shared final exponentiation;
-	// anything beyond that is the bisection isolating cheaters.
+	// anything beyond that is the search isolating cheaters.
 	if extra := v.Stats.FinalExps - before.FinalExps - 1; extra > 0 {
 		o.bisect.Observe(float64(extra))
 	} else {

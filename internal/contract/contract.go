@@ -15,8 +15,8 @@
 // and slashing — fires at block inclusion, the way a real chain settles
 // transactions when a block lands rather than at submission:
 // SettleBatchAt verifies every pending proof of a block with one shared
-// final exponentiation (core.VerifyPrepared), bisecting on failure to
-// isolate cheaters; MissDeadline settles a round whose proof never came.
+// final exponentiation (core.VerifyPrepared), isolating cheaters on
+// failure; MissDeadline settles a round whose proof never came.
 //
 // Scheduling ("Ethereum Alarm Clock") is modeled by block-height triggers:
 // the contract arms a trigger height and anyone may poke it once the chain
@@ -410,12 +410,13 @@ type SettleResult struct {
 // SettleBatchAt is phase 2 for a whole block, and the only way a pending
 // proof reaches a verdict: every pending proof is checked by one
 // core.VerifyPrepared call (two Miller loops per distinct owner key in the
-// block plus one shared loop, one shared final exponentiation), bisecting on
-// failure so one cheater among N honest providers is individually slashed
-// while the rest settle as passed. A pass moves the round payment from the
-// owner's escrow to the provider; a failure slashes the provider's
-// collateral to the owner and aborts the contract (Fig. 2's dispute). A
-// one-contract block charges exactly one verification's gas.
+// block plus one shared loop, one shared final exponentiation), isolating
+// cheaters on failure — a lone one with one more evaluation — so one cheater
+// among N honest providers is individually slashed while the rest settle as
+// passed. A pass moves the round payment from the owner's escrow to the
+// provider; a failure slashes the provider's collateral to the owner and
+// aborts the contract (Fig. 2's dispute). A one-contract block charges
+// exactly one verification's gas.
 //
 // Each proof's per-item step is the one attached to it (AttachPrepared) when
 // that is bound to it; the rest are prepared here, in parallel. Contracts
@@ -429,8 +430,8 @@ type SettleResult struct {
 // Security of the batching: each item's equation binds its own
 // zeta_i = H'(R_i), and the items are additionally weighted by independent
 // verifier-chosen ~128-bit scalars (see core.BatchVerify), so a cheater
-// cannot hide behind honest co-batched proofs — a failed batch always
-// bisects down to the genuine offender.
+// cannot hide behind honest co-batched proofs — a failed batch is always
+// searched down to the genuine offender.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
 	results := make([]SettleResult, len(cs))
 	// Verdict application below stays in input order.
@@ -463,7 +464,7 @@ func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.Batch
 		i := owners[j]
 		k := cs[i]
 		// Honest items pay the amortized batch share; a failed item pays
-		// the full per-proof verification it forced through bisection.
+		// the full per-proof verification, whatever its search cost.
 		gas := k.settleGasShare(len(items))
 		if !passed {
 			gas = k.verifyGas

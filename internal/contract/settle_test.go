@@ -83,11 +83,11 @@ func TestSettleBatchIsolatesCheater(t *testing.T) {
 	if failed != 1 {
 		t.Fatalf("%d contracts failed, want exactly 1", failed)
 	}
-	// One cheater among 16: one full-batch check plus two bisection calls
-	// per level (1 + 2*log2(16) = 9) — strictly below the 16 final
-	// exponentiations per-proof settlement would need.
-	if stats.FinalExps >= n {
-		t.Fatalf("batched settlement used %d final exps, per-proof needs only %d", stats.FinalExps, n)
+	// One cheater among 16: the full-batch check plus its index-weighted
+	// copy, which names the cheater — against the 16 final exponentiations
+	// per-proof settlement would need.
+	if stats.FinalExps != 2 {
+		t.Fatalf("batched settlement used %d final exps, want 2", stats.FinalExps)
 	}
 
 	// The slash landed: the cheater's collateral moved to its owner.
@@ -97,7 +97,7 @@ func TestSettleBatchIsolatesCheater(t *testing.T) {
 	}
 
 	// Gas model: honest contracts pay the amortized share, the cheater pays
-	// the full verification it forced through bisection.
+	// the full verification it forced.
 	honestGas := cs[0].Records()[0].SettleGas
 	badGas := cs[bad].Records()[0].SettleGas
 	if honestGas >= badGas {

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/big"
 
 	"repro/internal/bn256"
 	"repro/internal/parallel"
@@ -41,8 +42,7 @@ type BatchItem struct {
 // over the batch -- no item's weighted terms are computed on their own (see
 // verifyTerms) -- and the R commitments are weighted in one GT
 // multi-exponentiation. A batch verifies only if every relation holds; on
-// failure the caller falls back to bisection (VerifyBatchParallel) to locate
-// the offender.
+// failure VerifyBatchParallel locates the offenders.
 //
 // The regrouping is bilinearity alone: the GT element compared with one is
 // the same product of the same weighted per-item equations whatever the
@@ -70,7 +70,7 @@ func BatchVerify(items []*BatchItem) bool {
 // ProveStats analogue for the settlement side. Each (sub-)batch verification
 // performs one final exponentiation and 2K+1 Miller loops for items under K
 // distinct owner keys (two per key plus the shared sigma loop), so the
-// counters make the amortization claim (and the bisection overhead on
+// counters make the amortization claim (and the isolation overhead on
 // dispute) directly measurable.
 type BatchStats struct {
 	FinalExps   int // final exponentiations performed
@@ -79,22 +79,20 @@ type BatchStats struct {
 
 // VerifyBatchParallel returns a per-item verdict for the whole batch. An
 // all-honest batch costs a single shared final exponentiation; on failure the
-// batch is bisected recursively until the offending item(s) are isolated, so
-// one cheater among N honest items costs O(log N) extra verifications
-// instead of forcing N per-item ones. What depends on an item alone — the
-// decoded proof, the expanded challenge, zeta and the tags H(name||i) — is
-// prepared once per item (PreparedProof); its weight rho depends on the whole
-// transcript and is derived per slot, once, and the scalars it scales are
-// shared by every bisection level. The group arithmetic is per sub-batch, so
-// re-verifying a half re-sums that half (about twice the summing work of the
-// failing block overall, paid before a slash) and runs its Miller loops and
-// one final exponentiation. stats may be nil.
+// offenders are isolated (VerifyPrepared), so one cheater among N honest
+// items costs one extra evaluation instead of forcing N per-item ones. What
+// depends on an item alone — the decoded proof, the expanded challenge, zeta
+// and the tags H(name||i) — is prepared once per item (PreparedProof); its
+// weight rho depends on the whole transcript and is derived per slot, once,
+// and the scalars it scales are shared by every sub-batch. The group
+// arithmetic is per evaluation, so each one re-sums its terms and runs their
+// Miller loops and one final exponentiation. stats may be nil.
 //
 // workers bounds the goroutines (<= 0 selects GOMAXPROCS): the per-item
 // preparation (challenge expansion and tag hashing) fans out across items,
 // every (sub-)batch verification fans out its independent sums and evaluates
 // its Miller loops through bn256.MillerBatch. Verdicts, stats counters and
-// the bisection path are identical at any worker count.
+// the isolation path are identical at any worker count.
 func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []bool {
 	return VerifyPrepared(prepareItems(items, workers), stats, workers)
 }
@@ -102,40 +100,122 @@ func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []b
 // VerifyPrepared is VerifyBatchParallel over proofs whose per-item step is
 // done (PrepareProof), on whatever goroutine received them. What is left is
 // the block step: each slot's weight from the transcript and its scaled
-// scalars, then the sums, Miller loops and final exponentiation, bisecting on
-// failure. Verdicts and stats are those of VerifyBatchParallel over the same
-// proofs, and no PreparedProof is written to.
+// scalars, then the sums, Miller loops and final exponentiation, isolating
+// the offenders on failure. An item whose challenge did not expand fails
+// before any evaluation. Verdicts and stats are those of VerifyBatchParallel
+// over the same proofs, and no PreparedProof is written to.
 func VerifyPrepared(preps []*PreparedProof, stats *BatchStats, workers int) []bool {
-	verdicts := make([]bool, len(preps))
-	if len(preps) == 0 {
-		return verdicts
+	s := search{verdicts: make([]bool, len(preps)), stats: stats, workers: workers}
+	var live []*batchTerm
+	for _, term := range weighBatch(preps) {
+		if term.ok {
+			live = append(live, term)
+		}
 	}
-	bisect(weighBatch(preps), verdicts, stats, false, workers)
-	return verdicts
+	if len(live) == 0 {
+		return s.verdicts
+	}
+	if v := evalTerms(live, stats, workers); v.IsOne() {
+		s.mark(live, true)
+	} else {
+		s.isolate(live, v, nil)
+	}
+	return s.verdicts
 }
 
-// bisect marks the verdicts of terms and reports whether the whole
-// sub-batch verified: all true if it does, otherwise recursing into halves
-// (a single item's failure is its own verdict). knownBad skips the
-// sub-batch's own verification when the caller has already proved it must
-// fail — a failed parent whose first half passes pins the failure in the
-// second half, so re-verifying that half as a whole would waste a final
-// exponentiation at every such level.
-func bisect(terms []*batchTerm, verdicts []bool, stats *BatchStats, knownBad bool, workers int) bool {
-	if !knownBad && verifyTerms(terms, stats, workers) {
-		for i := range verdicts {
-			verdicts[i] = true
-		}
-		return true
+// search marks the verdicts of a failed block by index-weighted isolation,
+// the exponentiation method of Law and Matt ("Finding invalid signatures in
+// pairing-based batches", IMA Cryptography and Coding 2007). A sub-batch S
+// evaluates to V(S) = prod_i E_i^{rho_i}, E_i slot i's equation value, one if
+// every item holds. A failed S is evaluated once more with each weight
+// scaled by its slot's position in the block, V'(S) = prod_i E_i^{(i+1)rho_i}:
+// if S holds one bad slot j, V' = V^{j+1}, which names j. Otherwise S splits
+// in two, and only the left half is evaluated: V and V' factor over the
+// split, so the right half's pair is the parent's divided by the left's.
+//
+// Soundness: every E_i is in GT, of prime order n — R passed the subgroup
+// check when the proof was decoded, and pairings land in GT. So V' = V^{j+1}
+// means sum_{i in S} (i-j) rho_i e_i = 0 mod n, e_i the discrete log of E_i.
+// If S holds a bad slot other than j this is a non-trivial relation in the
+// small exponents rho_i, which the transcript fixed after every response; it
+// holds with probability at most 2^-128 per j, the batch check's own bound
+// (Bellare, Garay and Rabin, EUROCRYPT 1998). For |S| = 2 it never holds.
+type search struct {
+	verdicts []bool
+	stats    *BatchStats
+	workers  int
+}
+
+// mark sets the verdict of every slot of terms.
+func (s *search) mark(terms []*batchTerm, ok bool) {
+	for _, term := range terms {
+		s.verdicts[term.slot] = ok
 	}
+}
+
+// isolate marks the verdicts of terms, whose value v is not one, and returns
+// their index-weighted value V', which vw holds already unless it is nil.
+func (s *search) isolate(terms []*batchTerm, v, vw *bn256.GT) *bn256.GT {
 	if len(terms) == 1 {
-		verdicts[0] = false
-		return false
+		s.verdicts[terms[0].slot] = false
+		if vw == nil {
+			vw = new(bn256.GT).ScalarMult(v, big.NewInt(int64(terms[0].slot+1)))
+		}
+		return vw
 	}
-	mid := len(terms) / 2
-	leftOK := bisect(terms[:mid], verdicts[:mid], stats, false, workers)
-	bisect(terms[mid:], verdicts[mid:], stats, leftOK, workers)
-	return false
+	if vw == nil {
+		vw = evalTerms(indexWeighted(terms), s.stats, s.workers)
+	}
+	if j := lone(terms, v, vw); j >= 0 {
+		s.mark(terms, true)
+		s.verdicts[j] = false
+		return vw
+	}
+	if len(terms) == 2 { // both are bad: one alone would be named
+		s.mark(terms, false)
+		return vw
+	}
+	left, right := terms[:len(terms)/2], terms[len(terms)/2:]
+	vl, vwl := evalTerms(left, s.stats, s.workers), new(bn256.GT).SetOne()
+	if vl.IsOne() {
+		s.mark(left, true)
+	} else {
+		vwl = s.isolate(left, vl, nil)
+	}
+	if vr := new(bn256.GT).Add(v, new(bn256.GT).Neg(vl)); vr.IsOne() {
+		s.mark(right, true)
+	} else {
+		s.isolate(right, vr, new(bn256.GT).Add(vw, new(bn256.GT).Neg(vwl)))
+	}
+	return vw
+}
+
+// lone returns the slot j of terms with vw = v^{j+1}, or -1 if there is none.
+// v has order n, so at most one slot matches.
+func lone(terms []*batchTerm, v, vw *bn256.GT) int {
+	at := terms[0].slot
+	pow := new(bn256.GT).ScalarMult(v, big.NewInt(int64(at+1))) // v^{at+1}
+	for _, term := range terms {
+		for ; at < term.slot; at++ {
+			pow.Add(pow, v)
+		}
+		if pow.Equal(vw) {
+			return term.slot
+		}
+	}
+	return -1
+}
+
+// indexWeighted returns new terms for terms, each weight rho_i scaled by
+// its slot's position i+1.
+func indexWeighted(terms []*batchTerm) []*batchTerm {
+	scaled := make([]*batchTerm, len(terms))
+	for k, term := range terms {
+		var w bn256.Scalar
+		w.SetUint64(uint64(term.slot + 1))
+		scaled[k] = term.PreparedProof.weigh(term.slot, *w.Mul(&w, &term.rho))
+	}
+	return scaled
 }
 
 // batchWeight derives the ~128-bit weight rho_i for batch position i:
@@ -183,7 +263,7 @@ func batchTranscript(preps []*PreparedProof) []byte {
 // one point chi = sum_j c_j H(name||i_j) with coefficient 1. It holds no
 // weight: rho needs the whole block, so the block step derives it when the
 // block is known (VerifyPrepared). A PreparedProof is only read once made,
-// so one may fill several slots of a batch and every bisection level.
+// so one may fill several slots of a batch and every sub-batch.
 type PreparedProof struct {
 	pub       *PublicKey
 	numChunks int
@@ -321,6 +401,7 @@ type batchTerm struct {
 	tagW []bn256.Scalar // -zeta*rho*c_j: the tags' against eps (the slot's own slice)
 	rhoY bn256.Scalar   // rho*y': g1's against eps, negated
 	rho  bn256.Scalar   // R's
+	slot int            // the slot's position in the block
 }
 
 // prepareBatch is both steps over items that arrive decoded: the per-item
@@ -332,37 +413,53 @@ func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
 // weighBatch is the block step: it derives the weight rho_i of each slot
 // from the whole transcript and scales the slot's item by it into a term of
 // its own. It writes into no PreparedProof, so duplicate slots and every
-// bisection level share their items. An item whose challenge failed to
-// expand gets no weight and fails its (sub-)batch without pairing work.
+// sub-batch share their items. An item whose challenge failed to expand
+// gets no weight.
 func weighBatch(preps []*PreparedProof) []*batchTerm {
 	transcript := batchTranscript(preps)
 	terms := make([]*batchTerm, len(preps))
 	for i, p := range preps {
-		term := &batchTerm{PreparedProof: p}
-		terms[i] = term
-		if !p.ok {
-			continue
+		terms[i] = &batchTerm{PreparedProof: p, slot: i}
+		if p.ok {
+			terms[i] = p.weigh(i, batchWeight(transcript, i))
 		}
-		rho := batchWeight(transcript, i)
-		term.zr.Mul(&p.zeta, &rho)
-		term.zrR.Mul(&term.zr, &p.r)
-		var w bn256.Scalar
-		w.Neg(&term.zr)
-		term.tagW = make([]bn256.Scalar, len(p.coeffs))
-		for j := range p.coeffs {
-			term.tagW[j].Mul(&p.coeffs[j], &w)
-		}
-		term.rhoY.Mul(&rho, &p.proof.YPrime)
-		term.rho = rho
 	}
 	return terms
 }
 
-// verifyTerms checks one (sub-)batch of prepared terms, and all of its group
-// arithmetic happens here, over exactly the terms it is handed — bisection
-// calls it on halves, so there is one path and no cache of per-item
-// products. For the items under each distinct owner key, keys in order of
-// first appearance, it forms
+// weigh returns the term of p in slot, its scalars scaled by the weight rho.
+func (p *PreparedProof) weigh(slot int, rho bn256.Scalar) *batchTerm {
+	term := &batchTerm{PreparedProof: p, rho: rho, slot: slot}
+	term.zr.Mul(&p.zeta, &rho)
+	term.zrR.Mul(&term.zr, &p.r)
+	var w bn256.Scalar
+	w.Neg(&term.zr)
+	term.tagW = make([]bn256.Scalar, len(p.coeffs))
+	for j := range p.coeffs {
+		term.tagW[j].Mul(&p.coeffs[j], &w)
+	}
+	term.rhoY.Mul(&rho, &p.proof.YPrime)
+	return term
+}
+
+// verifyTerms checks one (sub-)batch of prepared terms: it fails if a
+// term's challenge did not expand, and otherwise iff evalTerms is not one.
+func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
+	for _, term := range terms {
+		if !term.ok {
+			return false
+		}
+	}
+	return evalTerms(terms, stats, workers).IsOne()
+}
+
+// evalTerms returns the value of one (sub-)batch of prepared terms whose
+// challenges expanded, prod_i E_i^{rho_i} in GT, E_i the value of item i's
+// equation: one iff the batch verifies. All of its group arithmetic happens
+// here, over exactly the terms it is handed — the search evaluates
+// sub-batches and index-weighted copies through it, so there is one path and
+// no cache of per-item products. For the items under each distinct owner
+// key, keys in order of first appearance, it forms
 //
 //	against eps:   sum_i (zeta_i rho_i r_i) psi_i - sum_ij (zeta_i rho_i c_ij) H(name_i||j) - (sum_i rho_i y'_i) g1
 //	against delta: -sum_i (zeta_i rho_i) psi_i
@@ -374,16 +471,8 @@ func weighBatch(preps []*PreparedProof) []*batchTerm {
 // one GT multi-exponentiation sharing its squarings. The sums are independent
 // and fan out across workers, as do the 2K+1 Miller loops (bn256.MillerBatch);
 // each lands in its own slot and the product takes one final exponentiation,
-// so the verdict is identical at any worker count.
-func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
-	// A term whose challenge failed to expand fails the whole (sub-)batch:
-	// detect it before spending any group arithmetic, at every bisection level.
-	for _, term := range terms {
-		if !term.ok {
-			return false
-		}
-	}
-
+// so the value is identical at any worker count.
+func evalTerms(terms []*batchTerm, stats *BatchStats, workers int) *bn256.GT {
 	// groups[j] holds the items of the key first seen at slot[key] = j; its
 	// eps and delta sums go to g1s[2j], g1s[2j+1] against g2s[2j] = eps,
 	// g2s[2j+1] = delta, and the sigma sum comes last against g2.
@@ -429,8 +518,7 @@ func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
 		stats.FinalExps++
 	}
 	res := bn256.FinalExponentiate(bn256.MillerBatch(g1s, g2s, workers))
-	res.Add(res, rAgg)
-	return res.IsOne()
+	return res.Add(res, rAgg)
 }
 
 // keyGroup is the terms of one (sub-)batch under one owner key.

@@ -100,8 +100,8 @@ func TestBatchWeightMatchesBigRule(t *testing.T) {
 }
 
 // TestVerifyBatchBisection plants one corrupt proof among honest items and
-// checks the bisection isolates exactly it — at a final-exponentiation
-// budget strictly below per-item verification.
+// checks the search isolates exactly it with one evaluation beyond the
+// block's own.
 func TestVerifyBatchBisection(t *testing.T) {
 	const n = 8
 	items := make([]*BatchItem, n)
@@ -132,12 +132,10 @@ func TestVerifyBatchBisection(t *testing.T) {
 			t.Errorf("item %d verdict %v, want %v", i, ok, want)
 		}
 	}
-	// One cheater in 8: the full batch plus, per level, only the halves
-	// not already proved failing (a failed parent with a passing first
-	// half pins the failure in the second, which skips its own verify) —
-	// 5 final exponentiations here, versus 8 for per-item verification.
-	if stats.FinalExps >= n {
-		t.Fatalf("bisection used %d final exps, per-item needs only %d", stats.FinalExps, n)
+	// One cheater in 8: the full batch, then its index-weighted copy, which
+	// names the cheater — versus 8 final exponentiations per item.
+	if stats.FinalExps != 2 {
+		t.Fatalf("isolation used %d final exps, want 2", stats.FinalExps)
 	}
 	if stats.MillerLoops == 0 {
 		t.Fatal("Miller loops not counted")

@@ -184,7 +184,7 @@ func FuzzUnmarshalAuditState(f *testing.F) {
 }
 
 // fuzzSetup is testSetup for fuzz harnesses (which take *testing.F).
-func fuzzSetup(f *testing.F) (*PrivateKey, *EncodedFile, *Prover) {
+func fuzzSetup(f testing.TB) (*PrivateKey, *EncodedFile, *Prover) {
 	f.Helper()
 	sk, err := KeyGen(3, rand.Reader)
 	if err != nil {
