@@ -299,7 +299,8 @@ func (c *curvePoint) AddMixed(a, b *curvePoint) *curvePoint {
 
 // Mul sets c = k*a by double-and-add, k taken as given and not mod n: it is
 // what checks that a point has order n (initGenerators) and the reference
-// MulGLV is tested against. G1.ScalarMult runs on MulGLV.
+// every faster multiplication is tested against. G1.ScalarMult and
+// MultiScalarMult reduce k mod n and run on the GLV split (multiexp.go).
 func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	if k.Sign() < 0 {
 		na := newCurvePoint().Neg(a)

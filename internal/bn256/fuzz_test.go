@@ -103,12 +103,18 @@ func FuzzGTUnmarshalCompressed(f *testing.F) {
 	})
 }
 
-// FuzzMultiScalarMult drives the bucket reduction with inputs built from the
-// fuzzer's bytes and holds it to the sum of scalar multiplications. Each
-// 9-byte record is one pair: the first byte picks the point from a small
-// pool (a point, its negation, a Jacobian copy, another point, infinity, nil)
-// so that repeats and cancellations are the common case, the rest is the
-// scalar, sign-extended so that small, huge and negative ones all occur.
+// FuzzMultiScalarMult drives both methods of the multi-scalar multiplication
+// with inputs built from the fuzzer's bytes and holds them to the sum of
+// plain double-and-add ladders (msmNaive), which shares neither the GLV split
+// nor the NAF walk with them. Each 9-byte record is one pair: the first byte
+// picks the point from a small pool (a point, its negation, a Jacobian copy,
+// another point, infinity, nil) so that repeats and cancellations are the
+// common case, the rest is the scalar, sign-extended so that small, huge and
+// negative ones all occur. The six-record seeds run the interleaved walk,
+// except the one on 7-bit scalars, whose narrow windows suit the bucket
+// method; the 48-record seeds are past the crossover at any width, so the
+// bucket reduction's equal-x branches (a doubling, a cancellation) meet
+// long scalars too.
 func FuzzMultiScalarMult(f *testing.F) {
 	p, q := HashToG1([]byte("fuzz msm p")), HashToG1([]byte("fuzz msm q"))
 	jac := new(G1).Add(new(G1).Add(p, q), new(G1).Neg(q)) // p again, z != 1
@@ -127,6 +133,18 @@ func FuzzMultiScalarMult(f *testing.F) {
 	f.Add(append(cancelling, doubling...))
 	f.Add(mixed)
 	f.Add([]byte{})
+	// Past the crossover: one point 48 times under one full-width scalar
+	// (k^6 mod n), and a point and its negation alternating under one
+	// 7-bit and one full-width scalar.
+	var manyDoubling, manyCancelling, manyCancellingFull []byte
+	for i := 0; i < 48; i++ {
+		manyDoubling = append(manyDoubling, rec(2<<6, 0x0123456789abcdef)...)
+		manyCancelling = append(manyCancelling, rec(byte(i%2), 77)...)
+		manyCancellingFull = append(manyCancellingFull, rec(2<<6|byte(i%2), 0x0123456789abcdef)...)
+	}
+	f.Add(manyDoubling)
+	f.Add(manyCancelling)
+	f.Add(manyCancellingFull)
 	// Short and full-width scalars in one input: k^6 for k = 2642245 and
 	// 2642246 lands just below and just above 2^128, where glvDecompose
 	// switches rule, beside 64-bit ones and n - k.
@@ -155,22 +173,19 @@ func FuzzMultiScalarMult(f *testing.F) {
 			points = append(points, pool[int(data[0]&63)%len(pool)])
 			scalars = append(scalars, k)
 		}
-		want := new(G1).SetInfinity()
-		for i := range points {
-			want.Add(want, new(G1).ScalarMult(points[i], scalars[i]))
-		}
+		want := msmNaive(points, scalars)
 		ks := scalarsFromBig(scalars)
 		if got := new(G1).MultiScalarMult(points, ks); !got.Equal(want) {
-			t.Fatal("MultiScalarMult disagrees with the sum of ScalarMults")
+			t.Fatal("MultiScalarMult disagrees with the sum of ladders")
 		}
 		if got, err := new(G1).MultiScalarMultCtx(context.Background(), points, ks, 3); err != nil || !got.Equal(want) {
-			t.Fatalf("MultiScalarMultCtx at 3 workers = (%v, %v), want the sum of ScalarMults", got, err)
+			t.Fatalf("MultiScalarMultCtx at 3 workers = (%v, %v), want the sum of ladders", got, err)
 		}
 	})
 }
 
-// FuzzGTMultiScalarMult holds GT.MultiScalarMult to the product of
-// ScalarMults on inputs built from the fuzzer's bytes, 9-byte records as in
+// FuzzGTMultiScalarMult holds GT.MultiScalarMult to the product of plain
+// gfP12.Exp ladders (gtProduct) on inputs built from the fuzzer's bytes, 9-byte records as in
 // FuzzMultiScalarMult: the first byte picks the element from a small pool (an
 // element, its inverse, another, the identity, a zero value, a raw MillerLoop
 // value outside the cyclotomic subgroup), the rest is the exponent.
@@ -211,7 +226,7 @@ func FuzzGTMultiScalarMult(f *testing.F) {
 			exps = append(exps, k)
 		}
 		if got := new(GT).MultiScalarMult(elems, scalarsFromBig(exps)); !got.Equal(gtProduct(elems, exps)) {
-			t.Fatal("GT.MultiScalarMult disagrees with the product of ScalarMults")
+			t.Fatal("GT.MultiScalarMult disagrees with the product of ladders")
 		}
 	})
 }

@@ -247,31 +247,30 @@ func triplePlusDouble(e, t, a *gfP2) {
 	e.Add(e, t)
 }
 
-// cycloWindow is the digit width of the cyclotomic exponentiations.
-const cycloWindow = 4
+// cycloTable holds a, a^3, ..., a^15 for one base a: inversion in the
+// cyclotomic subgroup is conjugation, so it serves every signed digit of
+// nafRecode.
+type cycloTable [nafOdd]gfP12
 
-// cycloTable holds a^1..a^8 for one base a: inversion in the cyclotomic
-// subgroup is conjugation, so it serves the signed digits [-8, 8].
-type cycloTable [1 << (cycloWindow - 1)]gfP12
-
-// fill sets table[d-1] = a^d.
+// fill sets table[j] = a^(2j+1): one cyclotomic squaring for a^2 and seven
+// multiplications by it.
 func (table *cycloTable) fill(a *gfP12) {
+	var a2 gfP12
+	a2.CyclotomicSquare(a)
 	table[0] = *a
-	for d := 1; d < len(table); d++ {
-		if d&1 == 1 {
-			table[d].CyclotomicSquare(&table[d/2])
-		} else {
-			table[d].Mul(&table[d-1], a)
-		}
+	for j := 1; j < len(table); j++ {
+		table[j].Mul(&table[j-1], &a2)
 	}
 }
 
 // CyclotomicExp sets e = a^k for a in the cyclotomic subgroup and
 // 0 <= k < 2^256: the one-base call of cyclotomicMultiExp, where a 254-bit
-// exponent costs 254 cheap squarings and ~60 multiplications against the
-// 254 + ~127 of Exp. It asks nothing more of a than the cyclotomic subgroup,
-// so it serves the callers whose a is not (yet) known to have order n; for
-// those that are, splitExp is a quarter of the squarings.
+// exponent costs ~254 cheap squarings and ~43 multiplications, plus the
+// table's eight, against the 254 + ~127 of Exp; the final exponentiation's
+// three powers by the 63-bit u take 63 and 12 each. It asks nothing more
+// of a than the cyclotomic subgroup, so it serves the callers whose a is not
+// (yet) known to have order n; for those that are, splitExp is a quarter of
+// the squarings.
 func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 	var table [1]cycloTable
 	table[0].fill(a)
@@ -280,27 +279,38 @@ func (e *gfP12) CyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 }
 
 // cyclotomicMultiExp sets e = prod_i a_i^ks[i] for bases in the cyclotomic
-// subgroup, given as their filled tables, with cyclotomic squarings and signed
-// fixed-window digits (boothDigit): one chain of squarings, as long as the
-// longest exponent, serves every base -- a base costs its table and one
-// multiplication per non-zero digit.
+// subgroup, given as their filled tables, on the exponents' nafRecode digits:
+// one chain of cyclotomic squarings, as long as the longest exponent, serves
+// every base, and a base costs its table and one multiplication per non-zero
+// digit, one in nafWindow+1 on average.
 func (e *gfP12) cyclotomicMultiExp(ks [][4]uint64, tables []cycloTable) *gfP12 {
 	maxBits := 0
 	for i := range ks {
 		maxBits = max(maxBits, limbsBitLen(ks[i][:]))
 	}
+	// A row per exponent; the splitExp and CyclotomicExp calls fit the stack.
+	row := maxBits + 1
+	var buf [4 * (gtSplitBits + 1)]int8
+	digits := buf[:]
+	if len(ks)*row > len(buf) {
+		digits = make([]int8, len(ks)*row)
+	}
+	top := 0
+	for i := range ks {
+		top = max(top, nafRecode(digits[i*row:][:row], ks[i][:]))
+	}
 	var acc, inv gfP12
 	acc.SetOne()
-	for w := (maxBits+cycloWindow)/cycloWindow - 1; w >= 0; w-- {
-		for i := 0; i < cycloWindow; i++ {
+	for pos := top - 1; pos >= 0; pos-- {
+		if pos < top-1 {
 			acc.CyclotomicSquare(&acc)
 		}
 		for i := range ks {
-			switch d := boothDigit(ks[i][:], w, cycloWindow); {
+			switch d := digits[i*row+pos]; {
 			case d > 0:
-				acc.Mul(&acc, &tables[i][d-1])
+				acc.Mul(&acc, &tables[i][d>>1])
 			case d < 0:
-				acc.Mul(&acc, inv.Conjugate(&tables[i][-d-1]))
+				acc.Mul(&acc, inv.Conjugate(&tables[i][-d>>1]))
 			}
 		}
 	}

@@ -177,52 +177,3 @@ func abs3(v [3]uint64) (mag [2]uint64, neg bool) {
 	}
 	return [2]uint64{v[0], v[1]}, neg
 }
-
-// glvWindow is the digit width of MulGLV's signed windows.
-const glvWindow = 4
-
-// MulGLV sets c = (k mod n)*a for a in G1: one ladder of ~128 doublings
-// shared by the signed glvWindow-bit digits of k1 against a table of
-// a..8a and of k2 against the same table under phi, ~60 additions in all,
-// where Mul pays 254 doublings and ~127 additions. Because k is reduced
-// mod n, MulGLV cannot witness that a has order n; Mul does.
-func (c *curvePoint) MulGLV(a *curvePoint, k *big.Int) *curvePoint {
-	ks := scalarFromBig(k)
-	k1, k2, neg1, neg2 := glvDecompose(&ks)
-	var table, phi [1 << (glvWindow - 1)]curvePoint // [d-1]: d*a, d*phi(a)
-	table[0] = *a
-	for d := 1; d < len(table); d++ {
-		if d&1 == 1 {
-			table[d].Double(&table[d/2])
-		} else {
-			table[d].Add(&table[d-1], a)
-		}
-	}
-	for d := range table {
-		phi[d] = table[d]
-		gfpMul(&phi[d].x, &phi[d].x, &glvBeta)
-	}
-
-	var acc, neg curvePoint
-	acc.SetInfinity()
-	// The halves are magnitudes; their signs go onto the digits.
-	addDigit := func(tbl *[1 << (glvWindow - 1)]curvePoint, d int, negate bool) {
-		if negate {
-			d = -d
-		}
-		switch {
-		case d > 0:
-			acc.Add(&acc, &tbl[d-1])
-		case d < 0:
-			acc.Add(&acc, neg.Neg(&tbl[-d-1]))
-		}
-	}
-	for w := (max(limbsBitLen(k1[:]), limbsBitLen(k2[:]))+glvWindow)/glvWindow - 1; w >= 0; w-- {
-		for i := 0; i < glvWindow; i++ {
-			acc.Double(&acc)
-		}
-		addDigit(&table, boothDigit(k1[:], w, glvWindow), neg1)
-		addDigit(&phi, boothDigit(k2[:], w, glvWindow), neg2)
-	}
-	return c.Set(&acc)
-}

@@ -114,7 +114,7 @@ func gtSplitDecompose(k *[4]uint64) (parts [4][2]uint64, neg [4]bool) {
 // splitExp sets e = a^k for a of order n and k in [0, n): the four parts of k
 // go through cyclotomicMultiExp against the table of a and its images under
 // a -> a^p, a^(p^2), a^(p^3) (24 Frobenius maps, about seven multiplications'
-// worth, where three more tables would cost twelve squarings and nine
+// worth, where three more tables would cost three squarings and 21
 // multiplications). A negative part conjugates its table: inversion in the
 // cyclotomic subgroup.
 func (e *gfP12) splitExp(a *gfP12, k *[4]uint64) *gfP12 {

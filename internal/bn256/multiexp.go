@@ -8,12 +8,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// Multi-scalar multiplication on G1: sum_i k_i * P_i by Pippenger's bucket
-// method, the one implementation behind every size the system sends it (the
-// 8-point proofs of a small fleet, psi over a key's 49 powers, sigma and chi
-// over 300 challenged chunks, an acceptance check's sample).
+// Multi-scalar multiplication on G1: sum_i k_i * P_i, behind one entry,
+// MultiScalarMult, by one of two methods on the same GLV-split entries,
+// whichever its cost model prices lower: Straus' interleaved walk up to about
+// two dozen points (sigma over a small fleet's 8 chunks, psi over its key's 3
+// powers, an acceptance check's weighted sample, and ScalarMult, the walk's
+// one-point call), Pippenger's bucket method beyond (psi over a key's 49
+// powers, sigma and chi over 300 challenged chunks, a block's eps sum).
 //
-// The method, in the order the code runs it:
+// The bucket method, in the order the code runs it:
 //
 //  1. Split. Every scalar is split on its limbs as k = k1 + k2*lambda with
 //     |k1|, |k2| < 2^128 (glvDecompose), so n points with 254-bit scalars
@@ -23,7 +26,8 @@ import (
 //     weight -- is its own first half and its phi entry is zero, so n short
 //     scalars are n live entries on 128-bit windows, not 2n on 127-bit ones.
 //     The halves' signs move onto the points, and all points are made affine
-//     up front, the non-affine ones sharing one inversion (msmSplit).
+//     up front, the non-affine ones sharing one inversion (msmSplit). The
+//     interleaved walk starts from the same entries.
 //  2. Sort. With signed c-bit digits (boothDigit) a window has 2^(c-1)
 //     buckets. For a group of windows at a time, every (entry, window) with a
 //     non-zero digit is counting-sorted into one contiguous segment of points
@@ -39,14 +43,24 @@ import (
 //     mixed and one full addition per bucket (msmScratch.windowSums); the
 //     window sums are then combined by c doublings each, serially.
 //
-// Cost model (msmWindowBits picks c by it): windows * (7*live + 27*2^(c-1))
-// field multiplications with windows = ceil(128/c), live the entries whose
-// half is not zero (a zero one has no digit, and sort skips it): 2n for
-// full-width scalars, n for short ones. At n = 300 that is c = 6, 22 windows,
-// either way; at 49, c = 5; at 8, c = 3. Short scalars halve the first term:
-// on one core of a 2-vCPU Xeon a 300-point sigma over 128-bit coefficients
-// takes 2.2 ms against 3.6 ms at full width, and took 2.8 ms when such
-// scalars were still Babai-split into ~127- and ~64-bit halves.
+// The interleaved walk (g1Walk.sum) instead gives every live entry a table of
+// its odd multiples P, 3P, ..., 15P, made affine with one inversion shared by
+// all of them, and reads each half's width-5 NAF digits (nafRecode) down one
+// chain of ~128 doublings, a mixed addition per non-zero digit, one place in
+// six. It has no buckets to pay for, which is what a handful of points
+// cannot amortize: at c = 3 the bucket term below is most of the cost.
+//
+// Cost models, in field multiplications: the bucket method's (msmWindowBits
+// picks c by it) is windows * (7*live + 27*2^(c-1)) with windows =
+// ceil(128/c), live the entries whose half is not zero (a zero one has no
+// digit, and sort skips it): 2n for full-width scalars, n for short ones. At
+// n = 300 that is c = 6, 22 windows, either way; at 49, c = 5; at 8, c = 3.
+// Short scalars halve the first term: on one core of a 2-vCPU Xeon a
+// 300-point sigma over 128-bit coefficients takes 2.2 ms against 3.6 ms at
+// full width, and took 2.8 ms when such scalars were still Babai-split into
+// ~127- and ~64-bit halves. The walk's is fitted to it (msmPicksWalk), and
+// the entry runs the walk wherever that is the lower, which is up to about
+// two dozen points of either width.
 //
 // Group and scratch sizing: a group is as many windows as keep its sorted
 // entries near msmGroupEntries, so the scratch a reduction walks stays
@@ -55,6 +69,7 @@ import (
 // Groups are the unit of parallelism: they fan out across the workers and
 // write window sums to index-keyed slots, so the group element, and hence
 // every marshalled byte, is the same at any worker count. Scratch is pooled.
+// The walk is serial: an input it wins on has a single window group.
 //
 // Equal x in a pair: a chord slope does not exist when two points of a
 // segment share x, and they do whenever an input repeats (a doubling) or
@@ -62,7 +77,8 @@ import (
 // to). Neither is left to chance or to the caller: the points an acceptance
 // check multiplies are chosen by the other party, and gfP.Invert panics on
 // zero. slopeDenominator and addAffine handle both, and infinity as an
-// operand, in the pair loop.
+// operand, in the pair loop. The walk's Jacobian additions handle them
+// inside Add and AddMixed.
 
 // MultiScalarMult sets e = sum_i scalars[i] * points[i] and returns e. It is
 // the workhorse of both the prover (sigma and psi aggregation) and the
@@ -115,10 +131,11 @@ func (e *G1) multiScalarMult(points []*G1, scalars []Scalar, workers int) *G1 {
 // slower.
 const msmGroupEntries = 2400
 
-// multiScalarMultCancelable runs the method described at the top of the
-// file, polling ctx (when non-nil) before every window group and every
-// reduction round. It returns nil only if it saw ctx.Err() non-nil, which
-// the caller returns.
+// multiScalarMultCancelable splits the entries and runs the method the cost
+// models pick, as described at the top of the file, polling ctx (when
+// non-nil) before every window group and every reduction round, or every
+// eighth doubling of the walk. It returns nil only if it saw ctx.Err()
+// non-nil, which the caller returns.
 func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalars []Scalar, workers int) *G1 {
 	if len(points) != len(scalars) {
 		panic("bn256: MultiScalarMult length mismatch")
@@ -128,18 +145,41 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 	entries := 2 * len(points)
 	aff := make([]affinePoint, entries)
 	halves := make([][2]uint64, entries)
-	maxBits, live := msmSplit(aff, halves, points, scalars)
+	maxBits, live, bases := msmSplit(aff, halves, points, scalars)
 	if maxBits == 0 {
 		e.p.SetInfinity()
 		return e
 	}
+	if msmPicksWalk(live, bases, maxBits) {
+		w := g1Walk{
+			tables: make([]curvePoint, entries*nafOdd),
+			digits: make([]int8, entries*halfDigits),
+			zs:     make([]gfP, entries*(nafOdd-1)),
+		}
+		if !w.sum(ctx, e.p, aff, halves) {
+			return nil
+		}
+		return e
+	}
 
+	if !msmBuckets(ctx, e.p, aff, halves, maxBits, live, workers) {
+		return nil
+	}
+	return e
+}
+
+// msmBuckets sets acc = sum_i halves[i] * aff[i] by the bucket method, steps
+// 2 to 4 at the top of the file, on the window width msmWindowBits picks for
+// live non-zero halves of at most maxBits bits, fanning the window groups out
+// across at most workers goroutines. It reports false if ctx (when non-nil)
+// ended first.
+func msmBuckets(ctx context.Context, acc *curvePoint, aff []affinePoint, halves [][2]uint64, maxBits, live, workers int) bool {
+	c, _ := msmWindowBits(live, maxBits)
 	// Digits are signed (boothDigit), so a window needs half the buckets; a
 	// negative digit adds the negated point. The top window must see a
 	// clear sign bit, hence maxBits+1.
-	c, _ := msmWindowBits(live, maxBits)
 	windows := (maxBits + c) / c
-	perGroup := max(1, msmGroupEntries/entries)
+	perGroup := max(1, msmGroupEntries/len(aff))
 	groups := (windows + perGroup - 1) / perGroup
 	perGroup = (windows + groups - 1) / groups // the same number of groups, evened out
 
@@ -160,21 +200,20 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 		// A group abandons its reduction only once ctx.Err is non-nil, and
 		// that is final: checking it here covers every group.
 		if parallel.ForCtx(ctx, workers, groups, groupPass) != nil || ctx.Err() != nil {
-			return nil
+			return false
 		}
 	} else {
 		parallel.For(workers, groups, groupPass)
 	}
 
-	acc := newCurvePoint().SetInfinity()
+	acc.SetInfinity()
 	for w := windows - 1; w >= 0; w-- {
 		for i := 0; i < c; i++ {
 			acc.Double(acc)
 		}
 		acc.Add(acc, &windowSums[w])
 	}
-	e.p.Set(acc)
-	return e
+	return true
 }
 
 // msmSplit turns n points and scalars into the 2n entries of the GLV-split
@@ -182,8 +221,9 @@ func (e *G1) multiScalarMultCancelable(ctx context.Context, points []*G1, scalar
 // coordinates in aff with the halves' signs moved onto the points, magnitudes
 // in halves. The inputs are not written to. A nil or infinite point leaves
 // both its entries zero, which every later stage skips. It returns the bit
-// length of the longest half and the number of non-zero halves.
-func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []Scalar) (maxBits, live int) {
+// length of the longest half, the number of non-zero halves and the number
+// of points with one.
+func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []Scalar) (maxBits, live, bases int) {
 	// Points that are not affine already share one field inversion, three
 	// multiplications each against the five every one of their ~40 bucket
 	// additions would otherwise pay.
@@ -226,8 +266,110 @@ func msmSplit(aff []affinePoint, halves [][2]uint64, points []*G1, scalars []Sca
 				maxBits, live = max(maxBits, b), live+1
 			}
 		}
+		if k1 != [2]uint64{} || k2 != [2]uint64{} {
+			bases++
+		}
 	}
-	return maxBits, live
+	return maxBits, live, bases
+}
+
+// halfDigits is the length of a GLV half's row of nafRecode digits: the half
+// is below 2^128, and its top digit may carry into a 129th place.
+const halfDigits = 129
+
+// g1Walk is the memory of the interleaved walk over msmSplit's entries,
+// sized by the caller for len(aff) of them: the one-point call, ScalarMult,
+// keeps it on the stack.
+type g1Walk struct {
+	tables []curvePoint // nafOdd per slot: the entry's odd multiples, affine once built
+	digits []int8       // halfDigits per slot: the entry's nafRecode row
+	zs     []gfP        // nafOdd-1 per point: the z of 3P..15P, then their inverses; as much again for batchInvert
+}
+
+// sum sets acc = sum_i halves[i] * aff[i] by Straus' interleaved walk over
+// width-nafWindow NAF digits (Moeller, SAC 2001). Each point with a non-zero
+// half gets one slot for its own entry, built as P, 3P, ..., 15P by steps of
+// 2P, and one more for its phi entry if that half is live, the same table
+// under phi (beta times x, and y negated where the two entries' signs
+// differ). The tables are made affine together with one shared inversion, so
+// the walk -- one chain of doublings as long as the longest half, serving
+// every slot -- adds each non-zero digit's multiple with a mixed addition. It
+// polls ctx (when non-nil) every eighth doubling and reports false if ctx
+// ended first.
+func (w *g1Walk) sum(ctx context.Context, acc *curvePoint, aff []affinePoint, halves [][2]uint64) bool {
+	// The tables in Jacobian coordinates, and every slot's digits.
+	slots, zn, top := 0, 0, 0
+	for i := 0; i < len(aff); i += 2 {
+		if halves[i] == [2]uint64{} && halves[i+1] == [2]uint64{} {
+			continue
+		}
+		t := w.tables[slots*nafOdd:][:nafOdd]
+		t[0] = curvePoint{aff[i].x, aff[i].y, rOne}
+		var twice curvePoint
+		twice.Double(&t[0])
+		t[1].AddMixed(&twice, &t[0])
+		for j := 2; j < nafOdd; j++ {
+			t[j].Add(&t[j-1], &twice)
+		}
+		for j := 1; j < nafOdd; j++ {
+			w.zs[zn] = t[j].z
+			zn++
+		}
+		top = max(top, nafRecode(w.digits[slots*halfDigits:][:halfDigits], halves[i][:]))
+		slots++
+		if halves[i+1] != [2]uint64{} {
+			top = max(top, nafRecode(w.digits[slots*halfDigits:][:halfDigits], halves[i+1][:]))
+			slots++
+		}
+	}
+
+	// Affine, in the same order: the own tables by the shared inversion, a
+	// phi slot from the own slot before it.
+	batchInvert(w.zs[:zn], w.zs[zn:2*zn])
+	slot, zn := 0, 0
+	for i := 0; i < len(aff); i += 2 {
+		if halves[i] == [2]uint64{} && halves[i+1] == [2]uint64{} {
+			continue
+		}
+		t := w.tables[slot*nafOdd:][:nafOdd]
+		for j := 1; j < nafOdd; j++ {
+			jacobianToAffine(&t[j].x, &t[j].y, &w.zs[zn])
+			t[j].z = rOne
+			zn++
+		}
+		slot++
+		if halves[i+1] == [2]uint64{} {
+			continue
+		}
+		phi := w.tables[slot*nafOdd:][:nafOdd]
+		for j := range phi {
+			phi[j] = t[j]
+			gfpMul(&phi[j].x, &phi[j].x, &glvBeta)
+			if aff[i+1].y != aff[i].y {
+				gfpNeg(&phi[j].y, &phi[j].y)
+			}
+		}
+		slot++
+	}
+
+	acc.SetInfinity()
+	var neg curvePoint
+	for pos := top - 1; pos >= 0; pos-- {
+		if ctx != nil && pos%8 == 0 && ctx.Err() != nil {
+			return false
+		}
+		acc.Double(acc)
+		for s := 0; s < slots; s++ {
+			switch d := w.digits[s*halfDigits+pos]; {
+			case d > 0:
+				acc.AddMixed(acc, &w.tables[s*nafOdd+int(d>>1)])
+			case d < 0:
+				neg.Neg(&w.tables[s*nafOdd+int(-d>>1)])
+				acc.AddMixed(acc, &neg)
+			}
+		}
+	}
+	return true
 }
 
 // msmScratch is the working memory of one window group. It is pooled: a
@@ -415,6 +557,27 @@ func (s *msmScratch) windowSums(sums []curvePoint, c int) {
 	}
 }
 
+// msmPicksWalk reports whether the interleaved walk is the cheaper method for
+// live non-zero halves of at most maxBits bits on bases points: whether its
+// modeled cost, in the units of msmWindowBits,
+//
+//	(maxBits+1) * 10  +  live * (maxBits+1)/(nafWindow+1) * 14  +  bases * 120  +  150,
+//
+// is below the bucket method's. The terms are a doubling per digit place, a
+// mixed addition per expected non-zero digit of a live half, a point's table
+// (a doubling, seven additions and seven affine conversions) and the shared
+// inversion. The weights are fitted to the two methods timed against each
+// other on the same entries, one core of a 2-vCPU Xeon: the walk takes 0.5
+// of the bucket method's time at one full-width point, 0.6 at three, 0.7 at
+// eight short ones, and they cross over near 24 points either way, where the
+// model puts them too.
+func msmPicksWalk(live, bases, maxBits int) bool {
+	digits := int64(maxBits + 1)
+	walk := digits*10 + int64(live)*digits*14/(nafWindow+1) + int64(bases)*120 + 150
+	_, buckets := msmWindowBits(live, maxBits)
+	return walk < buckets
+}
+
 // msmWindowBits picks the bucket width for the given number of entries with
 // non-zero scalars of at most maxBits bits by minimizing the modeled cost in
 // field multiplications,
@@ -438,10 +601,12 @@ func msmWindowBits(entries, maxBits int) (int, int64) {
 }
 
 // MultiScalarMultCost returns the modeled cost, in field multiplications, of
-// a MultiScalarMult over n points whose scalars are all short (below 2^128:
+// the bucket method over n points whose scalars are all short (below 2^128:
 // n entries on 128-bit windows) or all full-width (2n GLV halves on 127-bit
-// windows), at the window width the method would pick. It is the model
-// above, for callers choosing between two ways of forming one sum.
+// windows), at the window width it would pick. It is the model above, for
+// callers choosing between two ways of forming one sum. It stays the bucket
+// method's cost below the interleaved walk's crossover too: that is the price
+// of a point carried into a larger sum, which is what such a caller weighs.
 func MultiScalarMultCost(n int, short bool) int64 {
 	if n <= 0 {
 		return 0

@@ -23,7 +23,7 @@ func TestMultiScalarMultMatchesNaive(t *testing.T) {
 			s, _ := rand.Int(rand.Reader, Order)
 			points[i] = p
 			scalars[i] = s
-			naive.Add(naive, new(G1).ScalarMult(p, s))
+			naive.p.Add(naive.p, newCurvePoint().Mul(p.p, s))
 		}
 		got := new(G1).MultiScalarMult(points, scalarsFromBig(scalars))
 		if !got.Equal(naive) {
@@ -117,17 +117,16 @@ func msmHardInputs(t testing.TB, n int) ([]*G1, []*big.Int) {
 	return points[:n], scalars[:n]
 }
 
-// msmNaive is the sum of independent scalar multiplications; the first few
-// run on the unreduced double-and-add ladder, so the reference does not rest
-// on the GLV decomposition the multi-scalar multiplication shares.
+// msmNaive is the sum of independent multiplications on the unreduced
+// double-and-add ladder, k mod n each, so the reference rests neither on the
+// GLV decomposition nor on the NAF walk that the multi-scalar multiplication
+// and ScalarMult share.
 func msmNaive(points []*G1, scalars []*big.Int) *G1 {
 	want := new(G1).SetInfinity()
 	for i := range points {
-		term := new(G1).ScalarMult(points[i], scalars[i])
-		if i < 6 && points[i].p != nil {
-			term.p.Mul(points[i].p, new(big.Int).Mod(scalars[i], Order))
+		if points[i].p != nil {
+			want.p.Add(want.p, newCurvePoint().Mul(points[i].p, new(big.Int).Mod(scalars[i], Order)))
 		}
-		want.Add(want, term)
 	}
 	return want
 }
@@ -272,43 +271,106 @@ func TestMultiScalarMultLeavesInputsAlone(t *testing.T) {
 	}
 }
 
-// TestMultiScalarMultAllocs: scalars are limbs and the bucket scratch is
-// pooled, so a 300-point multiplication allocates a handful of slices, not
-// one per scalar.
+// TestMultiScalarMultAllocs: scalars are limbs, the bucket scratch is
+// pooled and the walk's tables are three slices, so a 300-point
+// multiplication (the bucket method) and an 8-point one (the walk) allocate
+// a handful of slices, not one per scalar.
 func TestMultiScalarMultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
-	points, _, bigs := randomPairs(t, 300)
-	scalars := scalarsFromBig(bigs)
-	var e G1
-	e.MultiScalarMult(points, scalars) // warm the pool
-	if allocs := testing.AllocsPerRun(10, func() { e.MultiScalarMult(points, scalars) }); allocs > 8 {
-		t.Fatalf("300-point MultiScalarMult allocates %.0f times, want <= 8", allocs)
+	for _, n := range []int{300, 8} {
+		points, _, bigs := randomPairs(t, n)
+		scalars := scalarsFromBig(bigs)
+		var e G1
+		e.MultiScalarMult(points, scalars) // warm the pool
+		if allocs := testing.AllocsPerRun(10, func() { e.MultiScalarMult(points, scalars) }); allocs > 8 {
+			t.Fatalf("%d-point MultiScalarMult allocates %.0f times, want <= 8", n, allocs)
+		}
+	}
+}
+
+// TestScalarMultAllocs: the one-point walk keeps its tables and digits on
+// the stack and makes a Jacobian point affine with its own inversion, so
+// ScalarMult into an existing G1 allocates nothing; Setup calls it once per
+// chunk.
+func TestScalarMultAllocs(t *testing.T) {
+	jac := new(G1).Add(HashToG1([]byte("allocs")), GenG1())
+	points := map[string]*G1{"affine": HashToG1([]byte("allocs")), "jacobian": jac, "infinity": new(G1).SetInfinity()}
+	k, _ := rand.Int(rand.Reader, Order)
+	for name, p := range points {
+		var e G1
+		e.ScalarMult(p, k)
+		if allocs := testing.AllocsPerRun(20, func() { e.ScalarMult(p, k) }); allocs != 0 {
+			t.Errorf("%s: ScalarMult allocates %.0f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestMultiScalarMultPicksMethod pins which method the cost models pick for
+// the shapes the system sends, on real splits: the walk for psi over a small
+// key's 3 powers and sigma over 8 chunks, the bucket method for psi over 49
+// powers, sigma over 300 chunks and a 24-item block's eps sum at k = 8 (216
+// full-width points).
+func TestMultiScalarMultPicksMethod(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		short bool
+		walk  bool
+	}{
+		{"psi, 3 full", 3, false, true},
+		{"sigma, 8 short", 8, true, true},
+		{"psi, 49 full", 49, false, false},
+		{"sigma, 300 short", 300, true, false},
+		{"eps, 216 full", 216, false, false},
+	}
+	for _, c := range cases {
+		bound := Order
+		if c.short {
+			bound = new(big.Int).Lsh(big.NewInt(1), 128)
+		}
+		points := make([]*G1, c.n)
+		scalars := make([]Scalar, c.n)
+		for i := range points {
+			points[i] = HashToG1([]byte(fmt.Sprintf("method %d", i)))
+			k, _ := rand.Int(rand.Reader, bound)
+			scalars[i].SetBig(k.SetBit(k, bound.BitLen()-2, 1)) // near full length
+		}
+		aff, halves := make([]affinePoint, 2*c.n), make([][2]uint64, 2*c.n)
+		maxBits, live, bases := msmSplit(aff, halves, points, scalars)
+		if got := msmPicksWalk(live, bases, maxBits); got != c.walk {
+			t.Errorf("%s (%d live halves on %d points, %d bits): walk = %v, want %v", c.name, live, bases, maxBits, got, c.walk)
+		}
 	}
 }
 
 // TestMultiScalarMultCtxCanceled: a context that is already done, or is
-// canceled while the windows run, yields ctx.Err() and no result.
+// canceled while the windows run, yields ctx.Err() and no result, on 200
+// points (the bucket method) and on 8 (the interleaved walk, which the prover
+// runs under a live context for sigma).
 func TestMultiScalarMultCtxCanceled(t *testing.T) {
-	points, _, bigs := randomPairs(t, 200)
-	scalars := scalarsFromBig(bigs)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 2} {
-		got, err := new(G1).MultiScalarMultCtx(ctx, points, scalars, workers)
-		if got != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: canceled MultiScalarMultCtx = (%v, %v)", workers, got, err)
+	for _, n := range []int{200, 8} {
+		points, _, bigs := randomPairs(t, n)
+		scalars := scalarsFromBig(bigs)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 2} {
+			got, err := new(G1).MultiScalarMultCtx(ctx, points, scalars, workers)
+			if got != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("n=%d, workers=%d: canceled MultiScalarMultCtx = (%v, %v)", n, workers, got, err)
+			}
 		}
-	}
 
-	// Canceled by the fifth poll, i.e. inside a window's bucket pass.
-	for _, workers := range []int{1, 2} {
-		inner, cancel := context.WithCancel(context.Background())
-		ctx := &cancelOnPoll{Context: inner, cancel: cancel}
-		got, err := new(G1).MultiScalarMultCtx(ctx, points, scalars, workers)
-		if got != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: MultiScalarMultCtx canceled in flight = (%v, %v)", workers, got, err)
+		// Canceled by the fifth poll, i.e. inside a window's bucket pass or
+		// the walk's chain of doublings.
+		for _, workers := range []int{1, 2} {
+			inner, cancel := context.WithCancel(context.Background())
+			ctx := &cancelOnPoll{Context: inner, cancel: cancel}
+			got, err := new(G1).MultiScalarMultCtx(ctx, points, scalars, workers)
+			if got != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("n=%d, workers=%d: MultiScalarMultCtx canceled in flight = (%v, %v)", n, workers, got, err)
+			}
 		}
 	}
 }
@@ -346,14 +408,20 @@ func BenchmarkScalarMultG1(b *testing.B) {
 	}
 }
 
-// The three sizes the workloads send: the tiny proofs of the fleets, psi over
-// the s-1 = 49 powers, and sigma / chi over the k = 300 challenged chunks.
+// The shapes the workloads send. Full-width scalars: psi over a fleet key's
+// s-1 = 3 powers; 8 points, near a one-item block's eps sum at k = 8 (psi
+// and the 8 tags); psi over the paper's s-1 = 49 powers; 300 points. Short,
+// 128-bit challenge coefficients: the prover's sigma over a fleet's k = 8
+// chunks and over the paper's k = 300.
+func BenchmarkMultiScalarMult3(b *testing.B)   { benchmarkMultiScalarMult(b, 3, Order) }
 func BenchmarkMultiScalarMult8(b *testing.B)   { benchmarkMultiScalarMult(b, 8, Order) }
 func BenchmarkMultiScalarMult49(b *testing.B)  { benchmarkMultiScalarMult(b, 49, Order) }
 func BenchmarkMultiScalarMult300(b *testing.B) { benchmarkMultiScalarMult(b, 300, Order) }
 
-// BenchmarkMultiScalarMult300Short is the prover's sigma: 300 points under
-// 128-bit challenge coefficients.
+func BenchmarkMultiScalarMult8Short(b *testing.B) {
+	benchmarkMultiScalarMult(b, 8, new(big.Int).Lsh(big.NewInt(1), 128))
+}
+
 func BenchmarkMultiScalarMult300Short(b *testing.B) {
 	benchmarkMultiScalarMult(b, 300, new(big.Int).Lsh(big.NewInt(1), 128))
 }

@@ -370,3 +370,40 @@ func boothDigit(limbs []uint64, w, c int) int {
 	}
 	return (raw+1)>>1 - raw>>c<<c
 }
+
+// nafWindow is the width of the signed digits the two short-exponentiation
+// walks read -- G1's interleaved sum (multiexp.go) and the cyclotomic one
+// (cyclotomicMultiExp): nafRecode's digits are odd and below 2^(nafWindow-1)
+// in magnitude where they are not zero, and any nafWindow consecutive ones
+// hold at most one that is not.
+const nafWindow = 5
+
+// nafOdd is the size of a walk's table of its base's odd multiples 1, 3, ...,
+// 2^(nafWindow-1) - 1: digit d > 0 reads entry d/2, digit -d its inverse.
+const nafOdd = 1 << (nafWindow - 2)
+
+// nafRecode writes the width-nafWindow non-adjacent form of the
+// little-endian limbs to digits, least significant first -- the limbs'
+// value is sum_i digits[i]*2^i -- and returns the number of digits up to the
+// last non-zero one. digits is cleared first and must hold one digit more
+// than the value has bits: a window whose digit is negative carries into the
+// next, and the top one may carry past the last bit.
+func nafRecode(digits []int8, limbs []uint64) int {
+	clear(digits)
+	n, carry := 0, 0
+	for i, bitLen := 0, limbsBitLen(limbs); i < bitLen || carry != 0; {
+		if bit := scalarDigit(limbs, i, 1); bit == carry {
+			i++ // bit plus carry is even: digit zero, the carry moves up unchanged
+			continue
+		}
+		d := scalarDigit(limbs, i, nafWindow) + carry // odd, below 2^nafWindow
+		carry = 0
+		if d > 1<<(nafWindow-1) {
+			d, carry = d-1<<nafWindow, 1
+		}
+		digits[i] = int8(d)
+		n = i + 1
+		i += nafWindow
+	}
+	return n
+}

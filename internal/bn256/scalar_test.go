@@ -163,3 +163,52 @@ func TestScalarLinearCombinationPanicsOnMismatch(t *testing.T) {
 		}()
 	}
 }
+
+// TestNAFRecode holds nafRecode to its definition on the values a walk can
+// meet at its edges -- zero, one, all-ones limbs, 2^128 - 1 (whose top digit
+// carries into a 129th place, which a recoder that drops the carry gets
+// wrong), 2^128, lambda, n - 1, the final exponentiation's u, 2^256 - 1 --
+// and on random ones: the digits sum to the value, every non-zero digit is
+// odd and below 2^(nafWindow-1) in magnitude, any nafWindow consecutive
+// digits hold at most one non-zero, and the count returned ends at the last
+// non-zero digit, at most one place above the value's top bit.
+func TestNAFRecode(t *testing.T) {
+	pow2 := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
+	minus1 := func(v *big.Int) *big.Int { return new(big.Int).Sub(v, big.NewInt(1)) }
+	ks := []*big.Int{
+		big.NewInt(0), big.NewInt(1), minus1(pow2(64)), minus1(pow2(128)), pow2(128),
+		glvLambda, minus1(Order), u, minus1(pow2(256)),
+	}
+	for i := 0; i < 200; i++ {
+		k, _ := rand.Int(rand.Reader, pow2(uint(1+i)))
+		ks = append(ks, k)
+	}
+	for _, k := range ks {
+		limbs := limbsFromBig(k)
+		digits := make([]int8, 257)
+		for i := range digits {
+			digits[i] = 99 // nafRecode clears what it is given
+		}
+		n := nafRecode(digits[:k.BitLen()+1], limbs[:])
+		sum, last := new(big.Int), -1
+		for i, d := range digits[:k.BitLen()+1] {
+			if d == 0 {
+				continue
+			}
+			if d%2 == 0 || d <= -1<<(nafWindow-1) || d >= 1<<(nafWindow-1) {
+				t.Fatalf("k=%v: digit %d at %d", k, d, i)
+			}
+			if last >= 0 && i-last < nafWindow {
+				t.Fatalf("k=%v: non-zero digits at %d and %d", k, last, i)
+			}
+			sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(d)), uint(i)))
+			last = i
+		}
+		if sum.Cmp(k) != 0 {
+			t.Fatalf("k=%v: digits sum to %v", k, sum)
+		}
+		if n != last+1 {
+			t.Fatalf("k=%v: nafRecode returned %d, last non-zero digit at %d", k, n, last)
+		}
+	}
+}
