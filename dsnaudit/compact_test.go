@@ -45,10 +45,10 @@ func TestSchedulerCompact(t *testing.T) {
 		if got := s.Stats().Compacted; got != 1 {
 			t.Fatalf("Stats().Compacted = %d, want 1", got)
 		}
-		if _, ok := s.Result(eng1.ID()); ok {
-			t.Fatal("compacted engagement still reported by Result")
+		if _, ok := s.Results()[eng1.ID()]; ok {
+			t.Fatal("compacted engagement still reported by Results")
 		}
-		if _, ok := s.Result(eng2.ID()); !ok {
+		if _, ok := s.Results()[eng2.ID()]; !ok {
 			t.Fatal("live engagement lost by Compact")
 		}
 		if len(s.Results()) != 1 {
@@ -70,7 +70,7 @@ func TestSchedulerCompact(t *testing.T) {
 		if err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		res, ok := s.Result(eng2.ID())
+		res, ok := s.Results()[eng2.ID()]
 		if !ok || res.Passed != 2 {
 			t.Fatalf("post-compact run result = %+v (ok=%v)", res, ok)
 		}

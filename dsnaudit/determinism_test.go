@@ -30,7 +30,7 @@ func outcomesOf(t *testing.T, fx *fixture, s *sched.Scheduler) []schedOutcome {
 	t.Helper()
 	outs := make([]schedOutcome, len(fx.engs))
 	for i, e := range fx.engs {
-		res, ok := s.Result(e.ID())
+		res, ok := s.Results()[e.ID()]
 		if !ok {
 			t.Fatalf("engagement %d missing from results", i)
 		}

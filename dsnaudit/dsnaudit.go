@@ -27,8 +27,8 @@
 // the block (Section VII-D), isolating cheaters on failure. This package
 // holds what the scheduler drives: Engagement, the Result/Outcome
 // accounting keyed by Engagement.ID (the contract address), the Verifier
-// interface and the sentinel errors. Owner.EngageAll deploys one contract
-// per share holder so a k-of-(k+m) erasure-coded file is audited on every
+// interface and the sentinel errors. Owner.EngageShares deploys one
+// contract per share so a k-of-(k+m) erasure-coded file is audited on every
 // holder at once.
 //
 // All audit-path entry points take a context.Context for cancellation and
@@ -40,12 +40,3 @@
 // the attack tooling) lives in the internal packages; this package is the
 // stable surface.
 package dsnaudit
-
-import "repro/internal/core"
-
-// Re-exported sizes (bytes) for documentation and assertions.
-const (
-	ProofSize        = core.ProofSize        // 96: non-private (sigma, y, psi)
-	PrivateProofSize = core.PrivateProofSize // 288: privacy-assured (sigma, y', psi, R)
-	ChallengeSize    = 48                    // C1 || C2 || r
-)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"runtime"
 	"testing"
@@ -256,11 +257,11 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		chal, proof := trail[1+2*r], trail[2+2*r]
-		if len(chal.Data) != ChallengeSize {
-			t.Fatalf("round %d: challenge tx is %d bytes, want %d", r+1, len(chal.Data), ChallengeSize)
+		if len(chal.Data) != 48 {
+			t.Fatalf("round %d: challenge tx is %d bytes, want 48 (C1 || C2 || r)", r+1, len(chal.Data))
 		}
-		if proof.From != eng.Provider.Address() || len(proof.Data) != PrivateProofSize {
-			t.Fatalf("round %d: proof tx from %s is %d bytes, want %d from the provider", r+1, proof.From, len(proof.Data), PrivateProofSize)
+		if proof.From != eng.Provider.Address() || len(proof.Data) != core.PrivateProofSize {
+			t.Fatalf("round %d: proof tx from %s is %d bytes, want %d from the provider", r+1, proof.From, len(proof.Data), core.PrivateProofSize)
 		}
 		if _, err := core.UnmarshalPrivateProof(proof.Data); err != nil {
 			t.Fatalf("round %d: proof tx does not parse as a private proof: %v", r+1, err)
@@ -271,7 +272,7 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 // TestSentinelErrors pins the exported error taxonomy.
 func TestSentinelErrors(t *testing.T) {
 	n := testNetwork(t, 10)
-	if _, err := n.AddProvider("a-provider", eth(1)); !errors.Is(err, ErrDuplicateProvider) {
+	if _, err := n.AddProvider("a-provider", eth(1)); !errors.Is(err, errDuplicateProvider) {
 		t.Fatalf("duplicate provider: %v", err)
 	}
 	owner, err := NewOwner(n, "sen", 4, eth(1))
@@ -283,7 +284,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(0)); !errors.Is(err, ErrInvalidTerms) {
+	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(0)); !errors.Is(err, errInvalidTerms) {
 		t.Fatalf("zero rounds: %v", err)
 	}
 	p, _ := n.Provider("a-provider")
@@ -355,7 +356,7 @@ func TestEngageAllDedupesHolders(t *testing.T) {
 	if len(set.Engagements) != 10 {
 		t.Fatalf("%d engagements, want 10", len(set.Engagements))
 	}
-	if _, err := owner.EngageAll(&StoredFile{Manifest: sf.Manifest}, smallTerms(1)); !errors.Is(err, ErrNoHolders) {
+	if _, err := owner.EngageAll(&StoredFile{Manifest: sf.Manifest}, smallTerms(1)); !errors.Is(err, errNoHolders) {
 		t.Fatalf("no holders: %v", err)
 	}
 }
@@ -391,8 +392,10 @@ func TestOutsourceTooFewProviders(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			p, _ := n.Provider(string(rune('a'+i)) + "-provider")
-			if keys := p.Store.Keys(); len(keys) != 0 {
-				t.Fatalf("chunk size %d: %s stores %v", sk.Pub.S, p.Name, keys)
+			for j := 0; j < 10; j++ {
+				if _, err := p.Store.Get(fmt.Sprintf("photos/share/%d", j)); err == nil {
+					t.Fatalf("chunk size %d: %s stores share %d", sk.Pub.S, p.Name, j)
+				}
 			}
 		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {

@@ -113,7 +113,7 @@ func (o *Owner) EngageWith(ctx context.Context, sf *StoredFile, p *ProviderNode,
 // the contract it replaces.
 func (o *Owner) EngageShare(ctx context.Context, sf *StoredFile, index, generation int, p *ProviderNode, t ProviderTransport, terms EngagementTerms) (*Engagement, error) {
 	if sf.Shares == nil || index < 0 || index >= len(sf.Shares) {
-		return nil, fmt.Errorf("%w: no share audit state for index %d of %s", ErrInvalidTerms, index, sf.Manifest.Name)
+		return nil, fmt.Errorf("%w: no share audit state for index %d of %s", errInvalidTerms, index, sf.Manifest.Name)
 	}
 	sa := sf.Shares[index]
 	addr := chain.Address(fmt.Sprintf("audit:%s:%s:%s#%d.g%d", o.Name, p.Name, sf.Manifest.Name, index, generation))
@@ -133,10 +133,10 @@ func (o *Owner) EngageShare(ctx context.Context, sf *StoredFile, index, generati
 // the error.
 func (o *Owner) EngageShares(ctx context.Context, sf *StoredFile, terms EngagementTerms, transportFor func(*ProviderNode) ProviderTransport) (*EngagementSet, error) {
 	if sf.Shares == nil {
-		return nil, fmt.Errorf("%w: %s was not outsourced sharded", ErrNoHolders, sf.Manifest.Name)
+		return nil, fmt.Errorf("%w: %s was not outsourced sharded", errNoHolders, sf.Manifest.Name)
 	}
 	if len(sf.Holders) != len(sf.Shares) {
-		return nil, fmt.Errorf("%w: %d holders for %d shares", ErrNoHolders, len(sf.Holders), len(sf.Shares))
+		return nil, fmt.Errorf("%w: %d holders for %d shares", errNoHolders, len(sf.Holders), len(sf.Shares))
 	}
 	set := &EngagementSet{Owner: o, File: sf}
 	for i, holder := range sf.Holders {
@@ -158,7 +158,7 @@ func (o *Owner) EngageShares(ctx context.Context, sf *StoredFile, terms Engageme
 // address. It is the shared body of EngageWith and EngageShare.
 func (o *Owner) engageAudit(ctx context.Context, addr chain.Address, p *ProviderNode, t ProviderTransport, terms EngagementTerms, ef *core.EncodedFile, auths []*core.Authenticator) (*Engagement, error) {
 	if terms.Rounds < 1 {
-		return nil, fmt.Errorf("%w: at least one audit round required", ErrInvalidTerms)
+		return nil, fmt.Errorf("%w: at least one audit round required", errInvalidTerms)
 	}
 	agreement := contract.Agreement{
 		Owner:            o.Address(),
@@ -209,77 +209,12 @@ func (o *Owner) engageAudit(ctx context.Context, addr chain.Address, p *Provider
 	return &Engagement{Contract: k, Owner: o, Provider: p, Responder: t, ShareIndex: -1, network: o.network}, nil
 }
 
-// EngageAll deploys one audit contract per distinct share holder of sf, so
-// an erasure-coded file is audited on every provider that holds a piece of
-// it (the paper's many-to-many deployment shape). All engagements share the
-// same terms. On a partial failure the already-established engagements are
-// returned along with the error; their contracts remain live.
-func (o *Owner) EngageAll(sf *StoredFile, terms EngagementTerms) (*EngagementSet, error) {
-	if len(sf.Holders) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoHolders, sf.Manifest.Name)
-	}
-	set := &EngagementSet{Owner: o, File: sf}
-	seen := make(map[string]bool)
-	for _, holder := range sf.Holders {
-		if seen[holder.Name] {
-			continue
-		}
-		seen[holder.Name] = true
-		eng, err := o.Engage(sf, holder, terms)
-		if err != nil {
-			return set, fmt.Errorf("dsnaudit: engage %s on %s: %w", sf.Manifest.Name, holder.Name, err)
-		}
-		set.Engagements = append(set.Engagements, eng)
-	}
-	return set, nil
-}
-
 // EngagementSet is a group of engagements auditing the same stored file,
 // one per distinct share holder.
 type EngagementSet struct {
 	Owner       *Owner
 	File        *StoredFile
 	Engagements []*Engagement
-}
-
-// SetSummary aggregates pass/fail accounting across an engagement set.
-type SetSummary struct {
-	Engagements  int // total engagements in the set
-	Expired      int // contracts that served every round
-	Aborted      int // contracts terminated by a failed audit
-	Active       int // contracts still in flight
-	RoundsPassed int // audit rounds passed across the set
-	RoundsFailed int // audit rounds failed across the set
-}
-
-// Summary tallies the set's per-contract states and round outcomes.
-func (s *EngagementSet) Summary() SetSummary {
-	var sum SetSummary
-	sum.Engagements = len(s.Engagements)
-	for _, e := range s.Engagements {
-		switch e.Contract.State() {
-		case contract.StateExpired:
-			sum.Expired++
-		case contract.StateAborted:
-			sum.Aborted++
-		default:
-			sum.Active++
-		}
-		for _, rec := range e.Contract.Records() {
-			if rec.Passed {
-				sum.RoundsPassed++
-			} else {
-				sum.RoundsFailed++
-			}
-		}
-	}
-	return sum
-}
-
-// AllPassed reports whether every engagement served every round.
-func (s *EngagementSet) AllPassed() bool {
-	sum := s.Summary()
-	return sum.Expired == sum.Engagements && sum.RoundsFailed == 0
 }
 
 // ObservedRounds returns how many of the contract's settled rounds have been
@@ -289,11 +224,6 @@ func (s *EngagementSet) AllPassed() bool {
 // recovery observes contract rounds from this count up, whatever the journal
 // lost, so a round is never observed twice.
 func (e *Engagement) ObservedRounds() int { return e.observed }
-
-// Network returns the simulation network the engagement is bound to. The
-// scheduler (dsnaudit/sched) needs it to share the engagement's chain and
-// reputation ledger.
-func (e *Engagement) Network() *Network { return e.network }
 
 // SettleMissedDeadline settles a missed proof deadline: the contract slashes
 // the provider and reputation records the miss.

@@ -5,17 +5,29 @@ import (
 	"fmt"
 )
 
+// Errors that wrap a failure's detail for the caller to read; nothing
+// outside this package matches them.
+var (
+	// errUnknownProvider is returned when a DHT node or lookup names a
+	// provider that was never registered with AddProvider.
+	errUnknownProvider = errors.New("dsnaudit: unknown provider")
+
+	// errDuplicateProvider is returned by AddProvider for a name already in
+	// use on the network.
+	errDuplicateProvider = errors.New("dsnaudit: provider already exists")
+
+	// errInvalidTerms is returned by Engage and EngageShare for
+	// unusable engagement terms (e.g. zero rounds).
+	errInvalidTerms = errors.New("dsnaudit: invalid engagement terms")
+
+	// errNoHolders is returned by EngageShares on a stored file with no
+	// per-share holders.
+	errNoHolders = errors.New("dsnaudit: stored file has no holders")
+)
+
 // Sentinel errors returned by the public API. Wrapped errors carry the
 // contextual detail (provider name, contract address); match with errors.Is.
 var (
-	// ErrUnknownProvider is returned when a DHT node or lookup names a
-	// provider that was never registered with AddProvider.
-	ErrUnknownProvider = errors.New("dsnaudit: unknown provider")
-
-	// ErrDuplicateProvider is returned by AddProvider for a name already in
-	// use on the network.
-	ErrDuplicateProvider = errors.New("dsnaudit: provider already exists")
-
 	// ErrNoAuditState is returned by a provider asked to respond on a
 	// contract it holds no audit state for.
 	ErrNoAuditState = errors.New("dsnaudit: no audit state for contract")
@@ -25,17 +37,9 @@ var (
 	// scheduled again.
 	ErrContractClosed = errors.New("dsnaudit: contract closed")
 
-	// ErrInvalidTerms is returned by Engage/EngageAll for unusable
-	// engagement terms (e.g. zero rounds).
-	ErrInvalidTerms = errors.New("dsnaudit: invalid engagement terms")
-
 	// ErrRejectedAuditData is returned when a provider's validation of the
 	// owner's authenticators fails during Engage.
 	ErrRejectedAuditData = errors.New("dsnaudit: provider rejected audit data")
-
-	// ErrNoHolders is returned by EngageAll on a stored file with no share
-	// holders.
-	ErrNoHolders = errors.New("dsnaudit: stored file has no holders")
 
 	// ErrSchedulerRunning is returned by sched.Scheduler.Run if the scheduler is
 	// already running.
@@ -81,11 +85,6 @@ var (
 	// excluded, unreachable, or refused the re-engagement.
 	ErrNoReplacement = errors.New("dsnaudit: no replacement provider available")
 
-	// ErrShareCorrupt is returned when a fetched share fails its manifest
-	// hash check, or a reconstructed blob fails the content hash: the data a
-	// holder served is not the data the owner placed.
-	ErrShareCorrupt = errors.New("dsnaudit: share failed integrity check")
-
 	// ErrOverloaded is returned by a provider (or its transport) that is at
 	// its proving-admission limit: the request was understood and refused,
 	// not lost. It is explicitly NOT a slashable offense — the provider is
@@ -124,16 +123,4 @@ func RetryAfterHint(err error) uint64 {
 		return oe.RetryAfter
 	}
 	return 0
-}
-
-// IsTransportError reports whether err is a transport-level failure — the
-// provider unreachable, the response window blown, or the peer speaking the
-// protocol wrong — as opposed to an audit verdict. Drivers use it to decide
-// between "provider misbehaved" and "network misbehaved" bookkeeping; the
-// on-chain consequence is the same missed-round slashing either way once
-// the proof deadline lapses.
-func IsTransportError(err error) bool {
-	return errors.Is(err, ErrProviderUnreachable) ||
-		errors.Is(err, ErrResponseTimeout) ||
-		errors.Is(err, ErrBadFrame)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
+	"repro/internal/core"
 )
 
 // Example shows the complete owner workflow: network setup, outsourcing
@@ -51,9 +52,9 @@ func Example() {
 	if err := s.Run(context.Background()); err != nil {
 		panic(err)
 	}
-	res, _ := s.Result(eng.ID())
+	res, _ := s.Results()[eng.ID()]
 	fmt.Println("rounds passed:", res.Passed)
-	fmt.Println("proof size:", dsnaudit.PrivateProofSize)
+	fmt.Println("proof size:", core.PrivateProofSize)
 	// Output:
 	// rounds passed: 2
 	// proof size: 288

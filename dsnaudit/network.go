@@ -3,6 +3,7 @@ package dsnaudit
 import (
 	"fmt"
 	"math/big"
+	"sort"
 	"sync"
 
 	"repro/internal/beacon"
@@ -68,13 +69,12 @@ func NewNetwork(opts ...NetworkOption) (*Network, error) {
 }
 
 // AddProvider creates a storage provider, joins it to the DHT and funds its
-// account so it can post deposits. Adding a name twice returns
-// ErrDuplicateProvider.
+// account so it can post deposits. Adding a name twice fails.
 func (n *Network) AddProvider(name string, funds *big.Int) (*ProviderNode, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.providers[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateProvider, name)
+		return nil, fmt.Errorf("%w: %q", errDuplicateProvider, name)
 	}
 	node, err := n.Ring.Join(name)
 	if err != nil {
@@ -128,11 +128,11 @@ func (n *Network) LocateProviders(objectKey string, count int) ([]*ProviderNode,
 	names := make([]string, len(nodes))
 	for i, node := range nodes {
 		if _, ok := n.providers[node.Addr]; !ok {
-			return nil, fmt.Errorf("%w: DHT node %q", ErrUnknownProvider, node.Addr)
+			return nil, fmt.Errorf("%w: DHT node %q", errUnknownProvider, node.Addr)
 		}
 		names[i] = node.Addr
 	}
-	names = n.Reputation.Rank(names)
+	n.rankByTrust(names)
 	out := make([]*ProviderNode, len(names))
 	for i, name := range names {
 		out[i] = n.providers[name]
@@ -166,7 +166,7 @@ func (n *Network) LocateReplacement(objectKey string, exclude map[string]bool) (
 	if len(names) == 0 {
 		return nil, fmt.Errorf("%w: for %s", ErrNoReplacement, objectKey)
 	}
-	names = n.Reputation.Rank(names)
+	n.rankByTrust(names)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	out := make([]*ProviderNode, len(names))
@@ -174,4 +174,12 @@ func (n *Network) LocateReplacement(objectKey string, exclude map[string]bool) (
 		out[i] = n.providers[name]
 	}
 	return out, nil
+}
+
+// rankByTrust orders names by descending reputation trust, in place; the
+// sort is stable, so equally trusted candidates keep their DHT order.
+func (n *Network) rankByTrust(names []string) {
+	sort.SliceStable(names, func(i, j int) bool {
+		return n.Reputation.Trust(names[i]) > n.Reputation.Trust(names[j])
+	})
 }

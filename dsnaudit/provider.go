@@ -62,8 +62,8 @@ type RepairPeer interface {
 }
 
 // ProverStore is where a provider node keeps per-contract audit state. The
-// default is an in-memory map; a spill-backed store (dsnaudit/sched's
-// SpillStore) keeps only a hydration window of provers resident and reads
+// default is an in-memory map; a spill-backed store (the one dsnaudit/sched's
+// soak uses) keeps only a hydration window of provers resident and reads
 // the rest back from disk, which is what bounds a node's memory at planetary
 // engagement counts. Implementations must be safe for concurrent use.
 //
@@ -187,8 +187,8 @@ func (p *ProviderNode) AcceptAuditData(ctx context.Context, contractAddr chain.A
 	if err := core.VerifyAuthenticators(pk, ef, auths, sample); err != nil {
 		return fmt.Errorf("%w: provider %s: %w", ErrRejectedAuditData, p.Name, err)
 	}
-	// Retain an independent replica: many providers hold audit state for
-	// the same file (EngageAll), and corruption at one must stay local.
+	// Retain an independent replica: many providers may hold audit state
+	// for the same file, and corruption at one must stay local.
 	prover, err := core.NewProver(pk, ef.Clone(), core.CloneAuthenticators(auths))
 	if err != nil {
 		return err

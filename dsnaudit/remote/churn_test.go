@@ -180,7 +180,7 @@ func TestClientClosedIsTerminal(t *testing.T) {
 	client := NewClient("127.0.0.1:1")
 	client.Close()
 	start := time.Now()
-	if err := client.Ping(context.Background()); err == nil {
+	if err := client.ping(context.Background()); err == nil {
 		t.Fatal("ping on a closed client succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {

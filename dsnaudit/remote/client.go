@@ -19,10 +19,10 @@ import (
 // contract's proof deadline: a provider that cannot produce its proof
 // within it yields a missed round.
 const (
-	DefaultCallTimeout  = 30 * time.Second
-	DefaultDialTimeout  = 5 * time.Second
-	DefaultMaxRetries   = 2
-	DefaultRetryBackoff = 100 * time.Millisecond
+	defaultCallTimeout  = 30 * time.Second
+	defaultDialTimeout  = 5 * time.Second
+	defaultMaxRetries   = 2
+	defaultRetryBackoff = 100 * time.Millisecond
 )
 
 // Client is the driver-side handle to one remote provider. It implements
@@ -79,17 +79,17 @@ func WithRetries(n int) ClientOption {
 }
 
 // NewClient creates a client for the provider server at addr. The
-// connection is established lazily on the first call (or by Ping), so
-// clients may be constructed before their servers come up.
+// connection is established lazily on the first call, so clients may be
+// constructed before their servers come up.
 func NewClient(addr string, opts ...ClientOption) *Client {
 	c := &Client{
 		addr:    addr,
-		call:    DefaultCallTimeout,
-		maxTry:  DefaultMaxRetries + 1,
-		backoff: DefaultRetryBackoff,
+		call:    defaultCallTimeout,
+		maxTry:  defaultMaxRetries + 1,
+		backoff: defaultRetryBackoff,
 	}
 	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-		d := net.Dialer{Timeout: DefaultDialTimeout}
+		d := net.Dialer{Timeout: defaultDialTimeout}
 		return d.DialContext(ctx, "tcp", addr)
 	}
 	for _, opt := range opts {
@@ -102,9 +102,6 @@ var _ dsnaudit.RepairPeer = (*Client)(nil)
 
 // errClientClosed is terminal: no retry can revive a closed client.
 var errClientClosed = errors.New("remote: client closed")
-
-// Addr returns the server address this client targets.
-func (c *Client) Addr() string { return c.addr }
 
 // Close tears down the connection; subsequent calls fail.
 func (c *Client) Close() error {
@@ -225,8 +222,8 @@ func (c *Client) PutShare(ctx context.Context, key string, data []byte) error {
 	return nil
 }
 
-// Ping checks liveness end to end (dial, handshake, echo).
-func (c *Client) Ping(ctx context.Context) error {
+// ping checks liveness end to end (dial, handshake, echo).
+func (c *Client) ping(ctx context.Context) error {
 	payload, err := (&wire.Ping{Nonce: 1}).Marshal()
 	if err != nil {
 		return err

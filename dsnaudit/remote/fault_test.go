@@ -51,7 +51,7 @@ func faultDialer(cfg faultConfig) func(ctx context.Context, addr string) (net.Co
 	var mu sync.Mutex
 	conns := int64(0)
 	return func(ctx context.Context, addr string) (net.Conn, error) {
-		d := net.Dialer{Timeout: DefaultDialTimeout}
+		d := net.Dialer{Timeout: defaultDialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			return nil, err
@@ -127,7 +127,7 @@ func TestFaultDropCausesTimeout(t *testing.T) {
 		WithCallTimeout(400*time.Millisecond), WithRetries(0))
 	defer client.Close()
 
-	err := client.Ping(context.Background())
+	err := client.ping(context.Background())
 	if !errors.Is(err, dsnaudit.ErrResponseTimeout) {
 		t.Fatalf("ping over a black-hole transport: %v, want ErrResponseTimeout", err)
 	}
@@ -190,7 +190,7 @@ func TestFaultCorruptionErrorClass(t *testing.T) {
 	if err == nil {
 		t.Fatal("respond succeeded over a fully corrupting transport")
 	}
-	if !dsnaudit.IsTransportError(err) {
+	if !isTransportError(err) {
 		t.Fatalf("error %v is not classified as a transport error", err)
 	}
 }

@@ -325,11 +325,11 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 		t.Fatalf("scheduler did not terminate cleanly: %v", err)
 	}
 
-	resSilent, ok := s.Result(engSilent.ID())
+	resSilent, ok := s.Results()[engSilent.ID()]
 	if !ok {
 		t.Fatal("no result for the silent engagement")
 	}
-	resDead, ok := s.Result(engDead.ID())
+	resDead, ok := s.Results()[engDead.ID()]
 	if !ok {
 		t.Fatal("no result for the unreachable engagement")
 	}
@@ -398,7 +398,7 @@ func TestSchedulerWithRemoteProviders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range engs {
-		res, ok := s.Result(eng.ID())
+		res, ok := s.Results()[eng.ID()]
 		if !ok {
 			t.Fatalf("no result for %s", eng.ID())
 		}

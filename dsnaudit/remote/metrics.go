@@ -14,7 +14,6 @@ import (
 // serverObs holds the provider-side wire metric series.
 type serverObs struct {
 	requests  [wire.MsgShareData + 1]*obs.Counter // by request frame type
-	overloads *obs.Counter
 	frameErrs *obs.Counter
 }
 
@@ -26,15 +25,14 @@ type clientObs struct {
 }
 
 // WithServerMetrics registers the server's dsn_remote_* series on reg:
-// per-request-type counters, overload refusals, and framing errors
-// (labeled side="server"). A nil registry is a no-op.
+// per-request-type counters and framing errors (labeled side="server"). A
+// nil registry is a no-op.
 func WithServerMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) {
 		if reg == nil {
 			return
 		}
 		o := &serverObs{
-			overloads: reg.Counter("dsn_remote_overloads_total", "challenges refused at the proving-admission limit"),
 			frameErrs: reg.Counter("dsn_remote_frame_errors_total", "connections dropped on framing or handshake violations", obs.L("side", "server")),
 		}
 		for t := wire.MsgHello; t <= wire.MsgShareData; t++ {

@@ -1,125 +1,104 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
-	"sync"
 	"testing"
 
 	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
-// gatedStore is a ProverStore whose lookups block until released, pinning a
-// challenge in the server's admission window for as long as the test wants.
-type gatedStore struct {
-	prover  *core.Prover
-	entered chan struct{} // closed on the first GetProver call
-	release chan struct{} // GetProver returns only after this closes
-	once    sync.Once
-}
-
-func (s *gatedStore) PutProver(chain.Address, *core.Prover) error { return nil }
-func (s *gatedStore) DeleteProver(chain.Address) error            { return nil }
-
-func (s *gatedStore) GetProver(chain.Address) (*core.Prover, bool, error) {
-	s.once.Do(func() { close(s.entered) })
-	<-s.release
-	return s.prover, true, nil
-}
-
-// withMaxInflightProofs bounds the server's concurrent proving to n
-// challenges; a challenge arriving past the bound is answered at once with
-// CodeOverloaded and a retry-after hint of one block (overloadRetryAfter).
-// Only proving is gated: audit-data handoffs, share fetches and pings are
-// always admitted.
-func withMaxInflightProofs(n int) ServerOption {
-	return func(s *Server) { s.proofSem = make(chan struct{}, n) }
-}
-
-// TestServerOverloadRefusal pins the backpressure contract end to end: a
-// challenge past the in-flight bound is answered immediately with the typed
-// overload error and the retry-after hint, the refusal is not a transport
-// error (so drivers must not treat it as a missed round), and capacity
-// freed by the in-flight proof readmits new challenges.
-func TestServerOverloadRefusal(t *testing.T) {
-	fx := buildFixture(t, "overload")
-	prover, err := core.NewProver(fx.owner.AuditSK.Pub, fx.sf.Encoded, fx.sf.Auths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := &gatedStore{
-		prover:  prover,
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	node := dsnaudit.NewProviderNode("remote-sp")
-	node.SetProverStore(store)
+// TestClientMapsOverloaded pins the client's half of the protocol's
+// backpressure code against a frame-level stub provider: a challenge
+// answered with CodeOverloaded surfaces as dsnaudit.ErrOverloaded with the
+// peer's retry-after hint and is not a transport error (the scheduler
+// retries it instead of letting the round lapse into a slash), and the next
+// call on the same connection gets its proof.
+func TestClientMapsOverloaded(t *testing.T) {
+	const contract = chain.Address("c-overload")
+	want := []byte("proof bytes")
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(node, WithServerLog(quiet), withMaxInflightProofs(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx, ln)
-	}()
-	t.Cleanup(func() { cancel(); <-done })
+	defer ln.Close()
+	stubErr := make(chan error, 1)
+	go func() { stubErr <- serveOverloadThenProof(ln, contract, want) }()
 
 	client := NewClient(ln.Addr().String())
 	defer client.Close()
-
-	const contract = chain.Address("c-overload")
 	ch, err := core.NewChallenge(4, newDetReader("overload-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// First challenge occupies the single admission slot; the gated store
-	// holds it in flight until we release it.
-	firstErr := make(chan error, 1)
-	firstProof := make(chan []byte, 1)
-	go func() {
-		proof, err := client.Respond(context.Background(), contract, ch)
-		firstProof <- proof
-		firstErr <- err
-	}()
-	<-store.entered
-
-	// Second challenge must be refused right now — not queued, not timed
-	// out — with the sentinel, the hint, and without looking like a dead
-	// provider.
 	_, err = client.Respond(context.Background(), contract, ch)
 	if !errors.Is(err, dsnaudit.ErrOverloaded) {
-		t.Fatalf("saturated respond: got %v, want ErrOverloaded", err)
+		t.Fatalf("overloaded respond: got %v, want ErrOverloaded", err)
 	}
 	if hint := dsnaudit.RetryAfterHint(err); hint != 1 {
 		t.Fatalf("retry-after hint = %d, want 1", hint)
 	}
-	if dsnaudit.IsTransportError(err) {
+	if isTransportError(err) {
 		t.Fatal("overload classified as a transport error (would be slashed)")
 	}
 
-	// Release the first proof: it must complete and verify, and the freed
-	// slot must admit a fresh challenge.
-	close(store.release)
-	if err := <-firstErr; err != nil {
-		t.Fatalf("in-flight respond: %v", err)
-	}
-	proofBytes := <-firstProof
-	proof, err := core.UnmarshalPrivateProof(proofBytes)
+	got, err := client.Respond(context.Background(), contract, ch)
 	if err != nil {
+		t.Fatalf("respond after the overload: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("proof = %q, want %q", got, want)
+	}
+	client.Close()
+	if err := <-stubErr; err != nil {
 		t.Fatal(err)
 	}
-	if !core.VerifyPrivate(fx.owner.AuditSK.Pub, fx.sf.Encoded.NumChunks(), ch, proof) {
-		t.Fatal("in-flight proof failed verification")
+}
+
+// serveOverloadThenProof accepts one connection, answers its Hello, refuses
+// the first challenge with CodeOverloaded and a one-block hint, and answers
+// the second with proof. It holds the connection until the client closes
+// it, so no reset races the last reply.
+func serveOverloadThenProof(ln net.Listener, contract chain.Address, proof []byte) error {
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
 	}
-	if _, err := client.Respond(context.Background(), contract, ch); err != nil {
-		t.Fatalf("respond after slot freed: %v", err)
+	defer conn.Close()
+	reply := func(typ wire.Type, id uint64, m interface{ Marshal() ([]byte, error) }) error {
+		payload, err := m.Marshal()
+		if err != nil {
+			return err
+		}
+		return wire.WriteFrame(conn, &wire.Frame{Type: typ, ID: id, Payload: payload})
 	}
+	for i := 0; i < 3; i++ {
+		f, err := wire.ReadFrame(conn)
+		if err != nil {
+			return err
+		}
+		switch {
+		case f.Type == wire.MsgHello:
+			err = reply(wire.MsgHello, f.ID, &wire.Hello{Node: "stub"})
+		case f.Type == wire.MsgChallenge && i == 1:
+			err = reply(wire.MsgError, f.ID, &wire.Error{Code: wire.CodeOverloaded, Message: "busy", RetryAfter: 1})
+		case f.Type == wire.MsgChallenge:
+			err = reply(wire.MsgProof, f.ID, &wire.Proof{Contract: contract, Proof: proof})
+		default:
+			return errors.New("stub: unexpected " + f.Type.String() + " frame")
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err = io.Copy(io.Discard, conn)
+	return err
 }

@@ -47,8 +47,8 @@ func TestMapRemoteError(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("code %d: error = %v, want %v", tc.code, err, tc.want)
 		}
-		if got := dsnaudit.IsTransportError(err); got != tc.transport {
-			t.Errorf("code %d: IsTransportError = %v, want %v", tc.code, got, tc.transport)
+		if got := isTransportError(err); got != tc.transport {
+			t.Errorf("code %d: isTransportError = %v, want %v", tc.code, got, tc.transport)
 		}
 	}
 
@@ -57,7 +57,7 @@ func TestMapRemoteError(t *testing.T) {
 	if !errors.As(err, &we) || we.Code != wire.CodeInternal {
 		t.Errorf("CodeInternal: error = %v, want the wire.Error itself", err)
 	}
-	if dsnaudit.IsTransportError(err) {
+	if isTransportError(err) {
 		t.Error("CodeInternal classified as a transport error")
 	}
 }
@@ -293,4 +293,13 @@ func TestWriteToWedgedPeerHonorsDeadline(t *testing.T) {
 	if !cc.dead() {
 		t.Fatal("connection survived a failed write; a partial frame would corrupt framing")
 	}
+}
+
+// isTransportError reports whether err is a transport-level failure — the
+// provider unreachable, the response window blown, or the peer speaking the
+// protocol wrong — as opposed to an audit verdict.
+func isTransportError(err error) bool {
+	return errors.Is(err, dsnaudit.ErrProviderUnreachable) ||
+		errors.Is(err, dsnaudit.ErrResponseTimeout) ||
+		errors.Is(err, dsnaudit.ErrBadFrame)
 }

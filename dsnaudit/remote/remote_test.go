@@ -113,7 +113,7 @@ func schedule(t *testing.T, net *dsnaudit.Network, eng *dsnaudit.Engagement) dsn
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := s.Result(eng.ID())
+	res, ok := s.Results()[eng.ID()]
 	if !ok {
 		t.Fatalf("no result for %s", eng.ID())
 	}
@@ -170,7 +170,7 @@ func TestClientServerBasics(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	if err := client.Ping(ctx); err != nil {
+	if err := client.ping(ctx); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 

@@ -153,7 +153,7 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 	if !ok || repEng.Provider.Name != rec.To || repEng.Generation != 1 {
 		t.Fatalf("current engagement for the repaired slot is %+v, want generation 1 on %s", repEng, rec.To)
 	}
-	res, ok := s.Result(repEng.ID())
+	res, ok := s.Results()[repEng.ID()]
 	if !ok {
 		t.Fatal("replacement engagement has no result")
 	}

@@ -40,14 +40,6 @@ type Server struct {
 	node *dsnaudit.ProviderNode
 	logf func(format string, args ...any)
 
-	// Admission control for proving: proofSem (when non-nil) bounds how many
-	// challenges the node proves at once; requests past the bound are
-	// refused immediately with CodeOverloaded and the retry-after hint
-	// instead of queueing behind a saturated CPU. No constructor option sets
-	// it: a server proves every challenge it receives, and only the overload
-	// tests bound it (withMaxInflightProofs in overload_test.go).
-	proofSem chan struct{}
-
 	obs *serverObs // nil = uninstrumented
 
 	mu     sync.Mutex
@@ -64,10 +56,6 @@ type ServerOption func(*Server)
 func WithServerLog(logf func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = logf }
 }
-
-// overloadRetryAfter is the backoff hint, in blocks, that an overload
-// refusal carries: the driver re-asks at the next block.
-const overloadRetryAfter = 1
 
 // NewServer wraps a provider node. The same node may serve any number of
 // listeners and connections concurrently; its audit state is already safe
@@ -308,25 +296,7 @@ func (s *Server) handleFrame(ctx context.Context, w *connWriter, f *wire.Frame) 
 			s.sendError(w, f.ID, wire.CodeBadRequest, err.Error())
 			return
 		}
-		if s.proofSem != nil {
-			select {
-			case s.proofSem <- struct{}{}:
-			default:
-				// Full admission window: refuse now, cheaply and honestly,
-				// rather than queue CPU-heavy proving without bound.
-				s.sendOverloaded(w, f.ID, fmt.Sprintf("proving at capacity (%d in flight)", cap(s.proofSem)))
-				return
-			}
-		}
-		// The slot covers proving only and is free again before the proof
-		// goes out: a client holding its answer never finds the slot it
-		// just vacated still taken.
-		proof, err := func() ([]byte, error) {
-			if s.proofSem != nil {
-				defer func() { <-s.proofSem }()
-			}
-			return s.node.Respond(ctx, m.Contract, m.Chal)
-		}()
+		proof, err := s.node.Respond(ctx, m.Contract, m.Chal)
 		if err != nil {
 			code := wire.CodeInternal
 			switch {
@@ -399,18 +369,6 @@ func (s *Server) sendError(w *connWriter, id uint64, code uint32, msg string) {
 		msg = msg[:900] + "..."
 	}
 	payload, err := (&wire.Error{Code: code, Message: msg}).Marshal()
-	if err != nil {
-		return
-	}
-	_ = w.send(&wire.Frame{Type: wire.MsgError, ID: id, Payload: payload})
-}
-
-// sendOverloaded writes the admission refusal with the retry-after hint.
-func (s *Server) sendOverloaded(w *connWriter, id uint64, msg string) {
-	if s.obs != nil {
-		s.obs.overloads.Inc()
-	}
-	payload, err := (&wire.Error{Code: wire.CodeOverloaded, Message: msg, RetryAfter: overloadRetryAfter}).Marshal()
 	if err != nil {
 		return
 	}

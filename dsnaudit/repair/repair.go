@@ -44,11 +44,11 @@ import (
 var (
 	// ErrInsufficientShares: fewer than K survivors could be fetched and
 	// verified; the share is unrecoverable until holders come back.
-	ErrInsufficientShares = errors.New("repair: insufficient surviving shares")
+	errInsufficientShares = errors.New("repair: insufficient surviving shares")
 	// ErrReconstructMismatch: the erasure decode succeeded but the result
 	// does not match the manifest hashes — a verified-looking survivor set
 	// still produced the wrong bytes.
-	ErrReconstructMismatch = errors.New("repair: reconstructed data fails integrity check")
+	errReconstructMismatch = errors.New("repair: reconstructed data fails integrity check")
 )
 
 // Option customizes a Manager.
@@ -314,7 +314,7 @@ func (m *Manager) repairShare(s *slot) {
 	}
 	rec.Survivors = got
 	if got < man.K {
-		m.fail(rec, fmt.Errorf("%w: %d of %d needed for %s share %d", ErrInsufficientShares, got, man.K, man.Name, s.index))
+		m.fail(rec, fmt.Errorf("%w: %d of %d needed for %s share %d", errInsufficientShares, got, man.K, man.Name, s.index))
 		return
 	}
 
@@ -396,7 +396,7 @@ func Reconstruct(man *storage.Manifest, shares [][]byte, index int) ([]byte, err
 		return nil, err
 	}
 	if sha256.Sum256(blob) != man.ContentHash {
-		return nil, fmt.Errorf("%w: blob hash mismatch for %s", ErrReconstructMismatch, man.Name)
+		return nil, fmt.Errorf("%w: blob hash mismatch for %s", errReconstructMismatch, man.Name)
 	}
 	all, err := coder.Split(blob)
 	if err != nil {
@@ -404,7 +404,7 @@ func Reconstruct(man *storage.Manifest, shares [][]byte, index int) ([]byte, err
 	}
 	share := all[index]
 	if !man.VerifyShare(index, share) {
-		return nil, fmt.Errorf("%w: share %d hash mismatch for %s", ErrReconstructMismatch, index, man.Name)
+		return nil, fmt.Errorf("%w: share %d hash mismatch for %s", errReconstructMismatch, index, man.Name)
 	}
 	return share, nil
 }

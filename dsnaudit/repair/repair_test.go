@@ -176,7 +176,7 @@ func TestRepairAfterProviderDeath(t *testing.T) {
 	if !ok || eng.Generation != 1 || eng.Provider.Name != rec.To {
 		t.Fatalf("current slot engagement = %+v, ok=%v", eng, ok)
 	}
-	res, ok := fx.sched.Result(eng.ID())
+	res, ok := fx.sched.Results()[eng.ID()]
 	if !ok || res.State != contract.StateExpired || res.Failed != 0 || res.Passed != 3 {
 		t.Fatalf("replacement result %+v, want 3/3 passed and EXPIRED", res)
 	}
@@ -190,9 +190,8 @@ func TestRepairAfterProviderDeath(t *testing.T) {
 		if j == 2 {
 			continue
 		}
-		r, err := fx.net.Reputation.Record(h.Name)
-		if err != nil || r.Score <= 0 {
-			t.Fatalf("survivor %s record %+v err %v, want positive score", h.Name, r, err)
+		if trust := fx.net.Reputation.Trust(h.Name); trust <= fx.net.Reputation.Trust("never-seen") {
+			t.Fatalf("survivor %s trust %v, want above a never-seen identity's (a positive score)", h.Name, trust)
 		}
 	}
 
@@ -210,7 +209,12 @@ func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
 	fx := buildFixture(t, "rot-seed", 9, 3, 2, 2)
 	victim := fx.sf.Holders[0]
 	rotten := fx.sf.Holders[1]
-	rotten.Store.CorruptObject(fx.sf.Manifest.ShareKeys[1], 5)
+	share, err := rotten.Store.Get(fx.sf.Manifest.ShareKeys[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	share[5] ^= 0xFF
+	rotten.Store.Put(fx.sf.Manifest.ShareKeys[1], share)
 
 	killed := false
 	fx.sched.OnBlock(func(h uint64) {
@@ -232,12 +236,8 @@ func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
 		t.Fatalf("FetchesRefused = %d, want 1 (the corrupted survivor)", st.FetchesRefused)
 	}
 	// The rotten holder was reported to reputation as refusing repair.
-	r, err := fx.net.Reputation.Record(rotten.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Slashed != 0 {
-		t.Fatalf("repair refusal must not slash (audits convict, repair only ranks): %+v", r)
+	if fx.net.Reputation.Trust(rotten.Name) == 0 {
+		t.Fatal("repair refusal must not slash (audits convict, repair only ranks)")
 	}
 	if !bytes.Equal(fx.retrieveThroughPeers(t), fx.data) {
 		t.Fatal("retrieved plaintext diverged after repair")

@@ -40,18 +40,18 @@ var checkpointMagic = []byte{'D', 'S', 'N', 'C', 1}
 // invalid. A missing checkpoint (journal-only recovery) never produces it.
 var ErrCheckpointCorrupt = errors.New("sched: checkpoint corrupt")
 
-// CheckpointCorruptError locates checkpoint corruption. errors.Is matches it
+// checkpointCorruptError locates checkpoint corruption. errors.Is matches it
 // against ErrCheckpointCorrupt.
-type CheckpointCorruptError struct {
+type checkpointCorruptError struct {
 	Path   string
 	Reason string
 }
 
-func (e *CheckpointCorruptError) Error() string {
+func (e *checkpointCorruptError) Error() string {
 	return fmt.Sprintf("sched: checkpoint corrupt: %s: %s", e.Path, e.Reason)
 }
 
-func (e *CheckpointCorruptError) Is(target error) bool { return target == ErrCheckpointCorrupt }
+func (e *checkpointCorruptError) Is(target error) bool { return target == ErrCheckpointCorrupt }
 
 // checkpointEntry is one registry entry as serialized into a checkpoint.
 type checkpointEntry struct {
@@ -122,7 +122,7 @@ func encodeCheckpoint(c *checkpointData) []byte {
 
 func decodeCheckpoint(data []byte, path string) (*checkpointData, error) {
 	corrupt := func(reason string) (*checkpointData, error) {
-		return nil, &CheckpointCorruptError{Path: path, Reason: reason}
+		return nil, &checkpointCorruptError{Path: path, Reason: reason}
 	}
 	if len(data) < len(checkpointMagic)+sha256.Size {
 		return corrupt("short file")

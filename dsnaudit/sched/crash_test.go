@@ -21,6 +21,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // The crash matrix is the durability layer's behavioral contract: kill a
@@ -37,8 +38,8 @@ var crashFull = flag.Bool("crash.full", false,
 	"TestCrashMatrix: every effect and seam cell at both shard counts")
 
 // crashFixture mirrors the scheduler parity fixture: a deterministic
-// many-owner deployment exercising every outcome class — an EngageAll set
-// over ten holders of a shared file, an extra honest engagement, a cheater
+// many-owner deployment exercising every outcome class — one engagement per
+// holder of a shared file (ten), an extra honest engagement, a cheater
 // with fully corrupted audit state, and a provider whose responder is dead.
 type crashFixture struct {
 	net  *dsnaudit.Network
@@ -84,9 +85,19 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := alice.EngageAll(sf, terms)
-	if err != nil {
-		return nil, err
+	// One contract per distinct holder of the shared file.
+	var set []*dsnaudit.Engagement
+	seen := make(map[string]bool)
+	for _, holder := range sf.Holders {
+		if seen[holder.Name] {
+			continue
+		}
+		seen[holder.Name] = true
+		eng, err := alice.Engage(sf, holder, terms)
+		if err != nil {
+			return nil, err
+		}
+		set = append(set, eng)
 	}
 
 	bob, err := dsnaudit.NewOwner(net, "bob", 4, wei(1))
@@ -136,7 +147,7 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 	}
 	engD.Responder = deadResponder{}
 
-	engs := append(append([]*dsnaudit.Engagement(nil), set.Engagements...), engB, engC, engD)
+	engs := append(set, engB, engC, engD)
 	return &crashFixture{net: net, engs: engs}, nil
 }
 
@@ -563,7 +574,9 @@ func runCrashCell(t *testing.T, dir string, shards int, c crashCell, want *matri
 	for _, e := range fx.engs {
 		resolve[e.ID()] = e
 	}
-	historyBefore := fx.net.Chain.HistoryReads()
+	chainMetrics := obs.NewRegistry()
+	fx.net.Chain.Instrument(chainMetrics)
+	historyBefore := historyReads(chainMetrics)
 	rs, rrep, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
 		e, ok := resolve[addr]
 		if !ok {
@@ -576,8 +589,8 @@ func runCrashCell(t *testing.T, dir string, shards int, c crashCell, want *matri
 	}
 	rs.journal.flushBytes = matrixFlushBytes
 	var diffs []string
-	if d := fx.net.Chain.HistoryReads() - historyBefore; d != 0 {
-		diffs = append(diffs, fmt.Sprintf("recovery read chain history %d times, want 0 (no-rescan pin)", d))
+	if d := historyReads(chainMetrics) - historyBefore; d != 0 {
+		diffs = append(diffs, fmt.Sprintf("recovery read chain history %v times, want 0 (no-rescan pin)", d))
 	}
 	if rrep.ResolverCalls != rrep.Entries {
 		diffs = append(diffs, fmt.Sprintf("resolver called %d times for %d entries, want exactly one each", rrep.ResolverCalls, rrep.Entries))
@@ -701,4 +714,25 @@ func TestFaultFSFidelity(t *testing.T) {
 			t.Errorf("two fake runs recorded different %s calls (%d and %d)", seam, len(calls[seam]), len(callsAgain[seam]))
 		}
 	}
+}
+
+// historyReads is the chain's dsn_chain_history_reads_total on reg.
+func historyReads(reg *obs.Registry) float64 {
+	for _, s := range reg.Snapshot() {
+		if s.Name == "dsn_chain_history_reads_total" {
+			return s.Value
+		}
+	}
+	return -1
+}
+
+// Result returns the accounting for one engagement, as Results holds it.
+func (s *Scheduler) Result(id chain.Address) (dsnaudit.Result, bool) {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	en, ok := s.store.byID[id]
+	if !ok {
+		return dsnaudit.Result{}, false
+	}
+	return en.result, true
 }

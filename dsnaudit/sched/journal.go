@@ -118,18 +118,18 @@ const (
 // tail (the expected crash artifact) never produces it.
 var ErrJournalCorrupt = errors.New("sched: journal corrupt")
 
-// JournalCorruptError locates mid-file journal corruption. errors.Is matches
+// journalCorruptError locates mid-file journal corruption. errors.Is matches
 // it against ErrJournalCorrupt.
-type JournalCorruptError struct {
+type journalCorruptError struct {
 	Path   string
 	Offset int64
 }
 
-func (e *JournalCorruptError) Error() string {
+func (e *journalCorruptError) Error() string {
 	return fmt.Sprintf("sched: journal corrupt: %s at offset %d", e.Path, e.Offset)
 }
 
-func (e *JournalCorruptError) Is(target error) bool { return target == ErrJournalCorrupt }
+func (e *journalCorruptError) Is(target error) bool { return target == ErrJournalCorrupt }
 
 // errShortRecord is the decoder's internal "buffer ends before the record
 // does" — the torn-tail signal. errBadRecord is structural garbage at a
@@ -278,7 +278,7 @@ func scanRecords(data []byte, path string) ([]journalRecord, int, error) {
 		rec, n, err := decodeRecord(data[off:])
 		if err != nil {
 			if validRecordAfter(data, off+1) {
-				return nil, 0, &JournalCorruptError{Path: path, Offset: int64(off)}
+				return nil, 0, &journalCorruptError{Path: path, Offset: int64(off)}
 			}
 			return recs, off, nil
 		}
@@ -341,10 +341,10 @@ type Journal struct {
 // journalFlushBytes caps a shard's append buffer between barriers.
 const journalFlushBytes = 256 << 10
 
-// Instrument registers the journal's dsn_journal_* metric family on reg.
+// instrument registers the journal's dsn_journal_* metric family on reg.
 // Every series is func-backed over Stats, so instrumentation adds nothing to
 // the append path.
-func (j *Journal) Instrument(reg *obs.Registry) {
+func (j *Journal) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -540,9 +540,6 @@ func (j *Journal) Close() error {
 	return j.fault()
 }
 
-// Dir returns the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Stats snapshots the journal's write counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
@@ -680,7 +677,7 @@ func readShardFrom(dir string, i int, off int64) ([]journalRecord, int64, error)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		if off > 0 {
-			return nil, 0, &JournalCorruptError{Path: path, Offset: 0}
+			return nil, 0, &journalCorruptError{Path: path, Offset: 0}
 		}
 		return nil, 0, nil
 	}
@@ -688,7 +685,7 @@ func readShardFrom(dir string, i int, off int64) ([]journalRecord, int64, error)
 		return nil, 0, fmt.Errorf("sched: read journal shard: %w", err)
 	}
 	if off > int64(len(data)) {
-		return nil, 0, &JournalCorruptError{Path: path, Offset: int64(len(data))}
+		return nil, 0, &journalCorruptError{Path: path, Offset: int64(len(data))}
 	}
 	recs, valid, err := scanRecords(data[off:], path)
 	if err != nil {

@@ -141,7 +141,7 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	if _, err := OpenJournal(dir, 1); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("OpenJournal on corrupt shard err = %v, want ErrJournalCorrupt", err)
 	}
-	var ce *JournalCorruptError
+	var ce *journalCorruptError
 	_, err := OpenJournal(dir, 1)
 	if !errors.As(err, &ce) || ce.Offset != 0 {
 		t.Fatalf("corruption not located: %v", err)
@@ -163,7 +163,7 @@ func TestJournalRejectsRetiredTypes(t *testing.T) {
 		}
 		mid := append(append(append([]byte(nil), before...), frame...), after...)
 		_, _, err := scanRecords(mid, "test")
-		var ce *JournalCorruptError
+		var ce *journalCorruptError
 		if !errors.As(err, &ce) || ce.Offset != int64(len(before)) {
 			t.Fatalf("type %d mid-file: err = %v, want corruption at offset %d", typ, err, len(before))
 		}

@@ -83,7 +83,7 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 	}
 	s.obs = o
 	if s.journal != nil {
-		s.journal.Instrument(reg)
+		s.journal.instrument(reg)
 	}
 }
 

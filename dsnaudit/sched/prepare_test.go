@@ -6,25 +6,20 @@ import (
 
 	"repro/dsnaudit"
 	"repro/internal/contract"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// preparedCounter wraps a Verifier and, while SettleBlock owns the block's
-// contracts, counts those whose pending proof carries a bound prepared item.
-// SettleBlock runs on the settlement goroutine alone, and Run joins it before
-// returning, so the counts need no lock.
-type preparedCounter struct {
-	inner             dsnaudit.Verifier
-	settled, prepared int
+// settledCounter wraps a Verifier and counts the contracts SettleBlock is
+// handed. SettleBlock runs on the settlement goroutine alone, and Run joins
+// it before returning, so the count needs no lock.
+type settledCounter struct {
+	inner   dsnaudit.Verifier
+	settled int
 }
 
-func (v *preparedCounter) SettleBlock(cs []*contract.Contract, h uint64, workers int) ([]contract.SettleResult, error) {
-	for _, k := range cs {
-		v.settled++
-		if k.HasPrepared() {
-			v.prepared++
-		}
-	}
+func (v *settledCounter) SettleBlock(cs []*contract.Contract, h uint64, workers int) ([]contract.SettleResult, error) {
+	v.settled += len(cs)
 	return v.inner.SettleBlock(cs, h, workers)
 }
 
@@ -46,17 +41,24 @@ func prepareRun(t *testing.T, v dsnaudit.Verifier) (*Scheduler, uint64) {
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return s, reg.Histogram("dsn_sched_prepare_seconds", "", nil).Count()
+	for _, sm := range reg.Snapshot() {
+		if sm.Name == "dsn_sched_prepare_seconds" {
+			return s, sm.Count
+		}
+	}
+	t.Fatal("no dsn_sched_prepare_seconds series")
+	return nil, 0
 }
 
 // TestFreshRunSettlesPreparedProofs pins where the per-item step runs in a
 // fresh run: on the prove workers, so every contract reaches SettleBlock
 // with its prepared item attached, the cheater's included.
 func TestFreshRunSettlesPreparedProofs(t *testing.T) {
-	v := &preparedCounter{inner: &dsnaudit.BatchVerifier{}}
+	stats := &core.BatchStats{}
+	v := &settledCounter{inner: &dsnaudit.BatchVerifier{Stats: stats}}
 	s, prepared := prepareRun(t, v)
-	if v.settled == 0 || v.prepared != v.settled {
-		t.Fatalf("%d of %d contracts reached SettleBlock prepared", v.prepared, v.settled)
+	if v.settled == 0 || stats.Prepares != 0 {
+		t.Fatalf("settlement prepared %d of the %d contracts it was handed", stats.Prepares, v.settled)
 	}
 	if proofs := s.Stats().Proofs; prepared != proofs || uint64(v.settled) != proofs {
 		t.Fatalf("prepared %d, settled %d, proofs %d", prepared, v.settled, proofs)

@@ -96,7 +96,7 @@ func loadDurableState(dir string, nshards int, ckpt *checkpointData) (*durableSt
 	offsets := make([]int64, nshards)
 	if ckpt != nil {
 		if ckpt.shards != nshards {
-			return nil, &CheckpointCorruptError{
+			return nil, &checkpointCorruptError{
 				Path:   dir,
 				Reason: fmt.Sprintf("checkpoint has %d journal shards, meta has %d", ckpt.shards, nshards),
 			}

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/contract"
-	"repro/internal/reputation"
 )
 
 func sampleCheckpoint() *checkpointData {
@@ -222,15 +222,13 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 // every provider's standing ends equal to an uninterrupted run's.
 func TestRecoverObservesEachRoundOnce(t *testing.T) {
 	const shards = 4
-	standing := func(fx *crashFixture) map[string]reputation.Record {
-		t.Helper()
-		out := make(map[string]reputation.Record)
+	// A provider's trust, and for a slashed one (trust 0 whatever else it
+	// did) its engagements' observed-round counts, pin every observation.
+	standing := func(fx *crashFixture) map[string]string {
+		out := make(map[string]string)
 		for _, e := range fx.engs {
-			rec, err := fx.net.Reputation.Record(e.Provider.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Provider.Name] = rec
+			out[e.Provider.Name] = fmt.Sprintf("trust %.9f", fx.net.Reputation.Trust(e.Provider.Name))
+			out[string(e.ID())] = fmt.Sprintf("observed %d rounds", e.ObservedRounds())
 		}
 		return out
 	}

@@ -312,18 +312,6 @@ func (s *Scheduler) OnBlock(fn func(uint64)) {
 	s.blockHooks = append(s.blockHooks, fn)
 }
 
-// Result returns the accounting for one engagement. Compacted engagements
-// are no longer reported.
-func (s *Scheduler) Result(id chain.Address) (dsnaudit.Result, bool) {
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
-	en, ok := s.store.byID[id]
-	if !ok {
-		return dsnaudit.Result{}, false
-	}
-	return en.result, true
-}
-
 // Results snapshots every non-compacted engagement's accounting.
 func (s *Scheduler) Results() map[chain.Address]dsnaudit.Result {
 	s.store.mu.Lock()

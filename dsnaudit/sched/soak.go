@@ -195,13 +195,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spill *SpillStore
+	var spill *spillStore
 	if cfg.SpillDir != "" {
-		spill, err = NewSpillStore(cfg.SpillDir, cfg.SpillWindow)
+		spill, err = newSpillStore(cfg.SpillDir, cfg.SpillWindow, spillShards)
 		if err != nil {
 			return nil, err
 		}
-		spill.Instrument(cfg.Registry)
+		spill.instrument(cfg.Registry)
 		provider.SetProverStore(spill)
 	}
 
@@ -346,7 +346,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		RunMallocs:    ms.Mallocs - ms0.Mallocs,
 	}
 	if spill != nil {
-		rep.Spill = spill.Stats()
+		rep.Spill = spill.stats()
 	}
 	if jnl != nil {
 		rep.Journal = jnl.Stats()

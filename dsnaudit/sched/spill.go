@@ -14,7 +14,7 @@ import (
 	"repro/internal/obs"
 )
 
-// SpillStore is a dsnaudit.ProverStore that keeps at most `limit` decoded
+// spillStore is a dsnaudit.ProverStore that keeps at most `limit` decoded
 // provers resident and reads the rest back from disk, so a provider node's
 // audit-state memory is bounded by its hydration window, not its engagement
 // count.
@@ -31,7 +31,7 @@ import (
 //
 // The store is a cache, not a durability layer: the index lives in memory, a
 // crash rebuilds audit state from the owner, segments carry no fsync. It owns
-// its directory: NewSpillStore removes the segments a previous process left,
+// its directory: newSpillStore removes the segments a previous process left,
 // which nothing can reach any more.
 //
 // It is safe for concurrent use and sharded by contract address — a
@@ -40,7 +40,7 @@ import (
 // mutex or pile files into one directory. The codec round-trips exactly
 // (golden tests), so a rehydrated prover's proofs are byte-identical given
 // the same entropy, and every record carries its own checksum.
-type SpillStore struct {
+type spillStore struct {
 	shards   []*spillShard
 	segBytes int64 // roll size: small records share a file, freed once all have retired
 
@@ -93,9 +93,9 @@ type SpillStats struct {
 	Segments     int    // segment files currently on disk
 }
 
-// Instrument registers the store's dsn_spill_* metric family on reg; every
+// instrument registers the store's dsn_spill_* metric family on reg; every
 // series is func-backed over the store's atomics, so paging pays nothing.
-func (s *SpillStore) Instrument(reg *obs.Registry) {
+func (s *spillStore) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -111,23 +111,21 @@ func (s *SpillStore) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(s.segs.Load()) })
 }
 
-// NewSpillStore creates a spill-backed prover store rooted at dir (created
-// if missing; segment files already there are removed). limit is the total
-// hydration window across shards; at least 1.
-func NewSpillStore(dir string, limit int) (*SpillStore, error) {
-	return newSpillStore(dir, limit, 8)
-}
+// spillShards is the soak's spill-store shard count.
+const spillShards = 8
 
-// newSpillStore is NewSpillStore with the shard count explicit (reduced so
-// every shard keeps a window of at least one).
-func newSpillStore(dir string, limit, shards int) (*SpillStore, error) {
+// newSpillStore creates a spill-backed prover store rooted at dir (created
+// if missing; segment files already there are removed). limit is the total
+// hydration window across shards, at least 1; the shard count is reduced so
+// every shard keeps a window of at least one.
+func newSpillStore(dir string, limit, shards int) (*spillStore, error) {
 	if limit < 1 {
 		return nil, fmt.Errorf("sched: spill store needs a hydration window >= 1, got %d", limit)
 	}
 	if shards > limit {
 		shards = limit
 	}
-	s := &SpillStore{shards: make([]*spillShard, shards), segBytes: 1 << 20}
+	s := &spillStore{shards: make([]*spillShard, shards), segBytes: 1 << 20}
 	for i := range s.shards {
 		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
 		if err := os.MkdirAll(shardDir, 0o755); err != nil {
@@ -154,14 +152,14 @@ func newSpillStore(dir string, limit, shards int) (*SpillStore, error) {
 }
 
 // shardFor routes an address to its shard (FNV-1a).
-func (s *SpillStore) shardFor(addr chain.Address) *spillShard {
+func (s *spillStore) shardFor(addr chain.Address) *spillShard {
 	h := fnv.New32a()
 	h.Write([]byte(addr))
 	return s.shards[int(h.Sum32()%uint32(len(s.shards)))]
 }
 
-// Stats snapshots the store's paging counters.
-func (s *SpillStore) Stats() SpillStats {
+// stats snapshots the store's paging counters.
+func (s *spillStore) stats() SpillStats {
 	return SpillStats{
 		Spills:       s.spills.Load(),
 		Hydrates:     s.hydrates.Load(),
@@ -172,7 +170,7 @@ func (s *SpillStore) Stats() SpillStats {
 }
 
 // trackResident adjusts the global resident gauge and its high-water mark.
-func (s *SpillStore) trackResident(delta int64) {
+func (s *spillStore) trackResident(delta int64) {
 	n := s.resident.Add(delta)
 	for {
 		p := s.peak.Load()
@@ -185,7 +183,7 @@ func (s *SpillStore) trackResident(delta int64) {
 // PutProver writes the audit state's record and admits the prover to the
 // shard's window. Replacing a contract's state releases the record it had;
 // a failed write leaves the store as it was.
-func (s *SpillStore) PutProver(addr chain.Address, p *core.Prover) error {
+func (s *spillStore) PutProver(addr chain.Address, p *core.Prover) error {
 	data, err := core.MarshalAuditState(p.File, p.Auths)
 	if err != nil {
 		return fmt.Errorf("sched: spill %s: %w", addr, err)
@@ -209,7 +207,7 @@ func (s *SpillStore) PutProver(addr chain.Address, p *core.Prover) error {
 // when the prover is not resident. A record that cannot be read, fails its
 // checksum or does not decode returns an error, not (nil, false): the state
 // existed and cannot be reproduced.
-func (s *SpillStore) GetProver(addr chain.Address) (*core.Prover, bool, error) {
+func (s *spillStore) GetProver(addr chain.Address) (*core.Prover, bool, error) {
 	sh := s.shardFor(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -231,7 +229,7 @@ func (s *SpillStore) GetProver(addr chain.Address) (*core.Prover, bool, error) {
 }
 
 // DeleteProver discards the audit state for a contract.
-func (s *SpillStore) DeleteProver(addr chain.Address) error {
+func (s *spillStore) DeleteProver(addr chain.Address) error {
 	sh := s.shardFor(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -244,7 +242,7 @@ func (s *SpillStore) DeleteProver(addr chain.Address) error {
 
 // admit puts a decoded prover at the front of the shard's window and evicts
 // past it. Caller holds sh.mu.
-func (s *SpillStore) admit(sh *spillShard, m *spillMeta, p *core.Prover) {
+func (s *spillStore) admit(sh *spillShard, m *spillMeta, p *core.Prover) {
 	m.prover, m.el = p, sh.lru.PushFront(m)
 	s.trackResident(1)
 	for sh.lru.Len() > sh.limit {
@@ -254,7 +252,7 @@ func (s *SpillStore) admit(sh *spillShard, m *spillMeta, p *core.Prover) {
 
 // evict forgets an entry's decoded prover; its record stays where it is.
 // Caller holds sh.mu.
-func (s *SpillStore) evict(sh *spillShard, m *spillMeta) {
+func (s *spillStore) evict(sh *spillShard, m *spillMeta) {
 	sh.lru.Remove(m.el)
 	m.prover, m.el = nil, nil
 	s.trackResident(-1)
@@ -262,7 +260,7 @@ func (s *SpillStore) evict(sh *spillShard, m *spillMeta) {
 
 // forget takes an index entry out of the window and gives up its record,
 // removing the segment file with its last record. Caller holds sh.mu.
-func (s *SpillStore) forget(sh *spillShard, m *spillMeta) {
+func (s *spillStore) forget(sh *spillShard, m *spillMeta) {
 	if m.prover != nil {
 		s.evict(sh, m)
 	}
@@ -280,7 +278,7 @@ func (s *SpillStore) forget(sh *spillShard, m *spillMeta) {
 // a new file when there is none, and points m at the record. The write is
 // positioned at the size the store has counted, so bytes a failed append
 // left behind are overwritten by the next one. Caller holds sh.mu.
-func (s *SpillStore) appendRecord(sh *spillShard, m *spillMeta, data []byte) error {
+func (s *spillStore) appendRecord(sh *spillShard, m *spillMeta, data []byte) error {
 	if sh.open == nil {
 		sh.open = &spillSegment{path: filepath.Join(sh.dir, fmt.Sprintf("seg-%08d.state", s.segCtr.Add(1)))}
 		s.segs.Add(1)

@@ -90,7 +90,7 @@ func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := store.Stats()
+	st := store.stats()
 	if st.Resident != 2 {
 		t.Fatalf("resident = %d, want window 2", st.Resident)
 	}
@@ -117,7 +117,7 @@ func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 			t.Fatalf("prover %s diverged after spill round trip", a)
 		}
 	}
-	if st := store.Stats(); st.Hydrates < 2 {
+	if st := store.stats(); st.Hydrates < 2 {
 		t.Fatalf("hydrates = %d, want >= 2", st.Hydrates)
 	}
 
@@ -168,7 +168,7 @@ func proofBytes(t *testing.T, p *core.Prover, ch *core.Challenge) []byte {
 func TestSpillStoreWriteOnce(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "once", 600)
 	dir := t.TempDir()
-	store, err := NewSpillStore(dir, 2)
+	store, err := newSpillStore(dir, 2, spillShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSpillStoreWriteOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := store.Stats(); st.Spills != keys {
+	if st := store.stats(); st.Spills != keys {
 		t.Fatalf("spills = %d after %d puts, want one each", st.Spills, keys)
 	}
 	snapshot := func() map[string][]byte {
@@ -219,7 +219,7 @@ func TestSpillStoreWriteOnce(t *testing.T) {
 			}
 		}
 	}
-	st := store.Stats()
+	st := store.stats()
 	if st.Spills != keys {
 		t.Fatalf("spills = %d after three sweeps, want still %d", st.Spills, keys)
 	}
@@ -250,7 +250,7 @@ func TestSpillStoreReplace(t *testing.T) {
 	if len(first) != 1 || len(files) != 1 || files[0] == first[0] {
 		t.Fatalf("segments %v -> %v, want the first record's file replaced by the second's", first, files)
 	}
-	if st := store.Stats(); st.Spills != 2 || st.Segments != 1 || st.Resident != 1 {
+	if st := store.stats(); st.Spills != 2 || st.Segments != 1 || st.Resident != 1 {
 		t.Fatalf("stats after a replacement = %+v, want 2 spills, 1 segment, 1 resident", st)
 	}
 	// Push the replacement out of the window so the answer comes from disk.
@@ -293,8 +293,8 @@ func TestSpillStoreSegmentRollover(t *testing.T) {
 		}
 	}
 	files := segmentFiles(t, dir)
-	if len(files) != 3 || store.Stats().Segments != 3 {
-		t.Fatalf("5 records at 2 to a segment: files %v, gauge %d, want 3", files, store.Stats().Segments)
+	if len(files) != 3 || store.stats().Segments != 3 {
+		t.Fatalf("5 records at 2 to a segment: files %v, gauge %d, want 3", files, store.stats().Segments)
 	}
 	for i, want := range []int{2, 2, 1} {
 		if fi, err := os.Stat(files[i]); err != nil || fi.Size() != int64(want*len(record)) {
@@ -330,8 +330,8 @@ func TestSpillStoreSegmentRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if left := segmentFiles(t, dir); len(left) != 0 || store.Stats().Segments != 0 {
-		t.Fatalf("after deleting everything: files %v, gauge %d", left, store.Stats().Segments)
+	if left := segmentFiles(t, dir); len(left) != 0 || store.stats().Segments != 0 {
+		t.Fatalf("after deleting everything: files %v, gauge %d", left, store.stats().Segments)
 	}
 }
 
@@ -395,7 +395,7 @@ func TestSpillStoreSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := store.Stats()
+	st := store.stats()
 	if st.Resident > 4 {
 		t.Fatalf("resident = %d, want <= total window 4", st.Resident)
 	}
@@ -475,7 +475,7 @@ func TestSpillStoreCorruptionSurfaces(t *testing.T) {
 // must still prove correctly.
 func TestSpillStoreConcurrent(t *testing.T) {
 	sk, ef, auths := spillFixture(t, "conc", 400)
-	store, err := NewSpillStore(t.TempDir(), 2)
+	store, err := newSpillStore(t.TempDir(), 2, spillShards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestOutcomeHookMayAddEngagement(t *testing.T) {
 		if followUp == nil {
 			t.Fatal("outcome hook never fired")
 		}
-		res, ok := s.Result(followUp.ID())
+		res, ok := s.Results()[followUp.ID()]
 		if !ok {
 			t.Fatal("follow-up engagement has no result; it was stranded")
 		}

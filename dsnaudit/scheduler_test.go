@@ -117,7 +117,7 @@ func matchSequential(t *testing.T, rounds int, build func(t *testing.T) (fx *fix
 			if key(e) != seqKeys[i] {
 				t.Fatalf("fixtures diverged: engagement %d is %s, sequential ran %s", i, key(e), seqKeys[i])
 			}
-			res, ok := s.Result(e.ID())
+			res, ok := s.Results()[e.ID()]
 			if !ok {
 				t.Fatalf("no scheduler result for %s", key(e))
 			}
@@ -215,7 +215,7 @@ func TestSchedulerCancellation(t *testing.T) {
 		if err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		res, _ := s.Result(eng.ID())
+		res, _ := s.Results()[eng.ID()]
 		if res.Passed != 2 || eng.Contract.State() != contract.StateExpired {
 			t.Fatalf("after resume: passed=%d state=%v", res.Passed, eng.Contract.State())
 		}
@@ -282,7 +282,7 @@ func TestSchedulerCancelDoesNotSlashHonestProviders(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, e := range fx.engs {
-				res, _ := s.Result(e.ID())
+				res, _ := s.Results()[e.ID()]
 				if res.Failed != 0 || res.State != contract.StateExpired {
 					t.Fatalf("iter %d eng %d: honest provider penalized: %+v (state %v)",
 						iter, i, res, e.Contract.State())

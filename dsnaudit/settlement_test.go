@@ -32,7 +32,7 @@ func TestBatchedSettlementIsolatesCheater(t *testing.T) {
 	s := fx.run(t, sched.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}))
 
 	for i, e := range fx.engs {
-		res, ok := s.Result(e.ID())
+		res, ok := s.Results()[e.ID()]
 		if !ok {
 			t.Fatalf("no result for %s", e.ID())
 		}
@@ -100,7 +100,7 @@ func TestVerifierParityRandomized(t *testing.T) {
 			var stats core.BatchStats
 			s := fx.run(t, sched.WithVerifier(&dsnaudit.BatchVerifier{Stats: &stats}))
 			for i, e := range fx.engs {
-				res, ok := s.Result(e.ID())
+				res, ok := s.Results()[e.ID()]
 				if !ok {
 					t.Fatalf("no result for %s", e.ID())
 				}
@@ -157,7 +157,7 @@ func TestSchedulerAdoptsPendingSettlement(t *testing.T) {
 	forShards(t, func(t *testing.T, shards sched.Option) {
 		fx, eng := settleLimbo(t)
 		s := fx.run(t, shards)
-		res, ok := s.Result(eng.ID())
+		res, ok := s.Results()[eng.ID()]
 		if !ok {
 			t.Fatal("no result")
 		}

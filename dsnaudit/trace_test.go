@@ -1,6 +1,7 @@
 package dsnaudit_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/dsnaudit/sched"
@@ -20,15 +21,15 @@ func TestTracerLifecycle(t *testing.T) {
 		fx := newFixture(t, 12)
 		eng := fx.engage(t, "tracy", rounds)
 
-		ring := obs.NewRingSink(64)
-		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(ring)), sched.WithMetrics(obs.NewRegistry()))
-		res, ok := s.Result(eng.ID())
+		sink := new(eventLog)
+		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(sink)), sched.WithMetrics(obs.NewRegistry()))
+		res, ok := s.Results()[eng.ID()]
 		if !ok || res.Err != nil || res.Passed != rounds {
 			t.Fatalf("engagement result ok=%v res=%+v", ok, res)
 		}
 
 		var events []obs.Event
-		for _, e := range ring.Events() {
+		for _, e := range sink.all() {
 			if e.Engagement == string(eng.ID()) {
 				events = append(events, e)
 			}
@@ -68,8 +69,8 @@ func TestTracerLifecycle(t *testing.T) {
 			stats.SettledRounds != rounds || stats.Slashes != 0 {
 			t.Fatalf("Stats %+v disagrees with the %d-round trace", stats, rounds)
 		}
-		if got := ring.Total(); got != uint64(len(events)) {
-			t.Fatalf("ring Total() = %d, want %d", got, len(events))
+		if got := len(sink.all()); got != len(events) {
+			t.Fatalf("%d events emitted, want this engagement's %d", got, len(events))
 		}
 	})
 }
@@ -83,11 +84,11 @@ func TestTracerSlashEvents(t *testing.T) {
 		eng := fx.engage(t, "mallory", 3)
 		corrupt(t, eng)
 
-		ring := obs.NewRingSink(64)
-		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(ring)))
+		sink := new(eventLog)
+		s := fx.run(t, shards, sched.WithTracer(obs.NewTracer(sink)))
 
 		var types []string
-		for _, e := range ring.Events() {
+		for _, e := range sink.all() {
 			if e.Engagement == string(eng.ID()) {
 				types = append(types, e.Type+":"+e.Detail)
 			}
@@ -105,4 +106,22 @@ func TestTracerSlashEvents(t *testing.T) {
 			t.Fatalf("Stats %+v, want one settled round and one slash", stats)
 		}
 	})
+}
+
+// eventLog is a trace sink that keeps every event in emission order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) all() []obs.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Event(nil), l.events...)
 }

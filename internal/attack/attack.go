@@ -83,8 +83,8 @@ func (o *PassiveObserver) Ingest(obs *Observation) error {
 	return nil
 }
 
-// ErrInsufficient indicates more observations are needed.
-var ErrInsufficient = errors.New("attack: not enough independent observations yet")
+// errInsufficient indicates more observations are needed.
+var errInsufficient = errors.New("attack: not enough independent observations yet")
 
 // Recover attempts to solve for all d*s blocks. It needs at least d*s
 // observations; with honestly random challenges the system is full rank
@@ -92,7 +92,7 @@ var ErrInsufficient = errors.New("attack: not enough independent observations ye
 func (o *PassiveObserver) Recover() ([]bn256.Scalar, error) {
 	n := o.Unknowns()
 	if len(o.rows) < n {
-		return nil, fmt.Errorf("%w: have %d equations, need %d", ErrInsufficient, len(o.rows), n)
+		return nil, fmt.Errorf("%w: have %d equations, need %d", errInsufficient, len(o.rows), n)
 	}
 	// Use the first n equations; on singularity, slide the window.
 	for start := 0; start+n <= len(o.rows); start++ {
@@ -101,7 +101,7 @@ func (o *PassiveObserver) Recover() ([]bn256.Scalar, error) {
 			return sol, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: observed system is singular", ErrInsufficient)
+	return nil, fmt.Errorf("%w: observed system is singular", errInsufficient)
 }
 
 // RecoveredFile reshapes a recovered block vector into chunk polynomials

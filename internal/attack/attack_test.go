@@ -3,6 +3,7 @@ package attack
 import (
 	"crypto/rand"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bn256"
@@ -72,7 +73,7 @@ func TestPassiveObserverRecoversNonPrivateData(t *testing.T) {
 	// And the reshaped file must decode to the same chunk polynomials.
 	rec := obs.RecoveredFile(blocks)
 	for i := 0; i < d; i++ {
-		if !rec.Chunks[i].Equal(&ef.Chunks[i]) {
+		if !slices.Equal(rec.Chunks[i].Coeffs, ef.Chunks[i].Coeffs) {
 			t.Fatalf("chunk %d mismatch after reshape", i)
 		}
 	}

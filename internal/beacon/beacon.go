@@ -23,8 +23,8 @@ import (
 	"io"
 )
 
-// SeedBytes is the entropy produced per round (the contract needs 48).
-const SeedBytes = 48
+// seedBytes is the entropy produced per round (the contract needs 48).
+const seedBytes = 48
 
 // Trusted is a deterministic external beacon: round i yields
 // HMAC-SHA256 expansion of the root seed. It models absorbing randomness
@@ -63,14 +63,14 @@ func (t *Trusted) Randomness(round int) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint64(inner[sha256.BlockSize:], uint64(round))
 	out := make([]byte, 0, 2*sha256.Size)
-	for blk := uint64(0); len(out) < SeedBytes; blk++ {
+	for blk := uint64(0); len(out) < seedBytes; blk++ {
 		binary.BigEndian.PutUint64(inner[sha256.BlockSize+8:], blk)
 		sum := sha256.Sum256(inner[:])
 		copy(outer[sha256.BlockSize:], sum[:])
 		sum = sha256.Sum256(outer[:])
 		out = append(out, sum[:]...)
 	}
-	return out[:SeedBytes], nil
+	return out[:seedBytes], nil
 }
 
 // CommitReveal is one round of an n-party commit-and-reveal game.
@@ -177,13 +177,13 @@ func (c *CommitReveal) Output() ([]byte, error) {
 		return nil, ErrNotReady
 	}
 	sum := h.Sum(nil)
-	out := make([]byte, 0, SeedBytes)
-	for len(out) < SeedBytes {
+	out := make([]byte, 0, seedBytes)
+	for len(out) < seedBytes {
 		next := sha256.Sum256(sum)
 		sum = next[:]
 		out = append(out, sum...)
 	}
-	return out[:SeedBytes], nil
+	return out[:seedBytes], nil
 }
 
 // NonRevealers lists the parties that would be slashed.

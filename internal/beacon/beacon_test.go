@@ -17,7 +17,7 @@ func TestTrustedDeterministic(t *testing.T) {
 	if !bytes.Equal(r1, r2) {
 		t.Fatal("trusted beacon not deterministic")
 	}
-	if len(r1) != SeedBytes {
+	if len(r1) != seedBytes {
 		t.Fatalf("got %d bytes", len(r1))
 	}
 	r3, _ := b1.Randomness(6)
@@ -57,7 +57,7 @@ func TestCommitRevealHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != SeedBytes {
+	if len(out) != seedBytes {
 		t.Fatalf("output %d bytes", len(out))
 	}
 	if len(g.NonRevealers()) != 0 {
@@ -98,7 +98,7 @@ func TestCommitRevealGuards(t *testing.T) {
 	}
 	// Output with one of two revealed still works (the bias loophole).
 	out, err := g.Output()
-	if err != nil || len(out) != SeedBytes {
+	if err != nil || len(out) != seedBytes {
 		t.Fatalf("partial output: %v", err)
 	}
 	if got := g.NonRevealers(); len(got) != 1 || got[0] != 1 {

@@ -14,7 +14,7 @@ import (
 // 48 bytes of HMAC-SHA256(root, round ‖ 0) ‖ HMAC-SHA256(root, round ‖ 1).
 func hmacExpansion(root [32]byte, round int) []byte {
 	var out []byte
-	for blk := uint64(0); len(out) < SeedBytes; blk++ {
+	for blk := uint64(0); len(out) < seedBytes; blk++ {
 		mac := hmac.New(sha256.New, root[:])
 		var msg [16]byte
 		binary.BigEndian.PutUint64(msg[:8], uint64(round))
@@ -22,7 +22,7 @@ func hmacExpansion(root [32]byte, round int) []byte {
 		mac.Write(msg[:])
 		out = mac.Sum(out)
 	}
-	return out[:SeedBytes]
+	return out[:seedBytes]
 }
 
 // TestTrustedMatchesHMAC: Randomness writes the HMAC out by hand over stack

@@ -23,15 +23,15 @@ import (
 // The modulus is generated locally for the simulation; a deployment would
 // use an RSA ceremony or a class group.
 
-// VDF holds the public parameters: the modulus and the delay T.
-type VDF struct {
+// vdf holds the public parameters: the modulus and the delay T.
+type vdf struct {
 	N *big.Int
 	T uint64
 }
 
-// NewVDF generates a fresh VDF with a modulusBits RSA modulus and delay t.
+// newVDF generates a fresh VDF with a modulusBits RSA modulus and delay t.
 // The factorization is discarded (no trapdoor evaluation in this package).
-func NewVDF(modulusBits int, t uint64) (*VDF, error) {
+func newVDF(modulusBits int, t uint64) (*vdf, error) {
 	if modulusBits < 128 {
 		return nil, errors.New("beacon: VDF modulus too small")
 	}
@@ -46,18 +46,18 @@ func NewVDF(modulusBits int, t uint64) (*VDF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VDF{N: new(big.Int).Mul(p, q), T: t}, nil
+	return &vdf{N: new(big.Int).Mul(p, q), T: t}, nil
 }
 
-// VDFProof is an evaluation with its succinct correctness proof.
-type VDFProof struct {
+// vdfProof is an evaluation with its succinct correctness proof.
+type vdfProof struct {
 	Input  *big.Int
 	Output *big.Int
 	Pi     *big.Int
 }
 
 // hashToGroup maps seed bytes into Z_N*.
-func (v *VDF) hashToGroup(seed []byte) *big.Int {
+func (v *vdf) hashToGroup(seed []byte) *big.Int {
 	h1 := sha256.Sum256(append([]byte{0x10}, seed...))
 	h2 := sha256.Sum256(append([]byte{0x11}, seed...))
 	x := new(big.Int).SetBytes(append(h1[:], h2[:]...))
@@ -69,7 +69,7 @@ func (v *VDF) hashToGroup(seed []byte) *big.Int {
 }
 
 // hashToPrime derives the Fiat-Shamir challenge prime from (x, y).
-func (v *VDF) hashToPrime(x, y *big.Int) *big.Int {
+func (v *vdf) hashToPrime(x, y *big.Int) *big.Int {
 	ctr := uint64(0)
 	for {
 		h := sha256.New()
@@ -91,9 +91,9 @@ func (v *VDF) hashToPrime(x, y *big.Int) *big.Int {
 	}
 }
 
-// Eval runs the sequential computation: T squarings of x = H(seed), plus
+// eval runs the sequential computation: T squarings of x = H(seed), plus
 // the Wesolowski proof. This is the slow path by design.
-func (v *VDF) Eval(seed []byte) (*VDFProof, error) {
+func (v *vdf) eval(seed []byte) (*vdfProof, error) {
 	x := v.hashToGroup(seed)
 	y := new(big.Int).Set(x)
 	for i := uint64(0); i < v.T; i++ {
@@ -105,11 +105,11 @@ func (v *VDF) Eval(seed []byte) (*VDFProof, error) {
 	exp := new(big.Int).Lsh(big.NewInt(1), uint(v.T))
 	quo := new(big.Int).Quo(exp, l)
 	pi := new(big.Int).Exp(x, quo, v.N)
-	return &VDFProof{Input: x, Output: y, Pi: pi}, nil
+	return &vdfProof{Input: x, Output: y, Pi: pi}, nil
 }
 
-// Verify checks an evaluation in O(log T) group operations.
-func (v *VDF) Verify(seed []byte, p *VDFProof) bool {
+// verify checks an evaluation in O(log T) group operations.
+func (v *vdf) verify(seed []byte, p *vdfProof) bool {
 	if p == nil || p.Input == nil || p.Output == nil || p.Pi == nil {
 		return false
 	}
@@ -138,13 +138,13 @@ func (v *VDF) Verify(seed []byte, p *VDFProof) bool {
 // last revealer cannot predict which of its two candidate worlds wins
 // before the reveal deadline passes.
 type VDFBeacon struct {
-	vdf  *VDF
+	vdf  *vdf
 	base *Trusted // supplies the per-round public seed in this simulation
 }
 
 // NewVDFBeacon wraps a trusted seed source with a VDF of the given delay.
 func NewVDFBeacon(modulusBits int, t uint64, seed []byte) (*VDFBeacon, error) {
-	vdf, err := NewVDF(modulusBits, t)
+	vdf, err := newVDF(modulusBits, t)
 	if err != nil {
 		return nil, err
 	}
@@ -163,18 +163,18 @@ func (b *VDFBeacon) Randomness(round int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	proof, err := b.vdf.Eval(seed)
+	proof, err := b.vdf.eval(seed)
 	if err != nil {
 		return nil, err
 	}
-	if !b.vdf.Verify(seed, proof) {
+	if !b.vdf.verify(seed, proof) {
 		return nil, fmt.Errorf("beacon: VDF self-verification failed at round %d", round)
 	}
-	out := make([]byte, 0, SeedBytes)
+	out := make([]byte, 0, seedBytes)
 	sum := sha256.Sum256(proof.Output.Bytes())
-	for len(out) < SeedBytes {
+	for len(out) < seedBytes {
 		out = append(out, sum[:]...)
 		sum = sha256.Sum256(sum[:])
 	}
-	return out[:SeedBytes], nil
+	return out[:seedBytes], nil
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func testVDF(t *testing.T) *VDF {
+func testVDF(t *testing.T) *vdf {
 	t.Helper()
-	v, err := NewVDF(256, 1000) // small modulus: test speed, not security
+	v, err := newVDF(256, 1000) // small modulus: test speed, not security
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +18,11 @@ func testVDF(t *testing.T) *VDF {
 func TestVDFEvalVerify(t *testing.T) {
 	v := testVDF(t)
 	seed := []byte("round-7")
-	proof, err := v.Eval(seed)
+	proof, err := v.eval(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Verify(seed, proof) {
+	if !v.verify(seed, proof) {
 		t.Fatal("honest VDF evaluation rejected")
 	}
 }
@@ -30,55 +30,55 @@ func TestVDFEvalVerify(t *testing.T) {
 func TestVDFRejectsForgery(t *testing.T) {
 	v := testVDF(t)
 	seed := []byte("round-8")
-	proof, err := v.Eval(seed)
+	proof, err := v.eval(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Wrong output.
-	bad := &VDFProof{Input: proof.Input, Output: new(big.Int).Add(proof.Output, big.NewInt(1)), Pi: proof.Pi}
-	if v.Verify(seed, bad) {
+	bad := &vdfProof{Input: proof.Input, Output: new(big.Int).Add(proof.Output, big.NewInt(1)), Pi: proof.Pi}
+	if v.verify(seed, bad) {
 		t.Fatal("accepted wrong output")
 	}
 	// Wrong proof.
-	bad = &VDFProof{Input: proof.Input, Output: proof.Output, Pi: new(big.Int).Add(proof.Pi, big.NewInt(1))}
-	if v.Verify(seed, bad) {
+	bad = &vdfProof{Input: proof.Input, Output: proof.Output, Pi: new(big.Int).Add(proof.Pi, big.NewInt(1))}
+	if v.verify(seed, bad) {
 		t.Fatal("accepted wrong pi")
 	}
 	// Wrong seed binding.
-	if v.Verify([]byte("other-round"), proof) {
+	if v.verify([]byte("other-round"), proof) {
 		t.Fatal("accepted proof under wrong seed")
 	}
 	// Degenerate values.
-	if v.Verify(seed, nil) {
+	if v.verify(seed, nil) {
 		t.Fatal("accepted nil proof")
 	}
-	if v.Verify(seed, &VDFProof{Input: proof.Input, Output: proof.Output, Pi: new(big.Int)}) {
+	if v.verify(seed, &vdfProof{Input: proof.Input, Output: proof.Output, Pi: new(big.Int)}) {
 		t.Fatal("accepted zero pi")
 	}
-	if v.Verify(seed, &VDFProof{Input: proof.Input, Output: v.N, Pi: proof.Pi}) {
+	if v.verify(seed, &vdfProof{Input: proof.Input, Output: v.N, Pi: proof.Pi}) {
 		t.Fatal("accepted out-of-range output")
 	}
 }
 
 func TestVDFDeterministic(t *testing.T) {
 	v := testVDF(t)
-	p1, _ := v.Eval([]byte("x"))
-	p2, _ := v.Eval([]byte("x"))
+	p1, _ := v.eval([]byte("x"))
+	p2, _ := v.eval([]byte("x"))
 	if p1.Output.Cmp(p2.Output) != 0 {
 		t.Fatal("VDF not deterministic")
 	}
-	p3, _ := v.Eval([]byte("y"))
+	p3, _ := v.eval([]byte("y"))
 	if p1.Output.Cmp(p3.Output) == 0 {
 		t.Fatal("distinct seeds gave identical outputs")
 	}
 }
 
 func TestNewVDFValidation(t *testing.T) {
-	if _, err := NewVDF(64, 100); err == nil {
+	if _, err := newVDF(64, 100); err == nil {
 		t.Fatal("accepted tiny modulus")
 	}
-	if _, err := NewVDF(256, 0); err == nil {
+	if _, err := newVDF(256, 0); err == nil {
 		t.Fatal("accepted zero delay")
 	}
 }
@@ -92,7 +92,7 @@ func TestVDFBeaconRandomness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1) != SeedBytes {
+	if len(r1) != seedBytes {
 		t.Fatalf("got %d bytes", len(r1))
 	}
 	r2, err := b.Randomness(1)

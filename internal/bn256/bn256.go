@@ -2,7 +2,6 @@ package bn256
 
 import (
 	"errors"
-	"io"
 	"math/big"
 
 	"repro/internal/parallel"
@@ -11,11 +10,10 @@ import (
 // Sizes of the fixed-length encodings produced by the Marshal and Compress
 // methods, in bytes.
 const (
-	G1UncompressedSize = 64  // x || y
+	g1UncompressedSize = 64  // x || y
 	G1CompressedSize   = 32  // x with sign/infinity flags in the top bits
 	G2UncompressedSize = 128 // x.x || x.y || y.x || y.y
-	G2CompressedSize   = 64
-	GTUncompressedSize = 384 // 12 Fp coefficients
+	gtUncompressedSize = 384 // 12 Fp coefficients
 	GTCompressedSize   = 192 // torus representation: 6 Fp coefficients
 )
 
@@ -28,9 +26,9 @@ const (
 )
 
 var (
-	// ErrMalformedPoint is returned by Unmarshal methods on any encoding
+	// errMalformedPoint is returned by Unmarshal methods on any encoding
 	// that does not decode to a valid group element.
-	ErrMalformedPoint = errors.New("bn256: malformed point encoding")
+	errMalformedPoint = errors.New("bn256: malformed point encoding")
 )
 
 // G1 is an element of the prime-order group of points on y^2 = x^3 + 3
@@ -51,24 +49,6 @@ type G2 struct {
 // as for G1.
 type GT struct {
 	p *gfP12
-}
-
-// RandomG1 returns k and g1^k for uniformly random k in [1, n).
-func RandomG1(r io.Reader) (Scalar, *G1, error) {
-	var k Scalar
-	if err := k.SetRandom(r); err != nil {
-		return k, nil, err
-	}
-	return k, new(G1).ScalarBaseMult(k.Big()), nil
-}
-
-// RandomG2 returns k and g2^k for uniformly random k in [1, n).
-func RandomG2(r io.Reader) (Scalar, *G2, error) {
-	var k Scalar
-	if err := k.SetRandom(r); err != nil {
-		return k, nil, err
-	}
-	return k, new(G2).ScalarBaseMult(k.Big()), nil
 }
 
 // GenG1 returns the canonical generator of G1 (the point (1, 2)). The
@@ -167,15 +147,8 @@ func (e *G1) Set(a *G1) *G1 {
 	return e
 }
 
-// SetInfinity sets e to the identity element.
-func (e *G1) SetInfinity() *G1 {
-	e.ensure()
-	e.p.SetInfinity()
-	return e
-}
-
-// IsInfinity reports whether e is the identity.
-func (e *G1) IsInfinity() bool { return e.p == nil || e.p.IsInfinity() }
+// isInfinity reports whether e is the identity.
+func (e *G1) isInfinity() bool { return e.p == nil || e.p.IsInfinity() }
 
 // Equal reports whether e and a are the same group element.
 func (e *G1) Equal(a *G1) bool {
@@ -201,8 +174,8 @@ func NormalizeG1(points []*G1) {
 // Marshal encodes e uncompressed as x || y (64 bytes). Infinity encodes as
 // all zeros.
 func (e *G1) Marshal() []byte {
-	out := make([]byte, G1UncompressedSize)
-	if e.IsInfinity() {
+	out := make([]byte, g1UncompressedSize)
+	if e.isInfinity() {
 		return out
 	}
 	x, y := e.p.Affine()
@@ -221,36 +194,12 @@ func allZero(data []byte) bool {
 	return true
 }
 
-// Unmarshal decodes an uncompressed encoding, validating curve membership.
-func (e *G1) Unmarshal(data []byte) error {
-	if len(data) != G1UncompressedSize {
-		return ErrMalformedPoint
-	}
-	e.ensure()
-	if allZero(data) {
-		e.p.SetInfinity()
-		return nil
-	}
-	var x, y gfP
-	if err := x.Unmarshal(data[:32]); err != nil {
-		return err
-	}
-	if err := y.Unmarshal(data[32:]); err != nil {
-		return err
-	}
-	e.p.SetAffine(&x, &y)
-	if !e.p.IsOnCurve() {
-		return ErrMalformedPoint
-	}
-	return nil
-}
-
 // MarshalCompressed encodes e in 32 bytes: the x coordinate with the y
 // parity in the top bit. This is the on-chain format counted by the paper
 // (96-byte plain proofs, 288-byte private proofs).
 func (e *G1) MarshalCompressed() []byte {
 	out := make([]byte, G1CompressedSize)
-	if e.IsInfinity() {
+	if e.isInfinity() {
 		out[0] = flagInfinity
 		return out
 	}
@@ -265,13 +214,13 @@ func (e *G1) MarshalCompressed() []byte {
 // UnmarshalCompressed decodes a 32-byte compressed encoding.
 func (e *G1) UnmarshalCompressed(data []byte) error {
 	if len(data) != G1CompressedSize {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	e.ensure()
 	if data[0]&flagInfinity != 0 {
 		// Canonical infinity is exactly the flag byte followed by zeros.
 		if data[0] != flagInfinity || !allZero(data[1:]) {
-			return ErrMalformedPoint
+			return errMalformedPoint
 		}
 		e.p.SetInfinity()
 		return nil
@@ -288,7 +237,7 @@ func (e *G1) UnmarshalCompressed(data []byte) error {
 	gfpMul(&y2, &y2, &x)
 	gfpAdd(&y2, &y2, &gfpCurveB)
 	if y.Sqrt(&y2) == nil {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	if y.IsOdd() != yOdd {
 		gfpNeg(&y, &y)
@@ -320,43 +269,8 @@ func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 	return e
 }
 
-// ScalarMult sets e = k*a and returns e.
-func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
-	e.ensure()
-	e.p.Mul(a.point(), k)
-	return e
-}
-
-// Add sets e = a+b and returns e.
-func (e *G2) Add(a, b *G2) *G2 {
-	e.ensure()
-	e.p.Add(a.point(), b.point())
-	return e
-}
-
-// Neg sets e = -a and returns e.
-func (e *G2) Neg(a *G2) *G2 {
-	e.ensure()
-	e.p.Neg(a.point())
-	return e
-}
-
-// Set sets e = a and returns e.
-func (e *G2) Set(a *G2) *G2 {
-	e.ensure()
-	e.p.Set(a.point())
-	return e
-}
-
-// SetInfinity sets e to the identity element.
-func (e *G2) SetInfinity() *G2 {
-	e.ensure()
-	e.p.SetInfinity()
-	return e
-}
-
-// IsInfinity reports whether e is the identity.
-func (e *G2) IsInfinity() bool { return e.p == nil || e.p.IsInfinity() }
+// isInfinity reports whether e is the identity.
+func (e *G2) isInfinity() bool { return e.p == nil || e.p.IsInfinity() }
 
 // Equal reports whether e and a are the same group element.
 func (e *G2) Equal(a *G2) bool {
@@ -377,7 +291,7 @@ func NormalizeG2(points []*G2) {
 // Marshal encodes e uncompressed as x.x || x.y || y.x || y.y (128 bytes).
 func (e *G2) Marshal() []byte {
 	out := make([]byte, G2UncompressedSize)
-	if e.IsInfinity() {
+	if e.isInfinity() {
 		return out
 	}
 	x, y := e.p.Affine()
@@ -393,7 +307,7 @@ func (e *G2) Marshal() []byte {
 // is mandatory for soundness).
 func (e *G2) Unmarshal(data []byte) error {
 	if len(data) != G2UncompressedSize {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	e.ensure()
 	x, y := newGFp2(), newGFp2()
@@ -414,10 +328,10 @@ func (e *G2) Unmarshal(data []byte) error {
 	}
 	e.p.SetAffine(x, y)
 	if !e.p.IsOnCurve() {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	if !newTwistPoint().Mul(e.p, Order).IsInfinity() {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	return nil
 }
@@ -502,13 +416,6 @@ func (e *GT) Neg(a *GT) *GT {
 	return e
 }
 
-// Set sets e = a and returns e.
-func (e *GT) Set(a *GT) *GT {
-	e.ensure()
-	e.p.Set(a.point())
-	return e
-}
-
 // SetOne sets e to the identity element.
 func (e *GT) SetOne() *GT {
 	e.ensure()
@@ -527,7 +434,7 @@ func (e *GT) Equal(a *GT) bool {
 // Marshal encodes e as 12 Fp coefficients (384 bytes), ordered from the
 // omega part's tau^2 coefficient down to the constant term.
 func (e *GT) Marshal() []byte {
-	out := make([]byte, GTUncompressedSize)
+	out := make([]byte, gtUncompressedSize)
 	for i, c := range e.point().coeffs() {
 		c.Marshal(out[i*32 : (i+1)*32])
 	}
@@ -540,24 +447,6 @@ func (p *gfP12) coeffs() []*gfP {
 		&p.x.x.x, &p.x.x.y, &p.x.y.x, &p.x.y.y, &p.x.z.x, &p.x.z.y,
 		&p.y.x.x, &p.y.x.y, &p.y.y.x, &p.y.y.y, &p.y.z.x, &p.y.z.y,
 	}
-}
-
-// Unmarshal decodes a 384-byte encoding. It validates field-element ranges
-// and membership in the order-n subgroup.
-func (e *GT) Unmarshal(data []byte) error {
-	if len(data) != GTUncompressedSize {
-		return ErrMalformedPoint
-	}
-	e.ensure()
-	for i, c := range e.p.coeffs() {
-		if err := c.Unmarshal(data[i*32 : (i+1)*32]); err != nil {
-			return err
-		}
-	}
-	if !e.p.hasOrderN() {
-		return ErrMalformedPoint
-	}
-	return nil
 }
 
 // MarshalCompressed encodes e in 192 bytes using the torus (T2)
@@ -591,7 +480,7 @@ func (e *GT) MarshalCompressed() ([]byte, error) {
 // subgroup membership.
 func (e *GT) UnmarshalCompressed(data []byte) error {
 	if len(data) != GTCompressedSize {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	e.ensure()
 	a := newGFp6()
@@ -608,7 +497,7 @@ func (e *GT) UnmarshalCompressed(data []byte) error {
 	num := newGFp6().Add(a2, tau)
 	den := newGFp6().Sub(a2, tau)
 	if den.IsZero() {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	den.Invert(den)
 
@@ -618,7 +507,7 @@ func (e *GT) UnmarshalCompressed(data []byte) error {
 	e.p.x.Set(x)
 	e.p.y.Set(y)
 	if !e.p.hasOrderN() {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	return nil
 }
@@ -665,17 +554,4 @@ func MillerBatch(a []*G1, b []*G2, workers int) *GT {
 // FinalExponentiate maps an unreduced pairing value into GT.
 func FinalExponentiate(a *GT) *GT {
 	return &GT{p: finalExponentiationFast(a.point())}
-}
-
-// PairingCheck reports whether the product of pairings over all pairs is the
-// identity, sharing one final exponentiation.
-func PairingCheck(a []*G1, b []*G2) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	acc := newGFp12().SetOne()
-	for i := range a {
-		acc.Mul(acc, miller(b[i].point(), a[i].point()))
-	}
-	return finalExponentiationFast(acc).IsOne()
 }

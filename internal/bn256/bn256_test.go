@@ -37,20 +37,20 @@ func TestG1MarshalInfinity(t *testing.T) {
 	if err := q.Unmarshal(inf.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if !q.IsInfinity() {
+	if !q.isInfinity() {
 		t.Fatal("infinity round trip failed")
 	}
 	var r G1
 	if err := r.UnmarshalCompressed(inf.MarshalCompressed()); err != nil {
 		t.Fatal(err)
 	}
-	if !r.IsInfinity() {
+	if !r.isInfinity() {
 		t.Fatal("compressed infinity round trip failed")
 	}
 }
 
 func TestG1UnmarshalRejectsOffCurve(t *testing.T) {
-	bad := make([]byte, G1UncompressedSize)
+	bad := make([]byte, g1UncompressedSize)
 	bad[31] = 5 // x = 5
 	bad[63] = 1 // y = 1; 1 != 125+3
 	var q G1
@@ -165,7 +165,7 @@ func TestHashToG1(t *testing.T) {
 	if p1.Equal(p3) {
 		t.Fatal("distinct inputs hashed to the same point")
 	}
-	if p1.IsInfinity() {
+	if p1.isInfinity() {
 		t.Fatal("hashed to infinity")
 	}
 	if !p1.p.IsOnCurve() {

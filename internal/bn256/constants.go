@@ -38,8 +38,8 @@ var (
 	//	n = 36u^4 + 36u^3 + 18u^2 + 6u + 1
 	u = bigFromBase10("4965661367192848881")
 
-	// P is the prime of the base field Fp.
-	P *big.Int
+	// pBig is the prime of the base field Fp.
+	pBig *big.Int
 
 	// Order is the order n of G1, G2 and GT (a prime).
 	Order *big.Int
@@ -96,20 +96,20 @@ func polyInU(c ...int64) *big.Int {
 }
 
 func init() {
-	P = polyInU(1, 6, 24, 36, 36)
+	pBig = polyInU(1, 6, 24, 36, 36)
 	Order = polyInU(1, 6, 18, 36, 36)
 
-	if P.BitLen() != 254 || Order.BitLen() != 254 {
+	if pBig.BitLen() != 254 || Order.BitLen() != 254 {
 		panic("bn256: derived p or n has unexpected bit length")
 	}
-	if !P.ProbablyPrime(32) || !Order.ProbablyPrime(32) {
+	if !pBig.ProbablyPrime(32) || !Order.ProbablyPrime(32) {
 		panic("bn256: derived p or n is not prime")
 	}
-	if new(big.Int).Mod(P, big.NewInt(4)).Int64() != 3 {
+	if new(big.Int).Mod(pBig, big.NewInt(4)).Int64() != 3 {
 		panic("bn256: p is not 3 mod 4")
 	}
 
-	pPlus1Over4 = new(big.Int).Add(P, big.NewInt(1))
+	pPlus1Over4 = new(big.Int).Add(pBig, big.NewInt(1))
 	pPlus1Over4.Rsh(pPlus1Over4, 2)
 
 	// The Montgomery-form base field underlies every derived constant
@@ -120,11 +120,11 @@ func init() {
 	loopCount = new(big.Int).Mul(u, big.NewInt(6))
 	loopCount.Add(loopCount, big.NewInt(2))
 
-	twistCofactor = new(big.Int).Lsh(P, 1)
+	twistCofactor = new(big.Int).Lsh(pBig, 1)
 	twistCofactor.Sub(twistCofactor, Order)
 
 	// hardExponent = (p^4 - p^2 + 1)/n, which must divide exactly.
-	p2 := new(big.Int).Mul(P, P)
+	p2 := new(big.Int).Mul(pBig, pBig)
 	p4 := new(big.Int).Mul(p2, p2)
 	h := new(big.Int).Sub(p4, p2)
 	h.Add(h, big.NewInt(1))
@@ -137,8 +137,8 @@ func init() {
 	// The GT subgroup check (gfP12.hasOrderN) tests a^m = 1 for
 	// m = (u+1) + u*p + u*p^2 - 2u*p^3 on the cyclotomic subgroup, whose order
 	// is h: that is a^n = 1 exactly when n divides m and gcd(m, h) = n.
-	p3 := new(big.Int).Mul(p2, P)
-	m := new(big.Int).Add(P, p2)
+	p3 := new(big.Int).Mul(p2, pBig)
+	m := new(big.Int).Add(pBig, p2)
 	m.Sub(m, p3.Lsh(p3, 1))
 	m.Add(m, big.NewInt(1))
 	m.Mul(m, u)
@@ -155,7 +155,7 @@ func init() {
 	twistB.MulScalar(twistB, &gfpCurveB)
 
 	// Frobenius coefficients.
-	pMinus1 := new(big.Int).Sub(P, big.NewInt(1))
+	pMinus1 := new(big.Int).Sub(pBig, big.NewInt(1))
 	xiToPMinus1Over6 = newGFp2().Exp(xi, new(big.Int).Div(pMinus1, big.NewInt(6)))
 	xiToPMinus1Over3 = newGFp2().Exp(xi, new(big.Int).Div(pMinus1, big.NewInt(3)))
 	xiToPMinus1Over2 = newGFp2().Exp(xi, new(big.Int).Div(pMinus1, big.NewInt(2)))

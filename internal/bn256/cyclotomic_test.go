@@ -262,7 +262,7 @@ func BenchmarkGTUnmarshalCompressed(b *testing.B) {
 // would miss with probability about 2^-38.8, not 2^-128, and hasOrderN stays
 // per element.
 func TestCyclotomicCofactorSmallFactor(t *testing.T) {
-	p2 := new(big.Int).Mul(P, P)
+	p2 := new(big.Int).Mul(pBig, pBig)
 	phi12 := new(big.Int).Mul(p2, p2)
 	phi12.Sub(phi12, p2).Add(phi12, bigOne)
 	h, rem := new(big.Int).QuoRem(phi12, Order, new(big.Int))

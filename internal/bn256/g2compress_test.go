@@ -31,7 +31,7 @@ func TestG2CompressedInfinity(t *testing.T) {
 	if err := q.UnmarshalCompressed(inf.MarshalCompressed()); err != nil {
 		t.Fatal(err)
 	}
-	if !q.IsInfinity() {
+	if !q.isInfinity() {
 		t.Fatal("infinity round trip failed")
 	}
 }
@@ -59,7 +59,7 @@ func TestG2CompressedRejectsBadInput(t *testing.T) {
 	}
 	// Out-of-range field element.
 	bad := make([]byte, G2CompressedSize)
-	P.FillBytes(bad[32:]) // x.y = p: non-canonical
+	pBig.FillBytes(bad[32:]) // x.y = p: non-canonical
 	if err := q.UnmarshalCompressed(bad); err == nil {
 		t.Fatal("accepted non-canonical field element")
 	}

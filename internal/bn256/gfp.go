@@ -50,14 +50,14 @@ var (
 // initGFp derives the Montgomery constants from P. It must run after P is
 // derived and before any gfP arithmetic (constants.go calls it from init).
 func initGFp() {
-	pLimbs = limbsFromBig(P)
+	pLimbs = limbsFromBig(pBig)
 
 	np = montInv64(pLimbs[0])
 
 	one := new(big.Int).Lsh(bigOne, 256)
-	rOne = limbsFromBig(new(big.Int).Mod(one, P))
+	rOne = limbsFromBig(new(big.Int).Mod(one, pBig))
 	r2big := new(big.Int).Lsh(bigOne, 512)
-	r2 = limbsFromBig(r2big.Mod(r2big, P))
+	r2 = limbsFromBig(r2big.Mod(r2big, pBig))
 
 	gfpCurveB.SetBig(curveB)
 
@@ -464,7 +464,7 @@ func (e *gfP) Equal(a *gfP) bool { return *e == *a }
 
 // SetBig sets e to v mod p (Montgomery encoding).
 func (e *gfP) SetBig(v *big.Int) *gfP {
-	m := new(big.Int).Mod(v, P)
+	m := new(big.Int).Mod(v, pBig)
 	raw := gfP(limbsFromBig(m))
 	gfpMul(e, &raw, &r2)
 	return e
@@ -510,7 +510,7 @@ func (e *gfP) Marshal(out []byte) {
 func (e *gfP) Unmarshal(data []byte) error {
 	raw := gfP(limbsFromBytes(data))
 	if !limbsLess(raw, pLimbs) {
-		return ErrMalformedPoint
+		return errMalformedPoint
 	}
 	gfpMul(e, &raw, &r2)
 	return nil

@@ -16,12 +16,12 @@ func gfpTestInputs(t *testing.T) []*big.Int {
 		big.NewInt(0),
 		big.NewInt(1),
 		big.NewInt(2),
-		new(big.Int).Sub(P, big.NewInt(1)), // p-1
-		new(big.Int).Sub(P, big.NewInt(2)), // p-2
-		new(big.Int).Rsh(P, 1),             // (p-1)/2
+		new(big.Int).Sub(pBig, big.NewInt(1)), // p-1
+		new(big.Int).Sub(pBig, big.NewInt(2)), // p-2
+		new(big.Int).Rsh(pBig, 1),             // (p-1)/2
 	}
 	for i := 0; i < 20; i++ {
-		v, err := rand.Int(rand.Reader, P)
+		v, err := rand.Int(rand.Reader, pBig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,25 +49,25 @@ func TestGFpDifferentialVsBig(t *testing.T) {
 		var out gfP
 		gfpNeg(&out, &a)
 		want := new(big.Int).Neg(av)
-		want.Mod(want, P)
+		want.Mod(want, pBig)
 		if out.Big().Cmp(want) != 0 {
 			t.Fatalf("Neg(%v) mismatch", av)
 		}
 		gfpDouble(&out, &a)
 		want.Lsh(av, 1)
-		want.Mod(want, P)
+		want.Mod(want, pBig)
 		if out.Big().Cmp(want) != 0 {
 			t.Fatalf("Double(%v) mismatch", av)
 		}
 		gfpSquare(&out, &a)
 		want.Mul(av, av)
-		want.Mod(want, P)
+		want.Mod(want, pBig)
 		if out.Big().Cmp(want) != 0 {
 			t.Fatalf("Square(%v) mismatch", av)
 		}
 		if av.Sign() != 0 {
 			out.Invert(&a)
-			want.ModInverse(av, P)
+			want.ModInverse(av, pBig)
 			if out.Big().Cmp(want) != 0 {
 				t.Fatalf("Invert(%v) mismatch", av)
 			}
@@ -100,21 +100,21 @@ func TestGFpDifferentialVsBig(t *testing.T) {
 
 			gfpAdd(&c, &a, &b)
 			want.Add(av, bv)
-			want.Mod(want, P)
+			want.Mod(want, pBig)
 			if c.Big().Cmp(want) != 0 {
 				t.Fatalf("Add(%v, %v) mismatch", av, bv)
 			}
 
 			gfpSub(&c, &a, &b)
 			want.Sub(av, bv)
-			want.Mod(want, P)
+			want.Mod(want, pBig)
 			if c.Big().Cmp(want) != 0 {
 				t.Fatalf("Sub(%v, %v) mismatch", av, bv)
 			}
 
 			gfpMul(&c, &a, &b)
 			want.Mul(av, bv)
-			want.Mod(want, P)
+			want.Mod(want, pBig)
 			if c.Big().Cmp(want) != 0 {
 				t.Fatalf("Mul(%v, %v) mismatch", av, bv)
 			}
@@ -126,12 +126,12 @@ func TestGFpDifferentialVsBig(t *testing.T) {
 // the big.Int reference.
 func TestGFpExpSqrtDifferential(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		av, _ := rand.Int(rand.Reader, P)
-		kv, _ := rand.Int(rand.Reader, P)
+		av, _ := rand.Int(rand.Reader, pBig)
+		kv, _ := rand.Int(rand.Reader, pBig)
 		var a, out gfP
 		a.SetBig(av)
 		out.Exp(&a, kv)
-		want := new(big.Int).Exp(av, kv, P)
+		want := new(big.Int).Exp(av, kv, pBig)
 		if out.Big().Cmp(want) != 0 {
 			t.Fatalf("Exp mismatch on iteration %d", i)
 		}
@@ -159,19 +159,19 @@ func TestGFpLegendreDifferential(t *testing.T) {
 		inputs = append(inputs, big.NewInt(i), new(big.Int).Lsh(big.NewInt(i), 190))
 	}
 	for i := 0; i < 2000; i++ {
-		v, _ := rand.Int(rand.Reader, P)
+		v, _ := rand.Int(rand.Reader, pBig)
 		inputs = append(inputs, v)
 	}
 	for _, v := range inputs {
 		var a gfP
 		a.SetBig(v)
-		if got, want := a.Legendre(), big.Jacobi(v, P); got != want {
+		if got, want := a.Legendre(), big.Jacobi(v, pBig); got != want {
 			t.Fatalf("Legendre(%v) = %d, want %d", v, got, want)
 		}
 		// The symbol is also that of the raw limbs, which is the form
 		// whose zero-limb patterns the small inputs exercise.
 		raw := gfP(limbsFromBig(v))
-		if got, want := raw.Legendre(), big.Jacobi(v, P); got != want {
+		if got, want := raw.Legendre(), big.Jacobi(v, pBig); got != want {
 			t.Fatalf("Legendre(raw %v) = %d, want %d", v, got, want)
 		}
 	}
@@ -191,7 +191,7 @@ func TestGFpInvertDifferential(t *testing.T) {
 		inputs = append(inputs, a)
 	}
 	for i := 0; i < 2000; i++ {
-		v, _ := rand.Int(rand.Reader, P)
+		v, _ := rand.Int(rand.Reader, pBig)
 		if v.Sign() != 0 {
 			inputs = append(inputs, gfP(limbsFromBig(v)))
 		}
@@ -202,7 +202,7 @@ func TestGFpInvertDifferential(t *testing.T) {
 		if gfpMul(&prod, &inv, &a); prod != rOne {
 			t.Fatalf("Invert(%v): a * 1/a != 1", a)
 		}
-		if want := new(big.Int).ModInverse(a.Big(), P); inv.Big().Cmp(want) != 0 {
+		if want := new(big.Int).ModInverse(a.Big(), pBig); inv.Big().Cmp(want) != 0 {
 			t.Fatalf("Invert(%v) = %v, want %v", a, &inv, want)
 		}
 		b := a
@@ -216,12 +216,12 @@ func TestGFpInvertDifferential(t *testing.T) {
 // boundary: encodings >= p must be rejected.
 func TestGFpUnmarshalRejectsNonCanonical(t *testing.T) {
 	var buf [32]byte
-	P.FillBytes(buf[:])
+	pBig.FillBytes(buf[:])
 	var e gfP
 	if err := e.Unmarshal(buf[:]); err == nil {
 		t.Fatal("accepted p as a field element encoding")
 	}
-	pPlus1 := new(big.Int).Add(P, big.NewInt(1))
+	pPlus1 := new(big.Int).Add(pBig, big.NewInt(1))
 	pPlus1.FillBytes(buf[:])
 	if err := e.Unmarshal(buf[:]); err == nil {
 		t.Fatal("accepted p+1 as a field element encoding")
@@ -336,18 +336,18 @@ func FuzzGfpMulSquare(f *testing.F) {
 			f.Add(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
 		}
 	}
-	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(bigOne, 256), P)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(bigOne, 256), pBig)
 	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
 		raw := func(l gfP) (gfP, *big.Int) {
 			v := l.rawBig()
-			v.Mod(v, P)
+			v.Mod(v, pBig)
 			return gfP(limbsFromBig(v)), v
 		}
 		a, av := raw(gfP{a0, a1, a2, a3})
 		b, bv := raw(gfP{b0, b1, b2, b3})
 		check := func(op string, got gfP, x, y *big.Int) {
 			want := new(big.Int).Mul(x, y)
-			want.Mul(want, rInv).Mod(want, P)
+			want.Mul(want, rInv).Mod(want, pBig)
 			if gfP(limbsFromBig(want)) != got {
 				t.Fatalf("%s(%v, %v) = %v, want %v", op, x, y, got, want)
 			}
@@ -381,9 +381,9 @@ func FuzzGfpMulSquare(f *testing.F) {
 // put a+b at p-1, p and p+1 and a-b at -1, 0 and +1, where the reduction's
 // outcome flips, plus 0 and p-1.
 func FuzzGfpAddSub(f *testing.F) {
-	half := new(big.Int).Rsh(P, 1) // (p-1)/2
+	half := new(big.Int).Rsh(pBig, 1) // (p-1)/2
 	next := new(big.Int).Add(half, bigOne)
-	zero, pm1 := new(big.Int), new(big.Int).Sub(P, bigOne)
+	zero, pm1 := new(big.Int), new(big.Int).Sub(pBig, bigOne)
 	for _, s := range [][2]*big.Int{
 		{half, half}, // a+b = p-1, a-b = 0
 		{half, next}, // a+b = p, a-b = -1
@@ -400,7 +400,7 @@ func FuzzGfpAddSub(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
 		reduce := func(l gfP) (gfP, *big.Int) {
 			v := l.rawBig()
-			v.Mod(v, P)
+			v.Mod(v, pBig)
 			return gfP(limbsFromBig(v)), v
 		}
 		a, av := reduce(gfP{a0, a1, a2, a3})
@@ -415,7 +415,7 @@ func FuzzGfpAddSub(f *testing.F) {
 			{"gfpDouble", func(c, a, _ *gfP) { gfpDouble(c, a) }, new(big.Int).Lsh(av, 1)},
 			{"gfpNeg", func(c, a, _ *gfP) { gfpNeg(c, a) }, new(big.Int).Neg(av)},
 		} {
-			op.want.Mod(op.want, P)
+			op.want.Mod(op.want, pBig)
 			want := gfP(limbsFromBig(op.want))
 			var c gfP
 			op.fn(&c, &a, &b)

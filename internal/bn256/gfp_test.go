@@ -9,11 +9,11 @@ import (
 
 func randGFp2(t *testing.T) *gfP2 {
 	t.Helper()
-	x, err := rand.Int(rand.Reader, P)
+	x, err := rand.Int(rand.Reader, pBig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := rand.Int(rand.Reader, P)
+	y, err := rand.Int(rand.Reader, pBig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +135,19 @@ func TestGFp12Axioms(t *testing.T) {
 // to the p-th power directly, on each level of the tower.
 func TestFrobenius(t *testing.T) {
 	a2 := randGFp2(t)
-	direct := newGFp2().Exp(a2, P)
+	direct := newGFp2().Exp(a2, pBig)
 	alg := newGFp2().Conjugate(a2)
 	if !direct.Equal(alg) {
 		t.Fatal("Fp2 Frobenius (conjugate) != a^p")
 	}
 
 	a6 := randGFp6(t)
-	d6 := gfp6Exp(a6, P)
+	d6 := gfp6Exp(a6, pBig)
 	alg6 := newGFp6().Frobenius(a6)
 	if !d6.Equal(alg6) {
 		t.Fatal("Fp6 Frobenius != a^p")
 	}
-	p2 := new(big.Int).Mul(P, P)
+	p2 := new(big.Int).Mul(pBig, pBig)
 	d6p2 := gfp6Exp(a6, p2)
 	alg6p2 := newGFp6().FrobeniusP2(a6)
 	if !d6p2.Equal(alg6p2) {
@@ -155,7 +155,7 @@ func TestFrobenius(t *testing.T) {
 	}
 
 	a12 := randGFp12(t)
-	d12 := newGFp12().Exp(a12, P)
+	d12 := newGFp12().Exp(a12, pBig)
 	alg12 := newGFp12().Frobenius(a12)
 	if !d12.Equal(alg12) {
 		t.Fatal("Fp12 Frobenius != a^p")

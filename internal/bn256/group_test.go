@@ -111,14 +111,14 @@ func TestZeroValueOperandsShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ok := new(G1).Add(g1, &z1).Equal(g1) && new(G1).Neg(&z1).Equal(&z1) &&
-				new(G1).Set(&z1).IsInfinity() && new(G1).ScalarMult(&z1, k).IsInfinity() &&
+				new(G1).Set(&z1).isInfinity() && new(G1).ScalarMult(&z1, k).isInfinity() &&
 				new(G1).MultiScalarMult([]*G1{&z1, g1}, scalarsFromBig([]*big.Int{k, k})).Equal(new(G1).ScalarMult(g1, k)) &&
-				len(z1.Marshal()) == G1UncompressedSize
+				len(z1.Marshal()) == g1UncompressedSize
 			ok = ok && new(G2).Add(g2, &z2).Equal(g2) && new(G2).Neg(&z2).Equal(&z2) &&
-				new(G2).Set(&z2).IsInfinity() && new(G2).ScalarMult(&z2, k).IsInfinity()
+				new(G2).Set(&z2).isInfinity() && new(G2).ScalarMult(&z2, k).isInfinity()
 			ok = ok && new(GT).Add(gt, &zt).Equal(gt) && new(GT).Neg(&zt).Equal(&zt) &&
 				new(GT).Set(&zt).IsOne() && new(GT).ScalarMult(&zt, k).IsOne() &&
-				len(zt.Marshal()) == GTUncompressedSize
+				len(zt.Marshal()) == gtUncompressedSize
 			ok = ok && Pair(&z1, g2).IsOne() && MillerLoop(g1, &z2).IsOne() &&
 				MillerBatch([]*G1{&z1, g1}, []*G2{g2, &z2}, 2).IsOne() &&
 				PairingCheck([]*G1{&z1}, []*G2{&z2}) && FinalExponentiate(&zt).IsOne()

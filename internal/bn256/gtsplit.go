@@ -38,7 +38,7 @@ const gtSplitBits = 65
 func initGTSplit() {
 	poly := polyInU
 	gtLambda = poly(0, 0, 6)
-	if new(big.Int).Mod(P, Order).Cmp(gtLambda) != 0 {
+	if new(big.Int).Mod(pBig, Order).Cmp(gtLambda) != 0 {
 		panic("bn256: p mod n != 6u^2")
 	}
 	basis := [4][4]*big.Int{

@@ -140,17 +140,17 @@ func hashToG1Ref(data []byte) (uncompressed []byte, counter uint32) {
 			wide = h.Sum(wide)
 		}
 		x := new(big.Int).SetBytes(wide)
-		x.Mod(x, P)
-		y2 := new(big.Int).Exp(x, big.NewInt(3), P)
-		y2.Add(y2, curveB).Mod(y2, P)
-		y := new(big.Int).ModSqrt(y2, P)
+		x.Mod(x, pBig)
+		y2 := new(big.Int).Exp(x, big.NewInt(3), pBig)
+		y2.Add(y2, curveB).Mod(y2, pBig)
+		y := new(big.Int).ModSqrt(y2, pBig)
 		if y == nil {
 			continue
 		}
-		if ny := new(big.Int).Sub(P, y); ny.Cmp(y) < 0 {
+		if ny := new(big.Int).Sub(pBig, y); ny.Cmp(y) < 0 {
 			y = ny
 		}
-		uncompressed = make([]byte, G1UncompressedSize)
+		uncompressed = make([]byte, g1UncompressedSize)
 		x.FillBytes(uncompressed[:32])
 		y.FillBytes(uncompressed[32:])
 		return uncompressed, counter

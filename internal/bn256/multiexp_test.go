@@ -37,7 +37,7 @@ func TestMultiScalarMultEdgeCases(t *testing.T) {
 
 	// All-zero scalars.
 	got := new(G1).MultiScalarMult([]*G1{p, p}, make([]Scalar, 2))
-	if !got.IsInfinity() {
+	if !got.isInfinity() {
 		t.Fatal("all-zero MSM is not infinity")
 	}
 
@@ -160,7 +160,7 @@ func TestMultiScalarMultDifferential(t *testing.T) {
 	for i := range points {
 		zeros[i], small[i] = new(big.Int), big.NewInt(int64(i%4+1))
 	}
-	if !new(G1).MultiScalarMult(points, scalarsFromBig(zeros)).IsInfinity() {
+	if !new(G1).MultiScalarMult(points, scalarsFromBig(zeros)).isInfinity() {
 		t.Error("all-zero scalars: not infinity")
 	}
 	if !new(G1).MultiScalarMult(points, scalarsFromBig(small)).Equal(msmNaive(points, small)) {
@@ -335,7 +335,7 @@ func TestMultiScalarMultPicksMethod(t *testing.T) {
 		for i := range points {
 			points[i] = HashToG1([]byte(fmt.Sprintf("method %d", i)))
 			k, _ := rand.Int(rand.Reader, bound)
-			scalars[i].SetBig(k.SetBit(k, bound.BitLen()-2, 1)) // near full length
+			scalars[i].setBig(k.SetBit(k, bound.BitLen()-2, 1)) // near full length
 		}
 		aff, halves := make([]affinePoint, 2*c.n), make([][2]uint64, 2*c.n)
 		maxBits, live, bases := msmSplit(aff, halves, points, scalars)
@@ -432,7 +432,7 @@ func benchmarkMultiScalarMult(b *testing.B, k int, bound *big.Int) {
 	for i := 0; i < k; i++ {
 		_, points[i], _ = RandomG1(rand.Reader)
 		s, _ := rand.Int(rand.Reader, bound)
-		scalars[i].SetBig(s)
+		scalars[i].setBig(s)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -176,22 +176,6 @@ func miller(q *twistPoint, c *curvePoint) *gfP12 {
 	return f
 }
 
-// finalExponentiation raises f to (p^12-1)/n with a naive hard part: a
-// direct square-and-multiply by the exact exponent (p^4-p^2+1)/n. It is
-// kept as the unconditionally-correct reference implementation; the
-// production path (finalExponentiationFast in finalexp.go) must agree with
-// it on random inputs, which TestFastFinalExpMatchesNaive enforces.
-func finalExponentiation(f *gfP12) *gfP12 {
-	t := newGFp12().Conjugate(f)
-	inv := newGFp12().Invert(f)
-	t.Mul(t, inv) // f^(p^6-1)
-
-	t2 := newGFp12().FrobeniusP2(t)
-	t.Mul(t, t2) // ^(p^2+1)
-
-	return newGFp12().Exp(t, hardExponent)
-}
-
 // pair computes the full optimal ate pairing on internal representations.
 func pair(c *curvePoint, q *twistPoint) *gfP12 {
 	return finalExponentiationFast(miller(q, c))

@@ -51,12 +51,12 @@ func TestMultiScalarMultParallelMatchesSerial(t *testing.T) {
 // TestMultiScalarMultParallelEdgeCases covers the empty and all-zero-scalar
 // inputs on the parallel path.
 func TestMultiScalarMultParallelEdgeCases(t *testing.T) {
-	if got := new(G1).MultiScalarMultParallel(nil, nil, 4); !got.IsInfinity() {
+	if got := new(G1).MultiScalarMultParallel(nil, nil, 4); !got.isInfinity() {
 		t.Fatal("empty MSM is not infinity")
 	}
 	points, _, _ := randomPairs(t, 3)
 	zeros := []*big.Int{big.NewInt(0), big.NewInt(0), big.NewInt(0)}
-	if got := new(G1).MultiScalarMultParallel(points, zeros, 4); !got.IsInfinity() {
+	if got := new(G1).MultiScalarMultParallel(points, zeros, 4); !got.isInfinity() {
 		t.Fatal("all-zero MSM is not infinity")
 	}
 }

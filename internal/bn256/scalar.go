@@ -15,9 +15,9 @@ import (
 // decomposition, the digit readers and the fixed-base table all run on the
 // limbs, with no allocation and no dependence on the platform's word size.
 
-// ErrNonCanonicalScalar is returned by Scalar.SetBytes on an encoding of a
+// errNonCanonicalScalar is returned by Scalar.SetBytes on an encoding of a
 // value n or more, or longer than 32 bytes.
-var ErrNonCanonicalScalar = errors.New("bn256: non-canonical scalar encoding")
+var errNonCanonicalScalar = errors.New("bn256: non-canonical scalar encoding")
 
 var (
 	// nLimbs is the group order n as limbs.
@@ -86,8 +86,8 @@ func (z *Scalar) SetBytesWide(b *[64]byte) *Scalar {
 	return z
 }
 
-// SetBig sets z = k mod n and returns z.
-func (z *Scalar) SetBig(k *big.Int) *Scalar {
+// setBig sets z = k mod n and returns z.
+func (z *Scalar) setBig(k *big.Int) *Scalar {
 	z.l = scalarFromBig(k)
 	return z
 }
@@ -103,13 +103,13 @@ func (z Scalar) Big() *big.Int {
 // was: each element has one encoding.
 func (z *Scalar) SetBytes(b []byte) error {
 	if len(b) > 32 {
-		return ErrNonCanonicalScalar
+		return errNonCanonicalScalar
 	}
 	var buf [32]byte
 	copy(buf[32-len(b):], b)
 	v := limbsFromBytes(buf[:])
 	if !limbsLess(v, nLimbs) {
-		return ErrNonCanonicalScalar
+		return errNonCanonicalScalar
 	}
 	z.l = v
 	return nil
@@ -171,7 +171,7 @@ func (z Scalar) String() string { return z.Big().String() }
 func scalarsFromBig(v []*big.Int) []Scalar {
 	out := make([]Scalar, len(v))
 	for i, k := range v {
-		out[i].SetBig(k)
+		out[i].setBig(k)
 	}
 	return out
 }

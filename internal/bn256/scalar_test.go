@@ -53,8 +53,8 @@ func FuzzScalar(f *testing.F) {
 		av := new(big.Int).SetBytes(a)
 		bv := new(big.Int).SetBytes(b)
 		var x, y Scalar
-		x.SetBig(av)
-		y.SetBig(bv)
+		x.setBig(av)
+		y.setBig(bv)
 		av.Mod(av, Order)
 		bv.Mod(bv, Order)
 		if x.Big().Cmp(av) != 0 || y.Big().Cmp(bv) != 0 {
@@ -129,7 +129,7 @@ func FuzzScalar(f *testing.F) {
 func TestScalarLinearCombinationWorstCase(t *testing.T) {
 	nm1 := new(big.Int).Sub(Order, bigOne)
 	var top Scalar
-	top.SetBig(nm1)
+	top.setBig(nm1)
 	const k, width = 5000, 3
 	c := make([]Scalar, k)
 	v := make([][]Scalar, k)

@@ -32,8 +32,8 @@ type GasSchedule struct {
 	LogByte         uint64 // per byte of log data
 }
 
-// DefaultGasSchedule returns the Istanbul constants.
-func DefaultGasSchedule() GasSchedule {
+// defaultGasSchedule returns the Istanbul constants.
+func defaultGasSchedule() GasSchedule {
 	return GasSchedule{
 		TxBase:          21000,
 		CalldataZero:    4,
@@ -44,8 +44,8 @@ func DefaultGasSchedule() GasSchedule {
 	}
 }
 
-// CalldataGas returns the calldata portion of a transaction's gas.
-func (g GasSchedule) CalldataGas(data []byte) uint64 {
+// calldataGas returns the calldata portion of a transaction's gas.
+func (g GasSchedule) calldataGas(data []byte) uint64 {
 	var total uint64
 	for _, b := range data {
 		if b == 0 {
@@ -85,7 +85,7 @@ type Config struct {
 // limit, ~13s blocks.
 func DefaultConfig() Config {
 	return Config{
-		Gas:           DefaultGasSchedule(),
+		Gas:           defaultGasSchedule(),
 		BlockGasLimit: 10_000_000,
 		BlockInterval: 13 * time.Second,
 		GenesisTime:   time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC),
@@ -163,8 +163,8 @@ type pendingTx struct {
 
 // Errors surfaced by ledger operations.
 var (
-	ErrInsufficientFunds = errors.New("chain: insufficient funds")
-	ErrBlockGasExceeded  = errors.New("chain: transaction exceeds block gas limit")
+	errInsufficientFunds = errors.New("chain: insufficient funds")
+	errBlockGasExceeded  = errors.New("chain: transaction exceeds block gas limit")
 )
 
 // New returns a fresh chain with only the genesis block.
@@ -216,21 +216,13 @@ func (c *Chain) LockedBalance(a Address) *big.Int {
 	return new(big.Int)
 }
 
-// Transfer moves value between accounts immediately (used by contract
-// logic; gas for the enclosing call is charged via Submit).
-func (c *Chain) Transfer(from, to Address, amount *big.Int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.transferLocked(from, to, amount)
-}
-
 func (c *Chain) transferLocked(from, to Address, amount *big.Int) error {
 	if amount.Sign() < 0 {
 		return fmt.Errorf("chain: negative transfer")
 	}
 	b, ok := c.balances[from]
 	if !ok || b.Cmp(amount) < 0 {
-		return fmt.Errorf("%w: %s has %v, needs %v", ErrInsufficientFunds, from, b, amount)
+		return fmt.Errorf("%w: %s has %v, needs %v", errInsufficientFunds, from, b, amount)
 	}
 	b.Sub(b, amount)
 	c.creditLocked(to, amount)
@@ -243,7 +235,7 @@ func (c *Chain) Lock(a Address, amount *big.Int) error {
 	defer c.mu.Unlock()
 	b, ok := c.balances[a]
 	if !ok || b.Cmp(amount) < 0 {
-		return fmt.Errorf("%w: cannot lock %v for %s", ErrInsufficientFunds, amount, a)
+		return fmt.Errorf("%w: cannot lock %v for %s", errInsufficientFunds, amount, a)
 	}
 	b.Sub(b, amount)
 	if l, ok := c.locked[a]; ok {
@@ -261,7 +253,7 @@ func (c *Chain) Unlock(a Address, amount *big.Int, recipient Address) error {
 	defer c.mu.Unlock()
 	l, ok := c.locked[a]
 	if !ok || l.Cmp(amount) < 0 {
-		return fmt.Errorf("%w: cannot unlock %v of %s", ErrInsufficientFunds, amount, a)
+		return fmt.Errorf("%w: cannot unlock %v of %s", errInsufficientFunds, amount, a)
 	}
 	l.Sub(l, amount)
 	c.creditLocked(recipient, amount)
@@ -274,9 +266,9 @@ func (c *Chain) Unlock(a Address, amount *big.Int, recipient Address) error {
 func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gas := c.cfg.Gas.TxBase + c.cfg.Gas.CalldataGas(tx.Data) + tx.ExtraGas
+	gas := c.cfg.Gas.TxBase + c.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
 	if gas > c.cfg.BlockGasLimit {
-		return nil, fmt.Errorf("%w: %d > %d", ErrBlockGasExceeded, gas, c.cfg.BlockGasLimit)
+		return nil, fmt.Errorf("%w: %d > %d", errBlockGasExceeded, gas, c.cfg.BlockGasLimit)
 	}
 	if tx.Value != nil && tx.Value.Sign() > 0 {
 		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
@@ -404,13 +396,6 @@ func (c *Chain) Height() uint64 {
 	return c.blocks[len(c.blocks)-1].Number
 }
 
-// Now returns the latest block timestamp (the contract's clock).
-func (c *Chain) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blocks[len(c.blocks)-1].Time
-}
-
 // TotalBytes returns the cumulative chain size in bytes (Fig. 10 left),
 // including blocks pruned out of the retention window.
 func (c *Chain) TotalBytes() int {
@@ -436,17 +421,17 @@ func (c *Chain) Blocks() []*Block {
 	return append([]*Block(nil), c.blocks...)
 }
 
-// HistoryReads returns how many bulk history snapshots (Events, Blocks)
+// historyReadCount returns how many bulk history snapshots (Events, Blocks)
 // have been taken. A recovery path that claims "no rescan" proves it by
 // showing this counter unchanged.
-func (c *Chain) HistoryReads() uint64 {
+func (c *Chain) historyReadCount() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.historyReads
 }
 
-// PrunedBlocks returns how many old blocks the retention window has dropped.
-func (c *Chain) PrunedBlocks() uint64 {
+// prunedBlockCount returns how many old blocks the retention window has dropped.
+func (c *Chain) prunedBlockCount() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.prunedBlocks

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/big"
 	"testing"
+	"time"
 )
 
 func eth(n int64) *big.Int {
@@ -24,16 +25,16 @@ func TestFundAndBalance(t *testing.T) {
 func TestTransfer(t *testing.T) {
 	c := New(DefaultConfig())
 	c.Fund("alice", eth(5))
-	if err := c.Transfer("alice", "bob", eth(2)); err != nil {
+	if err := c.transfer("alice", "bob", eth(2)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Balance("alice").Cmp(eth(3)) != 0 || c.Balance("bob").Cmp(eth(2)) != 0 {
 		t.Fatal("balances wrong after transfer")
 	}
-	if err := c.Transfer("alice", "bob", eth(100)); !errors.Is(err, ErrInsufficientFunds) {
+	if err := c.transfer("alice", "bob", eth(100)); !errors.Is(err, errInsufficientFunds) {
 		t.Fatalf("overdraft err = %v", err)
 	}
-	if err := c.Transfer("alice", "bob", big.NewInt(-1)); err == nil {
+	if err := c.transfer("alice", "bob", big.NewInt(-1)); err == nil {
 		t.Fatal("negative transfer accepted")
 	}
 }
@@ -54,18 +55,18 @@ func TestLockUnlock(t *testing.T) {
 	if c.Balance("owner").Cmp(eth(2)) != 0 || c.LockedBalance("sp").Cmp(eth(2)) != 0 {
 		t.Fatal("unlock accounting wrong")
 	}
-	if err := c.Unlock("sp", eth(10), "owner"); !errors.Is(err, ErrInsufficientFunds) {
+	if err := c.Unlock("sp", eth(10), "owner"); !errors.Is(err, errInsufficientFunds) {
 		t.Fatal("over-unlock accepted")
 	}
-	if err := c.Lock("sp", eth(100)); !errors.Is(err, ErrInsufficientFunds) {
+	if err := c.Lock("sp", eth(100)); !errors.Is(err, errInsufficientFunds) {
 		t.Fatal("over-lock accepted")
 	}
 }
 
 func TestCalldataGas(t *testing.T) {
-	g := DefaultGasSchedule()
+	g := defaultGasSchedule()
 	data := []byte{0, 0, 1, 2}
-	if got := g.CalldataGas(data); got != 2*4+2*16 {
+	if got := g.calldataGas(data); got != 2*4+2*16 {
 		t.Fatalf("calldata gas = %d", got)
 	}
 	if g.StorageGas(33) != 2*20000 {
@@ -147,7 +148,7 @@ func TestSubmitRejectsOversizedTx(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BlockGasLimit = 22000
 	c := New(cfg)
-	if _, err := c.Submit(&Tx{From: "a", To: "b", ExtraGas: 10_000}); !errors.Is(err, ErrBlockGasExceeded) {
+	if _, err := c.Submit(&Tx{From: "a", To: "b", ExtraGas: 10_000}); !errors.Is(err, errBlockGasExceeded) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -155,10 +156,10 @@ func TestSubmitRejectsOversizedTx(t *testing.T) {
 func TestBlockTimestamps(t *testing.T) {
 	cfg := DefaultConfig()
 	c := New(cfg)
-	t0 := c.Now()
+	t0 := c.now()
 	c.MineBlock()
 	c.MineBlock()
-	if got := c.Now().Sub(t0); got != 2*cfg.BlockInterval {
+	if got := c.now().Sub(t0); got != 2*cfg.BlockInterval {
 		t.Fatalf("clock advanced %v, want %v", got, 2*cfg.BlockInterval)
 	}
 }
@@ -175,17 +176,32 @@ func TestEvents(t *testing.T) {
 
 func TestHistoryReadsCounter(t *testing.T) {
 	c := New(DefaultConfig())
-	if n := c.HistoryReads(); n != 0 {
+	if n := c.historyReadCount(); n != 0 {
 		t.Fatalf("fresh chain history reads = %d", n)
 	}
 	c.MineBlock()
 	c.Emit("challenged", nil)
-	if n := c.HistoryReads(); n != 0 {
+	if n := c.historyReadCount(); n != 0 {
 		t.Fatalf("history reads = %d after mining and emitting, want 0", n)
 	}
 	c.Events()
 	c.Blocks()
-	if n := c.HistoryReads(); n != 2 {
+	if n := c.historyReadCount(); n != 2 {
 		t.Fatalf("history reads = %d after Events+Blocks, want 2", n)
 	}
+}
+
+// now returns the latest block timestamp (the contract's clock).
+func (c *Chain) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.blocks[len(c.blocks)-1].Time
+}
+
+// transfer moves value between accounts immediately (used by contract
+// logic; gas for the enclosing call is charged via Submit).
+func (c *Chain) transfer(from, to Address, amount *big.Int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.transferLocked(from, to, amount)
 }

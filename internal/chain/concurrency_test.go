@@ -85,7 +85,7 @@ func TestConcurrentBalanceReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_ = c.Transfer("a", "b", big.NewInt(1))
+				_ = c.transfer("a", "b", big.NewInt(1))
 				_ = c.Lock("a", big.NewInt(1))
 				_ = c.Unlock("a", big.NewInt(1), "a")
 			}

@@ -27,7 +27,7 @@ func newRefChain(cfg Config) *refChain {
 }
 
 func (r *refChain) gas(tx *Tx) uint64 {
-	return r.cfg.Gas.TxBase + r.cfg.Gas.CalldataGas(tx.Data) + tx.ExtraGas
+	return r.cfg.Gas.TxBase + r.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
 }
 
 func (r *refChain) next() uint64 { return r.blocks[len(r.blocks)-1].Number + 1 }
@@ -131,9 +131,9 @@ func TestRetentionMatchesReference(t *testing.T) {
 					fail(h, "mined %v", err)
 				}
 				if c.Height() != h || c.TotalGas() != ref.totalGas || c.TotalBytes() != ref.totalBytes ||
-					c.PrunedBlocks() != ref.pruned || c.PendingCount() != len(ref.pending) {
+					c.prunedBlockCount() != ref.pruned || c.PendingCount() != len(ref.pending) {
 					fail(h, "height %d gas %d bytes %d pruned %d pending %d, want %d %d %d %d %d",
-						c.Height(), c.TotalGas(), c.TotalBytes(), c.PrunedBlocks(), c.PendingCount(),
+						c.Height(), c.TotalGas(), c.TotalBytes(), c.prunedBlockCount(), c.PendingCount(),
 						h, ref.totalGas, ref.totalBytes, ref.pruned, len(ref.pending))
 				}
 				blocks := c.Blocks()
@@ -267,7 +267,7 @@ func TestGasFiguresByCalldataShape(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i*7 + 1)
 	}
-	g := DefaultGasSchedule()
+	g := defaultGasSchedule()
 	cases := []struct {
 		name string
 		tx   *Tx

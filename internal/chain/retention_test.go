@@ -33,8 +33,8 @@ func TestRetentionPrunesBodiesKeepsAggregates(t *testing.T) {
 	if c.Height() != 20 {
 		t.Fatalf("height %d, want 20", c.Height())
 	}
-	if c.PrunedBlocks() != 17 { // genesis + 20 mined - 4 retained
-		t.Fatalf("pruned %d blocks, want 17", c.PrunedBlocks())
+	if c.prunedBlockCount() != 17 { // genesis + 20 mined - 4 retained
+		t.Fatalf("pruned %d blocks, want 17", c.prunedBlockCount())
 	}
 	if got := c.TotalBytes(); got != wantBytes {
 		t.Fatalf("TotalBytes %d after pruning, want %d", got, wantBytes)
@@ -69,7 +69,7 @@ func TestRetentionZeroKeepsEverything(t *testing.T) {
 	if got := len(c.Events()); got != 10 {
 		t.Fatalf("retained %d events, want 10", got)
 	}
-	if c.PrunedBlocks() != 0 {
-		t.Fatalf("pruned %d blocks with retention disabled", c.PrunedBlocks())
+	if c.prunedBlockCount() != 0 {
+		t.Fatalf("pruned %d blocks with retention disabled", c.prunedBlockCount())
 	}
 }

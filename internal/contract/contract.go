@@ -39,9 +39,9 @@ type State int
 
 // Contract states (Fig. 2's st variable).
 const (
-	StateInit    State = iota // ⊥: deployed, awaiting negotiation confirmation
-	StateAck                  // negotiated; awaiting provider acknowledgment
-	StateFreeze               // acked; awaiting both deposits
+	stateInit    State = iota // ⊥: deployed, awaiting negotiation confirmation
+	stateAck                  // negotiated; awaiting provider acknowledgment
+	stateFreeze               // acked; awaiting both deposits
 	StateAudit                // deposits locked; awaiting the next challenge trigger
 	StateProve                // challenged; awaiting the provider's proof
 	StateSettle               // proof posted; awaiting block-inclusion settlement
@@ -55,11 +55,11 @@ func (s State) Terminal() bool { return s == StateExpired || s == StateAborted }
 // String renders the state name.
 func (s State) String() string {
 	switch s {
-	case StateInit:
+	case stateInit:
 		return "INIT"
-	case StateAck:
+	case stateAck:
 		return "ACK"
-	case StateFreeze:
+	case stateFreeze:
 		return "FREEZE"
 	case StateAudit:
 		return "AUDIT"
@@ -135,11 +135,11 @@ type Contract struct {
 
 // Errors surfaced by contract calls.
 var (
-	ErrWrongState       = errors.New("contract: call not valid in current state")
-	ErrNotTrigger       = errors.New("contract: trigger height not reached")
-	ErrWrongParty       = errors.New("contract: caller is not the expected party")
-	ErrInvalidAgreement = errors.New("contract: invalid agreement")
-	ErrMalformedProof   = errors.New("contract: pending proof is malformed")
+	errWrongState       = errors.New("contract: call not valid in current state")
+	errNotTrigger       = errors.New("contract: trigger height not reached")
+	errWrongParty       = errors.New("contract: caller is not the expected party")
+	errInvalidAgreement = errors.New("contract: invalid agreement")
+	errMalformedProof   = errors.New("contract: pending proof is malformed")
 )
 
 // Deploy creates the contract in state INIT. verifyGas is the modeled
@@ -147,16 +147,16 @@ var (
 // extrapolation; ~589k for the 288-byte private proof).
 func Deploy(c *chain.Chain, addr chain.Address, terms Agreement, rand RandomnessSource, verifyGas uint64) (*Contract, error) {
 	if terms.Rounds < 1 || terms.ChallengeSize < 1 || terms.NumChunks < 1 {
-		return nil, fmt.Errorf("%w: %+v", ErrInvalidAgreement, terms)
+		return nil, fmt.Errorf("%w: %+v", errInvalidAgreement, terms)
 	}
 	if terms.PublicKey == nil {
-		return nil, fmt.Errorf("%w: missing public key", ErrInvalidAgreement)
+		return nil, fmt.Errorf("%w: missing public key", errInvalidAgreement)
 	}
 	return &Contract{
 		Addr:        addr,
 		Chain:       c,
 		Terms:       terms,
-		state:       StateInit,
+		state:       stateInit,
 		rand:        rand,
 		verifyGas:   verifyGas,
 		ownerEscrow: new(big.Int),
@@ -177,8 +177,8 @@ func (k *Contract) Records() []RoundRecord { return append([]RoundRecord(nil), k
 // metadata on chain ("On receive negotiated"). The serialized public key is
 // charged as calldata plus contract storage: the Fig. 4 one-time cost.
 func (k *Contract) Negotiate() error {
-	if k.state != StateInit {
-		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
+	if k.state != stateInit {
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	pkBytes, err := k.Terms.PublicKey.Marshal(k.Terms.PublicKeyPrivacy)
 	if err != nil {
@@ -195,7 +195,7 @@ func (k *Contract) Negotiate() error {
 	if err != nil {
 		return err
 	}
-	k.state = StateAck
+	k.state = stateAck
 	k.Chain.Emit("negotiated", nil)
 	return nil
 }
@@ -207,11 +207,11 @@ func (k *Contract) StoredKeyBytes() int { return k.storedKeySize }
 // authenticators off-chain ("On receive acked"). accept=false aborts the
 // contract before deposits (the denial-of-service case of Section VI-A).
 func (k *Contract) Acknowledge(from chain.Address, accept bool) error {
-	if k.state != StateAck {
-		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
+	if k.state != stateAck {
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	if from != k.Terms.Provider {
-		return ErrWrongParty
+		return errWrongParty
 	}
 	if _, err := k.Chain.Submit(&chain.Tx{From: from, To: k.Addr, Note: "acked"}); err != nil {
 		return err
@@ -221,7 +221,7 @@ func (k *Contract) Acknowledge(from chain.Address, accept bool) error {
 		k.Chain.Emit("rejected", nil)
 		return nil
 	}
-	k.state = StateFreeze
+	k.state = stateFreeze
 	k.Chain.Emit("acked", nil)
 	return nil
 }
@@ -229,8 +229,8 @@ func (k *Contract) Acknowledge(from chain.Address, accept bool) error {
 // Freeze locks both deposits ("On receive freeze"), arms the first
 // challenge trigger and moves to AUDIT.
 func (k *Contract) Freeze() error {
-	if k.state != StateFreeze {
-		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
+	if k.state != stateFreeze {
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	if err := k.Chain.Lock(k.Terms.Owner, k.Terms.OwnerDeposit); err != nil {
 		return err
@@ -260,10 +260,10 @@ func (k *Contract) TriggerHeight() uint64 { return k.trigger }
 // challenge bytes on chain and moves to PROVE.
 func (k *Contract) IssueChallenge() (*core.Challenge, error) {
 	if k.state != StateAudit {
-		return nil, fmt.Errorf("%w: %s", ErrWrongState, k.state)
+		return nil, fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	if k.Chain.Height() < k.trigger {
-		return nil, fmt.Errorf("%w: height %d < %d", ErrNotTrigger, k.Chain.Height(), k.trigger)
+		return nil, fmt.Errorf("%w: height %d < %d", errNotTrigger, k.Chain.Height(), k.trigger)
 	}
 	if k.round >= k.Terms.Rounds {
 		return nil, k.expire()
@@ -304,10 +304,10 @@ func (k *Contract) CurrentChallenge() *core.Challenge { return k.challenge }
 // (SettleBatchAt).
 func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	if k.state != StateProve {
-		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	if from != k.Terms.Provider {
-		return ErrWrongParty
+		return errWrongParty
 	}
 	rcpt, err := k.Chain.Submit(&chain.Tx{
 		From: from,
@@ -326,25 +326,6 @@ func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	return nil
 }
 
-// PendingItem returns the batch-verification inputs of the proof awaiting
-// settlement. A proof that fails to parse returns ErrMalformedProof; the
-// settlement engine fails such a contract without any pairing work.
-func (k *Contract) PendingItem() (*core.BatchItem, error) {
-	if k.state != StateSettle {
-		return nil, fmt.Errorf("%w: %s", ErrWrongState, k.state)
-	}
-	proof, err := core.UnmarshalPrivateProof(k.pendingProof)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	return &core.BatchItem{
-		Pub:       k.Terms.PublicKey,
-		NumChunks: k.Terms.NumChunks,
-		Challenge: k.challenge,
-		Proof:     proof,
-	}, nil
-}
-
 // AttachPrepared hands the contract the per-item step of verifying its
 // pending proof (core.PrepareProof), made off the settlement path by whoever
 // received the proof. Batched settlement uses it only if it was made from
@@ -355,12 +336,6 @@ func (k *Contract) AttachPrepared(p *core.PreparedProof) {
 	if k.state == StateSettle {
 		k.prepared = p
 	}
-}
-
-// HasPrepared reports whether the pending proof carries a prepared item that
-// settlement would use.
-func (k *Contract) HasPrepared() bool {
-	return k.boundPrepared() != nil
 }
 
 // boundPrepared returns the attached item if it was made from the pending
@@ -381,7 +356,7 @@ func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
 	}
 	p, err := core.PrepareProof(k.Terms.PublicKey, k.Terms.NumChunks, k.challenge, k.pendingProof)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedProof, err)
+		return nil, fmt.Errorf("%w: %v", errMalformedProof, err)
 	}
 	return p, nil
 }
@@ -395,7 +370,7 @@ func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
 // caller here would have no audit at all.
 func (k *Contract) SettleTrustedAt(passed bool, height uint64) (bool, error) {
 	if k.state != StateSettle {
-		return false, fmt.Errorf("%w: %s", ErrWrongState, k.state)
+		return false, fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	return passed, k.applyVerdictAt(passed, 0, height)
 }
@@ -429,7 +404,7 @@ type SettleResult struct {
 //
 // Security of the batching: each item's equation binds its own
 // zeta_i = H'(R_i), and the items are additionally weighted by independent
-// verifier-chosen ~128-bit scalars (see core.BatchVerify), so a cheater
+// verifier-chosen ~128-bit scalars (see core/batch.go), so a cheater
 // cannot hide behind honest co-batched proofs — a failed batch is always
 // searched down to the genuine offender.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
@@ -437,6 +412,13 @@ func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.Batch
 	// Verdict application below stays in input order.
 	prepared := make([]*core.PreparedProof, len(cs))
 	parseErrs := make([]error, len(cs))
+	if stats != nil {
+		for _, k := range cs {
+			if k.state == StateSettle && k.boundPrepared() == nil {
+				stats.Prepares++
+			}
+		}
+	}
 	parallel.For(workers, len(cs), func(i int) {
 		if cs[i].state == StateSettle {
 			prepared[i], parseErrs[i] = cs[i].pendingPrepared()
@@ -447,7 +429,7 @@ func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.Batch
 	for i, k := range cs {
 		results[i].Addr = k.Addr
 		if k.state != StateSettle {
-			results[i].Err = fmt.Errorf("%w: %s", ErrWrongState, k.state)
+			results[i].Err = fmt.Errorf("%w: %s", errWrongState, k.state)
 			continue
 		}
 		if parseErrs[i] != nil {
@@ -548,10 +530,10 @@ func (k *Contract) applyVerdictAt(passed bool, settleGas uint64, height uint64) 
 // as an audit failure (the provider cannot stall forever).
 func (k *Contract) MissDeadline() error {
 	if k.state != StateProve {
-		return fmt.Errorf("%w: %s", ErrWrongState, k.state)
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	if k.Chain.Height() < k.trigger {
-		return fmt.Errorf("%w: height %d < deadline %d", ErrNotTrigger, k.Chain.Height(), k.trigger)
+		return fmt.Errorf("%w: height %d < deadline %d", errNotTrigger, k.Chain.Height(), k.trigger)
 	}
 	k.records = append(k.records, RoundRecord{
 		Round:     k.round,

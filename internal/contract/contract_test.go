@@ -241,7 +241,7 @@ func TestMissedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deadline not yet reached: MissDeadline must refuse.
-	if err := f.contract.MissDeadline(); !errors.Is(err, ErrNotTrigger) {
+	if err := f.contract.MissDeadline(); !errors.Is(err, errNotTrigger) {
 		t.Fatalf("early MissDeadline err = %v", err)
 	}
 	f.advance()
@@ -277,29 +277,26 @@ func TestStateMachineGuards(t *testing.T) {
 	f := newFixture(t, 2, nil)
 
 	// Calls out of order must fail with ErrWrongState.
-	if err := f.contract.Freeze(); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.Freeze(); !errors.Is(err, errWrongState) {
 		t.Fatalf("Freeze in INIT: %v", err)
 	}
-	if _, err := f.contract.IssueChallenge(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.contract.IssueChallenge(); !errors.Is(err, errWrongState) {
 		t.Fatalf("IssueChallenge in INIT: %v", err)
 	}
-	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, errWrongState) {
 		t.Fatalf("SubmitProof in INIT: %v", err)
 	}
-	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.settle(); !errors.Is(err, errWrongState) {
 		t.Fatalf("settle in INIT: %v", err)
 	}
-	if _, err := f.contract.PendingItem(); !errors.Is(err, ErrWrongState) {
-		t.Fatalf("PendingItem in INIT: %v", err)
-	}
-	if err := f.contract.Acknowledge("provider", true); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.Acknowledge("provider", true); !errors.Is(err, errWrongState) {
 		t.Fatalf("Acknowledge in INIT: %v", err)
 	}
 
 	f.initToAudit(t)
 
 	// Challenge before the trigger height must fail.
-	if _, err := f.contract.IssueChallenge(); !errors.Is(err, ErrNotTrigger) {
+	if _, err := f.contract.IssueChallenge(); !errors.Is(err, errNotTrigger) {
 		t.Fatalf("early challenge: %v", err)
 	}
 
@@ -308,7 +305,7 @@ func TestStateMachineGuards(t *testing.T) {
 	if _, err := f.contract.IssueChallenge(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.contract.SubmitProof("mallory", nil); !errors.Is(err, ErrWrongParty) {
+	if err := f.contract.SubmitProof("mallory", nil); !errors.Is(err, errWrongParty) {
 		t.Fatalf("wrong party: %v", err)
 	}
 }
@@ -318,7 +315,7 @@ func TestAcknowledgeWrongParty(t *testing.T) {
 	if err := f.contract.Negotiate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.contract.Acknowledge("mallory", true); !errors.Is(err, ErrWrongParty) {
+	if err := f.contract.Acknowledge("mallory", true); !errors.Is(err, errWrongParty) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -347,8 +344,8 @@ func TestInsufficientDepositBlocksFreeze(t *testing.T) {
 	if err := f.contract.Acknowledge("provider", true); err != nil {
 		t.Fatal(err)
 	}
-	// Drain the provider below its deposit.
-	if err := f.chain.Transfer("provider", "elsewhere", big.NewInt(999_000)); err != nil {
+	// Tie up the provider's funds below its deposit.
+	if err := f.chain.Lock("provider", big.NewInt(999_000)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.contract.Freeze(); err == nil {

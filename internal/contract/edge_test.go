@@ -2,6 +2,7 @@ package contract
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"slices"
@@ -21,19 +22,19 @@ func TestNoCallsAfterExpiry(t *testing.T) {
 		t.Fatalf("state %v", f.contract.State())
 	}
 	// Every state-machine entry point must refuse now.
-	if err := f.contract.Negotiate(); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.Negotiate(); !errors.Is(err, errWrongState) {
 		t.Fatalf("Negotiate after expiry: %v", err)
 	}
-	if _, err := f.contract.IssueChallenge(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.contract.IssueChallenge(); !errors.Is(err, errWrongState) {
 		t.Fatalf("IssueChallenge after expiry: %v", err)
 	}
-	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.SubmitProof("provider", nil); !errors.Is(err, errWrongState) {
 		t.Fatalf("SubmitProof after expiry: %v", err)
 	}
-	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.settle(); !errors.Is(err, errWrongState) {
 		t.Fatalf("settle after expiry: %v", err)
 	}
-	if err := f.contract.MissDeadline(); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.MissDeadline(); !errors.Is(err, errWrongState) {
 		t.Fatalf("MissDeadline after expiry: %v", err)
 	}
 }
@@ -45,7 +46,7 @@ func TestDoubleChallengeRejected(t *testing.T) {
 	if _, err := f.contract.IssueChallenge(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.contract.IssueChallenge(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.contract.IssueChallenge(); !errors.Is(err, errWrongState) {
 		t.Fatalf("double challenge: %v", err)
 	}
 }
@@ -68,7 +69,7 @@ func TestDoubleProofRejected(t *testing.T) {
 	}
 	// The proof is pending; a second submission for the same round must
 	// fail (the state is SETTLE awaiting block inclusion).
-	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, errWrongState) {
 		t.Fatalf("double proof: %v", err)
 	}
 	if _, err := f.settle(); err != nil {
@@ -76,10 +77,10 @@ func TestDoubleProofRejected(t *testing.T) {
 	}
 	// The round settled; a second settlement must fail too (the state is
 	// back to AUDIT awaiting the next trigger).
-	if _, err := f.settle(); !errors.Is(err, ErrWrongState) {
+	if _, err := f.settle(); !errors.Is(err, errWrongState) {
 		t.Fatalf("double settle: %v", err)
 	}
-	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, ErrWrongState) {
+	if err := f.contract.SubmitProof("provider", enc); !errors.Is(err, errWrongState) {
 		t.Fatalf("proof after settle: %v", err)
 	}
 }
@@ -187,7 +188,8 @@ func TestChallengeOnChainMatchesExpansion(t *testing.T) {
 	if encoded == nil {
 		t.Fatal("challenge event missing")
 	}
-	dec, err := core.UnmarshalChallenge(encoded, ch.K)
+	// The self-contained encoding is the on-chain bytes followed by K.
+	dec, err := core.UnmarshalChallengeBinary(binary.BigEndian.AppendUint32(append([]byte(nil), encoded...), uint32(ch.K)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.contract.AttachPrepared(prepare(t, f, ch, enc))
-		if f.contract.HasPrepared() {
+		if f.contract.boundPrepared() != nil {
 			t.Fatal("an item made from other bytes is bound to the garbage")
 		}
 		res := SettleBatchAt([]*Contract{f.contract}, f.chain.Height(), 0, nil)[0]
@@ -111,7 +111,7 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.contract.AttachPrepared(stale)
-		if f.contract.HasPrepared() {
+		if f.contract.boundPrepared() != nil {
 			t.Fatal("an item prepared against round 0's challenge is bound in round 1")
 		}
 		f.chain.MineBlock()
@@ -138,14 +138,14 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.contract.AttachPrepared(p)
-		if !f.contract.HasPrepared() {
+		if f.contract.boundPrepared() == nil {
 			t.Fatal("an item made from the pending proof is not bound")
 		}
 		// Every verdict path drops it: a one-contract block ...
 		if ok, err := f.settle(); err != nil || !ok {
 			t.Fatalf("settle = %v, %v", ok, err)
 		}
-		if f.contract.prepared != nil || f.contract.HasPrepared() {
+		if f.contract.prepared != nil || f.contract.boundPrepared() != nil {
 			t.Fatal("SettleBatchAt kept the prepared item")
 		}
 		// ... and the trusted path.
@@ -165,7 +165,8 @@ func TestPreparedItemIsBound(t *testing.T) {
 
 // TestSettleBatchPreparedMatchesUnprepared settles two blocks of the same
 // shape, one cheater among four, with no item attached and with items on
-// half the contracts: verdicts, stats and gas are the same.
+// half the contracts: verdicts, pairing work and gas are the same, and only
+// the unattached items are prepared at settlement.
 func TestSettleBatchPreparedMatchesUnprepared(t *testing.T) {
 	const n, bad = 4, 2
 	run := func(attach bool) ([]SettleResult, core.BatchStats, []uint64) {
@@ -200,7 +201,11 @@ func TestSettleBatchPreparedMatchesUnprepared(t *testing.T) {
 			t.Errorf("contract %d: settle gas %d prepared, %d unprepared", i, prepGas[i], plainGas[i])
 		}
 	}
-	if prepStats != plainStats {
+	if prepStats.FinalExps != plainStats.FinalExps || prepStats.MillerLoops != plainStats.MillerLoops {
 		t.Errorf("stats %+v prepared, %+v unprepared", prepStats, plainStats)
+	}
+	if plainStats.Prepares != n || prepStats.Prepares != n/2 {
+		t.Errorf("settlement prepared %d items with none attached and %d with half attached, want %d and %d",
+			plainStats.Prepares, prepStats.Prepares, n, n/2)
 	}
 }

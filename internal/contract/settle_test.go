@@ -135,7 +135,7 @@ func TestSettleBatchMixedStates(t *testing.T) {
 		t.Fatalf("honest state %v", honest.contract.State())
 	}
 
-	if !errors.Is(results[1].Err, ErrWrongState) {
+	if !errors.Is(results[1].Err, errWrongState) {
 		t.Fatalf("idle contract err = %v, want ErrWrongState", results[1].Err)
 	}
 	if idle.contract.State() != StateAudit {

@@ -58,10 +58,7 @@ func TestAcceptanceRejectsCancellingPair(t *testing.T) {
 	sk, ef, prover := testSetup(t, 4, 1500)
 	auths := prover.Auths
 	sample := []int{1, 4, 6, 9}
-	_, delta, err := bn256.RandomG1(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := bn256.HashToG1([]byte("delta"))
 	defer plant(auths, 4, delta)()
 	defer plant(auths, 9, new(bn256.G1).Neg(delta))()
 
@@ -96,13 +93,13 @@ func TestAcceptanceSampleShapes(t *testing.T) {
 	// Index checks cover the whole sample before any group operation: the
 	// bad authenticator 2 ahead of the bad index is never reached.
 	for _, sample := range [][]int{{2, len(auths)}, {2, -1}} {
-		if err := VerifyAuthenticators(sk.Pub, ef, auths, sample); !errors.Is(err, ErrBadParameters) {
+		if err := VerifyAuthenticators(sk.Pub, ef, auths, sample); !errors.Is(err, errBadParameters) {
 			t.Errorf("sample %v: error = %v, want ErrBadParameters", sample, err)
 		}
 	}
 	undo()
 	auths[6].Index = 5
-	if err := VerifyAuthenticators(sk.Pub, ef, auths, []int{2, 6}); !errors.Is(err, ErrBadParameters) {
+	if err := VerifyAuthenticators(sk.Pub, ef, auths, []int{2, 6}); !errors.Is(err, errBadParameters) {
 		t.Errorf("mislabelled authenticator: error = %v, want ErrBadParameters", err)
 	}
 }

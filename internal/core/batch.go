@@ -23,7 +23,7 @@ type BatchItem struct {
 	Proof     *PrivateProof
 }
 
-// BatchVerify checks many private proofs from independent contracts while
+// batchVerify checks many private proofs from independent contracts while
 // sharing a single final exponentiation across all of them. Each item's
 // equation is first rewritten by bilinearity so that no G2 point is computed
 // for it,
@@ -59,7 +59,7 @@ type BatchItem struct {
 // Garay and Rabin (EUROCRYPT 1998), under which a batch holding any false
 // equation passes with probability about 2^-128 over 128-bit weights. The
 // weights are not optional; dropping them makes the batch forgeable.
-func BatchVerify(items []*BatchItem) bool {
+func batchVerify(items []*BatchItem) bool {
 	if len(items) == 0 {
 		return true
 	}
@@ -75,6 +75,7 @@ func BatchVerify(items []*BatchItem) bool {
 type BatchStats struct {
 	FinalExps   int // final exponentiations performed
 	MillerLoops int // Miller loops performed
+	Prepares    int // per-item steps run at settlement: no bound item was attached
 }
 
 // VerifyBatchParallel returns a per-item verdict for the whole batch. An

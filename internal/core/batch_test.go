@@ -35,19 +35,19 @@ func TestBatchVerify(t *testing.T) {
 			Proof:     proof,
 		}
 	}
-	if !BatchVerify(items) {
+	if !batchVerify(items) {
 		t.Fatal("honest batch rejected")
 	}
 
 	// Corrupt one member: the whole batch must fail.
 	items[1].Proof.YPrime = items[0].Proof.YPrime
-	if BatchVerify(items) {
+	if batchVerify(items) {
 		t.Fatal("batch with one bad proof accepted")
 	}
 }
 
 func TestBatchVerifyEmpty(t *testing.T) {
-	if !BatchVerify(nil) {
+	if !batchVerify(nil) {
 		t.Fatal("empty batch should verify")
 	}
 	if got := VerifyBatchParallel(nil, nil, 0); len(got) != 0 {
@@ -342,7 +342,7 @@ func TestVerifyBatchMatchesVerifyPrivate(t *testing.T) {
 				t.Errorf("%s workers=%d: stats %+v diverge from serial %+v", c.name, workers, stats, serial)
 			}
 		}
-		if BatchVerify(c.items) != (len(c.bad) == 0) {
+		if batchVerify(c.items) != (len(c.bad) == 0) {
 			t.Errorf("%s: BatchVerify = %v", c.name, len(c.bad) != 0)
 		}
 	}
@@ -438,10 +438,7 @@ func TestBatchWeightsAreLoadBearing(t *testing.T) {
 		}
 		items[i] = &BatchItem{Pub: prover.Pub, NumChunks: ef.NumChunks(), Challenge: ch, Proof: proof}
 	}
-	_, delta, err := bn256.RandomG1(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := bn256.HashToG1([]byte("delta"))
 	zeta1 := prf.OracleGT(items[0].Proof.R.Marshal())
 	zeta2 := prf.OracleGT(items[1].Proof.R.Marshal())
 	items[0].Proof.Sigma = new(bn256.G1).Add(items[0].Proof.Sigma, delta)

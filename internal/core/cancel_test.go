@@ -47,7 +47,7 @@ func TestProveCtxCanceledUpFront(t *testing.T) {
 	if _, err := prover.ProvePrivateCtx(ctx, ch, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := prover.ProveCtx(ctx, ch, nil); !errors.Is(err, context.Canceled) {
+	if _, err := prover.proveCtx(ctx, ch, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestProveCtxMatchesProve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prover.ProveCtx(context.Background(), ch, nil)
+	b, err := prover.proveCtx(context.Background(), ch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

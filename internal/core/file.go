@@ -36,7 +36,7 @@ func NewEncodedFile(s, length int, blocks []bn256.Scalar) *EncodedFile {
 // zero-padded; Length disambiguates the padding on decode.
 func EncodeFile(data []byte, s int) (*EncodedFile, error) {
 	if s < 1 {
-		return nil, fmt.Errorf("%w: chunk size s = %d", ErrBadParameters, s)
+		return nil, fmt.Errorf("%w: chunk size s = %d", errBadParameters, s)
 	}
 	nBlocks := (len(data) + BlockSize - 1) / BlockSize
 	if nBlocks == 0 {
@@ -59,7 +59,7 @@ func EncodeFile(data []byte, s int) (*EncodedFile, error) {
 // Decode reassembles the original byte stream: the low BlockSize bytes of
 // each block, in order.
 func (ef *EncodedFile) Decode() []byte {
-	out := make([]byte, 0, ef.NumBlocks()*BlockSize)
+	out := make([]byte, 0, ef.numBlocks()*BlockSize)
 	for _, chunk := range ef.Chunks {
 		for _, c := range chunk.Coeffs {
 			b := c.Bytes()
@@ -76,14 +76,14 @@ func (ef *EncodedFile) Decode() []byte {
 // NumChunks returns d, the chunk count.
 func (ef *EncodedFile) NumChunks() int { return len(ef.Chunks) }
 
-// NumBlocks returns n, the total block count (including padding).
-func (ef *EncodedFile) NumBlocks() int { return len(ef.Chunks) * ef.S }
+// numBlocks returns n, the total block count (including padding).
+func (ef *EncodedFile) numBlocks() int { return len(ef.Chunks) * ef.S }
 
 // StorageOverheadRatio returns the provider's extra storage for
 // authenticators relative to the data size: one 32-byte G1 element per
 // chunk of s 31-byte blocks, i.e. about 1/s (the Section VII-C claim).
 func (ef *EncodedFile) StorageOverheadRatio() float64 {
-	dataBytes := float64(ef.NumBlocks() * BlockSize)
+	dataBytes := float64(ef.numBlocks() * BlockSize)
 	authBytes := float64(ef.NumChunks() * 32)
 	return authBytes / dataBytes
 }
@@ -93,7 +93,7 @@ func (ef *EncodedFile) StorageOverheadRatio() float64 {
 // provider (Corrupt) must never bleed into the owner's copy or another
 // provider's.
 func (ef *EncodedFile) Clone() *EncodedFile {
-	blocks := make([]bn256.Scalar, 0, ef.NumBlocks())
+	blocks := make([]bn256.Scalar, 0, ef.numBlocks())
 	for _, chunk := range ef.Chunks {
 		blocks = append(blocks, chunk.Coeffs...)
 	}

@@ -18,16 +18,16 @@ func FuzzUnmarshalProof(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(proof.Marshal())
-	f.Add(make([]byte, ProofSize))
+	f.Add(proof.marshal())
+	f.Add(make([]byte, proofSize))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := UnmarshalProof(data)
+		p, err := unmarshalProof(data)
 		if err != nil {
 			return
 		}
 		// Accepted encodings must re-marshal canonically.
-		if !bytes.Equal(p.Marshal(), data) {
+		if !bytes.Equal(p.marshal(), data) {
 			t.Fatal("accepted non-canonical proof encoding")
 		}
 	})

@@ -27,7 +27,7 @@ import (
 
 // Common protocol errors.
 var (
-	ErrBadParameters = errors.New("core: invalid protocol parameters")
+	errBadParameters = errors.New("core: invalid protocol parameters")
 	ErrMalformed     = errors.New("core: malformed encoding")
 )
 
@@ -70,7 +70,7 @@ type PublicKey struct {
 // crypto/rand is used.
 func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	if s < 1 {
-		return nil, fmt.Errorf("%w: chunk size s = %d", ErrBadParameters, s)
+		return nil, fmt.Errorf("%w: chunk size s = %d", errBadParameters, s)
 	}
 	sk := &PrivateKey{Pub: &PublicKey{S: s, Powers: make([]*bn256.G1, s)}}
 	pub := sk.Pub

@@ -18,7 +18,7 @@ import (
 func SetupParallel(sk *PrivateKey, ef *EncodedFile, workers int) ([]*Authenticator, error) {
 	if ef.S != sk.Pub.S {
 		return nil, fmt.Errorf("%w: file encoded with s=%d but key has s=%d",
-			ErrBadParameters, ef.S, sk.Pub.S)
+			errBadParameters, ef.S, sk.Pub.S)
 	}
 	auths := make([]*Authenticator, ef.NumChunks())
 	sigmas := make([]*bn256.G1, len(auths))

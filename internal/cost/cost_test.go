@@ -85,10 +85,10 @@ func TestFeeModelFig6(t *testing.T) {
 	// Redundancy multiplies cost.
 	f10 := f
 	f10.RedundancyFactor = 10
-	if got := f10.TotalUSD(360, 1); math.Abs(got-10*at360.DailyUSD) > 1e-9 {
+	if got := f10.totalUSD(360, 1); math.Abs(got-10*at360.DailyUSD) > 1e-9 {
 		t.Fatal("redundancy factor not multiplicative")
 	}
-	if f.TotalUSD(360, 0) != 0 {
+	if f.totalUSD(360, 0) != 0 {
 		t.Fatal("zero interval should yield zero")
 	}
 }
@@ -145,12 +145,12 @@ func TestTableI(t *testing.T) {
 	}
 	// Only this work gets full marks on both efficiency columns.
 	for _, f := range rows {
-		full := f.ProverEff == Yes && f.AuditorEff == Yes
+		full := f.ProverEff == yes && f.AuditorEff == yes
 		if full != (f.Name == "This work") {
 			t.Fatalf("unexpected efficiency grading for %s", f.Name)
 		}
 	}
-	if No.String() != "x" || Yes.String() != "#" || NA.String() != "N/A" {
+	if no.String() != "x" || yes.String() != "#" || na.String() != "N/A" {
 		t.Fatal("legend rendering wrong")
 	}
 }

@@ -4,9 +4,10 @@
 // storage-provider candidates by key, and chunk placement follows
 // consistent hashing with configurable replication.
 //
-// The simulation is single-process but topology-faithful: nodes hold finger
-// tables, lookups route greedily through fingers in O(log N) hops, and the
-// hop counts are observable for experiments.
+// The simulation is single-process: the ring is one sorted node list, and
+// placement is the successor rule (Providers). The tests route greedy Chord
+// lookups over the same ring, finger i of a node being the successor of its
+// ID + 2^i, and pin their O(log N) hop counts.
 package dht
 
 import (
@@ -18,39 +19,26 @@ import (
 	"sync"
 )
 
-// IDBits is the identifier-space width. 64 bits keeps IDs printable while
-// preserving Chord's structure.
-const IDBits = 64
-
 // ID is a point on the Chord ring.
 type ID uint64
 
-// HashKey maps an arbitrary key to the ring.
-func HashKey(key []byte) ID {
+// hashKey maps an arbitrary key to the ring.
+func hashKey(key []byte) ID {
 	h := sha256.Sum256(key)
 	return ID(binary.BigEndian.Uint64(h[:8]))
 }
 
 // HashString maps a string key to the ring.
-func HashString(key string) ID { return HashKey([]byte(key)) }
-
-// between reports whether x lies in the half-open ring interval (a, b].
-func between(a, b, x ID) bool {
-	if a < b {
-		return x > a && x <= b
-	}
-	return x > a || x <= b // wrapped interval
-}
+func HashString(key string) ID { return hashKey([]byte(key)) }
 
 // Node is one DHT participant (a storage provider in the paper's setting).
 type Node struct {
-	ID      ID
-	Addr    string // opaque endpoint label, e.g. "provider-17"
-	fingers []ID   // finger[i] targets ID + 2^i (resolved lazily via the ring)
+	ID   ID
+	Addr string // opaque endpoint label, e.g. "provider-17"
 }
 
 // Ring is the complete simulated overlay. All membership changes go through
-// the Ring, which maintains the sorted node list and rebuilds finger tables.
+// the Ring, which maintains the sorted node list.
 type Ring struct {
 	mu    sync.RWMutex
 	nodes []*Node // sorted by ID
@@ -60,30 +48,29 @@ type Ring struct {
 func NewRing() *Ring { return &Ring{} }
 
 var (
-	// ErrEmptyRing is returned by lookups on an overlay with no nodes.
-	ErrEmptyRing = errors.New("dht: ring has no nodes")
-	// ErrDuplicateID is returned when a joining node collides.
-	ErrDuplicateID = errors.New("dht: duplicate node id")
+	// errEmptyRing is returned by lookups on an overlay with no nodes.
+	errEmptyRing = errors.New("dht: ring has no nodes")
+	// errDuplicateID is returned when a joining node collides.
+	errDuplicateID = errors.New("dht: duplicate node id")
 )
 
 // Join adds a node with an ID derived from its address.
 func (r *Ring) Join(addr string) (*Node, error) {
-	return r.JoinWithID(HashString(addr), addr)
+	return r.joinWithID(HashString(addr), addr)
 }
 
-// JoinWithID adds a node at an explicit ring position.
-func (r *Ring) JoinWithID(id ID, addr string) (*Node, error) {
+// joinWithID adds a node at an explicit ring position.
+func (r *Ring) joinWithID(id ID, addr string) (*Node, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].ID >= id })
 	if idx < len(r.nodes) && r.nodes[idx].ID == id {
-		return nil, fmt.Errorf("%w: %d", ErrDuplicateID, id)
+		return nil, fmt.Errorf("%w: %d", errDuplicateID, id)
 	}
 	n := &Node{ID: id, Addr: addr}
 	r.nodes = append(r.nodes, nil)
 	copy(r.nodes[idx+1:], r.nodes[idx:])
 	r.nodes[idx] = n
-	r.rebuildFingers()
 	return n, nil
 }
 
@@ -97,7 +84,6 @@ func (r *Ring) Leave(id ID) bool {
 		return false
 	}
 	r.nodes = append(r.nodes[:idx], r.nodes[idx+1:]...)
-	r.rebuildFingers()
 	return true
 }
 
@@ -108,77 +94,6 @@ func (r *Ring) Size() int {
 	return len(r.nodes)
 }
 
-// rebuildFingers recomputes every node's finger table. O(N log N * log N);
-// fine at simulation scale and keeps lookups pure.
-func (r *Ring) rebuildFingers() {
-	for _, n := range r.nodes {
-		n.fingers = n.fingers[:0]
-		for i := 0; i < IDBits; i++ {
-			n.fingers = append(n.fingers, n.ID+ID(1)<<uint(i))
-		}
-	}
-}
-
-// successorLocked returns the first node at or after id (wrapping).
-func (r *Ring) successorLocked(id ID) *Node {
-	idx := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].ID >= id })
-	if idx == len(r.nodes) {
-		idx = 0
-	}
-	return r.nodes[idx]
-}
-
-// Successor returns the node responsible for key.
-func (r *Ring) Successor(key ID) (*Node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.nodes) == 0 {
-		return nil, ErrEmptyRing
-	}
-	return r.successorLocked(key), nil
-}
-
-// Lookup routes from a starting node to the owner of key through finger
-// tables, Chord-style, returning the responsible node and the hop count.
-func (r *Ring) Lookup(from *Node, key ID) (*Node, int, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.nodes) == 0 {
-		return nil, 0, ErrEmptyRing
-	}
-	target := r.successorLocked(key)
-	cur := from
-	hops := 0
-	for cur.ID != target.ID {
-		if hops > 2*IDBits {
-			return nil, hops, errors.New("dht: routing did not converge")
-		}
-		// Greedy: the finger closest below the key.
-		next := r.closestPrecedingLocked(cur, key)
-		if next.ID == cur.ID {
-			next = r.successorLocked(cur.ID + 1)
-		}
-		cur = next
-		hops++
-		if between(cur.ID, target.ID, key) || cur.ID == target.ID {
-			return target, hops, nil
-		}
-	}
-	return target, hops, nil
-}
-
-// closestPrecedingLocked finds the routing-table entry that most closely
-// precedes key.
-func (r *Ring) closestPrecedingLocked(n *Node, key ID) *Node {
-	for i := len(n.fingers) - 1; i >= 0; i-- {
-		f := r.successorLocked(n.fingers[i])
-		if between(n.ID, key-1, f.ID) && f.ID != key {
-			return f
-		}
-	}
-	return n
-}
-
 // Providers returns the count distinct nodes responsible for key and its
 // replicas: the successor plus following nodes on the ring, the standard
 // replica-placement rule. This is how a data owner selects the storage
@@ -187,7 +102,7 @@ func (r *Ring) Providers(key ID, count int) ([]*Node, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.nodes) == 0 {
-		return nil, ErrEmptyRing
+		return nil, errEmptyRing
 	}
 	if count > len(r.nodes) {
 		return nil, fmt.Errorf("dht: requested %d providers from a ring of %d", count, len(r.nodes))
@@ -199,13 +114,4 @@ func (r *Ring) Providers(key ID, count int) ([]*Node, error) {
 		idx++
 	}
 	return out, nil
-}
-
-// Nodes returns a snapshot of the membership, sorted by ID.
-func (r *Ring) Nodes() []*Node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Node, len(r.nodes))
-	copy(out, r.nodes)
-	return out
 }

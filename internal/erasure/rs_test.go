@@ -157,9 +157,21 @@ func TestSplitEmpty(t *testing.T) {
 	}
 }
 
+// TestOverhead pins the storage expansion the paper's Fig. 6 cost estimates
+// fold in: the 10 shares of a 3-of-10 split hold 10/3 of a stripe-aligned
+// blob's bytes.
 func TestOverhead(t *testing.T) {
 	c, _ := NewCoder(3, 7)
-	if got := c.Overhead(); got < 3.33 || got > 3.34 {
+	data := make([]byte, 3000)
+	shares, err := c.Split(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, s := range shares {
+		total += len(s)
+	}
+	if got := float64(total) / float64(len(data)); got < 3.33 || got > 3.34 {
 		t.Fatalf("overhead = %v, want 10/3", got)
 	}
 }

@@ -13,11 +13,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
-// HashSize is the node digest size.
-const HashSize = sha256.Size
+// hashSize is the node digest size.
+const hashSize = sha256.Size
 
 // Tree is an immutable Merkle tree over a fixed set of leaves.
 type Tree struct {
@@ -73,16 +72,10 @@ func New(leaves [][]byte) (*Tree, error) {
 // Root returns the tree root.
 func (t *Tree) Root() []byte {
 	root := t.levels[len(t.levels)-1][0]
-	out := make([]byte, HashSize)
+	out := make([]byte, hashSize)
 	copy(out, root)
 	return out
 }
-
-// LeafCount returns the number of leaves.
-func (t *Tree) LeafCount() int { return t.leafCount }
-
-// Depth returns the number of levels above the leaves.
-func (t *Tree) Depth() int { return len(t.levels) - 1 }
 
 // PathStep is one sibling on an authentication path.
 type PathStep struct {
@@ -153,18 +146,6 @@ func VerifyProof(root []byte, leafCount int, p *Proof) bool {
 		width = (width + 1) / 2
 	}
 	return step == len(p.Path) && bytes.Equal(h, root)
-}
-
-// ProofSize returns the serialized byte size of an audit path for a tree of
-// leafCount leaves with the given leaf size -- the on-chain cost of one
-// Merkle audit (compare: 96/288 bytes for the paper's scheme regardless of
-// file size).
-func ProofSize(leafCount, leafSize int) int {
-	if leafCount <= 1 {
-		return leafSize + 8
-	}
-	depth := bits.Len(uint(leafCount - 1))
-	return leafSize + 8 + depth*HashSize
 }
 
 // ChallengeEntropyBound returns how many audits a Merkle challenge domain of

@@ -45,8 +45,8 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
+// value returns the current count (0 on a nil receiver).
+func (c *Counter) value() uint64 {
 	if c == nil {
 		return 0
 	}
@@ -73,8 +73,8 @@ func (g *Gauge) Add(delta int64) {
 	}
 }
 
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() int64 {
+// value returns the current value (0 on a nil receiver).
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -97,7 +97,7 @@ type Histogram struct {
 // registry) over the given strictly increasing upper bounds.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefBuckets
+		bounds = defBuckets
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
@@ -131,16 +131,16 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
+// count returns the number of observations (0 on a nil receiver).
+func (h *Histogram) count() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.n.Load()
 }
 
-// Sum returns the sum of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
+// total returns the sum of all observed values (0 on a nil receiver).
+func (h *Histogram) total() float64 {
 	if h == nil {
 		return 0
 	}
@@ -185,8 +185,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// DefBuckets is a general-purpose latency scale in seconds.
-var DefBuckets = ExpBuckets(1e-6, 2, 26) // 1µs .. ~33s
+// defBuckets is a general-purpose latency scale in seconds.
+var defBuckets = ExpBuckets(1e-6, 2, 26) // 1µs .. ~33s
 
 // DurationBuckets is a fine-grained latency scale (factor 1.1 from 1µs
 // to ~75s) whose narrow buckets keep Quantile interpolation error
@@ -348,14 +348,14 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		return nil
 	}
 	if buckets == nil {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	return r.get(name, help, kindHistogram, buckets, labels).h
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
 // snapshot time — for re-exporting counters a subsystem already keeps
-// (e.g. chain.HistoryReads) without dual-writing.
+// (e.g. the chain's history-read count) without dual-writing.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -415,9 +415,9 @@ func (r *Registry) Snapshot() []Sample {
 		smp := Sample{Name: fl.f.name, Labels: fl.s.labels, Kind: fl.f.kind.promType()}
 		switch fl.f.kind {
 		case kindCounter:
-			smp.Value = float64(fl.s.c.Value())
+			smp.Value = float64(fl.s.c.value())
 		case kindGauge:
-			smp.Value = float64(fl.s.g.Value())
+			smp.Value = float64(fl.s.g.value())
 		case kindCounterFunc, kindGaugeFunc:
 			if fl.s.fn != nil {
 				smp.Value = fl.s.fn()
@@ -429,8 +429,8 @@ func (r *Registry) Snapshot() []Sample {
 			for i := range h.counts {
 				smp.Counts[i] = h.counts[i].Load()
 			}
-			smp.Sum = h.Sum()
-			smp.Count = h.Count()
+			smp.Sum = h.total()
+			smp.Count = h.count()
 		}
 		out = append(out, smp)
 	}

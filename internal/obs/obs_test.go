@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,19 +19,19 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
-	if c.Value() != 0 {
+	if c.value() != 0 {
 		t.Fatal("nil counter value")
 	}
 	var g *Gauge
 	g.Set(3)
 	g.Add(-1)
-	if g.Value() != 0 {
+	if g.value() != 0 {
 		t.Fatal("nil gauge value")
 	}
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.count() != 0 || h.total() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram")
 	}
 	var r *Registry
@@ -37,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.CounterFunc("x", "", func() float64 { return 1 })
 	r.GaugeFunc("x", "", func() float64 { return 1 })
-	if r.Snapshot() != nil || r.WritePrometheus(nil) != nil {
+	if r.Snapshot() != nil || r.writePrometheus(nil) != nil {
 		t.Fatal("nil registry snapshot")
 	}
 	var tr *Tracer
@@ -59,11 +62,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Fatalf("bucket %d: got %d want %d", i, got, w)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("count %d", h.Count())
+	if h.count() != 8 {
+		t.Fatalf("count %d", h.count())
 	}
-	if math.Abs(h.Sum()-115.6) > 1e-9 {
-		t.Fatalf("sum %v", h.Sum())
+	if math.Abs(h.total()-115.6) > 1e-9 {
+		t.Fatalf("sum %v", h.total())
 	}
 }
 
@@ -128,7 +131,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				}
 				r.Snapshot()
 				var sb strings.Builder
-				_ = r.WritePrometheus(&sb)
+				_ = r.writePrometheus(&sb)
 			}
 		}()
 	}
@@ -164,7 +167,7 @@ func TestRegistrySharing(t *testing.T) {
 		t.Fatal("same series expected")
 	}
 	a.Inc()
-	if b.Value() != 1 {
+	if b.value() != 1 {
 		t.Fatal("shared state expected")
 	}
 	defer func() {
@@ -213,28 +216,6 @@ dsn_test_rtt_seconds_count 3
 	}
 }
 
-// TestRingSinkWraparound fills the ring past capacity and checks the
-// oldest events fall off while order is preserved.
-func TestRingSinkWraparound(t *testing.T) {
-	ring := NewRingSink(4)
-	tr := NewTracer(ring)
-	for i := 0; i < 10; i++ {
-		tr.Emit(EvChallenge, fmt.Sprintf("eng-%d", i), i, uint64(i), "")
-	}
-	ev := ring.Events()
-	if len(ev) != 4 {
-		t.Fatalf("len %d", len(ev))
-	}
-	for i, e := range ev {
-		if want := fmt.Sprintf("eng-%d", 6+i); e.Engagement != want {
-			t.Fatalf("slot %d: %s want %s", i, e.Engagement, want)
-		}
-	}
-	if ring.Total() != 10 {
-		t.Fatalf("total %d", ring.Total())
-	}
-}
-
 // TestJSONLSinkRoundTrip writes a trace and reads it back.
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -249,11 +230,34 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ReadJSONL(path)
+	ev, err := readJSONL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev) != 3 || ev[0].Type != EvChallenge || ev[2].Detail != "passed" || ev[2].Height != 19 {
 		t.Fatalf("roundtrip: %+v", ev)
 	}
+}
+
+// readJSONL decodes a JSONL trace file back into events.
+func readJSONL(path string) ([]Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []Event
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
 }

@@ -12,10 +12,10 @@ import (
 	"sync"
 )
 
-// WritePrometheus renders every registered series in the Prometheus
+// writePrometheus renders every registered series in the Prometheus
 // text exposition format (version 0.0.4), families sorted by name and
 // series by label set, so output is deterministic for golden tests.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
@@ -118,12 +118,12 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Handler returns an http.Handler serving the registry in Prometheus
+// handler returns an http.Handler serving the registry in Prometheus
 // text format.
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }
 
@@ -157,13 +157,13 @@ func PublishExpvar(name string, r *Registry) {
 	}))
 }
 
-// NewMux builds the introspection mux: /metrics (Prometheus text),
+// newMux builds the introspection mux: /metrics (Prometheus text),
 // /debug/vars (expvar, including the registry published as
 // "dsn_metrics"), and the full net/http/pprof suite under /debug/pprof/.
-func NewMux(r *Registry) *http.ServeMux {
+func newMux(r *Registry) *http.ServeMux {
 	PublishExpvar("dsn_metrics", r)
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
+	mux.Handle("/metrics", r.handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -181,7 +181,7 @@ func Serve(addr string, r *Registry) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: NewMux(r)}
+	srv := &http.Server{Handler: newMux(r)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

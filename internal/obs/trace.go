@@ -59,55 +59,6 @@ func (t *Tracer) Emit(typ, engagement string, round int, height uint64, detail s
 	})
 }
 
-// RingSink keeps the most recent cap events in a bounded ring buffer —
-// the default sink for live introspection: cheap, allocation-free per
-// event after warm-up, and safe to leave attached in production.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRingSink builds a ring holding the last cap events (min 1).
-func NewRingSink(cap int) *RingSink {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RingSink{buf: make([]Event, 0, cap)}
-}
-
-// Emit implements Sink.
-func (r *RingSink) Emit(e Event) {
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Events returns the buffered events oldest-first.
-func (r *RingSink) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Total returns how many events were ever emitted, including those the
-// ring has since overwritten.
-func (r *RingSink) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // JSONLSink appends one JSON object per event to a file — the durable
 // trace format replayed by tooling and the lifecycle tests.
 type JSONLSink struct {
@@ -160,28 +111,4 @@ func (s *JSONLSink) Close() error {
 		s.err = err
 	}
 	return s.err
-}
-
-// ReadJSONL decodes a JSONL trace file back into events, for replay and
-// tests.
-func ReadJSONL(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
 }

@@ -33,11 +33,11 @@ func BenchmarkAblationQuotientNaive(b *testing.B) {
 // naiveQuotient computes (p(x) - p(r))/(x - r) by repeatedly stripping the
 // leading term with a multiple of (x - r).
 func naiveQuotient(p *Poly, r *bn256.Scalar) *Poly {
-	rem := p.Clone()
+	rem := p.clone()
 	pr := p.Eval(r)
 	rem.Coeffs[0].Sub(&rem.Coeffs[0], &pr)
 	n := len(rem.Coeffs)
-	q := Zero(n - 2)
+	q := zero(n - 2)
 	var t bn256.Scalar
 	for d := n - 1; d >= 1; d-- {
 		c := rem.Coeffs[d]
@@ -57,7 +57,7 @@ func TestNaiveQuotientMatchesSynthetic(t *testing.T) {
 	r := randScalar(t)
 	fast, _ := p.DivideByLinear(&r)
 	slow := naiveQuotient(p, &r)
-	if !fast.Equal(slow) {
+	if !fast.equal(slow) {
 		t.Fatal("naive and synthetic quotients disagree")
 	}
 }

@@ -25,44 +25,23 @@ type Poly struct {
 	Coeffs []bn256.Scalar
 }
 
-// New builds a polynomial from a copy of the given coefficients (constant
+// newPoly builds a polynomial from a copy of the given coefficients (constant
 // term first).
-func New(coeffs ...bn256.Scalar) *Poly {
+func newPoly(coeffs ...bn256.Scalar) *Poly {
 	return &Poly{Coeffs: append([]bn256.Scalar(nil), coeffs...)}
 }
 
-// Zero returns the zero polynomial with capacity for deg+1 coefficients.
-func Zero(deg int) *Poly { return &Poly{Coeffs: make([]bn256.Scalar, deg+1)} }
+// zero returns the zero polynomial with capacity for deg+1 coefficients.
+func zero(deg int) *Poly { return &Poly{Coeffs: make([]bn256.Scalar, deg+1)} }
 
-// Degree returns the degree of p, with -1 for the zero polynomial.
-func (p *Poly) Degree() int {
+// degree returns the degree of p, with -1 for the zero polynomial.
+func (p *Poly) degree() int {
 	for i := len(p.Coeffs) - 1; i >= 0; i-- {
 		if !p.Coeffs[i].IsZero() {
 			return i
 		}
 	}
 	return -1
-}
-
-// Clone returns a deep copy.
-func (p *Poly) Clone() *Poly { return New(p.Coeffs...) }
-
-// Equal reports mathematical equality (ignoring trailing zeros).
-func (p *Poly) Equal(q *Poly) bool {
-	n := max(len(p.Coeffs), len(q.Coeffs))
-	for i := 0; i < n; i++ {
-		var a, b bn256.Scalar
-		if i < len(p.Coeffs) {
-			a = p.Coeffs[i]
-		}
-		if i < len(q.Coeffs) {
-			b = q.Coeffs[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // Eval evaluates p at x by Horner's rule.
@@ -74,9 +53,9 @@ func (p *Poly) Eval(x *bn256.Scalar) bn256.Scalar {
 	return acc
 }
 
-// Add returns p + q.
-func (p *Poly) Add(q *Poly) *Poly {
-	out := Zero(max(len(p.Coeffs), len(q.Coeffs)) - 1)
+// add returns p + q.
+func (p *Poly) add(q *Poly) *Poly {
+	out := zero(max(len(p.Coeffs), len(q.Coeffs)) - 1)
 	copy(out.Coeffs, p.Coeffs)
 	for i := range q.Coeffs {
 		out.Coeffs[i].Add(&out.Coeffs[i], &q.Coeffs[i])
@@ -84,22 +63,22 @@ func (p *Poly) Add(q *Poly) *Poly {
 	return out
 }
 
-// ScalarMul returns c * p.
-func (p *Poly) ScalarMul(c *bn256.Scalar) *Poly {
-	out := Zero(len(p.Coeffs) - 1)
+// scalarMul returns c * p.
+func (p *Poly) scalarMul(c *bn256.Scalar) *Poly {
+	out := zero(len(p.Coeffs) - 1)
 	for i := range p.Coeffs {
 		out.Coeffs[i].Mul(&p.Coeffs[i], c)
 	}
 	return out
 }
 
-// Mul returns p*q by schoolbook multiplication. It is used only in tests and
-// by the attack tooling; the protocol itself never multiplies polynomials.
-func (p *Poly) Mul(q *Poly) *Poly {
-	if p.Degree() < 0 || q.Degree() < 0 {
-		return Zero(0)
+// mul returns p*q by schoolbook multiplication, for Interpolate; the
+// protocol itself never multiplies polynomials.
+func (p *Poly) mul(q *Poly) *Poly {
+	if p.degree() < 0 || q.degree() < 0 {
+		return zero(0)
 	}
-	out := Zero(len(p.Coeffs) + len(q.Coeffs) - 2)
+	out := zero(len(p.Coeffs) + len(q.Coeffs) - 2)
 	var t bn256.Scalar
 	for i := range p.Coeffs {
 		if p.Coeffs[i].IsZero() {
@@ -122,7 +101,7 @@ func LinearCombination(polys []*Poly, scalars []bn256.Scalar) (*Poly, error) {
 		return nil, fmt.Errorf("poly: %d polynomials but %d scalars", len(polys), len(scalars))
 	}
 	if len(polys) == 0 {
-		return Zero(0), nil
+		return zero(0), nil
 	}
 	width := len(polys[0].Coeffs)
 	rows := make([][]bn256.Scalar, len(polys))
@@ -132,7 +111,7 @@ func LinearCombination(polys []*Poly, scalars []bn256.Scalar) (*Poly, error) {
 		}
 		rows[i] = q.Coeffs
 	}
-	out := Zero(width - 1)
+	out := zero(width - 1)
 	bn256.ScalarLinearCombination(out.Coeffs, scalars, rows)
 	return out, nil
 }
@@ -143,9 +122,9 @@ func LinearCombination(polys []*Poly, scalars []bn256.Scalar) (*Poly, error) {
 func (p *Poly) DivideByLinear(r *bn256.Scalar) (q *Poly, rem bn256.Scalar) {
 	n := len(p.Coeffs)
 	if n == 0 {
-		return Zero(0), rem
+		return zero(0), rem
 	}
-	q = Zero(max(n-2, 0))
+	q = zero(max(n-2, 0))
 	rem = p.Coeffs[n-1]
 	for i := n - 2; i >= 0; i-- {
 		q.Coeffs[i] = rem
@@ -175,10 +154,10 @@ func Interpolate(xs, ys []bn256.Scalar) (*Poly, error) {
 
 	var one bn256.Scalar
 	one.SetUint64(1)
-	result := Zero(k - 1)
+	result := zero(k - 1)
 	for i := 0; i < k; i++ {
 		// Build the i-th Lagrange basis polynomial incrementally.
-		basis := New(one)
+		basis := newPoly(one)
 		denom := one
 		for j := 0; j < k; j++ {
 			if j == i {
@@ -186,12 +165,12 @@ func Interpolate(xs, ys []bn256.Scalar) (*Poly, error) {
 			}
 			// basis *= (x - xs[j])
 			var negX, diff bn256.Scalar
-			basis = basis.Mul(New(*negX.Neg(&xs[j]), one))
+			basis = basis.mul(newPoly(*negX.Neg(&xs[j]), one))
 			denom.Mul(&denom, diff.Sub(&xs[i], &xs[j]))
 		}
 		var scale bn256.Scalar
 		scale.Inv(&denom).Mul(&scale, &ys[i])
-		result = result.Add(basis.ScalarMul(&scale))
+		result = result.add(basis.scalarMul(&scale))
 	}
 	return result, nil
 }

@@ -66,12 +66,10 @@ func sameAsBig(got []bn256.Scalar, want []*big.Int) bool {
 
 func randScalar(t testing.TB) bn256.Scalar {
 	t.Helper()
-	var buf [40]byte // 64 bits past n's size: negligible bias
-	if _, err := rand.Read(buf[:]); err != nil {
+	var s bn256.Scalar
+	if err := s.SetRandom(rand.Reader); err != nil {
 		t.Fatal(err)
 	}
-	var s bn256.Scalar
-	s.SetBig(new(big.Int).SetBytes(buf[:]))
 	return s
 }
 
@@ -87,13 +85,17 @@ func randPoly(t testing.TB, deg int) *Poly { return &Poly{Coeffs: randScalars(t,
 
 func scalar(v int64) bn256.Scalar {
 	var s bn256.Scalar
-	s.SetBig(big.NewInt(v))
+	if v < 0 {
+		s.Neg(s.SetUint64(uint64(-v))) // -MinInt64 wraps to its own magnitude
+		return s
+	}
+	s.SetUint64(uint64(v))
 	return s
 }
 
 func TestEvalHorner(t *testing.T) {
 	// p(x) = 3 + 2x + x^2 at x = 5: 3 + 10 + 25 = 38.
-	p := New(scalar(3), scalar(2), scalar(1))
+	p := newPoly(scalar(3), scalar(2), scalar(1))
 	x := scalar(5)
 	if got := p.Eval(&x); got != scalar(38) {
 		t.Fatalf("p(5) = %v, want 38", &got)
@@ -101,11 +103,11 @@ func TestEvalHorner(t *testing.T) {
 }
 
 func TestDegree(t *testing.T) {
-	if d := Zero(5).Degree(); d != -1 {
+	if d := zero(5).degree(); d != -1 {
 		t.Fatalf("zero polynomial degree = %d, want -1", d)
 	}
-	p := New(scalar(1), scalar(0), scalar(0))
-	if d := p.Degree(); d != 0 {
+	p := newPoly(scalar(1), scalar(0), scalar(0))
+	if d := p.degree(); d != 0 {
 		t.Fatalf("degree = %d, want 0 (trailing zeros)", d)
 	}
 }
@@ -116,7 +118,7 @@ func TestAddEval(t *testing.T) {
 	var want bn256.Scalar
 	pv, qv := p.Eval(&x), q.Eval(&x)
 	want.Add(&pv, &qv)
-	if p.Add(q).Eval(&x) != want || q.Add(p).Eval(&x) != want {
+	if p.add(q).Eval(&x) != want || q.add(p).Eval(&x) != want {
 		t.Fatal("(p+q)(x) != p(x)+q(x)")
 	}
 }
@@ -127,7 +129,7 @@ func TestMulEval(t *testing.T) {
 	var want bn256.Scalar
 	pv, qv := p.Eval(&x), q.Eval(&x)
 	want.Mul(&pv, &qv)
-	if p.Mul(q).Eval(&x) != want {
+	if p.mul(q).Eval(&x) != want {
 		t.Fatal("(p*q)(x) != p(x)*q(x)")
 	}
 }
@@ -159,9 +161,9 @@ func TestDivideByLinearAgainstLongDivision(t *testing.T) {
 	r := randScalar(t)
 	q, rem := p.DivideByLinear(&r)
 	var negR bn256.Scalar
-	linear := New(*negR.Neg(&r), scalar(1)) // (x - r)
-	recon := q.Mul(linear).Add(New(rem))
-	if !recon.Equal(p) {
+	linear := newPoly(*negR.Neg(&r), scalar(1)) // (x - r)
+	recon := q.mul(linear).add(newPoly(rem))
+	if !recon.equal(p) {
 		t.Fatal("synthetic division does not reconstruct the dividend")
 	}
 }
@@ -196,7 +198,7 @@ func TestLinearCombination(t *testing.T) {
 func TestLinearCombinationCanonical(t *testing.T) {
 	const k, width = 300, 6
 	var nMinus1 bn256.Scalar
-	nMinus1.SetBig(new(big.Int).Sub(bn256.Order, big.NewInt(1)))
+	nMinus1.Neg(new(bn256.Scalar).SetUint64(1))
 	for _, shape := range []string{"full", "128-bit", "maxed"} {
 		polys := make([]*Poly, k)
 		scalars := randScalars(t, k)
@@ -248,12 +250,12 @@ func TestAgainstBigReference(t *testing.T) {
 
 	const k, width = 2000, 4
 	var nMinus1 bn256.Scalar
-	nMinus1.SetBig(new(big.Int).Sub(bn256.Order, big.NewInt(1)))
+	nMinus1.Neg(new(bn256.Scalar).SetUint64(1))
 	polys := make([]*Poly, k)
 	scalars := make([]bn256.Scalar, k)
 	rows := make([][]*big.Int, k)
 	for i := range polys {
-		polys[i] = Zero(width - 1)
+		polys[i] = zero(width - 1)
 		for j := range polys[i].Coeffs {
 			polys[i].Coeffs[j] = nMinus1
 		}
@@ -270,14 +272,14 @@ func TestAgainstBigReference(t *testing.T) {
 }
 
 func TestLinearCombinationErrors(t *testing.T) {
-	if _, err := LinearCombination([]*Poly{Zero(1)}, nil); err == nil {
+	if _, err := LinearCombination([]*Poly{zero(1)}, nil); err == nil {
 		t.Fatal("accepted mismatched lengths")
 	}
-	if _, err := LinearCombination([]*Poly{Zero(1), Zero(2)}, []bn256.Scalar{scalar(1), scalar(1)}); err == nil {
+	if _, err := LinearCombination([]*Poly{zero(1), zero(2)}, []bn256.Scalar{scalar(1), scalar(1)}); err == nil {
 		t.Fatal("accepted ragged polynomial widths")
 	}
 	empty, err := LinearCombination(nil, nil)
-	if err != nil || empty.Degree() != -1 {
+	if err != nil || empty.degree() != -1 {
 		t.Fatal("empty combination should be the zero polynomial")
 	}
 }
@@ -293,7 +295,7 @@ func TestInterpolate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(p) {
+	if !got.equal(p) {
 		t.Fatal("interpolation did not recover the polynomial")
 	}
 }
@@ -311,7 +313,7 @@ func TestInterpolateRejectsDuplicates(t *testing.T) {
 
 func TestQuickEvalLinearity(t *testing.T) {
 	f := func(a, b, xv int64) bool {
-		p := New(scalar(a), scalar(b))
+		p := newPoly(scalar(a), scalar(b))
 		x := scalar(xv)
 		want := new(big.Int).Mul(big.NewInt(b), big.NewInt(xv))
 		want.Add(want, big.NewInt(a)).Mod(want, bn256.Order)
@@ -320,4 +322,25 @@ func TestQuickEvalLinearity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// clone returns a deep copy.
+func (p *Poly) clone() *Poly { return newPoly(p.Coeffs...) }
+
+// equal reports mathematical equality (ignoring trailing zeros).
+func (p *Poly) equal(q *Poly) bool {
+	n := max(len(p.Coeffs), len(q.Coeffs))
+	for i := 0; i < n; i++ {
+		var a, b bn256.Scalar
+		if i < len(p.Coeffs) {
+			a = p.Coeffs[i]
+		}
+		if i < len(q.Coeffs) {
+			b = q.Coeffs[i]
+		}
+		if a != b {
+			return false
+		}
+	}
+	return true
 }

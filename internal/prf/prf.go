@@ -46,9 +46,9 @@ func prfBlock(mac hash.Hash, tag byte, ctr uint64, out *[32]byte) {
 	mac.Sum(out[:0])
 }
 
-// Scalar derives a field element in Zn from seed and counter. Two digest
+// scalar derives a field element in Zn from seed and counter. Two digest
 // blocks (512 bits) are reduced mod n so the bias is negligible.
-func Scalar(seed []byte, ctr uint64) bn256.Scalar {
+func scalar(seed []byte, ctr uint64) bn256.Scalar {
 	mac := keyed(seed)
 	var buf [64]byte
 	prfBlock(mac, 0x02, 2*ctr, (*[32]byte)(buf[:32]))
@@ -177,5 +177,5 @@ func OracleGT(serializedGT []byte) bn256.Scalar {
 // A keyed expansion (rather than zero-padding) keeps the point statistically
 // uniform in Zn.
 func EvalPoint(seed []byte) bn256.Scalar {
-	return Scalar(seed, 0x72657661) // "reva"
+	return scalar(seed, 0x72657661) // "reva"
 }

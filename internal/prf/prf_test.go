@@ -11,16 +11,16 @@ import (
 
 func TestScalarDeterministic(t *testing.T) {
 	seed := []byte("0123456789abcdef")
-	a := Scalar(seed, 7)
-	b := Scalar(seed, 7)
+	a := scalar(seed, 7)
+	b := scalar(seed, 7)
 	if a != b {
 		t.Fatal("Scalar is not deterministic")
 	}
-	c := Scalar(seed, 8)
+	c := scalar(seed, 8)
 	if a == c {
 		t.Fatal("distinct counters produced identical scalars")
 	}
-	d := Scalar([]byte("fedcba9876543210"), 7)
+	d := scalar([]byte("fedcba9876543210"), 7)
 	if a == d {
 		t.Fatal("distinct seeds produced identical scalars")
 	}

@@ -14,9 +14,6 @@
 package reputation
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -34,7 +31,7 @@ const (
 	EventDeadlineMissed
 	// EventRejectedAfterNegotiate: the provider bailed after the owner
 	// paid the one-time on-chain key cost (the Section VI-A DoS).
-	EventRejectedAfterNegotiate
+	eventRejectedAfterNegotiate
 	// EventContractCompleted: a full contract served to expiry.
 	EventContractCompleted
 	// EventForgedMetadata: an owner was caught planting bad
@@ -59,7 +56,7 @@ func scoreDelta(e Event) float64 {
 		return -50
 	case EventDeadlineMissed:
 		return -30
-	case EventRejectedAfterNegotiate:
+	case eventRejectedAfterNegotiate:
 		return -10
 	case EventContractCompleted:
 		return +10
@@ -74,8 +71,8 @@ func scoreDelta(e Event) float64 {
 	}
 }
 
-// Record is one identity's standing.
-type Record struct {
+// history is one identity's standing.
+type history struct {
 	Name       string
 	Score      float64
 	Age        int // observed events; proxies identity age / activity
@@ -87,16 +84,13 @@ type Record struct {
 // Ledger tracks scores for all identities. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.RWMutex
-	records map[string]*Record
+	records map[string]*history
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{records: make(map[string]*Record)}
+	return &Ledger{records: make(map[string]*history)}
 }
-
-// ErrUnknown is returned for identities with no history.
-var ErrUnknown = errors.New("reputation: unknown identity")
 
 // Observe applies an event to an identity, creating it on first sight.
 func (l *Ledger) Observe(name string, e Event) {
@@ -104,7 +98,7 @@ func (l *Ledger) Observe(name string, e Event) {
 	defer l.mu.Unlock()
 	r, ok := l.records[name]
 	if !ok {
-		r = &Record{Name: name}
+		r = &history{Name: name}
 		l.records[name] = r
 	}
 	r.Age++
@@ -114,20 +108,9 @@ func (l *Ledger) Observe(name string, e Event) {
 		r.Completed++
 	case EventAuditFailed, EventDeadlineMissed, EventForgedMetadata:
 		r.Slashed++
-	case EventRejectedAfterNegotiate:
+	case eventRejectedAfterNegotiate:
 		r.Rejections++
 	}
-}
-
-// Record returns a copy of an identity's standing.
-func (l *Ledger) Record(name string) (Record, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	r, ok := l.records[name]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	return *r, nil
 }
 
 // Trust returns the effective trust of an identity in [0, 1]. Identities
@@ -164,40 +147,3 @@ func (l *Ledger) Trust(name string) float64 {
 // must be able to join) but low enough that established providers win
 // ranking ties, which is exactly what makes Sybil flooding uneconomical.
 const sybilFloor = 0.05
-
-// Rank orders candidate names by descending trust (stable for equal trust,
-// preserving DHT placement order).
-func (l *Ledger) Rank(candidates []string) []string {
-	out := append([]string(nil), candidates...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return l.Trust(out[i]) > l.Trust(out[j])
-	})
-	return out
-}
-
-// SybilResistance quantifies the cost of a Sybil flood: the number of
-// passed audits a fresh identity needs before its trust exceeds that of an
-// established identity with the given record. It returns -1 if the target
-// is unreachable (e.g. the established identity is at the cap).
-func (l *Ledger) SybilResistance(established string) int {
-	target := l.Trust(established)
-	if target >= 1 {
-		return -1
-	}
-	// Simulate a fresh identity accumulating passes.
-	fresh := &Record{}
-	for n := 1; n <= 10000; n++ {
-		fresh.Age++
-		fresh.Score += scoreDelta(EventAuditPassed)
-		s := fresh.Score
-		if s <= 0 {
-			continue
-		}
-		base := s / (s + 20)
-		youth := float64(fresh.Age) / float64(fresh.Age+5)
-		if sybilFloor+(1-sybilFloor)*base*youth > target {
-			return n
-		}
-	}
-	return -1
-}

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -11,14 +12,14 @@ func TestObserveAndRecord(t *testing.T) {
 	l.Observe("sp-1", EventAuditPassed)
 	l.Observe("sp-1", EventContractCompleted)
 
-	r, err := l.Record("sp-1")
+	r, err := l.record("sp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Age != 3 || r.Completed != 1 || r.Score != 12 {
 		t.Fatalf("record = %+v", r)
 	}
-	if _, err := l.Record("ghost"); !errors.Is(err, ErrUnknown) {
+	if _, err := l.record("ghost"); !errors.Is(err, errUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -77,7 +78,7 @@ func TestRejectionDoSIsSelfDefeating(t *testing.T) {
 	l.Observe("griefer", EventAuditPassed)
 	before := l.Trust("griefer")
 	for i := 0; i < 5; i++ {
-		l.Observe("griefer", EventRejectedAfterNegotiate)
+		l.Observe("griefer", eventRejectedAfterNegotiate)
 	}
 	after := l.Trust("griefer")
 	if after >= before {
@@ -93,16 +94,11 @@ func TestRank(t *testing.T) {
 	l.Observe("meh", EventAuditPassed)
 	l.Observe("bad", EventAuditFailed)
 
-	ranked := l.Rank([]string{"bad", "unknown-a", "good", "meh", "unknown-b"})
-	if ranked[0] != "good" || ranked[1] != "meh" {
-		t.Fatalf("ranked = %v", ranked)
-	}
-	// Equal-trust unknowns keep their input (DHT placement) order.
-	if ranked[2] != "unknown-a" || ranked[3] != "unknown-b" {
-		t.Fatalf("stable tie-break broken: %v", ranked)
-	}
-	if ranked[4] != "bad" {
-		t.Fatalf("slashed not last: %v", ranked)
+	// Placement ranks by trust: good, meh, the unknowns level with each
+	// other (a stable sort keeps their DHT order), the slashed last.
+	good, meh, unknownA, unknownB, bad := l.Trust("good"), l.Trust("meh"), l.Trust("unknown-a"), l.Trust("unknown-b"), l.Trust("bad")
+	if !(good > meh && meh > unknownA && unknownA == unknownB && unknownB > bad) {
+		t.Fatalf("trust good %v, meh %v, unknowns %v/%v, bad %v: want that order", good, meh, unknownA, unknownB, bad)
 	}
 }
 
@@ -111,7 +107,7 @@ func TestSybilResistance(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Observe("incumbent", EventAuditPassed)
 	}
-	n := l.SybilResistance("incumbent")
+	n := l.sybilResistance("incumbent")
 	if n <= 0 {
 		t.Fatalf("sybil resistance = %d", n)
 	}
@@ -120,7 +116,7 @@ func TestSybilResistance(t *testing.T) {
 	if n < 20 {
 		t.Fatalf("sybil catches up after only %d audits", n)
 	}
-	if got := l.SybilResistance("never-seen"); got <= 0 {
+	if got := l.sybilResistance("never-seen"); got <= 0 {
 		t.Fatalf("resistance vs floor identity = %d", got)
 	}
 }
@@ -134,7 +130,7 @@ func TestRepairEvents(t *testing.T) {
 	}
 	before := l.Trust("helper")
 	l.Observe("helper", EventRepairServed)
-	r, err := l.Record("helper")
+	r, err := l.record("helper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,7 @@ func TestRepairEvents(t *testing.T) {
 	}
 	whole := l.Trust("hoarder")
 	l.Observe("hoarder", EventRepairRefused)
-	r, err = l.Record("hoarder")
+	r, err = l.record("hoarder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +165,48 @@ func TestRepairEvents(t *testing.T) {
 	// Ranking: a refuser sinks below clean peers but stays above a
 	// convicted one.
 	l.Observe("felon", EventAuditFailed)
-	ranked := l.Rank([]string{"felon", "hoarder", "helper"})
-	if ranked[0] != "helper" || ranked[1] != "hoarder" || ranked[2] != "felon" {
-		t.Fatalf("ranked = %v", ranked)
+	if helper, hoarder, felon := l.Trust("helper"), l.Trust("hoarder"), l.Trust("felon"); !(helper > hoarder && hoarder > felon) {
+		t.Fatalf("trust helper %v, hoarder %v, felon %v: want strictly descending", helper, hoarder, felon)
 	}
+}
+
+// errUnknown is returned for identities with no history.
+var errUnknown = errors.New("reputation: unknown identity")
+
+// record returns a copy of an identity's standing.
+func (l *Ledger) record(name string) (history, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	r, ok := l.records[name]
+	if !ok {
+		return history{}, fmt.Errorf("%w: %s", errUnknown, name)
+	}
+	return *r, nil
+}
+
+// sybilResistance quantifies the cost of a Sybil flood: the number of
+// passed audits a fresh identity needs before its trust exceeds that of an
+// established identity with the given record. It returns -1 if the target
+// is unreachable (e.g. the established identity is at the cap).
+func (l *Ledger) sybilResistance(established string) int {
+	target := l.Trust(established)
+	if target >= 1 {
+		return -1
+	}
+	// Simulate a fresh identity accumulating passes.
+	fresh := &history{}
+	for n := 1; n <= 10000; n++ {
+		fresh.Age++
+		fresh.Score += scoreDelta(EventAuditPassed)
+		s := fresh.Score
+		if s <= 0 {
+			continue
+		}
+		base := s / (s + 20)
+		youth := float64(fresh.Age) / float64(fresh.Age+5)
+		if sybilFloor+(1-sybilFloor)*base*youth > target {
+			return n
+		}
+	}
+	return -1
 }

@@ -45,9 +45,9 @@ import (
 // bytes for the Bellman configuration it used, which we match.
 const ProofSize = 384
 
-// ConstraintsPerHash approximates the R1CS cost of one SHA-256 compression
+// constraintsPerHash approximates the R1CS cost of one SHA-256 compression
 // in Bellman-style circuits.
-const ConstraintsPerHash = 27000
+const constraintsPerHash = 27000
 
 // Circuit describes a Merkle-path statement: "I know a leaf and a path of
 // the given depth hashing to the public root".
@@ -67,17 +67,17 @@ func CircuitForFile(fileBytes, leafBytes int) Circuit {
 	return Circuit{LeafBytes: leafBytes, Depth: depth}
 }
 
-// Constraints returns the R1CS constraint count. Each interior Merkle node
+// constraints returns the R1CS constraint count. Each interior Merkle node
 // hashes 64 bytes of children plus Merkle-Damgard padding (two SHA-256
 // compressions); the leaf hash needs one compression per 64 bytes (with its
 // padding block folded in). For a 1 KB file in 32-byte leaves this yields
 // ~3x10^5 constraints, the paper's Table II figure.
-func (c Circuit) Constraints() int {
+func (c Circuit) constraints() int {
 	leafCompressions := (c.LeafBytes + 63) / 64
 	if leafCompressions < 1 {
 		leafCompressions = 1
 	}
-	return (leafCompressions + 2*c.Depth) * ConstraintsPerHash
+	return (leafCompressions + 2*c.Depth) * constraintsPerHash
 }
 
 // CostModel maps constraint counts to the off-chain resource costs the
@@ -117,7 +117,7 @@ type Costs struct {
 
 // Estimate returns the modeled costs for circuit c.
 func (m CostModel) Estimate(c Circuit) Costs {
-	n := c.Constraints()
+	n := c.constraints()
 	return Costs{
 		Constraints: n,
 		SetupTime:   time.Duration(n) * m.SetupTimePerConstraint,
@@ -171,10 +171,10 @@ type Proof struct {
 }
 
 var (
-	// ErrWitnessInvalid is returned when the prover's witness does not
+	// errWitnessInvalid is returned when the prover's witness does not
 	// satisfy the statement -- an honest SNARK prover cannot produce a
 	// proof in this case, and neither will this one.
-	ErrWitnessInvalid = errors.New("snark: witness does not satisfy the statement")
+	errWitnessInvalid = errors.New("snark: witness does not satisfy the statement")
 )
 
 func statementDigest(secret [32]byte, st Statement, nonce []byte) []byte {
@@ -193,10 +193,10 @@ func statementDigest(secret [32]byte, st Statement, nonce []byte) []byte {
 // contents, which is the on-chain privacy property the strawman exists for.
 func (pk *ProvingKey) Prove(st Statement, leafCount int, witness *merkle.Proof, rng io.Reader) (*Proof, error) {
 	if witness == nil || st.Index != witness.Index {
-		return nil, ErrWitnessInvalid
+		return nil, errWitnessInvalid
 	}
 	if !merkle.VerifyProof(st.Root, leafCount, witness) {
-		return nil, ErrWitnessInvalid
+		return nil, errWitnessInvalid
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -240,8 +240,3 @@ func (vk *VerifyingKey) Verify(st Statement, p *Proof) bool {
 	}
 	return true
 }
-
-// MaxFileBytes is the practical file-size ceiling the paper reports for the
-// strawman implementation (~16 KB, citing Libra's discussion of circuit
-// scaling).
-const MaxFileBytes = 16 * 1024

@@ -27,8 +27,8 @@ func TestCircuitForFile(t *testing.T) {
 	if c.Depth != 5 {
 		t.Fatalf("depth = %d, want 5", c.Depth)
 	}
-	if c.Constraints() != (1+2*5)*ConstraintsPerHash {
-		t.Fatalf("constraints = %d", c.Constraints())
+	if c.constraints() != (1+2*5)*constraintsPerHash {
+		t.Fatalf("constraints = %d", c.constraints())
 	}
 	if c0 := CircuitForFile(0, 32); c0.Depth != 0 {
 		t.Fatalf("empty file depth = %d, want 0", c0.Depth)
@@ -63,7 +63,7 @@ func TestReferenceCostModelMatchesTableII(t *testing.T) {
 
 func TestProveVerify(t *testing.T) {
 	tree, data := buildTree(t, 16)
-	c := Circuit{LeafBytes: 32, Depth: tree.Depth()}
+	c := Circuit{LeafBytes: 32, Depth: 4} // 16 leaves
 	pk, vk, err := TrustedSetup(c, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestProveVerify(t *testing.T) {
 
 func TestProveRejectsBadWitness(t *testing.T) {
 	tree, data := buildTree(t, 8)
-	c := Circuit{LeafBytes: 32, Depth: tree.Depth()}
+	c := Circuit{LeafBytes: 32, Depth: 4} // 16 leaves
 	pk, _, _ := TrustedSetup(c, rand.Reader)
 
 	witness, _ := tree.Prove(2, data[2])
@@ -127,7 +127,7 @@ func TestProofHidesWitness(t *testing.T) {
 	// Two proofs for the same statement are unlinkable (fresh randomness),
 	// and proofs do not contain leaf bytes.
 	tree, data := buildTree(t, 8)
-	c := Circuit{LeafBytes: 32, Depth: tree.Depth()}
+	c := Circuit{LeafBytes: 32, Depth: 4} // 16 leaves
 	pk, vk, _ := TrustedSetup(c, rand.Reader)
 	witness, _ := tree.Prove(2, data[2])
 	st := Statement{Root: tree.Root(), Index: 2}

@@ -29,8 +29,8 @@ const KeySize = 32
 
 // Errors returned by the storage layer.
 var (
-	ErrNotFound  = errors.New("storage: object not found")
-	ErrCorrupted = errors.New("storage: integrity check failed")
+	errNotFound  = errors.New("storage: object not found")
+	errCorrupted = errors.New("storage: integrity check failed")
 )
 
 // Sealed is an encrypted, authenticated blob ready for outsourcing.
@@ -65,8 +65,8 @@ func Seal(key []byte, data []byte, rng io.Reader) (*Sealed, error) {
 	return s, nil
 }
 
-// Open authenticates and decrypts a sealed blob.
-func Open(key []byte, s *Sealed) ([]byte, error) {
+// open authenticates and decrypts a sealed blob.
+func open(key []byte, s *Sealed) ([]byte, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("storage: key must be %d bytes, got %d", KeySize, len(key))
 	}
@@ -74,7 +74,7 @@ func Open(key []byte, s *Sealed) ([]byte, error) {
 	mac.Write(s.Nonce[:])
 	mac.Write(s.Body)
 	if !hmac.Equal(mac.Sum(nil), s.Tag[:]) {
-		return nil, ErrCorrupted
+		return nil, errCorrupted
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -100,8 +100,8 @@ func (s *Sealed) Marshal() []byte {
 	return out
 }
 
-// UnmarshalSealed parses a flattened sealed blob.
-func UnmarshalSealed(data []byte) (*Sealed, error) {
+// unmarshalSealed parses a flattened sealed blob.
+func unmarshalSealed(data []byte) (*Sealed, error) {
 	if len(data) < aes.BlockSize+sha256.Size {
 		return nil, errors.New("storage: sealed blob too short")
 	}
@@ -184,13 +184,13 @@ func Reassemble(man *Manifest, key []byte, shares [][]byte) ([]byte, error) {
 		return nil, err
 	}
 	if sha256.Sum256(blob) != man.ContentHash {
-		return nil, ErrCorrupted
+		return nil, errCorrupted
 	}
-	sealed, err := UnmarshalSealed(blob)
+	sealed, err := unmarshalSealed(blob)
 	if err != nil {
 		return nil, err
 	}
-	return Open(key, sealed)
+	return open(key, sealed)
 }
 
 // Provider is an in-memory storage provider node. It exposes the faults the
@@ -221,7 +221,7 @@ func (p *Provider) Get(key string) ([]byte, error) {
 	defer p.mu.RUnlock()
 	obj, ok := p.objects[key]
 	if !ok {
-		return nil, ErrNotFound
+		return nil, errNotFound
 	}
 	return append([]byte(nil), obj...), nil
 }
@@ -237,41 +237,3 @@ func (p *Provider) Drop(key string) bool {
 	delete(p.objects, key)
 	return true
 }
-
-// CorruptObject flips a byte of a stored object, modeling silent bit rot or
-// tampering. Returns false if the object is missing or empty.
-func (p *Provider) CorruptObject(key string, offset int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	obj, ok := p.objects[key]
-	if !ok || len(obj) == 0 {
-		return false
-	}
-	obj[offset%len(obj)] ^= 0xFF
-	return true
-}
-
-// UsedBytes reports total stored bytes (for capacity experiments).
-func (p *Provider) UsedBytes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	total := 0
-	for _, o := range p.objects {
-		total += len(o)
-	}
-	return total
-}
-
-// Keys returns the stored object keys (sorted order not guaranteed).
-func (p *Provider) Keys() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, 0, len(p.objects))
-	for k := range p.objects {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Equal compares two byte slices in constant time (helper for tests).
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }

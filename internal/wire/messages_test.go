@@ -238,7 +238,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnmarshalPing(b)
+		got, err := unmarshalPing(b)
 		if err != nil || got.Nonce != 99 {
 			t.Fatalf("got %+v, %v", got, err)
 		}
@@ -290,7 +290,7 @@ func TestMessageRejectsTrailingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalPing(append(ping, 0)); !errors.Is(err, ErrBadFrame) {
+	if _, err := unmarshalPing(append(ping, 0)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("trailing byte accepted: %v", err)
 	}
 	req, err := (&ShareRequest{Key: "k"}).Marshal()
@@ -322,8 +322,8 @@ func TestChallengeCarriesK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wire) != core.ChallengeBinarySize {
-		t.Fatalf("wire challenge is %d bytes, want %d", len(wire), core.ChallengeBinarySize)
+	if len(wire) != 52 {
+		t.Fatalf("wire challenge is %d bytes, want 52 (the on-chain 48 and a 4-byte k)", len(wire))
 	}
 	back, err := core.UnmarshalChallengeBinary(wire)
 	if err != nil {
