@@ -4,7 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 
-	"repro/internal/merkle"
+	"repro/cmd/experiments/internal/merkle"
 )
 
 // runEntropy demonstrates the Section II criticism of naive Merkle-tree

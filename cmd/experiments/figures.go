@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/cmd/experiments/internal/paper"
 	"repro/internal/core"
 	"repro/internal/cost"
 )
@@ -28,7 +29,7 @@ func runFig4(ctx *expCtx) error {
 
 func runFig5(ctx *expCtx) error {
 	m := cost.PaperGasModel()
-	plain, private := cost.Fig5Series(m)
+	plain, private := paper.Fig5Series(m)
 	ctx.printf("%-12s %-26s %-26s\n", "verify (ms)", "w/o privacy (96-B proof)", "w/ privacy (288-B proof)")
 	for i := range plain {
 		ctx.printf("%-12.0f %-26s %-26s\n", plain[i].VerifyMs,
@@ -41,8 +42,8 @@ func runFig5(ctx *expCtx) error {
 }
 
 func runFig6(ctx *expCtx) error {
-	f := cost.PaperFeeModel()
-	rows := cost.Fig6Series(f)
+	f := paper.PaperFeeModel()
+	rows := paper.Fig6Series(f)
 	ctx.printf("%-16s %-18s %-18s\n", "duration (days)", "daily auditing", "weekly auditing")
 	for _, r := range rows {
 		ctx.printf("%-16d $%-17.2f $%-17.2f\n", r.DurationDays, r.DailyUSD, r.WeeklyUSD)
@@ -162,7 +163,7 @@ func runFig9(ctx *expCtx) error {
 	confs := []float64{0.91, 0.93, 0.95, 0.97, 0.99}
 	ctx.printf("%-12s %-6s %-18s %-18s\n", "confidence", "k", "w/o privacy", "w/ privacy")
 	for _, conf := range confs {
-		k := core.ChunksForConfidence(conf, 0.01)
+		k := paper.ChunksForConfidence(conf, 0.01)
 		prover, err := buildProver(s, k)
 		if err != nil {
 			return err
@@ -193,7 +194,7 @@ func runFig9(ctx *expCtx) error {
 }
 
 func runFig10(ctx *expCtx) error {
-	m := cost.PaperScalabilityModel()
+	m := paper.PaperScalabilityModel()
 	ctx.printf("left: annual blockchain growth (daily audits per user)\n")
 	ctx.printf("%-10s %-14s\n", "users", "GB/year")
 	for _, users := range []int{1000, 2000, 5000, 8000, 10000} {
@@ -221,7 +222,7 @@ func runFig10(ctx *expCtx) error {
 	ctx.printf("right: total proving time per provider (measured %.0f ms/contract)\n", ms(per))
 	ctx.printf("%-10s %-14s\n", "owners", "prove all")
 	for _, owners := range []int{10, 20, 50, 100, 150, 300} {
-		ctx.printf("%-10d %-14s\n", owners, fmtDur(cost.AggregateProveTime(per, owners)))
+		ctx.printf("%-10d %-14s\n", owners, fmtDur(paper.AggregateProveTime(per, owners)))
 	}
 	ctx.printf("paper: up to ~25 s at 300 owners (linear regression)\n")
 	return nil

@@ -195,7 +195,7 @@ func (a *EclipseAdversary) RecoverFromBatches(challenges [][]*core.Challenge, re
 			}
 			xs[v] = r
 		}
-		p, err := poly.Interpolate(xs, responses[t])
+		p, err := interpolate(xs, responses[t])
 		if err != nil {
 			return nil, err
 		}

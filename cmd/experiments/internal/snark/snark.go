@@ -37,7 +37,7 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/merkle"
+	"repro/cmd/experiments/internal/merkle"
 )
 
 // ProofSize is the Groth16 proof size at 128-bit security over BN254 with

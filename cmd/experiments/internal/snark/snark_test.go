@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/merkle"
+	"repro/cmd/experiments/internal/merkle"
 )
 
 func buildTree(t *testing.T, leaves int) (*merkle.Tree, [][]byte) {

@@ -12,11 +12,16 @@
 // attack confidence entropy churn soak. The crash matrix is a test:
 // go test ./dsnaudit/sched -run '^TestCrashMatrix$'.
 //
-// Absolute timings depend on this implementation's big.Int-based curve
-// arithmetic (the paper used assembly-optimized ECC); EXPERIMENTS.md
-// records measured-vs-paper for every row and discusses the deltas. The
-// qualitative shapes -- who wins, what grows with what -- are what this
-// harness reproduces.
+// Absolute timings depend on this implementation's pure-Go curve
+// arithmetic (fixed-limb Montgomery fields, internal/bn256; the paper used
+// assembly-optimized ECC). Each experiment prints the paper's value beside
+// its own; the qualitative shapes -- who wins, what grows with what -- are
+// what this harness reproduces.
+//
+// The code only the experiments use lives under internal/ here, outside the
+// library that cmd/dsn-audit links: the Section V-C adversaries (attack),
+// the Merkle baseline (merkle) and its SNARK strawman (snark), and the
+// paper's closed-form models (paper).
 package main
 
 import (

@@ -4,7 +4,8 @@ import (
 	"crypto/rand"
 	"fmt"
 
-	"repro/internal/attack"
+	"repro/cmd/experiments/internal/attack"
+	"repro/cmd/experiments/internal/paper"
 	"repro/internal/beacon"
 	"repro/internal/bn256"
 	"repro/internal/core"
@@ -22,7 +23,7 @@ func runBeacon(ctx *expCtx) error {
 	ctx.printf("%-14s %-12s %-14s %-16s\n", "participants", "round gas", "round USD", "per consumer")
 	for _, n := range []int{1, 3, 5, 10} {
 		gas := model.RoundGas(n)
-		perConsumer := price.GasToUSD(gas)/consumers + price.GasToUSD(cost.ChallengeGasOverhead())
+		perConsumer := price.GasToUSD(gas)/consumers + price.GasToUSD(paper.ChallengeGasOverhead())
 		ctx.printf("%-14d %-12d $%-13.4f $%-15.4f\n", n, gas, price.GasToUSD(gas), perConsumer)
 	}
 	ctx.printf("paper: $0.01 - $0.05 per round per consumer\n\n")
@@ -135,7 +136,7 @@ func runConfidence(ctx *expCtx) error {
 	// corruption. Model, then an empirical audit run.
 	ctx.printf("%-14s %-8s\n", "confidence", "k")
 	for _, conf := range []float64{0.91, 0.93, 0.95, 0.97, 0.99} {
-		ctx.printf("%-14s %-8d\n", fmt.Sprintf("%.0f%%", conf*100), core.ChunksForConfidence(conf, 0.01))
+		ctx.printf("%-14s %-8d\n", fmt.Sprintf("%.0f%%", conf*100), paper.ChunksForConfidence(conf, 0.01))
 	}
 
 	trials := 30
@@ -167,7 +168,7 @@ func runConfidence(ctx *expCtx) error {
 			detected++
 		}
 	}
-	model := core.DetectionProbability(d, corrupt, k)
+	model := paper.DetectionProbability(d, corrupt, k)
 	ctx.printf("\nempirical: d=%d, %d%% corrupted, k=%d: detected %d/%d (%.2f); model %.2f\n",
 		d, 100*corrupt/d, k, detected, trials, float64(detected)/float64(trials), model)
 	return nil

@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"time"
 
+	"repro/cmd/experiments/internal/merkle"
+	"repro/cmd/experiments/internal/paper"
+	"repro/cmd/experiments/internal/snark"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/merkle"
-	"repro/internal/snark"
 )
 
 func runTable1(ctx *expCtx) error {
-	ctx.printf("%s", cost.FormatTableI(cost.TableI()))
+	ctx.printf("%s", paper.FormatTableI(paper.TableI()))
 	ctx.printf("legend: # full support, o partial, x not considered, N/A non-applicable, N/P unspecified\n")
 	return nil
 }
@@ -127,7 +127,7 @@ func runTable2(ctx *expCtx) error {
 	ctx.printf("%-22s %-14s %-14s\n", "Verification time",
 		fmtDur(costs.VerifyTime), fmtDur(verifyTime))
 	ctx.printf("\npaper: strawman 260s/150MB/30s/384B/30ms; main ~120s/~5KB/46ms/288B/7ms\n")
-	ctx.printf("(this implementation's ECC is pure big.Int Go; the paper used optimized assembly)\n")
+	ctx.printf("(this implementation's ECC is pure Go on fixed-limb Montgomery field arithmetic; the paper used optimized assembly)\n")
 	return nil
 }
 

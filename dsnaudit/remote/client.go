@@ -222,22 +222,6 @@ func (c *Client) PutShare(ctx context.Context, key string, data []byte) error {
 	return nil
 }
 
-// ping checks liveness end to end (dial, handshake, echo).
-func (c *Client) ping(ctx context.Context) error {
-	payload, err := (&wire.Ping{Nonce: 1}).Marshal()
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(ctx, wire.MsgPing, payload)
-	if err != nil {
-		return err
-	}
-	if resp.Type != wire.MsgPing {
-		return fmt.Errorf("%w: %v response to ping", dsnaudit.ErrBadFrame, resp.Type)
-	}
-	return nil
-}
-
 // roundTrip sends one request and waits for its response, retrying over
 // fresh connections on transport failure. Timeouts do not retry: the
 // per-call budget is the response window, and burning it on retries would
@@ -504,6 +488,13 @@ func (cc *clientConn) roundTrip(ctx context.Context, id uint64, typ wire.Type, p
 	case f := <-ch:
 		return f, nil
 	case <-cc.done:
+		// The reader delivers a response before it marks the connection
+		// dead, so one that arrived before the close is waiting here.
+		select {
+		case f := <-ch:
+			return f, nil
+		default:
+		}
 		cc.mu.Lock()
 		err := cc.err
 		cc.mu.Unlock()

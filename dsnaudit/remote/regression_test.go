@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,4 +303,102 @@ func isTransportError(err error) bool {
 	return errors.Is(err, dsnaudit.ErrProviderUnreachable) ||
 		errors.Is(err, dsnaudit.ErrResponseTimeout) ||
 		errors.Is(err, dsnaudit.ErrBadFrame)
+}
+
+// TestResponseBeatsCloseRace pins that a response which arrived before its
+// connection died is delivered. A stub answers each challenge and closes at
+// once; the dialed conn holds the challenge's Write until the client has
+// seen the close, so when the call starts waiting its response and the dead
+// connection are both ready. With no retries, taking the dead connection
+// over the response fails the call.
+func TestResponseBeatsCloseRace(t *testing.T) {
+	const contract = chain.Address("c-close")
+	want := []byte("proof bytes")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go serveProofThenClose(ln, contract, want)
+
+	ch, err := core.NewChallenge(4, newDetReader("close-race"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 64
+	failed := 0
+	for i := 0; i < calls; i++ {
+		client := NewClient(ln.Addr().String(), WithRetries(0), WithCallTimeout(5*time.Second))
+		client.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			c, err := d.DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &closeAfterWrite{Conn: c, closed: make(chan struct{})}, nil
+		}
+		got, err := client.Respond(context.Background(), contract, ch)
+		client.Close()
+		if err != nil || string(got) != string(want) {
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d calls lost a response that arrived before the close", failed, calls)
+	}
+}
+
+// closeAfterWrite is a conn whose second Write, the request after the
+// Hello, returns only once the client has closed the conn: after its
+// reader saw the peer's EOF and marked the connection dead.
+type closeAfterWrite struct {
+	net.Conn
+	writes int
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeAfterWrite) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	if c.writes++; c.writes == 2 {
+		select {
+		case <-c.closed:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return n, err
+}
+
+func (c *closeAfterWrite) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// serveProofThenClose answers, on every connection, the Hello and one
+// challenge, then closes the connection at once.
+func serveProofThenClose(ln net.Listener, contract chain.Address, proof []byte) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		for _, typ := range []wire.Type{wire.MsgHello, wire.MsgProof} {
+			f, err := wire.ReadFrame(conn)
+			if err != nil {
+				break
+			}
+			var m interface{ Marshal() ([]byte, error) } = &wire.Hello{Node: "stub"}
+			if typ == wire.MsgProof {
+				m = &wire.Proof{Contract: contract, Proof: proof}
+			}
+			payload, err := m.Marshal()
+			if err != nil {
+				break
+			}
+			if err := wire.WriteFrame(conn, &wire.Frame{Type: typ, ID: f.ID, Payload: payload}); err != nil {
+				break
+			}
+		}
+		conn.Close()
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
 	"net"
 	"sync"
@@ -16,7 +17,21 @@ import (
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
+
+// ping checks liveness end to end (dial, handshake, echo).
+func (c *Client) ping(ctx context.Context) error {
+	// A ping's payload is a nonce the peer echoes back.
+	resp, err := c.roundTrip(ctx, wire.MsgPing, binary.BigEndian.AppendUint64(nil, 1))
+	if err != nil {
+		return err
+	}
+	if resp.Type != wire.MsgPing {
+		return fmt.Errorf("%w: %v response to ping", dsnaudit.ErrBadFrame, resp.Type)
+	}
+	return nil
+}
 
 func eth(n int64) *big.Int {
 	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))

@@ -71,14 +71,6 @@ func (q *wakeQueue[T]) PopDue(h uint64) []T {
 // Len returns the number of armed values.
 func (q *wakeQueue[T]) Len() int { return q.size }
 
-// NextHeight returns the earliest armed height, if any.
-func (q *wakeQueue[T]) NextHeight() (uint64, bool) {
-	if len(q.heights) == 0 {
-		return 0, false
-	}
-	return q.heights[0], true
-}
-
 // heightHeap is a min-heap of distinct block heights.
 type heightHeap []uint64
 

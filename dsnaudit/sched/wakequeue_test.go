@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// NextHeight returns the earliest armed height, if any.
+func (q *wakeQueue[T]) NextHeight() (uint64, bool) {
+	if len(q.heights) == 0 {
+		return 0, false
+	}
+	return q.heights[0], true
+}
+
 func TestWakeQueueBasics(t *testing.T) {
 	q := newWakeQueue[int]()
 	if got := q.PopDue(100); got != nil {

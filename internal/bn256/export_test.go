@@ -223,3 +223,70 @@ func twistYParity(y *gfP2) bool {
 	}
 	return y.x.IsOdd()
 }
+
+// Field-element method forms of the limb kernels and tower operations that
+// only the tests call.
+
+func (e *gfP) Add(a, b *gfP) *gfP {
+	gfpAdd(e, a, b)
+	return e
+}
+
+func (e *gfP) Sub(a, b *gfP) *gfP {
+	gfpSub(e, a, b)
+	return e
+}
+
+func (e *gfP) Neg(a *gfP) *gfP {
+	gfpNeg(e, a)
+	return e
+}
+
+func (e *gfP) Double(a *gfP) *gfP {
+	gfpDouble(e, a)
+	return e
+}
+
+func (e *gfP) Mul(a, b *gfP) *gfP {
+	gfpMul(e, a, b)
+	return e
+}
+
+func (e *gfP) Square(a *gfP) *gfP {
+	gfpSquare(e, a)
+	return e
+}
+
+func (e *gfP12) Neg(a *gfP12) *gfP12 {
+	e.x.Neg(&a.x)
+	e.y.Neg(&a.y)
+	return e
+}
+
+func (e *gfP12) Add(a, b *gfP12) *gfP12 {
+	e.x.Add(&a.x, &b.x)
+	e.y.Add(&a.y, &b.y)
+	return e
+}
+
+func (e *gfP12) Sub(a, b *gfP12) *gfP12 {
+	e.x.Sub(&a.x, &b.x)
+	e.y.Sub(&a.y, &b.y)
+	return e
+}
+
+// SetScalar embeds a base-field element.
+func (e *gfP2) SetScalar(a *gfP) *gfP2 {
+	e.x.SetZero()
+	e.y.Set(a)
+	return e
+}
+
+// SetBigs sets e from canonical big.Int coefficients.
+func (e *gfP2) SetBigs(x, y *big.Int) *gfP2 {
+	e.x.SetBig(x)
+	e.y.SetBig(y)
+	return e
+}
+
+func (e *gfP6) Equal(a *gfP6) bool { return *e == *a }

@@ -516,36 +516,6 @@ func (e *gfP) Unmarshal(data []byte) error {
 	return nil
 }
 
-func (e *gfP) Add(a, b *gfP) *gfP {
-	gfpAdd(e, a, b)
-	return e
-}
-
-func (e *gfP) Sub(a, b *gfP) *gfP {
-	gfpSub(e, a, b)
-	return e
-}
-
-func (e *gfP) Neg(a *gfP) *gfP {
-	gfpNeg(e, a)
-	return e
-}
-
-func (e *gfP) Double(a *gfP) *gfP {
-	gfpDouble(e, a)
-	return e
-}
-
-func (e *gfP) Mul(a, b *gfP) *gfP {
-	gfpMul(e, a, b)
-	return e
-}
-
-func (e *gfP) Square(a *gfP) *gfP {
-	gfpSquare(e, a)
-	return e
-}
-
 // Invert sets e = 1/a mod p. It panics on zero (division by zero in a
 // cryptographic computation is a programming error). a holds the Montgomery
 // form aR, so modInverse with fix = R^2 returns R/a, the Montgomery form of

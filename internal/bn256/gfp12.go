@@ -44,12 +44,6 @@ func (e *gfP12) Conjugate(a *gfP12) *gfP12 {
 	return e
 }
 
-func (e *gfP12) Neg(a *gfP12) *gfP12 {
-	e.x.Neg(&a.x)
-	e.y.Neg(&a.y)
-	return e
-}
-
 // Frobenius sets e = a^p. omega^(p-1) = tau^((p-1)/2) = xi^((p-1)/6).
 func (e *gfP12) Frobenius(a *gfP12) *gfP12 {
 	e.x.Frobenius(&a.x)
@@ -64,18 +58,6 @@ func (e *gfP12) FrobeniusP2(a *gfP12) *gfP12 {
 	e.x.FrobeniusP2(&a.x)
 	e.y.FrobeniusP2(&a.y)
 	e.x.MulScalar(&e.x, &xiToPSquaredMinus1Over6)
-	return e
-}
-
-func (e *gfP12) Add(a, b *gfP12) *gfP12 {
-	e.x.Add(&a.x, &b.x)
-	e.y.Add(&a.y, &b.y)
-	return e
-}
-
-func (e *gfP12) Sub(a, b *gfP12) *gfP12 {
-	e.x.Sub(&a.x, &b.x)
-	e.y.Sub(&a.y, &b.y)
 	return e
 }
 

@@ -31,20 +31,6 @@ func (e *gfP2) SetOne() *gfP2 {
 	return e
 }
 
-// SetScalar embeds a base-field element.
-func (e *gfP2) SetScalar(a *gfP) *gfP2 {
-	e.x.SetZero()
-	e.y.Set(a)
-	return e
-}
-
-// SetBigs sets e from canonical big.Int coefficients.
-func (e *gfP2) SetBigs(x, y *big.Int) *gfP2 {
-	e.x.SetBig(x)
-	e.y.SetBig(y)
-	return e
-}
-
 // SetInt64s sets e from small integer coefficients.
 func (e *gfP2) SetInt64s(x, y int64) *gfP2 {
 	e.x.SetInt64(x)

@@ -33,8 +33,6 @@ func (e *gfP6) IsZero() bool { return e.x.IsZero() && e.y.IsZero() && e.z.IsZero
 
 func (e *gfP6) IsOne() bool { return e.x.IsZero() && e.y.IsZero() && e.z.IsOne() }
 
-func (e *gfP6) Equal(a *gfP6) bool { return *e == *a }
-
 func (e *gfP6) Neg(a *gfP6) *gfP6 {
 	e.x.Neg(&a.x)
 	e.y.Neg(&a.y)

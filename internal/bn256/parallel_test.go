@@ -86,7 +86,7 @@ func TestMillerBatchMatchesLoop(t *testing.T) {
 }
 
 // TestMillerBatchSharedPoints exercises the same G2 generator appearing in
-// every pair — the exact shape verifyTerms produces — to catch races or
+// every pair — the exact shape evalTerms produces — to catch races or
 // aliasing on shared inputs.
 func TestMillerBatchSharedPoints(t *testing.T) {
 	const n = 16

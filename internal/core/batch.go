@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"math/big"
 
 	"repro/internal/bn256"
@@ -21,49 +20,6 @@ type BatchItem struct {
 	NumChunks int
 	Challenge *Challenge
 	Proof     *PrivateProof
-}
-
-// batchVerify checks many private proofs from independent contracts while
-// sharing a single final exponentiation across all of them. Each item's
-// equation is first rewritten by bilinearity so that no G2 point is computed
-// for it,
-//
-//	e(psi^{-zeta}, delta * eps^{-r}) = e(psi^{-zeta}, delta) * e(psi^{r*zeta}, eps),
-//
-// which leaves every factor paired against one of three fixed G2 points: the
-// item's eps (the g1^{-y'}, chi and psi^r terms), its delta (the psi term) and
-// the shared generator g2 (the sigma term). Factors sharing a G2 point are
-// summed in G1 before they are paired, so a batch of N items under K distinct
-// owner keys (eps, delta) -- compared by value, so a recovered or unmarshalled
-// key groups with the original -- costs 2K+1 Miller loops and one final
-// exponentiation, versus N*(3 Miller loops + 1 final exponentiation) verified
-// one by one; K = N is the worst case, K = 1 (one owner's files) costs three
-// loops whatever N is. Each of those sums is one multi-scalar multiplication
-// over the batch -- no item's weighted terms are computed on their own (see
-// verifyTerms) -- and the R commitments are weighted in one GT
-// multi-exponentiation. A batch verifies only if every relation holds; on
-// failure VerifyBatchParallel locates the offenders.
-//
-// The regrouping is bilinearity alone: the GT element compared with one is
-// the same product of the same weighted per-item equations whatever the
-// grouping, so the argument below and every verdict are those of the
-// ungrouped 2N+1-loop product.
-//
-// The weights are what make the batch sound. The per-item zeta_i = H'(R_i)
-// do not: a prover who has fixed R_1 and R_2 knows zeta_1 and zeta_2, so
-// answering sigma_1 + D and sigma_2 - (zeta_1/zeta_2) D, for any D in G1,
-// fails both items' own equations yet leaves their unweighted product
-// unchanged (TestBatchWeightsAreLoadBearing). Each item is therefore raised
-// to an independent weight rho_i derived from the whole batch transcript,
-// after every response is fixed: the small-exponent batch test of Bellare,
-// Garay and Rabin (EUROCRYPT 1998), under which a batch holding any false
-// equation passes with probability about 2^-128 over 128-bit weights. The
-// weights are not optional; dropping them makes the batch forgeable.
-func batchVerify(items []*BatchItem) bool {
-	if len(items) == 0 {
-		return true
-	}
-	return verifyTerms(prepareBatch(items, 0), nil, 0)
 }
 
 // BatchStats counts the pairing workload of batched verification, the
@@ -105,6 +61,42 @@ func VerifyBatchParallel(items []*BatchItem, stats *BatchStats, workers int) []b
 // the offenders on failure. An item whose challenge did not expand fails
 // before any evaluation. Verdicts and stats are those of VerifyBatchParallel
 // over the same proofs, and no PreparedProof is written to.
+//
+// The proofs of a block, from independent contracts, share a single final
+// exponentiation. Each item's equation is first rewritten by bilinearity so
+// that no G2 point is computed for it,
+//
+//	e(psi^{-zeta}, delta * eps^{-r}) = e(psi^{-zeta}, delta) * e(psi^{r*zeta}, eps),
+//
+// which leaves every factor paired against one of three fixed G2 points: the
+// item's eps (the g1^{-y'}, chi and psi^r terms), its delta (the psi term) and
+// the shared generator g2 (the sigma term). Factors sharing a G2 point are
+// summed in G1 before they are paired, so a batch of N items under K distinct
+// owner keys (eps, delta) -- compared by value, so a recovered or unmarshalled
+// key groups with the original -- costs 2K+1 Miller loops and one final
+// exponentiation, versus N*(3 Miller loops + 1 final exponentiation) verified
+// one by one; K = N is the worst case, K = 1 (one owner's files) costs three
+// loops whatever N is. Each of those sums is one multi-scalar multiplication
+// over the batch -- no item's weighted terms are computed on their own (see
+// evalTerms) -- and the R commitments are weighted in one GT
+// multi-exponentiation. A batch verifies only if every relation holds; on
+// failure the search below locates the offenders.
+//
+// The regrouping is bilinearity alone: the GT element compared with one is
+// the same product of the same weighted per-item equations whatever the
+// grouping, so the argument below and every verdict are those of the
+// ungrouped 2N+1-loop product.
+//
+// The weights are what make the batch sound. The per-item zeta_i = H'(R_i)
+// do not: a prover who has fixed R_1 and R_2 knows zeta_1 and zeta_2, so
+// answering sigma_1 + D and sigma_2 - (zeta_1/zeta_2) D, for any D in G1,
+// fails both items' own equations yet leaves their unweighted product
+// unchanged (TestBatchWeightsAreLoadBearing). Each item is therefore raised
+// to an independent weight rho_i derived from the whole batch transcript,
+// after every response is fixed: the small-exponent batch test of Bellare,
+// Garay and Rabin (EUROCRYPT 1998), under which a batch holding any false
+// equation passes with probability about 2^-128 over 128-bit weights. The
+// weights are not optional; dropping them makes the batch forgeable.
 func VerifyPrepared(preps []*PreparedProof, stats *BatchStats, workers int) []bool {
 	s := search{verdicts: make([]bool, len(preps)), stats: stats, workers: workers}
 	var live []*batchTerm
@@ -399,7 +391,7 @@ func prepareItems(items []*BatchItem, workers int) []*PreparedProof {
 // in: its prepared item, which is only read, and the item's scalars scaled
 // by the slot's weight rho from the whole-batch transcript. Nothing here is a
 // group operation's result beyond the item's chi: the weighted sums are
-// verifyTerms', over whatever subset it is handed.
+// evalTerms', over whatever subset it is handed.
 type batchTerm struct {
 	*PreparedProof
 
@@ -409,12 +401,6 @@ type batchTerm struct {
 	rhoY bn256.Scalar   // rho*y': g1's against eps, negated
 	rho  bn256.Scalar   // R's
 	slot int            // the slot's position in the block
-}
-
-// prepareBatch is both steps over items that arrive decoded: the per-item
-// step for each distinct item, then the block step.
-func prepareBatch(items []*BatchItem, workers int) []*batchTerm {
-	return weighBatch(prepareItems(items, workers))
 }
 
 // weighBatch is the block step: it derives the weight rho_i of each slot
@@ -447,17 +433,6 @@ func (p *PreparedProof) weigh(slot int, rho bn256.Scalar) *batchTerm {
 	}
 	term.rhoY.Mul(&rho, &p.proof.YPrime)
 	return term
-}
-
-// verifyTerms checks one (sub-)batch of prepared terms: it fails if a
-// term's challenge did not expand, and otherwise iff evalTerms is not one.
-func verifyTerms(terms []*batchTerm, stats *BatchStats, workers int) bool {
-	for _, term := range terms {
-		if !term.ok {
-			return false
-		}
-	}
-	return evalTerms(terms, stats, workers).IsOne()
 }
 
 // evalTerms returns the value of one (sub-)batch of prepared terms whose
@@ -534,7 +509,7 @@ type keyGroup struct {
 	epsPoints int // points of the eps sum: a psi and the tags per item
 }
 
-// epsSum returns what the group pairs against eps (see verifyTerms): one
+// epsSum returns what the group pairs against eps (see evalTerms): one
 // multi-scalar multiplication over every item's psi and tags, its slices
 // sized once, and g1 to the negated sum of the rho*y' by the fixed-base table.
 func (g *keyGroup) epsSum(workers int) *bn256.G1 {
@@ -559,35 +534,4 @@ func zrSum(terms []*batchTerm, point func(*PrivateProof) *bn256.G1) *bn256.G1 {
 		points[i], scalars[i] = point(term.proof), term.zr
 	}
 	return new(bn256.G1).MultiScalarMult(points, scalars)
-}
-
-// DetectionProbability returns the probability that an audit challenging k
-// of d chunks touches at least one of the c corrupted chunks:
-// 1 - C(d-c,k)/C(d,k), computed in log space for stability. This is the
-// storage-confidence model behind the paper's "k=300 gives 95% assurance at
-// 1% corruption" (Section VI-A) and the x axis of Fig. 9.
-func DetectionProbability(d, c, k int) float64 {
-	if c <= 0 || k <= 0 || d <= 0 {
-		return 0
-	}
-	if k+c > d {
-		return 1
-	}
-	// log C(d-c,k) - log C(d,k) = sum_{i=0}^{k-1} log((d-c-i)/(d-i))
-	logMiss := 0.0
-	for i := 0; i < k; i++ {
-		logMiss += math.Log(float64(d-c-i)) - math.Log(float64(d-i))
-	}
-	return 1 - math.Exp(logMiss)
-}
-
-// ChunksForConfidence returns the smallest k whose detection probability at
-// corruption ratio rho reaches conf, using the paper's i.i.d. approximation
-// k = ln(1-conf)/ln(1-rho). Fig. 9's x axis (91%..99% at rho = 1%) maps to
-// k = 240..460 through this function.
-func ChunksForConfidence(conf, rho float64) int {
-	if conf <= 0 || conf >= 1 || rho <= 0 || rho >= 1 {
-		return 0
-	}
-	return int(math.Ceil(math.Log(1-conf) / math.Log(1-rho)))
 }

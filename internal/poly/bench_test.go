@@ -88,14 +88,3 @@ func BenchmarkEval(b *testing.B) {
 		p.Eval(&x)
 	}
 }
-
-func BenchmarkInterpolate(b *testing.B) {
-	const k = 50
-	xs, ys := randScalars(b, k), randScalars(b, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Interpolate(xs, ys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -5,9 +5,7 @@
 //   - the per-chunk data polynomials Mi(x) of Definition 1,
 //   - the challenge combination Pk(x) of Definition 3,
 //   - the witness quotient Qk(x) = (Pk(x) - Pk(r))/(x - r) via synthetic
-//     division, and
-//   - Lagrange interpolation, used by the Section V-C adversary to
-//     reconstruct Pk from on-chain audit trails.
+//     division.
 //
 // Coefficients are bn256.Scalar values, so a polynomial is one flat slice of
 // limbs and none of its arithmetic allocates per coefficient.
@@ -25,24 +23,8 @@ type Poly struct {
 	Coeffs []bn256.Scalar
 }
 
-// newPoly builds a polynomial from a copy of the given coefficients (constant
-// term first).
-func newPoly(coeffs ...bn256.Scalar) *Poly {
-	return &Poly{Coeffs: append([]bn256.Scalar(nil), coeffs...)}
-}
-
 // zero returns the zero polynomial with capacity for deg+1 coefficients.
 func zero(deg int) *Poly { return &Poly{Coeffs: make([]bn256.Scalar, deg+1)} }
-
-// degree returns the degree of p, with -1 for the zero polynomial.
-func (p *Poly) degree() int {
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		if !p.Coeffs[i].IsZero() {
-			return i
-		}
-	}
-	return -1
-}
 
 // Eval evaluates p at x by Horner's rule.
 func (p *Poly) Eval(x *bn256.Scalar) bn256.Scalar {
@@ -51,45 +33,6 @@ func (p *Poly) Eval(x *bn256.Scalar) bn256.Scalar {
 		acc.Mul(&acc, x).Add(&acc, &p.Coeffs[i])
 	}
 	return acc
-}
-
-// add returns p + q.
-func (p *Poly) add(q *Poly) *Poly {
-	out := zero(max(len(p.Coeffs), len(q.Coeffs)) - 1)
-	copy(out.Coeffs, p.Coeffs)
-	for i := range q.Coeffs {
-		out.Coeffs[i].Add(&out.Coeffs[i], &q.Coeffs[i])
-	}
-	return out
-}
-
-// scalarMul returns c * p.
-func (p *Poly) scalarMul(c *bn256.Scalar) *Poly {
-	out := zero(len(p.Coeffs) - 1)
-	for i := range p.Coeffs {
-		out.Coeffs[i].Mul(&p.Coeffs[i], c)
-	}
-	return out
-}
-
-// mul returns p*q by schoolbook multiplication, for Interpolate; the
-// protocol itself never multiplies polynomials.
-func (p *Poly) mul(q *Poly) *Poly {
-	if p.degree() < 0 || q.degree() < 0 {
-		return zero(0)
-	}
-	out := zero(len(p.Coeffs) + len(q.Coeffs) - 2)
-	var t bn256.Scalar
-	for i := range p.Coeffs {
-		if p.Coeffs[i].IsZero() {
-			continue
-		}
-		for j := range q.Coeffs {
-			t.Mul(&p.Coeffs[i], &q.Coeffs[j])
-			out.Coeffs[i+j].Add(&out.Coeffs[i+j], &t)
-		}
-	}
-	return out
 }
 
 // LinearCombination returns sum_i scalars[i] * polys[i]. All polynomials
@@ -131,46 +74,4 @@ func (p *Poly) DivideByLinear(r *bn256.Scalar) (q *Poly, rem bn256.Scalar) {
 		rem.Mul(&rem, r).Add(&rem, &p.Coeffs[i])
 	}
 	return q, rem
-}
-
-// Interpolate returns the unique polynomial of degree < len(xs) passing
-// through the points (xs[i], ys[i]). The xs must be pairwise distinct.
-//
-// This is the tool of the Section V-C adversary: observing s evaluations of
-// the degree-(s-1) polynomial Pk on the chain fully reconstructs it.
-func Interpolate(xs, ys []bn256.Scalar) (*Poly, error) {
-	k := len(xs)
-	if len(ys) != k {
-		return nil, fmt.Errorf("poly: %d abscissae but %d ordinates", k, len(ys))
-	}
-	// Duplicate abscissae make the system singular; detect them in O(k).
-	seen := make(map[bn256.Scalar]int, k)
-	for i, x := range xs {
-		if j, dup := seen[x]; dup {
-			return nil, fmt.Errorf("poly: duplicate interpolation abscissa at %d and %d", j, i)
-		}
-		seen[x] = i
-	}
-
-	var one bn256.Scalar
-	one.SetUint64(1)
-	result := zero(k - 1)
-	for i := 0; i < k; i++ {
-		// Build the i-th Lagrange basis polynomial incrementally.
-		basis := newPoly(one)
-		denom := one
-		for j := 0; j < k; j++ {
-			if j == i {
-				continue
-			}
-			// basis *= (x - xs[j])
-			var negX, diff bn256.Scalar
-			basis = basis.mul(newPoly(*negX.Neg(&xs[j]), one))
-			denom.Mul(&denom, diff.Sub(&xs[i], &xs[j]))
-		}
-		var scale bn256.Scalar
-		scale.Inv(&denom).Mul(&scale, &ys[i])
-		result = result.add(basis.scalarMul(&scale))
-	}
-	return result, nil
 }

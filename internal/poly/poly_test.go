@@ -284,33 +284,6 @@ func TestLinearCombinationErrors(t *testing.T) {
 	}
 }
 
-func TestInterpolate(t *testing.T) {
-	p := randPoly(t, 6)
-	xs := randScalars(t, 7)
-	ys := make([]bn256.Scalar, len(xs))
-	for i := range xs {
-		ys[i] = p.Eval(&xs[i])
-	}
-	got, err := Interpolate(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.equal(p) {
-		t.Fatal("interpolation did not recover the polynomial")
-	}
-}
-
-func TestInterpolateRejectsDuplicates(t *testing.T) {
-	xs := []bn256.Scalar{scalar(1), scalar(1)}
-	ys := []bn256.Scalar{scalar(2), scalar(3)}
-	if _, err := Interpolate(xs, ys); err == nil {
-		t.Fatal("accepted duplicate abscissae")
-	}
-	if _, err := Interpolate(xs, ys[:1]); err == nil {
-		t.Fatal("accepted mismatched lengths")
-	}
-}
-
 func TestQuickEvalLinearity(t *testing.T) {
 	f := func(a, b, xv int64) bool {
 		p := newPoly(scalar(a), scalar(b))

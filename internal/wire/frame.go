@@ -54,7 +54,8 @@ type Type uint8
 
 // Message types. Requests flow driver -> provider; each response echoes the
 // request ID. AcceptAuditData is answered by Accepted, Challenge by Proof,
-// Hello by Hello and Ping by Ping; Error answers any request that failed.
+// Hello by Hello and Ping by Ping, whose payload (an 8-byte big-endian
+// nonce) the peer echoes back; Error answers any request that failed.
 // The repair subsystem's share transfers reuse the same shape: ShareRequest
 // is answered by ShareData, and ShareData sent as a request is a share
 // *push* (re-placement onto a fresh holder) answered by Accepted, whose

@@ -140,6 +140,16 @@ func (neverEnding) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Ping is the liveness probe; the peer echoes the nonce back.
+type Ping struct {
+	Nonce uint64
+}
+
+// Marshal encodes the ping payload.
+func (p *Ping) Marshal() ([]byte, error) {
+	return binary.BigEndian.AppendUint64(nil, p.Nonce), nil
+}
+
 // unmarshalPing parses a ping payload.
 func unmarshalPing(data []byte) (*Ping, error) {
 	if len(data) != 8 {

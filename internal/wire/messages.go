@@ -346,16 +346,6 @@ func UnmarshalError(data []byte) (*Error, error) {
 	return e, nil
 }
 
-// Ping is the liveness probe; the peer echoes the nonce back.
-type Ping struct {
-	Nonce uint64
-}
-
-// Marshal encodes the ping payload.
-func (p *Ping) Marshal() ([]byte, error) {
-	return binary.BigEndian.AppendUint64(nil, p.Nonce), nil
-}
-
 // appendString appends a uint16-length-prefixed string.
 func appendString(out []byte, s string) ([]byte, error) {
 	if len(s) > maxStringLen {

@@ -1,13 +1,21 @@
-// Command exportlint checks the module's public surface: every exported
-// func, method, type, var and const declared in non-test code outside
-// bench/ and package main must be referenced by a non-test file of another
-// package outside bench/. A name only its own package, its tests or the
-// benchmark use is surface nobody calls: unexport it or delete it.
+// Command exportlint checks the module's public surface and its library
+// against what the service links. Two rules:
 //
-// It parses the module with go/parser and type-checks every package from
-// source with go/types, in import order; the standard library comes from
-// the source importer. Three things count as a reference besides a use in
-// another package:
+//  1. Every exported func, method, type, var and const declared in non-test
+//     code outside bench/ and package main must be referenced by a non-test
+//     file of another package outside bench/. A name only its own package,
+//     its tests or the benchmark use is surface nobody calls: unexport it or
+//     delete it.
+//  2. Every function and method declared in a non-test file of a library
+//     package -- one outside cmd/, bench/ and scripts/ that is not package
+//     main -- must be linked into cmd/dsn-audit. What only the experiments,
+//     the benchmark or tests reach belongs under cmd/experiments or in a
+//     _test.go file.
+//
+// Rule 1 parses the module with go/parser and type-checks every package
+// from source with go/types, in import order; the standard library comes
+// from the source importer. Three things count as a reference besides a use
+// in another package:
 //
 //   - a method that implements an interface method, for an interface
 //     declared in the module or in a package the module imports, or one of
@@ -20,10 +28,18 @@
 // Struct fields and interface methods are out of scope. Directories with
 // their own go.mod (bench/), testdata and hidden directories are skipped.
 //
-// The allowlist names what still breaks the rule, each entry under the
-// ROADMAP item that gives it a caller or removes it. It can only shrink:
-// an allowlisted name that gains a caller, or is no longer declared, fails
-// the lint until its entry is deleted.
+// Rule 2 builds cmd/dsn-audit with inlining off for the module's packages,
+// so that every module function the binary calls keeps a symbol, and reads
+// the symbol table with go tool nm. Closures, defer and go wrappers,
+// method values and generic instances are read as the function that
+// declares them. The linker keeps every method an interface call could
+// reach, so the rule can miss dead code but never flags live code.
+//
+// The allowlist names what still breaks a rule, each entry under the
+// ROADMAP item that gives it a caller, links it or removes it. An entry
+// exempts its name from both rules and can only shrink: an allowlisted name
+// that no rule flags any more, or that is no longer declared, fails the
+// lint until its entry is deleted.
 //
 // Usage, from the module root:
 //
@@ -65,8 +81,8 @@ func main() {
 		fmt.Printf("exportlint: FAIL (%d problems)\n", len(r.problems))
 		os.Exit(1)
 	}
-	fmt.Printf("exportlint: PASS (%d exported names in %d packages checked, %d allowlisted)\n",
-		r.checked, r.packages, r.allowlisted)
+	fmt.Printf("exportlint: PASS (%d exported names in %d packages checked; %d of %d library functions linked into %s; %d allowlisted)\n",
+		r.checked, r.packages, r.linked, r.funcs, binary, r.allowlisted)
 }
 
 // report is the outcome of one lint run.
@@ -74,8 +90,13 @@ type report struct {
 	problems    []string
 	checked     int // exported names declared in linted packages
 	packages    int // linted packages
+	funcs       int // functions and methods declared in library packages
+	linked      int // of those, how many the binary links
 	allowlisted int
 }
+
+// finding is one name a rule flags, and the problem it is unless allowlisted.
+type finding struct{ name, problem string }
 
 // pkg is one type-checked package of the module.
 type pkg struct {
@@ -105,6 +126,11 @@ func lint(root, allowPath string) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
+	link, err := startLink(root, l.modPath)
+	if err != nil {
+		return nil, err
+	}
+	defer link.close()
 	paths := make([]string, 0, len(l.dirs))
 	for p := range l.dirs {
 		paths = append(paths, p)
@@ -144,17 +170,22 @@ func lint(root, allowPath string) (*report, error) {
 		recv *types.TypeName // a method's type
 	}
 	var decls []decl
+	var funcs []decl // every function and method of a library package, for rule 2
 	r := &report{}
 	for _, p := range all {
 		if p.types.Name() == "main" {
 			continue
 		}
 		r.packages++
+		lib := isLibrary(p.rel)
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
 			if obj.Exported() {
 				decls = append(decls, decl{p.rel + "." + n, obj, nil})
+			}
+			if _, ok := obj.(*types.Func); ok && lib {
+				funcs = append(funcs, decl{p.rel + "." + n, obj, nil})
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -166,10 +197,14 @@ func lint(root, allowPath string) (*report, error) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
+				name := p.rel + "." + n + "." + m.Name()
+				if lib {
+					funcs = append(funcs, decl{name, m, tn})
+				}
 				if !m.Exported() {
 					continue
 				}
-				decls = append(decls, decl{p.rel + "." + n + "." + m.Name(), m, tn})
+				decls = append(decls, decl{name, m, tn})
 				if implements(named, m.Name(), ifaces) {
 					used[m] = true
 				}
@@ -195,20 +230,51 @@ func lint(root, allowPath string) (*report, error) {
 		})
 	}
 
+	// Rule 1: an exported name nothing outside its package calls.
 	declared := map[string]bool{}
+	var flagged []finding
+	called := map[string]bool{} // exported names that rule 1 passes
 	for _, d := range decls {
 		if d.recv != nil && !d.recv.Exported() && !used[d.recv] {
 			continue
 		}
 		declared[d.name] = true
 		r.checked++
-		_, allowed := allow[d.name]
-		switch {
-		case allowed && used[d.obj]:
-			r.problems = append(r.problems, fmt.Sprintf("%s is allowlisted but now has a caller: delete its allowlist entry", d.name))
-		case !allowed && !used[d.obj]:
-			r.problems = append(r.problems, fmt.Sprintf("%s: %s is exported but no non-test code of another package outside bench/ references it",
-				l.position(d.obj), d.name))
+		if used[d.obj] {
+			called[d.name] = true
+		} else {
+			flagged = append(flagged, finding{d.name, fmt.Sprintf("%s: %s is exported but no non-test code of another package outside bench/ references it",
+				l.position(d.obj.Pos()), d.name)})
+		}
+	}
+
+	// Rule 2: a function or method of a library package the binary does
+	// not link.
+	linked, err := link.wait(l.modPath)
+	if err != nil {
+		return nil, err
+	}
+	inLib := map[string]bool{}
+	for _, f := range funcs {
+		declared[f.name] = true
+		inLib[f.name] = true
+		r.funcs++
+		if linked[f.name] {
+			r.linked++
+		} else {
+			flagged = append(flagged, finding{f.name, fmt.Sprintf("%s: %s is declared in a library package but %s does not link it",
+				l.position(f.obj.Pos()), f.name, binary)})
+		}
+	}
+
+	// The allowlist exempts a name from both rules, and an entry stays only
+	// while one of them flags its name.
+	still := map[string]bool{}
+	for _, f := range flagged {
+		if _, ok := allow[f.name]; ok {
+			still[f.name] = true
+		} else {
+			r.problems = append(r.problems, f.problem)
 		}
 	}
 	names := make([]string, 0, len(allow))
@@ -217,8 +283,18 @@ func lint(root, allowPath string) (*report, error) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if !declared[n] {
+		var now []string
+		if called[n] {
+			now = append(now, "now has a caller")
+		}
+		if inLib[n] {
+			now = append(now, binary+" now links it")
+		}
+		switch {
+		case !declared[n]:
 			r.problems = append(r.problems, fmt.Sprintf("allowlisted %s is not declared any more: delete its allowlist entry", n))
+		case !still[n]:
+			r.problems = append(r.problems, fmt.Sprintf("%s is allowlisted but %s: delete its allowlist entry", n, strings.Join(now, " and ")))
 		}
 	}
 	r.allowlisted = len(allow)
@@ -511,8 +587,8 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-func (l *loader) position(obj types.Object) string {
-	pos := l.fset.Position(obj.Pos())
+func (l *loader) position(p token.Pos) string {
+	pos := l.fset.Position(p)
 	if rel, err := filepath.Rel(l.root, pos.Filename); err == nil {
 		pos.Filename = rel
 	}

@@ -17,15 +17,21 @@ func TestFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		// Only a _test.go file calls it, in its own package and in another.
+		// Rule 1. Only a _test.go file calls it, in its own package and in
+		// another.
 		"a/a.go:7: a.OnlyTested is exported but",
 		// Only bench/, a module of its own, calls it.
 		"a/a.go:10: a.OnlyBench is exported but",
 		// Only its own package calls it.
 		"a/a.go:28: a.Widget.Spin is exported but",
-		// The shrink-only rule: an entry that gained a caller, and one whose
-		// name is gone.
-		"a.Parked is allowlisted but now has a caller",
+		// Rule 2. A function only a test calls, one only bench/ calls, and an
+		// unexported one nothing calls: cmd/dsn-audit links none of them.
+		"a/a.go:7: a.OnlyTested is declared in a library package but cmd/dsn-audit does not link it",
+		"a/a.go:10: a.OnlyBench is declared in a library package but cmd/dsn-audit does not link it",
+		"a/a.go:60: a.unlinked is declared in a library package but cmd/dsn-audit does not link it",
+		// The shrink-only rule: an entry that gained a caller and that the
+		// binary now links, and one whose name is gone.
+		"a.Parked is allowlisted but now has a caller and cmd/dsn-audit now links it",
 		"allowlisted a.Gone is not declared any more",
 	}
 	var got []string
@@ -42,12 +48,44 @@ func TestFixture(t *testing.T) {
 			t.Errorf("problem %q, want %q...", got[i], want[i])
 		}
 	}
-	// Everything else passes: a.Part (reached only through Widget's field),
-	// NotFoundError's Error, Unwrap and Is (reached only through the error
-	// interface and errors.Is), a.Reserved (allowlisted, still uncalled),
-	// and package main's Helper (main packages are not linted).
-	if r.packages != 2 || r.allowlisted != 3 {
-		t.Errorf("linted %d packages with %d allowlisted, want 2 (a, c) and 3", r.packages, r.allowlisted)
+	// Everything else passes. Rule 1: a.Part (reached only through
+	// Widget's field), NotFoundError's Error, Unwrap and Is (reached only
+	// through the error interface and errors.Is), a.Reserved (allowlisted,
+	// still uncalled), and package main's Helper (main packages are not
+	// linted). Rule 2: Widget.Spin (linked through NewWidget), Square.Area
+	// (reached only through the interface call in Total), Counter's closure,
+	// the generic Largest and Stack.Push (linked only as instances), and
+	// a.Pending (allowlisted; cmd/tool calls it, cmd/dsn-audit does not).
+	if r.packages != 2 || r.allowlisted != 4 {
+		t.Errorf("linted %d packages with %d allowlisted, want 2 (a, c) and 4", r.packages, r.allowlisted)
+	}
+	if r.funcs != r.linked+5 {
+		t.Errorf("%d library functions, %d linked: want all but OnlyTested, OnlyBench, unlinked, Pending and Reserved", r.funcs, r.linked)
+	}
+}
+
+// TestLinkedName pins how a text symbol of the binary maps to the
+// declarations it may stand for: closures, defer and go wrappers, method
+// values and generic instances all read as the function that declares them.
+func TestLinkedName(t *testing.T) {
+	for _, tc := range []struct {
+		sym  string
+		want []string
+	}{
+		{"repro/internal/core.Setup", []string{"internal/core.Setup"}},
+		{"repro/internal/core.Setup.func1.2", []string{"internal/core.Setup", "internal/core.Setup.func1"}},
+		{"repro/dsnaudit.(*Network).AddProvider.deferwrap1", []string{"dsnaudit.Network", "dsnaudit.Network.AddProvider"}},
+		{"repro/dsnaudit/remote.newClientConn.gowrap1", []string{"dsnaudit/remote.newClientConn", "dsnaudit/remote.newClientConn.gowrap1"}},
+		{"repro/internal/bn256.GT.Marshal-fm", []string{"internal/bn256.GT", "internal/bn256.GT.Marshal"}},
+		{"repro/dsnaudit/sched.(*wakeQueue[go.shape.*uint8]).PopDue", []string{"dsnaudit/sched.wakeQueue", "dsnaudit/sched.wakeQueue.PopDue"}},
+		{"repro/internal/bn256.grow[go.shape.struct { repro/internal/bn256.x repro/internal/bn256.gfP }]", []string{"internal/bn256.grow"}},
+		{"reprox/a.F", nil},
+		{"runtime.main", nil},
+	} {
+		got := linkedName(tc.sym, "repro")
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("linkedName(%q) = %q, want %q", tc.sym, got, tc.want)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
-// Command tool is the fixture's caller; a main package's own exported
-// names are not linted.
+// Command tool is a caller that is not the service: its calls count for
+// rule 1 and not for rule 2. A main package's own exported names are not
+// linted.
 package main
 
 import (
@@ -15,7 +16,7 @@ func Helper() {}
 func main() {
 	w := a.NewWidget()
 	w.Used()
-	a.Parked()
+	a.Pending()
 	err := a.Find("x")
 	var nf *a.NotFoundError
 	fmt.Println(w.Part.N, errors.Is(err, a.ErrNotFound), errors.As(err, &nf))
