@@ -155,22 +155,6 @@ func (e *G1) Equal(a *G1) bool {
 	return e.point().Equal(a.point())
 }
 
-// NormalizeG1 rewrites every point's internal representation to affine form
-// with one shared field inversion. The group elements and every encoding are
-// unchanged; what changes is that Marshal and MarshalCompressed, which
-// otherwise invert once per call, and MultiScalarMult then find nothing left
-// to normalize. For whoever produces a long-lived slice of points (a key's
-// powers, a file's authenticators) to call once, before sharing it.
-func NormalizeG1(points []*G1) {
-	ps := make([]*curvePoint, 0, len(points))
-	for _, e := range points {
-		if e.p != nil {
-			ps = append(ps, e.p)
-		}
-	}
-	makeAffineBatch(ps)
-}
-
 // Marshal encodes e uncompressed as x || y (64 bytes). Infinity encodes as
 // all zeros.
 func (e *G1) Marshal() []byte {
@@ -277,9 +261,11 @@ func (e *G2) Equal(a *G2) bool {
 	return e.point().Equal(a.point())
 }
 
-// NormalizeG2 is NormalizeG1 for G2: Marshal and the Miller loop, which
-// otherwise invert once per use, find the points affine. One inversion per
-// point (a key holds two), for whoever creates them to call before sharing.
+// NormalizeG2 rewrites every point's internal representation to affine
+// form, the group elements and their encodings unchanged: Marshal and the
+// Miller loop, which otherwise invert once per use, find the points affine.
+// One inversion per point (a key holds two), for whoever creates them to
+// call before sharing.
 func NormalizeG2(points []*G2) {
 	for _, e := range points {
 		if e.p != nil {

@@ -85,23 +85,6 @@ func (c *curvePoint) MakeAffine() *curvePoint {
 	return c
 }
 
-// makeAffineBatch normalizes every point to z = 1 (or infinity) in place, like
-// MakeAffine on each but with one field inversion shared by all of them.
-func makeAffineBatch(points []*curvePoint) {
-	var zs []gfP
-	var proj []*curvePoint
-	for _, p := range points {
-		if !p.IsInfinity() && !p.z.IsOne() {
-			zs, proj = append(zs, p.z), append(proj, p)
-		}
-	}
-	batchInvert(zs, make([]gfP, len(zs)))
-	for i, p := range proj {
-		jacobianToAffine(&p.x, &p.y, &zs[i])
-		p.z = rOne
-	}
-}
-
 // jacobianToAffine rescales the Jacobian coordinates (x, y) of a finite point
 // to affine ones, given zInv = 1/z.
 func jacobianToAffine(x, y, zInv *gfP) {
@@ -147,12 +130,12 @@ func (c *curvePoint) Double(a *curvePoint) *curvePoint {
 		return c.SetInfinity()
 	}
 	var A, B, C, d, e, f gfP
-	gfpMul(&A, &a.x, &a.x)
-	gfpMul(&B, &a.y, &a.y)
-	gfpMul(&C, &B, &B)
+	gfpSquare(&A, &a.x)
+	gfpSquare(&B, &a.y)
+	gfpSquare(&C, &B)
 
 	gfpAdd(&d, &a.x, &B)
-	gfpMul(&d, &d, &d)
+	gfpSquare(&d, &d)
 	gfpSub(&d, &d, &A)
 	gfpSub(&d, &d, &C)
 	gfpDouble(&d, &d)
@@ -160,7 +143,7 @@ func (c *curvePoint) Double(a *curvePoint) *curvePoint {
 	gfpDouble(&e, &A)
 	gfpAdd(&e, &e, &A)
 
-	gfpMul(&f, &e, &e)
+	gfpSquare(&f, &e)
 
 	var x3, y3, z3, t gfP
 	gfpDouble(&t, &d)
@@ -191,8 +174,8 @@ func (c *curvePoint) Add(a, b *curvePoint) *curvePoint {
 	}
 
 	var z1z1, z2z2, u1, u2, s1, s2, h, r gfP
-	gfpMul(&z1z1, &a.z, &a.z)
-	gfpMul(&z2z2, &b.z, &b.z)
+	gfpSquare(&z1z1, &a.z)
+	gfpSquare(&z2z2, &b.z)
 
 	gfpMul(&u1, &a.x, &z2z2)
 	gfpMul(&u2, &b.x, &z1z1)
@@ -215,13 +198,13 @@ func (c *curvePoint) Add(a, b *curvePoint) *curvePoint {
 
 	var i, j, v gfP
 	gfpDouble(&i, &h)
-	gfpMul(&i, &i, &i)
+	gfpSquare(&i, &i)
 	gfpMul(&j, &h, &i)
 
 	gfpMul(&v, &u1, &i)
 
 	var x3, y3, z3, t gfP
-	gfpMul(&x3, &r, &r)
+	gfpSquare(&x3, &r)
 	gfpSub(&x3, &x3, &j)
 	gfpDouble(&t, &v)
 	gfpSub(&x3, &x3, &t)
@@ -233,7 +216,7 @@ func (c *curvePoint) Add(a, b *curvePoint) *curvePoint {
 	gfpSub(&y3, &y3, &t)
 
 	gfpAdd(&z3, &a.z, &b.z)
-	gfpMul(&z3, &z3, &z3)
+	gfpSquare(&z3, &z3)
 	gfpSub(&z3, &z3, &z1z1)
 	gfpSub(&z3, &z3, &z2z2)
 	gfpMul(&z3, &z3, &h)

@@ -133,35 +133,6 @@ func TestZeroValueOperandsShared(t *testing.T) {
 	}
 }
 
-// TestNormalizeG1: the points come back affine inside and unchanged outside,
-// infinity and the zero value included.
-func TestNormalizeG1(t *testing.T) {
-	points := []*G1{
-		new(G1).ScalarBaseMult(big.NewInt(1<<20 + 5)),
-		{},
-		new(G1).Add(HashToG1([]byte("normalize")), GenG1()),
-		new(G1).SetInfinity(),
-		HashToG1([]byte("already affine")),
-	}
-	var want [][]byte
-	for _, p := range points {
-		want = append(want, p.Marshal())
-	}
-	if points[0].p.z.IsOne() || points[2].p.z.IsOne() {
-		t.Fatal("no Jacobian point among the inputs")
-	}
-	NormalizeG1(points)
-	for i, p := range points {
-		if !bytes.Equal(p.Marshal(), want[i]) {
-			t.Errorf("point %d changed value", i)
-		}
-		if p.p != nil && !p.p.IsInfinity() && !p.p.z.IsOne() {
-			t.Errorf("point %d is still Jacobian", i)
-		}
-	}
-	NormalizeG1(nil)
-}
-
 // TestScalarConventionsAgree holds every scalar multiplication in the
 // package to one meaning of a scalar outside [0, n): its residue mod n.
 func TestScalarConventionsAgree(t *testing.T) {
@@ -219,7 +190,8 @@ func TestScalarConventionsAgree(t *testing.T) {
 	}
 }
 
-// TestNormalizeG2: as TestNormalizeG1, for the two G2 points of a key.
+// TestNormalizeG2: the two G2 points of a key come back affine inside and
+// unchanged outside, infinity and the zero value included.
 func TestNormalizeG2(t *testing.T) {
 	points := []*G2{
 		new(G2).ScalarBaseMult(big.NewInt(1<<20 + 5)),

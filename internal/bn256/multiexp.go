@@ -16,6 +16,14 @@ import (
 // one-point call), Pippenger's bucket method beyond (psi over a key's 49
 // powers, sigma and chi over 300 challenged chunks, a block's eps sum).
 //
+// Many products under one shared scalar are a third case, and not a sum:
+// Setup's x*(m_i*g1 + t_i) for every chunk of a file. ScaledBaseSums
+// (fixedbase.go) walks x's NAF digits in lockstep over a slice of points,
+// each doubling and addition one batch-affine step across the slice with a
+// single inversion, as the bucket method's reduction rounds are. It takes
+// that path from about 29 points a slice (lockstepPays) and ScalarMult on
+// each point below.
+//
 // The bucket method, in the order the code runs it:
 //
 //  1. Split. Every scalar is split on its limbs as k = k1 + k2*lambda with

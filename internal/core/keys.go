@@ -72,7 +72,7 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("%w: chunk size s = %d", errBadParameters, s)
 	}
-	sk := &PrivateKey{Pub: &PublicKey{S: s, Powers: make([]*bn256.G1, s)}}
+	sk := &PrivateKey{Pub: &PublicKey{S: s}}
 	pub := sk.Pub
 	for _, v := range []*bn256.Scalar{&sk.X, &sk.Alpha, &pub.Name} {
 		if err := v.SetRandom(r); err != nil {
@@ -82,15 +82,17 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	var ax, aj bn256.Scalar
 	pub.Epsilon = new(bn256.G2).ScalarBaseMult(sk.X.Big())
 	pub.Delta = new(bn256.G2).ScalarBaseMult(ax.Mul(&sk.Alpha, &sk.X).Big())
+	powers := make([]bn256.Scalar, s)
 	aj.SetUint64(1)
-	for j := 0; j < s; j++ {
-		pub.Powers[j] = new(bn256.G1).ScalarBaseMult(aj.Big())
+	for j := range powers {
+		powers[j] = aj
 		aj.Mul(&aj, &sk.Alpha)
 	}
 	// Every Marshal and every prover's psi reads the powers, every Marshal
 	// and every verifier's Miller loop reads ε and δ: affine once, here,
-	// instead of one inversion per point per use.
-	bn256.NormalizeG1(pub.Powers)
+	// instead of one inversion per point per use. The batch comb hands the
+	// powers out affine.
+	pub.Powers = bn256.ScalarBaseMultBatch(powers)
 	bn256.NormalizeG2([]*bn256.G2{pub.Epsilon, pub.Delta})
 	pub.EG1Eps = bn256.Pair(bn256.GenG1(), pub.Epsilon)
 	return sk, nil

@@ -9,31 +9,34 @@ import (
 // benchWorkerCounts is the cores-vs-throughput ladder.
 var benchWorkerCounts = []int{1, 2, 4, 8}
 
-// BenchmarkSetupParallel measures authenticator generation throughput (the
-// owner's 5 MB/s preprocessing bottleneck) across worker counts; MB/s is
-// the headline number and scales with cores up to GOMAXPROCS.
+// BenchmarkSetupParallel measures authenticator generation at the paper's
+// s = 50 over the files the workloads onboard -- a fleet file's 17 chunks, a
+// 128 KiB file's 85 and a 512 KiB file's 339 -- at one and two workers: with
+// two, the 17 chunks split below the lockstep crossover and the others stay
+// above it. MB/s is the headline number.
 func BenchmarkSetupParallel(b *testing.B) {
-	const s, fileBytes = 8, 256 << 10
+	const s = 50
 	sk, err := KeyGen(s, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]byte, fileBytes)
-	rand.Read(data)
-	ef, err := EncodeFile(data, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(fileBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SetupParallel(sk, ef, workers); err != nil {
-					b.Fatal(err)
+	for _, chunks := range []int{17, 85, 339} {
+		data := make([]byte, chunks*s*BlockSize)
+		rand.Read(data)
+		ef, err := EncodeFile(data, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("chunks=%d/workers=%d", chunks, workers), func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					if _, err := SetupParallel(sk, ef, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

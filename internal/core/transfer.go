@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/bn256"
+	"repro/internal/parallel"
 	"repro/internal/prf"
 )
 
@@ -141,19 +142,28 @@ func UnmarshalAuthenticators(data []byte) ([]*Authenticator, error) {
 	if int64(len(data)) != 4+int64(n)*rec {
 		return nil, fmt.Errorf("%w: %d authenticator bytes, want %d", ErrMalformed, len(data), 4+int64(n)*rec)
 	}
+	// A point's square root is most of a record's cost: the records decode
+	// across the cores into index-keyed slots, and the first error in record
+	// order is the one returned, as a serial decode would.
 	auths := make([]*Authenticator, n)
-	off := 4
-	for i := range auths {
-		idx := binary.BigEndian.Uint32(data[off : off+4])
-		if int(idx) != i {
-			return nil, fmt.Errorf("%w: authenticator %d carries index %d", ErrMalformed, i, idx)
+	errs := make([]error, n)
+	parallel.For(0, int(n), func(i int) {
+		off := 4 + i*rec
+		if idx := binary.BigEndian.Uint32(data[off : off+4]); int(idx) != i {
+			errs[i] = fmt.Errorf("%w: authenticator %d carries index %d", ErrMalformed, i, idx)
+			return
 		}
 		sigma := new(bn256.G1)
 		if err := sigma.UnmarshalCompressed(data[off+4 : off+rec]); err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
 		auths[i] = &Authenticator{Index: i, Sigma: sigma}
-		off += rec
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return auths, nil
 }

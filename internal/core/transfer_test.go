@@ -5,7 +5,12 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/bn256"
 )
 
 func TestEncodedFileRoundTrip(t *testing.T) {
@@ -120,6 +125,63 @@ func TestAuthenticatorsRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalAuthenticators(enc[:len(enc)-5]); err == nil {
 		t.Fatal("truncated set accepted")
+	}
+}
+
+// TestUnmarshalAuthenticatorsFirstError: the records decode across the
+// cores, yet a set with a wrong index at record 3 and an off-curve point at
+// record 7 (and the same two faults swapped) fails on record 3's fault with
+// a serial decode's text, at one core and at two.
+func TestUnmarshalAuthenticatorsFirstError(t *testing.T) {
+	sk, err := KeyGen(2, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef, err := EncodeFile(make([]byte, 12*2*BlockSize), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auths, err := Setup(sk, ef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := MarshalAuthenticators(auths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rec = 4 + bn256.G1CompressedSize
+
+	// An x whose record does not decode: x^3 + 3 is not a square for about
+	// half of all x.
+	offCurve := append([]byte(nil), enc[4+rec+4:][:bn256.G1CompressedSize]...)
+	var pointErr error
+	for b := 0; pointErr == nil; b++ {
+		offCurve[len(offCurve)-1] = byte(b)
+		pointErr = new(bn256.G1).UnmarshalCompressed(offCurve)
+	}
+
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, pointAt := range []int{7, 3} {
+			indexAt := 10 - pointAt
+			indexText := fmt.Sprintf("authenticator %d carries index 99", indexAt)
+			bad := append([]byte(nil), enc...)
+			binary.BigEndian.PutUint32(bad[4+indexAt*rec:], 99)
+			copy(bad[4+pointAt*rec+4:], offCurve)
+			_, err := UnmarshalAuthenticators(bad)
+			switch {
+			case err == nil:
+				t.Errorf("GOMAXPROCS %d: two faulty records accepted", procs)
+			case indexAt < pointAt && (!errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), indexText)):
+				t.Errorf("GOMAXPROCS %d: %v, want record %d's %q", procs, err, indexAt, indexText)
+			case pointAt < indexAt && err.Error() != pointErr.Error():
+				t.Errorf("GOMAXPROCS %d: %v, want record %d's %v", procs, err, pointAt, pointErr)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	if back, err := UnmarshalAuthenticators(enc); err != nil || len(back) != len(auths) {
+		t.Fatalf("the intact set: %d authenticators, %v", len(back), err)
 	}
 }
 
