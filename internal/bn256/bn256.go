@@ -168,6 +168,34 @@ func (e *G1) Marshal() []byte {
 	return out
 }
 
+// Unmarshal decodes the 64-byte uncompressed encoding Marshal writes. Both
+// coordinates must be canonical (below p) and the point on the curve, which
+// for G1 (cofactor 1) is group membership; infinity is exactly all zeros.
+// It takes no square root, so it is the decoder for bulk point data that
+// never goes on chain.
+func (e *G1) Unmarshal(data []byte) error {
+	if len(data) != g1UncompressedSize {
+		return errMalformedPoint
+	}
+	e.ensure()
+	if allZero(data) {
+		e.p.SetInfinity()
+		return nil
+	}
+	var x, y gfP
+	if err := x.Unmarshal(data[:32]); err != nil {
+		return err
+	}
+	if err := y.Unmarshal(data[32:]); err != nil {
+		return err
+	}
+	e.p.SetAffine(&x, &y)
+	if !e.p.IsOnCurve() {
+		return errMalformedPoint
+	}
+	return nil
+}
+
 // allZero reports whether data is entirely zero bytes.
 func allZero(data []byte) bool {
 	for _, b := range data {

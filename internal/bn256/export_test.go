@@ -19,30 +19,6 @@ func (e *G1) SetInfinity() *G1 {
 	return e
 }
 
-// Unmarshal decodes an uncompressed encoding, validating curve membership.
-func (e *G1) Unmarshal(data []byte) error {
-	if len(data) != g1UncompressedSize {
-		return errMalformedPoint
-	}
-	e.ensure()
-	if allZero(data) {
-		e.p.SetInfinity()
-		return nil
-	}
-	var x, y gfP
-	if err := x.Unmarshal(data[:32]); err != nil {
-		return err
-	}
-	if err := y.Unmarshal(data[32:]); err != nil {
-		return err
-	}
-	e.p.SetAffine(&x, &y)
-	if !e.p.IsOnCurve() {
-		return errMalformedPoint
-	}
-	return nil
-}
-
 // ScalarMult sets e = k*a and returns e.
 func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	e.ensure()

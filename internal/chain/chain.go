@@ -13,6 +13,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -46,15 +47,8 @@ func defaultGasSchedule() GasSchedule {
 
 // calldataGas returns the calldata portion of a transaction's gas.
 func (g GasSchedule) calldataGas(data []byte) uint64 {
-	var total uint64
-	for _, b := range data {
-		if b == 0 {
-			total += g.CalldataZero
-		} else {
-			total += g.CalldataNonZero
-		}
-	}
-	return total
+	zeros := uint64(bytes.Count(data, []byte{0}))
+	return zeros*g.CalldataZero + (uint64(len(data))-zeros)*g.CalldataNonZero
 }
 
 // StorageGas returns the cost of persisting n bytes of contract storage.

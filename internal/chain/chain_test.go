@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -71,6 +73,35 @@ func TestCalldataGas(t *testing.T) {
 	}
 	if g.StorageGas(33) != 2*20000 {
 		t.Fatal("storage gas word rounding wrong")
+	}
+}
+
+// TestCalldataGasMatchesPerByte pins calldataGas against the per-byte
+// schedule it counts: 4 gas per zero byte, 16 per non-zero byte.
+func TestCalldataGasMatchesPerByte(t *testing.T) {
+	g := defaultGasSchedule()
+	random := make([]byte, 1000)
+	rand.New(rand.NewSource(7)).Read(random)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"all zero", make([]byte, 97)},
+		{"no zero", bytes.Repeat([]byte{0xA5}, 97)},
+		{"random", random},
+	} {
+		var want uint64
+		for _, b := range tc.data {
+			if b == 0 {
+				want += g.CalldataZero
+			} else {
+				want += g.CalldataNonZero
+			}
+		}
+		if got := g.calldataGas(tc.data); got != want {
+			t.Errorf("%s: calldata gas = %d, want %d", tc.name, got, want)
+		}
 	}
 }
 

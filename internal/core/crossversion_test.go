@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/bn256"
 )
 
 // The fixture below was printed by the commit before the bn256 kernel round
@@ -83,18 +86,11 @@ func TestCrossVersionFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encoded, err := MarshalAuthenticators(auths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encoded, unhex(parentFixture.auths)) {
+	if !bytes.Equal(marshalCompressedAuths(auths), unhex(parentFixture.auths)) {
 		t.Fatal("Setup no longer produces the parent's authenticator bytes")
 	}
 
-	parentAuths, err := UnmarshalAuthenticators(unhex(parentFixture.auths))
-	if err != nil {
-		t.Fatal(err)
-	}
+	parentAuths := unmarshalCompressedAuths(t, unhex(parentFixture.auths))
 	if err := VerifyAuthenticators(sk.Pub, ef, parentAuths, nil); err != nil {
 		t.Fatalf("parent authenticators rejected: %v", err)
 	}
@@ -173,10 +169,7 @@ func TestProvePrivateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auths, err := UnmarshalAuthenticators(unhex(parentFixture.auths))
-	if err != nil {
-		t.Fatal(err)
-	}
+	auths := unmarshalCompressedAuths(t, unhex(parentFixture.auths))
 	ch, err := UnmarshalChallengeBinary(unhex(parentFixture.challenge))
 	if err != nil {
 		t.Fatal(err)
@@ -196,4 +189,43 @@ func TestProvePrivateGolden(t *testing.T) {
 	if hex.EncodeToString(got) != golden {
 		t.Fatalf("private proof bytes changed:\n got %x\nwant %s", got, golden)
 	}
+}
+
+// The fixture's authenticators are in the encoding of their day: a 4-byte
+// count, then per chunk its index and compressed sigma (36 bytes). Wire and
+// audit-state records carry sigma uncompressed now; these two helpers keep
+// the fixture's bytes, and the byte-for-byte comparison, as they were.
+
+// marshalCompressedAuths writes auths in the fixture's encoding.
+func marshalCompressedAuths(auths []*Authenticator) []byte {
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(auths)))
+	for _, a := range auths {
+		out = binary.BigEndian.AppendUint32(out, uint32(a.Index))
+		out = append(out, a.Sigma.MarshalCompressed()...)
+	}
+	return out
+}
+
+// unmarshalCompressedAuths reads the fixture's encoding, one
+// UnmarshalCompressed per record, with the indices required to be the
+// positions.
+func unmarshalCompressedAuths(t *testing.T, data []byte) []*Authenticator {
+	t.Helper()
+	const rec = 4 + bn256.G1CompressedSize
+	if len(data) < 4 || len(data) != 4+int(binary.BigEndian.Uint32(data))*rec {
+		t.Fatalf("fixture authenticators: %d bytes", len(data))
+	}
+	auths := make([]*Authenticator, binary.BigEndian.Uint32(data))
+	for i := range auths {
+		r := data[4+i*rec:][:rec]
+		if idx := binary.BigEndian.Uint32(r); int(idx) != i {
+			t.Fatalf("fixture authenticator %d carries index %d", i, idx)
+		}
+		sigma := new(bn256.G1)
+		if err := sigma.UnmarshalCompressed(r[4:]); err != nil {
+			t.Fatalf("fixture authenticator %d: %v", i, err)
+		}
+		auths[i] = &Authenticator{Index: i, Sigma: sigma}
+	}
+	return auths
 }

@@ -110,6 +110,12 @@ func FuzzUnmarshalPublicKey(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3}, false)
 	f.Fuzz(func(t *testing.T, data []byte, privacy bool) {
 		pk, err := UnmarshalPublicKey(data, privacy)
+		// The second decode may be served by the key memo: it must give what
+		// the first gave, the same error or an equal key.
+		again, errAgain := UnmarshalPublicKey(data, privacy)
+		if (err == nil) != (errAgain == nil) || err != nil && err.Error() != errAgain.Error() {
+			t.Fatalf("decodes disagree: %v, then %v", err, errAgain)
+		}
 		if err != nil {
 			return
 		}
@@ -119,6 +125,10 @@ func FuzzUnmarshalPublicKey(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatal("accepted non-canonical public key encoding")
+		}
+		reAgain, err := again.Marshal(privacy)
+		if err != nil || !bytes.Equal(reAgain, re) || again.S != pk.S || again.Name != pk.Name || !again.EG1Eps.Equal(pk.EG1Eps) {
+			t.Fatalf("the second decode differs from the first (%v)", err)
 		}
 	})
 }

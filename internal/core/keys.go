@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"repro/internal/bn256"
 )
@@ -134,6 +136,18 @@ func (pk *PublicKey) MarshalSize(withPrivacy bool) int {
 
 // UnmarshalPublicKey parses a serialized public key. withPrivacy must match
 // the flag used at serialization time.
+//
+// Every check a key takes (ε and δ in the order-n subgroup of G2, canonical
+// powers, EG1Eps of order n) is paid once per key body: a validated key is
+// remembered by its encoding with the 32-byte Name cut out, so a provider
+// handed the same owner's key with every file decodes only the Name after the
+// first time. The memo holds at most keyMemoBytes of encodings, evicting the
+// oldest first, and only keys that passed every check enter it.
+//
+// The returned key's Epsilon, Delta, Powers points and EG1Eps may therefore
+// be shared with every other decode of the same body, on any goroutine: they
+// are read-only. S and Name are the caller's own, as is the Powers slice
+// itself.
 func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	if len(data) < 4 {
 		return nil, ErrMalformed
@@ -146,38 +160,106 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	if len(data) != pk.MarshalSize(withPrivacy) {
 		return nil, ErrMalformed
 	}
+	const nameOff = 4 + 2*bn256.G2UncompressedSize
+	body := make([]byte, 0, len(data)-32)
+	body = append(append(body, data[:nameOff]...), data[nameOff+32:]...)
+	if shared := keyMemo.get(body); shared != nil {
+		if err := pk.Name.SetBytes(data[nameOff : nameOff+32]); err != nil {
+			return nil, err
+		}
+		pk.Epsilon, pk.Delta, pk.EG1Eps = shared.Epsilon, shared.Delta, shared.EG1Eps
+		pk.Powers = slices.Clone(shared.Powers)
+		return pk, nil
+	}
+	if err := pk.decode(data, withPrivacy); err != nil {
+		return nil, err
+	}
+	keyMemo.put(body, pk)
+	return pk, nil
+}
+
+// decode fills in everything but S from a key encoding of the right size,
+// validating every point.
+func (pk *PublicKey) decode(data []byte, withPrivacy bool) error {
 	off := 4
 	pk.Epsilon = new(bn256.G2)
 	if err := pk.Epsilon.Unmarshal(data[off : off+bn256.G2UncompressedSize]); err != nil {
-		return nil, err
+		return err
 	}
 	off += bn256.G2UncompressedSize
 	pk.Delta = new(bn256.G2)
 	if err := pk.Delta.Unmarshal(data[off : off+bn256.G2UncompressedSize]); err != nil {
-		return nil, err
+		return err
 	}
 	off += bn256.G2UncompressedSize
 	if err := pk.Name.SetBytes(data[off : off+32]); err != nil {
-		return nil, err
+		return err
 	}
 	off += 32
-	pk.Powers = make([]*bn256.G1, s)
-	for j := 0; j < s; j++ {
+	pk.Powers = make([]*bn256.G1, pk.S)
+	for j := range pk.Powers {
 		pk.Powers[j] = new(bn256.G1)
 		if err := pk.Powers[j].UnmarshalCompressed(data[off : off+bn256.G1CompressedSize]); err != nil {
-			return nil, err
+			return err
 		}
 		off += bn256.G1CompressedSize
 	}
 	if withPrivacy {
 		pk.EG1Eps = new(bn256.GT)
 		if err := pk.EG1Eps.UnmarshalCompressed(data[off : off+bn256.GTCompressedSize]); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		pk.EG1Eps = bn256.Pair(bn256.GenG1(), pk.Epsilon)
 	}
-	return pk, nil
+	return nil
+}
+
+// keyMemoBytes bounds the key-body encodings the memo holds (a body at
+// s = 50 with the privacy element is about 2 KiB, so some 500 keys); the
+// decoded points it keeps alive take about three times as much.
+const keyMemoBytes = 1 << 20
+
+// keyMemo maps a validated key's encoding minus its Name to the points of
+// the key that first decoded it, which every later decode shares.
+var keyMemo = keyBodies{keys: make(map[string]*PublicKey)}
+
+type keyBodies struct {
+	mu    sync.Mutex
+	keys  map[string]*PublicKey
+	order []string // insertion order, oldest first: the eviction order
+	bytes int
+}
+
+// get returns the key remembered for body, or nil.
+func (m *keyBodies) get(body []byte) *PublicKey {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.keys[string(body)]
+}
+
+// put remembers pk's points under body, in a PublicKey of their own (S and
+// Name unset, the Powers slice copied), evicting the oldest bodies until the
+// memo fits. A body larger than the whole memo is not kept.
+func (m *keyBodies) put(body []byte, pk *PublicKey) {
+	if len(body) > keyMemoBytes {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.keys[string(body)]; ok {
+		return
+	}
+	for m.bytes+len(body) > keyMemoBytes {
+		oldest := m.order[0]
+		m.order = m.order[1:]
+		m.bytes -= len(oldest)
+		delete(m.keys, oldest)
+	}
+	key := string(body)
+	m.keys[key] = &PublicKey{Epsilon: pk.Epsilon, Delta: pk.Delta, Powers: slices.Clone(pk.Powers), EG1Eps: pk.EG1Eps}
+	m.order = append(m.order, key)
+	m.bytes += len(key)
 }
 
 // blockTag returns H(name || i), the per-chunk group element t_i, name in

@@ -101,13 +101,18 @@ func (sk *PrivateKey) validate() error {
 // a panic and never an almost-right prover.
 
 // auditStateHeader distinguishes spilled audit state from the other
-// persisted encodings and versions it.
-var auditStateHeader = []byte{'d', 's', 'n', 'a', 1}
+// persisted encodings and versions it. Version 2: the authenticators are
+// MarshalAuthenticators' uncompressed records; a version-1 record (32-byte
+// compressed points) is ErrMalformed.
+var auditStateHeader = []byte{'d', 's', 'n', 'a', 2}
 
 // MarshalAuditState serializes one engagement's provider-side audit state
 // (the encoded file and its authenticators) as
 //
 //	header || len(file) || file || auths || sha256(everything before)
+//
+// with auths in MarshalAuthenticators' encoding, 68 bytes a chunk, so a
+// hydration reads its points without a square root.
 //
 // The public key is deliberately not part of the record: providers share one
 // key across every engagement of the same owner, so spilling it per

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -250,6 +251,24 @@ func TestAuditStateRejectsCorruption(t *testing.T) {
 	bad = append(bad, sum...)
 	if _, _, err := UnmarshalAuditState(bad); err == nil {
 		t.Fatal("accepted oversized file length")
+	}
+}
+
+// TestAuditStateRejectsVersion1: a record written before the authenticators
+// went uncompressed (header version 1, 36-byte compressed records, a valid
+// checksum) is ErrMalformed, not misread.
+func TestAuditStateRejectsVersion1(t *testing.T) {
+	_, ef, auths := auditStateFixture(t, 4, 300)
+	file, err := ef.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte{'d', 's', 'n', 'a', 1}, binary.BigEndian.AppendUint32(nil, uint32(len(file)))...)
+	v1 = append(v1, file...)
+	v1 = append(v1, marshalCompressedAuths(auths)...)
+	v1 = append(v1, sha256sumHelper(v1)...)
+	if _, _, err := UnmarshalAuditState(v1); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("version-1 record: error = %v, want ErrMalformed", err)
 	}
 }
 

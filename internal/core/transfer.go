@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bn256"
-	"repro/internal/parallel"
 	"repro/internal/prf"
 )
 
@@ -112,24 +111,33 @@ func UnmarshalEncodedFile(data []byte) (*EncodedFile, error) {
 	return NewEncodedFile(int(s), int(length), blocks), nil
 }
 
-// MarshalAuthenticators encodes the per-chunk authenticators as a count
-// followed by index || compressed-sigma records.
+// authRecordSize is one authenticator's record: its index (4 bytes,
+// big-endian) and sigma uncompressed, x || y.
+const authRecordSize = 4 + 64
+
+// MarshalAuthenticators encodes the per-chunk authenticators as a 4-byte
+// count followed by one index || x || y record (68 bytes) per chunk. The
+// points travel uncompressed: this is the owner-to-provider handoff and the
+// provider's audit-state record, never calldata, so 32 more bytes a chunk
+// buy a decode with no square root. The on-chain forms (proofs, the key)
+// stay compressed.
 func MarshalAuthenticators(auths []*Authenticator) ([]byte, error) {
 	if len(auths) > maxWireChunks {
 		return nil, fmt.Errorf("%w: %d authenticators", errBadParameters, len(auths))
 	}
-	out := make([]byte, 0, 4+len(auths)*(4+bn256.G1CompressedSize))
+	out := make([]byte, 0, 4+len(auths)*authRecordSize)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(auths)))
 	for _, a := range auths {
 		out = binary.BigEndian.AppendUint32(out, uint32(a.Index))
-		out = append(out, a.Sigma.MarshalCompressed()...)
+		out = append(out, a.Sigma.Marshal()...)
 	}
 	return out, nil
 }
 
 // UnmarshalAuthenticators parses an authenticator set, enforcing that the
 // indices are the positions (the invariant every verifier relies on) and
-// that every point decodes canonically.
+// that every point is canonical and on the curve (bn256.G1.Unmarshal). The
+// first faulty record is the error returned.
 func UnmarshalAuthenticators(data []byte) ([]*Authenticator, error) {
 	if len(data) < 4 {
 		return nil, ErrMalformed
@@ -138,32 +146,24 @@ func UnmarshalAuthenticators(data []byte) ([]*Authenticator, error) {
 	if n > maxWireChunks {
 		return nil, fmt.Errorf("%w: %d authenticators", ErrMalformed, n)
 	}
-	const rec = 4 + bn256.G1CompressedSize
-	if int64(len(data)) != 4+int64(n)*rec {
-		return nil, fmt.Errorf("%w: %d authenticator bytes, want %d", ErrMalformed, len(data), 4+int64(n)*rec)
+	if int64(len(data)) != 4+int64(n)*authRecordSize {
+		return nil, fmt.Errorf("%w: %d authenticator bytes, want %d", ErrMalformed, len(data), 4+int64(n)*authRecordSize)
 	}
-	// A point's square root is most of a record's cost: the records decode
-	// across the cores into index-keyed slots, and the first error in record
-	// order is the one returned, as a serial decode would.
+	// One slab of records and one of points: three allocations a set, not
+	// two a record.
 	auths := make([]*Authenticator, n)
-	errs := make([]error, n)
-	parallel.For(0, int(n), func(i int) {
-		off := 4 + i*rec
-		if idx := binary.BigEndian.Uint32(data[off : off+4]); int(idx) != i {
-			errs[i] = fmt.Errorf("%w: authenticator %d carries index %d", ErrMalformed, i, idx)
-			return
+	slab := make([]Authenticator, n)
+	sigmas := make([]bn256.G1, n)
+	for i := range auths {
+		rec := data[4+i*authRecordSize:][:authRecordSize]
+		if idx := binary.BigEndian.Uint32(rec); int(idx) != i {
+			return nil, fmt.Errorf("%w: authenticator %d carries index %d", ErrMalformed, i, idx)
 		}
-		sigma := new(bn256.G1)
-		if err := sigma.UnmarshalCompressed(data[off+4 : off+rec]); err != nil {
-			errs[i] = err
-			return
-		}
-		auths[i] = &Authenticator{Index: i, Sigma: sigma}
-	})
-	for _, err := range errs {
-		if err != nil {
+		if err := sigmas[i].Unmarshal(rec[4:]); err != nil {
 			return nil, err
 		}
+		slab[i] = Authenticator{Index: i, Sigma: &sigmas[i]}
+		auths[i] = &slab[i]
 	}
 	return auths, nil
 }

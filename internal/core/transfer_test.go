@@ -128,10 +128,10 @@ func TestAuthenticatorsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalAuthenticatorsFirstError: the records decode across the
-// cores, yet a set with a wrong index at record 3 and an off-curve point at
-// record 7 (and the same two faults swapped) fails on record 3's fault with
-// a serial decode's text, at one core and at two.
+// TestUnmarshalAuthenticatorsFirstError: a set with a wrong index at record
+// 3 and an off-curve point at record 7 (and the same two faults swapped)
+// fails on record 3's fault with a serial decode's text, at one core and at
+// two.
 func TestUnmarshalAuthenticatorsFirstError(t *testing.T) {
 	sk, err := KeyGen(2, rand.Reader)
 	if err != nil {
@@ -149,15 +149,15 @@ func TestUnmarshalAuthenticatorsFirstError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rec = 4 + bn256.G1CompressedSize
+	const rec = 4 + 64
 
-	// An x whose record does not decode: x^3 + 3 is not a square for about
-	// half of all x.
-	offCurve := append([]byte(nil), enc[4+rec+4:][:bn256.G1CompressedSize]...)
+	// An (x, y) whose record does not decode: record 1's point with another
+	// last byte of y is off the curve.
+	offCurve := append([]byte(nil), enc[4+rec+4:][:64]...)
 	var pointErr error
 	for b := 0; pointErr == nil; b++ {
 		offCurve[len(offCurve)-1] = byte(b)
-		pointErr = new(bn256.G1).UnmarshalCompressed(offCurve)
+		pointErr = new(bn256.G1).Unmarshal(offCurve)
 	}
 
 	for _, procs := range []int{1, 2} {

@@ -32,8 +32,10 @@ const (
 	// messages (ShareRequest/ShareData). v3: 128-bit challenge coefficients
 	// (prf.Coefficients) -- the Challenge payload is unchanged, but a v2 peer
 	// expands it to other coefficients, so an honest v2 provider would be
-	// slashed; the bump makes that a Hello-time ErrVersion instead.
-	Version = 3
+	// slashed; the bump makes that a Hello-time ErrVersion instead. v4: the
+	// AcceptAuditData authenticators are 68-byte uncompressed records
+	// (core.MarshalAuthenticators) instead of 36-byte compressed ones.
+	Version = 4
 
 	// headerSize is the fixed frame prefix: length word, version, type and
 	// request ID.

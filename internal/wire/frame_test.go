@@ -71,6 +71,9 @@ func TestReadFrameRejects(t *testing.T) {
 			return b
 		}, errFrameTooLarge},
 		{"bad version", func(b []byte) []byte { b[4] = Version + 1; return b }, errVersion},
+		// A version-3 peer sends AcceptAuditData with compressed
+		// authenticators; it must be refused at the frame, not misparsed.
+		{"version 3", func(b []byte) []byte { b[4] = 3; return b }, errVersion},
 		{"unknown type", func(b []byte) []byte { b[5] = 0xEE; return b }, ErrBadFrame},
 		{"truncated header", func(b []byte) []byte { return b[:headerSize-3] }, ErrBadFrame},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-1] }, ErrBadFrame},

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/big"
 	"reflect"
 	"runtime"
@@ -71,25 +72,25 @@ func TestGoldenVectors(t *testing.T) {
 		want string
 	}{
 		{"Hello", goldenFrame(t, MsgHello, 1, hello, errHello),
-			"0000001103010000000000000001000573702d3030"},
+			"0000001104010000000000000001000573702d3030"},
 		{"Accepted", goldenFrame(t, MsgAccepted, 2, accepted, errAccepted),
-			"0000001703030000000000000002000b61756469743a6f3a703a66"},
+			"0000001704030000000000000002000b61756469743a6f3a703a66"},
 		{"Challenge", goldenFrame(t, MsgChallenge, 3, chal, errChal),
-			"0000004b03040000000000000003000b61756469743a6f3a703a66" +
+			"0000004b04040000000000000003000b61756469743a6f3a703a66" +
 				"000102030405060708090a0b0c0d0e0f" +
 				"101112131415161718191a1b1c1d1e1f" +
 				"202122232425262728292a2b2c2d2e2f" +
 				"0000012c"},
 		{"Proof", goldenFrame(t, MsgProof, 4, proof, errProof),
-			"0000001e03050000000000000004000b61756469743a6f3a703a6600000003aabbcc"},
+			"0000001e04050000000000000004000b61756469743a6f3a703a6600000003aabbcc"},
 		{"Error", goldenFrame(t, MsgError, 5, wireErr, errErr),
-			"0000001e0306000000000000000500000003000e6e6f206175646974207374617465"},
+			"0000001e0406000000000000000500000003000e6e6f206175646974207374617465"},
 		{"Ping", goldenFrame(t, MsgPing, 6, ping, errPing),
-			"0000001203070000000000000006" + "0102030405060708"},
+			"0000001204070000000000000006" + "0102030405060708"},
 		{"ShareRequest", goldenFrame(t, MsgShareRequest, 7, shareReq, errShareReq),
-			"000000150308" + "0000000000000007" + "0009662f73686172652f30"},
+			"000000150408" + "0000000000000007" + "0009662f73686172652f30"},
 		{"ShareData", goldenFrame(t, MsgShareData, 8, shareData, errShareData),
-			"0000001d0309" + "0000000000000008" + "0009662f73686172652f30" + "00000004deadbeef"},
+			"0000001d0409" + "0000000000000008" + "0009662f73686172652f30" + "00000004deadbeef"},
 	}
 	for _, v := range vectors {
 		if v.got != v.want {
@@ -128,7 +129,7 @@ func TestGoldenAcceptAuditData(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := sha256.Sum256(payload)
-	const want = "320cb98dfefaf6756c40cec5b82350e4c1a3336cd6c1f5f371887464ec422262"
+	const want = "6eafcbcfa53edfe159c118c61a329af742e52cb655a99f2b7b170dfcb99e40f4"
 	if got := hex.EncodeToString(digest[:]); got != want {
 		t.Errorf("AcceptAuditData digest mismatch:\n got  %s (payload %d bytes)\n want %s", got, len(payload), want)
 	}
@@ -408,5 +409,70 @@ func TestAcceptAuditDataErrorOrder(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// BenchmarkUnmarshalAcceptAuditData times a provider's intake decode of one
+// engagement's audit data at s = 50, for a 128 KiB file (85 chunks) and a
+// 512 KiB one (339 chunks): with an owner key decoded before (key=seen: the
+// key memo serves all but its Name) and with a key the process has not seen
+// (key=new: a fresh key is spliced into the payload before each iteration,
+// outside the timer).
+func BenchmarkUnmarshalAcceptAuditData(b *testing.B) {
+	const s = 50
+	for _, size := range []int{128 << 10, 512 << 10} {
+		data := make([]byte, size)
+		(&fixedReader{}).Read(data)
+		ef, err := core.EncodeFile(data, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sk, err := core.KeyGen(s, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		auths := make([]*core.Authenticator, ef.NumChunks())
+		for i := range auths {
+			auths[i] = &core.Authenticator{Index: i, Sigma: new(bn256.G1).ScalarBaseMult(big.NewInt(int64(i + 3)))}
+		}
+		msg := &AcceptAuditData{Contract: "audit:o:p:f", SampleSize: 300, PublicKey: sk.Pub, File: ef, Auths: auths}
+		payload, err := msg.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		keyAt := 2 + len(msg.Contract) + 4 + 4
+		for _, seen := range []bool{true, false} {
+			name := fmt.Sprintf("chunks=%d/key=new", ef.NumChunks())
+			if seen {
+				name = fmt.Sprintf("chunks=%d/key=seen", ef.NumChunks())
+			}
+			b.Run(name, func(b *testing.B) {
+				buf := bytes.Clone(payload)
+				if _, err := UnmarshalAcceptAuditData(buf); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(buf)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !seen {
+						b.StopTimer()
+						fresh, err := core.KeyGen(s, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						key, err := fresh.Pub.Marshal(true)
+						if err != nil {
+							b.Fatal(err)
+						}
+						copy(buf[keyAt:], key)
+						b.StartTimer()
+					}
+					if _, err := UnmarshalAcceptAuditData(buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
