@@ -46,7 +46,7 @@ type BatchStats struct {
 // Miller loops and one final exponentiation. stats may be nil.
 //
 // workers bounds the goroutines (<= 0 selects GOMAXPROCS): the per-item
-// preparation (challenge expansion and tag hashing) fans out across items,
+// preparation (challenge expansion and the tags) fans out across items,
 // every (sub-)batch verification fans out its independent sums and evaluates
 // its Miller loops through bn256.MillerBatch. Verdicts, stats counters and
 // the isolation path are identical at any worker count.
@@ -256,7 +256,9 @@ func batchTranscript(preps []*PreparedProof) []byte {
 // one point chi = sum_j c_j H(name||i_j) with coefficient 1. It holds no
 // weight: rho needs the whole block, so the block step derives it when the
 // block is known (VerifyPrepared). A PreparedProof is only read once made,
-// so one may fill several slots of a batch and every sub-batch.
+// so one may fill several slots of a batch and every sub-batch; carried
+// tags are the tag memo's own points, shared with every item under the
+// same name.
 type PreparedProof struct {
 	pub       *PublicKey
 	numChunks int
@@ -277,8 +279,9 @@ type PreparedProof struct {
 // the owner's key, the file's d chunks and the challenge it answers. It
 // decodes raw first and fails with exactly the error UnmarshalPrivateProof
 // gives; a challenge that does not expand is no error, the item fails its
-// batch as it would unprepared. The tags are hashed on the calling goroutine.
-// The result records what it was made from (Matches).
+// batch as it would unprepared. The tags are read from the tag memo, and
+// those it lacks are hashed on the calling goroutine and stored there. The
+// result records what it was made from (Matches).
 func PrepareProof(pub *PublicKey, d int, ch *Challenge, raw []byte) (*PreparedProof, error) {
 	proof, err := UnmarshalPrivateProof(raw)
 	if err != nil {
@@ -302,9 +305,12 @@ func keyID(pub *PublicKey) string {
 	return string(append(pub.Epsilon.Marshal(), pub.Delta.Marshal()...))
 }
 
-// prepareItem is the per-item step over a decoded item, key its keyID. The
-// k tag hashes, which dominate it, fan out across at most workers goroutines
-// and land in index-keyed slots, so the result is the same at any count.
+// prepareItem is the per-item step over a decoded item, key its keyID. It
+// is the one reader and filler of tagMemo: it looks the k tags up under the
+// key's Name, taking the memo's lock once, hashes only the misses, which fan
+// out across at most workers goroutines into index-keyed slots outside the
+// lock, and stores them. A tag is H(name||i) whether hashed or remembered,
+// so the result is the same at any count and with any memo contents.
 func prepareItem(it *BatchItem, key string, workers int) *PreparedProof {
 	p := &PreparedProof{pub: it.Pub, numChunks: it.NumChunks, challenge: *it.Challenge, key: key, proof: it.Proof}
 	rBytes := it.Proof.R.Marshal()
@@ -317,10 +323,18 @@ func prepareItem(it *BatchItem, key string, workers int) *PreparedProof {
 	p.ok = true
 	p.zeta = prf.OracleGT(rBytes)
 	p.r = r
-	tags := make([]*bn256.G1, len(indices))
-	parallel.For(workers, len(indices), func(j int) {
-		tags[j] = it.Pub.blockTag(indices[j])
+	name := it.Pub.Name.Bytes()
+	tags := tagMemo.lookup(name, indices)
+	var missed []int
+	for j, tag := range tags {
+		if tag == nil {
+			missed = append(missed, j)
+		}
+	}
+	parallel.For(workers, len(missed), func(m int) {
+		tags[missed[m]] = it.Pub.blockTag(indices[missed[m]])
 	})
+	tagMemo.store(name, indices, tags, missed)
 	if !collapseTags(len(tags)) {
 		p.tags, p.coeffs = tags, coeffs
 		return p
@@ -354,7 +368,7 @@ func collapseTags(k int) bool {
 // distinct *BatchItem once: an item in several slots shares one
 // PreparedProof. The items fan out across at most workers goroutines; when
 // there are fewer of them than the worker budget (a one-engagement block,
-// say) the surplus goes to each item's k tag hashes.
+// say) the surplus goes to each item's tag hashes.
 func prepareItems(items []*BatchItem, workers int) []*PreparedProof {
 	// The grouping key is the value of (eps, delta); one owner's items
 	// usually share the *PublicKey too, so it is encoded once per pointer.

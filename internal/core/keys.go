@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"repro/internal/bn256"
+	"repro/internal/parallel"
 )
 
 // Common protocol errors.
@@ -179,87 +179,44 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 }
 
 // decode fills in everything but S from a key encoding of the right size,
-// validating every point.
+// validating every point. The parts are independent — ε and δ with their
+// G2 order ladders, the Name, one square root per power and EG1Eps's order
+// check — so they decode as tasks across GOMAXPROCS, and the error is the
+// first in encoding order, the one a serial decode would meet.
 func (pk *PublicKey) decode(data []byte, withPrivacy bool) error {
-	off := 4
-	pk.Epsilon = new(bn256.G2)
-	if err := pk.Epsilon.Unmarshal(data[off : off+bn256.G2UncompressedSize]); err != nil {
-		return err
-	}
-	off += bn256.G2UncompressedSize
-	pk.Delta = new(bn256.G2)
-	if err := pk.Delta.Unmarshal(data[off : off+bn256.G2UncompressedSize]); err != nil {
-		return err
-	}
-	off += bn256.G2UncompressedSize
-	if err := pk.Name.SetBytes(data[off : off+32]); err != nil {
-		return err
-	}
-	off += 32
+	const g2, g1 = bn256.G2UncompressedSize, bn256.G1CompressedSize
+	const nameOff, powersOff = 4 + 2*g2, 4 + 2*g2 + 32
+	pk.Epsilon, pk.Delta = new(bn256.G2), new(bn256.G2)
 	pk.Powers = make([]*bn256.G1, pk.S)
-	for j := range pk.Powers {
-		pk.Powers[j] = new(bn256.G1)
-		if err := pk.Powers[j].UnmarshalCompressed(data[off : off+bn256.G1CompressedSize]); err != nil {
-			return err
-		}
-		off += bn256.G1CompressedSize
-	}
+	// Tasks in encoding order: ε, δ, Name, the powers, then EG1Eps if sent.
+	tasks := 3 + pk.S
 	if withPrivacy {
 		pk.EG1Eps = new(bn256.GT)
-		if err := pk.EG1Eps.UnmarshalCompressed(data[off : off+bn256.GTCompressedSize]); err != nil {
+		tasks++
+	}
+	errs := make([]error, tasks)
+	parallel.For(0, tasks, func(t int) {
+		switch j := t - 3; {
+		case t < 2:
+			errs[t] = []*bn256.G2{pk.Epsilon, pk.Delta}[t].Unmarshal(data[4+t*g2 : 4+(t+1)*g2])
+		case t == 2:
+			errs[t] = pk.Name.SetBytes(data[nameOff : nameOff+32])
+		case j < pk.S:
+			pk.Powers[j] = new(bn256.G1)
+			errs[t] = pk.Powers[j].UnmarshalCompressed(data[powersOff+j*g1 : powersOff+(j+1)*g1])
+		default:
+			errs[t] = pk.EG1Eps.UnmarshalCompressed(data[powersOff+pk.S*g1:])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
-	} else {
+	}
+	if !withPrivacy {
 		pk.EG1Eps = bn256.Pair(bn256.GenG1(), pk.Epsilon)
 	}
 	return nil
-}
-
-// keyMemoBytes bounds the key-body encodings the memo holds (a body at
-// s = 50 with the privacy element is about 2 KiB, so some 500 keys); the
-// decoded points it keeps alive take about three times as much.
-const keyMemoBytes = 1 << 20
-
-// keyMemo maps a validated key's encoding minus its Name to the points of
-// the key that first decoded it, which every later decode shares.
-var keyMemo = keyBodies{keys: make(map[string]*PublicKey)}
-
-type keyBodies struct {
-	mu    sync.Mutex
-	keys  map[string]*PublicKey
-	order []string // insertion order, oldest first: the eviction order
-	bytes int
-}
-
-// get returns the key remembered for body, or nil.
-func (m *keyBodies) get(body []byte) *PublicKey {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.keys[string(body)]
-}
-
-// put remembers pk's points under body, in a PublicKey of their own (S and
-// Name unset, the Powers slice copied), evicting the oldest bodies until the
-// memo fits. A body larger than the whole memo is not kept.
-func (m *keyBodies) put(body []byte, pk *PublicKey) {
-	if len(body) > keyMemoBytes {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.keys[string(body)]; ok {
-		return
-	}
-	for m.bytes+len(body) > keyMemoBytes {
-		oldest := m.order[0]
-		m.order = m.order[1:]
-		m.bytes -= len(oldest)
-		delete(m.keys, oldest)
-	}
-	key := string(body)
-	m.keys[key] = &PublicKey{Epsilon: pk.Epsilon, Delta: pk.Delta, Powers: slices.Clone(pk.Powers), EG1Eps: pk.EG1Eps}
-	m.order = append(m.order, key)
-	m.bytes += len(key)
 }
 
 // blockTag returns H(name || i), the per-chunk group element t_i, name in

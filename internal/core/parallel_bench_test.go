@@ -41,15 +41,15 @@ func BenchmarkSetupParallel(b *testing.B) {
 }
 
 // benchBatch returns n honest items under one owner key at s = 4 with
-// challenges of k chunks, over a file of at least 2 KiB and k chunks.
-func benchBatch(b *testing.B, n, k int) []*BatchItem {
+// challenges of k chunks, over a file of d chunks.
+func benchBatch(b *testing.B, n, k, d int) []*BatchItem {
 	b.Helper()
 	const s = 4
 	sk, err := KeyGen(s, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]byte, max(2<<10, s*BlockSize*k))
+	data := make([]byte, d*s*BlockSize)
 	rand.Read(data)
 	ef, err := EncodeFile(data, s)
 	if err != nil {
@@ -88,7 +88,7 @@ func benchBatch(b *testing.B, n, k int) []*BatchItem {
 // scheduler's case.
 func BenchmarkVerifyBatchParallel(b *testing.B) {
 	const n = 24
-	items := benchBatch(b, n, 8)
+	items := benchBatch(b, n, 8, 17)
 	for _, workers := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -114,10 +114,10 @@ func BenchmarkVerifyBatchParallel(b *testing.B) {
 // workers.
 func BenchmarkVerifyPreparedParallel(b *testing.B) {
 	for _, shape := range []struct {
-		name string
-		n, k int
-	}{{"fleet", 24, 8}, {"paper", 16, 300}} {
-		items := benchBatch(b, shape.n, shape.k)
+		name    string
+		n, k, d int
+	}{{"fleet", 24, 8, 17}, {"paper", 16, 300, 339}} {
+		items := benchBatch(b, shape.n, shape.k, shape.d)
 		preps := make([]*PreparedProof, len(items))
 		for i, it := range items {
 			raw, err := it.Proof.Marshal()
@@ -148,22 +148,40 @@ func BenchmarkVerifyPreparedParallel(b *testing.B) {
 
 // BenchmarkPrepareProof measures the per-item step a prove worker runs on
 // each proof it receives — decoding (R's subgroup check), challenge
-// expansion, zeta and the k tag hashes, collapsed into chi at k = 300 — on
-// one goroutine, at the fleets' k = 8 and the paper's k = 300.
+// expansion, zeta and the k tags, collapsed into chi at k = 300 — on one
+// goroutine, at the fleets' k = 8 over 17 chunks and the paper's k = 300
+// over 339. cold empties the tag memo before every step, so all k tags are
+// hashed, as on a file's first round; warm finds them all in it, as on every
+// round once the file's challenged chunks have been seen.
 func BenchmarkPrepareProof(b *testing.B) {
-	for _, k := range []int{8, 300} {
-		it := benchBatch(b, 1, k)[0]
+	for _, shape := range []struct{ k, d int }{{8, 17}, {300, 339}} {
+		it := benchBatch(b, 1, shape.k, shape.d)[0]
 		raw, err := it.Proof.Marshal()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+		for _, cold := range []bool{true, false} {
+			name := fmt.Sprintf("k=%d/warm", shape.k)
+			if cold {
+				name = fmt.Sprintf("k=%d/cold", shape.k)
+			}
+			b.Run(name, func(b *testing.B) {
 				if _, err := PrepareProof(it.Pub, it.NumChunks, it.Challenge, raw); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						resetTagMemo()
+						b.StartTimer()
+					}
+					if _, err := PrepareProof(it.Pub, it.NumChunks, it.Challenge, raw); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -110,15 +110,26 @@ func prepareFromBytes(t *testing.T, items []*BatchItem) []*PreparedProof {
 	return preps
 }
 
+// carriedTags is the encoding of the tags (or chi) p carries.
+func carriedTags(p *PreparedProof) []byte {
+	var out []byte
+	for _, tag := range p.tags {
+		out = append(out, tag.Marshal()...)
+	}
+	return out
+}
+
 // TestVerifyPreparedMatchesUnprepared verifies every batch of the
-// VerifyPrivate case table three ways — unprepared (VerifyBatchParallel),
-// prepared on arrival from each item's marshalled bytes, and a mix of the
-// two — at one and two workers and at k = 8 (the tags carried into the
-// block) and k = 300 (collapsed into chi): the verdicts and BatchStats must
-// be those of the unprepared serial run, and no run may write into a
-// prepared item, which duplicate slots and bisection share. The bisection
-// paths do not depend on k, so at k = 300 the wrong challenge is swept over
-// the first and last position only.
+// VerifyPrivate case table four ways — unprepared (VerifyBatchParallel),
+// prepared on arrival from each item's marshalled bytes with the tag memo
+// emptied first (cold) and again with it filled (warm), and a mix of
+// unprepared and cold — at one and two workers and at k = 8 (the tags
+// carried into the block) and k = 300 (collapsed into chi): cold and warm
+// items must carry the same tags or chi, byte for byte, the verdicts and
+// BatchStats must be those of the unprepared serial run, and no run may
+// write into a prepared item, which duplicate slots and bisection share.
+// The bisection paths do not depend on k, so at k = 300 the wrong challenge
+// is swept over the first and last position only.
 func TestVerifyPreparedMatchesUnprepared(t *testing.T) {
 	for _, k := range []int{8, 300} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
@@ -142,7 +153,14 @@ func TestVerifyPreparedMatchesUnprepared(t *testing.T) {
 					}
 				}
 
+				resetTagMemo()
 				prepared := prepareFromBytes(t, c.items)
+				warm := prepareFromBytes(t, c.items)
+				for i := range prepared {
+					if !bytes.Equal(carriedTags(prepared[i]), carriedTags(warm[i])) {
+						t.Fatalf("%s: item %d carries other tags prepared warm than cold", c.name, i)
+					}
+				}
 				mixed := make([]*PreparedProof, len(c.items))
 				for i := range mixed {
 					mixed[i] = unprepared[i]
@@ -168,7 +186,7 @@ func TestVerifyPreparedMatchesUnprepared(t *testing.T) {
 				}
 				snapshot := func() [][]bn256.Scalar {
 					var out [][]bn256.Scalar
-					for _, p := range append(append([]*PreparedProof(nil), prepared...), unprepared...) {
+					for _, p := range append(append(append([]*PreparedProof(nil), prepared...), warm...), unprepared...) {
 						out = append(out, append([]bn256.Scalar(nil), p.coeffs...))
 					}
 					return out
@@ -182,6 +200,7 @@ func TestVerifyPreparedMatchesUnprepared(t *testing.T) {
 					}{
 						{"unprepared", func(st *BatchStats) []bool { return VerifyBatchParallel(c.items, st, workers) }},
 						{"prepared", func(st *BatchStats) []bool { return VerifyPrepared(prepared, st, workers) }},
+						{"warm", func(st *BatchStats) []bool { return VerifyPrepared(warm, st, workers) }},
 						{"mixed", func(st *BatchStats) []bool { return VerifyPrepared(mixed, st, workers) }},
 					} {
 						if mode.name == "unprepared" && workers == 1 {
