@@ -292,7 +292,7 @@ func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.O
 			return 0, err
 		}
 		fmt.Printf("state persisted under %s\n", cfg.stateDir)
-		jnl, err := sched.OpenJournal(filepath.Join(cfg.stateDir, stateJournalDir), stateJournalShards)
+		jnl, err := sched.OpenJournal(filepath.Join(cfg.stateDir, stateJournalDir), 0)
 		if err != nil {
 			return 0, err
 		}

@@ -63,7 +63,6 @@ const (
 	stateAuditName  = "audit.state"
 	stateJournalDir = "journal"
 
-	stateJournalShards  = 4
 	stateCheckpointTick = 4
 )
 

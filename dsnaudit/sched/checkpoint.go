@@ -16,9 +16,9 @@ import (
 
 // The checkpoint bounds recovery's replay cost: it snapshots the engagement
 // registry — every entry's sequence number, accounting, phase hint and parked
-// state — together with the per-shard journal offsets the snapshot is
-// consistent with and the last wake height processed. Recover loads the
-// checkpoint, then replays only the journal bytes past the recorded offsets.
+// state — together with the journal offset the snapshot is consistent with
+// and the last wake height processed. Recover loads the checkpoint, then
+// replays only the journal bytes past the recorded offset.
 // The journal is never truncated here; the checkpoint caps how much of it a
 // restart must read, not how much disk it holds.
 //
@@ -34,7 +34,9 @@ const (
 	checkpointTmpName = checkpointName + ".tmp"
 )
 
-var checkpointMagic = []byte{'D', 'S', 'N', 'C', 1}
+// Version 1 held a shard count and one offset per shard; it only ever sits
+// beside a version-1 journal meta, which OpenJournal refuses first.
+var checkpointMagic = []byte{'D', 'S', 'N', 'C', 2}
 
 // ErrCheckpointCorrupt marks a checkpoint file whose digest or structure is
 // invalid. A missing checkpoint (journal-only recovery) never produces it.
@@ -84,21 +86,17 @@ const (
 
 // checkpointData is a decoded checkpoint.
 type checkpointData struct {
-	shards   int
 	seq      uint64
 	lastWake uint64
-	offsets  []int64
+	offset   int64 // journal bytes the snapshot covers
 	entries  []checkpointEntry
 }
 
 func encodeCheckpoint(c *checkpointData) []byte {
 	buf := append([]byte(nil), checkpointMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(c.shards))
 	buf = binary.BigEndian.AppendUint64(buf, c.seq)
 	buf = binary.BigEndian.AppendUint64(buf, c.lastWake)
-	for _, off := range c.offsets {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(off))
-	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(c.offset))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.entries)))
 	for _, e := range c.entries {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.addr)))
@@ -139,22 +137,17 @@ func decodeCheckpoint(data []byte, path string) (*checkpointData, error) {
 	p := body[len(checkpointMagic):]
 	// The digest already vouches for structure; remaining length checks
 	// guard against a malformed writer, not bit rot.
-	if len(p) < 4+8+8 {
+	if len(p) < 8+8+8+4 {
 		return corrupt("truncated header")
 	}
 	c := &checkpointData{
-		shards:   int(binary.BigEndian.Uint32(p)),
-		seq:      binary.BigEndian.Uint64(p[4:]),
-		lastWake: binary.BigEndian.Uint64(p[12:]),
+		seq:      binary.BigEndian.Uint64(p),
+		lastWake: binary.BigEndian.Uint64(p[8:]),
+		offset:   int64(binary.BigEndian.Uint64(p[16:])),
 	}
-	p = p[20:]
-	if c.shards < 1 || c.shards > 4096 || len(p) < 8*c.shards+4 {
-		return corrupt("bad shard count")
-	}
-	c.offsets = make([]int64, c.shards)
-	for i := range c.offsets {
-		c.offsets[i] = int64(binary.BigEndian.Uint64(p))
-		p = p[8:]
+	p = p[24:]
+	if c.offset < 0 {
+		return corrupt("bad journal offset")
 	}
 	// An entry's fixed fields, its address and error text being empty.
 	const entryMin = 2 + 8 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 1 + 2
@@ -219,24 +212,20 @@ func (j *Journal) loadCheckpoint() (*checkpointData, error) {
 	return decodeCheckpoint(data, path)
 }
 
-// writeCheckpoint snapshots the scheduler's registry and journal offsets to
+// writeCheckpoint snapshots the scheduler's registry and journal offset to
 // disk. It runs on the Run goroutine at the end of a tick; entry fields are
 // read under the store lock and no contract is touched (settling entries'
 // contracts are owned by the settlement stage at this point). Entries are
 // written in registration order, so the file's bytes are a function of the
 // state.
 func (s *Scheduler) writeCheckpoint() error {
-	// The journal's buffers must hit disk (synced) before the offsets are
-	// read: a checkpoint's offsets may only ever point at bytes that exist,
-	// or replay would start past records the crash still owed.
+	// The journal's buffer must hit disk (synced) before the offset is read:
+	// a checkpoint's offset may only ever point at bytes that exist, or
+	// replay would start past records the crash still owed.
 	if err := s.jbarrier(true); err != nil {
 		return err
 	}
-	c := &checkpointData{
-		shards:   s.journal.nshards,
-		lastWake: s.lastWake,
-		offsets:  s.journal.offsets(),
-	}
+	c := &checkpointData{lastWake: s.lastWake, offset: s.journal.offset()}
 	s.store.mu.Lock()
 	c.seq = s.store.seq
 	ens := make([]*entry, 0, len(s.store.byID))

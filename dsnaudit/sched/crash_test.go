@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -364,10 +363,10 @@ func (c crashCell) String() string {
 }
 
 // TestCrashMatrix kills the fixture at every file-system effect of its run
-// (and tears every write) and at every call through a chain seam at four
-// shards, and at a seeded sample covering every effect and seam kind at one
-// shard. -crash.full runs every cell at both counts; -short runs only a
-// sample at four shards. A red cell names its effect or seam call; its
+// (and tears every write) and at every call through a chain seam with four
+// scheduler shards, and at a seeded sample covering every effect and seam
+// kind with one. -crash.full runs every cell at both counts; -short runs only
+// a sample at four shards. A red cell names its effect or seam call; its
 // subtest replays it alone.
 func TestCrashMatrix(t *testing.T) {
 	full := map[int]bool{1: *crashFull, 4: true}
@@ -455,7 +454,7 @@ func sampleCells(effects []effect, calls map[string][]seamCall, perKind int) []c
 		picked[c] = true
 	}
 	for j, e := range effects {
-		if e.op == "write" && strings.HasPrefix(e.file, "journal-") {
+		if e.op == "write" && e.file == journalLogName {
 			break
 		}
 		for _, c := range []crashCell{{effect: j}, {effect: j, torn: true}} {
@@ -521,7 +520,7 @@ func recordMatrixRun(t *testing.T, shards int, want *matrixSnapshot) ([]effect, 
 // it with its chain seams behind seams. The journal is closed and the
 // fixture's responders restored on return.
 func journaledRun(fs fsys, dir string, shards int, fx *crashFixture, seams *chainSeams) (*Scheduler, error) {
-	jnl, err := openJournal(fs, dir, shards)
+	jnl, err := openJournal(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +659,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 
 // TestFaultFSFidelity: the recording fake changes nothing — the matrix
 // fixture journaled through os and through faultFS leaves byte-identical
-// meta, shard files and checkpoint, and equal JournalStats — and two fake
+// meta, log and checkpoint, and equal JournalStats — and two fake
 // runs record the same effects and the same calls through each chain seam,
 // so an effect or seam call number names the same call in every run and a
 // red cell replays.
@@ -684,11 +683,7 @@ func TestFaultFSFidelity(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := make(map[string][]byte)
-		names := []string{journalMetaName, checkpointName}
-		for i := 0; i < shards; i++ {
-			names = append(names, filepath.Base(journalShardPath(dir, i)))
-		}
-		for _, name := range names {
+		for _, name := range []string{journalMetaName, journalLogName, checkpointName} {
 			if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -175,7 +174,7 @@ func (w *faultFile) Close() error {
 func TestJournalFailedWriteLeavesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &faultFS{root: dir, torn: true, once: true}
-	j, err := openJournal(ffs, dir, 1)
+	j, err := openJournal(ffs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestJournalFailedWriteLeavesTornTail(t *testing.T) {
 	if err := j.barrier(true); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := readShardFrom(dir, 0, 0)
+	before, _, err := readLogFrom(dir, 0)
 	if err != nil || len(before) != 3 {
 		t.Fatalf("%d records on disk before the failure (err %v), want 3", len(before), err)
 	}
@@ -223,20 +222,20 @@ func TestJournalFailedWriteLeavesTornTail(t *testing.T) {
 	if got, want := j2.Stats().TornBytes, uint64(len(appendRecord(nil, last))-1); got != want {
 		t.Errorf("TornBytes = %d, want the %d bytes of the cut record", got, want)
 	}
-	after, _, err := readShardFrom(dir, 0, 0)
+	after, _, err := readLogFrom(dir, 0)
 	if err != nil || len(after) != len(before)+1 {
 		t.Fatalf("%d records read back (err %v), want the %d before the cut one", len(after), err, len(before)+1)
 	}
 }
 
-// TestOpenJournalSyncsDir: a fresh journal's shard files are entries of a
-// synced directory before any record goes into them, so power loss cannot
-// drop a shard that holds fsynced registrations — a directory sync follows
-// the last shard create and precedes the first record write.
+// TestOpenJournalSyncsDir: a fresh journal's log is an entry of a synced
+// directory before any record goes into it, so power loss cannot drop a log
+// that holds fsynced registrations — a directory sync follows the log's
+// create and precedes the first record write.
 func TestOpenJournalSyncsDir(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &faultFS{root: dir}
-	j, err := openJournal(ffs, dir, 4)
+	j, err := openJournal(ffs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +247,18 @@ func TestOpenJournalSyncsDir(t *testing.T) {
 	}
 	lastCreate, firstWrite, dirSync := -1, -1, -1
 	for i, e := range ffs.recorded() {
-		shard := strings.HasPrefix(e.file, "journal-")
+		log := e.file == journalLogName
 		switch {
-		case shard && e.op == "create":
+		case log && e.op == "create":
 			lastCreate = i
-		case shard && e.op == "write" && firstWrite < 0:
+		case log && e.op == "write" && firstWrite < 0:
 			firstWrite = i
 		case e.op == "sync" && e.file == "." && lastCreate >= 0 && firstWrite < 0:
 			dirSync = i
 		}
 	}
 	if lastCreate < 0 || firstWrite < 0 || dirSync < lastCreate {
-		t.Fatalf("effects %+v: no directory sync between the last shard create (%d) and the first record write (%d)",
+		t.Fatalf("effects %+v: no directory sync between the log's create (%d) and the first record write (%d)",
 			ffs.recorded(), lastCreate, firstWrite)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -31,16 +32,14 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 	}
 	onDisk := func(typ recordType) int {
 		t.Helper()
+		recs, _, err := readLogFrom(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
-		for i := 0; i < shards; i++ {
-			recs, _, err := readShardFrom(dir, i, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if r.typ == typ {
-					n++
-				}
+		for _, r := range recs {
+			if r.typ == typ {
+				n++
 			}
 		}
 		return n
@@ -97,10 +96,8 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	coalesced("Recover with no flush option", rs.Journal())
-	for i, sh := range rs.Journal().shards {
-		if len(sh.buf) != 0 || sh.unsynced {
-			t.Errorf("shard %d holds %d buffered bytes (unsynced=%v) after a clean Run", i, len(sh.buf), sh.unsynced)
-		}
+	if j := rs.Journal(); len(j.buf) != 0 || j.unsynced {
+		t.Errorf("the journal holds %d buffered bytes (unsynced=%v) after a clean Run", len(j.buf), j.unsynced)
 	}
 	if err := rs.Journal().Close(); err != nil {
 		t.Fatal(err)
@@ -108,7 +105,7 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 }
 
 // TestJournalGroupCommitBuffersUntilBarrier pins the coalescing contract at
-// the unit level: per-engagement records wait in the shard buffer until a
+// the unit level: per-engagement records wait in the buffer until a
 // barrier, registrations and ticks write through immediately, a write-only
 // barrier costs no fsync, and a sync barrier over already-written bytes
 // costs exactly one.
@@ -122,7 +119,7 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 
 	onDisk := func() int {
 		t.Helper()
-		recs, _, err := readShardFrom(dir, 0, 0)
+		recs, _, err := readLogFrom(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +181,8 @@ func TestJournalGroupCommitBuffersUntilBarrier(t *testing.T) {
 // TestGroupCommitFsyncBudget runs the crash fixture end to end under group
 // commit and bounds the durability tax: appends must coalesce (fewer writes
 // than records) and fsyncs must stay within the barrier budget — the tick
-// cadence, checkpoints and the clean-exit flush, each at most one fsync per
-// shard — rather than scaling with record volume.
+// cadence, checkpoints and the clean-exit flush, each at most one fsync —
+// rather than scaling with record volume.
 func TestGroupCommitFsyncBudget(t *testing.T) {
 	fx, err := buildCrashFixture("group-commit-budget", 3)
 	if err != nil {
@@ -223,7 +220,7 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 		t.Fatalf("%d writes for %d appends: group commit never coalesced", st.Writes, st.Appends)
 	}
 	ticks := s.Stats().Ticks
-	budget := uint64(shards) * (ticks/flushEvery + st.Checkpoints + 2)
+	budget := ticks/flushEvery + st.Checkpoints + 2
 	if st.Fsyncs > budget {
 		t.Fatalf("%d fsyncs over %d ticks exceeds the barrier budget %d", st.Fsyncs, ticks, budget)
 	}
@@ -233,7 +230,7 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 // bytes reach disk, never which bytes: the same deterministic run journaled
 // with a 1-byte buffer threshold (every append is its own write — the
 // one-record-per-write layout) and with real coalescing must leave
-// byte-identical shard files after a clean close.
+// byte-identical logs after a clean close.
 func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 	run := func(flushBytes int, opts ...Option) []byte {
 		t.Helper()
@@ -266,7 +263,7 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 		if st := jnl.Stats(); flushBytes == 1 && st.Writes != st.Appends {
 			t.Fatalf("1-byte threshold issued %d writes for %d appends, want one per record", st.Writes, st.Appends)
 		}
-		data, err := os.ReadFile(journalShardPath(dir, 0))
+		data, err := os.ReadFile(filepath.Join(dir, journalLogName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +272,7 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 	perRecord := run(1)
 	coalesced := run(256, WithJournalFlushEvery(4))
 	if !bytes.Equal(perRecord, coalesced) {
-		t.Fatalf("shard files diverge: per-record %d bytes, coalesced %d bytes", len(perRecord), len(coalesced))
+		t.Fatalf("logs diverge: per-record %d bytes, coalesced %d bytes", len(perRecord), len(coalesced))
 	}
 }
 
@@ -317,12 +314,14 @@ func (v *heldVerifier) hold(h uint64) {
 // settlement stage itself: when SettleBlock runs for a block, the settled
 // record of every round it settled in the previous block, and every settled
 // and parked record appended up to the barrier, must be readable from the
-// journal files on disk — not merely sitting in a shard buffer. It runs
-// behind a heldVerifier, so what the journal holds on disk and in its
-// buffers is what was appended up to the barrier.
+// journal log on disk — not merely sitting in the buffer. It runs
+// behind a heldVerifier and over a tickGate, so what the journal holds on
+// disk and in its buffer is what was appended up to the barrier.
 type settleBarrierVerifier struct {
-	t   *testing.T
-	jnl *Journal
+	t    *testing.T
+	jnl  *Journal
+	gate *tickGate
+	s    *Scheduler
 
 	mu      sync.Mutex
 	prev    []string // settled records the previous block's verdicts owe
@@ -334,39 +333,47 @@ func barrierKey(r journalRecord) string {
 	return fmt.Sprintf("%d|%s|%d|%d", r.typ, r.addr, r.round, r.height)
 }
 
-// appended is everything on disk plus everything still buffered.
-func (v *settleBarrierVerifier) appended() []journalRecord {
-	appended := v.onDisk()
-	for _, sh := range v.jnl.shards {
-		sh.mu.Lock()
-		recs, _, err := scanRecords(sh.buf, "buffer")
-		sh.mu.Unlock()
-		if err != nil {
-			v.t.Errorf("buffer scan: %v", err)
-		}
-		appended = append(appended, recs...)
+// buffered returns the records appended but not yet written, and a release
+// to call once the journal has been looked at. If the Run goroutine will
+// tick again — a live entry is not settling — its next write is the tick
+// mark the gate holds, with the buffer in front of it: take the buffer from
+// there. Otherwise it joins this block and appends nothing: read the
+// buffer, and let the tick mark after the join through.
+func (v *settleBarrierVerifier) buffered() ([]journalRecord, func()) {
+	var buf []byte
+	release := func() {}
+	if live, settling := v.s.store.counts(); live > settling {
+		buf = <-v.gate.held
+		release = func() { v.gate.resume <- struct{}{} }
+	} else {
+		v.jnl.mu.Lock()
+		buf = append(buf, v.jnl.buf...)
+		v.jnl.mu.Unlock()
+		v.gate.skip <- struct{}{}
 	}
-	return appended
+	recs, _, err := scanRecords(buf, "buffer")
+	if err != nil {
+		v.t.Errorf("buffer scan: %v", err)
+	}
+	return recs, release
 }
 
-// onDisk reads every settled and parked record the shard files hold.
+// onDisk reads every record the log holds.
 func (v *settleBarrierVerifier) onDisk() []journalRecord {
-	var out []journalRecord
-	for i := range v.jnl.shards {
-		// readShardFrom tolerates a torn tail, which the held tick's mark
-		// write can briefly look like; the records asserted on were flushed
-		// before the settle job was queued.
-		recs, _, err := readShardFrom(v.jnl.dir, i, 0)
-		if err != nil {
-			v.t.Errorf("journal read: %v", err)
-		}
-		out = append(out, recs...)
+	// readLogFrom tolerates a torn tail, which the held tick's mark write
+	// can briefly look like; the records asserted on were flushed before
+	// the settle job was queued.
+	recs, _, err := readLogFrom(v.jnl.dir, 0)
+	if err != nil {
+		v.t.Errorf("journal read: %v", err)
 	}
-	return out
+	return recs
 }
 
 func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
-	appended := v.appended()
+	buffered, release := v.buffered()
+	defer release()
+	appended := append(v.onDisk(), buffered...)
 	disk := make(map[string]bool)
 	for _, r := range v.onDisk() {
 		disk[barrierKey(r)] = true
@@ -402,9 +409,10 @@ func (v *settleBarrierVerifier) SettleBlock(cs []*contract.Contract, height uint
 // blocks before it — their settled records, every parked mark — must be
 // flushed before the settlement stage sees the next block: the window
 // recovery reconciles from the contracts is one block. The flush cadence and
-// buffer threshold are set far out of reach, so the pre-settle barrier is
-// the only mechanism that can put these records on disk (tick marks write
-// shard 0's buffer through; the fixture spreads over all four) — if it were
+// buffer threshold are set far out of reach, and the tick mark that follows
+// a hand-off — a write-through, which flushes the buffer ahead of it — is
+// held until the settlement stage has looked, so the pre-settle barrier is
+// the only mechanism that can put these records on disk in time — if it were
 // missing, every settle block after the first would fail the assertion.
 func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	fx, err := buildCrashFixture("group-commit-barrier", 3)
@@ -412,12 +420,14 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 4
-	jnl, err := OpenJournal(t.TempDir(), shards)
+	gate := newTickGate()
+	jnl, err := openJournal(gate, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	jnl.flushBytes = 1 << 30
-	v := newHeldVerifier(&settleBarrierVerifier{t: t, jnl: jnl}, nil)
+	b := &settleBarrierVerifier{t: t, jnl: jnl, gate: gate}
+	v := newHeldVerifier(b, nil)
 	s := NewScheduler(fx.net,
 		WithShards(shards),
 		WithParallelism(2),
@@ -425,6 +435,7 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 		WithVerifier(v),
 		WithJournalFlushEvery(1<<20),
 	)
+	b.s = s
 	s.OnBlock(v.hold)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
@@ -437,7 +448,7 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if b := v.inner.(*settleBarrierVerifier); b.settled == 0 || b.parked == 0 {
+	if b.settled == 0 || b.parked == 0 {
 		t.Fatalf("verifier checked %d settled and %d parked records, want both kinds", b.settled, b.parked)
 	}
 	// With cadence and threshold unreachable, only barriers wrote: the
@@ -445,4 +456,50 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if st := jnl.Stats(); st.Fsyncs > shards*2 {
 		t.Fatalf("%d fsyncs with barriers-only flushing, want at most the exit flush (%d)", st.Fsyncs, shards*2)
 	}
+}
+
+// tickGate is fsys over os that holds the first tick mark after a seal
+// block — the first journal write after a hand-off, and a write-through
+// that flushes whatever the buffer holds ahead of it — until the sealed
+// block's SettleBlock takes the held write's other records (held) and lets
+// it go (resume), or has said it will not (skip).
+type tickGate struct {
+	osFS
+	last   uint64 // the previous tick mark's height; a gap is a seal block
+	held   chan []byte
+	resume chan struct{}
+	skip   chan struct{}
+}
+
+func newTickGate() *tickGate {
+	return &tickGate{held: make(chan []byte), resume: make(chan struct{}), skip: make(chan struct{}, 64)}
+}
+
+func (g *tickGate) OpenFile(name string, flag int, perm os.FileMode) (fsFile, error) {
+	f, err := g.osFS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != journalLogName {
+		return f, err
+	}
+	return gatedLog{f, g}, nil
+}
+
+type gatedLog struct {
+	fsFile
+	g *tickGate
+}
+
+func (w gatedLog) Write(p []byte) (int, error) {
+	recs, _, _ := scanRecords(p, "write")
+	if n := len(recs); n > 0 && recs[n-1].typ == recTick {
+		tick := recs[n-1]
+		if w.g.last != 0 && tick.height > w.g.last+1 {
+			select {
+			case w.g.held <- p[:len(p)-len(appendRecord(nil, tick))]:
+				<-w.g.resume
+			case <-w.g.skip:
+			}
+		}
+		w.g.last = tick.height
+	}
+	return w.fsFile.Write(p)
 }

@@ -1,11 +1,12 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,8 +16,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The scheduler journal is the durability layer's write path: an append-only
-// log, sharded by contract address, of what recovery cannot re-derive from
+// The scheduler journal is the durability layer's write path: one
+// append-only log file, journal.log, of what recovery cannot re-derive from
 // the contracts — registrations, parked deadlines/backoffs, settled rounds,
 // terminal outcomes, and a per-tick wake mark. An open challenge or a sealed
 // proof is not journaled: Contract.State() already says so. Together with
@@ -36,12 +37,12 @@ import (
 // middle of the log, and surfaces as a JournalCorruptError: recovery must
 // never guess across a hole in the history.
 //
-// Appends are group-committed. A record is encoded into its shard's buffer
+// Appends are group-committed. A record is encoded into the journal's buffer
 // and reaches the file as part of one coalesced write, at the next of: a
 // scheduler durability barrier — the tick-top cadence flush, which also
 // fsyncs (WithJournalFlushEvery); the flush before a settled block is handed
 // to the settlement stage; the flush and fsync before a checkpoint captures
-// journal offsets — a full buffer (journalFlushBytes), or Close. Two record
+// the journal's offset — a full buffer (journalFlushBytes), or Close. Two record
 // types write through the buffer at once (flushing whatever it holds first,
 // preserving order): registrations, because the scheduler must never act on
 // an engagement whose registration is not on disk — a lost registration is
@@ -113,9 +114,10 @@ const (
 	maxRecordPayload = 1 << 20
 )
 
-// ErrJournalCorrupt marks corruption in the middle of a journal shard —
-// bytes that fail their checksum while valid records still follow. A torn
-// tail (the expected crash artifact) never produces it.
+// ErrJournalCorrupt marks corruption in the middle of the journal log —
+// bytes that fail their checksum while valid records still follow — and a
+// journal directory whose meta is not this layout's. A torn tail (the
+// expected crash artifact) never produces it.
 var ErrJournalCorrupt = errors.New("sched: journal corrupt")
 
 // journalCorruptError locates mid-file journal corruption. errors.Is matches
@@ -266,7 +268,7 @@ func decodeRecord(buf []byte) (journalRecord, int, error) {
 	return r, total, nil
 }
 
-// scanRecords walks one shard's bytes from the start. It returns the decoded
+// scanRecords walks a log's bytes from the start. It returns the decoded
 // records and the number of valid bytes. A failure at some offset is a torn
 // tail — valid is the truncation point — unless any complete record still
 // decodes after it, in which case the failure is mid-file corruption and the
@@ -308,14 +310,15 @@ type JournalStats struct {
 	Appends     uint64 // records appended
 	Bytes       uint64 // record bytes appended
 	Writes      uint64 // file writes issued: one per coalesced flush or write-through record
-	Fsyncs      uint64 // fsyncs issued: at most one per shard per synced barrier
+	Fsyncs      uint64 // fsyncs issued: at most one per synced barrier
 	Checkpoints uint64 // checkpoints completed
 	TornBytes   uint64 // torn tail bytes truncated when the journal was opened
 }
 
-// Journal is the scheduler's sharded append-only log. One instance is owned
-// by one scheduler; appends route by contract address so one engagement's
-// history lives in one shard file, in order.
+// Journal is the scheduler's append-only log, one file in its directory.
+// One instance is owned by one scheduler. Appends are taken under one
+// mutex, so the log holds each engagement's history in the order it
+// happened.
 //
 // The journal has one failure path: its first I/O error is latched, and from
 // then on every append, flush and Close returns that error without writing
@@ -324,21 +327,23 @@ type JournalStats struct {
 // file, where OpenJournal refuses it. A torn tail is what a crash leaves, and
 // recovery absorbs it.
 type Journal struct {
-	fs      fsys
-	dir     string
-	nshards int
-	shards  []*journalShard
+	fs  fsys
+	dir string
 
-	// flushBytes is the buffer size at which a shard flushes between
+	// flushBytes is the buffer size at which the log flushes between
 	// barriers; fixed before Run.
 	flushBytes int
 
-	mu    sync.Mutex
-	stats JournalStats
-	err   error // first I/O failure; sticky
+	mu       sync.Mutex
+	f        fsFile
+	size     int64  // flushed bytes only — what a checkpoint offset may reference
+	buf      []byte // records appended but not yet written
+	unsynced bool   // flushed bytes not yet covered by an fsync
+	stats    JournalStats
+	err      error // first I/O failure; sticky
 }
 
-// journalFlushBytes caps a shard's append buffer between barriers.
+// journalFlushBytes caps the append buffer between barriers.
 const journalFlushBytes = 256 << 10
 
 // instrument registers the journal's dsn_journal_* metric family on reg.
@@ -360,15 +365,6 @@ func (j *Journal) instrument(reg *obs.Registry) {
 		func() float64 { return float64(j.Stats().TornBytes) })
 	reg.CounterFunc("dsn_journal_checkpoints_total", "checkpoints completed",
 		func() float64 { return float64(j.Stats().Checkpoints) })
-}
-
-type journalShard struct {
-	mu       sync.Mutex
-	path     string
-	f        fsFile
-	size     int64  // flushed bytes only — what checkpoint offsets may reference
-	buf      []byte // records appended but not yet written
-	unsynced bool   // flushed bytes not yet covered by an fsync
 }
 
 // fsys is the journal's window on the file system: every call in journal.go
@@ -406,101 +402,85 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (fsFile, error) {
 	return f, nil
 }
 
-// journalMetaName and the shard file pattern fix the on-disk layout.
-const journalMetaName = "meta"
+// The on-disk layout: the log, and a meta file that marks the directory as
+// this layout. Version 1 of the meta named a count of address-sharded log
+// files; a directory holding it is refused, never read as empty.
+const (
+	journalMetaName = "meta"
+	journalLogName  = "journal.log"
+)
 
-var journalMetaMagic = []byte{'D', 'S', 'N', 'J', 1}
+var journalMeta = []byte{'D', 'S', 'N', 'J', 2}
 
-func journalShardPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("journal-%02d.log", i))
+// readJournalMeta checks dir's meta file: an error wrapping fs.ErrNotExist
+// when there is none, one matching ErrJournalCorrupt when it is not this
+// layout's.
+func readJournalMeta(dir string) error {
+	path := filepath.Join(dir, journalMetaName)
+	meta, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("sched: journal meta: %w", err)
+	}
+	if !bytes.Equal(meta, journalMeta) {
+		return fmt.Errorf("%w: %s is not a one-file journal's meta", ErrJournalCorrupt, path)
+	}
+	return nil
 }
 
-// OpenJournal opens (creating if needed) the journal rooted at dir. shards
-// fixes the shard-file count for a fresh journal (<= 0 selects 8); an
-// existing journal keeps the count recorded in its meta file. Existing shard
-// files are validated on open: a torn tail is truncated (and counted in
-// Stats().TornBytes), mid-file corruption returns a JournalCorruptError.
-func OpenJournal(dir string, shards int) (*Journal, error) {
-	return openJournal(osFS{}, dir, shards)
+// OpenJournal opens (creating if needed) the journal rooted at dir. The int
+// argument is ignored (the journal is one file); it is kept because bench/
+// compiles against it. An existing
+// log is validated on open: a torn tail is truncated (and counted in
+// Stats().TornBytes), mid-file corruption returns a JournalCorruptError. A
+// directory whose meta is not this layout's is refused with an error that
+// matches ErrJournalCorrupt, before anything in it is created or changed.
+func OpenJournal(dir string, _ int) (*Journal, error) {
+	return openJournal(osFS{}, dir)
 }
 
-func openJournal(fs fsys, dir string, shards int) (*Journal, error) {
-	if shards <= 0 {
-		shards = 8
+func openJournal(fs fsys, dir string) (*Journal, error) {
+	err := readJournalMeta(dir)
+	fresh := errors.Is(err, iofs.ErrNotExist)
+	if err != nil && !fresh {
+		return nil, err
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sched: journal dir: %w", err)
 	}
-	j := &Journal{fs: fs, dir: dir, flushBytes: journalFlushBytes}
-	metaPath := filepath.Join(dir, journalMetaName)
-	meta, err := os.ReadFile(metaPath)
-	fresh := os.IsNotExist(err)
-	if err == nil {
-		n, err := parseJournalMeta(meta)
-		if err != nil {
-			return nil, fmt.Errorf("sched: journal meta %s: %w", metaPath, err)
-		}
-		shards = n
-	} else if !fresh {
-		return nil, fmt.Errorf("sched: journal meta: %w", err)
+	path := filepath.Join(dir, journalLogName)
+	size, torn, err := validateLog(fs, path)
+	if err != nil {
+		return nil, err
 	}
-
-	j.nshards, j.shards = shards, make([]*journalShard, shards)
-	for i := range j.shards {
-		path := journalShardPath(dir, i)
-		size, torn, err := validateShardFile(fs, path)
-		if err != nil {
-			j.closeOpened()
-			return nil, err
-		}
-		f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			j.closeOpened()
-			return nil, fmt.Errorf("sched: open journal shard: %w", err)
-		}
-		j.shards[i] = &journalShard{path: path, f: f, size: size}
-		j.stats.TornBytes += uint64(torn)
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("sched: open journal: %w", err)
 	}
+	j := &Journal{fs: fs, dir: dir, flushBytes: journalFlushBytes, f: f, size: size}
+	j.stats.TornBytes = uint64(torn)
 	if fresh {
-		// Installed like a checkpoint, after the shard files exist: a crash
-		// leaves no meta or a whole one, never an empty file that would
-		// refuse the directory at restart, and the install's directory fsync
-		// makes the new shard files durable with it.
-		meta = binary.BigEndian.AppendUint32(append([]byte(nil), journalMetaMagic...), uint32(shards))
-		if err := j.install(journalMetaName, meta); err != nil {
-			j.closeOpened()
+		// Installed like a checkpoint, after the log exists: a crash leaves
+		// no meta or a whole one, never an empty file that would refuse the
+		// directory at restart, and the install's directory fsync makes the
+		// new log durable with it.
+		if err := j.install(journalMetaName, journalMeta); err != nil {
+			f.Close()
 			return nil, fmt.Errorf("sched: journal meta: %w", err)
 		}
 	}
 	return j, nil
 }
 
-func parseJournalMeta(meta []byte) (int, error) {
-	if len(meta) != len(journalMetaMagic)+4 {
-		return 0, errBadRecord
-	}
-	for i, b := range journalMetaMagic {
-		if meta[i] != b {
-			return 0, errBadRecord
-		}
-	}
-	n := int(binary.BigEndian.Uint32(meta[len(journalMetaMagic):]))
-	if n < 1 || n > 4096 {
-		return 0, errBadRecord
-	}
-	return n, nil
-}
-
-// validateShardFile scans an existing shard file, truncating a torn tail in
-// place. It returns the valid size and how many torn bytes were dropped. A
-// missing file is a valid empty shard.
-func validateShardFile(fs fsys, path string) (size int64, torn int64, err error) {
+// validateLog scans an existing log, truncating a torn tail in place. It
+// returns the valid size and how many torn bytes were dropped. A missing
+// file is a valid empty log.
+func validateLog(fs fsys, path string) (size int64, torn int64, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("sched: read journal shard: %w", err)
+		return 0, 0, fmt.Errorf("sched: read journal: %w", err)
 	}
 	_, valid, err := scanRecords(data, path)
 	if err != nil {
@@ -514,30 +494,20 @@ func validateShardFile(fs fsys, path string) (size int64, torn int64, err error)
 	return int64(valid), int64(len(data) - valid), nil
 }
 
-func (j *Journal) closeOpened() {
-	for _, sh := range j.shards {
-		if sh != nil && sh.f != nil {
-			sh.f.Close()
-		}
-	}
-}
-
-// Close flushes and syncs any buffered records and releases the shard files.
-// After an I/O failure it releases them without writing and returns the
-// failure.
+// Close flushes and syncs any buffered records and releases the log. After
+// an I/O failure it releases it without writing and returns the failure. A
+// second Close does nothing.
 func (j *Journal) Close() error {
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.f != nil {
-			j.flushShardLocked(sh, true) // a failure is latched, returned below
-			if err := sh.f.Close(); err != nil {
-				j.fail(err)
-			}
-			sh.f = nil
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f != nil {
+		j.flushLocked(true) // a failure is latched, returned below
+		if err := j.f.Close(); err != nil {
+			j.failLocked(err)
 		}
-		sh.mu.Unlock()
+		j.f = nil
 	}
-	return j.fault()
+	return j.err
 }
 
 // Stats snapshots the journal's write counters.
@@ -545,14 +515,6 @@ func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stats
-}
-
-// shardFor routes an address to its shard (FNV-1a, independent of the
-// scheduler's store sharding — the two counts need not match).
-func (j *Journal) shardFor(addr chain.Address) int {
-	h := fnv.New32a()
-	h.Write([]byte(addr))
-	return int(h.Sum32() % uint32(j.nshards))
 }
 
 // fault returns the journal's latched I/O failure, if any.
@@ -567,113 +529,88 @@ func (j *Journal) fault() error {
 func (j *Journal) fail(err error) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.failLocked(err)
+}
+
+func (j *Journal) failLocked(err error) error {
 	if j.err == nil {
 		j.err = err
 	}
 	return j.err
 }
 
-// append routes one record to its shard's buffer; tick records (no address)
-// go to shard 0. Registrations and tick marks write through at once, a full
-// buffer flushes, everything else waits for the next barrier (see the file
-// header).
+// append adds one record to the buffer. Registrations and tick marks write
+// through at once, a full buffer flushes, everything else waits for the next
+// barrier (see the file header).
 func (j *Journal) append(r journalRecord) error {
-	sh := j.shards[0]
-	if r.typ != recTick {
-		sh = j.shards[j.shardFor(r.addr)]
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := j.fault(); err != nil {
-		return err
-	}
-	if sh.f == nil {
-		return j.fail(errors.New("sched: journal closed"))
-	}
-	start := len(sh.buf)
-	sh.buf = appendRecord(sh.buf, r)
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
+	if j.f == nil {
+		return j.failLocked(errors.New("sched: journal closed"))
+	}
+	start := len(j.buf)
+	j.buf = appendRecord(j.buf, r)
 	j.stats.Appends++
-	j.stats.Bytes += uint64(len(sh.buf) - start)
-	j.mu.Unlock()
-	if r.typ == recRegister || r.typ == recTick || len(sh.buf) >= j.flushBytes {
+	j.stats.Bytes += uint64(len(j.buf) - start)
+	if r.typ == recRegister || r.typ == recTick || len(j.buf) >= j.flushBytes {
 		// Registrations and tick marks write through (see the file header).
 		// Both are rare relative to the per-engagement record volume (one
 		// tick mark per tick, one registration per engagement lifetime), so
 		// the coalescing win is untouched. A full buffer flushes early.
-		return j.flushShardLocked(sh, false)
+		return j.flushLocked(false)
 	}
 	return nil
 }
 
-// flushShardLocked writes a shard's buffered records as one coalesced write,
-// optionally followed by one fsync. Caller holds sh.mu.
-func (j *Journal) flushShardLocked(sh *journalShard, sync bool) error {
-	if err := j.fault(); err != nil {
-		return err
+// flushLocked writes the buffered records as one coalesced write, optionally
+// followed by one fsync. Caller holds j.mu.
+func (j *Journal) flushLocked(sync bool) error {
+	if j.err != nil {
+		return j.err
 	}
-	if len(sh.buf) > 0 {
-		if _, err := sh.f.Write(sh.buf); err != nil {
-			return j.fail(fmt.Errorf("sched: journal flush: %w", err))
+	if len(j.buf) > 0 {
+		if _, err := j.f.Write(j.buf); err != nil {
+			return j.failLocked(fmt.Errorf("sched: journal flush: %w", err))
 		}
-		sh.size += int64(len(sh.buf))
-		sh.buf = sh.buf[:0]
-		sh.unsynced = true
-		j.mu.Lock()
+		j.size += int64(len(j.buf))
+		j.buf = j.buf[:0]
+		j.unsynced = true
 		j.stats.Writes++
-		j.mu.Unlock()
 	}
-	if sync && sh.unsynced {
-		return j.syncShardLocked(sh)
-	}
-	return nil
-}
-
-// syncShardLocked fsyncs a shard whose flushed bytes are not yet covered by
-// one. Caller holds sh.mu.
-func (j *Journal) syncShardLocked(sh *journalShard) error {
-	if err := sh.f.Sync(); err != nil {
-		return j.fail(fmt.Errorf("sched: journal fsync: %w", err))
-	}
-	sh.unsynced = false
-	j.mu.Lock()
-	j.stats.Fsyncs++
-	j.mu.Unlock()
-	return nil
-}
-
-// barrier flushes every shard's buffer. sync additionally fsyncs each shard
-// that has unsynced bytes. Shards flush in order; a crash mid-barrier leaves
-// earlier shards written and later ones not.
-func (j *Journal) barrier(sync bool) error {
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		err := j.flushShardLocked(sh, sync)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
+	if sync && j.unsynced {
+		if err := j.f.Sync(); err != nil {
+			return j.failLocked(fmt.Errorf("sched: journal fsync: %w", err))
 		}
+		j.unsynced = false
+		j.stats.Fsyncs++
 	}
 	return nil
 }
 
-// offsets snapshots each shard's current valid size, for checkpointing.
-func (j *Journal) offsets() []int64 {
-	out := make([]int64, len(j.shards))
-	for i, sh := range j.shards {
-		sh.mu.Lock()
-		out[i] = sh.size
-		sh.mu.Unlock()
-	}
-	return out
+// barrier flushes the buffer. sync additionally fsyncs the log if it has
+// unsynced bytes.
+func (j *Journal) barrier(sync bool) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.flushLocked(sync)
 }
 
-// readShardFrom returns a shard's records starting at a byte offset,
-// applying the same torn-tail/corruption discipline as OpenJournal. An
-// offset past the file (a checkpoint paired with a journal that lost bytes)
-// is corruption.
-func readShardFrom(dir string, i int, off int64) ([]journalRecord, int64, error) {
-	path := journalShardPath(dir, i)
+// offset is the log's current valid size, for checkpointing.
+func (j *Journal) offset() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.size
+}
+
+// readLogFrom returns the records of dir's log from a byte offset on, and
+// the torn tail bytes past them, applying the same torn-tail/corruption
+// discipline as OpenJournal. An offset past the file (a checkpoint paired
+// with a journal that lost bytes) is corruption.
+func readLogFrom(dir string, off int64) ([]journalRecord, int64, error) {
+	path := filepath.Join(dir, journalLogName)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		if off > 0 {
@@ -682,7 +619,7 @@ func readShardFrom(dir string, i int, off int64) ([]journalRecord, int64, error)
 		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("sched: read journal shard: %w", err)
+		return nil, 0, fmt.Errorf("sched: read journal: %w", err)
 	}
 	if off > int64(len(data)) {
 		return nil, 0, &journalCorruptError{Path: path, Offset: int64(len(data))}

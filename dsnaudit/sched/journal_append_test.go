@@ -10,7 +10,7 @@ import (
 )
 
 // encodeRecord frames one record on its own. Production code only ever
-// frames into a shard's buffer (Journal.append); the decoder tests and
+// frames into the journal's buffer (Journal.append); the decoder tests and
 // FuzzDecodeRecord's seeds want single frames.
 func encodeRecord(r journalRecord) []byte { return appendRecord(nil, r) }
 
@@ -70,7 +70,7 @@ func TestAppendRecordIntoNonEmptyBuffer(t *testing.T) {
 
 // TestJournalAppendDoesNotAllocate: a buffered append — the settled record
 // every round writes, the parked mark a failed one does — frames into the
-// shard's buffer and allocates nothing once that buffer has grown.
+// journal's buffer and allocates nothing once that buffer has grown.
 func TestJournalAppendDoesNotAllocate(t *testing.T) {
 	j, err := OpenJournal(t.TempDir(), 4)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestJournalAppendDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	// Grow every shard buffer to its flush size once; from then on a flush
+	// Grow the buffer to its flush size once; from then on a flush
 	// resets the length and keeps the array.
 	for i := 0; i < 2*journalFlushBytes/(2*32); i++ {
 		round()

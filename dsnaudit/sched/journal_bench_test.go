@@ -30,9 +30,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // benchSoak runs the 2k-engagement soak with or without a journal and
 // reports tick latency, so the journaled-vs-bare pair keeps the durability
-// overhead visible. The journaled run uses the soak's defaults (4 journal
-// shards, synced flush every 64 ticks), the same shape the nightly 1M gate
-// measures.
+// overhead visible. The journaled run uses the soak's defaults (synced
+// flush every 64 ticks), the same shape the nightly 1M gate measures.
 func benchSoak(b *testing.B, journaled, instrumented bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := SoakConfig{

@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/dsnaudit"
+	"repro/internal/chain"
 	"repro/internal/contract"
 )
 
@@ -60,16 +63,12 @@ func TestJournalAppendReadBack(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got []journalRecord
-	for i := 0; i < 2; i++ {
-		shard, torn, err := readShardFrom(dir, i, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if torn != 0 {
-			t.Fatalf("shard %d reports %d torn bytes on a clean close", i, torn)
-		}
-		got = append(got, shard...)
+	got, torn, err := readLogFrom(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 {
+		t.Fatalf("the log reports %d torn bytes on a clean close", torn)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("read back %d records, wrote %d", len(got), len(recs))
@@ -98,7 +97,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.WriteFile(journalShardPath(dir, 0), torn, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, journalLogName), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(dir, 1)
@@ -109,7 +108,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if tb := j.Stats().TornBytes; tb != uint64(len(tail)-3) {
 		t.Fatalf("TornBytes = %d, want %d", tb, len(tail)-3)
 	}
-	onDisk, err := os.ReadFile(journalShardPath(dir, 0))
+	onDisk, err := os.ReadFile(filepath.Join(dir, journalLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +134,11 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.WriteFile(journalShardPath(dir, 0), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, journalLogName), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenJournal(dir, 1); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("OpenJournal on corrupt shard err = %v, want ErrJournalCorrupt", err)
+		t.Fatalf("OpenJournal on corrupt log err = %v, want ErrJournalCorrupt", err)
 	}
 	var ce *journalCorruptError
 	_, err := OpenJournal(dir, 1)
@@ -175,25 +174,39 @@ func TestJournalRejectsRetiredTypes(t *testing.T) {
 	}
 }
 
-// TestJournalMetaPinsShardCount: the shard count is fixed at creation; later
-// opens keep it regardless of what the caller passes — a recovered journal
-// must route addresses to the same shards the crashed one did.
-func TestJournalMetaPinsShardCount(t *testing.T) {
+// TestJournalRefusesShardedLayout: a directory the address-sharded layout
+// wrote — a version-1 meta naming four shards, its records in journal-00.log
+// — is refused as corrupt by every way in, and nothing is created in it. Read
+// as a fresh journal it would resume from nothing.
+func TestJournalRefusesShardedLayout(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, 4)
+	meta := binary.BigEndian.AppendUint32([]byte{'D', 'S', 'N', 'J', 1}, 4)
+	if err := os.WriteFile(filepath.Join(dir, journalMetaName), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var shard []byte
+	for _, r := range sampleRecords() {
+		shard = appendRecord(shard, r)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal-00.log"), shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	net, err := dsnaudit.NewNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-	for _, ask := range []int{0, 2, 16} {
-		j, err := OpenJournal(dir, ask)
-		if err != nil {
-			t.Fatal(err)
+	_, openErr := OpenJournal(dir, 4)
+	_, _, recoverErr := Recover(dir, net, func(chain.Address) (*dsnaudit.Engagement, error) {
+		return nil, errors.New("no engagement resolves")
+	})
+	_, viewErr := LoadJournalView(dir)
+	for what, err := range map[string]error{"OpenJournal": openErr, "Recover": recoverErr, "LoadJournalView": viewErr} {
+		if !errors.Is(err, ErrJournalCorrupt) {
+			t.Errorf("%s on a version-1 journal directory: err = %v, want ErrJournalCorrupt", what, err)
 		}
-		if j.nshards != 4 {
-			t.Fatalf("reopen with shards=%d got %d shards, want the recorded 4", ask, j.nshards)
-		}
-		j.Close()
+	}
+	if _, err := os.Stat(filepath.Join(dir, journalLogName)); !os.IsNotExist(err) {
+		t.Errorf("%s exists after the refused opens (stat err %v)", journalLogName, err)
 	}
 }
 
@@ -214,7 +227,7 @@ func TestJournalDecoderBoundsAllocation(t *testing.T) {
 
 // FuzzJournalRecord feeds the decoder arbitrary bytes: it must never panic
 // or over-consume, and anything it accepts must survive a semantic
-// re-encode/decode round trip. The shard scanner runs on the same input to
+// re-encode/decode round trip. The log scanner runs on the same input to
 // pin its no-panic guarantee (it either truncates a tail or reports typed
 // corruption).
 func FuzzJournalRecord(f *testing.F) {
@@ -269,7 +282,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x08
 	// An entry count far past what the remaining bytes could hold.
 	overcount := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(overcount[len(checkpointMagic)+20+8*2:], 0xffffffff)
+	binary.BigEndian.PutUint32(overcount[len(checkpointMagic)+24:], 0xffffffff)
 	f.Add(valid, false)
 	f.Add(valid[:len(valid)-9], false)
 	f.Add(flipped, false)

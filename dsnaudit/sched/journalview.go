@@ -1,36 +1,27 @@
 package sched
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-
 	"repro/internal/chain"
 	"repro/internal/contract"
 )
 
-// LoadJournalView reads a journal directory's full history — every shard
-// from byte zero, checkpoint ignored — into an exported, address-keyed view.
+// LoadJournalView reads a journal directory's full history — the log from
+// byte zero, checkpoint ignored — into an exported, address-keyed view.
 // It is the out-of-process resume path's window into a dead scheduler's
 // state: a fresh process that rebuilds the world from persisted keys uses
 // the view to replay each engagement's settled rounds onto its rebuilt
 // contract before handing the directory to Recover. Torn tails are absorbed
-// under the journal's usual rule; mid-file corruption surfaces as a
-// JournalCorruptError.
+// under the journal's usual rule; mid-file corruption, and a meta that is
+// not this layout's, surface as errors matching ErrJournalCorrupt.
 func LoadJournalView(dir string) (*JournalView, error) {
-	meta, err := os.ReadFile(filepath.Join(dir, journalMetaName))
-	if err != nil {
-		return nil, fmt.Errorf("sched: journal meta: %w", err)
+	if err := readJournalMeta(dir); err != nil {
+		return nil, err
 	}
-	nshards, err := parseJournalMeta(meta)
-	if err != nil {
-		return nil, fmt.Errorf("sched: journal meta %s: %w", filepath.Join(dir, journalMetaName), err)
-	}
-	st, err := loadDurableState(dir, nshards, nil)
+	st, err := loadDurableState(dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	v := &JournalView{Shards: nshards, LastWake: st.lastWake}
+	v := &JournalView{LastWake: st.lastWake}
 	for _, addr := range st.order {
 		re := st.entries[addr]
 		if re == nil {
@@ -55,7 +46,6 @@ func LoadJournalView(dir string) (*JournalView, error) {
 
 // JournalView is the merged full-history state of one journal directory.
 type JournalView struct {
-	Shards   int
 	LastWake uint64             // highest wake height the dead scheduler processed
 	Entries  []JournalEntryView // registration order
 }

@@ -89,22 +89,16 @@ type durableState struct {
 }
 
 // loadDurableState merges a checkpoint with dir's journal records past its
-// offsets. With no checkpoint every shard is scanned from byte zero — which is
+// offset. With no checkpoint the log is scanned from byte zero — which is
 // also the full-history view the CLI resume path uses.
-func loadDurableState(dir string, nshards int, ckpt *checkpointData) (*durableState, error) {
+func loadDurableState(dir string, ckpt *checkpointData) (*durableState, error) {
 	st := &durableState{entries: make(map[chain.Address]*recoveredEntry)}
-	offsets := make([]int64, nshards)
+	var offset int64
 	if ckpt != nil {
-		if ckpt.shards != nshards {
-			return nil, &checkpointCorruptError{
-				Path:   dir,
-				Reason: fmt.Sprintf("checkpoint has %d journal shards, meta has %d", ckpt.shards, nshards),
-			}
-		}
 		st.fromCkpt = true
 		st.seq = ckpt.seq
 		st.lastWake = ckpt.lastWake
-		offsets = ckpt.offsets
+		offset = ckpt.offset
 		for _, ce := range ckpt.entries {
 			re := &recoveredEntry{
 				addr:         ce.addr,
@@ -129,21 +123,19 @@ func loadDurableState(dir string, nshards int, ckpt *checkpointData) (*durableSt
 			st.order = append(st.order, ce.addr)
 		}
 	}
-	for i := 0; i < nshards; i++ {
-		recs, _, err := readShardFrom(dir, i, offsets[i])
-		if err != nil {
-			return nil, err
-		}
-		st.replayed += len(recs)
-		for _, r := range recs {
-			st.apply(r)
-		}
+	recs, _, err := readLogFrom(dir, offset)
+	if err != nil {
+		return nil, err
+	}
+	st.replayed = len(recs)
+	for _, r := range recs {
+		st.apply(r)
 	}
 	return st, nil
 }
 
-// apply advances the merged state by one journal record. Records for one
-// address live in one shard, so per-engagement order is the append order.
+// apply advances the merged state by one journal record, in log order,
+// which is the order they were appended.
 func (st *durableState) apply(r journalRecord) {
 	if r.typ == recTick {
 		if r.height > st.lastWake {
@@ -222,7 +214,7 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 		j.Close()
 		return nil, nil, err
 	}
-	st, err := loadDurableState(dir, j.nshards, ckpt)
+	st, err := loadDurableState(dir, ckpt)
 	if err != nil {
 		j.Close()
 		return nil, nil, err

@@ -16,10 +16,9 @@ import (
 
 func sampleCheckpoint() *checkpointData {
 	return &checkpointData{
-		shards:   2,
 		seq:      9,
 		lastWake: 140,
-		offsets:  []int64{512, 1024},
+		offset:   1024,
 		entries: []checkpointEntry{
 			{addr: "audit:alice:sp-a:f", seq: 0, baseRounds: 1, rounds: 2, passed: 2, hint: hintLive},
 			{addr: "audit:bob:sp-b:g", seq: 1, rounds: 1, failed: 1, retries: 3, hint: hintRetry, parkedRound: 2, parkedHeight: 150},
@@ -53,6 +52,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}()},
 		{"truncated", buf[:len(buf)-9]},
 		{"short file", buf[:4]},
+		// Sealed, so only the field check can refuse it.
+		{"negative journal offset", encodeCheckpoint(&checkpointData{offset: -1})},
 	} {
 		if _, err := decodeCheckpoint(tc.data, "test"); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCheckpointCorrupt", tc.name, err)
@@ -269,7 +270,7 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 		}
 		return lost > 0
 	}}
-	jnl, err := openJournal(ffs, dir, shards)
+	jnl, err := openJournal(ffs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

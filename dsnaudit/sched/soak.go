@@ -38,7 +38,7 @@ type SoakConfig struct {
 	// not just the in-memory one.
 	JournalDir        string
 	CheckpointEvery   int // checkpoint cadence in ticks when journaling (default 64)
-	JournalShards     int // journal shard files (default 4 — every barrier fsync pays per shard)
+	JournalShards     int // ignored (the journal is one file); kept because bench/ compiles against it
 	JournalFlushEvery int // journal synced-flush cadence in ticks (default 64)
 
 	// Registry, when set, instruments the whole soak — scheduler, journal,
@@ -75,9 +75,6 @@ func (c *SoakConfig) applyDefaults() {
 	}
 	if c.Seed == "" {
 		c.Seed = "soak"
-	}
-	if c.JournalShards <= 0 {
-		c.JournalShards = 4
 	}
 	if c.JournalFlushEvery <= 0 {
 		c.JournalFlushEvery = 64
@@ -228,7 +225,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	var jnl *Journal
 	if cfg.JournalDir != "" {
-		jnl, err = OpenJournal(cfg.JournalDir, cfg.JournalShards)
+		jnl, err = OpenJournal(cfg.JournalDir, 0)
 		if err != nil {
 			return nil, err
 		}

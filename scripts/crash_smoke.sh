@@ -72,12 +72,10 @@ diff -u "$workdir/ref.summary" "$workdir/resume2.summary" \
   || { echo "FAIL: re-resume changed the outcome"; exit 1; }
 
 # Phase 4b: a flipped byte mid-journal must be refused with exit code 3.
-shard=$(for f in "$workdir/crash/journal/"journal-*.log; do
-  [ "$(wc -c <"$f")" -gt 40 ] && { echo "$f"; break; }
-done)
-byte=$(od -An -tu1 -j9 -N1 "$shard" | tr -d ' ')
+log="$workdir/crash/journal/journal.log"
+byte=$(od -An -tu1 -j9 -N1 "$log" | tr -d ' ')
 printf "$(printf '\\%03o' $((byte ^ 0x40)))" \
-  | dd of="$shard" bs=1 seek=9 count=1 conv=notrunc 2>/dev/null
+  | dd of="$log" bs=1 seek=9 count=1 conv=notrunc 2>/dev/null
 rc=0
 "$bin" resume -state "$workdir/crash" >"$workdir/corrupt.log" 2>&1 || rc=$?
 if [ "$rc" -ne 3 ]; then
