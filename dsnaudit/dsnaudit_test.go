@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
@@ -265,6 +266,53 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 		}
 		if _, err := core.UnmarshalPrivateProof(proof.Data); err != nil {
 			t.Fatalf("round %d: proof tx does not parse as a private proof: %v", r+1, err)
+		}
+	}
+}
+
+// TestOnboardingPaysKeyBodyOnce onboards two s = 50 files of one owner and
+// pins each Negotiate's gas: the first posts the key body (Fig. 4's key
+// minus its Name) with its 64-byte reference, the SHA-256 digest of the body
+// and the Name, and stores 65 + 2 words; the second posts and stores the
+// reference alone. Onboarding is Negotiate plus two data-free transactions,
+// the acknowledgement and the freeze.
+func TestOnboardingPaysKeyBodyOnce(t *testing.T) {
+	n := testNetwork(t, 10)
+	owner, err := NewOwner(n, "olga", 50, eth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := owner.AuditSK.Pub.Marshal(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nameAt = 4 + 2*128
+	body := append(append([]byte(nil), enc[:nameAt]...), enc[nameAt+32:]...)
+	digest := sha256.Sum256(body)
+	ref := append(digest[:], enc[nameAt:nameAt+32]...)
+	if len(enc) != 2084 || len(body) != 2052 {
+		t.Fatalf("key %d B, body %d B; want Fig. 4's 2084 and 2052", len(enc), len(body))
+	}
+	g := n.Chain.Config().Gas
+	gasOf := func(data []byte, words uint64) uint64 {
+		zeros := uint64(bytes.Count(data, []byte{0}))
+		return g.TxBase + zeros*g.CalldataZero + (uint64(len(data))-zeros)*g.CalldataNonZero + words*g.StorageWord
+	}
+	negotiate := []uint64{gasOf(append(append([]byte(nil), body...), ref...), 65+2), gasOf(ref, 2)}
+	for i, want := range negotiate {
+		data := make([]byte, 3000)
+		rand.Read(data)
+		sf, err := owner.Outsource(fmt.Sprintf("file-%d", i), data, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := n.Chain.TotalGas()
+		if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(1)); err != nil {
+			t.Fatal(err)
+		}
+		n.Chain.MineBlock()
+		if got := n.Chain.TotalGas() - before - 2*g.TxBase; got != want {
+			t.Errorf("file %d: Negotiate %d gas, want %d", i, got, want)
 		}
 	}
 }

@@ -83,8 +83,9 @@ type Outcome struct {
 }
 
 // Engage walks the full Initialize phase of Fig. 2 against one provider:
-// deploy, post parameters (Fig. 4's one-time cost), provider-side
-// authenticator validation, acknowledgment, and deposit freezing.
+// deploy, post parameters (Fig. 4's key: its body once per owner key, a
+// 64-byte reference per contract), provider-side authenticator validation,
+// acknowledgment, and deposit freezing.
 func (o *Owner) Engage(sf *StoredFile, p *ProviderNode, terms EngagementTerms) (*Engagement, error) {
 	return o.EngageWith(context.Background(), sf, p, p, terms)
 }

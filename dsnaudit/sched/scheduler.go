@@ -176,8 +176,8 @@ func WithVerifier(v dsnaudit.Verifier) Option {
 // from the contracts — registrations, parked marks, settled rounds, terminal
 // outcomes, tick marks — is appended to j, and periodic checkpoints (see
 // WithCheckpointEvery) bound what a restart must replay. Appends coalesce in
-// per-shard buffers and are written out, one write per shard, at each
-// durability barrier — wherever something becoming externally visible
+// the journal's one buffer and reach its one file, journal.log, in one write
+// at each durability barrier — wherever something becoming externally visible
 // depends on them: at the top of a tick before it issues challenges (with an
 // fsync; see WithJournalFlushEvery), before a settled block is handed to the
 // settlement stage, before a checkpoint captures journal offsets, and at
@@ -217,9 +217,10 @@ func WithCheckpointEvery(n int) Option {
 }
 
 // NewScheduler creates a scheduler over the network's chain. The defaults —
-// one shard, batched verification, GOMAXPROCS-way parallelism, no journal —
-// are the plain in-memory driver; options add shards and durability without
-// changing outcomes.
+// one wake-queue shard, batched verification, GOMAXPROCS-way parallelism, no
+// journal — are the plain in-memory driver; options add wake-queue shards
+// (WithShards) and durability (WithJournal, one journal file whatever the
+// shard count) without changing outcomes.
 func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		net:         n,

@@ -14,6 +14,7 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
@@ -137,6 +138,7 @@ type Chain struct {
 	events    []Event // events[eventHead:] is the log; the prefix is pruned and cleared
 	eventHead int
 	txCount   int
+	contents  map[string][32]byte // content-addressed state, by value: its SHA-256 digest (SubmitReferencing)
 
 	// Running aggregates over every sealed block, pruned or not.
 	totalBytes   int
@@ -167,6 +169,7 @@ func New(cfg Config) *Chain {
 		cfg:      cfg,
 		balances: make(map[Address]*big.Int),
 		locked:   make(map[Address]*big.Int),
+		contents: make(map[string][32]byte),
 	}
 	c.blocks = append(c.blocks, &Block{Number: 0, Time: cfg.GenesisTime})
 	return c
@@ -260,23 +263,64 @@ func (c *Chain) Unlock(a Address, amount *big.Int, recipient Address) error {
 func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gas := c.cfg.Gas.TxBase + c.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
-	if gas > c.cfg.BlockGasLimit {
-		return nil, fmt.Errorf("%w: %d > %d", errBlockGasExceeded, gas, c.cfg.BlockGasLimit)
+	gas, err := c.submitLocked(tx)
+	if err != nil {
+		return nil, err
 	}
-	if tx.Value != nil && tx.Value.Sign() > 0 {
-		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
-			return nil, err
-		}
-	}
-	c.pending = append(c.pending, pendingTx{tx, gas})
-	c.txCount++
 	return &Receipt{
 		TxIndex:  c.txCount - 1,
 		Block:    c.nextHeightLocked(),
 		GasUsed:  gas,
 		DataSize: len(tx.Data),
 	}, nil
+}
+
+// SubmitReferencing is Submit for a transaction that references content the
+// chain keeps as content-addressed state, once per chain. The chain puts the
+// SHA-256 digest of content in front of tx's data and, when it does not yet
+// hold content, content itself in front of that, adding content's storage to
+// tx's gas; fresh reports the latter. The lookup, the submission and the
+// record are one step under the chain's lock, so of concurrent callers with
+// one content exactly one posts it, and a submission that fails records
+// nothing, as a reverted transaction writes no state. The chain looks content
+// up by value, so what it holds is not hashed again. It takes tx over, as
+// Submit does, and rewrites its data and gas.
+func (c *Chain) SubmitReferencing(content []byte, tx *Tx) (fresh bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	digest, held := c.contents[string(content)]
+	var data []byte
+	if held {
+		data = make([]byte, 0, len(digest)+len(tx.Data))
+	} else {
+		digest = sha256.Sum256(content)
+		data = append(make([]byte, 0, len(content)+len(digest)+len(tx.Data)), content...)
+		tx.ExtraGas += c.cfg.Gas.StorageGas(len(content))
+	}
+	tx.Data = append(append(data, digest[:]...), tx.Data...)
+	if _, err := c.submitLocked(tx); err != nil {
+		return false, err
+	}
+	if !held {
+		c.contents[string(content)] = digest
+	}
+	return !held, nil
+}
+
+// submitLocked meters tx and queues it, returning its gas.
+func (c *Chain) submitLocked(tx *Tx) (uint64, error) {
+	gas := c.cfg.Gas.TxBase + c.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
+	if gas > c.cfg.BlockGasLimit {
+		return 0, fmt.Errorf("%w: %d > %d", errBlockGasExceeded, gas, c.cfg.BlockGasLimit)
+	}
+	if tx.Value != nil && tx.Value.Sign() > 0 {
+		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
+			return 0, err
+		}
+	}
+	c.pending = append(c.pending, pendingTx{tx, gas})
+	c.txCount++
+	return gas, nil
 }
 
 // nextHeightLocked returns the number of the next block to be mined. It is

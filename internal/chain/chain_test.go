@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -235,4 +236,64 @@ func (c *Chain) transfer(from, to Address, amount *big.Int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.transferLocked(from, to, amount)
+}
+
+// TestSubmitReferencing: the chain posts content once, in front of its
+// digest, and every later reference with the digest alone; of concurrent
+// callers with one content exactly one posts it; a submission the chain
+// refuses records nothing, so the next caller posts the content again.
+func TestSubmitReferencing(t *testing.T) {
+	c := New(DefaultConfig())
+	g := c.Config().Gas
+	content := []byte("a key body")
+	digest := sha256.Sum256(content)
+	ref := func() *Tx { return &Tx{From: "o", To: "k", Data: []byte("name"), ExtraGas: 7} }
+	const callers = 8
+	fresh := make(chan bool, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			f, err := c.SubmitReferencing(content, ref())
+			if err != nil {
+				t.Error(err)
+			}
+			fresh <- f
+		}()
+	}
+	n := 0
+	for i := 0; i < callers; i++ {
+		if <-fresh {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d callers posted the content, want 1", n)
+	}
+	blk := c.MineBlock()
+	if len(blk.Txs) != callers {
+		t.Fatalf("mined %d txs, want %d", len(blk.Txs), callers)
+	}
+	first := append(append(append([]byte(nil), content...), digest[:]...), "name"...)
+	later := append(append([]byte(nil), digest[:]...), "name"...)
+	for i, tx := range blk.Txs {
+		want := later
+		if i == 0 {
+			want = first
+		}
+		if !bytes.Equal(tx.Data, want) {
+			t.Fatalf("tx %d posted %q, want %q", i, tx.Data, want)
+		}
+	}
+	gas := uint64(callers)*(g.TxBase+7) + g.calldataGas(first) + g.StorageGas(len(content)) + uint64(callers-1)*g.calldataGas(later)
+	if blk.GasUsed != gas {
+		t.Fatalf("block gas %d, want %d", blk.GasUsed, gas)
+	}
+
+	other := []byte("another body")
+	huge := &Tx{From: "o", To: "k", ExtraGas: DefaultConfig().BlockGasLimit}
+	if f, err := c.SubmitReferencing(other, huge); !errors.Is(err, errBlockGasExceeded) || f {
+		t.Fatalf("over-limit tx: fresh %v, err %v", f, err)
+	}
+	if f, err := c.SubmitReferencing(other, ref()); err != nil || !f {
+		t.Fatalf("after a refused tx: fresh %v, err %v; want the content posted", f, err)
+	}
 }

@@ -24,6 +24,7 @@
 package contract
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
@@ -174,8 +175,15 @@ func (k *Contract) Round() int { return k.round }
 func (k *Contract) Records() []RoundRecord { return append([]RoundRecord(nil), k.records...) }
 
 // Negotiate is the owner posting agrmts, params (the public key) and
-// metadata on chain ("On receive negotiated"). The serialized public key is
-// charged as calldata plus contract storage: the Fig. 4 one-time cost.
+// metadata on chain ("On receive negotiated"). The key is chain state
+// addressed by content. Its body, the encoding minus the file's Name
+// (core.SplitKeyEncoding), is kept once per chain under its SHA-256 digest,
+// and the contract keeps a two-word reference to it: the digest and the
+// Name. The first contract under a body posts the body beside the reference
+// and pays calldata and storage for both; that is the Fig. 4 one-time cost,
+// paid once per owner key. Every later contract of the body posts and stores
+// only the 64-byte reference. Verification runs under Terms.PublicKey either
+// way.
 func (k *Contract) Negotiate() error {
 	if k.state != stateInit {
 		return fmt.Errorf("%w: %s", errWrongState, k.state)
@@ -185,12 +193,13 @@ func (k *Contract) Negotiate() error {
 		return err
 	}
 	k.storedKeySize = len(pkBytes)
-	_, err = k.Chain.Submit(&chain.Tx{
+	body, name := core.SplitKeyEncoding(pkBytes[:0], pkBytes)
+	_, err = k.Chain.SubmitReferencing(body, &chain.Tx{
 		From:     k.Terms.Owner,
 		To:       k.Addr,
-		Data:     pkBytes,
-		ExtraGas: k.Chain.Config().Gas.StorageGas(len(pkBytes)),
-		Note:     "negotiated: post params+metadata",
+		Data:     name[:],
+		ExtraGas: k.Chain.Config().Gas.StorageGas(sha256.Size + len(name)),
+		Note:     "negotiated: post key reference+metadata",
 	})
 	if err != nil {
 		return err
@@ -200,7 +209,8 @@ func (k *Contract) Negotiate() error {
 	return nil
 }
 
-// StoredKeyBytes reports the size of the on-chain public key (Fig. 4).
+// StoredKeyBytes reports the size of the public key's on-chain form
+// (Fig. 4): the body the chain keeps once per owner key, plus the Name.
 func (k *Contract) StoredKeyBytes() int { return k.storedKeySize }
 
 // Acknowledge is the provider accepting the terms after validating the

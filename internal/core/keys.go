@@ -134,6 +134,26 @@ func (pk *PublicKey) MarshalSize(withPrivacy bool) int {
 	return n
 }
 
+// keyNameAt is where the 32-byte Name sits in a key encoding: after s and
+// the two uncompressed G2 points.
+const keyNameAt = 4 + 2*bn256.G2UncompressedSize
+
+// SplitKeyEncoding splits a key encoding (Marshal's output) into its body,
+// everything but the 32-byte Name, which it appends to dst, and the Name.
+// Keys that differ only in Name have one body, so the body is what an owner
+// posts on chain once and what UnmarshalPublicKey's memo remembers. dst may
+// be enc[:0], which splits enc in place. An encoding too short to hold a
+// Name has neither: the body is nil and the Name zero.
+func SplitKeyEncoding(dst, enc []byte) (body []byte, name [32]byte) {
+	if len(enc) < keyNameAt+32 {
+		return nil, name
+	}
+	name = [32]byte(enc[keyNameAt : keyNameAt+32])
+	body = slices.Grow(dst, len(enc)-32)
+	body = append(append(body, enc[:keyNameAt]...), enc[keyNameAt+32:]...)
+	return body, name
+}
+
 // UnmarshalPublicKey parses a serialized public key. withPrivacy must match
 // the flag used at serialization time.
 //
@@ -160,11 +180,9 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	if len(data) != pk.MarshalSize(withPrivacy) {
 		return nil, ErrMalformed
 	}
-	const nameOff = 4 + 2*bn256.G2UncompressedSize
-	body := make([]byte, 0, len(data)-32)
-	body = append(append(body, data[:nameOff]...), data[nameOff+32:]...)
+	body, name := SplitKeyEncoding(nil, data)
 	if shared := keyMemo.get(body); shared != nil {
-		if err := pk.Name.SetBytes(data[nameOff : nameOff+32]); err != nil {
+		if err := pk.Name.SetBytes(name[:]); err != nil {
 			return nil, err
 		}
 		pk.Epsilon, pk.Delta, pk.EG1Eps = shared.Epsilon, shared.Delta, shared.EG1Eps
@@ -185,7 +203,7 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 // first in encoding order, the one a serial decode would meet.
 func (pk *PublicKey) decode(data []byte, withPrivacy bool) error {
 	const g2, g1 = bn256.G2UncompressedSize, bn256.G1CompressedSize
-	const nameOff, powersOff = 4 + 2*g2, 4 + 2*g2 + 32
+	const powersOff = keyNameAt + 32
 	pk.Epsilon, pk.Delta = new(bn256.G2), new(bn256.G2)
 	pk.Powers = make([]*bn256.G1, pk.S)
 	// Tasks in encoding order: ε, δ, Name, the powers, then EG1Eps if sent.
@@ -200,7 +218,7 @@ func (pk *PublicKey) decode(data []byte, withPrivacy bool) error {
 		case t < 2:
 			errs[t] = []*bn256.G2{pk.Epsilon, pk.Delta}[t].Unmarshal(data[4+t*g2 : 4+(t+1)*g2])
 		case t == 2:
-			errs[t] = pk.Name.SetBytes(data[nameOff : nameOff+32])
+			errs[t] = pk.Name.SetBytes(data[keyNameAt:powersOff])
 		case j < pk.S:
 			pk.Powers[j] = new(bn256.G1)
 			errs[t] = pk.Powers[j].UnmarshalCompressed(data[powersOff+j*g1 : powersOff+(j+1)*g1])

@@ -30,7 +30,10 @@ const (
 	// EventDeadlineMissed: the provider never responded.
 	EventDeadlineMissed
 	// EventRejectedAfterNegotiate: the provider bailed after the owner
-	// paid the one-time on-chain key cost (the Section VI-A DoS).
+	// posted the contract on chain (the Section VI-A DoS). What the owner
+	// loses is the contract's two-word key reference; the key body, Fig.
+	// 4's one-time cost, was paid by the owner's first contract and stays
+	// registered.
 	eventRejectedAfterNegotiate
 	// EventContractCompleted: a full contract served to expiry.
 	EventContractCompleted
