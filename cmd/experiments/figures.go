@@ -21,11 +21,10 @@ func runFig4(ctx *expCtx) error {
 		var size, body [2]int
 		var ref int
 		for i, privacy := range []bool{false, true} {
-			enc, err := sk.Pub.Marshal(privacy)
+			b, name, err := sk.Pub.KeyBody(privacy)
 			if err != nil {
 				return err
 			}
-			b, name := core.SplitKeyEncoding(nil, enc)
 			size[i], body[i], ref = sk.Pub.MarshalSize(privacy), len(b), sha256.Size+len(name)
 		}
 		ctx.printf("%-6d %-22s %-22s %-24s %d B\n", s,

@@ -177,23 +177,22 @@ func (k *Contract) Records() []RoundRecord { return append([]RoundRecord(nil), k
 // Negotiate is the owner posting agrmts, params (the public key) and
 // metadata on chain ("On receive negotiated"). The key is chain state
 // addressed by content. Its body, the encoding minus the file's Name
-// (core.SplitKeyEncoding), is kept once per chain under its SHA-256 digest,
-// and the contract keeps a two-word reference to it: the digest and the
-// Name. The first contract under a body posts the body beside the reference
-// and pays calldata and storage for both; that is the Fig. 4 one-time cost,
-// paid once per owner key. Every later contract of the body posts and stores
-// only the 64-byte reference. Verification runs under Terms.PublicKey either
-// way.
+// (core.PublicKey.KeyBody, encoded once per key, not once per contract), is
+// kept once per chain under its SHA-256 digest, and the contract keeps a
+// two-word reference to it: the digest and the Name. The first contract
+// under a body posts the body beside the reference and pays calldata and
+// storage for both; that is the Fig. 4 one-time cost, paid once per owner
+// key. Every later contract of the body posts and stores only the 64-byte
+// reference. Verification runs under Terms.PublicKey either way.
 func (k *Contract) Negotiate() error {
 	if k.state != stateInit {
 		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
-	pkBytes, err := k.Terms.PublicKey.Marshal(k.Terms.PublicKeyPrivacy)
+	body, name, err := k.Terms.PublicKey.KeyBody(k.Terms.PublicKeyPrivacy)
 	if err != nil {
 		return err
 	}
-	k.storedKeySize = len(pkBytes)
-	body, name := core.SplitKeyEncoding(pkBytes[:0], pkBytes)
+	k.storedKeySize = len(body) + len(name)
 	_, err = k.Chain.SubmitReferencing(body, &chain.Tx{
 		From:     k.Terms.Owner,
 		To:       k.Addr,

@@ -119,12 +119,18 @@ func FuzzUnmarshalPublicKey(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := pk.Marshal(privacy)
+		// The decoded key keeps the bytes it came from, so Marshal alone
+		// would echo any input: canonical means the points encode to data.
+		fromPoints, err := encodeFromPoints(pk, privacy)
 		if err != nil {
-			t.Fatalf("accepted key fails to re-marshal: %v", err)
+			t.Fatalf("accepted key fails to encode: %v", err)
 		}
-		if !bytes.Equal(re, data) {
+		if !bytes.Equal(fromPoints, data) {
 			t.Fatal("accepted non-canonical public key encoding")
+		}
+		re, err := pk.Marshal(privacy)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("the stored body re-marshals to other bytes (%v)", err)
 		}
 		reAgain, err := again.Marshal(privacy)
 		if err != nil || !bytes.Equal(reAgain, re) || again.S != pk.S || again.Name != pk.Name || !again.EG1Eps.Equal(pk.EG1Eps) {

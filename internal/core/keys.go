@@ -58,6 +58,15 @@ type PrivateKey struct {
 // validation; we therefore carry s powers (j = 0..s-1), which also matches
 // the paper's own Fig. 4 key-size curve. EG1Eps is the extra element whose
 // presence distinguishes the "with on-chain privacy" key sizes in Fig. 4.
+//
+// A key's points are read-only: decodes of one owner key share them (see
+// UnmarshalPublicKey), so nothing may write to ε, δ, a power or EG1Eps in
+// place; a key with other points is a key with new ones. Its body encoding,
+// everything but Name (KeyBody), is fixed when the key is made, by KeyGen
+// or UnmarshalPublicKey, and served as long as S and the point fields still
+// hold what it was encoded from; a key whose S or points were replaced is
+// encoded afresh. The key of another file of the same owner is a struct
+// copy with a new Name: it shares the points and the body.
 type PublicKey struct {
 	S       int
 	Epsilon *bn256.G2
@@ -65,6 +74,50 @@ type PublicKey struct {
 	Powers  []*bn256.G1
 	EG1Eps  *bn256.GT
 	Name    bn256.Scalar
+
+	body *keyBody // nil for a key built by hand
+}
+
+// keyBody is a key's body encoding and the S and points it was made from.
+// It is written once, before the key is handed out, and only read after.
+type keyBody struct {
+	s              int
+	epsilon, delta *bn256.G2
+	powers         []*bn256.G1 // its own copy of the slice
+	eg1Eps         *bn256.GT
+	enc            []byte // the body, ending in EG1Eps's encoding iff withGT
+	withGT         bool
+}
+
+// newKeyBody remembers enc as pk's body encoding, withGT telling whether it
+// ends in EG1Eps.
+func newKeyBody(pk *PublicKey, enc []byte, withGT bool) *keyBody {
+	return &keyBody{
+		s: pk.S, epsilon: pk.Epsilon, delta: pk.Delta, powers: slices.Clone(pk.Powers),
+		eg1Eps: pk.EG1Eps, enc: enc, withGT: withGT,
+	}
+}
+
+// stored returns pk's remembered body encoding, with or without EG1Eps, or
+// nil when pk has none that fits: none was made, it lacks the EG1Eps asked
+// for, or S or a point field no longer holds what it was encoded from. The
+// result is shared and capped at its length: read-only.
+func (pk *PublicKey) stored(withPrivacy bool) []byte {
+	b := pk.body
+	if b == nil || pk.S != b.s || pk.Epsilon != b.epsilon || pk.Delta != b.delta || !slices.Equal(pk.Powers, b.powers) {
+		return nil
+	}
+	if !withPrivacy {
+		n := len(b.enc)
+		if b.withGT {
+			n -= bn256.GTCompressedSize
+		}
+		return b.enc[:n:n]
+	}
+	if !b.withGT || pk.EG1Eps != b.eg1Eps {
+		return nil
+	}
+	return b.enc[:len(b.enc):len(b.enc)]
 }
 
 // KeyGen generates a key pair for chunk size s (blocks per chunk), drawing x,
@@ -97,6 +150,12 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 	pub.Powers = bn256.ScalarBaseMultBatch(powers)
 	bn256.NormalizeG2([]*bn256.G2{pub.Epsilon, pub.Delta})
 	pub.EG1Eps = bn256.Pair(bn256.GenG1(), pub.Epsilon)
+	// Encoded once, here: every contract and frame of the key copies it. A
+	// key whose EG1Eps does not compress keeps none, and Marshal(true)
+	// reports the error.
+	if enc, err := pub.encodeBody(true); err == nil {
+		pub.body = newKeyBody(pub, enc, true)
+	}
 	return sk, nil
 }
 
@@ -104,14 +163,38 @@ func KeyGen(s int, r io.Reader) (*PrivateKey, error) {
 // sizes here are exactly what Fig. 4 charges as the one-time storage cost.
 // Layout: s (4 bytes) || Epsilon (128) || Delta (128) || Name (32) ||
 // Powers (s * 32, compressed) || EG1Eps (192, torus-compressed; present only
-// when withPrivacy).
+// when withPrivacy). It is KeyBody's body with Name spliced in.
 func (pk *PublicKey) Marshal(withPrivacy bool) ([]byte, error) {
-	out := make([]byte, 0, pk.MarshalSize(withPrivacy))
+	body, name, err := pk.KeyBody(withPrivacy)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(body)+len(name))
+	return append(append(append(out, body[:keyNameAt]...), name[:]...), body[keyNameAt:]...), nil
+}
+
+// KeyBody returns the key's body encoding, Marshal's output without the
+// 32-byte Name, and the Name. Keys that differ only in Name have one body,
+// so the body is what an owner posts on chain once and what
+// UnmarshalPublicKey's memo remembers. The body is the key's stored one
+// when that still fits, shared and read-only, and a fresh encoding of the
+// points otherwise.
+func (pk *PublicKey) KeyBody(withPrivacy bool) (body []byte, name [32]byte, err error) {
+	if body = pk.stored(withPrivacy); body == nil {
+		if body, err = pk.encodeBody(withPrivacy); err != nil {
+			return nil, name, err
+		}
+	}
+	return body, pk.Name.Bytes(), nil
+}
+
+// encodeBody encodes the key's body, Marshal's layout without Name, from
+// its S and points.
+func (pk *PublicKey) encodeBody(withPrivacy bool) ([]byte, error) {
+	out := make([]byte, 0, pk.MarshalSize(withPrivacy)-32)
 	out = append(out, byte(pk.S>>24), byte(pk.S>>16), byte(pk.S>>8), byte(pk.S))
 	out = append(out, pk.Epsilon.Marshal()...)
 	out = append(out, pk.Delta.Marshal()...)
-	name := pk.Name.Bytes()
-	out = append(out, name[:]...)
 	for _, p := range pk.Powers {
 		out = append(out, p.MarshalCompressed()...)
 	}
@@ -138,20 +221,12 @@ func (pk *PublicKey) MarshalSize(withPrivacy bool) int {
 // the two uncompressed G2 points.
 const keyNameAt = 4 + 2*bn256.G2UncompressedSize
 
-// SplitKeyEncoding splits a key encoding (Marshal's output) into its body,
-// everything but the 32-byte Name, which it appends to dst, and the Name.
-// Keys that differ only in Name have one body, so the body is what an owner
-// posts on chain once and what UnmarshalPublicKey's memo remembers. dst may
-// be enc[:0], which splits enc in place. An encoding too short to hold a
-// Name has neither: the body is nil and the Name zero.
-func SplitKeyEncoding(dst, enc []byte) (body []byte, name [32]byte) {
-	if len(enc) < keyNameAt+32 {
-		return nil, name
-	}
+// splitKeyEncoding splits a key encoding (Marshal's output) into a fresh
+// copy of its body, everything but the 32-byte Name, and the Name.
+func splitKeyEncoding(enc []byte) (body []byte, name [32]byte) {
 	name = [32]byte(enc[keyNameAt : keyNameAt+32])
-	body = slices.Grow(dst, len(enc)-32)
-	body = append(append(body, enc[:keyNameAt]...), enc[keyNameAt+32:]...)
-	return body, name
+	body = make([]byte, 0, len(enc)-32)
+	return append(append(body, enc[:keyNameAt]...), enc[keyNameAt+32:]...), name
 }
 
 // UnmarshalPublicKey parses a serialized public key. withPrivacy must match
@@ -166,8 +241,9 @@ func SplitKeyEncoding(dst, enc []byte) (body []byte, name [32]byte) {
 //
 // The returned key's Epsilon, Delta, Powers points and EG1Eps may therefore
 // be shared with every other decode of the same body, on any goroutine: they
-// are read-only. S and Name are the caller's own, as is the Powers slice
-// itself.
+// are read-only. So is the body encoding the key keeps, the bytes it was
+// decoded from minus Name, which Marshal and KeyBody serve. S and Name are
+// the caller's own, as is the Powers slice itself.
 func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	if len(data) < 4 {
 		return nil, ErrMalformed
@@ -180,18 +256,20 @@ func UnmarshalPublicKey(data []byte, withPrivacy bool) (*PublicKey, error) {
 	if len(data) != pk.MarshalSize(withPrivacy) {
 		return nil, ErrMalformed
 	}
-	body, name := SplitKeyEncoding(nil, data)
+	body, name := splitKeyEncoding(data)
 	if shared := keyMemo.get(body); shared != nil {
 		if err := pk.Name.SetBytes(name[:]); err != nil {
 			return nil, err
 		}
 		pk.Epsilon, pk.Delta, pk.EG1Eps = shared.Epsilon, shared.Delta, shared.EG1Eps
 		pk.Powers = slices.Clone(shared.Powers)
+		pk.body = shared.body
 		return pk, nil
 	}
 	if err := pk.decode(data, withPrivacy); err != nil {
 		return nil, err
 	}
+	pk.body = newKeyBody(pk, body, withPrivacy)
 	keyMemo.put(body, pk)
 	return pk, nil
 }

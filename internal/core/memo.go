@@ -68,16 +68,16 @@ func (m *keyBodies) get(body []byte) *PublicKey {
 	return m.keys[string(body)]
 }
 
-// put remembers pk's points under body, in a PublicKey of their own (S and
-// Name unset, the Powers slice copied), evicting the oldest bodies until the
-// memo fits. A body larger than the whole memo is not kept.
+// put remembers pk's points and stored body under body, in a PublicKey of
+// their own (S and Name unset, the Powers slice copied), evicting the oldest
+// bodies until the memo fits. A body larger than the whole memo is not kept.
 func (m *keyBodies) put(body []byte, pk *PublicKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.keys[string(body)]; ok {
 		return
 	}
-	shared := &PublicKey{Epsilon: pk.Epsilon, Delta: pk.Delta, Powers: slices.Clone(pk.Powers), EG1Eps: pk.EG1Eps}
+	shared := &PublicKey{Epsilon: pk.Epsilon, Delta: pk.Delta, Powers: slices.Clone(pk.Powers), EG1Eps: pk.EG1Eps, body: pk.body}
 	(*memo[string, *PublicKey])(m).charge(string(body), shared, len(body), keyMemoBytes, bodyBytes)
 }
 
