@@ -65,7 +65,7 @@ var registry = []experiment{
 	{"confidence", "Detection confidence: model vs empirical", runConfidence},
 	{"entropy", "Merkle challenge-entropy exhaustion (Sec. II)", runEntropy},
 	{"churn", "Repair under provider churn: durability and latency", runChurn},
-	{"soak", "Sharded scheduler at scale: O(due) ticks, spill-bounded memory", runSoak},
+	{"soak", "Scheduler at scale: O(due) ticks, spill-bounded memory", runSoak},
 }
 
 func main() {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// runSoak measures the sharded scheduler at planetary scale: two engagement
+// runSoak measures the scheduler at planetary scale: two engagement
 // populations, the second twice the first, staggered so both wake the same
 // number of engagements per tick. An O(due) scheduler shows the same
 // per-tick latency for both — the wake queues never look at engagements

@@ -57,7 +57,7 @@ func outcomesOf(t *testing.T, fx *fixture, s *sched.Scheduler) []schedOutcome {
 // corrupted, so each of its proofs fails verification and forces the
 // isolation slashing path) produces identical per-engagement outcomes —
 // rounds, verdicts, terminal states, slashing — and an identical block
-// schedule at parallelism 1, 4 and GOMAXPROCS, at one shard and at four.
+// schedule at parallelism 1, 4 and GOMAXPROCS.
 func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 	const n, rounds, cheater = 6, 2, 2
 

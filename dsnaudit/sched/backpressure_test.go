@@ -79,7 +79,7 @@ func TestOverloadRetryDoesNotSlash(t *testing.T) {
 	}
 	eng.Responder = &overloadResponder{left: 3, next: eng.Provider}
 
-	sched := NewScheduler(net, WithShards(2), WithParallelism(2))
+	sched := NewScheduler(net, WithParallelism(2))
 	if err := sched.Add(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPersistentOverloadEventuallySlashes(t *testing.T) {
 	}
 	eng.Responder = alwaysOverloaded{}
 
-	sched := NewScheduler(net, WithShards(1))
+	sched := NewScheduler(net)
 	if err := sched.Add(eng); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -32,9 +31,6 @@ import (
 // terminal state, the final chain height, total gas within proof-entropy
 // tolerance, every balance, every reputation score — identical to an
 // uninterrupted run of the same fixture.
-
-var crashFull = flag.Bool("crash.full", false,
-	"TestCrashMatrix: every effect and seam cell at both shard counts")
 
 // crashFixture mirrors the scheduler parity fixture: a deterministic
 // many-owner deployment exercising every outcome class — one engagement per
@@ -363,23 +359,22 @@ func (c crashCell) String() string {
 }
 
 // TestCrashMatrix kills the fixture at every file-system effect of its run
-// (and tears every write) and at every call through a chain seam with four
-// scheduler shards, and at a seeded sample covering every effect and seam
-// kind with one. -crash.full runs every cell at both counts; -short runs only
-// a sample at four shards. A red cell names its effect or seam call; its
-// subtest replays it alone.
+// (and tears every write) and at every call through a chain seam under
+// shards=4, and at a seeded sample covering every effect and seam kind under
+// shards=1; -short runs only a sample under shards=4. Each level passes its
+// count to WithShards, which the scheduler ignores. A red cell names its
+// effect or seam call; its subtest replays it alone.
 func TestCrashMatrix(t *testing.T) {
-	full := map[int]bool{1: *crashFull, 4: true}
 	shardCounts, perKind := []int{1, 4}, 3
 	if testing.Short() {
-		shardCounts, perKind, full[4] = []int{4}, 1, *crashFull
+		shardCounts, perKind = []int{4}, 1
 	}
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			want := matrixBaseline(t, shards)
 			effects, calls := recordMatrixRun(t, shards, want)
 			var cells []crashCell
-			if full[shards] {
+			if shards == 4 && !testing.Short() {
 				for j, e := range effects {
 					cells = append(cells, crashCell{effect: j})
 					if e.op == "write" {
@@ -619,41 +614,39 @@ func runCrashCell(t *testing.T, dir string, shards int, c crashCell, want *matri
 
 // TestCheckpointBytesDeterministic: a checkpoint is a function of the
 // scheduler's state, not of map order — two runs of the fixture write
-// byte-identical checkpoint files, at one and at four shards.
+// byte-identical checkpoint files.
 func TestCheckpointBytesDeterministic(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		run := func() []byte {
-			t.Helper()
-			fx, err := buildCrashFixture("checkpoint-bytes", 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			jnl, err := OpenJournal(dir, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl), WithCheckpointEvery(3))
-			for _, e := range fx.engs {
-				if err := s.Add(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := jnl.Close(); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(filepath.Join(dir, checkpointName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return data
+	run := func() []byte {
+		t.Helper()
+		fx, err := buildCrashFixture("checkpoint-bytes", 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := run(), run(); !bytes.Equal(a, b) {
-			t.Errorf("shards=%d: two runs wrote different checkpoints (%d and %d bytes)", shards, len(a), len(b))
+		dir := t.TempDir()
+		jnl, err := OpenJournal(dir, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := NewScheduler(fx.net, WithParallelism(2), WithJournal(jnl), WithCheckpointEvery(3))
+		for _, e := range fx.engs {
+			if err := s.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Errorf("two runs wrote different checkpoints (%d and %d bytes)", len(a), len(b))
 	}
 }
 

@@ -24,9 +24,8 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
 	dir := t.TempDir()
-	jnl, err := OpenJournal(dir, shards)
+	jnl, err := OpenJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 			jnl.fail(errInjected)
 		}
 	})
-	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl), WithVerifier(v))
+	s := NewScheduler(fx.net, WithParallelism(2), WithJournal(jnl), WithVerifier(v))
 	s.OnBlock(v.hold)
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
@@ -88,7 +87,7 @@ func TestJournalDefaultIsGroupCommit(t *testing.T) {
 	}
 	rs, _, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
 		return resolve[addr], nil
-	}, WithShards(shards), WithParallelism(2))
+	}, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +187,12 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
-	jnl, err := OpenJournal(t.TempDir(), shards)
+	jnl, err := OpenJournal(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const flushEvery = 2
 	s := NewScheduler(fx.net,
-		WithShards(shards),
 		WithParallelism(2),
 		WithJournal(jnl),
 		WithCheckpointEvery(3),
@@ -245,7 +242,6 @@ func TestGroupCommitJournalBytesMatchLegacy(t *testing.T) {
 		}
 		jnl.flushBytes = flushBytes
 		s := NewScheduler(fx.net, append([]Option{
-			WithShards(1),
 			WithParallelism(1),
 			WithJournal(jnl),
 		}, opts...)...)
@@ -419,7 +415,6 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
 	gate := newTickGate()
 	jnl, err := openJournal(gate, t.TempDir())
 	if err != nil {
@@ -429,7 +424,6 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	b := &settleBarrierVerifier{t: t, jnl: jnl, gate: gate}
 	v := newHeldVerifier(b, nil)
 	s := NewScheduler(fx.net,
-		WithShards(shards),
 		WithParallelism(2),
 		WithJournal(jnl),
 		WithVerifier(v),
@@ -451,10 +445,10 @@ func TestGroupCommitBarrierBeforeSettlement(t *testing.T) {
 	if b.settled == 0 || b.parked == 0 {
 		t.Fatalf("verifier checked %d settled and %d parked records, want both kinds", b.settled, b.parked)
 	}
-	// With cadence and threshold unreachable, only barriers wrote: the
-	// pre-settle flushes plus the clean-exit sync.
-	if st := jnl.Stats(); st.Fsyncs > shards*2 {
-		t.Fatalf("%d fsyncs with barriers-only flushing, want at most the exit flush (%d)", st.Fsyncs, shards*2)
+	// With cadence and threshold unreachable, only barriers wrote, and of
+	// those only the clean exit syncs: a pre-settle flush writes without one.
+	if st := jnl.Stats(); st.Fsyncs != 1 {
+		t.Fatalf("%d fsyncs with barriers-only flushing, want the exit sync alone", st.Fsyncs)
 	}
 }
 

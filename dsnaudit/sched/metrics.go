@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"strconv"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // schedObs holds the scheduler's live metric series. A nil *schedObs is
 // the uninstrumented default: every touch point checks the one pointer
@@ -16,9 +12,9 @@ import (
 // the per-tick gauges and the checkpoint and prepare histograms are live
 // series.
 type schedObs struct {
-	due     *obs.Gauge   // entries woken at the last tick
-	parked  *obs.Gauge   // entries currently on the deadline/backoff path
-	depth   []*obs.Gauge // armed entries per shard wake queue
+	due     *obs.Gauge // entries woken at the last tick
+	parked  *obs.Gauge // entries currently on the deadline/backoff path
+	depth   *obs.Gauge // armed entries in the wake queue
 	ckptDur *obs.Histogram
 
 	prepareDur *obs.Histogram // observed on the prove workers
@@ -39,8 +35,7 @@ func WithTracer(t *obs.Tracer) Option {
 }
 
 // instrument registers the scheduler's metric families. Called once at
-// the end of NewScheduler, after options have fixed the shard count and
-// journal.
+// the end of NewScheduler, after options have fixed the journal.
 func (s *Scheduler) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -73,13 +68,10 @@ func (s *Scheduler) instrument(reg *obs.Registry) {
 	o := &schedObs{
 		due:     reg.Gauge("dsn_sched_due", "entries woken at the last tick"),
 		parked:  reg.Gauge("dsn_sched_parked", "entries parked on the deadline or overload-backoff path"),
+		depth:   reg.Gauge("dsn_sched_wake_queue_depth", "armed entries in the wake queue"),
 		ckptDur: reg.Histogram("dsn_sched_checkpoint_seconds", "checkpoint write duration", nil),
 		prepareDur: reg.Histogram("dsn_sched_prepare_seconds", "per-proof verification step on the prove worker that received the proof",
 			obs.ExpBuckets(0.0001, 2, 14)),
-	}
-	for i := range s.store.shards {
-		o.depth = append(o.depth, reg.Gauge("dsn_sched_wake_queue_depth",
-			"armed entries per shard wake queue", obs.L("shard", strconv.Itoa(i))))
 	}
 	s.obs = o
 	if s.journal != nil {
@@ -125,11 +117,5 @@ func (s *Scheduler) obsTick(popped int) {
 		return
 	}
 	s.obs.due.Set(int64(popped))
-	for i, g := range s.obs.depth {
-		sh := s.store.shards[i]
-		sh.mu.Lock()
-		n := sh.queue.Len()
-		sh.mu.Unlock()
-		g.Set(int64(n))
-	}
+	s.obs.depth.Set(int64(s.store.queued()))
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
+	"repro/internal/obs"
 )
 
 func eth(n int64) *big.Int {
@@ -89,11 +90,12 @@ var goldenParity = &matrixSnapshot{
 	},
 }
 
-// TestShardedSchedulerMatchesLinearScan checks the scheduler at shard
-// counts 1, 4 and 16 (and varying parallelism) against goldenParity —
-// honest rounds, a cheater's slashing, and a dead responder's missed
-// deadline included. Run under -race this is also the scheduler's
-// synchronization test.
+// TestShardedSchedulerMatchesLinearScan checks the scheduler at parallelism
+// 1, 2 and 4 against goldenParity — honest rounds, a cheater's slashing, and
+// a dead responder's missed deadline included. Each case also passes the
+// WithShards value its subtest names; the option is ignored, so no value may
+// move a byte. Run under -race this is also the scheduler's synchronization
+// test.
 func TestShardedSchedulerMatchesLinearScan(t *testing.T) {
 	for _, tc := range []struct {
 		shards, par int
@@ -137,9 +139,53 @@ func TestShardedSchedulerMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestWakeQueueDepthGauge pins the depth gauge to the one wake queue: a run
+// of the parity fixture registers one unlabelled series, which counts armed
+// entries while the run has them and reads 0 once the queue drains.
+func TestWakeQueueDepthGauge(t *testing.T) {
+	fx, err := buildCrashFixture("parity-seed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s := NewScheduler(fx.net, WithParallelism(2), WithMetrics(reg))
+	depth := func() float64 {
+		t.Helper()
+		var found []obs.Sample
+		for _, sm := range reg.Snapshot() {
+			if sm.Name == "dsn_sched_wake_queue_depth" {
+				found = append(found, sm)
+			}
+		}
+		if len(found) != 1 || len(found[0].Labels) != 0 {
+			t.Fatalf("want one unlabelled dsn_sched_wake_queue_depth series, got %+v", found)
+		}
+		return found[0].Value
+	}
+	var peak float64
+	s.OnBlock(func(uint64) { peak = max(peak, depth()) })
+	for _, e := range fx.engs {
+		if err := s.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if peak == 0 {
+		t.Error("the depth gauge read 0 at every block")
+	}
+	if q := s.Stats().Queued; q != 0 {
+		t.Fatalf("%d entries still queued after completion", q)
+	}
+	if d := depth(); d != 0 {
+		t.Errorf("depth gauge reads %v after the queue drained", d)
+	}
+}
+
 // TestOutcomeHookReAdd pins the re-entry contract the repair subsystem
 // depends on: an outcome hook that Adds a follow-up engagement keeps the
-// Run loop driving instead of stranding it — across shard counts.
+// Run loop driving instead of stranding it.
 func TestOutcomeHookReAdd(t *testing.T) {
 	b, err := beacon.NewTrusted([]byte("readd"))
 	if err != nil {
@@ -171,7 +217,7 @@ func TestOutcomeHookReAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sched := NewScheduler(net, WithShards(4), WithParallelism(2))
+	sched := NewScheduler(net, WithParallelism(2))
 	var followID chain.Address
 	sched.OnOutcome(func(o dsnaudit.Outcome) {
 		if o.ID != eng.ID() {

@@ -32,7 +32,7 @@ func prepareRun(t *testing.T, v dsnaudit.Verifier) (*Scheduler, uint64) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := NewScheduler(fx.net, WithShards(2), WithParallelism(2), WithVerifier(v), WithMetrics(reg))
+	s := NewScheduler(fx.net, WithParallelism(2), WithVerifier(v), WithMetrics(reg))
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)

@@ -360,7 +360,6 @@ func (s *Scheduler) insertRecovered(e *dsnaudit.Engagement, re *recoveredEntry) 
 	en := &entry{
 		eng:        e,
 		seq:        re.seq,
-		shard:      s.store.shardOf(re.addr),
 		baseRounds: re.baseRounds,
 		phase:      phaseWaiting,
 		result: dsnaudit.Result{

@@ -222,7 +222,6 @@ func TestCheckpointEveryZeroDisables(t *testing.T) {
 // write. Recovery must journal them again without observing them again —
 // every provider's standing ends equal to an uninterrupted run's.
 func TestRecoverObservesEachRoundOnce(t *testing.T) {
-	const shards = 4
 	// A provider's trust, and for a slashed one (trust 0 whatever else it
 	// did) its engagements' observed-round counts, pin every observation.
 	standing := func(fx *crashFixture) map[string]string {
@@ -238,7 +237,7 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := NewScheduler(ref.net, WithShards(shards), WithParallelism(2))
+	rs := NewScheduler(ref.net, WithParallelism(2))
 	for _, e := range ref.engs {
 		if err := rs.Add(e); err != nil {
 			t.Fatal(err)
@@ -274,7 +273,7 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(fx.net, WithShards(shards), WithParallelism(2), WithJournal(jnl))
+	s := NewScheduler(fx.net, WithParallelism(2), WithJournal(jnl))
 	for _, e := range fx.engs {
 		if err := s.Add(e); err != nil {
 			t.Fatal(err)
@@ -291,7 +290,7 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 	}
 	rec, rrep, err := Recover(dir, fx.net, func(addr chain.Address) (*dsnaudit.Engagement, error) {
 		return resolve[addr], nil
-	}, WithShards(shards), WithParallelism(2))
+	}, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,9 @@ import (
 //
 // Per-tick cost is proportional to the engagements due at that tick:
 //
-//   - Engagements are sharded by contract address; each shard keeps a
-//     height-indexed wake queue, so a tick pops exactly the due entries
-//     (O(due + log heights)) instead of scanning every registration.
+//   - Engagements sit in one height-indexed wake queue, so a tick pops
+//     exactly the due entries (O(due + log heights)) instead of scanning
+//     every registration.
 //   - Aggregate live/settling counts are maintained incrementally, so the
 //     completion check is O(1).
 //   - Terminal entries can be compacted on demand (Compact), so a
@@ -62,11 +62,10 @@ import (
 //     instead of being parked into a missed deadline: backpressure from
 //     the party that knows its load is not slashable.
 //
-// Determinism at any shard count comes from a global total order: every
-// entry carries its registration sequence number, per-shard pops are merged
-// and sorted by it before any contract is touched, and all contract-state
-// transitions happen sequentially on the Run goroutine in that order. The
-// shard structure parallelizes the bookkeeping, never the decision order.
+// Determinism comes from a global total order: every entry carries its
+// registration sequence number, a tick's pop is sorted by it before any
+// contract is touched, and all contract-state transitions happen
+// sequentially on the Run goroutine in that order.
 type Scheduler struct {
 	net         *dsnaudit.Network
 	workers     int // stage-1 proof-generation pool size
@@ -92,7 +91,7 @@ type Scheduler struct {
 	lastWake    uint64
 
 	// Observability (nil = off, the default). metricsReg is consumed at
-	// the end of NewScheduler, once options have fixed shards and journal.
+	// the end of NewScheduler, once options have fixed the journal.
 	metricsReg *obs.Registry
 	obs        *schedObs
 	tracer     *obs.Tracer
@@ -130,14 +129,10 @@ const maxOverloadRetries = 16
 // Option customizes NewScheduler.
 type Option func(*Scheduler)
 
-// WithShards sets the shard count (default 1). Shards spread the wake-queue
-// work across goroutines; outcomes are identical at any count.
-func WithShards(n int) Option {
-	return func(s *Scheduler) {
-		if n > 0 {
-			s.store = newStore(n)
-		}
-	}
+// WithShards is ignored (the scheduler has one wake queue); kept because
+// bench/ compiles against it.
+func WithShards(int) Option {
+	return func(*Scheduler) {}
 }
 
 // WithWorkers sets the stage-1 proof-generation pool size alone.
@@ -217,13 +212,13 @@ func WithCheckpointEvery(n int) Option {
 }
 
 // NewScheduler creates a scheduler over the network's chain. The defaults —
-// one wake-queue shard, batched verification, GOMAXPROCS-way parallelism, no
-// journal — are the plain in-memory driver; options add wake-queue shards
-// (WithShards) and durability (WithJournal, one journal file whatever the
-// shard count) without changing outcomes.
+// batched verification, GOMAXPROCS-way parallelism, no journal — are the
+// plain in-memory driver; WithJournal adds durability without changing
+// outcomes.
 func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		net:         n,
+		store:       newStore(),
 		workers:     runtime.GOMAXPROCS(0),
 		parallelism: runtime.GOMAXPROCS(0),
 		verifier:    &dsnaudit.BatchVerifier{},
@@ -232,9 +227,6 @@ func NewScheduler(n *dsnaudit.Network, opts ...Option) *Scheduler {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.store == nil {
-		s.store = newStore(1)
 	}
 	s.instrument(s.metricsReg)
 	return s
@@ -345,8 +337,8 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	st.Queued = s.store.queued()
 	s.store.mu.Lock()
+	st.Queued = s.store.queue.Len()
 	st.Compacted = s.store.compacted
 	st.Live = s.store.live
 	st.SettledRounds = s.store.settled
@@ -728,12 +720,12 @@ func (s *Scheduler) Run(ctx context.Context) error {
 	}
 }
 
-// wakeAt pops every shard's due entries at height h (concurrently, one
-// goroutine per shard), merges them, sorts by global sequence number, and
-// applies each entry's phase action in that registration order. It returns
-// the proof jobs to dispatch and the tick's settle block: entries adopted
-// with a proof already pending sit in their slots (adopted counts them), and
-// each proof job holds a nil slot its proof fills when it lands.
+// wakeAt pops the entries due at height h, sorts them by global sequence
+// number (arm order is not registration order), and applies each entry's
+// phase action in that registration order. It returns the proof jobs to
+// dispatch and the tick's settle block: entries adopted with a proof already
+// pending sit in their slots (adopted counts them), and each proof job holds
+// a nil slot its proof fills when it lands.
 func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted int) {
 	popped := s.store.popDue(h)
 	sort.Slice(popped, func(i, j int) bool { return popped[i].seq < popped[j].seq })

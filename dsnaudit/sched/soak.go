@@ -26,7 +26,7 @@ type SoakConfig struct {
 	Engagements int    // live engagements (default 100_000)
 	Rounds      int    // audit rounds per engagement (default 2)
 	Interval    uint64 // trigger stagger window in blocks; due/tick ≈ Engagements/Interval (default 256)
-	Shards      int    // scheduler shards (default 16)
+	Shards      int    // ignored (the scheduler has one wake queue); kept because bench/ compiles against it
 	Parallelism int    // settlement parallelism (default GOMAXPROCS)
 	SpillDir    string // audit-state spill directory; "" keeps everything resident
 	SpillWindow int    // hydrated provers kept resident when spilling (default 1024)
@@ -63,9 +63,6 @@ func (c *SoakConfig) applyDefaults() {
 	}
 	if c.Interval == 0 {
 		c.Interval = 256
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -158,7 +155,7 @@ func (r soakResponder) Respond(_ context.Context, addr chain.Address, _ *core.Ch
 }
 
 // RunSoak drives cfg.Engagements staggered engagements to completion
-// through a sharded scheduler with trusted settlement, measuring per-tick
+// through the scheduler with trusted settlement, measuring per-tick
 // latency and peak memory. Contracts are deployed through the real chain
 // machinery (deposits, triggers, per-round payments all execute); the
 // expensive per-engagement work real deployments amortize elsewhere —
@@ -218,7 +215,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	schedOpts := []Option{
-		WithShards(cfg.Shards),
 		WithParallelism(cfg.Parallelism),
 		WithVerifier(trustingVerifier{}),
 		WithMetrics(cfg.Registry),

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/dsnaudit"
@@ -24,12 +23,11 @@ const (
 )
 
 // entry is one registered engagement. The scheduler owns an entry's phase
-// and result on its Run goroutine; the shard lock guards only membership in
-// the wake queue and the live counter.
+// and result on its Run goroutine; the store lock guards membership in the
+// wake queue and the live counter.
 type entry struct {
-	eng   *dsnaudit.Engagement
-	seq   uint64 // global registration order: the deterministic total order
-	shard int
+	eng *dsnaudit.Engagement
+	seq uint64 // global registration order: the deterministic total order
 
 	phase   phase
 	result  dsnaudit.Result
@@ -45,22 +43,12 @@ type entry struct {
 	parkedHeight uint64
 }
 
-// shardState is one shard: a wake queue plus a live-entry counter. Shards
-// are popped concurrently on a tick — each goroutine takes only its own
-// shard's lock — and the merged pop is then processed in seq order.
-type shardState struct {
-	mu    sync.Mutex
-	queue *wakeQueue[*entry]
-}
-
-// store shards the registered engagements by contract address. Entry
-// lookup, the global sequence counter, and the aggregate counters live
-// behind the store lock; per-height indexing lives in the shards.
+// store holds the registered engagements: entry lookup, the global sequence
+// counter, the wake queue and the aggregate counters, all behind one lock.
 type store struct {
-	shards []*shardState
-
 	mu        sync.Mutex
 	byID      map[chain.Address]*entry
+	queue     *wakeQueue[*entry]
 	seq       uint64
 	live      int // entries not yet terminal
 	settling  int // entries owned by the settlement stage
@@ -69,27 +57,15 @@ type store struct {
 	slashes   uint64 // of those, failed rounds and missed deadlines
 }
 
-func newStore(nshards int) *store {
-	s := &store{
-		shards: make([]*shardState, nshards),
-		byID:   make(map[chain.Address]*entry),
+func newStore() *store {
+	return &store{
+		byID:  make(map[chain.Address]*entry),
+		queue: newWakeQueue[*entry](),
 	}
-	for i := range s.shards {
-		s.shards[i] = &shardState{queue: newWakeQueue[*entry]()}
-	}
-	return s
 }
 
-// shardOf assigns a contract address to a shard (FNV-1a). The assignment
-// only spreads queue work; scheduling order never depends on it.
-func (s *store) shardOf(addr chain.Address) int {
-	h := fnv.New32a()
-	h.Write([]byte(addr))
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-// add registers an engagement, assigns its sequence number and shard, and
-// returns the new entry. The caller arms it.
+// add registers an engagement, assigns its sequence number, and returns the
+// new entry. The caller arms it.
 func (s *store) add(e *dsnaudit.Engagement) (*entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -99,7 +75,6 @@ func (s *store) add(e *dsnaudit.Engagement) (*entry, error) {
 	en := &entry{
 		eng:    e,
 		seq:    s.seq,
-		shard:  s.shardOf(e.ID()),
 		result: dsnaudit.Result{State: e.Contract.State()},
 	}
 	s.seq++
@@ -108,56 +83,26 @@ func (s *store) add(e *dsnaudit.Engagement) (*entry, error) {
 	return en, nil
 }
 
-// arm files an entry in its shard's wake queue at height h.
+// arm files an entry in the wake queue at height h.
 func (s *store) arm(h uint64, en *entry) {
-	sh := s.shards[en.shard]
-	sh.mu.Lock()
-	sh.queue.Arm(h, en)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.queue.Arm(h, en)
+	s.mu.Unlock()
 }
 
-// popDue concurrently pops every shard's due entries at height h and
-// returns them merged, unsorted. The scheduler sorts by seq before acting.
+// popDue pops every entry due at height h, unsorted. The scheduler sorts by
+// seq before acting.
 func (s *store) popDue(h uint64) []*entry {
-	popped := make([][]*entry, len(s.shards))
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		popped[0] = sh.queue.PopDue(h)
-		sh.mu.Unlock()
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *shardState) {
-				defer wg.Done()
-				sh.mu.Lock()
-				popped[i] = sh.queue.PopDue(h)
-				sh.mu.Unlock()
-			}(i, sh)
-		}
-		wg.Wait()
-	}
-	n := 0
-	for _, p := range popped {
-		n += len(p)
-	}
-	out := make([]*entry, 0, n)
-	for _, p := range popped {
-		out = append(out, p...)
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.PopDue(h)
 }
 
-// queued returns the total number of armed entries across all shards.
+// queued returns the number of armed entries.
 func (s *store) queued() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.queue.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.Len()
 }
 
 // counts returns the live and settling totals, maintained incrementally so

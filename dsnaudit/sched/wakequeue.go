@@ -5,17 +5,15 @@
 // Scanning every registered engagement on every block tick is fine at
 // thousands of engagements and ruinous at a million: almost all of them are
 // parked in AUDIT waiting for a trigger height dozens or hundreds of blocks
-// away, and a scan touches each of them anyway. The scheduler keeps wake
-// queues instead — engagements are indexed by the exact height they next act
-// at, and a tick pops only what is due — and shards them by contract address
-// so the queue work spreads across scheduler workers while one block clock —
-// the Run loop's own MineBlock — drives the whole fleet.
+// away, and a scan touches each of them anyway. The scheduler keeps a wake
+// queue instead — engagements are indexed by the exact height they next act
+// at, and a tick pops only what is due — while one block clock — the Run
+// loop's own MineBlock — drives the whole fleet.
 //
-// The scheduling order is deterministic by construction at any shard count:
-// every registered engagement carries a global registration sequence number,
-// per-shard pops are merged and sorted by it before any contract is touched,
-// and so the transaction stream — challenges, proofs, settlements — is
-// byte-for-byte the same with 1, 4 or 16 shards: the order a walk over the
+// The scheduling order is deterministic by construction: every registered
+// engagement carries a global registration sequence number, a tick's pop is
+// sorted by it before any contract is touched, and so the transaction
+// stream — challenges, proofs, settlements — is the order a walk over the
 // registrations would produce. The determinism tests pin that down.
 package sched
 
@@ -33,8 +31,7 @@ import "container/heap"
 // mid-queue deletion — the scheduler owns an entry from the moment it is
 // popped until it re-arms it, so a queued value is never retracted.
 //
-// Not safe for concurrent use; every queue is confined to its shard, whose
-// lock callers hold.
+// Not safe for concurrent use; callers hold the store lock.
 type wakeQueue[T any] struct {
 	buckets map[uint64][]T
 	heights heightHeap

@@ -127,8 +127,9 @@ func (fx *fixture) run(t *testing.T, opts ...sched.Option) *sched.Scheduler {
 	return s
 }
 
-// forShards runs fn as a subtest at one shard (the plain in-memory
-// scheduler) and at four: behavior must not depend on the shard count.
+// forShards runs fn as a subtest with WithShards(1) and with WithShards(4),
+// the value bench/ passes: the scheduler ignores the option, so behavior must
+// not depend on it.
 func forShards(t *testing.T, fn func(t *testing.T, shards sched.Option)) {
 	for _, n := range []int{1, 4} {
 		n := n

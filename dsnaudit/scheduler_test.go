@@ -60,8 +60,8 @@ func TestSequentialDriverMatchesScheduler(t *testing.T) {
 
 // matchSequential builds a workload twice. It runs the first copy round by
 // round through the reference driver (dsnaudit.DriveRounds), which settles
-// each proof alone, and the second through the scheduler, once per shard
-// count, and checks that every per-engagement outcome agrees. In both runs
+// each proof alone, and the second through the scheduler, once per forShards
+// subtest, and checks that every per-engagement outcome agrees. In both runs
 // the cheater aborts with no round passed and every other engagement
 // expires with every round passed. build deploys the workload; set, when
 // non-nil, holds the first engagements of fx.engs, and cheater indexes
