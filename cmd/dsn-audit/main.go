@@ -304,7 +304,7 @@ func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.O
 		tickDelay = cfg.tickDelay
 	}
 
-	eng, err := owner.Engage(sf, sf.Holders[0], terms)
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], terms)
 	if err != nil {
 		return 0, err
 	}

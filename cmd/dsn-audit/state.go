@@ -226,7 +226,7 @@ func runResume(ctx context.Context, args []string) int {
 
 	// Rebuild the world from its generating inputs: same seed, same
 	// provider set, same keys — the DHT places the file on the same
-	// holders and Engage lands the contract at the same address.
+	// holders and EngageWith lands the contract at the same address.
 	b, err := beacon.NewTrusted([]byte(cfg.Seed))
 	if err != nil {
 		return fail(err)
@@ -262,7 +262,7 @@ func runResume(ctx context.Context, args []string) int {
 	sf := &dsnaudit.StoredFile{Manifest: man, Encoded: ef, Auths: auths, Holders: holders}
 	terms := dsnaudit.DefaultTerms(cfg.Rounds)
 	terms.ChallengeSize = cfg.K
-	eng, err := owner.Engage(sf, holders[0], terms)
+	eng, err := owner.EngageWith(context.Background(), sf, holders[0], holders[0], terms)
 	if err != nil {
 		return fail(err)
 	}

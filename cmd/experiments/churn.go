@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/dsnaudit/repair"
+	"repro/dsnaudit/repair/repairtest"
 )
 
 // runChurn drives the repair subsystem's seeded churn scenario: a provider
@@ -16,7 +16,7 @@ import (
 // Section VI shape (hundreds of providers, a 2000-block horizon); -quick
 // shrinks the population and horizon for a fast pass.
 func runChurn(ctx *expCtx) error {
-	cfg := repair.DefaultChurnConfig(42)
+	cfg := repairtest.DefaultChurnConfig(42)
 	if ctx.quick {
 		cfg.Files = 2
 		cfg.FileSize = 1024
@@ -32,7 +32,7 @@ func runChurn(ctx *expCtx) error {
 	cfg.Workers = ctx.workers
 	cfg.Log = func(format string, args ...any) { ctx.printf(format+"\n", args...) }
 
-	rep, err := repair.RunChurn(context.Background(), cfg)
+	rep, err := repairtest.RunChurn(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 //     (contract execution, deposits, gas), the randomness beacon, and the
 //     Chord DHT used to locate providers.
 //
-// The flow mirrors Fig. 2 with a two-phase submit/settle round: Engage
+// The flow mirrors Fig. 2 with a two-phase submit/settle round: EngageWith
 // (negotiate/ack/freeze) then repeated audit rounds where the proof is
 // first submitted cheaply (calldata only) and the verdict — payment or
 // slashing — settles at block inclusion. sched.Scheduler (package

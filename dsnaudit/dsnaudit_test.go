@@ -72,7 +72,7 @@ func TestEndToEndHappyPath(t *testing.T) {
 	}
 
 	// Audit the primary share holder.
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(3))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCheatingProviderCaughtAndSlashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(5))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestProviderRejectsForgedAuthenticators(t *testing.T) {
 	// A cheating owner swaps in authenticators for different data to later
 	// win disputes; the provider's acceptance check must refuse.
 	sf.Encoded.Corrupt(0, 0)
-	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(2)); err == nil {
+	if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(2)); err == nil {
 		t.Fatal("provider accepted forged audit data")
 	}
 }
@@ -204,7 +204,7 @@ func TestEngageValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := smallTerms(0)
-	if _, err := owner.Engage(sf, sf.Holders[0], bad); err == nil {
+	if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], bad); err == nil {
 		t.Fatal("accepted zero rounds")
 	}
 }
@@ -216,7 +216,7 @@ func TestChainRecordsAuditTrail(t *testing.T) {
 	rand.Read(data)
 	sf, _ := owner.Outsource("f", data, 3, 7)
 	const rounds = 2
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(rounds))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestOnboardingPaysKeyBodyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := n.Chain.TotalGas()
-		if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(1)); err != nil {
+		if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(1)); err != nil {
 			t.Fatal(err)
 		}
 		n.Chain.MineBlock()
@@ -332,7 +332,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Engage(sf, sf.Holders[0], smallTerms(0)); !errors.Is(err, errInvalidTerms) {
+	if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(0)); !errors.Is(err, errInvalidTerms) {
 		t.Fatalf("zero rounds: %v", err)
 	}
 	p, _ := n.Provider("a-provider")
@@ -340,7 +340,7 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("respond without state: %v", err)
 	}
 	sf.Encoded.Corrupt(0, 0)
-	if _, err := owner.Engage(sf, sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
+	if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[1], sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
 		t.Fatalf("forged auths: %v", err)
 	}
 }

@@ -66,7 +66,7 @@ func TestEngageHandoffFailureDoesNotSmearReputation(t *testing.T) {
 	// A genuine rejection — the provider validated forged authenticators —
 	// still records forged metadata against the owner.
 	sf.Encoded.Corrupt(0, 0)
-	if _, err := owner.Engage(sf, sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
+	if _, err := owner.EngageWith(context.Background(), sf, sf.Holders[1], sf.Holders[1], smallTerms(1)); !errors.Is(err, ErrRejectedAuditData) {
 		t.Fatalf("forged auths: error = %v, want ErrRejectedAuditData", err)
 	}
 	if n.Reputation.Trust("alice") != 0 {

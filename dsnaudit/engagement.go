@@ -82,21 +82,15 @@ type Outcome struct {
 	Result Result
 }
 
-// Engage walks the full Initialize phase of Fig. 2 against one provider:
-// deploy, post parameters (Fig. 4's key: its body once per owner key, a
-// 64-byte reference per contract), provider-side authenticator validation,
-// acknowledgment, and deposit freezing.
-func (o *Owner) Engage(sf *StoredFile, p *ProviderNode, terms EngagementTerms) (*Engagement, error) {
-	return o.EngageWith(context.Background(), sf, p, p, terms)
-}
-
-// EngageWith is Engage with the provider's transport made explicit: the
-// contract binds p's on-chain identity (its address, deposits and
-// reputation), while the audit-data handoff and every subsequent challenge
-// go through t — the node itself for an in-process provider, a
-// remote.Client for a provider serving from another OS process, or a fault
-// injector. ctx bounds the off-chain handoff; a transport failure there
-// surfaces before any deposit is frozen.
+// EngageWith walks the full Initialize phase of Fig. 2 against one
+// provider: deploy, post parameters (Fig. 4's key: its body once per owner
+// key, a 64-byte reference per contract), provider-side authenticator
+// validation, acknowledgment, and deposit freezing. The contract binds p's
+// on-chain identity (its address, deposits and reputation), while the
+// audit-data handoff and every subsequent challenge go through t — p itself
+// for an in-process provider, a remote.Client for a provider serving from
+// another OS process, or a fault injector. ctx bounds the off-chain
+// handoff; a transport failure there surfaces before any deposit is frozen.
 func (o *Owner) EngageWith(ctx context.Context, sf *StoredFile, p *ProviderNode, t ProviderTransport, terms EngagementTerms) (*Engagement, error) {
 	addr := chain.Address(fmt.Sprintf("audit:%s:%s:%s", o.Name, p.Name, sf.Manifest.Name))
 	eng, err := o.engageAudit(ctx, addr, p, t, terms, sf.Encoded, sf.Auths)

@@ -16,7 +16,7 @@ var (
 	// use on the network.
 	errDuplicateProvider = errors.New("dsnaudit: provider already exists")
 
-	// errInvalidTerms is returned by Engage and EngageShare for
+	// errInvalidTerms is returned by EngageWith and EngageShare for
 	// unusable engagement terms (e.g. zero rounds).
 	errInvalidTerms = errors.New("dsnaudit: invalid engagement terms")
 
@@ -38,7 +38,7 @@ var (
 	ErrContractClosed = errors.New("dsnaudit: contract closed")
 
 	// ErrRejectedAuditData is returned when a provider's validation of the
-	// owner's authenticators fails during Engage.
+	// owner's authenticators fails during EngageWith.
 	ErrRejectedAuditData = errors.New("dsnaudit: provider rejected audit data")
 
 	// ErrSchedulerRunning is returned by sched.Scheduler.Run if the scheduler is

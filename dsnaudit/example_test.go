@@ -41,7 +41,7 @@ func Example() {
 
 	terms := dsnaudit.DefaultTerms(2)
 	terms.ChallengeSize = 10
-	eng, err := owner.Engage(sf, sf.Holders[0], terms)
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], terms)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package dsnaudit
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/contract"
@@ -30,7 +31,7 @@ func (o *Owner) EngageAll(sf *StoredFile, terms EngagementTerms) (*EngagementSet
 			continue
 		}
 		seen[holder.Name] = true
-		eng, err := o.Engage(sf, holder, terms)
+		eng, err := o.EngageWith(context.Background(), sf, holder, holder, terms)
 		if err != nil {
 			return set, fmt.Errorf("dsnaudit: engage %s on %s: %w", sf.Manifest.Name, holder.Name, err)
 		}

@@ -37,7 +37,7 @@ func TestVDFBeaconIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCommitRevealBeaconIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRestoredOwnerContinuesAuditing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(3))
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], smallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func (n *Network) AddProvider(name string, funds *big.Int) (*ProviderNode, error
 }
 
 // AdoptEngagement wraps an already-deployed audit contract as an Engagement
-// bound to this network, bypassing the Engage negotiation. Scale harnesses
+// bound to this network, bypassing the EngageWith negotiation. Scale harnesses
 // use it to drive contracts they deployed and initialized by hand (the soak
 // experiment deploys 100k of them); the responder defaults to the provider
 // node itself when t is nil. The caller is responsible for the contract

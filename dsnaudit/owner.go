@@ -63,7 +63,7 @@ func (o *Owner) Network() *Network { return o.network }
 //
 // Two audit deployments exist. Outsource builds whole-blob audit state
 // (Encoded/Auths over the sealed blob, replicated per engagement by
-// Engage). OutsourceSharded builds per-share audit state instead
+// EngageWith). OutsourceSharded builds per-share audit state instead
 // (Shares), so each engagement audits exactly the erasure share its holder
 // stores — the shape the repair subsystem reconstructs and re-engages.
 type StoredFile struct {

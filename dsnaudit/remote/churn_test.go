@@ -11,6 +11,7 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
 
 // hookedEntropy is a deterministic entropy stream with a settable one-shot
@@ -46,7 +47,7 @@ func (h *hookedEntropy) arm(delay time.Duration, hook func()) {
 
 // serveOnce runs a server for node on ln and returns a stop function that
 // drains it and waits.
-func serveOnce(t *testing.T, node *dsnaudit.ProviderNode, ln net.Listener) func() {
+func serveOnce(t testing.TB, node *dsnaudit.ProviderNode, ln net.Listener) func() {
 	t.Helper()
 	srv := NewServer(node, WithServerLog(quiet))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -69,7 +70,7 @@ func serveOnce(t *testing.T, node *dsnaudit.ProviderNode, ln net.Listener) func(
 func TestServerChurn(t *testing.T) {
 	fx := buildFixture(t, "churn")
 	node := dsnaudit.NewProviderNode("churn-sp")
-	entropy := &hookedEntropy{inner: newDetReader("churn")}
+	entropy := &hookedEntropy{inner: dsntest.NewDetReader("churn")}
 	node.ProofEntropy = entropy
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -87,7 +88,7 @@ func TestServerChurn(t *testing.T) {
 	defer client.Close()
 
 	holder := fx.sf.Holders[0]
-	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, client, smallTerms(3))
+	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, client, dsntest.SmallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestClientRedialsAfterIdleDisconnect(t *testing.T) {
 	}
 	t.Cleanup(serveOnce(t, node, ln2))
 
-	ch, err := core.NewChallenge(4, newDetReader("redial-ch"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("redial-ch"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
 
 // faultConfig describes a deterministic adversarial network. Rates are
@@ -146,7 +147,7 @@ func TestFaultCorruptionFailsRound(t *testing.T) {
 	clean := NewClient(addr)
 	defer clean.Close()
 	holder := fx.sf.Holders[0]
-	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, clean, smallTerms(2))
+	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, clean, dsntest.SmallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestFaultCorruptionErrorClass(t *testing.T) {
 	corrupting := faultClient(addr, faultConfig{Seed: 11, CorruptRate: 1},
 		WithCallTimeout(500*time.Millisecond), WithRetries(1), withRetryBackoff(10*time.Millisecond))
 	defer corrupting.Close()
-	ch, err := core.NewChallenge(4, newDetReader("fault-class"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("fault-class"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestFaultDuplicationIsHarmless(t *testing.T) {
 	defer dup.Close()
 
 	holder := fx.sf.Holders[0]
-	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, dup, smallTerms(2))
+	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, dup, dsntest.SmallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestFaultDelayWithinDeadline(t *testing.T) {
 	defer slow.Close()
 
 	holder := fx.sf.Holders[0]
-	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, slow, smallTerms(2))
+	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, slow, dsntest.SmallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}

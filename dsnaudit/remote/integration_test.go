@@ -19,6 +19,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
 
 // TestMain doubles as the remote-provider helper process: when
@@ -39,7 +40,7 @@ func TestMain(m *testing.M) {
 func runHelperServer() {
 	node := dsnaudit.NewProviderNode(os.Getenv("DSN_REMOTE_NAME"))
 	if seed := os.Getenv("DSN_REMOTE_ENTROPY"); seed != "" {
-		node.ProofEntropy = newDetReader(seed)
+		node.ProofEntropy = dsntest.NewDetReader(seed)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -135,8 +136,8 @@ func TestRemoteProcessParity(t *testing.T) {
 
 	// In-process reference path: holder[0] proves locally.
 	local := fx.sf.Holders[0]
-	local.ProofEntropy = newDetReader(entropy)
-	engLocal, err := fx.owner.Engage(fx.sf, local, smallTerms(3))
+	local.ProofEntropy = dsntest.NewDetReader(entropy)
+	engLocal, err := fx.owner.EngageWith(context.Background(), fx.sf, local, local, dsntest.SmallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRemoteProcessParity(t *testing.T) {
 	client := NewClient(addr)
 	defer client.Close()
 	remoteHolder := fx.sf.Holders[1]
-	engRemote, err := fx.owner.EngageWith(context.Background(), fx.sf, remoteHolder, client, smallTerms(3))
+	engRemote, err := fx.owner.EngageWith(context.Background(), fx.sf, remoteHolder, client, dsntest.SmallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRemoteProcessKilledMidEngagement(t *testing.T) {
 	defer client.Close()
 
 	holder := fx.sf.Holders[0]
-	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, client, smallTerms(4))
+	eng, err := fx.owner.EngageWith(context.Background(), fx.sf, holder, client, dsntest.SmallTerms(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +263,9 @@ func TestRemoteProcessKilledMidEngagement(t *testing.T) {
 	// 50k deposit (locked at Freeze, before the snapshot) never returns —
 	// and nothing stays locked.
 	delta := new(big.Int).Sub(fx.net.Chain.Balance(holder.Address()), balBefore)
-	if delta.Cmp(smallTerms(4).PaymentPerRound) != 0 {
+	if delta.Cmp(dsntest.SmallTerms(4).PaymentPerRound) != 0 {
 		t.Fatalf("provider balance delta %s, want exactly one round payment %s (deposit slashed)",
-			delta, smallTerms(4).PaymentPerRound)
+			delta, dsntest.SmallTerms(4).PaymentPerRound)
 	}
 	if locked := fx.net.Chain.LockedBalance(holder.Address()); locked.Sign() != 0 {
 		t.Fatalf("provider still has %s locked after the abort", locked)
@@ -292,12 +293,12 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 	ln.Close()
 
 	silentHolder, deadHolder := fx.sf.Holders[0], fx.sf.Holders[1]
-	engSilent, err := fx.owner.Engage(fx.sf, silentHolder, smallTerms(3))
+	engSilent, err := fx.owner.EngageWith(context.Background(), fx.sf, silentHolder, silentHolder, dsntest.SmallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	engSilent.Responder = silentResponder{}
-	engDead, err := fx.owner.Engage(fx.sf, deadHolder, smallTerms(3))
+	engDead, err := fx.owner.EngageWith(context.Background(), fx.sf, deadHolder, deadHolder, dsntest.SmallTerms(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 	if deltaSilent.Cmp(deltaDead) != 0 || deltaDead.Sign() != 0 {
 		t.Fatalf("slashing differs: silent delta %s, unreachable delta %s, want both 0", deltaSilent, deltaDead)
 	}
-	terms := smallTerms(3)
+	terms := dsntest.SmallTerms(3)
 	perContract := new(big.Int).Add(terms.ProviderDeposit,
 		new(big.Int).Mul(terms.PaymentPerRound, big.NewInt(int64(terms.Rounds))))
 	wantOwner := new(big.Int).Mul(perContract, big.NewInt(2))
@@ -356,7 +357,7 @@ func TestTimeoutSlashedLikeSilent(t *testing.T) {
 	}
 
 	// And the transport error itself is classified correctly.
-	ch, err := core.NewChallenge(4, newDetReader("classify"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("classify"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestSchedulerWithRemoteProviders(t *testing.T) {
 	s := sched.NewScheduler(fx.net)
 	engs := make([]*dsnaudit.Engagement, 3)
 	for i := range engs {
-		eng, err := fx.owner.EngageWith(context.Background(), fx.sf, fx.sf.Holders[i], client, smallTerms(2))
+		eng, err := fx.owner.EngageWith(context.Background(), fx.sf, fx.sf.Holders[i], client, dsntest.SmallTerms(2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 	"repro/internal/wire"
 )
 
@@ -34,7 +35,7 @@ func TestClientMapsOverloaded(t *testing.T) {
 
 	client := NewClient(ln.Addr().String())
 	defer client.Close()
-	ch, err := core.NewChallenge(4, newDetReader("overload-chal"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("overload-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"repro/dsnaudit"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 	"repro/internal/wire"
 )
 
@@ -68,7 +68,7 @@ func TestMapRemoteError(t *testing.T) {
 // multi-scalar multiplications complete, so a zero count is evidence the
 // proving pipeline was abandoned mid-computation.
 type countingReader struct {
-	inner *detReader
+	inner *dsntest.DetReader
 	reads atomic.Int64
 }
 
@@ -85,16 +85,11 @@ func TestDisconnectCancelsInflightProving(t *testing.T) {
 	// of MSM and polynomial work — orders of magnitude longer than the
 	// scheduler latency between a loopback close and the read loop's
 	// cancellation, even with the proving goroutine hogging a single CPU.
-	n, err := dsnaudit.NewNetwork()
+	w, err := dsntest.NewWorld("disconnect", dsntest.Eth(1), dsntest.Names("sp-%02d", 0, 12)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if _, err := n.AddProvider(fmt.Sprintf("sp-%02d", i), eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(n, "owner", 4, eth(1))
+	owner, err := w.Owner("owner", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +100,7 @@ func TestDisconnectCancelsInflightProving(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entropy := &countingReader{inner: newDetReader("cancel-probe")}
+	entropy := &countingReader{inner: dsntest.NewDetReader("cancel-probe")}
 	node := dsnaudit.NewProviderNode("victim")
 	node.ProofEntropy = entropy
 	contractAddr := chain.Address("cancel-contract")
@@ -115,7 +110,7 @@ func TestDisconnectCancelsInflightProving(t *testing.T) {
 	addr, stop := startServer(t, node)
 
 	newChallenge := func(seed string) *core.Challenge {
-		ch, err := core.NewChallenge(2000, newDetReader(seed))
+		ch, err := core.NewChallenge(2000, dsntest.NewDetReader(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +180,11 @@ func TestHostileAcceptAuditDataDoesNotKillServer(t *testing.T) {
 	node := dsnaudit.NewProviderNode("sturdy")
 	addr, _ := startServer(t, node)
 
-	sk2, err := core.KeyGen(2, newDetReader("sk2"))
+	sk2, err := core.KeyGen(2, dsntest.NewDetReader("sk2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk3, err := core.KeyGen(3, newDetReader("sk3"))
+	sk3, err := core.KeyGen(3, dsntest.NewDetReader("sk3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +316,7 @@ func TestResponseBeatsCloseRace(t *testing.T) {
 	defer ln.Close()
 	go serveProofThenClose(ln, contract, want)
 
-	ch, err := core.NewChallenge(4, newDetReader("close-race"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("close-race"))
 	if err != nil {
 		t.Fatal(err)
 	}

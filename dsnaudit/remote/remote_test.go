@@ -2,11 +2,9 @@ package remote
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 	"net"
 	"sync"
 	"testing"
@@ -14,9 +12,9 @@ import (
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
-	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 	"repro/internal/wire"
 )
 
@@ -33,10 +31,6 @@ func (c *Client) ping(ctx context.Context) error {
 	return nil
 }
 
-func eth(n int64) *big.Int {
-	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
-}
-
 // quiet silences server connection logs in tests.
 func quiet(string, ...any) {}
 
@@ -44,33 +38,6 @@ func quiet(string, ...any) {}
 // i waits d << (i-1)), so tests that kill or restart a server re-dial fast.
 func withRetryBackoff(d time.Duration) ClientOption {
 	return func(c *Client) { c.backoff = d }
-}
-
-// detReader is a deterministic entropy stream: block i is
-// SHA-256(seed || i). Two readers with the same seed yield identical
-// bytes, which is what pins byte-identical proofs across transports.
-type detReader struct {
-	mu   sync.Mutex
-	seed string
-	ctr  uint64
-	buf  []byte
-}
-
-func newDetReader(seed string) *detReader { return &detReader{seed: seed} }
-
-func (r *detReader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.buf) < len(p) {
-		var blk [8]byte
-		binary.BigEndian.PutUint64(blk[:], r.ctr)
-		r.ctr++
-		h := sha256.Sum256(append([]byte(r.seed), blk[:]...))
-		r.buf = append(r.buf, h[:]...)
-	}
-	copy(p, r.buf[:len(p)])
-	r.buf = r.buf[len(p):]
-	return len(p), nil
 }
 
 // testFixture is a seeded network with an outsourced file, ready to engage
@@ -83,38 +50,19 @@ type testFixture struct {
 
 func buildFixture(t testing.TB, beaconSeed string) *testFixture {
 	t.Helper()
-	b, err := beacon.NewTrusted([]byte(beaconSeed))
+	w, err := dsntest.NewWorld(beaconSeed, dsntest.Eth(1), dsntest.Names("sp-%c", 'a', 12)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
+	owner, err := w.Owner("owner", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if _, err := n.AddProvider("sp-"+string(rune('a'+i)), eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(n, "owner", 4, eth(1))
+	sf, err := owner.Outsource("net-file", dsntest.Pattern(600, 7), 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	sf, err := owner.Outsource("net-file", data, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testFixture{net: n, owner: owner, sf: sf}
-}
-
-func smallTerms(rounds int) dsnaudit.EngagementTerms {
-	terms := dsnaudit.DefaultTerms(rounds)
-	terms.ChallengeSize = 4
-	return terms
+	return &testFixture{net: w.Net, owner: owner, sf: sf}
 }
 
 // schedule drives eng to completion on a new scheduler over net and returns
@@ -159,20 +107,7 @@ func startServer(t testing.TB, node *dsnaudit.ProviderNode) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(node, WithServerLog(quiet))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx, ln)
-	}()
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			cancel()
-			<-done
-		})
-	}
+	stop := serveOnce(t, node, ln)
 	t.Cleanup(stop)
 	return ln.Addr().String(), stop
 }
@@ -196,7 +131,7 @@ func TestClientServerBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("accept audit data: %v", err)
 	}
-	ch, err := core.NewChallenge(4, newDetReader("challenge"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("challenge"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +179,7 @@ func TestConcurrentCallsShareOneConnection(t *testing.T) {
 			wg.Add(1)
 			go func(contract chain.Address, i int) {
 				defer wg.Done()
-				ch, err := core.NewChallenge(3, newDetReader(string(contract)+string(rune('0'+i))))
+				ch, err := core.NewChallenge(3, dsntest.NewDetReader(string(contract)+string(rune('0'+i))))
 				if err != nil {
 					errs <- err
 					return

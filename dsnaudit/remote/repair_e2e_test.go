@@ -9,8 +9,8 @@ import (
 	"repro/dsnaudit"
 	"repro/dsnaudit/repair"
 	"repro/dsnaudit/sched"
-	"repro/internal/beacon"
 	"repro/internal/contract"
+	"repro/internal/dsntest"
 	"repro/internal/storage"
 )
 
@@ -31,24 +31,17 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 		m         = 1
 		providers = 4 // k+m holders plus one spare for the re-placement
 	)
-	b, err := beacon.NewTrusted([]byte("remote-repair-beacon"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Every provider identity gets its own OS process; the in-process nodes
 	// carry only the on-chain side (address, deposits, reputation).
 	names := []string{"rp-alpha", "rp-beta", "rp-gamma", "rp-delta"}
+	w, err := dsntest.NewWorld("remote-repair-beacon", dsntest.Eth(1), names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := w.Net
 	clients := make(map[string]*Client, providers)
 	kills := make(map[string]func(), providers)
 	for _, name := range names {
-		if _, err := net.AddProvider(name, eth(1)); err != nil {
-			t.Fatal(err)
-		}
 		addr, kill := helperProcess(t, name, "")
 		client := NewClient(addr,
 			WithCallTimeout(5*time.Second),
@@ -60,14 +53,11 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 	}
 	peer := func(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer { return clients[p.Name] }
 
-	owner, err := dsnaudit.NewOwner(net, "remote-owner", 4, eth(1))
+	owner, err := w.Owner("remote-owner", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 1500)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
+	data := dsntest.Pattern(1500, 13)
 	sf, err := owner.OutsourceSharded("ledger", data, k, m)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +77,7 @@ func TestRemoteRepairAfterProcessDeath(t *testing.T) {
 		}
 	}
 
-	terms := smallTerms(3)
+	terms := dsntest.SmallTerms(3)
 	terms.ProofDeadline = 2
 	set, err := owner.EngageShares(ctx, sf, terms,
 		func(p *dsnaudit.ProviderNode) dsnaudit.ProviderTransport { return clients[p.Name] })

@@ -1,14 +1,16 @@
-package repair
+package repair_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/dsnaudit/repair/repairtest"
 )
 
 // quickChurn is a churn scenario small enough for every CI lane.
-func quickChurn(seed int64) ChurnConfig {
-	return ChurnConfig{
+func quickChurn(seed int64) repairtest.ChurnConfig {
+	return repairtest.ChurnConfig{
 		Seed:          seed,
 		Files:         2,
 		FileSize:      1024,
@@ -28,7 +30,7 @@ func quickChurn(seed int64) ChurnConfig {
 // TestChurnQuickSurvives: even the small scenario must end with every loss
 // repaired and every file intact.
 func TestChurnQuickSurvives(t *testing.T) {
-	rep, err := RunChurn(context.Background(), quickChurn(11))
+	rep, err := repairtest.RunChurn(context.Background(), quickChurn(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +53,11 @@ func TestChurnDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the churn scenario twice; skipped in -short")
 	}
-	a, err := RunChurn(context.Background(), quickChurn(23))
+	a, err := repairtest.RunChurn(context.Background(), quickChurn(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChurn(context.Background(), quickChurn(23))
+	b, err := repairtest.RunChurn(context.Background(), quickChurn(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestChurnDeterministic(t *testing.T) {
 		t.Fatalf("repair records diverged for one seed:\n a: %+v\n b: %+v", a.Repairs, b.Repairs)
 	}
 	// And a different seed must actually change the run (the seed is live).
-	c, err := RunChurn(context.Background(), quickChurn(24))
+	c, err := repairtest.RunChurn(context.Background(), quickChurn(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestChurnThousandBlocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-block churn; skipped in -short")
 	}
-	cfg := ChurnConfig{
+	cfg := repairtest.ChurnConfig{
 		Seed:          7,
 		Files:         4,
 		FileSize:      2048,
@@ -98,7 +100,7 @@ func TestChurnThousandBlocks(t *testing.T) {
 		ChunkSize:     8,
 		Log:           t.Logf,
 	}
-	rep, err := RunChurn(context.Background(), cfg)
+	rep, err := repairtest.RunChurn(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

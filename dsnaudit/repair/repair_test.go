@@ -3,95 +3,56 @@ package repair
 import (
 	"bytes"
 	"context"
-	"math/big"
 	"reflect"
 	"testing"
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
-	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
-func eth(n int64) *big.Int {
-	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
-}
-
-func testTerms(rounds int) dsnaudit.EngagementTerms {
-	t := dsnaudit.DefaultTerms(rounds)
-	t.ChallengeSize = 4
-	return t
-}
-
-// fixture is one in-process repair scenario: a seeded network, an owner, a
-// sharded file under per-share audit, and mortal transports in front of
-// every provider so tests can crash them.
+// fixture is one in-process repair scenario: a seeded world, an owner, a
+// sharded file under per-share audit, and the world's mortal transports in
+// front of every provider so tests can crash them.
 type fixture struct {
-	net   *dsnaudit.Network
+	*dsntest.World
 	owner *dsnaudit.Owner
 	sf    *dsnaudit.StoredFile
 	set   *dsnaudit.EngagementSet
 	sched *sched.Scheduler
 	mgr   *Manager
 	data  []byte
-	peers map[string]*mortalPeer
 }
 
-func (fx *fixture) peer(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer {
-	mp, ok := fx.peers[p.Name]
-	if !ok {
-		mp = &mortalPeer{node: p}
-		fx.peers[p.Name] = mp
-	}
-	return mp
-}
-
-func buildFixture(t *testing.T, seed string, providers, k, m, rounds int, opts ...Option) *fixture {
+// buildFixture builds the scenario, its scheduler made with schedOpts and
+// its manager with opts.
+func buildFixture(t *testing.T, seed string, providers, k, m, rounds int, schedOpts []sched.Option, opts ...Option) *fixture {
 	t.Helper()
-	return buildFixtureOn(t, seed, providers, k, m, rounds, nil, opts...)
-}
-
-// buildFixtureOn is buildFixture with the scheduler's options exposed.
-func buildFixtureOn(t *testing.T, seed string, providers, k, m, rounds int, schedOpts []sched.Option, opts ...Option) *fixture {
-	t.Helper()
-	b, err := beacon.NewTrusted([]byte(seed))
+	w, err := dsntest.NewWorld(seed, dsntest.Eth(1), dsntest.Names("%c-provider", 'a', providers)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
+	owner, err := w.Owner("alice", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < providers; i++ {
-		if _, err := net.AddProvider(string(rune('a'+i))+"-provider", eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(net, "alice", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx := &fixture{net: net, owner: owner, peers: make(map[string]*mortalPeer)}
-	fx.data = make([]byte, 1800)
-	for i := range fx.data {
-		fx.data[i] = byte(i * 7)
-	}
+	fx := &fixture{World: w, owner: owner, data: dsntest.Pattern(1800, 7)}
 	fx.sf, err = owner.OutsourceSharded("tax-records", fx.data, k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms := testTerms(rounds)
-	fx.set, err = owner.EngageShares(context.Background(), fx.sf, terms,
-		func(p *dsnaudit.ProviderNode) dsnaudit.ProviderTransport { return fx.peer(p) })
+	terms := dsntest.SmallTerms(rounds)
+	fx.set, err = owner.EngageShares(context.Background(), fx.sf, terms, w.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.sched = sched.NewScheduler(net, schedOpts...)
-	fx.mgr = NewManager(owner, fx.sched, append([]Option{WithPeers(fx.peer)}, opts...)...)
+	fx.sched = sched.NewScheduler(w.Net, schedOpts...)
+	fx.mgr = NewManager(owner, fx.sched, append([]Option{WithPeers(w.Peer)}, opts...)...)
 	if err := fx.mgr.Track(fx.sf, fx.set, terms); err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +66,7 @@ func buildFixtureOn(t *testing.T, seed string, providers, k, m, rounds int, sche
 // mortal transports, so dead holders really contribute nothing.
 func (fx *fixture) retrieveThroughPeers(t *testing.T) []byte {
 	t.Helper()
-	man := fx.sf.Manifest
-	shares := make([][]byte, len(man.ShareKeys))
-	for i, key := range man.ShareKeys {
-		data, err := fx.peer(fx.sf.Holders[i]).FetchShare(context.Background(), key)
-		if err != nil || !man.VerifyShare(i, data) {
-			continue
-		}
-		shares[i] = data
-	}
-	got, err := storage.Reassemble(man, fx.owner.EncKey, shares)
+	got, err := fx.Retrieve(context.Background(), fx.sf, fx.owner.EncKey)
 	if err != nil {
 		t.Fatalf("file no longer reassembles: %v", err)
 	}
@@ -127,7 +79,7 @@ func (fx *fixture) retrieveThroughPeers(t *testing.T) []byte {
 // and the replacement engagement passes every subsequent round — all
 // within one scheduler run.
 func TestRepairAfterProviderDeath(t *testing.T) {
-	fx := buildFixture(t, "death-seed", 8, 3, 2, 3)
+	fx := buildFixture(t, "death-seed", 8, 3, 2, 3, nil)
 	victim := fx.sf.Holders[2]
 	original := map[string]bool{}
 	for _, h := range fx.sf.Holders {
@@ -138,8 +90,7 @@ func TestRepairAfterProviderDeath(t *testing.T) {
 	fx.sched.OnBlock(func(h uint64) {
 		if h >= 3 && !killed {
 			killed = true
-			fx.peers[victim.Name].dead.Store(true)
-			fx.net.Ring.Leave(victim.DHTNode.ID)
+			fx.Kill(victim)
 		}
 	})
 	if err := fx.sched.Run(context.Background()); err != nil {
@@ -183,14 +134,14 @@ func TestRepairAfterProviderDeath(t *testing.T) {
 
 	// The conviction stands in reputation: the crashed provider is
 	// hard-zeroed, while the survivors earned repair credit.
-	if trust := fx.net.Reputation.Trust(victim.Name); trust != 0 {
+	if trust := fx.Net.Reputation.Trust(victim.Name); trust != 0 {
 		t.Fatalf("victim trust = %v, want 0 after slash", trust)
 	}
 	for j, h := range fx.sf.Holders {
 		if j == 2 {
 			continue
 		}
-		if trust := fx.net.Reputation.Trust(h.Name); trust <= fx.net.Reputation.Trust("never-seen") {
+		if trust := fx.Net.Reputation.Trust(h.Name); trust <= fx.Net.Reputation.Trust("never-seen") {
 			t.Fatalf("survivor %s trust %v, want above a never-seen identity's (a positive score)", h.Name, trust)
 		}
 	}
@@ -206,7 +157,7 @@ func TestRepairAfterProviderDeath(t *testing.T) {
 // rotten bytes. The manifest's per-share hash identifies the rotten
 // survivor at fetch time; reconstruction proceeds from the remaining K.
 func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
-	fx := buildFixture(t, "rot-seed", 9, 3, 2, 2)
+	fx := buildFixture(t, "rot-seed", 9, 3, 2, 2, nil)
 	victim := fx.sf.Holders[0]
 	rotten := fx.sf.Holders[1]
 	share, err := rotten.Store.Get(fx.sf.Manifest.ShareKeys[1])
@@ -220,8 +171,7 @@ func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
 	fx.sched.OnBlock(func(h uint64) {
 		if h >= 3 && !killed {
 			killed = true
-			fx.peers[victim.Name].dead.Store(true)
-			fx.net.Ring.Leave(victim.DHTNode.ID)
+			fx.Kill(victim)
 		}
 	})
 	if err := fx.sched.Run(context.Background()); err != nil {
@@ -236,7 +186,7 @@ func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
 		t.Fatalf("FetchesRefused = %d, want 1 (the corrupted survivor)", st.FetchesRefused)
 	}
 	// The rotten holder was reported to reputation as refusing repair.
-	if fx.net.Reputation.Trust(rotten.Name) == 0 {
+	if fx.Net.Reputation.Trust(rotten.Name) == 0 {
 		t.Fatal("repair refusal must not slash (audits convict, repair only ranks)")
 	}
 	if !bytes.Equal(fx.retrieveThroughPeers(t), fx.data) {
@@ -248,7 +198,7 @@ func TestRepairRefusesCorruptedSurvivor(t *testing.T) {
 // expiries re-engage on the same holder until the horizon, then the run
 // drains with no losses.
 func TestRenewalKeepsFileUnderAudit(t *testing.T) {
-	fx := buildFixture(t, "renew-seed", 6, 2, 1, 2, WithHorizon(20))
+	fx := buildFixture(t, "renew-seed", 6, 2, 1, 2, nil, WithHorizon(20))
 	if err := fx.sched.Run(context.Background()); err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
@@ -272,10 +222,7 @@ func TestRenewalKeepsFileUnderAudit(t *testing.T) {
 // TestReconstructRoundTrip unit-tests the pure data-plane core.
 func TestReconstructRoundTrip(t *testing.T) {
 	key := make([]byte, storage.KeySize)
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
+	data := dsntest.Pattern(4096, 13)
 	man, shares, err := storage.Prepare("f", key, data, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -356,16 +303,12 @@ func (h *heldResponder) Respond(ctx context.Context, addr chain.Address, ch *cor
 func TestSettleOrderIgnoresProofArrival(t *testing.T) {
 	run := func(workers int, reverse bool) ([]chain.Address, []Record) {
 		landed := proofLanded{}
-		fx := buildFixtureOn(t, "order-seed", 10, 3, 2, 2,
+		fx := buildFixture(t, "order-seed", 10, 3, 2, 2,
 			[]sched.Option{sched.WithWorkers(workers), sched.WithTracer(obs.NewTracer(landed))})
 		engs := fx.set.Engagements
 		for _, i := range []int{1, 3} {
-			prover, ok := engs[i].Provider.Prover(engs[i].Contract.Addr)
-			if !ok {
-				t.Fatal("cheater prover state missing")
-			}
-			for c := 0; c < prover.File.NumChunks(); c++ {
-				prover.File.Corrupt(c, 0)
+			if err := dsntest.Corrupt(engs[i]); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if reverse {

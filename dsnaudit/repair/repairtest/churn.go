@@ -1,19 +1,19 @@
-package repair
+// Package repairtest holds the seeded churn harness that drives
+// dsnaudit/repair: the paper's Section VI durability scenario, run by
+// cmd/experiments -exp churn and by repair's tests. Only _test.go files,
+// cmd/experiments and other test-support packages may import it.
+package repairtest
 
 import (
 	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/dsnaudit"
+	"repro/dsnaudit/repair"
 	"repro/dsnaudit/sched"
-	"repro/internal/beacon"
-	"repro/internal/chain"
-	"repro/internal/core"
-	"repro/internal/storage"
+	"repro/internal/dsntest"
 )
 
 // ChurnConfig parameterizes a seeded churn scenario: a provider population
@@ -21,7 +21,7 @@ import (
 // stays under continuous audit, with every conviction repaired on the fly.
 // The zero value is not runnable; start from DefaultChurnConfig.
 type ChurnConfig struct {
-	Seed     int64 // drives the beacon, the injection RNG and the file contents
+	Seed     int64 // drives the beacon, the owner's keys, the injection RNG and the file contents
 	Files    int   // sharded files under audit
 	FileSize int   // plaintext bytes per file
 	K, M     int   // erasure parameters (K data + M parity shares per file)
@@ -75,8 +75,8 @@ type ChurnReport struct {
 	RoundsPassed int
 	RoundsFailed int
 
-	Stats   Stats
-	Repairs []Record
+	Stats   repair.Stats
+	Repairs []repair.Record
 
 	// Repair latency in blocks, from the loss injection to the completed
 	// re-engagement (detection dominates: a loss surfaces only when the
@@ -110,50 +110,6 @@ func (r *ChurnReport) Summary() string {
 		r.AvgRepairLatency(), r.LatencyBlocksMax, r.FilesIntact, r.Files)
 }
 
-// mortalPeer wraps an in-process provider with a kill switch: once dead,
-// every transport call fails like an unreachable remote, while the
-// provider's on-chain identity (deposits, reputation) stays convictable.
-// The dead flag is atomic because proofs run on scheduler worker
-// goroutines while kills land on the Run goroutine.
-type mortalPeer struct {
-	node *dsnaudit.ProviderNode
-	dead atomic.Bool
-}
-
-func (p *mortalPeer) unreachable() error {
-	return fmt.Errorf("%w: provider %s is down", dsnaudit.ErrProviderUnreachable, p.node.Name)
-}
-
-func (p *mortalPeer) Respond(ctx context.Context, addr chain.Address, ch *core.Challenge) ([]byte, error) {
-	if p.dead.Load() {
-		return nil, p.unreachable()
-	}
-	return p.node.Respond(ctx, addr, ch)
-}
-
-func (p *mortalPeer) AcceptAuditData(ctx context.Context, addr chain.Address, pk *core.PublicKey, ef *core.EncodedFile, auths []*core.Authenticator, sampleSize int) error {
-	if p.dead.Load() {
-		return p.unreachable()
-	}
-	return p.node.AcceptAuditData(ctx, addr, pk, ef, auths, sampleSize)
-}
-
-func (p *mortalPeer) FetchShare(ctx context.Context, key string) ([]byte, error) {
-	if p.dead.Load() {
-		return nil, p.unreachable()
-	}
-	return p.node.FetchShare(ctx, key)
-}
-
-func (p *mortalPeer) PutShare(ctx context.Context, key string, data []byte) error {
-	if p.dead.Load() {
-		return p.unreachable()
-	}
-	return p.node.PutShare(ctx, key, data)
-}
-
-var _ dsnaudit.RepairPeer = (*mortalPeer)(nil)
-
 // churnFile is one file's ground truth for the engine: the plaintext for
 // the final durability check plus the loss-injection bookkeeping.
 type churnFile struct {
@@ -171,19 +127,16 @@ type churnFile struct {
 // churnEngine injects seeded churn through the scheduler's block hook. All
 // injection state is touched only on the Run goroutine (block hooks and
 // outcome hooks are synchronous there), so the engine needs no lock of its
-// own; the peers map alone is guarded because transports are looked up
-// during setup too.
+// own; the world's mortal peers are guarded because transports are looked
+// up during setup too.
 type churnEngine struct {
 	cfg   ChurnConfig
-	net   *dsnaudit.Network
-	owner *dsnaudit.Owner
-	mgr   *Manager
+	world *dsntest.World
+	mgr   *repair.Manager
 	rng   *rand.Rand
 
-	peersMu sync.Mutex
-	peers   map[string]*mortalPeer
-
-	alive  []string // live provider names, join order (deterministic picks)
+	alive  []string        // live provider names, join order (deterministic picks)
+	dead   map[string]bool // crashed provider names
 	files  []*churnFile
 	nextID int
 
@@ -196,24 +149,13 @@ type churnEngine struct {
 	killed, joined, cheats int
 }
 
-func (e *churnEngine) peer(p *dsnaudit.ProviderNode) dsnaudit.RepairPeer {
-	e.peersMu.Lock()
-	defer e.peersMu.Unlock()
-	mp, ok := e.peers[p.Name]
-	if !ok {
-		mp = &mortalPeer{node: p}
-		e.peers[p.Name] = mp
-	}
-	return mp
-}
-
 const churnFunds = 1_000_000_000
 
 // addProvider joins one fresh provider to the network.
 func (e *churnEngine) addProvider() error {
 	name := fmt.Sprintf("p-%04d", e.nextID)
 	e.nextID++
-	if _, err := e.net.AddProvider(name, big.NewInt(churnFunds)); err != nil {
+	if _, err := e.world.Net.AddProvider(name, big.NewInt(churnFunds)); err != nil {
 		return err
 	}
 	e.alive = append(e.alive, name)
@@ -228,10 +170,7 @@ func (e *churnEngine) addProvider() error {
 func (e *churnEngine) compromised(f *churnFile, extraDead string) int {
 	n := 0
 	for i, h := range f.sf.Holders {
-		bad := h.Name == extraDead
-		if mp, ok := e.peers[h.Name]; ok && mp.dead.Load() {
-			bad = true
-		}
+		bad := h.Name == extraDead || e.dead[h.Name]
 		if !bad && f.cheatedGen[i] >= 0 {
 			if eng, ok := e.mgr.Current(f.sf.Manifest.Name, i); ok && eng.Generation == f.cheatedGen[i] {
 				bad = true
@@ -267,11 +206,9 @@ func (e *churnEngine) kill(h uint64) {
 		}
 		idx := (start + off) % len(e.alive)
 		e.alive = append(e.alive[:idx], e.alive[idx+1:]...)
-		node, _ := e.net.Provider(name)
-		if mp, ok := e.peer(node).(*mortalPeer); ok {
-			mp.dead.Store(true)
-		}
-		e.net.Ring.Leave(node.DHTNode.ID)
+		node, _ := e.world.Net.Provider(name)
+		e.world.Kill(node)
+		e.dead[name] = true
 		e.killed++
 		for _, f := range e.files {
 			for i, holder := range f.sf.Holders {
@@ -304,24 +241,17 @@ func (e *churnEngine) cheat(h uint64) {
 		for iOff := 0; iOff < n; iOff++ {
 			i := (iStart + iOff) % n
 			holder := f.sf.Holders[i]
-			if mp, ok := e.peers[holder.Name]; ok && mp.dead.Load() {
-				continue
-			}
-			if f.cheatedGen[i] >= 0 {
+			if e.dead[holder.Name] || f.cheatedGen[i] >= 0 {
 				continue
 			}
 			eng, ok := e.mgr.Current(f.sf.Manifest.Name, i)
 			if !ok || eng.Provider != holder {
 				continue
 			}
-			prover, ok := holder.Prover(eng.ID())
-			if !ok {
+			if dsntest.Corrupt(eng) != nil {
 				continue
 			}
 			holder.Store.Drop(f.sf.Manifest.ShareKeys[i])
-			for c := range prover.File.Chunks {
-				prover.File.Corrupt(c, 0)
-			}
 			f.cheatedGen[i] = eng.Generation
 			f.lossAt[i] = append(f.lossAt[i], h)
 			e.cheats++
@@ -362,49 +292,33 @@ func (e *churnEngine) logf(format string, args ...any) {
 // durability outcome. Identical seeds produce identical reports.
 func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 	if cfg.Files <= 0 || cfg.K <= 0 || cfg.M <= 0 || cfg.Providers < cfg.K+cfg.M+1 || cfg.Horizon == 0 || cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("repair: churn config is not runnable: %+v", cfg)
-	}
-	if cfg.ChallengeSize <= 0 {
-		cfg.ChallengeSize = 4
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 8
-	}
-	if cfg.FileSize <= 0 {
-		cfg.FileSize = 2048
+		return nil, fmt.Errorf("repairtest: churn config is not runnable: %+v", cfg)
 	}
 
-	b, err := beacon.NewTrusted([]byte(fmt.Sprintf("churn-beacon-%d", cfg.Seed)))
+	names := dsntest.Names("p-%04d", 0, cfg.Providers)
+	world, err := dsntest.NewWorld(fmt.Sprintf("churn-beacon-%d", cfg.Seed), big.NewInt(churnFunds), names...)
 	if err != nil {
 		return nil, err
 	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
-	if err != nil {
-		return nil, err
-	}
-	owner, err := dsnaudit.NewOwner(net, "owner", cfg.ChunkSize, big.NewInt(0).Mul(big.NewInt(churnFunds), big.NewInt(1000)))
+	owner, err := world.Owner("owner", cfg.ChunkSize, big.NewInt(0).Mul(big.NewInt(churnFunds), big.NewInt(1000)))
 	if err != nil {
 		return nil, err
 	}
 
 	e := &churnEngine{
 		cfg:       cfg,
-		net:       net,
-		owner:     owner,
+		world:     world,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		peers:     make(map[string]*mortalPeer),
+		alive:     names,
+		dead:      make(map[string]bool),
+		nextID:    cfg.Providers,
 		nextKill:  cfg.KillEvery,
 		nextJoin:  cfg.JoinEvery,
 		nextCheat: cfg.CorruptEvery,
 	}
-	for i := 0; i < cfg.Providers; i++ {
-		if err := e.addProvider(); err != nil {
-			return nil, err
-		}
-	}
 
-	driver := sched.NewScheduler(net, sched.WithParallelism(cfg.Workers))
-	e.mgr = NewManager(owner, driver, WithPeers(e.peer), WithHorizon(cfg.Horizon))
+	driver := sched.NewScheduler(world.Net, sched.WithParallelism(cfg.Workers))
+	e.mgr = repair.NewManager(owner, driver, repair.WithPeers(world.Peer), repair.WithHorizon(cfg.Horizon))
 
 	terms := dsnaudit.EngagementTerms{
 		Rounds:          cfg.Rounds,
@@ -422,7 +336,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		set, err := owner.EngageShares(ctx, sf, terms, func(p *dsnaudit.ProviderNode) dsnaudit.ProviderTransport { return e.peer(p) })
+		set, err := owner.EngageShares(ctx, sf, terms, world.Transport)
 		if err != nil {
 			return nil, err
 		}
@@ -445,15 +359,13 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 	}
 
 	driver.OnBlock(e.inject)
-	if cfg.Log != nil {
-		driver.OnBlock(func(h uint64) {
-			if h%200 == 0 {
-				st := e.mgr.Stats()
-				cfg.Log("block %d: lost=%d repaired=%d renewals=%d providers=%d",
-					h, st.SharesLost, st.SharesRepaired, st.Renewals, len(e.alive))
-			}
-		})
-	}
+	driver.OnBlock(func(h uint64) {
+		if h%200 == 0 {
+			st := e.mgr.Stats()
+			e.logf("block %d: lost=%d repaired=%d renewals=%d providers=%d",
+				h, st.SharesLost, st.SharesRepaired, st.Renewals, len(e.alive))
+		}
+	})
 
 	if err := driver.Run(ctx); err != nil {
 		return nil, err
@@ -461,7 +373,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 
 	rep := &ChurnReport{
 		Seed:            cfg.Seed,
-		FinalHeight:     net.Chain.Height(),
+		FinalHeight:     world.Net.Chain.Height(),
 		ProvidersJoined: e.joined,
 		ProvidersKilled: e.killed,
 		SharesCheated:   e.cheats,
@@ -504,16 +416,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnReport, error) {
 	// fetching through the same transports repair used — a crashed holder
 	// contributes nothing here even though its in-process store survives.
 	for _, f := range e.files {
-		man := f.sf.Manifest
-		shares := make([][]byte, len(man.ShareKeys))
-		for i, key := range man.ShareKeys {
-			data, err := e.peer(f.sf.Holders[i]).FetchShare(ctx, key)
-			if err != nil || !man.VerifyShare(i, data) {
-				continue
-			}
-			shares[i] = data
-		}
-		got, err := storage.Reassemble(man, owner.EncKey, shares)
+		got, err := world.Retrieve(ctx, f.sf, owner.EncKey)
 		if err == nil && string(got) == string(f.data) {
 			rep.FilesIntact++
 		}

@@ -24,7 +24,7 @@ func TestReputationTracksAuditOutcomes(t *testing.T) {
 	}
 
 	honest := sf.Holders[0]
-	eng, err := owner.Engage(sf, honest, smallTerms(2))
+	eng, err := owner.EngageWith(context.Background(), sf, honest, honest, smallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestReputationTracksAuditOutcomes(t *testing.T) {
 			break
 		}
 	}
-	eng2, err := owner.Engage(sf2, cheater, smallTerms(2))
+	eng2, err := owner.EngageWith(context.Background(), sf2, cheater, cheater, smallTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}

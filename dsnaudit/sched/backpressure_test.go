@@ -6,45 +6,37 @@ import (
 	"testing"
 
 	"repro/dsnaudit"
-	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
 
-func miniNet(t *testing.T, seed string, providers int) (*dsnaudit.Network, *dsnaudit.Owner) {
+// miniNet builds a world of providers sp-a, sp-b, ..., and an owner that
+// has outsourced one file name, engaged on its first holder.
+func miniNet(t *testing.T, seed string, providers int, name string, rounds int) (*dsnaudit.Network, *dsnaudit.Engagement) {
 	t.Helper()
-	b, err := beacon.NewTrusted([]byte(seed))
+	w, err := dsntest.NewWorld(seed, dsntest.Eth(1), dsntest.Names("sp-%c", 'a', providers)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
+	owner, err := w.Owner("owner", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < providers; i++ {
-		if _, err := net.AddProvider("sp-"+string(rune('a'+i)), eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(net, "owner", 4, eth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net, owner
-}
-
-func outsourceOrDie(t *testing.T, o *dsnaudit.Owner, name string) *dsnaudit.StoredFile {
-	t.Helper()
-	data := make([]byte, 500)
+	data := dsntest.Pattern(500, 7)
 	for i := range data {
-		data[i] = byte(i*7 + len(name))
+		data[i] += byte(len(name))
 	}
-	sf, err := o.Outsource(name, data, 3, 7)
+	sf, err := owner.Outsource(name, data, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sf
+	eng, err := owner.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], dsntest.SmallTerms(rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Net, eng
 }
 
 // overloadResponder refuses the first `left` challenges with a hinted
@@ -71,12 +63,7 @@ func (r *overloadResponder) Respond(ctx context.Context, addr chain.Address, ch 
 // the scheduler re-asks after the hinted backoff and the engagement ends
 // fully passed — ErrOverloaded is not a slashable offense.
 func TestOverloadRetryDoesNotSlash(t *testing.T) {
-	net, owner := miniNet(t, "overload-retry", 10)
-	sf := outsourceOrDie(t, owner, "retry-file")
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, eng := miniNet(t, "overload-retry", 10, "retry-file", 2)
 	eng.Responder = &overloadResponder{left: 3, next: eng.Provider}
 
 	sched := NewScheduler(net, WithParallelism(2))
@@ -115,12 +102,7 @@ func (alwaysOverloaded) Respond(context.Context, chain.Address, *core.Challenge)
 // maxOverloadRetries the engagement falls to the proof-deadline path and
 // the deposit is slashed.
 func TestPersistentOverloadEventuallySlashes(t *testing.T) {
-	net, owner := miniNet(t, "overload-slash", 10)
-	sf := outsourceOrDie(t, owner, "slash-file")
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, eng := miniNet(t, "overload-slash", 10, "slash-file", 1)
 	eng.Responder = alwaysOverloaded{}
 
 	sched := NewScheduler(net)
@@ -141,7 +123,7 @@ func TestPersistentOverloadEventuallySlashes(t *testing.T) {
 	if st := sched.Stats(); st.Overloads != 17 {
 		t.Fatalf("overloads = %d, want initial attempt + 16 retries", st.Overloads)
 	}
-	if bal := net.Chain.Balance(chain.Address(eng.Provider.Name)); bal.Cmp(eth(1)) >= 0 {
+	if bal := net.Chain.Balance(chain.Address(eng.Provider.Name)); bal.Cmp(dsntest.Eth(1)) >= 0 {
 		t.Fatalf("provider balance %s did not lose its deposit", bal)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,10 +14,10 @@ import (
 	"testing"
 
 	"repro/dsnaudit"
-	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 	"repro/internal/obs"
 )
 
@@ -49,30 +48,15 @@ func (deadResponder) Respond(context.Context, chain.Address, *core.Challenge) ([
 }
 
 func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
-	wei := func(n int64) *big.Int {
-		return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
-	}
-	b, err := beacon.NewTrusted([]byte(seed))
+	w, err := dsntest.NewWorld(seed, dsntest.Eth(1), dsntest.Names("sp-%c", 'a', 12)...)
 	if err != nil {
 		return nil, err
 	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 12; i++ {
-		if _, err := net.AddProvider("sp-"+string(rune('a'+i)), wei(1)); err != nil {
-			return nil, err
-		}
-	}
-	terms := dsnaudit.DefaultTerms(rounds)
-	terms.ChallengeSize = 4
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i * 11)
-	}
+	ctx := context.Background()
+	terms := dsntest.SmallTerms(rounds)
+	data := dsntest.Pattern(600, 11)
 
-	alice, err := dsnaudit.NewOwner(net, "alice", 4, wei(1))
+	alice, err := w.Owner("alice", 4, dsntest.Eth(1))
 	if err != nil {
 		return nil, err
 	}
@@ -88,14 +72,14 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 			continue
 		}
 		seen[holder.Name] = true
-		eng, err := alice.Engage(sf, holder, terms)
+		eng, err := alice.EngageWith(ctx, sf, holder, holder, terms)
 		if err != nil {
 			return nil, err
 		}
 		set = append(set, eng)
 	}
 
-	bob, err := dsnaudit.NewOwner(net, "bob", 4, wei(1))
+	bob, err := w.Owner("bob", 4, dsntest.Eth(1))
 	if err != nil {
 		return nil, err
 	}
@@ -103,12 +87,12 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	engB, err := bob.Engage(sfB, sfB.Holders[0], terms)
+	engB, err := bob.EngageWith(ctx, sfB, sfB.Holders[0], sfB.Holders[0], terms)
 	if err != nil {
 		return nil, err
 	}
 
-	carol, err := dsnaudit.NewOwner(net, "carol", 4, wei(1))
+	carol, err := w.Owner("carol", 4, dsntest.Eth(1))
 	if err != nil {
 		return nil, err
 	}
@@ -116,19 +100,15 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	engC, err := carol.Engage(sfC, sfC.Holders[0], terms)
+	engC, err := carol.EngageWith(ctx, sfC, sfC.Holders[0], sfC.Holders[0], terms)
 	if err != nil {
 		return nil, err
 	}
-	prover, ok := engC.Provider.Prover(engC.Contract.Addr)
-	if !ok {
-		return nil, errors.New("sched: crash fixture lost its cheater's prover state")
-	}
-	for i := 0; i < prover.File.NumChunks(); i++ {
-		prover.File.Corrupt(i, 0)
+	if err := dsntest.Corrupt(engC); err != nil {
+		return nil, err
 	}
 
-	dave, err := dsnaudit.NewOwner(net, "dave", 4, wei(1))
+	dave, err := w.Owner("dave", 4, dsntest.Eth(1))
 	if err != nil {
 		return nil, err
 	}
@@ -136,14 +116,14 @@ func buildCrashFixture(seed string, rounds int) (*crashFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	engD, err := dave.Engage(sfD, sfD.Holders[0], terms)
+	engD, err := dave.EngageWith(ctx, sfD, sfD.Holders[0], sfD.Holders[0], terms)
 	if err != nil {
 		return nil, err
 	}
 	engD.Responder = deadResponder{}
 
 	engs := append(set, engB, engC, engD)
-	return &crashFixture{net: net, engs: engs}, nil
+	return &crashFixture{net: w.Net, engs: engs}, nil
 }
 
 // matrixSnapshot is everything a crash case is judged on.

@@ -3,25 +3,14 @@ package sched
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"testing"
 
 	"repro/dsnaudit"
-	"repro/internal/beacon"
 	"repro/internal/chain"
 	"repro/internal/contract"
+	"repro/internal/dsntest"
 	"repro/internal/obs"
 )
-
-func eth(n int64) *big.Int {
-	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
-}
-
-func smallTerms(rounds int) dsnaudit.EngagementTerms {
-	terms := dsnaudit.DefaultTerms(rounds)
-	terms.ChallengeSize = 4
-	return terms
-}
 
 // goldenParity is the outcome of the seeded "parity-seed" crash fixture
 // (three rounds) as the linear-scan scheduler this engine replaced produced
@@ -187,43 +176,31 @@ func TestWakeQueueDepthGauge(t *testing.T) {
 // depends on: an outcome hook that Adds a follow-up engagement keeps the
 // Run loop driving instead of stranding it.
 func TestOutcomeHookReAdd(t *testing.T) {
-	b, err := beacon.NewTrusted([]byte("readd"))
+	w, err := dsntest.NewWorld("readd", dsntest.Eth(1), dsntest.Names("sp-%c", 'a', 10)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
+	owner, err := w.Owner("owner", 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := net.AddProvider("sp-"+string(rune('a'+i)), eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(net, "owner", 4, eth(1))
+	sf, err := owner.Outsource("readd-file", dsntest.Pattern(500, 5), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 500)
-	for i := range data {
-		data[i] = byte(i * 5)
-	}
-	sf, err := owner.Outsource("readd-file", data, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := owner.Engage(sf, sf.Holders[0], smallTerms(1))
+	ctx := context.Background()
+	eng, err := owner.EngageWith(ctx, sf, sf.Holders[0], sf.Holders[0], dsntest.SmallTerms(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sched := NewScheduler(net, WithParallelism(2))
+	sched := NewScheduler(w.Net, WithParallelism(2))
 	var followID chain.Address
 	sched.OnOutcome(func(o dsnaudit.Outcome) {
 		if o.ID != eng.ID() {
 			return
 		}
-		follow, err := owner.Engage(sf, sf.Holders[1], smallTerms(1))
+		follow, err := owner.EngageWith(ctx, sf, sf.Holders[1], sf.Holders[1], dsntest.SmallTerms(1))
 		if err != nil {
 			t.Errorf("follow-up engage: %v", err)
 			return
@@ -236,7 +213,7 @@ func TestOutcomeHookReAdd(t *testing.T) {
 	if err := sched.Add(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(context.Background()); err != nil {
+	if err := sched.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	res, ok := sched.Result(followID)

@@ -2,8 +2,6 @@ package sched
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,39 +11,13 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
-
-// detReader yields SHA-256(seed || counter) blocks: deterministic entropy
-// so spilled-and-rehydrated provers can be compared proof-byte for
-// proof-byte against never-spilled ones.
-type detReader struct {
-	mu   sync.Mutex
-	seed string
-	ctr  uint64
-	buf  []byte
-}
-
-func newDetReader(seed string) *detReader { return &detReader{seed: seed} }
-
-func (r *detReader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.buf) < len(p) {
-		var blk [8]byte
-		binary.BigEndian.PutUint64(blk[:], r.ctr)
-		r.ctr++
-		h := sha256.Sum256(append([]byte(r.seed), blk[:]...))
-		r.buf = append(r.buf, h[:]...)
-	}
-	copy(p, r.buf[:len(p)])
-	r.buf = r.buf[len(p):]
-	return len(p), nil
-}
 
 // spillFixture builds one audit state: key, encoded file, authenticators.
 func spillFixture(t testing.TB, seed string, size int) (*core.PrivateKey, *core.EncodedFile, []*core.Authenticator) {
 	t.Helper()
-	sk, err := core.KeyGen(2, newDetReader(seed+"-key"))
+	sk, err := core.KeyGen(2, dsntest.NewDetReader(seed+"-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +75,7 @@ func TestSpillStoreLRUAndRehydrate(t *testing.T) {
 
 	// The least-recently-used entries (a, b) were evicted; getting one back
 	// must rehydrate, evicting another to keep the window.
-	ch, err := core.NewChallenge(4, newDetReader("lru-chal"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("lru-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +122,7 @@ func segmentFiles(t *testing.T, dir string) []string {
 // bytes.
 func proofBytes(t *testing.T, p *core.Prover, ch *core.Challenge) []byte {
 	t.Helper()
-	proof, err := p.ProvePrivate(ch, nil, newDetReader("proof-entropy"))
+	proof, err := p.ProvePrivate(ch, nil, dsntest.NewDetReader("proof-entropy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +166,7 @@ func TestSpillStoreWriteOnce(t *testing.T) {
 		return files
 	}
 	before := snapshot()
-	ch, err := core.NewChallenge(4, newDetReader("once-chal"))
+	ch, err := core.NewChallenge(4, dsntest.NewDetReader("once-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +233,7 @@ func TestSpillStoreReplace(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetProver after replacement: ok=%v err=%v", ok, err)
 	}
-	ch, err := core.NewChallenge(3, newDetReader("replace-chal"))
+	ch, err := core.NewChallenge(3, dsntest.NewDetReader("replace-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +458,7 @@ func TestSpillStoreConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ch, err := core.NewChallenge(3, newDetReader("conc-chal"))
+	ch, err := core.NewChallenge(3, dsntest.NewDetReader("conc-chal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +475,7 @@ func TestSpillStoreConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("get %s: ok=%v err=%v", addr, ok, err)
 					return
 				}
-				proof, err := p.ProvePrivate(ch, nil, newDetReader(fmt.Sprintf("e-%d-%d", g, i)))
+				proof, err := p.ProvePrivate(ch, nil, dsntest.NewDetReader(fmt.Sprintf("e-%d-%d", g, i)))
 				if err != nil {
 					errs <- err
 					return

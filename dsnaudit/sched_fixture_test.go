@@ -3,61 +3,42 @@ package dsnaudit_test
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"testing"
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
+	"repro/internal/dsntest"
 )
 
 // The scheduler tests of this directory live in the external test package:
 // the engine they drive, dsnaudit/sched, imports dsnaudit.
 
-func eth(n int64) *big.Int {
-	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
-}
-
-// smallTerms keeps the tests fast: tiny k, short intervals.
-func smallTerms(rounds int) dsnaudit.EngagementTerms {
-	terms := dsnaudit.DefaultTerms(rounds)
-	terms.ChallengeSize = 4
-	return terms
-}
-
 // fixture is the one deployment every scheduler test here builds on: a
-// network of funded providers and the engagements deployed on it, in the
-// order they are to be registered.
+// world of funded providers, seeded by the test's name, and the engagements
+// deployed on it, in the order they are to be registered.
 type fixture struct {
-	net  *dsnaudit.Network
-	engs []*dsnaudit.Engagement
+	world *dsntest.World
+	net   *dsnaudit.Network
+	engs  []*dsnaudit.Engagement
 }
 
 func newFixture(t *testing.T, providers int) *fixture {
 	t.Helper()
-	net, err := dsnaudit.NewNetwork()
+	w, err := dsntest.NewWorld(t.Name(), dsntest.Eth(1), dsntest.Names("%c-provider", 'a', providers)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < providers; i++ {
-		if _, err := net.AddProvider(string(rune('a'+i))+"-provider", eth(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return &fixture{net: net}
+	return &fixture{world: w, net: w.Net}
 }
 
 // outsource creates a funded owner and has it outsource one 3-of-10 file.
 func (fx *fixture) outsource(t *testing.T, owner string) (*dsnaudit.Owner, *dsnaudit.StoredFile) {
 	t.Helper()
-	o, err := dsnaudit.NewOwner(fx.net, owner, 4, eth(1))
+	o, err := fx.world.Owner(owner, 4, dsntest.Eth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 600)
-	for i := range data {
-		data[i] = byte(i * 3)
-	}
-	sf, err := o.Outsource(owner+"-file", data, 3, 7)
+	sf, err := o.Outsource(owner+"-file", dsntest.Pattern(600, 3), 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +51,7 @@ func (fx *fixture) outsource(t *testing.T, owner string) (*dsnaudit.Owner, *dsna
 func (fx *fixture) engage(t *testing.T, owner string, rounds int) *dsnaudit.Engagement {
 	t.Helper()
 	o, sf := fx.outsource(t, owner)
-	eng, err := o.Engage(sf, sf.Holders[0], smallTerms(rounds))
+	eng, err := o.EngageWith(context.Background(), sf, sf.Holders[0], sf.Holders[0], dsntest.SmallTerms(rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +63,8 @@ func (fx *fixture) engage(t *testing.T, owner string, rounds int) *dsnaudit.Enga
 // audit state is corrupted, so each proof it produces fails verification.
 func corrupt(t *testing.T, eng *dsnaudit.Engagement) {
 	t.Helper()
-	prover, ok := eng.Provider.Prover(eng.Contract.Addr)
-	if !ok {
-		t.Fatal("cheater prover state missing")
-	}
-	for i := 0; i < prover.File.NumChunks(); i++ {
-		prover.File.Corrupt(i, 0)
+	if err := dsntest.Corrupt(eng); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/dsntest"
 )
 
 // outcome is the per-engagement result the scheduler and the reference
@@ -34,7 +35,7 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 	matchSequential(t, rounds, func(t *testing.T) (*fixture, *dsnaudit.EngagementSet, int) {
 		fx := newFixture(t, 12)
 		alice, sf := fx.outsource(t, "alice")
-		set, err := alice.EngageAll(sf, smallTerms(rounds))
+		set, err := alice.EngageAll(sf, dsntest.SmallTerms(rounds))
 		if err != nil {
 			t.Fatal(err)
 		}

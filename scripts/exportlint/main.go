@@ -1,5 +1,5 @@
 // Command exportlint checks the module's public surface and its library
-// against what the service links. Two rules:
+// against what the service links. Three rules:
 //
 //  1. Every exported func, method, type, var and const declared in non-test
 //     code outside bench/ and package main must be referenced by a non-test
@@ -9,8 +9,12 @@
 //  2. Every function and method declared in a non-test file of a library
 //     package -- one outside cmd/, bench/ and scripts/ that is not package
 //     main -- must be linked into cmd/dsn-audit. What only the experiments,
-//     the benchmark or tests reach belongs under cmd/experiments or in a
-//     _test.go file.
+//     the benchmark or tests reach belongs under cmd/experiments, in a
+//     test-support package or in a _test.go file.
+//  3. A test-support package, one whose name ends in "test", is imported
+//     only by _test.go files, cmd/experiments and other test-support
+//     packages. Rules 1 and 2 treat it as they treat bench/: they skip its
+//     declarations, and its references do not count.
 //
 // Rule 1 parses the module with go/parser and type-checks every package
 // from source with go/types, in import order; the standard library comes
@@ -35,7 +39,7 @@
 // declares them. The linker keeps every method an interface call could
 // reach, so the rule can miss dead code but never flags live code.
 //
-// The allowlist names what still breaks a rule, each entry under the
+// The allowlist names what still breaks rule 1 or 2, each entry under the
 // ROADMAP item that gives it a caller, links it or removes it. An entry
 // exempts its name from both rules and can only shrink: an allowlisted name
 // that no rule flags any more, or that is no longer declared, fails the
@@ -153,6 +157,9 @@ func lint(root, allowPath string) (*report, error) {
 	// Direct references: any object of a module package used by another.
 	used := map[types.Object]bool{}
 	for _, p := range all {
+		if isSupport(p) {
+			continue
+		}
 		for _, obj := range p.info.Uses {
 			obj = origin(obj)
 			if obj.Pkg() != nil && obj.Pkg() != p.types && l.pkgs[obj.Pkg().Path()] != nil {
@@ -177,6 +184,9 @@ func lint(root, allowPath string) (*report, error) {
 			continue
 		}
 		r.packages++
+		if isSupport(p) {
+			continue
+		}
 		lib := isLibrary(p.rel)
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
@@ -298,8 +308,23 @@ func lint(root, allowPath string) (*report, error) {
 		}
 	}
 	r.allowlisted = len(allow)
+
+	// Rule 3. The loader reads non-test files only, so every import here is
+	// one the rule judges.
+	for _, p := range all {
+		for _, imp := range p.types.Imports() {
+			q := l.pkgs[imp.Path()]
+			if q != nil && isSupport(q) && !isSupport(p) && p.rel != "cmd/experiments" && !strings.HasPrefix(p.rel, "cmd/experiments/") {
+				r.problems = append(r.problems, fmt.Sprintf("%s imports %s, a test-support package: only _test.go files, cmd/experiments and test-support packages may", p.rel, q.rel))
+			}
+		}
+	}
 	return r, nil
 }
+
+// isSupport reports whether p is a test-support package: its name ends in
+// "test".
+func isSupport(p *pkg) bool { return strings.HasSuffix(p.types.Name(), "test") }
 
 // readAllowlist parses the allowlist: blank lines and #-comments are
 // ignored, "[item]" opens the section of one ROADMAP item, and every other

@@ -18,7 +18,7 @@ func TestFixture(t *testing.T) {
 	}
 	want := []string{
 		// Rule 1. Only a _test.go file calls it, in its own package and in
-		// another.
+		// another, and a test-support package, whose calls do not count.
 		"a/a.go:7: a.OnlyTested is exported but",
 		// Only bench/, a module of its own, calls it.
 		"a/a.go:10: a.OnlyBench is exported but",
@@ -29,6 +29,8 @@ func TestFixture(t *testing.T) {
 		"a/a.go:7: a.OnlyTested is declared in a library package but cmd/dsn-audit does not link it",
 		"a/a.go:10: a.OnlyBench is declared in a library package but cmd/dsn-audit does not link it",
 		"a/a.go:60: a.unlinked is declared in a library package but cmd/dsn-audit does not link it",
+		// Rule 3. Non-test code of a library imports a test-support package.
+		"c imports a/atest, a test-support package",
 		// The shrink-only rule: an entry that gained a caller and that the
 		// binary now links, and one whose name is gone.
 		"a.Parked is allowlisted but now has a caller and cmd/dsn-audit now links it",
@@ -51,13 +53,15 @@ func TestFixture(t *testing.T) {
 	// Everything else passes. Rule 1: a.Part (reached only through
 	// Widget's field), NotFoundError's Error, Unwrap and Is (reached only
 	// through the error interface and errors.Is), a.Reserved (allowlisted,
-	// still uncalled), and package main's Helper (main packages are not
-	// linted). Rule 2: Widget.Spin (linked through NewWidget), Square.Area
-	// (reached only through the interface call in Total), Counter's closure,
-	// the generic Largest and Stack.Push (linked only as instances), and
-	// a.Pending (allowlisted; cmd/tool calls it, cmd/dsn-audit does not).
-	if r.packages != 2 || r.allowlisted != 4 {
-		t.Errorf("linted %d packages with %d allowlisted, want 2 (a, c) and 4", r.packages, r.allowlisted)
+	// still uncalled), package main's Helper (main packages are not
+	// linted) and atest.Build (test-support packages are not either).
+	// Rule 2: Widget.Spin (linked through NewWidget), Square.Area (reached
+	// only through the interface call in Total), Counter's closure, the
+	// generic Largest and Stack.Push (linked only as instances), a.Pending
+	// (allowlisted; cmd/tool calls it, cmd/dsn-audit does not) and
+	// atest.Build. Rule 3: cmd/experiments imports a/atest.
+	if r.packages != 3 || r.allowlisted != 4 {
+		t.Errorf("linted %d packages with %d allowlisted, want 3 (a, a/atest, c) and 4", r.packages, r.allowlisted)
 	}
 	if r.funcs != r.linked+5 {
 		t.Errorf("%d library functions, %d linked: want all but OnlyTested, OnlyBench, unlinked, Pending and Reserved", r.funcs, r.linked)
