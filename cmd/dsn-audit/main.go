@@ -41,7 +41,7 @@
 //	-tick-delay d    pause per scheduler tick (crash-testing aid; needs -state)
 //
 // Exit status: 0 when every audit round passes, 1 when any round fails
-// verification or misses its deadline (the CI smoke tests gate on this),
+// verification or misses its deadline (main_test.go gates on this),
 // 2 on operational errors, 3 (resume only) on corrupt persisted state.
 package main
 
@@ -52,7 +52,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/big"
 	"net"
 	"os"
 	"os/signal"
@@ -63,7 +62,6 @@ import (
 	"repro/dsnaudit"
 	"repro/dsnaudit/remote"
 	"repro/dsnaudit/sched"
-	"repro/internal/beacon"
 	"repro/internal/contract"
 	"repro/internal/cost"
 )
@@ -118,9 +116,9 @@ func runServe(ctx context.Context, args []string) int {
 	go func() { errCh <- srv.ListenAndServe(ctx, *addr, ready) }()
 	select {
 	case bound := <-ready:
-		// The LISTEN line is machine-readable; scripts wait for it.
+		// The LISTEN line is machine-readable; callers wait for it.
 		fmt.Printf("LISTEN %s\n", bound)
-		fmt.Printf("dsn-audit: provider %q serving on %s (wire v%d)\n", *name, bound, wireVersion())
+		fmt.Printf("dsn-audit: provider %q serving on %s (wire v%d)\n", *name, bound, remote.WireVersion)
 	case err := <-errCh:
 		return fail(err)
 	}
@@ -132,21 +130,13 @@ func runServe(ctx context.Context, args []string) int {
 	return 0
 }
 
-// wireVersion surfaces the framing version without importing wire all over
-// this file.
-func wireVersion() int { return remote.WireVersion }
-
 // auditConfig carries the parsed audit-mode flags.
 type auditConfig struct {
-	chunkSize   int
-	k           int
-	rounds      int
-	providers   int
+	worldConfig
 	corruptAt   int
 	remotes     []string
 	callTimeout time.Duration
 	retries     int
-	seed        string
 	stateDir    string
 	tickDelay   time.Duration
 	obs         *cliObs
@@ -174,22 +164,22 @@ func runAudit(ctx context.Context, args []string) int {
 		return 2
 	}
 	cfg := auditConfig{
-		chunkSize: *chunkSize, k: *k, rounds: *rounds, providers: *providers,
 		corruptAt: *corruptAt, callTimeout: *callTimeout, retries: *retries,
-		seed: *seed, stateDir: *stateDir, tickDelay: *tickDelay,
+		stateDir: *stateDir, tickDelay: *tickDelay,
+		worldConfig: worldConfig{Seed: *seed, ChunkSize: *chunkSize, K: *k, Rounds: *rounds, Providers: *providers},
 	}
 	if cfg.stateDir != "" && *remotes != "" {
 		// Resume replays one engagement's rounds in order; interleaving N
 		// needs settle heights the journal does not record.
 		return fail(fmt.Errorf("-state is local mode only; remote providers keep their own state"))
 	}
-	if cfg.stateDir != "" && cfg.seed == "" {
+	if cfg.stateDir != "" && cfg.Seed == "" {
 		// A durable run must be reconstructible: pin a seed and persist it.
 		var err error
-		if cfg.seed, err = randomSeedHex(); err != nil {
+		if cfg.Seed, err = randomSeedHex(); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("generated beacon seed %s (persisted for resume)\n", cfg.seed)
+		fmt.Printf("generated beacon seed %s (persisted for resume)\n", cfg.Seed)
 	}
 	if *remotes != "" {
 		for _, a := range strings.Split(*remotes, ",") {
@@ -197,6 +187,7 @@ func runAudit(ctx context.Context, args []string) int {
 				cfg.remotes = append(cfg.remotes, a)
 			}
 		}
+		cfg.Providers = max(cfg.Providers, len(cfg.remotes))
 	}
 
 	data := make([]byte, 64*1024)
@@ -210,41 +201,22 @@ func runAudit(ctx context.Context, args []string) int {
 		return fail(err)
 	}
 
-	var opts []dsnaudit.NetworkOption
-	if cfg.seed != "" {
-		b, err := beacon.NewTrusted([]byte(cfg.seed))
-		if err != nil {
-			return fail(err)
-		}
-		opts = append(opts, dsnaudit.WithBeacon(b))
-	}
-	net, err := dsnaudit.NewNetwork(opts...)
-	if err != nil {
-		return fail(err)
-	}
 	co, err := setupObs(*metricsAddr, *traceFile)
 	if err != nil {
 		return fail(err)
 	}
 	defer co.close()
 	cfg.obs = co
-	net.Chain.Instrument(co.reg)
-	funds := new(big.Int).Mul(big.NewInt(1), big.NewInt(1e18))
-	nProviders := cfg.providers
-	if nProviders < len(cfg.remotes) {
-		nProviders = len(cfg.remotes)
+	net, terms, err := cfg.build(co.reg)
+	if err != nil {
+		return fail(err)
 	}
-	for i := 0; i < nProviders; i++ {
-		if _, err := net.AddProvider(fmt.Sprintf("sp-%02d", i), funds); err != nil {
-			return fail(err)
-		}
-	}
-	owner, err := dsnaudit.NewOwner(net, "owner", cfg.chunkSize, funds)
+	owner, err := dsnaudit.NewOwner(net, "owner", cfg.ChunkSize, funds)
 	if err != nil {
 		return fail(err)
 	}
 
-	fmt.Printf("outsourcing %d bytes (s=%d, 3-of-10 erasure coding) ...\n", len(data), cfg.chunkSize)
+	fmt.Printf("outsourcing %d bytes (s=%d, 3-of-10 erasure coding) ...\n", len(data), cfg.ChunkSize)
 	sf, err := owner.Outsource("cli-archive", data, 3, 7)
 	if err != nil {
 		return fail(err)
@@ -252,14 +224,11 @@ func runAudit(ctx context.Context, args []string) int {
 	fmt.Printf("  %d chunks, %.2f%% authenticator overhead, primary holder %s\n",
 		sf.Encoded.NumChunks(), 100*sf.Encoded.StorageOverheadRatio(), sf.Holders[0].Name)
 
-	terms := dsnaudit.DefaultTerms(cfg.rounds)
-	terms.ChallengeSize = cfg.k
-
 	var failedRounds int
 	if len(cfg.remotes) > 0 {
 		failedRounds, err = runRemoteAudit(ctx, net, owner, sf, terms, cfg)
 	} else {
-		failedRounds, err = runLocalAudit(ctx, net, owner, sf, terms, cfg, data, funds)
+		failedRounds, err = runLocalAudit(ctx, net, owner, sf, terms, cfg, data)
 	}
 	if err != nil {
 		return fail(err)
@@ -277,18 +246,11 @@ func runAudit(ctx context.Context, args []string) int {
 // is durable: the world's reconstruction inputs are persisted first and the
 // scheduler journals under the state directory, so a killed process can be
 // resumed (state.go).
-func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte, funds *big.Int) (int, error) {
-	verifier := &dsnaudit.BatchVerifier{}
-	verifier.Instrument(cfg.obs.reg)
-	opts := []sched.Option{
-		sched.WithVerifier(verifier),
-		sched.WithMetrics(cfg.obs.reg),
-		sched.WithTracer(cfg.obs.tracer),
-	}
+func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte) (int, error) {
+	opts := cfg.obs.schedOptions()
 	var tickDelay time.Duration
 	if cfg.stateDir != "" {
-		wc := worldConfig{Seed: cfg.seed, ChunkSize: cfg.chunkSize, K: cfg.k, Rounds: cfg.rounds, Providers: cfg.providers}
-		if err := saveWorldState(cfg.stateDir, wc, owner.AuditSK, owner.EncKey, data, sf); err != nil {
+		if err := saveWorldState(cfg.stateDir, cfg.worldConfig, owner.AuditSK, owner.EncKey, data, sf); err != nil {
 			return 0, err
 		}
 		fmt.Printf("state persisted under %s\n", cfg.stateDir)
@@ -322,7 +284,7 @@ func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.O
 			return 0, err
 		}
 	}
-	failed := printAuditTrail(net, owner, eng, funds)
+	failed := printAuditTrail(net, owner, eng)
 
 	back, err := owner.Retrieve(sf)
 	if err != nil {
@@ -341,12 +303,7 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 	if len(cfg.remotes) > len(sf.Holders) {
 		return 0, fmt.Errorf("%d remote providers but the file has only %d share holders", len(cfg.remotes), len(sf.Holders))
 	}
-	verifier := &dsnaudit.BatchVerifier{}
-	verifier.Instrument(cfg.obs.reg)
-	s := sched.NewScheduler(net,
-		sched.WithVerifier(verifier),
-		sched.WithMetrics(cfg.obs.reg),
-		sched.WithTracer(cfg.obs.tracer))
+	s := sched.NewScheduler(net, cfg.obs.schedOptions()...)
 	engs := make([]*dsnaudit.Engagement, 0, len(cfg.remotes))
 	clients := make([]*remote.Client, 0, len(cfg.remotes))
 	defer func() {
@@ -372,18 +329,17 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 		}
 	}
 
-	fmt.Printf("\nrunning %d engagements x %d rounds against live servers ...\n", len(engs), cfg.rounds)
+	fmt.Printf("\nrunning %d engagements x %d rounds against live servers ...\n", len(engs), cfg.Rounds)
 	// Both hooks run on the scheduler's own goroutine, so they may read
 	// contract state and print without extra synchronization. The block hook
-	// streams settlement progress (scripts — the CI smoke test kills a
-	// provider mid-run — key off these lines); the outcome hook prints each
-	// engagement's full audit trail the moment its terminal result lands, so
-	// nothing polls Results anymore.
+	// streams settlement progress (TestRemoteAudit kills a provider off
+	// these lines); the outcome hook prints each engagement's full audit
+	// trail the moment its terminal result lands, so nothing polls Results.
 	addrOf := make(map[string]string, len(engs))
 	for i, eng := range engs {
 		addrOf[string(eng.ID())] = cfg.remotes[i]
 	}
-	total := len(engs) * cfg.rounds
+	total := len(engs) * cfg.Rounds
 	reported := 0
 	s.OnBlock(func(uint64) {
 		settled := 0
@@ -424,14 +380,4 @@ func runRemoteAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.
 	fmt.Printf("chain: %d blocks, %d bytes, %d gas total\n",
 		net.Chain.Height(), net.Chain.TotalBytes(), net.Chain.TotalGas())
 	return failed, nil
-}
-
-// printChainStats prints the shared footer of the local mode.
-func printChainStats(net *dsnaudit.Network, owner *dsnaudit.Owner, provider *dsnaudit.ProviderNode, funds *big.Int) {
-	fmt.Printf("chain: %d blocks, %d bytes, %d gas total\n",
-		net.Chain.Height(), net.Chain.TotalBytes(), net.Chain.TotalGas())
-	fmt.Printf("owner balance delta: %s wei\n",
-		new(big.Int).Sub(net.Chain.Balance(owner.Address()), funds))
-	fmt.Printf("provider balance delta: %s wei\n",
-		new(big.Int).Sub(net.Chain.Balance(provider.Address()), funds))
 }

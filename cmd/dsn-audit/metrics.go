@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 
+	"repro/dsnaudit"
 	"repro/dsnaudit/sched"
 	"repro/internal/obs"
 )
@@ -23,7 +24,7 @@ type cliObs struct {
 
 // setupObs starts the metrics endpoint and trace sink as requested;
 // either address may be empty. The METRICS line is machine-readable
-// (like LISTEN); scripts wait for it to learn the bound address.
+// (like LISTEN); callers wait for it to learn the bound address.
 func setupObs(metricsAddr, traceFile string) (*cliObs, error) {
 	o := &cliObs{}
 	if metricsAddr != "" {
@@ -47,6 +48,15 @@ func setupObs(metricsAddr, traceFile string) (*cliObs, error) {
 		fmt.Printf("trace events -> %s\n", traceFile)
 	}
 	return o, nil
+}
+
+// schedOptions is the option list every scheduler of the CLI starts from
+// (run, run -remote and resume): a batch verifier instrumented on the
+// registry, the registry and the tracer.
+func (o *cliObs) schedOptions() []sched.Option {
+	v := &dsnaudit.BatchVerifier{}
+	v.Instrument(o.reg)
+	return []sched.Option{sched.WithVerifier(v), sched.WithMetrics(o.reg), sched.WithTracer(o.tracer)}
 }
 
 // close flushes the trace sink and shuts the metrics server down.

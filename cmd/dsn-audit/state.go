@@ -42,6 +42,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -53,6 +54,40 @@ type worldConfig struct {
 	K         int    `json:"k"`
 	Rounds    int    `json:"rounds"`
 	Providers int    `json:"providers"`
+}
+
+// funds is every account's opening balance; the balance deltas a run prints
+// are relative to it.
+var funds = big.NewInt(1e18)
+
+// build makes the world every audit path starts from: a network on the
+// seed's trusted beacon (a random beacon for an empty seed) with its chain
+// instrumented on reg, the funded providers sp-00, sp-01, ..., and the
+// engagement terms. Built again from the persisted config, the same seed and
+// provider set make the DHT place the file on the same holders, so
+// EngageWith lands the contract at the same address.
+func (wc worldConfig) build(reg *obs.Registry) (*dsnaudit.Network, dsnaudit.EngagementTerms, error) {
+	terms := dsnaudit.DefaultTerms(wc.Rounds)
+	terms.ChallengeSize = wc.K
+	var opts []dsnaudit.NetworkOption
+	if wc.Seed != "" {
+		b, err := beacon.NewTrusted([]byte(wc.Seed))
+		if err != nil {
+			return nil, terms, err
+		}
+		opts = append(opts, dsnaudit.WithBeacon(b))
+	}
+	net, err := dsnaudit.NewNetwork(opts...)
+	if err != nil {
+		return nil, terms, err
+	}
+	net.Chain.Instrument(reg)
+	for i := 0; i < wc.Providers; i++ {
+		if _, err := net.AddProvider(fmt.Sprintf("sp-%02d", i), funds); err != nil {
+			return nil, terms, err
+		}
+	}
+	return net, terms, nil
 }
 
 const (
@@ -114,8 +149,8 @@ func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey, da
 }
 
 // wireAuditHooks attaches the shared block hook of the local audit and the
-// resume: per-round progress lines (the crash smoke script keys off these
-// to time its kill), the optional round-targeted corruption, and the
+// resume: per-round progress lines (TestCrashResume times its kills off
+// these), the optional round-targeted corruption, and the
 // optional per-tick delay that holds the run open long enough to kill.
 func wireAuditHooks(s *sched.Scheduler, eng *dsnaudit.Engagement, corruptAt int, tickDelay time.Duration) {
 	reported := len(eng.Contract.Records())
@@ -142,10 +177,10 @@ func wireAuditHooks(s *sched.Scheduler, eng *dsnaudit.Engagement, corruptAt int,
 	})
 }
 
-// printAuditTrail prints the full on-chain trail, the summary line the
-// crash smoke script compares across runs, and the balance deltas; it
+// printAuditTrail prints the full on-chain trail, the summary line and the
+// balance deltas a resumed run must reproduce, and the chain totals; it
 // returns the failed-round count.
-func printAuditTrail(net *dsnaudit.Network, owner *dsnaudit.Owner, eng *dsnaudit.Engagement, funds *big.Int) int {
+func printAuditTrail(net *dsnaudit.Network, owner *dsnaudit.Owner, eng *dsnaudit.Engagement) int {
 	price := cost.PaperPrice()
 	passed, failed := 0, 0
 	fmt.Println()
@@ -162,7 +197,12 @@ func printAuditTrail(net *dsnaudit.Network, owner *dsnaudit.Owner, eng *dsnaudit
 	fmt.Printf("\nfinal state: %v\n", eng.Contract.State())
 	fmt.Printf("audit summary: 1 engagements, %d rounds settled, %d passed, %d failed\n",
 		passed+failed, passed, failed)
-	printChainStats(net, owner, eng.Provider, funds)
+	fmt.Printf("chain: %d blocks, %d bytes, %d gas total\n",
+		net.Chain.Height(), net.Chain.TotalBytes(), net.Chain.TotalGas())
+	fmt.Printf("owner balance delta: %s wei\n",
+		new(big.Int).Sub(net.Chain.Balance(owner.Address()), funds))
+	fmt.Printf("provider balance delta: %s wei\n",
+		new(big.Int).Sub(net.Chain.Balance(eng.Provider.Address()), funds))
 	return failed
 }
 
@@ -224,25 +264,10 @@ func runResume(ctx context.Context, args []string) int {
 	}
 	fmt.Printf("journal: %d entries, last wake height %d\n", len(view.Entries), view.LastWake)
 
-	// Rebuild the world from its generating inputs: same seed, same
-	// provider set, same keys — the DHT places the file on the same
-	// holders and EngageWith lands the contract at the same address.
-	b, err := beacon.NewTrusted([]byte(cfg.Seed))
+	// Rebuild the world from its generating inputs: same world, same keys.
+	net, terms, err := cfg.build(co.reg)
 	if err != nil {
 		return fail(err)
-	}
-	net, err := dsnaudit.NewNetwork(dsnaudit.WithBeacon(b))
-	if err != nil {
-		return fail(err)
-	}
-	net.Chain.Instrument(co.reg)
-	// Same stake as runAudit: the balance deltas the smoke script compares
-	// are relative to this.
-	funds := new(big.Int).Mul(big.NewInt(1), big.NewInt(1e18))
-	for i := 0; i < cfg.Providers; i++ {
-		if _, err := net.AddProvider(fmt.Sprintf("sp-%02d", i), funds); err != nil {
-			return fail(err)
-		}
 	}
 	owner, err := dsnaudit.NewOwnerWithKeys(net, "owner", sk, encKey, funds)
 	if err != nil {
@@ -260,8 +285,6 @@ func runResume(ctx context.Context, args []string) int {
 		holders[i].Store.Put(man.ShareKeys[i], share)
 	}
 	sf := &dsnaudit.StoredFile{Manifest: man, Encoded: ef, Auths: auths, Holders: holders}
-	terms := dsnaudit.DefaultTerms(cfg.Rounds)
-	terms.ChallengeSize = cfg.K
 	eng, err := owner.EngageWith(context.Background(), sf, holders[0], holders[0], terms)
 	if err != nil {
 		return fail(err)
@@ -284,10 +307,7 @@ func runResume(ctx context.Context, args []string) int {
 				return nil, fmt.Errorf("unknown journaled contract %s", addr)
 			}
 			return eng, nil
-		},
-		sched.WithCheckpointEvery(stateCheckpointTick),
-		sched.WithMetrics(co.reg),
-		sched.WithTracer(co.tracer))
+		}, append(co.schedOptions(), sched.WithCheckpointEvery(stateCheckpointTick))...)
 	if err != nil {
 		return corruptExit(err)
 	}
@@ -303,7 +323,7 @@ func runResume(ctx context.Context, args []string) int {
 	if err := s.Journal().Close(); err != nil {
 		return fail(err)
 	}
-	if failed := printAuditTrail(net, owner, eng, funds); failed > 0 {
+	if failed := printAuditTrail(net, owner, eng); failed > 0 {
 		fmt.Printf("\nAUDIT FAILED: %d round(s) failed verification or missed the deadline\n", failed)
 		return 1
 	}
