@@ -14,10 +14,10 @@
 // speaking the internal/wire framed protocol.
 //
 // Resume mode restarts a durable local audit (one started with -state)
-// that was killed mid-run: the world is rebuilt from the persisted inputs,
-// the journaled rounds are replayed, and the scheduler recovers from its
-// journal to finish the remaining rounds. See state.go for the exit-code
-// contract (notably 3 = corrupt state).
+// that was killed mid-run: the chain is replayed from its own log onto a
+// fresh genesis, and the scheduler recovers from its journal to finish the
+// remaining rounds. See state.go for the exit-code contract (notably 3 =
+// corrupt state).
 //
 // Usage:
 //
@@ -37,7 +37,7 @@
 //	-remote list     comma-separated provider server addresses; one engagement each
 //	-call-timeout d  per-request deadline against remote providers (default 60s)
 //	-retries int     re-dial attempts per remote request (default 2)
-//	-state dir       durable local mode: persist journal and resume inputs here
+//	-state dir       durable local mode: persist chain log, journal and resume inputs here
 //	-tick-delay d    pause per scheduler tick (crash-testing aid; needs -state)
 //
 // Exit status: 0 when every audit round passes, 1 when any round fails
@@ -57,19 +57,21 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/dsnaudit"
 	"repro/dsnaudit/remote"
 	"repro/dsnaudit/sched"
+	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/cost"
 )
 
 func main() {
 	log.SetFlags(0)
-	// ^C cancels the audit loop (or drains the server) cleanly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// ^C or SIGTERM cancels the audit loop (or drains the server) cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -155,7 +157,7 @@ func runAudit(ctx context.Context, args []string) int {
 		remotes     = fs.String("remote", "", "comma-separated provider server addresses (enables remote mode)")
 		callTimeout = fs.Duration("call-timeout", 60*time.Second, "per-request deadline against remote providers")
 		retries     = fs.Int("retries", 2, "re-dial attempts per remote request")
-		stateDir    = fs.String("state", "", "directory for durable state (journal, resume inputs); local mode only")
+		stateDir    = fs.String("state", "", "directory for durable state (chain log, journal, resume inputs); local mode only")
 		tickDelay   = fs.Duration("tick-delay", 0, "pause per scheduler tick (testing aid; needs -state)")
 		metricsAddr = fs.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address (host:port; \"\" = off)")
 		traceFile   = fs.String("trace", "", "write per-engagement trace events to this JSONL file")
@@ -169,8 +171,8 @@ func runAudit(ctx context.Context, args []string) int {
 		worldConfig: worldConfig{Seed: *seed, ChunkSize: *chunkSize, K: *k, Rounds: *rounds, Providers: *providers},
 	}
 	if cfg.stateDir != "" && *remotes != "" {
-		// Resume replays one engagement's rounds in order; interleaving N
-		// needs settle heights the journal does not record.
+		// Resume gives in-process providers their audit state back; a remote
+		// provider would have to restart with its own, which serve cannot.
 		return fail(fmt.Errorf("-state is local mode only; remote providers keep their own state"))
 	}
 	if cfg.stateDir != "" && cfg.Seed == "" {
@@ -243,17 +245,25 @@ func runAudit(ctx context.Context, args []string) int {
 
 // runLocalAudit drives one engagement against an in-process provider through
 // the scheduler and returns the number of failed rounds. With -state the run
-// is durable: the world's reconstruction inputs are persisted first and the
-// scheduler journals under the state directory, so a killed process can be
-// resumed (state.go).
+// is durable: the resume inputs are persisted first, the chain logs its
+// history and the scheduler journals under the state directory, so a killed
+// process can be resumed (state.go).
 func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.Owner, sf *dsnaudit.StoredFile, terms dsnaudit.EngagementTerms, cfg auditConfig, data []byte) (int, error) {
 	opts := cfg.obs.schedOptions()
 	var tickDelay time.Duration
+	var clog *chain.Log
 	if cfg.stateDir != "" {
-		if err := saveWorldState(cfg.stateDir, cfg.worldConfig, owner.AuditSK, owner.EncKey, data, sf); err != nil {
+		if err := saveWorldState(cfg.stateDir, cfg.worldConfig, owner.AuditSK, owner.EncKey, sf); err != nil {
 			return 0, err
 		}
 		fmt.Printf("state persisted under %s\n", cfg.stateDir)
+		// The chain is at genesis here: the log holds everything after it.
+		var err error
+		if clog, err = chain.CreateLog(filepath.Join(cfg.stateDir, stateChainLog)); err != nil {
+			return 0, err
+		}
+		defer clog.Close()
+		net.Chain.AttachLog(clog)
 		jnl, err := sched.OpenJournal(filepath.Join(cfg.stateDir, stateJournalDir), 0)
 		if err != nil {
 			return 0, err
@@ -281,6 +291,9 @@ func runLocalAudit(ctx context.Context, net *dsnaudit.Network, owner *dsnaudit.O
 	}
 	if jnl := s.Journal(); jnl != nil {
 		if err := jnl.Close(); err != nil {
+			return 0, err
+		}
+		if err := clog.Close(); err != nil {
 			return 0, err
 		}
 	}

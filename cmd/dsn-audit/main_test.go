@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -263,6 +264,15 @@ func TestRemoteAudit(t *testing.T) {
 		}
 	})
 
+	// A terminated server drains and exits 0, as an interrupted one does.
+	t.Run("sigterm", func(t *testing.T) {
+		sp := servers[1]
+		sp.cmd.Process.Signal(syscall.SIGTERM)
+		if code, out := sp.wait(t); code != 0 || !strings.Contains(out, "server drained") {
+			t.Errorf("terminated serve: exit %d, want 0 and a drain\n%s", code, out)
+		}
+	})
+
 	// An interrupted server drains and exits 0.
 	sp := servers[0]
 	sp.cmd.Process.Signal(os.Interrupt)
@@ -288,8 +298,22 @@ func outcome(out string) string {
 	return strings.Join(keep, "\n")
 }
 
-// TestCrashResume kills durable `-state` runs mid-audit, with SIGKILL and
-// with SIGINT, and requires `resume` to finish each with the summary and
+// interrupt starts a durable run under state, sends it sig once it reports
+// its second settled round, and returns its output.
+func interrupt(t *testing.T, state string, sig os.Signal) string {
+	t.Helper()
+	victim := start(t, append(stateArgs(state), "-tick-delay", tickDelay)...)
+	victim.waitFor(t, `^progress: 2 rounds settled`)
+	victim.cmd.Process.Signal(sig)
+	_, out := victim.wait(t)
+	if strings.Contains(out, "audit passed") {
+		t.Fatalf("the victim finished before the %v landed:\n%s", sig, out)
+	}
+	return out
+}
+
+// TestCrashResume kills durable `-state` runs mid-audit, with SIGKILL, SIGINT
+// and SIGTERM, and requires `resume` to finish each with the summary and
 // balance deltas of an uninterrupted run.
 func TestCrashResume(t *testing.T) {
 	if testing.Short() {
@@ -300,16 +324,6 @@ func TestCrashResume(t *testing.T) {
 	want := outcome(run(t, 0, stateArgs(filepath.Join(dir, "ref"))...))
 	if want == "" {
 		t.Fatal("the reference run printed no summary")
-	}
-	interrupt := func(t *testing.T, state string, sig os.Signal) string {
-		victim := start(t, append(stateArgs(state), "-tick-delay", tickDelay)...)
-		victim.waitFor(t, `^progress: 2 rounds settled`)
-		victim.cmd.Process.Signal(sig)
-		_, out := victim.wait(t)
-		if strings.Contains(out, "audit passed") {
-			t.Fatalf("the victim finished before the %v landed:\n%s", sig, out)
-		}
-		return out
 	}
 
 	t.Run("sigkill", func(t *testing.T) {
@@ -334,26 +348,68 @@ func TestCrashResume(t *testing.T) {
 		}
 	})
 
-	// A clean interrupt flushes the journal's tail: the resume replays every
-	// round the victim reported. The signal lands in the tick delay after a
-	// progress line, so no verdict is recorded unreported.
-	t.Run("sigint", func(t *testing.T) {
-		t.Parallel()
-		state := filepath.Join(dir, "intr")
-		victim := interrupt(t, state, os.Interrupt)
-		if !strings.Contains(victim, "context canceled") {
-			t.Fatalf("the victim did not stop on the interrupt:\n%s", victim)
-		}
-		reported := strings.Count(victim, "\nprogress: ")
-		out := run(t, 0, "resume", "-state", state)
-		m := regexp.MustCompile(`(?m)^replayed (\d+) settled round`).FindStringSubmatch(out)
-		if m == nil || m[1] != strconv.Itoa(reported) {
-			t.Errorf("the victim reported %d settled rounds, the resume replayed %v:\n%s", reported, m, out)
-		}
-		if got := outcome(out); got != want {
-			t.Errorf("outcome\n%s\nwant\n%s", got, want)
-		}
-	})
+	// A clean interrupt or termination flushes the journal's tail: the
+	// resume replays every round the victim reported. The signal lands in
+	// the tick delay after a progress line, so no verdict is recorded
+	// unreported.
+	for _, stop := range []struct {
+		name string
+		sig  os.Signal
+	}{{"sigint", os.Interrupt}, {"sigterm", syscall.SIGTERM}} {
+		stop := stop
+		t.Run(stop.name, func(t *testing.T) {
+			t.Parallel()
+			state := filepath.Join(dir, stop.name)
+			victim := interrupt(t, state, stop.sig)
+			if !strings.Contains(victim, "context canceled") {
+				t.Fatalf("the victim did not stop on the %v:\n%s", stop.sig, victim)
+			}
+			reported := strings.Count(victim, "\nprogress: ")
+			out := run(t, 0, "resume", "-state", state)
+			m := regexp.MustCompile(`(?m)^replayed (\d+) settled round`).FindStringSubmatch(out)
+			if m == nil || m[1] != strconv.Itoa(reported) {
+				t.Errorf("the victim reported %d settled rounds, the resume replayed %v:\n%s", reported, m, out)
+			}
+			if got := outcome(out); got != want {
+				t.Errorf("outcome\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+// chainTotals reads a run's final `chain:` line.
+func chainTotals(t *testing.T, out string) (blocks, bytes, gas int) {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^chain: (\d+) blocks, (\d+) bytes, (\d+) gas total$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no chain line:\n%s", out)
+	}
+	blocks, _ = strconv.Atoi(m[1])
+	bytes, _ = strconv.Atoi(m[2])
+	gas, _ = strconv.Atoi(m[3])
+	return blocks, bytes, gas
+}
+
+// TestCrashResumeChain: a run SIGKILLed at its second settled round resumes
+// on the chain its log replays, heights and gas included, so it ends on the
+// uninterrupted run's chain: the same blocks and bytes, and the same gas up
+// to the proofs' calldata, whose zero bytes vary from proof to proof.
+func TestCrashResumeChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kills a durable run mid-audit; runs without -short")
+	}
+	t.Parallel()
+	dir := t.TempDir()
+	wantBlocks, wantBytes, wantGas := chainTotals(t, run(t, 0, stateArgs(filepath.Join(dir, "ref"))...))
+	state := filepath.Join(dir, "kill")
+	interrupt(t, state, os.Kill)
+	out := run(t, 0, "resume", "-state", state)
+	blocks, bytes, gas := chainTotals(t, out)
+	const gasTolerance = 1_000
+	if blocks != wantBlocks || bytes != wantBytes || gas < wantGas-gasTolerance || gas > wantGas+gasTolerance {
+		t.Fatalf("resumed chain: %d blocks, %d bytes, %d gas; uninterrupted: %d blocks, %d bytes, %d gas (±%d)\n%s",
+			blocks, bytes, gas, wantBlocks, wantBytes, wantGas, gasTolerance, out)
+	}
 }
 
 // TestCorruptStateExitCodes damages one persisted artifact of a finished
@@ -377,6 +433,9 @@ func TestCorruptStateExitCodes(t *testing.T) {
 		{"owner.key", func(b []byte) []byte { return b[:10] }, 3},
 		{"config.json", flip(0), 3},
 		{"enc.key", nil, 2},
+		{"chain.log", flip(9), 3},
+		// A state dir written before the chain kept its log has none.
+		{"chain.log", nil, 2},
 	} {
 		tc := tc
 		t.Run(filepath.Base(tc.file), func(t *testing.T) {

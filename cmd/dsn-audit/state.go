@@ -1,26 +1,34 @@
 // Durable local audits and the resume path.
 //
-// With -state DIR the local audit mode becomes crash-safe: the world's
-// reconstruction inputs (beacon seed, owner keys, data, audit state) are
-// persisted under DIR before the first round and the scheduler journals
+// With -state DIR the local audit mode becomes crash-safe. Before the first
+// round the genesis inputs (the config with its beacon seed, the owner's
+// keys) and the provider's audit state are persisted under DIR; from then on
+// the chain writes its history to DIR/chain.log and the scheduler journals
 // to DIR/journal. If the process dies — kill -9 included —
 //
 //	dsn-audit resume -state DIR
 //
-// rebuilds the same world from the persisted inputs, replays the journaled
-// settled rounds onto the rebuilt contract (trusted settlement, no
-// re-verification, funds and reputation land exactly once), hands the
-// journal to sched.Recover, and drives the remaining rounds to the verdict
-// the uninterrupted run would have produced.
+// builds genesis again from the persisted inputs and replays chain.log onto
+// it (contract.Replay: every contract call again, verdicts trusted with the
+// gas they were charged, every block re-sealed and checked against its
+// mark), so the chain stands where the dead process's chain stood. The
+// in-process provider gets its audit state back through its checked
+// acceptance, without a contract call. Then resume hands the journal to
+// sched.Recover — which reconciles the rounds the chain settled after the
+// journal's last barrier, each observed into reputation once — and drives
+// the remaining rounds to the verdict the uninterrupted run would have
+// produced.
 //
 // Resume exit codes:
 //
 //	0  every audit round passed
 //	1  at least one round failed verification or missed its deadline
-//	2  operational error (missing state dir, network failure, ...)
-//	3  corrupt state: the journal, checkpoint, or a persisted artifact
-//	   failed its integrity check (sched.ErrJournalCorrupt,
-//	   sched.ErrCheckpointCorrupt, core.ErrMalformed)
+//	2  operational error (a missing state dir or file — a state dir written
+//	   before the chain kept its log has no chain.log —, network failure, ...)
+//	3  corrupt state: the journal, checkpoint, chain log, or a persisted
+//	   artifact failed its integrity check (sched.ErrJournalCorrupt,
+//	   sched.ErrCheckpointCorrupt, chain.ErrLogCorrupt, core.ErrMalformed,
+//	   dsnaudit.ErrRejectedAuditData)
 package main
 
 import (
@@ -40,14 +48,14 @@ import (
 	"repro/dsnaudit/sched"
 	"repro/internal/beacon"
 	"repro/internal/chain"
+	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
-// worldConfig is the JSON-persisted set of parameters needed to rebuild the
-// audit world deterministically in a fresh process.
+// worldConfig is the JSON-persisted set of parameters a fresh process
+// builds the audit world's genesis from.
 type worldConfig struct {
 	Seed      string `json:"seed"`
 	ChunkSize int    `json:"chunk_size"`
@@ -63,9 +71,8 @@ var funds = big.NewInt(1e18)
 // build makes the world every audit path starts from: a network on the
 // seed's trusted beacon (a random beacon for an empty seed) with its chain
 // instrumented on reg, the funded providers sp-00, sp-01, ..., and the
-// engagement terms. Built again from the persisted config, the same seed and
-// provider set make the DHT place the file on the same holders, so
-// EngageWith lands the contract at the same address.
+// engagement terms. Built again from the persisted config, with the owner
+// funded, it is the genesis a resume replays the chain log onto.
 func (wc worldConfig) build(reg *obs.Registry) (*dsnaudit.Network, dsnaudit.EngagementTerms, error) {
 	terms := dsnaudit.DefaultTerms(wc.Rounds)
 	terms.ChallengeSize = wc.K
@@ -94,8 +101,8 @@ const (
 	stateConfigName = "config.json"
 	stateOwnerKey   = "owner.key"
 	stateEncKey     = "enc.key"
-	stateDataName   = "data.bin"
 	stateAuditName  = "audit.state"
+	stateChainLog   = "chain.log"
 	stateJournalDir = "journal"
 
 	stateCheckpointTick = 4
@@ -111,16 +118,18 @@ func failCorrupt(err error) int {
 func corruptExit(err error) int {
 	if errors.Is(err, sched.ErrJournalCorrupt) ||
 		errors.Is(err, sched.ErrCheckpointCorrupt) ||
-		errors.Is(err, core.ErrMalformed) {
+		errors.Is(err, chain.ErrLogCorrupt) ||
+		errors.Is(err, core.ErrMalformed) ||
+		errors.Is(err, dsnaudit.ErrRejectedAuditData) {
 		return failCorrupt(err)
 	}
 	return fail(err)
 }
 
-// saveWorldState persists everything resume needs to rebuild the world.
-// The audit state is the expensive artifact (authenticators over every
-// chunk); the rest are the generating inputs.
-func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey, data []byte, sf *dsnaudit.StoredFile) error {
+// saveWorldState persists what resume needs besides the chain log: the
+// genesis inputs, and the audit state (authenticators over every chunk) the
+// in-process provider gets back.
+func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey []byte, sf *dsnaudit.StoredFile) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -139,7 +148,6 @@ func saveWorldState(dir string, cfg worldConfig, sk *core.PrivateKey, encKey, da
 		{stateConfigName, cfgBytes},
 		{stateOwnerKey, skBytes},
 		{stateEncKey, encKey},
-		{stateDataName, data},
 	} {
 		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o600); err != nil {
 			return err
@@ -206,7 +214,7 @@ func printAuditTrail(net *dsnaudit.Network, owner *dsnaudit.Owner, eng *dsnaudit
 	return failed
 }
 
-// runResume implements the `resume` subcommand: rebuild, replay, recover,
+// runResume implements the `resume` subcommand: genesis, replay, recover,
 // finish. See the package comment for the exit-code contract.
 func runResume(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("resume", flag.ExitOnError)
@@ -228,7 +236,7 @@ func runResume(ctx context.Context, args []string) int {
 	}
 	defer co.close()
 
-	// Load the persisted world. Key and audit-state decoding failures are
+	// Load the persisted inputs. Key and audit-state decoding failures are
 	// integrity failures (core.ErrMalformed), not operational ones.
 	var cfg worldConfig
 	cfgBytes, err := os.ReadFile(filepath.Join(*stateDir, stateConfigName))
@@ -250,22 +258,13 @@ func runResume(ctx context.Context, args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	data, err := os.ReadFile(filepath.Join(*stateDir, stateDataName))
-	if err != nil {
-		return fail(err)
-	}
 	ef, auths, err := core.LoadAuditState(filepath.Join(*stateDir, stateAuditName))
 	if err != nil {
 		return corruptExit(fmt.Errorf("%s: %w", stateAuditName, err))
 	}
-	view, err := sched.LoadJournalView(filepath.Join(*stateDir, stateJournalDir))
-	if err != nil {
-		return corruptExit(err)
-	}
-	fmt.Printf("journal: %d entries, last wake height %d\n", len(view.Entries), view.LastWake)
 
-	// Rebuild the world from its generating inputs: same world, same keys.
-	net, terms, err := cfg.build(co.reg)
+	// Genesis, then the chain's own history on top of it.
+	net, _, err := cfg.build(co.reg)
 	if err != nil {
 		return fail(err)
 	}
@@ -273,33 +272,37 @@ func runResume(ctx context.Context, args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	man, shares, err := storage.Prepare("cli-archive", encKey, data, 3, 7, rand.Reader)
+	clog, recs, err := chain.OpenLog(filepath.Join(*stateDir, stateChainLog))
 	if err != nil {
-		return fail(err)
+		return corruptExit(err)
 	}
-	holders, err := net.LocateProviders("cli-archive", len(shares))
+	defer clog.Close()
+	contracts, err := contract.Replay(net.Chain, recs, net.Beacon)
 	if err != nil {
-		return fail(err)
+		return corruptExit(err)
 	}
-	for i, share := range shares {
-		holders[i].Store.Put(man.ShareKeys[i], share)
+	if len(contracts) != 1 {
+		return failCorrupt(fmt.Errorf("%s deploys %d contracts; a local audit deploys one", stateChainLog, len(contracts)))
 	}
-	sf := &dsnaudit.StoredFile{Manifest: man, Encoded: ef, Auths: auths, Holders: holders}
-	eng, err := owner.EngageWith(context.Background(), sf, holders[0], holders[0], terms)
+	k := contracts[0]
+	provider, ok := net.Provider(string(k.Terms.Provider))
+	if !ok || k.Terms.Owner != owner.Address() {
+		return failCorrupt(fmt.Errorf("contract %s is not between this owner and a provider of this world", k.Addr))
+	}
+	net.Chain.AttachLog(clog)
+	if err := provider.AcceptAuditData(ctx, k.Addr, k.Terms.PublicKey, ef, auths, 8); err != nil {
+		return corruptExit(fmt.Errorf("%s: %w", stateAuditName, err))
+	}
+	eng := net.AdoptEngagement(k, owner, provider, nil)
+	fmt.Printf("replayed %d settled round(s) onto contract %s, chain at height %d\n", len(k.Records()), k.Addr, net.Chain.Height())
+	// The journal's last wake beside the chain's height: Recover resumes at
+	// the lower of the two, so a chain below it shows a run that died
+	// between a tick mark and that tick's seal.
+	view, err := sched.LoadJournalView(filepath.Join(*stateDir, stateJournalDir))
 	if err != nil {
-		return fail(err)
+		return corruptExit(err)
 	}
-
-	entry, ok := view.Entry(eng.ID())
-	if !ok {
-		return failCorrupt(fmt.Errorf("journal has no entry for %s: state dir does not describe this world", eng.ID()))
-	}
-	for _, sr := range entry.Settled {
-		if err := replaySettledRound(net, eng, sr); err != nil {
-			return fail(fmt.Errorf("replay round %d: %w", sr.Round+1, err))
-		}
-	}
-	fmt.Printf("replayed %d settled round(s) onto contract %s\n", len(entry.Settled), eng.Contract.Addr)
+	fmt.Printf("journal: %d entries, last wake height %d\n", len(view.Entries), view.LastWake)
 
 	s, rep, err := sched.Recover(filepath.Join(*stateDir, stateJournalDir), net,
 		func(addr chain.Address) (*dsnaudit.Engagement, error) {
@@ -323,43 +326,15 @@ func runResume(ctx context.Context, args []string) int {
 	if err := s.Journal().Close(); err != nil {
 		return fail(err)
 	}
+	if err := clog.Close(); err != nil {
+		return fail(err)
+	}
 	if failed := printAuditTrail(net, owner, eng); failed > 0 {
 		fmt.Printf("\nAUDIT FAILED: %d round(s) failed verification or missed the deadline\n", failed)
 		return 1
 	}
 	fmt.Println("\naudit passed: every round verified")
 	return 0
-}
-
-// replaySettledRound re-applies one journal-witnessed settled round to the
-// rebuilt contract. The verdict is already final — it was settled on the
-// dead process's chain — so it is applied with SettleTrustedAt (no
-// re-verification) and observed into the reputation ledger exactly once.
-func replaySettledRound(net *dsnaudit.Network, eng *dsnaudit.Engagement, sr sched.SettledRound) error {
-	k := eng.Contract
-	for net.Chain.Height() < k.TriggerHeight() {
-		net.Chain.MineBlock()
-	}
-	if _, err := k.IssueChallenge(); err != nil {
-		return err
-	}
-	if sr.Deadline {
-		for net.Chain.Height() < k.TriggerHeight() {
-			net.Chain.MineBlock()
-		}
-		return eng.SettleMissedDeadline()
-	}
-	// A canned proof of the real wire size keeps the gas accounting
-	// faithful; SettleTrustedAt never parses it.
-	if err := k.SubmitProof(eng.Provider.Address(), make([]byte, core.PrivateProofSize)); err != nil {
-		return err
-	}
-	net.Chain.MineBlock()
-	if _, err := k.SettleTrustedAt(sr.Passed, net.Chain.Height()); err != nil {
-		return err
-	}
-	eng.RecordSettledRound(sr.Passed)
-	return nil
 }
 
 // randomSeedHex generates the persisted beacon seed when the user did not

@@ -166,17 +166,17 @@ func TestProviderRejectsForgedAuthenticators(t *testing.T) {
 
 func TestLocateProvidersStable(t *testing.T) {
 	n := testNetwork(t, 15)
-	a, err := n.LocateProviders("object-key", 5)
+	a, err := n.locateProviders("object-key", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := n.LocateProviders("object-key", 5)
+	b, _ := n.locateProviders("object-key", 5)
 	for i := range a {
 		if a[i].Name != b[i].Name {
 			t.Fatal("provider lookup not deterministic")
 		}
 	}
-	if _, err := n.LocateProviders("k", 99); err == nil {
+	if _, err := n.locateProviders("k", 99); err == nil {
 		t.Fatal("accepted oversubscribed lookup")
 	}
 }
@@ -411,7 +411,7 @@ func TestEngageAllDedupesHolders(t *testing.T) {
 
 // TestOutsourceTooFewProviders runs Outsource on a network with fewer
 // providers than shares, with and without a failing audit plane as well: it
-// returns LocateProviders' error either way, stores no share, and its
+// returns locateProviders' error either way, stores no share, and its
 // storage-plane goroutine is gone once it has returned.
 func TestOutsourceTooFewProviders(t *testing.T) {
 	n := testNetwork(t, 4)
@@ -419,7 +419,7 @@ func TestOutsourceTooFewProviders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantErr := n.LocateProviders("photos", 10)
+	_, wantErr := n.locateProviders("photos", 10)
 	if wantErr == nil {
 		t.Fatal("4 providers hold 10 shares")
 	}
@@ -436,7 +436,7 @@ func TestOutsourceTooFewProviders(t *testing.T) {
 		before := runtime.NumGoroutine()
 		sf, err := owner.Outsource("photos", data, 3, 7)
 		if sf != nil || err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("chunk size %d: Outsource = %v, %v; want LocateProviders' %v", sk.Pub.S, sf, err, wantErr)
+			t.Fatalf("chunk size %d: Outsource = %v, %v; want locateProviders' %v", sk.Pub.S, sf, err, wantErr)
 		}
 		for i := 0; i < 4; i++ {
 			p, _ := n.Provider(string(rune('a'+i)) + "-provider")

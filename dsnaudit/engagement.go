@@ -240,13 +240,13 @@ func (e *Engagement) RecordMissedDeadline() {
 	e.network.Reputation.Observe(e.Provider.Name, reputation.EventDeadlineMissed)
 }
 
-// RecordSettledRound feeds one settled round's verdict into the reputation
-// ledger.
+// RecordSettledRound feeds the next settled round's verdict into the
+// reputation ledger; the contract's completion counts with its last round.
 func (e *Engagement) RecordSettledRound(passed bool) {
 	e.observed++
 	if passed {
 		e.network.Reputation.Observe(e.Provider.Name, reputation.EventAuditPassed)
-		if e.Contract.State() == contract.StateExpired {
+		if e.Contract.State() == contract.StateExpired && e.observed == e.Contract.Round() {
 			e.network.Reputation.Observe(e.Provider.Name, reputation.EventContractCompleted)
 		}
 	} else {

@@ -93,17 +93,18 @@ func (n *Network) AddProvider(name string, funds *big.Int) (*ProviderNode, error
 }
 
 // AdoptEngagement wraps an already-deployed audit contract as an Engagement
-// bound to this network, bypassing the EngageWith negotiation. Scale harnesses
-// use it to drive contracts they deployed and initialized by hand (the soak
-// experiment deploys 100k of them); the responder defaults to the provider
-// node itself when t is nil. The caller is responsible for the contract
-// being in a schedulable state (acknowledged and frozen). Rounds the contract
-// settled before adoption count as already observed into reputation.
+// bound to this network, bypassing the EngageWith negotiation: the soak
+// drives contracts it deployed and initialized by hand, and `dsn-audit
+// resume` the contracts it replayed from the chain's log. The responder
+// defaults to the provider node itself when t is nil. The caller is
+// responsible for the contract being past its freeze. The engagement has fed
+// none of the contract's settled rounds to this network's reputation ledger
+// (ObservedRounds is 0): sched.Recover observes them, each once.
 func (n *Network) AdoptEngagement(k *contract.Contract, o *Owner, p *ProviderNode, t Responder) *Engagement {
 	if t == nil {
 		t = p
 	}
-	return &Engagement{Contract: k, Owner: o, Provider: p, Responder: t, ShareIndex: -1, network: n, observed: len(k.Records())}
+	return &Engagement{Contract: k, Owner: o, Provider: p, Responder: t, ShareIndex: -1, network: n}
 }
 
 // Provider returns a registered provider by name.
@@ -114,11 +115,11 @@ func (n *Network) Provider(name string) (*ProviderNode, bool) {
 	return p, ok
 }
 
-// LocateProviders returns `count` distinct providers responsible for the
+// locateProviders returns `count` distinct providers responsible for the
 // given object key on the DHT ring (the paper's provider-candidate lookup),
 // re-ranked by reputation so slashed providers sink to the bottom (the
 // Section VI-A countermeasure).
-func (n *Network) LocateProviders(objectKey string, count int) ([]*ProviderNode, error) {
+func (n *Network) locateProviders(objectKey string, count int) ([]*ProviderNode, error) {
 	nodes, err := n.Ring.Providers(dht.HashString(objectKey), count)
 	if err != nil {
 		return nil, err

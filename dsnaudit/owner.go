@@ -123,7 +123,7 @@ func (o *Owner) placeShares(name string, data []byte, k, m int) (*storage.Manife
 	if err != nil {
 		return nil, nil, err
 	}
-	holders, err := o.network.LocateProviders(name, len(shares))
+	holders, err := o.network.locateProviders(name, len(shares))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,7 +166,7 @@ func (o *Owner) OutsourceSharded(name string, data []byte, k, m int) (*StoredFil
 	if err != nil {
 		return nil, err
 	}
-	holders, err := o.network.LocateProviders(name, len(shares))
+	holders, err := o.network.locateProviders(name, len(shares))
 	if err != nil {
 		return nil, err
 	}

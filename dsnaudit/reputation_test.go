@@ -65,7 +65,7 @@ func TestReputationTracksAuditOutcomes(t *testing.T) {
 
 	// Candidate ranking now puts the honest provider ahead of the cheater
 	// whenever both are responsible for a key.
-	provs, err := n.LocateProviders("f1", 12)
+	provs, err := n.locateProviders("f1", 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	iofs "io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contract"
 	"repro/internal/obs"
+	"repro/internal/reclog"
 )
 
 // The scheduler journal is the durability layer's write path: one
@@ -24,18 +24,10 @@ import (
 // the periodic checkpoint (checkpoint.go) it lets Recover rebuild the wake
 // queues and the engagement registry without rescanning a single contract.
 //
-// Every record is framed as
-//
-//	magic(2) | type(1) | len(4, big-endian payload length) | payload | crc32c(4)
-//
-// with the checksum (Castagnoli) covering type, length and payload. The
-// framing gives the read side an unambiguous tail rule: a record whose bytes
-// run out before its declared end — the half-written frame a crash mid-append
-// leaves behind — is a torn tail, silently truncated at the last valid
-// checksum. A record that fails its checksum or framing while *later* bytes
-// still decode as valid records is not a torn write, it is corruption in the
-// middle of the log, and surfaces as a JournalCorruptError: recovery must
-// never guess across a hole in the history.
+// Records are framed by internal/reclog, the framing the chain's log shares:
+// a torn tail is silently truncated at the last valid record, and a record
+// that fails its checksum or decode while later records still decode is
+// corruption in the middle of the log, a JournalCorruptError.
 //
 // Appends are group-committed. A record is encoded into the journal's buffer
 // and reaches the file as part of one coalesced write, at the next of: a
@@ -101,18 +93,7 @@ type journalRecord struct {
 	errMsg string         // recTerminal: terminal error text, "" for none
 }
 
-var (
-	journalMagic = [2]byte{0xd5, 0x4a}
-	crcTable     = crc32.MakeTable(crc32.Castagnoli)
-)
-
-const (
-	recordHeaderSize  = 2 + 1 + 4 // magic + type + payload length
-	recordTrailerSize = 4         // crc32c
-	// maxRecordPayload bounds a single record; addresses and error strings
-	// are short, so anything past this is garbage, not a big record.
-	maxRecordPayload = 1 << 20
-)
+var journalMagic = reclog.Magic{0xd5, 0x4a}
 
 // ErrJournalCorrupt marks corruption in the middle of the journal log —
 // bytes that fail their checksum while valid records still follow — and a
@@ -133,19 +114,18 @@ func (e *journalCorruptError) Error() string {
 
 func (e *journalCorruptError) Is(target error) bool { return target == ErrJournalCorrupt }
 
-// errShortRecord is the decoder's internal "buffer ends before the record
-// does" — the torn-tail signal. errBadRecord is structural garbage at a
-// known offset.
+// errShortRecord is the decoder's "buffer ends before the record does" — the
+// torn-tail signal. errBadRecord is structural garbage at a known offset.
 var (
-	errShortRecord = errors.New("sched: record extends past buffer")
-	errBadRecord   = errors.New("sched: malformed record")
+	errShortRecord = reclog.ErrShort
+	errBadRecord   = reclog.ErrBad
 )
 
 // appendRecord frames one record onto the end of dst and returns the extended
 // slice; bytes already in dst are not touched.
 func appendRecord(dst []byte, r journalRecord) []byte {
 	start := len(dst)
-	dst = append(dst, journalMagic[0], journalMagic[1], byte(r.typ), 0, 0, 0, 0) // length patched below
+	dst = journalMagic.Begin(dst, byte(r.typ))
 	switch r.typ {
 	case recRegister:
 		dst = binary.BigEndian.AppendUint64(dst, r.seq)
@@ -181,9 +161,7 @@ func appendRecord(dst []byte, r journalRecord) []byte {
 	default:
 		panic(fmt.Sprintf("sched: appendRecord of unknown type %d", r.typ))
 	}
-	binary.BigEndian.PutUint32(dst[start+3:], uint32(len(dst)-start-recordHeaderSize))
-	sum := crc32.Checksum(dst[start+2:], crcTable) // type | len | payload
-	return binary.BigEndian.AppendUint32(dst, sum)
+	return reclog.End(dst, start)
 }
 
 // decodeRecord decodes the record at the start of buf, returning it and the
@@ -193,27 +171,11 @@ func appendRecord(dst []byte, r journalRecord) []byte {
 // never by a declared length — garbage cannot make the decoder over-allocate.
 func decodeRecord(buf []byte) (journalRecord, int, error) {
 	var r journalRecord
-	if len(buf) < recordHeaderSize {
-		return r, 0, errShortRecord
+	t, p, total, err := journalMagic.Frame(buf)
+	if err != nil {
+		return r, 0, err
 	}
-	if buf[0] != journalMagic[0] || buf[1] != journalMagic[1] {
-		return r, 0, errBadRecord
-	}
-	typ := recordType(buf[2])
-	plen := binary.BigEndian.Uint32(buf[3:7])
-	if plen > maxRecordPayload {
-		return r, 0, errBadRecord
-	}
-	total := recordHeaderSize + int(plen) + recordTrailerSize
-	if len(buf) < total {
-		return r, 0, errShortRecord
-	}
-	body := buf[2 : recordHeaderSize+int(plen)]
-	want := binary.BigEndian.Uint32(buf[recordHeaderSize+int(plen) : total])
-	if crc32.Checksum(body, crcTable) != want {
-		return r, 0, errBadRecord
-	}
-	p := buf[recordHeaderSize : recordHeaderSize+int(plen)]
+	typ := recordType(t)
 	r.typ = typ
 	switch typ {
 	case recRegister:
@@ -268,41 +230,16 @@ func decodeRecord(buf []byte) (journalRecord, int, error) {
 	return r, total, nil
 }
 
-// scanRecords walks a log's bytes from the start. It returns the decoded
-// records and the number of valid bytes. A failure at some offset is a torn
-// tail — valid is the truncation point — unless any complete record still
-// decodes after it, in which case the failure is mid-file corruption and the
-// scan returns an error at that offset.
+// scanRecords walks a log's bytes from the start under reclog's tail rule.
+// It returns the decoded records and the number of valid bytes; mid-file
+// corruption is a JournalCorruptError at its offset.
 func scanRecords(data []byte, path string) ([]journalRecord, int, error) {
-	var recs []journalRecord
-	off := 0
-	for off < len(data) {
-		rec, n, err := decodeRecord(data[off:])
-		if err != nil {
-			if validRecordAfter(data, off+1) {
-				return nil, 0, &journalCorruptError{Path: path, Offset: int64(off)}
-			}
-			return recs, off, nil
-		}
-		recs = append(recs, rec)
-		off += n
+	recs, valid, err := reclog.Scan(journalMagic, data, decodeRecord)
+	var ce *reclog.CorruptError
+	if errors.As(err, &ce) {
+		return nil, 0, &journalCorruptError{Path: path, Offset: int64(ce.Offset)}
 	}
-	return recs, off, nil
-}
-
-// validRecordAfter reports whether any complete, checksummed record decodes
-// at an offset >= from. It only needs to try offsets where the magic
-// matches.
-func validRecordAfter(data []byte, from int) bool {
-	for o := from; o+recordHeaderSize+recordTrailerSize <= len(data); o++ {
-		if data[o] != journalMagic[0] || data[o+1] != journalMagic[1] {
-			continue
-		}
-		if _, _, err := decodeRecord(data[o:]); err == nil {
-			return true
-		}
-	}
-	return false
+	return recs, valid, err
 }
 
 // JournalStats counts the journal's write activity.

@@ -22,7 +22,7 @@ func retiredFrame(typ byte, round uint32, addr string) []byte {
 	f = binary.BigEndian.AppendUint32(f, uint32(4+len(addr)))
 	f = binary.BigEndian.AppendUint32(f, round)
 	f = append(f, addr...)
-	return binary.BigEndian.AppendUint32(f, crc32.Checksum(f[2:], crcTable))
+	return binary.BigEndian.AppendUint32(f, crc32.Checksum(f[2:], crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // TestAppendRecordGolden pins the framed bytes of every record type: the

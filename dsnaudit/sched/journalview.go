@@ -6,13 +6,12 @@ import (
 )
 
 // LoadJournalView reads a journal directory's full history — the log from
-// byte zero, checkpoint ignored — into an exported, address-keyed view.
-// It is the out-of-process resume path's window into a dead scheduler's
-// state: a fresh process that rebuilds the world from persisted keys uses
-// the view to replay each engagement's settled rounds onto its rebuilt
-// contract before handing the directory to Recover. Torn tails are absorbed
-// under the journal's usual rule; mid-file corruption, and a meta that is
-// not this layout's, surface as errors matching ErrJournalCorrupt.
+// byte zero, checkpoint ignored — into an exported view, in registration
+// order. The benchmark's oracle reads it to check that the journal witnessed
+// every round the verifier judged, and `dsn-audit resume` to report the
+// journal's last wake beside the replayed chain's height. Torn tails are
+// absorbed under the journal's usual rule; mid-file corruption, and a meta
+// that is not this layout's, surface as errors matching ErrJournalCorrupt.
 func LoadJournalView(dir string) (*JournalView, error) {
 	if err := readJournalMeta(dir); err != nil {
 		return nil, err
@@ -38,7 +37,6 @@ func LoadJournalView(dir string) (*JournalView, error) {
 			Terminal:   re.hint == hintTerminal,
 			TermState:  re.termState,
 			TermErr:    re.termErr,
-			Settled:    append([]SettledRound(nil), re.settled...),
 		})
 	}
 	return v, nil
@@ -48,16 +46,6 @@ func LoadJournalView(dir string) (*JournalView, error) {
 type JournalView struct {
 	LastWake uint64             // highest wake height the dead scheduler processed
 	Entries  []JournalEntryView // registration order
-}
-
-// Entry returns the view's entry for one contract address.
-func (v *JournalView) Entry(addr chain.Address) (JournalEntryView, bool) {
-	for _, e := range v.Entries {
-		if e.Addr == addr {
-			return e, true
-		}
-	}
-	return JournalEntryView{}, false
 }
 
 // JournalEntryView is one engagement's journal-witnessed history.
@@ -71,5 +59,4 @@ type JournalEntryView struct {
 	Terminal   bool
 	TermState  contract.State
 	TermErr    string
-	Settled    []SettledRound // in settlement order
 }

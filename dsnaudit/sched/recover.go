@@ -67,15 +67,6 @@ type recoveredEntry struct {
 
 	termState contract.State
 	termErr   string
-
-	settled []SettledRound // absolute contract rounds, in order
-}
-
-// SettledRound is one settled round as witnessed by the journal.
-type SettledRound struct {
-	Round    int
-	Passed   bool
-	Deadline bool // settled via the missed-deadline path
 }
 
 // durableState is everything the journal directory says about a scheduler.
@@ -90,7 +81,7 @@ type durableState struct {
 
 // loadDurableState merges a checkpoint with dir's journal records past its
 // offset. With no checkpoint the log is scanned from byte zero — which is
-// also the full-history view the CLI resume path uses.
+// also the full-history view LoadJournalView reads.
 func loadDurableState(dir string, ckpt *checkpointData) (*durableState, error) {
 	st := &durableState{entries: make(map[chain.Address]*recoveredEntry)}
 	var offset int64
@@ -179,7 +170,6 @@ func (st *durableState) apply(r journalRecord) {
 		} else {
 			re.failed++
 		}
-		re.settled = append(re.settled, SettledRound{Round: r.round, Passed: r.passed, Deadline: r.deadline})
 	case recTerminal:
 		if re == nil {
 			return
@@ -237,8 +227,9 @@ func Recover(dir string, n *dsnaudit.Network, resolve Resolver, opts ...Option) 
 
 	resumeWake := st.lastWake
 	if h := n.Chain.Height(); h < resumeWake {
-		// A rebuilt chain shorter than the journal's wake history (the
-		// out-of-process resume path): clamp so the resume tick is real.
+		// The run died after its tick mark and before the chain sealed that
+		// tick's block (a chain replayed from its log stops at the last
+		// seal): clamp so the resume tick is real.
 		resumeWake = h
 	}
 

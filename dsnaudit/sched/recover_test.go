@@ -124,9 +124,6 @@ func TestDurableStateMerge(t *testing.T) {
 	if a == nil || a.rounds != 1 || a.passed != 1 || a.failed != 0 || a.baseRounds != 1 || a.hint != hintLive {
 		t.Fatalf("entry a = %+v", a)
 	}
-	if len(a.settled) != 1 || a.settled[0] != (SettledRound{Round: 1, Passed: true}) {
-		t.Fatalf("entry a settled = %+v", a.settled)
-	}
 	b := st.entries["b"]
 	if b == nil || b.seq != 2 || b.baseRounds != 1 || b.rounds != 0 || b.hint != hintLive || b.retries != 0 {
 		t.Fatalf("re-registered entry b not superseded: %+v", b)

@@ -149,9 +149,11 @@ type Chain struct {
 	// expensive "rescan the chain" accesses. Recovery tests pin this at
 	// zero across sched.Recover to prove a restart never rescans.
 	historyReads uint64
+
+	log *Log // the chain's history on disk, if any (log.go)
 }
 
-// pendingTx is a queued transaction with the gas Submit metered for it.
+// pendingTx is a queued transaction with the gas SubmitOp metered for it.
 type pendingTx struct {
 	tx  *Tx
 	gas uint64
@@ -257,15 +259,22 @@ func (c *Chain) Unlock(a Address, amount *big.Int, recipient Address) error {
 	return nil
 }
 
-// Submit queues a transaction and returns its gas cost breakdown. The
+// SubmitOp queues a transaction and returns its gas cost breakdown. The
 // transaction is included in the next mined block; gas is metered now so
-// callers can account costs deterministically.
-func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
+// callers can account costs deterministically. op is the contract call's
+// log record: a chain that keeps a log writes it in the same step as it
+// queues tx. A nil op logs nothing.
+func (c *Chain) SubmitOp(tx *Tx, op []byte) (*Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gas, err := c.submitLocked(tx)
 	if err != nil {
 		return nil, err
+	}
+	if op != nil {
+		if err := c.logOpLocked(op, nil); err != nil {
+			return nil, err
+		}
 	}
 	return &Receipt{
 		TxIndex:  c.txCount - 1,
@@ -275,7 +284,7 @@ func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
 	}, nil
 }
 
-// SubmitReferencing is Submit for a transaction that references content the
+// SubmitReferencing is SubmitOp for a transaction that references content the
 // chain keeps as content-addressed state, once per chain. The chain puts the
 // SHA-256 digest of content in front of tx's data and, when it does not yet
 // hold content, content itself in front of that, adding content's storage to
@@ -284,8 +293,8 @@ func (c *Chain) Submit(tx *Tx) (*Receipt, error) {
 // one content exactly one posts it, and a submission that fails records
 // nothing, as a reverted transaction writes no state. The chain looks content
 // up by value, so what it holds is not hashed again. It takes tx over, as
-// Submit does, and rewrites its data and gas.
-func (c *Chain) SubmitReferencing(content []byte, tx *Tx) (fresh bool, err error) {
+// SubmitOp does, and rewrites its data and gas. op is logged as by SubmitOp.
+func (c *Chain) SubmitReferencing(content []byte, tx *Tx, op []byte) (fresh bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	digest, held := c.contents[string(content)]
@@ -304,11 +313,19 @@ func (c *Chain) SubmitReferencing(content []byte, tx *Tx) (fresh bool, err error
 	if !held {
 		c.contents[string(content)] = digest
 	}
+	if op != nil {
+		if err := c.logOpLocked(op, nil); err != nil {
+			return false, err
+		}
+	}
 	return !held, nil
 }
 
 // submitLocked meters tx and queues it, returning its gas.
 func (c *Chain) submitLocked(tx *Tx) (uint64, error) {
+	if err := c.logFault(); err != nil {
+		return 0, err
+	}
 	gas := c.cfg.Gas.TxBase + c.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
 	if gas > c.cfg.BlockGasLimit {
 		return 0, fmt.Errorf("%w: %d > %d", errBlockGasExceeded, gas, c.cfg.BlockGasLimit)
@@ -388,6 +405,9 @@ func (c *Chain) MineBlock() *Block {
 	c.blocks = append(c.blocks, blk)
 	c.totalBytes += blk.ByteSize
 	c.totalGas += blk.GasUsed
+	if c.log != nil {
+		c.logSealLocked(blk)
+	}
 	c.pruneLocked()
 	return blk
 }

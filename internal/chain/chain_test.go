@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// Submit is SubmitOp for a transaction no contract call logs.
+func (c *Chain) Submit(tx *Tx) (*Receipt, error) { return c.SubmitOp(tx, nil) }
+
 func eth(n int64) *big.Int {
 	return new(big.Int).Mul(big.NewInt(n), big.NewInt(1e18))
 }
@@ -252,7 +255,7 @@ func TestSubmitReferencing(t *testing.T) {
 	fresh := make(chan bool, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			f, err := c.SubmitReferencing(content, ref())
+			f, err := c.SubmitReferencing(content, ref(), nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -290,10 +293,10 @@ func TestSubmitReferencing(t *testing.T) {
 
 	other := []byte("another body")
 	huge := &Tx{From: "o", To: "k", ExtraGas: DefaultConfig().BlockGasLimit}
-	if f, err := c.SubmitReferencing(other, huge); !errors.Is(err, errBlockGasExceeded) || f {
+	if f, err := c.SubmitReferencing(other, huge, nil); !errors.Is(err, errBlockGasExceeded) || f {
 		t.Fatalf("over-limit tx: fresh %v, err %v", f, err)
 	}
-	if f, err := c.SubmitReferencing(other, ref()); err != nil || !f {
+	if f, err := c.SubmitReferencing(other, ref(), nil); err != nil || !f {
 		t.Fatalf("after a refused tx: fresh %v, err %v; want the content posted", f, err)
 	}
 }

@@ -153,7 +153,7 @@ func Deploy(c *chain.Chain, addr chain.Address, terms Agreement, rand Randomness
 	if terms.PublicKey == nil {
 		return nil, fmt.Errorf("%w: missing public key", errInvalidAgreement)
 	}
-	return &Contract{
+	k := &Contract{
 		Addr:        addr,
 		Chain:       c,
 		Terms:       terms,
@@ -162,7 +162,13 @@ func Deploy(c *chain.Chain, addr chain.Address, terms Agreement, rand Randomness
 		verifyGas:   verifyGas,
 		ownerEscrow: new(big.Int),
 		providerEsc: new(big.Int),
-	}, nil
+	}
+	if c.Logging() {
+		if err := k.logDeploy(); err != nil {
+			return nil, err
+		}
+	}
+	return k, nil
 }
 
 // State returns the current phase.
@@ -199,7 +205,7 @@ func (k *Contract) Negotiate() error {
 		Data:     name[:],
 		ExtraGas: k.Chain.Config().Gas.StorageGas(sha256.Size + len(name)),
 		Note:     "negotiated: post key reference+metadata",
-	})
+	}, k.op(opNegotiate))
 	if err != nil {
 		return err
 	}
@@ -222,7 +228,7 @@ func (k *Contract) Acknowledge(from chain.Address, accept bool) error {
 	if from != k.Terms.Provider {
 		return errWrongParty
 	}
-	if _, err := k.Chain.Submit(&chain.Tx{From: from, To: k.Addr, Note: "acked"}); err != nil {
+	if _, err := k.Chain.SubmitOp(&chain.Tx{From: from, To: k.Addr, Note: "acked"}, k.ackOp(accept)); err != nil {
 		return err
 	}
 	if !accept {
@@ -251,7 +257,7 @@ func (k *Contract) Freeze() error {
 	}
 	k.ownerEscrow.Set(k.Terms.OwnerDeposit)
 	k.providerEsc.Set(k.Terms.ProviderDeposit)
-	if _, err := k.Chain.Submit(&chain.Tx{From: k.Terms.Owner, To: k.Addr, Note: "freeze"}); err != nil {
+	if _, err := k.Chain.SubmitOp(&chain.Tx{From: k.Terms.Owner, To: k.Addr, Note: "freeze"}, k.op(opFreeze)); err != nil {
 		return err
 	}
 	k.state = StateAudit
@@ -275,7 +281,10 @@ func (k *Contract) IssueChallenge() (*core.Challenge, error) {
 		return nil, fmt.Errorf("%w: height %d < %d", errNotTrigger, k.Chain.Height(), k.trigger)
 	}
 	if k.round >= k.Terms.Rounds {
-		return nil, k.expire()
+		if err := k.expire(); err != nil {
+			return nil, err
+		}
+		return nil, k.Chain.LogOp(k.op(opChallenge), nil)
 	}
 	seed, err := k.rand.Randomness(k.round)
 	if err != nil {
@@ -290,11 +299,11 @@ func (k *Contract) IssueChallenge() (*core.Challenge, error) {
 	copy(ch.R[:], seed[32:48])
 	k.challenge = ch
 
-	if _, err := k.Chain.Submit(&chain.Tx{
+	if _, err := k.Chain.SubmitOp(&chain.Tx{
 		From: k.Addr, To: k.Addr,
 		Data: ch.Marshal(),
 		Note: "challenge round " + strconv.Itoa(k.round),
-	}); err != nil {
+	}, k.op(opChallenge)); err != nil {
 		return nil, err
 	}
 	k.state = StateProve
@@ -318,12 +327,12 @@ func (k *Contract) SubmitProof(from chain.Address, proofBytes []byte) error {
 	if from != k.Terms.Provider {
 		return errWrongParty
 	}
-	rcpt, err := k.Chain.Submit(&chain.Tx{
+	rcpt, err := k.Chain.SubmitOp(&chain.Tx{
 		From: from,
 		To:   k.Addr,
 		Data: proofBytes,
 		Note: "proof round " + strconv.Itoa(k.round),
-	})
+	}, k.proofOp(proofBytes))
 	if err != nil {
 		return err
 	}
@@ -371,17 +380,19 @@ func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
 }
 
 // SettleTrustedAt applies a settlement verdict directly, skipping proof
-// verification (and its gas) entirely: the pending proof is accepted or
-// rejected on the caller's word. It exists for scale harnesses — a soak run
-// driving 100k engagements cannot pay a pairing per round, and the
-// scheduling machinery under test is independent of the verdict's
-// provenance. It is NOT part of the protocol: a deployment that trusted the
-// caller here would have no audit at all.
-func (k *Contract) SettleTrustedAt(passed bool, height uint64) (bool, error) {
+// verification entirely: the pending proof is accepted or rejected on the
+// caller's word, and settleGas is charged as the verification's gas. It has
+// two callers. Replay re-applies verdicts the chain log recorded, with the
+// gas they were charged. Scale harnesses pass 0 — a soak run driving 100k
+// engagements cannot pay a pairing per round, and the scheduling machinery
+// under test is independent of the verdict's provenance. It is NOT part of
+// the protocol: a deployment that trusted the caller here would have no
+// audit at all.
+func (k *Contract) SettleTrustedAt(passed bool, settleGas, height uint64) (bool, error) {
 	if k.state != StateSettle {
 		return false, fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
-	return passed, k.applyVerdictAt(passed, 0, height)
+	return passed, k.applyVerdictAt(passed, settleGas, height)
 }
 
 // SettleResult reports one contract's outcome from a batched settlement.
@@ -491,12 +502,12 @@ func (k *Contract) settleGasShare(n int) uint64 {
 // reading the live chain head — keeps the audit cadence deterministic when
 // settlement runs concurrently with block production.
 func (k *Contract) applyVerdictAt(passed bool, settleGas uint64, height uint64) error {
-	rcpt, err := k.Chain.Submit(&chain.Tx{
+	rcpt, err := k.Chain.SubmitOp(&chain.Tx{
 		From:     k.Addr,
 		To:       k.Addr,
 		ExtraGas: settleGas,
 		Note:     "settle round " + strconv.Itoa(k.round),
-	})
+	}, k.verdictOp(passed, settleGas, height))
 	if err != nil {
 		return err
 	}
@@ -552,7 +563,10 @@ func (k *Contract) MissDeadline() error {
 	k.round++
 	k.challenge = nil
 	k.Chain.Emit("fail", []byte("deadline"))
-	return k.settleFailure()
+	if err := k.settleFailure(); err != nil {
+		return err
+	}
+	return k.Chain.LogOp(k.op(opMissDeadline), nil)
 }
 
 // payProvider releases one round's micro-payment from the owner's escrow.

@@ -35,7 +35,7 @@ type fixture struct {
 	ef       *core.EncodedFile
 }
 
-func newFixture(t *testing.T, rounds int, beacon RandomnessSource) *fixture {
+func newFixture(t testing.TB, rounds int, beacon RandomnessSource) *fixture {
 	t.Helper()
 	sk, err := core.KeyGen(4, rand.Reader)
 	if err != nil {
@@ -95,7 +95,7 @@ func (f *fixture) advance() {
 }
 
 // initToAudit walks INIT -> AUDIT.
-func (f *fixture) initToAudit(t *testing.T) {
+func (f *fixture) initToAudit(t testing.TB) {
 	t.Helper()
 	if err := f.contract.Negotiate(); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func (f *fixture) initToAudit(t *testing.T) {
 }
 
 // runRound executes one full challenge/prove/submit/settle round.
-func (f *fixture) runRound(t *testing.T) bool {
+func (f *fixture) runRound(t testing.TB) bool {
 	t.Helper()
 	f.advance()
 	ch, err := f.contract.IssueChallenge()

@@ -154,7 +154,7 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.contract.AttachPrepared(prepare(t, f, ch, enc))
-		if _, err := f.contract.SettleTrustedAt(true, f.chain.Height()); err != nil {
+		if _, err := f.contract.SettleTrustedAt(true, 0, f.chain.Height()); err != nil {
 			t.Fatal(err)
 		}
 		if f.contract.prepared != nil {

@@ -169,8 +169,22 @@ func (pk *PublicKey) Marshal(withPrivacy bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return joinKeyEncoding(body, name), nil
+}
+
+// joinKeyEncoding splices name into a key body: splitKeyEncoding's inverse.
+func joinKeyEncoding(body []byte, name [32]byte) []byte {
 	out := make([]byte, 0, len(body)+len(name))
-	return append(append(append(out, body[:keyNameAt]...), name[:]...), body[keyNameAt:]...), nil
+	return append(append(append(out, body[:keyNameAt]...), name[:]...), body[keyNameAt:]...)
+}
+
+// UnmarshalKeyBody is UnmarshalPublicKey for a key given as KeyBody's two
+// parts, the form the chain keeps it in.
+func UnmarshalKeyBody(body []byte, name [32]byte, withPrivacy bool) (*PublicKey, error) {
+	if len(body) < keyNameAt {
+		return nil, ErrMalformed
+	}
+	return UnmarshalPublicKey(joinKeyEncoding(body, name), withPrivacy)
 }
 
 // KeyBody returns the key's body encoding, Marshal's output without the
