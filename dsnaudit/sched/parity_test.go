@@ -30,10 +30,16 @@ import (
 // (9×612 B, of which 9×34 are zero bytes at 4 gas: the three of s and the 31
 // of Powers[0] = g1; the rest at 16) and adds 9 references of 64 B and 4
 // digests of 32 B at 16: −84 456 + 11 264. In all 22 557 000 − 3 160 000 −
-// 73 192 = 19 323 808.
+// 73 192 = 19 323 808. Since a block's verdicts settle in one transaction,
+// the fixture's 34 settled rounds (11 engagements × 3 passed, carol's
+// failed; dave's missed deadline sends none) land in 3 settlement
+// transactions, one per settled block (12 + 11 + 11 verdicts), not 34: −31 ×
+// 21 000 base gas. The execution gas each verdict pays is unchanged, and the
+// settlement transactions carry no calldata. In all 19 323 808 − 651 000 =
+// 18 672 808.
 var goldenParity = &matrixSnapshot{
 	height: 10,
-	gas:    19_323_808, // compared within the proof-entropy tolerance
+	gas:    18_672_808, // compared within the proof-entropy tolerance
 	results: map[string]string{
 		"alice/sp-a": "rounds=3 passed=3 failed=0 state=EXPIRED err=false",
 		"alice/sp-b": "rounds=3 passed=3 failed=0 state=EXPIRED err=false",

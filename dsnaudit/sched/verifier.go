@@ -5,10 +5,11 @@ import (
 )
 
 // trustingVerifier settles every pending proof as passed without any
-// pairing work, via contract.SettleTrustedAt. All the on-chain consequences
-// of a passed round — escrow payment, trigger re-arm, round accounting,
-// expiry — still execute, so funds movement and contract lifecycles are
-// real; only the cryptographic verdict is assumed.
+// pairing work, via contract.SettleVerdictsAt with no verification gas. All
+// the on-chain consequences of a passed round — the block's settlement
+// transaction, escrow payment, trigger re-arm, round accounting, expiry —
+// still execute, so funds movement and contract lifecycles are real; only
+// the cryptographic verdict is assumed.
 //
 // It exists for scale harnesses: the soak experiment drives hundreds of
 // thousands of settlements per run, and what it measures is the scheduler —
@@ -19,10 +20,9 @@ type trustingVerifier struct{}
 
 // SettleBlock settles every contract as passed at the sealed height.
 func (trustingVerifier) SettleBlock(cs []*contract.Contract, height uint64, workers int) ([]contract.SettleResult, error) {
-	out := make([]contract.SettleResult, len(cs))
+	vs := make([]contract.Verdict, len(cs))
 	for i, k := range cs {
-		passed, err := k.SettleTrustedAt(true, 0, height)
-		out[i] = contract.SettleResult{Addr: k.Addr, Passed: passed, Err: err}
+		vs[i] = contract.Verdict{Contract: k, Passed: true}
 	}
-	return out, nil
+	return contract.SettleVerdictsAt(vs, height), nil
 }

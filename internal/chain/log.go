@@ -11,9 +11,10 @@ import (
 )
 
 // The chain's log is its history on disk, one file: the ordered successful
-// contract calls ("ops", encoded by the contract package, each with the
-// inputs it needs to run again), the content those ops reference, once per
-// log, and a seal mark per block carrying the block's height, gas and bytes.
+// contract calls and settlement transactions ("ops", encoded by the contract
+// package, each with the inputs it needs to run again), the content those ops
+// reference, once per log, and a seal mark per block carrying the block's
+// height, gas and bytes.
 // A fresh process rebuilds the chain by running the log again on the genesis
 // state (contract.Replay): ops in order, MineBlock at each mark, and a
 // re-sealed block that differs from its mark is corrupt state.

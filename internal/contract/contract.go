@@ -16,7 +16,9 @@
 // transactions when a block lands rather than at submission:
 // SettleBatchAt verifies every pending proof of a block with one shared
 // final exponentiation (core.VerifyPrepared), isolating cheaters on
-// failure; MissDeadline settles a round whose proof never came.
+// failure, and lands the block's verdicts in one settlement transaction,
+// split into consecutive ones only where a single one would exceed the
+// block gas limit; MissDeadline settles a round whose proof never came.
 //
 // Scheduling ("Ethereum Alarm Clock") is modeled by block-height triggers:
 // the contract arms a trigger height and anyone may poke it once the chain
@@ -379,22 +381,6 @@ func (k *Contract) pendingPrepared() (*core.PreparedProof, error) {
 	return p, nil
 }
 
-// SettleTrustedAt applies a settlement verdict directly, skipping proof
-// verification entirely: the pending proof is accepted or rejected on the
-// caller's word, and settleGas is charged as the verification's gas. It has
-// two callers. Replay re-applies verdicts the chain log recorded, with the
-// gas they were charged. Scale harnesses pass 0 — a soak run driving 100k
-// engagements cannot pay a pairing per round, and the scheduling machinery
-// under test is independent of the verdict's provenance. It is NOT part of
-// the protocol: a deployment that trusted the caller here would have no
-// audit at all.
-func (k *Contract) SettleTrustedAt(passed bool, settleGas, height uint64) (bool, error) {
-	if k.state != StateSettle {
-		return false, fmt.Errorf("%w: %s", errWrongState, k.state)
-	}
-	return passed, k.applyVerdictAt(passed, settleGas, height)
-}
-
 // SettleResult reports one contract's outcome from a batched settlement.
 type SettleResult struct {
 	Addr   chain.Address
@@ -410,8 +396,10 @@ type SettleResult struct {
 // among N honest providers is individually slashed while the rest settle as
 // passed. A pass moves the round payment from the owner's escrow to the
 // provider; a failure slashes the provider's collateral to the owner and
-// aborts the contract (Fig. 2's dispute). A one-contract block charges
-// exactly one verification's gas.
+// aborts the contract (Fig. 2's dispute). The verdicts land through
+// SettleVerdictsAt, in one settlement transaction for the block (more when
+// they would exceed the block gas limit), so a one-contract block charges
+// exactly one verification's gas plus one transaction's.
 //
 // Each proof's per-item step is the one attached to it (AttachPrepared) when
 // that is bound to it; the rest are prepared here, in parallel. Contracts
@@ -428,8 +416,6 @@ type SettleResult struct {
 // cannot hide behind honest co-batched proofs — a failed batch is always
 // searched down to the genuine offender.
 func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.BatchStats) []SettleResult {
-	results := make([]SettleResult, len(cs))
-	// Verdict application below stays in input order.
 	prepared := make([]*core.PreparedProof, len(cs))
 	parseErrs := make([]error, len(cs))
 	if stats != nil {
@@ -444,37 +430,155 @@ func SettleBatchAt(cs []*Contract, height uint64, workers int, stats *core.Batch
 			prepared[i], parseErrs[i] = cs[i].pendingPrepared()
 		}
 	})
+	// A malformed proof fails without any pairing work and pays none, and a
+	// contract not in SETTLE is refused by SettleVerdictsAt.
+	vs := make([]Verdict, len(cs))
 	var items []*core.PreparedProof
 	var owners []int // position in cs of each batch item
 	for i, k := range cs {
-		results[i].Addr = k.Addr
-		if k.state != StateSettle {
-			results[i].Err = fmt.Errorf("%w: %s", errWrongState, k.state)
-			continue
+		vs[i].Contract = k
+		if k.state == StateSettle && parseErrs[i] == nil {
+			items = append(items, prepared[i])
+			owners = append(owners, i)
 		}
-		if parseErrs[i] != nil {
-			// Malformed proof: slashed without any pairing work.
-			results[i].Passed = false
-			results[i].Err = k.applyVerdictAt(false, 0, height)
-			continue
-		}
-		items = append(items, prepared[i])
-		owners = append(owners, i)
 	}
-	verdicts := core.VerifyPrepared(items, stats, workers)
-	for j, passed := range verdicts {
-		i := owners[j]
-		k := cs[i]
+	for j, passed := range core.VerifyPrepared(items, stats, workers) {
+		v := &vs[owners[j]]
 		// Honest items pay the amortized batch share; a failed item pays
 		// the full per-proof verification, whatever its search cost.
-		gas := k.settleGasShare(len(items))
+		v.Passed, v.Gas = passed, v.Contract.settleGasShare(len(items))
 		if !passed {
-			gas = k.verifyGas
+			v.Gas = v.Contract.verifyGas
 		}
-		results[i].Passed = passed
-		results[i].Err = k.applyVerdictAt(passed, gas, height)
+	}
+	return SettleVerdictsAt(vs, height)
+}
+
+// Verdict is one contract's entry in a settlement transaction: the verdict
+// on its pending proof and the verification gas it pays.
+type Verdict struct {
+	Contract *Contract
+	Passed   bool
+	Gas      uint64
+}
+
+// batchVerifier is the address every settlement transaction goes to: the
+// verifier that checks a sealed block's proofs together, not any one
+// contract.
+const batchVerifier chain.Address = "batch-verifier"
+
+// SettleVerdictsAt lands verdicts on chain: one settlement transaction per
+// chain for all of them, in input order, then each contract's verdict — the
+// round record, the payment or the slash, the next trigger or the terminal
+// state. The transaction carries no calldata, since each proof it settles is
+// already on chain in its own SubmitProof transaction, and its execution gas
+// is the sum of the verdicts' Gas. A settlement that would exceed the block
+// gas limit is split into consecutive transactions in input order, each
+// carrying as many verdicts as fit. Each record's SettleGas is its verdict's
+// Gas plus an equal share of its transaction's base gas, the remainder to the
+// transaction's first contract, so a transaction's records sum to its gas;
+// a one-contract transaction charges its contract exactly the gas of a
+// settlement of its own. A transaction is submitted before any of its
+// verdicts lands; if the chain refuses it (a chain-log fault), none does,
+// and each of its contracts reports the error, as a reverted transaction
+// would. Contracts not in SETTLE get ErrWrongState and are in no
+// transaction.
+//
+// It is SettleBatchAt's last step, and it takes the verdicts on the caller's
+// word. Its other callers are Replay, which re-applies the settlements a
+// chain log recorded, and scale harnesses, which pass every proof with gas 0:
+// a soak run driving 100k engagements cannot pay a pairing per round, and the
+// scheduling machinery under test is independent of the verdict's
+// provenance. Called on its own it is NOT part of the protocol: a deployment
+// that trusted its caller would have no audit at all.
+func SettleVerdictsAt(vs []Verdict, height uint64) []SettleResult {
+	results := make([]SettleResult, len(vs))
+	// The contracts in SETTLE, in input order; a block of up to 16 lists
+	// them without a heap allocation.
+	pending := make([]int, 0, 16)
+	for i, v := range vs {
+		k := v.Contract
+		if k.state != StateSettle {
+			results[i] = SettleResult{Addr: k.Addr, Err: fmt.Errorf("%w: %s", errWrongState, k.state)}
+			continue
+		}
+		results[i] = SettleResult{Addr: k.Addr, Passed: v.Passed}
+		pending = append(pending, i)
+	}
+	// A block is one chain's; verdicts from several chains get one
+	// settlement per chain, in order of first appearance.
+	for len(pending) > 0 {
+		c := vs[pending[0]].Contract.Chain
+		own, rest := onChain(vs, pending, c)
+		for len(own) > 0 {
+			n := fitSettlement(c, vs, own)
+			settleTxAt(c, vs, own[:n], height, results)
+			own = own[n:]
+		}
+		pending = rest
 	}
 	return results
+}
+
+// onChain splits the verdicts at idx into those of contracts on c and the
+// rest, each in order. When all are on c it returns idx itself.
+func onChain(vs []Verdict, idx []int, c *chain.Chain) (own, rest []int) {
+	for _, i := range idx {
+		if vs[i].Contract.Chain != c {
+			for _, i := range idx {
+				if vs[i].Contract.Chain == c {
+					own = append(own, i)
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			return own, rest
+		}
+	}
+	return idx, nil
+}
+
+// fitSettlement returns how many of the verdicts at idx, from the front, one
+// settlement transaction on c carries: as many as keep its gas within the
+// block gas limit, and at least one.
+func fitSettlement(c *chain.Chain, vs []Verdict, idx []int) int {
+	cfg := c.Config()
+	room := cfg.BlockGasLimit - min(cfg.BlockGasLimit, cfg.Gas.TxBase)
+	n := 0
+	for ; n < len(idx) && vs[idx[n]].Gas <= room; n++ {
+		room -= vs[idx[n]].Gas
+	}
+	return max(n, 1)
+}
+
+// settleTxAt submits one settlement transaction on c for the verdicts at
+// idx, then lands each of them.
+func settleTxAt(c *chain.Chain, vs []Verdict, idx []int, height uint64, results []SettleResult) {
+	var extra uint64
+	for _, i := range idx {
+		extra += vs[i].Gas
+	}
+	rcpt, err := c.SubmitOp(&chain.Tx{
+		From:     batchVerifier,
+		To:       batchVerifier,
+		ExtraGas: extra,
+		Note:     "settle block",
+	}, settleOp(c, vs, idx, height))
+	if err != nil {
+		for _, i := range idx {
+			results[i].Err = err
+		}
+		return
+	}
+	base := rcpt.GasUsed - extra
+	share := base / uint64(len(idx))
+	for j, i := range idx {
+		gas := vs[i].Gas + share
+		if j == 0 {
+			gas += base - share*uint64(len(idx))
+		}
+		results[i].Err = vs[i].Contract.applyVerdictAt(vs[i].Passed, gas, height)
+	}
 }
 
 // finalExpNum/finalExpDen model the final exponentiation's share (~30%) of
@@ -495,28 +599,24 @@ func (k *Contract) settleGasShare(n int) uint64 {
 	return (k.verifyGas - fe) + fe/uint64(n)
 }
 
-// applyVerdictAt lands the settlement on chain: it records the round,
-// charges the settlement gas, releases the round payment or slashes the
-// collateral, and arms the next trigger relative to the given settlement
-// height (or terminates the contract). Pinning the height — rather than
-// reading the live chain head — keeps the audit cadence deterministic when
-// settlement runs concurrently with block production.
+// applyVerdictAt lands a verdict whose settlement transaction is on chain,
+// settleGas being the contract's share of it: it records the round, releases
+// the round payment or slashes the collateral, and arms the next trigger
+// relative to the given settlement height (or terminates the contract).
+// Pinning the height — rather than reading the live chain head — keeps the
+// audit cadence deterministic when settlement runs concurrently with block
+// production.
 func (k *Contract) applyVerdictAt(passed bool, settleGas uint64, height uint64) error {
-	rcpt, err := k.Chain.SubmitOp(&chain.Tx{
-		From:     k.Addr,
-		To:       k.Addr,
-		ExtraGas: settleGas,
-		Note:     "settle round " + strconv.Itoa(k.round),
-	}, k.verdictOp(passed, settleGas, height))
-	if err != nil {
-		return err
+	if k.state != StateSettle {
+		// The same contract twice in one settlement: its first verdict landed.
+		return fmt.Errorf("%w: %s", errWrongState, k.state)
 	}
 	k.records = append(k.records, RoundRecord{
 		Round:     k.round,
 		Challenge: k.challenge,
 		ProofSize: len(k.pendingProof),
-		GasUsed:   k.pendingGas + rcpt.GasUsed,
-		SettleGas: rcpt.GasUsed,
+		GasUsed:   k.pendingGas + settleGas,
+		SettleGas: settleGas,
 		Passed:    passed,
 	})
 	k.round++

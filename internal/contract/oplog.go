@@ -22,8 +22,9 @@ const (
 	opFreeze       byte = 4
 	opChallenge    byte = 5
 	opProof        byte = 6 // the proof bytes
-	opVerdict      byte = 7 // passed, settle gas, settlement height
+	opVerdict      byte = 7 // passed, settle gas, height: a one-contract settlement, in logs written before settlements were batched
 	opMissDeadline byte = 8
+	opSettle       byte = 9 // a settlement transaction: its height, then per verdict the contract, passed and gas
 )
 
 var errBadOp = errors.New("contract: malformed op")
@@ -136,11 +137,18 @@ func (k *Contract) proofOp(proof []byte) []byte {
 	return newOp(opProof, k.Addr).raw(proof)
 }
 
-func (k *Contract) verdictOp(passed bool, settleGas, height uint64) []byte {
-	if !k.Chain.Logging() {
+// settleOp returns the op of the settlement transaction on c for the
+// verdicts at idx, or nil when c keeps no log. Its address is the batch
+// verifier's.
+func settleOp(c *chain.Chain, vs []Verdict, idx []int, height uint64) []byte {
+	if !c.Logging() {
 		return nil
 	}
-	return newOp(opVerdict, k.Addr).flag(passed).uint(settleGas).uint(height)
+	op := newOp(opSettle, batchVerifier).uint(height).uint(uint64(len(idx)))
+	for _, i := range idx {
+		op = op.str(string(vs[i].Contract.Addr)).flag(vs[i].Passed).uint(vs[i].Gas)
+	}
+	return op
 }
 
 // logDeploy writes k's deploy op. The key goes as its body's digest and
@@ -166,9 +174,10 @@ func (k *Contract) logDeploy() error {
 // Replay runs a chain log's records (chain.OpenLog) again on c, a chain in
 // the state the logged one started from — its genesis balances — that
 // keeps no log. Content records fill a key registry; each op runs the call
-// it records, a verdict through SettleTrustedAt with its logged settle gas,
-// so no proof is parsed or verified; each seal mark re-seals its block
-// (chain.Chain.Reseal). Challenges are drawn from rand again, so it must be
+// it records, a settlement through SettleVerdictsAt with its logged verdicts
+// and gas, so no proof is parsed or verified (an older log's verdict op is a
+// one-contract settlement, the transaction it was written with); each seal
+// mark re-seals its block (chain.Chain.Reseal). Challenges are drawn from rand again, so it must be
 // the logged chain's beacon. Replay returns the contracts the log deployed,
 // in deploy order. A record that does not decode, an op whose call fails
 // and a block that re-seals differently are all chain.ErrLogCorrupt.
@@ -204,8 +213,14 @@ func replayOp(c *chain.Chain, op []byte, bodies map[[32]byte][]byte, byAddr map[
 	}
 	r := &opReader{p: op[1:]}
 	addr := chain.Address(r.raw())
-	if op[0] == opDeploy {
+	switch op[0] {
+	case opDeploy:
 		return replayDeploy(c, addr, r, bodies, rand)
+	case opSettle:
+		if addr != batchVerifier {
+			return nil, errBadOp
+		}
+		return nil, replaySettle(r, byAddr)
 	}
 	k := byAddr[addr]
 	if k == nil {
@@ -238,13 +253,40 @@ func replayOp(c *chain.Chain, op []byte, bodies map[[32]byte][]byte, byAddr map[
 	case opProof:
 		err = k.SubmitProof(k.Terms.Provider, proof)
 	case opVerdict:
-		_, err = k.SettleTrustedAt(passed, gas, height)
+		err = SettleVerdictsAt([]Verdict{{Contract: k, Passed: passed, Gas: gas}}, height)[0].Err
 	case opMissDeadline:
 		err = k.MissDeadline()
 	default:
 		err = fmt.Errorf("%w: unknown op %d", errBadOp, op[0])
 	}
 	return nil, err
+}
+
+// replaySettle decodes a settlement op's verdicts and settles them again.
+func replaySettle(r *opReader, byAddr map[chain.Address]*Contract) error {
+	height, n := r.uint(), r.uint()
+	// An entry takes at least three bytes, so a count the op cannot hold is
+	// refused before anything is allocated for it.
+	if r.err != nil || n == 0 || n > uint64(len(r.p))/3 {
+		return errBadOp
+	}
+	vs := make([]Verdict, n)
+	for i := range vs {
+		addr := chain.Address(r.raw())
+		vs[i] = Verdict{Contract: byAddr[addr], Passed: r.flag(), Gas: r.uint()}
+		if r.err == nil && vs[i].Contract == nil {
+			return fmt.Errorf("settlement of undeployed contract %q", addr)
+		}
+	}
+	if err := r.done(); err != nil {
+		return err
+	}
+	for _, res := range SettleVerdictsAt(vs, height) {
+		if res.Err != nil {
+			return res.Err
+		}
+	}
+	return nil
 }
 
 // replayDeploy decodes a deploy op's agreement and deploys it again.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/chain"
@@ -242,7 +243,7 @@ func TestUnloggedTransitionAllocs(t *testing.T) {
 	// Each call's count before the chain kept a log.
 	want := map[string]float64{
 		"Deploy": 4, "Negotiate": 3, "Acknowledge": 2, "Freeze": 4,
-		"IssueChallenge": 7, "SubmitProof": 4, "SettleTrustedAt": 4, "MissDeadline": 2,
+		"IssueChallenge": 7, "SubmitProof": 4, "SettleVerdictsAt": 4, "MissDeadline": 2,
 	}
 	for _, step := range []struct {
 		name string
@@ -255,7 +256,9 @@ func TestUnloggedTransitionAllocs(t *testing.T) {
 		{"Freeze", (*Contract).Freeze, 0},
 		{"IssueChallenge", func(k *Contract) error { _, err := k.IssueChallenge(); return err }, 2},
 		{"SubmitProof", func(k *Contract) error { return k.SubmitProof("provider", proof) }, 0},
-		{"SettleTrustedAt", func(k *Contract) error { _, err := k.SettleTrustedAt(true, 0, c.Height()); return err }, 1},
+		{"SettleVerdictsAt", func(k *Contract) error {
+			return SettleVerdictsAt([]Verdict{{Contract: k, Passed: true}}, c.Height())[0].Err
+		}, 1},
 		{"MissDeadline", (*Contract).MissDeadline, -1},
 	} {
 		mine(step.mine)
@@ -288,6 +291,97 @@ func TestUnloggedTransitionAllocs(t *testing.T) {
 	}
 }
 
+// TestChainLogReplaysVerdictOps replays a log written while every contract
+// settled in a transaction of its own, one verdict op per settled round
+// (testdata/verdict-ops.chainlog, written by writeChainLog then): each
+// verdict op is a one-contract settlement, the transaction it was written
+// with, so every block re-seals to its mark and the chain comes out as that
+// run left it.
+func TestChainLogReplaysVerdictOps(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "verdict-ops.chainlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := openCopy(t, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verdicts, settles int
+	for _, r := range recs {
+		if r.Kind == chain.LogOp && r.Data[0] == opVerdict {
+			verdicts++
+		}
+		if r.Kind == chain.LogOp && r.Data[0] == opSettle {
+			settles++
+		}
+	}
+	if verdicts != 1 || settles != 0 {
+		t.Fatalf("the log holds %d verdict and %d settlement ops, want 1 and 0", verdicts, settles)
+	}
+	c := logGenesis()
+	ks, err := Replay(c, recs, fixedBeacon{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ks) != 2 || ks[0].State() != StateAborted || ks[0].Round() != 2 || ks[1].State() != StateAborted {
+		t.Fatalf("replayed %d contracts: %v", len(ks), ks)
+	}
+	if rec := ks[0].Records()[0]; !rec.Passed || rec.SettleGas != ks[0].verifyGas+c.Config().Gas.TxBase {
+		t.Fatalf("replayed record %+v, want a pass charged one verification and one transaction", rec)
+	}
+	// The totals that run printed.
+	if c.Height() != 8 || c.TotalGas() != 1_229_372 || c.TotalBytes() != 2_082 {
+		t.Fatalf("replayed chain at %d / %d gas / %d B, the log's run at 8 / 1229372 / 2082", c.Height(), c.TotalGas(), c.TotalBytes())
+	}
+}
+
+// settleOpOf encodes a settlement op by hand: its height, the entry count it
+// declares, then the given entries.
+func settleOpOf(height, count uint64, entries ...Verdict) []byte {
+	op := newOp(opSettle, batchVerifier).uint(height).uint(count)
+	for _, v := range entries {
+		op = op.str(string(v.Contract.Addr)).flag(v.Passed).uint(v.Gas)
+	}
+	return op
+}
+
+// TestChainLogSettleOpBounds: a settlement op whose entry list is shorter or
+// longer than its count, or that names a contract the log never deployed, is
+// malformed, and a count the op's bytes cannot hold is refused before
+// anything is allocated for it.
+func TestChainLogSettleOpBounds(t *testing.T) {
+	f := newFixture(t, 1, nil)
+	byAddr := map[chain.Address]*Contract{f.contract.Addr: f.contract}
+	v := Verdict{Contract: f.contract, Passed: true, Gas: 7}
+	for _, tc := range []struct {
+		name string
+		op   []byte
+	}{
+		{"truncated", settleOpOf(3, 2, v)},
+		{"over-long", settleOpOf(3, 1, v, v)},
+		{"empty", settleOpOf(3, 0)},
+		{"cut", settleOpOf(3, 1, v)[:10]},
+		{"huge count", settleOpOf(3, 1<<60, v)},
+		{"other address", newOp(opSettle, "audit-contract").uint(3).uint(1).str(string(f.contract.Addr)).flag(true).uint(7)},
+	} {
+		if _, err := replayOp(f.chain, tc.op, nil, byAddr, fixedBeacon{}); !errors.Is(err, errBadOp) {
+			t.Errorf("%s: err %v, want errBadOp", tc.name, err)
+		}
+	}
+	undeployed := Verdict{Contract: &Contract{Addr: "audit-nowhere"}}
+	if _, err := replayOp(f.chain, settleOpOf(3, 1, undeployed), nil, byAddr, fixedBeacon{}); err == nil {
+		t.Error("a settlement of an undeployed contract replayed")
+	}
+	huge := settleOpOf(3, 1<<40, v)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replayOp(f.chain, huge, nil, byAddr, fixedBeacon{})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(huge)) {
+		t.Fatalf("a %d-byte op declaring 2^40 entries allocated %d B", len(huge), got)
+	}
+}
+
 // FuzzReplayOp replays a real log with one arbitrary op in the middle: the
 // op's bytes come off disk, so whatever they hold, Replay either runs them
 // or refuses the log as corrupt. It never panics.
@@ -298,9 +392,15 @@ func FuzzReplayOp(f *testing.F) {
 		f.Fatal(err)
 	}
 	lg.Close()
-	for _, r := range recs {
+	for i, r := range recs {
 		if r.Kind == chain.LogOp {
 			f.Add(r.Data, uint8(len(recs)/2))
+		}
+		if r.Kind == chain.LogOp && r.Data[0] == opSettle {
+			// The same settlement over several contracts: the one settled
+			// there, the one the log deploys later, and the first again.
+			a, b := Verdict{Contract: &Contract{Addr: "audit-a"}, Passed: true, Gas: 1000}, Verdict{Contract: &Contract{Addr: "audit-b"}}
+			f.Add(settleOpOf(2, 3, a, b, a), uint8(i))
 		}
 	}
 	f.Fuzz(func(t *testing.T, op []byte, at uint8) {

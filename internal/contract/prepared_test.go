@@ -154,11 +154,11 @@ func TestPreparedItemIsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.contract.AttachPrepared(prepare(t, f, ch, enc))
-		if _, err := f.contract.SettleTrustedAt(true, 0, f.chain.Height()); err != nil {
+		if err := SettleVerdictsAt([]Verdict{{Contract: f.contract, Passed: true}}, f.chain.Height())[0].Err; err != nil {
 			t.Fatal(err)
 		}
 		if f.contract.prepared != nil {
-			t.Fatal("SettleTrustedAt kept the prepared item")
+			t.Fatal("SettleVerdictsAt kept the prepared item")
 		}
 	})
 }
