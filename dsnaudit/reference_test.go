@@ -25,7 +25,8 @@ func driveRounds(ctx context.Context, e *Engagement, n int) (int, error) {
 	passed := 0
 	for passed < n && e.Contract.State() == contract.StateAudit {
 		mineTo(e.Contract.TriggerHeight())
-		ch, err := e.Contract.IssueChallenge()
+		issued := contract.IssueChallenges([]*contract.Contract{e.Contract})[0]
+		ch, err := issued.Challenge, issued.Err
 		if err != nil {
 			return passed, err
 		}

@@ -307,3 +307,51 @@ func TestRecoverObservesEachRoundOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalFaultTickIssuesNoChallenge pins wakeAt's journal-fault rule: a
+// tick whose journal has already failed issues no challenge — it submits no
+// challenge transaction and every due contract stays in AUDIT for recovery
+// to re-arm — while the same tick on a healthy journal issues every due
+// challenge in one transaction.
+func TestJournalFaultTickIssuesNoChallenge(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		fx, err := buildCrashFixture("wake-fault", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl, err := OpenJournal(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(fx.net, WithJournal(jnl))
+		var h uint64
+		for _, e := range fx.engs {
+			if err := s.Add(e); err != nil {
+				t.Fatal(err)
+			}
+			h = max(h, e.Contract.TriggerHeight())
+		}
+		for fx.net.Chain.Height() < h {
+			fx.net.Chain.MineBlock()
+		}
+		if faulted {
+			jnl.fail(errInjected)
+		}
+		pending := fx.net.Chain.PendingCount()
+		due, _, _ := s.wakeAt(h)
+		txs, audit := fx.net.Chain.PendingCount()-pending, 0
+		for _, e := range fx.engs {
+			if e.Contract.State() == contract.StateAudit {
+				audit++
+			}
+		}
+		jnl.Close()
+		switch {
+		case faulted && (txs != 0 || len(due) != 0 || audit != len(fx.engs)):
+			t.Fatalf("a faulted tick submitted %d transactions and dispatched %d proofs, left %d of %d contracts in AUDIT",
+				txs, len(due), audit, len(fx.engs))
+		case !faulted && (txs != 1 || len(due) != len(fx.engs) || audit != 0):
+			t.Fatalf("a healthy tick submitted %d transactions for %d challenges, left %d contracts in AUDIT", txs, len(due), audit)
+		}
+	}
+}

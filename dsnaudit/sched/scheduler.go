@@ -721,11 +721,13 @@ func (s *Scheduler) Run(ctx context.Context) error {
 }
 
 // wakeAt pops the entries due at height h, sorts them by global sequence
-// number (arm order is not registration order), and applies each entry's
-// phase action in that registration order. It returns the proof jobs to
-// dispatch and the tick's settle block: entries adopted with a proof already
-// pending sit in their slots (adopted counts them), and each proof job holds
-// a nil slot its proof fills when it lands.
+// number (arm order is not registration order), issues the due challenges
+// of all of them in one step (contract.IssueChallenges: one challenge
+// transaction for the tick), and then applies each entry's phase action in
+// that registration order. It returns the proof jobs to dispatch and the
+// tick's settle block: entries adopted with a proof already pending sit in
+// their slots (adopted counts them), and each proof job holds a nil slot its
+// proof fills when it lands.
 func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted int) {
 	popped := s.store.popDue(h)
 	sort.Slice(popped, func(i, j int) bool { return popped[i].seq < popped[j].seq })
@@ -744,24 +746,34 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 		s.obsTick(len(popped))
 	}()
 
+	// The tick's challenges are issued first, before any deadline record of
+	// the tick is appended, and only if the journal has not failed: once it
+	// has, no further challenge may be issued. A journal write that fails
+	// later in the tick stops the loop below, which drops the remaining
+	// popped entries un-rearmed — recovery re-arms them from disk, and adopts
+	// a challenged one mid-round, its contract already in PROVE.
+	if s.journalFault() != nil {
+		return nil, nil, 0
+	}
+	var cs []*contract.Contract
+	for _, en := range popped {
+		if k := en.eng.Contract; en.phase == phaseWaiting && k.State() == contract.StateAudit && k.TriggerHeight() <= h {
+			cs = append(cs, k)
+		}
+	}
+	issued := contract.IssueChallenges(cs)
+
 	for _, en := range popped {
 		if s.journalFault() != nil {
-			// A journal write inside a previous entry's append failed: no
-			// further challenge may be issued. The remaining popped entries
-			// are dropped un-rearmed — recovery re-arms them from disk.
+			// A journal write inside a previous entry's append failed.
 			break
 		}
 		e := en.eng
 		switch en.phase {
 		case phaseWaiting:
-			switch e.Contract.State() {
-			case contract.StateAudit:
-				if e.Contract.TriggerHeight() > h {
-					// Armed early (an Add racing a tick): wait it out.
-					s.store.arm(e.Contract.TriggerHeight(), en)
-					continue
-				}
-				ch, err := e.Contract.IssueChallenge()
+			if len(cs) > 0 && cs[0] == e.Contract {
+				ch, err := issued[0].Challenge, issued[0].Err
+				cs, issued = cs[1:], issued[1:]
 				if err != nil {
 					s.finish(en, err)
 					continue
@@ -775,6 +787,12 @@ func (s *Scheduler) wakeAt(h uint64) (due []proofJob, block []*entry, adopted in
 				s.setPhase(en, phaseProving)
 				s.tracer.Emit(obs.EvChallenge, string(e.ID()), e.Contract.Round(), h, "")
 				dispatch(en, ch)
+				continue
+			}
+			switch e.Contract.State() {
+			case contract.StateAudit:
+				// Armed early (an Add racing a tick): wait it out.
+				s.store.arm(e.Contract.TriggerHeight(), en)
 			case contract.StateProve:
 				// Adopted mid-round: resume the open challenge.
 				s.setPhase(en, phaseProving)

@@ -133,11 +133,11 @@ func settleLimbo(t *testing.T) (*fixture, *dsnaudit.Engagement) {
 	for fx.net.Chain.Height() < eng.Contract.TriggerHeight() {
 		fx.net.Chain.MineBlock()
 	}
-	ch, err := eng.Contract.IssueChallenge()
-	if err != nil {
-		t.Fatal(err)
+	issued := contract.IssueChallenges([]*contract.Contract{eng.Contract})[0]
+	if issued.Err != nil {
+		t.Fatal(issued.Err)
 	}
-	proof, err := eng.Provider.Respond(context.Background(), eng.ID(), ch)
+	proof, err := eng.Provider.Respond(context.Background(), eng.ID(), issued.Challenge)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ func defaultGasSchedule() GasSchedule {
 	}
 }
 
-// calldataGas returns the calldata portion of a transaction's gas.
-func (g GasSchedule) calldataGas(data []byte) uint64 {
+// CalldataGas returns the calldata portion of a transaction's gas.
+func (g GasSchedule) CalldataGas(data []byte) uint64 {
 	zeros := uint64(bytes.Count(data, []byte{0}))
 	return zeros*g.CalldataZero + (uint64(len(data))-zeros)*g.CalldataNonZero
 }
@@ -326,7 +326,7 @@ func (c *Chain) submitLocked(tx *Tx) (uint64, error) {
 	if err := c.logFault(); err != nil {
 		return 0, err
 	}
-	gas := c.cfg.Gas.TxBase + c.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
+	gas := c.cfg.Gas.TxBase + c.cfg.Gas.CalldataGas(tx.Data) + tx.ExtraGas
 	if gas > c.cfg.BlockGasLimit {
 		return 0, fmt.Errorf("%w: %d > %d", errBlockGasExceeded, gas, c.cfg.BlockGasLimit)
 	}

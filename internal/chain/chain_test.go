@@ -72,7 +72,7 @@ func TestLockUnlock(t *testing.T) {
 func TestCalldataGas(t *testing.T) {
 	g := defaultGasSchedule()
 	data := []byte{0, 0, 1, 2}
-	if got := g.calldataGas(data); got != 2*4+2*16 {
+	if got := g.CalldataGas(data); got != 2*4+2*16 {
 		t.Fatalf("calldata gas = %d", got)
 	}
 	if g.StorageGas(33) != 2*20000 {
@@ -80,7 +80,7 @@ func TestCalldataGas(t *testing.T) {
 	}
 }
 
-// TestCalldataGasMatchesPerByte pins calldataGas against the per-byte
+// TestCalldataGasMatchesPerByte pins CalldataGas against the per-byte
 // schedule it counts: 4 gas per zero byte, 16 per non-zero byte.
 func TestCalldataGasMatchesPerByte(t *testing.T) {
 	g := defaultGasSchedule()
@@ -103,7 +103,7 @@ func TestCalldataGasMatchesPerByte(t *testing.T) {
 				want += g.CalldataNonZero
 			}
 		}
-		if got := g.calldataGas(tc.data); got != want {
+		if got := g.CalldataGas(tc.data); got != want {
 			t.Errorf("%s: calldata gas = %d, want %d", tc.name, got, want)
 		}
 	}
@@ -286,7 +286,7 @@ func TestSubmitReferencing(t *testing.T) {
 			t.Fatalf("tx %d posted %q, want %q", i, tx.Data, want)
 		}
 	}
-	gas := uint64(callers)*(g.TxBase+7) + g.calldataGas(first) + g.StorageGas(len(content)) + uint64(callers-1)*g.calldataGas(later)
+	gas := uint64(callers)*(g.TxBase+7) + g.CalldataGas(first) + g.StorageGas(len(content)) + uint64(callers-1)*g.CalldataGas(later)
 	if blk.GasUsed != gas {
 		t.Fatalf("block gas %d, want %d", blk.GasUsed, gas)
 	}

@@ -27,7 +27,7 @@ func newRefChain(cfg Config) *refChain {
 }
 
 func (r *refChain) gas(tx *Tx) uint64 {
-	return r.cfg.Gas.TxBase + r.cfg.Gas.calldataGas(tx.Data) + tx.ExtraGas
+	return r.cfg.Gas.TxBase + r.cfg.Gas.CalldataGas(tx.Data) + tx.ExtraGas
 }
 
 func (r *refChain) next() uint64 { return r.blocks[len(r.blocks)-1].Number + 1 }

@@ -22,7 +22,9 @@
 //
 // Scheduling ("Ethereum Alarm Clock") is modeled by block-height triggers:
 // the contract arms a trigger height and anyone may poke it once the chain
-// reaches that height.
+// reaches that height. IssueChallenges pokes every due challenge trigger of
+// a height at once, and their challenges land in one challenge transaction
+// from the audit-trigger keeper.
 package contract
 
 import (
@@ -272,12 +274,64 @@ func (k *Contract) Freeze() error {
 // (challenge issue or proof deadline) fires.
 func (k *Contract) TriggerHeight() uint64 { return k.trigger }
 
-// IssueChallenge fires the scheduled "Chal" action once the trigger height
-// is reached: it draws beacon randomness, derives (C1, C2, r), stores the 48
-// challenge bytes on chain and moves to PROVE.
-func (k *Contract) IssueChallenge() (*core.Challenge, error) {
+// ChallengeResult reports one contract's outcome from IssueChallenges.
+type ChallengeResult struct {
+	Challenge *core.Challenge // nil when the contract expired instead, or on Err
+	Err       error
+}
+
+// auditTrigger is the address every challenge transaction goes from and to:
+// the keeper that fires a height's "Chal" triggers, not any one contract. It
+// chooses nothing; each challenge it carries is its contract's beacon draw.
+const auditTrigger chain.Address = "audit-trigger"
+
+// challengeSize is a challenge's on-chain form: C1 ‖ C2 ‖ r.
+const challengeSize = 48
+
+// IssueChallenges fires the due "Chal" actions of many contracts together.
+// Each contract does its own part first, in input order: the state and
+// trigger checks, expiry when its rounds are exhausted (logged, with no
+// transaction) and its own beacon draw of (C1, C2, r). Then one challenge
+// transaction per chain carries the drawn challenges, its calldata their 48
+// bytes each in input order, so every round's challenge is on chain byte for
+// byte; it carries no execution gas, and it is split into consecutive
+// transactions only where a single one would exceed the block gas limit. A
+// transaction is submitted before any of its contracts moves to PROVE; if
+// the chain refuses it (a chain-log fault), each of its contracts stays in
+// AUDIT and reports the error. A contract not in AUDIT, or one already
+// challenged earlier in the call, gets ErrWrongState and is in no
+// transaction. Results are in input order.
+func IssueChallenges(cs []*Contract) []ChallengeResult {
+	results := make([]ChallengeResult, len(cs))
+	// The contracts that drew a challenge, in input order; a tick of up to
+	// 16 lists them without a heap allocation.
+	drawn := make([]int, 0, 16)
+	for i, k := range cs {
+		ch, err := k.drawChallenge()
+		results[i] = ChallengeResult{Challenge: ch, Err: err}
+		if err == nil && ch != nil {
+			drawn = append(drawn, i)
+		}
+	}
+	chainOf := func(i int) *chain.Chain { return cs[i].Chain }
+	for len(drawn) > 0 {
+		c := cs[drawn[0]].Chain
+		own, rest := onChain(drawn, chainOf, c)
+		challengeTxs(c, cs, own, results)
+		drawn = rest
+	}
+	return results
+}
+
+// drawChallenge is k's own part of the "Chal" action: the state and trigger
+// checks, then expiry (a nil challenge) or the beacon draw. A drawn
+// challenge is held as k's open one until its transaction is submitted.
+func (k *Contract) drawChallenge() (*core.Challenge, error) {
 	if k.state != StateAudit {
 		return nil, fmt.Errorf("%w: %s", errWrongState, k.state)
+	}
+	if k.challenge != nil {
+		return nil, fmt.Errorf("%w: challenged twice in one call", errWrongState)
 	}
 	if k.Chain.Height() < k.trigger {
 		return nil, fmt.Errorf("%w: height %d < %d", errNotTrigger, k.Chain.Height(), k.trigger)
@@ -292,26 +346,50 @@ func (k *Contract) IssueChallenge() (*core.Challenge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("contract: beacon failure: %w", err)
 	}
-	if len(seed) < 48 {
-		return nil, fmt.Errorf("contract: beacon returned %d bytes, need 48", len(seed))
+	if len(seed) < challengeSize {
+		return nil, fmt.Errorf("contract: beacon returned %d bytes, need %d", len(seed), challengeSize)
 	}
 	ch := &core.Challenge{K: k.Terms.ChallengeSize}
 	copy(ch.C1[:], seed[0:16])
 	copy(ch.C2[:], seed[16:32])
 	copy(ch.R[:], seed[32:48])
 	k.challenge = ch
-
-	if _, err := k.Chain.SubmitOp(&chain.Tx{
-		From: k.Addr, To: k.Addr,
-		Data: ch.Marshal(),
-		Note: "challenge round " + strconv.Itoa(k.round),
-	}, k.op(opChallenge)); err != nil {
-		return nil, err
-	}
-	k.state = StateProve
-	k.trigger = k.Chain.Height() + k.Terms.ProofDeadline
-	k.Chain.Emit("challenged", ch.Marshal())
 	return ch, nil
+}
+
+// challengeTxs submits the challenge transactions on c for the contracts at
+// idx, as few as the block gas limit allows, each followed by its contracts'
+// move to PROVE.
+func challengeTxs(c *chain.Chain, cs []*Contract, idx []int, results []ChallengeResult) {
+	data := make([]byte, 0, len(idx)*challengeSize)
+	for _, i := range idx {
+		ch := results[i].Challenge
+		data = append(append(append(data, ch.C1[:]...), ch.C2[:]...), ch.R[:]...)
+	}
+	g := c.Config().Gas
+	for len(idx) > 0 {
+		n := fitTx(c, len(idx), func(j int) uint64 { return g.CalldataGas(data[j*challengeSize : (j+1)*challengeSize]) })
+		end := n * challengeSize
+		_, err := c.SubmitOp(&chain.Tx{
+			From: auditTrigger, To: auditTrigger,
+			Data: data[:end:end],
+			Note: "challenges",
+		}, challengeOp(c, cs, idx[:n]))
+		for _, i := range idx[:n] {
+			k := cs[i]
+			if err != nil {
+				k.challenge = nil
+				results[i] = ChallengeResult{Err: err}
+				continue
+			}
+			k.state = StateProve
+			k.trigger = c.Height() + k.Terms.ProofDeadline
+			// The event gets its own copy: a slice of the calldata would keep
+			// the whole transaction's challenges alive with it.
+			c.Emit("challenged", results[i].Challenge.Marshal())
+		}
+		idx, data = idx[n:], data[end:]
+	}
 }
 
 // CurrentChallenge returns the open challenge while in PROVE or SETTLE.
@@ -507,11 +585,12 @@ func SettleVerdictsAt(vs []Verdict, height uint64) []SettleResult {
 	}
 	// A block is one chain's; verdicts from several chains get one
 	// settlement per chain, in order of first appearance.
+	chainOf := func(i int) *chain.Chain { return vs[i].Contract.Chain }
 	for len(pending) > 0 {
 		c := vs[pending[0]].Contract.Chain
-		own, rest := onChain(vs, pending, c)
+		own, rest := onChain(pending, chainOf, c)
 		for len(own) > 0 {
-			n := fitSettlement(c, vs, own)
+			n := fitTx(c, len(own), func(j int) uint64 { return vs[own[j]].Gas })
 			settleTxAt(c, vs, own[:n], height, results)
 			own = own[n:]
 		}
@@ -520,13 +599,13 @@ func SettleVerdictsAt(vs []Verdict, height uint64) []SettleResult {
 	return results
 }
 
-// onChain splits the verdicts at idx into those of contracts on c and the
-// rest, each in order. When all are on c it returns idx itself.
-func onChain(vs []Verdict, idx []int, c *chain.Chain) (own, rest []int) {
+// onChain splits idx into the positions whose contract chainOf puts on c
+// and the rest, each in order. When all are on c it returns idx itself.
+func onChain(idx []int, chainOf func(int) *chain.Chain, c *chain.Chain) (own, rest []int) {
 	for _, i := range idx {
-		if vs[i].Contract.Chain != c {
+		if chainOf(i) != c {
 			for _, i := range idx {
-				if vs[i].Contract.Chain == c {
+				if chainOf(i) == c {
 					own = append(own, i)
 				} else {
 					rest = append(rest, i)
@@ -538,17 +617,21 @@ func onChain(vs []Verdict, idx []int, c *chain.Chain) (own, rest []int) {
 	return idx, nil
 }
 
-// fitSettlement returns how many of the verdicts at idx, from the front, one
-// settlement transaction on c carries: as many as keep its gas within the
+// fitTx returns how many of n entries, from the front, one transaction on c
+// carries when entry j adds gas(j) to it: as many as keep its gas within the
 // block gas limit, and at least one.
-func fitSettlement(c *chain.Chain, vs []Verdict, idx []int) int {
+func fitTx(c *chain.Chain, n int, gas func(j int) uint64) int {
 	cfg := c.Config()
 	room := cfg.BlockGasLimit - min(cfg.BlockGasLimit, cfg.Gas.TxBase)
-	n := 0
-	for ; n < len(idx) && vs[idx[n]].Gas <= room; n++ {
-		room -= vs[idx[n]].Gas
+	j := 0
+	for ; j < n; j++ {
+		g := gas(j)
+		if g > room {
+			break
+		}
+		room -= g
 	}
-	return max(n, 1)
+	return max(j, 1)
 }
 
 // settleTxAt submits one settlement transaction on c for the verdicts at

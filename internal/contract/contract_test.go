@@ -21,6 +21,15 @@ func (fixedBeacon) Randomness(round int) ([]byte, error) {
 	return out, nil
 }
 
+// IssueChallenge fires k's scheduled "Chal" action alone: it is
+// IssueChallenges over k, so a drawn challenge goes in a challenge
+// transaction of its own, and a contract whose rounds are exhausted expires
+// and returns a nil challenge.
+func (k *Contract) IssueChallenge() (*core.Challenge, error) {
+	res := IssueChallenges([]*Contract{k})[0]
+	return res.Challenge, res.Err
+}
+
 // failingBeacon always errors.
 type failingBeacon struct{}
 

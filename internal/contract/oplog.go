@@ -20,11 +20,12 @@ const (
 	opNegotiate    byte = 2
 	opAcknowledge  byte = 3 // accept
 	opFreeze       byte = 4
-	opChallenge    byte = 5
+	opChallenge    byte = 5 // an expiry; in logs written before challenges were batched, also a one-contract challenge
 	opProof        byte = 6 // the proof bytes
 	opVerdict      byte = 7 // passed, settle gas, height: a one-contract settlement, in logs written before settlements were batched
 	opMissDeadline byte = 8
-	opSettle       byte = 9 // a settlement transaction: its height, then per verdict the contract, passed and gas
+	opSettle       byte = 9  // a settlement transaction: its height, then per verdict the contract, passed and gas
+	opChallenges   byte = 10 // a challenge transaction: its contracts
 )
 
 var errBadOp = errors.New("contract: malformed op")
@@ -151,6 +152,21 @@ func settleOp(c *chain.Chain, vs []Verdict, idx []int, height uint64) []byte {
 	return op
 }
 
+// challengeOp returns the op of the challenge transaction on c for the
+// contracts at idx, or nil when c keeps no log. Its address is the audit
+// trigger's. The challenges are not in it: replay draws them from the beacon
+// again.
+func challengeOp(c *chain.Chain, cs []*Contract, idx []int) []byte {
+	if !c.Logging() {
+		return nil
+	}
+	op := newOp(opChallenges, auditTrigger).uint(uint64(len(idx)))
+	for _, i := range idx {
+		op = op.str(string(cs[i].Addr))
+	}
+	return op
+}
+
 // logDeploy writes k's deploy op. The key goes as its body's digest and
 // its Name; the log holds the body itself once, ahead of the first op that
 // references it.
@@ -176,11 +192,14 @@ func (k *Contract) logDeploy() error {
 // keeps no log. Content records fill a key registry; each op runs the call
 // it records, a settlement through SettleVerdictsAt with its logged verdicts
 // and gas, so no proof is parsed or verified (an older log's verdict op is a
-// one-contract settlement, the transaction it was written with); each seal
-// mark re-seals its block (chain.Chain.Reseal). Challenges are drawn from rand again, so it must be
-// the logged chain's beacon. Replay returns the contracts the log deployed,
-// in deploy order. A record that does not decode, an op whose call fails
-// and a block that re-seals differently are all chain.ErrLogCorrupt.
+// one-contract settlement, the transaction it was written with), and a
+// challenge transaction through IssueChallenges over its contracts (an older
+// log's challenge op is a one-contract challenge transaction, with the gas
+// and bytes of the one it was written with); each seal mark re-seals its
+// block (chain.Chain.Reseal). Challenges are drawn from rand again, so it
+// must be the logged chain's beacon. Replay returns the contracts the log
+// deployed, in deploy order. A record that does not decode, an op whose call
+// fails and a block that re-seals differently are all chain.ErrLogCorrupt.
 func Replay(c *chain.Chain, recs []chain.LogRecord, rand RandomnessSource) ([]*Contract, error) {
 	bodies := make(map[[32]byte][]byte)
 	byAddr := make(map[chain.Address]*Contract)
@@ -221,6 +240,11 @@ func replayOp(c *chain.Chain, op []byte, bodies map[[32]byte][]byte, byAddr map[
 			return nil, errBadOp
 		}
 		return nil, replaySettle(r, byAddr)
+	case opChallenges:
+		if addr != auditTrigger {
+			return nil, errBadOp
+		}
+		return nil, replayChallenges(r, byAddr)
 	}
 	k := byAddr[addr]
 	if k == nil {
@@ -249,7 +273,7 @@ func replayOp(c *chain.Chain, op []byte, bodies map[[32]byte][]byte, byAddr map[
 	case opFreeze:
 		err = k.Freeze()
 	case opChallenge:
-		_, err = k.IssueChallenge()
+		err = IssueChallenges([]*Contract{k})[0].Err
 	case opProof:
 		err = k.SubmitProof(k.Terms.Provider, proof)
 	case opVerdict:
@@ -284,6 +308,37 @@ func replaySettle(r *opReader, byAddr map[chain.Address]*Contract) error {
 	for _, res := range SettleVerdictsAt(vs, height) {
 		if res.Err != nil {
 			return res.Err
+		}
+	}
+	return nil
+}
+
+// replayChallenges decodes a challenge op's contracts and challenges them
+// again. Each must draw a challenge, as it did when the op was written.
+func replayChallenges(r *opReader, byAddr map[chain.Address]*Contract) error {
+	n := r.uint()
+	// An entry takes at least one byte, so a count the op cannot hold is
+	// refused before anything is allocated for it.
+	if r.err != nil || n == 0 || n > uint64(len(r.p)) {
+		return errBadOp
+	}
+	cs := make([]*Contract, n)
+	for i := range cs {
+		addr := chain.Address(r.raw())
+		cs[i] = byAddr[addr]
+		if r.err == nil && cs[i] == nil {
+			return fmt.Errorf("challenge of undeployed contract %q", addr)
+		}
+	}
+	if err := r.done(); err != nil {
+		return err
+	}
+	for i, res := range IssueChallenges(cs) {
+		if res.Err != nil {
+			return res.Err
+		}
+		if res.Challenge == nil {
+			return fmt.Errorf("logged challenge of %q expired its contract", cs[i].Addr)
 		}
 	}
 	return nil

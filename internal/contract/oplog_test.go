@@ -402,6 +402,12 @@ func FuzzReplayOp(f *testing.F) {
 			a, b := Verdict{Contract: &Contract{Addr: "audit-a"}, Passed: true, Gas: 1000}, Verdict{Contract: &Contract{Addr: "audit-b"}}
 			f.Add(settleOpOf(2, 3, a, b, a), uint8(i))
 		}
+		if r.Kind == chain.LogOp && r.Data[0] == opChallenges {
+			// The same challenge transaction over several contracts: the
+			// one challenged there, the one the log deploys later, and the
+			// first again.
+			f.Add(challengeOpOf(3, "audit-a", "audit-b", "audit-a"), uint8(i))
+		}
 	}
 	f.Fuzz(func(t *testing.T, op []byte, at uint8) {
 		i := int(at) % (len(recs) + 1)

@@ -248,8 +248,9 @@ func attachLog(t *testing.T, c *chain.Chain) (string, *chain.Log) {
 }
 
 // replayMatches closes lg, replays the log at path onto genesis and checks
-// the replayed chain against live. It returns the log's settlement ops.
-func replayMatches(t *testing.T, path string, lg *chain.Log, genesis, live *chain.Chain) [][]byte {
+// the replayed chain against live. It returns the log's ops with the given
+// code.
+func replayMatches(t *testing.T, path string, lg *chain.Log, genesis, live *chain.Chain, code byte) [][]byte {
 	t.Helper()
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
@@ -271,13 +272,13 @@ func replayMatches(t *testing.T, path string, lg *chain.Log, genesis, live *chai
 		t.Fatalf("replayed chain at %d / %d gas / %d B, live at %d / %d / %d",
 			genesis.Height(), genesis.TotalGas(), genesis.TotalBytes(), live.Height(), live.TotalGas(), live.TotalBytes())
 	}
-	var settles [][]byte
+	var ops [][]byte
 	for _, r := range recs {
-		if r.Kind == chain.LogOp && r.Data[0] == opSettle {
-			settles = append(settles, r.Data)
+		if r.Kind == chain.LogOp && r.Data[0] == code {
+			ops = append(ops, r.Data)
 		}
 	}
-	return settles
+	return ops
 }
 
 // settleTxs mines c until nothing is pending and returns the settlement
@@ -361,7 +362,7 @@ func TestChainLogSettlesBlockInOneTransaction(t *testing.T) {
 		}
 	}
 
-	if ops := replayMatches(t, path, lg, chain.New(chain.DefaultConfig()), batched); len(ops) != 1 {
+	if ops := replayMatches(t, path, lg, chain.New(chain.DefaultConfig()), batched, opSettle); len(ops) != 1 {
 		t.Fatalf("the log holds %d settlement ops, want 1", len(ops))
 	}
 }
@@ -402,7 +403,7 @@ func TestChainLogSettlementSplitsAtGasLimit(t *testing.T) {
 	if sum != gas[0]+gas[1] {
 		t.Fatalf("records sum to %d gas, the settlement transactions used %d", sum, gas[0]+gas[1])
 	}
-	if ops := replayMatches(t, path, lg, chain.New(chain.DefaultConfig()), split); len(ops) != 2 {
+	if ops := replayMatches(t, path, lg, chain.New(chain.DefaultConfig()), split, opSettle); len(ops) != 2 {
 		t.Fatalf("the log holds %d settlement ops, want 2", len(ops))
 	}
 }
